@@ -1,56 +1,63 @@
 //! The coordinator side of the RPC layer: [`RemoteShard`] speaks the
 //! engine's [`ShardLink`] protocol to one [`crate::service::ShardService`]
 //! over any [`Transport`], adding everything the in-process worker never
-//! needed — per-message timeout and retransmission, duplicate-reply
-//! filtering, corrupt-frame rejection, and crash recovery by respawning
-//! the service and rebuilding its monitor.
+//! needed. It is built from three mechanisms, each present once:
 //!
-//! # Recovery, bounded
+//! # One log
 //!
-//! Without durability (the default) the rebuild replays the **full**
-//! event journal against the respawned service's fresh monitor; the
-//! monitors are deterministic, so a complete replay reconstructs
-//! bit-identical shard state and the engine never notices the death.
-//! With a [`DurabilityConfig`] the link additionally runs a periodic
-//! snapshot cycle: every `snapshot_every` journaled event frames it
-//! pulls the monitor's answer-relevant state (`rnn_core::MonitorState`)
-//! over a [`MsgTag::SnapshotRequest`] round trip, then truncates the
-//! journal (and the on-disk [`Wal`], when a directory is configured)
-//! behind it. Recovery then costs one snapshot install plus a replay of
-//! only the journal **suffix** — O(events since the last snapshot), not
-//! O(run length) — which is what makes crash recovery bounded-time.
+//! Every event frame sent to the shard is appended to the link's
+//! [`ShardLog`] — volatile by default, on disk (`events.wal` +
+//! `snapshot.bin`) when [`DurabilityConfig::dir`] is set. With
+//! `snapshot_every > 0` the link runs a snapshot cycle: every
+//! `snapshot_every` logged frames it pulls the monitor's
+//! answer-relevant state (`rnn_core::MonitorState`) over a
+//! [`MsgTag::SnapshotRequest`] round trip and hands it to
+//! [`ShardLog::install_snapshot`], which truncates the log behind it.
+//! Recovery therefore replays O(events since the last snapshot), not
+//! O(run length). With a [`ReplicatedLog`] attached
+//! ([`RemoteShard::attach_replog`]) the link is also the **leader** of
+//! its shard's journal: each event frame is quorum-acked by follower
+//! replicas — each holding the same `ShardLog` type — before it is
+//! dispatched (see [`crate::replog`]), and a fenced append (a replica
+//! at a newer epoch) kills the link, because a newer leader owns the
+//! shard.
 //!
-//! # Replication
+//! # One wait loop
 //!
-//! With a [`ReplicatedLog`] attached ([`RemoteShard::attach_replog`])
-//! the link is the **leader** of its shard's journal: every event frame
-//! is streamed to the follower replicas and only *commits* — becomes
-//! eligible for WAL truncation and is dispatched to the shard monitor —
-//! once a quorum has acked (see [`crate::replog`]). Every frame carries
-//! the leader's epoch; a fenced append (a replica at a newer epoch)
-//! kills the link immediately, because a newer leader owns the shard.
-//! When the shard itself dies past the retry **and** recovery budgets,
-//! the link promotes a live follower instead of going dead: the
-//! follower rebuilds from its own replicated log, the link adopts its
-//! transport, and the in-flight request is retransmitted under the new
-//! epoch — the engine never notices.
+//! Every request — the engine's, a snapshot pull, a snapshot install, a
+//! replayed log frame — waits for its reply in `Inner::await_reply`:
+//! replies to older requests are dropped, undecodable or mistagged
+//! frames are counted as corrupt, and the request is retransmitted on
+//! each of those and on each timeout until `RetryPolicy::max_retries`
+//! is spent. The routine reports `Reply`, `Exhausted` or `Closed`; the
+//! callers only decide what those mean for them.
+//!
+//! # One replay path
+//!
+//! A shard that dies is rebuilt by frames fed to
+//! [`crate::service::ShardService::handle`]: a snapshot install (when a
+//! snapshot is held) followed by the log suffix. The link tries, in
+//! order: **respawn-rebuild** — a fresh service from the respawn hook,
+//! fed those frames over the wire, up to `1 + recovery_retries` times;
+//! **promotion** — a live follower feeds the same frames from its own
+//! log to a service it builds locally ([`crate::replica`]), and the
+//! link adopts its transport and re-stamps the in-flight request with
+//! the bumped epoch. Deterministic monitors make either rebuild
+//! answer-identical to the lost state, and the engine never notices.
+//! The third rung, **planner takeover**, is the engine's, below.
 //!
 //! # Liveness
 //!
 //! The client never panics on peer behaviour. A peer unreachable past
-//! the retry budget, dead with no respawn hook, or dying repeatedly
-//! through `recovery_retries` full recovery attempts — with no live
-//! follower left to promote — turns the link **dead**: the failure is
-//! recorded as a typed [`ClusterError`], the current and every
-//! subsequent `recv` answers `Response::Down`, and sends become no-ops.
-//! What happens next is the engine's policy call
-//! (`rnn_engine::EngineConfig::takeover`): panic, or hand the corpse's
-//! cells to surviving shards.
+//! the retry budget, or dead with both rebuilds unavailable or
+//! exhausted, turns the link **dead**: the failure is recorded as a
+//! typed [`ClusterError`], the current and every subsequent `recv`
+//! answers `Response::Down`, and sends become no-ops. What happens next
+//! is the engine's policy call (`rnn_engine::EngineConfig::takeover`):
+//! panic, or hand the corpse's cells to surviving shards.
 
-use std::fs::File;
-use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use rnn_core::{MemoryUsage, MonitorState, TransportStats};
@@ -59,9 +66,9 @@ use rnn_roadnet::{WireCodec, WireReader};
 
 use crate::error::ClusterError;
 use crate::frame::{Frame, MsgTag};
+use crate::log::ShardLog;
 use crate::replog::{ReplicatedLog, REPLAY_ALL};
 use crate::transport::{RecvError, Transport};
-use crate::wal::Wal;
 
 /// Per-message delivery policy.
 #[derive(Clone, Copy, Debug)]
@@ -84,21 +91,20 @@ impl Default for RetryPolicy {
 }
 
 /// The durability plane of one shard link. The default (`snapshot_every
-/// = 0`, no directory) disables all of it and keeps the historical
-/// full-journal behaviour bit-for-bit.
+/// = 0`, no directory) keeps the whole event log in memory and replays
+/// all of it on recovery.
 #[derive(Clone, Debug, Default)]
 pub struct DurabilityConfig {
-    /// Run a snapshot cycle once the journal holds this many event
-    /// frames: capture the monitor's state over RPC, then truncate the
-    /// journal (and WAL) behind it, bounding recovery replay to the
-    /// suffix. `0` disables snapshots entirely.
+    /// Run a snapshot cycle once the log holds this many event frames:
+    /// capture the monitor's state over RPC, then truncate the log
+    /// behind it, bounding recovery replay to the suffix. `0` disables
+    /// snapshots entirely.
     pub snapshot_every: u32,
-    /// Directory for the on-disk durability artifacts — `events.wal`
-    /// (the event journal, torn-tail tolerant; see [`crate::wal`]) and
-    /// `snapshot.bin` (the latest snapshot, written tmp+fsync+rename).
-    /// `None` keeps the journal and snapshot in memory only: shard-crash
-    /// recovery still works (the coordinator survives), but nothing
-    /// outlives the coordinator process.
+    /// Directory for the on-disk [`ShardLog`] — `events.wal` (torn-tail
+    /// tolerant; see [`crate::wal`]) and `snapshot.bin` (written
+    /// tmp+fsync+rename). `None` keeps the log in memory only:
+    /// shard-crash recovery still works (the coordinator survives), but
+    /// nothing outlives the coordinator process.
     pub dir: Option<PathBuf>,
     /// WAL fsync batching: sync the log once per this many appends
     /// (0 is treated as 1 — sync every append).
@@ -126,90 +132,9 @@ impl DurabilityConfig {
     /// under `dir`.
     pub fn on_disk(snapshot_every: u32, dir: PathBuf) -> Self {
         Self {
-            snapshot_every,
             dir: Some(dir),
-            fsync_every: 1,
-            recovery_retries: 2,
+            ..Self::in_memory(snapshot_every)
         }
-    }
-
-    /// A validating builder (mirroring `EngineConfig::builder`): knob
-    /// mistakes surface as a typed [`DurabilityConfigError`] at
-    /// [`DurabilityConfigBuilder::build`] instead of being silently
-    /// papered over (a literal `fsync_every: 0` is quietly treated as 1).
-    pub fn builder() -> DurabilityConfigBuilder {
-        DurabilityConfigBuilder {
-            cfg: Self {
-                fsync_every: 1,
-                recovery_retries: 2,
-                ..Self::default()
-            },
-        }
-    }
-}
-
-/// Why a [`DurabilityConfig::builder`] configuration was rejected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DurabilityConfigError {
-    /// `fsync_every` was 0. The raw struct treats 0 as "sync every
-    /// append" for backwards compatibility; the builder rejects it so a
-    /// miscomputed batch size fails loudly instead of silently running
-    /// at the slowest possible setting.
-    ZeroFsyncBatch,
-}
-
-impl std::fmt::Display for DurabilityConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurabilityConfigError::ZeroFsyncBatch => write!(
-                f,
-                "DurabilityConfig::fsync_every must be at least 1 \
-                 (1 = sync every append)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityConfigError {}
-
-/// Builder for [`DurabilityConfig`]; see [`DurabilityConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct DurabilityConfigBuilder {
-    cfg: DurabilityConfig,
-}
-
-impl DurabilityConfigBuilder {
-    /// Sets the snapshot cadence, in journaled event frames (0 disables
-    /// snapshots).
-    pub fn snapshot_every(mut self, frames: u32) -> Self {
-        self.cfg.snapshot_every = frames;
-        self
-    }
-
-    /// Persists the WAL and snapshots under `dir`.
-    pub fn dir(mut self, dir: PathBuf) -> Self {
-        self.cfg.dir = Some(dir);
-        self
-    }
-
-    /// Sets the WAL fsync batch size (validated to `>= 1` at build).
-    pub fn fsync_every(mut self, appends: u32) -> Self {
-        self.cfg.fsync_every = appends;
-        self
-    }
-
-    /// Sets the extra full recovery attempts after the first failure.
-    pub fn recovery_retries(mut self, retries: u32) -> Self {
-        self.cfg.recovery_retries = retries;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<DurabilityConfig, DurabilityConfigError> {
-        if self.cfg.fsync_every == 0 {
-            return Err(DurabilityConfigError::ZeroFsyncBatch);
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -221,6 +146,16 @@ struct Inflight {
     bytes: Vec<u8>,
     seq: u32,
     tag: MsgTag,
+}
+
+/// How one wait for a reply ended (see [`Inner::await_reply`]).
+enum Wait<R> {
+    /// The matching reply arrived and was accepted.
+    Reply(R),
+    /// The retransmit budget was spent without an acceptable reply.
+    Exhausted,
+    /// The transport reported the peer gone.
+    Closed,
 }
 
 /// Why one rebuild attempt against a respawned service did not finish.
@@ -238,17 +173,10 @@ struct Inner {
     durability: DurabilityConfig,
     next_seq: u32,
     inflight: Option<Inflight>,
-    /// Event frames sent since the last durable snapshot, in order, with
-    /// their sequence numbers. This is the recovery suffix: replayed
-    /// against a respawned service after its snapshot install (or in
-    /// full, from seq 0, when snapshots are disabled). Memory requests
-    /// are read-only and are simply retransmitted, never journaled.
-    journal: Vec<(u32, Vec<u8>)>,
-    /// Disk image of the journal (present when `durability.dir` is set).
-    wal: Option<Wal>,
-    /// Latest monitor-state snapshot: the sequence number it covers and
-    /// the encoded `MonitorState` payload.
-    snapshot: Option<(u32, Vec<u8>)>,
+    /// Every event frame sent since the latest snapshot, and that
+    /// snapshot: what a rebuilt shard is fed. Memory requests are
+    /// read-only and are simply retransmitted, never logged.
+    log: ShardLog,
     /// Cleared when the shard's monitor answers a snapshot request with
     /// an empty payload (snapshots unsupported) — the cycle then stays
     /// off and recovery falls back to full replay.
@@ -273,33 +201,14 @@ pub struct RemoteShard {
 }
 
 impl RemoteShard {
-    /// A link with no crash recovery: the peer dying kills the link.
-    pub fn new(shard: usize, transport: Box<dyn Transport>, policy: RetryPolicy) -> Self {
-        Self::build(shard, transport, policy, None, DurabilityConfig::default())
-    }
-
-    /// A link that, when the peer dies, calls `respawn` for a transport
-    /// to a fresh service and rebuilds it by journal replay.
-    pub fn with_respawn(
-        shard: usize,
-        transport: Box<dyn Transport>,
-        policy: RetryPolicy,
-        respawn: RespawnFn,
-    ) -> Self {
-        Self::build(
-            shard,
-            transport,
-            policy,
-            Some(respawn),
-            DurabilityConfig::default(),
-        )
-    }
-
-    /// A link with the full durability plane: periodic snapshots with
-    /// journal/WAL truncation, bounded-suffix recovery, and (when
-    /// `durability.dir` is set) on-disk artifacts that seed the journal
-    /// and snapshot back in on construction — a restarted coordinator
-    /// resumes from what was durable, minus any torn WAL tail.
+    /// A link to the service behind `transport`. Crash recovery is what
+    /// the arguments make it: `respawn` enables respawn-rebuild,
+    /// `durability` sets the snapshot cadence that bounds its replay and
+    /// (when `durability.dir` is set) puts the log on disk, read back in
+    /// on construction — a restarted coordinator resumes from what was
+    /// durable, minus any torn WAL tail. With `None` and the default
+    /// config the log is volatile and a dead peer is survivable only
+    /// through follower promotion.
     pub fn with_durability(
         shard: usize,
         transport: Box<dyn Transport>,
@@ -307,40 +216,19 @@ impl RemoteShard {
         respawn: Option<RespawnFn>,
         durability: DurabilityConfig,
     ) -> std::io::Result<Self> {
-        let mut snapshot = None;
-        let mut journal = Vec::new();
-        let mut wal = None;
-        if let Some(dir) = &durability.dir {
-            std::fs::create_dir_all(dir)?;
-            snapshot = load_snapshot(&dir.join("snapshot.bin"));
-            let (log, recovered) = Wal::open(&dir.join("events.wal"), durability.fsync_every)?;
-            // A crash between snapshot rename and WAL reset can leave
-            // already-covered records in the log; recovery must replay
-            // only the suffix past the snapshot.
-            let covered = snapshot.as_ref().map(|(seq, _)| *seq);
-            journal = recovered
-                .into_iter()
-                .filter(|(seq, _)| !covered.is_some_and(|c| *seq <= c))
-                .collect();
-            wal = Some(log);
-        }
-        let next_seq = journal
-            .iter()
-            .map(|(seq, _)| *seq)
-            .chain(snapshot.iter().map(|(seq, _)| *seq))
-            .max()
-            .map_or(0, |m| m + 1);
+        let log = match &durability.dir {
+            Some(dir) => ShardLog::open(dir, durability.fsync_every)?,
+            None => ShardLog::volatile(),
+        };
         Ok(Self {
             inner: Mutex::new(Inner {
                 shard,
                 transport,
                 policy,
                 durability,
-                next_seq,
+                next_seq: log.next_seq(),
                 inflight: None,
-                journal,
-                wal,
-                snapshot,
+                log,
                 snapshots_supported: true,
                 dead: false,
                 last_error: None,
@@ -352,38 +240,26 @@ impl RemoteShard {
         })
     }
 
-    fn build(
-        shard: usize,
-        transport: Box<dyn Transport>,
-        policy: RetryPolicy,
-        respawn: Option<RespawnFn>,
-        durability: DurabilityConfig,
-    ) -> Self {
-        debug_assert!(durability.dir.is_none());
-        match Self::with_durability(shard, transport, policy, respawn, durability) {
-            Ok(link) => link,
-            // lint: allow(panic-free-wire): unreachable — without a durability dir no I/O runs, so construction cannot fail
-            Err(e) => panic!("shard {shard}: link construction failed without disk I/O: {e}"),
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
+        self.inner.lock().expect("link lock")
     }
 
     /// Cumulative transport counters for this link. The durability
     /// gauges (`journal_len`, `wal_bytes`, `snapshot_bytes`) are
-    /// computed from the live state at call time.
+    /// computed from the live log at call time.
     pub fn stats(&self) -> TransportStats {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        let g = self.inner.lock().expect("link lock");
+        let g = self.lock();
         let mut stats = g.stats;
-        stats.journal_len = g.journal.len() as u64;
-        stats.wal_bytes = g.wal.as_ref().map_or(0, Wal::bytes);
-        stats.snapshot_bytes = g.snapshot.as_ref().map_or(0, |(_, p)| p.len() as u64);
+        stats.journal_len = g.log.suffix().len() as u64;
+        stats.wal_bytes = g.log.wal_bytes();
+        stats.snapshot_bytes = g.log.snapshot().map_or(0, |(_, p)| p.len() as u64);
         stats
     }
 
     /// The typed failure that killed this link, if it is dead.
     pub fn last_error(&self) -> Option<ClusterError> {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        self.inner.lock().expect("link lock").last_error
+        self.lock().last_error
     }
 
     /// Attaches the shard's replicated journal, making this link its
@@ -392,32 +268,20 @@ impl RemoteShard {
     /// follower instead of killing the link. The link adopts the log's
     /// epoch (a restarted coordinator resumes its persisted term).
     pub fn attach_replog(&self, log: ReplicatedLog) {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        let mut g = self.inner.lock().expect("link lock");
+        let mut g = self.lock();
         g.epoch = log.epoch();
         g.replog = Some(log);
     }
 
     /// The link's current leadership epoch (0 without replication).
     pub fn epoch(&self) -> u32 {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        self.inner.lock().expect("link lock").epoch
+        self.lock().epoch
     }
-}
-
-/// Reads and validates a persisted snapshot file (one encoded
-/// [`MsgTag::SnapshotReply`] frame): `(covered_seq, state_payload)`.
-/// Any unreadable, torn, or mistagged file is treated as absent.
-fn load_snapshot(path: &std::path::Path) -> Option<(u32, Vec<u8>)> {
-    let bytes = std::fs::read(path).ok()?;
-    let frame = Frame::from_bytes(&bytes).ok()?;
-    (frame.tag == MsgTag::SnapshotReply).then_some((frame.seq, frame.payload))
 }
 
 impl ShardLink for RemoteShard {
     fn send(&self, req: Request) {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        let mut g = self.inner.lock().expect("link lock");
+        let mut g = self.lock();
         if g.dead {
             return; // a corpse accepts nothing; recv answers Down
         }
@@ -425,8 +289,7 @@ impl ShardLink for RemoteShard {
     }
 
     fn recv(&self) -> Response {
-        // lint: allow(panic-free-wire): lock poisoning is a local crash already in progress, not network input
-        let mut g = self.inner.lock().expect("link lock");
+        let mut g = self.lock();
         if g.dead {
             return Response::Down;
         }
@@ -483,13 +346,7 @@ impl Inner {
         }
         .to_bytes();
         if tag.is_events() {
-            self.journal.push((seq, bytes.clone()));
-            if let Some(wal) = &mut self.wal {
-                // An append failure (disk full, dead mount) degrades
-                // durability, not correctness: the in-memory journal
-                // still covers shard-crash recovery.
-                let _ = wal.append(&bytes);
-            }
+            self.log.append(seq, bytes.clone());
             // Commit-before-dispatch: the event must be quorum-acked by
             // the follower replicas before it feeds the shard monitor.
             // A fenced append means a newer leader owns this shard —
@@ -516,31 +373,21 @@ impl Inner {
         let _ = self.transport.send(bytes);
     }
 
-    /// Waits out the reply to `inflight` and decodes it; on an
-    /// unrecoverable liveness failure the link goes dead and the engine
-    /// sees `Response::Down`. (`inflight` is mutable because a failover
-    /// re-stamps its bytes with the new leadership epoch.)
-    fn exchange(&mut self, inflight: &mut Inflight) -> Response {
-        match self.exchange_inner(inflight) {
-            Ok(resp) => resp,
-            Err(err) => {
-                self.dead = true;
-                self.last_error = Some(err);
-                self.inflight = None;
-                Response::Down
-            }
-        }
-    }
-
-    /// Drives retransmits, stale- and corrupt-frame filtering, and crash
-    /// recovery until the matching reply decodes. A frame whose checksum
-    /// passes but whose payload fails to decode (or whose tag makes no
-    /// sense as a reply) is treated exactly like a corrupt frame:
-    /// counted, dropped, and the request retransmitted — the service
-    /// answers a retransmit from its cached-reply store, so a healthy
-    /// peer converges in one round trip. After an acknowledged event
-    /// frame the snapshot cycle may run (see the module docs).
-    fn exchange_inner(&mut self, inflight: &mut Inflight) -> Result<Response, ClusterError> {
+    /// The one reply-wait loop: waits for the frame answering sequence
+    /// `seq` and hands it to `accept`. Replies to older requests
+    /// (retransmission echoes we stopped waiting for) are dropped. A
+    /// frame that fails its checksum, or that carries `seq` but which
+    /// `accept` turns down (wrong tag, undecodable payload), is counted
+    /// as corrupt; after each of those and after each timeout `request`
+    /// is retransmitted — the service answers a retransmit from its
+    /// cached reply, so a healthy peer converges in one round trip —
+    /// until `max_retries` retransmits are spent.
+    fn await_reply<R>(
+        &mut self,
+        seq: u32,
+        request: &[u8],
+        accept: impl Fn(Frame) -> Option<R>,
+    ) -> Wait<R> {
         let mut attempts = 0u32;
         loop {
             match self.transport.recv_timeout(self.policy.timeout) {
@@ -548,73 +395,88 @@ impl Inner {
                     self.stats.frames_received += 1;
                     self.stats.bytes_received += bytes.len() as u64;
                     match Frame::from_bytes(&bytes) {
-                        Ok(f) if f.seq == inflight.seq => match decode_reply(&f) {
-                            Some(resp) => {
-                                if inflight.tag.is_events() {
-                                    self.maybe_snapshot(inflight.seq);
-                                }
-                                return Ok(resp);
-                            }
-                            None => {
-                                self.stats.corrupt_frames += 1;
-                                self.retransmit(inflight, &mut attempts)?;
-                            }
+                        Ok(f) if f.seq != seq => continue,
+                        Ok(f) => match accept(f) {
+                            Some(reply) => return Wait::Reply(reply),
+                            None => self.stats.corrupt_frames += 1,
                         },
-                        // A reply to an older request: a retransmission
-                        // echo we stopped waiting for. Drop it.
-                        Ok(_) => continue,
-                        Err(_) => {
-                            self.stats.corrupt_frames += 1;
-                            self.retransmit(inflight, &mut attempts)?;
-                        }
+                        Err(_) => self.stats.corrupt_frames += 1,
                     }
                 }
-                Err(RecvError::Timeout) => self.retransmit(inflight, &mut attempts)?,
-                Err(RecvError::Closed) | Err(RecvError::Io) => self.recover(inflight)?,
+                Err(RecvError::Timeout) => {}
+                Err(RecvError::Closed) | Err(RecvError::Io) => return Wait::Closed,
+            }
+            attempts += 1;
+            if attempts > self.policy.max_retries {
+                return Wait::Exhausted;
+            }
+            self.stats.retries += 1;
+            self.transmit(request);
+        }
+    }
+
+    /// Waits out the reply to `inflight` and decodes it, driving crash
+    /// recovery as needed; on an unrecoverable liveness failure the link
+    /// goes dead and the engine sees `Response::Down`. (`inflight` is
+    /// mutable because a failover re-stamps its bytes with the new
+    /// leadership epoch.) After an acknowledged event frame the snapshot
+    /// cycle may run (see the module docs).
+    fn exchange(&mut self, inflight: &mut Inflight) -> Response {
+        loop {
+            let recovered = match self.await_reply(inflight.seq, &inflight.bytes, decode_reply) {
+                Wait::Reply(resp) => {
+                    if inflight.tag.is_events() {
+                        self.maybe_snapshot(inflight.seq);
+                    }
+                    return resp;
+                }
+                // Declared liveness policy: a shard unreachable past the
+                // retry budget is down (RetryPolicy docs). With
+                // replication this is also the failure detector's
+                // asymmetric-failure signal (e.g. a one-way partition:
+                // requests black-holed, nothing reads as closed), so
+                // failover gets a shot at promoting a follower — which
+                // then gets a fresh budget — before the typed error
+                // surfaces; the engine owns the fatality decision after
+                // that.
+                Wait::Exhausted => {
+                    let err = ClusterError::Unreachable {
+                        shard: self.shard,
+                        seq: inflight.seq,
+                        retries: self.policy.max_retries,
+                    };
+                    self.failover(inflight, err)
+                }
+                // The peer is gone: respawn-rebuild first, and if that
+                // is unavailable or exhausted, promote a follower. Only
+                // when both fail does the link die — at which point the
+                // engine's planner takeover is the last resort.
+                Wait::Closed => self
+                    .recover_by_respawn(inflight)
+                    .or_else(|e| self.failover(inflight, e)),
+            };
+            if let Err(err) = recovered {
+                self.dead = true;
+                self.last_error = Some(err);
+                self.inflight = None;
+                return Response::Down;
             }
         }
     }
 
-    fn retransmit(
-        &mut self,
-        inflight: &mut Inflight,
-        attempts: &mut u32,
-    ) -> Result<(), ClusterError> {
-        *attempts += 1;
-        if *attempts > self.policy.max_retries {
-            // Declared liveness policy: a shard unreachable past the
-            // retry budget is down (RetryPolicy docs). With replication
-            // this is also the failure detector's asymmetric-failure
-            // signal (e.g. a one-way partition: requests black-holed,
-            // nothing reads as closed), so failover gets a shot at
-            // promoting a follower before the typed error surfaces —
-            // the engine owns the fatality decision after that.
-            let err = ClusterError::Unreachable {
-                shard: self.shard,
-                seq: inflight.seq,
-                retries: self.policy.max_retries,
-            };
-            self.failover(inflight, err)?;
-            *attempts = 0; // the promoted follower gets a fresh budget
-            return Ok(());
-        }
-        self.stats.retries += 1;
-        let bytes = inflight.bytes.clone();
-        self.transmit(&bytes);
-        Ok(())
-    }
-
     // --- Snapshot cycle ---------------------------------------------------
 
-    /// After an acknowledged event frame: if the journal has reached the
-    /// snapshot threshold, pull the monitor's state and truncate the
-    /// journal/WAL behind it. Strictly best-effort — any failure leaves
-    /// the journal intact (recovery still replays everything it needs)
-    /// and the next acknowledged event retries.
+    /// After an acknowledged event frame: if the log has reached the
+    /// snapshot threshold, pull the monitor's state and truncate the log
+    /// behind it. Strictly best-effort — any failure (retry budget spent,
+    /// peer closed, disk error) leaves the log intact (recovery still
+    /// replays everything it needs), the next acknowledged event retries,
+    /// and a real death surfaces on the next event exchange, where the
+    /// recovery path owns it.
     fn maybe_snapshot(&mut self, covered_seq: u32) {
         if self.durability.snapshot_every == 0
             || !self.snapshots_supported
-            || (self.journal.len() as u32) < self.durability.snapshot_every
+            || (self.log.suffix().len() as u32) < self.durability.snapshot_every
         {
             return;
         }
@@ -628,16 +490,18 @@ impl Inner {
         }
         .to_bytes();
         self.transmit(&request);
-        let Some(payload) = self.await_snapshot_reply(seq, &request) else {
+        let Wait::Reply(payload) = self.await_reply(seq, &request, |f| {
+            (f.tag == MsgTag::SnapshotReply).then_some(f.payload)
+        }) else {
             return;
         };
         if payload.is_empty() {
             // The monitor cannot snapshot (no `snapshot_state` impl):
-            // stop asking; recovery falls back to full journal replay.
+            // stop asking; recovery falls back to full log replay.
             self.snapshots_supported = false;
             return;
         }
-        // Truncate-behind-commit: with replication attached, the WAL
+        // Truncate-behind-commit: with replication attached, the log
         // may only drop events a quorum of followers has acked — else a
         // promoted follower could need history nobody holds any more.
         // The synchronous append pipeline makes the commit index cover
@@ -650,129 +514,34 @@ impl Inner {
                 return;
             }
         }
-        // Durable order: snapshot first, truncate after. If persistence
-        // fails the journal is kept, so the on-disk artifacts never get
-        // ahead of what recovery can actually replay.
-        if self.persist_snapshot(covered_seq, &payload).is_err() {
+        if self
+            .log
+            .install_snapshot(covered_seq, self.epoch, payload)
+            .is_err()
+        {
             return;
         }
         // Followers truncate their own logs behind the same snapshot,
         // keeping replica memory bounded by the snapshot cadence too.
-        if let Some(log) = &mut self.replog {
-            log.offer_snapshot(covered_seq, &payload, &mut self.stats);
+        if let (Some(replog), Some((_, state))) = (&mut self.replog, self.log.snapshot()) {
+            replog.offer_snapshot(covered_seq, state, &mut self.stats);
         }
         self.stats.snapshots += 1;
-        self.snapshot = Some((covered_seq, payload));
-        self.journal.clear();
-        if let Some(wal) = &mut self.wal {
-            let _ = wal.reset();
-        }
-    }
-
-    /// Waits out the reply to one snapshot request. `None` on any
-    /// failure (timeout budget spent, peer closed): the cycle is
-    /// abandoned and a real death surfaces on the next event exchange,
-    /// where the recovery path owns it.
-    fn await_snapshot_reply(&mut self, seq: u32, request: &[u8]) -> Option<Vec<u8>> {
-        let mut attempts = 0u32;
-        loop {
-            match self.transport.recv_timeout(self.policy.timeout) {
-                Ok(bytes) => {
-                    self.stats.frames_received += 1;
-                    self.stats.bytes_received += bytes.len() as u64;
-                    match Frame::from_bytes(&bytes) {
-                        Ok(f) if f.seq == seq && f.tag == MsgTag::SnapshotReply => {
-                            return Some(f.payload)
-                        }
-                        Ok(f) if f.seq == seq => {
-                            // Right seq, wrong tag: treat as corruption.
-                            self.stats.corrupt_frames += 1;
-                            attempts += 1;
-                            if attempts > self.policy.max_retries {
-                                return None;
-                            }
-                            self.stats.retries += 1;
-                            let req = request.to_vec();
-                            self.transmit(&req);
-                        }
-                        Ok(_) => continue, // stale echo
-                        Err(_) => {
-                            self.stats.corrupt_frames += 1;
-                            attempts += 1;
-                            if attempts > self.policy.max_retries {
-                                return None;
-                            }
-                            self.stats.retries += 1;
-                            let req = request.to_vec();
-                            self.transmit(&req);
-                        }
-                    }
-                }
-                Err(RecvError::Timeout) => {
-                    attempts += 1;
-                    if attempts > self.policy.max_retries {
-                        return None;
-                    }
-                    self.stats.retries += 1;
-                    let req = request.to_vec();
-                    self.transmit(&req);
-                }
-                Err(RecvError::Closed) | Err(RecvError::Io) => return None,
-            }
-        }
-    }
-
-    /// Persists the snapshot as one self-checksummed frame, written to a
-    /// temp file, synced, and renamed into place — a crash leaves either
-    /// the old snapshot or the new one, never a torn file.
-    fn persist_snapshot(&mut self, covered_seq: u32, payload: &[u8]) -> std::io::Result<()> {
-        let Some(dir) = &self.durability.dir else {
-            return Ok(());
-        };
-        let bytes = Frame {
-            tag: MsgTag::SnapshotReply,
-            seq: covered_seq,
-            epoch: self.epoch,
-            payload: payload.to_vec(),
-        }
-        .to_bytes();
-        let tmp = dir.join("snapshot.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join("snapshot.bin"))
     }
 
     // --- Crash recovery ---------------------------------------------------
 
-    /// The peer is gone: first try the PR-8 respawn path (fresh service,
-    /// snapshot install + journal replay), and if that is unavailable or
-    /// exhausted, promote a follower replica ([`Self::failover`]). Only
-    /// when both fail does the typed error surface and the link die —
-    /// at which point the engine's planner takeover is the last resort.
-    fn recover(&mut self, inflight: &mut Inflight) -> Result<(), ClusterError> {
-        match self.recover_by_respawn(inflight) {
-            Ok(()) => Ok(()),
-            Err(e) => self.failover(inflight, e),
-        }
-    }
-
-    /// Respawns a fresh service and rebuilds its monitor — snapshot
-    /// install (when one is held) plus a replay of the journal suffix;
-    /// deterministic monitors make the result bit-identical to the lost
-    /// state. The whole rebuild is retried up to `1 + recovery_retries`
-    /// times against fresh respawns before giving up.
+    /// Respawns a fresh service and rebuilds its monitor ([`Self::rebuild`]).
+    /// The whole rebuild is retried up to `1 + recovery_retries` times
+    /// against fresh respawns before giving up.
     fn recover_by_respawn(&mut self, inflight: &Inflight) -> Result<(), ClusterError> {
-        if self.respawn.is_none() {
-            return Err(ClusterError::NoRespawn { shard: self.shard });
-        }
         let budget = 1 + self.durability.recovery_retries;
         for _attempt in 0..budget {
+            let Some(respawn) = self.respawn.as_mut() else {
+                return Err(ClusterError::NoRespawn { shard: self.shard });
+            };
             self.stats.crash_recoveries += 1;
-            if let Some(respawn) = self.respawn.as_mut() {
-                self.transport = respawn();
-            }
+            self.transport = respawn();
             match self.rebuild(inflight) {
                 Ok(()) => return Ok(()),
                 Err(RebuildError::Fatal(e)) => return Err(e),
@@ -786,9 +555,8 @@ impl Inner {
     }
 
     /// Promotes a live follower replica to serving leader for this
-    /// shard. The follower rebuilds shard state from its *own*
-    /// replicated log (snapshot + committed suffix, replayed locally —
-    /// see [`crate::replica`]); the link then adopts the follower's
+    /// shard. The follower rebuilds shard state from its *own* log
+    /// (see [`crate::replica`]); the link then adopts the follower's
     /// transport, re-stamps the in-flight request with the bumped epoch
     /// (so the promoted service does not fence its own coordinator),
     /// and retransmits it. Without a replog — or with no live follower
@@ -799,12 +567,9 @@ impl Inner {
         inflight: &mut Inflight,
         fallback: ClusterError,
     ) -> Result<(), ClusterError> {
-        let Some(log) = self.replog.as_mut() else {
+        let Some(log) = self.replog.as_mut().filter(|l| l.live_followers() > 0) else {
             return Err(fallback);
         };
-        if log.live_followers() == 0 {
-            return Err(fallback);
-        }
         // The in-flight event frame is already in every follower's log,
         // but it must NOT be replayed during promotion: the coordinator
         // still owns its delivery and retransmits it afterwards, so the
@@ -814,141 +579,70 @@ impl Inner {
         } else {
             REPLAY_ALL
         };
-        let transport = log
+        self.transport = log
             .promote(boundary, &mut self.stats)
             .map_err(|e| match e {
                 fenced @ ClusterError::Fenced { .. } => fenced,
                 _ => fallback,
             })?;
-        self.transport = transport;
-        self.epoch = self
-            .replog
-            .as_ref()
-            .map_or(self.epoch, ReplicatedLog::epoch);
+        self.epoch = log.epoch();
         if let Ok(mut frame) = Frame::from_bytes(&inflight.bytes) {
             frame.epoch = self.epoch;
             inflight.bytes = frame.to_bytes();
         }
-        let bytes = inflight.bytes.clone();
-        self.transmit(&bytes);
+        self.transmit(&inflight.bytes);
         Ok(())
     }
 
-    /// One rebuild attempt against a freshly respawned service. The
-    /// journal's last entry is the inflight request itself when that
-    /// request is an event batch — its reply is left for
-    /// [`Self::exchange_inner`] to consume.
+    /// One rebuild attempt against a freshly respawned service: the
+    /// held snapshot's install, then the log suffix, each frame waited
+    /// out in turn. The log's last entry is the inflight request itself
+    /// when that request is an event batch — its reply is left for
+    /// [`Self::exchange`] to consume.
     fn rebuild(&mut self, inflight: &Inflight) -> Result<(), RebuildError> {
-        if let Some((covered_seq, state)) = self.snapshot.clone() {
-            // The install carries the *covered* sequence number, so the
-            // service's duplicate filter accepts exactly the suffix
-            // (seq > covered_seq) replayed after it.
-            let install = Frame {
-                tag: MsgTag::SnapshotInstall,
-                seq: covered_seq,
-                epoch: self.epoch,
-                payload: state,
-            }
-            .to_bytes();
-            self.transmit(&install);
-            if !self.await_restore_reply(covered_seq, &install)? {
-                return Err(RebuildError::Fatal(ClusterError::RestoreRejected {
-                    shard: self.shard,
-                }));
-            }
-        }
-        let journal = std::mem::take(&mut self.journal);
-        let mut outcome = Ok(());
-        for (seq, bytes) in &journal {
-            self.stats.frames_sent += 1;
-            self.stats.bytes_sent += bytes.len() as u64;
-            self.stats.frames_replayed += 1;
-            let _ = self.transport.send(bytes);
-            if *seq == inflight.seq {
-                break; // exchange consumes this reply
-            }
-            if let Err(e) = self.drain_replay_reply(*seq, bytes) {
-                outcome = Err(e);
-                break;
-            }
-        }
-        self.journal = journal;
+        // Taken out for the duration so frames can be borrowed from it
+        // while `self` transmits; a snapshot cycle cannot run meanwhile.
+        let log = std::mem::replace(&mut self.log, ShardLog::volatile());
+        let outcome = self.replay(&log, inflight);
+        self.log = log;
         outcome?;
         if !inflight.tag.is_events() {
             // A read-only request (Memory) was in flight: retransmit it
             // now that the rebuilt shard is caught up.
-            let bytes = inflight.bytes.clone();
-            self.transmit(&bytes);
+            self.transmit(&inflight.bytes);
         }
         Ok(())
     }
 
-    /// Waits out the reply to a snapshot install: `Ok(true)` on `[1]`,
-    /// `Ok(false)` on an explicit rejection, `PeerDied` if the fresh
-    /// peer stalls past the retry budget or closes.
-    fn await_restore_reply(&mut self, seq: u32, install: &[u8]) -> Result<bool, RebuildError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.transport.recv_timeout(self.policy.timeout) {
-                Ok(bytes) => {
-                    self.stats.frames_received += 1;
-                    self.stats.bytes_received += bytes.len() as u64;
-                    match Frame::from_bytes(&bytes) {
-                        Ok(f) if f.seq == seq && f.tag == MsgTag::RestoreReply => {
-                            return Ok(f.payload == [1]);
-                        }
-                        Ok(f) if f.seq == seq => {
-                            // A stale pre-crash reply can carry this seq
-                            // (it was an event seq once); drop it.
-                            continue;
-                        }
-                        Ok(_) => continue,
-                        Err(_) => {
-                            self.stats.corrupt_frames += 1;
-                            self.resend_or_die(install, &mut attempts)?;
-                        }
-                    }
+    fn replay(&mut self, log: &ShardLog, inflight: &Inflight) -> Result<(), RebuildError> {
+        if let Some(install) = log.install_frame(self.epoch) {
+            let covered_seq = install.seq;
+            let install = install.to_bytes();
+            self.transmit(&install);
+            let accept = |f: Frame| (f.tag == MsgTag::RestoreReply).then_some(f.payload == [1]);
+            match self.await_reply(covered_seq, &install, accept) {
+                Wait::Reply(true) => {}
+                Wait::Reply(false) => {
+                    return Err(RebuildError::Fatal(ClusterError::RestoreRejected {
+                        shard: self.shard,
+                    }))
                 }
-                Err(RecvError::Timeout) => self.resend_or_die(install, &mut attempts)?,
-                Err(RecvError::Closed) | Err(RecvError::Io) => return Err(RebuildError::PeerDied),
+                Wait::Exhausted | Wait::Closed => return Err(RebuildError::PeerDied),
             }
         }
-    }
-
-    /// Consumes (and discards) the reply to one replayed journal frame.
-    fn drain_replay_reply(&mut self, seq: u32, bytes: &[u8]) -> Result<(), RebuildError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.transport.recv_timeout(self.policy.timeout) {
-                Ok(reply) => {
-                    self.stats.frames_received += 1;
-                    self.stats.bytes_received += reply.len() as u64;
-                    match Frame::from_bytes(&reply) {
-                        Ok(f) if f.seq == seq => return Ok(()),
-                        Ok(_) => continue,
-                        Err(_) => self.stats.corrupt_frames += 1,
-                    }
-                }
-                Err(RecvError::Timeout) => self.resend_or_die(bytes, &mut attempts)?,
-                // The fresh peer died mid-replay: this attempt is spent;
-                // the recovery loop decides whether another respawn is
-                // in budget.
-                Err(RecvError::Closed) | Err(RecvError::Io) => return Err(RebuildError::PeerDied),
+        for (seq, bytes) in log.suffix() {
+            self.stats.frames_replayed += 1;
+            self.transmit(bytes);
+            if *seq == inflight.seq {
+                break; // exchange consumes this reply
             }
+            // The reply to a replayed frame is consumed and discarded.
+            // A fresh peer that dies mid-replay spends this attempt; the
+            // recovery loop decides whether another respawn is in budget.
+            let Wait::Reply(()) = self.await_reply(*seq, bytes, |_| Some(())) else {
+                return Err(RebuildError::PeerDied);
+            };
         }
-    }
-
-    /// Shared retransmit-with-budget step of the rebuild paths: resends
-    /// `bytes`, or reports the fresh peer as dead once the per-message
-    /// retry budget is spent.
-    fn resend_or_die(&mut self, bytes: &[u8], attempts: &mut u32) -> Result<(), RebuildError> {
-        *attempts += 1;
-        if *attempts > self.policy.max_retries {
-            return Err(RebuildError::PeerDied);
-        }
-        self.stats.retries += 1;
-        let copy = bytes.to_vec();
-        self.transmit(&copy);
         Ok(())
     }
 }
@@ -956,7 +650,7 @@ impl Inner {
 /// Decodes a reply frame's payload by its tag; `None` for a payload that
 /// does not decode or a tag that is not a reply — both are handled as
 /// corruption by the caller, never as a panic.
-fn decode_reply(frame: &Frame) -> Option<Response> {
+fn decode_reply(frame: Frame) -> Option<Response> {
     let mut r = WireReader::new(&frame.payload);
     match frame.tag {
         MsgTag::TickReply => TickOutcome::decode(&mut r).ok().map(Response::Tick),
@@ -976,5 +670,153 @@ fn decode_reply(frame: &Frame) -> Option<Response> {
             }
         }
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{loopback_pair, FaultPlan};
+
+    const POLICY: RetryPolicy = RetryPolicy {
+        timeout: Duration::from_millis(40),
+        max_retries: 2,
+    };
+
+    /// A link whose peer answers every intact frame with a
+    /// [`MsgTag::MemoryReply`] of the same sequence number — no dedup, so
+    /// a frame delivered twice is answered twice.
+    fn echo_link(plan: FaultPlan) -> (RemoteShard, std::thread::JoinHandle<()>) {
+        let (co, mut peer) = loopback_pair(plan);
+        let echo = std::thread::spawn(move || {
+            while let Ok(bytes) = peer.recv_timeout(Duration::from_secs(2)) {
+                if let Ok(frame) = Frame::from_bytes(&bytes) {
+                    let reply = Frame {
+                        tag: MsgTag::MemoryReply,
+                        ..frame
+                    };
+                    let _ = peer.send(&reply.to_bytes());
+                }
+            }
+        });
+        let link = RemoteShard::with_durability(0, Box::new(co), POLICY, None, Default::default());
+        (link.unwrap(), echo)
+    }
+
+    /// Sends one request with sequence `seq` and waits it out, accepting
+    /// only a [`MsgTag::MemoryReply`].
+    fn round_trip(link: &RemoteShard, seq: u32) -> Wait<u32> {
+        let mut g = link.lock();
+        let request = Frame {
+            tag: MsgTag::MemoryRequest,
+            seq,
+            epoch: 0,
+            payload: vec![7; 8],
+        }
+        .to_bytes();
+        g.transmit(&request);
+        g.await_reply(seq, &request, |f| {
+            (f.tag == MsgTag::MemoryReply).then_some(f.seq)
+        })
+    }
+
+    /// Ends a test: declaring the link dead stops its drop from sending
+    /// shutdown frames; dropping it closes the transport, which ends the
+    /// echo thread.
+    fn finish(link: RemoteShard, echo: std::thread::JoinHandle<()>) -> TransportStats {
+        let stats = link.stats();
+        link.lock().dead = true;
+        drop(link);
+        echo.join().unwrap();
+        stats
+    }
+
+    #[test]
+    fn duplicated_and_reordered_frames_still_end_in_one_reply_each() {
+        // Every frame is delivered twice, so every request is answered
+        // twice: each wait must take the first answer and the next wait
+        // must drop the second as stale.
+        let (link, echo) = echo_link(FaultPlan {
+            duplicate_every: 1,
+            ..Default::default()
+        });
+        for seq in 0..3 {
+            assert!(matches!(round_trip(&link, seq), Wait::Reply(s) if s == seq));
+        }
+        let stats = finish(link, echo);
+        assert_eq!((stats.retries, stats.corrupt_frames), (0, 0));
+        assert_eq!(
+            stats.frames_received, 5,
+            "3 replies + the 2 stale echoes seen"
+        );
+
+        // Every 2nd send is held back until the next one: requests 1 and 2
+        // (sends 2 and 4) each time out, the retransmit releases the held
+        // copy behind it, and the duplicate answer is dropped by the next
+        // wait.
+        let (link, echo) = echo_link(FaultPlan {
+            reorder_every: 2,
+            ..Default::default()
+        });
+        for seq in 0..3 {
+            assert!(matches!(round_trip(&link, seq), Wait::Reply(s) if s == seq));
+        }
+        let stats = finish(link, echo);
+        assert_eq!(stats.retries, 2, "one retransmit per held frame");
+    }
+
+    #[test]
+    fn corrupted_requests_are_retransmitted_until_the_budget_is_spent() {
+        // Every 2nd frame is corrupted in flight: the peer drops it, the
+        // wait times out and the retransmit (an odd-numbered send) lands.
+        let (link, echo) = echo_link(FaultPlan {
+            corrupt_every: 2,
+            ..Default::default()
+        });
+        assert!(matches!(round_trip(&link, 0), Wait::Reply(0)));
+        assert!(matches!(round_trip(&link, 1), Wait::Reply(1)));
+        assert_eq!(finish(link, echo).retries, 1);
+
+        // Every frame corrupted: nothing ever comes back.
+        let (link, echo) = echo_link(FaultPlan {
+            corrupt_every: 1,
+            ..Default::default()
+        });
+        assert!(matches!(round_trip(&link, 0), Wait::Exhausted));
+        let stats = finish(link, echo);
+        assert_eq!(stats.retries, u64::from(POLICY.max_retries));
+        assert_eq!(stats.frames_sent, 1 + u64::from(POLICY.max_retries));
+
+        // A reply with the right sequence number that the caller does not
+        // accept is corruption too: counted, retransmitted, and — the
+        // echo never learning better — exhausted.
+        let (link, echo) = echo_link(FaultPlan::default());
+        let mut g = link.lock();
+        let request = Frame {
+            tag: MsgTag::MemoryRequest,
+            seq: 0,
+            epoch: 0,
+            payload: Vec::new(),
+        }
+        .to_bytes();
+        g.transmit(&request);
+        let refused = g.await_reply(0, &request, |_| None::<()>);
+        drop(g);
+        assert!(matches!(refused, Wait::Exhausted));
+        let stats = finish(link, echo);
+        assert_eq!(stats.corrupt_frames, 1 + u64::from(POLICY.max_retries));
+    }
+
+    #[test]
+    fn a_peer_that_dies_reads_as_closed() {
+        let (link, echo) = echo_link(FaultPlan {
+            crash_after_frames: 1,
+            ..Default::default()
+        });
+        assert!(matches!(round_trip(&link, 0), Wait::Reply(0)));
+        // The peer's next receive reports its process dead; its end of
+        // the pair is dropped with it.
+        assert!(matches!(round_trip(&link, 1), Wait::Closed));
+        finish(link, echo);
     }
 }

@@ -21,7 +21,9 @@ use crate::client::{DurabilityConfig, RemoteShard, RespawnFn, RetryPolicy};
 use crate::replica::{MonitorFactory, ReplicaNode};
 use crate::replog::ReplicatedLog;
 use crate::service::ShardService;
-use crate::transport::{loopback_pair, FaultPlan, LoopbackPeer, StreamTransport, Transport};
+use crate::transport::{
+    loopback_pair, FaultPlan, LoopbackPeer, ReadWriteStream, StreamTransport, Transport,
+};
 
 /// A sharded continuous-monitoring engine whose shard monitors run
 /// behind RPC links (loopback threads, Unix-socket processes, or TCP
@@ -95,7 +97,7 @@ impl ClusterEngine {
     /// A loopback cluster with fault injection: shard `s` gets
     /// `plans[s % plans.len()]` (pass one plan to apply it everywhere).
     /// Crashed services are respawned with a fresh, fault-free transport
-    /// and rebuilt by journal replay (unless the plan marks respawns
+    /// and rebuilt by log replay (unless the plan marks respawns
     /// stillborn — see [`FaultPlan::respawn_dead`]).
     pub fn loopback_with_faults(
         net: Arc<RoadNetwork>,
@@ -108,10 +110,9 @@ impl ClusterEngine {
 
     /// A loopback cluster with fault injection **and** the per-shard
     /// durability plane: each link snapshots its shard every
-    /// `durability.snapshot_every` journaled event frames and recovers
-    /// crashes from snapshot + journal suffix. When `durability.dir` is
-    /// set, shard `s` persists its WAL and snapshots under
-    /// `dir/shard-<s>/`. The default `DurabilityConfig` (snapshots off)
+    /// `durability.snapshot_every` logged event frames and recovers
+    /// crashes from snapshot + log suffix. When `durability.dir` is
+    /// set, shard `s` keeps its log on disk under `dir/shard-<s>/`. The default `DurabilityConfig` (snapshots off)
     /// makes this exactly [`Self::loopback_with_faults`].
     pub fn loopback_durable(
         net: Arc<RoadNetwork>,
@@ -180,22 +181,10 @@ impl ClusterEngine {
         paths: &[impl AsRef<Path>],
         policy: RetryPolicy,
     ) -> std::io::Result<Self> {
-        let links = paths
+        let streams = paths
             .iter()
-            .enumerate()
-            .map(|(s, path)| {
-                let stream = connect_with_retry(|| std::os::unix::net::UnixStream::connect(path))?;
-                let t: Box<dyn Transport> = Box::new(StreamTransport::new(stream));
-                let link = RemoteShard::new(s, t, policy);
-                // Replicas ride in the coordinator process: the shard
-                // *process* dying is what failover survives.
-                if let Some(log) = spawn_replicas(s, &net, &cfg, None) {
-                    link.attach_replog(log);
-                }
-                Ok(link)
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Self::from_links(net, cfg, links)
+            .map(|path| connect_with_retry(|| std::os::unix::net::UnixStream::connect(path)));
+        Self::connect(net, cfg, streams, policy)
     }
 
     /// Like [`Self::connect_unix`] over TCP.
@@ -205,27 +194,38 @@ impl ClusterEngine {
         addrs: &[std::net::SocketAddr],
         policy: RetryPolicy,
     ) -> std::io::Result<Self> {
-        let links = addrs
+        let streams = addrs
             .iter()
+            .map(|addr| connect_with_retry(|| std::net::TcpStream::connect(addr)));
+        Self::connect(net, cfg, streams, policy)
+    }
+
+    /// One link per connected stream, in shard order.
+    fn connect<S: ReadWriteStream + 'static>(
+        net: Arc<RoadNetwork>,
+        cfg: EngineConfig,
+        streams: impl Iterator<Item = std::io::Result<S>>,
+        policy: RetryPolicy,
+    ) -> std::io::Result<Self> {
+        let links = streams
             .enumerate()
-            .map(|(s, addr)| {
-                let stream = connect_with_retry(|| std::net::TcpStream::connect(addr))?;
-                let t: Box<dyn Transport> = Box::new(StreamTransport::new(stream));
-                let link = RemoteShard::new(s, t, policy);
+            .map(|(s, stream)| {
+                let transport = Box::new(StreamTransport::new(stream?));
+                let link = RemoteShard::with_durability(
+                    s,
+                    transport,
+                    policy,
+                    None,
+                    DurabilityConfig::default(),
+                )?;
+                // Replicas ride in the coordinator process: the shard
+                // *process* dying is what failover survives.
                 if let Some(log) = spawn_replicas(s, &net, &cfg, None) {
                     link.attach_replog(log);
                 }
                 Ok(link)
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        Self::from_links(net, cfg, links)
-    }
-
-    fn from_links(
-        net: Arc<RoadNetwork>,
-        cfg: EngineConfig,
-        links: Vec<RemoteShard>,
-    ) -> std::io::Result<Self> {
         ShardedEngine::with_links(net, cfg, links)
             .map(|engine| Self { engine })
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))

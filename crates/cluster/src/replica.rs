@@ -1,9 +1,10 @@
 //! The follower side of the per-shard replicated journal: a
 //! [`ReplicaNode`] is a hot standby that accumulates the leader's
-//! [`MsgTag::Append`] stream (and snapshot offers) without running a
-//! monitor — until it is promoted, at which point it rebuilds the
-//! shard's state entirely *from its own replicated log* and becomes the
-//! serving [`crate::service::ShardService`] on the same transport.
+//! [`MsgTag::Append`] stream (and snapshot offers) in a volatile
+//! [`ShardLog`] without running a monitor — until it is promoted, at
+//! which point it rebuilds the shard's state entirely *from its own
+//! replicated log* and becomes the serving
+//! [`crate::service::ShardService`] on the same transport.
 //!
 //! # Fencing
 //!
@@ -16,24 +17,25 @@
 //!
 //! # Promotion
 //!
-//! A [`MsgTag::Promote`] carries the new epoch and a replay boundary:
-//! the replica installs its held snapshot (if any), locally replays its
-//! log strictly *below* the boundary through the same
-//! [`rnn_engine::ShardTickState`] tick path a service uses — computing
-//! the real encoded replies so the service's duplicate-suppression
-//! cache is seeded bit-identically to an uncrashed shard's — acks, and
-//! then serves. The in-flight request at the boundary is deliberately
-//! *not* replayed: the coordinator retransmits it (re-stamped with the
-//! new epoch) and the promoted service processes it fresh, exactly
-//! once.
+//! A [`MsgTag::Promote`] carries the new epoch and a replay boundary.
+//! The replica builds a plain [`ShardService`] and feeds it, through
+//! [`ShardService::handle`], exactly the frames a coordinator would
+//! send a respawned service over the wire: a [`MsgTag::SnapshotInstall`]
+//! of its held snapshot (if any), then its log strictly *below* the
+//! boundary — so the rebuilt state, the shipped-result cache and the
+//! duplicate-suppression cache are what the same frames produce on any
+//! service, not a look-alike. It then acks and serves. The in-flight
+//! request at the boundary is deliberately *not* replayed: the
+//! coordinator retransmits it (re-stamped with the new epoch) and the
+//! promoted service processes it fresh, exactly once.
 
 use std::time::Duration;
 
-use rnn_core::{ContinuousMonitor, MonitorState};
-use rnn_engine::{DeltaBatch, ShardTickState};
-use rnn_roadnet::{WireCodec, WireReader};
+use rnn_core::ContinuousMonitor;
+use rnn_roadnet::WireReader;
 
 use crate::frame::{Frame, MsgTag, ACK_FENCED, ACK_OK, ACK_REFUSED};
+use crate::log::ShardLog;
 use crate::service::ShardService;
 use crate::transport::{RecvError, Transport};
 
@@ -47,16 +49,11 @@ pub type MonitorFactory = Box<dyn FnOnce() -> Box<dyn ContinuousMonitor> + Send>
 /// One follower replica of a shard's event log.
 pub struct ReplicaNode<T: Transport> {
     transport: T,
-    /// `Some` until promotion consumes it (promotion runs at most once
-    /// — it takes the node by value).
-    make_monitor: Option<MonitorFactory>,
+    make_monitor: MonitorFactory,
     attribute_cells: bool,
-    /// Appended event frames (verbatim wire bytes) in sequence order,
-    /// truncated behind each accepted snapshot offer.
-    log: Vec<(u32, Vec<u8>)>,
-    /// Latest offered snapshot: the sequence it covers and the encoded
-    /// `MonitorState` payload.
-    snapshot: Option<(u32, Vec<u8>)>,
+    /// The replicated history: appended event frames (verbatim wire
+    /// bytes), truncated behind each accepted snapshot offer.
+    log: ShardLog,
     /// Highest leadership epoch seen; older frames are fenced.
     epoch: u32,
 }
@@ -68,10 +65,9 @@ impl<T: Transport> ReplicaNode<T> {
     pub fn new(transport: T, make_monitor: MonitorFactory, attribute_cells: bool) -> Self {
         Self {
             transport,
-            make_monitor: Some(make_monitor),
+            make_monitor,
             attribute_cells,
-            log: Vec::new(),
-            snapshot: None,
+            log: ShardLog::volatile(),
             epoch: 0,
         }
     }
@@ -100,137 +96,96 @@ impl<T: Transport> ReplicaNode<T> {
                 continue;
             }
             self.epoch = frame.epoch;
-            match frame.tag {
-                MsgTag::Append => self.handle_append(frame),
-                MsgTag::Heartbeat => self.ack(frame.seq, ACK_OK),
-                MsgTag::SnapshotOffer => self.handle_offer(frame),
-                MsgTag::Promote => {
-                    let mut r = WireReader::new(&frame.payload);
-                    let Ok(boundary) = r.u32() else {
-                        self.ack(frame.seq, ACK_REFUSED);
-                        continue;
-                    };
-                    return self.promote(frame.seq, boundary);
+            let status = match frame.tag {
+                MsgTag::Append => {
+                    // Retransmits and duplicated deliveries are acked
+                    // again but stored once (`ShardLog::append`).
+                    self.log.append(frame.seq, frame.payload);
+                    ACK_OK
                 }
+                MsgTag::Heartbeat => ACK_OK,
+                // Adopts the offered snapshot and truncates the local
+                // log behind the sequence it covers — the replica-side
+                // mirror of the leader's truncate-behind-commit.
+                MsgTag::SnapshotOffer => {
+                    let mut r = WireReader::new(&frame.payload);
+                    match (r.u32(), r.bytes(r.remaining())) {
+                        (Ok(covered), Ok(state))
+                            if self
+                                .log
+                                .install_snapshot(covered, self.epoch, state.to_vec())
+                                .is_ok() =>
+                        {
+                            ACK_OK
+                        }
+                        _ => ACK_REFUSED,
+                    }
+                }
+                MsgTag::Promote => match WireReader::new(&frame.payload).u32() {
+                    Ok(boundary) => return self.promote(frame.seq, boundary),
+                    Err(_) => ACK_REFUSED,
+                },
                 // Anything else is foreign traffic for a follower.
                 _ => continue,
-            }
-        }
-    }
-
-    /// Stores one appended event frame, deduplicating retransmits and
-    /// duplicated frames by sequence number (appends from a single
-    /// leader arrive in order, so "already at or behind the log tail or
-    /// the snapshot" means "already applied").
-    fn handle_append(&mut self, frame: Frame) {
-        let seq = frame.seq;
-        let covered = self.snapshot.as_ref().map(|(c, _)| *c);
-        let duplicate = covered.is_some_and(|c| seq <= c)
-            || self.log.last().is_some_and(|(tail, _)| *tail >= seq);
-        if !duplicate {
-            self.log.push((seq, frame.payload));
-        }
-        self.ack(seq, ACK_OK);
-    }
-
-    /// Adopts an offered snapshot and truncates the local log behind
-    /// the sequence it covers — the replica-side mirror of the leader's
-    /// truncate-behind-commit.
-    fn handle_offer(&mut self, frame: Frame) {
-        let mut r = WireReader::new(&frame.payload);
-        let Ok(covered) = r.u32() else {
-            self.ack(frame.seq, ACK_REFUSED);
-            return;
-        };
-        let Ok(rest) = r.bytes(r.remaining()) else {
-            self.ack(frame.seq, ACK_REFUSED);
-            return;
-        };
-        self.snapshot = Some((covered, rest.to_vec()));
-        self.log.retain(|(seq, _)| *seq > covered);
-        self.ack(frame.seq, ACK_OK);
-    }
-
-    /// Becomes the serving leader: snapshot install + local replay of
-    /// the log strictly below `boundary`, then a [`ACK_OK`] ack, then
-    /// the service loop on the same transport.
-    fn promote(mut self, ack_seq: u32, boundary: u32) {
-        let Some(make_monitor) = self.make_monitor.take() else {
-            // Unreachable (promotion consumes the node), but refusing is
-            // strictly safer than panicking on the wire path.
-            self.ack(ack_seq, ACK_REFUSED);
-            return;
-        };
-        let mut monitor = make_monitor();
-        let mut tick_state = ShardTickState::new();
-        if let Some((_covered, snap)) = &self.snapshot {
-            let restored = match MonitorState::from_bytes(snap) {
-                Ok(state) => {
-                    let ok = state.restore_into(&mut *monitor).is_ok();
-                    if ok {
-                        // Seed the shipped-result cache from the restored
-                        // results so post-promotion replies (and
-                        // `results_changed`) match an uncrashed shard's.
-                        tick_state.prime(&state.queries);
-                    }
-                    ok
-                }
-                Err(_) => false,
             };
+            self.ack(frame.seq, status);
+        }
+    }
+
+    /// Becomes the serving leader: snapshot install + replay of the log
+    /// strictly below `boundary`, both through [`ShardService::handle`],
+    /// then an [`ACK_OK`] ack, then the service loop on the same
+    /// transport. Every fed frame is re-stamped with the promoted epoch
+    /// (the log holds them under the dead leader's), so the service
+    /// comes up fencing the old term.
+    fn promote(self, ack_seq: u32, boundary: u32) {
+        let epoch = self.epoch;
+        let mut service =
+            ShardService::new(self.transport, (self.make_monitor)(), self.attribute_cells);
+        if let Some(install) = self.log.install_frame(epoch) {
+            let restored = service
+                .handle(install)
+                .and_then(|reply| Frame::from_bytes(&reply).ok())
+                .is_some_and(|reply| reply.payload == [1]);
             if !restored {
                 // The fresh monitor could not reproduce the recorded
                 // state: refuse promotion so the leader tries another
                 // follower (or falls through to planner takeover).
-                self.ack(ack_seq, ACK_REFUSED);
+                send_ack(service.transport(), ack_seq, epoch, ACK_REFUSED);
                 return;
             }
         }
-        let mut last = None;
-        for (seq, bytes) in &self.log {
-            if *seq >= boundary {
-                break; // the in-flight frame: the coordinator retransmits it
+        // The frame at the boundary is in flight: the coordinator
+        // retransmits it.
+        for (_, bytes) in self
+            .log
+            .suffix()
+            .iter()
+            .take_while(|(seq, _)| *seq < boundary)
+        {
+            if let Ok(mut event) = Frame::from_bytes(bytes) {
+                event.epoch = epoch;
+                service.handle(event);
             }
-            let Ok(event) = Frame::from_bytes(bytes) else {
-                continue;
-            };
-            let mut r = WireReader::new(&event.payload);
-            let Ok(delta) = DeltaBatch::decode(&mut r) else {
-                continue;
-            };
-            let outcome = tick_state.run_tick(&mut *monitor, delta, self.attribute_cells);
-            let mut payload = Vec::new();
-            outcome.encode(&mut payload);
-            let reply = Frame {
-                tag: MsgTag::TickReply,
-                seq: *seq,
-                epoch: self.epoch,
-                payload,
-            }
-            .to_bytes();
-            last = Some((*seq, reply));
         }
-        self.ack(ack_seq, ACK_OK);
-        ShardService::resume(
-            self.transport,
-            monitor,
-            self.attribute_cells,
-            tick_state,
-            last,
-            self.epoch,
-        )
-        .run();
+        send_ack(service.transport(), ack_seq, epoch, ACK_OK);
+        service.run();
     }
 
     fn ack(&mut self, seq: u32, status: u8) {
-        let ack = Frame {
-            tag: MsgTag::AppendAck,
-            seq,
-            epoch: self.epoch,
-            payload: vec![status],
-        }
-        .to_bytes();
-        // A send to a gone leader is fine: the next recv observes
-        // Closed and the node exits.
-        let _ = self.transport.send(&ack);
+        send_ack(&mut self.transport, seq, self.epoch, status);
     }
+}
+
+fn send_ack(transport: &mut impl Transport, seq: u32, epoch: u32, status: u8) {
+    let ack = Frame {
+        tag: MsgTag::AppendAck,
+        seq,
+        epoch,
+        payload: vec![status],
+    }
+    .to_bytes();
+    // A send to a gone leader is fine: the next recv observes Closed
+    // and the node exits.
+    let _ = transport.send(&ack);
 }

@@ -31,6 +31,7 @@
 //! guarantee, not the shard's availability; the heartbeat/failure
 //! counters make the degradation observable.
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -134,6 +135,42 @@ impl ReplicatedLog {
         self.followers.iter().filter(|f| f.alive).count()
     }
 
+    /// Sends `frame` to each live follower in turn and waits out its ack
+    /// for `seq` — the one send → ack loop every replication request
+    /// runs. A follower that cannot be sent to, times out, or closes is
+    /// marked dead and skipped from then on; a fenced ack is counted.
+    /// `on_ack` sees every ack of a follower the frame reached, with
+    /// that follower's index, and may stop the round early.
+    fn broadcast<B>(
+        &mut self,
+        frame: &[u8],
+        seq: u32,
+        timeout: Duration,
+        stats: &mut TransportStats,
+        mut on_ack: impl FnMut(&mut TransportStats, usize, Ack) -> ControlFlow<B>,
+    ) -> Option<B> {
+        for (idx, follower) in self.followers.iter_mut().enumerate() {
+            if !follower.alive {
+                continue;
+            }
+            if follower.transport.send(frame).is_err() {
+                follower.alive = false;
+                continue;
+            }
+            stats.replica_bytes += frame.len() as u64;
+            let ack = drain_ack(&mut follower.transport, seq, timeout);
+            match ack {
+                Ack::Ok => {}
+                Ack::Fenced { .. } => stats.fenced_appends += 1,
+                Ack::Dead => follower.alive = false,
+            }
+            if let ControlFlow::Break(stop) = on_ack(stats, idx, ack) {
+                return Some(stop);
+            }
+        }
+        None
+    }
+
     /// Replicates one journaled event frame (`event_frame` is the exact
     /// wire byte string sent to the shard) and waits until it commits:
     /// every live follower is sent an [`MsgTag::Append`] and drained
@@ -166,26 +203,21 @@ impl ReplicatedLog {
         // deterministic gate metric.
         stats.commit_lag_frames += 1;
         let mut acks = 0u32;
-        let (shard, epoch, timeout) = (self.shard, self.epoch, self.ack_timeout);
-        for follower in self.followers.iter_mut().filter(|f| f.alive) {
-            if follower.transport.send(&frame).is_err() {
-                follower.alive = false;
-                continue;
-            }
+        let fenced = self.broadcast(&frame, seq, self.ack_timeout, stats, |stats, _, ack| {
             stats.replica_appends += 1;
-            stats.replica_bytes += frame.len() as u64;
-            match drain_ack(&mut follower.transport, seq, timeout) {
+            match ack {
                 Ack::Ok => acks += 1,
-                Ack::Fenced { newer } => {
-                    stats.fenced_appends += 1;
-                    return Err(ClusterError::Fenced {
-                        shard,
-                        epoch,
-                        newer,
-                    });
-                }
-                Ack::Dead => follower.alive = false,
+                Ack::Fenced { newer } => return ControlFlow::Break(newer),
+                Ack::Dead => {}
             }
+            ControlFlow::Continue(())
+        });
+        if let Some(newer) = fenced {
+            return Err(ClusterError::Fenced {
+                shard: self.shard,
+                epoch: self.epoch,
+                newer,
+            });
         }
         if acks >= self.quorum.min(self.live_followers() as u32).max(1)
             || self.live_followers() == 0
@@ -221,20 +253,10 @@ impl ReplicatedLog {
             payload,
         }
         .to_bytes();
-        let timeout = self.ack_timeout;
-        for follower in self.followers.iter_mut().filter(|f| f.alive) {
-            if follower.transport.send(&frame).is_err() {
-                follower.alive = false;
-                continue;
-            }
+        self.broadcast(&frame, commit, self.ack_timeout, stats, |stats, _, _| {
             stats.heartbeats += 1;
-            stats.replica_bytes += frame.len() as u64;
-            match drain_ack(&mut follower.transport, commit, timeout) {
-                Ack::Ok => {}
-                Ack::Fenced { .. } => stats.fenced_appends += 1,
-                Ack::Dead => follower.alive = false,
-            }
-        }
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// Hands every live follower the latest durable snapshot so it can
@@ -257,19 +279,9 @@ impl ReplicatedLog {
             payload,
         }
         .to_bytes();
-        let timeout = self.ack_timeout;
-        for follower in self.followers.iter_mut().filter(|f| f.alive) {
-            if follower.transport.send(&frame).is_err() {
-                follower.alive = false;
-                continue;
-            }
-            stats.replica_bytes += frame.len() as u64;
-            match drain_ack(&mut follower.transport, covered_seq, timeout) {
-                Ack::Ok => {}
-                Ack::Fenced { .. } => stats.fenced_appends += 1,
-                Ack::Dead => follower.alive = false,
-            }
-        }
+        self.broadcast(&frame, covered_seq, self.ack_timeout, stats, |_, _, _| {
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// Promotes a live follower to serving leader: bumps (and persists)
@@ -305,38 +317,27 @@ impl ReplicatedLog {
         // replay on the follower; give it a generous multiple of the
         // per-ack wait.
         let timeout = self.ack_timeout.saturating_mul(8);
-        let (shard, epoch) = (self.shard, self.epoch);
-        for idx in 0..self.followers.len() {
-            let Some(follower) = self.followers.get_mut(idx) else {
-                break;
-            };
-            if !follower.alive {
-                continue;
+        // Followers are tried in order until one accepts (a refusal
+        // reads as a dead follower) or one reports a newer term.
+        let verdict = self.broadcast(&frame, boundary, timeout, stats, |_, idx, ack| match ack {
+            Ack::Ok => ControlFlow::Break(Ok(idx)),
+            Ack::Fenced { newer } => ControlFlow::Break(Err(newer)),
+            Ack::Dead => ControlFlow::Continue(()),
+        });
+        match verdict {
+            Some(Ok(idx)) => {
+                stats.failovers += 1;
+                // `idx` came from enumerating `followers`, so it is in
+                // bounds; the promoted follower leaves the replica set.
+                Ok(self.followers.remove(idx).transport)
             }
-            if follower.transport.send(&frame).is_err() {
-                follower.alive = false;
-                continue;
-            }
-            stats.replica_bytes += frame.len() as u64;
-            match drain_ack(&mut follower.transport, boundary, timeout) {
-                Ack::Ok => {
-                    stats.failovers += 1;
-                    // `idx` is in bounds (the `get_mut` above proved it)
-                    // and the promoted follower leaves the replica set.
-                    return Ok(self.followers.remove(idx).transport);
-                }
-                Ack::Fenced { newer } => {
-                    stats.fenced_appends += 1;
-                    return Err(ClusterError::Fenced {
-                        shard,
-                        epoch,
-                        newer,
-                    });
-                }
-                Ack::Dead => follower.alive = false,
-            }
+            Some(Err(newer)) => Err(ClusterError::Fenced {
+                shard: self.shard,
+                epoch: self.epoch,
+                newer,
+            }),
+            None => Err(ClusterError::FailoverFailed { shard: self.shard }),
         }
-        Err(ClusterError::FailoverFailed { shard })
     }
 }
 

@@ -1,17 +1,27 @@
 //! The shard side of the RPC layer: a [`ShardService`] owns one monitor
 //! and serves the engine's delta protocol over any [`Transport`].
 //!
-//! The service is deliberately dumb — all retry/timeout/replay policy
-//! lives at the coordinator ([`crate::client::RemoteShard`]). Its one
-//! responsibility beyond "decode, tick, reply" is **duplicate
-//! suppression**: requests carry a strictly increasing sequence number,
-//! and the service caches its last encoded reply so a retransmitted
-//! request is answered from the cache instead of being applied twice
-//! (which would corrupt monitor state). Frames older than the last
-//! processed sequence are dropped outright — they are retransmission
-//! echoes the coordinator has already stopped waiting for. Corrupt
-//! frames (checksum mismatch) are silently dropped; the coordinator's
-//! timeout drives the retransmit.
+//! The service is a **frame-fed state machine**: [`ShardService::handle`]
+//! takes one decoded request frame and returns the reply bytes, if any;
+//! [`ShardService::run`] is only the loop that moves frames between the
+//! transport and `handle`. All retry/timeout/replay policy lives at the
+//! coordinator ([`crate::client::RemoteShard`]). That split is what makes
+//! there be one replay path: a respawned service is rebuilt by frames
+//! arriving over the wire, a promoted follower
+//! ([`crate::replica::ReplicaNode`]) by the same frames fed to `handle`
+//! from its own log — the state they reach is the same because the code
+//! they run is the same.
+//!
+//! Beyond "decode, tick, reply" `handle` owns two filters. **Fencing**:
+//! frames stamped with an epoch older than the newest one seen are
+//! dropped. **Duplicate suppression**: requests carry a strictly
+//! increasing sequence number, and the service caches its last encoded
+//! reply so a retransmitted request is answered from the cache instead
+//! of being applied twice (which would corrupt monitor state); frames
+//! older than the last processed sequence are dropped outright — they
+//! are retransmission echoes the coordinator has already stopped waiting
+//! for. Corrupt frames (checksum mismatch) never reach `handle`; the
+//! coordinator's timeout drives the retransmit.
 
 use std::path::Path;
 use std::time::Duration;
@@ -41,9 +51,11 @@ pub struct ShardService<T: Transport> {
     /// Leadership epoch this service serves under. Frames stamped with
     /// an older epoch are fenced (dropped without a reply — the stale
     /// leader's retry budget burns out instead of its writes merging);
-    /// newer epochs are adopted. Plain services start at 0, which
-    /// accepts everything.
+    /// newer epochs are adopted. Services start at 0, which accepts
+    /// everything.
     epoch: u32,
+    /// Set by an accepted [`MsgTag::Shutdown`]; ends [`Self::run`].
+    shutdown: bool,
 }
 
 impl<T: Transport> ShardService<T> {
@@ -58,36 +70,14 @@ impl<T: Transport> ShardService<T> {
             attribute_cells,
             last: None,
             epoch: 0,
-        }
-    }
-
-    /// Resumes service from pre-built state — the promotion path: a
-    /// [`crate::replica::ReplicaNode`] that has installed its snapshot
-    /// and replayed its log suffix hands over the monitor, the tick
-    /// state, the seeded duplicate-suppression cache, and the epoch it
-    /// was promoted under.
-    pub(crate) fn resume(
-        transport: T,
-        monitor: Box<dyn ContinuousMonitor>,
-        attribute_cells: bool,
-        state: ShardTickState,
-        last: Option<(u32, Vec<u8>)>,
-        epoch: u32,
-    ) -> Self {
-        Self {
-            transport,
-            monitor,
-            state,
-            attribute_cells,
-            last,
-            epoch,
+            shutdown: false,
         }
     }
 
     /// Serves requests until a shutdown frame arrives or the transport
     /// reports the coordinator gone.
     pub fn run(mut self) {
-        loop {
+        while !self.shutdown {
             let bytes = match self.transport.recv_timeout(POLL) {
                 Ok(bytes) => bytes,
                 Err(RecvError::Timeout) => continue,
@@ -98,71 +88,80 @@ impl<T: Transport> ShardService<T> {
             let Ok(frame) = Frame::from_bytes(&bytes) else {
                 continue;
             };
-            if frame.epoch < self.epoch {
-                // Fencing: a stale leader's frame is dropped without a
-                // reply; its timeout-driven retries exhaust against
-                // silence instead of merging stale writes.
-                continue;
+            if let Some(reply) = self.handle(frame) {
+                let _ = self.transport.send(&reply);
             }
-            self.epoch = frame.epoch;
-            match &self.last {
-                Some((seq, reply)) if frame.seq == *seq => {
-                    // Retransmitted request: resend the cached reply, do
-                    // NOT reprocess (ticks are not idempotent).
-                    let _ = self.transport.send(reply);
-                    continue;
-                }
-                Some((seq, _)) if frame.seq < *seq => continue, // stale echo
-                _ => {}
-            }
-            let payload = match self.process(&frame) {
-                Processed::Reply(payload) => payload,
-                Processed::Drop => continue,
-                Processed::Shutdown => return,
-            };
-            let reply_tag = match frame.tag {
-                MsgTag::MemoryRequest => MsgTag::MemoryReply,
-                MsgTag::SnapshotRequest => MsgTag::SnapshotReply,
-                MsgTag::SnapshotInstall => MsgTag::RestoreReply,
-                _ => MsgTag::TickReply,
-            };
-            let reply = Frame {
-                tag: reply_tag,
-                seq: frame.seq,
-                epoch: self.epoch,
-                payload,
-            }
-            .to_bytes();
-            let _ = self.transport.send(&reply);
-            self.last = Some((frame.seq, reply));
         }
     }
 
-    /// Executes one fresh request.
-    fn process(&mut self, frame: &Frame) -> Processed {
+    /// The transport this service answers on (a promoted replica acks
+    /// its promotion on it before the service starts serving).
+    pub(crate) fn transport(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// Feeds one request frame to the shard: fence, dedup, process,
+    /// cache the reply. Returns the encoded reply frame to send back —
+    /// freshly produced, or the cached one for a retransmitted request —
+    /// or `None` when the frame earns no reply (fenced, stale,
+    /// undecodable payload, not a request, or a shutdown).
+    pub fn handle(&mut self, frame: Frame) -> Option<Vec<u8>> {
+        if frame.epoch < self.epoch {
+            // Fencing: a stale leader's frame is dropped without a
+            // reply; its timeout-driven retries exhaust against
+            // silence instead of merging stale writes.
+            return None;
+        }
+        self.epoch = frame.epoch;
+        match &self.last {
+            // Retransmitted request: resend the cached reply, do NOT
+            // reprocess (ticks are not idempotent).
+            Some((seq, reply)) if frame.seq == *seq => return Some(reply.clone()),
+            Some((seq, _)) if frame.seq < *seq => return None, // stale echo
+            _ => {}
+        }
+        let (tag, payload) = self.process(&frame)?;
+        let reply = Frame {
+            tag,
+            seq: frame.seq,
+            epoch: self.epoch,
+            payload,
+        }
+        .to_bytes();
+        self.last = Some((frame.seq, reply.clone()));
+        Some(reply)
+    }
+
+    /// Executes one fresh request: the reply's tag and payload, or
+    /// `None` for a frame that is ignored entirely (the coordinator's
+    /// timeout owns recovery) or that stops the service.
+    fn process(&mut self, frame: &Frame) -> Option<(MsgTag, Vec<u8>)> {
         let mut payload = Vec::new();
-        match frame.tag {
+        let tag = match frame.tag {
             MsgTag::TickEvents | MsgTag::ResyncEvents | MsgTag::MigrationEvents => {
                 let mut r = WireReader::new(&frame.payload);
                 // The checksum vouched for these bytes, so a failure here
                 // is a codec-version mismatch rather than line noise —
                 // but either way the shard must not die on a frame: drop
                 // it and let the coordinator's timeout retransmit.
-                let Ok(delta) = DeltaBatch::decode(&mut r) else {
-                    return Processed::Drop;
-                };
+                let delta = DeltaBatch::decode(&mut r).ok()?;
                 let outcome = self
                     .state
                     .run_tick(&mut *self.monitor, delta, self.attribute_cells);
                 outcome.encode(&mut payload);
+                MsgTag::TickReply
             }
-            MsgTag::MemoryRequest => self.monitor.memory().encode(&mut payload),
+            MsgTag::MemoryRequest => {
+                self.monitor.memory().encode(&mut payload);
+                MsgTag::MemoryReply
+            }
             MsgTag::SnapshotRequest => {
                 // An empty payload tells the coordinator this monitor
                 // cannot snapshot; it then disables the cycle.
                 if let Some(state) = self.monitor.snapshot_state() {
                     payload = state.to_bytes();
                 }
+                MsgTag::SnapshotReply
             }
             MsgTag::SnapshotInstall => {
                 let ok = match rnn_core::MonitorState::from_bytes(&frame.payload) {
@@ -170,9 +169,11 @@ impl<T: Transport> ShardService<T> {
                         let restored = state.restore_into(&mut *self.monitor).is_ok();
                         if restored {
                             // Seed the shipped-result cache from the
-                            // restored results, so post-restore replies
-                            // (and `results_changed`) are bit-identical
-                            // to an uncrashed shard's.
+                            // recorded results, so the first post-restore
+                            // reply ships exactly what an uncrashed shard
+                            // would have shipped plus whatever the
+                            // restored monitor holds differently (tie
+                            // order, last-ulp distances).
                             self.state.prime(&state.queries);
                         }
                         restored
@@ -180,8 +181,12 @@ impl<T: Transport> ShardService<T> {
                     Err(_) => false,
                 };
                 payload.push(u8::from(ok));
+                MsgTag::RestoreReply
             }
-            MsgTag::Shutdown => return Processed::Shutdown,
+            MsgTag::Shutdown => {
+                self.shutdown = true;
+                return None;
+            }
             // A reply tag arriving at the service is a stray echo of our
             // own output; replication-role frames belong to a
             // `ReplicaNode`, not a serving shard. Drop both kinds.
@@ -193,21 +198,10 @@ impl<T: Transport> ShardService<T> {
             | MsgTag::AppendAck
             | MsgTag::Heartbeat
             | MsgTag::Promote
-            | MsgTag::SnapshotOffer => return Processed::Drop,
-        }
-        Processed::Reply(payload)
+            | MsgTag::SnapshotOffer => return None,
+        };
+        Some((tag, payload))
     }
-}
-
-/// Outcome of handling one fresh (non-duplicate) request frame.
-enum Processed {
-    /// Send this payload back under the matching reply tag.
-    Reply(Vec<u8>),
-    /// Ignore the frame entirely (undecodable payload or stray echo); the
-    /// coordinator's timeout owns recovery.
-    Drop,
-    /// Stop serving.
-    Shutdown,
 }
 
 /// Binds `path`, accepts exactly one coordinator connection, and serves
@@ -218,8 +212,7 @@ pub fn serve_unix(
     monitor: Box<dyn ContinuousMonitor>,
     attribute_cells: bool,
 ) -> std::io::Result<()> {
-    let listener = std::os::unix::net::UnixListener::bind(path)?;
-    let (stream, _) = listener.accept()?;
+    let (stream, _) = std::os::unix::net::UnixListener::bind(path)?.accept()?;
     ShardService::new(StreamTransport::new(stream), monitor, attribute_cells).run();
     Ok(())
 }
@@ -231,8 +224,204 @@ pub fn serve_tcp(
     monitor: Box<dyn ContinuousMonitor>,
     attribute_cells: bool,
 ) -> std::io::Result<()> {
-    let listener = std::net::TcpListener::bind(addr)?;
-    let (stream, _) = listener.accept()?;
+    let (stream, _) = std::net::TcpListener::bind(addr)?.accept()?;
     ShardService::new(StreamTransport::new(stream), monitor, attribute_cells).run();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{loopback_pair, FaultPlan};
+    use rnn_core::{EdgeWeightUpdate, Gma, ObjectEvent, QueryEvent};
+    use rnn_engine::{BatchKind, TickOutcome};
+    use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
+    use std::sync::Arc;
+
+    fn net() -> Arc<RoadNetwork> {
+        Arc::new(generators::grid_city(&generators::GridCityConfig {
+            nx: 6,
+            ny: 6,
+            seed: 4,
+            ..Default::default()
+        }))
+    }
+
+    fn events(
+        seq: u32,
+        objects: Vec<ObjectEvent>,
+        queries: Vec<QueryEvent>,
+        edges: Vec<EdgeWeightUpdate>,
+    ) -> Frame {
+        let mut payload = Vec::new();
+        DeltaBatch {
+            objects,
+            queries,
+            shared_edges: Arc::new(edges),
+            kind: BatchKind::Tick,
+        }
+        .encode(&mut payload);
+        Frame {
+            tag: MsgTag::TickEvents,
+            seq,
+            epoch: 0,
+            payload,
+        }
+    }
+
+    /// A frame's bytes with the one wall-clock field a tick reply
+    /// carries (`TickReport::elapsed`) zeroed; everything else must
+    /// match byte for byte.
+    fn without_elapsed(reply: &[u8]) -> Vec<u8> {
+        let mut frame = Frame::from_bytes(reply).unwrap();
+        if frame.tag == MsgTag::TickReply {
+            let mut outcome = TickOutcome::decode(&mut WireReader::new(&frame.payload)).unwrap();
+            outcome.report.elapsed = Duration::ZERO;
+            frame.payload.clear();
+            outcome.encode(&mut frame.payload);
+        }
+        frame.to_bytes()
+    }
+
+    #[test]
+    fn frames_fed_to_handle_rebuild_the_same_shard_as_frames_over_the_wire() {
+        let net = net();
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        // A live shard: a history, a snapshot request, then a suffix.
+        let history = vec![
+            events(
+                0,
+                (0..20u32)
+                    .map(|o| ObjectEvent::Insert {
+                        id: ObjectId(o),
+                        at: at(o * 3 % 60, 0.3),
+                    })
+                    .collect(),
+                (0..4u32)
+                    .map(|q| QueryEvent::Install {
+                        id: QueryId(q),
+                        k: 3,
+                        at: at(q * 11, 0.6),
+                    })
+                    .collect(),
+                vec![],
+            ),
+            events(
+                1,
+                vec![ObjectEvent::Move {
+                    id: ObjectId(2),
+                    to: at(33, 0.5),
+                }],
+                vec![QueryEvent::Move {
+                    id: QueryId(1),
+                    to: at(34, 0.1),
+                }],
+                vec![EdgeWeightUpdate {
+                    edge: EdgeId(12),
+                    new_weight: 3.5,
+                }],
+            ),
+        ];
+        let suffix = vec![
+            events(
+                3,
+                vec![ObjectEvent::Move {
+                    id: ObjectId(7),
+                    to: at(1, 0.9),
+                }],
+                vec![],
+                vec![EdgeWeightUpdate {
+                    edge: EdgeId(30),
+                    new_weight: 0.5,
+                }],
+            ),
+            events(
+                4,
+                vec![ObjectEvent::Delete { id: ObjectId(3) }],
+                vec![QueryEvent::Move {
+                    id: QueryId(0),
+                    to: at(20, 0.2),
+                }],
+                vec![],
+            ),
+        ];
+        let (_idle, peer) = loopback_pair(FaultPlan::default());
+        let mut live = ShardService::new(peer, Box::new(Gma::new(net.clone())), false);
+        for frame in history {
+            live.handle(frame).expect("event frames are answered");
+        }
+        let state = live
+            .handle(Frame {
+                tag: MsgTag::SnapshotRequest,
+                seq: 2,
+                epoch: 0,
+                payload: Vec::new(),
+            })
+            .map(|reply| Frame::from_bytes(&reply).unwrap().payload)
+            .expect("Gma snapshots");
+        // What both rebuilds are fed: the install (carrying the covered
+        // sequence number) and the suffix.
+        let mut feed = vec![Frame {
+            tag: MsgTag::SnapshotInstall,
+            seq: 1,
+            epoch: 0,
+            payload: state,
+        }];
+        feed.extend(suffix);
+
+        // Promotion's way: a service built locally, frames handed to it.
+        let (_idle, peer) = loopback_pair(FaultPlan::default());
+        let mut local = ShardService::new(peer, Box::new(Gma::new(net.clone())), false);
+        let fed: Vec<Vec<u8>> = feed
+            .iter()
+            .map(|frame| {
+                local
+                    .handle(frame.clone())
+                    .expect("every fed frame is answered")
+            })
+            .collect();
+
+        // Respawn-rebuild's way: a service behind a transport.
+        let (mut co, peer) = loopback_pair(FaultPlan::default());
+        let served = std::thread::spawn(move || {
+            ShardService::new(peer, Box::new(Gma::new(net)), false).run();
+        });
+        let wired: Vec<Vec<u8>> = feed
+            .iter()
+            .map(|frame| {
+                co.send(&frame.to_bytes()).unwrap();
+                co.recv_timeout(Duration::from_secs(5)).unwrap()
+            })
+            .collect();
+        drop(co);
+        served.join().unwrap();
+
+        assert_eq!(Frame::from_bytes(&fed[0]).unwrap().payload, [1]);
+        assert_eq!(fed.len(), wired.len());
+        for (a, b) in fed.iter().zip(&wired) {
+            assert_eq!(without_elapsed(a), without_elapsed(b));
+        }
+        // And the rebuilt shard goes on answering like the one that never
+        // died: the same next frame ships the same results (its work
+        // counters are held to `restore_stable()` only — the trees were
+        // recomputed).
+        let next = events(
+            5,
+            vec![],
+            vec![QueryEvent::Move {
+                id: QueryId(2),
+                to: at(40, 0.4),
+            }],
+            vec![],
+        );
+        for frame in &feed[1..] {
+            live.handle(frame.clone());
+        }
+        let shipped = |service: &mut ShardService<_>| {
+            let reply = Frame::from_bytes(&service.handle(next.clone()).unwrap()).unwrap();
+            let outcome = TickOutcome::decode(&mut WireReader::new(&reply.payload)).unwrap();
+            (outcome.snapshots, outcome.report.counters.restore_stable())
+        };
+        assert_eq!(shipped(&mut live), shipped(&mut local));
+    }
 }

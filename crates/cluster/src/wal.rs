@@ -1,7 +1,8 @@
 //! Per-shard write-ahead log of routed input events.
 //!
-//! The WAL is the disk image of the coordinator's in-memory event
-//! journal: every event frame sent to a shard is appended **verbatim**
+//! The WAL is the disk image of the event suffix of a shard's
+//! [`ShardLog`](crate::log::ShardLog): every event frame sent to a shard
+//! is appended **verbatim**
 //! (the exact [`Frame::to_bytes`] byte string, so each record carries
 //! the frame's own length prefix and FNV checksum — no second framing
 //! layer to keep in sync). `fsync` is batched: the file is synced every
@@ -15,11 +16,12 @@
 //! poisoning recovery. Anything before the tear decodes exactly as it
 //! was sent; anything after it was never acknowledged as durable.
 //!
-//! The log is truncated to empty whenever a monitor-state snapshot
-//! becomes durable: the snapshot covers every journaled event, so
-//! recovery replays only the post-snapshot suffix (see
-//! [`crate::client`]). That bound — replay work proportional to the WAL
-//! suffix, not the run length — is what the recovery benchmark gates.
+//! The log is truncated whenever a monitor-state snapshot becomes
+//! durable ([`ShardLog::install_snapshot`](crate::log::ShardLog::install_snapshot),
+//! the only caller of [`Wal::reset`]): the snapshot covers the logged
+//! events, so recovery replays only the post-snapshot suffix. That bound
+//! — replay work proportional to the WAL suffix, not the run length — is
+//! what the recovery benchmark gates.
 //!
 //! With replication enabled the truncation point is additionally gated
 //! behind the replicated log's **commit index**: a snapshot (and the
@@ -32,7 +34,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rnn_roadnet::wire::{checksum, put_u32};
 
@@ -114,7 +116,6 @@ pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
 /// recovery. See the module docs for the format and guarantees.
 pub struct Wal {
     file: File,
-    path: PathBuf,
     bytes: u64,
     fsync_every: u32,
     unsynced: u32,
@@ -151,7 +152,6 @@ impl Wal {
         Ok((
             Self {
                 file,
-                path: path.to_path_buf(),
                 bytes: valid_len as u64,
                 fsync_every: fsync_every.max(1),
                 unsynced: 0,
@@ -188,11 +188,6 @@ impl Wal {
     /// Current log size in bytes (the replay-suffix bound).
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

@@ -25,7 +25,7 @@ use rnn_roadnet::{FxHashMap, FxHashSet, NetPoint, ObjectId, QueryId, RoadNetwork
 use crate::anchor::{AnchorKey, AnchorSet};
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
 use crate::state::{NetworkState, ObjectDelta};
-use crate::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch};
+use crate::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
 
 /// Continuous reverse-NN monitor: for every query, the set of objects whose
 /// nearest query it is.
@@ -63,42 +63,16 @@ impl Crnn {
         }
     }
 
-    /// Registers a query (e.g. a vacant cab). Existing object assignments
-    /// are refreshed on the next [`Self::tick`]; for immediate consistency
-    /// install queries before objects or call `tick` with an empty batch.
-    pub fn insert_query(&mut self, id: QueryId, at: NetPoint) {
-        let batch = UpdateBatch {
-            queries: vec![QueryEvent::Install { id, k: 1, at }],
-            ..Default::default()
-        };
-        self.tick(&batch);
-    }
-
-    /// Removes a query.
-    pub fn remove_query(&mut self, id: QueryId) {
-        let batch = UpdateBatch {
-            queries: vec![QueryEvent::Remove { id }],
-            ..Default::default()
-        };
-        self.tick(&batch);
-    }
-
-    /// Registers a data object (e.g. a client waiting for a taxi).
-    pub fn insert_object(&mut self, id: ObjectId, at: NetPoint) {
-        let batch = UpdateBatch {
-            objects: vec![ObjectEvent::Insert { id, at }],
-            ..Default::default()
-        };
-        self.tick(&batch);
-    }
-
-    /// Removes a data object.
-    pub fn remove_object(&mut self, id: ObjectId) {
-        let batch = UpdateBatch {
-            objects: vec![ObjectEvent::Delete { id }],
-            ..Default::default()
-        };
-        self.tick(&batch);
+    /// Applies one out-of-band [`UpdateEvent`] immediately, as a
+    /// singleton [`Self::tick`] — the same single entry point as
+    /// [`crate::ContinuousMonitor::apply`]: installing or removing a
+    /// query (e.g. a vacant cab; `k` is ignored — every object tracks
+    /// its one nearest query), inserting or deleting an object (e.g. a
+    /// client waiting for a taxi), a move, an edge update.
+    pub fn apply(&mut self, event: UpdateEvent) -> TickReport {
+        let mut batch = UpdateBatch::default();
+        batch.push(event);
+        self.tick(&batch)
     }
 
     /// The reverse nearest neighbors of `q`: every object whose closest
@@ -291,17 +265,34 @@ mod tests {
     fn setup() -> Crnn {
         let net = Arc::new(generators::line_network(6, 1.0));
         let mut c = Crnn::new(net);
-        c.insert_query(QueryId(100), NetPoint::new(EdgeId(0), 0.0)); // x=0
-        c.insert_query(QueryId(200), NetPoint::new(EdgeId(4), 1.0)); // x=5
+        c.apply(UpdateEvent::install_query(
+            QueryId(100),
+            1,
+            NetPoint::new(EdgeId(0), 0.0),
+        )); // x=0
+        c.apply(UpdateEvent::install_query(
+            QueryId(200),
+            1,
+            NetPoint::new(EdgeId(4), 1.0),
+        )); // x=5
         c
     }
 
     #[test]
     fn objects_assign_to_nearest_query() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(0), 0.5)); // x=0.5 -> q100
-        c.insert_object(ObjectId(2), NetPoint::new(EdgeId(4), 0.5)); // x=4.5 -> q200
-        c.insert_object(ObjectId(3), NetPoint::new(EdgeId(1), 0.0)); // x=1.0 -> q100
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(0), 0.5),
+        )); // x=0.5 -> q100
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(2),
+            NetPoint::new(EdgeId(4), 0.5),
+        )); // x=4.5 -> q200
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(3),
+            NetPoint::new(EdgeId(1), 0.0),
+        )); // x=1.0 -> q100
         assert_eq!(
             c.reverse_nns(QueryId(100)).unwrap(),
             vec![ObjectId(1), ObjectId(3)]
@@ -313,7 +304,10 @@ mod tests {
     #[test]
     fn object_movement_reassigns() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(0), 0.5));
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
         let rep = c.tick(&UpdateBatch {
             objects: vec![ObjectEvent::Move {
@@ -330,8 +324,11 @@ mod tests {
     #[test]
     fn query_movement_steals_clients() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(2), 0.5)); // x=2.5: q100 at 2.5, q200 at 2.5 — tie; dist tie broken by id.
-                                                                     // Break the tie deterministically: move q200 closer.
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(2), 0.5),
+        )); // x=2.5: q100 at 2.5, q200 at 2.5 — tie; dist tie broken by id.
+            // Break the tie deterministically: move q200 closer.
         c.tick(&UpdateBatch {
             queries: vec![QueryEvent::Move {
                 id: QueryId(200),
@@ -346,9 +343,12 @@ mod tests {
     #[test]
     fn query_removal_reassigns_clients() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(0), 0.5));
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
-        c.remove_query(QueryId(100));
+        c.apply(UpdateEvent::remove_query(QueryId(100)));
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(200)));
         assert!(c.reverse_nns(QueryId(100)).is_none());
     }
@@ -356,7 +356,10 @@ mod tests {
     #[test]
     fn edge_updates_can_flip_assignment() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(2), 0.25)); // x=2.25: q100 at 2.25, q200 at 2.75
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(2), 0.25),
+        )); // x=2.25: q100 at 2.25, q200 at 2.75
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
         // Make the left part of the line very heavy.
         c.tick(&UpdateBatch {
@@ -376,8 +379,11 @@ mod tests {
     #[test]
     fn object_delete_cleans_up() {
         let mut c = setup();
-        c.insert_object(ObjectId(1), NetPoint::new(EdgeId(0), 0.5));
-        c.remove_object(ObjectId(1));
+        c.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
+        c.apply(UpdateEvent::delete_object(ObjectId(1)));
         assert_eq!(c.num_objects(), 0);
         assert!(c.reverse_nns(QueryId(100)).unwrap().is_empty());
         assert_eq!(c.nearest_query_of(ObjectId(1)), None);

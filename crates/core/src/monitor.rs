@@ -1,9 +1,9 @@
 //! The common interface of all continuous-monitoring algorithms.
 
-use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+use rnn_roadnet::{EdgeId, QueryId};
 
 use crate::counters::{MemoryUsage, TickReport};
-use crate::types::{Neighbor, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent};
+use crate::types::{Neighbor, UpdateBatch, UpdateEvent};
 
 /// A continuous k-NN monitoring server (§1: "a central server that monitors
 /// the positions of CkNN queries and objects, as well as the current edge
@@ -21,8 +21,7 @@ pub trait ContinuousMonitor: Send {
     fn name(&self) -> &'static str;
 
     /// Applies one out-of-band [`UpdateEvent`] immediately — the single
-    /// submission entry point that replaced the historical
-    /// `insert_object` / `install_query` / `remove_query` trio.
+    /// submission entry point outside [`Self::tick`].
     ///
     /// The default implementation wraps the event into a singleton
     /// [`UpdateBatch`] and runs [`Self::tick`]; monitors with cheaper
@@ -35,36 +34,6 @@ pub trait ContinuousMonitor: Send {
         let mut batch = UpdateBatch::default();
         batch.push(event);
         self.tick(&batch)
-    }
-
-    /// Registers a data object at its initial position.
-    #[deprecated(
-        since = "0.9.0",
-        note = "submit `UpdateEvent::Object(ObjectEvent::Insert { .. })` via `apply` \
-                (or an `UpdateBatch` via `tick`) instead"
-    )]
-    fn insert_object(&mut self, id: ObjectId, at: NetPoint) {
-        self.apply(UpdateEvent::Object(ObjectEvent::Insert { id, at }));
-    }
-
-    /// Installs a continuous `k`-NN query and computes its initial result.
-    #[deprecated(
-        since = "0.9.0",
-        note = "submit `UpdateEvent::Query(QueryEvent::Install { .. })` via `apply` \
-                (or an `UpdateBatch` via `tick`) instead"
-    )]
-    fn install_query(&mut self, id: QueryId, k: usize, at: NetPoint) {
-        self.apply(UpdateEvent::Query(QueryEvent::Install { id, k, at }));
-    }
-
-    /// Terminates a query.
-    #[deprecated(
-        since = "0.9.0",
-        note = "submit `UpdateEvent::Query(QueryEvent::Remove { .. })` via `apply` \
-                (or an `UpdateBatch` via `tick`) instead"
-    )]
-    fn remove_query(&mut self, id: QueryId) {
-        self.apply(UpdateEvent::Query(QueryEvent::Remove { id }));
     }
 
     /// Processes one timestamp of updates and refreshes all affected

@@ -57,14 +57,14 @@ fn main() {
     for c in 0..NUM_CLIENTS {
         let pos = random_pos(&mut rng);
         dispatch.apply(UpdateEvent::insert_object(ObjectId(c), pos));
-        claims.insert_object(ObjectId(c), pos);
+        claims.apply(UpdateEvent::insert_object(ObjectId(c), pos));
         client_walkers.push(RandomWalker::new(&net, pos, &mut rng));
     }
     let mut taxi_walkers = Vec::new();
     for t in 0..NUM_TAXIS {
         let pos = random_pos(&mut rng);
         dispatch.apply(UpdateEvent::install_query(QueryId(t), 3, pos));
-        claims.insert_query(QueryId(t), pos);
+        claims.apply(UpdateEvent::install_query(QueryId(t), 1, pos));
         taxi_walkers.push(RandomWalker::new(&net, pos, &mut rng));
     }
 

@@ -84,6 +84,38 @@ fn assert_answers_identical(
     }
 }
 
+/// The comparison a snapshot restore guarantees once queries move and
+/// weights churn (`rnn_core::snapshot` module docs): the differential
+/// suite's — the same distances rank by rank and the same `kNN_dist`,
+/// to 1e-9 relative. A restored monitor sums its distances afresh, so
+/// from the restore on it may differ from the uncrashed twin in the
+/// last ulp, and with it in which queries count as changed.
+fn assert_answers_equivalent(
+    inproc: &ShardedEngine,
+    cluster: &ClusterEngine,
+    _reports: Option<(&TickReport, &TickReport)>,
+    ctx: &str,
+) {
+    let same = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let mut ids = inproc.query_ids();
+    ids.sort();
+    let mut cids = cluster.query_ids();
+    cids.sort();
+    assert_eq!(ids, cids, "{ctx}: query sets diverge");
+    for &qid in &ids {
+        let (a, b) = (inproc.result(qid).unwrap(), cluster.result(qid).unwrap());
+        assert_eq!(a.len(), b.len(), "{ctx}, query {qid}: result sizes");
+        for (x, y) in a.iter().zip(b) {
+            assert!(same(x.dist, y.dist), "{ctx}, query {qid}: {x:?} vs {y:?}");
+        }
+        let (ka, kb) = (
+            inproc.knn_dist(qid).unwrap(),
+            cluster.knn_dist(qid).unwrap(),
+        );
+        assert!(same(ka, kb), "{ctx}, query {qid}: kNN_dist {ka} vs {kb}");
+    }
+}
+
 /// xorshift64*, so crash points are seeded but spread across the run.
 fn seeded_crash_frame(seed: u64, shard: usize) -> u32 {
     let mut x = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1));
@@ -101,12 +133,32 @@ fn seeded_crash_frame(seed: u64, shard: usize) -> u32 {
 /// frames; recovery must install the latest snapshot and replay only
 /// the journal suffix.
 fn run_snapshot_recovery_differential(snapshot_every: u32, crash_after_frames: u32) {
+    run_recovery_differential(
+        ShardAlgo::Gma,
+        base_cfg(11),
+        12,
+        snapshot_every,
+        crash_after_frames,
+        assert_answers_identical,
+    );
+}
+
+/// The differential behind [`run_snapshot_recovery_differential`], over
+/// any shard algorithm, workload and run length, with the per-tick
+/// comparison left to `check`.
+fn run_recovery_differential(
+    algo: ShardAlgo,
+    cfg: ScenarioConfig,
+    ticks: usize,
+    snapshot_every: u32,
+    crash_after_frames: u32,
+    check: fn(&ShardedEngine, &ClusterEngine, Option<(&TickReport, &TickReport)>, &str),
+) {
     let net = grid(8, 8, 1);
-    let cfg = base_cfg(11);
     for shards in [2usize, 4] {
         let ecfg = EngineConfig {
             num_shards: shards,
-            algo: ShardAlgo::Gma,
+            algo,
             ..EngineConfig::default()
         };
         let mut inproc = ShardedEngine::new(net.clone(), ecfg);
@@ -125,11 +177,11 @@ fn run_snapshot_recovery_differential(snapshot_every: u32, crash_after_frames: u
         let mut scenario = Scenario::new(net.clone(), cfg.clone());
         scenario.install_into(&mut inproc);
         scenario.install_into(&mut cluster);
-        for t in 1..=12usize {
+        for t in 1..=ticks {
             let batch = scenario.tick();
             let ri = inproc.tick(&batch);
             let rc = cluster.tick(&batch);
-            assert_answers_identical(
+            check(
                 &inproc,
                 &cluster,
                 Some((&ri, &rc)),
@@ -177,6 +229,24 @@ fn cluster_recovers_from_snapshot_plus_journal_suffix() {
 #[test]
 fn cluster_recovers_with_sparse_snapshots() {
     run_snapshot_recovery_differential(8, 12);
+}
+
+#[test]
+fn cluster_recovers_after_query_moves_and_weight_churn() {
+    // Every query moves every tick and a fifth of the edges reprice, so
+    // by the time shard 0 crashes its IMA monitor has re-rooted trees by
+    // shifting their distances — the snapshot it recovers from is one a
+    // fresh monitor reproduces only to the last ulp. The restore must
+    // accept it (a bitwise check kills the link: `RestoreRejected`) and
+    // the run must go on matching the uncrashed twin.
+    let cfg = ScenarioConfig {
+        edge_agility: 0.2,
+        query_agility: 1.0,
+        object_agility: 0.0,
+        num_queries: 40,
+        ..base_cfg(17)
+    };
+    run_recovery_differential(ShardAlgo::Ima, cfg, 30, 4, 45, assert_answers_equivalent);
 }
 
 #[test]

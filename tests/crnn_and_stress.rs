@@ -6,7 +6,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rnn_monitor::core::crnn::Crnn;
-use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, ObjectEvent, Ovh, QueryEvent, UpdateBatch};
+use rnn_monitor::core::{
+    ContinuousMonitor, Gma, Ima, ObjectEvent, Ovh, QueryEvent, UpdateBatch, UpdateEvent,
+};
 use rnn_monitor::roadnet::{
     generators, DijkstraEngine, EdgeId, EdgeWeights, NetPoint, ObjectId, QueryId,
 };
@@ -57,12 +59,12 @@ fn crnn_matches_brute_force_over_random_run() {
     let mut objects: Vec<(ObjectId, NetPoint)> = Vec::new();
     for q in 0..5u32 {
         let p = NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random());
-        crnn.insert_query(QueryId(q), p);
+        crnn.apply(UpdateEvent::install_query(QueryId(q), 1, p));
         queries.push((QueryId(q), p));
     }
     for o in 0..30u32 {
         let p = NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random());
-        crnn.insert_object(ObjectId(o), p);
+        crnn.apply(UpdateEvent::insert_object(ObjectId(o), p));
         objects.push((ObjectId(o), p));
     }
 
