@@ -507,12 +507,14 @@ impl Driven {
 /// [`Algo::IngestShed`]); everything else goes through [`make_monitor`].
 fn make_driven(algo: Algo, net: std::sync::Arc<rnn_roadnet::RoadNetwork>, p: &Params) -> Driven {
     let build = |shards: u8, capacity: usize, policy: rnn_engine::AdmissionPolicy| {
-        let cfg = rnn_engine::EngineConfig::builder()
-            .shards(usize::from(shards).max(1))
-            .ingest_capacity(capacity)
-            .admission(policy)
-            .build()
-            .expect("bench ingest config");
+        let cfg = rnn_engine::EngineConfig {
+            ingest: rnn_engine::IngestConfig {
+                capacity,
+                policy,
+                ..Default::default()
+            },
+            ..rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1))
+        };
         let engine = Box::new(rnn_engine::ShardedEngine::new(net.clone(), cfg));
         let handle = engine.ingest_handle();
         Driven::Ingest { engine, handle }

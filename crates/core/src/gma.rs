@@ -40,7 +40,6 @@ use crate::influence::{InfluenceTable, IntervalSet};
 use crate::monitor::ContinuousMonitor;
 use crate::search::BestK;
 use crate::state::NetworkState;
-use crate::tree::TreePool;
 use crate::types::{Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
 
 struct GmaQuery {
@@ -143,18 +142,6 @@ impl Gma {
         self.node_seqs = node_seqs;
         self.qil = InfluenceTable::new(self.net.num_edges());
         self
-    }
-
-    /// Like [`Self::new`], with the active-node expansion-tree pool
-    /// pre-provisioned for about `hint` concurrent trees (GMA keeps one
-    /// tree per active intersection node, which is bounded by the query
-    /// count) of [`TreePool::PREWARM_NODES_PER_TREE`] nodes each. A hint
-    /// of 0 is exactly `new`.
-    pub fn with_tree_pool_hint(net: Arc<RoadNetwork>, hint: usize) -> Self {
-        let mut m = Self::new(net);
-        m.nodes
-            .prewarm_trees(hint, TreePool::PREWARM_NODES_PER_TREE);
-        m
     }
 
     /// The sequence table (exposed for tests and examples).

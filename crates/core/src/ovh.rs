@@ -57,17 +57,6 @@ impl Ovh {
         }
     }
 
-    /// Like [`Self::new`], with the scratch tree pool pre-provisioned.
-    /// OVH runs its from-scratch searches sequentially and releases each
-    /// tree immediately, so at most a couple of spare trees are ever
-    /// needed regardless of `hint`; the hint only toggles the warm-up.
-    pub fn with_tree_pool_hint(net: Arc<RoadNetwork>, hint: usize) -> Self {
-        let mut m = Self::new(net);
-        m.pool
-            .prewarm(hint.min(2), TreePool::PREWARM_NODES_PER_TREE);
-        m
-    }
-
     fn recompute(&mut self, id: QueryId, counters: &mut OpCounters) -> bool {
         let q = self.queries.get_mut(&id).expect("query registered");
         let ctx = SearchContext {

@@ -6,7 +6,7 @@ use rnn_core::{ContinuousMonitor, Gma, Ima, Ovh};
 use rnn_roadnet::RoadNetwork;
 
 use crate::engine::EngineError;
-use crate::ingest::{AdmissionPolicy, IngestConfig, IngestHub};
+use crate::ingest::{IngestConfig, IngestHub};
 
 /// Which of the paper's monitors runs inside each shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,26 +17,6 @@ pub enum ShardAlgo {
     Ima,
     /// Group monitoring (§5) — the default.
     Gma,
-}
-
-impl ShardAlgo {
-    /// Instantiates the per-shard monitor.
-    pub(crate) fn make(self, net: Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor> {
-        match self {
-            ShardAlgo::Ovh => Box::new(Ovh::new(net)),
-            ShardAlgo::Ima => Box::new(Ima::new(net)),
-            ShardAlgo::Gma => Box::new(Gma::new(net)),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardAlgo::Ovh => "OVH",
-            ShardAlgo::Ima => "IMA",
-            ShardAlgo::Gma => "GMA",
-        }
-    }
 }
 
 /// The per-shard log-replication plane (consumed by the cluster layer;
@@ -111,15 +91,6 @@ pub struct EngineConfig {
     /// detector's hysteresis: a hotspot must persist, and a migration must
     /// settle, before cells move again.
     pub rebalance_cooldown: u32,
-    /// Expected number of concurrent expansion trees per shard (roughly:
-    /// queries per shard, or active intersection nodes for GMA). When
-    /// non-zero, each shard monitor pre-provisions its
-    /// [`rnn_core::tree::TreePool`] with that many spare directories at
-    /// construction, so the first tick's tree builds recycle warm buffers
-    /// instead of paying counted `install_alloc_events`. `0` (the
-    /// default) skips the warm-up entirely and is bit-identical to
-    /// earlier releases.
-    pub tree_pool_hint: usize,
     /// What to do when a shard link reports itself permanently down
     /// (`Response::Down`: its transport died and recovery exhausted every
     /// retry). `false` (the default) keeps the historical contract — a
@@ -151,7 +122,6 @@ impl Default for EngineConfig {
             halo_shrink_ticks: 2,
             rebalance_trigger: 0.0,
             rebalance_cooldown: 8,
-            tree_pool_hint: 0,
             takeover: false,
             ingest: IngestConfig::default(),
             replication: ReplicationConfig::default(),
@@ -189,35 +159,21 @@ impl EngineConfig {
         self.rebalance_trigger >= 1.0 && self.num_shards >= 2
     }
 
-    /// Instantiates one shard monitor per this config, honouring
-    /// [`Self::tree_pool_hint`]. With a zero hint this is exactly the
-    /// plain constructor path (no warm-up, bit-identical counters).
+    /// Instantiates one shard monitor per this config.
     pub fn make_monitor(&self, net: Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor> {
-        if self.tree_pool_hint == 0 {
-            return self.algo.make(net);
-        }
-        let hint = self.tree_pool_hint;
         match self.algo {
-            ShardAlgo::Ovh => Box::new(Ovh::with_tree_pool_hint(net, hint)),
-            ShardAlgo::Ima => Box::new(Ima::with_tree_pool_hint(net, hint)),
-            ShardAlgo::Gma => Box::new(Gma::with_tree_pool_hint(net, hint)),
+            ShardAlgo::Ovh => Box::new(Ovh::new(net)),
+            ShardAlgo::Ima => Box::new(Ima::new(net)),
+            ShardAlgo::Gma => Box::new(Gma::new(net)),
         }
     }
 
-    /// A validating builder. Prefer this over struct-literal construction
-    /// when any knob comes from user input: [`EngineConfigBuilder::build`]
-    /// reports the first invalid knob as a typed [`EngineError`] instead
-    /// of deferring to a constructor panic (or to silent misbehaviour —
-    /// struct literals accept a NaN `halo_slack` without complaint).
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
-    /// Validates every knob, returning the first violation. This is the
-    /// single source of truth the builder and the constructors share.
-    pub(crate) fn validate(&self) -> Result<(), EngineError> {
+    /// Validates every knob, returning the first violation as a typed
+    /// [`EngineError`]. The engine constructors call this themselves, so a
+    /// struct literal can never smuggle a NaN ratio or a zero capacity past
+    /// them; call it directly to vet a config built from user input before
+    /// anything is spawned.
+    pub fn validate(&self) -> Result<(), EngineError> {
         if !(1..=64).contains(&self.num_shards) {
             return Err(EngineError::InvalidShardCount {
                 got: self.num_shards,
@@ -257,107 +213,5 @@ impl EngineConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Builder for [`EngineConfig`] with validation at [`Self::build`]. See
-/// [`EngineConfig::builder`].
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets the shard count (validated to `1..=64` at build).
-    pub fn shards(mut self, num_shards: usize) -> Self {
-        self.cfg.num_shards = num_shards;
-        self
-    }
-
-    /// Sets the per-shard monitor algorithm.
-    pub fn algo(mut self, algo: ShardAlgo) -> Self {
-        self.cfg.algo = algo;
-        self
-    }
-
-    /// Sets the halo growth slack ratio.
-    pub fn halo_slack(mut self, slack: f64) -> Self {
-        self.cfg.halo_slack = slack;
-        self
-    }
-
-    /// Sets the halo shrink hysteresis threshold.
-    pub fn halo_shrink_trigger(mut self, trigger: f64) -> Self {
-        self.cfg.halo_shrink_trigger = trigger;
-        self
-    }
-
-    /// Sets the halo shrink streak length, in ticks.
-    pub fn halo_shrink_ticks(mut self, ticks: u32) -> Self {
-        self.cfg.halo_shrink_ticks = ticks;
-        self
-    }
-
-    /// Sets the load-imbalance rebalance trigger (values below 1 disable
-    /// rebalancing).
-    pub fn rebalance_trigger(mut self, trigger: f64) -> Self {
-        self.cfg.rebalance_trigger = trigger;
-        self
-    }
-
-    /// Sets the minimum ticks between rebalances.
-    pub fn rebalance_cooldown(mut self, ticks: u32) -> Self {
-        self.cfg.rebalance_cooldown = ticks;
-        self
-    }
-
-    /// Sets the per-shard tree-pool warm-up hint.
-    pub fn tree_pool_hint(mut self, hint: usize) -> Self {
-        self.cfg.tree_pool_hint = hint;
-        self
-    }
-
-    /// Enables (or disables) dead-shard takeover.
-    pub fn takeover(mut self, enabled: bool) -> Self {
-        self.cfg.takeover = enabled;
-        self
-    }
-
-    /// Replaces the whole ingest configuration.
-    pub fn ingest(mut self, ingest: IngestConfig) -> Self {
-        self.cfg.ingest = ingest;
-        self
-    }
-
-    /// Replaces the whole replication configuration (validated at
-    /// build: when `replicas > 0`, `quorum` must be in `1..=replicas`).
-    pub fn replication(mut self, replication: ReplicationConfig) -> Self {
-        self.cfg.replication = replication;
-        self
-    }
-
-    /// Sets the ingest lane count (validated to `1..=64` at build).
-    pub fn ingest_lanes(mut self, lanes: usize) -> Self {
-        self.cfg.ingest.lanes = lanes;
-        self
-    }
-
-    /// Sets the per-lane ingest bound (validated to `>= 1` at build).
-    pub fn ingest_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.ingest.capacity = capacity;
-        self
-    }
-
-    /// Sets what a full ingest lane does.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.cfg.ingest.policy = policy;
-        self
-    }
-
-    /// Validates and returns the configuration. The first invalid knob
-    /// comes back as a typed [`EngineError`]; nothing panics.
-    pub fn build(self) -> Result<EngineConfig, EngineError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }

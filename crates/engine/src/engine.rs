@@ -66,8 +66,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rnn_core::{
-    ContinuousMonitor, MemoryUsage, Neighbor, ObjectEvent, QueryEvent, TickReport, UpdateBatch,
-    UpdateEvent,
+    ContinuousMonitor, MemoryUsage, Neighbor, ObjectEvent, OpCounters, QueryEvent, TickReport,
+    UpdateBatch, UpdateEvent,
 };
 use rnn_roadnet::{
     DijkstraEngine, EdgeId, EdgeObjectIndex, EdgeWeights, FxHashMap, FxHashSet, NetPoint,
@@ -99,8 +99,8 @@ pub enum EngineError {
         /// Shards configured.
         shards: usize,
     },
-    /// A tuning knob failed [`crate::EngineConfigBuilder::build`]
-    /// validation (non-finite ratio, zero ingest capacity, …).
+    /// A tuning knob failed [`EngineConfig::validate`] (non-finite ratio,
+    /// zero ingest capacity, …).
     InvalidKnob {
         /// The offending field, as named on [`crate::EngineConfig`].
         field: &'static str,
@@ -176,6 +176,57 @@ impl HaloRing {
         self.dist.contains_key(&e)
     }
 
+    fn is_empty(&self) -> bool {
+        self.dist.is_empty()
+    }
+
+    /// Drops `e` from the ring (the shard came to *own* it, and a halo
+    /// holds foreign edges only). Returns whether it was a member.
+    fn remove(&mut self, e: EdgeId) -> bool {
+        let was_member = self.dist.remove(&e).is_some();
+        if was_member {
+            self.by_dist.retain(|&(_, re)| re != e);
+        }
+        was_member
+    }
+
+    /// Replaces the membership with `fresh` (edge → boundary distance),
+    /// reporting every edge whose membership toggled as
+    /// `toggled(edge, is_member_now)` — leavers first, then joiners.
+    fn replace_with(
+        &mut self,
+        fresh: FxHashMap<EdgeId, f64>,
+        mut toggled: impl FnMut(EdgeId, bool),
+    ) {
+        for &e in self.dist.keys() {
+            if !fresh.contains_key(&e) {
+                toggled(e, false);
+            }
+        }
+        for &e in fresh.keys() {
+            if !self.dist.contains_key(&e) {
+                toggled(e, true);
+            }
+        }
+        self.by_dist.clear();
+        self.by_dist.extend(fresh.iter().map(|(&e, &d)| (d, e)));
+        self.by_dist
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.dist = fresh;
+    }
+
+    /// Pops the outermost member if it lies beyond `cutoff` — one step of
+    /// dropping the outer annulus after a radius decay.
+    fn pop_beyond(&mut self, cutoff: f64) -> Option<EdgeId> {
+        let &(d, e) = self.by_dist.last()?;
+        if d <= cutoff {
+            return None;
+        }
+        self.by_dist.pop();
+        self.dist.remove(&e);
+        Some(e)
+    }
+
     fn memory_bytes(&self) -> usize {
         self.dist.capacity() * (std::mem::size_of::<EdgeId>() + std::mem::size_of::<f64>())
             + self.by_dist.capacity() * std::mem::size_of::<(f64, EdgeId)>()
@@ -247,18 +298,17 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// (max across a round's parallel workers, summed across rounds) and
     /// summed op counters.
     workers_report: TickReport,
-    /// Objects examined by replica resync — lifetime total and current-tick
-    /// slice (the latter feeds the tick's `OpCounters`). Counts *distinct*
-    /// objects per maintenance cycle (`resync_seen` dedups revisits when an
-    /// edge toggles more than once in a tick), so a single tick's count
-    /// can never exceed the object total.
-    total_resync_touched: u64,
-    tick_resync_touched: u64,
+    /// The router's own counters — `resync_touched`, `replica_evictions`,
+    /// `rebalance_events`, `cells_migrated` — as this tick's slice (reset
+    /// when a tick starts, merged into its report) and the lifetime fold
+    /// the public getters read. Both only ever move through
+    /// [`Self::count`]. `resync_touched` counts *distinct* objects per
+    /// maintenance cycle (`resync_seen` dedups revisits when an edge
+    /// toggles more than once in a tick), so a single tick's count can
+    /// never exceed the object total.
+    router_tick: OpCounters,
+    router_total: OpCounters,
     resync_seen: FxHashSet<ObjectId>,
-    /// Replicas evicted by halo shrink / membership loss — lifetime total
-    /// and current-tick slice.
-    total_replica_evictions: u64,
-    tick_replica_evictions: u64,
     /// Per-shard load observed since the last fold: worker
     /// `expansion_steps` plus routed events, accumulated across every
     /// dispatch round (deterministic — no wall clock).
@@ -278,12 +328,6 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     cell_load: FxHashMap<EdgeId, f64>,
     /// Ticks since the last rebalance (hysteresis/cooldown counter).
     ticks_since_rebalance: u32,
-    /// Rebalances executed / cells migrated — lifetime totals and
-    /// current-tick slices.
-    total_rebalances: u64,
-    tick_rebalances: u64,
-    total_cells_migrated: u64,
-    tick_cells_migrated: u64,
     /// Shards declared permanently down (`Response::Down`: the link's
     /// transport died and recovery exhausted every retry). A dead shard
     /// owns no cells, holds no halo, and is excluded from every dispatch
@@ -293,7 +337,7 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// Lifetime count of dead-shard takeovers executed (each one
     /// [`Self::adopt_dead_shard`] run: the corpse's cells, replicas and
     /// queries re-homed onto survivors).
-    total_takeovers: u64,
+    takeovers: u64,
     /// The out-of-band ingest stage ([`crate::ingest`]): producers
     /// submit through [`Self::ingest_handle`] clones, and
     /// [`Self::tick_ingest`] drains at tick boundaries.
@@ -396,22 +440,16 @@ impl<L: ShardLink> ShardedEngine<L> {
             active: vec![None; cfg.num_shards],
             changed: FxHashMap::default(),
             workers_report: TickReport::default(),
-            total_resync_touched: 0,
-            tick_resync_touched: 0,
+            router_tick: OpCounters::default(),
+            router_total: OpCounters::default(),
             resync_seen: FxHashSet::default(),
-            total_replica_evictions: 0,
-            tick_replica_evictions: 0,
             tick_load: vec![0; cfg.num_shards],
             load: vec![0.0; cfg.num_shards],
             tick_cell_load: FxHashMap::default(),
             cell_load: FxHashMap::default(),
             ticks_since_rebalance: 0,
-            total_rebalances: 0,
-            tick_rebalances: 0,
-            total_cells_migrated: 0,
-            tick_cells_migrated: 0,
             dead: vec![false; cfg.num_shards],
-            total_takeovers: 0,
+            takeovers: 0,
             ingest: IngestHub::new(cfg.ingest),
             ingest_batch: UpdateBatch::default(),
             net,
@@ -441,14 +479,9 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.halo_r[s]
     }
 
-    /// The finite cap applied to "replicate everything" halo demand: an
-    /// upper bound on any shortest-path distance under the current weights.
-    /// Diagnostic accessor; computes fresh from the weight table (O(E)).
-    pub fn diameter_bound(&self) -> f64 {
-        diameter_bound(&self.weights)
-    }
-
-    /// The cached diameter bound, refreshed (O(E)) only when weights have
+    /// The finite cap applied to "replicate everything" halo demand — an
+    /// upper bound on any shortest-path distance under the current
+    /// weights — cached, and refreshed (O(E)) only when weights have
     /// changed since it was last needed.
     fn current_diam_bound(&mut self) -> f64 {
         if self.diam_dirty {
@@ -473,33 +506,26 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// residents of the edges whose membership toggled, not the whole
     /// object table, so a single tick can never reach the object count.
     pub fn resync_touched(&self) -> u64 {
-        self.total_resync_touched
+        self.router_total.resync_touched
     }
 
     /// Lifetime count of replicas evicted by halo shrink or halo-membership
     /// loss.
     pub fn replica_evictions(&self) -> u64 {
-        self.total_replica_evictions
+        self.router_total.replica_evictions
     }
 
     /// Lifetime count of load-aware rebalances (each one migration of
     /// boundary cells from the most loaded shard to an underloaded
     /// neighbour).
     pub fn rebalance_events(&self) -> u64 {
-        self.total_rebalances
+        self.router_total.rebalance_events
     }
 
     /// Lifetime count of partition cells (edges) whose ownership moved to
     /// another shard during rebalancing.
     pub fn cells_migrated(&self) -> u64 {
-        self.total_cells_migrated
-    }
-
-    /// The smoothed per-shard load estimates driving the imbalance
-    /// detector (worker `expansion_steps` + routed events, exponentially
-    /// averaged across ticks).
-    pub fn shard_loads(&self) -> &[f64] {
-        &self.load
+        self.router_total.cells_migrated
     }
 
     /// Lifetime count of dead-shard takeovers executed: each one is a full
@@ -508,7 +534,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// machinery. Stays 0 unless [`EngineConfig::takeover`] is enabled and
     /// a shard actually died.
     pub fn takeovers(&self) -> u64 {
-        self.total_takeovers
+        self.takeovers
     }
 
     /// A producer handle onto the engine's ingest stage. Clone freely
@@ -568,11 +594,37 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// Checks the internal replication invariants, for tests and debugging:
-    /// every object's shard mask matches its edge's visibility mask, the
-    /// edge→object index mirrors the object table exactly, and the per-edge
-    /// masks are consistent with ownership plus the halo edge sets.
+    /// a dead shard owns no cells, holds no halo, is visible on no edge and
+    /// homes no query; every object's shard mask matches its edge's
+    /// visibility mask, the edge→object and edge→query indexes mirror
+    /// their tables exactly, and the per-edge masks are consistent with
+    /// ownership plus the halo edge sets.
     pub fn validate_replication(&self) -> Result<(), String> {
         self.partition.validate(&self.net)?;
+        // What adoption promises about a corpse: it owns, sees and serves
+        // nothing.
+        for s in (0..self.cfg.num_shards).filter(|&s| self.dead[s]) {
+            let cells = self.partition.view(s).edges.len();
+            if cells != 0 {
+                return Err(format!("dead shard {s} still owns {cells} cells"));
+            }
+            if !self.halo_edges[s].is_empty() || self.halo_r[s] != 0.0 {
+                return Err(format!(
+                    "dead shard {s} still holds a halo (radius {})",
+                    self.halo_r[s]
+                ));
+            }
+            if let Some(e) = self
+                .net
+                .edge_ids()
+                .find(|e| self.edge_mask[e.index()] >> s & 1 == 1)
+            {
+                return Err(format!("dead shard {s} still sees edge {e:?}"));
+            }
+            if let Some((id, _)) = self.queries.iter().find(|(_, r)| r.shard == s as u32) {
+                return Err(format!("query {id:?} is homed on dead shard {s}"));
+            }
+        }
         let indexed_queries: usize = self.edge_queries.values().map(Vec::len).sum();
         if indexed_queries != self.queries.len() {
             return Err(format!(
@@ -652,7 +704,8 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// radius (one bounded multi-source Dijkstra from the shard boundary),
     /// adding every edge whose membership toggled to `changed`. Also
     /// refreshes the ring structure (each member's boundary distance) that
-    /// [`Self::shrink_halo_ring`] later pops from.
+    /// [`Self::shrink_halo_ring`] later pops from. A shard at radius zero
+    /// has an empty halo before and after, so calling this for it is free.
     fn recompute_halo(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
         let r = self.halo_r[s];
         let mut fresh: FxHashMap<EdgeId, f64> = FxHashMap::default();
@@ -677,25 +730,28 @@ impl<L: ShardLink> ShardedEngine<L> {
                 }
             }
         }
+        self.replace_halo(s, fresh, changed);
+    }
+
+    /// Installs `fresh` as shard `s`'s halo membership, flipping bit `s` of
+    /// every toggled edge's visibility mask and recording the edge in
+    /// `changed`. An empty `fresh` clears the halo.
+    fn replace_halo(
+        &mut self,
+        s: usize,
+        fresh: FxHashMap<EdgeId, f64>,
+        changed: &mut FxHashSet<EdgeId>,
+    ) {
         let bit = 1u64 << s;
-        let ring = &mut self.halo_edges[s];
-        for &e in ring.dist.keys() {
-            if !fresh.contains_key(&e) {
-                self.edge_mask[e.index()] &= !bit;
-                changed.insert(e);
+        let masks = &mut self.edge_mask;
+        self.halo_edges[s].replace_with(fresh, |e, member| {
+            if member {
+                masks[e.index()] |= bit;
+            } else {
+                masks[e.index()] &= !bit;
             }
-        }
-        for &e in fresh.keys() {
-            if !ring.dist.contains_key(&e) {
-                self.edge_mask[e.index()] |= bit;
-                changed.insert(e);
-            }
-        }
-        ring.by_dist.clear();
-        ring.by_dist.extend(fresh.iter().map(|(&e, &d)| (d, e)));
-        ring.by_dist
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        ring.dist = fresh;
+            changed.insert(e);
+        });
     }
 
     /// Ring-structured shrink: after `halo_r[s]` has decayed, drops exactly
@@ -707,13 +763,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         let r = self.halo_r[s];
         let cutoff = if r > 0.0 { r } else { f64::NEG_INFINITY };
         let bit = 1u64 << s;
-        let ring = &mut self.halo_edges[s];
-        while let Some(&(d, e)) = ring.by_dist.last() {
-            if d <= cutoff {
-                break;
-            }
-            ring.by_dist.pop();
-            ring.dist.remove(&e);
+        while let Some(e) = self.halo_edges[s].pop_beyond(cutoff) {
             self.edge_mask[e.index()] &= !bit;
             changed.insert(e);
         }
@@ -758,10 +808,17 @@ impl<L: ShardLink> ShardedEngine<L> {
                 rec.mask = desired;
             }
         }
-        self.total_resync_touched += touched;
-        self.tick_resync_touched += touched;
-        self.total_replica_evictions += evicted;
-        self.tick_replica_evictions += evicted;
+        self.count(OpCounters {
+            resync_touched: touched,
+            replica_evictions: evicted,
+            ..OpCounters::default()
+        });
+    }
+
+    /// Adds router-side work to this tick's slice and the lifetime fold.
+    fn count(&mut self, work: OpCounters) {
+        self.router_tick.merge(&work);
+        self.router_total.merge(&work);
     }
 
     // --- Dynamic load-aware re-partitioning -------------------------------
@@ -772,31 +829,17 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// `max > mean × trigger`, one migration of boundary cells runs from
     /// the most loaded shard to an underloaded neighbour.
     fn maybe_rebalance(&mut self) {
-        if self.cfg.rebalance_trigger < 1.0 || self.live_shards() < 2 {
+        if self.cfg.rebalance_trigger < 1.0 {
             return;
         }
         self.ticks_since_rebalance = self.ticks_since_rebalance.saturating_add(1);
         if self.ticks_since_rebalance <= self.cfg.rebalance_cooldown {
             return;
         }
-        let total: f64 = self.load.iter().sum();
-        if total <= 0.0 {
+        let Some((hot, mean)) = self.live_load() else {
             return;
-        }
-        // Dead shards carry no load (zeroed at takeover), so summing over
-        // all of them is fine — but the mean must be over survivors only.
-        let mean = total / self.live_shards() as f64;
-        let mut hot = usize::MAX;
-        for s in 0..self.cfg.num_shards {
-            if self.dead[s] {
-                continue;
-            }
-            if hot == usize::MAX || self.load[s] > self.load[hot] {
-                hot = s; // strict: ties resolve to the lowest shard id
-            }
-        }
-        let hot_load = self.load[hot];
-        if hot_load <= mean * self.cfg.rebalance_trigger {
+        };
+        if self.load[hot] <= mean * self.cfg.rebalance_trigger {
             return;
         }
         let Some((cold, cells)) = self.plan_migration(hot) else {
@@ -804,6 +847,37 @@ impl<L: ShardLink> ShardedEngine<L> {
         };
         self.migrate_cells(hot, cold, &cells);
         self.ticks_since_rebalance = 0;
+    }
+
+    /// The most loaded live shard and the mean smoothed load over live
+    /// shards, or `None` while there is nothing to compare (fewer than two
+    /// live shards, or no load observed yet). Dead shards carry no load
+    /// (zeroed at takeover), so the sum may run over all of them — but the
+    /// mean is over survivors only.
+    pub(crate) fn live_load(&self) -> Option<(usize, f64)> {
+        let live = self.live_shards();
+        let total: f64 = self.load.iter().sum();
+        if live < 2 || total <= 0.0 {
+            return None;
+        }
+        let mut hot = usize::MAX;
+        for s in (0..self.cfg.num_shards).filter(|&s| !self.dead[s]) {
+            if hot == usize::MAX || self.load[s] > self.load[hot] {
+                hot = s; // strict: ties resolve to the lowest shard id
+            }
+        }
+        Some((hot, total / live as f64))
+    }
+
+    /// Every live shard except `except`, least loaded first (ties by id):
+    /// the order in which both the planner and dead-shard adoption look
+    /// for a shard to hand cells to.
+    fn live_by_load(&self, except: usize) -> Vec<usize> {
+        let mut targets: Vec<usize> = (0..self.cfg.num_shards)
+            .filter(|&s| s != except && !self.dead[s])
+            .collect();
+        targets.sort_by(|&a, &b| self.load[a].total_cmp(&self.load[b]).then(a.cmp(&b)));
+        targets
     }
 
     /// The migration planner: picks the least-loaded shard that shares a
@@ -817,11 +891,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// rebalance stays incremental. Fully deterministic: driven by the
     /// deterministic load estimates and sorted by `(weight desc, id)`.
     fn plan_migration(&self, hot: usize) -> Option<(usize, Vec<EdgeId>)> {
-        let mut targets: Vec<usize> = (0..self.cfg.num_shards)
-            .filter(|&s| s != hot && !self.dead[s])
-            .collect();
-        targets.sort_by(|&a, &b| self.load[a].total_cmp(&self.load[b]).then(a.cmp(&b)));
-        for cold in targets {
+        for cold in self.live_by_load(hot) {
             if self.load[cold] >= self.load[hot] {
                 break; // only ever move load downhill
             }
@@ -869,47 +939,48 @@ impl<L: ShardLink> ShardedEngine<L> {
         None
     }
 
-    /// Executes one planned migration: reassigns the cells in the
-    /// partition, re-derives the two moved borders' halos, hands off the
-    /// resident objects through the edge→object index (O(moved cells), the
-    /// PR 2 delta machinery ships them), re-homes the resident queries, and
-    /// closes the halo-coverage loop. The strict request/response worker
-    /// protocol is the pause/resume barrier: no request is in flight when
-    /// the partition mutates, and `dispatch_pending`/`reconcile` block on
-    /// every shard's response before the tick proceeds — workers never
-    /// observe a half-migrated partition.
+    /// Executes one planned migration: plan → hand off once → settle.
     fn migrate_cells(&mut self, hot: usize, cold: usize, cells: &[EdgeId]) {
-        let moves: Vec<(EdgeId, u32)> = cells.iter().map(|&e| (e, cold as u32)).collect();
-        self.partition.reassign(&self.net, &moves);
-
-        let (hot_bit, cold_bit) = (1u64 << hot, 1u64 << cold);
         let mut changed = FxHashSet::default();
+        self.hand_off(hot, cold, cells, &mut changed);
+        self.count(OpCounters {
+            rebalance_events: 1,
+            cells_migrated: cells.len() as u64,
+            ..OpCounters::default()
+        });
+        self.settle_hand_off([hot, cold], changed);
+    }
+
+    /// The one place cell ownership moves: reassigns `cells` from shard
+    /// `from` to shard `to` in the partition, transfers their visibility
+    /// bit (recording each cell in `changed` so its residents resync), and
+    /// re-homes the queries living on them — `Remove` at the old owner,
+    /// `Install` at the new, which recomputes the result from scratch
+    /// (the coordinator's cached result is kept and must be re-confirmed
+    /// by the installed query's first snapshot). `from` may be a corpse:
+    /// [`Self::dispatch_pending`] discards whatever is addressed to one.
+    ///
+    /// The strict request/response worker protocol is the pause/resume
+    /// barrier: no request is in flight when the partition mutates, and
+    /// [`Self::settle_hand_off`] blocks on every shard's response before
+    /// the tick proceeds — workers never observe a half-moved partition.
+    fn hand_off(
+        &mut self,
+        from: usize,
+        to: usize,
+        cells: &[EdgeId],
+        changed: &mut FxHashSet<EdgeId>,
+    ) {
+        let moves: Vec<(EdgeId, u32)> = cells.iter().map(|&e| (e, to as u32)).collect();
+        self.partition.reassign(&self.net, &moves);
+        let (from_bit, to_bit) = (1u64 << from, 1u64 << to);
         for &e in cells {
             // A moved cell may sit in the new owner's halo ring; it is now
-            // owned, so drop it from the ring before the mask transfer (the
-            // halo recompute below excludes owned edges by construction).
-            let ring = &mut self.halo_edges[cold];
-            if ring.dist.remove(&e).is_some() {
-                ring.by_dist.retain(|&(_, re)| re != e);
-            }
-            self.edge_mask[e.index()] = (self.edge_mask[e.index()] & !hot_bit) | cold_bit;
+            // owned, so drop it from the ring before the mask transfer (a
+            // halo recompute excludes owned edges by construction).
+            self.halo_edges[to].remove(e);
+            self.edge_mask[e.index()] = (self.edge_mask[e.index()] & !from_bit) | to_bit;
             changed.insert(e);
-        }
-        // The border between the two shards moved, so both boundary-node
-        // sets changed and their halo memberships are re-derived under the
-        // new border. Other shards' boundaries are untouched: a moved cell
-        // was foreign to them before and after, so their halo sets (and
-        // replica masks) remain exactly valid.
-        for s in [hot, cold] {
-            if self.halo_r[s] > 0.0 {
-                self.recompute_halo(s, &mut changed);
-            }
-        }
-        // Hand off the residents of every changed edge — O(moved cells +
-        // toggled halo edges) through the edge→object index.
-        self.resync_changed(&changed);
-        // Re-home the queries living on the migrated cells.
-        for &e in cells {
             let Some(bucket) = self.edge_queries.get(&e) else {
                 continue;
             };
@@ -918,145 +989,105 @@ impl<L: ShardLink> ShardedEngine<L> {
             for id in qids {
                 let rec = self.queries.get_mut(&id).expect("indexed query registered");
                 debug_assert_eq!(rec.pos.edge, e, "query index bucket out of sync");
-                if rec.shard == hot as u32 {
+                if rec.shard == from as u32 {
                     let (k, at) = (rec.k, rec.pos);
-                    self.pending[hot].queries.push(QueryEvent::Remove { id });
-                    self.pending[cold]
+                    self.pending[from].queries.push(QueryEvent::Remove { id });
+                    self.pending[to]
                         .queries
                         .push(QueryEvent::Install { id, k, at });
-                    rec.shard = cold as u32;
+                    rec.shard = to as u32;
                 }
             }
         }
-        self.total_rebalances += 1;
-        self.tick_rebalances += 1;
-        self.total_cells_migrated += cells.len() as u64;
-        self.tick_cells_migrated += cells.len() as u64;
-        // Ship the hand-off and grow halos until every re-homed query's
-        // result is covered again — the same loop that makes installs
-        // answer-identical makes migrations answer-identical.
+    }
+
+    /// The tail every hand-off shares. The shards in `moved_borders` had
+    /// their boundary-node sets change, so their halo memberships are
+    /// re-derived under the new border; every other shard's halo stays
+    /// exactly valid (a moved cell was foreign to it before and after).
+    /// Then the residents of every changed edge are handed off — O(moved
+    /// cells + toggled halo edges) through the edge→object index, objects
+    /// resyncing from the coordinator's registry — and the batch ships and
+    /// halos grow until every re-homed query's result is covered again:
+    /// the same loop that makes installs answer-identical makes planned
+    /// migrations and dead-shard adoptions answer-identical.
+    fn settle_hand_off(
+        &mut self,
+        moved_borders: impl IntoIterator<Item = usize>,
+        mut changed: FxHashSet<EdgeId>,
+    ) {
+        for s in moved_borders {
+            self.recompute_halo(s, &mut changed);
+        }
+        self.resync_changed(&changed);
         self.dispatch_pending(BatchKind::Migration);
         self.reconcile();
     }
 
     // --- Dead-shard takeover ----------------------------------------------
 
-    /// Recovery is rebalance away from a corpse: every cell the dead shard
-    /// owned is reassigned to survivors through the same partition /
-    /// mask-transfer / resync machinery as a planned migration
-    /// ([`Self::migrate_cells`]), and the dead shard's queries re-home with
-    /// freshly computed results on their adopters. Cells peel off along
-    /// shared borders to the least-loaded adjacent survivor (keeping
-    /// regions as connected as the planner would), with a bulk hand-off to
-    /// the least-loaded survivor as the fallback for any remainder that
-    /// borders no survivor.
+    /// Reacts to a shard link reporting itself permanently down. Without
+    /// [`EngineConfig::takeover`] this keeps the historical contract — a
+    /// lost shard is fatal. With it, recovery is rebalance away from a
+    /// corpse: bury it (it neither receives nor reports anything any more,
+    /// and its halo replicas die with it), peel its cells onto survivors
+    /// through [`Self::hand_off`], and settle exactly as a planned
+    /// migration does.
     ///
-    /// Answer-identity: objects resync from the coordinator's registry
-    /// (the engine is the authority for positions), queries re-install and
-    /// recompute from scratch on their adopter, and reconcile then grows
-    /// adopter halos until every re-homed result is covered — the same
-    /// loop that makes installs and migrations answer-identical.
+    /// # Panics
+    /// Panics when takeover is disabled, or when no live shard remains to
+    /// adopt the corpse's cells.
     fn adopt_dead_shard(&mut self, dead: usize) {
-        self.dead[dead] = true;
-        self.total_takeovers += 1;
-        let survivors: Vec<usize> = (0..self.cfg.num_shards)
-            .filter(|&s| !self.dead[s])
-            .collect();
+        if self.dead[dead] {
+            return; // already buried (a late Down from a nested dispatch)
+        }
         assert!(
-            !survivors.is_empty(),
+            self.cfg.takeover,
+            "shard {dead} is permanently down (transport dead, recovery retries exhausted) \
+             and EngineConfig::takeover is disabled"
+        );
+        self.dead[dead] = true;
+        self.takeovers += 1;
+        assert!(
+            self.live_shards() > 0,
             "every shard is dead — no survivor can adopt shard {dead}'s cells"
         );
-        // The corpse neither receives nor reports anything any more.
-        self.pending[dead] = PendingEvents::default();
         self.active[dead] = None;
         self.load[dead] = 0.0;
         self.tick_load[dead] = 0;
         self.halo_r[dead] = 0.0;
         self.shrink_streak[dead] = 0;
-
-        let dead_bit = 1u64 << dead;
+        // Clearing the ring clears the corpse's bit on every member edge,
+        // so resync queues the (discarded) deletes and the masks stay the
+        // invariant `ownership + live halos`.
         let mut changed = FxHashSet::default();
-        // Its halo replicas die with it: clear the ring and the mask bit of
-        // every member edge, so resync queues the (discarded) deletes and
-        // the masks stay the invariant `ownership + live halos`.
-        let ring = std::mem::take(&mut self.halo_edges[dead]);
-        for &e in ring.dist.keys() {
-            self.edge_mask[e.index()] &= !dead_bit;
-            changed.insert(e);
-        }
-        // Peel the corpse's cells to survivors, border by border.
-        let mut adopters = FxHashSet::default();
-        while !self.partition.view(dead).edges.is_empty() {
-            let mut targets = survivors.clone();
-            targets.sort_by(|&a, &b| self.load[a].total_cmp(&self.load[b]).then(a.cmp(&b)));
-            let mut batch: Option<(usize, Vec<EdgeId>)> = None;
-            for &cold in &targets {
+        self.replace_halo(dead, FxHashMap::default(), &mut changed);
+        let adopters = self.peel_cells(dead, &mut changed);
+        self.settle_hand_off(ShardBits(adopters), changed);
+    }
+
+    /// Hands every cell of shard `from` to the other live shards: cells
+    /// peel off along shared borders to the least-loaded adjacent shard
+    /// (keeping regions as connected as the planner would), with a bulk
+    /// hand-off to the least-loaded shard as the fallback for a remainder
+    /// that borders none of them (an island of `from`'s region). Returns
+    /// the adopters as a shard bit set.
+    fn peel_cells(&mut self, from: usize, changed: &mut FxHashSet<EdgeId>) -> u64 {
+        let targets = self.live_by_load(from);
+        let mut adopters = 0u64;
+        while !self.partition.view(from).edges.is_empty() {
+            let bordering = targets.iter().find_map(|&to| {
                 let cells =
                     self.partition
-                        .boundary_cells_between(&self.net, dead as u32, cold as u32);
-                if !cells.is_empty() {
-                    batch = Some((cold, cells));
-                    break;
-                }
-            }
-            // No survivor borders what is left (the remainder is an island
-            // of the corpse's region): bulk-assign it to the least loaded.
-            let (cold, cells) =
-                batch.unwrap_or_else(|| (targets[0], self.partition.view(dead).edges.clone()));
-            let moves: Vec<(EdgeId, u32)> = cells.iter().map(|&e| (e, cold as u32)).collect();
-            self.partition.reassign(&self.net, &moves);
-            let cold_bit = 1u64 << cold;
-            for &e in &cells {
-                // Same ring discipline as migrate_cells: an adopted cell may
-                // sit in its adopter's halo ring; it is now owned.
-                let ring = &mut self.halo_edges[cold];
-                if ring.dist.remove(&e).is_some() {
-                    ring.by_dist.retain(|&(_, re)| re != e);
-                }
-                self.edge_mask[e.index()] = (self.edge_mask[e.index()] & !dead_bit) | cold_bit;
-                changed.insert(e);
-            }
-            adopters.insert(cold);
+                        .boundary_cells_between(&self.net, from as u32, to as u32);
+                (!cells.is_empty()).then_some((to, cells))
+            });
+            let (to, cells) =
+                bordering.unwrap_or_else(|| (targets[0], self.partition.view(from).edges.clone()));
+            self.hand_off(from, to, &cells, changed);
+            adopters |= 1u64 << to;
         }
-        // Adopters' borders moved; other survivors' halo sets stay exactly
-        // valid (an adopted cell was foreign to them before and after).
-        let mut adopters: Vec<usize> = adopters.into_iter().collect();
-        adopters.sort_unstable();
-        for s in adopters {
-            if self.halo_r[s] > 0.0 {
-                self.recompute_halo(s, &mut changed);
-            }
-        }
-        // Hand off every resident object whose mask toggled. Deletes
-        // queued at the corpse are discarded by dispatch; inserts flow to
-        // the adopters from the coordinator's registry.
-        self.resync_changed(&changed);
-        // Re-home the corpse's queries: Install on the new owner only — no
-        // Remove is sent to a shard that cannot acknowledge it. The adopter
-        // computes the result from scratch; the coordinator's cached result
-        // is kept and must be re-confirmed bit-identical by the installed
-        // query's first snapshot.
-        let mut orphans: Vec<QueryId> = self
-            .queries
-            .iter()
-            .filter(|(_, rec)| rec.shard == dead as u32)
-            .map(|(&id, _)| id)
-            .collect();
-        orphans.sort_unstable();
-        for id in orphans {
-            let rec = self.queries.get_mut(&id).expect("orphan query registered");
-            let shard = self.partition.shard_of_edge(rec.pos.edge);
-            debug_assert!(!self.dead[shard as usize], "cells adopted by a corpse");
-            rec.shard = shard;
-            let (k, at) = (rec.k, rec.pos);
-            self.pending[shard as usize]
-                .queries
-                .push(QueryEvent::Install { id, k, at });
-        }
-        // Ship it all and close the halo-coverage loop, exactly as a
-        // planned migration does.
-        self.dispatch_pending(BatchKind::Migration);
-        self.reconcile();
+        adopters
     }
 
     // --- Dispatch ---------------------------------------------------------
@@ -1073,9 +1104,8 @@ impl<L: ShardLink> ShardedEngine<L> {
         } else {
             Arc::new(std::mem::take(&mut self.pending_edges))
         };
-        let mut sent = vec![false; self.cfg.num_shards];
-        let mut any = false;
-        for (s, flag) in sent.iter_mut().enumerate() {
+        let mut sent = 0u64;
+        for s in 0..self.cfg.num_shards {
             let own = &mut self.pending[s];
             if self.dead[s] {
                 // A corpse acknowledges nothing: anything still routed at it
@@ -1098,17 +1128,13 @@ impl<L: ShardLink> ShardedEngine<L> {
                 kind,
             };
             self.workers[s].send(Request::Tick(delta));
-            *flag = true;
-            any = true;
+            sent |= 1u64 << s;
         }
         // Workers in one round run in parallel, so their reports fold with
         // max-elapsed semantics; successive rounds are sequential and add.
         let mut round = TickReport::default();
-        let mut died: Vec<usize> = Vec::new();
-        for (s, &was_sent) in sent.iter().enumerate() {
-            if !was_sent {
-                continue;
-            }
+        let mut died = 0u64;
+        for s in ShardBits(sent) {
             match self.workers[s].recv() {
                 Response::Tick(outcome) => {
                     self.tick_load[s] += outcome.report.counters.expansion_steps;
@@ -1138,8 +1164,7 @@ impl<L: ShardLink> ShardedEngine<L> {
                     // exhausted every retry. The shard's tick (including
                     // whatever we just sent it) is lost; survivors take
                     // over below, or the engine refuses to run degraded.
-                    self.active[s] = None;
-                    died.push(s);
+                    died |= 1u64 << s;
                 }
                 Response::Memory(_) | Response::Snapshot(_) | Response::Restored(_) => {
                     unreachable!("non-tick response to a tick request")
@@ -1148,29 +1173,10 @@ impl<L: ShardLink> ShardedEngine<L> {
         }
         self.workers_report.elapsed += round.elapsed;
         self.workers_report.counters.merge(&round.counters);
-        for s in died {
-            self.handle_dead_shard(s);
+        for s in ShardBits(died) {
+            self.adopt_dead_shard(s);
         }
-        any
-    }
-
-    /// Reacts to a shard link reporting itself permanently down. Without
-    /// [`EngineConfig::takeover`] this keeps the historical contract — a
-    /// lost shard is fatal. With it, survivors adopt the corpse's cells.
-    ///
-    /// # Panics
-    /// Panics when takeover is disabled, or when no live shard remains to
-    /// adopt the corpse's cells.
-    fn handle_dead_shard(&mut self, s: usize) {
-        if self.dead[s] {
-            return; // already buried (a late Down from a nested dispatch)
-        }
-        assert!(
-            self.cfg.takeover,
-            "shard {s} is permanently down (transport dead, recovery retries exhausted) \
-             and EngineConfig::takeover is disabled"
-        );
-        self.adopt_dead_shard(s);
+        sent != 0
     }
 
     /// Grows halos until every query's `kNN_dist` is covered by its
@@ -1200,13 +1206,11 @@ impl<L: ShardLink> ShardedEngine<L> {
             changed.clear();
             for (s, &need) in needed.iter().enumerate() {
                 if need > self.halo_r[s] {
-                    self.halo_r[s] = need * (1.0 + self.cfg.halo_slack.max(0.0));
+                    self.halo_r[s] = need * (1.0 + self.cfg.halo_slack);
                     self.recompute_halo(s, &mut changed);
                 }
             }
-            if !changed.is_empty() {
-                self.resync_changed(&changed);
-            }
+            self.resync_changed(&changed);
             if !self.dispatch_pending(BatchKind::Resync) {
                 return needed;
             }
@@ -1220,7 +1224,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// argument as growth, in reverse: everything evicted is farther from
     /// the boundary than every owned query's `kNN_dist`.
     fn maybe_shrink_halos(&mut self, needed: &[f64]) {
-        let slack = 1.0 + self.cfg.halo_slack.max(0.0);
+        let slack = 1.0 + self.cfg.halo_slack;
         let trigger = self.cfg.halo_shrink_trigger.max(1.0);
         let patience = self.cfg.halo_shrink_ticks.max(1);
         let mut changed = FxHashSet::default();
@@ -1253,39 +1257,32 @@ impl<L: ShardLink> ShardedEngine<L> {
             // monitors' own coalescing (state.rs).
             ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => {
                 let desired = self.edge_mask[to.edge.index()];
-                match self.objects.get_mut(&id) {
-                    Some(rec) => {
-                        let old = rec.mask;
-                        for s in ShardBits(old & desired) {
-                            self.pending[s].objects.push(ObjectEvent::Move { id, to });
-                        }
-                        for s in ShardBits(desired & !old) {
-                            self.pending[s]
-                                .objects
-                                .push(ObjectEvent::Insert { id, at: to });
-                        }
-                        for s in ShardBits(old & !desired) {
-                            self.pending[s].objects.push(ObjectEvent::Delete { id });
-                        }
-                        self.edge_obj.relocate(rec.pos.edge, to.edge, id);
-                        rec.pos = to;
-                        rec.mask = desired;
+                let rec = ObjRec {
+                    pos: to,
+                    mask: desired,
+                };
+                // Nobody holds an unknown object, so every desired shard
+                // gets an Insert.
+                let old = match self.objects.insert(id, rec) {
+                    Some(old) => {
+                        self.edge_obj.relocate(old.pos.edge, to.edge, id);
+                        old.mask
                     }
                     None => {
-                        for s in ShardBits(desired) {
-                            self.pending[s]
-                                .objects
-                                .push(ObjectEvent::Insert { id, at: to });
-                        }
                         self.edge_obj.insert(to.edge, id);
-                        self.objects.insert(
-                            id,
-                            ObjRec {
-                                pos: to,
-                                mask: desired,
-                            },
-                        );
+                        0
                     }
+                };
+                for s in ShardBits(old & desired) {
+                    self.pending[s].objects.push(ObjectEvent::Move { id, to });
+                }
+                for s in ShardBits(desired & !old) {
+                    self.pending[s]
+                        .objects
+                        .push(ObjectEvent::Insert { id, at: to });
+                }
+                for s in ShardBits(old & !desired) {
+                    self.pending[s].objects.push(ObjectEvent::Delete { id });
                 }
             }
             ObjectEvent::Delete { id } => {
@@ -1430,10 +1427,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         let start = Instant::now();
         self.changed.clear();
         self.workers_report = TickReport::default();
-        self.tick_resync_touched = 0;
-        self.tick_replica_evictions = 0;
-        self.tick_rebalances = 0;
-        self.tick_cells_migrated = 0;
+        self.router_tick = OpCounters::default();
         self.resync_seen.clear();
 
         // 0. Load-aware re-partitioning: if the previous ticks' load
@@ -1456,13 +1450,9 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
             //    weight changes can move edges in or out of halos.
             let mut changed = FxHashSet::default();
             for s in 0..self.cfg.num_shards {
-                if self.halo_r[s] > 0.0 {
-                    self.recompute_halo(s, &mut changed);
-                }
+                self.recompute_halo(s, &mut changed);
             }
-            if !changed.is_empty() {
-                self.resync_changed(&changed);
-            }
+            self.resync_changed(&changed);
         }
 
         // 3. Route the object and query streams onto the owning shards.
@@ -1512,10 +1502,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         }
 
         let mut counters = self.workers_report.counters;
-        counters.resync_touched += self.tick_resync_touched;
-        counters.replica_evictions += self.tick_replica_evictions;
-        counters.rebalance_events += self.tick_rebalances;
-        counters.cells_migrated += self.tick_cells_migrated;
+        counters.merge(&self.router_tick);
         // Router-side allocation/step accounting: the halo scratch engine
         // and the edge→object arena (the workers' own counters already
         // arrived through their tick reports).
@@ -1593,27 +1580,11 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
     }
 
     fn active_groups(&self) -> Option<usize> {
-        let counts: Vec<usize> = self.active.iter().flatten().copied().collect();
-        if counts.is_empty() {
-            None
-        } else {
-            Some(counts.iter().sum())
-        }
+        self.active.iter().flatten().copied().reduce(|a, b| a + b)
     }
 
     fn shard_load_ratio(&self) -> Option<f64> {
-        let live = self.live_shards();
-        if live < 2 {
-            return None;
-        }
-        let total: f64 = self.load.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        // Dead shards carry zero load; the mean is over survivors.
-        let mean = total / live as f64;
-        let max = self.load.iter().fold(0.0f64, |a, &b| a.max(b));
-        Some(max / mean)
+        self.live_load().map(|(hot, mean)| self.load[hot] / mean)
     }
 }
 
@@ -2014,7 +1985,9 @@ mod tests {
             eng.halo_radius(s).is_finite(),
             "underfull demand must not produce an infinite radius"
         );
-        assert!(eng.halo_radius(s) <= eng.diameter_bound() * (1.0 + eng.cfg.halo_slack) + 1e-9);
+        assert!(
+            eng.halo_radius(s) <= diameter_bound(&eng.weights) * (1.0 + eng.cfg.halo_slack) + 1e-9
+        );
         eng.validate_replication().unwrap();
     }
 

@@ -57,7 +57,7 @@ pub mod ingest;
 pub mod protocol;
 pub mod worker;
 
-pub use config::{EngineConfig, EngineConfigBuilder, ReplicationConfig, ShardAlgo};
+pub use config::{EngineConfig, ReplicationConfig, ShardAlgo};
 pub use engine::{EngineError, ShardedEngine};
 pub use ingest::{AdmissionPolicy, DrainStats, IngestConfig, IngestError, IngestHandle, IngestHub};
 pub use protocol::{

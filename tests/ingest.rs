@@ -80,12 +80,14 @@ fn ingest_without_coalescing_is_bit_identical_to_batch_path() {
     let net = grid(6, 6, 9);
     for shards in [1usize, 2, 4] {
         let mut scenario = Scenario::new(net.clone(), small_cfg(77));
-        let cfg = EngineConfig::builder()
-            .shards(shards)
-            .ingest_capacity(4096)
-            .admission(AdmissionPolicy::Block)
-            .build()
-            .expect("valid ingest config");
+        let cfg = EngineConfig {
+            ingest: IngestConfig {
+                capacity: 4096,
+                policy: AdmissionPolicy::Block,
+                ..IngestConfig::default()
+            },
+            ..EngineConfig::with_shards(shards)
+        };
         let mut fed = ShardedEngine::new(net.clone(), cfg);
         let handle = fed.ingest_handle();
         let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(shards));
@@ -136,12 +138,14 @@ fn flash_crowd_firehose_coalesces_and_matches_effective_batch_oracle() {
         net.clone(),
         FirehoseConfig::new(FirehosePattern::FlashCrowd, small_cfg(123)),
     );
-    let cfg = EngineConfig::builder()
-        .shards(4)
-        .ingest_capacity(8192)
-        .admission(AdmissionPolicy::Block)
-        .build()
-        .expect("valid ingest config");
+    let cfg = EngineConfig {
+        ingest: IngestConfig {
+            capacity: 8192,
+            policy: AdmissionPolicy::Block,
+            ..IngestConfig::default()
+        },
+        ..EngineConfig::with_shards(4)
+    };
     let mut fed = ShardedEngine::new(net.clone(), cfg);
     let handle = fed.ingest_handle();
     let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
@@ -210,19 +214,39 @@ fn reject_policy_surfaces_typed_lane_full_error() {
         .expect("drain reopens the lane");
 }
 
-/// Builder validation mirrors the same typed-error discipline at
-/// configuration time: out-of-range ingest knobs never reach the hub.
+/// Config validation mirrors the same typed-error discipline at
+/// configuration time: out-of-range ingest knobs never reach the hub,
+/// whether the config is vetted up front (`EngineConfig::validate`) or
+/// handed straight to a constructor (`ShardedEngine::try_new`).
 #[test]
-fn builder_rejects_invalid_ingest_knobs_with_typed_errors() {
-    let err = EngineConfig::builder().ingest_lanes(0).build().unwrap_err();
-    assert!(err.to_string().contains("ingest.lanes"), "{err}");
-    let err = EngineConfig::builder()
-        .ingest_capacity(0)
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("ingest.capacity"), "{err}");
-    let err = EngineConfig::builder().shards(0).build().unwrap_err();
-    assert!(err.to_string().contains("shard"), "{err}");
+fn validation_rejects_invalid_ingest_knobs_with_typed_errors() {
+    let with_ingest = |ingest: IngestConfig| EngineConfig {
+        ingest,
+        ..EngineConfig::default()
+    };
+    let cases = [
+        (
+            with_ingest(IngestConfig {
+                lanes: 0,
+                ..IngestConfig::default()
+            }),
+            "ingest.lanes",
+        ),
+        (
+            with_ingest(IngestConfig {
+                capacity: 0,
+                ..IngestConfig::default()
+            }),
+            "ingest.capacity",
+        ),
+        (EngineConfig::with_shards(0), "shard"),
+    ];
+    for (cfg, needle) in cases {
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains(needle), "{err}");
+        let from_ctor = ShardedEngine::try_new(grid(4, 4, 1), cfg).err();
+        assert_eq!(from_ctor, Some(err), "constructor and validate() agree");
+    }
 }
 
 /// Per-entity event scripts for the order-insensitivity property. Each
