@@ -1,0 +1,538 @@
+//! Halo replication: which foreign edges each shard must see, and keeping
+//! every object's replica set in step with that.
+//!
+//! Owns `HaloRing` (no code outside this module touches a ring's
+//! storage), the per-shard radii `halo_r`, and bit `s` of every
+//! `edge_mask` entry for the edges shard `s` does not own. The invariant
+//! it maintains: `edge_mask[e] = owner bit | { s : e ∈ halo_edges[s] }`,
+//! and once `ShardedEngine::resync_changed` has run over the edges whose
+//! membership toggled, every resident object's `mask` equals its edge's.
+//! Callers: `tick` (weights moved), `reconcile` (demand grew),
+//! `maybe_shrink_halos` (demand fell) and
+//! [`crate::rebalance`]'s hand-off tail (a border moved).
+//!
+//! ## Halo correctness argument
+//!
+//! A query `q` in shard `s` with result radius `d = kNN_dist(q)` only
+//! inspects network points within distance `d` of `q`. Any such point `p`
+//! outside region `s` is reached by a path that exits the region through a
+//! boundary node `b`, so `dist(b, p) ≤ d`. Hence if shard `s` additionally
+//! sees every object within distance `r_s ≥ max_q kNN_dist(q)` of its
+//! boundary (the *halo*), the monitor's candidate set contains every true
+//! neighbor of every owned query, and its answers equal a single global
+//! monitor's.
+//!
+//! `kNN_dist` is only known *after* computing results, so the engine closes
+//! the loop iteratively (`reconcile`): tick the shards, read back each
+//! query's `kNN_dist`, and where it exceeds the shard's current halo
+//! radius, grow the halo (a bounded multi-source Dijkstra from the shard's
+//! boundary nodes under the current weights), ship the newly visible
+//! objects in, and tick again. Adding objects can only *shrink* `kNN_dist`,
+//! so the needed radius is non-increasing and the loop terminates — in
+//! steady state it converges immediately and the extra rounds are rare.
+//! Halo membership is also refreshed whenever edge weights change, since it
+//! is defined in terms of weighted distances.
+//!
+//! Underfull queries (`kNN_dist = ∞`, fewer than `k` objects visible) need
+//! the whole reachable network; their demand is capped at a finite
+//! **diameter bound** (the sum of current edge weights, which no simple
+//! shortest path can exceed — [`rnn_roadnet::EdgeWeights::total`]), so halo
+//! radii stay finite and comparable.
+//!
+//! ## Replica lifecycle: grow, shrink, evict
+//!
+//! Halos *grow* eagerly (any tick where a query's `kNN_dist` exceeds its
+//! shard's radius, correctness demands it) and *shrink* lazily: each tick
+//! the engine re-derives every shard's needed radius, and when the current
+//! radius has stayed above `needed × (1 + halo_slack) ×
+//! halo_shrink_trigger` for [`crate::EngineConfig::halo_shrink_ticks`]
+//! consecutive ticks, it decays to `needed × (1 + halo_slack)` and the
+//! replicas beyond it are **evicted**. Shrinking never changes answers:
+//! evicted objects lie farther from the boundary than every owned query's
+//! `kNN_dist`, so they cannot appear in any result. The hysteresis (trigger
+//! ratio + tick count) prevents grow/shrink flapping when `kNN_dist`
+//! oscillates.
+//!
+//! ## Incremental replica maintenance
+//!
+//! Replica membership is a pure function of each object's edge: bit `s` of
+//! the engine's per-edge visibility mask says whether shard `s` must see
+//! objects on that edge. When a halo is rebuilt, only the edges whose
+//! membership actually *toggled* can invalidate an object's replica set, so
+//! the engine re-derives masks only for the objects resident on those
+//! edges — found through an [`rnn_roadnet::EdgeObjectIndex`] maintained on
+//! every routed object event — instead of rescanning all `N` objects. The
+//! work is O(objects on changed edges), observable through the
+//! `resync_touched` counter.
+
+use rnn_core::{ObjectEvent, OpCounters};
+use rnn_roadnet::{EdgeId, EdgeWeights, FxHashMap, FxHashSet};
+
+use crate::engine::{ShardBits, ShardedEngine};
+use crate::protocol::{BatchKind, ShardLink};
+
+/// One shard's halo edge set, **ring-structured**: every member edge is
+/// stored with its *boundary distance* (the minimum settle distance of its
+/// adjacent settled nodes during the halo expansion), and the membership is
+/// additionally kept sorted by that distance. A shrink then drops exactly
+/// the outer annulus — pop the sorted tail — without re-running the
+/// boundary Dijkstra. Boundary distances only change when edge weights do,
+/// and any weight change forces a full halo recompute earlier in the same
+/// tick, so the recorded annuli are always current when the shrink runs.
+#[derive(Default)]
+pub(crate) struct HaloRing {
+    /// Membership, with each edge's boundary distance.
+    dist: FxHashMap<EdgeId, f64>,
+    /// Member edges sorted ascending by boundary distance (ties by id).
+    by_dist: Vec<(f64, EdgeId)>,
+}
+
+impl HaloRing {
+    #[inline]
+    pub(crate) fn contains(&self, e: EdgeId) -> bool {
+        self.dist.contains_key(&e)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.dist.is_empty()
+    }
+
+    /// Drops `e` from the ring (the shard came to *own* it, and a halo
+    /// holds foreign edges only). Returns whether it was a member.
+    pub(crate) fn remove(&mut self, e: EdgeId) -> bool {
+        let was_member = self.dist.remove(&e).is_some();
+        if was_member {
+            self.by_dist.retain(|&(_, re)| re != e);
+        }
+        was_member
+    }
+
+    /// Replaces the membership with `fresh` (edge → boundary distance),
+    /// reporting every edge whose membership toggled as
+    /// `toggled(edge, is_member_now)` — leavers first, then joiners.
+    pub(crate) fn replace_with(
+        &mut self,
+        fresh: FxHashMap<EdgeId, f64>,
+        mut toggled: impl FnMut(EdgeId, bool),
+    ) {
+        for &e in self.dist.keys() {
+            if !fresh.contains_key(&e) {
+                toggled(e, false);
+            }
+        }
+        for &e in fresh.keys() {
+            if !self.dist.contains_key(&e) {
+                toggled(e, true);
+            }
+        }
+        self.by_dist.clear();
+        self.by_dist.extend(fresh.iter().map(|(&e, &d)| (d, e)));
+        self.by_dist
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.dist = fresh;
+    }
+
+    /// Pops the outermost member if it lies beyond `cutoff` — one step of
+    /// dropping the outer annulus after a radius decay.
+    pub(crate) fn pop_beyond(&mut self, cutoff: f64) -> Option<EdgeId> {
+        let &(d, e) = self.by_dist.last()?;
+        if d <= cutoff {
+            return None;
+        }
+        self.by_dist.pop();
+        self.dist.remove(&e);
+        Some(e)
+    }
+
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.dist.capacity() * (std::mem::size_of::<EdgeId>() + std::mem::size_of::<f64>())
+            + self.by_dist.capacity() * std::mem::size_of::<(f64, EdgeId)>()
+    }
+}
+
+impl<L: ShardLink> ShardedEngine<L> {
+    /// Current halo radius of shard `s`.
+    pub fn halo_radius(&self, s: usize) -> f64 {
+        self.halo_r[s]
+    }
+
+    /// The finite cap applied to "replicate everything" halo demand — an
+    /// upper bound on any shortest-path distance under the current
+    /// weights — cached, and refreshed (O(E)) only when weights have
+    /// changed since it was last needed.
+    pub(crate) fn current_diam_bound(&mut self) -> f64 {
+        if self.diam_dirty {
+            self.diam_cache = diameter_bound(&self.weights);
+            self.diam_dirty = false;
+        }
+        self.diam_cache
+    }
+
+    /// Total number of object replicas currently shipped to non-owner
+    /// shards (a measure of the replication overhead).
+    pub fn replica_count(&self) -> usize {
+        self.objects
+            .values()
+            .map(|o| o.mask.count_ones() as usize - 1)
+            .sum()
+    }
+
+    /// Lifetime count of objects examined by replica resync (distinct per
+    /// maintenance cycle — a tick or an out-of-band install/insert).
+    /// Proves the O(changed-edges) claim: a halo rebuild visits only the
+    /// residents of the edges whose membership toggled, not the whole
+    /// object table, so a single tick can never reach the object count.
+    pub fn resync_touched(&self) -> u64 {
+        self.router_total.resync_touched
+    }
+
+    /// Lifetime count of replicas evicted by halo shrink or halo-membership
+    /// loss.
+    pub fn replica_evictions(&self) -> u64 {
+        self.router_total.replica_evictions
+    }
+
+    /// Recomputes shard `s`'s halo edge set under the current weights and
+    /// radius (one bounded multi-source Dijkstra from the shard boundary),
+    /// adding every edge whose membership toggled to `changed`. Also
+    /// refreshes the ring structure (each member's boundary distance) that
+    /// [`Self::shrink_halo_ring`] later pops from. A shard at radius zero
+    /// has an empty halo before and after, so calling this for it is free.
+    pub(crate) fn recompute_halo(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
+        let r = self.halo_r[s];
+        let mut fresh: FxHashMap<EdgeId, f64> = FxHashMap::default();
+        let boundary = &self.partition.view(s).boundary_nodes;
+        if r > 0.0 && !boundary.is_empty() {
+            self.scratch.begin();
+            for &b in boundary {
+                self.scratch.seed(b, 0.0, None);
+            }
+            while let Some((n, d)) = self.scratch.pop_settle() {
+                if d > r {
+                    break;
+                }
+                for &(e, m) in self.net.adjacent(n) {
+                    if self.partition.shard_of_edge(e) != s as u32 {
+                        fresh.entry(e).and_modify(|x| *x = x.min(d)).or_insert(d);
+                    }
+                    let nd = d + self.weights.get(e);
+                    if nd <= r {
+                        self.scratch.relax(m, n, nd);
+                    }
+                }
+            }
+        }
+        self.replace_halo(s, fresh, changed);
+    }
+
+    /// Installs `fresh` as shard `s`'s halo membership, flipping bit `s` of
+    /// every toggled edge's visibility mask and recording the edge in
+    /// `changed`. An empty `fresh` clears the halo.
+    pub(crate) fn replace_halo(
+        &mut self,
+        s: usize,
+        fresh: FxHashMap<EdgeId, f64>,
+        changed: &mut FxHashSet<EdgeId>,
+    ) {
+        let bit = 1u64 << s;
+        let masks = &mut self.edge_mask;
+        self.halo_edges[s].replace_with(fresh, |e, member| {
+            if member {
+                masks[e.index()] |= bit;
+            } else {
+                masks[e.index()] &= !bit;
+            }
+            changed.insert(e);
+        });
+    }
+
+    /// Ring-structured shrink: after `halo_r[s]` has decayed, drops exactly
+    /// the edges in the annulus beyond the new radius by popping the sorted
+    /// tail of the ring — O(dropped edges), no Dijkstra re-expansion. A
+    /// radius of zero empties the halo (membership requires a settled node
+    /// within a *positive* radius, matching [`Self::recompute_halo`]).
+    fn shrink_halo_ring(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
+        let r = self.halo_r[s];
+        let cutoff = if r > 0.0 { r } else { f64::NEG_INFINITY };
+        let bit = 1u64 << s;
+        while let Some(e) = self.halo_edges[s].pop_beyond(cutoff) {
+            self.edge_mask[e.index()] &= !bit;
+            changed.insert(e);
+        }
+    }
+
+    /// Re-derives the desired shard set of every object resident on a
+    /// *changed* edge (via the edge→object index) and queues insert/delete
+    /// events for the differences. O(objects on changed edges) — the whole
+    /// point of this subsystem; see the module docs.
+    pub(crate) fn resync_changed(&mut self, changed: &FxHashSet<EdgeId>) {
+        let mut touched = 0u64;
+        let mut evicted = 0u64;
+        for &e in changed {
+            let desired = self.edge_mask[e.index()];
+            for &id in self.edge_obj.objects_on(e) {
+                // An edge can toggle out of and back into halos within one
+                // tick (e.g. a weight change followed by reconcile growth);
+                // count each object once per cycle so the counter stays a
+                // faithful "fraction of N examined" measure.
+                if self.resync_seen.insert(id) {
+                    touched += 1;
+                }
+                let rec = self
+                    .objects
+                    .get_mut(&id)
+                    .expect("indexed object must be registered");
+                debug_assert_eq!(rec.pos.edge, e, "index bucket out of sync");
+                if rec.mask == desired {
+                    continue;
+                }
+                let added = desired & !rec.mask;
+                let removed = rec.mask & !desired;
+                for s in ShardBits(added) {
+                    self.pending[s]
+                        .objects
+                        .push(ObjectEvent::Insert { id, at: rec.pos });
+                }
+                for s in ShardBits(removed) {
+                    self.pending[s].objects.push(ObjectEvent::Delete { id });
+                }
+                evicted += u64::from(removed.count_ones());
+                rec.mask = desired;
+            }
+        }
+        self.count(OpCounters {
+            resync_touched: touched,
+            replica_evictions: evicted,
+            ..OpCounters::default()
+        });
+    }
+
+    /// The lazy half of the replica lifecycle: when a shard's halo radius
+    /// has exceeded its demand (with slack and the hysteresis trigger
+    /// ratio) for `halo_shrink_ticks` consecutive ticks, decay it to the
+    /// demanded radius and evict the replicas beyond it. Safe by the same
+    /// argument as growth, in reverse: everything evicted is farther from
+    /// the boundary than every owned query's `kNN_dist`.
+    pub(crate) fn maybe_shrink_halos(&mut self, needed: &[f64]) {
+        let slack = 1.0 + self.cfg.halo_slack;
+        let trigger = self.cfg.halo_shrink_trigger.max(1.0);
+        let patience = self.cfg.halo_shrink_ticks.max(1);
+        let mut changed = FxHashSet::default();
+        for (s, &need) in needed.iter().enumerate() {
+            let target = need * slack;
+            if self.halo_r[s] > target * trigger {
+                self.shrink_streak[s] += 1;
+                if self.shrink_streak[s] >= patience {
+                    self.halo_r[s] = target;
+                    // Decay-only change: drop the outer annulus from the
+                    // ring instead of re-running the boundary Dijkstra.
+                    self.shrink_halo_ring(s, &mut changed);
+                    self.shrink_streak[s] = 0;
+                }
+            } else {
+                self.shrink_streak[s] = 0;
+            }
+        }
+        if !changed.is_empty() {
+            self.resync_changed(&changed);
+            self.dispatch_pending(BatchKind::Resync);
+        }
+    }
+}
+
+/// An upper bound on any shortest-path distance under `weights`: shortest
+/// paths are simple, so no path exceeds the sum of all edge weights. The
+/// tiny relative margin absorbs summation-order rounding.
+pub(crate) fn diameter_bound(weights: &EdgeWeights) -> f64 {
+    weights.total() * (1.0 + 1e-9)
+}
+
+#[cfg(test)]
+mod tests {
+    use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
+    use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+
+    use super::diameter_bound;
+    use crate::engine::tests::engine;
+
+    #[test]
+    fn halo_grows_to_cover_results() {
+        let mut eng = engine(4);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..6u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 11) % n), 0.3),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(1),
+            4,
+            NetPoint::new(EdgeId(2), 0.1),
+        ));
+        let q = &eng.queries[&QueryId(1)];
+        let s = q.shard as usize;
+        assert!(
+            eng.halo_radius(s) >= q.knn_dist || q.knn_dist == 0.0,
+            "halo {} < kNN_dist {}",
+            eng.halo_radius(s),
+            q.knn_dist
+        );
+    }
+
+    #[test]
+    fn resync_touches_fewer_objects_than_total() {
+        // Dense objects keep kNN_dist (and thus the halo) small, so a halo
+        // grow event must resync only the residents of the few edges that
+        // joined — strictly fewer than the object total. The query sits on
+        // a shard-boundary edge so the grown halo is guaranteed to reach
+        // across the border.
+        let mut eng = engine(4);
+        let n = eng.net.num_edges();
+        for (i, e) in (0..n).enumerate() {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i as u32),
+                NetPoint::new(EdgeId(e as u32), 0.5),
+            ));
+        }
+        assert_eq!(eng.resync_touched(), 0, "no halo yet, no resync");
+        let border = eng
+            .net
+            .edge_ids()
+            .find(|&e| {
+                let s = eng.partition.shard_of_edge(e);
+                let rec = eng.net.edge(e);
+                [rec.start, rec.end].into_iter().any(|node| {
+                    eng.net
+                        .adjacent(node)
+                        .iter()
+                        .any(|&(e2, _)| eng.partition.shard_of_edge(e2) != s)
+                })
+            })
+            .expect("a 4-way split has boundary edges");
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            4,
+            NetPoint::new(border, 0.5),
+        ));
+        let touched = eng.resync_touched();
+        assert!(touched > 0, "halo growth must resync the edges that joined");
+        assert!(
+            touched < n as u64,
+            "resync touched {touched} of {n} objects — not incremental"
+        );
+        eng.validate_replication().unwrap();
+
+        // Same claim on a *tick* where a shard's halo grows: widening the
+        // query (k 4 → 12) forces growth, and the tick's own counters must
+        // show a resync strictly smaller than the object total.
+        let radius_before = eng.halo_radius(eng.queries[&QueryId(0)].shard as usize);
+        let mut batch = UpdateBatch::default();
+        batch.queries.push(QueryEvent::Install {
+            id: QueryId(0),
+            k: 12,
+            at: NetPoint::new(border, 0.5),
+        });
+        let rep = eng.tick(&batch);
+        assert!(
+            eng.halo_radius(eng.queries[&QueryId(0)].shard as usize) > radius_before,
+            "k=12 must widen the halo"
+        );
+        assert!(rep.counters.resync_touched > 0);
+        assert!(
+            rep.counters.resync_touched < n as u64,
+            "grow tick resynced {} of {n} objects — not incremental",
+            rep.counters.resync_touched
+        );
+        eng.validate_replication().unwrap();
+    }
+
+    #[test]
+    fn halo_shrinks_and_evicts_after_query_removal() {
+        let mut eng = engine(4);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..40u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 3) % n), 0.4),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            8,
+            NetPoint::new(EdgeId(2), 0.5),
+        ));
+        assert!(eng.replica_count() > 0, "k=8 must replicate across borders");
+        eng.apply(UpdateEvent::remove_query(QueryId(0)));
+        // Demand is gone; the hysteresis lets the halo decay within
+        // halo_shrink_ticks quiet ticks.
+        for _ in 0..eng.cfg.halo_shrink_ticks + 1 {
+            eng.tick(&UpdateBatch::default());
+        }
+        for s in 0..eng.num_shards() {
+            assert_eq!(eng.halo_radius(s), 0.0, "shard {s} halo did not decay");
+        }
+        assert_eq!(eng.replica_count(), 0, "stale replicas were not evicted");
+        assert!(eng.replica_evictions() > 0);
+        eng.validate_replication().unwrap();
+    }
+
+    #[test]
+    fn underfull_demand_is_capped_at_diameter_bound() {
+        // k exceeds the object count: kNN_dist stays ∞, which used to pin
+        // halo_r at ∞ permanently. It must now cap at the finite diameter
+        // bound (and still see every object).
+        let mut eng = engine(4);
+        for i in 0..3u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId(i * 13), 0.5),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            10,
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
+        assert_eq!(eng.result(QueryId(0)).unwrap().len(), 3);
+        assert_eq!(eng.knn_dist(QueryId(0)).unwrap(), f64::INFINITY);
+        let s = eng.queries[&QueryId(0)].shard as usize;
+        assert!(
+            eng.halo_radius(s).is_finite(),
+            "underfull demand must not produce an infinite radius"
+        );
+        assert!(
+            eng.halo_radius(s) <= diameter_bound(&eng.weights) * (1.0 + eng.cfg.halo_slack) + 1e-9
+        );
+        eng.validate_replication().unwrap();
+    }
+
+    #[test]
+    fn stable_ticks_do_no_resync() {
+        let mut eng = engine(4);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..30u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 3) % n), 0.4),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            4,
+            NetPoint::new(EdgeId(1), 0.5),
+        ));
+        // Let any post-install shrink settle first.
+        for _ in 0..eng.cfg.halo_shrink_ticks + 1 {
+            eng.tick(&UpdateBatch::default());
+        }
+        let before = eng.resync_touched();
+        let rep = eng.tick(&UpdateBatch::default());
+        assert_eq!(
+            eng.resync_touched(),
+            before,
+            "halo-stable tick must not resync anything"
+        );
+        assert_eq!(rep.counters.resync_touched, 0);
+    }
+}

@@ -73,7 +73,7 @@ pub struct IngestConfig {
     /// Number of submission lanes. Events route by `entity_id % lanes`,
     /// so per-entity order holds regardless of the producer count.
     /// Clamped to at least 1 (and at most [`IngestHub::MAX_LANES`]) at
-    /// hub construction; [`crate::EngineConfig::builder`] rejects
+    /// hub construction; [`crate::EngineConfig::validate`] rejects
     /// out-of-range values with a typed error instead.
     pub lanes: usize,
     /// Per-lane bound, in events. A lane at capacity applies `policy`.
@@ -366,7 +366,7 @@ impl IngestHub {
 
     /// Creates a hub with `cfg`'s lane count, bound, and policy (lanes
     /// and capacity silently clamped to at least 1; use
-    /// [`crate::EngineConfig::builder`] for validated construction).
+    /// [`crate::EngineConfig::validate`] for a typed error instead).
     pub fn new(cfg: IngestConfig) -> Self {
         let lanes = cfg.lanes.clamp(1, Self::MAX_LANES);
         let capacity = cfg.capacity.max(1);

@@ -15,7 +15,7 @@
 //! region boundary, where `r_s` is kept at least as large as the largest
 //! `kNN_dist` among the shard's queries. Under that invariant each shard's
 //! answers are provably identical to a single global monitor's (see
-//! [`engine`] module docs for the argument), which the differential test
+//! [`halo`] module docs for the argument), which the differential test
 //! suite checks tick-by-tick against plain GMA/IMA.
 //!
 //! Replication is maintained *incrementally*: an edge→object index limits
@@ -53,8 +53,11 @@
 
 pub mod config;
 pub mod engine;
+pub mod halo;
 pub mod ingest;
 pub mod protocol;
+pub mod rebalance;
+pub mod route;
 pub mod worker;
 
 pub use config::{EngineConfig, ReplicationConfig, ShardAlgo};

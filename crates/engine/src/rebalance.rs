@@ -1,0 +1,573 @@
+//! Moving cells between shards: the load-imbalance detector, the
+//! migration planner, the one cell hand-off, and dead-shard adoption.
+//!
+//! Owns every mutation of the partition after construction —
+//! `ShardedEngine::hand_off` is the only caller of
+//! `NetworkPartition::reassign` — plus the smoothed load estimates the
+//! detector and planner read. Callers: `tick` runs
+//! `ShardedEngine::maybe_rebalance` before a timestamp's updates land,
+//! and `dispatch_pending` runs `ShardedEngine::adopt_dead_shard` when a
+//! link answers `Response::Down` with takeover enabled. Nothing else
+//! enters this module.
+//!
+//! ## Answer-identity of a hand-off (planned or forced)
+//!
+//! A planned migration and a dead-shard adoption are the same operation
+//! applied to different cell sets, so the argument is made once. A
+//! hand-off of cells `C` from shard `A` to shard `B`:
+//!
+//! 1. happens with no request in flight (the strict request/response
+//!    protocol is the barrier), so no shard observes a half-moved
+//!    partition;
+//! 2. moves ownership, the visibility bit and the resident queries of
+//!    exactly `C`, and records `C` as changed;
+//! 3. re-derives the halo of every shard whose border moved. A shard
+//!    whose border did not move keeps an exactly valid halo: every cell in
+//!    `C` was foreign to it before and after;
+//! 4. resyncs the residents of every changed edge from the coordinator's
+//!    registry (the engine, not the old owner, is the authority for object
+//!    positions — which is why `A` may be a corpse);
+//! 5. re-installs each moved query on `B`, which computes its result from
+//!    scratch, and then runs the same `reconcile` loop that makes a fresh
+//!    install answer-identical ([`crate::halo`]): halos grow until every
+//!    re-homed result is covered.
+//!
+//! Steps 2–5 are `ShardedEngine::hand_off` followed by
+//! `ShardedEngine::settle_hand_off`. A planned migration calls the pair
+//! once for the planner's cells; adoption first buries the corpse (its
+//! load, radius and halo ring are zeroed, so its replicas and its share of
+//! the masks die with it), then calls `hand_off` once per border it peels
+//! and `settle_hand_off` once at the end. Whatever either path addresses
+//! to a dead shard — the `Remove`s of re-homed queries, the `Delete`s of
+//! its replicas — is discarded unsent by `dispatch_pending`.
+
+use rnn_core::{OpCounters, QueryEvent};
+use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet};
+
+use crate::engine::{ShardBits, ShardedEngine};
+use crate::protocol::{BatchKind, ShardLink};
+
+/// A rebalance never moves more than this fraction of the hot shard's
+/// cells at once — migrations stay incremental even under extreme skew.
+const MAX_MIGRATION_FRACTION: f64 = 0.25;
+
+impl<L: ShardLink> ShardedEngine<L> {
+    /// Lifetime count of load-aware rebalances (each one migration of
+    /// boundary cells from the most loaded shard to an underloaded
+    /// neighbour).
+    pub fn rebalance_events(&self) -> u64 {
+        self.router_total.rebalance_events
+    }
+
+    /// Lifetime count of partition cells (edges) whose ownership moved to
+    /// another shard during rebalancing.
+    pub fn cells_migrated(&self) -> u64 {
+        self.router_total.cells_migrated
+    }
+
+    /// Lifetime count of dead-shard takeovers executed: each one is a full
+    /// `adopt_dead_shard` run, re-homing a permanently-down shard's
+    /// cells, replicas and queries onto survivors through the migration
+    /// machinery. Stays 0 unless [`crate::EngineConfig::takeover`] is enabled and
+    /// a shard actually died.
+    pub fn takeovers(&self) -> u64 {
+        self.takeovers
+    }
+
+    /// The smoothed expansion cost attributed to one partition cell (the
+    /// edge of the expansion roots charged to it), or 0 when no expansion
+    /// has been observed there. The migration planner ranks candidate
+    /// border cells by this value plus their resident entities.
+    pub fn cell_load(&self, e: EdgeId) -> f64 {
+        self.cell_load.get(&e).copied().unwrap_or(0.0)
+    }
+
+    /// The imbalance detector, run once at the start of every tick. When
+    /// rebalancing is enabled (`rebalance_trigger ≥ 1`), the cooldown has
+    /// elapsed, and the smoothed per-shard load satisfies
+    /// `max > mean × trigger`, one migration of boundary cells runs from
+    /// the most loaded shard to an underloaded neighbour.
+    pub(crate) fn maybe_rebalance(&mut self) {
+        if self.cfg.rebalance_trigger < 1.0 {
+            return;
+        }
+        self.ticks_since_rebalance = self.ticks_since_rebalance.saturating_add(1);
+        if self.ticks_since_rebalance <= self.cfg.rebalance_cooldown {
+            return;
+        }
+        let Some((hot, mean)) = self.live_load() else {
+            return;
+        };
+        if self.load[hot] <= mean * self.cfg.rebalance_trigger {
+            return;
+        }
+        let Some((cold, cells)) = self.plan_migration(hot) else {
+            return; // no underloaded neighbour shares a border — stand pat
+        };
+        self.migrate_cells(hot, cold, &cells);
+        self.ticks_since_rebalance = 0;
+    }
+
+    /// The most loaded live shard and the mean smoothed load over live
+    /// shards, or `None` while there is nothing to compare (fewer than two
+    /// live shards, or no load observed yet). Dead shards carry no load
+    /// (zeroed at takeover), so the sum may run over all of them — but the
+    /// mean is over survivors only.
+    pub(crate) fn live_load(&self) -> Option<(usize, f64)> {
+        let live = self.live_shards();
+        let total: f64 = self.load.iter().sum();
+        if live < 2 || total <= 0.0 {
+            return None;
+        }
+        let mut hot = usize::MAX;
+        for s in (0..self.cfg.num_shards).filter(|&s| !self.dead[s]) {
+            if hot == usize::MAX || self.load[s] > self.load[hot] {
+                hot = s; // strict: ties resolve to the lowest shard id
+            }
+        }
+        Some((hot, total / live as f64))
+    }
+
+    /// Every live shard except `except`, least loaded first (ties by id):
+    /// the order in which both the planner and dead-shard adoption look
+    /// for a shard to hand cells to.
+    fn live_by_load(&self, except: usize) -> Vec<usize> {
+        let mut targets: Vec<usize> = (0..self.cfg.num_shards)
+            .filter(|&s| s != except && !self.dead[s])
+            .collect();
+        targets.sort_by(|&a, &b| self.load[a].total_cmp(&self.load[b]).then(a.cmp(&b)));
+        targets
+    }
+
+    /// The migration planner: picks the least-loaded shard that shares a
+    /// border with `hot` and the boundary cells to hand over. Cells are
+    /// weighted by their **observed expansion cost** (the smoothed per-cell
+    /// charge workers attribute to each expansion root's cell) plus their
+    /// resident entities (1 + objects + queries; the fallback signal for
+    /// cells that never hosted an expansion), and taken heaviest-first
+    /// until roughly half the load gap has moved, capped at
+    /// [`MAX_MIGRATION_FRACTION`] of the hot shard's cells so a single
+    /// rebalance stays incremental. Fully deterministic: driven by the
+    /// deterministic load estimates and sorted by `(weight desc, id)`.
+    fn plan_migration(&self, hot: usize) -> Option<(usize, Vec<EdgeId>)> {
+        for cold in self.live_by_load(hot) {
+            if self.load[cold] >= self.load[hot] {
+                break; // only ever move load downhill
+            }
+            let cells = self
+                .partition
+                .boundary_cells_between(&self.net, hot as u32, cold as u32);
+            if cells.is_empty() {
+                continue; // not adjacent; try the next-coldest shard
+            }
+            let cell_weight = |e: EdgeId| -> u64 {
+                1 + self.cell_load.get(&e).map_or(0, |&v| v.round() as u64)
+                    + self.edge_obj.objects_on(e).len() as u64
+                    + self.edge_queries.get(&e).map_or(0, |v| v.len() as u64)
+            };
+            let hot_weight: u64 = self
+                .partition
+                .view(hot)
+                .edges
+                .iter()
+                .map(|&e| cell_weight(e))
+                .sum();
+            // Share of the hot shard's resident weight that should move:
+            // half the relative load gap to the target.
+            let gap = (self.load[hot] - self.load[cold]) / (2.0 * self.load[hot]);
+            let target_weight = (hot_weight as f64 * gap).ceil() as u64;
+            let cap = ((self.partition.view(hot).edges.len() as f64 * MAX_MIGRATION_FRACTION)
+                .floor() as usize)
+                .clamp(1, cells.len());
+            let mut ranked: Vec<(u64, EdgeId)> =
+                cells.into_iter().map(|e| (cell_weight(e), e)).collect();
+            ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let mut chosen = Vec::new();
+            let mut moved_weight = 0u64;
+            for (w, e) in ranked {
+                if chosen.len() >= cap || (moved_weight >= target_weight && !chosen.is_empty()) {
+                    break;
+                }
+                chosen.push(e);
+                moved_weight += w;
+            }
+            if !chosen.is_empty() {
+                return Some((cold, chosen));
+            }
+        }
+        None
+    }
+
+    /// Executes one planned migration: plan → hand off once → settle.
+    fn migrate_cells(&mut self, hot: usize, cold: usize, cells: &[EdgeId]) {
+        let mut changed = FxHashSet::default();
+        self.hand_off(hot, cold, cells, &mut changed);
+        self.count(OpCounters {
+            rebalance_events: 1,
+            cells_migrated: cells.len() as u64,
+            ..OpCounters::default()
+        });
+        self.settle_hand_off([hot, cold], changed);
+    }
+
+    /// The one place cell ownership moves: reassigns `cells` from shard
+    /// `from` to shard `to` in the partition, transfers their visibility
+    /// bit (recording each cell in `changed` so its residents resync), and
+    /// re-homes the queries living on them — `Remove` at the old owner,
+    /// `Install` at the new, which recomputes the result from scratch
+    /// (the coordinator's cached result is kept and must be re-confirmed
+    /// by the installed query's first snapshot). `from` may be a corpse:
+    /// [`Self::dispatch_pending`] discards whatever is addressed to one.
+    ///
+    /// The strict request/response worker protocol is the pause/resume
+    /// barrier: no request is in flight when the partition mutates, and
+    /// [`Self::settle_hand_off`] blocks on every shard's response before
+    /// the tick proceeds — workers never observe a half-moved partition.
+    fn hand_off(
+        &mut self,
+        from: usize,
+        to: usize,
+        cells: &[EdgeId],
+        changed: &mut FxHashSet<EdgeId>,
+    ) {
+        let moves: Vec<(EdgeId, u32)> = cells.iter().map(|&e| (e, to as u32)).collect();
+        self.partition.reassign(&self.net, &moves);
+        let (from_bit, to_bit) = (1u64 << from, 1u64 << to);
+        for &e in cells {
+            // A moved cell may sit in the new owner's halo ring; it is now
+            // owned, so drop it from the ring before the mask transfer (a
+            // halo recompute excludes owned edges by construction).
+            self.halo_edges[to].remove(e);
+            self.edge_mask[e.index()] = (self.edge_mask[e.index()] & !from_bit) | to_bit;
+            changed.insert(e);
+            let Some(bucket) = self.edge_queries.get(&e) else {
+                continue;
+            };
+            let mut qids = bucket.clone();
+            qids.sort_unstable();
+            for id in qids {
+                let rec = self.queries.get_mut(&id).expect("indexed query registered");
+                debug_assert_eq!(rec.pos.edge, e, "query index bucket out of sync");
+                if rec.shard == from as u32 {
+                    let (k, at) = (rec.k, rec.pos);
+                    self.pending[from].queries.push(QueryEvent::Remove { id });
+                    self.pending[to]
+                        .queries
+                        .push(QueryEvent::Install { id, k, at });
+                    rec.shard = to as u32;
+                }
+            }
+        }
+    }
+
+    /// The tail every hand-off shares. The shards in `moved_borders` had
+    /// their boundary-node sets change, so their halo memberships are
+    /// re-derived under the new border; every other shard's halo stays
+    /// exactly valid (a moved cell was foreign to it before and after).
+    /// Then the residents of every changed edge are handed off — O(moved
+    /// cells + toggled halo edges) through the edge→object index, objects
+    /// resyncing from the coordinator's registry — and the batch ships and
+    /// halos grow until every re-homed query's result is covered again:
+    /// the same loop that makes installs answer-identical makes planned
+    /// migrations and dead-shard adoptions answer-identical.
+    fn settle_hand_off(
+        &mut self,
+        moved_borders: impl IntoIterator<Item = usize>,
+        mut changed: FxHashSet<EdgeId>,
+    ) {
+        for s in moved_borders {
+            self.recompute_halo(s, &mut changed);
+        }
+        self.resync_changed(&changed);
+        self.dispatch_pending(BatchKind::Migration);
+        self.reconcile();
+    }
+
+    /// Reacts to a shard link reporting itself permanently down. Without
+    /// [`crate::EngineConfig::takeover`] this keeps the historical contract — a
+    /// lost shard is fatal. With it, recovery is rebalance away from a
+    /// corpse: bury it (it neither receives nor reports anything any more,
+    /// and its halo replicas die with it), peel its cells onto survivors
+    /// through [`Self::hand_off`], and settle exactly as a planned
+    /// migration does.
+    ///
+    /// # Panics
+    /// Panics when takeover is disabled, or when no live shard remains to
+    /// adopt the corpse's cells.
+    pub(crate) fn adopt_dead_shard(&mut self, dead: usize) {
+        if self.dead[dead] {
+            return; // already buried (a late Down from a nested dispatch)
+        }
+        assert!(
+            self.cfg.takeover,
+            "shard {dead} is permanently down (transport dead, recovery retries exhausted) \
+             and EngineConfig::takeover is disabled"
+        );
+        self.dead[dead] = true;
+        self.takeovers += 1;
+        assert!(
+            self.live_shards() > 0,
+            "every shard is dead — no survivor can adopt shard {dead}'s cells"
+        );
+        self.active[dead] = None;
+        self.load[dead] = 0.0;
+        self.tick_load[dead] = 0;
+        self.halo_r[dead] = 0.0;
+        self.shrink_streak[dead] = 0;
+        // Clearing the ring clears the corpse's bit on every member edge,
+        // so resync queues the (discarded) deletes and the masks stay the
+        // invariant `ownership + live halos`.
+        let mut changed = FxHashSet::default();
+        self.replace_halo(dead, FxHashMap::default(), &mut changed);
+        let adopters = self.peel_cells(dead, &mut changed);
+        self.settle_hand_off(ShardBits(adopters), changed);
+    }
+
+    /// Hands every cell of shard `from` to the other live shards: cells
+    /// peel off along shared borders to the least-loaded adjacent shard
+    /// (keeping regions as connected as the planner would), with a bulk
+    /// hand-off to the least-loaded shard as the fallback for a remainder
+    /// that borders none of them (an island of `from`'s region). Returns
+    /// the adopters as a shard bit set.
+    fn peel_cells(&mut self, from: usize, changed: &mut FxHashSet<EdgeId>) -> u64 {
+        let targets = self.live_by_load(from);
+        let mut adopters = 0u64;
+        while !self.partition.view(from).edges.is_empty() {
+            let bordering = targets.iter().find_map(|&to| {
+                let cells =
+                    self.partition
+                        .boundary_cells_between(&self.net, from as u32, to as u32);
+                (!cells.is_empty()).then_some((to, cells))
+            });
+            let (to, cells) =
+                bordering.unwrap_or_else(|| (targets[0], self.partition.view(from).edges.clone()));
+            self.hand_off(from, to, &cells, changed);
+            adopters |= 1u64 << to;
+        }
+        adopters
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
+    use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+
+    use crate::config::{EngineConfig, ShardAlgo};
+    use crate::engine::tests::{engine, net};
+    use crate::engine::ShardedEngine;
+
+    /// Installs objects on every edge and a tight query cluster on one
+    /// shard, then churns the cluster every tick so all monitor work lands
+    /// on that shard.
+    fn hotspot_setup(eng: &mut ShardedEngine) -> Vec<(QueryId, EdgeId)> {
+        let n = eng.net.num_edges();
+        for (i, e) in (0..n).enumerate() {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i as u32),
+                NetPoint::new(EdgeId(e as u32), 0.5),
+            ));
+        }
+        let hot = eng.partition.shard_of_edge(EdgeId(0));
+        let cluster: Vec<EdgeId> = eng
+            .net
+            .edge_ids()
+            .filter(|&e| eng.partition.shard_of_edge(e) == hot)
+            .take(6)
+            .collect();
+        let mut placed = Vec::new();
+        for (q, &e) in cluster.iter().enumerate() {
+            eng.apply(UpdateEvent::install_query(
+                QueryId(q as u32),
+                4,
+                NetPoint::new(e, 0.25),
+            ));
+            placed.push((QueryId(q as u32), e));
+        }
+        placed
+    }
+
+    fn churn_tick(t: u32, placed: &[(QueryId, EdgeId)]) -> UpdateBatch {
+        let mut batch = UpdateBatch::default();
+        for &(q, e) in placed {
+            let frac = if t % 2 == 0 { 0.2 } else { 0.8 };
+            batch.queries.push(QueryEvent::Move {
+                id: q,
+                to: NetPoint::new(e, frac),
+            });
+        }
+        batch
+    }
+
+    #[test]
+    fn rebalancing_is_disabled_by_default() {
+        let mut eng = engine(4);
+        let placed = hotspot_setup(&mut eng);
+        for t in 0..12 {
+            eng.tick(&churn_tick(t, &placed));
+        }
+        assert_eq!(eng.rebalance_events(), 0);
+        assert_eq!(eng.cells_migrated(), 0);
+        // The skew is visible in the load estimates even though nothing
+        // acts on it.
+        assert!(eng.shard_load_ratio().unwrap() > 1.5);
+    }
+
+    #[test]
+    fn hotspot_triggers_migration_and_improves_balance() {
+        let mk = |trigger: f64| {
+            ShardedEngine::new(
+                net(),
+                EngineConfig {
+                    num_shards: 4,
+                    algo: ShardAlgo::Ima,
+                    rebalance_trigger: trigger,
+                    rebalance_cooldown: 2,
+                    ..EngineConfig::default()
+                },
+            )
+        };
+        let mut fixed = mk(0.0);
+        let mut dynamic = mk(1.1);
+        let placed_f = hotspot_setup(&mut fixed);
+        let placed_d = hotspot_setup(&mut dynamic);
+        assert_eq!(placed_f, placed_d, "identical partitions, identical setup");
+        let mut reported_rebalances = 0u64;
+        let mut reported_cells = 0u64;
+        for t in 0..20 {
+            let batch = churn_tick(t, &placed_f);
+            fixed.tick(&batch);
+            let rep = dynamic.tick(&batch);
+            reported_rebalances += rep.counters.rebalance_events;
+            reported_cells += rep.counters.cells_migrated;
+            dynamic.validate_replication().unwrap();
+            // Answer identity under migration: both engines agree (same
+            // convention as the differential suite — 1e-9 relative
+            // tolerance absorbs summation-order rounding when a migrated
+            // query is recomputed by its new shard).
+            let mut ids = fixed.query_ids();
+            ids.sort();
+            for q in ids {
+                let (a, b) = (fixed.result(q).unwrap(), dynamic.result(q).unwrap());
+                assert_eq!(a.len(), b.len(), "tick {t}, {q:?}");
+                for (x, y) in a.iter().zip(b) {
+                    assert!(
+                        (x.dist - y.dist).abs() <= 1e-9 * x.dist.abs().max(1.0),
+                        "tick {t}, {q:?}: {} vs {}",
+                        x.dist,
+                        y.dist
+                    );
+                }
+            }
+        }
+        assert!(dynamic.rebalance_events() > 0, "hotspot must trigger");
+        assert!(dynamic.cells_migrated() > 0);
+        // The per-tick counter slices add up to the lifetime totals.
+        assert_eq!(reported_rebalances, dynamic.rebalance_events());
+        assert_eq!(reported_cells, dynamic.cells_migrated());
+        let (rf, rd) = (
+            fixed.shard_load_ratio().unwrap(),
+            dynamic.shard_load_ratio().unwrap(),
+        );
+        assert!(
+            rd < rf,
+            "rebalancing must improve the load ratio: {rd} !< {rf}"
+        );
+        // The lifetime totals flowed into OpCounters as well.
+        assert_eq!(fixed.cells_migrated(), 0);
+    }
+
+    #[test]
+    fn migration_preserves_partition_and_query_routing() {
+        let mut eng = ShardedEngine::new(
+            net(),
+            EngineConfig {
+                num_shards: 2,
+                algo: ShardAlgo::Gma,
+                rebalance_trigger: 1.0,
+                rebalance_cooldown: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let placed = hotspot_setup(&mut eng);
+        for t in 0..14 {
+            eng.tick(&churn_tick(t, &placed));
+            eng.validate_replication().unwrap();
+            eng.partition.validate(&eng.net).unwrap();
+        }
+        assert!(eng.cells_migrated() > 0);
+        // Every clustered query still answers with k results from its
+        // (possibly new) owner shard.
+        for &(q, _) in &placed {
+            assert_eq!(eng.result(q).unwrap().len(), 4);
+        }
+    }
+
+    #[test]
+    fn cell_charges_flow_from_workers_into_cell_load() {
+        // Attribution is active whenever rebalancing is enabled; the huge
+        // trigger keeps the planner itself from ever firing.
+        let mut eng = ShardedEngine::new(
+            net(),
+            EngineConfig {
+                num_shards: 2,
+                algo: ShardAlgo::Ima,
+                rebalance_trigger: 1e9,
+                ..EngineConfig::default()
+            },
+        );
+        let n = eng.net.num_edges() as u32;
+        for i in 0..30u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 5) % n), 0.4),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            4,
+            NetPoint::new(EdgeId(3), 0.5),
+        ));
+        // Churn the query so its shard re-expands every tick; the worker
+        // attributes those expansions to the query's cell and the engine
+        // folds them into the smoothed per-cell estimate.
+        for t in 0..4u32 {
+            let mut batch = UpdateBatch::default();
+            batch.queries.push(QueryEvent::Move {
+                id: QueryId(0),
+                to: NetPoint::new(EdgeId(3), if t % 2 == 0 { 0.2 } else { 0.8 }),
+            });
+            eng.tick(&batch);
+        }
+        assert!(
+            eng.cell_load(EdgeId(3)) > 0.0,
+            "expansions rooted on edge 3 must charge that cell"
+        );
+    }
+
+    #[test]
+    fn planner_ranks_cells_by_true_expansion_cost() {
+        // Synthetic two-cell hotspot on the hot shard's border: cell B is
+        // entity-heavy (many resident objects, the old ranking signal) but
+        // hosts no expansions; cell A is entity-light but carries all the
+        // observed expansion cost. The planner must hand A over first.
+        let mut eng = engine(2);
+        let cells = eng.partition.boundary_cells_between(&eng.net, 0, 1);
+        assert!(cells.len() >= 2, "2-way split has a multi-cell border");
+        let (a, b) = (cells[0], cells[1]);
+        for i in 0..40u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(b, 0.3 + f64::from(i % 4) * 0.1),
+            ));
+        }
+        eng.load = vec![10_000.0, 1.0];
+        eng.cell_load.insert(a, 5_000.0);
+        let (cold, chosen) = eng.plan_migration(0).expect("imbalance has a plan");
+        assert_eq!(cold, 1);
+        assert_eq!(
+            chosen[0], a,
+            "the expansion-hot cell must outrank the entity-heavy one"
+        );
+    }
+}

@@ -1,0 +1,215 @@
+//! Event routing: turning a timestamp's object and query events into
+//! per-shard pending events.
+//!
+//! Owns the coordinator's two registries and their edge indexes —
+//! `objects` + `edge_obj`, `queries` + `edge_queries` — on the steady-state
+//! path. The invariant it maintains: an object's `mask` equals the
+//! visibility mask of the edge it sits on (owner plus every shard whose
+//! halo holds that edge), and a query is homed on the shard owning its
+//! edge and indexed on that edge. Callers: `tick` and `apply` only, once
+//! per event; everything here runs in reused capacity except the first
+//! install of a query id.
+
+use rnn_core::{ObjectEvent, QueryEvent};
+use rnn_roadnet::{EdgeId, QueryId};
+
+use crate::engine::{ObjRec, QueryRec, ShardBits, ShardedEngine};
+use crate::protocol::ShardLink;
+
+impl<L: ShardLink> ShardedEngine<L> {
+    /// Routes one object event to every shard that must see it — the owner
+    /// of the object's edge plus each shard whose halo holds that edge —
+    /// and keeps the registry and the edge→object index in step.
+    pub(crate) fn route_object_event(&mut self, ev: &ObjectEvent) {
+        match *ev {
+            // A move of an unknown object is an appearance, matching the
+            // monitors' own coalescing (state.rs).
+            ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => {
+                let desired = self.edge_mask[to.edge.index()];
+                let rec = ObjRec {
+                    pos: to,
+                    mask: desired,
+                };
+                // Nobody holds an unknown object, so every desired shard
+                // gets an Insert.
+                let old = match self.objects.insert(id, rec) {
+                    Some(old) => {
+                        self.edge_obj.relocate(old.pos.edge, to.edge, id);
+                        old.mask
+                    }
+                    None => {
+                        self.edge_obj.insert(to.edge, id);
+                        0
+                    }
+                };
+                for s in ShardBits(old & desired) {
+                    self.pending[s].objects.push(ObjectEvent::Move { id, to });
+                }
+                for s in ShardBits(desired & !old) {
+                    self.pending[s]
+                        .objects
+                        .push(ObjectEvent::Insert { id, at: to });
+                }
+                for s in ShardBits(old & !desired) {
+                    self.pending[s].objects.push(ObjectEvent::Delete { id });
+                }
+            }
+            ObjectEvent::Delete { id } => {
+                if let Some(rec) = self.objects.remove(&id) {
+                    self.edge_obj.remove(rec.pos.edge, id);
+                    for s in ShardBits(rec.mask) {
+                        self.pending[s].objects.push(ObjectEvent::Delete { id });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drops `id` from the edge→query index bucket of `e`.
+    fn unindex_query(&mut self, e: EdgeId, id: QueryId) {
+        if let Some(bucket) = self.edge_queries.get_mut(&e) {
+            if let Some(i) = bucket.iter().position(|&q| q == id) {
+                bucket.swap_remove(i);
+            }
+            if bucket.is_empty() {
+                self.edge_queries.remove(&e);
+            }
+        }
+    }
+
+    /// Routes one query event to the shard owning the query's edge,
+    /// re-homing the query (`Remove` there, `Install` here) when it crossed
+    /// a border, and keeps the registry and the edge→query index in step.
+    pub(crate) fn route_query_event(&mut self, ev: &QueryEvent) {
+        match *ev {
+            QueryEvent::Move { id, to } => {
+                let Some(rec) = self.queries.get_mut(&id) else {
+                    return; // move of an unknown query: dropped, as monitors do
+                };
+                let from_edge = rec.pos.edge;
+                rec.pos = to;
+                let new_shard = self.partition.shard_of_edge(to.edge);
+                if new_shard == rec.shard {
+                    self.pending[new_shard as usize]
+                        .queries
+                        .push(QueryEvent::Move { id, to });
+                } else {
+                    let k = rec.k;
+                    self.pending[rec.shard as usize]
+                        .queries
+                        .push(QueryEvent::Remove { id });
+                    self.pending[new_shard as usize]
+                        .queries
+                        .push(QueryEvent::Install { id, k, at: to });
+                    rec.shard = new_shard;
+                }
+                if from_edge != to.edge {
+                    self.unindex_query(from_edge, id);
+                    self.edge_queries.entry(to.edge).or_default().push(id);
+                }
+            }
+            QueryEvent::Install { id, k, at } => {
+                let shard = self.partition.shard_of_edge(at.edge);
+                let old = self.queries.insert(
+                    id,
+                    QueryRec {
+                        k,
+                        shard,
+                        pos: at,
+                        knn_dist: f64::INFINITY,
+                        // lint: allow(hot-path-alloc): cold path — an Install creates the record once; `Vec::new` itself reserves nothing and the shard's first snapshot moves its result vector in
+                        result: Vec::new(),
+                    },
+                );
+                if let Some(old) = old {
+                    if old.shard != shard {
+                        self.pending[old.shard as usize]
+                            .queries
+                            .push(QueryEvent::Remove { id });
+                    }
+                    // Same shard: no Remove — the monitors coalesce a
+                    // re-Install of a known query into an update (pinned by
+                    // the duplicate-install differential test).
+                    if old.pos.edge != at.edge {
+                        self.unindex_query(old.pos.edge, id);
+                        self.edge_queries.entry(at.edge).or_default().push(id);
+                    }
+                } else {
+                    self.edge_queries.entry(at.edge).or_default().push(id);
+                }
+                self.pending[shard as usize]
+                    .queries
+                    .push(QueryEvent::Install { id, k, at });
+            }
+            QueryEvent::Remove { id } => {
+                if let Some(rec) = self.queries.remove(&id) {
+                    self.unindex_query(rec.pos.edge, id);
+                    self.pending[rec.shard as usize]
+                        .queries
+                        .push(QueryEvent::Remove { id });
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
+    use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+
+    use crate::engine::tests::engine;
+
+    #[test]
+    fn query_migrates_across_shards() {
+        let mut eng = engine(4);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..30u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 5) % n), 0.5),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            3,
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
+        let home = eng.queries[&QueryId(0)].shard;
+        // Find an edge owned by a different shard and move the query there.
+        let target = eng
+            .net
+            .edge_ids()
+            .find(|&e| eng.partition.shard_of_edge(e) != home)
+            .expect("4-way split has foreign edges");
+        let mut batch = UpdateBatch::default();
+        batch.queries.push(QueryEvent::Move {
+            id: QueryId(0),
+            to: NetPoint::new(target, 0.5),
+        });
+        eng.tick(&batch);
+        assert_ne!(eng.queries[&QueryId(0)].shard, home);
+        assert_eq!(eng.result(QueryId(0)).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn remove_query_forgets_it() {
+        let mut eng = engine(2);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..10u32 {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId((i * 7) % n), 0.6),
+            ));
+        }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(3),
+            2,
+            NetPoint::new(EdgeId(4), 0.5),
+        ));
+        assert!(eng.result(QueryId(3)).is_some());
+        eng.apply(UpdateEvent::remove_query(QueryId(3)));
+        assert!(eng.result(QueryId(3)).is_none());
+        assert!(eng.query_ids().is_empty());
+    }
+}
