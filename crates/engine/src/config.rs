@@ -95,8 +95,9 @@ pub struct EngineConfig {
     /// (`Response::Down`: its transport died and recovery exhausted every
     /// retry). `false` (the default) keeps the historical contract — a
     /// lost shard is fatal and the engine panics. `true` lets surviving
-    /// shards adopt the corpse's cells through the migration planner
-    /// ("recovery is rebalance away from a corpse"): ownership reassigns,
+    /// shards adopt the corpse's cells through the same cell hand-off a
+    /// planned migration uses ([`crate::rebalance`]; "recovery is
+    /// rebalance away from a corpse"): ownership reassigns,
     /// objects resync from the coordinator's registry, and queries
     /// re-home with freshly computed results.
     pub takeover: bool,

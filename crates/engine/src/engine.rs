@@ -889,6 +889,9 @@ impl Iterator for ShardBits {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use super::*;
     use crate::config::ShardAlgo;
     use rnn_roadnet::generators::{grid_city, GridCityConfig};
@@ -912,6 +915,164 @@ pub(crate) mod tests {
                 ..EngineConfig::default()
             },
         )
+    }
+
+    /// A [`ShardWorker`] that can be told to die. Once its kill switch is
+    /// set — by the test between ticks, or by the link itself on receiving
+    /// a batch of kind `die_on` — every request is swallowed and answered
+    /// [`Response::Down`]: what an RPC link does when its transport is dead
+    /// and recovery is exhausted.
+    pub(crate) struct MortalLink {
+        inner: ShardWorker,
+        kill: Arc<AtomicBool>,
+        die_on: Option<BatchKind>,
+        owed: Cell<u32>,
+    }
+
+    impl ShardLink for MortalLink {
+        fn send(&self, req: Request) {
+            if matches!(&req, Request::Tick(d) if Some(d.kind) == self.die_on) {
+                self.kill.store(true, Ordering::SeqCst);
+            }
+            if self.kill.load(Ordering::SeqCst) {
+                self.owed.set(self.owed.get() + 1);
+            } else {
+                self.inner.send(req);
+            }
+        }
+
+        fn recv(&self) -> Response {
+            if self.owed.get() == 0 {
+                return self.inner.recv();
+            }
+            self.owed.set(self.owed.get() - 1);
+            Response::Down
+        }
+    }
+
+    /// An engine over [`MortalLink`]s plus each shard's kill switch. Shard
+    /// `s` additionally dies by itself on its first batch of kind `k` for
+    /// every `(s, k)` in `die_on`.
+    pub(crate) fn mortal_engine(
+        cfg: EngineConfig,
+        die_on: &[(usize, BatchKind)],
+    ) -> (ShardedEngine<MortalLink>, Vec<Arc<AtomicBool>>) {
+        let net = net();
+        let kills: Vec<_> = (0..cfg.num_shards)
+            .map(|_| Arc::new(AtomicBool::new(false)))
+            .collect();
+        let links = (0..cfg.num_shards)
+            .map(|s| MortalLink {
+                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone()), cfg.attribute_cells()),
+                kill: kills[s].clone(),
+                die_on: die_on.iter().find(|d| d.0 == s).map(|d| d.1),
+                owed: Cell::new(0),
+            })
+            .collect();
+        let eng = ShardedEngine::with_links(net, cfg, links).expect("valid config");
+        (eng, kills)
+    }
+
+    /// Answer identity against a reference monitor, in the differential
+    /// suite's convention: same query set, same result sizes, distances
+    /// equal to 1e-9 relative (a re-homed query is recomputed by its new
+    /// shard, which may sum the same path in a different order).
+    pub(crate) fn assert_same_answers(
+        reference: &dyn ContinuousMonitor,
+        eng: &dyn ContinuousMonitor,
+        ctx: &str,
+    ) {
+        let (mut ids, mut got) = (reference.query_ids(), eng.query_ids());
+        ids.sort();
+        got.sort();
+        assert_eq!(ids, got, "{ctx}: query sets diverge");
+        for q in ids {
+            let (a, b) = (reference.result(q).unwrap(), eng.result(q).unwrap());
+            assert_eq!(a.len(), b.len(), "{ctx}, {q:?}: result sizes");
+            for (x, y) in a.iter().zip(b) {
+                assert!(
+                    (x.dist - y.dist).abs() <= 1e-9 * x.dist.abs().max(1.0),
+                    "{ctx}, {q:?}: {} vs {}",
+                    x.dist,
+                    y.dist
+                );
+            }
+        }
+    }
+
+    /// A 3-shard engine whose shard 1 has died and been adopted, plus a
+    /// cell shard 0 owns — the fixture the four corpse checks corrupt.
+    fn engine_with_corpse() -> (ShardedEngine<MortalLink>, usize, EdgeId) {
+        let cfg = EngineConfig {
+            num_shards: 3,
+            takeover: true,
+            ..EngineConfig::default()
+        };
+        let (mut eng, kills) = mortal_engine(cfg, &[]);
+        let n = eng.net.num_edges() as u32;
+        for i in 0..n {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId(i), 0.5),
+            ));
+        }
+        for q in 0..6u32 {
+            eng.apply(UpdateEvent::install_query(
+                QueryId(q),
+                4,
+                NetPoint::new(EdgeId((q * 17) % n), 0.3),
+            ));
+        }
+        kills[1].store(true, Ordering::SeqCst);
+        let mut batch = UpdateBatch::default();
+        for i in 0..n {
+            batch.objects.push(ObjectEvent::Move {
+                id: ObjectId(i),
+                to: NetPoint::new(EdgeId(i), 0.6),
+            });
+        }
+        eng.tick(&batch);
+        assert!(eng.is_shard_dead(1));
+        eng.validate_replication().unwrap();
+        let cell = eng.partition.view(0).edges[0];
+        (eng, 1, cell)
+    }
+
+    fn assert_invalid(eng: &ShardedEngine<MortalLink>, needle: &str) {
+        let err = eng.validate_replication().unwrap_err();
+        assert!(err.contains(needle), "expected `{needle}` in `{err}`");
+    }
+
+    #[test]
+    fn validate_rejects_a_corpse_that_owns_a_cell() {
+        let (mut eng, dead, cell) = engine_with_corpse();
+        eng.partition.reassign(&eng.net, &[(cell, dead as u32)]);
+        assert_invalid(&eng, "dead shard 1 still owns 1 cells");
+    }
+
+    #[test]
+    fn validate_rejects_a_corpse_that_holds_a_halo() {
+        let (mut eng, dead, cell) = engine_with_corpse();
+        eng.halo_r[dead] = 1.0;
+        assert_invalid(&eng, "dead shard 1 still holds a halo");
+        eng.halo_r[dead] = 0.0;
+        eng.validate_replication().unwrap();
+        eng.halo_edges[dead].replace_with([(cell, 0.5)].into_iter().collect(), |_, _| {});
+        assert_invalid(&eng, "dead shard 1 still holds a halo");
+    }
+
+    #[test]
+    fn validate_rejects_a_corpse_visible_in_an_edge_mask() {
+        let (mut eng, dead, cell) = engine_with_corpse();
+        eng.edge_mask[cell.index()] |= 1u64 << dead;
+        assert_invalid(&eng, "dead shard 1 still sees edge");
+    }
+
+    #[test]
+    fn validate_rejects_a_query_homed_on_a_corpse() {
+        let (mut eng, dead, _) = engine_with_corpse();
+        eng.queries.values_mut().next().unwrap().shard = dead as u32;
+        assert_invalid(&eng, "is homed on dead shard 1");
     }
 
     #[test]

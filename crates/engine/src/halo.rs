@@ -352,8 +352,39 @@ mod tests {
     use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
     use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
 
-    use super::diameter_bound;
+    use super::{diameter_bound, HaloRing};
     use crate::engine::tests::engine;
+
+    #[test]
+    fn ring_reports_toggles_and_pops_the_outer_annulus_only() {
+        let (a, b, c, d) = (EdgeId(1), EdgeId(2), EdgeId(3), EdgeId(4));
+        let mut ring = HaloRing::default();
+        let mut toggles = Vec::new();
+        ring.replace_with(
+            [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
+            |e, m| {
+                toggles.push((e, m));
+            },
+        );
+        toggles.sort();
+        assert_eq!(toggles, [(a, true), (b, true), (c, true)]);
+        // b stays, a and c leave, d joins: only the three toggles report.
+        toggles.clear();
+        ring.replace_with([(b, 2.0), (d, 0.5)].into_iter().collect(), |e, m| {
+            toggles.push((e, m));
+        });
+        toggles.sort();
+        assert_eq!(toggles, [(a, false), (c, false), (d, true)]);
+        assert!(ring.remove(d) && !ring.remove(d) && !ring.contains(d));
+        ring.replace_with(
+            [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
+            |_, _| {},
+        );
+        assert_eq!(ring.pop_beyond(1.5), Some(c));
+        assert_eq!(ring.pop_beyond(1.5), Some(b));
+        assert_eq!(ring.pop_beyond(1.5), None, "a lies inside the cutoff");
+        assert!(ring.contains(a) && !ring.is_empty());
+    }
 
     #[test]
     fn halo_grows_to_cover_results() {

@@ -44,6 +44,14 @@
 //! assert_eq!(engine.result(QueryId(0)).unwrap().len(), 3);
 //! ```
 //!
+//! The coordinator is one struct, [`ShardedEngine`], whose code is split
+//! over four modules — [`engine`] (the struct, the tick loop, dispatch and
+//! reconcile; its module doc is the map), [`route`], [`halo`] and
+//! [`rebalance`]. An [`EngineConfig`] is built as a struct literal over
+//! [`EngineConfig::with_shards`] / [`EngineConfig::default`];
+//! [`EngineConfig::validate`] is the one typed-error check, and every
+//! engine constructor runs it.
+//!
 //! The engine implements [`rnn_core::ContinuousMonitor`] itself, so any
 //! driver that feeds a single monitor — scenario replay, the benchmark
 //! harness, the differential tests — drives the sharded fleet unchanged.

@@ -350,17 +350,21 @@ impl<L: ShardLink> ShardedEngine<L> {
 
 #[cfg(test)]
 mod tests {
-    use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
-    use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+    use std::sync::atomic::Ordering;
+
+    use rnn_core::{ContinuousMonitor, Gma, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent};
+    use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, ObjectId, QueryId};
+    use rnn_workload::{Scenario, ScenarioConfig};
 
     use crate::config::{EngineConfig, ShardAlgo};
-    use crate::engine::tests::{engine, net};
-    use crate::engine::ShardedEngine;
+    use crate::engine::tests::{assert_same_answers, engine, mortal_engine, net, MortalLink};
+    use crate::engine::{ShardBits, ShardedEngine};
+    use crate::protocol::{BatchKind, ShardLink};
 
     /// Installs objects on every edge and a tight query cluster on one
     /// shard, then churns the cluster every tick so all monitor work lands
     /// on that shard.
-    fn hotspot_setup(eng: &mut ShardedEngine) -> Vec<(QueryId, EdgeId)> {
+    fn hotspot_setup<L: ShardLink>(eng: &mut ShardedEngine<L>) -> Vec<(QueryId, EdgeId)> {
         let n = eng.net.num_edges();
         for (i, e) in (0..n).enumerate() {
             eng.apply(UpdateEvent::insert_object(
@@ -441,24 +445,8 @@ mod tests {
             reported_rebalances += rep.counters.rebalance_events;
             reported_cells += rep.counters.cells_migrated;
             dynamic.validate_replication().unwrap();
-            // Answer identity under migration: both engines agree (same
-            // convention as the differential suite — 1e-9 relative
-            // tolerance absorbs summation-order rounding when a migrated
-            // query is recomputed by its new shard).
-            let mut ids = fixed.query_ids();
-            ids.sort();
-            for q in ids {
-                let (a, b) = (fixed.result(q).unwrap(), dynamic.result(q).unwrap());
-                assert_eq!(a.len(), b.len(), "tick {t}, {q:?}");
-                for (x, y) in a.iter().zip(b) {
-                    assert!(
-                        (x.dist - y.dist).abs() <= 1e-9 * x.dist.abs().max(1.0),
-                        "tick {t}, {q:?}: {} vs {}",
-                        x.dist,
-                        y.dist
-                    );
-                }
-            }
+            // Answer identity under migration: both engines agree.
+            assert_same_answers(&fixed, &dynamic, &format!("tick {t}"));
         }
         assert!(dynamic.rebalance_events() > 0, "hotspot must trigger");
         assert!(dynamic.cells_migrated() > 0);
@@ -569,5 +557,181 @@ mod tests {
             chosen[0], a,
             "the expansion-hot cell must outrank the entity-heavy one"
         );
+    }
+
+    // --- Dead-shard adoption -------------------------------------------
+
+    fn scenario(seed: u64) -> Scenario {
+        Scenario::new(
+            net(),
+            ScenarioConfig {
+                num_objects: 80,
+                num_queries: 12,
+                k: 4,
+                seed,
+                ..Default::default()
+            },
+        )
+    }
+
+    fn takeover_cfg(shards: usize) -> EngineConfig {
+        EngineConfig {
+            num_shards: shards,
+            takeover: true,
+            ..EngineConfig::default()
+        }
+    }
+
+    /// Drives a takeover-enabled engine through a seeded scenario against
+    /// a single-`Gma` oracle, killing shard `s` just before tick `t` for
+    /// every `(t, s)` in `deaths`; answers and the replication invariants
+    /// are checked every tick.
+    fn run_with_deaths(shards: usize, deaths: &[(usize, usize)]) -> ShardedEngine<MortalLink> {
+        let (mut eng, kills) = mortal_engine(takeover_cfg(shards), &[]);
+        let mut oracle = Gma::new(net());
+        let mut scenario = scenario(44 + shards as u64);
+        scenario.install_into(&mut eng);
+        scenario.install_into(&mut oracle);
+        for t in 1..=14 {
+            for &(_, s) in deaths.iter().filter(|d| d.0 == t) {
+                kills[s].store(true, Ordering::SeqCst);
+            }
+            let batch = scenario.tick();
+            oracle.tick(&batch);
+            eng.tick(&batch);
+            let ctx = format!("S={shards}, deaths {deaths:?}, tick {t}");
+            assert_same_answers(&oracle, &eng, &ctx);
+            eng.validate_replication()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+        eng
+    }
+
+    #[test]
+    fn survivors_adopt_a_shard_that_dies_mid_run() {
+        for shards in [3, 4] {
+            let eng = run_with_deaths(shards, &[(5, 1)]);
+            assert_eq!(eng.takeovers(), 1, "S={shards}");
+            assert!(eng.is_shard_dead(1), "S={shards}");
+            assert_eq!(eng.live_shards(), shards - 1, "S={shards}");
+            assert_eq!(
+                eng.cells_migrated(),
+                0,
+                "adoption is not a planned migration"
+            );
+        }
+    }
+
+    #[test]
+    fn cascading_deaths_leave_one_shard_owning_everything() {
+        let eng = run_with_deaths(4, &[(3, 0), (6, 2), (9, 1)]);
+        assert_eq!(eng.takeovers(), 3);
+        assert_eq!(eng.live_shards(), 1);
+        assert_eq!(eng.partition.view(3).edges.len(), eng.net.num_edges());
+        assert_eq!(eng.replica_count(), 0, "one live shard needs no replicas");
+    }
+
+    #[test]
+    fn a_shard_dying_inside_a_migration_dispatch_is_adopted() {
+        // The victim dies on the first migration hand-off addressed to it,
+        // i.e. inside `settle_hand_off`'s dispatch: its adoption (a second
+        // hand-off, dispatch and reconcile) runs nested in the planned one.
+        let mut victims_died = 0;
+        for victim in 0..4 {
+            let cfg = EngineConfig {
+                algo: ShardAlgo::Ima,
+                rebalance_trigger: 1.1,
+                rebalance_cooldown: 2,
+                ..takeover_cfg(4)
+            };
+            let (mut eng, _) = mortal_engine(cfg, &[(victim, BatchKind::Migration)]);
+            let placed = hotspot_setup(&mut eng);
+            let mut oracle = Gma::new(net());
+            for e in eng.net.edge_ids() {
+                oracle.apply(UpdateEvent::insert_object(
+                    ObjectId(e.0),
+                    NetPoint::new(e, 0.5),
+                ));
+            }
+            for &(q, e) in &placed {
+                oracle.apply(UpdateEvent::install_query(q, 4, NetPoint::new(e, 0.25)));
+            }
+            for t in 0..20 {
+                let batch = churn_tick(t, &placed);
+                oracle.tick(&batch);
+                eng.tick(&batch);
+                let ctx = format!("victim {victim}, tick {t}");
+                assert_same_answers(&oracle, &eng, &ctx);
+                eng.validate_replication()
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+            assert!(
+                eng.rebalance_events() > 0,
+                "victim {victim}: hotspot must trigger"
+            );
+            assert_eq!(eng.takeovers(), u64::from(eng.is_shard_dead(victim)));
+            victims_died += usize::from(eng.is_shard_dead(victim));
+        }
+        assert!(
+            victims_died >= 2,
+            "the hot shard and at least one receiver see a migration batch"
+        );
+    }
+
+    #[test]
+    fn adopting_a_dead_shard_equals_handing_its_cells_off_while_alive() {
+        // The unification's claim: adoption is the planned hand-off applied
+        // to all of a shard's cells. Evacuate shard x by hand-offs on one
+        // engine, let x die on its twin, and compare what is left.
+        for x in 0..3usize {
+            let (mut planned, _) = mortal_engine(takeover_cfg(3), &[]);
+            let (mut dying, kills) = mortal_engine(takeover_cfg(3), &[]);
+            let mut scenario = scenario(7);
+            scenario.install_into(&mut planned);
+            scenario.install_into(&mut dying);
+            for _ in 0..5 {
+                let batch = scenario.tick();
+                planned.tick(&batch);
+                dying.tick(&batch);
+            }
+            let mut changed = FxHashSet::default();
+            let adopters = planned.peel_cells(x, &mut changed);
+            planned.settle_hand_off(ShardBits(adopters | 1u64 << x), changed);
+            // x must be sent something to be found dead; re-reporting an
+            // object where it already is changes no answer.
+            kills[x].store(true, Ordering::SeqCst);
+            let (&id, to) = dying
+                .objects
+                .iter()
+                .map(|(id, rec)| (id, rec.pos))
+                .filter(|(_, pos)| dying.partition.shard_of_edge(pos.edge) == x as u32)
+                .min_by_key(|(id, _)| **id)
+                .expect("an object on one of x's cells");
+            let mut still = UpdateBatch::default();
+            still.objects.push(ObjectEvent::Move { id, to });
+            for t in 0..6 {
+                let batch = if t == 0 {
+                    still.clone()
+                } else {
+                    scenario.tick()
+                };
+                planned.tick(&batch);
+                dying.tick(&batch);
+                let ctx = format!("x={x}, tick {t} after the hand-off");
+                assert!(dying.is_shard_dead(x), "{ctx}");
+                assert_eq!(dying.takeovers(), 1, "{ctx}");
+                for e in dying.net.edge_ids() {
+                    assert_eq!(
+                        planned.partition.shard_of_edge(e),
+                        dying.partition.shard_of_edge(e),
+                        "{ctx}: owner of {e:?}"
+                    );
+                }
+                assert_eq!(planned.edge_mask, dying.edge_mask, "{ctx}: masks");
+                assert_same_answers(&planned, &dying, &ctx);
+                planned.validate_replication().unwrap();
+                dying.validate_replication().unwrap();
+            }
+        }
     }
 }
