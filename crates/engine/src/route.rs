@@ -30,13 +30,13 @@ impl<L: ShardLink> ShardedEngine<L> {
                     pos: to,
                     mask: desired,
                 };
-                // Nobody holds an unknown object, so every desired shard
-                // gets an Insert.
                 let old = match self.objects.insert(id, rec) {
                     Some(old) => {
                         self.edge_obj.relocate(old.pos.edge, to.edge, id);
                         old.mask
                     }
+                    // Nobody holds an unknown object yet, so every desired
+                    // shard gets an Insert.
                     None => {
                         self.edge_obj.insert(to.edge, id);
                         0
