@@ -36,12 +36,12 @@ use rnn_roadnet::{
     DijkstraEngine, EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
 };
 
-use crate::counters::OpCounters;
+use crate::counters::{push_charged, refill_charged, reserve_charged, OpCounters};
 use crate::influence::{InfluenceTable, IntervalSet};
 use crate::search::{dist_via_tree, knn_search, BestK, KeptTree, SearchContext, SearchOutcome};
 use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
 use crate::tree::{ExpansionTree, TreePool};
-use crate::types::{sort_neighbors, Neighbor, RootPos};
+use crate::types::{cmp_neighbors, Neighbor, RootPos};
 
 /// Handle to an anchor within an [`AnchorSet`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -61,45 +61,100 @@ pub struct AnchorRec {
     pub tree: ExpansionTree,
     /// Edges currently carrying this anchor in their influence lists.
     pub influenced: Vec<EdgeId>,
+    /// What the tick in progress has found for this anchor to do
+    /// ([`Pending::IDLE`] between ticks).
+    work: Pending,
 }
 
 /// Per-anchor work accumulated while scanning a tick's updates.
+#[derive(Clone, Copy)]
 struct Pending {
-    /// Re-run the initial computation from scratch.
+    /// The anchor is in the tick's list of anchors to resolve.
+    queued: bool,
+    /// Re-run the initial computation from scratch …
     full: bool,
+    /// … served from this shared multi-k expansion of the tick, if any.
+    group: Option<usize>,
     /// Conservative decrease radius (∞ = no decrease affects this anchor).
     theta: f64,
     /// Child-side nodes of increased tree-link edges (subtrees to cut).
-    cuts: Vec<NodeId>,
+    cuts: Chain,
     /// Tree surgery happened → stored NN distances may be stale.
     dirty_tree: bool,
     /// Object deltas touching this anchor: `(object, new position)`.
-    objects: Vec<(ObjectId, Option<rnn_roadnet::NetPoint>)>,
+    objects: Chain,
     /// New root, when the anchor moved within its tree this tick.
     moved_root: Option<RootPos>,
 }
 
-impl Default for Pending {
+impl Pending {
+    const IDLE: Self = Self {
+        queued: false,
+        full: false,
+        group: None,
+        theta: f64::INFINITY,
+        cuts: Chain::EMPTY,
+        dirty_tree: false,
+        objects: Chain::EMPTY,
+        moved_root: None,
+    };
+}
+
+/// Many short append-only lists in one reused buffer: what a tick collects
+/// *per anchor* (a handful of entries each, for hundreds of anchors) costs
+/// no `Vec` per anchor, and anchors that come and go bring no buffers of
+/// their own to grow. Entries link to their successor; every list is
+/// dropped at once by clearing the buffer.
+struct Chains<T> {
+    entries: Vec<(T, u32)>,
+}
+
+/// One list of a [`Chains`] (meaningless once that is cleared).
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    /// Past-the-end link; no buffer gets that long.
+    const NIL: u32 = u32::MAX;
+    const EMPTY: Self = Self {
+        head: Self::NIL,
+        tail: Self::NIL,
+    };
+}
+
+impl<T> Default for Chains<T> {
     fn default() -> Self {
         Self {
-            full: false,
-            theta: f64::INFINITY,
-            // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-            cuts: Vec::new(),
-            dirty_tree: false,
-            // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-            objects: Vec::new(),
-            moved_root: None,
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; push charges its growth
+            entries: Vec::new(),
         }
     }
 }
 
-/// What a tick did.
-pub struct AnchorTickOutcome {
-    /// Anchors whose reported result changed (ids or distances).
-    pub changed: Vec<AnchorKey>,
-    /// Work counters.
-    pub counters: OpCounters,
+impl<T: Copy> Chains<T> {
+    /// Appends `x` to `chain`, charging buffer growth to `allocs`.
+    fn push(&mut self, chain: &mut Chain, x: T, allocs: &mut u64) {
+        let at = self.entries.len() as u32;
+        push_charged(&mut self.entries, (x, Chain::NIL), allocs);
+        match chain.tail {
+            Chain::NIL => chain.head = at,
+            tail => self.entries[tail as usize].1 = at,
+        }
+        chain.tail = at;
+    }
+
+    /// The entries of `chain`, in the order they were appended.
+    fn iter(&self, chain: Chain) -> impl Iterator<Item = T> + '_ {
+        let mut at = chain.head;
+        std::iter::from_fn(move || {
+            let &(x, next) = self.entries.get(at as usize)?;
+            at = next;
+            Some(x)
+        })
+    }
 }
 
 /// A set of anchors maintained incrementally over a shared
@@ -125,11 +180,41 @@ pub struct AnchorSet {
     /// engine's rebalance planner ranks candidate cells by. Reused
     /// capacity; cleared by the owning monitor at the start of each tick.
     cell_charges: Vec<(EdgeId, u64)>,
+    /// The anchors whose reported result changed in the last tick.
+    changed: Vec<AnchorKey>,
+    /// The tick's other lists, emptied and refilled every tick; their
+    /// growth is charged to `alloc_events`.
+    scratch: TickScratch,
     next_key: u32,
     /// Ablation switch: with influence lists disabled, every anchor is
     /// treated as affected by every update (used to quantify the paper's
     /// "process only updates that may invalidate" claim).
     pub use_influence_lists: bool,
+}
+
+/// Reused buffers of [`AnchorSet::tick`] and of the anchor resolutions it
+/// runs.
+#[derive(Default)]
+struct TickScratch {
+    /// Anchors with pending work, each once; sorted before resolution.
+    queued: Vec<AnchorKey>,
+    /// The lists their work records refer to.
+    objects: Chains<(ObjectId, Option<NetPoint>)>,
+    cuts: Chains<NodeId>,
+    /// Anchors one update affects.
+    affected: Vec<AnchorKey>,
+    /// Edges whose weight changed this tick.
+    changed_edges: FxHashSet<EdgeId>,
+    /// `(root identity, anchor)` of every anchor due a from-scratch
+    /// recomputation, sorted: co-rooted anchors are adjacent.
+    by_root: Vec<((u8, u32, u64), AnchorKey)>,
+    /// Survivor candidates of the resolution in progress (§4.2) …
+    candidates: Vec<Neighbor>,
+    /// … and, sorted, the objects this tick's updates touch, which are
+    /// not survivors.
+    touched: Vec<ObjectId>,
+    /// `(edge, interval)` pairs of the influence rebuild in progress.
+    intervals: Vec<(EdgeId, IntervalSet)>,
 }
 
 impl AnchorSet {
@@ -139,16 +224,19 @@ impl AnchorSet {
         let il = InfluenceTable::new(net.num_edges());
         Self {
             net,
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): construction; grows when anchors are added
             anchors: FxHashMap::default(),
             il,
             engine,
             best: BestK::default(),
             pool: TreePool::new(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it holds one outcome per co-rooted group of a tick
             shared_outcomes: Vec::new(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; one entry per expansion of a tick
             cell_charges: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            changed: Vec::new(),
+            scratch: TickScratch::default(),
             next_key: 0,
             use_influence_lists: true,
         }
@@ -269,11 +357,29 @@ impl AnchorSet {
             tree: ExpansionTree::new(),
             // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
             influenced: Vec::new(),
+            work: Pending::IDLE,
         };
         store_outcome(&mut self.pool, &mut rec, out);
-        rebuild_influence(&self.net, state, &self.pool, key, &mut rec, &mut self.il);
-        self.anchors.insert(key, rec);
         let mut install = OpCounters::default();
+        rebuild_influence(
+            &self.net,
+            state,
+            &self.pool,
+            key,
+            &mut rec,
+            &mut self.il,
+            &mut self.scratch.intervals,
+            &mut install,
+        );
+        self.anchors.insert(key, rec);
+        // The tick's lists of anchors hold each anchor at most once (twice
+        // where an update's old and new position are looked up): sized
+        // here, they never grow in a tick.
+        let n = self.anchors.len();
+        reserve_charged(&mut self.scratch.queued, n, &mut install.alloc_events);
+        reserve_charged(&mut self.scratch.by_root, n, &mut install.alloc_events);
+        reserve_charged(&mut self.scratch.affected, 2 * n, &mut install.alloc_events);
+        reserve_charged(&mut self.changed, n, &mut install.alloc_events);
         self.harvest_scratch_counters(&mut install);
         counters.install_alloc_events += install.alloc_events;
         counters.expansion_steps += install.expansion_steps;
@@ -354,33 +460,53 @@ impl AnchorSet {
             store_outcome(&mut self.pool, rec, out);
         }
         let rec = self.anchors.get_mut(&key).expect("just updated");
-        rebuild_influence(&self.net, state, &self.pool, key, rec, &mut self.il);
+        rebuild_influence(
+            &self.net,
+            state,
+            &self.pool,
+            key,
+            rec,
+            &mut self.il,
+            &mut self.scratch.intervals,
+            counters,
+        );
     }
 
-    /// Processes one timestamp of updates. `state` must already reflect the
-    /// post-tick weights and object placement (see
-    /// [`NetworkState::apply_batch`]); `objects` / `edges` carry the
-    /// coalesced deltas with old values; `root_moves` carries anchor
-    /// movements (IMA queries; empty for GMA's static nodes).
+    /// Processes one timestamp of updates and returns the work it took;
+    /// [`Self::changed`] then lists the anchors whose result changed.
+    /// `state` must already reflect the post-tick weights and object
+    /// placement (see [`NetworkState::apply_batch`]); `objects` / `edges`
+    /// carry the coalesced deltas with old values; `root_moves` carries
+    /// anchor movements (IMA queries; empty for GMA's static nodes).
     pub fn tick(
         &mut self,
         state: &NetworkState,
         objects: &[ObjectDelta],
         edges: &[EdgeDelta],
         root_moves: &[(AnchorKey, RootPos)],
-    ) -> AnchorTickOutcome {
+    ) -> OpCounters {
         let mut counters = OpCounters::default();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut pending: FxHashMap<AnchorKey, Pending> = FxHashMap::default();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.queued.clear();
+        scratch.cuts.entries.clear();
+        // Most object deltas are handed to at most one anchor: room for one
+        // entry per delta up front keeps the list from creeping up to that
+        // size one re-allocation at a time.
+        scratch.objects.entries.clear();
+        if scratch.objects.entries.capacity() < objects.len() {
+            counters.alloc_events += 1;
+            scratch.objects.entries.reserve(objects.len());
+        }
 
         // ---- Figure 10, lines 1-3: roots moving outside their trees.
         for &(key, new_root) in root_moves {
             let Some(rec) = self.anchors.get_mut(&key) else {
                 continue;
             };
-            let p = pending.entry(key).or_default();
+            let outside = !root_within_tree(&self.net, rec, new_root);
+            let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
             p.moved_root = Some(new_root);
-            if !root_within_tree(&self.net, rec, new_root) {
+            if outside {
                 p.full = true;
             }
         }
@@ -395,22 +521,25 @@ impl AnchorSet {
         // fast path. Otherwise the conservative batched rule applies: θ
         // across all decreases, subtree cuts for increased tree links.
         for d in edges {
-            let affected: Vec<AnchorKey> = if self.use_influence_lists {
-                // lint: allow(hot-path-alloc): collects only for ticks that carry edge-weight deltas (the resync slow path); charged to alloc_events under the runtime gate
-                self.il.on_edge(d.edge).iter().map(|&(k, _)| k).collect()
+            scratch.affected.clear();
+            if self.use_influence_lists {
+                for &(k, _) in self.il.on_edge(d.edge) {
+                    push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
+                }
             } else {
-                // lint: allow(hot-path-alloc): full-rescan fallback taken only on resync ticks; charged to alloc_events under the runtime gate
-                self.anchors.keys().copied().collect()
-            };
-            if affected.is_empty() {
+                for &k in self.anchors.keys() {
+                    push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
+                }
+            }
+            if scratch.affected.is_empty() {
                 counters.updates_ignored += 1;
                 continue;
             }
-            for key in affected {
-                let Some(rec) = self.anchors.get(&key) else {
+            for &key in &scratch.affected {
+                let Some(rec) = self.anchors.get_mut(&key) else {
                     continue;
                 };
-                let p = pending.entry(key).or_default();
+                let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
                 if p.full {
                     continue; // recomputation already scheduled
                 }
@@ -437,9 +566,7 @@ impl AnchorSet {
                         (None, None) => true,
                     };
                     if harmless {
-                        for &(obj, frac) in state.objects.on_edge(d.edge) {
-                            p.objects.push((obj, Some(NetPoint::new(d.edge, frac))));
-                        }
+                        requeue_objects_on(d.edge, state, p, &mut scratch.objects, &mut counters);
                         // The stored influencing interval is a *fraction*
                         // of the edge computed under the old weight; with a
                         // smaller weight the same fraction covers less
@@ -470,149 +597,156 @@ impl AnchorSet {
                 {
                     // Increase of a tree link: the subtree below it may be
                     // reachable on cheaper alternate paths (§4.4).
-                    p.cuts.push(child);
+                    scratch
+                        .cuts
+                        .push(&mut p.cuts, child, &mut counters.alloc_events);
                     p.dirty_tree = true;
                 } else {
                     // Increase of a non-link edge: no shortest path used
                     // it, so the tree is untouched; only the objects on the
                     // edge drift away.
-                    for &(obj, frac) in state.objects.on_edge(d.edge) {
-                        p.objects.push((obj, Some(NetPoint::new(d.edge, frac))));
-                    }
+                    requeue_objects_on(d.edge, state, p, &mut scratch.objects, &mut counters);
                 }
             }
         }
 
         // ---- Lines 16-19: object updates, classified via influence lists.
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut affected_buf: Vec<AnchorKey> = Vec::new();
         for d in objects {
-            affected_buf.clear();
+            scratch.affected.clear();
             if self.use_influence_lists {
-                if let Some(old) = d.old {
-                    affected_buf.extend(self.il.covering(old.edge, old.frac));
-                }
-                if let Some(new) = d.new {
-                    affected_buf.extend(self.il.covering(new.edge, new.frac));
+                for p in [d.old, d.new].into_iter().flatten() {
+                    for k in self.il.covering(p.edge, p.frac) {
+                        push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
+                    }
                 }
             } else {
-                affected_buf.extend(self.anchors.keys().copied());
+                for &k in self.anchors.keys() {
+                    push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
+                }
             }
-            if affected_buf.is_empty() {
+            if scratch.affected.is_empty() {
                 counters.updates_ignored += 1;
                 continue;
             }
             // Deterministic order, duplicates dropped (an anchor may cover
             // both the old and the new position).
-            affected_buf.sort_unstable();
-            affected_buf.dedup();
-            for &key in &affected_buf {
-                let p = pending.entry(key).or_default();
+            scratch.affected.sort_unstable();
+            scratch.affected.dedup();
+            for &key in &scratch.affected {
+                let Some(rec) = self.anchors.get_mut(&key) else {
+                    continue;
+                };
+                let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
                 if !p.full {
-                    p.objects.push((d.id, d.new));
+                    scratch
+                        .objects
+                        .push(&mut p.objects, (d.id, d.new), &mut counters.alloc_events);
                 }
             }
         }
 
-        // ---- Lines 20-26: resolve every affected anchor.
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let changed_edges: FxHashSet<rnn_roadnet::EdgeId> = edges.iter().map(|d| d.edge).collect();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut changed = Vec::new();
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let mut keys: Vec<AnchorKey> = pending.keys().copied().collect();
-        keys.sort();
+        // ---- Lines 20-26: resolve every affected anchor, in key order.
+        let edge_set_capacity = scratch.changed_edges.capacity();
+        scratch.changed_edges.clear();
+        scratch.changed_edges.extend(edges.iter().map(|d| d.edge));
+        counters.alloc_events += u64::from(scratch.changed_edges.capacity() > edge_set_capacity);
+        scratch.queued.sort_unstable();
+        self.changed.clear();
 
         // Shared multi-k expansion: anchors that need a *from-scratch*
         // recomputation this tick and sit at bit-identical roots run ONE
         // expansion at the group's largest k; every member is served from
         // that outcome (its own top-k prefix plus the tree pruned to its
         // own kNN_dist — exactly what an independent expansion returns).
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut group_of: FxHashMap<AnchorKey, usize> = FxHashMap::default();
-        {
-            // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-            let mut by_root: FxHashMap<(u8, u32, u64), Vec<AnchorKey>> = FxHashMap::default();
-            for &key in &keys {
-                let work = &pending[&key];
-                if !work.full {
-                    continue;
-                }
-                let Some(rec) = self.anchors.get(&key) else {
-                    continue;
-                };
-                let root = work.moved_root.unwrap_or(rec.root);
-                by_root.entry(root_group_key(root)).or_default().push(key);
+        scratch.by_root.clear();
+        for &key in &scratch.queued {
+            let rec = &self.anchors[&key];
+            if rec.work.full {
+                let root = rec.work.moved_root.unwrap_or(rec.root);
+                push_charged(
+                    &mut scratch.by_root,
+                    (root_group_key(root), key),
+                    &mut counters.alloc_events,
+                );
             }
-            let mut group_members: Vec<Vec<AnchorKey>> =
-                // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-                by_root.into_values().filter(|m| m.len() >= 2).collect();
-            // Deterministic expansion order (counters, engine epochs).
-            group_members.sort_by_key(|m| m[0]);
-            for members in group_members {
-                let first = members[0];
-                let root = pending[&first]
-                    .moved_root
-                    .unwrap_or(self.anchors[&first].root);
-                let k_max = members
-                    .iter()
-                    .map(|k| self.anchors[k].k)
-                    .max()
-                    .expect("non-empty group");
-                let ctx = SearchContext {
-                    net: &self.net,
-                    weights: &state.weights,
-                    objects: &state.objects,
-                };
-                counters.reevaluations += 1;
-                counters.shared_expansions += members.len() as u64 - 1;
-                let steps0 = self.engine.expansion_steps();
-                let out = knn_search(
-                    &ctx,
-                    &mut self.engine,
-                    &mut self.best,
-                    &mut self.pool,
-                    root,
-                    k_max,
-                    None,
-                    &[],
-                    &mut counters,
-                );
-                charge_cell(
-                    &self.net,
-                    &mut self.cell_charges,
-                    root,
-                    self.engine.expansion_steps() - steps0,
-                );
-                let idx = self.shared_outcomes.len();
-                self.shared_outcomes.push(out);
-                for key in members {
-                    group_of.insert(key, idx);
-                }
+        }
+        scratch.by_root.sort_unstable();
+        // Groups expand in the order of their first (smallest) member:
+        // deterministic counters and engine epochs.
+        for i in 0..scratch.queued.len() {
+            let first = &self.anchors[&scratch.queued[i]];
+            if !first.work.full || first.work.group.is_some() {
+                continue;
+            }
+            let root = first.work.moved_root.unwrap_or(first.root);
+            let id = root_group_key(root);
+            let members = {
+                let lo = scratch.by_root.partition_point(|g| g.0 < id);
+                let hi = scratch.by_root.partition_point(|g| g.0 <= id);
+                &scratch.by_root[lo..hi]
+            };
+            if members.len() < 2 {
+                continue;
+            }
+            let k_max = members
+                .iter()
+                .map(|(_, k)| self.anchors[k].k)
+                .max()
+                .expect("non-empty group");
+            let ctx = SearchContext {
+                net: &self.net,
+                weights: &state.weights,
+                objects: &state.objects,
+            };
+            counters.reevaluations += 1;
+            counters.shared_expansions += members.len() as u64 - 1;
+            let steps0 = self.engine.expansion_steps();
+            let out = knn_search(
+                &ctx,
+                &mut self.engine,
+                &mut self.best,
+                &mut self.pool,
+                root,
+                k_max,
+                None,
+                &[],
+                &mut counters,
+            );
+            charge_cell(
+                &self.net,
+                &mut self.cell_charges,
+                root,
+                self.engine.expansion_steps() - steps0,
+            );
+            let group = Some(self.shared_outcomes.len());
+            push_charged(&mut self.shared_outcomes, out, &mut counters.alloc_events);
+            for (_, member) in members {
+                self.anchors
+                    .get_mut(member)
+                    .expect("group members are queued anchors")
+                    .work
+                    .group = group;
             }
         }
 
-        for key in keys {
-            let work = pending.remove(&key).expect("key from map");
-            let Some(rec) = self.anchors.get_mut(&key) else {
-                continue;
-            };
-            let old_result = std::mem::take(&mut rec.result);
-            let did_change = if let Some(&gi) = group_of.get(&key) {
-                serve_from_shared(
+        for i in 0..scratch.queued.len() {
+            let key = scratch.queued[i];
+            let rec = self.anchors.get_mut(&key).expect("queued anchors exist");
+            let work = std::mem::replace(&mut rec.work, Pending::IDLE);
+            let did_change = match work.group {
+                Some(group) => serve_from_shared(
                     &self.net,
                     state,
                     &mut self.pool,
                     key,
                     rec,
-                    &self.shared_outcomes[gi],
                     work.moved_root,
-                    &old_result,
+                    &self.shared_outcomes[group],
                     &mut self.il,
+                    &mut scratch.intervals,
                     &mut counters,
-                )
-            } else {
-                resolve_anchor(
+                ),
+                None => resolve_anchor(
                     &self.net,
                     state,
                     &mut self.engine,
@@ -622,27 +756,28 @@ impl AnchorSet {
                     key,
                     rec,
                     work,
-                    &old_result,
-                    &changed_edges,
+                    &mut scratch,
                     &mut self.il,
                     &mut counters,
-                )
+                ),
             };
             if did_change {
-                changed.push(key);
+                push_charged(&mut self.changed, key, &mut counters.alloc_events);
             }
         }
         for out in self.shared_outcomes.drain(..) {
             self.pool.release(out.tree);
         }
+        self.scratch = scratch;
 
-        counters.alloc_events += self.engine.take_alloc_events()
-            + self.il.take_alloc_events()
-            + self.best.take_alloc_events()
-            + self.pool.take_alloc_events();
-        counters.expansion_steps += self.engine.take_expansion_steps();
-        counters.tree_nodes_recycled += self.pool.take_recycled();
-        AnchorTickOutcome { changed, counters }
+        self.harvest_scratch_counters(&mut counters);
+        counters
+    }
+
+    /// The anchors whose reported result (ids or distances) changed in the
+    /// last [`Self::tick`], in ascending key order.
+    pub fn changed(&self) -> &[AnchorKey] {
+        &self.changed
     }
 
     /// The anchors whose influencing intervals cover `(edge, frac)` —
@@ -795,6 +930,37 @@ fn store_outcome(pool: &mut TreePool, rec: &mut AnchorRec, out: SearchOutcome) {
     pool.release(old);
 }
 
+/// Puts `key` on the tick's list of anchors to resolve (once) and returns
+/// the work record to add to.
+fn enqueue<'a>(
+    key: AnchorKey,
+    work: &'a mut Pending,
+    queued: &mut Vec<AnchorKey>,
+    counters: &mut OpCounters,
+) -> &'a mut Pending {
+    if !work.queued {
+        work.queued = true;
+        push_charged(queued, key, &mut counters.alloc_events);
+    }
+    work
+}
+
+/// A weight change that leaves the tree as it is still moves the objects
+/// on the edge: hands them to the object fast path at their (unchanged)
+/// positions.
+fn requeue_objects_on(
+    edge: EdgeId,
+    state: &NetworkState,
+    work: &mut Pending,
+    objects: &mut Chains<(ObjectId, Option<NetPoint>)>,
+    counters: &mut OpCounters,
+) {
+    for &(obj, frac) in state.objects.on_edge(edge) {
+        let at = Some(NetPoint::new(edge, frac));
+        objects.push(&mut work.objects, (obj, at), &mut counters.alloc_events);
+    }
+}
+
 /// Records `steps` of expansion work against the partition cell (edge) of
 /// the expansion root: the root's own edge for point roots, the first
 /// adjacent edge for node roots (GMA's active intersections). Deterministic
@@ -834,19 +1000,19 @@ fn serve_from_shared(
     pool: &mut TreePool,
     key: AnchorKey,
     rec: &mut AnchorRec,
-    out: &SearchOutcome,
     moved_root: Option<RootPos>,
-    old_result: &[Neighbor],
+    out: &SearchOutcome,
     il: &mut InfluenceTable<AnchorKey>,
+    intervals: &mut Vec<(EdgeId, IntervalSet)>,
     counters: &mut OpCounters,
 ) -> bool {
     if let Some(r) = moved_root {
         rec.root = r;
     }
-    let take = rec.k.min(out.result.len());
-    // lint: allow(hot-path-alloc): result materialization happens only when a shared outcome changes a query's answer; charged to alloc_events, pinned at zero in steady state
-    rec.result = out.result[..take].to_vec();
-    rec.knn_dist = if take == rec.k {
+    let served = &out.result[..rec.k.min(out.result.len())];
+    let did_change = results_differ(&rec.result, served);
+    refill_charged(&mut rec.result, served, &mut counters.alloc_events);
+    rec.knn_dist = if served.len() == rec.k {
         rec.result[rec.k - 1].dist
     } else {
         f64::INFINITY
@@ -858,8 +1024,8 @@ fn serve_from_shared(
     pool.clone_into(&mut tree, &out.tree);
     rec.tree = tree;
     counters.tree_nodes_pruned += pool.retain_within(&mut rec.tree, rec.knn_dist) as u64;
-    rebuild_influence(net, state, pool, key, rec, il);
-    results_differ(old_result, &rec.result)
+    rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
+    did_change
 }
 
 /// Whether `new_root` falls inside the anchor's current expansion-tree
@@ -939,8 +1105,7 @@ fn resolve_anchor(
     key: AnchorKey,
     rec: &mut AnchorRec,
     work: Pending,
-    old_result: &[Neighbor],
-    changed_edges: &FxHashSet<rnn_roadnet::EdgeId>,
+    scratch: &mut TickScratch,
     il: &mut InfluenceTable<AnchorKey>,
     counters: &mut OpCounters,
 ) -> bool {
@@ -949,6 +1114,16 @@ fn resolve_anchor(
         weights: &state.weights,
         objects: &state.objects,
     };
+    let TickScratch {
+        objects,
+        cuts,
+        candidates,
+        touched,
+        intervals,
+        changed_edges,
+        ..
+    } = scratch;
+    let mut old_result = std::mem::take(&mut rec.result);
 
     if work.full {
         if let Some(r) = work.moved_root {
@@ -980,8 +1155,8 @@ fn resolve_anchor(
             engine.expansion_steps() - steps0,
         );
         store_outcome(pool, rec, out);
-        rebuild_influence(net, state, pool, key, rec, il);
-        return results_differ(old_result, &rec.result);
+        rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
+        return results_differ(&old_result, &rec.result);
     }
 
     // kNN_dist of the last structural rebuild: the selective re-scan rule
@@ -999,8 +1174,8 @@ fn resolve_anchor(
     if work.theta < f64::INFINITY {
         counters.tree_nodes_pruned += pool.retain_within(&mut rec.tree, work.theta) as u64;
     }
-    for c in &work.cuts {
-        counters.tree_nodes_pruned += pool.remove_subtree(&mut rec.tree, *c) as u64;
+    for c in cuts.iter(work.cuts) {
+        counters.tree_nodes_pruned += pool.remove_subtree(&mut rec.tree, c) as u64;
     }
 
     // Root movement within the tree (queries only).
@@ -1025,11 +1200,14 @@ fn resolve_anchor(
     // survivor can never rank better than the truth; objects whose optimal
     // path now runs through re-expanded territory are re-found exactly by
     // the expansion itself.
-    // lint: allow(hot-path-alloc): anchor resolution runs at install/resync time, not per tick; tracked as install_alloc_events
-    let touched: FxHashSet<ObjectId> = work.objects.iter().map(|&(id, _)| id).collect();
-    let mut candidates: Vec<Neighbor> = Vec::with_capacity(old_result.len() + work.objects.len());
-    for n in old_result {
-        if touched.contains(&n.object) {
+    candidates.clear();
+    touched.clear();
+    for (id, _) in objects.iter(work.objects) {
+        push_charged(touched, id, &mut counters.alloc_events);
+    }
+    touched.sort_unstable();
+    for n in &old_result {
+        if touched.binary_search(&n.object).is_ok() {
             continue;
         }
         if dirty {
@@ -1039,36 +1217,45 @@ fn resolve_anchor(
                 let d = dist_via_tree(net, &state.weights, pool, &rec.tree, rec.root, p);
                 counters.objects_considered += 1;
                 if d.is_finite() {
-                    candidates.push(Neighbor {
+                    let survivor = Neighbor {
                         object: n.object,
                         dist: d,
-                    });
+                    };
+                    push_charged(candidates, survivor, &mut counters.alloc_events);
                 }
             }
         } else {
-            candidates.push(*n);
+            push_charged(candidates, *n, &mut counters.alloc_events);
         }
     }
+    // With the tree intact the survivors kept their stored distances, and
+    // with them their order: only what comes in below needs sorting in.
+    let in_order = if dirty { 0 } else { candidates.len() };
     let slack = interval_slack(old_knn);
-    for &(id, new_pos) in &work.objects {
+    for (id, new_pos) in objects.iter(work.objects) {
         let Some(p) = new_pos else { continue };
         let d = dist_via_tree(net, &state.weights, pool, &rec.tree, rec.root, p);
         counters.objects_considered += 1;
-        if dirty {
-            if d.is_finite() {
-                candidates.push(Neighbor {
-                    object: id,
-                    dist: d,
-                });
-            }
-        } else if d <= old_knn + slack {
-            candidates.push(Neighbor {
+        let within = if dirty {
+            d.is_finite()
+        } else {
+            d <= old_knn + slack
+        };
+        if within {
+            let incoming = Neighbor {
                 object: id,
                 dist: d,
-            });
+            };
+            push_charged(candidates, incoming, &mut counters.alloc_events);
         }
     }
-    sort_neighbors(&mut candidates);
+    candidates[in_order..].sort_unstable_by(cmp_neighbors);
+    if in_order > 0 {
+        for i in in_order..candidates.len() {
+            let at = candidates[..i].partition_point(|n| cmp_neighbors(n, &candidates[i]).is_le());
+            candidates[at..=i].rotate_right(1);
+        }
+    }
     candidates.dedup_by_key(|n| n.object);
 
     if !dirty && candidates.len() >= rec.k {
@@ -1076,16 +1263,19 @@ fn resolve_anchor(
         // objects within the old kNN_dist, and the tree is intact so every
         // candidate distance above is exact.
         candidates.truncate(rec.k);
-        let new_knn = candidates[rec.k - 1].dist;
-        rec.result = candidates;
-        rec.knn_dist = new_knn;
+        rec.knn_dist = candidates[rec.k - 1].dist;
+        let did_change = results_differ(&old_result, candidates);
+        // The new result is written over the old one, in the anchor's own
+        // buffer: nothing is allocated or freed.
+        refill_charged(&mut old_result, candidates, &mut counters.alloc_events);
+        rec.result = old_result;
         // The tree and the influence intervals are deliberately *not*
         // shrunk here even though kNN_dist may have decreased: a too-wide
         // influence region is always safe (it can only cause a spurious
         // affected-check later), and skipping the rebuild makes the §4.2
         // fast path allocation-free. The next structural re-expansion
         // re-tightens both.
-        return results_differ(old_result, &rec.result);
+        return did_change;
     }
 
     // Structural case (tree surgery and/or result underflow): re-expand
@@ -1105,15 +1295,7 @@ fn resolve_anchor(
     };
     let steps0 = engine.expansion_steps();
     let out = knn_search(
-        &ctx,
-        engine,
-        best,
-        pool,
-        rec.root,
-        rec.k,
-        kept,
-        &candidates,
-        counters,
+        &ctx, engine, best, pool, rec.root, rec.k, kept, candidates, counters,
     );
     charge_cell(
         net,
@@ -1122,8 +1304,8 @@ fn resolve_anchor(
         engine.expansion_steps() - steps0,
     );
     store_outcome(pool, rec, out);
-    rebuild_influence(net, state, pool, key, rec, il);
-    results_differ(old_result, &rec.result)
+    rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
+    results_differ(&old_result, &rec.result)
 }
 
 fn results_differ(a: &[Neighbor], b: &[Neighbor]) -> bool {
@@ -1148,6 +1330,8 @@ pub(crate) fn interval_slack(knn_dist: f64) -> f64 {
 
 /// Rebuilds the influence-list entries of one anchor from its tree and
 /// kNN_dist (§3: intervals where the network distance is below kNN_dist).
+/// `pairs` is the caller's reused buffer.
+#[allow(clippy::too_many_arguments)]
 fn rebuild_influence(
     net: &RoadNetwork,
     state: &NetworkState,
@@ -1155,6 +1339,8 @@ fn rebuild_influence(
     key: AnchorKey,
     rec: &mut AnchorRec,
     il: &mut InfluenceTable<AnchorKey>,
+    pairs: &mut Vec<(EdgeId, IntervalSet)>,
+    counters: &mut OpCounters,
 ) {
     for e in rec.influenced.drain(..) {
         il.remove(e, key);
@@ -1163,7 +1349,7 @@ fn rebuild_influence(
     // Collect one (edge, interval) pair per tree-adjacent half-edge, then
     // merge by edge id with a sort — cheaper than a hash map for the few
     // dozen entries a tree produces.
-    let mut pairs: Vec<(EdgeId, IntervalSet)> = Vec::with_capacity(rec.tree.len() * 3 + 1);
+    pairs.clear();
     for (n, dist) in rec.tree.iter(pool) {
         let reach = rec.knn_dist - dist + slack;
         if reach < 0.0 {
@@ -1177,13 +1363,14 @@ fn rebuild_influence(
             } else {
                 IntervalSet::single(1.0 - f, 1.0)
             };
-            pairs.push((e, ivs));
+            push_charged(pairs, (e, ivs), &mut counters.alloc_events);
         }
     }
     if let RootPos::Point(p) = rec.root {
         let w = state.weights.get(p.edge);
         let r = (rec.knn_dist + slack) / w;
-        pairs.push((p.edge, IntervalSet::single(p.frac - r, p.frac + r)));
+        let ivs = IntervalSet::single(p.frac - r, p.frac + r);
+        push_charged(pairs, (p.edge, ivs), &mut counters.alloc_events);
     }
     pairs.sort_unstable_by_key(|&(e, _)| e);
     let mut i = 0;
@@ -1221,11 +1408,7 @@ mod tests {
         (net, state, set)
     }
 
-    fn tick_batch(
-        set: &mut AnchorSet,
-        state: &mut NetworkState,
-        batch: UpdateBatch,
-    ) -> AnchorTickOutcome {
+    fn tick_batch(set: &mut AnchorSet, state: &mut NetworkState, batch: UpdateBatch) -> OpCounters {
         let deltas = state.apply_batch(&batch);
         set.tick(state, &deltas.objects, &deltas.edges, &[])
     }
@@ -1273,8 +1456,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(out.changed.is_empty());
-        assert!(out.counters.updates_ignored >= 1);
+        assert!(set.changed().is_empty());
+        assert!(out.updates_ignored >= 1);
         assert_eq!(set.get(key).unwrap().result, before);
     }
 
@@ -1291,7 +1474,7 @@ mod tests {
         );
         assert_eq!(set.get(key).unwrap().result[0].object, ObjectId(2));
         // Object 2 leaves; object 1 moves right next to the query.
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1308,7 +1491,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result[0].object, ObjectId(1));
         assert!((rec.result[0].dist - 0.1).abs() < 1e-12);
@@ -1325,7 +1508,7 @@ mod tests {
             &mut c,
         );
         // NNs: o2 (0.0) and one of o1/o3 (1.0 each, o1 wins by id).
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1333,7 +1516,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result.len(), 2);
         // New 2-NN set: o1 and o3 at distance 1 each.
@@ -1357,7 +1540,7 @@ mod tests {
         assert!((rec.knn_dist - 1.25).abs() < 1e-12);
         // Make edge 1 (between o0 and o1) heavier: o1 drifts from 1.25
         // (0.75 to node 1 plus half the unit edge) to 0.75 + 0.9 = 1.65.
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1368,7 +1551,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result[0].object, ObjectId(0));
         assert_eq!(rec.result[1].object, ObjectId(1));
@@ -1391,7 +1574,7 @@ mod tests {
             &mut c,
         );
         // Shrink edge 1 drastically: o1 comes to 0.75 + 0.1/2 ... -> closer.
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1402,7 +1585,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         // o0 at 0.25; o1 at 0.75 + 0.05 = 0.8.
         assert!(
@@ -1423,7 +1606,7 @@ mod tests {
             2,
             &mut c,
         );
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1434,7 +1617,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         // o2 still on root edge at |0.5-0.5|*4=0; second NN now at
         // 2.0 (half of root edge) + 0.5 = 2.5 on either side.
@@ -1455,8 +1638,8 @@ mod tests {
         );
         let new_root = RootPos::Point(NetPoint::new(EdgeId(3), 0.25));
         let deltas = crate::state::CoalescedTick::default();
-        let out = set.tick(&state, &deltas.objects, &deltas.edges, &[(key, new_root)]);
-        assert_eq!(out.changed, vec![key]);
+        set.tick(&state, &deltas.objects, &deltas.edges, &[(key, new_root)]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.root, new_root);
         // From x=3.25: o3 at 0.25, o2 at 0.75, o4 at 1.25.
@@ -1483,8 +1666,8 @@ mod tests {
         // Move clear across the network.
         let new_root = RootPos::Point(NetPoint::new(EdgeId(4), 0.5));
         let deltas = crate::state::CoalescedTick::default();
-        let out = set.tick(&state, &deltas.objects, &deltas.edges, &[(key, new_root)]);
-        assert_eq!(out.changed, vec![key]);
+        set.tick(&state, &deltas.objects, &deltas.edges, &[(key, new_root)]);
+        assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result[0].object, ObjectId(4));
         assert_eq!(rec.result[0].dist, 0.0);
@@ -1526,13 +1709,10 @@ mod tests {
         let deltas = crate::state::CoalescedTick::default();
         let out = set.tick(&state, &deltas.objects, &deltas.edges, &[(a, to), (b, to)]);
         assert_eq!(
-            out.counters.shared_expansions, 1,
+            out.shared_expansions, 1,
             "two co-rooted recomputes must share one expansion"
         );
-        assert_eq!(
-            out.counters.reevaluations, 1,
-            "only the group expansion runs"
-        );
+        assert_eq!(out.reevaluations, 1, "only the group expansion runs");
         // Answers equal fresh independent installs at the same point.
         let mut oracle = AnchorSet::new(set.network().clone());
         let oa = oracle.add(&state, to, 1, &mut c);
@@ -1572,7 +1752,7 @@ mod tests {
             2,
             &mut c,
         );
-        let out = tick_batch(
+        tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
@@ -1583,7 +1763,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(out.changed, vec![key]);
+        assert_eq!(set.changed(), [key]);
         assert!((set.get(key).unwrap().result[0].dist - 0.05).abs() < 1e-12);
     }
 }

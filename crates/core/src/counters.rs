@@ -225,6 +225,41 @@ impl MemoryUsage {
     }
 }
 
+/// `v.push(x)` for a reused buffer: a push that has to grow the buffer is
+/// charged to `allocs` (normally [`OpCounters::alloc_events`]), the way
+/// the arenas and the candidate scratch charge theirs. Like the arenas it
+/// then grows ×4, and to no fewer than 1024 elements: a workload's
+/// high-water marks creep up for a long time, and the steep factor gets a
+/// buffer past them within the first ticks instead of re-allocating, ever
+/// more rarely, throughout a run.
+#[inline]
+pub(crate) fn push_charged<T>(v: &mut Vec<T>, x: T, allocs: &mut u64) {
+    if v.len() == v.capacity() {
+        *allocs += 1;
+        v.reserve_exact((3 * v.capacity()).max(1024));
+    }
+    v.push(x);
+}
+
+/// Gives the reused buffer `v` room for `total` elements, charging a
+/// growth to `allocs`. For lists bounded by a count of installed entities:
+/// reserved where the entity is installed, they never grow in a tick.
+pub(crate) fn reserve_charged<T>(v: &mut Vec<T>, total: usize, allocs: &mut u64) {
+    if v.capacity() < total {
+        *allocs += 1;
+        v.reserve(total - v.len());
+    }
+}
+
+/// Overwrites the reused buffer `v` with `with`, charging a growth of the
+/// buffer to `allocs` like [`push_charged`].
+#[inline]
+pub(crate) fn refill_charged<T: Copy>(v: &mut Vec<T>, with: &[T], allocs: &mut u64) {
+    *allocs += u64::from(v.capacity() < with.len());
+    v.clear();
+    v.extend_from_slice(with);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -204,10 +204,11 @@ impl Crnn {
         }
 
         obj_deltas.retain(|_| true); // (deltas already coalesced)
-        let out = self
-            .anchors
-            .tick(&self.state, &obj_deltas, &deltas.edges, &root_moves);
-        counters.merge(&out.counters);
+        counters.merge(
+            &self
+                .anchors
+                .tick(&self.state, &obj_deltas, &deltas.edges, &root_moves),
+        );
 
         // New anchors for inserted objects (after all updates, §4.5).
         for (id, at) in installs {
@@ -223,7 +224,8 @@ impl Crnn {
         let changed_objs: Vec<ObjectId> = {
             let inv: FxHashMap<AnchorKey, ObjectId> =
                 self.by_object.iter().map(|(&o, &k)| (k, o)).collect();
-            out.changed
+            self.anchors
+                .changed()
                 .iter()
                 .filter_map(|k| inv.get(k).copied())
                 .collect()

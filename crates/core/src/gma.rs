@@ -10,16 +10,54 @@
 //! The endpoints of sequences that currently contain queries are **active
 //! nodes**; their `n.k`-NN sets (`n.k = max q.k over the adjacent queries`)
 //! are maintained with the IMA machinery ([`crate::anchor::AnchorSet`],
-//! node-rooted and static). A user query is answered by a cheap
-//! within-sequence walk that merges (a) the objects it passes and (b) the
-//! monitored NN sets of the endpoints it reaches.
+//! node-rooted and static).
 //!
-//! Maintenance (Figure 12) re-evaluates a query from scratch only when one
-//! of the four invalidating events touches it: (i) its own movement,
-//! (ii) a change in a reachable endpoint's NN set, (iii) an object update
-//! inside its influencing intervals, (iv) a weight change of an influencing
-//! edge. Events are detected with per-sequence influence lists plus the
-//! cached along-sequence endpoint distances.
+//! ## A query is answered by a merge
+//!
+//! Lemma 1's union is taken as a **3-way merge of sorted lists**, emitting
+//! the first k *distinct* objects ([`merge_first_k`]):
+//!
+//! * the in-sequence candidates — the objects the within-sequence walk
+//!   passes, at their along-sequence distance — gathered into a small
+//!   buffer and sorted by `(dist, id)`;
+//! * the monitored NN set of each reachable endpoint, **borrowed as it
+//!   is**: an active node keeps its result sorted by `(dist, id)`, and
+//!   adding the query's along-sequence distance to that endpoint to every
+//!   entry is monotone, so the offset list is still sorted and is read in
+//!   place.
+//!
+//! An object can sit in several lists (in the sequence *and* in an endpoint
+//! set; in both endpoint sets). The merge emits in ascending distance, so
+//! an object's **first sighting is its smallest instance** — the paper's
+//! "keep only the instance with the smallest distance" needs nothing but a
+//! seen-set, and the merge stops after about k steps instead of pushing
+//! every candidate through a sorted insert. Two offset sums may round to
+//! the same float with their ids the wrong way round, so the merge gathers
+//! every candidate tying with the k-th, notices an out-of-order pair while
+//! emitting, and only then re-sorts before cutting at k: the result is
+//! exactly the k smallest `(dist, id)` of the union.
+//!
+//! **Cycles.** A cycle sequence is walked all the way round in both
+//! directions (ending with a re-scan of the query's own edge from its far
+//! side), so every object on it enters the walk buffer twice, once per way
+//! round. The buffer is never cut there; sorted, it hands the merge the
+//! shorter way first and the seen-set drops the longer one.
+//!
+//! **Where the walk stops.** A direction stops at the first boundary node
+//! that already has k distinct in-sequence candidates strictly nearer than
+//! itself — everything further along is strictly beyond the k-th candidate
+//! of the walk alone, hence of the union. That is the bound the live k-th
+//! of a sorted accumulator would give, taken as a count over the buffer at
+//! each boundary instead of kept in order at every push.
+//!
+//! ## Maintenance
+//!
+//! Figure 12 re-evaluates a query from scratch only when one of the four
+//! invalidating events touches it: (i) its own movement, (ii) a change in
+//! a reachable endpoint's NN set, (iii) an object update inside its
+//! influencing intervals, (iv) a weight change of an influencing edge.
+//! Events are detected with per-sequence influence lists plus the cached
+//! along-sequence endpoint distances.
 //!
 //! Special cases handled exactly as the paper prescribes: terminal
 //! (degree-1) endpoints are never activated (nothing lies beyond them), and
@@ -35,12 +73,14 @@ use rnn_roadnet::{
 };
 
 use crate::anchor::{AnchorKey, AnchorSet};
-use crate::counters::{MemoryUsage, OpCounters, TickReport};
+use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
 use crate::influence::{InfluenceTable, IntervalSet};
 use crate::monitor::ContinuousMonitor;
-use crate::search::BestK;
+use crate::search::StampTable;
 use crate::state::NetworkState;
-use crate::types::{Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
+use crate::types::{
+    cmp_neighbors, Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent,
+};
 
 struct GmaQuery {
     k: usize,
@@ -51,9 +91,25 @@ struct GmaQuery {
     /// Along-sequence distances to `(start_node, end_node)` at last
     /// evaluation (used to filter endpoint-NN-change events).
     d_ends: (f64, f64),
-    /// Edges of the sequence currently carrying this query's influence
-    /// intervals.
-    influenced: Vec<EdgeId>,
+    /// How many steps of the walk toward the start / toward the end carry
+    /// this query's influence intervals, besides its own edge (all zero
+    /// and nothing registered until the first evaluation).
+    reach: [usize; 2],
+}
+
+/// The reused buffers of [`Gma::eval_query`]. Their growth is charged to
+/// `alloc_events` where it happens.
+#[derive(Default)]
+struct EvalScratch {
+    /// In-sequence candidates of the evaluation in progress.
+    walk: Vec<Neighbor>,
+    /// The merged result; swapped with the query's when it differs.
+    merged: Vec<Neighbor>,
+    /// Objects the merge has emitted (and, on cycles, the walk's count of
+    /// distinct candidates).
+    seen: StampTable<()>,
+    /// The influence intervals being rebuilt, one entry per edge.
+    intervals: Vec<(EdgeId, IntervalSet)>,
 }
 
 /// The group monitoring algorithm.
@@ -76,23 +132,116 @@ pub struct Gma {
     seq_queries: FxHashMap<SeqId, FxHashSet<QueryId>>,
     /// Query influence lists, restricted to within-sequence edges.
     qil: InfluenceTable<QueryId>,
-    /// Candidate scratch for within-sequence evaluations (flat
-    /// epoch-stamped dedup table; taken/restored around each evaluation so
-    /// steady-state query walks never allocate).
-    best: BestK,
-    /// Per-tick scratch: how many re-evaluated queries were served from
-    /// each active node's monitored expansion this tick. Every use beyond
-    /// the first is one network expansion that did not run — GMA's
+    eval: EvalScratch,
+    /// Per-tick scratch: the queries Figure 12 marks for re-evaluation …
+    needs_eval: FxHashSet<QueryId>,
+    /// … the same in ascending id order, the order they are evaluated in …
+    eval_order: Vec<QueryId>,
+    /// … and the nodes whose k demand this tick's query events touched.
+    touched_nodes: Vec<NodeId>,
+    /// Per-tick scratch: how many re-evaluated queries took a candidate
+    /// from each active node's monitored expansion this tick. Every use
+    /// beyond the first is one network expansion that did not run — GMA's
     /// expansion sharing (Lemma 1), surfaced through
     /// [`OpCounters::shared_expansions`].
     tick_served: FxHashMap<NodeId, u32>,
+}
+
+/// Emits into `out` the first `k` distinct objects of the merge of three
+/// lists, each sorted by `(dist, id)` and read with its offset added to
+/// every distance — Lemma 1's union with the smallest instance kept per
+/// object, as the k smallest `(dist, id)` (see the module docs for why the
+/// first sighting is the smallest instance and how rounding ties are
+/// handled). Returns how many entries of each list were consumed.
+fn merge_first_k(
+    k: usize,
+    lists: [(&[Neighbor], f64); 3],
+    seen: &mut StampTable<()>,
+    out: &mut Vec<Neighbor>,
+    allocs: &mut u64,
+) -> [usize; 3] {
+    let head = |list: usize, at: usize| match lists[list].0.get(at) {
+        Some(n) => (lists[list].1 + n.dist, n.object),
+        None => (f64::INFINITY, rnn_roadnet::ObjectId(u32::MAX)),
+    };
+    out.clear();
+    seen.clear();
+    let mut at = [0usize; 3];
+    let mut heads = [head(0, 0), head(1, 0), head(2, 0)];
+    // Emission is in ascending distance; only ids under one distance can
+    // come out of order (offset sums of one list rounding to a tie).
+    let mut in_order = true;
+    loop {
+        let mut m = 0;
+        if heads[1] < heads[m] {
+            m = 1;
+        }
+        if heads[2] < heads[m] {
+            m = 2;
+        }
+        let (dist, object) = heads[m];
+        let full = out.len() == k;
+        // All lists exhausted, or k emitted and this one strictly beyond
+        // the k-th.
+        if dist == f64::INFINITY || (full && dist > out[k - 1].dist) {
+            break;
+        }
+        at[m] += 1;
+        heads[m] = head(m, at[m]);
+        if !seen.first_sighting(object) {
+            continue;
+        }
+        let next = Neighbor { object, dist };
+        if !full {
+            in_order &= out
+                .last()
+                .is_none_or(|last| cmp_neighbors(last, &next).is_le());
+            push_charged(out, next, allocs);
+            if out.len() == k && !in_order {
+                out.sort_unstable_by(cmp_neighbors);
+                in_order = true;
+            }
+        } else if object < out[k - 1].object {
+            // Ties with the k-th at a smaller id: it takes its place among
+            // the k, which stay sorted, and the k-th drops out.
+            out.pop();
+            let to = out.partition_point(|n| cmp_neighbors(n, &next).is_lt());
+            out.insert(to, next);
+        }
+    }
+    if !in_order {
+        out.sort_unstable_by(cmp_neighbors);
+    }
+    at
+}
+
+/// Whether at least `k` distinct objects of `walk` lie strictly nearer than
+/// `bound`. `distinct` is the seen-set to count through when the buffer can
+/// hold an object twice (cycle sequences), `None` when it cannot.
+fn k_nearer_than(
+    walk: &[Neighbor],
+    k: usize,
+    bound: f64,
+    distinct: Option<&mut StampTable<()>>,
+) -> bool {
+    if walk.len() < k {
+        return false;
+    }
+    let nearer = walk.iter().filter(|n| n.dist < bound);
+    match distinct {
+        None => nearer.count() >= k,
+        Some(seen) => {
+            seen.clear();
+            nearer.filter(|n| seen.first_sighting(n.object)).count() >= k
+        }
+    }
 }
 
 impl Gma {
     /// Creates a GMA server over `net` with base weights and no objects.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
         let seqs = SequenceTable::build(&net);
-        // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+        // lint: allow(hot-path-alloc): construction
         let mut node_seqs: FxHashMap<NodeId, Vec<SeqId>> = FxHashMap::default();
         for s in seqs.iter() {
             for n in [s.start_node(), s.end_node()] {
@@ -111,37 +260,33 @@ impl Gma {
                 }
             }
         }
-        let state = NetworkState::new(&net);
-        let nodes = AnchorSet::new(net.clone());
         Self {
-            net,
             seqs,
-            state,
-            nodes,
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            state: NetworkState::new(&net),
+            nodes: AnchorSet::new(net.clone()),
+            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
             node_anchor: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
             anchor_node: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
             node_ks: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
-            node_seqs: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            node_seqs,
+            // lint: allow(hot-path-alloc): construction; grows when queries are installed
             queries: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            // lint: allow(hot-path-alloc): construction; grows when queries enter new sequences
             seq_queries: FxHashMap::default(),
-            qil: InfluenceTable::new(0),
-            best: BestK::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
+            qil: InfluenceTable::new(net.num_edges()),
+            eval: EvalScratch::default(),
+            // lint: allow(hot-path-alloc): construction; the tick clears it and charges its growth
+            needs_eval: FxHashSet::default(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            eval_order: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            touched_nodes: Vec::new(),
+            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
             tick_served: FxHashMap::default(),
+            net,
         }
-        .finish_init(node_seqs)
-    }
-
-    fn finish_init(mut self, node_seqs: FxHashMap<NodeId, Vec<SeqId>>) -> Self {
-        self.node_seqs = node_seqs;
-        self.qil = InfluenceTable::new(self.net.num_edges());
-        self
     }
 
     /// The sequence table (exposed for tests and examples).
@@ -157,36 +302,47 @@ impl Gma {
 
     /// Nodes whose k demand must be (de)registered for a query in sequence
     /// `seq` — its endpoints with degree ≥ 3 (terminals have nothing beyond
-    /// them; an isolated cycle's degree-2 breakpoint likewise).
-    fn endpoints_for(&self, seq: SeqId) -> Vec<NodeId> {
+    /// them; an isolated cycle's degree-2 breakpoint likewise), each once.
+    fn endpoints_for(&self, seq: SeqId) -> [Option<NodeId>; 2] {
         let s = self.seqs.sequence(seq);
-        let mut v = Vec::with_capacity(2);
-        for n in [s.start_node(), s.end_node()] {
-            if self.net.degree(n) >= 3 && !v.contains(&n) {
-                v.push(n);
-            }
-        }
-        v
+        let (a, b) = (s.start_node(), s.end_node());
+        [
+            (self.net.degree(a) >= 3).then_some(a),
+            (b != a && self.net.degree(b) >= 3).then_some(b),
+        ]
     }
 
-    fn register_query_demand(&mut self, seq: SeqId, qid: QueryId, k: usize) -> Vec<NodeId> {
+    /// Registers `qid`'s demand for `k` neighbors at the endpoints of
+    /// `seq`, noting them in `touched_nodes` for the caller to re-sync.
+    fn register_query_demand(
+        &mut self,
+        seq: SeqId,
+        qid: QueryId,
+        k: usize,
+        counters: &mut OpCounters,
+    ) {
         self.seq_queries.entry(seq).or_default().insert(qid);
-        let eps = self.endpoints_for(seq);
-        for &n in &eps {
+        for n in self.endpoints_for(seq).into_iter().flatten() {
             self.node_ks.entry(n).or_default().push(k);
+            push_charged(&mut self.touched_nodes, n, &mut counters.alloc_events);
         }
-        eps
     }
 
-    fn unregister_query_demand(&mut self, seq: SeqId, qid: QueryId, k: usize) -> Vec<NodeId> {
+    /// Withdraws what [`Self::register_query_demand`] registered.
+    fn unregister_query_demand(
+        &mut self,
+        seq: SeqId,
+        qid: QueryId,
+        k: usize,
+        counters: &mut OpCounters,
+    ) {
         if let Some(set) = self.seq_queries.get_mut(&seq) {
             set.remove(&qid);
             if set.is_empty() {
                 self.seq_queries.remove(&seq);
             }
         }
-        let eps = self.endpoints_for(seq);
-        for &n in &eps {
+        for n in self.endpoints_for(seq).into_iter().flatten() {
             if let Some(ks) = self.node_ks.get_mut(&n) {
                 if let Some(i) = ks.iter().position(|&x| x == k) {
                     ks.swap_remove(i);
@@ -195,8 +351,8 @@ impl Gma {
                     self.node_ks.remove(&n);
                 }
             }
+            push_charged(&mut self.touched_nodes, n, &mut counters.alloc_events);
         }
-        eps
     }
 
     /// The k demanded at node `n` (`n.k = max` over the adjacent queries'
@@ -231,9 +387,44 @@ impl Gma {
         }
     }
 
-    /// Within-sequence evaluation (§5): walk both directions from the query
-    /// merging in-sequence objects and the endpoint NN sets, then rebuild
-    /// the query's influence intervals.
+    /// Re-syncs the endpoints of `seq` after a single out-of-band query
+    /// event (which needs no note of what it touched).
+    fn sync_endpoints(&mut self, seq: SeqId, counters: &mut OpCounters) {
+        self.touched_nodes.clear();
+        for n in self.endpoints_for(seq).into_iter().flatten() {
+            self.sync_node(n, counters);
+        }
+    }
+
+    /// Re-syncs the nodes noted in `touched_nodes`, in ascending id order.
+    ///
+    /// Deactivations run before activations: a node whose demand just
+    /// vanished returns its expansion tree to the pool first, so a node
+    /// activating in the same tick re-expands into those recycled slots
+    /// instead of growing the pool — activation churn stays
+    /// allocation-free in steady state.
+    fn sync_touched_nodes(&mut self, counters: &mut OpCounters) {
+        let mut nodes = std::mem::take(&mut self.touched_nodes);
+        nodes.sort_unstable();
+        nodes.dedup();
+        for pass_active in [false, true] {
+            for &n in &nodes {
+                if self.desired_k(n).is_some() == pass_active {
+                    self.sync_node(n, counters);
+                }
+            }
+        }
+        nodes.clear();
+        self.touched_nodes = nodes;
+    }
+
+    /// Within-sequence evaluation (§5) — Lemma 1 as a merge (see the
+    /// module docs): gather the in-sequence candidates by walking both
+    /// directions from the query, sort that small buffer, merge it with
+    /// the borrowed, offset NN sets of the reachable endpoints into the
+    /// first k distinct objects, swap the result in if it differs, and
+    /// rebuild the query's influence intervals. Returns whether the
+    /// result changed.
     fn eval_query(&mut self, qid: QueryId, counters: &mut OpCounters) -> bool {
         counters.reevaluations += 1;
         let q = self.queries.get(&qid).expect("query registered");
@@ -241,70 +432,68 @@ impl Gma {
         let s = self.seqs.sequence(seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in its sequence");
         let w0 = self.state.weights.get(pos.edge);
+        let mut scratch = std::mem::take(&mut self.eval);
 
-        let mut best = std::mem::take(&mut self.best);
-        best.reset(k);
-        counters.edges_scanned += 1;
-        for &(o, f) in self.state.objects.on_edge(pos.edge) {
-            counters.objects_considered += 1;
-            best.offer(o, (f - pos.frac).abs() * w0);
-        }
+        // (i) The objects in s: the query's own edge, then outward in each
+        // direction (edges i0-1 .. 0 toward the start, i0+1 .. toward the
+        // end).
+        scratch.walk.clear();
+        let from_query = |f: f64| (f - pos.frac).abs() * w0;
+        self.gather_edge(pos.edge, from_query, s, k, &mut scratch.walk, counters);
+        self.walk_direction(s, i0, pos, true, k, &mut scratch, counters);
+        self.walk_direction(s, i0, pos, false, k, &mut scratch, counters);
+        scratch.walk.sort_unstable_by(cmp_neighbors);
 
-        // Distances from q to the sequence endpoints along the sequence.
+        // (ii) The NN sets of the endpoints, at the along-sequence distance
+        // from q to each. Terminals and isolated-cycle breakpoints
+        // (degree < 3) have nothing beyond them; a lollipop cycle has its
+        // single intersection once, at the shorter of the two ways around.
         let (d_start, d_end) = s.dist_to_endpoints(&self.state.weights, pos);
-
-        // Walk toward the start (scanning edges i0-1 .. 0) and toward the
-        // end (edges i0+1 ..), advancing each until the frontier passes the
-        // current k-th candidate.
-        self.walk_direction(s, i0, pos, true, &mut best, counters);
-        self.walk_direction(s, i0, pos, false, &mut best, counters);
-
-        // Merge reachable endpoint NN sets. Terminals and isolated-cycle
-        // breakpoints (degree < 3) have nothing beyond them; a lollipop
-        // cycle merges its single intersection once, at the shorter of the
-        // two ways around.
-        let merge_points: Vec<(NodeId, f64)> = if s.is_cycle() {
-            // lint: allow(hot-path-alloc): two-entry evaluation scratch built only when a query is (re)evaluated; charged to alloc_events under the runtime gate
-            vec![(s.start_node(), d_start.min(d_end))]
+        let exits = if s.is_cycle() {
+            [Some((s.start_node(), d_start.min(d_end))), None]
         } else {
-            // lint: allow(hot-path-alloc): two-entry evaluation scratch built only when a query is (re)evaluated; charged to alloc_events under the runtime gate
-            vec![(s.start_node(), d_start), (s.end_node(), d_end)]
+            [Some((s.start_node(), d_start)), Some((s.end_node(), d_end))]
         };
-        let mut served_nodes: [Option<NodeId>; 2] = [None, None];
-        for (i, (n, base)) in merge_points.into_iter().enumerate() {
-            if self.net.degree(n) < 3 || base >= best.kth() {
+        let mut lists: [(&[Neighbor], f64); 3] = [(&scratch.walk, 0.0), (&[], 0.0), (&[], 0.0)];
+        for (list, exit) in lists[1..].iter_mut().zip(exits) {
+            let Some((n, base)) = exit.filter(|&(n, _)| self.net.degree(n) >= 3) else {
                 continue;
-            }
+            };
             let key = self
                 .node_anchor
                 .get(&n)
                 .expect("endpoint of a query sequence is active");
             let rec = self.nodes.get(*key).expect("anchor exists");
             debug_assert!(rec.k >= k, "active node monitors too few NNs");
-            served_nodes[i] = Some(n);
-            for nb in &rec.result {
-                counters.objects_considered += 1;
-                best.offer(nb.object, base + nb.dist);
+            *list = (&rec.result, base);
+        }
+        let taken = merge_first_k(
+            k,
+            lists,
+            &mut scratch.seen,
+            &mut scratch.merged,
+            &mut counters.alloc_events,
+        );
+        for (&taken, exit) in taken[1..].iter().zip(exits) {
+            if let (true, Some((n, _))) = (taken > 0, exit) {
+                counters.objects_considered += taken as u64;
+                *self.tick_served.entry(n).or_default() += 1;
             }
         }
-        for n in served_nodes.into_iter().flatten() {
-            *self.tick_served.entry(n).or_default() += 1;
-        }
 
-        let result = best.clone_result();
-        self.best = best;
-        let knn_dist = if result.len() == k {
-            result[k - 1].dist
+        let q = self.queries.get_mut(&qid).expect("query registered");
+        let changed = q.result != scratch.merged;
+        if changed {
+            std::mem::swap(&mut q.result, &mut scratch.merged);
+        }
+        q.knn_dist = if q.result.len() == k {
+            q.result[k - 1].dist
         } else {
             f64::INFINITY
         };
-
-        let q = self.queries.get_mut(&qid).expect("query registered");
-        let changed = q.result != result;
-        q.result = result;
-        q.knn_dist = knn_dist;
         q.d_ends = (d_start, d_end);
-        self.rebuild_query_influence(qid);
+        self.rebuild_query_influence(qid, &mut scratch.intervals, counters);
+        self.eval = scratch;
         changed
     }
 
@@ -337,9 +526,8 @@ impl Gma {
     }
 
     /// Distance from the query to the first boundary node of a directional
-    /// walk.
-    fn walk_start_dist(&self, s: &Sequence, i0: usize, pos: NetPoint, toward_start: bool) -> f64 {
-        let w0 = self.state.weights.get(pos.edge);
+    /// walk (`w0` = current weight of the query's edge).
+    fn walk_start_dist(s: &Sequence, i0: usize, pos: NetPoint, w0: f64, toward_start: bool) -> f64 {
         if s.forward[i0] == toward_start {
             pos.frac * w0
         } else {
@@ -347,49 +535,111 @@ impl Gma {
         }
     }
 
-    /// Scans the objects of one direction of the sequence walk.
+    /// Adds the objects of edge `e` to the walk buffer, each at `dist_of`
+    /// its fraction. Only the k nearest can matter, and off a cycle every
+    /// object enters the buffer once: there it is cut back to its k
+    /// smallest whenever it reaches 2k, so a crowded edge costs O(1) per
+    /// object and the buffer stays small. On a cycle the buffer holds
+    /// objects twice and is left whole.
+    fn gather_edge(
+        &self,
+        e: EdgeId,
+        dist_of: impl Fn(f64) -> f64,
+        s: &Sequence,
+        k: usize,
+        walk: &mut Vec<Neighbor>,
+        counters: &mut OpCounters,
+    ) {
+        counters.edges_scanned += 1;
+        for &(object, f) in self.state.objects.on_edge(e) {
+            counters.objects_considered += 1;
+            let dist = dist_of(f);
+            push_charged(walk, Neighbor { object, dist }, &mut counters.alloc_events);
+            if walk.len() >= 2 * k && !s.is_cycle() {
+                walk.select_nth_unstable_by(k - 1, cmp_neighbors);
+                walk.truncate(k);
+            }
+        }
+    }
+
+    /// Gathers the objects of one direction of the sequence walk, stopping
+    /// at the first boundary node with k candidates strictly nearer than
+    /// itself.
+    #[allow(clippy::too_many_arguments)]
     fn walk_direction(
         &self,
         s: &Sequence,
         i0: usize,
         pos: NetPoint,
         toward_start: bool,
-        best: &mut BestK,
+        k: usize,
+        scratch: &mut EvalScratch,
         counters: &mut OpCounters,
     ) {
-        let mut acc = self.walk_start_dist(s, i0, pos, toward_start);
+        let w0 = self.state.weights.get(pos.edge);
+        let mut acc = Self::walk_start_dist(s, i0, pos, w0, toward_start);
         for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
-            if acc >= best.kth() {
+            let distinct = s.is_cycle().then_some(&mut scratch.seen);
+            if k_nearer_than(&scratch.walk, k, acc, distinct) {
                 break;
             }
             let e = s.edges[edge_idx];
             let w = self.state.weights.get(e);
-            let b = s.nodes[boundary];
-            let from_start = self.net.edge(e).start == b;
-            counters.edges_scanned += 1;
-            for &(o, f) in self.state.objects.on_edge(e) {
-                counters.objects_considered += 1;
-                let along = if from_start { f * w } else { (1.0 - f) * w };
-                best.offer(o, acc + along);
-            }
+            let from_start = self.net.edge(e).start == s.nodes[boundary];
+            let from_boundary = |f: f64| acc + if from_start { f * w } else { (1.0 - f) * w };
+            self.gather_edge(e, from_boundary, s, k, &mut scratch.walk, counters);
             acc += w;
         }
     }
 
-    /// Rebuilds the within-sequence influence intervals of a query from its
-    /// current `knn_dist`.
-    fn rebuild_query_influence(&mut self, qid: QueryId) {
-        let (pos, seq, knn, old_influenced) = {
-            let q = self.queries.get_mut(&qid).expect("query registered");
-            (q.pos, q.seq, q.knn_dist, std::mem::take(&mut q.influenced))
-        };
-        for e in old_influenced {
-            self.qil.remove(e, qid);
+    /// Takes `qid` out of the influence lists of walk steps
+    /// `from[d] .. to[d]` of each direction `d` around offset `i0` of `s`.
+    fn drop_influence(
+        qil: &mut InfluenceTable<QueryId>,
+        s: &Sequence,
+        i0: usize,
+        qid: QueryId,
+        from: [usize; 2],
+        to: [usize; 2],
+    ) {
+        for (d, toward_start) in [true, false].into_iter().enumerate() {
+            let steps = Self::walk_steps(s, i0, toward_start);
+            for (edge_idx, _) in steps.take(to[d]).skip(from[d]) {
+                qil.remove(s.edges[edge_idx], qid);
+            }
         }
-        let s = self.seqs.sequence(seq);
+    }
+
+    /// Takes a query that is leaving its position out of every influence
+    /// list it is in.
+    fn clear_influence(
+        qil: &mut InfluenceTable<QueryId>,
+        seqs: &SequenceTable,
+        qid: QueryId,
+        q: &mut GmaQuery,
+    ) {
+        let s = seqs.sequence(q.seq);
+        let i0 = s.edge_offset(q.pos.edge).expect("query edge in sequence");
+        qil.remove(q.pos.edge, qid);
+        Self::drop_influence(qil, s, i0, qid, [0; 2], q.reach);
+        q.reach = [0; 2];
+    }
+
+    /// Rebuilds the within-sequence influence intervals of a query from its
+    /// current `knn_dist`: computes them into `fresh`, drops the query from
+    /// the edges its reach has withdrawn from, and rewrites (in place) or
+    /// adds its entry on the edges it influences now.
+    fn rebuild_query_influence(
+        &mut self,
+        qid: QueryId,
+        fresh: &mut Vec<(EdgeId, IntervalSet)>,
+        counters: &mut OpCounters,
+    ) {
+        let q = self.queries.get_mut(&qid).expect("query registered");
+        let (pos, knn) = (q.pos, q.knn_dist);
+        let s = self.seqs.sequence(q.seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in sequence");
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut per_edge: Vec<(EdgeId, IntervalSet)> = Vec::new();
+        fresh.clear();
 
         // Widen by the standard slack so boundary entities (the k-th NN
         // itself) never escape detection through float rounding.
@@ -399,11 +649,13 @@ impl Gma {
         // Own edge.
         let w0 = self.state.weights.get(pos.edge);
         let r0 = knn / w0;
-        per_edge.push((pos.edge, IntervalSet::single(pos.frac - r0, pos.frac + r0)));
+        let own = IntervalSet::single(pos.frac - r0, pos.frac + r0);
+        push_charged(fresh, (pos.edge, own), &mut counters.alloc_events);
 
         // Both directions (wrapping around for cycle sequences).
-        for toward_start in [true, false] {
-            let mut acc = self.walk_start_dist(s, i0, pos, toward_start);
+        let mut reach = [0; 2];
+        for (d, toward_start) in [true, false].into_iter().enumerate() {
+            let mut acc = Self::walk_start_dist(s, i0, pos, w0, toward_start);
             for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
                 if acc >= knn {
                     break;
@@ -412,43 +664,74 @@ impl Gma {
                 let w = self.state.weights.get(e);
                 let b = s.nodes[boundary];
                 let f = ((knn - acc) / w).min(1.0);
-                let ivs = if self.net.edge(e).start == b {
-                    IntervalSet::single(0.0, f)
+                let (lo, hi) = if self.net.edge(e).start == b {
+                    (0.0, f)
                 } else {
-                    IntervalSet::single(1.0 - f, 1.0)
+                    (1.0 - f, 1.0)
                 };
-                per_edge.push((e, ivs));
+                // A cycle walk can reach an edge from both directions.
+                let reached = s
+                    .is_cycle()
+                    .then(|| fresh.iter_mut().find(|(x, _)| *x == e))
+                    .flatten();
+                match reached {
+                    Some((_, ivs)) => ivs.add(lo, hi),
+                    None => push_charged(
+                        fresh,
+                        (e, IntervalSet::single(lo, hi)),
+                        &mut counters.alloc_events,
+                    ),
+                }
                 acc += w;
+                reach[d] += 1;
             }
         }
 
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut influenced = Vec::new();
-        for (e, ivs) in per_edge {
-            if ivs.is_empty() {
-                continue;
-            }
-            // Merge with a possibly existing entry for the same edge (a
-            // cycle walk can reach an edge from both directions).
-            let merged = match self.qil.on_edge(e).iter().find(|(k, _)| *k == qid) {
-                Some((_, prev)) => {
-                    let mut m = *prev;
-                    for &(lo, hi) in ivs.intervals() {
-                        m.add(lo, hi);
-                    }
-                    m
-                }
-                None => ivs,
-            };
-            self.qil.insert(e, qid, merged);
-            if !influenced.contains(&e) {
-                influenced.push(e);
-            }
+        // Withdraw first: on a cycle an edge one direction gave up may be
+        // one the other direction reaches now, and is then put back below.
+        Self::drop_influence(&mut self.qil, s, i0, qid, reach, q.reach);
+        q.reach = reach;
+        for &(e, ivs) in fresh.iter() {
+            self.qil.insert(e, qid, ivs);
         }
-        self.queries
-            .get_mut(&qid)
-            .expect("query registered")
-            .influenced = influenced;
+    }
+
+    /// Registers a query that has not been evaluated yet. Installation is
+    /// where its buffers are allocated (charged to
+    /// `install_alloc_events`): its result — evaluations swap result
+    /// buffers with the shared scratch, and with every buffer in
+    /// circulation `k` long they never grow one — and its place in the
+    /// tick's lists of queries to evaluate, which therefore never grow in a
+    /// tick either.
+    fn install_query(
+        &mut self,
+        id: QueryId,
+        k: usize,
+        pos: NetPoint,
+        seq: SeqId,
+        counters: &mut OpCounters,
+    ) {
+        counters.install_alloc_events += 1;
+        let q = GmaQuery {
+            k,
+            pos,
+            seq,
+            result: Vec::with_capacity(k),
+            knn_dist: f64::INFINITY,
+            d_ends: (f64::INFINITY, f64::INFINITY),
+            reach: [0; 2],
+        };
+        self.queries.insert(id, q);
+        let n = self.queries.len();
+        self.needs_eval
+            .reserve(n.saturating_sub(self.needs_eval.len()));
+        reserve_charged(&mut self.eval_order, n, &mut counters.install_alloc_events);
+    }
+
+    /// Drops a departing query's influence entries and k demand.
+    fn retire_query(&mut self, id: QueryId, mut q: GmaQuery, counters: &mut OpCounters) {
+        Self::clear_influence(&mut self.qil, &self.seqs, id, &mut q);
+        self.unregister_query_demand(q.seq, id, q.k, counters);
     }
 }
 
@@ -470,41 +753,22 @@ impl ContinuousMonitor for Gma {
                 );
                 self.state.queries.insert(id, (k, at));
                 let seq = self.seqs.seq_of_edge(at.edge);
-                self.queries.insert(
-                    id,
-                    GmaQuery {
-                        k,
-                        pos: at,
-                        seq,
-                        // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-                        result: Vec::new(),
-                        knn_dist: f64::INFINITY,
-                        d_ends: (f64::INFINITY, f64::INFINITY),
-                        // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-                        influenced: Vec::new(),
-                    },
-                );
                 let mut c = OpCounters::default();
-                let touched = self.register_query_demand(seq, id, k);
-                for n in touched {
-                    self.sync_node(n, &mut c);
-                }
+                self.install_query(id, k, at, seq, &mut c);
+                self.register_query_demand(seq, id, k, &mut c);
+                self.sync_endpoints(seq, &mut c);
                 self.eval_query(id, &mut c);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
-                let Some(mut q) = self.queries.remove(&id) else {
+                let Some(q) = self.queries.remove(&id) else {
                     return TickReport::default();
                 };
                 self.state.queries.remove(&id);
-                for e in q.influenced.drain(..) {
-                    self.qil.remove(e, id);
-                }
                 let mut c = OpCounters::default();
-                let touched = self.unregister_query_demand(q.seq, id, q.k);
-                for n in touched {
-                    self.sync_node(n, &mut c);
-                }
+                let seq = q.seq;
+                self.retire_query(id, q, &mut c);
+                self.sync_endpoints(seq, &mut c);
                 TickReport::default()
             }
             other => {
@@ -524,21 +788,14 @@ impl ContinuousMonitor for Gma {
 
         // ---- Figure 12, lines 1-4: query arrivals/departures/moves update
         // the sequence registry and the active-node demands.
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut needs_eval: FxHashSet<QueryId> = FxHashSet::default();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut touched_nodes: FxHashSet<NodeId> = FxHashSet::default();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut removed_queries: Vec<QueryId> = Vec::new();
+        self.needs_eval.clear();
+        let mut results_changed = 0;
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (Some(_), None) => {
-                    if let Some(mut q) = self.queries.remove(&d.id) {
-                        for e in q.influenced.drain(..) {
-                            self.qil.remove(e, d.id);
-                        }
-                        touched_nodes.extend(self.unregister_query_demand(q.seq, d.id, q.k));
-                        removed_queries.push(d.id);
+                    if let Some(q) = self.queries.remove(&d.id) {
+                        self.retire_query(d.id, q, &mut counters);
+                        results_changed += 1;
                     }
                 }
                 (old, Some((k, at))) => {
@@ -547,70 +804,34 @@ impl ContinuousMonitor for Gma {
                         Some(_) => {
                             // Move (possibly with a k change): deregister the
                             // old placement, register the new one.
-                            let (old_seq, old_k) = {
-                                let q = self.queries.get(&d.id).expect("known query");
-                                (q.seq, q.k)
-                            };
-                            touched_nodes
-                                .extend(self.unregister_query_demand(old_seq, d.id, old_k));
-                            {
-                                let q = self.queries.get_mut(&d.id).expect("known query");
-                                for e in q.influenced.drain(..) {
-                                    self.qil.remove(e, d.id);
-                                }
-                                q.k = k;
-                                q.pos = at;
-                                q.seq = new_seq;
-                            }
+                            let q = self.queries.get_mut(&d.id).expect("known query");
+                            Self::clear_influence(&mut self.qil, &self.seqs, d.id, q);
+                            let (old_seq, old_k) = (q.seq, q.k);
+                            q.k = k;
+                            q.pos = at;
+                            q.seq = new_seq;
+                            self.unregister_query_demand(old_seq, d.id, old_k, &mut counters);
                         }
-                        None => {
-                            self.queries.insert(
-                                d.id,
-                                GmaQuery {
-                                    k,
-                                    pos: at,
-                                    seq: new_seq,
-                                    // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-                                    result: Vec::new(),
-                                    knn_dist: f64::INFINITY,
-                                    d_ends: (f64::INFINITY, f64::INFINITY),
-                                    // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-                                    influenced: Vec::new(),
-                                },
-                            );
-                        }
+                        None => self.install_query(d.id, k, at, new_seq, &mut counters),
                     }
-                    touched_nodes.extend(self.register_query_demand(new_seq, d.id, k));
-                    needs_eval.insert(d.id);
+                    self.register_query_demand(new_seq, d.id, k, &mut counters);
+                    self.needs_eval.insert(d.id);
                 }
                 (None, None) => {}
             }
         }
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let mut nodes_sorted: Vec<NodeId> = touched_nodes.into_iter().collect();
-        nodes_sorted.sort();
-        // Deactivations run before activations: a node whose demand just
-        // vanished returns its expansion tree to the pool first, so a node
-        // activating in the same tick re-expands into those recycled slots
-        // instead of growing the pool — activation churn stays
-        // allocation-free in steady state.
-        for pass_active in [false, true] {
-            for &n in &nodes_sorted {
-                if self.desired_k(n).is_some() == pass_active {
-                    self.sync_node(n, &mut counters);
-                }
-            }
-        }
+        self.sync_touched_nodes(&mut counters);
 
         // ---- Line 5: IMA maintenance of the active nodes.
-        let out = self
-            .nodes
-            .tick(&self.state, &deltas.objects, &deltas.edges, &[]);
-        counters.merge(&out.counters);
+        counters.merge(
+            &self
+                .nodes
+                .tick(&self.state, &deltas.objects, &deltas.edges, &[]),
+        );
 
         // ---- Lines 6-15: determine the affected user queries.
         // (i) endpoint NN-set changes within reach.
-        for key in &out.changed {
+        for key in self.nodes.changed() {
             let Some(&n) = self.anchor_node.get(key) else {
                 continue;
             };
@@ -632,7 +853,7 @@ impl ContinuousMonitor for Gma {
                         q.d_ends.1
                     };
                     if d_n <= q.knn_dist + crate::anchor::interval_slack(q.knn_dist) {
-                        needs_eval.insert(qid);
+                        self.needs_eval.insert(qid);
                     }
                 }
             }
@@ -642,7 +863,7 @@ impl ContinuousMonitor for Gma {
             let mut any = false;
             for p in [d.old, d.new].into_iter().flatten() {
                 for qid in self.qil.covering(p.edge, p.frac) {
-                    needs_eval.insert(qid);
+                    self.needs_eval.insert(qid);
                     any = true;
                 }
             }
@@ -656,21 +877,22 @@ impl ContinuousMonitor for Gma {
             if entries.is_empty() {
                 counters.updates_ignored += 1;
             } else {
-                needs_eval.extend(entries.iter().map(|&(q, _)| q));
+                self.needs_eval.extend(entries.iter().map(|&(q, _)| q));
             }
         }
 
         // ---- Lines 16-17: recompute the affected queries from scratch
         // (within their sequences, sharing the active-node NN sets).
-        // lint: allow(hot-path-alloc): runs only on the update/resync slow path, never on the per-tick serve path; charged to alloc_events under the runtime zero-alloc gate
-        let mut ids: Vec<QueryId> = needs_eval.into_iter().collect();
-        ids.sort();
-        let mut results_changed = removed_queries.len();
-        for qid in ids {
+        let mut order = std::mem::take(&mut self.eval_order);
+        order.clear();
+        order.extend(self.needs_eval.iter().copied());
+        order.sort_unstable();
+        for &qid in &order {
             if self.queries.contains_key(&qid) && self.eval_query(qid, &mut counters) {
                 results_changed += 1;
             }
         }
+        self.eval_order = order;
 
         // Expansion sharing: every query beyond the first served from the
         // same active-node expansion this tick reused it instead of
@@ -681,11 +903,12 @@ impl ContinuousMonitor for Gma {
             .map(|&c| u64::from(c.saturating_sub(1)))
             .sum::<u64>();
         // Allocation/step accounting: node-anchor engine + influence
-        // arenas, the query influence arena, and the object index arena.
+        // arenas, the query influence arena, the object index arena and
+        // the merge's seen-set (the evaluation buffers charge themselves).
         self.nodes.harvest_scratch_counters(&mut counters);
         counters.alloc_events += self.qil.take_alloc_events()
             + self.state.objects.take_alloc_events()
-            + self.best.take_alloc_events();
+            + self.eval.seen.take_alloc_events();
 
         TickReport {
             elapsed: start.elapsed(),
@@ -723,7 +946,6 @@ impl ContinuousMonitor for Gma {
             .map(|q| {
                 std::mem::size_of::<GmaQuery>()
                     + q.result.capacity() * std::mem::size_of::<Neighbor>()
-                    + q.influenced.capacity() * std::mem::size_of::<EdgeId>()
             })
             .sum();
         let bookkeeping = self.seqs.memory_bytes()

@@ -10,10 +10,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rnn_roadnet::{FxHashMap, QueryId, RoadNetwork};
+use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
 
 use crate::anchor::{AnchorKey, AnchorSet};
-use crate::counters::{MemoryUsage, OpCounters, TickReport};
+use crate::counters::{push_charged, MemoryUsage, OpCounters, TickReport};
 use crate::monitor::ContinuousMonitor;
 use crate::state::NetworkState;
 use crate::tree::TreePool;
@@ -28,6 +28,11 @@ pub struct Ima {
     /// covering hits) map back to queries in O(hits) instead of a linear
     /// scan over the query table.
     by_anchor: FxHashMap<AnchorKey, QueryId>,
+    /// Per-tick scratch (growth charged to `alloc_events`): the tick's
+    /// query movements …
+    root_moves: Vec<(AnchorKey, RootPos)>,
+    /// … and the queries it installs, as `(id, k, position)`.
+    installs: Vec<(QueryId, usize, NetPoint)>,
 }
 
 impl Ima {
@@ -41,6 +46,10 @@ impl Ima {
             by_query: FxHashMap::default(),
             // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
             by_anchor: FxHashMap::default(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            root_moves: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            installs: Vec::new(),
         }
     }
 
@@ -144,10 +153,8 @@ impl ContinuousMonitor for Ima {
         // Terminated queries leave before any other processing (§4.5: "we
         // perform these tasks before processing any update, to avoid
         // redundant computations for terminated queries").
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut root_moves = Vec::new();
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-        let mut installs = Vec::new();
+        self.root_moves.clear();
+        self.installs.clear();
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (Some(_), None) => {
@@ -161,22 +168,35 @@ impl ContinuousMonitor for Ima {
                     if k_old != k_new {
                         self.anchors.set_k(&self.state, key, k_new, &mut counters);
                     }
-                    root_moves.push((key, RootPos::Point(at)));
+                    push_charged(
+                        &mut self.root_moves,
+                        (key, RootPos::Point(at)),
+                        &mut counters.alloc_events,
+                    );
                 }
-                (None, Some((k, at))) => installs.push((d.id, k, at)),
+                (None, Some((k, at))) => {
+                    push_charged(
+                        &mut self.installs,
+                        (d.id, k, at),
+                        &mut counters.alloc_events,
+                    );
+                }
                 (None, None) => {}
             }
         }
 
-        let out = self
-            .anchors
-            .tick(&self.state, &deltas.objects, &deltas.edges, &root_moves);
-        counters.merge(&out.counters);
-        let mut results_changed = out.changed.len();
+        counters.merge(&self.anchors.tick(
+            &self.state,
+            &deltas.objects,
+            &deltas.edges,
+            &self.root_moves,
+        ));
+        let mut results_changed = self.anchors.changed().len();
 
         // Newly installed queries compute their initial result after all
         // updates took place (§4.5: "after line 19 in Figure 10").
-        for (id, k, at) in installs {
+        for i in 0..self.installs.len() {
+            let (id, k, at) = self.installs[i];
             let key = self
                 .anchors
                 .add(&self.state, RootPos::Point(at), k, &mut counters);

@@ -76,20 +76,148 @@ pub struct SearchOutcome {
     pub tree: ExpansionTree,
 }
 
-/// One slot of the flat open-addressing dedup table inside [`BestK`].
+/// One slot of a [`StampTable`].
 #[derive(Clone, Copy)]
-struct DedupSlot {
+struct StampSlot<V> {
     /// Epoch the slot was last written in (0 = never; epochs start at 1).
     stamp: u32,
     object: ObjectId,
-    dist: f64,
+    val: V,
 }
 
-const EMPTY_SLOT: DedupSlot = DedupSlot {
-    stamp: 0,
-    object: ObjectId(0),
-    dist: f64::INFINITY,
-};
+impl<V: Default> StampSlot<V> {
+    fn never_written() -> Self {
+        Self {
+            stamp: 0,
+            object: ObjectId(0),
+            val: V::default(),
+        }
+    }
+}
+
+/// Flat open-addressing `ObjectId → V` scratch table that is invalidated
+/// in O(1) between uses via epoch stamping — the same trick as the
+/// [`DijkstraEngine`] node arrays. Power-of-two sized, linear probing, kept
+/// at most half full.
+///
+/// One long-lived table per owner serves every use allocation-free in
+/// steady state: the only allocations are high-water-mark growth, counted
+/// in [`StampTable::take_alloc_events`] and surfaced through
+/// `OpCounters::alloc_events`. It backs the per-object minimum of
+/// [`BestK`] (`V = f64`) and the seen-set of GMA's merge (`V = ()`).
+pub(crate) struct StampTable<V> {
+    slots: Vec<StampSlot<V>>,
+    /// Current epoch; slots with an older stamp read as empty.
+    epoch: u32,
+    /// Slots occupied in the current epoch (drives load-factor growth).
+    live: usize,
+    /// Table growth events since the last take.
+    allocs: u64,
+}
+
+impl<V: Copy + Default> Default for StampTable<V> {
+    /// An empty table that has **allocated nothing**. The epoch starts at
+    /// 1: epoch 0 is reserved as the never-written slot stamp, so fresh
+    /// slots always read as empty.
+    fn default() -> Self {
+        Self {
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; growth happens in grow(), which charges alloc_events
+            slots: Vec::new(),
+            epoch: 1,
+            live: 0,
+            allocs: 0,
+        }
+    }
+}
+
+impl<V: Copy + Default> StampTable<V> {
+    /// Forgets every entry in O(1) **without releasing capacity**.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                // Epoch wrap: physically clear the stamps once every 2^32
+                // uses so stale slots can never alias.
+                self.slots.fill(StampSlot::never_written());
+                1
+            }
+        };
+    }
+
+    /// Table growth events since the last take.
+    pub(crate) fn take_alloc_events(&mut self) -> u64 {
+        std::mem::take(&mut self.allocs)
+    }
+
+    /// Approximate resident size in bytes.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<StampSlot<V>>()
+    }
+
+    /// Slot index to probe first for `object` (Fibonacci hashing).
+    #[inline]
+    fn home(&self, object: ObjectId) -> usize {
+        debug_assert!(self.slots.len().is_power_of_two());
+        let h = (object.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Grows the table ×4 (see `push_charged` for why so steeply),
+    /// re-inserting only current-epoch entries.
+    #[cold]
+    fn grow(&mut self) {
+        let new_cap = (self.slots.len() * 4).max(64);
+        // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
+        let old = std::mem::replace(&mut self.slots, vec![StampSlot::never_written(); new_cap]);
+        self.allocs += 1;
+        let mask = new_cap - 1;
+        for s in old {
+            if s.stamp != self.epoch {
+                continue;
+            }
+            let mut i = self.home(s.object);
+            while self.slots[i].stamp == self.epoch {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = s;
+        }
+    }
+
+    /// The value stored for `object` in the current epoch, or `None` after
+    /// storing `val` for its first sighting.
+    #[inline]
+    pub(crate) fn entry(&mut self, object: ObjectId, val: V) -> Option<&mut V> {
+        // Keep the table at most half full so linear probes stay short.
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(object);
+        loop {
+            if self.slots[i].stamp != self.epoch {
+                self.slots[i] = StampSlot {
+                    stamp: self.epoch,
+                    object,
+                    val,
+                };
+                self.live += 1;
+                return None;
+            }
+            if self.slots[i].object == object {
+                return Some(&mut self.slots[i].val);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Records `object`; whether this was its first sighting since the
+    /// last [`Self::clear`].
+    #[inline]
+    pub(crate) fn first_sighting(&mut self, object: ObjectId) -> bool {
+        self.entry(object, V::default()).is_none()
+    }
+}
 
 /// Bounded best-k candidate accumulator with object de-duplication.
 ///
@@ -97,28 +225,20 @@ const EMPTY_SLOT: DedupSlot = DedupSlot {
 /// scanned from both endpoints; Figure 3(b)) — the minimum wins, exactly as
 /// the paper's "keep only the instance with the smallest distance".
 ///
-/// Deduplication runs on a **flat open-addressing scratch table** that is
-/// invalidated in O(1) between searches via epoch stamping — the same trick
-/// as the [`DijkstraEngine`] node arrays. One long-lived `BestK` per monitor
-/// serves every search allocation-free in steady state: the only
-/// allocations are high-water-mark table/top-list growth, counted in
-/// [`BestK::take_alloc_events`] and surfaced through
+/// The best known distance per object lives in a [`StampTable`], so one
+/// long-lived `BestK` per monitor serves every search allocation-free in
+/// steady state: the only allocations are high-water-mark table/top-list
+/// growth, counted in [`BestK::take_alloc_events`] and surfaced through
 /// `OpCounters::alloc_events`.
 ///
-/// Public because GMA's within-sequence evaluation (§5) accumulates
-/// candidates the same way.
+/// Its live k-th bound is what tells [`knn_search`] when to stop expanding.
 pub struct BestK {
     k: usize,
-    /// Open-addressing dedup table (best known distance per object),
-    /// power-of-two sized, linear probing, epoch-stamped slots.
-    slots: Vec<DedupSlot>,
-    /// Current epoch; slots with an older stamp read as empty.
-    epoch: u32,
-    /// Slots occupied in the current epoch (drives load-factor growth).
-    live: usize,
+    /// Best known distance of every object that got past the k-th bound.
+    known: StampTable<f64>,
     /// The current k smallest, sorted ascending by `(dist, id)`.
     top: Vec<Neighbor>,
-    /// Table/top-list capacity growth events since the last take.
+    /// Top-list capacity growth events since the last take.
     allocs: u64,
 }
 
@@ -126,17 +246,12 @@ impl Default for BestK {
     /// A completely empty accumulator that has **allocated nothing** —
     /// cheap enough to create as a `mem::take` placeholder on the hot
     /// path. Immediately usable as a 1-best accumulator; callers normally
-    /// [`Self::reset`] it to their `k` first. The epoch starts at 1:
-    /// epoch 0 is reserved as the never-written slot stamp, so fresh
-    /// table slots always read as empty.
+    /// [`Self::reset`] it to their `k` first.
     fn default() -> Self {
         Self {
             k: 1,
-            // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
-            slots: Vec::new(),
-            epoch: 1,
-            live: 0,
-            // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
+            known: StampTable::default(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; reset() reserves the top list and charges alloc_events
             top: Vec::new(),
             allocs: 0,
         }
@@ -158,56 +273,19 @@ impl BestK {
     /// table is invalidated in O(1) by bumping the epoch stamp.
     pub fn reset(&mut self, k: usize) {
         self.k = k;
-        self.live = 0;
         self.top.clear();
         if self.top.capacity() < k + 1 {
             self.allocs += 1;
             self.top.reserve(k + 1 - self.top.len());
         }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: physically clear the stamps once every 2^32
-                // searches so stale slots can never alias.
-                self.slots.fill(EMPTY_SLOT);
-                1
-            }
-        };
+        self.known.clear();
     }
 
     /// Table/top-list capacity growth events since the last take. Zero
     /// across a tick proves the tick's searches deduplicated entirely in
     /// reused capacity.
     pub fn take_alloc_events(&mut self) -> u64 {
-        std::mem::take(&mut self.allocs)
-    }
-
-    /// Slot index to probe first for `object` (Fibonacci hashing).
-    #[inline]
-    fn home(&self, object: ObjectId) -> usize {
-        debug_assert!(self.slots.len().is_power_of_two());
-        let h = (object.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// Doubles the dedup table, re-inserting only current-epoch entries.
-    #[cold]
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(64);
-        // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
-        self.allocs += 1;
-        let mask = new_cap - 1;
-        for s in old {
-            if s.stamp != self.epoch {
-                continue;
-            }
-            let mut i = self.home(s.object);
-            while self.slots[i].stamp == self.epoch {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
+        std::mem::take(&mut self.allocs) + self.known.take_alloc_events()
     }
 
     /// Distance of the k-th candidate, `∞` while fewer than k are known.
@@ -222,40 +300,23 @@ impl BestK {
 
     /// Offers a candidate; keeps the minimum distance per object.
     pub fn offer(&mut self, object: ObjectId, dist: f64) {
-        // Keep the table at most half full so linear probes stay short.
-        if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(object);
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.epoch {
-                // First sighting of this object in the current search.
-                *slot = DedupSlot {
-                    stamp: self.epoch,
-                    object,
-                    dist,
-                };
-                self.live += 1;
-                break;
-            }
-            if slot.object == object {
-                if slot.dist <= dist {
-                    return; // not an improvement
-                }
-                slot.dist = dist;
-                // Remove the previous (worse) entry of the same object from
-                // the top list before re-inserting in order.
-                if let Some(p) = self.top.iter().position(|n| n.object == object) {
-                    self.top.remove(p);
-                }
-                break;
-            }
-            i = (i + 1) & mask;
-        }
+        // Not better than the current k-th: it cannot enter the top list
+        // now, and the k-th only falls — so the outer ring of every
+        // expansion is turned away before the table probe. A later, smaller
+        // offer of the same object is then simply its first sighting.
         if self.top.len() == self.k && dist >= self.kth() {
-            return; // not better than the current k-th: top list unchanged
+            return;
+        }
+        if let Some(known) = self.known.entry(object, dist) {
+            if *known <= dist {
+                return; // not an improvement
+            }
+            *known = dist;
+            // Remove the previous (worse) entry of the same object from the
+            // top list before re-inserting in order.
+            if let Some(p) = self.top.iter().position(|n| n.object == object) {
+                self.top.remove(p);
+            }
         }
         let key = (dist, object);
         let at = self.top.partition_point(|n| (n.dist, n.object) < key);
@@ -278,8 +339,7 @@ impl BestK {
 
     /// Approximate resident size in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<DedupSlot>()
-            + self.top.capacity() * std::mem::size_of::<Neighbor>()
+        self.known.memory_bytes() + self.top.capacity() * std::mem::size_of::<Neighbor>()
     }
 }
 

@@ -9,6 +9,8 @@
 //! preprocessing: multiple updates of one entity within a timestamp are
 //! coalesced into a single `(first old value, last new value)` record.
 
+use std::collections::hash_map::Entry;
+
 use rnn_roadnet::{
     EdgeId, EdgeWeights, FxHashMap, NetPoint, ObjectId, QueryId, RoadNetwork, SpanArena,
 };
@@ -21,8 +23,17 @@ use crate::types::{ObjectEvent, QueryEvent, UpdateBatch};
 #[derive(Clone, Copy, Debug)]
 struct ObjSlot {
     at: NetPoint,
+    /// Index within the edge span; [`NOT_PLACED`] only inside
+    /// [`ObjectIndex::apply_events`], for an id the batch mentions that is
+    /// on no edge yet.
     idx: u32,
+    /// `stamp_base + i` of the batch that last touched this object, `i`
+    /// being its delta's index in that batch's output (0 = never touched).
+    /// Sits in what was padding, so the table entry did not grow.
+    stamp: u32,
 }
+
+const NOT_PLACED: u32 = u32::MAX;
 
 /// Per-edge object lists plus the object → position table.
 ///
@@ -30,10 +41,18 @@ struct ObjSlot {
 /// allocations; steady-state ticks reuse spans), and each object's table
 /// entry carries its index within its edge span, so removal is a
 /// positional `swap_remove` — no scan of long edge lists.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ObjectIndex {
     per_edge: SpanArena<(ObjectId, f64)>,
     positions: FxHashMap<ObjectId, ObjSlot>,
+    /// Every stamp a finished batch left behind is below this.
+    stamp_base: u32,
+}
+
+impl Default for ObjectIndex {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl ObjectIndex {
@@ -41,58 +60,154 @@ impl ObjectIndex {
     pub fn new(num_edges: usize) -> Self {
         Self {
             per_edge: SpanArena::new(num_edges),
+            // lint: allow(hot-path-alloc): construction; the table then grows only when new objects are inserted
             positions: FxHashMap::default(),
+            stamp_base: 1,
         }
     }
 
     /// Inserts a new object. Returns `false` (and does nothing) if the id
     /// already exists.
     pub fn insert(&mut self, id: ObjectId, at: NetPoint) -> bool {
-        if self.positions.contains_key(&id) {
+        let Entry::Vacant(slot) = self.positions.entry(id) else {
             return false;
-        }
+        };
         let idx = self.per_edge.push(at.edge.index(), (id, at.frac));
-        self.positions.insert(
-            id,
-            ObjSlot {
-                at,
-                idx: idx as u32,
-            },
-        );
+        slot.insert(ObjSlot {
+            at,
+            idx: idx as u32,
+            stamp: 0,
+        });
         true
     }
 
-    /// Removes an object, returning its last position. O(1): the stored
-    /// back-reference replaces the edge-list scan, and `swap_remove` fixes
-    /// up the one displaced entry's back-reference.
-    pub fn remove(&mut self, id: ObjectId) -> Option<NetPoint> {
-        let slot = self.positions.remove(&id)?;
-        let e = slot.at.edge.index();
-        let removed = self.per_edge.swap_remove(e, slot.idx as usize);
+    /// Unlinks entry `idx` of edge `e` (a positional `swap_remove`) and
+    /// fixes up the back-reference of the one entry that took its place.
+    fn unlink(&mut self, e: usize, idx: u32, id: ObjectId) {
+        let removed = self.per_edge.swap_remove(e, idx as usize);
         debug_assert_eq!(removed.0, id, "object list out of sync");
-        if (slot.idx as usize) < self.per_edge.len_of(e) {
-            let moved = self.per_edge.get(e)[slot.idx as usize].0;
+        if let Some(&(moved, _)) = self.per_edge.get(e).get(idx as usize) {
             self.positions
                 .get_mut(&moved)
                 .expect("moved object must be registered")
-                .idx = slot.idx;
+                .idx = idx;
         }
+    }
+
+    /// Removes an object, returning its last position. O(1): the stored
+    /// back-reference replaces the edge-list scan.
+    pub fn remove(&mut self, id: ObjectId) -> Option<NetPoint> {
+        let slot = self.positions.remove(&id)?;
+        self.unlink(slot.at.edge.index(), slot.idx, id);
         Some(slot.at)
     }
 
     /// Moves an object, returning its previous position. Returns `None`
-    /// (and does nothing) for unknown ids.
+    /// (and does nothing) for unknown ids. The table entry is rewritten in
+    /// place; the edge lists change exactly as a removal followed by an
+    /// insertion would change them.
     pub fn relocate(&mut self, id: ObjectId, to: NetPoint) -> Option<NetPoint> {
-        let old = self.remove(id)?;
+        let slot = self.positions.get_mut(&id)?;
+        let (old, old_idx) = (slot.at, slot.idx);
+        slot.at = to;
+        // Where the push below will land: the end of the target list, one
+        // earlier when the unlink takes an entry out of that same list.
+        let same_edge = old.edge == to.edge;
+        slot.idx = (self.per_edge.len_of(to.edge.index()) - usize::from(same_edge)) as u32;
+        self.unlink(old.edge.index(), old_idx, id);
         let idx = self.per_edge.push(to.edge.index(), (id, to.frac));
-        self.positions.insert(
-            id,
-            ObjSlot {
-                at: to,
-                idx: idx as u32,
-            },
-        );
+        debug_assert_eq!(idx as u32, self.positions[&id].idx);
         Some(old)
+    }
+
+    /// §4.5 preprocessing and application of one timestamp's object
+    /// events: every id is folded into one `(first old, last new)` delta,
+    /// deltas come out in first-appearance order with no-ops dropped, and
+    /// the index ends up holding each id's last position.
+    ///
+    /// The table lookup an event needs anyway (its old position) is also
+    /// what recognises a repeated id: the first event of an id stamps its
+    /// entry with the index of the delta it opens, so a later event of the
+    /// same id finds that delta in O(1) and no side table is built. Ids
+    /// not in the index get an entry that is on no edge until the fold is
+    /// over, so `insert → delete` and `delete → insert` fold the same way.
+    fn apply_events(&mut self, events: &[ObjectEvent]) -> Vec<ObjectDelta> {
+        let base = self.open_stamps(events.len());
+        let mut deltas: Vec<ObjectDelta> = Vec::with_capacity(events.len());
+        for ev in events {
+            let (id, new) = match *ev {
+                ObjectEvent::Move { id, to } => (id, Some(to)),
+                ObjectEvent::Insert { id, at } => (id, Some(at)),
+                ObjectEvent::Delete { id } => (id, None),
+            };
+            let stamp = base + deltas.len() as u32;
+            let old = match self.positions.entry(id) {
+                Entry::Occupied(mut e) => {
+                    let slot = e.get_mut();
+                    if slot.stamp >= base {
+                        deltas[(slot.stamp - base) as usize].new = new;
+                        continue;
+                    }
+                    slot.stamp = stamp;
+                    Some(slot.at)
+                }
+                Entry::Vacant(e) => {
+                    e.insert(ObjSlot {
+                        // Never read: overwritten when the object is placed.
+                        at: NetPoint::new(EdgeId(0), 0.0),
+                        idx: NOT_PLACED,
+                        stamp,
+                    });
+                    None
+                }
+            };
+            deltas.push(ObjectDelta { id, old, new });
+        }
+
+        let mut kept = 0;
+        for i in 0..deltas.len() {
+            let d = deltas[i];
+            match (d.old, d.new) {
+                (None, None) => {
+                    // Appeared and vanished within the tick.
+                    self.positions.remove(&d.id);
+                    continue;
+                }
+                (Some(o), Some(n)) if o == n => continue, // no net movement
+                (None, Some(n)) => {
+                    let idx = self.per_edge.push(n.edge.index(), (d.id, n.frac));
+                    let slot = self.positions.get_mut(&d.id).expect("entry made above");
+                    slot.at = n;
+                    slot.idx = idx as u32;
+                }
+                (Some(_), Some(n)) => {
+                    self.relocate(d.id, n);
+                }
+                (Some(_), None) => {
+                    self.remove(d.id);
+                }
+            }
+            deltas[kept] = d;
+            kept += 1;
+        }
+        deltas.truncate(kept);
+        deltas
+    }
+
+    /// Reserves the stamp range `base .. base + events` for one batch and
+    /// returns `base`; every stamp left by earlier batches is below it.
+    fn open_stamps(&mut self, events: usize) -> u32 {
+        let span = u32::try_from(events).expect("batch exceeds u32 events");
+        if self.stamp_base.checked_add(span).is_none() {
+            // Stamp wrap (once per ~4·10^9 events): forget every stamp.
+            for slot in self.positions.values_mut() {
+                slot.stamp = 0;
+            }
+            self.stamp_base = 1;
+        }
+        let base = self.stamp_base;
+        self.stamp_base += span;
+        base
     }
 
     /// Current position of `id`.
@@ -195,6 +310,11 @@ pub struct NetworkState {
     /// Registered queries: id → (k, position). Maintained here so every
     /// monitor coalesces query events identically.
     pub queries: FxHashMap<QueryId, (usize, NetPoint)>,
+    /// Scratch of [`Self::apply_batch`]: raw edge / query id → index of the
+    /// delta the id opened this tick. Cleared, never rebuilt; it holds at
+    /// most one entry per edge or query, so what it keeps is bounded by the
+    /// network, not by the largest batch ever seen.
+    delta_of: FxHashMap<u32, u32>,
 }
 
 impl NetworkState {
@@ -203,115 +323,99 @@ impl NetworkState {
         Self {
             weights: EdgeWeights::from_base(net),
             objects: ObjectIndex::new(net.num_edges()),
+            // lint: allow(hot-path-alloc): construction; grows only when queries are installed
             queries: FxHashMap::default(),
+            // lint: allow(hot-path-alloc): construction; apply_batch clears and refills it in kept capacity
+            delta_of: FxHashMap::default(),
         }
     }
 
     /// Applies a raw batch: coalesces per-entity events (§4.5), mutates the
     /// state, and returns the deltas (old values captured pre-mutation).
+    ///
+    /// Per kind, each id is folded into one `(first old, last new)` delta,
+    /// deltas are in first-appearance order, and deltas without a net
+    /// effect are dropped. The three lists are sized to the batch and
+    /// handed to the caller, so a one-off resync batch leaves nothing
+    /// resident here.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> CoalescedTick {
-        let mut out = CoalescedTick::default();
-
-        // --- Objects: fold the event sequence per id into a final state.
-        let mut obj_final: FxHashMap<ObjectId, Option<NetPoint>> = FxHashMap::default();
-        let mut obj_order: Vec<ObjectId> = Vec::new();
-        for ev in &batch.objects {
-            let (id, new) = match *ev {
-                ObjectEvent::Move { id, to } => (id, Some(to)),
-                ObjectEvent::Insert { id, at } => (id, Some(at)),
-                ObjectEvent::Delete { id } => (id, None),
-            };
-            if !obj_final.contains_key(&id) {
-                obj_order.push(id);
-            }
-            obj_final.insert(id, new);
-        }
-        for id in obj_order {
-            let new = obj_final[&id];
-            let old = self.objects.position(id);
-            match (old, new) {
-                (None, None) => continue, // appeared and vanished within the tick
-                (Some(o), Some(n)) if o == n => continue, // no net movement
-                (None, Some(n)) => {
-                    self.objects.insert(id, n);
-                }
-                (Some(_), Some(n)) => {
-                    self.objects.relocate(id, n);
-                }
-                (Some(_), None) => {
-                    self.objects.remove(id);
-                }
-            }
-            out.objects.push(ObjectDelta { id, old, new });
-        }
+        let objects = self.objects.apply_events(&batch.objects);
 
         // --- Edges: last weight wins.
-        let mut edge_final: FxHashMap<EdgeId, f64> = FxHashMap::default();
-        let mut edge_order: Vec<EdgeId> = Vec::new();
+        let mut edges: Vec<EdgeDelta> = Vec::with_capacity(batch.edges.len());
+        self.delta_of.clear();
         for u in &batch.edges {
-            if !edge_final.contains_key(&u.edge) {
-                edge_order.push(u.edge);
+            match self.delta_of.entry(u.edge.0) {
+                Entry::Occupied(e) => edges[*e.get() as usize].new_w = u.new_weight,
+                Entry::Vacant(e) => {
+                    e.insert(edges.len() as u32);
+                    edges.push(EdgeDelta {
+                        edge: u.edge,
+                        old_w: self.weights.get(u.edge),
+                        new_w: u.new_weight,
+                    });
+                }
             }
-            edge_final.insert(u.edge, u.new_weight);
         }
-        for e in edge_order {
-            let new_w = edge_final[&e];
-            let old_w = self.weights.get(e);
-            if new_w == old_w {
-                continue;
-            }
-            self.weights.set(e, new_w);
-            out.edges.push(EdgeDelta {
-                edge: e,
-                old_w,
-                new_w,
-            });
+        edges.retain(|d| d.new_w != d.old_w);
+        for d in &edges {
+            self.weights.set(d.edge, d.new_w);
         }
 
         // --- Queries.
-        let mut qry_final: FxHashMap<QueryId, Option<(usize, NetPoint)>> = FxHashMap::default();
-        let mut qry_order: Vec<QueryId> = Vec::new();
+        let mut queries: Vec<QueryDelta> = Vec::with_capacity(batch.queries.len());
+        self.delta_of.clear();
         for ev in &batch.queries {
-            let (id, new) = match *ev {
-                QueryEvent::Move { id, to } => {
-                    // Keep current k; a move of an unknown query is invalid
-                    // and will surface as (None -> Some) with k below.
-                    let k = qry_final
-                        .get(&id)
-                        .copied()
-                        .flatten()
-                        .map(|(k, _)| k)
-                        .or_else(|| self.queries.get(&id).map(|&(k, _)| k));
+            let id = match *ev {
+                QueryEvent::Move { id, .. }
+                | QueryEvent::Install { id, .. }
+                | QueryEvent::Remove { id } => id,
+            };
+            let open = self.delta_of.get(&id.0).map(|&i| i as usize);
+            let old = match open {
+                Some(i) => queries[i].old,
+                None => self.queries.get(&id).copied(),
+            };
+            let new = match *ev {
+                QueryEvent::Move { to, .. } => {
+                    // Keep the current k: the one this tick's earlier
+                    // events gave the query, else the one it had before
+                    // the tick. A move of a query that never existed is
+                    // invalid and dropped.
+                    let k = open.and_then(|i| queries[i].new).or(old).map(|(k, _)| k);
                     match k {
-                        Some(k) => (id, Some((k, to))),
-                        None => continue, // move of a query that never existed: drop
+                        Some(k) => Some((k, to)),
+                        None => continue,
                     }
                 }
-                QueryEvent::Install { id, k, at } => (id, Some((k, at))),
-                QueryEvent::Remove { id } => (id, None),
+                QueryEvent::Install { k, at, .. } => Some((k, at)),
+                QueryEvent::Remove { .. } => None,
             };
-            if !qry_final.contains_key(&id) {
-                qry_order.push(id);
+            match open {
+                Some(i) => queries[i].new = new,
+                None => {
+                    self.delta_of.insert(id.0, queries.len() as u32);
+                    queries.push(QueryDelta { id, old, new });
+                }
             }
-            qry_final.insert(id, new);
         }
-        for id in qry_order {
-            let new = qry_final[&id];
-            let old = self.queries.get(&id).copied();
-            match (old, new) {
-                (None, None) => continue,
-                (Some(o), Some(n)) if o == n => continue,
-                (_, Some(n)) => {
-                    self.queries.insert(id, n);
+        queries.retain(|d| d.old != d.new);
+        for d in &queries {
+            match d.new {
+                Some(n) => {
+                    self.queries.insert(d.id, n);
                 }
-                (Some(_), None) => {
-                    self.queries.remove(&id);
+                None => {
+                    self.queries.remove(&d.id);
                 }
             }
-            out.queries.push(QueryDelta { id, old, new });
         }
 
-        out
+        CoalescedTick {
+            objects,
+            edges,
+            queries,
+        }
     }
 
     /// Approximate resident bytes of the dynamic state.

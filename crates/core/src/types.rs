@@ -23,14 +23,18 @@ impl Neighbor {
     }
 }
 
+/// The canonical result order: by `(dist, object)`. Distances are
+/// non-negative and never NaN, where `total_cmp` is the numeric order.
+#[inline]
+pub fn cmp_neighbors(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+    a.dist
+        .total_cmp(&b.dist)
+        .then_with(|| a.object.cmp(&b.object))
+}
+
 /// Sorts neighbors by `(dist, object)` — the canonical result order.
 pub fn sort_neighbors(v: &mut [Neighbor]) {
-    v.sort_by(|a, b| {
-        a.dist
-            .partial_cmp(&b.dist)
-            .expect("distances must not be NaN")
-            .then_with(|| a.object.cmp(&b.object))
-    });
+    v.sort_by(cmp_neighbors);
 }
 
 /// Where a monitored expansion is rooted: a user query sits at an arbitrary
