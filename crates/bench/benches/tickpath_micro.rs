@@ -1,14 +1,19 @@
 //! Micro-benchmarks of the flattened tick-path machinery: span-arena list
 //! churn vs the old `Vec<Vec<…>>` layout, the branchless monotone-bits
-//! expansion heap, and the shared multi-k expansion.
+//! expansion heap, the shared multi-k expansion, GMA's within-sequence
+//! evaluation (the merge) and `apply_batch`'s coalescing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rnn_core::anchor::AnchorSet;
 use rnn_core::counters::OpCounters;
 use rnn_core::state::NetworkState;
 use rnn_core::tree::TreePool;
-use rnn_core::types::RootPos;
-use rnn_roadnet::{generators, DijkstraEngine, EdgeId, NetPoint, NodeId, ObjectId, SpanArena};
+use rnn_core::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
+use rnn_core::{ContinuousMonitor, Gma};
+use rnn_roadnet::{
+    generators, DijkstraEngine, EdgeId, NetPoint, NodeId, ObjectId, QueryId, RoadNetworkBuilder,
+    SpanArena,
+};
 use std::sync::Arc;
 
 fn tickpath(c: &mut Criterion) {
@@ -174,9 +179,102 @@ fn tickpath(c: &mut Criterion) {
             flip = !flip;
             let to = RootPos::Point(NetPoint::new(EdgeId(if flip { 40 } else { 0 }), 0.5));
             let moves: Vec<_> = keys.iter().map(|&k| (k, to)).collect();
-            set.tick(&state, &[], &[], &moves)
-                .counters
-                .shared_expansions
+            set.tick(&state, &[], &[], &moves).shared_expansions
+        })
+    });
+
+    // GMA's within-sequence evaluation: 32 queries on one 33-edge sequence
+    // between two intersections, each nudged along its edge every
+    // iteration — 32 re-evaluations (walk, sort, merge with both endpoint
+    // NN sets, influence rewrite) and no active-node work. Sparse: the
+    // walk finds fewer than k objects and reads deep into the endpoint
+    // sets; dense: the walk stops after an edge or two.
+    for (density, per_edge) in [("sparse", 1usize), ("dense", 20)] {
+        for k in [10usize, 50] {
+            group.bench_function(format!("gma_eval/{density}/k{k}"), |b| {
+                let mut nb = RoadNetworkBuilder::new();
+                let path: Vec<_> = (0..34).map(|i| nb.add_node(f64::from(i), 0.0)).collect();
+                for (hub, x) in [(path[0], -1.0), (path[33], 34.0)] {
+                    for y in [-1.0, 1.0] {
+                        let leaf = nb.add_node(x, y);
+                        nb.add_edge_euclidean(hub, leaf);
+                    }
+                }
+                let first = nb.add_edge_euclidean(path[0], path[1]);
+                for i in 1..33 {
+                    nb.add_edge_euclidean(path[i], path[i + 1]);
+                }
+                let net = Arc::new(nb.build().expect("connected"));
+                let mut gma = Gma::new(net.clone());
+                let mut id = 0u32;
+                for e in net.edge_ids() {
+                    for j in 0..per_edge.max(if e.0 < first.0 { 30 } else { 0 }) {
+                        let frac = (j as f64 + 0.5) / 30.0_f64.max(per_edge as f64);
+                        gma.apply(UpdateEvent::insert_object(
+                            ObjectId(id),
+                            NetPoint::new(e, frac),
+                        ));
+                        id += 1;
+                    }
+                }
+                for q in 0..32u32 {
+                    gma.apply(UpdateEvent::install_query(
+                        QueryId(q),
+                        k,
+                        NetPoint::new(EdgeId(first.0 + q), 0.4),
+                    ));
+                }
+                let mut flip = false;
+                b.iter(|| {
+                    flip = !flip;
+                    let frac = if flip { 0.6 } else { 0.4 };
+                    let batch = UpdateBatch {
+                        queries: (0..32u32)
+                            .map(|q| QueryEvent::Move {
+                                id: QueryId(q),
+                                to: NetPoint::new(EdgeId(first.0 + q), frac),
+                            })
+                            .collect(),
+                        ..Default::default()
+                    };
+                    gma.tick(&batch).counters.reevaluations
+                })
+            });
+        }
+    }
+
+    // §4.5 preprocessing: 10K object moves per batch, every tenth id moved
+    // a second time later in the same batch, over 50K resident objects.
+    group.bench_function("apply_batch/10k_moves", |b| {
+        let edges = net.num_edges() as u32;
+        let mut state = NetworkState::new(&net);
+        for i in 0..50_000u32 {
+            state
+                .objects
+                .insert(ObjectId(i), NetPoint::new(EdgeId(i % edges), 0.5));
+        }
+        let batch_to = |shift: u32, frac: f64| {
+            let to = |i: u32| NetPoint::new(EdgeId((i * 7 + shift) % edges), frac);
+            let mut batch = UpdateBatch::default();
+            for i in 0..9_000u32 {
+                batch.objects.push(ObjectEvent::Move {
+                    id: ObjectId(i * 5),
+                    to: to(i),
+                });
+            }
+            for i in 0..1_000u32 {
+                batch.objects.push(ObjectEvent::Move {
+                    id: ObjectId(i * 50),
+                    to: to(i + 1),
+                });
+            }
+            batch
+        };
+        let batches = [batch_to(1, 0.25), batch_to(2, 0.75)];
+        let mut flip = 0;
+        b.iter(|| {
+            flip ^= 1;
+            state.apply_batch(&batches[flip]).objects.len()
         })
     });
 

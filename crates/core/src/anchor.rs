@@ -36,7 +36,7 @@ use rnn_roadnet::{
     DijkstraEngine, EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
 };
 
-use crate::counters::{push_charged, refill_charged, reserve_charged, OpCounters};
+use crate::counters::{push_charged, refill_charged, reserve_charged, OpCounters, SCRATCH_ROOM};
 use crate::influence::{InfluenceTable, IntervalSet};
 use crate::search::{dist_via_tree, knn_search, BestK, KeptTree, SearchContext, SearchOutcome};
 use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
@@ -135,6 +135,12 @@ impl<T> Default for Chains<T> {
 }
 
 impl<T: Copy> Chains<T> {
+    fn with_room() -> Self {
+        Self {
+            entries: Vec::with_capacity(SCRATCH_ROOM),
+        }
+    }
+
     /// Appends `x` to `chain`, charging buffer growth to `allocs`.
     fn push(&mut self, chain: &mut Chain, x: T, allocs: &mut u64) {
         let at = self.entries.len() as u32;
@@ -193,7 +199,9 @@ pub struct AnchorSet {
 }
 
 /// Reused buffers of [`AnchorSet::tick`] and of the anchor resolutions it
-/// runs.
+/// runs. The lists of anchors are given room for every anchor when one is
+/// added, the others [`SCRATCH_ROOM`] at construction; a tick that still
+/// outgrows one charges that to `alloc_events`.
 #[derive(Default)]
 struct TickScratch {
     /// Anchors with pending work, each once; sorted before resolution.
@@ -236,7 +244,14 @@ impl AnchorSet {
             cell_charges: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             changed: Vec::new(),
-            scratch: TickScratch::default(),
+            scratch: TickScratch {
+                objects: Chains::with_room(),
+                cuts: Chains::with_room(),
+                candidates: Vec::with_capacity(SCRATCH_ROOM),
+                touched: Vec::with_capacity(SCRATCH_ROOM),
+                intervals: Vec::with_capacity(SCRATCH_ROOM),
+                ..Default::default()
+            },
             next_key: 0,
             use_influence_lists: true,
         }
@@ -380,6 +395,7 @@ impl AnchorSet {
         reserve_charged(&mut self.scratch.by_root, n, &mut install.alloc_events);
         reserve_charged(&mut self.scratch.affected, 2 * n, &mut install.alloc_events);
         reserve_charged(&mut self.changed, n, &mut install.alloc_events);
+        reserve_charged(&mut self.shared_outcomes, n / 2, &mut install.alloc_events);
         self.harvest_scratch_counters(&mut install);
         counters.install_alloc_events += install.alloc_events;
         counters.expansion_steps += install.expansion_steps;

@@ -225,18 +225,22 @@ impl MemoryUsage {
     }
 }
 
+/// Elements a reused buffer with no bound of its own is given up front
+/// (and the least [`push_charged`] grows one to): more than a tick puts in
+/// such a buffer at any scale the benchmarks run, and a few tens of KB.
+pub(crate) const SCRATCH_ROOM: usize = 1024;
+
 /// `v.push(x)` for a reused buffer: a push that has to grow the buffer is
 /// charged to `allocs` (normally [`OpCounters::alloc_events`]), the way
 /// the arenas and the candidate scratch charge theirs. Like the arenas it
-/// then grows ×4, and to no fewer than 1024 elements: a workload's
-/// high-water marks creep up for a long time, and the steep factor gets a
-/// buffer past them within the first ticks instead of re-allocating, ever
-/// more rarely, throughout a run.
+/// then grows ×4: a workload's high-water marks creep up for a long time,
+/// and the steep factor gets a buffer past them within the first ticks
+/// instead of re-allocating, ever more rarely, throughout a run.
 #[inline]
 pub(crate) fn push_charged<T>(v: &mut Vec<T>, x: T, allocs: &mut u64) {
     if v.len() == v.capacity() {
         *allocs += 1;
-        v.reserve_exact((3 * v.capacity()).max(1024));
+        v.reserve_exact((3 * v.capacity()).max(SCRATCH_ROOM));
     }
     v.push(x);
 }

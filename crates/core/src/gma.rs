@@ -97,8 +97,11 @@ struct GmaQuery {
     reach: [usize; 2],
 }
 
-/// The reused buffers of [`Gma::eval_query`]. Their growth is charged to
-/// `alloc_events` where it happens.
+/// The reused buffers of [`Gma::eval_query`]. Each is given the room its
+/// bound calls for where that bound is set — the longest sequence at
+/// construction, `k` when a query is installed — so an evaluation grows
+/// one only on a cycle sequence, whose walk buffer has no bound; that
+/// growth is charged to `alloc_events`.
 #[derive(Default)]
 struct EvalScratch {
     /// In-sequence candidates of the evaluation in progress.
@@ -193,9 +196,9 @@ fn merge_first_k(
         }
         let next = Neighbor { object, dist };
         if !full {
-            in_order &= out
+            in_order &= !out
                 .last()
-                .is_none_or(|last| cmp_neighbors(last, &next).is_le());
+                .is_some_and(|last| cmp_neighbors(last, &next).is_gt());
             push_charged(out, next, allocs);
             if out.len() == k && !in_order {
                 out.sort_unstable_by(cmp_neighbors);
@@ -260,6 +263,7 @@ impl Gma {
                 }
             }
         }
+        let longest_sequence = seqs.iter().map(|s| s.edges.len()).max().unwrap_or(0);
         Self {
             seqs,
             state: NetworkState::new(&net),
@@ -276,7 +280,11 @@ impl Gma {
             // lint: allow(hot-path-alloc): construction; grows when queries enter new sequences
             seq_queries: FxHashMap::default(),
             qil: InfluenceTable::new(net.num_edges()),
-            eval: EvalScratch::default(),
+            eval: EvalScratch {
+                // An evaluation's intervals: one per edge of its sequence.
+                intervals: Vec::with_capacity(longest_sequence),
+                ..Default::default()
+            },
             // lint: allow(hot-path-alloc): construction; the tick clears it and charges its growth
             needs_eval: FxHashSet::default(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
@@ -697,12 +705,12 @@ impl Gma {
     }
 
     /// Registers a query that has not been evaluated yet. Installation is
-    /// where its buffers are allocated (charged to
-    /// `install_alloc_events`): its result — evaluations swap result
-    /// buffers with the shared scratch, and with every buffer in
-    /// circulation `k` long they never grow one — and its place in the
-    /// tick's lists of queries to evaluate, which therefore never grow in a
-    /// tick either.
+    /// where buffers are allocated (charged to `install_alloc_events`):
+    /// the query's result — evaluations swap result buffers with the
+    /// shared scratch, and with every buffer in circulation `k` long they
+    /// never grow one — and the room the new query adds to the bounds of
+    /// the tick's lists and the evaluation scratch, which therefore do not
+    /// grow in a tick.
     fn install_query(
         &mut self,
         id: QueryId,
@@ -722,10 +730,20 @@ impl Gma {
             reach: [0; 2],
         };
         self.queries.insert(id, q);
+        let allocs = &mut counters.install_alloc_events;
+        // Every query once in the lists of queries to evaluate; up to four
+        // endpoint notes per query event (two sequences, two ends each).
         let n = self.queries.len();
         self.needs_eval
             .reserve(n.saturating_sub(self.needs_eval.len()));
-        reserve_charged(&mut self.eval_order, n, &mut counters.install_alloc_events);
+        reserve_charged(&mut self.eval_order, n, allocs);
+        reserve_charged(&mut self.touched_nodes, 4 * n, allocs);
+        // The merge emits k; off a cycle the walk buffer is cut back at 2k;
+        // the seen-set holds what was emitted plus what tied with the k-th.
+        reserve_charged(&mut self.eval.merged, k, allocs);
+        reserve_charged(&mut self.eval.walk, 2 * k, allocs);
+        self.eval.seen.reserve(2 * k);
+        *allocs += self.eval.seen.take_alloc_events();
     }
 
     /// Drops a departing query's influence entries and k demand.

@@ -13,7 +13,7 @@ use std::time::Instant;
 use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
 
 use crate::anchor::{AnchorKey, AnchorSet};
-use crate::counters::{push_charged, MemoryUsage, OpCounters, TickReport};
+use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
 use crate::monitor::ContinuousMonitor;
 use crate::state::NetworkState;
 use crate::tree::TreePool;
@@ -99,6 +99,21 @@ impl Ima {
             .collect()
     }
 
+    /// Computes a new query's initial result (§4.1) and indexes it; gives
+    /// the tick's list of query movements room for one more.
+    fn install_query(&mut self, id: QueryId, k: usize, at: NetPoint, counters: &mut OpCounters) {
+        let key = self
+            .anchors
+            .add(&self.state, RootPos::Point(at), k, counters);
+        self.by_query.insert(id, key);
+        self.by_anchor.insert(key, id);
+        reserve_charged(
+            &mut self.root_moves,
+            self.by_query.len(),
+            &mut counters.install_alloc_events,
+        );
+    }
+
     /// Direct access to a query's anchor record (tests/debugging).
     pub fn anchor_of(&self, id: QueryId) -> Option<&crate::anchor::AnchorRec> {
         self.anchors.get(*self.by_query.get(&id)?)
@@ -123,9 +138,7 @@ impl ContinuousMonitor for Ima {
                 );
                 self.state.queries.insert(id, (k, at));
                 let mut c = OpCounters::default();
-                let key = self.anchors.add(&self.state, RootPos::Point(at), k, &mut c);
-                self.by_query.insert(id, key);
-                self.by_anchor.insert(key, id);
+                self.install_query(id, k, at, &mut c);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
@@ -178,7 +191,7 @@ impl ContinuousMonitor for Ima {
                     push_charged(
                         &mut self.installs,
                         (d.id, k, at),
-                        &mut counters.alloc_events,
+                        &mut counters.install_alloc_events,
                     );
                 }
                 (None, None) => {}
@@ -197,11 +210,7 @@ impl ContinuousMonitor for Ima {
         // updates took place (§4.5: "after line 19 in Figure 10").
         for i in 0..self.installs.len() {
             let (id, k, at) = self.installs[i];
-            let key = self
-                .anchors
-                .add(&self.state, RootPos::Point(at), k, &mut counters);
-            self.by_query.insert(id, key);
-            self.by_anchor.insert(key, id);
+            self.install_query(id, k, at, &mut counters);
             results_changed += 1;
         }
 

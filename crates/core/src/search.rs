@@ -163,11 +163,20 @@ impl<V: Copy + Default> StampTable<V> {
         (h >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Grows the table ×4 (see `push_charged` for why so steeply),
-    /// re-inserting only current-epoch entries.
+    /// Room for `entries` entries: after this, that many fit without the
+    /// table growing (a growth here is charged like any other).
+    pub(crate) fn reserve(&mut self, entries: usize) {
+        if entries * 2 > self.slots.len() {
+            self.grow_to((entries * 2).next_power_of_two());
+        }
+    }
+
+    /// Re-homes the current-epoch entries in a table of `new_cap` slots —
+    /// ×4 when an insertion outgrows it (see `push_charged` for why so
+    /// steeply).
     #[cold]
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 4).max(64);
+    fn grow_to(&mut self, new_cap: usize) {
+        let new_cap = new_cap.max(64);
         // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
         let old = std::mem::replace(&mut self.slots, vec![StampSlot::never_written(); new_cap]);
         self.allocs += 1;
@@ -190,7 +199,7 @@ impl<V: Copy + Default> StampTable<V> {
     pub(crate) fn entry(&mut self, object: ObjectId, val: V) -> Option<&mut V> {
         // Keep the table at most half full so linear probes stay short.
         if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
+            self.grow_to(self.slots.len() * 4);
         }
         let mask = self.slots.len() - 1;
         let mut i = self.home(object);
@@ -824,6 +833,74 @@ mod tests {
             0,
             "reused searches must not grow the dedup scratch"
         );
+    }
+
+    /// The accumulator as it was when every offer went through the table
+    /// first and was only then held against the k-th: the behaviour
+    /// [`BestK::offer`]'s early rejection must reproduce exactly.
+    struct ProbeFirst {
+        k: usize,
+        known: std::collections::HashMap<ObjectId, f64>,
+        top: Vec<Neighbor>,
+    }
+
+    impl ProbeFirst {
+        fn offer(&mut self, object: ObjectId, dist: f64) {
+            match self.known.get_mut(&object) {
+                None => {
+                    self.known.insert(object, dist);
+                }
+                Some(known) if *known <= dist => return,
+                Some(known) => {
+                    *known = dist;
+                    self.top.retain(|n| n.object != object);
+                }
+            }
+            if self.top.len() == self.k && dist >= self.top[self.k - 1].dist {
+                return;
+            }
+            let at = self
+                .top
+                .partition_point(|n| (n.dist, n.object) < (dist, object));
+            self.top.insert(at, Neighbor { object, dist });
+            self.top.truncate(self.k);
+        }
+    }
+
+    #[test]
+    fn best_k_early_rejection_changes_no_answer() {
+        // Random offer sequences with repeated objects and tied distances
+        // (few distinct values of each), checked after every single offer.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % below
+        };
+        let mut b = BestK::default();
+        for round in 0..400 {
+            let k = 1 + next(8) as usize;
+            let objects = 1 + next(24);
+            let dists = 1 + next(12);
+            b.reset(k);
+            let mut reference = ProbeFirst {
+                k,
+                known: Default::default(),
+                top: Vec::new(),
+            };
+            for step in 0..next(120) {
+                let object = ObjectId(next(objects) as u32);
+                let dist = next(dists) as f64 * 0.5;
+                b.offer(object, dist);
+                reference.offer(object, dist);
+                assert_eq!(b.top, reference.top, "round {round}, offer {step}");
+                assert_eq!(
+                    b.kth(),
+                    reference.top.get(k - 1).map_or(f64::INFINITY, |n| n.dist)
+                );
+            }
+        }
     }
 
     #[test]

@@ -239,6 +239,33 @@ impl ObjectIndex {
         self.positions.iter().map(|(&id, s)| (id, s.at))
     }
 
+    /// Validates the index against itself (tests and debugging): every
+    /// object sits exactly once in the list of the edge it is positioned
+    /// on, at the index its table entry refers back to, with its fraction;
+    /// and the lists hold nothing else.
+    ///
+    /// # Panics
+    /// Panics on the first violated invariant.
+    pub fn check_invariants(&self) {
+        for (&id, slot) in &self.positions {
+            let list = self.on_edge(slot.at.edge);
+            assert_eq!(
+                list.get(slot.idx as usize),
+                Some(&(id, slot.at.frac)),
+                "{id:?} is not at its back-referenced index"
+            );
+            assert_eq!(
+                list.iter().filter(|&&(o, _)| o == id).count(),
+                1,
+                "{id:?} listed more than once on its edge"
+            );
+        }
+        let listed: usize = (0..self.per_edge.num_slots())
+            .map(|e| self.per_edge.len_of(e))
+            .sum();
+        assert_eq!(listed, self.positions.len(), "edge lists hold strays");
+    }
+
     /// Arena alloc events accumulated since the last take (backing-buffer
     /// reallocations; zero across a tick = the tick's object churn ran
     /// entirely in reused spans).

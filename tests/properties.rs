@@ -289,6 +289,465 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// GMA's merge against Lemma 1 taken literally, and against a fresh OVH.
+// ---------------------------------------------------------------------
+
+use rnn_monitor::roadnet::RoadNetworkBuilder;
+
+/// One network of every kind of sequence GMA distinguishes: a line (one
+/// sequence between terminals, no active node), an isolated ring (a cycle
+/// sequence, no active node), a lollipop (a cycle hanging off its single
+/// intersection, plus a tail), a cross (four subdivided rays around one
+/// intersection) and a grid city.
+fn lemma1_network(shape: usize, seed: u64) -> RoadNetwork {
+    let size = 3 + (seed % 5) as usize;
+    match shape {
+        0 => generators::line_network(size + 1, 1.0 + (seed % 3) as f64),
+        1 => generators::ring_network(size, 2.0 + (seed % 4) as f64),
+        2 => {
+            let mut b = RoadNetworkBuilder::new();
+            let ring: Vec<NodeId> = (0..size)
+                .map(|i| {
+                    let a = i as f64 / size as f64 * std::f64::consts::TAU;
+                    b.add_node(3.0 * a.cos(), 3.0 * a.sin())
+                })
+                .collect();
+            for i in 0..size {
+                b.add_edge_euclidean(ring[i], ring[(i + 1) % size]);
+            }
+            let t1 = b.add_node(5.0, 0.0);
+            let t2 = b.add_node(7.5, 0.0);
+            b.add_edge_euclidean(ring[0], t1);
+            b.add_edge_euclidean(t1, t2);
+            b.build().unwrap()
+        }
+        3 => {
+            let mut b = RoadNetworkBuilder::new();
+            let c = b.add_node(0.0, 0.0);
+            for (dx, dy) in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)] {
+                let mut prev = c;
+                for step in 1..=(1 + seed % 3) {
+                    let n = b.add_node(dx * step as f64, dy * step as f64);
+                    b.add_edge_euclidean(prev, n);
+                    prev = n;
+                }
+            }
+            b.build().unwrap()
+        }
+        _ => random_grid(seed),
+    }
+}
+
+/// Positions that make exact ties likely: edge ends (fractions 0 and 1,
+/// where objects of different edges coincide), midpoints, and a few
+/// arbitrary fractions, on few enough edges for objects to share a spot.
+fn tie_prone_point(r: u64, num_edges: usize) -> NetPoint {
+    let edge = EdgeId(((r >> 8) % num_edges as u64) as u32);
+    let frac = match r % 6 {
+        0 => 0.0,
+        1 => 1.0,
+        2 => 0.5,
+        _ => ((r >> 20) % 997) as f64 / 997.0,
+    };
+    NetPoint::new(edge, frac)
+}
+
+/// Network distance from node `n` to every object, nearest first.
+fn node_nn_set(
+    net: &RoadNetwork,
+    w: &EdgeWeights,
+    objects: &[(ObjectId, NetPoint)],
+    n: NodeId,
+) -> Vec<Neighbor> {
+    let mut eng = DijkstraEngine::new(net.num_nodes());
+    eng.sssp(net, w, n, None);
+    let mut set: Vec<Neighbor> = objects
+        .iter()
+        .map(|&(object, p)| {
+            let rec = net.edge(p.edge);
+            let via =
+                |node: NodeId, along: f64| eng.dist_of(node).map_or(f64::INFINITY, |d| d + along);
+            let dist = via(rec.start, p.dist_to_start(w)).min(via(rec.end, p.dist_to_end(w)));
+            Neighbor { object, dist }
+        })
+        .collect();
+    set.sort_by(|a, b| a.sort_key().partial_cmp(&b.sort_key()).unwrap());
+    set
+}
+
+/// Lemma 1, literally: every object of the query's sequence at its
+/// along-sequence distance, plus the k-NN set of each endpoint that leads
+/// anywhere (degree ≥ 3) at the along-sequence distance to that endpoint;
+/// the smallest instance per object; sorted by `(dist, id)`; the first k.
+fn lemma1_reference(
+    net: &RoadNetwork,
+    seqs: &SequenceTable,
+    w: &EdgeWeights,
+    objects: &[(ObjectId, NetPoint)],
+    q: NetPoint,
+    k: usize,
+) -> Vec<Neighbor> {
+    let s = seqs.sequence(seqs.seq_of_edge(q.edge));
+    // Coordinate of a point of `s` along it, from the start node.
+    let coord = |p: NetPoint| {
+        let i = s.edge_offset(p.edge).unwrap();
+        let before: f64 = s.edges[..i].iter().map(|&e| w.get(e)).sum();
+        let along = if s.forward[i] { p.frac } else { 1.0 - p.frac } * w.get(p.edge);
+        before + along
+    };
+    let length = s.total_weight(w);
+    let along_sequence = |a: f64, b: f64| {
+        let d = (a - b).abs();
+        if s.is_cycle() {
+            d.min(length - d)
+        } else {
+            d
+        }
+    };
+    let xq = coord(q);
+    let mut all: Vec<Neighbor> = objects
+        .iter()
+        .filter(|(_, p)| s.edge_offset(p.edge).is_some())
+        .map(|&(object, p)| Neighbor {
+            object,
+            dist: along_sequence(xq, coord(p)),
+        })
+        .collect();
+    let mut exits = vec![(s.start_node(), along_sequence(xq, 0.0))];
+    if !s.is_cycle() {
+        exits.push((s.end_node(), along_sequence(xq, length)));
+    }
+    for (n, base) in exits {
+        if net.degree(n) >= 3 {
+            let set = node_nn_set(net, w, objects, n);
+            all.extend(set.iter().take(k).map(|nb| Neighbor {
+                object: nb.object,
+                dist: base + nb.dist,
+            }));
+        }
+    }
+    all.sort_by(|a, b| (a.object, a.dist).partial_cmp(&(b.object, b.dist)).unwrap());
+    all.dedup_by_key(|n| n.object);
+    all.sort_by(|a, b| a.sort_key().partial_cmp(&b.sort_key()).unwrap());
+    all.truncate(k);
+    all
+}
+
+/// `got` is a correct k-NN answer given the reference answer `want`: same
+/// distances under the differential tests' 1e-9 comparator, in `(dist,
+/// id)` order without a repeated object, and holding every object the
+/// reference puts clearly nearer than its last one (which objects share
+/// the last distance is a tie the comparator cannot call).
+fn assert_same_answer(got: &[Neighbor], want: &[Neighbor], what: &str) {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.max(1.0);
+    assert_eq!(got.len(), want.len(), "{what}: size");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            close(g.dist, w.dist),
+            "{what}: {g:?} vs {w:?}\n got {got:?}\nwant {want:?}"
+        );
+    }
+    for pair in got.windows(2) {
+        assert!(
+            pair[0].sort_key() < pair[1].sort_key(),
+            "{what}: order {pair:?}"
+        );
+    }
+    let mut ids: Vec<ObjectId> = got.iter().map(|n| n.object).collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), got.len(), "{what}: an object twice in {got:?}");
+    if let Some(last) = want.last() {
+        for w in want
+            .iter()
+            .filter(|w| !close(w.dist, last.dist) && w.dist < last.dist)
+        {
+            assert!(
+                ids.contains(&w.object),
+                "{what}: misses {w:?}\n got {got:?}\nwant {want:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// GMA's answers are Lemma 1's union and the from-scratch answer, on
+    /// every kind of sequence, for k below and above the object count,
+    /// with objects sharing positions and sitting on nodes (exact ties),
+    /// hence in the walk and in both endpoint sets at once.
+    #[test]
+    fn gma_answers_are_the_lemma1_union(
+        shape in 0usize..5,
+        seed in 0u64..1000,
+        n_objects in 0usize..40,
+    ) {
+        let net = Arc::new(lemma1_network(shape, seed));
+        let ne = net.num_edges();
+        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            r
+        };
+        let mut gma = Gma::new(net.clone());
+        let mut weights = EdgeWeights::from_base(&net);
+        let mut objects: Vec<(ObjectId, NetPoint)> = (0..n_objects)
+            .map(|i| (ObjectId(i as u32), tie_prone_point(next(), ne)))
+            .collect();
+        for &(id, at) in &objects {
+            gma.apply(UpdateEvent::insert_object(id, at));
+        }
+        let queries: Vec<(QueryId, usize, NetPoint)> = (0..4u32)
+            .map(|i| (QueryId(i), [1, 3, 50][(next() % 3) as usize], tie_prone_point(next(), ne)))
+            .collect();
+        for &(id, k, at) in &queries {
+            gma.apply(UpdateEvent::install_query(id, k, at));
+        }
+        for tick in 0..4 {
+            if tick > 0 {
+                let mut batch = UpdateBatch::default();
+                for (id, at) in objects.iter_mut() {
+                    if next() % 3 == 0 {
+                        *at = tie_prone_point(next(), ne);
+                        batch.objects.push(ObjectEvent::Move { id: *id, to: *at });
+                    }
+                }
+                if next() % 2 == 0 {
+                    let edge = EdgeId((next() % ne as u64) as u32);
+                    let new_weight = weights.get(edge) * [0.5, 2.0][(next() % 2) as usize];
+                    weights.set(edge, new_weight);
+                    batch.edges.push(EdgeWeightUpdate { edge, new_weight });
+                }
+                gma.tick(&batch);
+            }
+            let mut ovh = Ovh::new(net.clone());
+            ovh.tick(&UpdateBatch {
+                edges: net
+                    .edge_ids()
+                    .map(|edge| EdgeWeightUpdate { edge, new_weight: weights.get(edge) })
+                    .collect(),
+                ..Default::default()
+            });
+            for &(id, at) in &objects {
+                ovh.apply(UpdateEvent::insert_object(id, at));
+            }
+            for &(id, k, at) in &queries {
+                ovh.apply(UpdateEvent::install_query(id, k, at));
+                let got = gma.result(id).unwrap();
+                let what = format!("shape {shape} seed {seed} tick {tick} {id:?} k {k}");
+                let lemma = lemma1_reference(&net, gma.sequences(), &weights, &objects, at, k);
+                assert_same_answer(got, &lemma, &format!("{what} vs Lemma 1"));
+                assert_same_answer(got, ovh.result(id).unwrap(), &format!("{what} vs OVH"));
+                prop_assert_eq!(got.len(), k.min(n_objects));
+                let knn = gma.knn_dist(id).unwrap();
+                prop_assert_eq!(knn, if got.len() == k { got[k - 1].dist } else { f64::INFINITY });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// §4.5 preprocessing: apply_batch against a naive fold.
+// ---------------------------------------------------------------------
+
+use rnn_monitor::core::state::{CoalescedTick, EdgeDelta, NetworkState, ObjectDelta, QueryDelta};
+use std::collections::HashMap;
+
+/// What `apply_batch` must compute, written the obvious way: per kind, the
+/// ids in order of first appearance, each with the last value its events
+/// give it; then one delta per id whose value changed, applied in that
+/// order — objects leaving an edge list by `swap_remove`, entering by
+/// `push`, which is the list order every monitor scans in.
+#[derive(Default)]
+struct NaiveState {
+    objects: HashMap<ObjectId, NetPoint>,
+    on_edge: Vec<Vec<(ObjectId, f64)>>,
+    weights: Vec<f64>,
+    queries: HashMap<QueryId, (usize, NetPoint)>,
+}
+
+impl NaiveState {
+    fn unlist(&mut self, id: ObjectId, from: NetPoint) {
+        let list = &mut self.on_edge[from.edge.index()];
+        let at = list.iter().position(|&(o, _)| o == id).unwrap();
+        list.swap_remove(at);
+    }
+
+    fn apply(&mut self, batch: &UpdateBatch) -> CoalescedTick {
+        let mut out = CoalescedTick::default();
+
+        let mut order = Vec::new();
+        let mut last = HashMap::new();
+        for ev in &batch.objects {
+            let (id, new) = match *ev {
+                ObjectEvent::Move { id, to } => (id, Some(to)),
+                ObjectEvent::Insert { id, at } => (id, Some(at)),
+                ObjectEvent::Delete { id } => (id, None),
+            };
+            if last.insert(id, new).is_none() {
+                order.push(id);
+            }
+        }
+        for id in order {
+            let (old, new) = (self.objects.get(&id).copied(), last[&id]);
+            if old == new {
+                continue;
+            }
+            if let Some(o) = old {
+                self.unlist(id, o);
+                self.objects.remove(&id);
+            }
+            if let Some(n) = new {
+                self.on_edge[n.edge.index()].push((id, n.frac));
+                self.objects.insert(id, n);
+            }
+            out.objects.push(ObjectDelta { id, old, new });
+        }
+
+        let mut order = Vec::new();
+        let mut last = HashMap::new();
+        for u in &batch.edges {
+            if last.insert(u.edge, u.new_weight).is_none() {
+                order.push(u.edge);
+            }
+        }
+        for edge in order {
+            let (old_w, new_w) = (self.weights[edge.index()], last[&edge]);
+            if old_w != new_w {
+                self.weights[edge.index()] = new_w;
+                out.edges.push(EdgeDelta { edge, old_w, new_w });
+            }
+        }
+
+        let mut order = Vec::new();
+        let mut last: HashMap<QueryId, Option<(usize, NetPoint)>> = HashMap::new();
+        for ev in &batch.queries {
+            let (id, new) = match *ev {
+                QueryEvent::Install { id, k, at } => (id, Some((k, at))),
+                QueryEvent::Remove { id } => (id, None),
+                // A move keeps the k the query has by now, else the k it
+                // had before the tick; a query with neither is unknown and
+                // the move is dropped.
+                QueryEvent::Move { id, to } => {
+                    let k = last
+                        .get(&id)
+                        .copied()
+                        .flatten()
+                        .or(self.queries.get(&id).copied());
+                    match k {
+                        Some((k, _)) => (id, Some((k, to))),
+                        None => continue,
+                    }
+                }
+            };
+            if last.insert(id, new).is_none() {
+                order.push(id);
+            }
+        }
+        for id in order {
+            let (old, new) = (self.queries.get(&id).copied(), last[&id]);
+            if old == new {
+                continue;
+            }
+            match new {
+                Some(n) => self.queries.insert(id, n),
+                None => self.queries.remove(&id),
+            };
+            out.queries.push(QueryDelta { id, old, new });
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Event lists full of repeated ids (move→move, insert→delete,
+    /// delete→insert, a→b→a, moves of unknown ids, duplicate edge updates,
+    /// install→move→remove of a query) coalesce and apply exactly as the
+    /// naive fold: the same deltas in first-appearance order with no-ops
+    /// dropped, the same state, the same edge-list order, and an object
+    /// index that is consistent with itself.
+    #[test]
+    fn apply_batch_matches_a_naive_fold(
+        seed in 0u64..10_000,
+        batches in prop::collection::vec(0usize..24, 1..8),
+    ) {
+        let net = generators::line_network(5, 1.0); // 4 edges
+        let ne = net.num_edges() as u64;
+        let mut state = NetworkState::new(&net);
+        let mut naive = NaiveState {
+            on_edge: vec![Vec::new(); net.num_edges()],
+            weights: net.edge_ids().map(|e| net.edge(e).base_weight).collect(),
+            ..Default::default()
+        };
+        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |below: u64| {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            (r >> 11) % below
+        };
+        // Few ids, few places, few weights: repeats and no-ops abound.
+        let point = |next: &mut dyn FnMut(u64) -> u64| {
+            NetPoint::new(EdgeId(next(ne) as u32), [0.0, 0.25, 1.0][next(3) as usize])
+        };
+        for events in batches {
+            let mut batch = UpdateBatch::default();
+            for _ in 0..events {
+                match next(9) {
+                    0..=2 => batch.objects.push(ObjectEvent::Move {
+                        id: ObjectId(next(6) as u32),
+                        to: point(&mut next),
+                    }),
+                    3 => batch.objects.push(ObjectEvent::Insert {
+                        id: ObjectId(next(6) as u32),
+                        at: point(&mut next),
+                    }),
+                    4 => batch.objects.push(ObjectEvent::Delete { id: ObjectId(next(6) as u32) }),
+                    5 => batch.edges.push(EdgeWeightUpdate {
+                        edge: EdgeId(next(ne) as u32),
+                        new_weight: [1.0, 2.0, 3.0][next(3) as usize],
+                    }),
+                    6 => batch.queries.push(QueryEvent::Install {
+                        id: QueryId(next(3) as u32),
+                        k: 1 + next(3) as usize,
+                        at: point(&mut next),
+                    }),
+                    7 => batch.queries.push(QueryEvent::Move {
+                        id: QueryId(next(3) as u32),
+                        to: point(&mut next),
+                    }),
+                    _ => batch.queries.push(QueryEvent::Remove { id: QueryId(next(3) as u32) }),
+                }
+            }
+            let got = state.apply_batch(&batch);
+            let want = naive.apply(&batch);
+            prop_assert_eq!(&got.objects, &want.objects, "object deltas of {:?}", batch.objects);
+            prop_assert_eq!(&got.edges, &want.edges, "edge deltas of {:?}", batch.edges);
+            prop_assert_eq!(&got.queries, &want.queries, "query deltas of {:?}", batch.queries);
+
+            state.objects.check_invariants();
+            prop_assert_eq!(state.objects.len(), naive.objects.len());
+            for (&id, &at) in &naive.objects {
+                prop_assert_eq!(state.objects.position(id), Some(at));
+            }
+            for e in net.edge_ids() {
+                prop_assert_eq!(state.objects.on_edge(e), naive.on_edge[e.index()].as_slice());
+                prop_assert_eq!(state.weights.get(e), naive.weights[e.index()]);
+            }
+            prop_assert_eq!(state.queries.len(), naive.queries.len());
+            for (id, placed) in &naive.queries {
+                prop_assert_eq!(state.queries.get(id), Some(placed));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Sharded-engine replica bookkeeping (replica masks + edge→object index).
 // ---------------------------------------------------------------------
 

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, OpCounters, UpdateBatch, UpdateEvent};
 use rnn_monitor::core::{ObjectEvent, QueryEvent};
-use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
+use rnn_monitor::roadnet::{
+    generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, RoadNetworkBuilder,
+};
 use rnn_monitor::workload::{Scenario, ScenarioConfig};
 
 fn grid(seed: u64) -> Arc<RoadNetwork> {
@@ -195,6 +197,113 @@ fn steady_state_ticks_are_allocation_free() {
         "tree surgery must recycle pooled slots, not grow the slab"
     );
     ima.validate_invariants();
+}
+
+/// GMA's evaluation at mid scale, alone: with the merge's buffers, the
+/// tick's query lists and the active-node tick's scratch all charging their
+/// growth to `alloc_events`, a warmed-up run still reports none — the
+/// whole evaluation path runs in reused capacity, not just the arenas.
+#[test]
+fn gma_evaluation_scratch_is_allocation_free_at_mid_scale() {
+    let net = Arc::new(generators::san_francisco_like(1_000, 23));
+    let cfg = ScenarioConfig {
+        num_objects: 10_000,
+        num_queries: 500,
+        k: 10,
+        object_agility: 0.1,
+        query_agility: 0.1,
+        edge_agility: 0.04,
+        seed: 31,
+        ..Default::default()
+    };
+    let mut scenario = Scenario::new(net.clone(), cfg);
+    let mut gma = Gma::new(net.clone());
+    scenario.install_into(&mut gma);
+    for _ in 0..30 {
+        gma.tick(&scenario.tick());
+    }
+    let mut steady = OpCounters::default();
+    for _ in 0..10 {
+        steady.merge(&gma.tick(&scenario.tick()).counters);
+    }
+    assert_eq!(
+        steady.alloc_events, 0,
+        "a warmed-up GMA tick grew a buffer it should be reusing"
+    );
+    assert!(
+        steady.reevaluations > 1_000,
+        "the window must re-evaluate queries ({} did)",
+        steady.reevaluations
+    );
+    assert!(steady.shared_expansions > 0 && steady.expansion_steps > 0);
+}
+
+/// The walk's cut-off is the k-th in-sequence candidate found so far, not
+/// anything the endpoints could promise: a query with k objects right next
+/// to it on its own edge, in the middle of a long, dense sequence between
+/// two intersections, scans that one edge and no other. (Bounded by the
+/// endpoints alone — far end of the sequence plus the intersection's k-th
+/// NN — the walk would cross all six edges to either side.)
+#[test]
+fn dense_own_edge_ends_the_sequence_walk() {
+    // Two hubs of degree 3 joined by a 13-edge path; three objects on every
+    // edge, and four more hugging the query on the middle edge.
+    let mut b = RoadNetworkBuilder::new();
+    let path: Vec<_> = (0..14).map(|i| b.add_node(f64::from(i), 0.0)).collect();
+    for (hub, x) in [(path[0], -1.0), (path[13], 14.0)] {
+        for y in [-1.0, 1.0] {
+            let leaf = b.add_node(x, y);
+            b.add_edge_euclidean(hub, leaf);
+        }
+    }
+    let middle = b.add_edge_euclidean(path[6], path[7]);
+    for i in (0..13).filter(|&i| i != 6) {
+        b.add_edge_euclidean(path[i], path[i + 1]);
+    }
+    let net = Arc::new(b.build().unwrap());
+    let mut gma = Gma::new(net.clone());
+    let mut next_id = 0;
+    let mut place = |gma: &mut Gma, at: NetPoint| {
+        gma.apply(UpdateEvent::insert_object(ObjectId(next_id), at));
+        next_id += 1;
+    };
+    for e in net.edge_ids() {
+        for frac in [0.1, 0.5, 0.9] {
+            place(&mut gma, NetPoint::new(e, frac));
+        }
+    }
+    for frac in [0.42, 0.46, 0.54, 0.58] {
+        place(&mut gma, NetPoint::new(middle, frac));
+    }
+    let k = 4;
+    gma.apply(UpdateEvent::install_query(
+        QueryId(0),
+        k,
+        NetPoint::new(middle, 0.5),
+    ));
+    assert_eq!(gma.active_node_count(), 2, "both hubs are monitored");
+
+    // A nudge along its edge re-evaluates the query and nothing else: no
+    // object moved, so the active nodes have no work of their own.
+    let rep = gma.tick(&UpdateBatch {
+        queries: vec![QueryEvent::Move {
+            id: QueryId(0),
+            to: NetPoint::new(middle, 0.51),
+        }],
+        ..Default::default()
+    });
+    assert_eq!(rep.counters.reevaluations, 1);
+    assert_eq!(
+        rep.counters.edges_scanned, 1,
+        "k nearer objects on the query's own edge: the walk must not leave it"
+    );
+    assert_eq!(
+        rep.counters.objects_considered, 7,
+        "the middle edge's seven objects and no endpoint candidate"
+    );
+    let result = gma.result(QueryId(0)).unwrap();
+    assert_eq!(result.len(), k);
+    assert!(result.iter().all(|n| n.dist < 0.1), "{result:?}");
 }
 
 /// The tree-pool hint: monitors constructed with
