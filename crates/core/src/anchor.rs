@@ -125,17 +125,8 @@ impl Chain {
     };
 }
 
-impl<T> Default for Chains<T> {
-    fn default() -> Self {
-        Self {
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; push charges its growth
-            entries: Vec::new(),
-        }
-    }
-}
-
 impl<T: Copy> Chains<T> {
-    fn with_room() -> Self {
+    fn new() -> Self {
         Self {
             entries: Vec::with_capacity(SCRATCH_ROOM),
         }
@@ -199,10 +190,9 @@ pub struct AnchorSet {
 }
 
 /// Reused buffers of [`AnchorSet::tick`] and of the anchor resolutions it
-/// runs. The lists of anchors are given room for every anchor when one is
-/// added, the others [`SCRATCH_ROOM`] at construction; a tick that still
+/// runs. Each starts with [`SCRATCH_ROOM`], and the lists of anchors are
+/// given room for every anchor whenever one is added; a tick that still
 /// outgrows one charges that to `alloc_events`.
-#[derive(Default)]
 struct TickScratch {
     /// Anchors with pending work, each once; sorted before resolution.
     queued: Vec<AnchorKey>,
@@ -245,12 +235,18 @@ impl AnchorSet {
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             changed: Vec::new(),
             scratch: TickScratch {
-                objects: Chains::with_room(),
-                cuts: Chains::with_room(),
+                queued: Vec::with_capacity(SCRATCH_ROOM),
+                objects: Chains::new(),
+                cuts: Chains::new(),
+                affected: Vec::with_capacity(SCRATCH_ROOM),
+                changed_edges: FxHashSet::with_capacity_and_hasher(
+                    SCRATCH_ROOM,
+                    Default::default(),
+                ),
+                by_root: Vec::with_capacity(SCRATCH_ROOM),
                 candidates: Vec::with_capacity(SCRATCH_ROOM),
                 touched: Vec::with_capacity(SCRATCH_ROOM),
                 intervals: Vec::with_capacity(SCRATCH_ROOM),
-                ..Default::default()
             },
             next_key: 0,
             use_influence_lists: true,
@@ -502,7 +498,7 @@ impl AnchorSet {
         root_moves: &[(AnchorKey, RootPos)],
     ) -> OpCounters {
         let mut counters = OpCounters::default();
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let scratch = &mut self.scratch;
         scratch.queued.clear();
         scratch.cuts.entries.clear();
         // Most object deltas are handed to at most one anchor: room for one
@@ -772,7 +768,7 @@ impl AnchorSet {
                     key,
                     rec,
                     work,
-                    &mut scratch,
+                    scratch,
                     &mut self.il,
                     &mut counters,
                 ),
@@ -784,7 +780,6 @@ impl AnchorSet {
         for out in self.shared_outcomes.drain(..) {
             self.pool.release(out.tree);
         }
-        self.scratch = scratch;
 
         self.harvest_scratch_counters(&mut counters);
         counters
@@ -1244,9 +1239,6 @@ fn resolve_anchor(
             push_charged(candidates, *n, &mut counters.alloc_events);
         }
     }
-    // With the tree intact the survivors kept their stored distances, and
-    // with them their order: only what comes in below needs sorting in.
-    let in_order = if dirty { 0 } else { candidates.len() };
     let slack = interval_slack(old_knn);
     for (id, new_pos) in objects.iter(work.objects) {
         let Some(p) = new_pos else { continue };
@@ -1265,13 +1257,7 @@ fn resolve_anchor(
             push_charged(candidates, incoming, &mut counters.alloc_events);
         }
     }
-    candidates[in_order..].sort_unstable_by(cmp_neighbors);
-    if in_order > 0 {
-        for i in in_order..candidates.len() {
-            let at = candidates[..i].partition_point(|n| cmp_neighbors(n, &candidates[i]).is_le());
-            candidates[at..=i].rotate_right(1);
-        }
-    }
+    candidates.sort_unstable_by(cmp_neighbors);
     candidates.dedup_by_key(|n| n.object);
 
     if !dirty && candidates.len() >= rec.k {

@@ -31,24 +31,29 @@
 //! an object's **first sighting is its smallest instance** — the paper's
 //! "keep only the instance with the smallest distance" needs nothing but a
 //! seen-set, and the merge stops after about k steps instead of pushing
-//! every candidate through a sorted insert. Two offset sums may round to
-//! the same float with their ids the wrong way round, so the merge gathers
-//! every candidate tying with the k-th, notices an out-of-order pair while
-//! emitting, and only then re-sorts before cutting at k: the result is
-//! exactly the k smallest `(dist, id)` of the union.
-//!
-//! **Cycles.** A cycle sequence is walked all the way round in both
-//! directions (ending with a re-scan of the query's own edge from its far
-//! side), so every object on it enters the walk buffer twice, once per way
-//! round. The buffer is never cut there; sorted, it hands the merge the
-//! shorter way first and the seen-set drops the longer one.
+//! every candidate through a sorted insert. The result is exactly the k
+//! smallest `(dist, id)` of the union, ties included: two offset sums of
+//! one list may round to the same float with their ids the wrong way
+//! round, so the merge notes an out-of-order pair as it emits (and
+//! re-sorts, rarely), and once it holds k it reads on through the
+//! candidates that tie with the k-th, letting a smaller id take its place.
 //!
 //! **Where the walk stops.** A direction stops at the first boundary node
 //! that already has k distinct in-sequence candidates strictly nearer than
 //! itself — everything further along is strictly beyond the k-th candidate
 //! of the walk alone, hence of the union. That is the bound the live k-th
 //! of a sorted accumulator would give, taken as a count over the buffer at
-//! each boundary instead of kept in order at every push.
+//! each boundary instead of kept in order at every push. The buffer is cut
+//! back to its k nearest whenever it reaches 2k, which changes no count
+//! that reaches k and keeps the buffer, and the count, O(k) on a crowded
+//! edge.
+//!
+//! **Cycles.** A cycle sequence is walked all the way round in both
+//! directions (ending with a re-scan of the query's own edge from its far
+//! side), so every object on it enters the walk buffer twice, once per way
+//! round. There the buffer is never cut and the count goes through the
+//! seen-set; sorted, the buffer hands the merge the shorter way first and
+//! the seen-set drops the longer one.
 //!
 //! ## Maintenance
 //!
@@ -68,8 +73,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rnn_roadnet::{
-    EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, QueryId, RoadNetwork, SeqId, Sequence,
-    SequenceTable,
+    EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, QueryId, RoadNetwork, SeqId,
+    Sequence, SequenceTable,
 };
 
 use crate::anchor::{AnchorKey, AnchorSet};
@@ -165,7 +170,7 @@ fn merge_first_k(
 ) -> [usize; 3] {
     let head = |list: usize, at: usize| match lists[list].0.get(at) {
         Some(n) => (lists[list].1 + n.dist, n.object),
-        None => (f64::INFINITY, rnn_roadnet::ObjectId(u32::MAX)),
+        None => (f64::INFINITY, ObjectId(u32::MAX)),
     };
     out.clear();
     seen.clear();

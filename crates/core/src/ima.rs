@@ -28,10 +28,11 @@ pub struct Ima {
     /// covering hits) map back to queries in O(hits) instead of a linear
     /// scan over the query table.
     by_anchor: FxHashMap<AnchorKey, QueryId>,
-    /// Per-tick scratch (growth charged to `alloc_events`): the tick's
-    /// query movements …
+    /// Per-tick scratch: the tick's query movements (room for every query,
+    /// reserved as queries are installed) …
     root_moves: Vec<(AnchorKey, RootPos)>,
-    /// … and the queries it installs, as `(id, k, position)`.
+    /// … and the queries it installs, as `(id, k, position)` (growth
+    /// charged to `install_alloc_events`).
     installs: Vec<(QueryId, usize, NetPoint)>,
 }
 
@@ -46,9 +47,9 @@ impl Ima {
             by_query: FxHashMap::default(),
             // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
             by_anchor: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it is given room as queries are installed
             root_moves: Vec::new(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; pushes charge its growth to install_alloc_events
             installs: Vec::new(),
         }
     }

@@ -121,7 +121,7 @@ impl<V: Copy + Default> Default for StampTable<V> {
     /// slots always read as empty.
     fn default() -> Self {
         Self {
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; growth happens in grow(), which charges alloc_events
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; growth happens in grow_to(), which charges alloc_events
             slots: Vec::new(),
             epoch: 1,
             live: 0,

@@ -355,7 +355,7 @@ impl DijkstraEngine {
     ) -> Vec<(NodeId, f64)> {
         self.begin();
         self.seed(source, 0.0, None);
-        // lint: allow(hot-path-alloc): Vec::new/Fx*::default allocate nothing; first growth is charged to alloc_events, which the CI gate pins at zero in steady state
+        // lint: allow(hot-path-alloc): sssp returns its result to the caller (probes, tests, partitioning); the monitors' tick path expands through seed/pop_settle/relax and never calls it
         let mut out = Vec::new();
         while let Some((n, d)) = self.pop_settle() {
             if radius.is_some_and(|r| d > r) {

@@ -292,6 +292,7 @@ proptest! {
 // GMA's merge against Lemma 1 taken literally, and against a fresh OVH.
 // ---------------------------------------------------------------------
 
+use rnn_monitor::core::types::sort_neighbors;
 use rnn_monitor::roadnet::RoadNetworkBuilder;
 
 /// One network of every kind of sequence GMA distinguishes: a line (one
@@ -371,7 +372,7 @@ fn node_nn_set(
             Neighbor { object, dist }
         })
         .collect();
-    set.sort_by(|a, b| a.sort_key().partial_cmp(&b.sort_key()).unwrap());
+    sort_neighbors(&mut set);
     set
 }
 
@@ -428,7 +429,7 @@ fn lemma1_reference(
     }
     all.sort_by(|a, b| (a.object, a.dist).partial_cmp(&(b.object, b.dist)).unwrap());
     all.dedup_by_key(|n| n.object);
-    all.sort_by(|a, b| a.sort_key().partial_cmp(&b.sort_key()).unwrap());
+    sort_neighbors(&mut all);
     all.truncate(k);
     all
 }
