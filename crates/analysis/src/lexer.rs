@@ -25,8 +25,7 @@
 //! into a diagnostic of its own, so an escape can never be silent.
 
 /// What a token is. Identifiers keep their text (rules match on names);
-/// string literals keep their *raw* content (the counter-schema rule
-/// searches JSON keys inside format strings); punctuation keeps the
+/// string literals keep their *raw* content; punctuation keeps the
 /// character. Numeric, char, and lifetime tokens carry no payload — rules
 /// only need to know they are not identifiers.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -4,10 +4,9 @@
 //! Generic linters cannot see this project's invariants: that the
 //! steady-state tick path must not allocate (the runtime `alloc_events`
 //! gate only catches what a benchmark happens to execute), that the wire
-//! decode paths must never panic on hostile bytes, that every work
-//! counter must flow into the bench JSON schema and the CI gate, and
-//! that the API surface's doc comments stay mechanically well-formed.
-//! This crate encodes those invariants as five rules over a hand-rolled
+//! decode paths must never panic on hostile bytes, and that the API
+//! surface's doc comments stay mechanically well-formed.
+//! This crate encodes those invariants as four rules over a hand-rolled
 //! Rust lexer and runs them at review time:
 //!
 //! ```text
@@ -29,11 +28,10 @@ use std::path::{Path, PathBuf};
 
 use diag::{apply_allows, Diagnostic, LINT_ALLOW_RULE};
 use lexer::{lex, AllowDirective};
-use manifest::{Manifest, ManifestExt, Value};
+use manifest::{Manifest, ManifestExt};
 use rules::{
-    counter_schema_sync, doc_comment_shape, has_forbid_unsafe, hot_path_alloc, panic_free_wire,
-    strip_test_code, CounterSyncInput, RULE_COUNTER, RULE_DOC, RULE_HOT_PATH, RULE_UNSAFE,
-    RULE_WIRE,
+    doc_comment_shape, has_forbid_unsafe, hot_path_alloc, panic_free_wire, strip_test_code,
+    RULE_DOC, RULE_HOT_PATH, RULE_UNSAFE, RULE_WIRE,
 };
 
 /// The manifest file the pass is configured by.
@@ -53,7 +51,6 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut out = Vec::new();
     check_token_rules(root, &m, &mut out)?;
     check_forbid_unsafe(root, &m, &mut out)?;
-    check_counter_sync(root, &m, &mut out)?;
     out.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(out)
 }
@@ -96,14 +93,7 @@ fn check_token_rules(root: &Path, m: &Manifest, out: &mut Vec<Diagnostic>) -> Re
         }
         let (known, unknown): (Vec<AllowDirective>, Vec<AllowDirective>) =
             lexed.allows.into_iter().partition(|a| {
-                [
-                    RULE_HOT_PATH,
-                    RULE_WIRE,
-                    RULE_UNSAFE,
-                    RULE_COUNTER,
-                    RULE_DOC,
-                ]
-                .contains(&a.rule.as_str())
+                [RULE_HOT_PATH, RULE_WIRE, RULE_UNSAFE, RULE_DOC].contains(&a.rule.as_str())
             });
         for a in unknown {
             out.push(Diagnostic {
@@ -188,57 +178,4 @@ fn walk_for_manifests(dir: &Path, skip: &[String], out: &mut Vec<PathBuf>) {
         }
         walk_for_manifests(&path, skip, out);
     }
-}
-
-/// Resolves the `[counter-schema-sync]` section into a
-/// [`CounterSyncInput`] and runs the rule.
-fn check_counter_sync(root: &Path, m: &Manifest, out: &mut Vec<Diagnostic>) -> Result<(), String> {
-    if m.table(RULE_COUNTER).is_none() {
-        return Ok(());
-    }
-    let need = |key: &str| -> Result<String, String> {
-        m.str(RULE_COUNTER, key)
-            .ok_or_else(|| format!("{MANIFEST_NAME}: [{RULE_COUNTER}] needs `{key} = \"...\"`"))
-    };
-    let counters_file = need("counters")?;
-    let struct_name = need("struct")?;
-    let runner_file = need("runner")?;
-    let gate_file = need("gate")?;
-    let gated_const = need("gated_const")?;
-
-    let str_pairs = |section: &str| -> Result<Vec<(String, String)>, String> {
-        let Some(table) = m.table(section) else {
-            return Ok(Vec::new());
-        };
-        table
-            .iter()
-            .map(|(k, v)| match v {
-                Value::Str(s) => Ok((k.clone(), s.clone())),
-                Value::List(_) => Err(format!(
-                    "{MANIFEST_NAME}: [{section}] `{k}` must be a string"
-                )),
-            })
-            .collect()
-    };
-    let columns = str_pairs(&format!("{RULE_COUNTER}.columns"))?;
-    let unserialized = str_pairs(&format!("{RULE_COUNTER}.unserialized"))?;
-    let ungated = str_pairs(&format!("{RULE_COUNTER}.ungated"))?;
-
-    let counters_toks = lex(&read_scoped(root, &counters_file)?).tokens;
-    let runner_toks = lex(&read_scoped(root, &runner_file)?).tokens;
-    let gate_toks = lex(&read_scoped(root, &gate_file)?).tokens;
-    out.extend(counter_schema_sync(&CounterSyncInput {
-        counters_toks: &counters_toks,
-        struct_name: &struct_name,
-        counters_file: &counters_file,
-        runner_toks: &runner_toks,
-        runner_file: &runner_file,
-        gate_toks: &gate_toks,
-        gate_file: &gate_file,
-        gated_const: &gated_const,
-        columns: &columns,
-        unserialized: &unserialized,
-        ungated: &ungated,
-    }));
-    Ok(())
 }

@@ -1,5 +1,4 @@
-//! The `lint.toml` scope manifest: which files each rule covers, the
-//! counter→JSON-column mapping, and the justified allow-lists.
+//! The `lint.toml` scope manifest: which files each rule covers.
 //!
 //! Parsed with a purpose-built reader for the small TOML subset the
 //! manifest actually uses — `[section]` / `[section.sub]` headers, `key =
@@ -21,7 +20,7 @@ pub enum Value {
 }
 
 /// `section name → key → value`; subsections keep their dotted name
-/// (`counter-schema-sync.columns`).
+/// (`rule.sub`).
 pub type Manifest = BTreeMap<String, BTreeMap<String, Value>>;
 
 /// Parses manifest text. Errors carry the 1-based line number.
@@ -173,8 +172,6 @@ fn parse_string(text: &str) -> Result<String, String> {
 pub trait ManifestExt {
     /// The string list at `section.key`, if the section and key exist.
     fn list(&self, section: &str, key: &str) -> Option<Vec<String>>;
-    /// The string at `section.key`.
-    fn str(&self, section: &str, key: &str) -> Option<String>;
     /// All `key → string value` pairs of a section.
     fn table(&self, section: &str) -> Option<&BTreeMap<String, Value>>;
 }
@@ -184,12 +181,6 @@ impl ManifestExt for Manifest {
         match self.get(section)?.get(key)? {
             Value::List(v) => Some(v.clone()),
             Value::Str(s) => Some(vec![s.clone()]),
-        }
-    }
-    fn str(&self, section: &str, key: &str) -> Option<String> {
-        match self.get(section)?.get(key)? {
-            Value::Str(s) => Some(s.clone()),
-            Value::List(_) => None,
         }
     }
     fn table(&self, section: &str) -> Option<&BTreeMap<String, Value>> {
@@ -210,25 +201,21 @@ mod tests {
                \"a.rs\", # trailing\n\
                \"b.rs\",\n\
              ]\n\
-             [counter-schema-sync.columns]\n\
-             alloc_events = \"alloc_per_ts\"\n",
+             [rule.sub]\n\
+             key = \"text\"\n",
         )
         .unwrap();
         assert_eq!(
             m.list("hot-path-alloc", "files").unwrap(),
             vec!["a.rs".to_string(), "b.rs".to_string()]
         );
-        assert_eq!(
-            m.str("counter-schema-sync.columns", "alloc_events")
-                .unwrap(),
-            "alloc_per_ts"
-        );
+        assert_eq!(m["rule.sub"]["key"], Value::Str("text".to_string()));
     }
 
     #[test]
     fn hash_inside_strings_is_not_a_comment() {
         let m = parse("[s]\nkey = \"has # inside\"\n").unwrap();
-        assert_eq!(m.str("s", "key").unwrap(), "has # inside");
+        assert_eq!(m["s"]["key"], Value::Str("has # inside".to_string()));
     }
 
     #[test]

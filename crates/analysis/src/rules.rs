@@ -1,4 +1,4 @@
-//! The five project rules, each a pure function over lexed token streams
+//! The four project rules, each a pure function over lexed token streams
 //! (or, for the doc rule, raw source lines).
 //!
 //! * [`hot_path_alloc`] — no heap-allocating constructs in the manifest's
@@ -7,8 +7,6 @@
 //!   wire/codec decode paths (network input must never panic);
 //! * [`has_forbid_unsafe`] — every crate root carries
 //!   `#![forbid(unsafe_code)]`;
-//! * [`counter_schema_sync`] — every `OpCounters` field reaches the bench
-//!   JSON schema and the CI gate (or is explicitly allow-listed);
 //! * [`doc_comment_shape`] — no mangled doc comments (`////`, or a plain
 //!   `//` torn into a doc block) in the API surface files — the lexer
 //!   strips comments, so this one scans raw lines.
@@ -25,8 +23,6 @@ pub const RULE_HOT_PATH: &str = "hot-path-alloc";
 pub const RULE_WIRE: &str = "panic-free-wire";
 /// See [`RULE_HOT_PATH`].
 pub const RULE_UNSAFE: &str = "forbid-unsafe-everywhere";
-/// See [`RULE_HOT_PATH`].
-pub const RULE_COUNTER: &str = "counter-schema-sync";
 /// See [`RULE_HOT_PATH`].
 pub const RULE_DOC: &str = "doc-comment-shape";
 
@@ -374,288 +370,6 @@ pub fn doc_comment_shape(file: &str, src: &str) -> Vec<Diagnostic> {
     out
 }
 
-// ---------------------------------------------------------------------
-// counter-schema-sync
-// ---------------------------------------------------------------------
-
-/// Inputs to [`counter_schema_sync`], resolved by the engine from the
-/// manifest's `[counter-schema-sync]` section.
-pub struct CounterSyncInput<'a> {
-    /// Lexed tokens of the file defining the counters struct.
-    pub counters_toks: &'a [Tok],
-    /// Name of the counters struct (`OpCounters`).
-    pub struct_name: &'a str,
-    /// Relative path of the counters file (for diagnostics).
-    pub counters_file: &'a str,
-    /// Lexed tokens of the bench runner (JSON serializer).
-    pub runner_toks: &'a [Tok],
-    /// Relative path of the runner file.
-    pub runner_file: &'a str,
-    /// Lexed tokens of the CI gate.
-    pub gate_toks: &'a [Tok],
-    /// Relative path of the gate file.
-    pub gate_file: &'a str,
-    /// Name of the gated-metrics const in the gate file.
-    pub gated_const: &'a str,
-    /// `counter field → JSON column` mapping from the manifest.
-    pub columns: &'a [(String, String)],
-    /// `counter field → justification` for fields intentionally absent
-    /// from the JSON schema.
-    pub unserialized: &'a [(String, String)],
-    /// `JSON column → justification` for columns intentionally not gated.
-    pub ungated: &'a [(String, String)],
-}
-
-/// Collects `pub <name>:` field names of `struct <name> { ... }`, with the
-/// line each is declared on.
-pub fn struct_fields(toks: &[Tok], struct_name: &str) -> Vec<(String, u32)> {
-    let mut fields = Vec::new();
-    let Some(pos) = toks
-        .windows(2)
-        .position(|w| ident(&w[0]) == Some("struct") && ident(&w[1]) == Some(struct_name))
-    else {
-        return fields;
-    };
-    let Some(open) = toks.iter().skip(pos).position(|t| is_punct(t, '{')) else {
-        return fields;
-    };
-    let open = pos + open;
-    let Some(close) = matching(toks, open, '{', '}') else {
-        return fields;
-    };
-    let body = &toks[open + 1..close];
-    for w in body.windows(3) {
-        if ident(&w[0]) == Some("pub") && is_punct(&w[2], ':') {
-            if let Some(name) = ident(&w[1]) {
-                fields.push((name.to_string(), w[1].line));
-            }
-        }
-    }
-    fields
-}
-
-/// The string-literal entries of `const <name> ... = &[ "a", "b" ];`.
-pub fn const_str_list(toks: &[Tok], name: &str) -> Vec<String> {
-    let Some(pos) = toks.iter().position(|t| ident(t) == Some(name)) else {
-        return Vec::new();
-    };
-    // Skip the type annotation (`: &[&str]`) — the list lives after `=`.
-    let Some(eq_rel) = toks.iter().skip(pos).position(|t| is_punct(t, '=')) else {
-        return Vec::new();
-    };
-    let eq = pos + eq_rel;
-    let Some(open_rel) = toks.iter().skip(eq).position(|t| is_punct(t, '[')) else {
-        return Vec::new();
-    };
-    let open = eq + open_rel;
-    let Some(close) = matching(toks, open, '[', ']') else {
-        return Vec::new();
-    };
-    toks[open + 1..close]
-        .iter()
-        .filter_map(|t| match &t.kind {
-            TokKind::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Whether any string literal in `toks` quotes `key` as a JSON column
-/// (`\"key\":` inside the serializer's format string).
-fn serializes_column(toks: &[Tok], key: &str) -> bool {
-    let pat = format!("\\\"{key}\\\":");
-    toks.iter().any(|t| match &t.kind {
-        TokKind::Str(s) => s.contains(&pat),
-        _ => false,
-    })
-}
-
-/// Checks that every counter field flows into the bench JSON schema and
-/// the CI gate, or is explicitly allow-listed with a justification. Also
-/// flags stale manifest entries (mappings for fields that no longer
-/// exist, allow-list rows for unknown columns) so the manifest cannot rot.
-pub fn counter_schema_sync(input: &CounterSyncInput<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let fields = struct_fields(input.counters_toks, input.struct_name);
-    if fields.is_empty() {
-        out.push(Diagnostic {
-            file: input.counters_file.to_string(),
-            line: 1,
-            rule: RULE_COUNTER,
-            message: format!(
-                "struct `{}` not found — fix the [counter-schema-sync] manifest section",
-                input.struct_name
-            ),
-        });
-        return out;
-    }
-    let gated = const_str_list(input.gate_toks, input.gated_const);
-    if gated.is_empty() {
-        out.push(Diagnostic {
-            file: input.gate_file.to_string(),
-            line: 1,
-            rule: RULE_COUNTER,
-            message: format!(
-                "gated-metrics const `{}` not found or empty in the gate file",
-                input.gated_const
-            ),
-        });
-    }
-    let lookup = |table: &[(String, String)], key: &str| -> Option<String> {
-        table.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-
-    // 1. Every struct field is mapped to a column or justified as
-    //    unserialized.
-    for (field, line) in &fields {
-        let mapped = lookup(input.columns, field);
-        let excused = lookup(input.unserialized, field);
-        match (&mapped, &excused) {
-            (None, None) => out.push(Diagnostic {
-                file: input.counters_file.to_string(),
-                line: *line,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "counter `{field}` reaches neither the bench JSON schema nor the \
-                     unserialized allow-list — map it to a column in \
-                     [counter-schema-sync.columns] and serialize it in the runner, or \
-                     justify its absence in [counter-schema-sync.unserialized]"
-                ),
-            }),
-            (Some(_), Some(_)) => out.push(Diagnostic {
-                file: input.counters_file.to_string(),
-                line: *line,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "counter `{field}` is both mapped to a column and allow-listed as \
-                     unserialized — pick one"
-                ),
-            }),
-            _ => {}
-        }
-    }
-
-    // 2. Every mapped column is actually rendered by the runner's JSON
-    //    serializer, and is either gated or justified as ungated.
-    let mut seen_cols: Vec<&str> = Vec::new();
-    for (field, col) in input.columns {
-        if !fields.iter().any(|(f, _)| f == field) {
-            out.push(Diagnostic {
-                file: input.counters_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "[counter-schema-sync.columns] maps unknown counter `{field}` — stale \
-                     manifest entry"
-                ),
-            });
-        }
-        if seen_cols.contains(&col.as_str()) {
-            continue;
-        }
-        seen_cols.push(col);
-        if !serializes_column(input.runner_toks, col) {
-            out.push(Diagnostic {
-                file: input.runner_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "JSON column `{col}` (mapped from `{field}`) is not rendered by the \
-                     runner's serializer — the counter silently dropped out of BENCH_*.json"
-                ),
-            });
-        }
-        let is_gated = gated.iter().any(|g| g == col);
-        let excused = lookup(input.ungated, col);
-        if !is_gated && excused.is_none() {
-            out.push(Diagnostic {
-                file: input.gate_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "JSON column `{col}` (mapped from `{field}`) is not in `{}` and not \
-                     allow-listed in [counter-schema-sync.ungated] — gate it or justify it",
-                    input.gated_const
-                ),
-            });
-        }
-        if is_gated && excused.is_some() {
-            out.push(Diagnostic {
-                file: input.gate_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "JSON column `{col}` is gated *and* allow-listed as ungated — remove the \
-                     stale [counter-schema-sync.ungated] row"
-                ),
-            });
-        }
-    }
-
-    // 3. Allow-list hygiene: unserialized rows must name real fields,
-    //    ungated rows must name mapped columns, and justifications must be
-    //    non-empty prose.
-    for (field, just) in input.unserialized {
-        if !fields.iter().any(|(f, _)| f == field) {
-            out.push(Diagnostic {
-                file: input.counters_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "[counter-schema-sync.unserialized] excuses unknown counter `{field}` — \
-                     stale manifest entry"
-                ),
-            });
-        }
-        if just.trim().is_empty() {
-            out.push(Diagnostic {
-                file: input.counters_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!("empty justification for unserialized counter `{field}`"),
-            });
-        }
-    }
-    for (col, just) in input.ungated {
-        if !input.columns.iter().any(|(_, c)| c == col) {
-            out.push(Diagnostic {
-                file: input.gate_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "[counter-schema-sync.ungated] excuses unknown column `{col}` — stale \
-                     manifest entry"
-                ),
-            });
-        }
-        if just.trim().is_empty() {
-            out.push(Diagnostic {
-                file: input.gate_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!("empty justification for ungated column `{col}`"),
-            });
-        }
-    }
-
-    // 4. Every gated metric must be a real serialized column (catches
-    //    typos in the gate's own list).
-    for g in &gated {
-        if !serializes_column(input.runner_toks, g) {
-            out.push(Diagnostic {
-                file: input.gate_file.to_string(),
-                line: 1,
-                rule: RULE_COUNTER,
-                message: format!(
-                    "gated metric `{g}` is not rendered by the runner's serializer — the \
-                     gate would silently skip it on every artifact"
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,84 +489,6 @@ mod tests {
         assert!(!has_forbid_unsafe(&lex("pub fn f() {}").tokens));
     }
 
-    const COUNTERS: &str = "
-        pub struct OpCounters {
-            pub steps: u64,
-            pub allocs: u64,
-            pub silent: u64,
-        }
-    ";
-    const RUNNER: &str = r#"
-        fn json() -> String {
-            format!("{{\"steps_per_ts\": {:.1}, \"alloc_per_ts\": {:.3}}}", a, b)
-        }
-    "#;
-    const GATE: &str = r#"
-        const GATED_METRICS: &[&str] = &["steps_per_ts"];
-    "#;
-
-    fn run_sync(
-        columns: &[(String, String)],
-        unserialized: &[(String, String)],
-        ungated: &[(String, String)],
-    ) -> Vec<Diagnostic> {
-        let c = lex(COUNTERS);
-        let r = lex(RUNNER);
-        let g = lex(GATE);
-        counter_schema_sync(&CounterSyncInput {
-            counters_toks: &c.tokens,
-            struct_name: "OpCounters",
-            counters_file: "counters.rs",
-            runner_toks: &r.tokens,
-            runner_file: "runner.rs",
-            gate_toks: &g.tokens,
-            gate_file: "gate.rs",
-            gated_const: "GATED_METRICS",
-            columns,
-            unserialized,
-            ungated,
-        })
-    }
-
-    fn pairs(v: &[(&str, &str)]) -> Vec<(String, String)> {
-        v.iter()
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn counter_sync_passes_a_complete_mapping() {
-        let diags = run_sync(
-            &pairs(&[("steps", "steps_per_ts"), ("allocs", "alloc_per_ts")]),
-            &pairs(&[("silent", "debug-only counter, never reported")]),
-            &pairs(&[("alloc_per_ts", "gated transitively via the tickpath assert")]),
-        );
-        assert!(diags.is_empty(), "{diags:#?}");
-    }
-
-    #[test]
-    fn counter_sync_catches_unmapped_field_missing_column_and_ungated() {
-        // `silent` unmapped; `allocs` maps to a column the runner does not
-        // render; `steps_per_ts` is gated but `ghost_per_ts` is not.
-        let diags = run_sync(
-            &pairs(&[("steps", "steps_per_ts"), ("allocs", "ghost_per_ts")]),
-            &[],
-            &[],
-        );
-        let msgs: Vec<_> = diags.iter().map(|d| d.message.as_str()).collect();
-        assert!(msgs.iter().any(|m| m.contains("`silent`")), "{msgs:#?}");
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("`ghost_per_ts`") && m.contains("not rendered")),
-            "{msgs:#?}"
-        );
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("`ghost_per_ts`") && m.contains("not in `GATED_METRICS`")),
-            "{msgs:#?}"
-        );
-    }
-
     #[test]
     fn doc_shape_passes_well_formed_docs() {
         let src = "\
@@ -909,27 +545,5 @@ pub fn c() {}
         // here); `apply_allows` consumes the directive downstream, which
         // the bad_doc_comment fixture exercises end to end.
         assert_eq!(diags[2].line, 11);
-    }
-
-    #[test]
-    fn counter_sync_catches_stale_manifest_rows_and_empty_justifications() {
-        let diags = run_sync(
-            &pairs(&[
-                ("steps", "steps_per_ts"),
-                ("allocs", "alloc_per_ts"),
-                ("gone", "gone_per_ts"),
-            ]),
-            &pairs(&[("silent", "   "), ("ghost", "never existed")]),
-            &pairs(&[
-                ("alloc_per_ts", "ok"),
-                ("gone_per_ts", "ok"),
-                ("mystery", "x"),
-            ]),
-        );
-        let msgs: Vec<_> = diags.iter().map(|d| d.message.as_str()).collect();
-        assert!(msgs.iter().any(|m| m.contains("unknown counter `gone`")));
-        assert!(msgs.iter().any(|m| m.contains("unknown counter `ghost`")));
-        assert!(msgs.iter().any(|m| m.contains("unknown column `mystery`")));
-        assert!(msgs.iter().any(|m| m.contains("empty justification")));
     }
 }

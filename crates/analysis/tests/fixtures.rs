@@ -69,26 +69,6 @@ fn bad_unsafe_demands_forbid_not_deny() {
 }
 
 #[test]
-fn bad_counter_sync_finds_each_kind_of_drift() {
-    let diags = check_fixture("bad_counter_sync");
-    let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    // Unmapped counter, mapped-but-unrendered column (which is also
-    // ungated without a justification), and a gated metric that the
-    // runner never renders.
-    assert!(msgs.iter().any(|m| m.contains("`orphan`")), "{msgs:#?}");
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`dropped_per_ts`") && m.contains("not rendered")),
-        "{msgs:#?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`ghost_per_ts`") && m.contains("gate would silently skip")),
-        "{msgs:#?}"
-    );
-}
-
-#[test]
 fn bad_doc_comment_finds_four_slash_openers_and_torn_blocks() {
     let diags = check_fixture("bad_doc_comment");
     assert_eq!(diags.len(), 2, "{diags:#?}");

@@ -18,16 +18,16 @@ pub fn bench_figure(c: &mut Criterion, figure: &str, scale: f64) {
         .measurement_time(std::time::Duration::from_millis(800));
     for (label, params) in (fig.points)(scale, 42) {
         let net = params.build_network();
-        for &algo in fig.algos {
+        for &stack in fig.stacks {
             let mut scenario = Scenario::new(net.clone(), params.scenario_config());
-            let mut monitor = make_monitor(algo, net.clone());
+            let mut monitor = make_monitor(stack, net.clone(), &params);
             scenario.install_into(monitor.as_mut());
             // A couple of warm-up ticks so trees/lists reach steady state.
             for _ in 0..2 {
                 let b = scenario.tick();
                 monitor.tick(&b);
             }
-            group.bench_with_input(BenchmarkId::new(algo.name(), &label), &(), |b, _| {
+            group.bench_with_input(BenchmarkId::new(stack.name(), &label), &(), |b, _| {
                 b.iter(|| {
                     let batch = scenario.tick();
                     monitor.tick(&batch)

@@ -18,7 +18,7 @@ use std::env;
 use std::process::ExitCode;
 
 use rnn_bench::gate::{compare, run_gated_figure, GATE_SPECS, MAX_REGRESSION};
-use rnn_bench::runner::{format_series, series_to_json};
+use rnn_bench::runner::{format_series, series_to_json, Ingest, Link, DURABLE_SNAPSHOT_EVERY};
 use rnn_bench::{all_figures, figure_by_name, run_series, Params};
 
 struct Options {
@@ -171,26 +171,18 @@ fn main() -> ExitCode {
         }
         let series = run_series(
             &points,
-            fig.algos,
+            fig.stacks,
             opts.timestamps,
             opts.warmup,
             opts.parallel,
         );
         println!("{}", format_series(fig.title, &series, fig.memory));
-        // The engine and tickpath figures double as the cross-PR perf
-        // tracker: emit a machine-readable artifact next to the
-        // human-readable table, and enforce the engine's O(changed-edges)
-        // replica-maintenance bound — no single tick may resync more
-        // objects than exist. CI runs these figures and fails on a
-        // violation.
-        if fig.name.starts_with("engine")
-            || fig.name == "tickpath"
-            || fig.name == "rebalance"
-            || fig.name == "cluster"
-            || fig.name == "recovery"
-            || fig.name == "replication"
-            || fig.name == "ingest"
-        {
+        // The artifact figures double as the cross-PR perf tracker: emit
+        // a machine-readable artifact next to the human-readable table,
+        // and enforce the engine's O(changed-edges) replica-maintenance
+        // bound — no single tick may resync more objects than exist. CI
+        // runs these figures and fails on a violation.
+        if fig.artifact {
             let path = format!("BENCH_{}.json", fig.name);
             match std::fs::write(&path, series_to_json(fig.name, &series)) {
                 Ok(()) => println!("# wrote {path}"),
@@ -200,13 +192,13 @@ fn main() -> ExitCode {
                 }
             }
             for (point, (label, params)) in series.iter().zip(&points) {
-                for r in point.results.iter().filter(|r| r.algo.is_sharded()) {
+                for r in point.results.iter().filter(|r| r.stack.shards > 0) {
                     if r.max_tick_resync > params.n_objects as u64 {
                         eprintln!(
                             "REPLICA MAINTENANCE REGRESSION: {} at {label} resynced \
                              {} objects in one tick (only {} exist) — halo resync \
                              is no longer incremental",
-                            r.algo.name(),
+                            r.stack.name(),
                             r.max_tick_resync,
                             params.n_objects
                         );
@@ -227,20 +219,19 @@ fn main() -> ExitCode {
             let mut recycled_total = 0.0;
             for point in &series {
                 for r in &point.results {
-                    shared_total += r.shared_per_ts;
-                    let single = matches!(r.algo, rnn_bench::runner::Algo::Ima)
-                        || matches!(r.algo, rnn_bench::runner::Algo::Gma);
+                    shared_total += r.get("shared_per_ts");
+                    let single = r.stack.shards == 0;
                     if single {
-                        recycled_total += r.recycled_per_ts;
+                        recycled_total += r.get("recycled_per_ts");
                     }
-                    if single && r.alloc_per_ts >= 0.5 {
+                    if single && r.get("alloc_per_ts") >= 0.5 {
                         eprintln!(
                             "TICK-PATH REGRESSION: {} at {} allocated {:.3} times per \
                              steady-state tick — the arena/heap/tree-pool layout no \
                              longer runs allocation-free (tree surgery included)",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.alloc_per_ts
+                            r.get("alloc_per_ts")
                         );
                         return ExitCode::FAILURE;
                     }
@@ -268,26 +259,21 @@ fn main() -> ExitCode {
         // every point. This is the CI rebalance smoke.
         if fig.name == "rebalance" {
             for point in &series {
-                let static_eng = point
-                    .results
-                    .iter()
-                    .find(|r| matches!(r.algo, rnn_bench::runner::Algo::Sharded(_)));
-                let rebal = point
-                    .results
-                    .iter()
-                    .find(|r| matches!(r.algo, rnn_bench::runner::Algo::ShardedRebal(_)));
+                let static_eng = point.results.iter().find(|r| !r.stack.rebalancing);
+                let rebal = point.results.iter().find(|r| r.stack.rebalancing);
                 let (Some(st), Some(rb)) = (static_eng, rebal) else {
                     eprintln!("REBALANCE REGRESSION: figure lost its engine pair");
                     return ExitCode::FAILURE;
                 };
-                if rb.cells_migrated == 0 || rb.rebalances == 0 {
+                let (cells, rebalances) = (rb.get("cells_migrated"), rb.get("rebalances"));
+                if cells == 0.0 || rebalances == 0.0 {
                     eprintln!(
                         "REBALANCE REGRESSION: {} never migrated under the hotspot \
                          at {} (rebalances {}, cells {})",
-                        rb.algo.name(),
+                        rb.stack.name(),
                         point.label,
-                        rb.rebalances,
-                        rb.cells_migrated
+                        rebalances,
+                        cells
                     );
                     return ExitCode::FAILURE;
                 }
@@ -303,7 +289,7 @@ fn main() -> ExitCode {
                 println!(
                     "#   {}: load ratio {:.3} (static) -> {:.3} (rebalanced), \
                      {} cells over {} migrations",
-                    point.label, st.load_ratio, rb.load_ratio, rb.cells_migrated, rb.rebalances
+                    point.label, st.load_ratio, rb.load_ratio, cells, rebalances
                 );
             }
         }
@@ -314,49 +300,50 @@ fn main() -> ExitCode {
         // under the pinned retry bound — more retries means the timeout
         // policy is misfiring or replies are being lost (a retry storm).
         if fig.name == "cluster" {
-            const RETRY_STORM_BOUND: u64 = 8;
+            const RETRY_STORM_BOUND: f64 = 8.0;
             for point in &series {
                 let inproc = point
                     .results
                     .iter()
-                    .find(|r| matches!(r.algo, rnn_bench::runner::Algo::Sharded(4)));
+                    .find(|r| r.stack.link == Link::InProcess);
                 for r in point
                     .results
                     .iter()
-                    .filter(|r| matches!(r.algo, rnn_bench::runner::Algo::Cluster(_)))
+                    .filter(|r| r.stack.link == Link::Loopback)
                 {
-                    if r.frames_per_ts <= 0.0 {
+                    if r.get("frames_per_ts") <= 0.0 {
                         eprintln!(
                             "CLUSTER REGRESSION: {} at {} moved no RPC frames — the \
                              coordinator is not talking to its shard services",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label
                         );
                         return ExitCode::FAILURE;
                     }
-                    if r.retries > RETRY_STORM_BOUND {
+                    if r.get("retries") > RETRY_STORM_BOUND {
                         eprintln!(
                             "CLUSTER REGRESSION: {} at {} retransmitted {} times on a \
                              fault-free loopback transport (bound {RETRY_STORM_BOUND}) — \
                              retry storm",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.retries
+                            r.get("retries")
                         );
                         return ExitCode::FAILURE;
                     }
-                    if matches!(r.algo, rnn_bench::runner::Algo::Cluster(4)) {
-                        if let Some(eng) = inproc {
-                            if r.work_per_ts != eng.work_per_ts {
-                                eprintln!(
-                                    "CLUSTER REGRESSION: at {} CLU-4 work {} != ENG-4 \
-                                     work {} — the RPC layer is no longer \
-                                     answer-identical",
-                                    point.label, r.work_per_ts, eng.work_per_ts
-                                );
-                                return ExitCode::FAILURE;
-                            }
-                        }
+                    let twin = inproc.filter(|eng| eng.stack.shards == r.stack.shards);
+                    if let Some(eng) = twin.filter(|e| e.get("work_per_ts") != r.get("work_per_ts"))
+                    {
+                        eprintln!(
+                            "CLUSTER REGRESSION: at {} {} work {} != {} work {} — the RPC \
+                             layer is no longer answer-identical",
+                            point.label,
+                            r.stack.name(),
+                            r.get("work_per_ts"),
+                            eng.stack.name(),
+                            eng.get("work_per_ts")
+                        );
+                        return ExitCode::FAILURE;
                     }
                 }
                 println!(
@@ -365,12 +352,12 @@ fn main() -> ExitCode {
                     point
                         .results
                         .iter()
-                        .filter(|r| matches!(r.algo, rnn_bench::runner::Algo::Cluster(_)))
+                        .filter(|r| r.stack.link == Link::Loopback)
                         .map(|r| format!(
                             "{} {:.1}/{:.0}",
-                            r.algo.name(),
-                            r.frames_per_ts,
-                            r.bytes_per_ts
+                            r.stack.name(),
+                            r.get("frames_per_ts"),
+                            r.get("bytes_per_ts")
                         ))
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -386,46 +373,46 @@ fn main() -> ExitCode {
         // stay under shards x cadence, proving truncate-behind-snapshot
         // fired instead of letting the journal grow with the run.
         if fig.name == "recovery" {
-            use rnn_bench::runner::DURABLE_SNAPSHOT_EVERY;
             for point in &series {
                 for r in &point.results {
-                    let rnn_bench::runner::Algo::ClusterDurable(shards) = r.algo else {
+                    if r.stack.link != Link::Durable {
                         continue;
-                    };
-                    if r.recoveries == 0 || r.snapshots == 0 {
+                    }
+                    let shards = r.stack.shards;
+                    if r.get("recoveries") == 0.0 || r.get("snapshots") == 0.0 {
                         eprintln!(
                             "RECOVERY REGRESSION: {} at {} recorded {} recoveries and \
                              {} snapshots — the fault plan stopped crashing shards or \
                              the snapshot cadence stopped firing",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.recoveries,
-                            r.snapshots
+                            r.get("recoveries"),
+                            r.get("snapshots")
                         );
                         return ExitCode::FAILURE;
                     }
                     let replay_bound = f64::from(DURABLE_SNAPSHOT_EVERY) + 2.0;
-                    if r.replayed_per_recovery > replay_bound {
+                    if r.get("replayed_per_recovery") > replay_bound {
                         eprintln!(
                             "RECOVERY REGRESSION: {} at {} replayed {:.1} frames per \
                              recovery (bound {:.0}) — respawn is replaying history a \
                              snapshot should have absorbed",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.replayed_per_recovery,
+                            r.get("replayed_per_recovery"),
                             replay_bound
                         );
                         return ExitCode::FAILURE;
                     }
-                    let journal_bound = u64::from(shards) * u64::from(DURABLE_SNAPSHOT_EVERY);
-                    if r.journal_len >= journal_bound {
+                    let journal_bound = f64::from(shards) * f64::from(DURABLE_SNAPSHOT_EVERY);
+                    if r.get("journal_len") >= journal_bound {
                         eprintln!(
                             "RECOVERY REGRESSION: {} at {} ended with {} journaled \
                              frames across {} shards (bound {}) — the journal is no \
                              longer truncated behind durable snapshots",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.journal_len,
+                            r.get("journal_len"),
                             shards,
                             journal_bound
                         );
@@ -435,12 +422,12 @@ fn main() -> ExitCode {
                         "#   {}: {} recovered {}x, {:.1} frames replayed/recovery, \
                          {} snapshots ({:.1} KB), {} journaled frames at end",
                         point.label,
-                        r.algo.name(),
-                        r.recoveries,
-                        r.replayed_per_recovery,
-                        r.snapshots,
-                        r.snapshot_kb,
-                        r.journal_len
+                        r.stack.name(),
+                        r.get("recoveries"),
+                        r.get("replayed_per_recovery"),
+                        r.get("snapshots"),
+                        r.get("snapshot_kb"),
+                        r.get("journal_len")
                     );
                 }
             }
@@ -463,49 +450,52 @@ fn main() -> ExitCode {
         if fig.name == "replication" {
             for point in &series {
                 for r in point.results.iter() {
-                    let rnn_bench::runner::Algo::ClusterReplicated(shards) = r.algo else {
+                    if r.stack.link != Link::Replicated {
                         continue;
-                    };
-                    if r.failovers < u64::from(shards) {
+                    }
+                    let shards = r.stack.shards;
+                    if r.get("failovers") < f64::from(shards) {
                         eprintln!(
                             "REPLICATION REGRESSION: {} at {} promoted {} followers \
                              (expected one per shard, {shards}) — the leader kills \
                              stopped driving failover",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.failovers
+                            r.get("failovers")
                         );
                         return ExitCode::FAILURE;
                     }
-                    if r.fenced_appends > 0 {
+                    if r.get("fenced_appends") > 0.0 {
                         eprintln!(
                             "REPLICATION REGRESSION: {} at {} rejected {} appends as \
                              stale — a healthy run must never fence its own leader",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.fenced_appends
+                            r.get("fenced_appends")
                         );
                         return ExitCode::FAILURE;
                     }
-                    if r.replica_bytes == 0 || r.commit_lag_frames <= 0.0 {
+                    if r.get("replica_bytes") == 0.0 || r.get("commit_lag_frames") <= 0.0 {
                         eprintln!(
                             "REPLICATION REGRESSION: {} at {} shipped {} replica bytes \
                              with commit lag {:.3} — the quorum pipeline never ran",
-                            r.algo.name(),
+                            r.stack.name(),
                             point.label,
-                            r.replica_bytes,
-                            r.commit_lag_frames
+                            r.get("replica_bytes"),
+                            r.get("commit_lag_frames")
                         );
                         return ExitCode::FAILURE;
                     }
-                    let oracle = point.results.iter().find(
-                        |o| matches!(o.algo, rnn_bench::runner::Algo::Sharded(n) if n == shards),
-                    );
+                    let oracle = point
+                        .results
+                        .iter()
+                        .find(|o| o.stack.link == Link::InProcess && o.stack.shards == shards);
                     if let Some(eng) = oracle {
-                        let exact = (r.resync_per_ts, r.evictions_per_ts)
-                            == (eng.resync_per_ts, eng.evictions_per_ts);
-                        let ignored_ok = (r.ignored_per_ts - eng.ignored_per_ts).abs()
-                            <= eng.ignored_per_ts * 0.01;
+                        let exact = (r.get("resync_per_ts"), r.get("evictions_per_ts"))
+                            == (eng.get("resync_per_ts"), eng.get("evictions_per_ts"));
+                        let ignored_ok = (r.get("ignored_per_ts") - eng.get("ignored_per_ts"))
+                            .abs()
+                            <= eng.get("ignored_per_ts") * 0.01;
                         if !exact || !ignored_ok {
                             eprintln!(
                                 "REPLICATION REGRESSION: at {} {} restore-stable \
@@ -514,14 +504,14 @@ fn main() -> ExitCode {
                                  the cluster no longer matches the in-process \
                                  engine through follower promotion",
                                 point.label,
-                                r.algo.name(),
-                                r.ignored_per_ts,
-                                r.resync_per_ts,
-                                r.evictions_per_ts,
-                                eng.algo.name(),
-                                eng.ignored_per_ts,
-                                eng.resync_per_ts,
-                                eng.evictions_per_ts
+                                r.stack.name(),
+                                r.get("ignored_per_ts"),
+                                r.get("resync_per_ts"),
+                                r.get("evictions_per_ts"),
+                                eng.stack.name(),
+                                eng.get("ignored_per_ts"),
+                                eng.get("resync_per_ts"),
+                                eng.get("evictions_per_ts")
                             );
                             return ExitCode::FAILURE;
                         }
@@ -530,11 +520,11 @@ fn main() -> ExitCode {
                         "#   {}: {} failed over {}x, commit lag/ts {:.1}, \
                          {} replica bytes, {} fenced",
                         point.label,
-                        r.algo.name(),
-                        r.failovers,
-                        r.commit_lag_frames,
-                        r.replica_bytes,
-                        r.fenced_appends
+                        r.stack.name(),
+                        r.get("failovers"),
+                        r.get("commit_lag_frames"),
+                        r.get("replica_bytes"),
+                        r.get("fenced_appends")
                     );
                 }
             }
@@ -551,49 +541,46 @@ fn main() -> ExitCode {
         if fig.name == "ingest" {
             for point in &series {
                 for r in &point.results {
-                    match r.algo {
-                        rnn_bench::runner::Algo::Ingest(_) => {
-                            if r.coalesced_per_ts <= 0.0 {
-                                eprintln!(
-                                    "INGEST REGRESSION: {} at {} coalesced nothing — the \
-                                     drain stopped folding superseded reports",
-                                    r.algo.name(),
-                                    point.label
-                                );
-                                return ExitCode::FAILURE;
-                            }
-                            if r.shed_events > 0 {
-                                eprintln!(
-                                    "INGEST REGRESSION: {} at {} shed {} events under \
-                                     blocking admission — lossless lanes dropped data",
-                                    r.algo.name(),
-                                    point.label,
-                                    r.shed_events
-                                );
-                                return ExitCode::FAILURE;
-                            }
-                            if r.drain_alloc_events > 0 {
-                                eprintln!(
-                                    "INGEST REGRESSION: {} at {} allocated {} times in \
-                                     post-warmup drains — the swap-and-merge drain is no \
-                                     longer allocation-free at steady state",
-                                    r.algo.name(),
-                                    point.label,
-                                    r.drain_alloc_events
-                                );
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                        rnn_bench::runner::Algo::IngestShed(_) if r.shed_events == 0 => {
+                    let shed = r.get("shed_events");
+                    let drain_allocs = r.get("drain_alloc_events");
+                    if r.stack.ingest == Ingest::Lossless {
+                        if r.get("coalesced_per_ts") <= 0.0 {
                             eprintln!(
-                                "INGEST REGRESSION: {} at {} never shed — the tight \
-                                 ShedOldest lanes stopped exercising admission control",
-                                r.algo.name(),
+                                "INGEST REGRESSION: {} at {} coalesced nothing — the \
+                                 drain stopped folding superseded reports",
+                                r.stack.name(),
                                 point.label
                             );
                             return ExitCode::FAILURE;
                         }
-                        _ => {}
+                        if shed > 0.0 {
+                            eprintln!(
+                                "INGEST REGRESSION: {} at {} shed {shed} events under \
+                                 blocking admission — lossless lanes dropped data",
+                                r.stack.name(),
+                                point.label
+                            );
+                            return ExitCode::FAILURE;
+                        }
+                        if drain_allocs > 0.0 {
+                            eprintln!(
+                                "INGEST REGRESSION: {} at {} allocated {drain_allocs} times in \
+                                 post-warmup drains — the swap-and-merge drain is no \
+                                 longer allocation-free at steady state",
+                                r.stack.name(),
+                                point.label
+                            );
+                            return ExitCode::FAILURE;
+                        }
+                    }
+                    if r.stack.ingest == Ingest::Shedding && shed == 0.0 {
+                        eprintln!(
+                            "INGEST REGRESSION: {} at {} never shed — the tight \
+                             ShedOldest lanes stopped exercising admission control",
+                            r.stack.name(),
+                            point.label
+                        );
+                        return ExitCode::FAILURE;
                     }
                 }
                 println!(
@@ -602,13 +589,13 @@ fn main() -> ExitCode {
                     point
                         .results
                         .iter()
-                        .filter(|r| r.algo.is_ingest())
+                        .filter(|r| r.stack.ingest != Ingest::Batch)
                         .map(|r| format!(
                             "{} coalesced/ts {:.1}, shed {}, drain allocs {}",
-                            r.algo.name(),
-                            r.coalesced_per_ts,
-                            r.shed_events,
-                            r.drain_alloc_events
+                            r.stack.name(),
+                            r.get("coalesced_per_ts"),
+                            r.get("shed_events"),
+                            r.get("drain_alloc_events")
                         ))
                         .collect::<Vec<_>>()
                         .join("; ")

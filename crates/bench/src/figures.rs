@@ -8,7 +8,7 @@
 use rnn_workload::{Distribution, FirehosePattern, MovementModel};
 
 use crate::params::Params;
-use crate::runner::Algo;
+use crate::runner::Stack;
 
 /// A reproducible experiment: a labelled parameter sweep.
 pub struct Figure {
@@ -16,10 +16,13 @@ pub struct Figure {
     pub name: &'static str,
     /// Human title, as in the paper.
     pub title: &'static str,
-    /// Algorithms plotted.
-    pub algos: &'static [Algo],
+    /// Stacks plotted, one row each.
+    pub stacks: &'static [Stack],
     /// Whether the y-axis is memory (Fig. 18) rather than CPU time.
     pub memory: bool,
+    /// Whether a run also writes `BENCH_<name>.json` — the cross-PR perf
+    /// tracker CI smokes, uploads and (per `gate::GATE_SPECS`) gates.
+    pub artifact: bool,
     /// Builds the sweep at the given scale and seed.
     pub points: fn(scale: f64, seed: u64) -> Vec<(String, Params)>,
 }
@@ -87,34 +90,31 @@ fn fig14a(scale: f64, seed: u64) -> Vec<(String, Params)> {
     sweep_k(scale, seed, false)
 }
 
+/// One point per value of an agility (a fraction per timestamp, labelled
+/// in percent), everything else at the scaled Table 2 defaults.
+fn sweep_agility(
+    scale: f64,
+    seed: u64,
+    tag: &str,
+    values: &[f64],
+    set: fn(&mut Params, f64),
+) -> Vec<(String, Params)> {
+    let point = |&f: &f64| {
+        let mut p = base(scale, seed);
+        set(&mut p, f);
+        (format!("{tag}={}%", (f * 100.0) as u32), p)
+    };
+    values.iter().map(point).collect()
+}
+
 fn fig14b(scale: f64, seed: u64) -> Vec<(String, Params)> {
-    [0.01, 0.02, 0.04, 0.08, 0.16]
-        .into_iter()
-        .map(|f| {
-            (
-                format!("f_edg={}%", (f * 100.0) as u32),
-                Params {
-                    edge_agility: f,
-                    ..base(scale, seed)
-                },
-            )
-        })
-        .collect()
+    let values = [0.01, 0.02, 0.04, 0.08, 0.16];
+    sweep_agility(scale, seed, "f_edg", &values, |p, f| p.edge_agility = f)
 }
 
 fn fig15a(scale: f64, seed: u64) -> Vec<(String, Params)> {
-    [0.0, 0.05, 0.10, 0.15, 0.20]
-        .into_iter()
-        .map(|f| {
-            (
-                format!("f_obj={}%", (f * 100.0) as u32),
-                Params {
-                    object_agility: f,
-                    ..base(scale, seed)
-                },
-            )
-        })
-        .collect()
+    let values = [0.0, 0.05, 0.10, 0.15, 0.20];
+    sweep_agility(scale, seed, "f_obj", &values, |p, f| p.object_agility = f)
 }
 
 fn fig15b(scale: f64, seed: u64) -> Vec<(String, Params)> {
@@ -133,18 +133,8 @@ fn fig15b(scale: f64, seed: u64) -> Vec<(String, Params)> {
 }
 
 fn fig16a(scale: f64, seed: u64) -> Vec<(String, Params)> {
-    [0.0, 0.05, 0.10, 0.15, 0.20]
-        .into_iter()
-        .map(|f| {
-            (
-                format!("f_qry={}%", (f * 100.0) as u32),
-                Params {
-                    query_agility: f,
-                    ..base(scale, seed)
-                },
-            )
-        })
-        .collect()
+    let values = [0.0, 0.05, 0.10, 0.15, 0.20];
+    sweep_agility(scale, seed, "f_qry", &values, |p, f| p.query_agility = f)
 }
 
 fn fig16b(scale: f64, seed: u64) -> Vec<(String, Params)> {
@@ -284,18 +274,8 @@ fn engine_scaling(scale: f64, seed: u64) -> Vec<(String, Params)> {
 /// halo growth and shrink, which is exactly the replica-lifecycle work the
 /// incremental maintenance subsystem bounds.
 fn engine_repl(scale: f64, seed: u64) -> Vec<(String, Params)> {
-    [0.05, 0.20, 0.50]
-        .into_iter()
-        .map(|f| {
-            (
-                format!("f_qry={}%", (f * 100.0) as u32),
-                Params {
-                    query_agility: f,
-                    ..base(scale, seed)
-                },
-            )
-        })
-        .collect()
+    let values = [0.05, 0.20, 0.50];
+    sweep_agility(scale, seed, "f_qry", &values, |p, f| p.query_agility = f)
 }
 
 /// Tick-path flatness (not in the paper): the default engine scenario at
@@ -434,18 +414,8 @@ fn ingest(scale: f64, seed: u64) -> Vec<(String, Params)> {
 
 /// Ablation (not in the paper): IMA with vs without influence lists.
 fn ablation_influence(scale: f64, seed: u64) -> Vec<(String, Params)> {
-    [0.05, 0.10, 0.20]
-        .into_iter()
-        .map(|f| {
-            (
-                format!("f_obj={}%", (f * 100.0) as u32),
-                Params {
-                    object_agility: f,
-                    ..base(scale, seed)
-                },
-            )
-        })
-        .collect()
+    let values = [0.05, 0.10, 0.20];
+    sweep_agility(scale, seed, "f_obj", &values, |p, f| p.object_agility = f)
 }
 
 /// All experiments, in paper order.
@@ -454,163 +424,186 @@ pub fn all_figures() -> Vec<Figure> {
         Figure {
             name: "fig13a",
             title: "Figure 13(a): CPU time vs object cardinality N",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig13a,
         },
         Figure {
             name: "fig13b",
             title: "Figure 13(b): CPU time vs query cardinality Q",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig13b,
         },
         Figure {
             name: "fig14a",
             title: "Figure 14(a): CPU time vs number of NNs k (log scale in the paper)",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig14a,
         },
         Figure {
             name: "fig14b",
             title: "Figure 14(b): CPU time vs edge agility f_edg",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig14b,
         },
         Figure {
             name: "fig15a",
             title: "Figure 15(a): CPU time vs object agility f_obj",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig15a,
         },
         Figure {
             name: "fig15b",
             title: "Figure 15(b): CPU time vs object speed v_obj",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig15b,
         },
         Figure {
             name: "fig16a",
             title: "Figure 16(a): CPU time vs query agility f_qry",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig16a,
         },
         Figure {
             name: "fig16b",
             title: "Figure 16(b): CPU time vs query speed v_qry",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig16b,
         },
         Figure {
             name: "fig17a",
             title: "Figure 17(a): CPU time vs object/query distributions",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig17a,
         },
         Figure {
             name: "fig17b",
             title: "Figure 17(b): CPU time vs network size (fixed densities)",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig17b,
         },
         Figure {
             name: "fig18a",
             title: "Figure 18(a): memory (KBytes) vs query cardinality Q",
-            algos: Algo::memory_set(),
+            stacks: Stack::MEMORY_SET,
             memory: true,
+            artifact: false,
             points: fig18a,
         },
         Figure {
             name: "fig18b",
             title: "Figure 18(b): memory (KBytes) vs number of NNs k",
-            algos: Algo::memory_set(),
+            stacks: Stack::MEMORY_SET,
             memory: true,
+            artifact: false,
             points: fig18b,
         },
         Figure {
             name: "fig19a",
             title: "Figure 19(a): Brinkhoff generator, Oldenburg map — CPU time vs Q",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig19a,
         },
         Figure {
             name: "fig19b",
             title: "Figure 19(b): Brinkhoff generator, Oldenburg map — CPU time vs k",
-            algos: Algo::paper_set(),
+            stacks: Stack::PAPER_SET,
             memory: false,
+            artifact: false,
             points: fig19b,
         },
         Figure {
             name: "ablation-il",
             title: "Ablation: IMA with vs without influence lists",
-            algos: &[Algo::Ima, Algo::ImaNoInfluence],
+            stacks: Stack::ABLATION_SET,
             memory: false,
+            artifact: false,
             points: ablation_influence,
         },
         Figure {
             name: "engine",
             title: "Engine scaling: sharded engine (1/2/4/8 shards) vs single-threaded GMA",
-            algos: Algo::engine_set(),
+            stacks: Stack::ENGINE_SET,
             memory: false,
+            artifact: true,
             points: engine_scaling,
         },
         Figure {
             name: "engine_repl",
             title: "Replica maintenance: resync/evictions vs query agility (2/4/8 shards)",
-            algos: Algo::engine_repl_set(),
+            stacks: Stack::ENGINE_REPL_SET,
             memory: false,
+            artifact: true,
             points: engine_repl,
         },
         Figure {
             name: "tickpath",
             title: "Tick path: arena allocs, shared expansions, heap steps (IMA/GMA/ENG-4)",
-            algos: Algo::tickpath_set(),
+            stacks: Stack::TICKPATH_SET,
             memory: false,
+            artifact: true,
             points: tickpath,
         },
         Figure {
             name: "rebalance",
             title:
                 "Rebalance: drifting hotspot, static vs load-aware partition (ENG-4 vs ENG-4-RB)",
-            algos: Algo::rebalance_set(),
+            stacks: Stack::REBALANCE_SET,
             memory: false,
+            artifact: true,
             points: rebalance,
         },
         Figure {
             name: "cluster",
             title: "Cluster: in-process ENG-4 vs shard-per-process loopback (CLU-2/CLU-4)",
-            algos: Algo::cluster_set(),
+            stacks: Stack::CLUSTER_SET,
             memory: false,
+            artifact: true,
             points: cluster,
         },
         Figure {
             name: "recovery",
             title: "Recovery: crash each shard mid-run, rebuild from snapshot + journal suffix",
-            algos: Algo::recovery_set(),
+            stacks: Stack::RECOVERY_SET,
             memory: false,
+            artifact: true,
             points: recovery,
         },
         Figure {
             name: "replication",
             title: "Replication: quorum-replicated CLU-n-R with leader kills vs ENG-n",
-            algos: Algo::replication_set(),
+            stacks: Stack::REPLICATION_SET,
             memory: false,
+            artifact: true,
             points: replication,
         },
         Figure {
             name: "ingest",
             title: "Ingest: batch-fed ENG-4 vs firehose-fed ING-4 (coalescing) / ING-4-SHED",
-            algos: Algo::ingest_set(),
+            stacks: Stack::INGEST_SET,
             memory: false,
+            artifact: true,
             points: ingest,
         },
     ]
@@ -661,7 +654,7 @@ mod tests {
     #[test]
     fn engine_figure_sweeps_shard_counts() {
         let f = figure_by_name("engine").unwrap();
-        let names: Vec<&str> = f.algos.iter().map(|a| a.name()).collect();
+        let names: Vec<String> = f.stacks.iter().map(Stack::name).collect();
         assert_eq!(names, vec!["GMA", "ENG-1", "ENG-2", "ENG-4", "ENG-8"]);
         assert!(!f.memory);
         assert_eq!((f.points)(0.01, 1).len(), 2);
@@ -670,7 +663,7 @@ mod tests {
     #[test]
     fn engine_repl_figure_sweeps_query_agility_over_sharded_engines() {
         let f = figure_by_name("engine_repl").unwrap();
-        let names: Vec<&str> = f.algos.iter().map(|a| a.name()).collect();
+        let names: Vec<String> = f.stacks.iter().map(Stack::name).collect();
         assert_eq!(names, vec!["ENG-2", "ENG-4", "ENG-8"]);
         let pts = (f.points)(0.01, 1);
         let agilities: Vec<f64> = pts.iter().map(|(_, p)| p.query_agility).collect();
@@ -680,7 +673,7 @@ mod tests {
     #[test]
     fn ingest_figure_sweeps_feed_shapes() {
         let f = figure_by_name("ingest").unwrap();
-        let names: Vec<&str> = f.algos.iter().map(|a| a.name()).collect();
+        let names: Vec<String> = f.stacks.iter().map(Stack::name).collect();
         assert_eq!(names, vec!["ENG-4", "ING-4", "ING-4-SHED"]);
         let pts = (f.points)(0.01, 1);
         let labels: Vec<&str> = pts.iter().map(|(l, _)| l.as_str()).collect();
@@ -696,7 +689,7 @@ mod tests {
     #[test]
     fn cluster_figure_pairs_engine_and_cluster() {
         let f = figure_by_name("cluster").unwrap();
-        let names: Vec<&str> = f.algos.iter().map(|a| a.name()).collect();
+        let names: Vec<String> = f.stacks.iter().map(Stack::name).collect();
         assert_eq!(names, vec!["ENG-4", "CLU-2", "CLU-4"]);
         assert!(!f.memory);
         assert_eq!((f.points)(0.01, 1).len(), 2);
@@ -705,7 +698,7 @@ mod tests {
     #[test]
     fn replication_figure_pairs_engines_with_replicated_clusters() {
         let f = figure_by_name("replication").unwrap();
-        let names: Vec<&str> = f.algos.iter().map(|a| a.name()).collect();
+        let names: Vec<String> = f.stacks.iter().map(Stack::name).collect();
         assert_eq!(names, vec!["ENG-2", "ENG-4", "CLU-2-R", "CLU-4-R"]);
         assert!(!f.memory);
         assert_eq!((f.points)(0.01, 1).len(), 2);

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use crate::figures::figure_by_name;
-use crate::runner::{run_series, series_to_json};
+use crate::runner::{run_series, series_to_json, Gate, COLUMNS};
 
 /// Maximum tolerated relative growth of a gated counter (5%).
 pub const MAX_REGRESSION: f64 = 0.05;
@@ -124,41 +124,16 @@ pub const GATE_SPECS: &[GateSpec] = &[
     },
 ];
 
-/// The deterministic counters the gate enforces (field names as rendered
-/// in the JSON artifacts). `alloc_per_ts` covers the tree-surgery alloc
-/// guarantee (the tickpath baseline pins it at 0.000, so *any* new
-/// allocation on a surgery tick fails), `steps_per_ts` holds expansion
-/// work within 5%, and `recycled_per_ts` keeps the surgery volume routed
-/// through the pool's free list from silently growing. `frames_per_ts`
-/// pins the cluster's RPC message volume (absent from pre-cluster
-/// baselines, where it is skipped): a frame regression means the delta
-/// protocol started shipping more messages per tick.
-/// `replayed_per_recovery` pins crash recovery's replay volume (recovery
-/// figure only): it must stay O(WAL suffix) — bounded by the snapshot
-/// cadence — never O(full journal), so a regression means a respawn
-/// stopped restoring from the latest durable snapshot.
-/// `coalesced_per_ts` pins the ingest drain's coalescing volume for the
-/// pinned firehose streams (growth means the fold started double-counting;
-/// the ingest smoke separately asserts it stays nonzero), and
-/// `drain_alloc_events` is a window-total the ingest baseline holds at
-/// exactly 0 — any post-warmup allocation on the swap-and-merge drain
-/// fails the gate.
-/// `commit_lag_frames` pins the replication plane's commit discipline
-/// (replication figure only): the synchronous quorum pipeline commits
-/// every replicated event frame with exactly one frame outstanding, so
-/// growth means the leader started batching uncommitted appends —
-/// events the WAL could truncate before any follower held them.
-const GATED_METRICS: &[&str] = &[
-    "steps_per_ts",
-    "resync_per_ts",
-    "alloc_per_ts",
-    "recycled_per_ts",
-    "frames_per_ts",
-    "replayed_per_recovery",
-    "coalesced_per_ts",
-    "drain_alloc_events",
-    "commit_lag_frames",
-];
+/// The deterministic counters the gate enforces: the [`Gate::Gated`] rows
+/// of the runner's [`COLUMNS`] table, by JSON key. Each row says there why
+/// it is (or is not) gateable; a column a committed baseline predates is
+/// skipped for that baseline.
+pub fn gated_metrics() -> impl Iterator<Item = &'static str> {
+    COLUMNS
+        .iter()
+        .filter(|c| c.gate == Gate::Gated)
+        .map(|c| c.key)
+}
 
 /// `(label, algo) → metric → value`, scanned from one artifact.
 type FigureTable = BTreeMap<(String, String), BTreeMap<String, f64>>;
@@ -257,7 +232,7 @@ pub fn run_gated_figure(spec: &GateSpec) -> Result<String, String> {
     let fig = figure_by_name(spec.figure)
         .ok_or_else(|| format!("gated figure {} does not exist", spec.figure))?;
     let points = (fig.points)(spec.scale, spec.seed);
-    let series = run_series(&points, fig.algos, spec.timestamps, spec.warmup, false);
+    let series = run_series(&points, fig.stacks, spec.timestamps, spec.warmup, false);
     Ok(series_to_json(fig.name, &series))
 }
 
@@ -276,7 +251,7 @@ pub fn compare(figure: &str, baseline: &str, fresh: &str) -> Result<Vec<Regressi
                  regenerate the baselines with `experiments ci-gate --update`"
             ));
         };
-        for &metric in GATED_METRICS {
+        for metric in gated_metrics() {
             let (Some(&b), Some(&f)) = (metrics.get(metric), fresh_metrics.get(metric)) else {
                 continue; // counter absent from the committed schema
             };

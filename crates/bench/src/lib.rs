@@ -24,4 +24,4 @@ pub mod runner;
 
 pub use figures::{all_figures, figure_by_name, Figure};
 pub use params::Params;
-pub use runner::{run_series, Algo, RunResult, SeriesPoint};
+pub use runner::{run_series, RunResult, SeriesPoint, Stack};

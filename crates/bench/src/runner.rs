@@ -4,197 +4,220 @@
 //! operation counters (machine-independent shape validation; DESIGN.md
 //! substitution #3).
 
+use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
+use rnn_cluster::{ClusterEngine, DurabilityConfig, FaultPlan, RetryPolicy};
 use rnn_core::{
-    ContinuousMonitor, Gma, Ima, MemoryUsage, OpCounters, Ovh, TickReport, TransportStats,
-    UpdateBatch, UpdateEvent,
+    ContinuousMonitor, Gma, Ima, OpCounters, Ovh, TickReport, TransportStats, UpdateBatch,
+    UpdateEvent,
 };
+use rnn_engine::{AdmissionPolicy, EngineConfig, IngestConfig, ReplicationConfig, ShardedEngine};
+use rnn_roadnet::RoadNetwork;
 use rnn_workload::{Firehose, FirehoseConfig, FirehosePattern, Scenario};
 
 use crate::params::Params;
 
-/// Which algorithm to run.
+/// How an engine's coordinator reaches its shards, and the fault the
+/// harness injects on the way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// The from-scratch baseline (§6).
-    Ovh,
-    /// Incremental monitoring (§4).
-    Ima,
-    /// Group monitoring (§5).
-    Gma,
-    /// Ablation: IMA with influence lists disabled (every update hits
-    /// every query). Quantifies the paper's "ignore irrelevant updates"
-    /// claim.
-    ImaNoInfluence,
-    /// The sharded engine (`rnn-engine`) with this many shards, GMA
-    /// inside each.
-    Sharded(u8),
-    /// The sharded engine with dynamic load-aware re-partitioning enabled
-    /// (`EngineConfig::with_rebalancing`).
-    ShardedRebal(u8),
-    /// The shard-per-process cluster (`rnn-cluster`) with this many
-    /// shards over fault-free loopback RPC. Work counters are
-    /// bit-identical to `Sharded(n)`; the CPU delta is the
-    /// framing/serialisation cost of the delta protocol.
-    Cluster(u8),
-    /// The cluster with the durability plane on and a crash injected:
-    /// every shard snapshots its monitor state each
-    /// [`DURABLE_SNAPSHOT_EVERY`] journaled event frames, its transport
-    /// kills the service after [`DURABLE_CRASH_AFTER_FRAMES`] delivered
-    /// frames, and recovery rebuilds from snapshot + journal suffix.
-    /// Sizes crash recovery: recoveries, frames replayed per recovery
-    /// (the O(WAL-suffix) bound the CI gate pins), snapshot bytes.
-    ClusterDurable(u8),
-    /// The durable cluster with quorum replication on and a leader kill
+pub enum Link {
+    /// Worker threads in the coordinator's process (`rnn-engine`).
+    InProcess,
+    /// Shard-per-process over fault-free loopback RPC (`rnn-cluster`).
+    /// Work counters are bit-identical to [`Link::InProcess`]; the CPU
+    /// delta is the framing/serialisation cost of the delta protocol.
+    Loopback,
+    /// Loopback with the durability plane on and a crash injected: every
+    /// shard snapshots its monitor state each [`DURABLE_SNAPSHOT_EVERY`]
+    /// journaled event frames, its transport kills the service after
+    /// [`DURABLE_CRASH_AFTER_FRAMES`] delivered frames, and recovery
+    /// rebuilds from snapshot + journal suffix. Sizes crash recovery:
+    /// recoveries, frames replayed per recovery (the O(WAL-suffix) bound
+    /// the CI gate pins), snapshot bytes.
+    Durable,
+    /// [`Link::Durable`] with quorum replication on and a leader kill
     /// injected: every shard streams its event frames to
     /// [`REPLICATION_FACTOR`] follower replicas (majority quorum), its
     /// transport kills the service after
     /// [`REPLICATED_CRASH_AFTER_FRAMES`] delivered frames, and respawns
     /// are stillborn — so the recovery budget burns down and a follower
     /// is *promoted*, serving the back half of the run. Work counters
-    /// stay bit-identical to `Sharded(n)` through the failover; the
-    /// commit-lag and replica-byte columns size the replication plane.
-    ClusterReplicated(u8),
-    /// The sharded engine fed through the MPSC ingest stage
-    /// (`rnn_engine::ingest`) instead of pre-built batches: the raw
-    /// oversampled firehose stream is submitted event-by-event and
-    /// coalesced at the tick-boundary drain (blocking admission, lanes
-    /// sized so nothing sheds). Requires a [`Params::firehose`] pattern.
-    Ingest(u8),
-    /// The ingest-fed engine under deliberately tight admission:
-    /// per-lane buffers sized well below the firehose rate with
-    /// [`rnn_engine::AdmissionPolicy::ShedOldest`], so the shed counter
-    /// shows what bounded-queue backpressure drops.
-    IngestShed(u8),
+    /// stay bit-identical to [`Link::InProcess`] through the failover;
+    /// the commit-lag and replica-byte columns size the replication
+    /// plane.
+    Replicated,
 }
 
-/// Snapshot cadence of [`Algo::ClusterDurable`], in journaled event
-/// frames. Pinned so the recovery artifact is deterministic; the
-/// replayed-per-recovery bound asserted by the recovery smoke is this
-/// plus the in-flight frame.
+/// How the update stream reaches an in-process engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ingest {
+    /// Pre-built effective batches straight into `tick`.
+    Batch,
+    /// The raw oversampled firehose stream submitted event by event
+    /// through the MPSC ingest stage (`rnn_engine::ingest`) and coalesced
+    /// at the tick-boundary drain; blocking admission, lanes sized so
+    /// nothing sheds. Wants a [`Params::firehose`] pattern.
+    Lossless,
+    /// The same under deliberately tight admission: per-lane buffers well
+    /// below the firehose rate with
+    /// [`rnn_engine::AdmissionPolicy::ShedOldest`], so the shed counter
+    /// shows what bounded-queue backpressure drops.
+    Shedding,
+}
+
+/// Snapshot cadence of [`Link::Durable`] and [`Link::Replicated`], in
+/// journaled event frames. Pinned so the recovery artifact is
+/// deterministic; the replayed-per-recovery bound asserted by the
+/// recovery smoke is this plus the in-flight frame.
 pub const DURABLE_SNAPSHOT_EVERY: u32 = 8;
 
-/// Delivered-frame budget after which each [`Algo::ClusterDurable`]
-/// shard's transport kills its service, forcing exactly one crash and
+/// Delivered-frame budget after which each [`Link::Durable`] shard's
+/// transport kills its service, forcing exactly one crash and
 /// snapshot+suffix recovery per shard mid-run.
 pub const DURABLE_CRASH_AFTER_FRAMES: u32 = 30;
 
-/// Follower replicas per shard for [`Algo::ClusterReplicated`]
-/// (majority quorum via `ReplicationConfig::with_replicas`). Two, so
-/// the log still has a live follower after one is promoted.
+/// Follower replicas per shard for [`Link::Replicated`] (majority quorum
+/// via `ReplicationConfig::with_replicas`). Two, so the log still has a
+/// live follower after one is promoted.
 pub const REPLICATION_FACTOR: u32 = 2;
 
-/// Delivered-frame budget after which each [`Algo::ClusterReplicated`]
-/// shard's transport kills its service. The fault plan marks respawns
-/// stillborn, so snapshot+replay recovery is exhausted and the link
-/// must promote a follower — exactly one failover per shard per run.
-/// Lower than [`DURABLE_CRASH_AFTER_FRAMES`] so even the smallest
-/// gated sweep point kills *every* shard's leader (at 4 shards the
-/// install stream splits four ways, and the replication smoke asserts
-/// one promotion per shard).
+/// Delivered-frame budget after which each [`Link::Replicated`] shard's
+/// transport kills its service. The fault plan marks respawns stillborn,
+/// so snapshot+replay recovery is exhausted and the link must promote a
+/// follower — exactly one failover per shard per run. Lower than
+/// [`DURABLE_CRASH_AFTER_FRAMES`] so even the smallest gated sweep point
+/// kills *every* shard's leader (at 4 shards the install stream splits
+/// four ways, and the replication smoke asserts one promotion per shard).
 pub const REPLICATED_CRASH_AFTER_FRAMES: u32 = 12;
 
-impl Algo {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Ovh => "OVH",
-            Algo::Ima => "IMA",
-            Algo::Gma => "GMA",
-            Algo::ImaNoInfluence => "IMA-noIL",
-            Algo::Sharded(1) => "ENG-1",
-            Algo::Sharded(2) => "ENG-2",
-            Algo::Sharded(4) => "ENG-4",
-            Algo::Sharded(8) => "ENG-8",
-            Algo::Sharded(_) => "ENG-n",
-            Algo::ShardedRebal(2) => "ENG-2-RB",
-            Algo::ShardedRebal(4) => "ENG-4-RB",
-            Algo::ShardedRebal(8) => "ENG-8-RB",
-            Algo::ShardedRebal(_) => "ENG-n-RB",
-            Algo::Cluster(1) => "CLU-1",
-            Algo::Cluster(2) => "CLU-2",
-            Algo::Cluster(4) => "CLU-4",
-            Algo::Cluster(8) => "CLU-8",
-            Algo::Cluster(_) => "CLU-n",
-            Algo::ClusterDurable(1) => "CLU-1-D",
-            Algo::ClusterDurable(2) => "CLU-2-D",
-            Algo::ClusterDurable(4) => "CLU-4-D",
-            Algo::ClusterDurable(8) => "CLU-8-D",
-            Algo::ClusterDurable(_) => "CLU-n-D",
-            Algo::ClusterReplicated(2) => "CLU-2-R",
-            Algo::ClusterReplicated(4) => "CLU-4-R",
-            Algo::ClusterReplicated(8) => "CLU-8-R",
-            Algo::ClusterReplicated(_) => "CLU-n-R",
-            Algo::Ingest(1) => "ING-1",
-            Algo::Ingest(2) => "ING-2",
-            Algo::Ingest(4) => "ING-4",
-            Algo::Ingest(8) => "ING-8",
-            Algo::Ingest(_) => "ING-n",
-            Algo::IngestShed(4) => "ING-4-SHED",
-            Algo::IngestShed(_) => "ING-n-SHED",
+/// What one row of a figure runs: a monitor and the layers stacked on it.
+#[derive(Clone, Copy, Debug)]
+pub struct Stack {
+    /// Display name of the single-threaded monitor at the bottom (the
+    /// row's `algo` when nothing is stacked on it). Every engine row runs
+    /// the engine's default shard monitor, so rows with `shards > 0`
+    /// carry GMA.
+    pub monitor: &'static str,
+    /// How that monitor is built.
+    pub make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
+    /// Shards of the engine around the monitor; 0 = the bare monitor.
+    pub shards: u8,
+    /// Dynamic load-aware re-partitioning
+    /// (`EngineConfig::with_rebalancing`).
+    pub rebalancing: bool,
+    /// How the engine's coordinator reaches its shards.
+    pub link: Link,
+    /// How updates reach the engine ([`Link::InProcess`] only).
+    pub ingest: Ingest,
+}
+
+impl Stack {
+    const fn bare(
+        monitor: &'static str,
+        make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
+    ) -> Stack {
+        Stack {
+            monitor,
+            make,
+            shards: 0,
+            rebalancing: false,
+            link: Link::InProcess,
+            ingest: Ingest::Batch,
+        }
+    }
+
+    /// The from-scratch baseline (§6).
+    pub const OVH: Stack = Stack::bare("OVH", |net| Box::new(Ovh::new(net)));
+    /// Incremental monitoring (§4).
+    pub const IMA: Stack = Stack::bare("IMA", |net| Box::new(Ima::new(net)));
+    /// Group monitoring (§5).
+    pub const GMA: Stack = Stack::bare("GMA", |net| Box::new(Gma::new(net)));
+    /// Ablation: IMA with influence lists disabled (every update hits
+    /// every query). Quantifies the paper's "ignore irrelevant updates"
+    /// claim.
+    pub const IMA_NO_IL: Stack = Stack::bare("IMA-noIL", |net| {
+        let mut ima = Ima::new(net);
+        ima.set_use_influence_lists(false);
+        Box::new(ima)
+    });
+
+    /// The statically partitioned, batch-fed, in-process engine with this
+    /// many shards, GMA in each — `ENG-n`, the row the other layers are
+    /// switched on over.
+    pub const fn engine(shards: u8) -> Stack {
+        Stack {
+            shards,
+            ..Stack::GMA
+        }
+    }
+
+    /// [`Stack::engine`] with its shards behind `link`.
+    pub const fn over(link: Link, shards: u8) -> Stack {
+        Stack {
+            link,
+            ..Stack::engine(shards)
         }
     }
 
     /// The three paper algorithms.
-    pub fn paper_set() -> &'static [Algo] {
-        &[Algo::Ovh, Algo::Ima, Algo::Gma]
-    }
+    pub const PAPER_SET: &'static [Stack] = &[Self::OVH, Self::IMA, Self::GMA];
 
     /// IMA and GMA only (the memory experiments of Fig. 18).
-    pub fn memory_set() -> &'static [Algo] {
-        &[Algo::Ima, Algo::Gma]
-    }
+    pub const MEMORY_SET: &'static [Stack] = &[Self::IMA, Self::GMA];
+
+    /// IMA with and without its influence lists.
+    pub const ABLATION_SET: &'static [Stack] = &[Self::IMA, Self::IMA_NO_IL];
 
     /// The engine-scaling set: single-threaded GMA against the sharded
     /// engine at 1, 2, 4 and 8 shards.
-    pub fn engine_set() -> &'static [Algo] {
-        &[
-            Algo::Gma,
-            Algo::Sharded(1),
-            Algo::Sharded(2),
-            Algo::Sharded(4),
-            Algo::Sharded(8),
-        ]
-    }
+    pub const ENGINE_SET: &'static [Stack] = &[
+        Self::GMA,
+        Self::engine(1),
+        Self::engine(2),
+        Self::engine(4),
+        Self::engine(8),
+    ];
 
     /// The replica-maintenance set: multi-shard engines only (a single
     /// shard has no halos, a single monitor no replicas).
-    pub fn engine_repl_set() -> &'static [Algo] {
-        &[Algo::Sharded(2), Algo::Sharded(4), Algo::Sharded(8)]
-    }
+    pub const ENGINE_REPL_SET: &'static [Stack] =
+        &[Self::engine(2), Self::engine(4), Self::engine(8)];
 
     /// The tick-path set (arena/heap/sharing counters): the incremental
     /// monitors and the default sharded engine.
-    pub fn tickpath_set() -> &'static [Algo] {
-        &[Algo::Ima, Algo::Gma, Algo::Sharded(4)]
-    }
+    pub const TICKPATH_SET: &'static [Stack] = &[Self::IMA, Self::GMA, Self::engine(4)];
 
     /// The rebalance set: the statically partitioned engine against the
     /// load-aware one, at the same shard count, under the same skewed
     /// drifting-hotspot stream.
-    pub fn rebalance_set() -> &'static [Algo] {
-        &[Algo::Sharded(4), Algo::ShardedRebal(4)]
-    }
+    pub const REBALANCE_SET: &'static [Stack] = &[
+        Self::engine(4),
+        Stack {
+            rebalancing: true,
+            ..Self::engine(4)
+        },
+    ];
 
     /// The cluster set: the in-process engine against the
     /// shard-per-process loopback cluster, same shard count, plus a
     /// smaller cluster for the frames-vs-shards shape.
-    pub fn cluster_set() -> &'static [Algo] {
-        &[Algo::Sharded(4), Algo::Cluster(2), Algo::Cluster(4)]
-    }
+    pub const CLUSTER_SET: &'static [Stack] = &[
+        Self::engine(4),
+        Self::over(Link::Loopback, 2),
+        Self::over(Link::Loopback, 4),
+    ];
 
     /// The recovery set: the fault-free loopback cluster against the
     /// durable cluster with a crash injected per shard, so the artifact
     /// shows what durability costs (snapshots, WAL) and what recovery
     /// replays (the O(WAL-suffix) bound).
-    pub fn recovery_set() -> &'static [Algo] {
-        &[
-            Algo::Cluster(2),
-            Algo::ClusterDurable(2),
-            Algo::ClusterDurable(4),
-        ]
-    }
+    pub const RECOVERY_SET: &'static [Stack] = &[
+        Self::over(Link::Loopback, 2),
+        Self::over(Link::Durable, 2),
+        Self::over(Link::Durable, 4),
+    ];
 
     /// The replication set: the in-process engines as the oracle
     /// columns against quorum-replicated clusters at the same shard
@@ -202,257 +225,122 @@ impl Algo {
     /// stillborn respawns, so each CLU-n-R answer column is served by a
     /// promoted follower for the back half of the run — and must still
     /// match ENG-n's work counters exactly.
-    pub fn replication_set() -> &'static [Algo] {
-        &[
-            Algo::Sharded(2),
-            Algo::Sharded(4),
-            Algo::ClusterReplicated(2),
-            Algo::ClusterReplicated(4),
-        ]
-    }
+    pub const REPLICATION_SET: &'static [Stack] = &[
+        Self::engine(2),
+        Self::engine(4),
+        Self::over(Link::Replicated, 2),
+        Self::over(Link::Replicated, 4),
+    ];
 
     /// The ingest set: the batch-fed engine as the oracle column, the
     /// ingest-fed engine (lossless, blocking admission), and the
     /// shedding engine (tight buffers), all at the same shard count.
-    pub fn ingest_set() -> &'static [Algo] {
-        &[Algo::Sharded(4), Algo::Ingest(4), Algo::IngestShed(4)]
-    }
+    pub const INGEST_SET: &'static [Stack] = &[
+        Self::engine(4),
+        Stack {
+            ingest: Ingest::Lossless,
+            ..Self::engine(4)
+        },
+        Stack {
+            ingest: Ingest::Shedding,
+            ..Self::engine(4)
+        },
+    ];
 
-    /// Whether this algorithm is the sharded engine (and thus reports
-    /// replica/resync counters). The cluster qualifies: it *is* the
-    /// sharded engine, routed over RPC; so do the ingest-fed engines.
-    pub fn is_sharded(self) -> bool {
-        matches!(
-            self,
-            Algo::Sharded(_)
-                | Algo::ShardedRebal(_)
-                | Algo::Cluster(_)
-                | Algo::ClusterDurable(_)
-                | Algo::ClusterReplicated(_)
-                | Algo::Ingest(_)
-                | Algo::IngestShed(_)
-        )
-    }
-
-    /// Whether this algorithm consumes the raw firehose stream through
-    /// the ingest stage rather than pre-built effective batches.
-    pub fn is_ingest(self) -> bool {
-        matches!(self, Algo::Ingest(_) | Algo::IngestShed(_))
-    }
-}
-
-/// Measurements for one `(parameter value, algorithm)` cell.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// Algorithm.
-    pub algo: Algo,
-    /// Mean wall-clock processing time per timestamp (seconds).
-    pub cpu_per_ts: f64,
-    /// Mean deterministic work units per timestamp (see
-    /// [`OpCounters::work`]).
-    pub work_per_ts: f64,
-    /// Resident memory at the end of the run (KBytes, Fig. 18's unit) —
-    /// per-algorithm state only (trees, influence lists, tables).
-    pub memory_kb: f64,
-    /// Active node count (GMA only; the paper reports e.g. "844 active
-    /// nodes on average").
-    pub active_nodes: Option<usize>,
-    /// Mean updates ignored per timestamp.
-    pub ignored_per_ts: f64,
-    /// Mean query reevaluations per timestamp (NN recomputations forced
-    /// by object or edge updates hitting a query's influence region).
-    pub reevals_per_ts: f64,
-    /// Mean objects touched by replica resync per timestamp (sharded
-    /// engine only; 0 for single monitors).
-    pub resync_per_ts: f64,
-    /// Mean replicas evicted per timestamp (sharded engine only).
-    pub evictions_per_ts: f64,
-    /// Largest replica-resync cost observed on any single tick (warmup
-    /// included). The experiments binary asserts this never exceeds the
-    /// object cardinality — the engine's O(changed-edges) guarantee.
-    pub max_tick_resync: u64,
-    /// Mean tick-path *maintenance* allocation events per measured
-    /// timestamp (arena backing-buffer reallocations, Dijkstra heap
-    /// growth, tree-pool slab/directory growth). Zero proves the steady
-    /// state runs allocation-free — tree surgery included; the experiments
-    /// binary asserts this for IMA/GMA on the tickpath figure.
-    pub alloc_per_ts: f64,
-    /// Mean allocation events per measured timestamp attributable to
-    /// installing brand-new monitored entities (query installs, GMA
-    /// active-node activations) — expected to be nonzero while the
-    /// monitored population is still discovering new anchors, and excluded
-    /// from the zero-alloc steady-state guarantee.
-    pub install_alloc_per_ts: f64,
-    /// Mean expansions served from a shared expansion per timestamp (see
-    /// `OpCounters::shared_expansions`).
-    pub shared_per_ts: f64,
-    /// Mean raw Dijkstra heap pops per timestamp.
-    pub steps_per_ts: f64,
-    /// Mean expansion-tree nodes recycled through the tree pool's free
-    /// list per timestamp — the tree-surgery reuse rate. Together with
-    /// `alloc_per_ts` at zero it proves subtree cuts and re-expansion
-    /// inserts ran without heap allocation.
-    pub recycled_per_ts: f64,
-    /// Mean expansion-tree nodes pruned (cuts, θ-prunes, re-roots) per
-    /// timestamp — the surgery volume the recycle rate is measured
-    /// against.
-    pub pruned_per_ts: f64,
-    /// Total load-aware rebalances over the measured run (sharded engine
-    /// with rebalancing only).
-    pub rebalances: u64,
-    /// Total partition cells migrated over the measured run.
-    pub cells_migrated: u64,
-    /// Mean RPC frames moved (sent + received, all shards) per measured
-    /// timestamp — 0 for every in-process monitor. Deterministic on a
-    /// fault-free loopback transport, so the CI gate pins it: a frame
-    /// regression means the delta protocol started shipping more
-    /// messages per tick.
-    pub frames_per_ts: f64,
-    /// Mean RPC payload bytes moved (sent + received) per measured
-    /// timestamp — sizes the delta protocol itself.
-    pub bytes_per_ts: f64,
-    /// Total retransmissions over the whole run, warmup included (retry
-    /// storms cluster at startup, so the measured window must not hide
-    /// them). Must stay 0 on a fault-free transport.
-    pub retries: u64,
-    /// Mean max/mean shard-load ratio across the measured ticks (1.0 =
-    /// perfectly balanced; 0.0 for monitors that report none). Averaged
-    /// rather than sampled at the end: under a drifting hotspot any single
-    /// tick catches the rebalancer mid-adaptation, while the mean captures
-    /// the sustained balance the migration buys.
-    pub load_ratio: f64,
-    /// Total crash recoveries over the whole run, warmup included
-    /// (injected crashes fire on delivered-frame budgets, often during
-    /// installation). 0 for fault-free and in-process monitors.
-    pub recoveries: u64,
-    /// Mean event frames replayed per crash recovery (0 when nothing
-    /// crashed). With snapshots on, this is bounded by the journal
-    /// suffix since the last snapshot — the O(WAL-suffix) recovery
-    /// bound the CI gate pins; full-history replay would blow it up.
-    pub replayed_per_recovery: f64,
-    /// Total monitor-state snapshots taken over the run.
-    pub snapshots: u64,
-    /// Size of the latest durable monitor-state snapshot, KBytes summed
-    /// over shards (sizes the snapshot plane against `memory_kb`).
-    pub snapshot_kb: f64,
-    /// Final coordinator journal length in event frames, summed over
-    /// shards. With snapshots every E frames this must stay < E per
-    /// shard — the journal-truncation guarantee (it grew without bound
-    /// before the durability plane).
-    pub journal_len: u64,
-    /// Mean frames outstanding-at-commit per measured timestamp on the
-    /// replication plane (0 when replication is off). The synchronous
-    /// append pipeline commits every replicated event frame with exactly
-    /// one frame outstanding, so the rate is a deterministic constant
-    /// the CI gate pins: growth means the leader started racing ahead
-    /// of its quorum (uncommitted appends piling up behind acks).
-    pub commit_lag_frames: f64,
-    /// Total follower-to-leader promotions over the whole run, warmup
-    /// included (leader kills fire on delivered-frame budgets, often
-    /// before the measured window opens).
-    pub failovers: u64,
-    /// Total replication frames rejected by a replica for carrying a
-    /// stale leadership epoch (the fencing path; 0 in a healthy run).
-    pub fenced_appends: u64,
-    /// Total bytes shipped to follower replicas over the whole run —
-    /// append, heartbeat, promote, and snapshot-offer traffic. Sizes
-    /// the replication plane against the coordinator's `bytes_per_ts`.
-    pub replica_bytes: u64,
-    /// Mean superseded submissions folded away by ingest coalescing per
-    /// measured timestamp (ingest-fed engines only; 0 elsewhere).
-    /// Deterministic for a pinned firehose seed, so the CI gate pins its
-    /// ceiling (growth = the fold double-counting) while the ingest
-    /// smoke asserts it stays nonzero (a zero = coalescing stopped).
-    pub coalesced_per_ts: f64,
-    /// Total submissions dropped by `ShedOldest` admission over the
-    /// measured window (ingest-fed engines with tight buffers only).
-    pub shed_events: u64,
-    /// Total ingest-drain allocation events over the measured window —
-    /// lane-buffer growth, merge-scratch growth, coalesce-table rehash.
-    /// Window-total (not a rate) so the gate holds it at exactly zero:
-    /// warmup absorbs the one-off high-water growth, after which the
-    /// swap-and-merge drain must run allocation-free.
-    pub drain_alloc_events: u64,
-}
-
-/// A labelled point of a figure series.
-#[derive(Clone, Debug)]
-pub struct SeriesPoint {
-    /// X-axis label (e.g. `"N=10K"` or `"k=25"`).
-    pub label: String,
-    /// One result per requested algorithm.
-    pub results: Vec<RunResult>,
-}
-
-fn algo_memory(m: &MemoryUsage) -> f64 {
-    // Fig. 18 compares *algorithm state*: query table, expansion trees and
-    // influence lists. The shared edge table and scratch space are common
-    // to all methods and excluded, as in the paper's discussion.
-    (m.query_table + m.expansion_trees + m.influence_lists) as f64 / 1024.0
-}
-
-/// Instantiates a monitor for `algo` over `net`.
-pub fn make_monitor(
-    algo: Algo,
-    net: std::sync::Arc<rnn_roadnet::RoadNetwork>,
-) -> Box<dyn ContinuousMonitor> {
-    match algo {
-        Algo::Ovh => Box::new(Ovh::new(net)),
-        Algo::Ima => Box::new(Ima::new(net)),
-        Algo::Gma => Box::new(Gma::new(net)),
-        Algo::ImaNoInfluence => {
-            let mut ima = Ima::new(net);
-            ima.set_use_influence_lists(false);
-            Box::new(ima)
+    /// Display name, computed from the layers: the monitor's own for a
+    /// bare monitor, else `ENG|CLU|ING-<shards>` and a suffix per layer
+    /// that is on (`ENG-4-RB`, `CLU-2-D`, `CLU-4-R`, `ING-4-SHED`).
+    pub fn name(&self) -> String {
+        if self.shards == 0 {
+            return self.monitor.to_string();
         }
-        Algo::Sharded(shards) => Box::new(rnn_engine::ShardedEngine::new(
-            net,
-            rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1)),
-        )),
-        Algo::ShardedRebal(shards) => Box::new(rnn_engine::ShardedEngine::new(
-            net,
-            rnn_engine::EngineConfig::with_rebalancing(usize::from(shards).max(1)),
-        )),
-        Algo::Cluster(shards) => Box::new(rnn_cluster::ClusterEngine::loopback(
-            net,
-            rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1)),
-        )),
-        // Batch-fed fallback: without the ingest drive loop of
-        // `run_point` an ingest algo degenerates to the plain sharded
-        // engine (same monitor, nothing submitted out-of-band).
-        Algo::Ingest(shards) | Algo::IngestShed(shards) => {
-            Box::new(rnn_engine::ShardedEngine::new(
-                net,
-                rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1)),
-            ))
+        let kind = if self.ingest != Ingest::Batch {
+            "ING"
+        } else if self.link != Link::InProcess {
+            "CLU"
+        } else {
+            "ENG"
+        };
+        let layers = [
+            (self.rebalancing, "-RB"),
+            (self.link == Link::Durable, "-D"),
+            (self.link == Link::Replicated, "-R"),
+            (self.ingest == Ingest::Shedding, "-SHED"),
+        ];
+        let on = layers.iter().filter(|(on, _)| *on);
+        let suffixes: String = on.map(|(_, suffix)| *suffix).collect();
+        format!("{kind}-{}{suffixes}", self.shards)
+    }
+
+    /// Builds the stack over `net` — the one place its layers are
+    /// switched on. `p` sizes the ingest lanes.
+    fn build(self, net: Arc<RoadNetwork>, p: &Params) -> Driven {
+        if self.shards == 0 {
+            return Driven::Plain((self.make)(net));
         }
-        Algo::ClusterDurable(shards) => Box::new(rnn_cluster::ClusterEngine::loopback_durable(
-            net,
-            rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1)),
-            &[rnn_cluster::FaultPlan {
-                crash_after_frames: DURABLE_CRASH_AFTER_FRAMES,
+        let shards = usize::from(self.shards);
+        let mut cfg = if self.rebalancing {
+            EngineConfig::with_rebalancing(shards)
+        } else {
+            EngineConfig::with_shards(shards)
+        };
+        let lanes = match self.ingest {
+            Ingest::Batch => None,
+            // Per-lane capacity far above the per-tick firehose rate, so
+            // blocking admission never actually parks the producer.
+            Ingest::Lossless => Some((p.n_objects.max(4096), AdmissionPolicy::Block)),
+            // Per-lane capacity well below the firehose rate, so the
+            // drain window overflows every tick and ShedOldest drops the
+            // stalest fixes — the shed_events column is the point.
+            Ingest::Shedding => Some(((p.n_objects / 32).max(16), AdmissionPolicy::ShedOldest)),
+        };
+        if let Some((capacity, policy)) = lanes {
+            cfg.ingest = IngestConfig {
+                capacity,
+                policy,
                 ..Default::default()
-            }],
-            rnn_cluster::RetryPolicy::default(),
-            rnn_cluster::DurabilityConfig::in_memory(DURABLE_SNAPSHOT_EVERY),
-        )),
-        Algo::ClusterReplicated(shards) => {
-            let cfg = rnn_engine::EngineConfig {
-                replication: rnn_engine::ReplicationConfig::with_replicas(REPLICATION_FACTOR),
-                ..rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1))
             };
-            Box::new(rnn_cluster::ClusterEngine::loopback_durable(
-                net,
-                cfg,
-                &[rnn_cluster::FaultPlan {
-                    crash_after_frames: REPLICATED_CRASH_AFTER_FRAMES,
-                    respawn_dead: true,
-                    ..Default::default()
-                }],
-                rnn_cluster::RetryPolicy::default(),
-                rnn_cluster::DurabilityConfig::in_memory(DURABLE_SNAPSHOT_EVERY),
-            ))
         }
+        let crash = |crash_after_frames, respawn_dead| {
+            let fault = FaultPlan {
+                crash_after_frames,
+                respawn_dead,
+                ..Default::default()
+            };
+            (fault, DurabilityConfig::in_memory(DURABLE_SNAPSHOT_EVERY))
+        };
+        let (fault, durability) = match self.link {
+            Link::InProcess => {
+                let engine = Box::new(ShardedEngine::new(net, cfg));
+                return match lanes {
+                    None => Driven::Plain(engine),
+                    Some(_) => Driven::Ingest(engine),
+                };
+            }
+            Link::Loopback => (FaultPlan::default(), DurabilityConfig::default()),
+            Link::Durable => crash(DURABLE_CRASH_AFTER_FRAMES, false),
+            Link::Replicated => {
+                cfg.replication = ReplicationConfig::with_replicas(REPLICATION_FACTOR);
+                crash(REPLICATED_CRASH_AFTER_FRAMES, true)
+            }
+        };
+        Driven::Plain(Box::new(ClusterEngine::loopback_durable(
+            net,
+            cfg,
+            &[fault],
+            RetryPolicy::default(),
+            durability,
+        )))
+    }
+}
+
+/// Instantiates the monitor of `stack` over `net` for callers that tick
+/// it with pre-built batches (the Criterion benches): an ingest-fed
+/// stack then runs as the plain engine, nothing submitted out-of-band.
+pub fn make_monitor(stack: Stack, net: Arc<RoadNetwork>, p: &Params) -> Box<dyn ContinuousMonitor> {
+    match stack.build(net, p) {
+        Driven::Plain(m) => m,
+        Driven::Ingest(engine) => engine,
     }
 }
 
@@ -462,33 +350,24 @@ pub fn make_monitor(
 enum Driven {
     /// Ticked with the effective one-event-per-entity batch.
     Plain(Box<dyn ContinuousMonitor>),
-    /// Fed the raw firehose stream through an [`rnn_engine::IngestHandle`]
-    /// and ticked with `tick_ingest` (drain + coalesce + tick).
-    Ingest {
-        engine: Box<rnn_engine::ShardedEngine>,
-        handle: rnn_engine::IngestHandle,
-    },
+    /// Fed the raw firehose stream through its ingest handle and ticked
+    /// with `tick_ingest` (drain + coalesce + tick).
+    Ingest(Box<ShardedEngine>),
 }
 
 impl Driven {
-    fn monitor(&self) -> &dyn ContinuousMonitor {
-        match self {
-            Driven::Plain(m) => m.as_ref(),
-            Driven::Ingest { engine, .. } => engine.as_ref(),
-        }
-    }
-
-    fn monitor_mut(&mut self) -> &mut dyn ContinuousMonitor {
+    fn monitor(&mut self) -> &mut dyn ContinuousMonitor {
         match self {
             Driven::Plain(m) => m.as_mut(),
-            Driven::Ingest { engine, .. } => engine.as_mut(),
+            Driven::Ingest(engine) => engine.as_mut(),
         }
     }
 
     fn tick(&mut self, raw: &[UpdateEvent], effective: &UpdateBatch) -> TickReport {
         match self {
             Driven::Plain(m) => m.tick(effective),
-            Driven::Ingest { engine, handle } => {
+            Driven::Ingest(engine) => {
+                let handle = engine.ingest_handle();
                 for &ev in raw {
                     // Block never errors (the bench sizes lanes above the
                     // firehose rate) and ShedOldest absorbs overflow; only
@@ -501,42 +380,276 @@ impl Driven {
     }
 }
 
-/// Instantiates the drive path for `algo`: ingest-fed engines get their
-/// admission config sized from the workload cardinality (lossless lanes
-/// for [`Algo::Ingest`], deliberately tight shedding lanes for
-/// [`Algo::IngestShed`]); everything else goes through [`make_monitor`].
-fn make_driven(algo: Algo, net: std::sync::Arc<rnn_roadnet::RoadNetwork>, p: &Params) -> Driven {
-    let build = |shards: u8, capacity: usize, policy: rnn_engine::AdmissionPolicy| {
-        let cfg = rnn_engine::EngineConfig {
-            ingest: rnn_engine::IngestConfig {
-                capacity,
-                policy,
-                ..Default::default()
-            },
-            ..rnn_engine::EngineConfig::with_shards(usize::from(shards).max(1))
-        };
-        let engine = Box::new(rnn_engine::ShardedEngine::new(net.clone(), cfg));
-        let handle = engine.ingest_handle();
-        Driven::Ingest { engine, handle }
-    };
-    match algo {
-        // Lossless: per-lane capacity far above the per-tick firehose
-        // rate, so blocking admission never actually parks the producer.
-        Algo::Ingest(shards) => build(
-            shards,
-            p.n_objects.max(4096),
-            rnn_engine::AdmissionPolicy::Block,
-        ),
-        // Lossy: per-lane capacity well below the firehose rate, so the
-        // drain window overflows every tick and ShedOldest drops the
-        // stalest fixes — the shed_events column is the point.
-        Algo::IngestShed(shards) => build(
-            shards,
-            (p.n_objects / 32).max(16),
-            rnn_engine::AdmissionPolicy::ShedOldest,
-        ),
-        _ => Driven::Plain(make_monitor(algo, net)),
+/// Measurements for one `(parameter value, stack)` cell: the counter
+/// structs as the run produced them plus the few values that are not
+/// counters. [`COLUMNS`] says how each is reported.
+#[derive(Clone, Debug)]
+pub struct RunResult {
+    /// What ran.
+    pub stack: Stack,
+    /// Wall-clock processing time summed over the measured timestamps.
+    pub elapsed: Duration,
+    /// Measured timestamps (the run's length minus its warm-up).
+    pub measured: usize,
+    /// Work counters summed over the measured timestamps.
+    pub window: OpCounters,
+    /// Work counters summed over the whole run, warm-up included:
+    /// rebalances cluster in the first ticks of a skewed run, so the
+    /// migration counters must not lose them.
+    pub whole_run: OpCounters,
+    /// What the transport counters moved during the measured timestamps.
+    /// The install phase and the warm-up ticks ship frames too, and the
+    /// per-timestamp rates must exclude them (like the timings do).
+    pub net_window: TransportStats,
+    /// The transport counters at the end of the run, since construction:
+    /// injected crashes and retry storms fire on delivered-frame budgets,
+    /// usually before the measured window opens. All zero for in-process
+    /// monitors.
+    pub net_final: TransportStats,
+    /// Resident memory at the end of the run (KBytes, Fig. 18's unit) —
+    /// per-algorithm state only (trees, influence lists, tables).
+    pub memory_kb: f64,
+    /// Active node count (GMA only; the paper reports e.g. "844 active
+    /// nodes on average").
+    pub active_nodes: Option<usize>,
+    /// Mean max/mean shard-load ratio across the measured ticks (1.0 =
+    /// perfectly balanced; 0.0 for monitors that report none). Averaged
+    /// rather than sampled at the end: under a drifting hotspot any single
+    /// tick catches the rebalancer mid-adaptation, while the mean captures
+    /// the sustained balance the migration buys.
+    pub load_ratio: f64,
+    /// Largest replica-resync cost observed on any single tick (warmup
+    /// included). The experiments binary asserts this never exceeds the
+    /// object cardinality — the engine's O(changed-edges) guarantee.
+    pub max_tick_resync: u64,
+}
+
+/// What a column reports for one result: the value, and the decimals it
+/// prints with (`None` prints an integer count).
+pub type Cell = (f64, Option<usize>);
+
+fn count(n: u64) -> Cell {
+    (n as f64, None)
+}
+
+impl RunResult {
+    /// The value reported under the JSON key `key` of [`COLUMNS`].
+    pub fn get(&self, key: &str) -> f64 {
+        let column = COLUMNS.iter().find(|c| c.key == key);
+        (column
+            .unwrap_or_else(|| panic!("no bench column `{key}`"))
+            .cell)(self)
+        .0
     }
+
+    /// A total over the measured window as its mean per measured
+    /// timestamp.
+    fn per_ts(&self, total: u64, decimals: usize) -> Cell {
+        (total as f64 / self.measured as f64, Some(decimals))
+    }
+}
+
+/// Whether `experiments ci-gate` holds a column to its committed baseline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gate {
+    /// Deterministic for a pinned (figure, scale, timestamps, warmup,
+    /// seed); may not grow more than `gate::MAX_REGRESSION`.
+    Gated,
+    /// Reported only, for this reason.
+    Ungated(&'static str),
+}
+use Gate::{Gated, Ungated};
+
+/// One column of the bench row: a key of every `BENCH_*.json` result.
+pub struct Column {
+    /// JSON key.
+    pub key: &'static str,
+    /// Which fields of the result over which window, and the precision
+    /// they print at.
+    pub cell: fn(&RunResult) -> Cell,
+    /// Whether the CI gate enforces it.
+    pub gate: Gate,
+}
+
+const fn col(key: &'static str, cell: fn(&RunResult) -> Cell, gate: Gate) -> Column {
+    Column { key, cell, gate }
+}
+
+/// Work counters no column reports, each with the reason.
+pub const UNSERIALIZED: &[(&str, &str)] = &[];
+
+/// The bench row, in the order it is printed: the one table the JSON
+/// artifacts, the CI gate's metric list and the smoke checks of the
+/// `experiments` binary all read. A new counter is one line in its struct
+/// in `rnn-core` and one row here.
+pub const COLUMNS: &[Column] = &[
+    // Mean wall-clock processing time per timestamp (seconds).
+    col(
+        "cpu_per_ts",
+        |r| (r.elapsed.as_secs_f64() / r.measured as f64, Some(9)),
+        Ungated("wall-clock: the box drifts 8-10% by itself, only counters are gateable"),
+    ),
+    // Mean deterministic work units per timestamp (`OpCounters::work`).
+    col(
+        "work_per_ts",
+        |r| r.per_ts(r.window.work(), 1),
+        Ungated("aggregate of four counters; steps_per_ts gates the same expansion work with less run-to-run aliasing"),
+    ),
+    col("memory_kb", |r| (r.memory_kb, Some(1)), Ungated("follows the workload's tree population")),
+    col(
+        "ignored_per_ts",
+        |r| r.per_ts(r.window.updates_ignored, 1),
+        Ungated("monotone-update short-circuits vary with workload mix, not with code regressions"),
+    ),
+    // NN recomputations forced by object or edge updates hitting a
+    // query's influence region.
+    col(
+        "reevals_per_ts",
+        |r| r.per_ts(r.window.reevaluations, 1),
+        Ungated("reevaluation count tracks query churn in the workload, not algorithmic cost per tick"),
+    ),
+    // Objects touched by replica resync (sharded engine only).
+    col("resync_per_ts", |r| r.per_ts(r.window.resync_touched, 1), Gated),
+    col(
+        "evictions_per_ts",
+        |r| r.per_ts(r.window.replica_evictions, 1),
+        Ungated("replica evictions depend on cache sizing knobs swept per experiment, not fixed per gate spec"),
+    ),
+    col("max_tick_resync", |r| count(r.max_tick_resync), Ungated("bounded by the engine smoke")),
+    // Tick-path *maintenance* allocation events (arena backing-buffer
+    // reallocations, Dijkstra heap growth, tree-pool slab/directory
+    // growth). The tickpath baseline pins it at 0.000, so *any* new
+    // allocation on a steady-state tick — tree surgery included — fails.
+    col("alloc_per_ts", |r| r.per_ts(r.window.alloc_events, 3), Gated),
+    // Allocation events of installing brand-new monitored entities (query
+    // installs, GMA active-node activations): nonzero while the monitored
+    // population is still discovering new anchors.
+    col(
+        "install_alloc_per_ts",
+        |r| r.per_ts(r.window.install_alloc_events, 3),
+        Ungated("install-time allocation is intentionally unbounded; only steady-state alloc_per_ts must stay zero"),
+    ),
+    col(
+        "shared_per_ts",
+        |r| r.per_ts(r.window.shared_expansions, 3),
+        Ungated("sharing rate is a cache-efficiency ratio; steps_per_ts already gates the expansion work a sharing regression would inflate"),
+    ),
+    // Raw Dijkstra heap pops: holds expansion work within the bound.
+    col("steps_per_ts", |r| r.per_ts(r.window.expansion_steps, 1), Gated),
+    // Expansion-tree nodes recycled through the tree pool's free list —
+    // the tree-surgery reuse rate. Together with `alloc_per_ts` at zero
+    // it proves subtree cuts and re-expansion inserts ran without heap
+    // allocation; gated so surgery volume cannot silently grow.
+    col("recycled_per_ts", |r| r.per_ts(r.window.tree_nodes_recycled, 1), Gated),
+    // Nodes pruned (cuts, θ-prunes, re-roots): the surgery volume the
+    // recycle rate is measured against.
+    col(
+        "pruned_per_ts",
+        |r| r.per_ts(r.window.tree_nodes_pruned, 1),
+        Ungated("pruning is an optimization outcome already bounded transitively by steps_per_ts"),
+    ),
+    // RPC frames moved (sent + received, all shards). Deterministic on a
+    // fault-free loopback transport: a regression means the delta
+    // protocol started shipping more messages per tick.
+    col(
+        "frames_per_ts",
+        |r| r.per_ts(r.net_window.frames_sent + r.net_window.frames_received, 1),
+        Gated,
+    ),
+    col(
+        "bytes_per_ts",
+        |r| r.per_ts(r.net_window.bytes_sent + r.net_window.bytes_received, 1),
+        Ungated("payload size follows the workload's churn; frames_per_ts gates the message count"),
+    ),
+    col("retries", |r| count(r.net_final.retries), Ungated("bounded by the cluster smoke")),
+    col(
+        "rebalances",
+        |r| count(r.whole_run.rebalance_events),
+        Ungated("rebalance cadence is a tuning policy exercised by the rebalance figure, not a regression signal"),
+    ),
+    col(
+        "cells_migrated",
+        |r| count(r.whole_run.cells_migrated),
+        Ungated("migration volume follows rebalance cadence; gated indirectly through the rebalance smoke's assertions"),
+    ),
+    col("load_ratio", |r| (r.load_ratio, Some(3)), Ungated("compared by the rebalance smoke")),
+    col(
+        "recoveries",
+        |r| count(r.net_final.crash_recoveries),
+        Ungated("set by the injected fault plan; the recovery smoke wants it nonzero"),
+    ),
+    // Event frames replayed per crash recovery (0 when nothing crashed):
+    // must stay O(WAL suffix) — bounded by the snapshot cadence — never
+    // O(full journal), so a regression means a respawn stopped restoring
+    // from the latest durable snapshot.
+    col(
+        "replayed_per_recovery",
+        |r| {
+            let recoveries = r.net_final.crash_recoveries.max(1);
+            (r.net_final.frames_replayed as f64 / recoveries as f64, Some(1))
+        },
+        Gated,
+    ),
+    col(
+        "snapshots",
+        |r| count(r.net_final.snapshots),
+        Ungated("set by the pinned snapshot cadence; the recovery smoke wants it nonzero"),
+    ),
+    // Latest durable monitor-state snapshot, summed over shards (sizes
+    // the snapshot plane against `memory_kb`).
+    col(
+        "snapshot_kb",
+        |r| (r.net_final.snapshot_bytes as f64 / 1024.0, Some(1)),
+        Ungated("follows the monitored state, like memory_kb"),
+    ),
+    // Final coordinator journal length in event frames, summed over
+    // shards: with snapshots every E frames it stays < E per shard.
+    col("journal_len", |r| count(r.net_final.journal_len), Ungated("bounded by the recovery smoke")),
+    // Frames outstanding-at-commit on the replication plane. The
+    // synchronous append pipeline commits every replicated event frame
+    // with exactly one frame outstanding, so growth means the leader
+    // started racing ahead of its quorum — events the WAL could truncate
+    // before any follower held them.
+    col("commit_lag_frames", |r| r.per_ts(r.net_window.commit_lag_frames, 3), Gated),
+    col(
+        "failovers",
+        |r| count(r.net_final.failovers),
+        Ungated("set by the injected leader kills; the replication smoke wants one per shard"),
+    ),
+    col(
+        "fenced_appends",
+        |r| count(r.net_final.fenced_appends),
+        Ungated("held at exactly zero by the replication smoke"),
+    ),
+    // Append, heartbeat, promote and snapshot-offer traffic to followers.
+    col(
+        "replica_bytes",
+        |r| count(r.net_final.replica_bytes),
+        Ungated("sizes the replication plane; the replication smoke wants it nonzero"),
+    ),
+    // Superseded submissions folded away by ingest coalescing:
+    // deterministic for a pinned firehose seed, so growth means the fold
+    // started double-counting (the ingest smoke asserts it stays nonzero).
+    col("coalesced_per_ts", |r| r.per_ts(r.window.coalesced_superseded, 3), Gated),
+    col(
+        "shed_events",
+        |r| count(r.window.shed_events),
+        Ungated("shedding is an admission *policy* outcome the ING-SHED column demonstrates on purpose; the ingest smoke asserts the lossless column stays at zero"),
+    ),
+    // Lane-buffer growth, merge-scratch growth, coalesce-table rehash. A
+    // window total (not a rate) so the gate holds it at exactly zero:
+    // warm-up absorbs the one-off high-water growth, after which the
+    // swap-and-merge drain must run allocation-free.
+    col("drain_alloc_events", |r| count(r.window.drain_alloc_events), Gated),
+];
+
+/// A labelled point of a figure series.
+#[derive(Clone, Debug)]
+pub struct SeriesPoint {
+    /// X-axis label (e.g. `"N=10K"` or `"k=25"`).
+    pub label: String,
+    /// One result per requested stack.
+    pub results: Vec<RunResult>,
 }
 
 /// The update feed of one run: the plain per-tick scenario, or the
@@ -548,19 +661,18 @@ enum Feed {
 }
 
 impl Feed {
-    fn new(net: std::sync::Arc<rnn_roadnet::RoadNetwork>, params: &Params, ingest: bool) -> Self {
-        match (params.firehose, ingest) {
-            (Some(pattern), _) => Feed::Fire(Box::new(Firehose::new(
+    fn new(net: Arc<RoadNetwork>, params: &Params, ingest: bool) -> Self {
+        // Ingest-fed stacks on a non-firehose point still need a raw
+        // stream; the commute wave is the least exotic default.
+        let pattern = params
+            .firehose
+            .or(ingest.then_some(FirehosePattern::CommuteWave));
+        match pattern {
+            Some(pattern) => Feed::Fire(Box::new(Firehose::new(
                 net,
                 FirehoseConfig::new(pattern, params.scenario_config()),
             ))),
-            // Ingest algos on a non-firehose point still need a raw
-            // stream; the commute wave is the least exotic default.
-            (None, true) => Feed::Fire(Box::new(Firehose::new(
-                net,
-                FirehoseConfig::new(FirehosePattern::CommuteWave, params.scenario_config()),
-            ))),
-            (None, false) => Feed::Plain(
+            None => Feed::Plain(
                 Box::new(Scenario::new(net, params.scenario_config())),
                 UpdateBatch::default(),
             ),
@@ -590,13 +702,30 @@ impl Feed {
     }
 }
 
+/// Renders one result as the JSON object of its row: `algo`, then every
+/// column of [`COLUMNS`] in order at its precision.
+pub fn result_to_json(r: &RunResult) -> String {
+    let mut out = format!("{{\"algo\": \"{}\"", esc(&r.stack.name()));
+    for c in COLUMNS {
+        // Writing to a `String` cannot fail.
+        let _ = match (c.cell)(r) {
+            (v, Some(d)) => write!(out, ", \"{}\": {v:.d$}", c.key),
+            (v, None) => write!(out, ", \"{}\": {}", c.key, v as u64),
+        };
+    }
+    out.push('}');
+    out
+}
+
+fn esc(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// Renders a series as a machine-readable JSON document (hand-rolled — the
 /// vendored serde stub has no serializer) so downstream tooling can track
 /// the perf trajectory across PRs.
 pub fn series_to_json(figure: &str, series: &[SeriesPoint]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
+    let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"figure\": \"{}\",\n", esc(figure)));
     out.push_str("  \"points\": [\n");
@@ -605,203 +734,101 @@ pub fn series_to_json(figure: &str, series: &[SeriesPoint]) -> String {
         out.push_str(&format!("      \"label\": \"{}\",\n", esc(&p.label)));
         out.push_str("      \"results\": [\n");
         for (j, r) in p.results.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"algo\": \"{}\", \"cpu_per_ts\": {:.9}, \"work_per_ts\": {:.1}, \
-                 \"memory_kb\": {:.1}, \"ignored_per_ts\": {:.1}, \
-                 \"reevals_per_ts\": {:.1}, \"resync_per_ts\": {:.1}, \
-                 \"evictions_per_ts\": {:.1}, \"max_tick_resync\": {}, \
-                 \"alloc_per_ts\": {:.3}, \"install_alloc_per_ts\": {:.3}, \
-                 \"shared_per_ts\": {:.3}, \
-                 \"steps_per_ts\": {:.1}, \"recycled_per_ts\": {:.1}, \
-                 \"pruned_per_ts\": {:.1}, \"frames_per_ts\": {:.1}, \
-                 \"bytes_per_ts\": {:.1}, \"retries\": {}, \"rebalances\": {}, \
-                 \"cells_migrated\": {}, \"load_ratio\": {:.3}, \
-                 \"recoveries\": {}, \"replayed_per_recovery\": {:.1}, \
-                 \"snapshots\": {}, \"snapshot_kb\": {:.1}, \
-                 \"journal_len\": {}, \"commit_lag_frames\": {:.3}, \
-                 \"failovers\": {}, \"fenced_appends\": {}, \
-                 \"replica_bytes\": {}, \"coalesced_per_ts\": {:.3}, \
-                 \"shed_events\": {}, \"drain_alloc_events\": {}}}{}\n",
-                esc(r.algo.name()),
-                r.cpu_per_ts,
-                r.work_per_ts,
-                r.memory_kb,
-                r.ignored_per_ts,
-                r.reevals_per_ts,
-                r.resync_per_ts,
-                r.evictions_per_ts,
-                r.max_tick_resync,
-                r.alloc_per_ts,
-                r.install_alloc_per_ts,
-                r.shared_per_ts,
-                r.steps_per_ts,
-                r.recycled_per_ts,
-                r.pruned_per_ts,
-                r.frames_per_ts,
-                r.bytes_per_ts,
-                r.retries,
-                r.rebalances,
-                r.cells_migrated,
-                r.load_ratio,
-                r.recoveries,
-                r.replayed_per_recovery,
-                r.snapshots,
-                r.snapshot_kb,
-                r.journal_len,
-                r.commit_lag_frames,
-                r.failovers,
-                r.fenced_appends,
-                r.replica_bytes,
-                r.coalesced_per_ts,
-                r.shed_events,
-                r.drain_alloc_events,
-                if j + 1 < p.results.len() { "," } else { "" },
-            ));
+            let row = result_to_json(r);
+            out.push_str(&format!("        {row}{}\n", comma(j, p.results.len())));
         }
         out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < series.len() { "," } else { "" }
-        ));
+        out.push_str(&format!("    }}{}\n", comma(i, series.len())));
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Runs one parameter point for the given algorithms.
+/// Runs one parameter point for the given stacks.
 ///
 /// All monitors consume the **same** update stream. Each is timed on its
 /// own `tick` calls only; `warmup` leading timestamps are excluded from the
 /// averages (the first ticks pay one-off allocation costs).
 pub fn run_point(
     params: &Params,
-    algos: &[Algo],
+    stacks: &[Stack],
     timestamps: usize,
     warmup: usize,
 ) -> Vec<RunResult> {
     let net = params.build_network();
-    let any_ingest = algos.iter().any(|a| a.is_ingest());
+    let any_ingest = stacks.iter().any(|s| s.ingest != Ingest::Batch);
     let mut feed = Feed::new(net.clone(), params, any_ingest);
 
-    let mut monitors: Vec<(Algo, Driven)> = algos
+    let mut monitors: Vec<Driven> = stacks
         .iter()
-        .map(|&a| (a, make_driven(a, net.clone(), params)))
+        .map(|s| s.build(net.clone(), params))
         .collect();
-    for (_, m) in &mut monitors {
-        feed.install_into(m.monitor_mut());
+    for m in &mut monitors {
+        feed.install_into(m.monitor());
     }
 
-    let mut elapsed = vec![Duration::ZERO; monitors.len()];
-    let mut counters = vec![OpCounters::default(); monitors.len()];
-    // Whole-run totals (warmup included): rebalances cluster in the first
-    // ticks of a skewed run, so the migration counters must not lose them.
-    let mut total_counters = vec![OpCounters::default(); monitors.len()];
-    let mut max_tick_resync = vec![0u64; monitors.len()];
-    let mut ratio_sum = vec![0.0f64; monitors.len()];
-    let mut ratio_count = vec![0u32; monitors.len()];
-    // Transport counters at the start of the measured window: the
-    // install phase and the warmup ticks ship frames too, and the
-    // per-timestamp rates must exclude them (like the timings do).
-    let mut net_base: Vec<TransportStats> = monitors
-        .iter()
-        .map(|(_, m)| m.monitor().transport_stats().unwrap_or_default())
-        .collect();
     let measured = timestamps.saturating_sub(warmup).max(1);
+    let mut results: Vec<RunResult> = stacks
+        .iter()
+        .map(|&stack| RunResult {
+            stack,
+            elapsed: Duration::ZERO,
+            measured,
+            window: OpCounters::default(),
+            whole_run: OpCounters::default(),
+            net_window: TransportStats::default(),
+            net_final: TransportStats::default(),
+            memory_kb: 0.0,
+            active_nodes: None,
+            load_ratio: 0.0,
+            max_tick_resync: 0,
+        })
+        .collect();
+    let mut ratio_count = vec![0u32; monitors.len()];
+    // Transport counters at the start of the measured window.
+    let mut net_base: Vec<TransportStats> = monitors
+        .iter_mut()
+        .map(|m| m.monitor().transport_stats().unwrap_or_default())
+        .collect();
     for t in 0..timestamps {
         let (raw, effective) = feed.tick();
-        for (i, (_, m)) in monitors.iter_mut().enumerate() {
+        for (i, (m, r)) in monitors.iter_mut().zip(&mut results).enumerate() {
             let rep = m.tick(raw, effective);
-            max_tick_resync[i] = max_tick_resync[i].max(rep.counters.resync_touched);
-            total_counters[i].merge(&rep.counters);
+            r.max_tick_resync = r.max_tick_resync.max(rep.counters.resync_touched);
+            r.whole_run.merge(&rep.counters);
             if t + 1 == warmup {
                 if let Some(s) = m.monitor().transport_stats() {
                     net_base[i] = s;
                 }
             }
             if t >= warmup {
-                elapsed[i] += rep.elapsed;
-                counters[i].merge(&rep.counters);
-                if let Some(r) = m.monitor().shard_load_ratio() {
-                    ratio_sum[i] += r;
+                r.elapsed += rep.elapsed;
+                r.window.merge(&rep.counters);
+                if let Some(ratio) = m.monitor().shard_load_ratio() {
+                    r.load_ratio += ratio;
                     ratio_count[i] += 1;
                 }
             }
         }
     }
 
-    monitors
-        .iter()
-        .enumerate()
-        .map(|(i, (a, m))| {
-            let m = m.monitor();
-            // Capture the transport delta before `memory()`, which ships
-            // its own request/reply pair per shard.
-            let final_stats = m.transport_stats();
-            let (frames, bytes, retries) = match &final_stats {
-                Some(s) => (
-                    (s.frames_sent + s.frames_received)
-                        .saturating_sub(net_base[i].frames_sent + net_base[i].frames_received),
-                    (s.bytes_sent + s.bytes_received)
-                        .saturating_sub(net_base[i].bytes_sent + net_base[i].bytes_received),
-                    s.retries,
-                ),
-                None => (0, 0, 0),
-            };
-            // Durability totals are whole-run (crashes fire on delivered-
-            // frame budgets, usually before the measured window opens).
-            let dur = final_stats.unwrap_or_default();
-            let mem = m.memory();
-            let active = m.active_groups();
-            RunResult {
-                algo: *a,
-                cpu_per_ts: elapsed[i].as_secs_f64() / measured as f64,
-                work_per_ts: counters[i].work() as f64 / measured as f64,
-                memory_kb: algo_memory(&mem),
-                active_nodes: active,
-                ignored_per_ts: counters[i].updates_ignored as f64 / measured as f64,
-                reevals_per_ts: counters[i].reevaluations as f64 / measured as f64,
-                resync_per_ts: counters[i].resync_touched as f64 / measured as f64,
-                evictions_per_ts: counters[i].replica_evictions as f64 / measured as f64,
-                max_tick_resync: max_tick_resync[i],
-                alloc_per_ts: counters[i].alloc_events as f64 / measured as f64,
-                install_alloc_per_ts: counters[i].install_alloc_events as f64 / measured as f64,
-                shared_per_ts: counters[i].shared_expansions as f64 / measured as f64,
-                steps_per_ts: counters[i].expansion_steps as f64 / measured as f64,
-                recycled_per_ts: counters[i].tree_nodes_recycled as f64 / measured as f64,
-                pruned_per_ts: counters[i].tree_nodes_pruned as f64 / measured as f64,
-                frames_per_ts: frames as f64 / measured as f64,
-                bytes_per_ts: bytes as f64 / measured as f64,
-                retries,
-                rebalances: total_counters[i].rebalance_events,
-                cells_migrated: total_counters[i].cells_migrated,
-                load_ratio: if ratio_count[i] > 0 {
-                    ratio_sum[i] / f64::from(ratio_count[i])
-                } else {
-                    0.0
-                },
-                recoveries: dur.crash_recoveries,
-                replayed_per_recovery: if dur.crash_recoveries > 0 {
-                    dur.frames_replayed as f64 / dur.crash_recoveries as f64
-                } else {
-                    0.0
-                },
-                snapshots: dur.snapshots,
-                snapshot_kb: dur.snapshot_bytes as f64 / 1024.0,
-                journal_len: dur.journal_len,
-                commit_lag_frames: dur
-                    .commit_lag_frames
-                    .saturating_sub(net_base[i].commit_lag_frames)
-                    as f64
-                    / measured as f64,
-                failovers: dur.failovers,
-                fenced_appends: dur.fenced_appends,
-                replica_bytes: dur.replica_bytes,
-                coalesced_per_ts: counters[i].coalesced_superseded as f64 / measured as f64,
-                shed_events: counters[i].shed_events,
-                drain_alloc_events: counters[i].drain_alloc_events,
-            }
-        })
-        .collect()
+    for (i, (m, r)) in monitors.iter_mut().zip(&mut results).enumerate() {
+        let m = m.monitor();
+        // Read the transport counters before `memory()`, which ships its
+        // own request/reply pair per shard.
+        r.net_final = m.transport_stats().unwrap_or_default();
+        r.net_window = r.net_final.since(&net_base[i]);
+        // Fig. 18 compares *algorithm state*: query table, expansion trees
+        // and influence lists. The shared edge table and scratch space are
+        // common to all methods and excluded, as in the paper's discussion.
+        let mem = m.memory();
+        r.memory_kb = (mem.query_table + mem.expansion_trees + mem.influence_lists) as f64 / 1024.0;
+        r.active_nodes = m.active_groups();
+        if ratio_count[i] > 0 {
+            r.load_ratio /= f64::from(ratio_count[i]);
+        }
+    }
+    results
 }
 
 /// Runs a whole series (one figure): `points` are `(label, Params)` pairs.
@@ -810,57 +837,44 @@ pub fn run_point(
 /// reporting).
 pub fn run_series(
     points: &[(String, Params)],
-    algos: &[Algo],
+    stacks: &[Stack],
     timestamps: usize,
     warmup: usize,
     parallel: bool,
 ) -> Vec<SeriesPoint> {
-    if parallel {
-        let mut out: Vec<Option<SeriesPoint>> = vec![None; points.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, (label, p)) in points.iter().enumerate() {
-                handles.push((
-                    i,
-                    scope.spawn(move || SeriesPoint {
-                        label: label.clone(),
-                        results: run_point(p, algos, timestamps, warmup),
-                    }),
-                ));
-            }
-            for (i, h) in handles {
-                out[i] = Some(h.join().expect("experiment thread panicked"));
-            }
-        });
-        out.into_iter()
-            .map(|o| o.expect("all points filled"))
-            .collect()
-    } else {
-        points
-            .iter()
-            .map(|(label, p)| SeriesPoint {
-                label: label.clone(),
-                results: run_point(p, algos, timestamps, warmup),
-            })
-            .collect()
+    let run = |(label, p): &(String, Params)| SeriesPoint {
+        label: label.clone(),
+        results: run_point(p, stacks, timestamps, warmup),
+    };
+    if !parallel {
+        return points.iter().map(run).collect();
     }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = points
+            .iter()
+            .map(|point| scope.spawn(move || run(point)))
+            .collect();
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .map(|point| point.expect("experiment thread panicked"))
+            .collect()
+    })
 }
 
 /// Formats a series as an aligned text table (one row per point, one column
-/// group per algorithm).
+/// group per stack).
 pub fn format_series(title: &str, series: &[SeriesPoint], show_memory: bool) -> String {
     let mut out = format!("## {title}\n");
     if series.is_empty() {
         return out;
     }
-    let algos: Vec<Algo> = series[0].results.iter().map(|r| r.algo).collect();
     out.push_str(&format!("{:<16}", "param"));
-    for a in &algos {
+    for name in series[0].results.iter().map(|r| r.stack.name()) {
         if show_memory {
-            out.push_str(&format!("{:>14}", format!("{} KB", a.name())));
+            out.push_str(&format!("{:>14}", format!("{name} KB")));
         } else {
-            out.push_str(&format!("{:>14}", format!("{} s/ts", a.name())));
-            out.push_str(&format!("{:>14}", format!("{} work", a.name())));
+            out.push_str(&format!("{:>14}", format!("{name} s/ts")));
+            out.push_str(&format!("{:>14}", format!("{name} work")));
         }
     }
     out.push('\n');
@@ -870,8 +884,8 @@ pub fn format_series(title: &str, series: &[SeriesPoint], show_memory: bool) -> 
             if show_memory {
                 out.push_str(&format!("{:>14.1}", r.memory_kb));
             } else {
-                out.push_str(&format!("{:>14.6}", r.cpu_per_ts));
-                out.push_str(&format!("{:>14.0}", r.work_per_ts));
+                out.push_str(&format!("{:>14.6}", r.get("cpu_per_ts")));
+                out.push_str(&format!("{:>14.0}", r.get("work_per_ts")));
             }
         }
         out.push('\n');
@@ -893,13 +907,17 @@ mod tests {
         }
     }
 
+    fn by<'a>(rs: &'a [RunResult], name: &str) -> &'a RunResult {
+        rs.iter().find(|r| r.stack.name() == name).unwrap()
+    }
+
     #[test]
     fn run_point_produces_results_for_all_algos() {
-        let rs = run_point(&tiny(), Algo::paper_set(), 4, 1);
+        let rs = run_point(&tiny(), Stack::PAPER_SET, 4, 1);
         assert_eq!(rs.len(), 3);
         for r in &rs {
-            assert!(r.cpu_per_ts >= 0.0);
-            assert!(r.work_per_ts > 0.0, "{:?} did no work", r.algo);
+            assert!(r.get("cpu_per_ts") >= 0.0);
+            assert!(r.get("work_per_ts") > 0.0, "{:?} did no work", r.stack);
             assert!(r.memory_kb > 0.0);
         }
     }
@@ -908,30 +926,37 @@ mod tests {
     fn incremental_beats_overhaul_on_work() {
         // The headline claim: IMA and GMA do less deterministic work per
         // timestamp than recomputing everything from scratch.
-        let rs = run_point(&tiny(), Algo::paper_set(), 6, 2);
-        let by = |a: Algo| rs.iter().find(|r| r.algo == a).unwrap().work_per_ts;
+        let rs = run_point(&tiny(), Stack::PAPER_SET, 6, 2);
+        let work = |name: &str| by(&rs, name).window.work();
         assert!(
-            by(Algo::Ima) < by(Algo::Ovh),
+            work("IMA") < work("OVH"),
             "IMA {} !< OVH {}",
-            by(Algo::Ima),
-            by(Algo::Ovh)
+            work("IMA"),
+            work("OVH")
         );
         assert!(
-            by(Algo::Gma) < by(Algo::Ovh),
+            work("GMA") < work("OVH"),
             "GMA {} !< OVH {}",
-            by(Algo::Gma),
-            by(Algo::Ovh)
+            work("GMA"),
+            work("OVH")
         );
     }
 
     #[test]
     fn influence_list_ablation_ignores_nothing() {
-        let rs = run_point(&tiny(), &[Algo::Ima, Algo::ImaNoInfluence], 4, 1);
+        let rs = run_point(&tiny(), Stack::ABLATION_SET, 4, 1);
         let ima = &rs[0];
         let abl = &rs[1];
-        assert!(ima.ignored_per_ts > 0.0, "IMA should ignore some updates");
-        assert_eq!(abl.ignored_per_ts, 0.0, "the ablation processes everything");
-        assert!(abl.work_per_ts >= ima.work_per_ts);
+        assert_eq!(abl.stack.name(), "IMA-noIL");
+        assert!(
+            ima.window.updates_ignored > 0,
+            "IMA should ignore some updates"
+        );
+        assert_eq!(
+            abl.window.updates_ignored, 0,
+            "the ablation processes everything"
+        );
+        assert!(abl.window.work() >= ima.window.work());
     }
 
     #[test]
@@ -946,7 +971,7 @@ mod tests {
                 },
             ),
         ];
-        let series = run_series(&pts, &[Algo::Ima], 3, 1, false);
+        let series = run_series(&pts, &[Stack::IMA], 3, 1, false);
         let txt = format_series("Test", &series, false);
         assert!(txt.contains("IMA s/ts"));
         assert!(txt.lines().count() >= 4);
@@ -955,18 +980,47 @@ mod tests {
     #[test]
     fn parallel_series_matches_labels() {
         let pts = vec![("x".to_string(), tiny()), ("y".to_string(), tiny())];
-        let series = run_series(&pts, &[Algo::Gma], 2, 0, true);
+        let series = run_series(&pts, &[Stack::GMA], 2, 0, true);
         assert_eq!(series[0].label, "x");
         assert_eq!(series[1].label, "y");
     }
 
     #[test]
+    fn stack_names_are_computed_from_the_layers() {
+        let names = |set: &[Stack]| set.iter().map(Stack::name).collect::<Vec<_>>();
+        assert_eq!(names(Stack::PAPER_SET), ["OVH", "IMA", "GMA"]);
+        assert_eq!(names(Stack::REBALANCE_SET), ["ENG-4", "ENG-4-RB"]);
+        assert_eq!(names(Stack::RECOVERY_SET), ["CLU-2", "CLU-2-D", "CLU-4-D"]);
+        assert_eq!(
+            names(Stack::REPLICATION_SET),
+            ["ENG-2", "ENG-4", "CLU-2-R", "CLU-4-R"]
+        );
+        assert_eq!(names(Stack::INGEST_SET), ["ENG-4", "ING-4", "ING-4-SHED"]);
+    }
+
+    #[test]
+    fn odd_shard_counts_keep_their_own_rows() {
+        // Every shard count outside {1, 2, 4, 8} used to render as
+        // `ENG-n`, and the gate's `(label, algo)` map kept only the last.
+        let pts = vec![("p".to_string(), tiny())];
+        let stacks = [Stack::engine(3), Stack::engine(6)];
+        let series = run_series(&pts, &stacks, 2, 0, false);
+        let table = crate::gate::parse_artifact(&series_to_json("odd", &series)).unwrap();
+        assert_eq!(table.len(), 2);
+        for name in ["ENG-3", "ENG-6"] {
+            assert!(table.contains_key(&("p".to_string(), name.to_string())));
+        }
+        let replicated = Stack::over(Link::Replicated, 6);
+        assert_eq!(replicated.name(), "CLU-6-R");
+    }
+
+    #[test]
     fn sharded_engine_runs_as_an_algo() {
-        let rs = run_point(&tiny(), &[Algo::Gma, Algo::Sharded(2)], 3, 1);
+        let rs = run_point(&tiny(), &[Stack::GMA, Stack::engine(2)], 3, 1);
         assert_eq!(rs.len(), 2);
         let eng = &rs[1];
-        assert_eq!(eng.algo.name(), "ENG-2");
-        assert!(eng.work_per_ts > 0.0, "engine did no work");
+        assert_eq!(eng.stack.name(), "ENG-2");
+        assert!(eng.window.work() > 0, "engine did no work");
         assert!(eng.memory_kb > 0.0);
     }
 
@@ -976,10 +1030,10 @@ mod tests {
             query_agility: 0.3,
             ..tiny()
         };
-        let rs = run_point(&p, &[Algo::Gma, Algo::Sharded(2)], 5, 1);
+        let rs = run_point(&p, &[Stack::GMA, Stack::engine(2)], 5, 1);
         let gma = &rs[0];
-        assert_eq!(gma.resync_per_ts, 0.0, "single monitors never resync");
-        assert_eq!(gma.evictions_per_ts, 0.0);
+        assert_eq!(gma.window.resync_touched, 0, "single monitors never resync");
+        assert_eq!(gma.window.replica_evictions, 0);
         assert_eq!(gma.max_tick_resync, 0);
         let eng = &rs[1];
         assert!(
@@ -992,20 +1046,29 @@ mod tests {
 
     #[test]
     fn cluster_matches_in_process_work_and_moves_frames() {
-        let rs = run_point(&tiny(), &[Algo::Sharded(2), Algo::Cluster(2)], 4, 1);
+        let stacks = [Stack::engine(2), Stack::over(Link::Loopback, 2)];
+        let rs = run_point(&tiny(), &stacks, 4, 1);
         let eng = &rs[0];
         let clu = &rs[1];
-        assert_eq!(clu.algo.name(), "CLU-2");
+        assert_eq!(clu.stack.name(), "CLU-2");
         assert_eq!(
-            clu.work_per_ts, eng.work_per_ts,
+            clu.window.work(),
+            eng.window.work(),
             "the RPC layer changed the deterministic work"
         );
-        assert_eq!(clu.resync_per_ts, eng.resync_per_ts);
-        assert!(clu.frames_per_ts > 0.0, "the cluster moved no frames");
-        assert!(clu.bytes_per_ts > 0.0);
-        assert_eq!(clu.retries, 0, "fault-free loopback must not retry");
+        assert_eq!(clu.window.resync_touched, eng.window.resync_touched);
+        assert!(
+            clu.get("frames_per_ts") > 0.0,
+            "the cluster moved no frames"
+        );
+        assert!(clu.get("bytes_per_ts") > 0.0);
         assert_eq!(
-            eng.frames_per_ts, 0.0,
+            clu.net_final.retries, 0,
+            "fault-free loopback must not retry"
+        );
+        assert_eq!(
+            eng.net_final,
+            TransportStats::default(),
             "in-process engines have no transport"
         );
     }
@@ -1021,32 +1084,39 @@ mod tests {
         // `updates_ignored` inherits a borderline-θ wobble from the
         // recomputed expansion trees (same as the CLU-n-D recovery
         // path), so it gets a 1% band while resync/evictions are exact.
-        let rs = run_point(
-            &tiny(),
-            &[Algo::Sharded(2), Algo::ClusterReplicated(2)],
-            40,
-            2,
-        );
+        let stacks = [Stack::engine(2), Stack::over(Link::Replicated, 2)];
+        let rs = run_point(&tiny(), &stacks, 40, 2);
         let eng = &rs[0];
         let clu = &rs[1];
-        assert_eq!(clu.algo.name(), "CLU-2-R");
+        assert_eq!(clu.stack.name(), "CLU-2-R");
         assert_eq!(
-            (clu.resync_per_ts, clu.evictions_per_ts),
-            (eng.resync_per_ts, eng.evictions_per_ts),
+            (clu.window.resync_touched, clu.window.replica_evictions),
+            (eng.window.resync_touched, eng.window.replica_evictions),
             "failover changed a restore-stable counter"
         );
+        let (clu_ignored, eng_ignored) = (clu.get("ignored_per_ts"), eng.get("ignored_per_ts"));
         assert!(
-            (clu.ignored_per_ts - eng.ignored_per_ts).abs() <= eng.ignored_per_ts * 0.01,
-            "ignored drifted past the borderline-θ band: {} vs {}",
-            clu.ignored_per_ts,
-            eng.ignored_per_ts
+            (clu_ignored - eng_ignored).abs() <= eng_ignored * 0.01,
+            "ignored drifted past the borderline-θ band: {clu_ignored} vs {eng_ignored}"
         );
-        assert!(clu.failovers >= 1, "no leader kill fired: {clu:?}");
-        assert_eq!(clu.fenced_appends, 0, "healthy run must not fence");
-        assert!(clu.replica_bytes > 0, "no bytes reached the followers");
-        assert!(clu.commit_lag_frames > 0.0, "no append ever committed");
-        assert_eq!(eng.failovers, 0);
-        assert_eq!(eng.replica_bytes, 0);
+        assert!(
+            clu.net_final.failovers >= 1,
+            "no leader kill fired: {clu:?}"
+        );
+        assert_eq!(
+            clu.net_final.fenced_appends, 0,
+            "healthy run must not fence"
+        );
+        assert!(
+            clu.net_final.replica_bytes > 0,
+            "no bytes reached the followers"
+        );
+        assert!(
+            clu.net_window.commit_lag_frames > 0,
+            "no append ever committed"
+        );
+        assert_eq!(eng.net_final.failovers, 0);
+        assert_eq!(eng.net_final.replica_bytes, 0);
     }
 
     #[test]
@@ -1058,18 +1128,17 @@ mod tests {
             object_agility: 0.5,
             ..tiny()
         };
-        let rs = run_point(&p, Algo::ingest_set(), 5, 2);
-        let by = |name: &str| rs.iter().find(|r| r.algo.name() == name).unwrap();
-        let eng = by("ENG-4");
-        let ing = by("ING-4");
-        let shed = by("ING-4-SHED");
+        let rs = run_point(&p, Stack::INGEST_SET, 5, 2);
+        let eng = &by(&rs, "ENG-4").window;
+        let ing = &by(&rs, "ING-4").window;
+        let shed = &by(&rs, "ING-4-SHED").window;
         assert_eq!(
-            eng.coalesced_per_ts, 0.0,
+            eng.coalesced_superseded, 0,
             "batch-fed engines never coalesce"
         );
         assert_eq!(eng.shed_events, 0);
         assert!(
-            ing.coalesced_per_ts > 0.0,
+            ing.coalesced_superseded > 0,
             "the flash crowd's redundant fixes must be folded at the drain"
         );
         assert_eq!(ing.shed_events, 0, "lossless lanes must not shed");
@@ -1077,13 +1146,14 @@ mod tests {
             shed.shed_events > 0,
             "tight ShedOldest lanes must drop submissions"
         );
-        assert!(ing.work_per_ts > 0.0);
+        assert!(ing.work() > 0);
     }
 
     #[test]
     fn json_series_is_well_formed() {
         let pts = vec![("p\"1".to_string(), tiny())];
-        let series = run_series(&pts, &[Algo::Gma, Algo::Sharded(1)], 2, 0, false);
+        let stacks = [Stack::GMA, Stack::engine(1)];
+        let series = run_series(&pts, &stacks, 2, 0, false);
         let json = series_to_json("engine", &series);
         assert!(json.contains("\"figure\": \"engine\""));
         assert!(json.contains("\"algo\": \"ENG-1\""));
@@ -1093,5 +1163,121 @@ mod tests {
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    fn result_with(counters: [OpCounters; 2], net: [TransportStats; 2]) -> RunResult {
+        RunResult {
+            stack: Stack::over(Link::Durable, 3),
+            elapsed: Duration::from_nanos(1_234_567),
+            measured: 5,
+            window: counters[0],
+            whole_run: counters[1],
+            net_window: net[0],
+            net_final: net[1],
+            memory_kb: 104.04,
+            active_nodes: None,
+            load_ratio: 1.2414,
+            max_tick_resync: 17,
+        }
+    }
+
+    /// Pins the schema the committed `BENCH_*.json` baselines and the CI
+    /// `grep`s depend on: all 33 keys, their order, and each one's
+    /// `{:.9}` / `{:.1}` / `{:.3}` / integer rendering.
+    #[test]
+    fn a_result_renders_to_the_committed_row_schema() {
+        // Field i (1-based) of each counter table holds i over the
+        // measured window and 100 + i over the whole run.
+        let ordinal = |from: u64| {
+            let mut i = from;
+            move |_: &'static str| {
+                i += 1;
+                i
+            }
+        };
+        let r = result_with(
+            [0, 100].map(|from| OpCounters::from_fn(ordinal(from))),
+            [0, 100].map(|from| TransportStats::from_fn(ordinal(from))),
+        );
+        assert_eq!(
+            result_to_json(&r),
+            "{\"algo\": \"CLU-3-D\", \"cpu_per_ts\": 0.000246913, \"work_per_ts\": 2.0, \
+             \"memory_kb\": 104.0, \"ignored_per_ts\": 1.0, \"reevals_per_ts\": 1.2, \
+             \"resync_per_ts\": 1.6, \"evictions_per_ts\": 1.8, \"max_tick_resync\": 17, \
+             \"alloc_per_ts\": 2.000, \"install_alloc_per_ts\": 2.200, \
+             \"shared_per_ts\": 2.600, \"steps_per_ts\": 2.4, \"recycled_per_ts\": 2.8, \
+             \"pruned_per_ts\": 1.4, \"frames_per_ts\": 0.6, \"bytes_per_ts\": 1.4, \
+             \"retries\": 105, \"rebalances\": 115, \"cells_migrated\": 116, \
+             \"load_ratio\": 1.241, \"recoveries\": 107, \"replayed_per_recovery\": 1.0, \
+             \"snapshots\": 111, \"snapshot_kb\": 0.1, \"journal_len\": 108, \
+             \"commit_lag_frames\": 3.000, \"failovers\": 117, \"fenced_appends\": 116, \
+             \"replica_bytes\": 114, \"coalesced_per_ts\": 3.400, \"shed_events\": 18, \
+             \"drain_alloc_events\": 19}"
+        );
+    }
+
+    /// The three ways the column table can drift from the counters and
+    /// the gate.
+    #[test]
+    fn the_column_table_covers_the_counters_and_feeds_the_gate() {
+        // 1. A counter no column reads: every field
+        //    of the `OpCounters` table moves at least one column, or is
+        //    excused by name with a reason.
+        let no_net = [TransportStats::default(); 2];
+        let zero = result_with([OpCounters::default(); 2], no_net);
+        OpCounters::default().each(|field, _| {
+            let one_hot = OpCounters::from_fn(|name| u64::from(name == field));
+            let probe = result_with([one_hot; 2], no_net);
+            let read = COLUMNS.iter().any(|c| probe.get(c.key) != zero.get(c.key));
+            let excuse = UNSERIALIZED.iter().find(|(name, _)| *name == field);
+            assert!(
+                read != excuse.is_some(),
+                "counter `{field}` must be read by a column of COLUMNS or listed in \
+                 UNSERIALIZED (exactly one of the two)"
+            );
+        });
+        for (name, why) in UNSERIALIZED {
+            let mut known = false;
+            OpCounters::default().each(|field, _| known |= field == *name);
+            assert!(known, "UNSERIALIZED names unknown counter `{name}`");
+            assert!(!why.trim().is_empty(), "no reason for leaving out `{name}`");
+        }
+        // 2. A column neither gated nor excused: the
+        //    type leaves no third state, so only the reason can be missing.
+        for (i, c) in COLUMNS.iter().enumerate() {
+            assert!(
+                COLUMNS[..i].iter().all(|earlier| earlier.key != c.key),
+                "column `{}` is listed twice",
+                c.key
+            );
+            if let Ungated(why) = c.gate {
+                assert!(
+                    !why.trim().is_empty(),
+                    "no reason for not gating `{}`",
+                    c.key
+                );
+            }
+        }
+        // 3. A gated metric the runner does not render:
+        //    the gate's list *is* the table's gated rows, all rendered.
+        let gated: Vec<&str> = crate::gate::gated_metrics().collect();
+        assert_eq!(
+            gated,
+            [
+                "resync_per_ts",
+                "alloc_per_ts",
+                "steps_per_ts",
+                "recycled_per_ts",
+                "frames_per_ts",
+                "replayed_per_recovery",
+                "commit_lag_frames",
+                "coalesced_per_ts",
+                "drain_alloc_events",
+            ]
+        );
+        let row = result_to_json(&zero);
+        for key in gated {
+            assert!(row.contains(&format!("\"{key}\": ")), "{key} not rendered");
+        }
     }
 }

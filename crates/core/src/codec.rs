@@ -118,56 +118,13 @@ impl WireCodec for EdgeWeightUpdate {
 }
 
 impl WireCodec for OpCounters {
+    // Wire order is the order of the field table in `counters.rs`; a new
+    // counter extends the wire form at the end.
     fn encode(&self, out: &mut Vec<u8>) {
-        // Field order is the struct declaration order; adding a counter
-        // extends the wire form at the end (the codec round-trip proptest
-        // in tests/properties.rs pins the layout).
-        for v in [
-            self.nodes_settled,
-            self.edges_scanned,
-            self.objects_considered,
-            self.relaxations,
-            self.updates_ignored,
-            self.reevaluations,
-            self.tree_nodes_pruned,
-            self.resync_touched,
-            self.replica_evictions,
-            self.alloc_events,
-            self.install_alloc_events,
-            self.expansion_steps,
-            self.shared_expansions,
-            self.tree_nodes_recycled,
-            self.rebalance_events,
-            self.cells_migrated,
-            self.coalesced_superseded,
-            self.shed_events,
-            self.drain_alloc_events,
-        ] {
-            put_u64(out, v);
-        }
+        self.each(|_, v| put_u64(out, v));
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(OpCounters {
-            nodes_settled: r.u64()?,
-            edges_scanned: r.u64()?,
-            objects_considered: r.u64()?,
-            relaxations: r.u64()?,
-            updates_ignored: r.u64()?,
-            reevaluations: r.u64()?,
-            tree_nodes_pruned: r.u64()?,
-            resync_touched: r.u64()?,
-            replica_evictions: r.u64()?,
-            alloc_events: r.u64()?,
-            install_alloc_events: r.u64()?,
-            expansion_steps: r.u64()?,
-            shared_expansions: r.u64()?,
-            tree_nodes_recycled: r.u64()?,
-            rebalance_events: r.u64()?,
-            cells_migrated: r.u64()?,
-            coalesced_superseded: r.u64()?,
-            shed_events: r.u64()?,
-            drain_alloc_events: r.u64()?,
-        })
+        OpCounters::try_from_fn(|_| r.u64())
     }
 }
 
@@ -269,6 +226,23 @@ mod tests {
             ..Default::default()
         };
         round_trip(c);
+    }
+
+    /// The round trip cannot see a reordering (`decode` would reorder with
+    /// `encode`): field i of the table is the i-th little-endian `u64`.
+    #[test]
+    fn counters_encode_in_table_order() {
+        let mut i = 0;
+        let c = OpCounters::from_fn(|_| {
+            i += 1;
+            i
+        });
+        let mut buf = Vec::new();
+        c.encode(&mut buf);
+        let expected: Vec<u8> = (1..=19u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(buf, expected);
+        assert_eq!(c.nodes_settled, 1, "the table starts where the wire did");
+        assert_eq!(c.drain_alloc_events, 19, "and ends where it did");
     }
 
     #[test]

@@ -8,110 +8,144 @@
 
 use std::time::Duration;
 
-/// Deterministic work counters accumulated while processing a timestamp.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpCounters {
-    /// Network nodes settled by expansions (Dijkstra pops).
-    pub nodes_settled: u64,
-    /// Edges scanned for objects during expansions.
-    pub edges_scanned: u64,
-    /// Object entries considered as result candidates.
-    pub objects_considered: u64,
-    /// Heap relaxations performed.
-    pub relaxations: u64,
-    /// Updates discarded without touching any query (the influence-list
-    /// fast path, §4.2: "irrelevant updates are simply ignored").
-    pub updates_ignored: u64,
-    /// Queries (or active nodes) whose result was re-derived this tick.
-    pub reevaluations: u64,
-    /// Expansion-tree nodes pruned while invalidating tree parts.
-    pub tree_nodes_pruned: u64,
-    /// Distinct objects examined while re-deriving replica membership
-    /// after halo changes this tick (sharded engine only; single monitors
-    /// keep this at 0). With the edge→objects index this scales with
-    /// *changed* halo edges, so it never reaches the total object count.
-    pub resync_touched: u64,
-    /// Replicas evicted because a halo shrank or an edge left a halo
-    /// (sharded engine only).
-    pub replica_evictions: u64,
-    /// Heap-allocation events on the instrumented tick-path structures
-    /// during *maintenance* work: per-edge arena backing-buffer
-    /// reallocations (object lists, influence lists, replica buckets),
-    /// Dijkstra-heap capacity growth, and tree-pool slab/directory growth.
-    /// Zero on a steady-state tick — all list churn, expansion work and
-    /// tree surgery ran in reused capacity. Allocations made while
-    /// *installing* a new monitored entity are counted separately in
-    /// `install_alloc_events`.
-    pub alloc_events: u64,
-    /// Heap-allocation events attributable to installing a brand-new
-    /// monitored entity: a query install's initial computation (§4.1) or a
-    /// GMA active-node activation. New entities legitimately materialise
-    /// new state (a tree directory, slab headroom), so these are kept out
-    /// of the steady-state `alloc_events` guarantee the CI gate enforces.
-    pub install_alloc_events: u64,
-    /// Raw Dijkstra expansion steps (heap pops, including lazily discarded
-    /// stale entries) — the machine-independent measure of heap traffic.
-    pub expansion_steps: u64,
-    /// Queries/anchors served from a *shared* expansion instead of running
-    /// their own: root-grouped multi-k re-expansions in the anchor set, and
-    /// GMA queries answered from an active-node expansion that already
-    /// served another query this tick. Each count is one network expansion
-    /// that did **not** run.
-    pub shared_expansions: u64,
-    /// Expansion-tree nodes served from the tree pool's free list instead
-    /// of fresh slab space — the tree-surgery reuse counter. Together with
-    /// `alloc_events` staying 0 it proves subtree cuts and re-expansion
-    /// inserts ran entirely in recycled capacity.
-    pub tree_nodes_recycled: u64,
-    /// Load-aware shard rebalances executed this tick (sharded engine
-    /// only): each is one migration of boundary cells from the most loaded
-    /// shard to an underloaded neighbour.
-    pub rebalance_events: u64,
-    /// Partition cells (edges) whose ownership moved to another shard
-    /// during rebalancing this tick (sharded engine only).
-    pub cells_migrated: u64,
-    /// Submitted events dropped by the ingest stage because a later
-    /// submission for the same entity superseded them within the tick
-    /// window (last-write-wins coalescing, §4.5 generalized to the
-    /// out-of-band ingest path). Each count is one event the monitor
-    /// never had to process.
-    pub coalesced_superseded: u64,
-    /// Submitted events dropped by the ingest stage's
-    /// `AdmissionPolicy::ShedOldest` load shedding because a bounded lane
-    /// was full. Unlike `coalesced_superseded`, shed events are *lost* —
-    /// answers may lag until a fresher submission arrives.
-    pub shed_events: u64,
-    /// Heap-allocation events on the ingest drain path: lane buffer
-    /// growth, drain scratch growth, and coalescing-directory growth.
-    /// Zero on a steady-state tick — the drain runs entirely in reused
-    /// capacity, like the monitors' own `alloc_events` guarantee.
-    pub drain_alloc_events: u64,
+/// Declares a plain-data struct of cumulative `u64` counters from **one
+/// field table** — the struct body itself, every doc comment and derive
+/// kept — and derives from that table everything that has to name every
+/// field: `merge`, the wire order ([`crate::codec`] encodes and decodes
+/// through `each` / `try_from_fn`, so declaration order *is* wire order)
+/// and a name → value walk that lets tests and the bench harness cover
+/// every field without listing them. The expansion is straight-line code
+/// per field; nothing is tabulated at run time. Adding a counter is one
+/// line here.
+macro_rules! counter_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: u64, )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Adds `other` into `self`, field by field.
+            pub fn merge(&mut self, other: &$name) {
+                $( self.$field += other.$field; )+
+            }
+
+            /// What was counted since the reading `earlier` of the same
+            /// cumulative block, field by field.
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name { $( $field: self.$field.saturating_sub(earlier.$field), )+ }
+            }
+
+            /// Visits every `(field name, value)` in declaration order.
+            pub fn each(&self, mut f: impl FnMut(&'static str, u64)) {
+                $( f(stringify!($field), self.$field); )+
+            }
+
+            /// Builds a value by asking `f` for every field, by name, in
+            /// declaration order.
+            pub fn from_fn(mut f: impl FnMut(&'static str) -> u64) -> Self {
+                Self { $( $field: f(stringify!($field)), )+ }
+            }
+
+            /// [`Self::from_fn`] that stops at the first error.
+            pub fn try_from_fn<E>(
+                mut f: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(Self { $( $field: f(stringify!($field))?, )+ })
+            }
+        }
+    };
+}
+pub(crate) use counter_struct;
+
+counter_struct! {
+    /// Deterministic work counters accumulated while processing a timestamp.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct OpCounters {
+        /// Network nodes settled by expansions (Dijkstra pops).
+        pub nodes_settled: u64,
+        /// Edges scanned for objects during expansions.
+        pub edges_scanned: u64,
+        /// Object entries considered as result candidates.
+        pub objects_considered: u64,
+        /// Heap relaxations performed.
+        pub relaxations: u64,
+        /// Updates discarded without touching any query (the influence-list
+        /// fast path, §4.2: "irrelevant updates are simply ignored").
+        pub updates_ignored: u64,
+        /// Queries (or active nodes) whose result was re-derived this tick.
+        pub reevaluations: u64,
+        /// Expansion-tree nodes pruned while invalidating tree parts.
+        pub tree_nodes_pruned: u64,
+        /// Distinct objects examined while re-deriving replica membership
+        /// after halo changes this tick (sharded engine only; single monitors
+        /// keep this at 0). With the edge→objects index this scales with
+        /// *changed* halo edges, so it never reaches the total object count.
+        pub resync_touched: u64,
+        /// Replicas evicted because a halo shrank or an edge left a halo
+        /// (sharded engine only).
+        pub replica_evictions: u64,
+        /// Heap-allocation events on the instrumented tick-path structures
+        /// during *maintenance* work: per-edge arena backing-buffer
+        /// reallocations (object lists, influence lists, replica buckets),
+        /// Dijkstra-heap capacity growth, and tree-pool slab/directory growth.
+        /// Zero on a steady-state tick — all list churn, expansion work and
+        /// tree surgery ran in reused capacity. Allocations made while
+        /// *installing* a new monitored entity are counted separately in
+        /// `install_alloc_events`.
+        pub alloc_events: u64,
+        /// Heap-allocation events attributable to installing a brand-new
+        /// monitored entity: a query install's initial computation (§4.1) or a
+        /// GMA active-node activation. New entities legitimately materialise
+        /// new state (a tree directory, slab headroom), so these are kept out
+        /// of the steady-state `alloc_events` guarantee the CI gate enforces.
+        pub install_alloc_events: u64,
+        /// Raw Dijkstra expansion steps (heap pops, including lazily discarded
+        /// stale entries) — the machine-independent measure of heap traffic.
+        pub expansion_steps: u64,
+        /// Queries/anchors served from a *shared* expansion instead of running
+        /// their own: root-grouped multi-k re-expansions in the anchor set, and
+        /// GMA queries answered from an active-node expansion that already
+        /// served another query this tick. Each count is one network expansion
+        /// that did **not** run.
+        pub shared_expansions: u64,
+        /// Expansion-tree nodes served from the tree pool's free list instead
+        /// of fresh slab space — the tree-surgery reuse counter. Together with
+        /// `alloc_events` staying 0 it proves subtree cuts and re-expansion
+        /// inserts ran entirely in recycled capacity.
+        pub tree_nodes_recycled: u64,
+        /// Load-aware shard rebalances executed this tick (sharded engine
+        /// only): each is one migration of boundary cells from the most loaded
+        /// shard to an underloaded neighbour.
+        pub rebalance_events: u64,
+        /// Partition cells (edges) whose ownership moved to another shard
+        /// during rebalancing this tick (sharded engine only).
+        pub cells_migrated: u64,
+        /// Submitted events dropped by the ingest stage because a later
+        /// submission for the same entity superseded them within the tick
+        /// window (last-write-wins coalescing, §4.5 generalized to the
+        /// out-of-band ingest path). Each count is one event the monitor
+        /// never had to process.
+        pub coalesced_superseded: u64,
+        /// Submitted events dropped by the ingest stage's
+        /// `AdmissionPolicy::ShedOldest` load shedding because a bounded lane
+        /// was full. Unlike `coalesced_superseded`, shed events are *lost* —
+        /// answers may lag until a fresher submission arrives.
+        pub shed_events: u64,
+        /// Heap-allocation events on the ingest drain path: lane buffer
+        /// growth, drain scratch growth, and coalescing-directory growth.
+        /// Zero on a steady-state tick — the drain runs entirely in reused
+        /// capacity, like the monitors' own `alloc_events` guarantee.
+        pub drain_alloc_events: u64,
+    }
 }
 
 impl OpCounters {
-    /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &OpCounters) {
-        self.nodes_settled += other.nodes_settled;
-        self.edges_scanned += other.edges_scanned;
-        self.objects_considered += other.objects_considered;
-        self.relaxations += other.relaxations;
-        self.updates_ignored += other.updates_ignored;
-        self.reevaluations += other.reevaluations;
-        self.tree_nodes_pruned += other.tree_nodes_pruned;
-        self.resync_touched += other.resync_touched;
-        self.replica_evictions += other.replica_evictions;
-        self.alloc_events += other.alloc_events;
-        self.install_alloc_events += other.install_alloc_events;
-        self.expansion_steps += other.expansion_steps;
-        self.shared_expansions += other.shared_expansions;
-        self.tree_nodes_recycled += other.tree_nodes_recycled;
-        self.rebalance_events += other.rebalance_events;
-        self.cells_migrated += other.cells_migrated;
-        self.coalesced_superseded += other.coalesced_superseded;
-        self.shed_events += other.shed_events;
-        self.drain_alloc_events += other.drain_alloc_events;
-    }
-
     /// A single scalar proxy for CPU work (used by tests that assert one
     /// strategy does less work than another).
     pub fn work(&self) -> u64 {
@@ -270,47 +304,23 @@ mod tests {
 
     #[test]
     fn counters_merge() {
-        let mut a = OpCounters {
-            nodes_settled: 1,
-            edges_scanned: 2,
-            ..Default::default()
-        };
-        let b = OpCounters {
-            nodes_settled: 10,
-            objects_considered: 5,
-            updates_ignored: 3,
-            resync_touched: 7,
-            replica_evictions: 2,
-            alloc_events: 4,
-            install_alloc_events: 11,
-            expansion_steps: 9,
-            shared_expansions: 6,
-            tree_nodes_recycled: 8,
-            rebalance_events: 1,
-            cells_migrated: 5,
-            coalesced_superseded: 13,
-            shed_events: 2,
-            drain_alloc_events: 3,
-            ..Default::default()
-        };
+        // Every field of the table, each with its own value, so a field
+        // the generated `merge` skipped or crossed would show.
+        let mut i = 0;
+        let mut a = OpCounters::from_fn(|_| {
+            i += 1;
+            i
+        });
+        let b = OpCounters::from_fn(|name| if name == "edges_scanned" { 0 } else { 100 });
         a.merge(&b);
-        assert_eq!(a.nodes_settled, 11);
-        assert_eq!(a.edges_scanned, 2);
-        assert_eq!(a.objects_considered, 5);
-        assert_eq!(a.updates_ignored, 3);
-        assert_eq!(a.resync_touched, 7);
-        assert_eq!(a.replica_evictions, 2);
-        assert_eq!(a.alloc_events, 4);
-        assert_eq!(a.install_alloc_events, 11);
-        assert_eq!(a.expansion_steps, 9);
-        assert_eq!(a.shared_expansions, 6);
-        assert_eq!(a.tree_nodes_recycled, 8);
-        assert_eq!(a.rebalance_events, 1);
-        assert_eq!(a.cells_migrated, 5);
-        assert_eq!(a.coalesced_superseded, 13);
-        assert_eq!(a.shed_events, 2);
-        assert_eq!(a.drain_alloc_events, 3);
-        assert_eq!(a.work(), 11 + 2 + 5);
+        let mut seen = 0;
+        a.each(|name, v| {
+            seen += 1;
+            let added = if name == "edges_scanned" { 0 } else { 100 };
+            assert_eq!(v, seen + added, "{name}");
+        });
+        assert_eq!(seen, 19);
+        assert_eq!(a.work(), (1 + 100) + 2 + (3 + 100) + (4 + 100));
     }
 
     #[test]

@@ -100,82 +100,60 @@ pub trait ContinuousMonitor: Send {
     }
 }
 
-/// Cumulative counters of a coordinator↔shard transport link (or the sum
-/// over all of a cluster's links). All counts are since construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Frames written to the wire (including retransmissions and replay).
-    pub frames_sent: u64,
-    /// Frames read off the wire (including duplicates and stale replies).
-    pub frames_received: u64,
-    /// Bytes written to the wire.
-    pub bytes_sent: u64,
-    /// Bytes read off the wire.
-    pub bytes_received: u64,
-    /// Request retransmissions after a timeout or a corrupt/stale reply.
-    pub retries: u64,
-    /// Received frames dropped because their checksum (or framing) was
-    /// invalid.
-    pub corrupt_frames: u64,
-    /// Shard processes respawned and replayed after a detected crash.
-    pub crash_recoveries: u64,
-    /// Event frames currently retained in the coordinator's in-memory
-    /// journal (a gauge; truncated behind each acknowledged snapshot).
-    pub journal_len: u64,
-    /// Bytes currently held in the shard's on-disk write-ahead log (a
-    /// gauge; 0 when durability is disabled or disk-less).
-    pub wal_bytes: u64,
-    /// Size of the latest monitor-state snapshot payload in bytes (a
-    /// gauge; 0 before the first snapshot).
-    pub snapshot_bytes: u64,
-    /// Monitor-state snapshots taken since construction.
-    pub snapshots: u64,
-    /// Journaled event frames replayed into respawned shards across all
-    /// crash recoveries. With snapshots enabled this is bounded by the
-    /// WAL suffix since the last snapshot, not the run length.
-    pub frames_replayed: u64,
-    /// Event frames appended to follower replicas (one count per
-    /// follower per event; 0 when replication is disabled).
-    pub replica_appends: u64,
-    /// Bytes shipped to follower replicas over append, heartbeat, and
-    /// snapshot-offer frames.
-    pub replica_bytes: u64,
-    /// Sum over all appends of the frames outstanding (appended but not
-    /// yet quorum-acked) when each append committed. With the
-    /// synchronous append pipeline this is exactly one per replicated
-    /// event frame, which makes the per-tick rate a deterministic,
-    /// gateable constant.
-    pub commit_lag_frames: u64,
-    /// Replication frames rejected by a replica because they carried a
-    /// stale leadership epoch (the stale-leader fencing path).
-    pub fenced_appends: u64,
-    /// Follower replicas promoted to serving leader after the primary
-    /// shard died past its retry and recovery budgets.
-    pub failovers: u64,
-    /// Heartbeat probes sent to follower replicas.
-    pub heartbeats: u64,
-}
-
-impl TransportStats {
-    /// Adds `other` into `self` (per-link stats → cluster totals).
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.retries += other.retries;
-        self.corrupt_frames += other.corrupt_frames;
-        self.crash_recoveries += other.crash_recoveries;
-        self.journal_len += other.journal_len;
-        self.wal_bytes += other.wal_bytes;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.snapshots += other.snapshots;
-        self.frames_replayed += other.frames_replayed;
-        self.replica_appends += other.replica_appends;
-        self.replica_bytes += other.replica_bytes;
-        self.commit_lag_frames += other.commit_lag_frames;
-        self.fenced_appends += other.fenced_appends;
-        self.failovers += other.failovers;
-        self.heartbeats += other.heartbeats;
+crate::counters::counter_struct! {
+    /// Cumulative counters of a coordinator↔shard transport link (or the sum
+    /// over all of a cluster's links). All counts are since construction.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct TransportStats {
+        /// Frames written to the wire (including retransmissions and replay).
+        pub frames_sent: u64,
+        /// Frames read off the wire (including duplicates and stale replies).
+        pub frames_received: u64,
+        /// Bytes written to the wire.
+        pub bytes_sent: u64,
+        /// Bytes read off the wire.
+        pub bytes_received: u64,
+        /// Request retransmissions after a timeout or a corrupt/stale reply.
+        pub retries: u64,
+        /// Received frames dropped because their checksum (or framing) was
+        /// invalid.
+        pub corrupt_frames: u64,
+        /// Shard processes respawned and replayed after a detected crash.
+        pub crash_recoveries: u64,
+        /// Event frames currently retained in the coordinator's in-memory
+        /// journal (a gauge; truncated behind each acknowledged snapshot).
+        pub journal_len: u64,
+        /// Bytes currently held in the shard's on-disk write-ahead log (a
+        /// gauge; 0 when durability is disabled or disk-less).
+        pub wal_bytes: u64,
+        /// Size of the latest monitor-state snapshot payload in bytes (a
+        /// gauge; 0 before the first snapshot).
+        pub snapshot_bytes: u64,
+        /// Monitor-state snapshots taken since construction.
+        pub snapshots: u64,
+        /// Journaled event frames replayed into respawned shards across all
+        /// crash recoveries. With snapshots enabled this is bounded by the
+        /// WAL suffix since the last snapshot, not the run length.
+        pub frames_replayed: u64,
+        /// Event frames appended to follower replicas (one count per
+        /// follower per event; 0 when replication is disabled).
+        pub replica_appends: u64,
+        /// Bytes shipped to follower replicas over append, heartbeat, and
+        /// snapshot-offer frames.
+        pub replica_bytes: u64,
+        /// Sum over all appends of the frames outstanding (appended but not
+        /// yet quorum-acked) when each append committed. With the
+        /// synchronous append pipeline this is exactly one per replicated
+        /// event frame, which makes the per-tick rate a deterministic,
+        /// gateable constant.
+        pub commit_lag_frames: u64,
+        /// Replication frames rejected by a replica because they carried a
+        /// stale leadership epoch (the stale-leader fencing path).
+        pub fenced_appends: u64,
+        /// Follower replicas promoted to serving leader after the primary
+        /// shard died past its retry and recovery budgets.
+        pub failovers: u64,
+        /// Heartbeat probes sent to follower replicas.
+        pub heartbeats: u64,
     }
 }

@@ -1285,37 +1285,16 @@ fn snapshot_strategy() -> impl Strategy<Value = QuerySnapshot> {
         })
 }
 
-/// Arbitrary counters: all 19 fields filled from one seed via a splitmix
-/// step, so every field exercises large values.
+/// Arbitrary counters: every field of the table filled from one seed via a
+/// splitmix step, so every field exercises large values.
 fn counters_from_seed(seed: u64) -> OpCounters {
     let mut s = seed;
-    let mut next = move || {
+    OpCounters::from_fn(|_| {
         s = s.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = s;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z ^ (z >> 27)
-    };
-    OpCounters {
-        nodes_settled: next(),
-        edges_scanned: next(),
-        objects_considered: next(),
-        relaxations: next(),
-        updates_ignored: next(),
-        reevaluations: next(),
-        tree_nodes_pruned: next(),
-        resync_touched: next(),
-        replica_evictions: next(),
-        alloc_events: next(),
-        install_alloc_events: next(),
-        expansion_steps: next(),
-        shared_expansions: next(),
-        tree_nodes_recycled: next(),
-        rebalance_events: next(),
-        cells_migrated: next(),
-        coalesced_superseded: next(),
-        shed_events: next(),
-        drain_alloc_events: next(),
-    }
+    })
 }
 
 fn tick_outcome_strategy() -> impl Strategy<Value = TickOutcome> {
