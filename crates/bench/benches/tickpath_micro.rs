@@ -1,15 +1,17 @@
 //! Micro-benchmarks of the flattened tick-path machinery: span-arena list
 //! churn vs the old `Vec<Vec<…>>` layout, the branchless monotone-bits
 //! expansion heap, the shared multi-k expansion, GMA's within-sequence
-//! evaluation (the merge) and `apply_batch`'s coalescing.
+//! evaluation (the merge), `apply_batch`'s coalescing, and the shard side
+//! of an engine↔shard exchange.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rnn_core::anchor::AnchorSet;
 use rnn_core::counters::OpCounters;
 use rnn_core::state::NetworkState;
 use rnn_core::tree::TreePool;
 use rnn_core::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
 use rnn_core::{ContinuousMonitor, Gma};
+use rnn_engine::{BatchKind, DeltaBatch, ShardTickState};
 use rnn_roadnet::{
     generators, DijkstraEngine, EdgeId, NetPoint, NodeId, ObjectId, QueryId, RoadNetworkBuilder,
     SpanArena,
@@ -281,5 +283,99 @@ fn tickpath(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, tickpath);
+/// The shard side of an exchange — `ShardTickState::run_tick` over a real
+/// `Gma` serving 5K queries (Table 2's Q): what an exchange costs must
+/// follow what it ships, not how many queries the shard serves. Each case
+/// asserts it ships what its name says.
+fn shard_exchange(c: &mut Criterion) {
+    const QUERIES: u32 = 5_000;
+    let net = Arc::new(generators::san_francisco_like(2_000, 7));
+    let edges = net.num_edges() as u32;
+    let delta = |objects: Vec<ObjectEvent>, queries: Vec<QueryEvent>| DeltaBatch {
+        objects,
+        queries,
+        shared_edges: Arc::new(Vec::new()),
+        kind: BatchKind::Tick,
+    };
+    let populated = |per_edge: u32| {
+        let mut gma = Gma::new(net.clone());
+        for i in 0..edges * per_edge {
+            let at = NetPoint::new(EdgeId(i % edges), (f64::from(i / edges) + 0.5) / 8.0);
+            gma.apply(UpdateEvent::insert_object(ObjectId(i), at));
+        }
+        gma
+    };
+    let install = |q: u32, k: usize| QueryEvent::Install {
+        id: QueryId(q),
+        k,
+        at: NetPoint::new(EdgeId(q * 7 % edges), 0.45),
+    };
+    let serving = |k: usize, per_edge: u32| {
+        let (mut gma, mut shard) = (populated(per_edge), ShardTickState::new());
+        let all = (0..QUERIES).map(|q| install(q, k)).collect();
+        let out = shard.run_tick(&mut gma, delta(vec![], all), false);
+        assert_eq!(out.snapshots.len(), QUERIES as usize);
+        (gma, shard)
+    };
+    let mut group = c.benchmark_group("shard_exchange");
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_millis(300))
+        .measurement_time(std::time::Duration::from_millis(800));
+
+    // 5K single-install exchanges, as `Scenario::install_into` drives them
+    // through the engine: each ships the one query it installed.
+    group.bench_function("install_5k", |b| {
+        b.iter_batched(
+            || (populated(1), ShardTickState::new()),
+            |(mut gma, mut shard)| {
+                for q in 0..QUERIES {
+                    let out = shard.run_tick(&mut gma, delta(vec![], vec![install(q, 10)]), false);
+                    assert_eq!(out.snapshots.len(), 1);
+                }
+                gma.query_ids().len()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    // One query of 5K nudged along its edge: one snapshot ships.
+    group.bench_function("one_changed_of_5k", |b| {
+        let (mut gma, mut shard) = serving(10, 1);
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let to = NetPoint::new(EdgeId(0), if flip { 0.55 } else { 0.45 });
+            let nudge = vec![QueryEvent::Move { id: QueryId(0), to }];
+            let out = shard.run_tick(&mut gma, delta(vec![], nudge), false);
+            assert_eq!(out.snapshots.len(), 1);
+            out.snapshots.len()
+        })
+    });
+
+    // Every query nudged at k = 50 (Table 2's k, what a paper-scale tick
+    // looks like to a shard): all 5K ship, 50 neighbours each, copied once.
+    group.bench_function("all_changed_k50", |b| {
+        let (mut gma, mut shard) = serving(50, 4);
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let frac = if flip { 0.55 } else { 0.45 };
+            let nudges = (0..QUERIES)
+                .map(|q| QueryEvent::Move {
+                    id: QueryId(q),
+                    to: NetPoint::new(EdgeId(q * 7 % edges), frac),
+                })
+                .collect();
+            let out = shard.run_tick(&mut gma, delta(vec![], nudges), false);
+            assert_eq!(out.snapshots.len(), QUERIES as usize);
+            assert!(out.snapshots.iter().all(|s| s.result.len() == 50));
+            out.snapshots.len()
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, tickpath, shard_exchange);
 criterion_main!(benches);

@@ -311,6 +311,10 @@ impl ContinuousMonitor for ClusterEngine {
         self.engine.query_ids()
     }
 
+    fn changed_queries(&self) -> &[QueryId] {
+        self.engine.changed_queries()
+    }
+
     fn memory(&self) -> MemoryUsage {
         self.engine.memory()
     }

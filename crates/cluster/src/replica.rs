@@ -22,8 +22,8 @@
 //! [`ShardService::handle`], exactly the frames a coordinator would
 //! send a respawned service over the wire: a [`MsgTag::SnapshotInstall`]
 //! of its held snapshot (if any), then its log strictly *below* the
-//! boundary — so the rebuilt state, the shipped-result cache and the
-//! duplicate-suppression cache are what the same frames produce on any
+//! boundary — so the rebuilt monitor and the duplicate-suppression cache
+//! (all the state a service has) are what the same frames produce on any
 //! service, not a look-alike. It then acks and serves. The in-flight
 //! request at the boundary is deliberately *not* replayed: the
 //! coordinator retransmits it (re-stamped with the new epoch) and the

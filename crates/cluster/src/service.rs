@@ -165,19 +165,11 @@ impl<T: Transport> ShardService<T> {
             }
             MsgTag::SnapshotInstall => {
                 let ok = match rnn_core::MonitorState::from_bytes(&frame.payload) {
-                    Ok(state) => {
-                        let restored = state.restore_into(&mut *self.monitor).is_ok();
-                        if restored {
-                            // Seed the shipped-result cache from the
-                            // recorded results, so the first post-restore
-                            // reply ships exactly what an uncrashed shard
-                            // would have shipped plus whatever the
-                            // restored monitor holds differently (tie
-                            // order, last-ulp distances).
-                            self.state.prime(&state.queries);
-                        }
-                        restored
-                    }
+                    // The monitor is all there is to restore: replies
+                    // ship the monitor's own change list, so the first
+                    // post-restore reply is what an uncrashed shard's
+                    // would have been.
+                    Ok(state) => state.restore_into(&mut *self.monitor).is_ok(),
                     Err(_) => false,
                 };
                 payload.push(u8::from(ok));

@@ -210,7 +210,9 @@ impl OpCounters {
 pub struct TickReport {
     /// Wall-clock processing time for the tick.
     pub elapsed: Duration,
-    /// Number of queries whose *reported result* changed this tick.
+    /// Number of queries whose reported `(kNN_dist, result)` this tick
+    /// changed: the length of [`crate::ContinuousMonitor::changed_queries`]
+    /// plus the queries the tick removed that had an answer.
     pub results_changed: usize,
     /// Deterministic work counters.
     pub counters: OpCounters,

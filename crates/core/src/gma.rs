@@ -143,8 +143,14 @@ pub struct Gma {
     eval: EvalScratch,
     /// Per-tick scratch: the queries Figure 12 marks for re-evaluation …
     needs_eval: FxHashSet<QueryId>,
-    /// … the same in ascending id order, the order they are evaluated in …
+    /// … the same in ascending id order, the order they are evaluated in,
+    /// cut down after evaluation to the ones whose answer changed: the list
+    /// behind [`ContinuousMonitor::changed_queries`] …
     eval_order: Vec<QueryId>,
+    /// … the queries this tick re-installed at another k, with the bits of
+    /// the `kNN_dist` they had: the one way `kNN_dist` moves under a result
+    /// [`Gma::eval_query`] finds unchanged …
+    rekeyed: Vec<(QueryId, u64)>,
     /// … and the nodes whose k demand this tick's query events touched.
     touched_nodes: Vec<NodeId>,
     /// Per-tick scratch: how many re-evaluated queries took a candidate
@@ -294,6 +300,8 @@ impl Gma {
             needs_eval: FxHashSet::default(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             eval_order: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; only a re-install at another k, a cold path, pushes to it
+            rekeyed: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             touched_nodes: Vec::new(),
             // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
@@ -766,6 +774,7 @@ impl ContinuousMonitor for Gma {
     fn apply(&mut self, event: UpdateEvent) -> TickReport {
         match event {
             UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
+                self.eval_order.clear();
                 self.state.objects.insert(id, at);
                 TickReport::default()
             }
@@ -774,16 +783,21 @@ impl ContinuousMonitor for Gma {
                     !self.queries.contains_key(&id),
                     "query {id:?} already installed"
                 );
+                self.eval_order.clear();
                 self.state.queries.insert(id, (k, at));
                 let seq = self.seqs.seq_of_edge(at.edge);
                 let mut c = OpCounters::default();
                 self.install_query(id, k, at, seq, &mut c);
                 self.register_query_demand(seq, id, k, &mut c);
                 self.sync_endpoints(seq, &mut c);
-                self.eval_query(id, &mut c);
+                if self.eval_query(id, &mut c) {
+                    // Room for every query was reserved by `install_query`.
+                    self.eval_order.push(id);
+                }
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
+                self.eval_order.clear();
                 let Some(q) = self.queries.remove(&id) else {
                     return TickReport::default();
                 };
@@ -812,13 +826,14 @@ impl ContinuousMonitor for Gma {
         // ---- Figure 12, lines 1-4: query arrivals/departures/moves update
         // the sequence registry and the active-node demands.
         self.needs_eval.clear();
-        let mut results_changed = 0;
+        self.rekeyed.clear();
+        let mut removed_with_answer = 0;
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (Some(_), None) => {
                     if let Some(q) = self.queries.remove(&d.id) {
+                        removed_with_answer += usize::from(!q.result.is_empty());
                         self.retire_query(d.id, q, &mut counters);
-                        results_changed += 1;
                     }
                 }
                 (old, Some((k, at))) => {
@@ -830,6 +845,11 @@ impl ContinuousMonitor for Gma {
                             let q = self.queries.get_mut(&d.id).expect("known query");
                             Self::clear_influence(&mut self.qil, &self.seqs, d.id, q);
                             let (old_seq, old_k) = (q.seq, q.k);
+                            if old_k != k {
+                                // Cold path: streams move queries, they
+                                // rarely re-key them.
+                                self.rekeyed.push((d.id, q.knn_dist.to_bits()));
+                            }
                             q.k = k;
                             q.pos = at;
                             q.seq = new_seq;
@@ -906,15 +926,23 @@ impl ContinuousMonitor for Gma {
 
         // ---- Lines 16-17: recompute the affected queries from scratch
         // (within their sequences, sharing the active-node NN sets).
+        // The evaluation order is cut down, in place, to the queries whose
+        // result changed — what `changed_queries` hands out.
         let mut order = std::mem::take(&mut self.eval_order);
         order.clear();
         order.extend(self.needs_eval.iter().copied());
         order.sort_unstable();
-        for &qid in &order {
-            if self.queries.contains_key(&qid) && self.eval_query(qid, &mut counters) {
-                results_changed += 1;
+        order.retain(|&qid| self.queries.contains_key(&qid) && self.eval_query(qid, &mut counters));
+        // A re-install at another k moves `kNN_dist` (k-th distance ↔ ∞)
+        // even where the result stands.
+        for &(qid, knn_before) in &self.rekeyed {
+            if let Err(at) = order.binary_search(&qid) {
+                if self.queries[&qid].knn_dist.to_bits() != knn_before {
+                    order.insert(at, qid);
+                }
             }
         }
+        let results_changed = order.len() + removed_with_answer;
         self.eval_order = order;
 
         // Expansion sharing: every query beyond the first served from the
@@ -951,6 +979,10 @@ impl ContinuousMonitor for Gma {
     fn query_ids(&self) -> Vec<QueryId> {
         // lint: allow(hot-path-alloc): introspection helper for tests and benches, not called from the tick path
         self.queries.keys().copied().collect()
+    }
+
+    fn changed_queries(&self) -> &[QueryId] {
+        &self.eval_order
     }
 
     fn active_groups(&self) -> Option<usize> {

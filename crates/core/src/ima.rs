@@ -13,7 +13,9 @@ use std::time::Instant;
 use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
 
 use crate::anchor::{AnchorKey, AnchorSet};
-use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
+use crate::counters::{
+    push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport, SCRATCH_ROOM,
+};
 use crate::monitor::ContinuousMonitor;
 use crate::state::NetworkState;
 use crate::tree::TreePool;
@@ -34,6 +36,14 @@ pub struct Ima {
     /// … and the queries it installs, as `(id, k, position)` (growth
     /// charged to `install_alloc_events`).
     installs: Vec<(QueryId, usize, NetPoint)>,
+    /// The queries whose answer the last call changed, ascending: the list
+    /// behind [`ContinuousMonitor::changed_queries`] (room for every
+    /// query, reserved as queries are installed) …
+    changed: Vec<QueryId>,
+    /// … and the answers the tick's re-installs at another k had before
+    /// [`AnchorSet::set_k`] rewrote them: such a query is judged against
+    /// this copy, not by what the anchor set reports.
+    rekeyed: Vec<(QueryId, f64, Vec<Neighbor>)>,
 }
 
 impl Ima {
@@ -51,6 +61,9 @@ impl Ima {
             root_moves: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; pushes charge its growth to install_alloc_events
             installs: Vec::new(),
+            changed: Vec::with_capacity(SCRATCH_ROOM),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; only a re-install at another k, a cold path, pushes to it
+            rekeyed: Vec::new(),
         }
     }
 
@@ -101,18 +114,30 @@ impl Ima {
     }
 
     /// Computes a new query's initial result (§4.1) and indexes it; gives
-    /// the tick's list of query movements room for one more.
+    /// the tick's lists of query movements and of changed queries room for
+    /// one more, and lists the query as changed when it has an answer.
     fn install_query(&mut self, id: QueryId, k: usize, at: NetPoint, counters: &mut OpCounters) {
         let key = self
             .anchors
             .add(&self.state, RootPos::Point(at), k, counters);
         self.by_query.insert(id, key);
         self.by_anchor.insert(key, id);
-        reserve_charged(
-            &mut self.root_moves,
-            self.by_query.len(),
-            &mut counters.install_alloc_events,
-        );
+        let n = self.by_query.len();
+        let allocs = &mut counters.install_alloc_events;
+        reserve_charged(&mut self.root_moves, n, allocs);
+        reserve_charged(&mut self.changed, n, allocs);
+        if self
+            .answer(id)
+            .is_some_and(|(_, result)| !result.is_empty())
+        {
+            self.changed.push(id);
+        }
+    }
+
+    /// The current `(kNN_dist, result)` of a registered query.
+    fn answer(&self, id: QueryId) -> Option<(f64, &[Neighbor])> {
+        let rec = self.anchors.get(*self.by_query.get(&id)?)?;
+        Some((rec.knn_dist, &rec.result))
     }
 
     /// Direct access to a query's anchor record (tests/debugging).
@@ -129,6 +154,7 @@ impl ContinuousMonitor for Ima {
     fn apply(&mut self, event: UpdateEvent) -> TickReport {
         match event {
             UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
+                self.changed.clear();
                 self.state.objects.insert(id, at);
                 TickReport::default()
             }
@@ -137,12 +163,14 @@ impl ContinuousMonitor for Ima {
                     !self.by_query.contains_key(&id),
                     "query {id:?} already installed"
                 );
+                self.changed.clear();
                 self.state.queries.insert(id, (k, at));
                 let mut c = OpCounters::default();
                 self.install_query(id, k, at, &mut c);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
+                self.changed.clear();
                 if let Some(key) = self.by_query.remove(&id) {
                     self.anchors.remove(key);
                     self.by_anchor.remove(&key);
@@ -169,9 +197,14 @@ impl ContinuousMonitor for Ima {
         // redundant computations for terminated queries").
         self.root_moves.clear();
         self.installs.clear();
+        self.changed.clear();
+        self.rekeyed.clear();
+        let mut removed_with_answer = 0;
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (Some(_), None) => {
+                    let had_answer = self.answer(d.id).is_some_and(|(_, r)| !r.is_empty());
+                    removed_with_answer += usize::from(had_answer);
                     if let Some(key) = self.by_query.remove(&d.id) {
                         self.anchors.remove(key);
                         self.by_anchor.remove(&key);
@@ -180,6 +213,12 @@ impl ContinuousMonitor for Ima {
                 (Some((k_old, _)), Some((k_new, at))) => {
                     let key = self.by_query[&d.id];
                     if k_old != k_new {
+                        // Cold path: streams move queries, they rarely
+                        // re-key them.
+                        if let Some((knn_dist, result)) = self.answer(d.id) {
+                            // lint: allow(hot-path-alloc): cold path — the one copy a re-install at another k is judged against, taken before set_k rewrites the result
+                            self.rekeyed.push((d.id, knn_dist, result.to_vec()));
+                        }
                         self.anchors.set_k(&self.state, key, k_new, &mut counters);
                     }
                     push_charged(
@@ -205,15 +244,35 @@ impl ContinuousMonitor for Ima {
             &deltas.edges,
             &self.root_moves,
         ));
-        let mut results_changed = self.anchors.changed().len();
+        for key in self.anchors.changed() {
+            if let Some(&id) = self.by_anchor.get(key) {
+                push_charged(&mut self.changed, id, &mut counters.alloc_events);
+            }
+        }
 
         // Newly installed queries compute their initial result after all
         // updates took place (§4.5: "after line 19 in Figure 10").
         for i in 0..self.installs.len() {
             let (id, k, at) = self.installs[i];
             self.install_query(id, k, at, &mut counters);
-            results_changed += 1;
         }
+
+        // A re-keyed query is changed iff its answer differs from the copy
+        // taken before `set_k`, whatever the anchor set said about the
+        // answer `set_k` left behind.
+        for i in 0..self.rekeyed.len() {
+            let (id, knn_before, ref before) = self.rekeyed[i];
+            let differs = self.answer(id).is_some_and(|(knn, result)| {
+                knn.to_bits() != knn_before.to_bits() || result != before.as_slice()
+            });
+            self.changed.retain(|&q| q != id);
+            if differs {
+                push_charged(&mut self.changed, id, &mut counters.alloc_events);
+            }
+        }
+        // Anchor keys ascend in installation order, query ids need not.
+        self.changed.sort_unstable();
+        let results_changed = self.changed.len() + removed_with_answer;
 
         // Allocation/step accounting for the whole tick: the anchor set's
         // engine + influence arena (install work included) and the object
@@ -241,6 +300,10 @@ impl ContinuousMonitor for Ima {
     fn query_ids(&self) -> Vec<QueryId> {
         // lint: allow(hot-path-alloc): introspection helper for tests and benches, not called from the tick path
         self.by_query.keys().copied().collect()
+    }
+
+    fn changed_queries(&self) -> &[QueryId] {
+        &self.changed
     }
 
     fn memory(&self) -> MemoryUsage {

@@ -50,6 +50,20 @@ pub trait ContinuousMonitor: Send {
     /// Ids of all registered queries (arbitrary order).
     fn query_ids(&self) -> Vec<QueryId>;
 
+    /// What the last [`Self::tick`] or out-of-band [`Self::apply`]
+    /// changed: the registered queries whose `(kNN_dist, result)` differs
+    /// from what it was before that call, each once, in ascending id
+    /// order. A query the call installed counts from `(∞, [])`, so it is
+    /// listed when it has an answer; a query the call removed is not
+    /// registered and never listed. This is the §4/§5 point of the
+    /// monitors — only the affected queries are touched — handed to the
+    /// caller, so a consumer of results reads exactly these instead of
+    /// comparing every registered query against a copy of its own.
+    ///
+    /// [`TickReport::results_changed`] of the same call is this list's
+    /// length plus the queries the call removed that had an answer.
+    fn changed_queries(&self) -> &[QueryId];
+
     /// Resident-memory breakdown (Fig. 18).
     fn memory(&self) -> MemoryUsage;
 

@@ -39,6 +39,10 @@ pub struct Ovh {
     /// so successive recomputations recycle the same slots and run
     /// allocation-free in steady state.
     pool: TreePool,
+    /// The tick's recompute list (every query, ascending), cut down after
+    /// recomputation to the ones whose answer changed: the list behind
+    /// [`ContinuousMonitor::changed_queries`].
+    changed: Vec<QueryId>,
 }
 
 impl Ovh {
@@ -54,9 +58,13 @@ impl Ovh {
             engine,
             best: BestK::default(),
             pool: TreePool::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick refills it in kept capacity
+            changed: Vec::new(),
         }
     }
 
+    /// Recomputes `id` from scratch; whether its `(kNN_dist, result)`
+    /// changed.
     fn recompute(&mut self, id: QueryId, counters: &mut OpCounters) -> bool {
         let q = self.queries.get_mut(&id).expect("query registered");
         let ctx = SearchContext {
@@ -76,7 +84,7 @@ impl Ovh {
             &[],
             counters,
         );
-        let changed = out.result != q.result;
+        let changed = out.result != q.result || out.knn_dist.to_bits() != q.knn_dist.to_bits();
         q.result = out.result;
         q.knn_dist = out.knn_dist;
         // OVH keeps no state between timestamps: the tree goes straight
@@ -94,10 +102,12 @@ impl ContinuousMonitor for Ovh {
     fn apply(&mut self, event: UpdateEvent) -> TickReport {
         match event {
             UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
+                self.changed.clear();
                 self.state.objects.insert(id, at);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
+                self.changed.clear();
                 self.state.queries.insert(id, (k, at));
                 self.queries.insert(
                     id,
@@ -110,10 +120,13 @@ impl ContinuousMonitor for Ovh {
                     },
                 );
                 let mut c = OpCounters::default();
-                self.recompute(id, &mut c);
+                if self.recompute(id, &mut c) {
+                    self.changed.push(id);
+                }
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
+                self.changed.clear();
                 self.state.queries.remove(&id);
                 self.queries.remove(&id);
                 TickReport::default()
@@ -131,6 +144,7 @@ impl ContinuousMonitor for Ovh {
         let mut counters = OpCounters::default();
         let deltas = self.state.apply_batch(batch);
         // Track query membership/position changes.
+        let mut removed_with_answer = 0;
         for d in &deltas.queries {
             match (d.old, d.new) {
                 (_, Some((k, at))) => {
@@ -145,24 +159,22 @@ impl ContinuousMonitor for Ovh {
                     entry.pos = at;
                 }
                 (Some(_), None) => {
-                    self.queries.remove(&d.id);
+                    if let Some(q) = self.queries.remove(&d.id) {
+                        removed_with_answer += usize::from(!q.result.is_empty());
+                    }
                 }
                 (None, None) => {}
             }
         }
-        // Recompute everything from scratch.
-        let ids: Vec<QueryId> = {
-            // lint: allow(hot-path-alloc): the OVH baseline recomputes from scratch every tick by definition; its allocations are the cost the paper's figures measure against
-            let mut v: Vec<QueryId> = self.queries.keys().copied().collect();
-            v.sort();
-            v
-        };
-        let mut results_changed = 0;
-        for id in ids {
-            if self.recompute(id, &mut counters) {
-                results_changed += 1;
-            }
-        }
+        // Recompute everything from scratch, in ascending id order, and cut
+        // the list down, in place, to the queries whose answer changed.
+        let mut ids = std::mem::take(&mut self.changed);
+        ids.clear();
+        ids.extend(self.queries.keys().copied());
+        ids.sort_unstable();
+        ids.retain(|&id| self.recompute(id, &mut counters));
+        let results_changed = ids.len() + removed_with_answer;
+        self.changed = ids;
         counters.alloc_events += self.engine.take_alloc_events()
             + self.state.objects.take_alloc_events()
             + self.best.take_alloc_events()
@@ -187,6 +199,10 @@ impl ContinuousMonitor for Ovh {
     fn query_ids(&self) -> Vec<QueryId> {
         // lint: allow(hot-path-alloc): introspection helper for tests and benches, not called from the tick path
         self.queries.keys().copied().collect()
+    }
+
+    fn changed_queries(&self) -> &[QueryId] {
+        &self.changed
     }
 
     fn memory(&self) -> MemoryUsage {

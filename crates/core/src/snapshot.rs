@@ -41,9 +41,8 @@ use crate::state::NetworkState;
 use crate::types::{EdgeWeightUpdate, Neighbor, UpdateBatch, UpdateEvent};
 
 /// One query's entry in a snapshot: identity, parameters, position, and
-/// the current result (used to validate the restore and to prime the
-/// shard's shipped-result cache so post-restore replies are identical to
-/// an uncrashed shard's).
+/// the current result (used to validate the restore: the answers the
+/// restored monitor recomputes must be the recorded ones).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuerySnapshotState {
     /// Query id.

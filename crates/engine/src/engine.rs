@@ -16,7 +16,9 @@
 //! # Map
 //!
 //! [`ShardedEngine`] is one struct; its `impl` blocks are split over four
-//! modules along the seams of the protocol. Each module owns some of the
+//! modules along the seams of the protocol (a fifth, [`crate::changelog`],
+//! holds the one helper struct behind `results_changed` and
+//! `changed_queries`). Each module owns some of the
 //! state, keeps one invariant, and is entered from a short list of places:
 //!
 //! * **`engine`** (this file) — the struct, construction, `tick` / `apply`,
@@ -27,7 +29,9 @@
 //!   per shard: nothing is in flight whenever another module mutates the
 //!   partition, a halo or a registry. `reconcile` restores, before any
 //!   tick or install returns, `halo_r[s] ≥ kNN_dist(q)` for every query
-//!   `q` homed on shard `s`.
+//!   `q` homed on shard `s` — looking only at the queries the last
+//!   exchange reported, except where a full walk is due (see
+//!   [`crate::halo`], "Demand is folded, not recomputed").
 //! * **[`crate::route`]** — object and query events → per-shard pending
 //!   events, plus the edge→object and edge→query indexes. Keeps every
 //!   object's shard mask equal to its edge's visibility mask and every
@@ -58,6 +62,7 @@ use rnn_roadnet::{
     NetworkPartition, ObjectId, QueryId, RoadNetwork,
 };
 
+use crate::changelog::ChangeLog;
 use crate::config::EngineConfig;
 use crate::halo::{diameter_bound, HaloRing};
 use crate::ingest::{IngestHandle, IngestHub};
@@ -134,9 +139,14 @@ pub(crate) struct PendingEvents {
 pub(crate) struct QueryRec {
     pub(crate) k: usize,
     pub(crate) shard: u32,
+    /// Where the [`ChangeLog`] holds the answer this query entered the
+    /// tick with — meaningful while `parked` is the tick's epoch.
+    pub(crate) slot: u32,
     pub(crate) pos: NetPoint,
     pub(crate) knn_dist: f64,
     pub(crate) result: Vec<Neighbor>,
+    /// Epoch of the last tick that parked this query's answer.
+    pub(crate) parked: u64,
 }
 
 /// A sharded, multi-threaded continuous-monitoring engine that is
@@ -196,10 +206,21 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     pub(crate) empty_arena: Arc<Vec<rnn_core::EdgeWeightUpdate>>,
     /// GMA active-node counts per shard, from the latest outcomes.
     pub(crate) active: Vec<Option<usize>>,
-    /// Pre-tick results of queries touched during the current tick, so
-    /// reconcile-round flaps that end where they started do not count as
-    /// changes.
-    pub(crate) changed: FxHashMap<QueryId, Vec<Neighbor>>,
+    /// The queries touched during the current tick with the answers they
+    /// entered it with, so reconcile-round flaps that end where they
+    /// started do not count as changes; after the tick, what it changed.
+    pub(crate) log: ChangeLog,
+    /// Per-shard halo demand: the largest `kNN_dist` among the queries the
+    /// last exchange reported, or among all of a shard's queries after a
+    /// full walk (see [`crate::halo`], "Demand is folded, not
+    /// recomputed").
+    pub(crate) demand: Vec<f64>,
+    /// Reused scratch of the halo passes: the edges whose halo membership
+    /// a pass toggled ([`Self::halo_pass`]), and the membership map a halo
+    /// recompute fills (it trades places with the ring's own on every
+    /// recompute).
+    pub(crate) toggled_edges: FxHashSet<EdgeId>,
+    pub(crate) halo_fresh: FxHashMap<EdgeId, f64>,
     /// Monitor-side aggregate for the current tick: critical-path elapsed
     /// (max across a round's parallel workers, summed across rounds) and
     /// summed op counters.
@@ -340,7 +361,10 @@ impl<L: ShardLink> ShardedEngine<L> {
             pending_edges: Vec::new(),
             empty_arena: Arc::new(Vec::new()),
             active: vec![None; cfg.num_shards],
-            changed: FxHashMap::default(),
+            log: ChangeLog::default(),
+            demand: vec![0.0; cfg.num_shards],
+            toggled_edges: FxHashSet::default(),
+            halo_fresh: FxHashMap::default(),
             workers_report: TickReport::default(),
             router_tick: OpCounters::default(),
             router_total: OpCounters::default(),
@@ -575,6 +599,11 @@ impl<L: ShardLink> ShardedEngine<L> {
             self.workers[s].send(Request::Tick(delta));
             sent |= 1u64 << s;
         }
+        if sent == 0 {
+            return false;
+        }
+        // What this exchange reports is the demand `reconcile` looks at.
+        self.demand.fill(0.0);
         // Workers in one round run in parallel, so their reports fold with
         // max-elapsed semantics; successive rounds are sequential and add.
         let mut round = TickReport::default();
@@ -595,13 +624,8 @@ impl<L: ShardLink> ShardedEngine<L> {
                         if rec.shard != s as u32 {
                             continue; // stale snapshot of a query mid-migration
                         }
-                        rec.knn_dist = snap.knn_dist;
-                        if rec.result != snap.result {
-                            self.changed
-                                .entry(snap.id)
-                                .or_insert_with(|| rec.result.clone());
-                            rec.result = snap.result;
-                        }
+                        self.demand[s] = self.demand[s].max(snap.knn_dist);
+                        self.log.absorb(rec, snap);
                     }
                 }
                 Response::Down => {
@@ -621,45 +645,48 @@ impl<L: ShardLink> ShardedEngine<L> {
         for s in ShardBits(died) {
             self.adopt_dead_shard(s);
         }
-        sent != 0
+        true
     }
 
     /// Grows halos until every query's `kNN_dist` is covered by its
     /// shard's halo radius, shipping newly visible objects as needed (see
-    /// the module docs for why this terminates). Underfull demand (∞) is
+    /// [`crate::halo`] for why this terminates). Underfull demand (∞) is
     /// capped at the diameter bound, which already covers everything
-    /// reachable. Returns the final per-shard needed radii, which the
-    /// shrink pass reuses.
-    pub(crate) fn reconcile(&mut self) -> Vec<f64> {
-        let mut changed = FxHashSet::default();
+    /// reachable.
+    ///
+    /// The demand it covers is the one in `self.demand`: what the caller's
+    /// last exchange reported, or — with `full` — every query's, walked
+    /// once here. Later rounds look only at what their own exchange
+    /// reported. A `full` reconcile leaves the exact per-shard demand in
+    /// `self.demand` for the shrink pass.
+    pub(crate) fn reconcile(&mut self, full: bool) {
+        if full {
+            self.fold_all_demand();
+        }
+        let mut exact = full;
         loop {
-            let mut needed = vec![0.0f64; self.cfg.num_shards];
-            for rec in self.queries.values() {
-                let s = rec.shard as usize;
-                needed[s] = needed[s].max(rec.knn_dist);
-            }
-            // Only underfull demand (∞) needs the diameter cap, and only
-            // then is the (possibly O(E)) bound refresh worth paying.
-            if needed.iter().any(|n| n.is_infinite()) {
-                let cap = self.current_diam_bound();
-                for n in &mut needed {
-                    if n.is_infinite() {
-                        *n = cap;
+            self.cap_underfull_demand();
+            self.halo_pass(|eng, toggled| {
+                for s in 0..eng.cfg.num_shards {
+                    let need = eng.demand[s];
+                    if need > eng.halo_r[s] {
+                        eng.halo_r[s] = need * (1.0 + eng.cfg.halo_slack);
+                        eng.recompute_halo(s, toggled);
                     }
                 }
-            }
-            changed.clear();
-            for (s, &need) in needed.iter().enumerate() {
-                if need > self.halo_r[s] {
-                    self.halo_r[s] = need * (1.0 + self.cfg.halo_slack);
-                    self.recompute_halo(s, &mut changed);
-                }
-            }
-            self.resync_changed(&changed);
+            });
             if !self.dispatch_pending(BatchKind::Resync) {
-                return needed;
+                break;
             }
+            exact = false;
         }
+        if full && !exact {
+            // A resync round only ever lowers demands; the shrink pass
+            // wants them as they stand now.
+            self.fold_all_demand();
+            self.cap_underfull_demand();
+        }
+        debug_assert!(self.demand_is_covered(full));
     }
 }
 
@@ -670,7 +697,11 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
 
     fn apply(&mut self, event: UpdateEvent) -> TickReport {
         match event {
+            // The out-of-band arms reconcile over what their one exchange
+            // reported: nothing else's demand moved (weights, and with them
+            // the ∞ cap, only change in `tick`).
             UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
+                self.log.begin();
                 self.route_object_event(&ObjectEvent::Insert { id, at });
                 // During bulk loading (no queries yet) the events stay
                 // buffered and ship with the next install/tick. With live
@@ -678,24 +709,31 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
                 // the single monitors.
                 if !self.queries.is_empty() {
                     self.resync_seen.clear();
-                    self.dispatch_pending(BatchKind::Tick);
-                    self.reconcile();
+                    if self.dispatch_pending(BatchKind::Tick) {
+                        self.reconcile(false);
+                    }
                 }
+                self.log.finish(&self.queries);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
+                self.log.begin();
                 self.route_query_event(&QueryEvent::Install { id, k, at });
                 self.resync_seen.clear();
-                self.dispatch_pending(BatchKind::Tick);
-                self.reconcile();
+                if self.dispatch_pending(BatchKind::Tick) {
+                    self.reconcile(false);
+                }
+                self.log.finish(&self.queries);
                 TickReport::default()
             }
             UpdateEvent::Query(QueryEvent::Remove { id }) => {
+                self.log.begin();
                 self.route_query_event(&QueryEvent::Remove { id });
                 self.dispatch_pending(BatchKind::Tick);
                 // The freed halo radius decays on subsequent ticks
                 // (hysteresis), not here: eager shrinking would thrash on
                 // remove+reinstall.
+                self.log.finish(&self.queries);
                 TickReport::default()
             }
             other => {
@@ -708,7 +746,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
 
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
-        self.changed.clear();
+        self.log.begin();
         self.workers_report = TickReport::default();
         self.router_tick = OpCounters::default();
         self.resync_seen.clear();
@@ -731,11 +769,11 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
             self.diam_dirty = true;
             // 2. Halo membership is defined in weighted distances, so
             //    weight changes can move edges in or out of halos.
-            let mut changed = FxHashSet::default();
-            for s in 0..self.cfg.num_shards {
-                self.recompute_halo(s, &mut changed);
-            }
-            self.resync_changed(&changed);
+            self.halo_pass(|eng, toggled| {
+                for s in 0..eng.cfg.num_shards {
+                    eng.recompute_halo(s, toggled);
+                }
+            });
         }
 
         // 3. Route the object and query streams onto the owning shards.
@@ -747,23 +785,19 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         }
 
         // 4. Fan out, grow halos until every result is covered, then let
-        //    oversized halos decay.
+        //    oversized halos decay. This reconcile is the tick's one full
+        //    demand walk: weights, and with them the cap on underfull
+        //    demand, may have moved, and the shrink pass needs every
+        //    shard's exact demand.
         self.dispatch_pending(BatchKind::Tick);
-        let needed = self.reconcile();
-        self.maybe_shrink_halos(&needed);
+        self.reconcile(true);
+        self.maybe_shrink_halos();
 
-        // A query counts as changed only if its final result differs from
-        // its pre-tick result — reconcile-round flaps that end where they
-        // started do not count, matching a single monitor's report.
-        let results_changed = self
-            .changed
-            .iter()
-            .filter(|(id, before)| {
-                self.queries
-                    .get(id)
-                    .is_some_and(|rec| rec.result != **before)
-            })
-            .count();
+        // A query counts as changed only if its final answer differs from
+        // its pre-tick answer — reconcile-round flaps that end where they
+        // started do not count, matching a single monitor's report — and a
+        // removed query counts if it had one.
+        let results_changed = self.log.finish(&self.queries);
 
         // Fold this tick's per-shard load observations into the smoothed
         // estimates the imbalance detector reads next tick.
@@ -809,6 +843,10 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
 
     fn query_ids(&self) -> Vec<QueryId> {
         self.queries.keys().copied().collect()
+    }
+
+    fn changed_queries(&self) -> &[QueryId] {
+        self.log.changed()
     }
 
     fn memory(&self) -> MemoryUsage {
@@ -1057,7 +1095,7 @@ pub(crate) mod tests {
         assert_invalid(&eng, "dead shard 1 still holds a halo");
         eng.halo_r[dead] = 0.0;
         eng.validate_replication().unwrap();
-        eng.halo_edges[dead].replace_with([(cell, 0.5)].into_iter().collect(), |_, _| {});
+        eng.halo_edges[dead].replace_with(&mut [(cell, 0.5)].into_iter().collect(), |_, _| {});
         assert_invalid(&eng, "dead shard 1 still holds a halo");
     }
 

@@ -39,6 +39,29 @@
 //! shortest path can exceed — [`rnn_roadnet::EdgeWeights::total`]), so halo
 //! radii stay finite and comparable.
 //!
+//! ## Demand is folded, not recomputed
+//!
+//! `reconcile` does not look at every query to find out whether a halo
+//! must grow. `dispatch_pending` folds the `kNN_dist` of each query an
+//! exchange reports into a per-shard maximum (`demand`), and `reconcile`
+//! compares only that with the radius. What makes this enough is an
+//! invariant kept between full walks: **`halo_r[s]` is at least the
+//! demand of every query of shard `s` that no exchange has reported since
+//! the last full walk** — such a query's `kNN_dist` is what it was when a
+//! reconcile last covered it, and between full walks a radius only grows.
+//! The three things that can break it force a full walk (every query's
+//! demand, one pass over the registry) at the point where they happen: a
+//! weight change moves the diameter cap that stands in for underfull (∞)
+//! demand, a hand-off moves queries between shards, and the shrink pass
+//! lowers radii — so `tick` and the hand-off tail reconcile in full, and
+//! the shrink pass reads the exact demand that full reconcile leaves
+//! behind. The out-of-band `apply` arms (one install, one insert) fold
+//! only what their one exchange reported, which is what keeps installing
+//! Q queries O(Q) instead of O(Q²). Every `reconcile` ends by asserting,
+//! in debug builds, that the radii cover a from-scratch recomputation of
+//! the demand (and that a full reconcile's folded demand equals it), so
+//! every test run checks the invariant.
+//!
 //! ## Replica lifecycle: grow, shrink, evict
 //!
 //! Halos *grow* eagerly (any tick where a query's `kNN_dist` exceeds its
@@ -109,10 +132,12 @@ impl HaloRing {
 
     /// Replaces the membership with `fresh` (edge → boundary distance),
     /// reporting every edge whose membership toggled as
-    /// `toggled(edge, is_member_now)` — leavers first, then joiners.
+    /// `toggled(edge, is_member_now)` — leavers first, then joiners. The
+    /// old membership map is handed back in `fresh`, for the caller to
+    /// refill next time.
     pub(crate) fn replace_with(
         &mut self,
-        fresh: FxHashMap<EdgeId, f64>,
+        fresh: &mut FxHashMap<EdgeId, f64>,
         mut toggled: impl FnMut(EdgeId, bool),
     ) {
         for &e in self.dist.keys() {
@@ -129,7 +154,7 @@ impl HaloRing {
         self.by_dist.extend(fresh.iter().map(|(&e, &d)| (d, e)));
         self.by_dist
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.dist = fresh;
+        std::mem::swap(&mut self.dist, fresh);
     }
 
     /// Pops the outermost member if it lies beyond `cutoff` — one step of
@@ -200,7 +225,8 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// has an empty halo before and after, so calling this for it is free.
     pub(crate) fn recompute_halo(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
         let r = self.halo_r[s];
-        let mut fresh: FxHashMap<EdgeId, f64> = FxHashMap::default();
+        let mut fresh = std::mem::take(&mut self.halo_fresh);
+        fresh.clear();
         let boundary = &self.partition.view(s).boundary_nodes;
         if r > 0.0 && !boundary.is_empty() {
             self.scratch.begin();
@@ -222,16 +248,18 @@ impl<L: ShardLink> ShardedEngine<L> {
                 }
             }
         }
-        self.replace_halo(s, fresh, changed);
+        self.replace_halo(s, &mut fresh, changed);
+        self.halo_fresh = fresh;
     }
 
     /// Installs `fresh` as shard `s`'s halo membership, flipping bit `s` of
     /// every toggled edge's visibility mask and recording the edge in
-    /// `changed`. An empty `fresh` clears the halo.
+    /// `changed`. An empty `fresh` clears the halo. The replaced membership
+    /// comes back in `fresh`.
     pub(crate) fn replace_halo(
         &mut self,
         s: usize,
-        fresh: FxHashMap<EdgeId, f64>,
+        fresh: &mut FxHashMap<EdgeId, f64>,
         changed: &mut FxHashSet<EdgeId>,
     ) {
         let bit = 1u64 << s;
@@ -312,31 +340,85 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// ratio) for `halo_shrink_ticks` consecutive ticks, decay it to the
     /// demanded radius and evict the replicas beyond it. Safe by the same
     /// argument as growth, in reverse: everything evicted is farther from
-    /// the boundary than every owned query's `kNN_dist`.
-    pub(crate) fn maybe_shrink_halos(&mut self, needed: &[f64]) {
+    /// the boundary than every owned query's `kNN_dist`. Reads the exact
+    /// per-shard demand the tick's full `reconcile` left in `self.demand`.
+    pub(crate) fn maybe_shrink_halos(&mut self) {
         let slack = 1.0 + self.cfg.halo_slack;
         let trigger = self.cfg.halo_shrink_trigger.max(1.0);
         let patience = self.cfg.halo_shrink_ticks.max(1);
-        let mut changed = FxHashSet::default();
-        for (s, &need) in needed.iter().enumerate() {
-            let target = need * slack;
-            if self.halo_r[s] > target * trigger {
-                self.shrink_streak[s] += 1;
-                if self.shrink_streak[s] >= patience {
-                    self.halo_r[s] = target;
-                    // Decay-only change: drop the outer annulus from the
-                    // ring instead of re-running the boundary Dijkstra.
-                    self.shrink_halo_ring(s, &mut changed);
-                    self.shrink_streak[s] = 0;
+        let shrunk = self.halo_pass(|eng, toggled| {
+            for s in 0..eng.cfg.num_shards {
+                let target = eng.demand[s] * slack;
+                if eng.halo_r[s] > target * trigger {
+                    eng.shrink_streak[s] += 1;
+                    if eng.shrink_streak[s] >= patience {
+                        eng.halo_r[s] = target;
+                        // Decay-only change: drop the outer annulus from the
+                        // ring instead of re-running the boundary Dijkstra.
+                        eng.shrink_halo_ring(s, toggled);
+                        eng.shrink_streak[s] = 0;
+                    }
+                } else {
+                    eng.shrink_streak[s] = 0;
                 }
-            } else {
-                self.shrink_streak[s] = 0;
             }
-        }
-        if !changed.is_empty() {
-            self.resync_changed(&changed);
+        });
+        if shrunk {
             self.dispatch_pending(BatchKind::Resync);
         }
+    }
+
+    /// One halo pass in the reused edge set: `pass` records the edges whose
+    /// membership it toggled, and their residents are resynced. Returns
+    /// whether any edge toggled.
+    pub(crate) fn halo_pass(
+        &mut self,
+        pass: impl FnOnce(&mut Self, &mut FxHashSet<EdgeId>),
+    ) -> bool {
+        let mut toggled = std::mem::take(&mut self.toggled_edges);
+        toggled.clear();
+        pass(self, &mut toggled);
+        let any = !toggled.is_empty();
+        self.resync_changed(&toggled);
+        self.toggled_edges = toggled;
+        any
+    }
+
+    /// The full walk: `demand[s]` becomes the largest `kNN_dist` among
+    /// all of shard `s`'s queries (∞ not yet capped).
+    pub(crate) fn fold_all_demand(&mut self) {
+        self.demand.fill(0.0);
+        for rec in self.queries.values() {
+            let s = rec.shard as usize;
+            self.demand[s] = self.demand[s].max(rec.knn_dist);
+        }
+    }
+
+    /// Replaces underfull (∞) demand by the diameter bound. Only then is
+    /// the (possibly O(E)) bound refresh worth paying.
+    pub(crate) fn cap_underfull_demand(&mut self) {
+        if self.demand.iter().any(|n| n.is_infinite()) {
+            let cap = self.current_diam_bound();
+            for n in &mut self.demand {
+                if n.is_infinite() {
+                    *n = cap;
+                }
+            }
+        }
+    }
+
+    /// What `reconcile` promises, checked against a from-scratch
+    /// recomputation (debug builds): every shard's radius covers the
+    /// demand of every query homed on it — the queries no exchange
+    /// reported included — and, after a `full` reconcile, `demand` is that
+    /// recomputation exactly.
+    pub(crate) fn demand_is_covered(&mut self, full: bool) -> bool {
+        let folded = self.demand.clone();
+        self.fold_all_demand();
+        self.cap_underfull_demand();
+        let exact = std::mem::replace(&mut self.demand, folded);
+        (0..self.cfg.num_shards).all(|s| self.halo_r[s] >= exact[s])
+            && (!full || exact == self.demand)
     }
 }
 
@@ -361,7 +443,7 @@ mod tests {
         let mut ring = HaloRing::default();
         let mut toggles = Vec::new();
         ring.replace_with(
-            [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
+            &mut [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
             |e, m| {
                 toggles.push((e, m));
             },
@@ -370,14 +452,16 @@ mod tests {
         assert_eq!(toggles, [(a, true), (b, true), (c, true)]);
         // b stays, a and c leave, d joins: only the three toggles report.
         toggles.clear();
-        ring.replace_with([(b, 2.0), (d, 0.5)].into_iter().collect(), |e, m| {
+        let mut fresh = [(b, 2.0), (d, 0.5)].into_iter().collect();
+        ring.replace_with(&mut fresh, |e, m| {
             toggles.push((e, m));
         });
+        assert_eq!(fresh.len(), 3, "the replaced membership comes back");
         toggles.sort();
         assert_eq!(toggles, [(a, false), (c, false), (d, true)]);
         assert!(ring.remove(d) && !ring.remove(d) && !ring.contains(d));
         ring.replace_with(
-            [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
+            &mut [(a, 1.0), (b, 2.0), (c, 3.0)].into_iter().collect(),
             |_, _| {},
         );
         assert_eq!(ring.pop_beyond(1.5), Some(c));

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod changelog;
 pub mod config;
 pub mod engine;
 pub mod halo;
@@ -66,11 +67,13 @@ pub mod ingest;
 pub mod protocol;
 pub mod rebalance;
 pub mod route;
+pub mod shard;
 pub mod worker;
 
 pub use config::{EngineConfig, ReplicationConfig, ShardAlgo};
 pub use engine::{EngineError, ShardedEngine};
 pub use ingest::{AdmissionPolicy, DrainStats, IngestConfig, IngestError, IngestHandle, IngestHub};
 pub use protocol::{
-    BatchKind, DeltaBatch, QuerySnapshot, Request, Response, ShardLink, ShardTickState, TickOutcome,
+    BatchKind, DeltaBatch, QuerySnapshot, Request, Response, ShardLink, TickOutcome,
 };
+pub use shard::ShardTickState;

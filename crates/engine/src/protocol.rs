@@ -9,22 +9,22 @@
 //! ([`DeltaBatch`]): per-shard object and query event slices are moved
 //! (never cloned) out of the router's pending buffers, the tick's
 //! edge-weight updates travel as one shared `Arc` arena, and shards reply
-//! with [`QuerySnapshot`] deltas — queries whose state changed since the
-//! shard's previous response.
+//! with [`QuerySnapshot`] deltas — the queries whose answer the batch
+//! changed, as the shard's monitor lists them
+//! ([`rnn_core::ContinuousMonitor::changed_queries`]), plus the ones it
+//! installed, in ascending id order.
 //!
-//! [`ShardTickState`] is the shard-side half of that delta discipline
-//! (the shipped-snapshot cache and scratch buffers), shared verbatim by
-//! the worker thread loop and the cluster's `ShardService` so both kinds
-//! of shard produce bit-identical responses.
+//! This module is the types and their wire codec only. The shard-side
+//! half of the exchange — what a shard does with a [`DeltaBatch`] — is
+//! [`crate::shard::ShardTickState`], shared verbatim by the worker thread
+//! loop and the cluster's `ShardService` so both kinds of shard produce
+//! bit-identical responses.
 
 use std::sync::Arc;
 
-use rnn_core::{
-    ContinuousMonitor, EdgeWeightUpdate, MemoryUsage, Neighbor, ObjectEvent, QueryEvent,
-    TickReport, UpdateBatch,
-};
+use rnn_core::{EdgeWeightUpdate, MemoryUsage, Neighbor, ObjectEvent, QueryEvent, TickReport};
 use rnn_roadnet::wire::{decode_seq, encode_seq, put_f64, put_u32, put_u64, put_u8};
-use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet, QueryId, WireCodec, WireError, WireReader};
+use rnn_roadnet::{EdgeId, QueryId, WireCodec, WireError, WireReader};
 
 /// Why a [`DeltaBatch`] was dispatched. The in-process worker ignores the
 /// kind (the shard-side processing is identical); the cluster transport
@@ -69,7 +69,8 @@ pub enum Request {
     /// plane's snapshot; see [`rnn_core::MonitorState`]).
     Snapshot,
     /// Install a previously captured state into a fresh monitor (crash
-    /// recovery before WAL-suffix replay).
+    /// recovery before WAL-suffix replay). The monitor is all there is to
+    /// restore: a shard keeps nothing else between exchanges.
     Restore(Box<rnn_core::MonitorState>),
     /// Exit the worker loop.
     Shutdown,
@@ -111,9 +112,9 @@ pub struct QuerySnapshot {
 pub struct TickOutcome {
     /// The monitor's own report (op counters, worker wall-clock).
     pub report: TickReport,
-    /// Queries whose state changed since the shard's last response (plus
-    /// every query installed by this batch). Absence means "unchanged" —
-    /// the engine keeps its cached result.
+    /// The queries whose answer this batch changed (the monitor's change
+    /// list) plus every query it installed, ascending by id. Absence means
+    /// "unchanged" — the engine keeps its cached result.
     pub snapshots: Vec<QuerySnapshot>,
     /// The monitor's grouping-unit count (GMA active nodes), if any.
     pub active_groups: Option<usize>,
@@ -133,110 +134,6 @@ pub trait ShardLink: Send {
     fn send(&self, req: Request);
     /// Blocks for the next response to an outstanding request.
     fn recv(&self) -> Response;
-}
-
-/// The shard-side half of the delta protocol: the cache of what this
-/// shard last shipped per query, and the reusable scratch buffers that
-/// keep steady-state ticks free of per-tick allocation. Both the worker
-/// thread and the cluster's `ShardService` drive their monitor through
-/// one of these, so every kind of shard produces identical
-/// [`TickOutcome`]s for identical request streams.
-#[derive(Default)]
-pub struct ShardTickState {
-    // Last state shipped to the engine, per query: snapshots are sent as
-    // deltas against this, so steady-state ticks move no result vectors.
-    shipped: FxHashMap<QueryId, (f64, Vec<Neighbor>)>,
-    // Monitor-facing batch, reassembled from each delta (the edge copy
-    // out of the shared arena runs on the shard, off the router's
-    // critical path) and reused across ticks.
-    batch: UpdateBatch,
-    installed: FxHashSet<QueryId>,
-    live: FxHashSet<QueryId>,
-}
-
-impl ShardTickState {
-    /// Fresh state (empty snapshot cache — the first response ships every
-    /// query).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seeds the shipped-snapshot cache from a restored monitor state, so
-    /// the first post-restore tick ships exactly the deltas an uncrashed
-    /// shard would have shipped (the coordinator's `results_changed`
-    /// bookkeeping depends on unchanged queries *not* reshipping).
-    pub fn prime(&mut self, queries: &[rnn_core::snapshot::QuerySnapshotState]) {
-        self.shipped.clear();
-        for q in queries {
-            self.shipped.insert(q.id, (q.knn_dist, q.result.clone()));
-        }
-    }
-
-    /// Applies one delta batch to `monitor` and assembles the outcome,
-    /// shipping only queries whose state changed since the last call.
-    /// With `attribute_cells` the monitor's per-cell expansion charges are
-    /// drained into the outcome; pass `false` when nothing consumes them
-    /// (the rebalancer disabled) so the hand-off stays free.
-    pub fn run_tick(
-        &mut self,
-        monitor: &mut dyn ContinuousMonitor,
-        delta: DeltaBatch,
-        attribute_cells: bool,
-    ) -> TickOutcome {
-        self.batch.edges.clear();
-        self.batch.edges.extend_from_slice(&delta.shared_edges);
-        self.batch.objects = delta.objects;
-        self.batch.queries = delta.queries;
-        // Freshly installed queries must always ship: the engine just
-        // created an empty record for them, even when the monitor
-        // reproduces a result this cache already saw (remove + reinstall
-        // of the same id).
-        self.installed.clear();
-        self.installed
-            .extend(self.batch.queries.iter().filter_map(|ev| match ev {
-                QueryEvent::Install { id, .. } => Some(*id),
-                _ => None,
-            }));
-        let report = monitor.tick(&self.batch);
-        let ids = monitor.query_ids();
-        self.live.clear();
-        self.live.extend(ids.iter().copied());
-        let live = &self.live;
-        self.shipped.retain(|id, _| live.contains(id));
-        let mut snapshots = Vec::new();
-        for id in ids {
-            let knn_dist = monitor.knn_dist(id).unwrap_or(f64::INFINITY);
-            let result = monitor.result(id).unwrap_or_default();
-            let unchanged = !self.installed.contains(&id)
-                && self
-                    .shipped
-                    .get(&id)
-                    .is_some_and(|(k, r)| *k == knn_dist && r.as_slice() == result);
-            if unchanged {
-                continue;
-            }
-            let owned = result.to_vec();
-            self.shipped.insert(id, (knn_dist, owned.clone()));
-            snapshots.push(QuerySnapshot {
-                id,
-                knn_dist,
-                result: owned,
-            });
-        }
-        // Drained only when the rebalance planner consumes the charges;
-        // otherwise the monitors' per-tick buffers are simply cleared on
-        // their next tick.
-        let mut cell_charges = Vec::new();
-        if attribute_cells {
-            monitor.drain_cell_charges(&mut cell_charges);
-        }
-        TickOutcome {
-            report,
-            snapshots,
-            active_groups: monitor.active_groups(),
-            cell_charges,
-        }
-    }
 }
 
 impl WireCodec for DeltaBatch {
@@ -364,5 +261,62 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(TickOutcome::decode(&mut r).unwrap(), outcome);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn tick_outcome_encodes_to_the_pinned_bytes() {
+        // A round trip cannot see the format drift; these bytes can. Two
+        // snapshots — one with an answer, one underfull and empty — after
+        // the report (elapsed, results_changed, the counter table).
+        let outcome = TickOutcome {
+            report: TickReport {
+                results_changed: 2,
+                ..TickReport::default()
+            },
+            snapshots: vec![
+                QuerySnapshot {
+                    id: QueryId(3),
+                    knn_dist: 1.5,
+                    result: vec![
+                        Neighbor {
+                            object: rnn_roadnet::ObjectId(7),
+                            dist: 0.25,
+                        },
+                        Neighbor {
+                            object: rnn_roadnet::ObjectId(9),
+                            dist: 1.5,
+                        },
+                    ],
+                },
+                QuerySnapshot {
+                    id: QueryId(0x0102_0304),
+                    knn_dist: f64::INFINITY,
+                    result: vec![],
+                },
+            ],
+            active_groups: Some(2),
+            cell_charges: vec![(EdgeId(5), 258)],
+        };
+        let mut buf = Vec::new();
+        outcome.encode(&mut buf);
+        let mut report = Vec::new();
+        outcome.report.encode(&mut report);
+        assert_eq!(&buf[..report.len()], report.as_slice());
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            2, 0, 0, 0,                                     // two snapshots
+            3, 0, 0, 0,                                     // QueryId(3)
+            0, 0, 0, 0, 0, 0, 0xf8, 0x3f,                   // kNN_dist 1.5
+            2, 0, 0, 0,                                     // two neighbours
+            7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f,       // object 7 at 0.25
+            9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f,       // object 9 at 1.5
+            4, 3, 2, 1,                                     // QueryId(0x01020304)
+            0, 0, 0, 0, 0, 0, 0xf0, 0x7f,                   // kNN_dist ∞
+            0, 0, 0, 0,                                     // no neighbours
+            1, 2, 0, 0, 0, 0, 0, 0, 0,                      // Some(2) active groups
+            1, 0, 0, 0,                                     // one cell charge
+            5, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0,             // edge 5, 258 steps
+        ];
+        assert_eq!(&buf[report.len()..], golden);
     }
 }

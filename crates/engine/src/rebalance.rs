@@ -214,9 +214,11 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// `from` to shard `to` in the partition, transfers their visibility
     /// bit (recording each cell in `changed` so its residents resync), and
     /// re-homes the queries living on them — `Remove` at the old owner,
-    /// `Install` at the new, which recomputes the result from scratch
-    /// (the coordinator's cached result is kept and must be re-confirmed
-    /// by the installed query's first snapshot). `from` may be a corpse:
+    /// `Install` at the new, which recomputes the result from scratch and
+    /// reports it in the hand-off's own exchange (the coordinator's cached
+    /// result is parked in the change log until then, and the query counts
+    /// as changed only if the new home's answer differs from it). `from`
+    /// may be a corpse:
     /// [`Self::dispatch_pending`] discards whatever is addressed to one.
     ///
     /// The strict request/response worker protocol is the pause/resume
@@ -255,6 +257,7 @@ impl<L: ShardLink> ShardedEngine<L> {
                         .queries
                         .push(QueryEvent::Install { id, k, at });
                     rec.shard = to as u32;
+                    self.log.installed(id, rec, false);
                 }
             }
         }
@@ -280,7 +283,8 @@ impl<L: ShardLink> ShardedEngine<L> {
         }
         self.resync_changed(&changed);
         self.dispatch_pending(BatchKind::Migration);
-        self.reconcile();
+        // Queries changed shards: every shard's demand is walked anew.
+        self.reconcile(true);
     }
 
     /// Reacts to a shard link reporting itself permanently down. Without
@@ -318,7 +322,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         // so resync queues the (discarded) deletes and the masks stay the
         // invariant `ownership + live halos`.
         let mut changed = FxHashSet::default();
-        self.replace_halo(dead, FxHashMap::default(), &mut changed);
+        self.replace_halo(dead, &mut FxHashMap::default(), &mut changed);
         let adopters = self.peel_cells(dead, &mut changed);
         self.settle_hand_off(ShardBits(adopters), changed);
     }
@@ -557,6 +561,59 @@ mod tests {
             chosen[0], a,
             "the expansion-hot cell must outrank the entity-heavy one"
         );
+    }
+
+    #[test]
+    fn a_handed_off_query_that_gets_its_answer_back_counts_as_unchanged() {
+        // A real flap. Shard 1 serves no query, so its halo is empty. A
+        // query on shard 0's border cell is handed to it: shard 1 first
+        // answers from its own cells alone (round 1, not the answer the
+        // query had), its halo grows, the neighbours on shard 0's side
+        // arrive, and it reports the query again (round 2) with the answer
+        // it entered the hand-off with. Two reports, no change.
+        let mut eng = ShardedEngine::new(
+            net(),
+            EngineConfig {
+                num_shards: 2,
+                algo: ShardAlgo::Gma,
+                ..EngineConfig::default()
+            },
+        );
+        for e in net().edge_ids() {
+            eng.apply(UpdateEvent::insert_object(
+                ObjectId(e.0),
+                NetPoint::new(e, 0.5),
+            ));
+        }
+        let cell = eng.partition.boundary_cells_between(&eng.net, 0, 1)[0];
+        let q = QueryId(0);
+        eng.apply(UpdateEvent::install_query(q, 6, NetPoint::new(cell, 0.5)));
+        assert_eq!(eng.changed_queries(), [q]);
+        let before = eng.result(q).unwrap().to_vec();
+        let foreign = |eng: &ShardedEngine, owner: u32| {
+            before
+                .iter()
+                .filter(|n| eng.partition.shard_of_edge(EdgeId(n.object.0)) != owner)
+                .count()
+        };
+        assert_eq!(eng.halo_radius(1), 0.0, "nothing to replicate for yet");
+
+        eng.log.begin();
+        let mut changed = FxHashSet::default();
+        eng.hand_off(0, 1, &[cell], &mut changed);
+        assert!(
+            foreign(&eng, 1) > 0,
+            "the new home cannot answer from its own cells"
+        );
+        eng.settle_hand_off([0, 1], changed);
+        let results_changed = eng.log.finish(&eng.queries);
+
+        assert_eq!(eng.queries[&q].shard, 1);
+        assert!(eng.halo_radius(1) > 0.0, "a reconcile round grew the halo");
+        assert_eq!(eng.result(q).unwrap(), before.as_slice());
+        assert_eq!(results_changed, 0);
+        assert!(eng.changed_queries().is_empty());
+        eng.validate_replication().unwrap();
     }
 
     // --- Dead-shard adoption -------------------------------------------

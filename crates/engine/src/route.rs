@@ -8,13 +8,28 @@
 //! halo holds that edge), and a query is homed on the shard owning its
 //! edge and indexed on that edge. Callers: `tick` and `apply` only, once
 //! per event; everything here runs in reused capacity except the first
-//! install of a query id.
+//! install of a query id, and a known entity's record is rewritten where
+//! it lies.
+
+use std::collections::hash_map::Entry;
 
 use rnn_core::{ObjectEvent, QueryEvent};
-use rnn_roadnet::{EdgeId, QueryId};
+use rnn_roadnet::{EdgeId, FxHashMap, QueryId};
 
 use crate::engine::{ObjRec, QueryRec, ShardBits, ShardedEngine};
 use crate::protocol::ShardLink;
+
+/// Drops `id` from the edge→query index bucket of `e`.
+fn unindex_query(edge_queries: &mut FxHashMap<EdgeId, Vec<QueryId>>, e: EdgeId, id: QueryId) {
+    if let Some(bucket) = edge_queries.get_mut(&e) {
+        if let Some(i) = bucket.iter().position(|&q| q == id) {
+            bucket.swap_remove(i);
+        }
+        if bucket.is_empty() {
+            edge_queries.remove(&e);
+        }
+    }
+}
 
 impl<L: ShardLink> ShardedEngine<L> {
     /// Routes one object event to every shard that must see it — the owner
@@ -26,18 +41,24 @@ impl<L: ShardLink> ShardedEngine<L> {
             // monitors' own coalescing (state.rs).
             ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => {
                 let desired = self.edge_mask[to.edge.index()];
-                let rec = ObjRec {
-                    pos: to,
-                    mask: desired,
-                };
-                let old = match self.objects.insert(id, rec) {
-                    Some(old) => {
-                        self.edge_obj.relocate(old.pos.edge, to.edge, id);
-                        old.mask
+                let old = match self.objects.get_mut(&id) {
+                    // A known object's record is rewritten in place, and
+                    // the index hears of it only when the edge changed.
+                    Some(rec) => {
+                        let from = std::mem::replace(&mut rec.pos, to).edge;
+                        if from != to.edge {
+                            self.edge_obj.relocate(from, to.edge, id);
+                        }
+                        std::mem::replace(&mut rec.mask, desired)
                     }
                     // Nobody holds an unknown object yet, so every desired
                     // shard gets an Insert.
                     None => {
+                        let rec = ObjRec {
+                            pos: to,
+                            mask: desired,
+                        };
+                        self.objects.insert(id, rec);
                         self.edge_obj.insert(to.edge, id);
                         0
                     }
@@ -65,21 +86,12 @@ impl<L: ShardLink> ShardedEngine<L> {
         }
     }
 
-    /// Drops `id` from the edge→query index bucket of `e`.
-    fn unindex_query(&mut self, e: EdgeId, id: QueryId) {
-        if let Some(bucket) = self.edge_queries.get_mut(&e) {
-            if let Some(i) = bucket.iter().position(|&q| q == id) {
-                bucket.swap_remove(i);
-            }
-            if bucket.is_empty() {
-                self.edge_queries.remove(&e);
-            }
-        }
-    }
-
     /// Routes one query event to the shard owning the query's edge,
     /// re-homing the query (`Remove` there, `Install` here) when it crossed
     /// a border, and keeps the registry and the edge→query index in step.
+    /// Every `Install` it sends and every record it drops is noted in the
+    /// change log, which is how the tick's `results_changed` comes to
+    /// agree with a single monitor's on installs, re-installs and removals.
     pub(crate) fn route_query_event(&mut self, ev: &QueryEvent) {
         match *ev {
             QueryEvent::Move { id, to } => {
@@ -102,40 +114,50 @@ impl<L: ShardLink> ShardedEngine<L> {
                         .queries
                         .push(QueryEvent::Install { id, k, at: to });
                     rec.shard = new_shard;
+                    self.log.installed(id, rec, false);
                 }
                 if from_edge != to.edge {
-                    self.unindex_query(from_edge, id);
+                    unindex_query(&mut self.edge_queries, from_edge, id);
                     self.edge_queries.entry(to.edge).or_default().push(id);
                 }
             }
             QueryEvent::Install { id, k, at } => {
                 let shard = self.partition.shard_of_edge(at.edge);
-                let old = self.queries.insert(
-                    id,
-                    QueryRec {
-                        k,
-                        shard,
-                        pos: at,
-                        knn_dist: f64::INFINITY,
-                        // lint: allow(hot-path-alloc): cold path — an Install creates the record once; `Vec::new` itself reserves nothing and the shard's first snapshot moves its result vector in
-                        result: Vec::new(),
-                    },
-                );
-                if let Some(old) = old {
-                    if old.shard != shard {
-                        self.pending[old.shard as usize]
-                            .queries
-                            .push(QueryEvent::Remove { id });
+                match self.queries.entry(id) {
+                    // A live query is updated in place: its answer stands
+                    // until the shard's reply replaces it, and is what the
+                    // reply is judged against.
+                    Entry::Occupied(live) => {
+                        let rec = live.into_mut();
+                        if rec.shard != shard {
+                            self.pending[rec.shard as usize]
+                                .queries
+                                .push(QueryEvent::Remove { id });
+                        }
+                        // Same shard: no Remove — the monitors coalesce a
+                        // re-Install of a known query into an update (pinned by
+                        // the duplicate-install differential test).
+                        if rec.pos.edge != at.edge {
+                            unindex_query(&mut self.edge_queries, rec.pos.edge, id);
+                            self.edge_queries.entry(at.edge).or_default().push(id);
+                        }
+                        (rec.k, rec.shard, rec.pos) = (k, shard, at);
+                        self.log.installed(id, rec, false);
                     }
-                    // Same shard: no Remove — the monitors coalesce a
-                    // re-Install of a known query into an update (pinned by
-                    // the duplicate-install differential test).
-                    if old.pos.edge != at.edge {
-                        self.unindex_query(old.pos.edge, id);
+                    Entry::Vacant(vacant) => {
+                        let rec = vacant.insert(QueryRec {
+                            k,
+                            shard,
+                            slot: 0,
+                            pos: at,
+                            knn_dist: f64::INFINITY,
+                            // lint: allow(hot-path-alloc): cold path — an Install creates the record once; `Vec::new` itself reserves nothing and the shard's first snapshot moves its result vector in
+                            result: Vec::new(),
+                            parked: 0,
+                        });
                         self.edge_queries.entry(at.edge).or_default().push(id);
+                        self.log.installed(id, rec, true);
                     }
-                } else {
-                    self.edge_queries.entry(at.edge).or_default().push(id);
                 }
                 self.pending[shard as usize]
                     .queries
@@ -143,10 +165,11 @@ impl<L: ShardLink> ShardedEngine<L> {
             }
             QueryEvent::Remove { id } => {
                 if let Some(rec) = self.queries.remove(&id) {
-                    self.unindex_query(rec.pos.edge, id);
+                    unindex_query(&mut self.edge_queries, rec.pos.edge, id);
                     self.pending[rec.shard as usize]
                         .queries
                         .push(QueryEvent::Remove { id });
+                    self.log.removed(id, rec);
                 }
             }
         }

@@ -4,16 +4,19 @@
 //! The engine talks to it over a pair of mpsc channels with the strict
 //! request/response discipline of the [`crate::protocol`] module, so the
 //! channels never hold more than one message per worker. The per-tick
-//! shard logic itself (delta reassembly, the shipped-snapshot cache)
-//! lives in [`ShardTickState`], shared with the cluster's out-of-process
-//! shard service.
+//! shard logic itself (delta reassembly, shipping the monitor's change
+//! list) lives in [`ShardTickState`], shared with the cluster's
+//! out-of-process shard service; the loop here keeps no state of its own
+//! beside the monitor, so a restore is the monitor's restore and nothing
+//! else.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use rnn_core::ContinuousMonitor;
 
-use crate::protocol::{Request, Response, ShardLink, ShardTickState};
+use crate::protocol::{Request, Response, ShardLink};
+use crate::shard::ShardTickState;
 
 /// Handle to one shard thread.
 pub struct ShardWorker {
@@ -93,9 +96,6 @@ fn worker_loop(
             }
             Request::Restore(snap) => {
                 let ok = snap.restore_into(&mut *monitor).is_ok();
-                if ok {
-                    state.prime(&snap.queries);
-                }
                 if tx.send(Response::Restored(ok)).is_err() {
                     break;
                 }

@@ -716,3 +716,104 @@ fn takeover_survives_repeated_deaths_down_to_one_shard() {
     assert_eq!(engine.live_shards(), 1, "only shard 3 survives");
     assert!(!engine.is_shard_dead(3));
 }
+
+#[test]
+fn first_tick_after_a_restore_ships_what_the_uncrashed_shard_ships() {
+    // A shard keeps nothing between exchanges but its monitor, so a
+    // restored shard has nothing else to rebuild: its first reply after
+    // the snapshot install is the monitor's change list, exactly as on the
+    // shard that never crashed — one snapshot for the one query that
+    // moved, not a re-ship of everything the restore recomputed.
+    use rnn_monitor::cluster::ShardService;
+    use rnn_monitor::core::{ObjectEvent, QueryEvent};
+    use rnn_monitor::engine::{BatchKind, DeltaBatch, TickOutcome};
+    use rnn_monitor::roadnet::{EdgeId, NetPoint, ObjectId, QueryId, WireCodec, WireReader};
+
+    let net = grid(6, 6, 4);
+    let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+    let events = |seq: u32, objects: Vec<ObjectEvent>, queries: Vec<QueryEvent>| {
+        let mut payload = Vec::new();
+        DeltaBatch {
+            objects,
+            queries,
+            shared_edges: Arc::new(Vec::new()),
+            kind: BatchKind::Tick,
+        }
+        .encode(&mut payload);
+        Frame {
+            tag: MsgTag::TickEvents,
+            seq,
+            epoch: 0,
+            payload,
+        }
+    };
+    let service = || {
+        let (_coordinator_side, peer) = loopback_pair(FaultPlan::default());
+        ShardService::new(peer, Box::new(Gma::new(net.clone())), false)
+    };
+    let snapshots = |reply: Vec<u8>| {
+        let reply = Frame::from_bytes(&reply).unwrap();
+        assert_eq!(reply.tag, MsgTag::TickReply);
+        TickOutcome::decode(&mut WireReader::new(&reply.payload))
+            .unwrap()
+            .snapshots
+    };
+
+    let mut live = service();
+    let population = events(
+        0,
+        (0..30u32)
+            .map(|o| ObjectEvent::Insert {
+                id: ObjectId(o),
+                at: at(o * 2 % 60, 0.3),
+            })
+            .collect(),
+        (0..6u32)
+            .map(|q| QueryEvent::Install {
+                id: QueryId(q),
+                k: 3,
+                at: at(q * 9, 0.6),
+            })
+            .collect(),
+    );
+    assert_eq!(snapshots(live.handle(population).unwrap()).len(), 6);
+    let state = live
+        .handle(Frame {
+            tag: MsgTag::SnapshotRequest,
+            seq: 1,
+            epoch: 0,
+            payload: Vec::new(),
+        })
+        .map(|reply| Frame::from_bytes(&reply).unwrap().payload)
+        .expect("Gma snapshots");
+
+    let mut restored = service();
+    let ack = restored
+        .handle(Frame {
+            tag: MsgTag::SnapshotInstall,
+            seq: 1,
+            epoch: 0,
+            payload: state,
+        })
+        .unwrap();
+    assert_eq!(Frame::from_bytes(&ack).unwrap().payload, [1]);
+
+    let one_move = events(
+        2,
+        vec![],
+        vec![QueryEvent::Move {
+            id: QueryId(4),
+            to: at(41, 0.2),
+        }],
+    );
+    let from_live = snapshots(live.handle(one_move.clone()).unwrap());
+    let from_restored = snapshots(restored.handle(one_move).unwrap());
+    assert_eq!(from_live.len(), 1, "one query moved, one snapshot ships");
+    assert_eq!(from_live[0].id, QueryId(4));
+    assert_eq!(from_restored, from_live);
+
+    // And an idle exchange ships nothing from either.
+    let idle = events(3, vec![], vec![]);
+    assert!(snapshots(live.handle(idle.clone()).unwrap()).is_empty());
+    assert!(snapshots(restored.handle(idle).unwrap()).is_empty());
+}

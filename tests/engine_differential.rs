@@ -66,7 +66,8 @@ fn compare_monitors(
 
 /// Runs one scenario against a single-threaded reference and sharded
 /// engines with 1, 2, and 4 shards, comparing after installation and after
-/// every tick.
+/// every tick — the answers, and how many of them each side says the tick
+/// changed.
 fn run_engine_differential(
     net: Arc<RoadNetwork>,
     cfg: ScenarioConfig,
@@ -108,9 +109,16 @@ fn run_engine_differential(
 
     for t in 1..=ticks {
         let batch = scenario.tick();
-        reference.tick(&batch);
+        let want = reference.tick(&batch).results_changed;
         for e in &mut engines {
-            e.tick(&batch);
+            let got = e.tick(&batch).results_changed;
+            assert_eq!(
+                got,
+                want,
+                "tick {t}, S={}: results_changed diverges from {}",
+                e.num_shards(),
+                reference.name()
+            );
         }
         let views: Vec<&dyn ContinuousMonitor> = engines
             .iter()
@@ -419,6 +427,55 @@ fn engine_duplicate_install_same_shard_then_move() {
         eng.tick(&batch);
         compare_monitors(&gma, &[&eng], t);
     }
+}
+
+#[test]
+fn engine_counts_query_lifecycle_events_as_a_single_monitor_does() {
+    // The three batches `results_changed` used to get wrong, each against
+    // Gma: an identical re-Install of a live query (was 1, is 0), Remove
+    // then Install of one id in one batch (was 1, is 0), and a plain
+    // Remove of a query that has an answer (was 0, is 1).
+    let net = grid(8, 8, 19);
+    let n = net.num_edges() as u32;
+    let mut gma = Gma::new(net.clone());
+    let mut eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
+    for i in 0..40u32 {
+        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId((i * 11) % n), 0.35);
+        let ev = UpdateEvent::insert_object(rnn_monitor::roadnet::ObjectId(i), at);
+        gma.apply(ev);
+        eng.apply(ev);
+    }
+    let q = QueryId(7);
+    let home = NetPoint::new(rnn_monitor::roadnet::EdgeId(3), 0.5);
+    gma.apply(UpdateEvent::install_query(q, 4, home));
+    eng.apply(UpdateEvent::install_query(q, 4, home));
+    assert_eq!(eng.changed_queries(), [q]);
+    assert_eq!(gma.changed_queries(), [q]);
+
+    let install = QueryEvent::Install {
+        id: q,
+        k: 4,
+        at: home,
+    };
+    let remove = QueryEvent::Remove { id: q };
+    let cases: [(&str, Vec<QueryEvent>, usize); 3] = [
+        ("identical re-Install", vec![install], 0),
+        ("[Remove, Install]", vec![remove, install], 0),
+        ("plain Remove", vec![remove], 1),
+    ];
+    for (what, queries, want) in cases {
+        let batch = UpdateBatch {
+            queries,
+            ..Default::default()
+        };
+        let by_gma = gma.tick(&batch).results_changed;
+        let by_eng = eng.tick(&batch).results_changed;
+        assert_eq!(by_gma, want, "{what}: Gma");
+        assert_eq!(by_eng, want, "{what}: engine");
+        assert_eq!(eng.changed_queries(), gma.changed_queries(), "{what}");
+        compare_monitors(&gma, &[&eng], 0);
+    }
+    assert!(eng.query_ids().is_empty());
 }
 
 #[test]

@@ -905,6 +905,433 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The change list, taken literally: after every call it is the sorted
+// brute-force diff of full copies of every answer.
+// ---------------------------------------------------------------------
+
+use std::collections::BTreeMap;
+
+use rnn_monitor::engine::ShardAlgo;
+
+/// Full copies of every registered query's `(kNN_dist bits, result)`, as
+/// of the last checked call.
+#[derive(Default)]
+struct KeptAnswers(BTreeMap<QueryId, (u64, Vec<Neighbor>)>);
+
+impl KeptAnswers {
+    /// Holds the monitor's change list — and, after a tick, its
+    /// `results_changed` — against the diff of the kept copies with the
+    /// answers read back now, then keeps those. A query the call installed
+    /// is diffed against `(∞, [])`; a removed one counts towards
+    /// `results_changed` if it had an answer.
+    fn check(&mut self, m: &dyn ContinuousMonitor, report: Option<TickReport>, what: &str) {
+        let now: BTreeMap<QueryId, (u64, Vec<Neighbor>)> = m
+            .query_ids()
+            .into_iter()
+            .map(|q| {
+                let answer = (
+                    m.knn_dist(q).unwrap().to_bits(),
+                    m.result(q).unwrap().to_vec(),
+                );
+                (q, answer)
+            })
+            .collect();
+        let unanswered = (f64::INFINITY.to_bits(), Vec::new());
+        let want: Vec<QueryId> = now
+            .iter()
+            .filter(|(q, answer)| self.0.get(q).unwrap_or(&unanswered) != *answer)
+            .map(|(&q, _)| q)
+            .collect();
+        assert_eq!(
+            m.changed_queries(),
+            want.as_slice(),
+            "{what}: the change list is not the brute-force diff"
+        );
+        if let Some(report) = report {
+            let removed_with_answer = self
+                .0
+                .iter()
+                .filter(|(q, answer)| !now.contains_key(q) && !answer.1.is_empty())
+                .count();
+            assert_eq!(
+                report.results_changed,
+                want.len() + removed_with_answer,
+                "{what}: results_changed"
+            );
+        }
+        self.0 = now;
+    }
+}
+
+/// A random program of batches and out-of-band events over at most 14
+/// objects (a third of the placements pile on one spot, so ties and
+/// underfull queries occur) and 5 query ids, with the registry it implies
+/// replayed event by event.
+struct ChangeProgram {
+    rng: u64,
+    ne: usize,
+    pile: NetPoint,
+    objects: BTreeMap<ObjectId, NetPoint>,
+    book: BTreeMap<QueryId, (usize, NetPoint)>,
+    weights: EdgeWeights,
+}
+
+impl ChangeProgram {
+    const OBJECT_IDS: u64 = 14;
+    const QUERY_IDS: u64 = 5;
+
+    fn new(net: &RoadNetwork, seed: u64) -> Self {
+        let mut program = Self {
+            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            ne: net.num_edges(),
+            pile: NetPoint::new(EdgeId(0), 0.5),
+            objects: BTreeMap::new(),
+            book: BTreeMap::new(),
+            weights: EdgeWeights::from_base(net),
+        };
+        program.pile = tie_prone_point(program.next(), program.ne);
+        program
+    }
+
+    fn next(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+
+    fn spot(&mut self) -> NetPoint {
+        if self.next() % 3 == 0 {
+            self.pile
+        } else {
+            tie_prone_point(self.next(), self.ne)
+        }
+    }
+
+    /// A k below, at, and above the object count.
+    fn some_k(&mut self) -> usize {
+        let n = self.objects.len();
+        [1, 2, 3, n.max(1), n + 1, 50][(self.next() % 6) as usize]
+    }
+
+    fn some_query(&mut self) -> QueryId {
+        QueryId((self.next() % Self::QUERY_IDS) as u32)
+    }
+
+    /// A move, delete or — unless `no_insert` — insert of a random object.
+    fn object_event(&mut self, no_insert: bool) -> ObjectEvent {
+        let id = ObjectId((self.next() % Self::OBJECT_IDS) as u32);
+        let ev = match self.next() % 4 {
+            0 => ObjectEvent::Delete { id },
+            1 if !no_insert => ObjectEvent::Insert {
+                id,
+                at: self.spot(),
+            },
+            _ => ObjectEvent::Move {
+                id,
+                to: self.spot(),
+            },
+        };
+        match ev {
+            ObjectEvent::Delete { id } => self.objects.remove(&id),
+            ObjectEvent::Insert { id, at: to } | ObjectEvent::Move { id, to } => {
+                self.objects.insert(id, to)
+            }
+        };
+        ev
+    }
+
+    fn edge_update(&mut self) -> EdgeWeightUpdate {
+        let edge = EdgeId((self.next() % self.ne as u64) as u32);
+        let new_weight = self.weights.get(edge) * [0.5, 2.0][(self.next() % 2) as usize];
+        self.weights.set(edge, new_weight);
+        EdgeWeightUpdate { edge, new_weight }
+    }
+
+    /// An install of `id`: of a new query anywhere, of a registered one in
+    /// place (identical, or at another k) or elsewhere.
+    fn install(&mut self, id: QueryId) -> QueryEvent {
+        let (k, at) = match self.book.get(&id).copied() {
+            None => (self.some_k(), self.spot()),
+            Some((k, at)) => match self.next() % 3 {
+                0 => (k, at),
+                1 => (self.some_k(), at),
+                _ => (k, self.spot()),
+            },
+        };
+        self.book.insert(id, (k, at));
+        QueryEvent::Install { id, k, at }
+    }
+
+    fn remove(&mut self, id: QueryId) -> QueryEvent {
+        self.book.remove(&id);
+        QueryEvent::Remove { id }
+    }
+
+    /// Appends one random event to `batch` (for a `[Remove, Install]` of
+    /// one id, two).
+    fn push_event(&mut self, batch: &mut UpdateBatch) {
+        match self.next() % 10 {
+            0..=2 => {
+                let ev = self.object_event(false);
+                batch.objects.push(ev);
+            }
+            3 => {
+                // Moves go to registered queries only: a move of a query
+                // the same batch removed would bring it back, which is not
+                // what this program is about.
+                let id = self.some_query();
+                if let Some(entry) = self.book.get(&id).copied() {
+                    let to = self.spot();
+                    self.book.insert(id, (entry.0, to));
+                    batch.queries.push(QueryEvent::Move { id, to });
+                }
+            }
+            4 => {
+                let id = self.some_query();
+                batch.queries.push(self.remove(id));
+            }
+            5 | 6 => {
+                let id = self.some_query();
+                batch.queries.push(self.install(id));
+            }
+            7 => {
+                let id = self.some_query();
+                if let Some((k, at)) = self.book.get(&id).copied() {
+                    batch.queries.push(self.remove(id));
+                    let k = if self.next() % 2 == 0 {
+                        k
+                    } else {
+                        self.some_k()
+                    };
+                    self.book.insert(id, (k, at));
+                    batch.queries.push(QueryEvent::Install { id, k, at });
+                }
+            }
+            _ => {
+                let update = self.edge_update();
+                batch.edges.push(update);
+            }
+        }
+    }
+
+    /// Runs the program on `m`, checking the change list after every call.
+    /// `live_inserts` says whether `m` serves an out-of-band object insert
+    /// while queries are registered (the engine does; for a single monitor
+    /// it is a bulk-loading call).
+    fn run(
+        &mut self,
+        m: &mut dyn ContinuousMonitor,
+        kept: &mut KeptAnswers,
+        n_objects: usize,
+        live_inserts: bool,
+        what: &str,
+    ) {
+        for i in 0..n_objects {
+            let (id, at) = (ObjectId(i as u32), self.spot());
+            self.objects.insert(id, at);
+            m.apply(UpdateEvent::insert_object(id, at));
+            kept.check(m, None, &format!("{what}, bulk insert {i}"));
+        }
+        for _ in 0..3 {
+            let id = self.some_query();
+            if !self.book.contains_key(&id) {
+                let QueryEvent::Install { id, k, at } = self.install(id) else {
+                    unreachable!()
+                };
+                m.apply(UpdateEvent::install_query(id, k, at));
+                kept.check(
+                    m,
+                    None,
+                    &format!("{what}, out-of-band install of {id:?} k {k}"),
+                );
+            }
+        }
+        let mut fresh_object = 100;
+        for round in 0..8 {
+            let what = format!("{what}, round {round}");
+            if self.next() % 4 > 0 {
+                let mut batch = UpdateBatch::default();
+                for _ in 0..self.next() % 7 {
+                    self.push_event(&mut batch);
+                }
+                let report = m.tick(&batch);
+                kept.check(m, Some(report), &format!("{what}, tick {batch:?}"));
+            } else {
+                let id = self.some_query();
+                let (event, report_counts) = match self.next() % 5 {
+                    0 if !self.book.contains_key(&id) => {
+                        let QueryEvent::Install { id, k, at } = self.install(id) else {
+                            unreachable!()
+                        };
+                        (UpdateEvent::install_query(id, k, at), false)
+                    }
+                    1 => {
+                        self.remove(id);
+                        (UpdateEvent::remove_query(id), false)
+                    }
+                    2 if live_inserts || self.book.is_empty() => {
+                        fresh_object += 1;
+                        let (id, at) = (ObjectId(fresh_object), self.spot());
+                        self.objects.insert(id, at);
+                        (UpdateEvent::insert_object(id, at), false)
+                    }
+                    3 => (UpdateEvent::Edge(self.edge_update()), true),
+                    // Everything but a bulk insert goes through `tick`.
+                    _ => (UpdateEvent::Object(self.object_event(true)), true),
+                };
+                let report = m.apply(event);
+                kept.check(
+                    m,
+                    report_counts.then_some(report),
+                    &format!("{what}, out-of-band {event:?}"),
+                );
+            }
+            let mut registered = m.query_ids();
+            registered.sort();
+            let booked: Vec<QueryId> = self.book.keys().copied().collect();
+            assert_eq!(
+                registered, booked,
+                "{what}: the program lost track of the registry"
+            );
+        }
+
+        // The round random programs never hit: kNN_dist moves under a
+        // result that stands. With k = the object count the answer is full
+        // and kNN_dist its last distance; at k + 1 the same objects are
+        // one short, and kNN_dist is ∞.
+        let n = self.objects.len();
+        if n == 0 {
+            return;
+        }
+        let (id, at) = (QueryId(40), self.spot());
+        let reinstall = |m: &mut dyn ContinuousMonitor, k: usize, kept: &mut KeptAnswers| {
+            let batch = UpdateBatch {
+                queries: vec![QueryEvent::Install { id, k, at }],
+                ..Default::default()
+            };
+            let report = m.tick(&batch);
+            kept.check(
+                m,
+                Some(report),
+                &format!("{what}, {id:?} at k = {k} of {n} objects"),
+            );
+            (m.knn_dist(id).unwrap(), m.result(id).unwrap().to_vec())
+        };
+        let (knn_full, full) = reinstall(m, n, kept);
+        assert_eq!(full.len(), n, "{what}: every object is reachable");
+        assert!(knn_full.is_finite());
+        let (knn_short, short) = reinstall(m, n + 1, kept);
+        assert_eq!(short, full, "{what}: the result stands");
+        assert!(knn_short.is_infinite());
+        assert_eq!(m.changed_queries(), [id], "{what}: kNN_dist alone moved");
+        let (knn_again, _) = reinstall(m, n, kept);
+        assert_eq!(knn_again.to_bits(), knn_full.to_bits());
+        assert_eq!(
+            m.changed_queries(),
+            [id],
+            "{what}: kNN_dist alone moved back"
+        );
+        self.book.insert(id, (n, at));
+    }
+}
+
+/// One monitor, one program, every call checked.
+fn lists_exactly_the_queries_it_changed(
+    make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
+    shape: usize,
+    seed: u64,
+    n_objects: usize,
+) {
+    let net = Arc::new(lemma1_network(shape, seed));
+    let mut m = make(net.clone());
+    let what = format!("{} shape {shape} seed {seed} objects {n_objects}", m.name());
+    let mut kept = KeptAnswers::default();
+    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, false, &what);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ovh_lists_exactly_the_queries_it_changed(
+        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
+    ) {
+        lists_exactly_the_queries_it_changed(|net| Box::new(Ovh::new(net)), shape, seed, n_objects);
+    }
+
+    #[test]
+    fn ima_lists_exactly_the_queries_it_changed(
+        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
+    ) {
+        lists_exactly_the_queries_it_changed(|net| Box::new(Ima::new(net)), shape, seed, n_objects);
+    }
+
+    #[test]
+    fn gma_lists_exactly_the_queries_it_changed(
+        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
+    ) {
+        lists_exactly_the_queries_it_changed(|net| Box::new(Gma::new(net)), shape, seed, n_objects);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The same literal check one layer up: a 4-shard engine over each of
+    /// the three shard monitors. Wide queries (k at and above the object
+    /// count) make halos grow through several reconcile rounds, in which a
+    /// query is reported more than once; then a query is moved across a
+    /// border, and moved across and back in one batch — a flap that ends
+    /// where it started and must count as no change.
+    #[test]
+    fn engine_lists_exactly_the_queries_it_changed(
+        algo in 0usize..3, seed in 0u64..1000, n_objects in 0usize..14,
+    ) {
+        let net = Arc::new(random_grid(seed));
+        let algo = [ShardAlgo::Ovh, ShardAlgo::Ima, ShardAlgo::Gma][algo];
+        let mut eng = ShardedEngine::new(
+            net.clone(),
+            EngineConfig { num_shards: 4, algo, ..EngineConfig::default() },
+        );
+        let what = format!("ENG-4 over {algo:?}, seed {seed}, objects {n_objects}");
+        let mut kept = KeptAnswers::default();
+        let mut program = ChangeProgram::new(&net, seed);
+        program.run(&mut eng, &mut kept, n_objects, true, &what);
+        if let Err(msg) = eng.validate_replication() {
+            prop_assert!(false, "{}: {}", what, msg);
+        }
+
+        // A query on one side of a border …
+        let id = QueryId(41);
+        let home = NetPoint::new(EdgeId(0), 0.25);
+        let abroad = net
+            .edge_ids()
+            .find(|&e| eng.partition().shard_of_edge(e) != eng.partition().shard_of_edge(home.edge))
+            .map(|e| NetPoint::new(e, 0.75))
+            .expect("a 4-way split has foreign edges");
+        let mut tick = |queries: Vec<QueryEvent>, kept: &mut KeptAnswers, step: &str| {
+            let batch = UpdateBatch { queries, ..Default::default() };
+            let report = eng.tick(&batch);
+            kept.check(&eng, Some(report), &format!("{what}, {step}"));
+            (report.results_changed, eng.changed_queries().to_vec())
+        };
+        tick(vec![QueryEvent::Install { id, k: 3, at: home }], &mut kept, "install at home");
+        // … moved across it and back in one batch: two re-homings, the
+        // answer it started with.
+        let there_and_back = vec![
+            QueryEvent::Move { id, to: abroad },
+            QueryEvent::Move { id, to: home },
+        ];
+        let (count, list) = tick(there_and_back, &mut kept, "across the border and back");
+        prop_assert_eq!(count, 0, "{}: a flap that ends where it started", what);
+        prop_assert!(list.is_empty());
+        // … and moved across it for good.
+        tick(vec![QueryEvent::Move { id, to: abroad }], &mut kept, "across the border");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Dynamic re-partitioning: cell reassignment invariants.
 // ---------------------------------------------------------------------
 
