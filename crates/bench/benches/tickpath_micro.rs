@@ -323,8 +323,8 @@ fn shard_exchange(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(800));
 
-    // 5K single-install exchanges, as `Scenario::install_into` drives them
-    // through the engine: each ships the one query it installed.
+    // 5K single-install exchanges — 5K `apply(Install)` calls, as a shard
+    // sees them: each ships the one query it installed.
     group.bench_function("install_5k", |b| {
         b.iter_batched(
             || (populated(1), ShardTickState::new()),

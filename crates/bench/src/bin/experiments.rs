@@ -364,7 +364,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        // Recovery smoke: every durable run crashes its first shard at a
+        // Recovery smoke: every durable run crashes each shard at a
         // pinned delivered-frame budget, so each CLU-n-D row must record
         // at least one recovery and at least one snapshot; each recovery
         // must have replayed only the journal *suffix* behind the latest

@@ -363,7 +363,7 @@ fn cluster(scale: f64, seed: u64) -> Vec<(String, Params)> {
 }
 
 /// Durability (not in the paper): the fault-free loopback cluster
-/// against durable clusters whose first shard is crashed once mid-run
+/// against durable clusters whose shards are each crashed once mid-run
 /// (delivered-frame budget) and rebuilt from monitor-state snapshot +
 /// journal-suffix replay. The artifact sizes the durability plane
 /// (snapshot KB, journal length) and pins the recovery bound: frames

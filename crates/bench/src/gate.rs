@@ -82,10 +82,9 @@ pub const GATE_SPECS: &[GateSpec] = &[
         seed: 42,
     },
     GateSpec {
-        // Durable shards with the first shard crashed at a pinned
-        // delivered-frame budget: the crash tick, the snapshot a respawn
-        // restores from, and the journal suffix it replays are all
-        // deterministic, so
+        // Durable shards, each crashed at a pinned delivered-frame
+        // budget: the crash tick, the snapshot a respawn restores from,
+        // and the journal suffix it replays are all deterministic, so
         // `replayed_per_recovery` is an exact number the gate can hold to
         // the O(WAL-suffix) bound — a regression means recovery started
         // replaying history a snapshot should have absorbed.

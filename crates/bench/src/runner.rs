@@ -32,21 +32,20 @@ pub enum Link {
     /// Loopback with the durability plane on and a crash injected: every
     /// shard snapshots its monitor state each [`DURABLE_SNAPSHOT_EVERY`]
     /// journaled event frames, its transport kills the service after
-    /// [`DURABLE_CRASH_AFTER_FRAMES`] delivered frames, and recovery
-    /// rebuilds from snapshot + journal suffix. Sizes crash recovery:
+    /// [`CRASH_AFTER_FRAMES`] delivered frames, and recovery rebuilds from
+    /// snapshot + journal suffix. Sizes crash recovery:
     /// recoveries, frames replayed per recovery (the O(WAL-suffix) bound
     /// the CI gate pins), snapshot bytes.
     Durable,
     /// [`Link::Durable`] with quorum replication on and a leader kill
     /// injected: every shard streams its event frames to
     /// [`REPLICATION_FACTOR`] follower replicas (majority quorum), its
-    /// transport kills the service after
-    /// [`REPLICATED_CRASH_AFTER_FRAMES`] delivered frames, and respawns
-    /// are stillborn — so the recovery budget burns down and a follower
-    /// is *promoted*, serving the back half of the run. Work counters
-    /// stay bit-identical to [`Link::InProcess`] through the failover;
-    /// the commit-lag and replica-byte columns size the replication
-    /// plane.
+    /// transport kills the service after [`CRASH_AFTER_FRAMES`] delivered
+    /// frames, and respawns are stillborn — so the recovery budget burns
+    /// down and a follower is *promoted*, serving the back half of the
+    /// run. Work counters stay bit-identical to [`Link::InProcess`]
+    /// through the failover; the commit-lag and replica-byte columns size
+    /// the replication plane.
     Replicated,
 }
 
@@ -70,27 +69,30 @@ pub enum Ingest {
 /// Snapshot cadence of [`Link::Durable`] and [`Link::Replicated`], in
 /// journaled event frames. Pinned so the recovery artifact is
 /// deterministic; the replayed-per-recovery bound asserted by the
-/// recovery smoke is this plus the in-flight frame.
-pub const DURABLE_SNAPSHOT_EVERY: u32 = 8;
+/// recovery smoke is this plus the in-flight frame. Three, because a run
+/// journals one event frame per shard per timestamp (the tick's batch; a
+/// resync round now and then) and the population is one more — 8 over
+/// the CI smokes' 7 ticks — so every shard has a snapshot and a suffix
+/// behind it when [`CRASH_AFTER_FRAMES`] comes.
+pub const DURABLE_SNAPSHOT_EVERY: u32 = 3;
 
-/// Delivered-frame budget after which each [`Link::Durable`] shard's
-/// transport kills its service, forcing exactly one crash and
-/// snapshot+suffix recovery per shard mid-run.
-pub const DURABLE_CRASH_AFTER_FRAMES: u32 = 30;
+/// Delivered-frame budget after which each [`Link::Durable`] and
+/// [`Link::Replicated`] shard's transport kills its service. What a shard
+/// is delivered is its event frames plus a snapshot request after every
+/// [`DURABLE_SNAPSHOT_EVERY`]-th, so six is: the population, two ticks,
+/// the first snapshot request, two more ticks — and the crash is found
+/// on the next tick, mid-run at every gated sweep point and at every
+/// shard count (each timestamp reaches every shard). A durable shard
+/// then recovers from that snapshot plus a two-frame suffix and the
+/// frame in flight, exactly once; a replicated one, its respawns
+/// stillborn, exhausts snapshot+replay recovery and promotes a follower
+/// — one failover per shard per run.
+pub const CRASH_AFTER_FRAMES: u32 = 6;
 
 /// Follower replicas per shard for [`Link::Replicated`] (majority quorum
 /// via `ReplicationConfig::with_replicas`). Two, so the log still has a
 /// live follower after one is promoted.
 pub const REPLICATION_FACTOR: u32 = 2;
-
-/// Delivered-frame budget after which each [`Link::Replicated`] shard's
-/// transport kills its service. The fault plan marks respawns stillborn,
-/// so snapshot+replay recovery is exhausted and the link must promote a
-/// follower — exactly one failover per shard per run. Lower than
-/// [`DURABLE_CRASH_AFTER_FRAMES`] so even the smallest gated sweep point
-/// kills *every* shard's leader (at 4 shards the install stream splits
-/// four ways, and the replication smoke asserts one promotion per shard).
-pub const REPLICATED_CRASH_AFTER_FRAMES: u32 = 12;
 
 /// What one row of a figure runs: a monitor and the layers stacked on it.
 #[derive(Clone, Copy, Debug)]
@@ -301,9 +303,9 @@ impl Stack {
                 ..Default::default()
             };
         }
-        let crash = |crash_after_frames, respawn_dead| {
+        let crash = |respawn_dead| {
             let fault = FaultPlan {
-                crash_after_frames,
+                crash_after_frames: CRASH_AFTER_FRAMES,
                 respawn_dead,
                 ..Default::default()
             };
@@ -318,10 +320,10 @@ impl Stack {
                 };
             }
             Link::Loopback => (FaultPlan::default(), DurabilityConfig::default()),
-            Link::Durable => crash(DURABLE_CRASH_AFTER_FRAMES, false),
+            Link::Durable => crash(false),
             Link::Replicated => {
                 cfg.replication = ReplicationConfig::with_replicas(REPLICATION_FACTOR);
-                crash(REPLICATED_CRASH_AFTER_FRAMES, true)
+                crash(true)
             }
         };
         Driven::Plain(Box::new(ClusterEngine::loopback_durable(
@@ -1076,7 +1078,7 @@ mod tests {
     #[test]
     fn replicated_cluster_fails_over_and_matches_engine_work() {
         // Enough timestamps that every shard's delivered-frame budget
-        // ([`REPLICATED_CRASH_AFTER_FRAMES`]) is exhausted mid-run, so
+        // ([`CRASH_AFTER_FRAMES`]) is exhausted mid-run, so
         // each CLU-2-R shard is served by a promoted follower at the
         // end — and the event-coupled counter columns still match the
         // in-process engine. Tree-shape-coupled work counters may

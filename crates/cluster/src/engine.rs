@@ -11,9 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rnn_core::{
-    ContinuousMonitor, MemoryUsage, Neighbor, TickReport, TransportStats, UpdateBatch, UpdateEvent,
-};
+use rnn_core::{ContinuousMonitor, MemoryUsage, Neighbor, TickReport, TransportStats, UpdateBatch};
 use rnn_engine::{EngineConfig, ShardedEngine};
 use rnn_roadnet::{EdgeId, QueryId, RoadNetwork};
 
@@ -289,10 +287,6 @@ fn connect_with_retry<S>(mut connect: impl FnMut() -> std::io::Result<S>) -> std
 impl ContinuousMonitor for ClusterEngine {
     fn name(&self) -> &'static str {
         "CLUSTER"
-    }
-
-    fn apply(&mut self, event: UpdateEvent) -> TickReport {
-        self.engine.apply(event)
     }
 
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {

@@ -416,4 +416,59 @@ mod tests {
         };
         assert_eq!(shipped(&mut live), shipped(&mut local));
     }
+
+    #[test]
+    fn a_snapshot_install_that_repeats_an_id_is_answered_and_the_service_lives() {
+        // A well-formed `MonitorState` naming a query (or an object) twice
+        // used to panic `Ima` / `Gma` inside `restore_into` and take the
+        // shard down with them. It is folded like any batch: the reply
+        // says restored or refused, and the next frame is served.
+        let net = net();
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        type Make = fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>;
+        let makes: [Make; 3] = [
+            |n| Box::new(rnn_core::Ovh::new(n)),
+            |n| Box::new(rnn_core::Ima::new(n)),
+            |n| Box::new(Gma::new(n)),
+        ];
+        for make in makes {
+            let mut donor = make(net.clone());
+            rnn_core::load_population(
+                donor.as_mut(),
+                (0..20u32).map(|o| (ObjectId(o), at(o * 3 % 60, 0.3))),
+                (0..4u32).map(|q| (QueryId(q), 3, at(q * 11, 0.6))),
+            );
+            let state = donor.snapshot_state().expect("monitor snapshots");
+            let mut twice_the_query = state.clone();
+            let mut again = state.queries[1].clone();
+            again.pos = at(50, 0.5);
+            twice_the_query.queries.push(again);
+            let mut twice_the_object = state.clone();
+            twice_the_object.objects.push((ObjectId(3), at(51, 0.5)));
+
+            for hostile in [twice_the_query, twice_the_object] {
+                let (_idle, peer) = loopback_pair(FaultPlan::default());
+                let mut service = ShardService::new(peer, make(net.clone()), false);
+                let reply = service
+                    .handle(Frame {
+                        tag: MsgTag::SnapshotInstall,
+                        seq: 0,
+                        epoch: 0,
+                        payload: hostile.to_bytes(),
+                    })
+                    .expect("an install is answered");
+                let reply = Frame::from_bytes(&reply).unwrap();
+                assert_eq!(reply.tag, MsgTag::RestoreReply);
+                assert!(matches!(reply.payload[..], [0] | [1]), "{}", donor.name());
+                let next = events(
+                    1,
+                    vec![ObjectEvent::Delete { id: ObjectId(5) }],
+                    vec![],
+                    vec![],
+                );
+                let reply = service.handle(next).expect("the service still serves");
+                assert_eq!(Frame::from_bytes(&reply).unwrap().tag, MsgTag::TickReply);
+            }
+        }
+    }
 }

@@ -503,9 +503,10 @@ impl AnchorSet {
         scratch.cuts.entries.clear();
         // Most object deltas are handed to at most one anchor: room for one
         // entry per delta up front keeps the list from creeping up to that
-        // size one re-allocation at a time.
+        // size one re-allocation at a time. (With no anchor to hand them
+        // to — a population being loaded — the list is left as it is.)
         scratch.objects.entries.clear();
-        if scratch.objects.entries.capacity() < objects.len() {
+        if !self.anchors.is_empty() && scratch.objects.entries.capacity() < objects.len() {
             counters.alloc_events += 1;
             scratch.objects.entries.reserve(objects.len());
         }

@@ -83,9 +83,7 @@ use crate::influence::{InfluenceTable, IntervalSet};
 use crate::monitor::ContinuousMonitor;
 use crate::search::StampTable;
 use crate::state::NetworkState;
-use crate::types::{
-    cmp_neighbors, Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent,
-};
+use crate::types::{cmp_neighbors, Neighbor, RootPos, UpdateBatch};
 
 struct GmaQuery {
     k: usize,
@@ -405,15 +403,6 @@ impl Gma {
                 }
             }
             (None, None) => {}
-        }
-    }
-
-    /// Re-syncs the endpoints of `seq` after a single out-of-band query
-    /// event (which needs no note of what it touched).
-    fn sync_endpoints(&mut self, seq: SeqId, counters: &mut OpCounters) {
-        self.touched_nodes.clear();
-        for n in self.endpoints_for(seq).into_iter().flatten() {
-            self.sync_node(n, counters);
         }
     }
 
@@ -771,51 +760,6 @@ impl ContinuousMonitor for Gma {
         "GMA"
     }
 
-    fn apply(&mut self, event: UpdateEvent) -> TickReport {
-        match event {
-            UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
-                self.eval_order.clear();
-                self.state.objects.insert(id, at);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
-                assert!(
-                    !self.queries.contains_key(&id),
-                    "query {id:?} already installed"
-                );
-                self.eval_order.clear();
-                self.state.queries.insert(id, (k, at));
-                let seq = self.seqs.seq_of_edge(at.edge);
-                let mut c = OpCounters::default();
-                self.install_query(id, k, at, seq, &mut c);
-                self.register_query_demand(seq, id, k, &mut c);
-                self.sync_endpoints(seq, &mut c);
-                if self.eval_query(id, &mut c) {
-                    // Room for every query was reserved by `install_query`.
-                    self.eval_order.push(id);
-                }
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Remove { id }) => {
-                self.eval_order.clear();
-                let Some(q) = self.queries.remove(&id) else {
-                    return TickReport::default();
-                };
-                self.state.queries.remove(&id);
-                let mut c = OpCounters::default();
-                let seq = q.seq;
-                self.retire_query(id, q, &mut c);
-                self.sync_endpoints(seq, &mut c);
-                TickReport::default()
-            }
-            other => {
-                let mut batch = UpdateBatch::default();
-                batch.push(other);
-                self.tick(&batch)
-            }
-        }
-    }
-
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();
@@ -1039,7 +983,7 @@ impl ContinuousMonitor for Gma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{EdgeWeightUpdate, ObjectEvent, QueryEvent};
+    use crate::types::{EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateEvent};
     use rnn_roadnet::{generators, ObjectId};
 
     /// Line of 6 nodes: one sequence, endpoints degree 1 → no active nodes.

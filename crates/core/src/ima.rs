@@ -19,7 +19,7 @@ use crate::counters::{
 use crate::monitor::ContinuousMonitor;
 use crate::state::NetworkState;
 use crate::tree::TreePool;
-use crate::types::{Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
+use crate::types::{Neighbor, RootPos, UpdateBatch};
 
 /// The incremental monitoring algorithm.
 pub struct Ima {
@@ -149,41 +149,6 @@ impl Ima {
 impl ContinuousMonitor for Ima {
     fn name(&self) -> &'static str {
         "IMA"
-    }
-
-    fn apply(&mut self, event: UpdateEvent) -> TickReport {
-        match event {
-            UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
-                self.changed.clear();
-                self.state.objects.insert(id, at);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
-                assert!(
-                    !self.by_query.contains_key(&id),
-                    "query {id:?} already installed"
-                );
-                self.changed.clear();
-                self.state.queries.insert(id, (k, at));
-                let mut c = OpCounters::default();
-                self.install_query(id, k, at, &mut c);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Remove { id }) => {
-                self.changed.clear();
-                if let Some(key) = self.by_query.remove(&id) {
-                    self.anchors.remove(key);
-                    self.by_anchor.remove(&key);
-                    self.state.queries.remove(&id);
-                }
-                TickReport::default()
-            }
-            other => {
-                let mut batch = UpdateBatch::default();
-                batch.push(other);
-                self.tick(&batch)
-            }
-        }
     }
 
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
@@ -343,7 +308,7 @@ impl ContinuousMonitor for Ima {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{EdgeWeightUpdate, ObjectEvent, QueryEvent};
+    use crate::types::{EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateEvent};
     use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId};
 
     fn setup() -> Ima {

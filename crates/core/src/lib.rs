@@ -69,7 +69,7 @@ pub mod types;
 pub use counters::{MemoryUsage, OpCounters, TickReport};
 pub use gma::Gma;
 pub use ima::Ima;
-pub use monitor::{ContinuousMonitor, TransportStats};
+pub use monitor::{load_population, ContinuousMonitor, TransportStats};
 pub use ovh::Ovh;
 pub use snapshot::{MonitorState, RestoreError};
 pub use types::{

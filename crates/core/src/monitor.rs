@@ -1,6 +1,6 @@
 //! The common interface of all continuous-monitoring algorithms.
 
-use rnn_roadnet::{EdgeId, QueryId};
+use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
 
 use crate::counters::{MemoryUsage, TickReport};
 use crate::types::{Neighbor, UpdateBatch, UpdateEvent};
@@ -20,16 +20,16 @@ pub trait ContinuousMonitor: Send {
     /// Algorithm name (for experiment reports).
     fn name(&self) -> &'static str;
 
-    /// Applies one out-of-band [`UpdateEvent`] immediately — the single
-    /// submission entry point outside [`Self::tick`].
+    /// A timestamp with one event: wraps `event` into a singleton
+    /// [`UpdateBatch`], runs [`Self::tick`] and returns that tick's real
+    /// report. This default body is the only one in the tree — there is no
+    /// path into a monitor beside `tick` — so an `apply` and the one-event
+    /// batch mean the same thing to every monitor, engine and cluster.
     ///
-    /// The default implementation wraps the event into a singleton
-    /// [`UpdateBatch`] and runs [`Self::tick`]; monitors with cheaper
-    /// out-of-band paths (e.g. an install that skips full-tick
-    /// bookkeeping) override it. High-volume producers should not call
-    /// this per event in steady state: batch through an ingest stage (see
-    /// `rnn_engine::ingest`) or build an [`UpdateBatch`] and [`Self::tick`]
-    /// once per timestamp.
+    /// It costs a whole timestamp (for [`crate::Ovh`], a recomputation of
+    /// every query): load populations through [`load_population`], and
+    /// batch a steady stream through an ingest stage (see
+    /// `rnn_engine::ingest`) or one [`UpdateBatch`] per timestamp.
     fn apply(&mut self, event: UpdateEvent) -> TickReport {
         let mut batch = UpdateBatch::default();
         batch.push(event);
@@ -50,12 +50,11 @@ pub trait ContinuousMonitor: Send {
     /// Ids of all registered queries (arbitrary order).
     fn query_ids(&self) -> Vec<QueryId>;
 
-    /// What the last [`Self::tick`] or out-of-band [`Self::apply`]
-    /// changed: the registered queries whose `(kNN_dist, result)` differs
-    /// from what it was before that call, each once, in ascending id
-    /// order. A query the call installed counts from `(∞, [])`, so it is
-    /// listed when it has an answer; a query the call removed is not
-    /// registered and never listed. This is the §4/§5 point of the
+    /// What the last [`Self::tick`] changed: the registered queries whose
+    /// `(kNN_dist, result)` differs from what it was before that call,
+    /// each once, in ascending id order. A query the call installed counts
+    /// from `(∞, [])`, so it is listed when it has an answer; a query the
+    /// call removed is not registered and never listed. This is the §4/§5 point of the
     /// monitors — only the affected queries are touched — handed to the
     /// caller, so a consumer of results reads exactly these instead of
     /// comparing every registered query against a copy of its own.
@@ -111,6 +110,47 @@ pub trait ContinuousMonitor: Send {
     /// replay for that shard).
     fn snapshot_state(&self) -> Option<crate::snapshot::MonitorState> {
         None
+    }
+}
+
+/// Events per timestamp of [`load_population`]: large enough that loading
+/// costs a handful of ticks, small enough that no tick's scratch (the
+/// coalescing lists are sized to their batch) stays resident afterwards.
+const LOAD_BATCH: usize = 4096;
+
+/// The bulk loader: feeds `objects`, then `queries` (`(id, k, position)`),
+/// into `monitor` as timestamps of [`LOAD_BATCH`] events through
+/// [`ContinuousMonitor::tick`] — the objects' timestamps first, so every
+/// query is installed over the whole population. Scenario installation
+/// and snapshot restore both load through here, so a population enters a
+/// monitor, an engine or a cluster by the same door every later event
+/// does.
+pub fn load_population(
+    monitor: &mut dyn ContinuousMonitor,
+    objects: impl IntoIterator<Item = (ObjectId, NetPoint)>,
+    queries: impl IntoIterator<Item = (QueryId, usize, NetPoint)>,
+) {
+    let inserts = objects
+        .into_iter()
+        .map(|(id, at)| UpdateEvent::insert_object(id, at));
+    let installs = queries
+        .into_iter()
+        .map(|(id, k, at)| UpdateEvent::install_query(id, k, at));
+    tick_in_batches(monitor, inserts);
+    tick_in_batches(monitor, installs);
+}
+
+fn tick_in_batches(monitor: &mut dyn ContinuousMonitor, events: impl Iterator<Item = UpdateEvent>) {
+    let mut batch = UpdateBatch::default();
+    for event in events {
+        batch.push(event);
+        if batch.len() == LOAD_BATCH {
+            monitor.tick(&batch);
+            batch.clear();
+        }
+    }
+    if !batch.is_empty() {
+        monitor.tick(&batch);
     }
 }
 

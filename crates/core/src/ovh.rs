@@ -18,7 +18,7 @@ use crate::monitor::ContinuousMonitor;
 use crate::search::{knn_search, BestK, SearchContext};
 use crate::state::NetworkState;
 use crate::tree::TreePool;
-use crate::types::{Neighbor, ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
+use crate::types::{Neighbor, RootPos, UpdateBatch};
 
 struct OvhQuery {
     k: usize,
@@ -97,46 +97,6 @@ impl Ovh {
 impl ContinuousMonitor for Ovh {
     fn name(&self) -> &'static str {
         "OVH"
-    }
-
-    fn apply(&mut self, event: UpdateEvent) -> TickReport {
-        match event {
-            UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
-                self.changed.clear();
-                self.state.objects.insert(id, at);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
-                self.changed.clear();
-                self.state.queries.insert(id, (k, at));
-                self.queries.insert(
-                    id,
-                    OvhQuery {
-                        k,
-                        pos: at,
-                        // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-                        result: Vec::new(),
-                        knn_dist: f64::INFINITY,
-                    },
-                );
-                let mut c = OpCounters::default();
-                if self.recompute(id, &mut c) {
-                    self.changed.push(id);
-                }
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Remove { id }) => {
-                self.changed.clear();
-                self.state.queries.remove(&id);
-                self.queries.remove(&id);
-                TickReport::default()
-            }
-            other => {
-                let mut batch = UpdateBatch::default();
-                batch.push(other);
-                self.tick(&batch)
-            }
-        }
     }
 
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
@@ -238,24 +198,10 @@ impl ContinuousMonitor for Ovh {
     }
 }
 
-/// Convenience: batches often install queries mid-stream; OVH accepts them
-/// through [`UpdateBatch::queries`] as well.
-impl Ovh {
-    /// Applies a single query event outside a tick (used in tests).
-    pub fn apply_query_event(&mut self, ev: QueryEvent) {
-        let batch = UpdateBatch {
-            // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-            queries: vec![ev],
-            ..Default::default()
-        };
-        self.tick(&batch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{EdgeWeightUpdate, ObjectEvent};
+    use crate::types::{EdgeWeightUpdate, ObjectEvent, UpdateEvent};
     use rnn_roadnet::{generators, EdgeId, ObjectId};
 
     fn setup() -> Ovh {
@@ -325,13 +271,13 @@ mod tests {
     #[test]
     fn query_install_and_remove_via_batch() {
         let mut ovh = setup();
-        ovh.apply_query_event(QueryEvent::Install {
-            id: QueryId(5),
-            k: 1,
-            at: NetPoint::new(EdgeId(4), 0.5),
-        });
+        ovh.apply(UpdateEvent::install_query(
+            QueryId(5),
+            1,
+            NetPoint::new(EdgeId(4), 0.5),
+        ));
         assert!(ovh.result(QueryId(5)).is_some());
-        ovh.apply_query_event(QueryEvent::Remove { id: QueryId(5) });
+        ovh.apply(UpdateEvent::remove_query(QueryId(5)));
         assert!(ovh.result(QueryId(5)).is_none());
     }
 

@@ -36,9 +36,9 @@ use rnn_roadnet::wire::{
 };
 use rnn_roadnet::{NetPoint, ObjectId, QueryId, RoadNetwork};
 
-use crate::monitor::ContinuousMonitor;
+use crate::monitor::{load_population, ContinuousMonitor};
 use crate::state::NetworkState;
-use crate::types::{EdgeWeightUpdate, Neighbor, UpdateBatch, UpdateEvent};
+use crate::types::{EdgeWeightUpdate, Neighbor, UpdateBatch};
 
 /// One query's entry in a snapshot: identity, parameters, position, and
 /// the current result (used to validate the restore: the answers the
@@ -185,11 +185,14 @@ impl MonitorState {
     }
 
     /// Restores this state into a **fresh** monitor: applies the weight
-    /// diffs as one edge-update tick, registers every object, reinstalls
-    /// every query (in id order — installation recomputes results and
-    /// expansion state from scratch), then validates each recomputed
-    /// result against the stored one (see the module docs for why the
-    /// distances compare with a tolerance, not bitwise).
+    /// diffs as one edge-update tick, loads every object and then every
+    /// query through [`load_population`] (in id order — installation
+    /// recomputes results and expansion state from scratch), then
+    /// validates each recomputed result against the stored one (see the
+    /// module docs for why the distances compare with a tolerance, not
+    /// bitwise). A state that names an id twice is folded as any batch
+    /// is — the last entry wins — and then fails or passes that
+    /// validation; it cannot panic the monitor.
     pub fn restore_into(&self, monitor: &mut dyn ContinuousMonitor) -> Result<(), RestoreError> {
         if !monitor.query_ids().is_empty() {
             return Err(RestoreError::TargetNotFresh);
@@ -201,12 +204,11 @@ impl MonitorState {
             };
             monitor.tick(&batch);
         }
-        for &(id, at) in &self.objects {
-            monitor.apply(UpdateEvent::insert_object(id, at));
-        }
-        for q in &self.queries {
-            monitor.apply(UpdateEvent::install_query(q.id, q.k, q.pos));
-        }
+        load_population(
+            monitor,
+            self.objects.iter().copied(),
+            self.queries.iter().map(|q| (q.id, q.k, q.pos)),
+        );
         for q in &self.queries {
             let got = monitor.result(q.id).unwrap_or(&[]);
             let dist = monitor.knn_dist(q.id).unwrap_or(f64::INFINITY);
@@ -273,6 +275,7 @@ impl WireCodec for MonitorState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::UpdateEvent;
     use crate::{Gma, Ima, Ovh};
     use rnn_roadnet::{generators, EdgeId};
     use std::sync::Arc;
@@ -511,6 +514,49 @@ mod tests {
             snap.restore_into(&mut fresh),
             Err(RestoreError::ResultMismatch(snap.queries[0].id))
         );
+    }
+
+    /// A well-formed state that names an id twice (a hostile or buggy
+    /// writer; the codec has no uniqueness rule) is folded like any batch:
+    /// refused with a typed error or restored to what its last entries
+    /// say — never a panic, which in a shard would take the service down.
+    #[test]
+    fn a_state_that_repeats_an_id_restores_or_is_refused_without_panicking() {
+        let n = net();
+        let mut orig = Gma::new(n.clone());
+        populate(&mut orig, &n);
+        let snap = orig.snapshot_state().unwrap();
+
+        let mut twice_the_query = snap.clone();
+        let mut again = snap.queries[0].clone();
+        again.pos = NetPoint::new(EdgeId(40), 0.5);
+        twice_the_query.queries.push(again);
+        let mut twice_the_object = snap.clone();
+        let (id, _) = snap.objects[0];
+        twice_the_object
+            .objects
+            .push((id, NetPoint::new(EdgeId(41), 0.5)));
+
+        type Make = fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>;
+        let fresh: [Make; 3] = [
+            |n| Box::new(Ovh::new(n)),
+            |n| Box::new(Ima::new(n)),
+            |n| Box::new(Gma::new(n)),
+        ];
+        for make in fresh {
+            for state in [&twice_the_query, &twice_the_object] {
+                let mut m = make(n.clone());
+                match state.restore_into(m.as_mut()) {
+                    Ok(()) => {}
+                    Err(RestoreError::ResultMismatch(_)) => {}
+                    Err(e) => panic!("{}: {e}", m.name()),
+                }
+                // Whatever the verdict, the monitor took every entry once
+                // and goes on working.
+                assert_eq!(m.query_ids().len(), snap.queries.len(), "{}", m.name());
+                m.tick(&UpdateBatch::default());
+            }
+        }
     }
 
     #[test]

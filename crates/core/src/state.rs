@@ -131,6 +131,12 @@ impl ObjectIndex {
     /// same id finds that delta in O(1) and no side table is built. Ids
     /// not in the index get an entry that is on no edge until the fold is
     /// over, so `insert → delete` and `delete → insert` fold the same way.
+    ///
+    /// Kept out of line: inlined into [`NetworkState::apply_batch`] the
+    /// fold shares registers with the edge and query folds and a tick of
+    /// 50K moves takes a quarter longer (3.6 → 4.6 ms), whichever way the
+    /// other two happen to be written.
+    #[inline(never)]
     fn apply_events(&mut self, events: &[ObjectEvent]) -> Vec<ObjectDelta> {
         let base = self.open_stamps(events.len());
         let mut deltas: Vec<ObjectDelta> = Vec::with_capacity(events.len());
@@ -405,13 +411,14 @@ impl NetworkState {
             };
             let new = match *ev {
                 QueryEvent::Move { to, .. } => {
-                    // Keep the current k: the one this tick's earlier
-                    // events gave the query, else the one it had before
-                    // the tick. A move of a query that never existed is
-                    // invalid and dropped.
-                    let k = open.and_then(|i| queries[i].new).or(old).map(|(k, _)| k);
-                    match k {
-                        Some(k) => Some((k, to)),
+                    // Keep the k the query has by now: what this tick's
+                    // earlier events left it with, else what it had before
+                    // the tick. A move of a query that is not registered
+                    // by now — never was, or removed earlier this tick —
+                    // is invalid and dropped.
+                    let current = open.map_or(old, |i| queries[i].new);
+                    match current {
+                        Some((k, _)) => Some((k, to)),
                         None => continue,
                     }
                 }
@@ -618,6 +625,28 @@ mod tests {
         };
         let tick = s.apply_batch(&batch);
         assert!(tick.queries.is_empty());
+
+        // Unknown by now counts too: a move after the batch's own remove
+        // does not bring the query back.
+        let at = NetPoint::new(EdgeId(1), 0.5);
+        s.queries.insert(QueryId(9), (2, at));
+        let batch = UpdateBatch {
+            queries: vec![
+                QueryEvent::Remove { id: QueryId(9) },
+                QueryEvent::Move {
+                    id: QueryId(9),
+                    to: NetPoint::new(EdgeId(0), 0.5),
+                },
+            ],
+            ..Default::default()
+        };
+        let tick = s.apply_batch(&batch);
+        assert_eq!(tick.queries.len(), 1);
+        assert_eq!(
+            (tick.queries[0].old, tick.queries[0].new),
+            (Some((2, at)), None)
+        );
+        assert!(s.queries.is_empty());
     }
 
     #[test]

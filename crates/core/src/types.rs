@@ -209,6 +209,27 @@ impl UpdateEvent {
 /// monitors perform that preprocessing internally, so batches may contain
 /// multiple events per entity.
 ///
+/// # What repeated and unknown ids mean
+///
+/// Each id is folded, in event order, into one `(value before the tick,
+/// value after its last event)` delta; a delta without a net effect is
+/// dropped. [`crate::state::NetworkState::apply_batch`] is that fold, the
+/// engine's router follows the same table (its ingest stage never folds
+/// across a `Delete` / `Remove`, so a drained batch means what the
+/// submitted events meant), and `tests/engine_differential.rs` enumerates
+/// every batch of up to three events against it:
+///
+/// | events of one id, in order | net effect |
+/// |---|---|
+/// | query `[Remove, Move]` | removed; a query not registered *by now* cannot move, so the move is dropped |
+/// | query `[Remove, Install]` | one re-placement at the install's `k` and position, judged against the pre-tick answer |
+/// | query `[Install, Remove]` | an unknown id: nothing happened; a live id: removed |
+/// | query `[Install, Install]` | the last install's `k` and position |
+/// | query `[Move]`, id unknown | dropped |
+/// | object `[Delete, Move]` | one move to the last position (a move of an object unknown by now is an appearance) |
+/// | object `[Move]`, id unknown | an appearance, as `Insert` |
+/// | object `[Insert]`, id known | a move |
+///
 /// The event `Vec`s are public for zero-copy construction by the engine's
 /// drain paths, but producers should prefer the [`Self::push_object`] /
 /// [`Self::push_query`] / [`Self::push_edge`] / [`Self::push`]

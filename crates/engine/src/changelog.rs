@@ -19,8 +19,8 @@
 //!
 //! Callers: `route` ([`ChangeLog::installed`], [`ChangeLog::removed`]),
 //! `rebalance`'s hand-off ([`ChangeLog::installed`]), `dispatch_pending`
-//! ([`ChangeLog::absorb`]), and `tick` / `apply`, which bracket their work
-//! with [`ChangeLog::begin`] and [`ChangeLog::finish`].
+//! ([`ChangeLog::absorb`]), and `tick`, which brackets its work with
+//! [`ChangeLog::begin`] and [`ChangeLog::finish`].
 
 use rnn_core::Neighbor;
 use rnn_roadnet::{FxHashMap, QueryId};
@@ -42,8 +42,8 @@ struct Parked {
 /// See the module docs.
 #[derive(Default)]
 pub(crate) struct ChangeLog {
-    /// The tick (or out-of-band `apply`) in progress. A record whose
-    /// `parked` stamp equals it has its entry at `parked[rec.slot]`.
+    /// The tick in progress. A record whose `parked` stamp equals it has
+    /// its entry at `parked[rec.slot]`.
     epoch: u64,
     parked: Vec<Parked>,
     /// Queries removed so far this tick: while zero, an `Install` of an

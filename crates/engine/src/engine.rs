@@ -21,23 +21,24 @@
 //! `changed_queries`). Each module owns some of the
 //! state, keeps one invariant, and is entered from a short list of places:
 //!
-//! * **`engine`** (this file) — the struct, construction, `tick` / `apply`,
+//! * **`engine`** (this file) — the struct, construction, `tick` (the
+//!   only way in: an `apply` is the trait's one-event tick),
 //!   [`ShardedEngine::tick_ingest`], `dispatch_pending`, `reconcile`,
 //!   [`ShardedEngine::validate_replication`] and the router counter block.
 //!   `dispatch_pending` is the only code that sends to or receives from a
 //!   shard, and it keeps the exchange strictly one request, one response
 //!   per shard: nothing is in flight whenever another module mutates the
 //!   partition, a halo or a registry. `reconcile` restores, before any
-//!   tick or install returns, `halo_r[s] ≥ kNN_dist(q)` for every query
-//!   `q` homed on shard `s` — looking only at the queries the last
-//!   exchange reported, except where a full walk is due (see
-//!   [`crate::halo`], "Demand is folded, not recomputed").
+//!   tick or hand-off returns, `halo_r[s] ≥ kNN_dist(q)` for every query
+//!   `q` homed on shard `s` — one walk over the registry, then only the
+//!   queries each resync exchange reports (see [`crate::halo`], "Demand
+//!   is folded, not recomputed").
 //! * **[`crate::route`]** — object and query events → per-shard pending
 //!   events, plus the edge→object and edge→query indexes. Keeps every
 //!   object's shard mask equal to its edge's visibility mask and every
 //!   query homed on (and indexed under) the owner of its edge. Entered
-//!   from `tick` and `apply`, once per event; this is the steady-state
-//!   path and is statically checked to be allocation-free.
+//!   from `tick`, once per event; this is the steady-state path and is
+//!   statically checked to be allocation-free.
 //! * **[`crate::halo`]** — `HaloRing`, halo recompute, ring shrink, the
 //!   changed-edge replica resync and the shrink hysteresis. Keeps
 //!   `edge_mask[e] = owner | { s : e ∈ halo(s) }`. Entered from `tick`
@@ -55,7 +56,7 @@ use std::time::Instant;
 
 use rnn_core::{
     ContinuousMonitor, MemoryUsage, Neighbor, ObjectEvent, OpCounters, QueryEvent, TickReport,
-    UpdateBatch, UpdateEvent,
+    UpdateBatch,
 };
 use rnn_roadnet::{
     DijkstraEngine, EdgeId, EdgeObjectIndex, EdgeWeights, FxHashMap, FxHashSet, NetPoint,
@@ -211,8 +212,8 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// started do not count as changes; after the tick, what it changed.
     pub(crate) log: ChangeLog,
     /// Per-shard halo demand: the largest `kNN_dist` among the queries the
-    /// last exchange reported, or among all of a shard's queries after a
-    /// full walk (see [`crate::halo`], "Demand is folded, not
+    /// last exchange reported, or among all of a shard's queries after
+    /// `reconcile` (see [`crate::halo`], "Demand is folded, not
     /// recomputed").
     pub(crate) demand: Vec<f64>,
     /// Reused scratch of the halo passes: the edges whose halo membership
@@ -230,9 +231,9 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// when a tick starts, merged into its report) and the lifetime fold
     /// the public getters read. Both only ever move through
     /// [`Self::count`]. `resync_touched` counts *distinct* objects per
-    /// maintenance cycle (`resync_seen` dedups revisits when an edge
-    /// toggles more than once in a tick), so a single tick's count can
-    /// never exceed the object total.
+    /// tick (`resync_seen` dedups revisits when an edge toggles more than
+    /// once in a tick), so a single tick's count can never exceed the
+    /// object total.
     pub(crate) router_tick: OpCounters,
     pub(crate) router_total: OpCounters,
     pub(crate) resync_seen: FxHashSet<ObjectId>,
@@ -654,16 +655,13 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// capped at the diameter bound, which already covers everything
     /// reachable.
     ///
-    /// The demand it covers is the one in `self.demand`: what the caller's
-    /// last exchange reported, or — with `full` — every query's, walked
-    /// once here. Later rounds look only at what their own exchange
-    /// reported. A `full` reconcile leaves the exact per-shard demand in
-    /// `self.demand` for the shrink pass.
-    pub(crate) fn reconcile(&mut self, full: bool) {
-        if full {
-            self.fold_all_demand();
-        }
-        let mut exact = full;
+    /// The first round covers every query's demand, walked once here;
+    /// later rounds look only at what their own exchange reported. The
+    /// exact per-shard demand is left in `self.demand` for the shrink
+    /// pass.
+    pub(crate) fn reconcile(&mut self) {
+        self.fold_all_demand();
+        let mut exact = true;
         loop {
             self.cap_underfull_demand();
             self.halo_pass(|eng, toggled| {
@@ -680,68 +678,19 @@ impl<L: ShardLink> ShardedEngine<L> {
             }
             exact = false;
         }
-        if full && !exact {
+        if !exact {
             // A resync round only ever lowers demands; the shrink pass
             // wants them as they stand now.
             self.fold_all_demand();
             self.cap_underfull_demand();
         }
-        debug_assert!(self.demand_is_covered(full));
+        debug_assert!(self.demand_is_covered());
     }
 }
 
 impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
     fn name(&self) -> &'static str {
         "SHARDED"
-    }
-
-    fn apply(&mut self, event: UpdateEvent) -> TickReport {
-        match event {
-            // The out-of-band arms reconcile over what their one exchange
-            // reported: nothing else's demand moved (weights, and with them
-            // the ∞ cap, only change in `tick`).
-            UpdateEvent::Object(ObjectEvent::Insert { id, at }) => {
-                self.log.begin();
-                self.route_object_event(&ObjectEvent::Insert { id, at });
-                // During bulk loading (no queries yet) the events stay
-                // buffered and ship with the next install/tick. With live
-                // queries the insert must be visible immediately, like in
-                // the single monitors.
-                if !self.queries.is_empty() {
-                    self.resync_seen.clear();
-                    if self.dispatch_pending(BatchKind::Tick) {
-                        self.reconcile(false);
-                    }
-                }
-                self.log.finish(&self.queries);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Install { id, k, at }) => {
-                self.log.begin();
-                self.route_query_event(&QueryEvent::Install { id, k, at });
-                self.resync_seen.clear();
-                if self.dispatch_pending(BatchKind::Tick) {
-                    self.reconcile(false);
-                }
-                self.log.finish(&self.queries);
-                TickReport::default()
-            }
-            UpdateEvent::Query(QueryEvent::Remove { id }) => {
-                self.log.begin();
-                self.route_query_event(&QueryEvent::Remove { id });
-                self.dispatch_pending(BatchKind::Tick);
-                // The freed halo radius decays on subsequent ticks
-                // (hysteresis), not here: eager shrinking would thrash on
-                // remove+reinstall.
-                self.log.finish(&self.queries);
-                TickReport::default()
-            }
-            other => {
-                let mut batch = UpdateBatch::default();
-                batch.push(other);
-                self.tick(&batch)
-            }
-        }
     }
 
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
@@ -785,12 +734,11 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         }
 
         // 4. Fan out, grow halos until every result is covered, then let
-        //    oversized halos decay. This reconcile is the tick's one full
-        //    demand walk: weights, and with them the cap on underfull
-        //    demand, may have moved, and the shrink pass needs every
-        //    shard's exact demand.
+        //    oversized halos decay: weights, and with them the cap on
+        //    underfull demand, may have moved, and the shrink pass needs
+        //    every shard's exact demand.
         self.dispatch_pending(BatchKind::Tick);
-        self.reconcile(true);
+        self.reconcile();
         self.maybe_shrink_halos();
 
         // A query counts as changed only if its final answer differs from
@@ -932,6 +880,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::config::ShardAlgo;
+    use rnn_core::UpdateEvent;
     use rnn_roadnet::generators::{grid_city, GridCityConfig};
 
     pub(crate) fn net() -> Arc<RoadNetwork> {

@@ -41,25 +41,21 @@
 //!
 //! ## Demand is folded, not recomputed
 //!
-//! `reconcile` does not look at every query to find out whether a halo
-//! must grow. `dispatch_pending` folds the `kNN_dist` of each query an
-//! exchange reports into a per-shard maximum (`demand`), and `reconcile`
-//! compares only that with the radius. What makes this enough is an
-//! invariant kept between full walks: **`halo_r[s]` is at least the
-//! demand of every query of shard `s` that no exchange has reported since
-//! the last full walk** — such a query's `kNN_dist` is what it was when a
-//! reconcile last covered it, and between full walks a radius only grows.
-//! The three things that can break it force a full walk (every query's
-//! demand, one pass over the registry) at the point where they happen: a
-//! weight change moves the diameter cap that stands in for underfull (∞)
-//! demand, a hand-off moves queries between shards, and the shrink pass
-//! lowers radii — so `tick` and the hand-off tail reconcile in full, and
-//! the shrink pass reads the exact demand that full reconcile leaves
-//! behind. The out-of-band `apply` arms (one install, one insert) fold
-//! only what their one exchange reported, which is what keeps installing
-//! Q queries O(Q) instead of O(Q²). Every `reconcile` ends by asserting,
-//! in debug builds, that the radii cover a from-scratch recomputation of
-//! the demand (and that a full reconcile's folded demand equals it), so
+//! `reconcile` walks the registry once, for the exact per-shard demand
+//! (the largest `kNN_dist` homed on each shard): a weight change moves
+//! the diameter cap that stands in for underfull (∞) demand, a hand-off
+//! moves queries between shards and the shrink pass lowers radii, so a
+//! tick and a hand-off tail both start from every query. The resync
+//! rounds that follow do not walk it again: `dispatch_pending` folds the
+//! `kNN_dist` of each query an exchange reports into `demand`, and a
+//! round compares only that with the radius. This is enough because
+//! **`halo_r[s]` already covers every query of shard `s` the round's
+//! exchange did not report** — such a query's `kNN_dist` is what the
+//! previous round covered, and within a `reconcile` a radius only grows.
+//! If any round ran, the registry is walked once more at the end, so
+//! `maybe_shrink_halos` reads the exact demand. Every `reconcile` ends by
+//! asserting, in debug builds, that the radii cover a from-scratch
+//! recomputation of the demand and that the folded demand equals it, so
 //! every test run checks the invariant.
 //!
 //! ## Replica lifecycle: grow, shrink, evict
@@ -203,8 +199,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// Lifetime count of objects examined by replica resync (distinct per
-    /// maintenance cycle — a tick or an out-of-band install/insert).
-    /// Proves the O(changed-edges) claim: a halo rebuild visits only the
+    /// tick). Proves the O(changed-edges) claim: a halo rebuild visits only the
     /// residents of the edges whose membership toggled, not the whole
     /// object table, so a single tick can never reach the object count.
     pub fn resync_touched(&self) -> u64 {
@@ -341,7 +336,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// demanded radius and evict the replicas beyond it. Safe by the same
     /// argument as growth, in reverse: everything evicted is farther from
     /// the boundary than every owned query's `kNN_dist`. Reads the exact
-    /// per-shard demand the tick's full `reconcile` left in `self.demand`.
+    /// per-shard demand the tick's `reconcile` left in `self.demand`.
     pub(crate) fn maybe_shrink_halos(&mut self) {
         let slack = 1.0 + self.cfg.halo_slack;
         let trigger = self.cfg.halo_shrink_trigger.max(1.0);
@@ -409,16 +404,14 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// What `reconcile` promises, checked against a from-scratch
     /// recomputation (debug builds): every shard's radius covers the
-    /// demand of every query homed on it — the queries no exchange
-    /// reported included — and, after a `full` reconcile, `demand` is that
-    /// recomputation exactly.
-    pub(crate) fn demand_is_covered(&mut self, full: bool) -> bool {
+    /// demand of every query homed on it — the queries no resync round
+    /// reported included — and `demand` is that recomputation exactly.
+    pub(crate) fn demand_is_covered(&mut self) -> bool {
         let folded = self.demand.clone();
         self.fold_all_demand();
         self.cap_underfull_demand();
         let exact = std::mem::replace(&mut self.demand, folded);
-        (0..self.cfg.num_shards).all(|s| self.halo_r[s] >= exact[s])
-            && (!full || exact == self.demand)
+        (0..self.cfg.num_shards).all(|s| self.halo_r[s] >= exact[s]) && exact == self.demand
     }
 }
 

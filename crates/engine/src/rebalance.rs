@@ -283,8 +283,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         }
         self.resync_changed(&changed);
         self.dispatch_pending(BatchKind::Migration);
-        // Queries changed shards: every shard's demand is walked anew.
-        self.reconcile(true);
+        self.reconcile();
     }
 
     /// Reacts to a shard link reporting itself permanently down. Without
@@ -356,7 +355,9 @@ impl<L: ShardLink> ShardedEngine<L> {
 mod tests {
     use std::sync::atomic::Ordering;
 
-    use rnn_core::{ContinuousMonitor, Gma, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent};
+    use rnn_core::{
+        load_population, ContinuousMonitor, Gma, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent,
+    };
     use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, ObjectId, QueryId};
     use rnn_workload::{Scenario, ScenarioConfig};
 
@@ -369,29 +370,26 @@ mod tests {
     /// shard, then churns the cluster every tick so all monitor work lands
     /// on that shard.
     fn hotspot_setup<L: ShardLink>(eng: &mut ShardedEngine<L>) -> Vec<(QueryId, EdgeId)> {
-        let n = eng.net.num_edges();
-        for (i, e) in (0..n).enumerate() {
-            eng.apply(UpdateEvent::insert_object(
-                ObjectId(i as u32),
-                NetPoint::new(EdgeId(e as u32), 0.5),
-            ));
-        }
         let hot = eng.partition.shard_of_edge(EdgeId(0));
-        let cluster: Vec<EdgeId> = eng
+        let placed: Vec<(QueryId, EdgeId)> = eng
             .net
             .edge_ids()
             .filter(|&e| eng.partition.shard_of_edge(e) == hot)
             .take(6)
+            .enumerate()
+            .map(|(q, e)| (QueryId(q as u32), e))
             .collect();
-        let mut placed = Vec::new();
-        for (q, &e) in cluster.iter().enumerate() {
-            eng.apply(UpdateEvent::install_query(
-                QueryId(q as u32),
-                4,
-                NetPoint::new(e, 0.25),
-            ));
-            placed.push((QueryId(q as u32), e));
-        }
+        // Two timestamps (objects, then queries): inside a cooldown of two
+        // set-up cannot rebalance, so a caller that sums the per-tick
+        // reports of its own ticks sees every migration.
+        let edges: Vec<EdgeId> = eng.net.edge_ids().collect();
+        load_population(
+            eng,
+            edges
+                .iter()
+                .map(|&e| (ObjectId(e.0), NetPoint::new(e, 0.5))),
+            placed.iter().map(|&(q, e)| (q, 4, NetPoint::new(e, 0.25))),
+        );
         placed
     }
 

@@ -6,10 +6,9 @@
 //! path. The invariant it maintains: an object's `mask` equals the
 //! visibility mask of the edge it sits on (owner plus every shard whose
 //! halo holds that edge), and a query is homed on the shard owning its
-//! edge and indexed on that edge. Callers: `tick` and `apply` only, once
-//! per event; everything here runs in reused capacity except the first
-//! install of a query id, and a known entity's record is rewritten where
-//! it lies.
+//! edge and indexed on that edge. Caller: `tick` only, once per event;
+//! everything here runs in reused capacity except the first install of a
+//! query id, and a known entity's record is rewritten where it lies.
 
 use std::collections::hash_map::Entry;
 

@@ -104,7 +104,7 @@ mod tests {
     use std::cell::Cell;
     use std::sync::Arc;
 
-    use rnn_core::{Gma, MemoryUsage, Neighbor, ObjectEvent, TickReport, UpdateEvent};
+    use rnn_core::{Gma, MemoryUsage, Neighbor, ObjectEvent, TickReport};
     use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, RoadNetwork};
 
     use super::*;
@@ -120,9 +120,6 @@ mod tests {
     impl ContinuousMonitor for Counting {
         fn name(&self) -> &'static str {
             "COUNTING"
-        }
-        fn apply(&mut self, event: UpdateEvent) -> TickReport {
-            self.inner.apply(event)
         }
         fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
             self.inner.tick(batch)

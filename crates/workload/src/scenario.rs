@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rnn_core::{
-    ContinuousMonitor, EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent,
+    load_population, ContinuousMonitor, EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateBatch,
 };
 use rnn_roadnet::{
     DijkstraEngine, EdgeId, EdgeWeights, NetPoint, ObjectId, PmrQuadtree, QueryId, RoadNetwork,
@@ -279,14 +279,10 @@ impl Scenario {
             .map(|(i, m)| (QueryId::from_index(i), self.cfg.k, m.pos()))
     }
 
-    /// Installs all objects and queries into a monitor.
+    /// Installs all objects and queries into a monitor, through the bulk
+    /// loader.
     pub fn install_into(&self, monitor: &mut dyn ContinuousMonitor) {
-        for (id, pos) in self.initial_objects() {
-            monitor.apply(UpdateEvent::insert_object(id, pos));
-        }
-        for (id, k, pos) in self.initial_queries() {
-            monitor.apply(UpdateEvent::install_query(id, k, pos));
-        }
+        load_population(monitor, self.initial_objects(), self.initial_queries());
     }
 
     /// Installs the initial population into `monitor` and then drives it

@@ -722,3 +722,235 @@ fn engine_empty_ticks_change_nothing() {
         assert_eq!(eng.result(q).unwrap(), snapshot[i].as_slice());
     }
 }
+
+// ---------------------------------------------------------------------
+// One way to apply an event. ROADMAP direction 7 asks for
+// "bounded-exhaustive small worlds" beside the random programs; this is
+// its first instance, on this file's harness: every batch of up to three
+// events over one object and one query, into every monitor and the
+// engine, as one `tick` and as per-event `apply`.
+// ---------------------------------------------------------------------
+
+use rnn_monitor::core::{load_population, Ovh, TickReport};
+use rnn_monitor::roadnet::{EdgeId, ObjectId};
+
+/// Everything an event can be delivered into: the three monitors and the
+/// engine at S = 1, 2, 4.
+fn every_entry_point(net: &Arc<RoadNetwork>) -> Vec<(String, Box<dyn ContinuousMonitor>)> {
+    let mut all: Vec<(String, Box<dyn ContinuousMonitor>)> = vec![
+        ("OVH".into(), Box::new(Ovh::new(net.clone()))),
+        ("IMA".into(), Box::new(Ima::new(net.clone()))),
+        ("GMA".into(), Box::new(Gma::new(net.clone()))),
+    ];
+    for s in [1usize, 2, 4] {
+        let eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(s));
+        all.push((format!("ENG-{s}"), Box::new(eng)));
+    }
+    all
+}
+
+/// What a call leaves behind, compared exactly: the registered queries
+/// with their `(kNN_dist bits, result)`, the call's `results_changed` and
+/// its change list.
+fn assert_same_outcome(
+    want: (&dyn ContinuousMonitor, TickReport),
+    got: (&dyn ContinuousMonitor, TickReport),
+    ctx: &str,
+) {
+    let answers = |m: &dyn ContinuousMonitor| {
+        let mut ids = m.query_ids();
+        ids.sort();
+        ids.into_iter()
+            .map(|q| {
+                (
+                    q,
+                    m.knn_dist(q).unwrap().to_bits(),
+                    m.result(q).unwrap().to_vec(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(answers(got.0), answers(want.0), "{ctx}: answers");
+    assert_eq!(
+        got.1.results_changed, want.1.results_changed,
+        "{ctx}: results_changed"
+    );
+    assert_eq!(
+        got.0.changed_queries(),
+        want.0.changed_queries(),
+        "{ctx}: changed_queries"
+    );
+}
+
+const THE_OBJECT: ObjectId = ObjectId(100);
+const THE_QUERY: QueryId = QueryId(7);
+
+/// A 6×6 grid whose every distance is exact in an `f64`: edges of length
+/// 32 or 64 and positions at 64ths, so a sum is the same bits in whatever
+/// order a monitor adds it up and answers compare with `==`. The objects'
+/// numerators are distinct and odd, which keeps any two of them at
+/// different distances from every query position used here (no ties to
+/// break differently).
+fn exact_grid() -> Arc<RoadNetwork> {
+    Arc::new(generators::grid_city(&generators::GridCityConfig {
+        nx: 6,
+        ny: 6,
+        spacing: 64.0,
+        jitter: 0.0,
+        max_subdivision: 2,
+        seed: 9,
+        ..Default::default()
+    }))
+}
+
+fn at(edge: u32, sixty_fourths: u32) -> NetPoint {
+    NetPoint::new(EdgeId(edge), f64::from(sixty_fourths) / 64.0)
+}
+
+/// A dozen objects spread over the grid, plus — in the `present` world —
+/// the one object and the one query the alphabet is about.
+fn small_world(net: &RoadNetwork, m: &mut dyn ContinuousMonitor, present: bool) {
+    let n = net.num_edges() as u32;
+    let background = (0..12u32).map(|i| (ObjectId(i), at(i * 5 % n, 2 * i + 1)));
+    let the_object = present.then_some((THE_OBJECT, at(3, 51)));
+    let the_query = present.then_some((THE_QUERY, 2, at(3, 32)));
+    load_population(m, background.chain(the_object), the_query);
+}
+
+/// Insert, move, delete of the one object; install at k = 2, install at
+/// k = 3 elsewhere, move, remove of the one query.
+fn alphabet(net: &RoadNetwork) -> [UpdateEvent; 7] {
+    let far = net.num_edges() as u32 - 2;
+    [
+        UpdateEvent::insert_object(THE_OBJECT, at(3, 29)),
+        UpdateEvent::move_object(THE_OBJECT, at(4, 7)),
+        UpdateEvent::delete_object(THE_OBJECT),
+        UpdateEvent::install_query(THE_QUERY, 2, at(3, 32)),
+        UpdateEvent::install_query(THE_QUERY, 3, at(far, 16)),
+        UpdateEvent::move_query(THE_QUERY, at(20, 48)),
+        UpdateEvent::remove_query(THE_QUERY),
+    ]
+}
+
+#[test]
+fn every_batch_of_up_to_three_events_means_the_same_at_every_entry_point() {
+    let net = exact_grid();
+    let alphabet = alphabet(&net);
+    let mut programs: Vec<Vec<UpdateEvent>> = Vec::new();
+    for a in alphabet {
+        programs.push(vec![a]);
+        for b in alphabet {
+            programs.push(vec![a, b]);
+            for c in alphabet {
+                programs.push(vec![a, b, c]);
+            }
+        }
+    }
+    assert_eq!(programs.len(), 7 + 49 + 343);
+
+    for present in [false, true] {
+        for program in &programs {
+            for per_event in [false, true] {
+                // The oracle: a fresh OVH, which recomputes every answer
+                // from scratch, fed the delivery as ticks.
+                let mut oracle = Ovh::new(net.clone());
+                small_world(&net, &mut oracle, present);
+                let steps: Vec<UpdateBatch> = if per_event {
+                    program
+                        .iter()
+                        .map(|&ev| {
+                            let mut one = UpdateBatch::default();
+                            one.push(ev);
+                            one
+                        })
+                        .collect()
+                } else {
+                    let mut all = UpdateBatch::default();
+                    program.iter().for_each(|&ev| all.push(ev));
+                    vec![all]
+                };
+                let mut subjects = every_entry_point(&net);
+                for (_, m) in &mut subjects {
+                    small_world(&net, m.as_mut(), present);
+                }
+                for (i, step) in steps.iter().enumerate() {
+                    let want = oracle.tick(step);
+                    for (name, m) in &mut subjects {
+                        let got = if per_event {
+                            m.apply(program[i])
+                        } else {
+                            m.tick(step)
+                        };
+                        let how = if per_event { "apply" } else { "tick" };
+                        assert_same_outcome(
+                            (&oracle, want),
+                            (m.as_ref(), got),
+                            &format!("{name}, present {present}, {how} {i} of {program:?}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn apply_insert_next_to_a_live_query_reaches_it() {
+    // The query's nearest object is 2.8 away; one appears 0.1 away. At
+    // every entry point `apply` is a timestamp, so the answer changes now
+    // and the change list says so. (IMA and GMA used to write the object
+    // table only and never serve the object; OVH until the next tick.)
+    let net = Arc::new(generators::line_network(8, 1.0));
+    let q = QueryId(1);
+    for (name, mut m) in every_entry_point(&net) {
+        m.apply(UpdateEvent::insert_object(
+            ObjectId(0),
+            NetPoint::new(EdgeId(6), 0.5),
+        ));
+        m.apply(UpdateEvent::install_query(
+            q,
+            1,
+            NetPoint::new(EdgeId(3), 0.7),
+        ));
+        assert_eq!(m.result(q).unwrap()[0].object, ObjectId(0), "{name}");
+        assert!((m.knn_dist(q).unwrap() - 2.8).abs() < 1e-12, "{name}");
+
+        let report = m.apply(UpdateEvent::insert_object(
+            ObjectId(1),
+            NetPoint::new(EdgeId(3), 0.8),
+        ));
+        assert_eq!(m.result(q).unwrap()[0].object, ObjectId(1), "{name}");
+        assert!((m.knn_dist(q).unwrap() - 0.1).abs() < 1e-12, "{name}");
+        assert_eq!(m.changed_queries(), [q], "{name}");
+        assert_eq!(
+            report.results_changed, 1,
+            "{name}: apply returns the tick's report"
+        );
+    }
+}
+
+#[test]
+fn apply_insert_of_a_known_id_moves_it() {
+    // What `tick` does with `[Insert(known)]` (see `UpdateBatch`): the
+    // per-event path used to drop it silently.
+    let net = Arc::new(generators::line_network(8, 1.0));
+    let q = QueryId(1);
+    for (name, mut m) in every_entry_point(&net) {
+        m.apply(UpdateEvent::insert_object(
+            ObjectId(0),
+            NetPoint::new(EdgeId(6), 0.5),
+        ));
+        m.apply(UpdateEvent::install_query(
+            q,
+            1,
+            NetPoint::new(EdgeId(3), 0.7),
+        ));
+        m.apply(UpdateEvent::insert_object(
+            ObjectId(0),
+            NetPoint::new(EdgeId(3), 0.8),
+        ));
+        assert_eq!(m.result(q).unwrap().len(), 1, "{name}: still one object");
+        assert!((m.knn_dist(q).unwrap() - 0.1).abs() < 1e-12, "{name}");
+        assert_eq!(m.changed_queries(), [q], "{name}");
+    }
+}

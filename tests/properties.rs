@@ -629,16 +629,16 @@ impl NaiveState {
             let (id, new) = match *ev {
                 QueryEvent::Install { id, k, at } => (id, Some((k, at))),
                 QueryEvent::Remove { id } => (id, None),
-                // A move keeps the k the query has by now, else the k it
-                // had before the tick; a query with neither is unknown and
-                // the move is dropped.
+                // A move keeps the k the query has by now: what the
+                // tick's earlier events left it with, else what it had
+                // before the tick. A query not registered by now — never
+                // was, or removed earlier this tick — cannot move.
                 QueryEvent::Move { id, to } => {
-                    let k = last
-                        .get(&id)
-                        .copied()
-                        .flatten()
-                        .or(self.queries.get(&id).copied());
-                    match k {
+                    let current = match last.get(&id) {
+                        Some(&by_now) => by_now,
+                        None => self.queries.get(&id).copied(),
+                    };
+                    match current {
                         Some((k, _)) => (id, Some((k, to))),
                         None => continue,
                     }
@@ -919,12 +919,12 @@ use rnn_monitor::engine::ShardAlgo;
 struct KeptAnswers(BTreeMap<QueryId, (u64, Vec<Neighbor>)>);
 
 impl KeptAnswers {
-    /// Holds the monitor's change list — and, after a tick, its
-    /// `results_changed` — against the diff of the kept copies with the
-    /// answers read back now, then keeps those. A query the call installed
-    /// is diffed against `(∞, [])`; a removed one counts towards
-    /// `results_changed` if it had an answer.
-    fn check(&mut self, m: &dyn ContinuousMonitor, report: Option<TickReport>, what: &str) {
+    /// Holds the monitor's change list and the call's `results_changed`
+    /// against the diff of the kept copies with the answers read back now,
+    /// then keeps those. A query the call installed is diffed against
+    /// `(∞, [])`; a removed one counts towards `results_changed` if it had
+    /// an answer.
+    fn check(&mut self, m: &dyn ContinuousMonitor, report: TickReport, what: &str) {
         let now: BTreeMap<QueryId, (u64, Vec<Neighbor>)> = m
             .query_ids()
             .into_iter()
@@ -947,23 +947,21 @@ impl KeptAnswers {
             want.as_slice(),
             "{what}: the change list is not the brute-force diff"
         );
-        if let Some(report) = report {
-            let removed_with_answer = self
-                .0
-                .iter()
-                .filter(|(q, answer)| !now.contains_key(q) && !answer.1.is_empty())
-                .count();
-            assert_eq!(
-                report.results_changed,
-                want.len() + removed_with_answer,
-                "{what}: results_changed"
-            );
-        }
+        let removed_with_answer = self
+            .0
+            .iter()
+            .filter(|(q, answer)| !now.contains_key(q) && !answer.1.is_empty())
+            .count();
+        assert_eq!(
+            report.results_changed,
+            want.len() + removed_with_answer,
+            "{what}: results_changed"
+        );
         self.0 = now;
     }
 }
 
-/// A random program of batches and out-of-band events over at most 14
+/// A random program of batches and single-event `apply`s over at most 14
 /// objects (a third of the placements pile on one spot, so ties and
 /// underfull queries occur) and 5 query ids, with the registry it implies
 /// replayed event by event.
@@ -1077,15 +1075,14 @@ impl ChangeProgram {
                 batch.objects.push(ev);
             }
             3 => {
-                // Moves go to registered queries only: a move of a query
-                // the same batch removed would bring it back, which is not
-                // what this program is about.
-                let id = self.some_query();
-                if let Some(entry) = self.book.get(&id).copied() {
-                    let to = self.spot();
-                    self.book.insert(id, (entry.0, to));
-                    batch.queries.push(QueryEvent::Move { id, to });
+                // A move of a query that is not registered by now — never
+                // installed, or removed earlier in this batch — is sent
+                // all the same, and must be dropped.
+                let (id, to) = (self.some_query(), self.spot());
+                if let Some(entry) = self.book.get_mut(&id) {
+                    entry.1 = to;
                 }
+                batch.queries.push(QueryEvent::Move { id, to });
             }
             4 => {
                 let id = self.some_query();
@@ -1115,23 +1112,21 @@ impl ChangeProgram {
         }
     }
 
-    /// Runs the program on `m`, checking the change list after every call.
-    /// `live_inserts` says whether `m` serves an out-of-band object insert
-    /// while queries are registered (the engine does; for a single monitor
-    /// it is a bulk-loading call).
+    /// Runs the program on `m`, checking the change list and the report
+    /// after every call — a `tick` or a single-event `apply`, which is a
+    /// tick like any other.
     fn run(
         &mut self,
         m: &mut dyn ContinuousMonitor,
         kept: &mut KeptAnswers,
         n_objects: usize,
-        live_inserts: bool,
         what: &str,
     ) {
         for i in 0..n_objects {
             let (id, at) = (ObjectId(i as u32), self.spot());
             self.objects.insert(id, at);
-            m.apply(UpdateEvent::insert_object(id, at));
-            kept.check(m, None, &format!("{what}, bulk insert {i}"));
+            let report = m.apply(UpdateEvent::insert_object(id, at));
+            kept.check(m, report, &format!("{what}, insert {i}"));
         }
         for _ in 0..3 {
             let id = self.some_query();
@@ -1139,12 +1134,8 @@ impl ChangeProgram {
                 let QueryEvent::Install { id, k, at } = self.install(id) else {
                     unreachable!()
                 };
-                m.apply(UpdateEvent::install_query(id, k, at));
-                kept.check(
-                    m,
-                    None,
-                    &format!("{what}, out-of-band install of {id:?} k {k}"),
-                );
+                let report = m.apply(UpdateEvent::install_query(id, k, at));
+                kept.check(m, report, &format!("{what}, install of {id:?} k {k}"));
             }
         }
         let mut fresh_object = 100;
@@ -1156,36 +1147,24 @@ impl ChangeProgram {
                     self.push_event(&mut batch);
                 }
                 let report = m.tick(&batch);
-                kept.check(m, Some(report), &format!("{what}, tick {batch:?}"));
+                kept.check(m, report, &format!("{what}, tick {batch:?}"));
             } else {
                 let id = self.some_query();
-                let (event, report_counts) = match self.next() % 5 {
-                    0 if !self.book.contains_key(&id) => {
-                        let QueryEvent::Install { id, k, at } = self.install(id) else {
-                            unreachable!()
-                        };
-                        (UpdateEvent::install_query(id, k, at), false)
-                    }
-                    1 => {
-                        self.remove(id);
-                        (UpdateEvent::remove_query(id), false)
-                    }
-                    2 if live_inserts || self.book.is_empty() => {
+                let event = match self.next() % 5 {
+                    0 if !self.book.contains_key(&id) => UpdateEvent::Query(self.install(id)),
+                    1 => UpdateEvent::Query(self.remove(id)),
+                    // An insert next to live queries must reach them.
+                    2 => {
                         fresh_object += 1;
                         let (id, at) = (ObjectId(fresh_object), self.spot());
                         self.objects.insert(id, at);
-                        (UpdateEvent::insert_object(id, at), false)
+                        UpdateEvent::insert_object(id, at)
                     }
-                    3 => (UpdateEvent::Edge(self.edge_update()), true),
-                    // Everything but a bulk insert goes through `tick`.
-                    _ => (UpdateEvent::Object(self.object_event(true)), true),
+                    3 => UpdateEvent::Edge(self.edge_update()),
+                    _ => UpdateEvent::Object(self.object_event(true)),
                 };
                 let report = m.apply(event);
-                kept.check(
-                    m,
-                    report_counts.then_some(report),
-                    &format!("{what}, out-of-band {event:?}"),
-                );
+                kept.check(m, report, &format!("{what}, apply {event:?}"));
             }
             let mut registered = m.query_ids();
             registered.sort();
@@ -1213,7 +1192,7 @@ impl ChangeProgram {
             let report = m.tick(&batch);
             kept.check(
                 m,
-                Some(report),
+                report,
                 &format!("{what}, {id:?} at k = {k} of {n} objects"),
             );
             (m.knn_dist(id).unwrap(), m.result(id).unwrap().to_vec())
@@ -1247,7 +1226,7 @@ fn lists_exactly_the_queries_it_changed(
     let mut m = make(net.clone());
     let what = format!("{} shape {shape} seed {seed} objects {n_objects}", m.name());
     let mut kept = KeptAnswers::default();
-    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, false, &what);
+    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, &what);
 }
 
 proptest! {
@@ -1297,7 +1276,7 @@ proptest! {
         let what = format!("ENG-4 over {algo:?}, seed {seed}, objects {n_objects}");
         let mut kept = KeptAnswers::default();
         let mut program = ChangeProgram::new(&net, seed);
-        program.run(&mut eng, &mut kept, n_objects, true, &what);
+        program.run(&mut eng, &mut kept, n_objects, &what);
         if let Err(msg) = eng.validate_replication() {
             prop_assert!(false, "{}: {}", what, msg);
         }
@@ -1313,7 +1292,7 @@ proptest! {
         let mut tick = |queries: Vec<QueryEvent>, kept: &mut KeptAnswers, step: &str| {
             let batch = UpdateBatch { queries, ..Default::default() };
             let report = eng.tick(&batch);
-            kept.check(&eng, Some(report), &format!("{what}, {step}"));
+            kept.check(&eng, report, &format!("{what}, {step}"));
             (report.results_changed, eng.changed_queries().to_vec())
         };
         tick(vec![QueryEvent::Install { id, k: 3, at: home }], &mut kept, "install at home");
