@@ -7,8 +7,13 @@
 
 use rnn_workload::{Distribution, FirehosePattern, MovementModel};
 
+use crate::checks;
 use crate::params::Params;
-use crate::runner::Stack;
+use crate::runner::{SeriesPoint, Stack};
+
+/// The workload seed of every run that is not given another: the CLI's
+/// default, and what the committed artifacts were generated with.
+pub const DEFAULT_SEED: u64 = 42;
 
 /// A reproducible experiment: a labelled parameter sweep.
 pub struct Figure {
@@ -20,11 +25,47 @@ pub struct Figure {
     pub stacks: &'static [Stack],
     /// Whether the y-axis is memory (Fig. 18) rather than CPU time.
     pub memory: bool,
-    /// Whether a run also writes `BENCH_<name>.json` — the cross-PR perf
-    /// tracker CI smokes, uploads and (per `gate::GATE_SPECS`) gates.
-    pub artifact: bool,
+    /// Set on the figures whose runs also write `BENCH_<name>.json`, the
+    /// cross-PR tracker committed at the repo root.
+    pub artifact: Option<Artifact>,
     /// Builds the sweep at the given scale and seed.
     pub points: fn(scale: f64, seed: u64) -> Vec<(String, Params)>,
+}
+
+/// What makes a figure a committed artifact: the settings
+/// `experiments ci-gate` regenerates `BENCH_<name>.json` at (with
+/// [`DEFAULT_SEED`]) — written here and nowhere else, so the gate cannot
+/// drift from what its committed file was generated with — and what every
+/// run of the figure must show.
+pub struct Artifact {
+    /// Cardinality scale.
+    pub scale: f64,
+    /// Timestamps driven.
+    pub timestamps: usize,
+    /// Leading timestamps excluded from the per-timestamp means.
+    pub warmup: usize,
+    /// The figure's own guarantee (see [`checks`]), `Err` saying what
+    /// stopped holding. Runs at any settings, so it may not lean on the
+    /// pinned ones.
+    pub check: fn(&[SeriesPoint]) -> Result<(), String>,
+}
+
+impl Artifact {
+    /// A [`Figure::artifact`] entry: `(scale, timestamps, warmup)` and the
+    /// check.
+    const fn pinned(
+        scale: f64,
+        timestamps: usize,
+        warmup: usize,
+        check: fn(&[SeriesPoint]) -> Result<(), String>,
+    ) -> Option<Artifact> {
+        Some(Artifact {
+            scale,
+            timestamps,
+            warmup,
+            check,
+        })
+    }
 }
 
 fn base(scale: f64, seed: u64) -> Params {
@@ -426,7 +467,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 13(a): CPU time vs object cardinality N",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig13a,
         },
         Figure {
@@ -434,7 +475,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 13(b): CPU time vs query cardinality Q",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig13b,
         },
         Figure {
@@ -442,7 +483,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 14(a): CPU time vs number of NNs k (log scale in the paper)",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig14a,
         },
         Figure {
@@ -450,7 +491,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 14(b): CPU time vs edge agility f_edg",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig14b,
         },
         Figure {
@@ -458,7 +499,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 15(a): CPU time vs object agility f_obj",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig15a,
         },
         Figure {
@@ -466,7 +507,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 15(b): CPU time vs object speed v_obj",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig15b,
         },
         Figure {
@@ -474,7 +515,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 16(a): CPU time vs query agility f_qry",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig16a,
         },
         Figure {
@@ -482,7 +523,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 16(b): CPU time vs query speed v_qry",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig16b,
         },
         Figure {
@@ -490,7 +531,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 17(a): CPU time vs object/query distributions",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig17a,
         },
         Figure {
@@ -498,7 +539,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 17(b): CPU time vs network size (fixed densities)",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig17b,
         },
         Figure {
@@ -506,7 +547,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 18(a): memory (KBytes) vs query cardinality Q",
             stacks: Stack::MEMORY_SET,
             memory: true,
-            artifact: false,
+            artifact: None,
             points: fig18a,
         },
         Figure {
@@ -514,7 +555,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 18(b): memory (KBytes) vs number of NNs k",
             stacks: Stack::MEMORY_SET,
             memory: true,
-            artifact: false,
+            artifact: None,
             points: fig18b,
         },
         Figure {
@@ -522,7 +563,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 19(a): Brinkhoff generator, Oldenburg map — CPU time vs Q",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig19a,
         },
         Figure {
@@ -530,7 +571,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Figure 19(b): Brinkhoff generator, Oldenburg map — CPU time vs k",
             stacks: Stack::PAPER_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: fig19b,
         },
         Figure {
@@ -538,7 +579,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Ablation: IMA with vs without influence lists",
             stacks: Stack::ABLATION_SET,
             memory: false,
-            artifact: false,
+            artifact: None,
             points: ablation_influence,
         },
         Figure {
@@ -546,7 +587,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Engine scaling: sharded engine (1/2/4/8 shards) vs single-threaded GMA",
             stacks: Stack::ENGINE_SET,
             memory: false,
-            artifact: true,
+            artifact: Artifact::pinned(0.01, 4, 1, |_| Ok(())),
             points: engine_scaling,
         },
         Figure {
@@ -554,7 +595,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Replica maintenance: resync/evictions vs query agility (2/4/8 shards)",
             stacks: Stack::ENGINE_REPL_SET,
             memory: false,
-            artifact: true,
+            artifact: Artifact::pinned(0.01, 4, 1, |_| Ok(())),
             points: engine_repl,
         },
         Figure {
@@ -562,7 +603,11 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Tick path: arena allocs, shared expansions, heap steps (IMA/GMA/ENG-4)",
             stacks: Stack::TICKPATH_SET,
             memory: false,
-            artifact: true,
+            // The longer warm-up lets the tree pool's slab/directory
+            // population reach its high-water marks, so the measured window
+            // pins the maintenance alloc counter at exactly zero — surgery
+            // included.
+            artifact: Artifact::pinned(0.02, 16, 10, checks::tickpath),
             points: tickpath,
         },
         Figure {
@@ -571,7 +616,7 @@ pub fn all_figures() -> Vec<Figure> {
                 "Rebalance: drifting hotspot, static vs load-aware partition (ENG-4 vs ENG-4-RB)",
             stacks: Stack::REBALANCE_SET,
             memory: false,
-            artifact: true,
+            artifact: Artifact::pinned(0.01, 24, 4, checks::rebalance),
             points: rebalance,
         },
         Figure {
@@ -579,7 +624,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Cluster: in-process ENG-4 vs shard-per-process loopback (CLU-2/CLU-4)",
             stacks: Stack::CLUSTER_SET,
             memory: false,
-            artifact: true,
+            artifact: Artifact::pinned(0.01, 4, 1, checks::cluster),
             points: cluster,
         },
         Figure {
@@ -587,7 +632,9 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Recovery: crash each shard mid-run, rebuild from snapshot + journal suffix",
             stacks: Stack::RECOVERY_SET,
             memory: false,
-            artifact: true,
+            // Six timestamps: every shard's pinned delivered-frame budget
+            // (`runner::CRASH_AFTER_FRAMES`) runs out mid-run.
+            artifact: Artifact::pinned(0.01, 6, 1, checks::recovery),
             points: recovery,
         },
         Figure {
@@ -595,7 +642,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Replication: quorum-replicated CLU-n-R with leader kills vs ENG-n",
             stacks: Stack::REPLICATION_SET,
             memory: false,
-            artifact: true,
+            artifact: Artifact::pinned(0.01, 6, 1, checks::replication),
             points: replication,
         },
         Figure {
@@ -603,7 +650,9 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Ingest: batch-fed ENG-4 vs firehose-fed ING-4 (coalescing) / ING-4-SHED",
             stacks: Stack::INGEST_SET,
             memory: false,
-            artifact: true,
+            // The two-tick warm-up absorbs the lane/merge high-water
+            // growth, after which the drain must run allocation-free.
+            artifact: Artifact::pinned(0.01, 6, 2, checks::ingest),
             points: ingest,
         },
     ]
@@ -702,6 +751,32 @@ mod tests {
         assert_eq!(names, vec!["ENG-2", "ENG-4", "CLU-2-R", "CLU-4-R"]);
         assert!(!f.memory);
         assert_eq!((f.points)(0.01, 1).len(), 2);
+    }
+
+    /// The gate names a leaf by point label, row name and key: at its
+    /// pinned settings no artifact figure may list a label or a stack
+    /// twice.
+    #[test]
+    fn the_gate_can_tell_the_rows_of_every_artifact_apart() {
+        let distinct = |mut names: Vec<String>| {
+            let listed = names.len();
+            names.sort();
+            names.dedup();
+            names.len() == listed
+        };
+        let figures = all_figures();
+        let artifacts = figures
+            .iter()
+            .filter_map(|f| Some((f, f.artifact.as_ref()?)));
+        let mut seen = 0;
+        for (f, artifact) in artifacts {
+            seen += 1;
+            let points = (f.points)(artifact.scale, DEFAULT_SEED);
+            assert!(distinct(points.into_iter().map(|(l, _)| l).collect()));
+            assert!(distinct(f.stacks.iter().map(Stack::name).collect()));
+            assert!(artifact.warmup < artifact.timestamps, "{}", f.name);
+        }
+        assert_eq!(seen, 8);
     }
 
     #[test]

@@ -23,8 +23,10 @@ use crate::params::Params;
 /// harness injects on the way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Link {
-    /// Worker threads in the coordinator's process (`rnn-engine`).
-    InProcess,
+    /// Worker threads in the coordinator's process (`rnn-engine`), fed the
+    /// way the [`Ingest`] says — the ingest stage exists only here, so an
+    /// ingest-fed cluster row cannot be written down.
+    InProcess(Ingest),
     /// Shard-per-process over fault-free loopback RPC (`rnn-cluster`).
     /// Work counters are bit-identical to [`Link::InProcess`]; the CPU
     /// delta is the framing/serialisation cost of the delta protocol.
@@ -35,7 +37,7 @@ pub enum Link {
     /// [`CRASH_AFTER_FRAMES`] delivered frames, and recovery rebuilds from
     /// snapshot + journal suffix. Sizes crash recovery:
     /// recoveries, frames replayed per recovery (the O(WAL-suffix) bound
-    /// the CI gate pins), snapshot bytes.
+    /// the recovery figure checks), snapshot bytes.
     Durable,
     /// [`Link::Durable`] with quorum replication on and a leader kill
     /// injected: every shard streams its event frames to
@@ -94,72 +96,69 @@ pub const CRASH_AFTER_FRAMES: u32 = 6;
 /// live follower after one is promoted.
 pub const REPLICATION_FACTOR: u32 = 2;
 
-/// What one row of a figure runs: a monitor and the layers stacked on it.
+/// What one row of a figure runs: a monitor, or the engine and the layers
+/// switched on over it.
 #[derive(Clone, Copy, Debug)]
-pub struct Stack {
-    /// Display name of the single-threaded monitor at the bottom (the
-    /// row's `algo` when nothing is stacked on it). Every engine row runs
-    /// the engine's default shard monitor, so rows with `shards > 0`
-    /// carry GMA.
-    pub monitor: &'static str,
-    /// How that monitor is built.
-    pub make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
-    /// Shards of the engine around the monitor; 0 = the bare monitor.
-    pub shards: u8,
-    /// Dynamic load-aware re-partitioning
-    /// (`EngineConfig::with_rebalancing`).
-    pub rebalancing: bool,
-    /// How the engine's coordinator reaches its shards.
-    pub link: Link,
-    /// How updates reach the engine ([`Link::InProcess`] only).
-    pub ingest: Ingest,
+pub enum Stack {
+    /// A single-threaded monitor by itself: its display name (the row's
+    /// `algo`) and how it is built.
+    Bare(
+        &'static str,
+        fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
+    ),
+    /// The sharded engine, its default shard monitor (GMA) in every shard.
+    Engine {
+        /// Shards of the engine.
+        shards: u8,
+        /// Dynamic load-aware re-partitioning
+        /// (`EngineConfig::with_rebalancing`).
+        rebalancing: bool,
+        /// How the engine's coordinator reaches its shards.
+        link: Link,
+    },
 }
 
 impl Stack {
-    const fn bare(
-        monitor: &'static str,
-        make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
-    ) -> Stack {
-        Stack {
-            monitor,
-            make,
-            shards: 0,
-            rebalancing: false,
-            link: Link::InProcess,
-            ingest: Ingest::Batch,
-        }
-    }
-
     /// The from-scratch baseline (§6).
-    pub const OVH: Stack = Stack::bare("OVH", |net| Box::new(Ovh::new(net)));
+    pub const OVH: Stack = Stack::Bare("OVH", |net| Box::new(Ovh::new(net)));
     /// Incremental monitoring (§4).
-    pub const IMA: Stack = Stack::bare("IMA", |net| Box::new(Ima::new(net)));
+    pub const IMA: Stack = Stack::Bare("IMA", |net| Box::new(Ima::new(net)));
     /// Group monitoring (§5).
-    pub const GMA: Stack = Stack::bare("GMA", |net| Box::new(Gma::new(net)));
+    pub const GMA: Stack = Stack::Bare("GMA", |net| Box::new(Gma::new(net)));
     /// Ablation: IMA with influence lists disabled (every update hits
     /// every query). Quantifies the paper's "ignore irrelevant updates"
     /// claim.
-    pub const IMA_NO_IL: Stack = Stack::bare("IMA-noIL", |net| {
+    pub const IMA_NO_IL: Stack = Stack::Bare("IMA-noIL", |net| {
         let mut ima = Ima::new(net);
         ima.set_use_influence_lists(false);
         Box::new(ima)
     });
 
     /// The statically partitioned, batch-fed, in-process engine with this
-    /// many shards, GMA in each — `ENG-n`, the row the other layers are
-    /// switched on over.
+    /// many shards — `ENG-n`, the row the other layers are switched on
+    /// over.
     pub const fn engine(shards: u8) -> Stack {
-        Stack {
+        Stack::over(Link::InProcess(Ingest::Batch), shards)
+    }
+
+    /// The statically partitioned engine with its shards behind `link`.
+    pub const fn over(link: Link, shards: u8) -> Stack {
+        Stack::Engine {
             shards,
-            ..Stack::GMA
+            rebalancing: false,
+            link,
         }
     }
 
-    /// [`Stack::engine`] with its shards behind `link`.
-    pub const fn over(link: Link, shards: u8) -> Stack {
-        Stack {
-            link,
-            ..Stack::engine(shards)
+    /// How updates reach the row: only an in-process engine has an ingest
+    /// stage to be fed through.
+    pub fn ingest(&self) -> Ingest {
+        match *self {
+            Stack::Engine {
+                link: Link::InProcess(ingest),
+                ..
+            } => ingest,
+            _ => Ingest::Batch,
         }
     }
 
@@ -196,9 +195,10 @@ impl Stack {
     /// drifting-hotspot stream.
     pub const REBALANCE_SET: &'static [Stack] = &[
         Self::engine(4),
-        Stack {
+        Stack::Engine {
+            shards: 4,
             rebalancing: true,
-            ..Self::engine(4)
+            link: Link::InProcess(Ingest::Batch),
         },
     ];
 
@@ -239,70 +239,54 @@ impl Stack {
     /// shedding engine (tight buffers), all at the same shard count.
     pub const INGEST_SET: &'static [Stack] = &[
         Self::engine(4),
-        Stack {
-            ingest: Ingest::Lossless,
-            ..Self::engine(4)
-        },
-        Stack {
-            ingest: Ingest::Shedding,
-            ..Self::engine(4)
-        },
+        Self::over(Link::InProcess(Ingest::Lossless), 4),
+        Self::over(Link::InProcess(Ingest::Shedding), 4),
     ];
 
     /// Display name, computed from the layers: the monitor's own for a
     /// bare monitor, else `ENG|CLU|ING-<shards>` and a suffix per layer
     /// that is on (`ENG-4-RB`, `CLU-2-D`, `CLU-4-R`, `ING-4-SHED`).
     pub fn name(&self) -> String {
-        if self.shards == 0 {
-            return self.monitor.to_string();
-        }
-        let kind = if self.ingest != Ingest::Batch {
-            "ING"
-        } else if self.link != Link::InProcess {
-            "CLU"
-        } else {
-            "ENG"
+        let (shards, rebalancing, link) = match *self {
+            Stack::Bare(name, _) => return name.to_string(),
+            Stack::Engine {
+                shards,
+                rebalancing,
+                link,
+            } => (shards, rebalancing, link),
+        };
+        let kind = match link {
+            Link::InProcess(Ingest::Batch) => "ENG",
+            Link::InProcess(_) => "ING",
+            _ => "CLU",
         };
         let layers = [
-            (self.rebalancing, "-RB"),
-            (self.link == Link::Durable, "-D"),
-            (self.link == Link::Replicated, "-R"),
-            (self.ingest == Ingest::Shedding, "-SHED"),
+            (rebalancing, "-RB"),
+            (link == Link::Durable, "-D"),
+            (link == Link::Replicated, "-R"),
+            (link == Link::InProcess(Ingest::Shedding), "-SHED"),
         ];
         let on = layers.iter().filter(|(on, _)| *on);
         let suffixes: String = on.map(|(_, suffix)| *suffix).collect();
-        format!("{kind}-{}{suffixes}", self.shards)
+        format!("{kind}-{shards}{suffixes}")
     }
 
     /// Builds the stack over `net` — the one place its layers are
     /// switched on. `p` sizes the ingest lanes.
     fn build(self, net: Arc<RoadNetwork>, p: &Params) -> Driven {
-        if self.shards == 0 {
-            return Driven::Plain((self.make)(net));
-        }
-        let shards = usize::from(self.shards);
-        let mut cfg = if self.rebalancing {
+        let (shards, rebalancing, link) = match self {
+            Stack::Bare(_, make) => return Driven::Plain(make(net)),
+            Stack::Engine {
+                shards,
+                rebalancing,
+                link,
+            } => (usize::from(shards), rebalancing, link),
+        };
+        let mut cfg = if rebalancing {
             EngineConfig::with_rebalancing(shards)
         } else {
             EngineConfig::with_shards(shards)
         };
-        let lanes = match self.ingest {
-            Ingest::Batch => None,
-            // Per-lane capacity far above the per-tick firehose rate, so
-            // blocking admission never actually parks the producer.
-            Ingest::Lossless => Some((p.n_objects.max(4096), AdmissionPolicy::Block)),
-            // Per-lane capacity well below the firehose rate, so the
-            // drain window overflows every tick and ShedOldest drops the
-            // stalest fixes — the shed_events column is the point.
-            Ingest::Shedding => Some(((p.n_objects / 32).max(16), AdmissionPolicy::ShedOldest)),
-        };
-        if let Some((capacity, policy)) = lanes {
-            cfg.ingest = IngestConfig {
-                capacity,
-                policy,
-                ..Default::default()
-            };
-        }
         let crash = |respawn_dead| {
             let fault = FaultPlan {
                 crash_after_frames: CRASH_AFTER_FRAMES,
@@ -311,13 +295,31 @@ impl Stack {
             };
             (fault, DurabilityConfig::in_memory(DURABLE_SNAPSHOT_EVERY))
         };
-        let (fault, durability) = match self.link {
-            Link::InProcess => {
-                let engine = Box::new(ShardedEngine::new(net, cfg));
-                return match lanes {
-                    None => Driven::Plain(engine),
-                    Some(_) => Driven::Ingest(engine),
+        let (fault, durability) = match link {
+            Link::InProcess(ingest) => {
+                let lanes = match ingest {
+                    Ingest::Batch => None,
+                    // Per-lane capacity far above the per-tick firehose
+                    // rate, so blocking admission never actually parks the
+                    // producer.
+                    Ingest::Lossless => Some((p.n_objects.max(4096), AdmissionPolicy::Block)),
+                    // Per-lane capacity well below the firehose rate, so
+                    // the drain window overflows every tick and ShedOldest
+                    // drops the stalest fixes — the shed_events column is
+                    // the point.
+                    Ingest::Shedding => {
+                        Some(((p.n_objects / 32).max(16), AdmissionPolicy::ShedOldest))
+                    }
                 };
+                let Some((capacity, policy)) = lanes else {
+                    return Driven::Plain(Box::new(ShardedEngine::new(net, cfg)));
+                };
+                cfg.ingest = IngestConfig {
+                    capacity,
+                    policy,
+                    ..Default::default()
+                };
+                return Driven::Ingest(Box::new(ShardedEngine::new(net, cfg)));
             }
             Link::Loopback => (FaultPlan::default(), DurabilityConfig::default()),
             Link::Durable => crash(false),
@@ -333,16 +335,6 @@ impl Stack {
             RetryPolicy::default(),
             durability,
         )))
-    }
-}
-
-/// Instantiates the monitor of `stack` over `net` for callers that tick
-/// it with pre-built batches (the Criterion benches): an ingest-fed
-/// stack then runs as the plain engine, nothing submitted out-of-band.
-pub fn make_monitor(stack: Stack, net: Arc<RoadNetwork>, p: &Params) -> Box<dyn ContinuousMonitor> {
-    match stack.build(net, p) {
-        Driven::Plain(m) => m,
-        Driven::Ingest(engine) => engine,
     }
 }
 
@@ -451,17 +443,6 @@ impl RunResult {
     }
 }
 
-/// Whether `experiments ci-gate` holds a column to its committed baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Gate {
-    /// Deterministic for a pinned (figure, scale, timestamps, warmup,
-    /// seed); may not grow more than `gate::MAX_REGRESSION`.
-    Gated,
-    /// Reported only, for this reason.
-    Ungated(&'static str),
-}
-use Gate::{Gated, Ungated};
-
 /// One column of the bench row: a key of every `BENCH_*.json` result.
 pub struct Column {
     /// JSON key.
@@ -469,180 +450,128 @@ pub struct Column {
     /// Which fields of the result over which window, and the precision
     /// they print at.
     pub cell: fn(&RunResult) -> Cell,
-    /// Whether the CI gate enforces it.
-    pub gate: Gate,
+    /// Whether the value is a stopwatch reading. `experiments ci-gate`
+    /// holds every other column to the committed artifact exactly — for
+    /// pinned settings they are deterministic counts; the box drifts 8-10%
+    /// by itself.
+    pub wall_clock: bool,
 }
 
-const fn col(key: &'static str, cell: fn(&RunResult) -> Cell, gate: Gate) -> Column {
-    Column { key, cell, gate }
+const fn col(key: &'static str, cell: fn(&RunResult) -> Cell) -> Column {
+    Column {
+        key,
+        cell,
+        wall_clock: false,
+    }
 }
 
 /// Work counters no column reports, each with the reason.
 pub const UNSERIALIZED: &[(&str, &str)] = &[];
 
 /// The bench row, in the order it is printed: the one table the JSON
-/// artifacts, the CI gate's metric list and the smoke checks of the
-/// `experiments` binary all read. A new counter is one line in its struct
-/// in `rnn-core` and one row here.
+/// artifacts, the CI gate and the figure checks all read. A new counter
+/// is one line in its struct in `rnn-core` and one row here.
 pub const COLUMNS: &[Column] = &[
     // Mean wall-clock processing time per timestamp (seconds).
-    col(
-        "cpu_per_ts",
-        |r| (r.elapsed.as_secs_f64() / r.measured as f64, Some(9)),
-        Ungated("wall-clock: the box drifts 8-10% by itself, only counters are gateable"),
-    ),
+    Column {
+        key: "cpu_per_ts",
+        cell: |r| (r.elapsed.as_secs_f64() / r.measured as f64, Some(9)),
+        wall_clock: true,
+    },
     // Mean deterministic work units per timestamp (`OpCounters::work`).
-    col(
-        "work_per_ts",
-        |r| r.per_ts(r.window.work(), 1),
-        Ungated("aggregate of four counters; steps_per_ts gates the same expansion work with less run-to-run aliasing"),
-    ),
-    col("memory_kb", |r| (r.memory_kb, Some(1)), Ungated("follows the workload's tree population")),
-    col(
-        "ignored_per_ts",
-        |r| r.per_ts(r.window.updates_ignored, 1),
-        Ungated("monotone-update short-circuits vary with workload mix, not with code regressions"),
-    ),
+    col("work_per_ts", |r| r.per_ts(r.window.work(), 1)),
+    col("memory_kb", |r| (r.memory_kb, Some(1))),
+    col("ignored_per_ts", |r| r.per_ts(r.window.updates_ignored, 1)),
     // NN recomputations forced by object or edge updates hitting a
     // query's influence region.
-    col(
-        "reevals_per_ts",
-        |r| r.per_ts(r.window.reevaluations, 1),
-        Ungated("reevaluation count tracks query churn in the workload, not algorithmic cost per tick"),
-    ),
+    col("reevals_per_ts", |r| r.per_ts(r.window.reevaluations, 1)),
     // Objects touched by replica resync (sharded engine only).
-    col("resync_per_ts", |r| r.per_ts(r.window.resync_touched, 1), Gated),
-    col(
-        "evictions_per_ts",
-        |r| r.per_ts(r.window.replica_evictions, 1),
-        Ungated("replica evictions depend on cache sizing knobs swept per experiment, not fixed per gate spec"),
-    ),
-    col("max_tick_resync", |r| count(r.max_tick_resync), Ungated("bounded by the engine smoke")),
+    col("resync_per_ts", |r| r.per_ts(r.window.resync_touched, 1)),
+    col("evictions_per_ts", |r| {
+        r.per_ts(r.window.replica_evictions, 1)
+    }),
+    col("max_tick_resync", |r| count(r.max_tick_resync)),
     // Tick-path *maintenance* allocation events (arena backing-buffer
     // reallocations, Dijkstra heap growth, tree-pool slab/directory
-    // growth). The tickpath baseline pins it at 0.000, so *any* new
+    // growth). The tickpath artifact pins it at 0.000, so *any* new
     // allocation on a steady-state tick — tree surgery included — fails.
-    col("alloc_per_ts", |r| r.per_ts(r.window.alloc_events, 3), Gated),
+    col("alloc_per_ts", |r| r.per_ts(r.window.alloc_events, 3)),
     // Allocation events of installing brand-new monitored entities (query
     // installs, GMA active-node activations): nonzero while the monitored
     // population is still discovering new anchors.
-    col(
-        "install_alloc_per_ts",
-        |r| r.per_ts(r.window.install_alloc_events, 3),
-        Ungated("install-time allocation is intentionally unbounded; only steady-state alloc_per_ts must stay zero"),
-    ),
-    col(
-        "shared_per_ts",
-        |r| r.per_ts(r.window.shared_expansions, 3),
-        Ungated("sharing rate is a cache-efficiency ratio; steps_per_ts already gates the expansion work a sharing regression would inflate"),
-    ),
-    // Raw Dijkstra heap pops: holds expansion work within the bound.
-    col("steps_per_ts", |r| r.per_ts(r.window.expansion_steps, 1), Gated),
+    col("install_alloc_per_ts", |r| {
+        r.per_ts(r.window.install_alloc_events, 3)
+    }),
+    col("shared_per_ts", |r| r.per_ts(r.window.shared_expansions, 3)),
+    // Raw Dijkstra heap pops.
+    col("steps_per_ts", |r| r.per_ts(r.window.expansion_steps, 1)),
     // Expansion-tree nodes recycled through the tree pool's free list —
     // the tree-surgery reuse rate. Together with `alloc_per_ts` at zero
     // it proves subtree cuts and re-expansion inserts ran without heap
-    // allocation; gated so surgery volume cannot silently grow.
-    col("recycled_per_ts", |r| r.per_ts(r.window.tree_nodes_recycled, 1), Gated),
+    // allocation.
+    col("recycled_per_ts", |r| {
+        r.per_ts(r.window.tree_nodes_recycled, 1)
+    }),
     // Nodes pruned (cuts, θ-prunes, re-roots): the surgery volume the
     // recycle rate is measured against.
-    col(
-        "pruned_per_ts",
-        |r| r.per_ts(r.window.tree_nodes_pruned, 1),
-        Ungated("pruning is an optimization outcome already bounded transitively by steps_per_ts"),
-    ),
+    col("pruned_per_ts", |r| r.per_ts(r.window.tree_nodes_pruned, 1)),
     // RPC frames moved (sent + received, all shards). Deterministic on a
-    // fault-free loopback transport: a regression means the delta
-    // protocol started shipping more messages per tick.
-    col(
-        "frames_per_ts",
-        |r| r.per_ts(r.net_window.frames_sent + r.net_window.frames_received, 1),
-        Gated,
-    ),
-    col(
-        "bytes_per_ts",
-        |r| r.per_ts(r.net_window.bytes_sent + r.net_window.bytes_received, 1),
-        Ungated("payload size follows the workload's churn; frames_per_ts gates the message count"),
-    ),
-    col("retries", |r| count(r.net_final.retries), Ungated("bounded by the cluster smoke")),
-    col(
-        "rebalances",
-        |r| count(r.whole_run.rebalance_events),
-        Ungated("rebalance cadence is a tuning policy exercised by the rebalance figure, not a regression signal"),
-    ),
-    col(
-        "cells_migrated",
-        |r| count(r.whole_run.cells_migrated),
-        Ungated("migration volume follows rebalance cadence; gated indirectly through the rebalance smoke's assertions"),
-    ),
-    col("load_ratio", |r| (r.load_ratio, Some(3)), Ungated("compared by the rebalance smoke")),
-    col(
-        "recoveries",
-        |r| count(r.net_final.crash_recoveries),
-        Ungated("set by the injected fault plan; the recovery smoke wants it nonzero"),
-    ),
+    // fault-free loopback transport: growth means the delta protocol
+    // started shipping more messages per tick.
+    col("frames_per_ts", |r| {
+        r.per_ts(r.net_window.frames_sent + r.net_window.frames_received, 1)
+    }),
+    col("bytes_per_ts", |r| {
+        r.per_ts(r.net_window.bytes_sent + r.net_window.bytes_received, 1)
+    }),
+    col("retries", |r| count(r.net_final.retries)),
+    col("rebalances", |r| count(r.whole_run.rebalance_events)),
+    col("cells_migrated", |r| count(r.whole_run.cells_migrated)),
+    col("load_ratio", |r| (r.load_ratio, Some(3))),
+    col("recoveries", |r| count(r.net_final.crash_recoveries)),
     // Event frames replayed per crash recovery (0 when nothing crashed):
     // must stay O(WAL suffix) — bounded by the snapshot cadence — never
-    // O(full journal), so a regression means a respawn stopped restoring
-    // from the latest durable snapshot.
-    col(
-        "replayed_per_recovery",
-        |r| {
-            let recoveries = r.net_final.crash_recoveries.max(1);
-            (r.net_final.frames_replayed as f64 / recoveries as f64, Some(1))
-        },
-        Gated,
-    ),
-    col(
-        "snapshots",
-        |r| count(r.net_final.snapshots),
-        Ungated("set by the pinned snapshot cadence; the recovery smoke wants it nonzero"),
-    ),
+    // O(full journal), so growth means a respawn stopped restoring from
+    // the latest durable snapshot.
+    col("replayed_per_recovery", |r| {
+        let recoveries = r.net_final.crash_recoveries.max(1);
+        (
+            r.net_final.frames_replayed as f64 / recoveries as f64,
+            Some(1),
+        )
+    }),
+    col("snapshots", |r| count(r.net_final.snapshots)),
     // Latest durable monitor-state snapshot, summed over shards (sizes
     // the snapshot plane against `memory_kb`).
-    col(
-        "snapshot_kb",
-        |r| (r.net_final.snapshot_bytes as f64 / 1024.0, Some(1)),
-        Ungated("follows the monitored state, like memory_kb"),
-    ),
+    col("snapshot_kb", |r| {
+        (r.net_final.snapshot_bytes as f64 / 1024.0, Some(1))
+    }),
     // Final coordinator journal length in event frames, summed over
     // shards: with snapshots every E frames it stays < E per shard.
-    col("journal_len", |r| count(r.net_final.journal_len), Ungated("bounded by the recovery smoke")),
+    col("journal_len", |r| count(r.net_final.journal_len)),
     // Frames outstanding-at-commit on the replication plane. The
     // synchronous append pipeline commits every replicated event frame
     // with exactly one frame outstanding, so growth means the leader
     // started racing ahead of its quorum — events the WAL could truncate
     // before any follower held them.
-    col("commit_lag_frames", |r| r.per_ts(r.net_window.commit_lag_frames, 3), Gated),
-    col(
-        "failovers",
-        |r| count(r.net_final.failovers),
-        Ungated("set by the injected leader kills; the replication smoke wants one per shard"),
-    ),
-    col(
-        "fenced_appends",
-        |r| count(r.net_final.fenced_appends),
-        Ungated("held at exactly zero by the replication smoke"),
-    ),
+    col("commit_lag_frames", |r| {
+        r.per_ts(r.net_window.commit_lag_frames, 3)
+    }),
+    col("failovers", |r| count(r.net_final.failovers)),
+    col("fenced_appends", |r| count(r.net_final.fenced_appends)),
     // Append, heartbeat, promote and snapshot-offer traffic to followers.
-    col(
-        "replica_bytes",
-        |r| count(r.net_final.replica_bytes),
-        Ungated("sizes the replication plane; the replication smoke wants it nonzero"),
-    ),
+    col("replica_bytes", |r| count(r.net_final.replica_bytes)),
     // Superseded submissions folded away by ingest coalescing:
-    // deterministic for a pinned firehose seed, so growth means the fold
-    // started double-counting (the ingest smoke asserts it stays nonzero).
-    col("coalesced_per_ts", |r| r.per_ts(r.window.coalesced_superseded, 3), Gated),
-    col(
-        "shed_events",
-        |r| count(r.window.shed_events),
-        Ungated("shedding is an admission *policy* outcome the ING-SHED column demonstrates on purpose; the ingest smoke asserts the lossless column stays at zero"),
-    ),
+    // deterministic for a pinned firehose seed.
+    col("coalesced_per_ts", |r| {
+        r.per_ts(r.window.coalesced_superseded, 3)
+    }),
+    col("shed_events", |r| count(r.window.shed_events)),
     // Lane-buffer growth, merge-scratch growth, coalesce-table rehash. A
-    // window total (not a rate) so the gate holds it at exactly zero:
-    // warm-up absorbs the one-off high-water growth, after which the
-    // swap-and-merge drain must run allocation-free.
-    col("drain_alloc_events", |r| count(r.window.drain_alloc_events), Gated),
+    // window total (not a rate): warm-up absorbs the one-off high-water
+    // growth, after which the swap-and-merge drain must run
+    // allocation-free.
+    col("drain_alloc_events", |r| count(r.window.drain_alloc_events)),
 ];
 
 /// A labelled point of a figure series.
@@ -758,7 +687,7 @@ pub fn run_point(
     warmup: usize,
 ) -> Vec<RunResult> {
     let net = params.build_network();
-    let any_ingest = stacks.iter().any(|s| s.ingest != Ingest::Batch);
+    let any_ingest = stacks.iter().any(|s| s.ingest() != Ingest::Batch);
     let mut feed = Feed::new(net.clone(), params, any_ingest);
 
     let mut monitors: Vec<Driven> = stacks
@@ -1003,14 +932,12 @@ mod tests {
     #[test]
     fn odd_shard_counts_keep_their_own_rows() {
         // Every shard count outside {1, 2, 4, 8} used to render as
-        // `ENG-n`, and the gate's `(label, algo)` map kept only the last.
+        // `ENG-n`, two rows the gate cannot tell apart.
         let pts = vec![("p".to_string(), tiny())];
         let stacks = [Stack::engine(3), Stack::engine(6)];
-        let series = run_series(&pts, &stacks, 2, 0, false);
-        let table = crate::gate::parse_artifact(&series_to_json("odd", &series)).unwrap();
-        assert_eq!(table.len(), 2);
+        let json = series_to_json("odd", &run_series(&pts, &stacks, 2, 0, false));
         for name in ["ENG-3", "ENG-6"] {
-            assert!(table.contains_key(&("p".to_string(), name.to_string())));
+            assert_eq!(json.matches(&format!("\"algo\": \"{name}\"")).count(), 1);
         }
         let replicated = Stack::over(Link::Replicated, 6);
         assert_eq!(replicated.name(), "CLU-6-R");
@@ -1183,9 +1110,9 @@ mod tests {
         }
     }
 
-    /// Pins the schema the committed `BENCH_*.json` baselines and the CI
-    /// `grep`s depend on: all 33 keys, their order, and each one's
-    /// `{:.9}` / `{:.1}` / `{:.3}` / integer rendering.
+    /// Pins the schema of the committed `BENCH_*.json`: all 33 keys, their
+    /// order, and each one's `{:.9}` / `{:.1}` / `{:.3}` / integer
+    /// rendering.
     #[test]
     fn a_result_renders_to_the_committed_row_schema() {
         // Field i (1-based) of each counter table holds i over the
@@ -1244,42 +1171,24 @@ mod tests {
             assert!(known, "UNSERIALIZED names unknown counter `{name}`");
             assert!(!why.trim().is_empty(), "no reason for leaving out `{name}`");
         }
-        // 2. A column neither gated nor excused: the
-        //    type leaves no third state, so only the reason can be missing.
+        // 2. A column listed twice: the gate names a leaf by its key.
         for (i, c) in COLUMNS.iter().enumerate() {
             assert!(
                 COLUMNS[..i].iter().all(|earlier| earlier.key != c.key),
                 "column `{}` is listed twice",
                 c.key
             );
-            if let Ungated(why) = c.gate {
-                assert!(
-                    !why.trim().is_empty(),
-                    "no reason for not gating `{}`",
-                    c.key
-                );
-            }
         }
-        // 3. A gated metric the runner does not render:
-        //    the gate's list *is* the table's gated rows, all rendered.
-        let gated: Vec<&str> = crate::gate::gated_metrics().collect();
-        assert_eq!(
-            gated,
-            [
-                "resync_per_ts",
-                "alloc_per_ts",
-                "steps_per_ts",
-                "recycled_per_ts",
-                "frames_per_ts",
-                "replayed_per_recovery",
-                "commit_lag_frames",
-                "coalesced_per_ts",
-                "drain_alloc_events",
-            ]
-        );
-        let row = result_to_json(&zero);
-        for key in gated {
-            assert!(row.contains(&format!("\"{key}\": ")), "{key} not rendered");
+        // 3. A stopwatch reading the gate would hold exactly, or a count it
+        //    would let through: the columns marked wall-clock are the ones
+        //    that read `elapsed`, no other.
+        let slower = RunResult {
+            elapsed: zero.elapsed * 2,
+            ..zero.clone()
+        };
+        for c in COLUMNS {
+            let reads_the_clock = slower.get(c.key) != zero.get(c.key);
+            assert_eq!(c.wall_clock, reads_the_clock, "column `{}`", c.key);
         }
     }
 }

@@ -91,16 +91,6 @@ pub struct EngineConfig {
     /// detector's hysteresis: a hotspot must persist, and a migration must
     /// settle, before cells move again.
     pub rebalance_cooldown: u32,
-    /// What to do when a shard link reports itself permanently down
-    /// (`Response::Down`: its transport died and recovery exhausted every
-    /// retry). `false` (the default) keeps the historical contract — a
-    /// lost shard is fatal and the engine panics. `true` lets surviving
-    /// shards adopt the corpse's cells through the same cell hand-off a
-    /// planned migration uses ([`crate::rebalance`]; "recovery is
-    /// rebalance away from a corpse"): ownership reassigns,
-    /// objects resync from the coordinator's registry, and queries
-    /// re-home with freshly computed results.
-    pub takeover: bool,
     /// The out-of-band ingest stage in front of the tick loop: lane
     /// count, per-lane bound, and admission policy (see
     /// [`crate::ingest`]). The default (4 lanes × 4096 events,
@@ -123,7 +113,6 @@ impl Default for EngineConfig {
             halo_shrink_ticks: 2,
             rebalance_trigger: 0.0,
             rebalance_cooldown: 8,
-            takeover: false,
             ingest: IngestConfig::default(),
             replication: ReplicationConfig::default(),
         }

@@ -259,8 +259,8 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// Shards declared permanently down (`Response::Down`: the link's
     /// transport died and recovery exhausted every retry). A dead shard
     /// owns no cells, holds no halo, and is excluded from every dispatch
-    /// and from the rebalance planner; with [`EngineConfig::takeover`] its
-    /// former cells were adopted by survivors.
+    /// and from the rebalance planner; its former cells were adopted by
+    /// survivors.
     pub(crate) dead: Vec<bool>,
     /// Lifetime count of dead-shard takeovers executed (each one
     /// [`Self::adopt_dead_shard`] run: the corpse's cells, replicas and
@@ -990,12 +990,7 @@ pub(crate) mod tests {
     /// A 3-shard engine whose shard 1 has died and been adopted, plus a
     /// cell shard 0 owns — the fixture the four corpse checks corrupt.
     fn engine_with_corpse() -> (ShardedEngine<MortalLink>, usize, EdgeId) {
-        let cfg = EngineConfig {
-            num_shards: 3,
-            takeover: true,
-            ..EngineConfig::default()
-        };
-        let (mut eng, kills) = mortal_engine(cfg, &[]);
+        let (mut eng, kills) = mortal_engine(EngineConfig::with_shards(3), &[]);
         let n = eng.net.num_edges() as u32;
         for i in 0..n {
             eng.apply(UpdateEvent::insert_object(

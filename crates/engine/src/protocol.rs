@@ -91,8 +91,8 @@ pub enum Response {
     /// The link to this shard is gone for good: the transport died and
     /// recovery (respawn + snapshot + replay) stayed exhausted past its
     /// retry budget. In-process workers never produce this; RPC links do.
-    /// The engine either panics (default — a lost shard is fatal) or,
-    /// with takeover enabled, rebalances the dead shard's cells away.
+    /// The engine rebalances the dead shard's cells away onto the
+    /// survivors (a counted takeover).
     Down,
 }
 

@@ -68,8 +68,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// Lifetime count of dead-shard takeovers executed: each one is a full
     /// `adopt_dead_shard` run, re-homing a permanently-down shard's
     /// cells, replicas and queries onto survivors through the migration
-    /// machinery. Stays 0 unless [`crate::EngineConfig::takeover`] is enabled and
-    /// a shard actually died.
+    /// machinery. Stays 0 unless a shard actually died.
     pub fn takeovers(&self) -> u64 {
         self.takeovers
     }
@@ -286,26 +285,22 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.reconcile();
     }
 
-    /// Reacts to a shard link reporting itself permanently down. Without
-    /// [`crate::EngineConfig::takeover`] this keeps the historical contract — a
-    /// lost shard is fatal. With it, recovery is rebalance away from a
-    /// corpse: bury it (it neither receives nor reports anything any more,
-    /// and its halo replicas die with it), peel its cells onto survivors
-    /// through [`Self::hand_off`], and settle exactly as a planned
-    /// migration does.
+    /// Reacts to a shard link reporting itself permanently down
+    /// (`Response::Down`: its transport died and recovery exhausted every
+    /// retry). Recovery is rebalance away from a corpse, counted in
+    /// [`Self::takeovers`]: bury it (it neither receives nor reports
+    /// anything any more, and its halo replicas die with it), peel its
+    /// cells onto survivors through [`Self::hand_off`] — ownership
+    /// reassigns, objects resync from the coordinator's registry, queries
+    /// re-home with freshly computed results — and settle exactly as a
+    /// planned migration does.
     ///
     /// # Panics
-    /// Panics when takeover is disabled, or when no live shard remains to
-    /// adopt the corpse's cells.
+    /// Panics when no live shard remains to adopt the corpse's cells.
     pub(crate) fn adopt_dead_shard(&mut self, dead: usize) {
         if self.dead[dead] {
             return; // already buried (a late Down from a nested dispatch)
         }
-        assert!(
-            self.cfg.takeover,
-            "shard {dead} is permanently down (transport dead, recovery retries exhausted) \
-             and EngineConfig::takeover is disabled"
-        );
         self.dead[dead] = true;
         self.takeovers += 1;
         assert!(
@@ -629,20 +624,12 @@ mod tests {
         )
     }
 
-    fn takeover_cfg(shards: usize) -> EngineConfig {
-        EngineConfig {
-            num_shards: shards,
-            takeover: true,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Drives a takeover-enabled engine through a seeded scenario against
-    /// a single-`Gma` oracle, killing shard `s` just before tick `t` for
-    /// every `(t, s)` in `deaths`; answers and the replication invariants
-    /// are checked every tick.
+    /// Drives an engine through a seeded scenario against a single-`Gma`
+    /// oracle, killing shard `s` just before tick `t` for every `(t, s)`
+    /// in `deaths`; answers and the replication invariants are checked
+    /// every tick.
     fn run_with_deaths(shards: usize, deaths: &[(usize, usize)]) -> ShardedEngine<MortalLink> {
-        let (mut eng, kills) = mortal_engine(takeover_cfg(shards), &[]);
+        let (mut eng, kills) = mortal_engine(EngineConfig::with_shards(shards), &[]);
         let mut oracle = Gma::new(net());
         let mut scenario = scenario(44 + shards as u64);
         scenario.install_into(&mut eng);
@@ -697,7 +684,7 @@ mod tests {
                 algo: ShardAlgo::Ima,
                 rebalance_trigger: 1.1,
                 rebalance_cooldown: 2,
-                ..takeover_cfg(4)
+                ..EngineConfig::with_shards(4)
             };
             let (mut eng, _) = mortal_engine(cfg, &[(victim, BatchKind::Migration)]);
             let placed = hotspot_setup(&mut eng);
@@ -739,8 +726,8 @@ mod tests {
         // to all of a shard's cells. Evacuate shard x by hand-offs on one
         // engine, let x die on its twin, and compare what is left.
         for x in 0..3usize {
-            let (mut planned, _) = mortal_engine(takeover_cfg(3), &[]);
-            let (mut dying, kills) = mortal_engine(takeover_cfg(3), &[]);
+            let (mut planned, _) = mortal_engine(EngineConfig::with_shards(3), &[]);
+            let (mut dying, kills) = mortal_engine(EngineConfig::with_shards(3), &[]);
             let mut scenario = scenario(7);
             scenario.install_into(&mut planned);
             scenario.install_into(&mut dying);

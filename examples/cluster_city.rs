@@ -12,8 +12,8 @@
 //! follower — which replays its copy of the event log and takes over
 //! serving. The shard stays live, no partition cells move, and the
 //! remaining ticks still match the single-process oracle bit-for-bit.
-//! `EngineConfig::takeover` stays on as the documented last resort,
-//! but the assertions prove it was never needed.
+//! Planner takeover (survivors adopting a dead shard's cells) stays the
+//! last resort, but the assertions prove it was never needed.
 //!
 //! Run with: `cargo run --release --example cluster_city`
 //!
@@ -51,9 +51,6 @@ fn engine_config() -> EngineConfig {
         // threads live in the coordinator process, so a shard *process*
         // dying is exactly the failure they cover.
         replication: ReplicationConfig::with_replicas(1),
-        // Last resort only: promotion must win before the planner moves
-        // any cells (asserted below).
-        takeover: true,
         ..EngineConfig::default()
     }
 }

@@ -610,17 +610,16 @@ fn stale_leader_appends_are_provably_fenced() {
 #[test]
 fn takeover_hands_dead_shard_cells_to_survivors() {
     // Shard 0 crashes and every respawn is stillborn, so the recovery
-    // budget exhausts and the link goes Down. With `takeover` enabled
-    // the engine must adopt its cells via the migration planner and keep
-    // answering — answer-identical to the in-process twin (work counters
-    // legitimately diverge: survivors re-install the orphaned queries).
+    // budget exhausts and the link goes Down. The engine must adopt its
+    // cells via the migration planner and keep answering —
+    // answer-identical to the in-process twin (work counters legitimately
+    // diverge: survivors re-install the orphaned queries).
     let net = grid(8, 8, 4);
     let cfg = base_cfg(44);
     for (shards, crash_after_frames) in [(2usize, 16u32), (4, 12)] {
         let ecfg = EngineConfig {
             num_shards: shards,
             algo: ShardAlgo::Gma,
-            takeover: true,
             ..EngineConfig::default()
         };
         let mut inproc = ShardedEngine::new(net.clone(), ecfg);
@@ -689,7 +688,6 @@ fn takeover_survives_repeated_deaths_down_to_one_shard() {
     let ecfg = EngineConfig {
         num_shards: shards,
         algo: ShardAlgo::Gma,
-        takeover: true,
         ..EngineConfig::default()
     };
     let mut inproc = ShardedEngine::new(net.clone(), ecfg);
