@@ -32,15 +32,13 @@
 
 use std::sync::Arc;
 
-use rnn_roadnet::{
-    DijkstraEngine, EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
-};
+use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork};
 
 use crate::counters::{push_charged, refill_charged, reserve_charged, OpCounters, SCRATCH_ROOM};
 use crate::influence::{InfluenceTable, IntervalSet};
-use crate::search::{dist_via_tree, knn_search, BestK, KeptTree, SearchContext, SearchOutcome};
+use crate::search::{Expander, KeptTree, SearchOutcome};
 use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
-use crate::tree::{ExpansionTree, TreePool};
+use crate::tree::ExpansionTree;
 use crate::types::{cmp_neighbors, Neighbor, RootPos};
 
 /// Handle to an anchor within an [`AnchorSet`].
@@ -57,13 +55,364 @@ pub struct AnchorRec {
     pub result: Vec<Neighbor>,
     /// Distance of the k-th NN (`∞` when fewer than k objects exist).
     pub knn_dist: f64,
-    /// The expansion tree — a handle into the set's shared [`TreePool`].
+    /// The expansion tree — a handle into the pool of the set's
+    /// [`Expander`].
     pub tree: ExpansionTree,
     /// Edges currently carrying this anchor in their influence lists.
     pub influenced: Vec<EdgeId>,
     /// What the tick in progress has found for this anchor to do
     /// ([`Pending::IDLE`] between ticks).
     work: Pending,
+}
+
+/// A set of anchors maintained incrementally over a shared
+/// [`NetworkState`].
+pub struct AnchorSet {
+    anchors: FxHashMap<AnchorKey, AnchorRec>,
+    il: InfluenceTable<AnchorKey>,
+    /// Runs every expansion of the set; its pool is the arena all anchors'
+    /// expansion trees live in, so tree surgery (subtree cuts, θ-prunes,
+    /// re-expansion inserts) recycles slots instead of touching the heap.
+    expander: Expander,
+    /// Scratch for the tick's shared multi-k expansion outcomes (cleared
+    /// every tick; a field so its capacity is reused).
+    shared_outcomes: Vec<SearchOutcome>,
+    /// Expansion work charged to the partition cell (edge) of each
+    /// expansion root since the last take — the load signal the sharded
+    /// engine's rebalance planner ranks candidate cells by. Reused
+    /// capacity; cleared by the owning monitor at the start of each tick.
+    cell_charges: Vec<(EdgeId, u64)>,
+    /// The anchors whose reported result changed in the last tick.
+    changed: Vec<AnchorKey>,
+    /// The tick's other lists, emptied and refilled every tick; their
+    /// growth is charged to `alloc_events`.
+    scratch: TickScratch,
+    next_key: u32,
+    /// Ablation switch: with influence lists disabled, every anchor is
+    /// treated as affected by every update (used to quantify the paper's
+    /// "process only updates that may invalidate" claim).
+    pub use_influence_lists: bool,
+}
+
+impl AnchorSet {
+    /// Creates an empty set over the given network.
+    pub fn new(net: Arc<RoadNetwork>) -> Self {
+        Self {
+            // lint: allow(hot-path-alloc): construction; grows when anchors are added
+            anchors: FxHashMap::default(),
+            il: InfluenceTable::new(net.num_edges()),
+            expander: Expander::new(net),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it holds one outcome per co-rooted group of a tick
+            shared_outcomes: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; one entry per expansion of a tick
+            cell_charges: Vec::new(),
+            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
+            changed: Vec::new(),
+            scratch: TickScratch::new(),
+            next_key: 0,
+            use_influence_lists: true,
+        }
+    }
+
+    /// Folds the expander's and the influence table's allocation/step
+    /// counters (accumulated by out-of-tick work such as query installs)
+    /// into `c`. [`Self::tick`] harvests its own share automatically.
+    pub fn harvest_scratch_counters(&mut self, c: &mut OpCounters) {
+        self.expander.harvest(c);
+        c.alloc_events += self.il.take_alloc_events();
+    }
+
+    /// Drops the accumulated per-cell expansion charges (called by the
+    /// owning monitor at the start of each tick so the buffer holds
+    /// exactly one tick of attribution).
+    pub fn clear_cell_charges(&mut self) {
+        self.cell_charges.clear();
+    }
+
+    /// Drains the per-cell expansion charges recorded since the last
+    /// drain — `(cell edge of the expansion root, Dijkstra steps)` per
+    /// search — into `into`. The internal buffer keeps its capacity, so
+    /// per-tick recording never re-allocates; the sharded engine folds
+    /// the drained charges into its per-cell load estimates.
+    pub fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
+        into.append(&mut self.cell_charges);
+    }
+
+    /// The underlying network.
+    pub fn network(&self) -> &Arc<RoadNetwork> {
+        &self.expander.net
+    }
+
+    /// Number of anchors.
+    pub fn len(&self) -> usize {
+        self.anchors.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.anchors.is_empty()
+    }
+
+    /// Iterates over anchor keys (arbitrary order).
+    pub fn keys(&self) -> impl Iterator<Item = AnchorKey> + '_ {
+        self.anchors.keys().copied()
+    }
+
+    /// The record of anchor `key`.
+    pub fn get(&self, key: AnchorKey) -> Option<&AnchorRec> {
+        self.anchors.get(&key)
+    }
+
+    /// Installs a new anchor and computes its initial result (§4.1).
+    ///
+    /// Allocation accounting: scratch events pending from earlier work are
+    /// first drained into `counters.alloc_events` (maintenance), then the
+    /// install's own allocations — a brand-new entity legitimately
+    /// materialises fresh state — go to `counters.install_alloc_events`,
+    /// keeping the steady-state maintenance guarantee clean.
+    pub fn add(
+        &mut self,
+        state: &NetworkState,
+        root: RootPos,
+        k: usize,
+        counters: &mut OpCounters,
+    ) -> AnchorKey {
+        self.harvest_scratch_counters(counters);
+        let maintenance = counters.alloc_events;
+        let key = AnchorKey(self.next_key);
+        self.next_key += 1;
+        let out = self.expander.expand(state, root, k, None, &[], counters);
+        let mut rec = AnchorRec {
+            root,
+            k,
+            // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
+            result: Vec::new(),
+            knn_dist: 0.0,
+            tree: ExpansionTree::new(),
+            // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
+            influenced: Vec::new(),
+            work: Pending::IDLE,
+        };
+        self.store_outcome(&mut rec, out);
+        self.rebuild_influence(state, key, &mut rec, counters);
+        self.anchors.insert(key, rec);
+        // The tick's lists of anchors hold each anchor at most once (twice
+        // where an update's old and new position are looked up): sized
+        // here, they never grow in a tick.
+        let n = self.anchors.len();
+        let allocs = &mut counters.alloc_events;
+        reserve_charged(&mut self.scratch.queued, n, allocs);
+        reserve_charged(&mut self.scratch.by_root, n, allocs);
+        reserve_charged(&mut self.scratch.affected, 2 * n, allocs);
+        reserve_charged(&mut self.changed, n, allocs);
+        reserve_charged(&mut self.shared_outcomes, n / 2, allocs);
+        self.harvest_scratch_counters(counters);
+        // Everything allocated since the first harvest was the install's.
+        counters.install_alloc_events +=
+            std::mem::replace(&mut counters.alloc_events, maintenance) - maintenance;
+        key
+    }
+
+    /// Removes an anchor, clearing its influence-list entries and
+    /// returning its tree nodes to the pool.
+    pub fn remove(&mut self, key: AnchorKey) -> bool {
+        match self.anchors.remove(&key) {
+            Some(rec) => {
+                for e in rec.influenced {
+                    self.il.remove(e, key);
+                }
+                self.expander.pool.release(rec.tree);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Changes the number of monitored neighbors (GMA adjusts `n.k` as
+    /// queries with different `k` enter/leave a node's sequences).
+    pub fn set_k(
+        &mut self,
+        state: &NetworkState,
+        key: AnchorKey,
+        k: usize,
+        counters: &mut OpCounters,
+    ) {
+        // The records are set aside so that one of them and the rest of
+        // the set can be borrowed together (as in `tick`).
+        let mut anchors = std::mem::take(&mut self.anchors);
+        if let Some(rec) = anchors.get_mut(&key).filter(|rec| rec.k != k) {
+            let grow = k > rec.k;
+            rec.k = k;
+            if grow {
+                // Re-expand, reusing the whole current tree (full re-scan:
+                // the result region is about to widen).
+                let kept = KeptTree::full(std::mem::take(&mut rec.tree));
+                let out = self
+                    .expander
+                    .expand(state, rec.root, k, Some(kept), &[], counters);
+                self.store_outcome(rec, out);
+            } else {
+                // Keep the k best, tighten tree and intervals.
+                rec.result.truncate(k);
+                rec.knn_dist = if rec.result.len() == k {
+                    rec.result[k - 1].dist
+                } else {
+                    f64::INFINITY
+                };
+                counters.tree_nodes_pruned +=
+                    self.expander
+                        .pool
+                        .retain_within(&mut rec.tree, rec.knn_dist) as u64;
+            }
+            self.rebuild_influence(state, key, rec, counters);
+        }
+        self.anchors = anchors;
+    }
+
+    /// The anchors whose reported result (ids or distances) changed in the
+    /// last [`Self::tick`], in ascending key order.
+    pub fn changed(&self) -> &[AnchorKey] {
+        &self.changed
+    }
+
+    /// The anchors whose influencing intervals cover `(edge, frac)` —
+    /// exactly the set an object update at that position would be checked
+    /// against. Exposed for tests and debugging.
+    pub fn covering(&self, edge: EdgeId, frac: f64) -> Vec<AnchorKey> {
+        // lint: allow(hot-path-alloc): covering() is materialized only for install/resync callers, not per tick; charged to alloc_events under the runtime gate
+        self.il.covering(edge, frac).collect()
+    }
+
+    /// The influence-list entries on `edge` (anchor, intervals). Exposed
+    /// for tests and debugging.
+    pub fn influence_on_edge(&self, edge: EdgeId) -> &[(AnchorKey, IntervalSet)] {
+        self.il.on_edge(edge)
+    }
+
+    /// Validates the structural invariants of every anchor (tests and
+    /// debugging):
+    ///
+    /// * expansion-tree links and distances are consistent,
+    /// * every tree distance equals the true network distance from the root
+    ///   (verified with an independent Dijkstra),
+    /// * results are sorted and `knn_dist` matches the k-th entry,
+    /// * every result distance equals the true root→object distance.
+    ///
+    /// # Panics
+    /// Panics on the first violated invariant.
+    pub fn validate(&mut self, state: &NetworkState) {
+        // Pool hygiene: every slab slot is owned by exactly one live tree
+        // (no leaks from dropped handles, no double-frees).
+        let owned: usize = self.anchors.values().map(|r| r.tree.len()).sum();
+        let Expander {
+            net, engine, pool, ..
+        } = &mut self.expander;
+        let net: &RoadNetwork = net;
+        assert_eq!(
+            pool.live_nodes(),
+            owned,
+            "tree pool leaked slots: {} live vs {} owned by anchors",
+            pool.live_nodes(),
+            owned
+        );
+        for (key, rec) in &self.anchors {
+            pool.check_invariants(&rec.tree, net, &state.weights);
+            // Results sorted, deduplicated, and knn_dist consistent.
+            for w in rec.result.windows(2) {
+                assert!(
+                    w[0].sort_key() <= w[1].sort_key(),
+                    "result not sorted for {key:?}"
+                );
+                assert_ne!(w[0].object, w[1].object, "duplicate object in result");
+            }
+            if rec.result.len() == rec.k {
+                assert_eq!(rec.knn_dist, rec.result[rec.k - 1].dist);
+            } else {
+                assert!(rec.result.len() < rec.k);
+                assert_eq!(rec.knn_dist, f64::INFINITY);
+            }
+            // Tree distances are true shortest distances from the root.
+            // The tree may legitimately extend beyond the current kNN_dist
+            // (shrinks skip re-tightening), so bound the oracle expansion
+            // by the deepest tree node instead.
+            let deepest = rec
+                .tree
+                .iter(pool)
+                .map(|(_, d)| d)
+                .fold(rec.knn_dist.min(1e300), f64::max);
+            engine.begin();
+            match rec.root {
+                RootPos::Node(n) => engine.seed(n, 0.0, None),
+                RootPos::Point(p) => {
+                    let e = net.edge(p.edge);
+                    engine.seed(e.start, p.dist_to_start(&state.weights), None);
+                    engine.seed(e.end, p.dist_to_end(&state.weights), None);
+                }
+            }
+            while let Some((n, d)) = engine.pop_settle() {
+                if d > deepest * (1.0 + 1e-9) + 1e-9 {
+                    break;
+                }
+                for &(e, m) in net.adjacent(n) {
+                    engine.relax(m, n, d + state.weights.get(e));
+                }
+            }
+            for (n, d) in rec.tree.iter(pool) {
+                let truth = engine.dist_of(n).expect("tree node reachable");
+                assert!(
+                    (d - truth).abs() <= 1e-9 * truth.max(1.0),
+                    "stale tree distance at {n:?} for {key:?}: {} vs {}",
+                    d,
+                    truth
+                );
+            }
+            // Result distances are true distances.
+            for nb in &rec.result {
+                let pos = state
+                    .objects
+                    .position(nb.object)
+                    .expect("result object exists");
+                let truth = engine.dist_between_points(
+                    net,
+                    &state.weights,
+                    match rec.root {
+                        RootPos::Point(p) => p,
+                        RootPos::Node(n) => {
+                            rnn_roadnet::NetPoint::at_node(net, n).expect("non-isolated")
+                        }
+                    },
+                    pos,
+                );
+                assert!(
+                    (nb.dist - truth).abs() <= 1e-9 * truth.max(1.0),
+                    "wrong result distance for {:?} at {key:?}: {} vs {}",
+                    nb.object,
+                    nb.dist,
+                    truth
+                );
+            }
+        }
+    }
+
+    /// Total resident bytes of trees, influence lists and anchor records.
+    /// Tree bytes cover the shared node slab (pool) plus each anchor's
+    /// directory handle.
+    pub fn memory_breakdown(&self) -> (usize, usize, usize) {
+        let mut trees = self.expander.pool.memory_bytes();
+        let mut table = 0;
+        for rec in self.anchors.values() {
+            trees += rec.tree.memory_bytes();
+            table += std::mem::size_of::<AnchorRec>()
+                + rec.result.capacity() * std::mem::size_of::<Neighbor>()
+                + rec.influenced.capacity() * std::mem::size_of::<EdgeId>();
+        }
+        (table, trees, self.il.memory_bytes())
+    }
+
+    /// Scratch (Dijkstra engine + candidate dedup table) bytes.
+    pub fn scratch_bytes(&self) -> usize {
+        self.expander.scratch_bytes()
+    }
 }
 
 /// Per-anchor work accumulated while scanning a tick's updates.
@@ -154,41 +503,6 @@ impl<T: Copy> Chains<T> {
     }
 }
 
-/// A set of anchors maintained incrementally over a shared
-/// [`NetworkState`].
-pub struct AnchorSet {
-    net: Arc<RoadNetwork>,
-    anchors: FxHashMap<AnchorKey, AnchorRec>,
-    il: InfluenceTable<AnchorKey>,
-    engine: DijkstraEngine,
-    /// Candidate scratch shared by every expansion (flat epoch-stamped
-    /// dedup table; reused so steady-state searches never allocate).
-    best: BestK,
-    /// The arena all anchors' expansion trees live in: one slab of
-    /// intrusive nodes with a free list, so tree surgery (subtree cuts,
-    /// θ-prunes, re-expansion inserts) recycles slots instead of touching
-    /// the heap. See [`crate::tree`].
-    pool: TreePool,
-    /// Scratch for the tick's shared multi-k expansion outcomes (cleared
-    /// every tick; a field so its capacity is reused).
-    shared_outcomes: Vec<SearchOutcome>,
-    /// Expansion work charged to the partition cell (edge) of each
-    /// expansion root since the last take — the load signal the sharded
-    /// engine's rebalance planner ranks candidate cells by. Reused
-    /// capacity; cleared by the owning monitor at the start of each tick.
-    cell_charges: Vec<(EdgeId, u64)>,
-    /// The anchors whose reported result changed in the last tick.
-    changed: Vec<AnchorKey>,
-    /// The tick's other lists, emptied and refilled every tick; their
-    /// growth is charged to `alloc_events`.
-    scratch: TickScratch,
-    next_key: u32,
-    /// Ablation switch: with influence lists disabled, every anchor is
-    /// treated as affected by every update (used to quantify the paper's
-    /// "process only updates that may invalidate" claim).
-    pub use_influence_lists: bool,
-}
-
 /// Reused buffers of [`AnchorSet::tick`] and of the anchor resolutions it
 /// runs. Each starts with [`SCRATCH_ROOM`], and the lists of anchors are
 /// given room for every anchor whenever one is added; a tick that still
@@ -215,275 +529,23 @@ struct TickScratch {
     intervals: Vec<(EdgeId, IntervalSet)>,
 }
 
-impl AnchorSet {
-    /// Creates an empty set over the given network.
-    pub fn new(net: Arc<RoadNetwork>) -> Self {
-        let engine = DijkstraEngine::new(net.num_nodes());
-        let il = InfluenceTable::new(net.num_edges());
+impl TickScratch {
+    fn new() -> Self {
         Self {
-            net,
-            // lint: allow(hot-path-alloc): construction; grows when anchors are added
-            anchors: FxHashMap::default(),
-            il,
-            engine,
-            best: BestK::default(),
-            pool: TreePool::new(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it holds one outcome per co-rooted group of a tick
-            shared_outcomes: Vec::new(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; one entry per expansion of a tick
-            cell_charges: Vec::new(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
-            changed: Vec::new(),
-            scratch: TickScratch {
-                queued: Vec::with_capacity(SCRATCH_ROOM),
-                objects: Chains::new(),
-                cuts: Chains::new(),
-                affected: Vec::with_capacity(SCRATCH_ROOM),
-                changed_edges: FxHashSet::with_capacity_and_hasher(
-                    SCRATCH_ROOM,
-                    Default::default(),
-                ),
-                by_root: Vec::with_capacity(SCRATCH_ROOM),
-                candidates: Vec::with_capacity(SCRATCH_ROOM),
-                touched: Vec::with_capacity(SCRATCH_ROOM),
-                intervals: Vec::with_capacity(SCRATCH_ROOM),
-            },
-            next_key: 0,
-            use_influence_lists: true,
+            queued: Vec::with_capacity(SCRATCH_ROOM),
+            objects: Chains::new(),
+            cuts: Chains::new(),
+            affected: Vec::with_capacity(SCRATCH_ROOM),
+            changed_edges: FxHashSet::with_capacity_and_hasher(SCRATCH_ROOM, Default::default()),
+            by_root: Vec::with_capacity(SCRATCH_ROOM),
+            candidates: Vec::with_capacity(SCRATCH_ROOM),
+            touched: Vec::with_capacity(SCRATCH_ROOM),
+            intervals: Vec::with_capacity(SCRATCH_ROOM),
         }
     }
+}
 
-    /// Folds the engine's, influence table's and tree pool's
-    /// allocation/step counters (accumulated by out-of-tick work such as
-    /// query installs) into `c`. [`Self::tick`] harvests its own share
-    /// automatically.
-    pub fn harvest_scratch_counters(&mut self, c: &mut OpCounters) {
-        c.alloc_events += self.engine.take_alloc_events()
-            + self.il.take_alloc_events()
-            + self.best.take_alloc_events()
-            + self.pool.take_alloc_events();
-        c.expansion_steps += self.engine.take_expansion_steps();
-        c.tree_nodes_recycled += self.pool.take_recycled();
-    }
-
-    /// Pre-provisions the shared tree pool for `trees` concurrent
-    /// expansion trees of about `nodes_per_tree` verified nodes each —
-    /// construction-time warm-up that does **not** count as alloc events
-    /// (see [`TreePool::prewarm`]). Called by monitors built with a
-    /// tree-pool sizing hint so the spare-directory population is in
-    /// place before the first install instead of adapting via one-time
-    /// allocations during the first ticks.
-    pub fn prewarm_trees(&mut self, trees: usize, nodes_per_tree: usize) {
-        self.pool.prewarm(trees, nodes_per_tree);
-    }
-
-    /// Drops the accumulated per-cell expansion charges (called by the
-    /// owning monitor at the start of each tick so the buffer holds
-    /// exactly one tick of attribution).
-    pub fn clear_cell_charges(&mut self) {
-        self.cell_charges.clear();
-    }
-
-    /// Drains the per-cell expansion charges recorded since the last
-    /// drain — `(cell edge of the expansion root, Dijkstra steps)` per
-    /// search — into `into`. The internal buffer keeps its capacity, so
-    /// per-tick recording never re-allocates; the sharded engine folds
-    /// the drained charges into its per-cell load estimates.
-    pub fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
-        into.append(&mut self.cell_charges);
-    }
-
-    /// The underlying network.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.net
-    }
-
-    /// Number of anchors.
-    pub fn len(&self) -> usize {
-        self.anchors.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.anchors.is_empty()
-    }
-
-    /// Iterates over anchor keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = AnchorKey> + '_ {
-        self.anchors.keys().copied()
-    }
-
-    /// The record of anchor `key`.
-    pub fn get(&self, key: AnchorKey) -> Option<&AnchorRec> {
-        self.anchors.get(&key)
-    }
-
-    /// Installs a new anchor and computes its initial result (§4.1).
-    ///
-    /// Allocation accounting: scratch events pending from earlier work are
-    /// first drained into `counters.alloc_events` (maintenance), then the
-    /// install's own allocations — a brand-new entity legitimately
-    /// materialises fresh state — go to `counters.install_alloc_events`,
-    /// keeping the steady-state maintenance guarantee clean.
-    pub fn add(
-        &mut self,
-        state: &NetworkState,
-        root: RootPos,
-        k: usize,
-        counters: &mut OpCounters,
-    ) -> AnchorKey {
-        self.harvest_scratch_counters(counters);
-        let key = AnchorKey(self.next_key);
-        self.next_key += 1;
-        let ctx = SearchContext {
-            net: &self.net,
-            weights: &state.weights,
-            objects: &state.objects,
-        };
-        counters.reevaluations += 1;
-        let steps0 = self.engine.expansion_steps();
-        let out = knn_search(
-            &ctx,
-            &mut self.engine,
-            &mut self.best,
-            &mut self.pool,
-            root,
-            k,
-            None,
-            &[],
-            counters,
-        );
-        charge_cell(
-            &self.net,
-            &mut self.cell_charges,
-            root,
-            self.engine.expansion_steps() - steps0,
-        );
-        let mut rec = AnchorRec {
-            root,
-            k,
-            // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-            result: Vec::new(),
-            knn_dist: 0.0,
-            tree: ExpansionTree::new(),
-            // lint: allow(hot-path-alloc): query installation is the declared install path; its allocations are tracked separately as install_alloc_events
-            influenced: Vec::new(),
-            work: Pending::IDLE,
-        };
-        store_outcome(&mut self.pool, &mut rec, out);
-        let mut install = OpCounters::default();
-        rebuild_influence(
-            &self.net,
-            state,
-            &self.pool,
-            key,
-            &mut rec,
-            &mut self.il,
-            &mut self.scratch.intervals,
-            &mut install,
-        );
-        self.anchors.insert(key, rec);
-        // The tick's lists of anchors hold each anchor at most once (twice
-        // where an update's old and new position are looked up): sized
-        // here, they never grow in a tick.
-        let n = self.anchors.len();
-        reserve_charged(&mut self.scratch.queued, n, &mut install.alloc_events);
-        reserve_charged(&mut self.scratch.by_root, n, &mut install.alloc_events);
-        reserve_charged(&mut self.scratch.affected, 2 * n, &mut install.alloc_events);
-        reserve_charged(&mut self.changed, n, &mut install.alloc_events);
-        reserve_charged(&mut self.shared_outcomes, n / 2, &mut install.alloc_events);
-        self.harvest_scratch_counters(&mut install);
-        counters.install_alloc_events += install.alloc_events;
-        counters.expansion_steps += install.expansion_steps;
-        counters.tree_nodes_recycled += install.tree_nodes_recycled;
-        key
-    }
-
-    /// Removes an anchor, clearing its influence-list entries and
-    /// returning its tree nodes to the pool.
-    pub fn remove(&mut self, key: AnchorKey) -> bool {
-        match self.anchors.remove(&key) {
-            Some(rec) => {
-                for e in rec.influenced {
-                    self.il.remove(e, key);
-                }
-                self.pool.release(rec.tree);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Changes the number of monitored neighbors (GMA adjusts `n.k` as
-    /// queries with different `k` enter/leave a node's sequences).
-    pub fn set_k(
-        &mut self,
-        state: &NetworkState,
-        key: AnchorKey,
-        k: usize,
-        counters: &mut OpCounters,
-    ) {
-        let Some(rec) = self.anchors.get_mut(&key) else {
-            return;
-        };
-        if rec.k == k {
-            return;
-        }
-        if k < rec.k {
-            // Shrink: keep the k best, tighten tree and intervals.
-            rec.k = k;
-            rec.result.truncate(k);
-            rec.knn_dist = if rec.result.len() == k {
-                rec.result[k - 1].dist
-            } else {
-                f64::INFINITY
-            };
-            counters.tree_nodes_pruned +=
-                self.pool.retain_within(&mut rec.tree, rec.knn_dist) as u64;
-        } else {
-            // Grow: re-expand, reusing the whole current tree (full
-            // re-scan: the result region is about to widen).
-            rec.k = k;
-            let tree = std::mem::take(&mut rec.tree);
-            let ctx = SearchContext {
-                net: &self.net,
-                weights: &state.weights,
-                objects: &state.objects,
-            };
-            counters.reevaluations += 1;
-            let steps0 = self.engine.expansion_steps();
-            let out = knn_search(
-                &ctx,
-                &mut self.engine,
-                &mut self.best,
-                &mut self.pool,
-                rec.root,
-                k,
-                Some(KeptTree::full(tree)),
-                &[],
-                counters,
-            );
-            charge_cell(
-                &self.net,
-                &mut self.cell_charges,
-                rec.root,
-                self.engine.expansion_steps() - steps0,
-            );
-            store_outcome(&mut self.pool, rec, out);
-        }
-        let rec = self.anchors.get_mut(&key).expect("just updated");
-        rebuild_influence(
-            &self.net,
-            state,
-            &self.pool,
-            key,
-            rec,
-            &mut self.il,
-            &mut self.scratch.intervals,
-            counters,
-        );
-    }
-
+impl AnchorSet {
     /// Processes one timestamp of updates and returns the work it took;
     /// [`Self::changed`] then lists the anchors whose result changed.
     /// `state` must already reflect the post-tick weights and object
@@ -498,6 +560,9 @@ impl AnchorSet {
         root_moves: &[(AnchorKey, RootPos)],
     ) -> OpCounters {
         let mut counters = OpCounters::default();
+        // The records are set aside for the tick, so that a record and the
+        // rest of the set — what resolves it — can be borrowed together.
+        let mut anchors = std::mem::take(&mut self.anchors);
         let scratch = &mut self.scratch;
         scratch.queued.clear();
         scratch.cuts.entries.clear();
@@ -506,17 +571,17 @@ impl AnchorSet {
         // size one re-allocation at a time. (With no anchor to hand them
         // to — a population being loaded — the list is left as it is.)
         scratch.objects.entries.clear();
-        if !self.anchors.is_empty() && scratch.objects.entries.capacity() < objects.len() {
+        if !anchors.is_empty() && scratch.objects.entries.capacity() < objects.len() {
             counters.alloc_events += 1;
             scratch.objects.entries.reserve(objects.len());
         }
 
         // ---- Figure 10, lines 1-3: roots moving outside their trees.
         for &(key, new_root) in root_moves {
-            let Some(rec) = self.anchors.get_mut(&key) else {
+            let Some(rec) = anchors.get_mut(&key) else {
                 continue;
             };
-            let outside = !root_within_tree(&self.net, rec, new_root);
+            let outside = !root_within_tree(&self.expander.net, rec, new_root);
             let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
             p.moved_root = Some(new_root);
             if outside {
@@ -540,7 +605,7 @@ impl AnchorSet {
                     push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
                 }
             } else {
-                for &k in self.anchors.keys() {
+                for &k in anchors.keys() {
                     push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
                 }
             }
@@ -549,7 +614,7 @@ impl AnchorSet {
                 continue;
             }
             for &key in &scratch.affected {
-                let Some(rec) = self.anchors.get_mut(&key) else {
+                let Some(rec) = anchors.get_mut(&key) else {
                     continue;
                 };
                 let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
@@ -563,9 +628,9 @@ impl AnchorSet {
                     p.full = true;
                     continue;
                 }
-                let erec = self.net.edge(d.edge);
-                let da = rec.tree.dist(&self.pool, erec.start);
-                let db = rec.tree.dist(&self.pool, erec.end);
+                let erec = self.expander.net.edge(d.edge);
+                let da = rec.tree.dist(&self.expander.pool, erec.start);
+                let db = rec.tree.dist(&self.expander.pool, erec.end);
                 if d.new_w < d.old_w {
                     // A decrease can only invalidate tree distances by
                     // creating a shortcut through the edge; entering at a
@@ -606,7 +671,8 @@ impl AnchorSet {
                         }
                     }
                 } else if let Some(child) =
-                    rec.tree.link_child_of_edge(&self.pool, &self.net, d.edge)
+                    rec.tree
+                        .link_child_of_edge(&self.expander.pool, &self.expander.net, d.edge)
                 {
                     // Increase of a tree link: the subtree below it may be
                     // reachable on cheaper alternate paths (§4.4).
@@ -633,7 +699,7 @@ impl AnchorSet {
                     }
                 }
             } else {
-                for &k in self.anchors.keys() {
+                for &k in anchors.keys() {
                     push_charged(&mut scratch.affected, k, &mut counters.alloc_events);
                 }
             }
@@ -646,7 +712,7 @@ impl AnchorSet {
             scratch.affected.sort_unstable();
             scratch.affected.dedup();
             for &key in &scratch.affected {
-                let Some(rec) = self.anchors.get_mut(&key) else {
+                let Some(rec) = anchors.get_mut(&key) else {
                     continue;
                 };
                 let p = enqueue(key, &mut rec.work, &mut scratch.queued, &mut counters);
@@ -673,7 +739,7 @@ impl AnchorSet {
         // own kNN_dist — exactly what an independent expansion returns).
         scratch.by_root.clear();
         for &key in &scratch.queued {
-            let rec = &self.anchors[&key];
+            let rec = &anchors[&key];
             if rec.work.full {
                 let root = rec.work.moved_root.unwrap_or(rec.root);
                 push_charged(
@@ -686,260 +752,66 @@ impl AnchorSet {
         scratch.by_root.sort_unstable();
         // Groups expand in the order of their first (smallest) member:
         // deterministic counters and engine epochs.
-        for i in 0..scratch.queued.len() {
-            let first = &self.anchors[&scratch.queued[i]];
+        for i in 0..self.scratch.queued.len() {
+            let first = &anchors[&self.scratch.queued[i]];
             if !first.work.full || first.work.group.is_some() {
                 continue;
             }
             let root = first.work.moved_root.unwrap_or(first.root);
             let id = root_group_key(root);
             let members = {
-                let lo = scratch.by_root.partition_point(|g| g.0 < id);
-                let hi = scratch.by_root.partition_point(|g| g.0 <= id);
-                &scratch.by_root[lo..hi]
+                let by_root = &self.scratch.by_root;
+                let lo = by_root.partition_point(|g| g.0 < id);
+                let hi = by_root.partition_point(|g| g.0 <= id);
+                &by_root[lo..hi]
             };
             if members.len() < 2 {
                 continue;
             }
             let k_max = members
                 .iter()
-                .map(|(_, k)| self.anchors[k].k)
+                .map(|(_, k)| anchors[k].k)
                 .max()
                 .expect("non-empty group");
-            let ctx = SearchContext {
-                net: &self.net,
-                weights: &state.weights,
-                objects: &state.objects,
-            };
-            counters.reevaluations += 1;
             counters.shared_expansions += members.len() as u64 - 1;
-            let steps0 = self.engine.expansion_steps();
-            let out = knn_search(
-                &ctx,
-                &mut self.engine,
-                &mut self.best,
-                &mut self.pool,
-                root,
-                k_max,
-                None,
-                &[],
-                &mut counters,
-            );
-            charge_cell(
-                &self.net,
-                &mut self.cell_charges,
-                root,
-                self.engine.expansion_steps() - steps0,
-            );
+            let out = self
+                .expander
+                .expand(state, root, k_max, None, &[], &mut counters);
+            let steps = out.steps;
             let group = Some(self.shared_outcomes.len());
             push_charged(&mut self.shared_outcomes, out, &mut counters.alloc_events);
             for (_, member) in members {
-                self.anchors
+                anchors
                     .get_mut(member)
                     .expect("group members are queued anchors")
                     .work
                     .group = group;
             }
+            self.charge_cell(root, steps);
         }
 
-        for i in 0..scratch.queued.len() {
-            let key = scratch.queued[i];
-            let rec = self.anchors.get_mut(&key).expect("queued anchors exist");
+        for i in 0..self.scratch.queued.len() {
+            let key = self.scratch.queued[i];
+            let rec = anchors.get_mut(&key).expect("queued anchors exist");
             let work = std::mem::replace(&mut rec.work, Pending::IDLE);
             let did_change = match work.group {
-                Some(group) => serve_from_shared(
-                    &self.net,
-                    state,
-                    &mut self.pool,
-                    key,
-                    rec,
-                    work.moved_root,
-                    &self.shared_outcomes[group],
-                    &mut self.il,
-                    &mut scratch.intervals,
-                    &mut counters,
-                ),
-                None => resolve_anchor(
-                    &self.net,
-                    state,
-                    &mut self.engine,
-                    &mut self.best,
-                    &mut self.pool,
-                    &mut self.cell_charges,
-                    key,
-                    rec,
-                    work,
-                    scratch,
-                    &mut self.il,
-                    &mut counters,
-                ),
+                Some(group) => {
+                    self.serve_from_shared(state, key, rec, work.moved_root, group, &mut counters)
+                }
+                None => self.resolve_anchor(state, key, rec, work, &mut counters),
             };
             if did_change {
                 push_charged(&mut self.changed, key, &mut counters.alloc_events);
             }
         }
+        self.anchors = anchors;
         for out in self.shared_outcomes.drain(..) {
-            self.pool.release(out.tree);
+            self.expander.pool.release(out.tree);
         }
 
         self.harvest_scratch_counters(&mut counters);
         counters
     }
-
-    /// The anchors whose reported result (ids or distances) changed in the
-    /// last [`Self::tick`], in ascending key order.
-    pub fn changed(&self) -> &[AnchorKey] {
-        &self.changed
-    }
-
-    /// The anchors whose influencing intervals cover `(edge, frac)` —
-    /// exactly the set an object update at that position would be checked
-    /// against. Exposed for tests and debugging.
-    pub fn covering(&self, edge: EdgeId, frac: f64) -> Vec<AnchorKey> {
-        // lint: allow(hot-path-alloc): covering() is materialized only for install/resync callers, not per tick; charged to alloc_events under the runtime gate
-        self.il.covering(edge, frac).collect()
-    }
-
-    /// The influence-list entries on `edge` (anchor, intervals). Exposed
-    /// for tests and debugging.
-    pub fn influence_on_edge(&self, edge: EdgeId) -> &[(AnchorKey, IntervalSet)] {
-        self.il.on_edge(edge)
-    }
-
-    /// Validates the structural invariants of every anchor (tests and
-    /// debugging):
-    ///
-    /// * expansion-tree links and distances are consistent,
-    /// * every tree distance equals the true network distance from the root
-    ///   (verified with an independent Dijkstra),
-    /// * results are sorted and `knn_dist` matches the k-th entry,
-    /// * every result distance equals the true root→object distance.
-    ///
-    /// # Panics
-    /// Panics on the first violated invariant.
-    pub fn validate(&mut self, state: &NetworkState) {
-        // Pool hygiene: every slab slot is owned by exactly one live tree
-        // (no leaks from dropped handles, no double-frees).
-        let owned: usize = self.anchors.values().map(|r| r.tree.len()).sum();
-        assert_eq!(
-            self.pool.live_nodes(),
-            owned,
-            "tree pool leaked slots: {} live vs {} owned by anchors",
-            self.pool.live_nodes(),
-            owned
-        );
-        // lint: allow(hot-path-alloc): validate() is a debug/consistency helper, never on the tick path
-        let keys: Vec<AnchorKey> = self.anchors.keys().copied().collect();
-        for key in keys {
-            let rec = &self.anchors[&key];
-            self.pool
-                .check_invariants(&rec.tree, &self.net, &state.weights);
-            // Results sorted, deduplicated, and knn_dist consistent.
-            for w in rec.result.windows(2) {
-                assert!(
-                    w[0].sort_key() <= w[1].sort_key(),
-                    "result not sorted for {key:?}"
-                );
-                assert_ne!(w[0].object, w[1].object, "duplicate object in result");
-            }
-            if rec.result.len() == rec.k {
-                assert_eq!(rec.knn_dist, rec.result[rec.k - 1].dist);
-            } else {
-                assert!(rec.result.len() < rec.k);
-                assert_eq!(rec.knn_dist, f64::INFINITY);
-            }
-            // Tree distances are true shortest distances from the root.
-            // The tree may legitimately extend beyond the current kNN_dist
-            // (shrinks skip re-tightening), so bound the oracle expansion
-            // by the deepest tree node instead.
-            let deepest = rec
-                .tree
-                .iter(&self.pool)
-                .map(|(_, d)| d)
-                .fold(rec.knn_dist.min(1e300), f64::max);
-            self.engine.begin();
-            match rec.root {
-                RootPos::Node(n) => self.engine.seed(n, 0.0, None),
-                RootPos::Point(p) => {
-                    let e = self.net.edge(p.edge);
-                    self.engine
-                        .seed(e.start, p.dist_to_start(&state.weights), None);
-                    self.engine.seed(e.end, p.dist_to_end(&state.weights), None);
-                }
-            }
-            while let Some((n, d)) = self.engine.pop_settle() {
-                if d > deepest * (1.0 + 1e-9) + 1e-9 {
-                    break;
-                }
-                for &(e, m) in self.net.adjacent(n) {
-                    self.engine.relax(m, n, d + state.weights.get(e));
-                }
-            }
-            for (n, d) in rec.tree.iter(&self.pool) {
-                let truth = self.engine.dist_of(n).expect("tree node reachable");
-                assert!(
-                    (d - truth).abs() <= 1e-9 * truth.max(1.0),
-                    "stale tree distance at {n:?} for {key:?}: {} vs {}",
-                    d,
-                    truth
-                );
-            }
-            // Result distances are true distances.
-            for nb in &rec.result {
-                let pos = state
-                    .objects
-                    .position(nb.object)
-                    .expect("result object exists");
-                let truth = self.engine.dist_between_points(
-                    &self.net,
-                    &state.weights,
-                    match rec.root {
-                        RootPos::Point(p) => p,
-                        RootPos::Node(n) => {
-                            rnn_roadnet::NetPoint::at_node(&self.net, n).expect("non-isolated")
-                        }
-                    },
-                    pos,
-                );
-                assert!(
-                    (nb.dist - truth).abs() <= 1e-9 * truth.max(1.0),
-                    "wrong result distance for {:?} at {key:?}: {} vs {}",
-                    nb.object,
-                    nb.dist,
-                    truth
-                );
-            }
-        }
-    }
-
-    /// Total resident bytes of trees, influence lists and anchor records.
-    /// Tree bytes cover the shared node slab (pool) plus each anchor's
-    /// directory handle.
-    pub fn memory_breakdown(&self) -> (usize, usize, usize) {
-        let mut trees = self.pool.memory_bytes();
-        let mut table = 0;
-        for rec in self.anchors.values() {
-            trees += rec.tree.memory_bytes();
-            table += std::mem::size_of::<AnchorRec>()
-                + rec.result.capacity() * std::mem::size_of::<Neighbor>()
-                + rec.influenced.capacity() * std::mem::size_of::<EdgeId>();
-        }
-        (table, trees, self.il.memory_bytes())
-    }
-
-    /// Scratch (Dijkstra engine + candidate dedup table) bytes.
-    pub fn scratch_bytes(&self) -> usize {
-        self.engine.memory_bytes() + self.best.memory_bytes()
-    }
-}
-
-/// Writes a search outcome into an anchor record, returning the record's
-/// previous tree to the pool.
-fn store_outcome(pool: &mut TreePool, rec: &mut AnchorRec, out: SearchOutcome) {
-    rec.result = out.result;
-    rec.knn_dist = out.knn_dist;
-    let old = std::mem::replace(&mut rec.tree, out.tree);
-    pool.release(old);
 }
 
 /// Puts `key` on the tick's list of anchors to resolve (once) and returns
@@ -973,23 +845,6 @@ fn requeue_objects_on(
     }
 }
 
-/// Records `steps` of expansion work against the partition cell (edge) of
-/// the expansion root: the root's own edge for point roots, the first
-/// adjacent edge for node roots (GMA's active intersections). Deterministic
-/// and allocation-free in steady state (the buffer keeps its capacity).
-fn charge_cell(net: &RoadNetwork, charges: &mut Vec<(EdgeId, u64)>, root: RootPos, steps: u64) {
-    if steps == 0 {
-        return;
-    }
-    let cell = match root {
-        RootPos::Point(p) => Some(p.edge),
-        RootPos::Node(n) => net.adjacent(n).first().map(|&(e, _)| e),
-    };
-    if let Some(e) = cell {
-        charges.push((e, steps));
-    }
-}
-
 /// Hashable identity of a root position. Point roots group only on
 /// bit-identical fractions — the precondition for two expansions being the
 /// same expansion.
@@ -998,46 +853,6 @@ fn root_group_key(root: RootPos) -> (u8, u32, u64) {
         RootPos::Node(n) => (0, n.0, 0),
         RootPos::Point(p) => (1, p.edge.0, p.frac.to_bits()),
     }
-}
-
-/// Serves one anchor of a root group from the group's shared multi-k
-/// expansion: its result is the top-`k` prefix of the shared result (the
-/// top-`k` of a top-`k_max` is the top-`k`), and its tree is the shared
-/// tree pruned to its own `kNN_dist` — the region an independent expansion
-/// would have verified. Returns whether the reported result changed.
-#[allow(clippy::too_many_arguments)]
-fn serve_from_shared(
-    net: &Arc<RoadNetwork>,
-    state: &NetworkState,
-    pool: &mut TreePool,
-    key: AnchorKey,
-    rec: &mut AnchorRec,
-    moved_root: Option<RootPos>,
-    out: &SearchOutcome,
-    il: &mut InfluenceTable<AnchorKey>,
-    intervals: &mut Vec<(EdgeId, IntervalSet)>,
-    counters: &mut OpCounters,
-) -> bool {
-    if let Some(r) = moved_root {
-        rec.root = r;
-    }
-    let served = &out.result[..rec.k.min(out.result.len())];
-    let did_change = results_differ(&rec.result, served);
-    refill_charged(&mut rec.result, served, &mut counters.alloc_events);
-    rec.knn_dist = if served.len() == rec.k {
-        rec.result[rec.k - 1].dist
-    } else {
-        f64::INFINITY
-    };
-    // Copy in place: the member's own cleared tree (slots + directory)
-    // absorbs the shared outcome, so serving a group member never touches
-    // the spare stack.
-    let mut tree = std::mem::take(&mut rec.tree);
-    pool.clone_into(&mut tree, &out.tree);
-    rec.tree = tree;
-    counters.tree_nodes_pruned += pool.retain_within(&mut rec.tree, rec.knn_dist) as u64;
-    rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
-    did_change
 }
 
 /// Whether `new_root` falls inside the anchor's current expansion-tree
@@ -1057,16 +872,313 @@ fn root_within_tree(net: &RoadNetwork, rec: &AnchorRec, new_root: RootPos) -> bo
     }
 }
 
+impl AnchorSet {
+    /// Serves one anchor of a root group from the group's shared multi-k
+    /// expansion: its result is the top-`k` prefix of the shared result
+    /// (the top-`k` of a top-`k_max` is the top-`k`), and its tree is the
+    /// shared tree pruned to its own `kNN_dist` — the region an independent
+    /// expansion would have verified. Returns whether the reported result
+    /// changed.
+    fn serve_from_shared(
+        &mut self,
+        state: &NetworkState,
+        key: AnchorKey,
+        rec: &mut AnchorRec,
+        moved_root: Option<RootPos>,
+        group: usize,
+        counters: &mut OpCounters,
+    ) -> bool {
+        let (out, pool) = (&self.shared_outcomes[group], &mut self.expander.pool);
+        if let Some(r) = moved_root {
+            rec.root = r;
+        }
+        let served = &out.result[..rec.k.min(out.result.len())];
+        let did_change = results_differ(&rec.result, served);
+        refill_charged(&mut rec.result, served, &mut counters.alloc_events);
+        rec.knn_dist = if served.len() == rec.k {
+            rec.result[rec.k - 1].dist
+        } else {
+            f64::INFINITY
+        };
+        // Copy in place: the member's own cleared tree (slots + directory)
+        // absorbs the shared outcome, so serving a group member never
+        // touches the spare stack.
+        let mut tree = std::mem::take(&mut rec.tree);
+        pool.clone_into(&mut tree, &out.tree);
+        rec.tree = tree;
+        counters.tree_nodes_pruned += pool.retain_within(&mut rec.tree, rec.knn_dist) as u64;
+        self.rebuild_influence(state, key, rec, counters);
+        did_change
+    }
+
+    /// Applies pending work to one anchor and refreshes its result, reusing
+    /// the surviving tree. Returns whether the reported result changed.
+    fn resolve_anchor(
+        &mut self,
+        state: &NetworkState,
+        key: AnchorKey,
+        rec: &mut AnchorRec,
+        work: Pending,
+        counters: &mut OpCounters,
+    ) -> bool {
+        let mut old_result = std::mem::take(&mut rec.result);
+
+        if work.full {
+            if let Some(r) = work.moved_root {
+                rec.root = r;
+            }
+            // Hand the invalidated tree to the search *cleared*: an empty kept
+            // tree behaves exactly like a from-scratch expansion, but the
+            // anchor's own slots and directory serve the recomputation
+            // directly — no spare-stack round-trip, no allocation.
+            let mut tree = std::mem::take(&mut rec.tree);
+            counters.tree_nodes_pruned += self.expander.pool.clear(&mut tree) as u64;
+            let kept = Some(KeptTree::full(tree));
+            let out = self
+                .expander
+                .expand(state, rec.root, rec.k, kept, &[], counters);
+            self.store_outcome(rec, out);
+            self.rebuild_influence(state, key, rec, counters);
+            return results_differ(&old_result, &rec.result);
+        }
+
+        let (ex, scratch) = (&mut self.expander, &mut self.scratch);
+        let (candidates, touched) = (&mut scratch.candidates, &mut scratch.touched);
+
+        // kNN_dist of the last structural rebuild: the selective re-scan rule
+        // is stated relative to the region the tree/intervals were built for.
+        let old_knn = rec.knn_dist;
+        // Coverage radius for the selective re-scan. Re-rooting shifts every
+        // kept distance down by the old distance of the new root, so the
+        // radius must shift identically for the "strictly fully covered" test
+        // to keep referring to the *old* region.
+        let mut coverage_knn = old_knn;
+        let mut dirty = work.dirty_tree;
+
+        // Tree surgery from edge updates — pointer unlinks and free-list
+        // pushes in the shared pool, no heap traffic.
+        if work.theta < f64::INFINITY {
+            counters.tree_nodes_pruned += ex.pool.retain_within(&mut rec.tree, work.theta) as u64;
+        }
+        for c in scratch.cuts.iter(work.cuts) {
+            counters.tree_nodes_pruned += ex.pool.remove_subtree(&mut rec.tree, c) as u64;
+        }
+
+        // Root movement within the tree (queries only).
+        if let Some(new_root) = work.moved_root {
+            match valid_subtree_after_move(ex, &state.weights, rec, new_root) {
+                Some((sub, shift)) => {
+                    counters.tree_nodes_pruned +=
+                        ex.pool.reroot_at_subtree(&mut rec.tree, sub, shift) as u64;
+                    coverage_knn -= shift;
+                }
+                None => {
+                    counters.tree_nodes_pruned += ex.pool.clear(&mut rec.tree) as u64;
+                }
+            }
+            rec.root = new_root;
+            dirty = true;
+        }
+
+        // Survivor candidates: previous NNs (and any incoming objects), with
+        // distances re-derived from the surviving tree under current weights.
+        // `dist_via_tree` only produces achievable path lengths, so a stale
+        // survivor can never rank better than the truth; objects whose optimal
+        // path now runs through re-expanded territory are re-found exactly by
+        // the expansion itself.
+        candidates.clear();
+        touched.clear();
+        for (id, _) in scratch.objects.iter(work.objects) {
+            push_charged(touched, id, &mut counters.alloc_events);
+        }
+        touched.sort_unstable();
+        for n in &old_result {
+            if touched.binary_search(&n.object).is_ok() {
+                continue;
+            }
+            if dirty {
+                // Stored distance may be stale — re-derive (exact within the
+                // kept region, a safe over-estimate outside it).
+                if let Some(p) = state.objects.position(n.object) {
+                    let d = ex.dist_via_tree(&state.weights, &rec.tree, rec.root, p);
+                    counters.objects_considered += 1;
+                    if d.is_finite() {
+                        let survivor = Neighbor {
+                            object: n.object,
+                            dist: d,
+                        };
+                        push_charged(candidates, survivor, &mut counters.alloc_events);
+                    }
+                }
+            } else {
+                push_charged(candidates, *n, &mut counters.alloc_events);
+            }
+        }
+        let slack = interval_slack(old_knn);
+        for (id, new_pos) in scratch.objects.iter(work.objects) {
+            let Some(p) = new_pos else { continue };
+            let d = ex.dist_via_tree(&state.weights, &rec.tree, rec.root, p);
+            counters.objects_considered += 1;
+            let within = if dirty {
+                d.is_finite()
+            } else {
+                d <= old_knn + slack
+            };
+            if within {
+                let incoming = Neighbor {
+                    object: id,
+                    dist: d,
+                };
+                push_charged(candidates, incoming, &mut counters.alloc_events);
+            }
+        }
+        candidates.sort_unstable_by(cmp_neighbors);
+        candidates.dedup_by_key(|n| n.object);
+
+        if !dirty && candidates.len() >= rec.k {
+            // Object-only fast path (§4.2) with outgoing ≤ incoming: at least k
+            // objects within the old kNN_dist, and the tree is intact so every
+            // candidate distance above is exact.
+            candidates.truncate(rec.k);
+            rec.knn_dist = candidates[rec.k - 1].dist;
+            let did_change = results_differ(&old_result, candidates);
+            // The new result is written over the old one, in the anchor's own
+            // buffer: nothing is allocated or freed.
+            refill_charged(&mut old_result, candidates, &mut counters.alloc_events);
+            rec.result = old_result;
+            // The tree and the influence intervals are deliberately *not*
+            // shrunk here even though kNN_dist may have decreased: a too-wide
+            // influence region is always safe (it can only cause a spurious
+            // affected-check later), and skipping the rebuild makes the §4.2
+            // fast path allocation-free. The next structural re-expansion
+            // re-tightens both.
+            return did_change;
+        }
+
+        // Structural case (tree surgery and/or result underflow): re-expand
+        // from the surviving tree. Kept-region edges strictly inside the old
+        // result region need no re-scan — their objects are all among the
+        // survivor candidates (see `KeptTree::selective`).
+        let tree = std::mem::take(&mut rec.tree);
+        let kept = if tree.is_empty() {
+            ex.pool.release(tree);
+            None
+        } else {
+            Some(KeptTree {
+                tree,
+                selective: Some((coverage_knn, &scratch.changed_edges)),
+            })
+        };
+        let out = ex.expand(state, rec.root, rec.k, kept, candidates, counters);
+        self.store_outcome(rec, out);
+        self.rebuild_influence(state, key, rec, counters);
+        results_differ(&old_result, &rec.result)
+    }
+
+    /// Rebuilds the influence-list entries of one anchor from its tree and
+    /// kNN_dist (§3: intervals where the network distance is below
+    /// kNN_dist).
+    fn rebuild_influence(
+        &mut self,
+        state: &NetworkState,
+        key: AnchorKey,
+        rec: &mut AnchorRec,
+        counters: &mut OpCounters,
+    ) {
+        let net: &RoadNetwork = &self.expander.net;
+        let (pool, il, pairs) = (
+            &self.expander.pool,
+            &mut self.il,
+            &mut self.scratch.intervals,
+        );
+        for e in rec.influenced.drain(..) {
+            il.remove(e, key);
+        }
+        let slack = interval_slack(rec.knn_dist);
+        // Collect one (edge, interval) pair per tree-adjacent half-edge, then
+        // merge by edge id with a sort — cheaper than a hash map for the few
+        // dozen entries a tree produces.
+        pairs.clear();
+        for (n, dist) in rec.tree.iter(pool) {
+            let reach = rec.knn_dist - dist + slack;
+            if reach < 0.0 {
+                continue;
+            }
+            for &(e, _) in net.adjacent(n) {
+                let w = state.weights.get(e);
+                let f = (reach / w).min(1.0);
+                let ivs = if net.edge(e).start == n {
+                    IntervalSet::single(0.0, f)
+                } else {
+                    IntervalSet::single(1.0 - f, 1.0)
+                };
+                push_charged(pairs, (e, ivs), &mut counters.alloc_events);
+            }
+        }
+        if let RootPos::Point(p) = rec.root {
+            let w = state.weights.get(p.edge);
+            let r = (rec.knn_dist + slack) / w;
+            let ivs = IntervalSet::single(p.frac - r, p.frac + r);
+            push_charged(pairs, (p.edge, ivs), &mut counters.alloc_events);
+        }
+        pairs.sort_unstable_by_key(|&(e, _)| e);
+        let mut i = 0;
+        while i < pairs.len() {
+            let (e, mut ivs) = pairs[i];
+            i += 1;
+            while i < pairs.len() && pairs[i].0 == e {
+                for &(lo, hi) in pairs[i].1.intervals() {
+                    ivs.add(lo, hi);
+                }
+                i += 1;
+            }
+            if !ivs.is_empty() {
+                il.insert(e, key, ivs);
+                rec.influenced.push(e);
+            }
+        }
+    }
+
+    /// Writes the outcome of an expansion from `rec`'s root into the
+    /// record, charging the expansion's steps to the root's cell and
+    /// returning the record's previous tree to the pool.
+    fn store_outcome(&mut self, rec: &mut AnchorRec, out: SearchOutcome) {
+        self.charge_cell(rec.root, out.steps);
+        rec.result = out.result;
+        rec.knn_dist = out.knn_dist;
+        let old = std::mem::replace(&mut rec.tree, out.tree);
+        self.expander.pool.release(old);
+    }
+
+    /// Records `steps` of expansion work against the partition cell (edge)
+    /// of the expansion root: the root's own edge for point roots, the
+    /// first adjacent edge for node roots (GMA's active intersections).
+    /// Deterministic and allocation-free in steady state (the buffer keeps
+    /// its capacity).
+    fn charge_cell(&mut self, root: RootPos, steps: u64) {
+        if steps == 0 {
+            return;
+        }
+        let cell = match root {
+            RootPos::Point(p) => Some(p.edge),
+            RootPos::Node(n) => self.expander.net.adjacent(n).first().map(|&(e, _)| e),
+        };
+        if let Some(e) = cell {
+            self.cell_charges.push((e, steps));
+        }
+    }
+}
+
 /// §4.3: the part of the tree that remains valid when the root moves to
 /// `new_root`. Returns `(subtree root, distance shift)`, or `None` when
 /// nothing survives (recompute from scratch).
 fn valid_subtree_after_move(
-    net: &RoadNetwork,
+    ex: &Expander,
     weights: &rnn_roadnet::EdgeWeights,
-    pool: &TreePool,
     rec: &AnchorRec,
     new_root: RootPos,
 ) -> Option<(NodeId, f64)> {
+    let (net, pool): (&RoadNetwork, _) = (&ex.net, &ex.pool);
     let RootPos::Point(p) = new_root else {
         return None; // node-rooted anchors never move
     };
@@ -1104,213 +1216,6 @@ fn valid_subtree_after_move(
     Some((child, d_old_q))
 }
 
-/// Applies pending work to one anchor and refreshes its result, reusing the
-/// surviving tree. Returns whether the reported result changed.
-#[allow(clippy::too_many_arguments)]
-fn resolve_anchor(
-    net: &Arc<RoadNetwork>,
-    state: &NetworkState,
-    engine: &mut DijkstraEngine,
-    best: &mut BestK,
-    pool: &mut TreePool,
-    cell_charges: &mut Vec<(EdgeId, u64)>,
-    key: AnchorKey,
-    rec: &mut AnchorRec,
-    work: Pending,
-    scratch: &mut TickScratch,
-    il: &mut InfluenceTable<AnchorKey>,
-    counters: &mut OpCounters,
-) -> bool {
-    let ctx = SearchContext {
-        net,
-        weights: &state.weights,
-        objects: &state.objects,
-    };
-    let TickScratch {
-        objects,
-        cuts,
-        candidates,
-        touched,
-        intervals,
-        changed_edges,
-        ..
-    } = scratch;
-    let mut old_result = std::mem::take(&mut rec.result);
-
-    if work.full {
-        if let Some(r) = work.moved_root {
-            rec.root = r;
-        }
-        counters.reevaluations += 1;
-        // Hand the invalidated tree to the search *cleared*: an empty kept
-        // tree behaves exactly like a from-scratch expansion, but the
-        // anchor's own slots and directory serve the recomputation
-        // directly — no spare-stack round-trip, no allocation.
-        let mut tree = std::mem::take(&mut rec.tree);
-        counters.tree_nodes_pruned += pool.clear(&mut tree) as u64;
-        let steps0 = engine.expansion_steps();
-        let out = knn_search(
-            &ctx,
-            engine,
-            best,
-            pool,
-            rec.root,
-            rec.k,
-            Some(KeptTree::full(tree)),
-            &[],
-            counters,
-        );
-        charge_cell(
-            net,
-            cell_charges,
-            rec.root,
-            engine.expansion_steps() - steps0,
-        );
-        store_outcome(pool, rec, out);
-        rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
-        return results_differ(&old_result, &rec.result);
-    }
-
-    // kNN_dist of the last structural rebuild: the selective re-scan rule
-    // is stated relative to the region the tree/intervals were built for.
-    let old_knn = rec.knn_dist;
-    // Coverage radius for the selective re-scan. Re-rooting shifts every
-    // kept distance down by the old distance of the new root, so the
-    // radius must shift identically for the "strictly fully covered" test
-    // to keep referring to the *old* region.
-    let mut coverage_knn = old_knn;
-    let mut dirty = work.dirty_tree;
-
-    // Tree surgery from edge updates — pointer unlinks and free-list
-    // pushes in the shared pool, no heap traffic.
-    if work.theta < f64::INFINITY {
-        counters.tree_nodes_pruned += pool.retain_within(&mut rec.tree, work.theta) as u64;
-    }
-    for c in cuts.iter(work.cuts) {
-        counters.tree_nodes_pruned += pool.remove_subtree(&mut rec.tree, c) as u64;
-    }
-
-    // Root movement within the tree (queries only).
-    if let Some(new_root) = work.moved_root {
-        match valid_subtree_after_move(net, &state.weights, pool, rec, new_root) {
-            Some((sub, shift)) => {
-                counters.tree_nodes_pruned +=
-                    pool.reroot_at_subtree(&mut rec.tree, sub, shift) as u64;
-                coverage_knn -= shift;
-            }
-            None => {
-                counters.tree_nodes_pruned += pool.clear(&mut rec.tree) as u64;
-            }
-        }
-        rec.root = new_root;
-        dirty = true;
-    }
-
-    // Survivor candidates: previous NNs (and any incoming objects), with
-    // distances re-derived from the surviving tree under current weights.
-    // `dist_via_tree` only produces achievable path lengths, so a stale
-    // survivor can never rank better than the truth; objects whose optimal
-    // path now runs through re-expanded territory are re-found exactly by
-    // the expansion itself.
-    candidates.clear();
-    touched.clear();
-    for (id, _) in objects.iter(work.objects) {
-        push_charged(touched, id, &mut counters.alloc_events);
-    }
-    touched.sort_unstable();
-    for n in &old_result {
-        if touched.binary_search(&n.object).is_ok() {
-            continue;
-        }
-        if dirty {
-            // Stored distance may be stale — re-derive (exact within the
-            // kept region, a safe over-estimate outside it).
-            if let Some(p) = state.objects.position(n.object) {
-                let d = dist_via_tree(net, &state.weights, pool, &rec.tree, rec.root, p);
-                counters.objects_considered += 1;
-                if d.is_finite() {
-                    let survivor = Neighbor {
-                        object: n.object,
-                        dist: d,
-                    };
-                    push_charged(candidates, survivor, &mut counters.alloc_events);
-                }
-            }
-        } else {
-            push_charged(candidates, *n, &mut counters.alloc_events);
-        }
-    }
-    let slack = interval_slack(old_knn);
-    for (id, new_pos) in objects.iter(work.objects) {
-        let Some(p) = new_pos else { continue };
-        let d = dist_via_tree(net, &state.weights, pool, &rec.tree, rec.root, p);
-        counters.objects_considered += 1;
-        let within = if dirty {
-            d.is_finite()
-        } else {
-            d <= old_knn + slack
-        };
-        if within {
-            let incoming = Neighbor {
-                object: id,
-                dist: d,
-            };
-            push_charged(candidates, incoming, &mut counters.alloc_events);
-        }
-    }
-    candidates.sort_unstable_by(cmp_neighbors);
-    candidates.dedup_by_key(|n| n.object);
-
-    if !dirty && candidates.len() >= rec.k {
-        // Object-only fast path (§4.2) with outgoing ≤ incoming: at least k
-        // objects within the old kNN_dist, and the tree is intact so every
-        // candidate distance above is exact.
-        candidates.truncate(rec.k);
-        rec.knn_dist = candidates[rec.k - 1].dist;
-        let did_change = results_differ(&old_result, candidates);
-        // The new result is written over the old one, in the anchor's own
-        // buffer: nothing is allocated or freed.
-        refill_charged(&mut old_result, candidates, &mut counters.alloc_events);
-        rec.result = old_result;
-        // The tree and the influence intervals are deliberately *not*
-        // shrunk here even though kNN_dist may have decreased: a too-wide
-        // influence region is always safe (it can only cause a spurious
-        // affected-check later), and skipping the rebuild makes the §4.2
-        // fast path allocation-free. The next structural re-expansion
-        // re-tightens both.
-        return did_change;
-    }
-
-    // Structural case (tree surgery and/or result underflow): re-expand
-    // from the surviving tree. Kept-region edges strictly inside the old
-    // result region need no re-scan — their objects are all among the
-    // survivor candidates (see `KeptTree::selective`).
-    counters.reevaluations += 1;
-    let tree = std::mem::take(&mut rec.tree);
-    let kept = if tree.is_empty() {
-        pool.release(tree);
-        None
-    } else {
-        Some(KeptTree {
-            tree,
-            selective: Some((coverage_knn, changed_edges)),
-        })
-    };
-    let steps0 = engine.expansion_steps();
-    let out = knn_search(
-        &ctx, engine, best, pool, rec.root, rec.k, kept, candidates, counters,
-    );
-    charge_cell(
-        net,
-        cell_charges,
-        rec.root,
-        engine.expansion_steps() - steps0,
-    );
-    store_outcome(pool, rec, out);
-    rebuild_influence(net, state, pool, key, rec, il, intervals, counters);
-    results_differ(&old_result, &rec.result)
-}
-
 fn results_differ(a: &[Neighbor], b: &[Neighbor]) -> bool {
     a.len() != b.len()
         || a.iter()
@@ -1328,68 +1233,6 @@ pub(crate) fn interval_slack(knn_dist: f64) -> f64 {
         1e-9 * knn_dist.max(1.0)
     } else {
         0.0
-    }
-}
-
-/// Rebuilds the influence-list entries of one anchor from its tree and
-/// kNN_dist (§3: intervals where the network distance is below kNN_dist).
-/// `pairs` is the caller's reused buffer.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_influence(
-    net: &RoadNetwork,
-    state: &NetworkState,
-    pool: &TreePool,
-    key: AnchorKey,
-    rec: &mut AnchorRec,
-    il: &mut InfluenceTable<AnchorKey>,
-    pairs: &mut Vec<(EdgeId, IntervalSet)>,
-    counters: &mut OpCounters,
-) {
-    for e in rec.influenced.drain(..) {
-        il.remove(e, key);
-    }
-    let slack = interval_slack(rec.knn_dist);
-    // Collect one (edge, interval) pair per tree-adjacent half-edge, then
-    // merge by edge id with a sort — cheaper than a hash map for the few
-    // dozen entries a tree produces.
-    pairs.clear();
-    for (n, dist) in rec.tree.iter(pool) {
-        let reach = rec.knn_dist - dist + slack;
-        if reach < 0.0 {
-            continue;
-        }
-        for &(e, _) in net.adjacent(n) {
-            let w = state.weights.get(e);
-            let f = (reach / w).min(1.0);
-            let ivs = if net.edge(e).start == n {
-                IntervalSet::single(0.0, f)
-            } else {
-                IntervalSet::single(1.0 - f, 1.0)
-            };
-            push_charged(pairs, (e, ivs), &mut counters.alloc_events);
-        }
-    }
-    if let RootPos::Point(p) = rec.root {
-        let w = state.weights.get(p.edge);
-        let r = (rec.knn_dist + slack) / w;
-        let ivs = IntervalSet::single(p.frac - r, p.frac + r);
-        push_charged(pairs, (p.edge, ivs), &mut counters.alloc_events);
-    }
-    pairs.sort_unstable_by_key(|&(e, _)| e);
-    let mut i = 0;
-    while i < pairs.len() {
-        let (e, mut ivs) = pairs[i];
-        i += 1;
-        while i < pairs.len() && pairs[i].0 == e {
-            for &(lo, hi) in pairs[i].1.intervals() {
-                ivs.add(lo, hi);
-            }
-            i += 1;
-        }
-        if !ivs.is_empty() {
-            il.insert(e, key, ivs);
-            rec.influenced.push(e);
-        }
     }
 }
 
@@ -1563,7 +1406,9 @@ mod tests {
             "dist {}",
             rec.result[1].dist
         );
-        set.pool.check_invariants(&rec.tree, &net, &state.weights);
+        set.expander
+            .pool
+            .check_invariants(&rec.tree, &net, &state.weights);
     }
 
     #[test]
@@ -1596,7 +1441,9 @@ mod tests {
             "dist {}",
             rec.result[1].dist
         );
-        set.pool.check_invariants(&rec.tree, &net, &state.weights);
+        set.expander
+            .pool
+            .check_invariants(&rec.tree, &net, &state.weights);
     }
 
     #[test]
@@ -1652,7 +1499,9 @@ mod tests {
         assert!((rec.result[1].dist - 0.75).abs() < 1e-12);
         assert_eq!(rec.result[2].object, ObjectId(4));
         assert!((rec.result[2].dist - 1.25).abs() < 1e-12);
-        set.pool.check_invariants(&rec.tree, &net, &state.weights);
+        set.expander
+            .pool
+            .check_invariants(&rec.tree, &net, &state.weights);
         let _ = state.apply_batch(&UpdateBatch::default());
     }
 

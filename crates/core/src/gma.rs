@@ -82,6 +82,7 @@ use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, Ti
 use crate::influence::{InfluenceTable, IntervalSet};
 use crate::monitor::ContinuousMonitor;
 use crate::search::StampTable;
+use crate::snapshot::MonitorState;
 use crate::state::NetworkState;
 use crate::types::{cmp_neighbors, Neighbor, RootPos, UpdateBatch};
 
@@ -434,10 +435,10 @@ impl Gma {
     /// the borrowed, offset NN sets of the reachable endpoints into the
     /// first k distinct objects, swap the result in if it differs, and
     /// rebuild the query's influence intervals. Returns whether the
-    /// result changed.
-    fn eval_query(&mut self, qid: QueryId, counters: &mut OpCounters) -> bool {
+    /// result changed. `q` is `qid`'s record, set aside by the tick with
+    /// the rest of the query table.
+    fn eval_query(&mut self, qid: QueryId, q: &mut GmaQuery, counters: &mut OpCounters) -> bool {
         counters.reevaluations += 1;
-        let q = self.queries.get(&qid).expect("query registered");
         let (k, pos, seq) = (q.k, q.pos, q.seq);
         let s = self.seqs.sequence(seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in its sequence");
@@ -491,7 +492,6 @@ impl Gma {
             }
         }
 
-        let q = self.queries.get_mut(&qid).expect("query registered");
         let changed = q.result != scratch.merged;
         if changed {
             std::mem::swap(&mut q.result, &mut scratch.merged);
@@ -502,7 +502,7 @@ impl Gma {
             f64::INFINITY
         };
         q.d_ends = (d_start, d_end);
-        self.rebuild_query_influence(qid, &mut scratch.intervals, counters);
+        self.rebuild_query_influence(qid, q, &mut scratch.intervals, counters);
         self.eval = scratch;
         changed
     }
@@ -642,10 +642,10 @@ impl Gma {
     fn rebuild_query_influence(
         &mut self,
         qid: QueryId,
+        q: &mut GmaQuery,
         fresh: &mut Vec<(EdgeId, IntervalSet)>,
         counters: &mut OpCounters,
     ) {
-        let q = self.queries.get_mut(&qid).expect("query registered");
         let (pos, knn) = (q.pos, q.knn_dist);
         let s = self.seqs.sequence(q.seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in sequence");
@@ -876,7 +876,15 @@ impl ContinuousMonitor for Gma {
         order.clear();
         order.extend(self.needs_eval.iter().copied());
         order.sort_unstable();
-        order.retain(|&qid| self.queries.contains_key(&qid) && self.eval_query(qid, &mut counters));
+        // The query table is set aside meanwhile, so that each query is
+        // looked up once and evaluated through that borrow.
+        let mut queries = std::mem::take(&mut self.queries);
+        order.retain(|&qid| {
+            queries
+                .get_mut(&qid)
+                .is_some_and(|q| self.eval_query(qid, q, &mut counters))
+        });
+        self.queries = queries;
         // A re-install at another k moves `kNN_dist` (k-th distance ↔ ∞)
         // even where the result stands.
         for &(qid, knn_before) in &self.rekeyed {
@@ -967,16 +975,8 @@ impl ContinuousMonitor for Gma {
         }
     }
 
-    fn snapshot_state(&self) -> Option<crate::snapshot::MonitorState> {
-        Some(crate::snapshot::MonitorState::capture(
-            &self.net,
-            &self.state,
-            |q| match self.queries.get(&q) {
-                Some(rec) => (rec.knn_dist, rec.result.clone()),
-                // lint: allow(hot-path-alloc): snapshot capture is maintenance-path, not a steady-state tick
-                None => (f64::INFINITY, Vec::new()),
-            },
-        ))
+    fn snapshot_state(&self) -> Option<MonitorState> {
+        Some(MonitorState::capture(&self.net, &self.state, self))
     }
 }
 

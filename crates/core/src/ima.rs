@@ -17,8 +17,8 @@ use crate::counters::{
     push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport, SCRATCH_ROOM,
 };
 use crate::monitor::ContinuousMonitor;
+use crate::snapshot::MonitorState;
 use crate::state::NetworkState;
-use crate::tree::TreePool;
 use crate::types::{Neighbor, RootPos, UpdateBatch};
 
 /// The incremental monitoring algorithm.
@@ -65,18 +65,6 @@ impl Ima {
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; only a re-install at another k, a cold path, pushes to it
             rekeyed: Vec::new(),
         }
-    }
-
-    /// Like [`Self::new`], with the expansion-tree pool pre-provisioned
-    /// for about `hint` concurrent trees (one per expected query) of
-    /// [`crate::tree::TreePool::PREWARM_NODES_PER_TREE`] nodes each. A
-    /// hint of 0 is exactly `new` (the pool then adapts during the first
-    /// ticks via one-time counted allocations).
-    pub fn with_tree_pool_hint(net: Arc<RoadNetwork>, hint: usize) -> Self {
-        let mut m = Self::new(net);
-        m.anchors
-            .prewarm_trees(hint, TreePool::PREWARM_NODES_PER_TREE);
-        m
     }
 
     /// Disables influence lists (ablation): every update is delivered to
@@ -288,19 +276,11 @@ impl ContinuousMonitor for Ima {
         self.anchors.drain_cell_charges(into);
     }
 
-    fn snapshot_state(&self) -> Option<crate::snapshot::MonitorState> {
-        let net = self.anchors.network().clone();
-        Some(crate::snapshot::MonitorState::capture(
-            &net,
+    fn snapshot_state(&self) -> Option<MonitorState> {
+        Some(MonitorState::capture(
+            self.anchors.network(),
             &self.state,
-            |q| {
-                let key = self.by_query.get(&q).and_then(|k| self.anchors.get(*k));
-                match key {
-                    Some(rec) => (rec.knn_dist, rec.result.clone()),
-                    // lint: allow(hot-path-alloc): snapshot capture is maintenance-path, not a steady-state tick
-                    None => (f64::INFINITY, Vec::new()),
-                }
-            },
+            self,
         ))
     }
 }

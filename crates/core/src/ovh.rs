@@ -11,13 +11,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rnn_roadnet::{DijkstraEngine, FxHashMap, NetPoint, QueryId, RoadNetwork};
+use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
 
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
 use crate::monitor::ContinuousMonitor;
-use crate::search::{knn_search, BestK, SearchContext};
+use crate::search::Expander;
+use crate::snapshot::MonitorState;
 use crate::state::NetworkState;
-use crate::tree::TreePool;
 use crate::types::{Neighbor, RootPos, UpdateBatch};
 
 struct OvhQuery {
@@ -29,16 +29,12 @@ struct OvhQuery {
 
 /// The from-scratch baseline monitor.
 pub struct Ovh {
-    net: Arc<RoadNetwork>,
     state: NetworkState,
     queries: FxHashMap<QueryId, OvhQuery>,
-    engine: DijkstraEngine,
-    /// Candidate scratch reused by every from-scratch recomputation.
-    best: BestK,
-    /// Tree arena: OVH discards each search's expansion tree immediately,
-    /// so successive recomputations recycle the same slots and run
+    /// OVH discards each search's expansion tree immediately, so
+    /// successive recomputations recycle the same pool slots and run
     /// allocation-free in steady state.
-    pool: TreePool,
+    expander: Expander,
     /// The tick's recompute list (every query, ascending), cut down after
     /// recomputation to the ones whose answer changed: the list behind
     /// [`ContinuousMonitor::changed_queries`].
@@ -48,16 +44,11 @@ pub struct Ovh {
 impl Ovh {
     /// Creates an OVH server over `net` with base weights and no objects.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
-        let state = NetworkState::new(&net);
-        let engine = DijkstraEngine::new(net.num_nodes());
         Self {
-            net,
-            state,
+            state: NetworkState::new(&net),
             // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
             queries: FxHashMap::default(),
-            engine,
-            best: BestK::default(),
-            pool: TreePool::new(),
+            expander: Expander::new(net),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick refills it in kept capacity
             changed: Vec::new(),
         }
@@ -67,29 +58,16 @@ impl Ovh {
     /// changed.
     fn recompute(&mut self, id: QueryId, counters: &mut OpCounters) -> bool {
         let q = self.queries.get_mut(&id).expect("query registered");
-        let ctx = SearchContext {
-            net: &self.net,
-            weights: &self.state.weights,
-            objects: &self.state.objects,
-        };
-        counters.reevaluations += 1;
-        let out = knn_search(
-            &ctx,
-            &mut self.engine,
-            &mut self.best,
-            &mut self.pool,
-            RootPos::Point(q.pos),
-            q.k,
-            None,
-            &[],
-            counters,
-        );
+        let root = RootPos::Point(q.pos);
+        let out = self
+            .expander
+            .expand(&self.state, root, q.k, None, &[], counters);
         let changed = out.result != q.result || out.knn_dist.to_bits() != q.knn_dist.to_bits();
         q.result = out.result;
         q.knn_dist = out.knn_dist;
         // OVH keeps no state between timestamps: the tree goes straight
         // back to the pool, where the next recomputation reuses its slots.
-        self.pool.release(out.tree);
+        self.expander.pool.release(out.tree);
         changed
     }
 }
@@ -135,12 +113,8 @@ impl ContinuousMonitor for Ovh {
         ids.retain(|&id| self.recompute(id, &mut counters));
         let results_changed = ids.len() + removed_with_answer;
         self.changed = ids;
-        counters.alloc_events += self.engine.take_alloc_events()
-            + self.state.objects.take_alloc_events()
-            + self.best.take_alloc_events()
-            + self.pool.take_alloc_events();
-        counters.expansion_steps += self.engine.take_expansion_steps();
-        counters.tree_nodes_recycled += self.pool.take_recycled();
+        self.expander.harvest(&mut counters);
+        counters.alloc_events += self.state.objects.take_alloc_events();
         TickReport {
             elapsed: start.elapsed(),
             results_changed,
@@ -179,22 +153,12 @@ impl ContinuousMonitor for Ovh {
             query_table,
             expansion_trees: 0,
             influence_lists: 0,
-            auxiliary: self.engine.memory_bytes()
-                + self.best.memory_bytes()
-                + self.pool.memory_bytes(),
+            auxiliary: self.expander.scratch_bytes() + self.expander.pool.memory_bytes(),
         }
     }
 
-    fn snapshot_state(&self) -> Option<crate::snapshot::MonitorState> {
-        Some(crate::snapshot::MonitorState::capture(
-            &self.net,
-            &self.state,
-            |q| match self.queries.get(&q) {
-                Some(rec) => (rec.knn_dist, rec.result.clone()),
-                // lint: allow(hot-path-alloc): snapshot capture is maintenance-path, not a steady-state tick
-                None => (f64::INFINITY, Vec::new()),
-            },
-        ))
+    fn snapshot_state(&self) -> Option<MonitorState> {
+        Some(MonitorState::capture(&self.expander.net, &self.state, self))
     }
 }
 

@@ -1,8 +1,11 @@
 //! The k-NN network expansion — Figure 2 of the paper, generalised.
 //!
-//! [`knn_search`] retrieves the k nearest objects of a root position by
-//! expanding the network around it (Dijkstra), interleaving object scanning
-//! with node settlement, and building the expansion tree as it goes.
+//! [`Expander::expand`] retrieves the k nearest objects of a root position
+//! by expanding the network around it (Dijkstra), interleaving object
+//! scanning with node settlement, and building the expansion tree as it
+//! goes. The [`Expander`] owns everything an expansion works with — the
+//! network handle, the Dijkstra engine, the candidate scratch and the arena
+//! the trees live in — so every monitor searches through one struct.
 //!
 //! The same routine implements every (re-)computation in the system:
 //!
@@ -17,22 +20,16 @@
 //! Termination follows the paper (line 7): expansion stops when the next
 //! heap key is no smaller than the distance of the current k-th candidate.
 
-use rnn_roadnet::{DijkstraEngine, EdgeWeights, FxHashSet, NodeId, ObjectId, RoadNetwork};
+use std::sync::Arc;
+
+use rnn_roadnet::{
+    DijkstraEngine, EdgeId, EdgeWeights, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
+};
 
 use crate::counters::OpCounters;
-use crate::state::ObjectIndex;
+use crate::state::NetworkState;
 use crate::tree::{ExpansionTree, TreePool};
 use crate::types::{sort_neighbors, Neighbor, RootPos};
-
-/// Immutable context for a search.
-pub struct SearchContext<'a> {
-    /// Network topology.
-    pub net: &'a RoadNetwork,
-    /// Current edge weights.
-    pub weights: &'a EdgeWeights,
-    /// Current object placement.
-    pub objects: &'a ObjectIndex,
-}
 
 /// The still-valid part of an expansion tree handed to a re-expansion.
 pub struct KeptTree<'a> {
@@ -48,7 +45,7 @@ pub struct KeptTree<'a> {
     /// caller must pass the previous result (with re-derived distances) via
     /// `extra_candidates`. This turns the kept-region re-scan from
     /// O(region) into O(frontier ring + changed edges).
-    pub selective: Option<(f64, &'a FxHashSet<rnn_roadnet::EdgeId>)>,
+    pub selective: Option<(f64, &'a FxHashSet<EdgeId>)>,
 }
 
 impl KeptTree<'_> {
@@ -61,7 +58,7 @@ impl KeptTree<'_> {
     }
 }
 
-/// Result of a [`knn_search`].
+/// Result of an [`Expander::expand`].
 #[derive(Debug)]
 pub struct SearchOutcome {
     /// The k best objects, sorted by `(dist, id)`. May contain fewer than
@@ -74,6 +71,8 @@ pub struct SearchOutcome {
     /// the search ran against; callers that discard it must release it
     /// back to that pool.
     pub tree: ExpansionTree,
+    /// Dijkstra steps (heap pops) the expansion took.
+    pub steps: u64,
 }
 
 /// One slot of a [`StampTable`].
@@ -240,7 +239,8 @@ impl<V: Copy + Default> StampTable<V> {
 /// growth, counted in [`BestK::take_alloc_events`] and surfaced through
 /// `OpCounters::alloc_events`.
 ///
-/// Its live k-th bound is what tells [`knn_search`] when to stop expanding.
+/// Its live k-th bound is what tells [`Expander::expand`] when to stop
+/// expanding.
 pub struct BestK {
     k: usize,
     /// Best known distance of every object that got past the k-th bound.
@@ -356,20 +356,21 @@ impl BestK {
 /// distance `d`, offering each to the candidate set.
 #[inline]
 fn scan_edge_from(
-    ctx: &SearchContext<'_>,
+    net: &RoadNetwork,
+    state: &NetworkState,
     best: &mut BestK,
     counters: &mut OpCounters,
-    e: rnn_roadnet::EdgeId,
+    e: EdgeId,
     n: NodeId,
     d: f64,
 ) {
     counters.edges_scanned += 1;
-    let objs = ctx.objects.on_edge(e);
+    let objs = state.objects.on_edge(e);
     if objs.is_empty() {
         return;
     }
-    let w = ctx.weights.get(e);
-    let from_start = ctx.net.edge(e).start == n;
+    let w = state.weights.get(e);
+    let from_start = net.edge(e).start == n;
     for &(obj, frac) in objs {
         let along = if from_start {
             frac * w
@@ -381,209 +382,236 @@ fn scan_edge_from(
     }
 }
 
-/// The k-NN expansion (Figure 2; see the module docs for the generalised
-/// modes). `kept` is consumed and extended into the outcome tree.
-///
-/// `best` is the caller's candidate scratch, reset here — passing the same
-/// long-lived accumulator to every search keeps the dedup table
-/// allocation-free in steady state. `pool` is the caller's tree arena: the
-/// outcome tree's nodes are popped from its free list (and a recycled
-/// directory serves the handle), so steady-state searches build their
-/// trees without heap allocation. `extra_candidates` lets callers
-/// pre-load known-valid neighbors (the surviving NNs of §4.2) without a
-/// region rescan; with `rescan_kept` the whole kept region is re-scanned
-/// for objects (used whenever tree surgery may have invalidated stored NN
-/// distances).
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search(
-    ctx: &SearchContext<'_>,
-    engine: &mut DijkstraEngine,
-    best: &mut BestK,
-    pool: &mut TreePool,
-    root: RootPos,
-    k: usize,
-    kept: Option<KeptTree<'_>>,
-    extra_candidates: &[Neighbor],
-    counters: &mut OpCounters,
-) -> SearchOutcome {
-    assert!(k >= 1, "k must be at least 1");
-    best.reset(k);
-    for n in extra_candidates {
-        counters.objects_considered += 1;
-        best.offer(n.object, n.dist);
-    }
-
-    engine.begin();
-    let (mut tree, selective) = match kept {
-        Some(kt) => (kt.tree, kt.selective),
-        None => (pool.new_tree(), None),
-    };
-
-    // Pre-settle the valid tree and seed the frontier from it.
-    if !tree.is_empty() {
-        for (n, dist) in tree.iter(pool) {
-            engine.presettle(n, dist);
-        }
-        for (n, dist) in tree.iter(pool) {
-            // Re-scan the kept region for result candidates (selectively,
-            // see [`KeptTree::selective`]) and push the frontier (edges
-            // leading out of the kept set).
-            for &(e, m) in ctx.net.adjacent(n) {
-                let scan = match selective {
-                    None => true,
-                    Some((old_knn, changed)) => {
-                        let w = ctx.weights.get(e);
-                        let slack = crate::anchor::interval_slack(old_knn);
-                        // Strictly fully covered from this side → every
-                        // object on `e` was strictly inside the old result
-                        // region → already among `extra_candidates`.
-                        old_knn - dist <= w + slack || changed.contains(&e)
-                    }
-                };
-                if scan {
-                    scan_edge_from(ctx, best, counters, e, n, dist);
-                }
-                if !tree.contains(m) {
-                    counters.relaxations += 1;
-                    engine.seed_via(m, dist + ctx.weights.get(e), Some(n), Some(e));
-                }
-            }
-        }
-    }
-
-    // Root contributions.
-    match root {
-        RootPos::Point(p) => {
-            // Objects on the root edge at their direct along-edge distance
-            // (around-the-network paths are found via the endpoints later).
-            let w = ctx.weights.get(p.edge);
-            counters.edges_scanned += 1;
-            for &(obj, frac) in ctx.objects.on_edge(p.edge) {
-                counters.objects_considered += 1;
-                best.offer(obj, (frac - p.frac).abs() * w);
-            }
-            let rec = ctx.net.edge(p.edge);
-            if !tree.contains(rec.start) {
-                engine.seed(rec.start, p.frac * w, None);
-            }
-            if !tree.contains(rec.end) {
-                engine.seed(rec.end, (1.0 - p.frac) * w, None);
-            }
-        }
-        RootPos::Node(n) => {
-            if !tree.contains(n) {
-                engine.seed(n, 0.0, None);
-            }
-        }
-    }
-
-    // Main expansion loop (Figure 2, lines 7–23).
-    while let Some(next_d) = engine.peek_dist() {
-        if next_d >= best.kth() {
-            break;
-        }
-        let (n, d) = engine.pop_settle().expect("peek guaranteed an entry");
-        counters.nodes_settled += 1;
-        pool.insert(&mut tree, n, d, engine.parent_link_of(n));
-        for &(e, m) in ctx.net.adjacent(n) {
-            scan_edge_from(ctx, best, counters, e, n, d);
-            counters.relaxations += 1;
-            engine.relax_via(m, n, Some(e), d + ctx.weights.get(e));
-        }
-    }
-
-    let mut result = best.clone_result();
-    sort_neighbors(&mut result);
-    let knn_dist = if result.len() == k {
-        result[k - 1].dist
-    } else {
-        f64::INFINITY
-    };
-    // Figure 2 line 24 / §4.5 line 26: drop tree parts beyond kNN_dist.
-    counters.tree_nodes_pruned += pool.retain_within(&mut tree, knn_dist) as u64;
-    SearchOutcome {
-        result,
-        knn_dist,
-        tree,
-    }
+/// The one owner of an expansion's working set: the network, the Dijkstra
+/// engine, the candidate scratch shared by every search (a flat
+/// epoch-stamped dedup table) and the arena all expansion trees of its
+/// monitor live in (one slab of intrusive nodes with a free list, see
+/// [`crate::tree`]). All three are reused from search to search, so
+/// steady-state expansions never touch the heap; what growth there is
+/// comes out through [`Self::harvest`].
+pub struct Expander {
+    pub(crate) net: Arc<RoadNetwork>,
+    pub(crate) engine: DijkstraEngine,
+    best: BestK,
+    pub(crate) pool: TreePool,
 }
 
-/// Exact network distance from a root to a point, *given* that the point is
-/// within the root's expansion tree region (i.e. at distance ≤ kNN_dist):
-/// the minimum over the point's edge endpoints in the tree, plus the direct
-/// along-edge path when the point shares the root's edge.
-///
-/// For points outside the region the returned value is an upper bound that
-/// is guaranteed to exceed `kNN_dist`, which is exactly what update
-/// classification needs (§4.2).
-#[allow(clippy::too_many_arguments)]
-pub fn dist_via_tree(
-    net: &RoadNetwork,
-    weights: &EdgeWeights,
-    pool: &TreePool,
-    tree: &ExpansionTree,
-    root: RootPos,
-    p: rnn_roadnet::NetPoint,
-) -> f64 {
-    let mut best = f64::INFINITY;
-    if let RootPos::Point(rp) = root {
-        if rp.edge == p.edge {
-            best = (rp.frac - p.frac).abs() * weights.get(p.edge);
+impl Expander {
+    /// An expander over `net` that has run no search yet.
+    pub fn new(net: Arc<RoadNetwork>) -> Self {
+        Self {
+            engine: DijkstraEngine::new(net.num_nodes()),
+            net,
+            best: BestK::default(),
+            pool: TreePool::new(),
         }
     }
-    let rec = net.edge(p.edge);
-    let w = weights.get(p.edge);
-    if let Some(d) = tree.dist(pool, rec.start) {
-        best = best.min(d + p.frac * w);
+
+    /// The k-NN expansion (Figure 2; see the module docs for the
+    /// generalised modes) over the weights and objects of `state`, counted
+    /// as one re-evaluation. `kept` is consumed and extended into the
+    /// outcome tree, whose nodes come from the pool's free list.
+    /// `extra_candidates` pre-loads known-valid neighbors (the surviving
+    /// NNs of §4.2) without a region rescan; a [`KeptTree::full`] has the
+    /// whole kept region re-scanned for objects (used whenever tree surgery
+    /// may have invalidated stored NN distances).
+    pub fn expand(
+        &mut self,
+        state: &NetworkState,
+        root: RootPos,
+        k: usize,
+        kept: Option<KeptTree<'_>>,
+        extra_candidates: &[Neighbor],
+        counters: &mut OpCounters,
+    ) -> SearchOutcome {
+        assert!(k >= 1, "k must be at least 1");
+        let Self {
+            net,
+            engine,
+            best,
+            pool,
+        } = self;
+        let (net, weights): (&RoadNetwork, _) = (net, &state.weights);
+        counters.reevaluations += 1;
+        let steps_before = engine.expansion_steps();
+        best.reset(k);
+        for n in extra_candidates {
+            counters.objects_considered += 1;
+            best.offer(n.object, n.dist);
+        }
+
+        engine.begin();
+        let (mut tree, selective) = match kept {
+            Some(kt) => (kt.tree, kt.selective),
+            None => (pool.new_tree(), None),
+        };
+
+        // Pre-settle the valid tree and seed the frontier from it.
+        if !tree.is_empty() {
+            for (n, dist) in tree.iter(pool) {
+                engine.presettle(n, dist);
+            }
+            for (n, dist) in tree.iter(pool) {
+                // Re-scan the kept region for result candidates
+                // (selectively, see [`KeptTree::selective`]) and push the
+                // frontier (edges leading out of the kept set).
+                for &(e, m) in net.adjacent(n) {
+                    let scan = match selective {
+                        None => true,
+                        Some((old_knn, changed)) => {
+                            let w = weights.get(e);
+                            let slack = crate::anchor::interval_slack(old_knn);
+                            // Strictly fully covered from this side → every
+                            // object on `e` was strictly inside the old
+                            // result region → already among
+                            // `extra_candidates`.
+                            old_knn - dist <= w + slack || changed.contains(&e)
+                        }
+                    };
+                    if scan {
+                        scan_edge_from(net, state, best, counters, e, n, dist);
+                    }
+                    if !tree.contains(m) {
+                        counters.relaxations += 1;
+                        engine.seed_via(m, dist + weights.get(e), Some(n), Some(e));
+                    }
+                }
+            }
+        }
+
+        // Root contributions.
+        match root {
+            RootPos::Point(p) => {
+                // Objects on the root edge at their direct along-edge
+                // distance (around-the-network paths are found via the
+                // endpoints later).
+                let w = weights.get(p.edge);
+                counters.edges_scanned += 1;
+                for &(obj, frac) in state.objects.on_edge(p.edge) {
+                    counters.objects_considered += 1;
+                    best.offer(obj, (frac - p.frac).abs() * w);
+                }
+                let rec = net.edge(p.edge);
+                if !tree.contains(rec.start) {
+                    engine.seed(rec.start, p.frac * w, None);
+                }
+                if !tree.contains(rec.end) {
+                    engine.seed(rec.end, (1.0 - p.frac) * w, None);
+                }
+            }
+            RootPos::Node(n) => {
+                if !tree.contains(n) {
+                    engine.seed(n, 0.0, None);
+                }
+            }
+        }
+
+        // Main expansion loop (Figure 2, lines 7–23).
+        while let Some(next_d) = engine.peek_dist() {
+            if next_d >= best.kth() {
+                break;
+            }
+            let (n, d) = engine.pop_settle().expect("peek guaranteed an entry");
+            counters.nodes_settled += 1;
+            pool.insert(&mut tree, n, d, engine.parent_link_of(n));
+            for &(e, m) in net.adjacent(n) {
+                scan_edge_from(net, state, best, counters, e, n, d);
+                counters.relaxations += 1;
+                engine.relax_via(m, n, Some(e), d + weights.get(e));
+            }
+        }
+
+        let mut result = best.clone_result();
+        sort_neighbors(&mut result);
+        let knn_dist = if result.len() == k {
+            result[k - 1].dist
+        } else {
+            f64::INFINITY
+        };
+        // Figure 2 line 24 / §4.5 line 26: drop tree parts beyond kNN_dist.
+        counters.tree_nodes_pruned += pool.retain_within(&mut tree, knn_dist) as u64;
+        SearchOutcome {
+            result,
+            knn_dist,
+            tree,
+            steps: engine.expansion_steps() - steps_before,
+        }
     }
-    if let Some(d) = tree.dist(pool, rec.end) {
-        best = best.min(d + (1.0 - p.frac) * w);
+
+    /// Folds what the searches since the last harvest grew (engine heap,
+    /// candidate table, tree pool), the Dijkstra steps they took and the
+    /// tree slots they recycled into `c`.
+    pub fn harvest(&mut self, c: &mut OpCounters) {
+        c.alloc_events += self.engine.take_alloc_events()
+            + self.best.take_alloc_events()
+            + self.pool.take_alloc_events();
+        c.expansion_steps += self.engine.take_expansion_steps();
+        c.tree_nodes_recycled += self.pool.take_recycled();
     }
-    best
+
+    /// Resident bytes of the search scratch (Dijkstra engine + candidate
+    /// dedup table); the tree pool reports its own.
+    pub fn scratch_bytes(&self) -> usize {
+        self.engine.memory_bytes() + self.best.memory_bytes()
+    }
+
+    /// Exact network distance from a root to a point, *given* that the
+    /// point is within the root's expansion tree region (i.e. at distance
+    /// ≤ kNN_dist): the minimum over the point's edge endpoints in the
+    /// tree, plus the direct along-edge path when the point shares the
+    /// root's edge.
+    ///
+    /// For points outside the region the returned value is an upper bound
+    /// that is guaranteed to exceed `kNN_dist`, which is exactly what
+    /// update classification needs (§4.2).
+    pub fn dist_via_tree(
+        &self,
+        weights: &EdgeWeights,
+        tree: &ExpansionTree,
+        root: RootPos,
+        p: NetPoint,
+    ) -> f64 {
+        let mut best = f64::INFINITY;
+        if let RootPos::Point(rp) = root {
+            if rp.edge == p.edge {
+                best = (rp.frac - p.frac).abs() * weights.get(p.edge);
+            }
+        }
+        let rec = self.net.edge(p.edge);
+        let w = weights.get(p.edge);
+        if let Some(d) = tree.dist(&self.pool, rec.start) {
+            best = best.min(d + p.frac * w);
+        }
+        if let Some(d) = tree.dist(&self.pool, rec.end) {
+            best = best.min(d + (1.0 - p.frac) * w);
+        }
+        best
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_roadnet::{generators, EdgeId, NetPoint};
+    use rnn_roadnet::generators;
 
     /// Line 0-1-2-3-4, spacing 1; objects at the midpoints of edges 0..4.
-    fn line_ctx() -> (RoadNetwork, EdgeWeights, ObjectIndex) {
-        let net = generators::line_network(5, 1.0);
-        let w = EdgeWeights::from_base(&net);
-        let mut obj = ObjectIndex::new(net.num_edges());
+    fn line_ctx() -> (Expander, NetworkState) {
+        let net = Arc::new(generators::line_network(5, 1.0));
+        let mut state = NetworkState::new(&net);
         for e in net.edge_ids() {
-            obj.insert(ObjectId(e.0), NetPoint::new(e, 0.5));
+            state.objects.insert(ObjectId(e.0), NetPoint::new(e, 0.5));
         }
-        (net, w, obj)
+        (Expander::new(net), state)
     }
 
     #[test]
     fn initial_search_on_line() {
-        let (net, weights, objects) = line_ctx();
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, state) = line_ctx();
         let mut c = OpCounters::default();
         // Query at frac 0.5 of edge 1 (x = 1.5). Object distances:
         // o1: 0, o0: 1, o2: 1, o3: 2, o4: 3.
         let root = RootPos::Point(NetPoint::new(EdgeId(1), 0.5));
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            root,
-            3,
-            None,
-            &[],
-            &mut c,
-        );
+        let out = ex.expand(&state, root, 3, None, &[], &mut c);
         assert_eq!(out.result.len(), 3);
         assert_eq!(
             out.result[0],
@@ -611,35 +639,23 @@ mod tests {
         // Tree: all nodes within distance 1 of x=1.5 -> nodes 1 (x=1) and
         // 2 (x=2), at distance 0.5 each.
         assert_eq!(out.tree.len(), 2);
-        assert_eq!(out.tree.dist(&pool, NodeId(1)), Some(0.5));
-        assert_eq!(out.tree.dist(&pool, NodeId(2)), Some(0.5));
-        pool.check_invariants(&out.tree, &net, &weights);
+        assert_eq!(out.tree.dist(&ex.pool, NodeId(1)), Some(0.5));
+        assert_eq!(out.tree.dist(&ex.pool, NodeId(2)), Some(0.5));
+        ex.pool.check_invariants(&out.tree, &ex.net, &state.weights);
         assert!(c.nodes_settled >= 2);
+        // One expansion is one re-evaluation, and the steps it reports are
+        // the ones the harvest folds.
+        assert_eq!(c.reevaluations, 1);
+        ex.harvest(&mut c);
+        assert_eq!(c.expansion_steps, out.steps);
+        assert!(out.steps >= 2);
     }
 
     #[test]
     fn node_root_search() {
-        let (net, weights, objects) = line_ctx();
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, state) = line_ctx();
         let mut c = OpCounters::default();
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            RootPos::Node(NodeId(0)),
-            2,
-            None,
-            &[],
-            &mut c,
-        );
+        let out = ex.expand(&state, RootPos::Node(NodeId(0)), 2, None, &[], &mut c);
         // From node 0: o0 at 0.5, o1 at 1.5.
         assert_eq!(
             out.result[0],
@@ -657,28 +673,19 @@ mod tests {
         );
         assert_eq!(out.knn_dist, 1.5);
         // Root node itself is in the tree at distance 0.
-        assert_eq!(out.tree.dist(&pool, NodeId(0)), Some(0.0));
+        assert_eq!(out.tree.dist(&ex.pool, NodeId(0)), Some(0.0));
     }
 
     #[test]
     fn underflow_returns_fewer_than_k() {
-        let (net, weights, _) = line_ctx();
-        let mut objects = ObjectIndex::new(net.num_edges());
-        objects.insert(ObjectId(0), NetPoint::new(EdgeId(0), 0.5));
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, _) = line_ctx();
+        let mut state = NetworkState::new(&ex.net);
+        state
+            .objects
+            .insert(ObjectId(0), NetPoint::new(EdgeId(0), 0.5));
         let mut c = OpCounters::default();
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
+        let out = ex.expand(
+            &state,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             5,
             None,
@@ -688,52 +695,21 @@ mod tests {
         assert_eq!(out.result.len(), 1);
         assert_eq!(out.knn_dist, f64::INFINITY);
         // The tree covers the whole (reachable) network.
-        assert_eq!(out.tree.len(), net.num_nodes());
+        assert_eq!(out.tree.len(), ex.net.num_nodes());
     }
 
     #[test]
     fn kept_tree_resumes_identically() {
         // Run a fresh search; then re-run with the pruned tree of a smaller
         // search as the kept part — results must match the fresh search.
-        let (net, weights, objects) = line_ctx();
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, state) = line_ctx();
         let mut c = OpCounters::default();
         let root = RootPos::Point(NetPoint::new(EdgeId(0), 0.1));
 
-        let small = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            root,
-            2,
-            None,
-            &[],
-            &mut c,
-        );
-        let fresh = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            root,
-            4,
-            None,
-            &[],
-            &mut c,
-        );
-        let resumed = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
+        let small = ex.expand(&state, root, 2, None, &[], &mut c);
+        let fresh = ex.expand(&state, root, 4, None, &[], &mut c);
+        let resumed = ex.expand(
+            &state,
             root,
             4,
             Some(KeptTree::full(small.tree)),
@@ -743,28 +719,18 @@ mod tests {
         assert_eq!(fresh.result, resumed.result);
         assert_eq!(fresh.knn_dist, resumed.knn_dist);
         assert_eq!(fresh.tree.len(), resumed.tree.len());
-        pool.check_invariants(&resumed.tree, &net, &weights);
+        ex.pool
+            .check_invariants(&resumed.tree, &ex.net, &state.weights);
     }
 
     #[test]
     fn extra_candidates_seed_result() {
-        let (net, weights, objects) = line_ctx();
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, state) = line_ctx();
         let mut c = OpCounters::default();
         let root = RootPos::Point(NetPoint::new(EdgeId(1), 0.5));
         // Claim a fake very-near candidate; it must appear in the result.
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
+        let out = ex.expand(
+            &state,
             root,
             2,
             None,
@@ -926,82 +892,50 @@ mod tests {
 
     #[test]
     fn dist_via_tree_matches_search_distances() {
-        let (net, weights, objects) = line_ctx();
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
-        let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
+        let (mut ex, state) = line_ctx();
         let mut c = OpCounters::default();
         let root = RootPos::Point(NetPoint::new(EdgeId(1), 0.5));
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            root,
-            3,
-            None,
-            &[],
-            &mut c,
-        );
+        let out = ex.expand(&state, root, 3, None, &[], &mut c);
         for n in &out.result {
-            let pos = objects.position(n.object).unwrap();
-            let d = dist_via_tree(&net, &weights, &pool, &out.tree, root, pos);
+            let pos = state.objects.position(n.object).unwrap();
+            let d = ex.dist_via_tree(&state.weights, &out.tree, root, pos);
             assert!((d - n.dist).abs() < 1e-12, "object {:?}", n.object);
         }
         // A far object is reported beyond knn_dist.
-        let far = objects.position(ObjectId(3)).unwrap();
-        assert!(dist_via_tree(&net, &weights, &pool, &out.tree, root, far) > out.knn_dist);
+        let far = state.objects.position(ObjectId(3)).unwrap();
+        assert!(ex.dist_via_tree(&state.weights, &out.tree, root, far) > out.knn_dist);
     }
 
     #[test]
     fn search_on_generated_network_matches_oracle() {
         // Brute-force oracle: distance from the query to every object via
         // the engine's point-to-point distance.
-        let net = generators::grid_city(&generators::GridCityConfig {
+        let net = Arc::new(generators::grid_city(&generators::GridCityConfig {
             nx: 5,
             ny: 5,
             seed: 11,
             ..Default::default()
-        });
-        let weights = EdgeWeights::from_base(&net);
-        let mut objects = ObjectIndex::new(net.num_edges());
+        }));
+        let mut state = NetworkState::new(&net);
         for (i, e) in net.edge_ids().enumerate() {
             if i % 2 == 0 {
-                objects.insert(ObjectId(i as u32), NetPoint::new(e, 0.3));
+                state
+                    .objects
+                    .insert(ObjectId(i as u32), NetPoint::new(e, 0.3));
             }
         }
-        let ctx = SearchContext {
-            net: &net,
-            weights: &weights,
-            objects: &objects,
-        };
+        let mut ex = Expander::new(net.clone());
         let mut eng = DijkstraEngine::new(net.num_nodes());
-        let mut best = BestK::new(1);
-        let mut pool = TreePool::new();
         let mut c = OpCounters::default();
         let q = NetPoint::new(EdgeId(7), 0.6);
-        let out = knn_search(
-            &ctx,
-            &mut eng,
-            &mut best,
-            &mut pool,
-            RootPos::Point(q),
-            5,
-            None,
-            &[],
-            &mut c,
-        );
+        let out = ex.expand(&state, RootPos::Point(q), 5, None, &[], &mut c);
 
-        let mut oracle: Vec<Neighbor> = objects
+        let mut oracle: Vec<Neighbor> = state
+            .objects
             .iter()
             .map(|(id, pos)| Neighbor {
                 object: id,
-                dist: eng.dist_between_points(&net, &weights, q, pos),
+                dist: eng.dist_between_points(&net, &state.weights, q, pos),
             })
             .collect();
         sort_neighbors(&mut oracle);

@@ -143,13 +143,14 @@ fn same_result(stored: &[Neighbor], got: &[Neighbor], knn_dist: f64) -> bool {
 }
 
 impl MonitorState {
-    /// Captures the monitor state backing `state`, reading each query's
-    /// current result through `result_of` (which the owning monitor
-    /// provides; results are copied, not recomputed).
-    pub fn capture<F>(net: &RoadNetwork, state: &NetworkState, mut result_of: F) -> Self
-    where
-        F: FnMut(QueryId) -> (f64, Vec<Neighbor>),
-    {
+    /// Captures the state of `monitor`, whose weights, objects and query
+    /// book are `state`; each query's current answer is read through the
+    /// monitor's own `knn_dist` / `result` (copied, not recomputed).
+    pub fn capture(
+        net: &RoadNetwork,
+        state: &NetworkState,
+        monitor: &dyn ContinuousMonitor,
+    ) -> Self {
         let mut weight_diffs = Vec::new();
         for e in net.edge_ids() {
             let w = state.weights.get(e);
@@ -165,15 +166,12 @@ impl MonitorState {
         let mut queries: Vec<QuerySnapshotState> = state
             .queries
             .iter()
-            .map(|(&id, &(k, pos))| {
-                let (knn_dist, result) = result_of(id);
-                QuerySnapshotState {
-                    id,
-                    k,
-                    pos,
-                    knn_dist,
-                    result,
-                }
+            .map(|(&id, &(k, pos))| QuerySnapshotState {
+                id,
+                k,
+                pos,
+                knn_dist: monitor.knn_dist(id).unwrap_or(f64::INFINITY),
+                result: monitor.result(id).unwrap_or(&[]).to_vec(),
             })
             .collect();
         queries.sort_by_key(|q| q.id);

@@ -405,40 +405,9 @@ impl Iterator for TreeIter<'_> {
 }
 
 impl TreePool {
-    /// Default nodes-per-tree estimate the monitors' tree-pool sizing
-    /// hints use for [`Self::prewarm`]: enough for a moderate-`k` query's
-    /// verified neighborhood (a 128-entry directory under the
-    /// half-occupancy rule) while staying cheap when over-provisioned —
-    /// an undersized tree just pays its usual counted growth steps later.
-    pub const PREWARM_NODES_PER_TREE: usize = 64;
-
     /// An empty pool (allocates nothing until the first insert).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-provisions the pool for `trees` concurrent trees of about
-    /// `nodes_per_tree` verified nodes each: tops the spare-directory
-    /// stack up to `trees` buffers big enough to hold that many nodes
-    /// under the half-occupancy growth rule, and reserves matching slab
-    /// capacity. Deliberate construction-time warm-up (a monitor built
-    /// with a tree-pool sizing hint), so **none of it counts as an alloc
-    /// event** — the spare population otherwise adapts via one-time
-    /// counted allocations during the first ticks.
-    pub fn prewarm(&mut self, trees: usize, nodes_per_tree: usize) {
-        if trees == 0 {
-            return;
-        }
-        let nodes = nodes_per_tree.max(1);
-        // `dir_insert` grows when (live + 1) * 2 > len, so `2 * nodes`
-        // capacity (a power of two — directories are masked) holds the
-        // whole tree without a growth step.
-        let dir_len = (nodes * 2).next_power_of_two().max(MIN_DIR);
-        while self.spare_dirs.len() < trees {
-            // lint: allow(hot-path-alloc): prewarm seeds spare node capacity at install time, before any tick runs
-            self.spare_dirs.push((vec![EMPTY_DIR; dir_len], 0));
-        }
-        self.slots.reserve(trees * nodes);
     }
 
     /// A fresh tree handle, reusing a released directory when one exists

@@ -305,63 +305,3 @@ fn dense_own_edge_ends_the_sequence_walk() {
     assert_eq!(result.len(), k);
     assert!(result.iter().all(|n| n.dist < 0.1), "{result:?}");
 }
-
-/// The tree-pool hint: monitors constructed with
-/// `with_tree_pool_hint(queries)` pre-provision the pool's spare
-/// directories, so the install phase builds its expansion trees from warm
-/// buffers. The first tick's `install_alloc_events` must drop strictly
-/// below the cold-constructed monitor's — and answers must be identical
-/// (the warm-up is invisible to the algorithms).
-#[test]
-fn tree_pool_hint_cuts_first_tick_install_allocs() {
-    let net = Arc::new(generators::san_francisco_like(300, 17));
-    let cfg = ScenarioConfig {
-        num_objects: 400,
-        num_queries: 40,
-        k: 4,
-        object_agility: 0.1,
-        query_agility: 0.05,
-        edge_agility: 0.08,
-        seed: 9,
-        ..Default::default()
-    };
-    let mut cold = Ima::new(net.clone());
-    let mut warm = Ima::with_tree_pool_hint(net.clone(), cfg.num_queries);
-    // Objects placed up front (they build no trees); every query arrives
-    // through the first tick's batch, whose report carries the
-    // install-time allocation accounting.
-    let edges = net.num_edges() as u32;
-    let mut rng = Lcg(41);
-    for i in 0..cfg.num_objects {
-        let at = NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac());
-        cold.apply(UpdateEvent::insert_object(ObjectId(i as u32), at));
-        warm.apply(UpdateEvent::insert_object(ObjectId(i as u32), at));
-    }
-    let mut batch = UpdateBatch::default();
-    for q in 0..cfg.num_queries {
-        batch.queries.push(QueryEvent::Install {
-            id: QueryId(q as u32),
-            k: cfg.k,
-            at: NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac()),
-        });
-    }
-    let cold_report = cold.tick(&batch);
-    let warm_report = warm.tick(&batch);
-    assert!(
-        cold_report.counters.install_alloc_events > 0,
-        "cold install must pay counted tree allocations"
-    );
-    assert!(
-        warm_report.counters.install_alloc_events < cold_report.counters.install_alloc_events,
-        "prewarmed pool must cut first-tick install allocs ({} vs cold {})",
-        warm_report.counters.install_alloc_events,
-        cold_report.counters.install_alloc_events
-    );
-    // Same stream, same answers: the hint is performance-only.
-    let mut ids = cold.query_ids();
-    ids.sort();
-    for id in ids {
-        assert_eq!(cold.result(id), warm.result(id), "hint changed {id:?}");
-    }
-    warm.validate_invariants();
-}
