@@ -52,15 +52,17 @@
 //! the retry budget, or dead with both rebuilds unavailable or
 //! exhausted, turns the link **dead**: the failure is recorded as a
 //! typed [`ClusterError`], the current and every subsequent `recv`
-//! answers `Response::Down`, and sends become no-ops. What happens next
-//! is the engine's policy call (`rnn_engine::EngineConfig::takeover`):
-//! panic, or hand the corpse's cells to surviving shards.
+//! answers `Response::Down`, and sends become no-ops. The engine then
+//! hands the corpse's cells to surviving shards
+//! (`ShardedEngine::adopt_dead_shard`), and panics only when none is
+//! left. A reply whose tag does not answer the request in flight is peer
+//! behaviour too: it is refused and counted like any corrupt frame.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use rnn_core::{MemoryUsage, MonitorState, TransportStats};
+use rnn_core::{MemoryUsage, TransportStats};
 use rnn_engine::{BatchKind, Request, Response, ShardLink, TickOutcome};
 use rnn_roadnet::{WireCodec, WireReader};
 
@@ -329,11 +331,6 @@ impl Inner {
                 }
             }
             Request::Memory => MsgTag::MemoryRequest,
-            Request::Snapshot => MsgTag::SnapshotRequest,
-            Request::Restore(state) => {
-                payload = state.to_bytes();
-                MsgTag::SnapshotInstall
-            }
             Request::Shutdown => MsgTag::Shutdown,
         };
         let seq = self.next_seq;
@@ -423,7 +420,9 @@ impl Inner {
     /// cycle may run (see the module docs).
     fn exchange(&mut self, inflight: &mut Inflight) -> Response {
         loop {
-            let recovered = match self.await_reply(inflight.seq, &inflight.bytes, decode_reply) {
+            let request = inflight.tag;
+            let accept = |reply: Frame| decode_reply(request, reply);
+            let recovered = match self.await_reply(inflight.seq, &inflight.bytes, accept) {
                 Wait::Reply(resp) => {
                     if inflight.tag.is_events() {
                         self.maybe_snapshot(inflight.seq);
@@ -647,27 +646,19 @@ impl Inner {
     }
 }
 
-/// Decodes a reply frame's payload by its tag; `None` for a payload that
-/// does not decode or a tag that is not a reply — both are handled as
-/// corruption by the caller, never as a panic.
-fn decode_reply(frame: Frame) -> Option<Response> {
-    let mut r = WireReader::new(&frame.payload);
-    match frame.tag {
-        MsgTag::TickReply => TickOutcome::decode(&mut r).ok().map(Response::Tick),
-        MsgTag::MemoryReply => MemoryUsage::decode(&mut r).ok().map(Response::Memory),
-        MsgTag::RestoreReply => match frame.payload.as_slice() {
-            [1] => Some(Response::Restored(true)),
-            [0] => Some(Response::Restored(false)),
-            _ => None,
-        },
-        MsgTag::SnapshotReply => {
-            if frame.payload.is_empty() {
-                Some(Response::Snapshot(None))
-            } else {
-                MonitorState::from_bytes(&frame.payload)
-                    .ok()
-                    .map(|s| Response::Snapshot(Some(Box::new(s))))
-            }
+/// Decodes the reply to a request sent under tag `request`: `None` for a
+/// reply whose tag does not answer that request (a well-formed
+/// `MemoryReply` to an event frame would otherwise reach the engine as the
+/// wrong kind of response) or whose payload does not decode — both are
+/// handled as corruption by the caller, never as a panic.
+fn decode_reply(request: MsgTag, reply: Frame) -> Option<Response> {
+    let mut r = WireReader::new(&reply.payload);
+    match (request, reply.tag) {
+        (sent, MsgTag::TickReply) if sent.is_events() => {
+            TickOutcome::decode(&mut r).ok().map(Response::Tick)
+        }
+        (MsgTag::MemoryRequest, MsgTag::MemoryReply) => {
+            MemoryUsage::decode(&mut r).ok().map(Response::Memory)
         }
         _ => None,
     }
@@ -677,6 +668,7 @@ fn decode_reply(frame: Frame) -> Option<Response> {
 mod tests {
     use super::*;
     use crate::transport::{loopback_pair, FaultPlan};
+    use rnn_engine::DeltaBatch;
 
     const POLICY: RetryPolicy = RetryPolicy {
         timeout: Duration::from_millis(40),
@@ -687,12 +679,22 @@ mod tests {
     /// [`MsgTag::MemoryReply`] of the same sequence number — no dedup, so
     /// a frame delivered twice is answered twice.
     fn echo_link(plan: FaultPlan) -> (RemoteShard, std::thread::JoinHandle<()>) {
+        memory_reply_link(plan, None)
+    }
+
+    /// [`echo_link`], the reply carrying `payload` in place of the
+    /// request's own.
+    fn memory_reply_link(
+        plan: FaultPlan,
+        payload: Option<Vec<u8>>,
+    ) -> (RemoteShard, std::thread::JoinHandle<()>) {
         let (co, mut peer) = loopback_pair(plan);
         let echo = std::thread::spawn(move || {
             while let Ok(bytes) = peer.recv_timeout(Duration::from_secs(2)) {
                 if let Ok(frame) = Frame::from_bytes(&bytes) {
                     let reply = Frame {
                         tag: MsgTag::MemoryReply,
+                        payload: payload.clone().unwrap_or(frame.payload),
                         ..frame
                     };
                     let _ = peer.send(&reply.to_bytes());
@@ -805,6 +807,28 @@ mod tests {
         assert!(matches!(refused, Wait::Exhausted));
         let stats = finish(link, echo);
         assert_eq!(stats.corrupt_frames, 1 + u64::from(POLICY.max_retries));
+    }
+
+    #[test]
+    fn a_reply_of_the_wrong_kind_is_refused_not_handed_to_the_engine() {
+        // The peer answers an event frame with a well-formed MemoryReply of
+        // the same sequence number. The engine would die on it
+        // ("non-tick response to a tick request"): the link must refuse
+        // it like any other corrupt frame, retransmit, and — the peer
+        // never learning better — go down.
+        let mut valid = Vec::new();
+        MemoryUsage::default().encode(&mut valid);
+        let (link, echo) = memory_reply_link(FaultPlan::default(), Some(valid));
+        link.send(Request::Tick(DeltaBatch {
+            objects: Vec::new(),
+            queries: Vec::new(),
+            shared_edges: Default::default(),
+            kind: BatchKind::Tick,
+        }));
+        assert!(matches!(link.recv(), Response::Down));
+        let stats = finish(link, echo);
+        assert_eq!(stats.corrupt_frames, 1 + u64::from(POLICY.max_retries));
+        assert_eq!(stats.retries, u64::from(POLICY.max_retries));
     }
 
     #[test]

@@ -636,9 +636,7 @@ impl<L: ShardLink> ShardedEngine<L> {
                     // over below, or the engine refuses to run degraded.
                     died |= 1u64 << s;
                 }
-                Response::Memory(_) | Response::Snapshot(_) | Response::Restored(_) => {
-                    unreachable!("non-tick response to a tick request")
-                }
+                Response::Memory(_) => unreachable!("non-tick response to a tick request"),
             }
         }
         self.workers_report.elapsed += round.elapsed;
@@ -820,9 +818,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
                 // so the burial waits for the next dispatch to observe the
                 // Down — here the shard simply contributes nothing.
                 Response::Down => {}
-                Response::Tick(_) | Response::Snapshot(_) | Response::Restored(_) => {
-                    unreachable!("unexpected response to a memory request")
-                }
+                Response::Tick(_) => unreachable!("unexpected response to a memory request"),
             }
         }
         // Router state: registries, masks, halo sets, edge→object index.

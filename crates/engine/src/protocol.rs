@@ -65,13 +65,6 @@ pub enum Request {
     Tick(DeltaBatch),
     /// Report the monitor's resident memory.
     Memory,
-    /// Capture the monitor's answer-relevant state (the durability
-    /// plane's snapshot; see [`rnn_core::MonitorState`]).
-    Snapshot,
-    /// Install a previously captured state into a fresh monitor (crash
-    /// recovery before WAL-suffix replay). The monitor is all there is to
-    /// restore: a shard keeps nothing else between exchanges.
-    Restore(Box<rnn_core::MonitorState>),
     /// Exit the worker loop.
     Shutdown,
 }
@@ -82,12 +75,6 @@ pub enum Response {
     Tick(TickOutcome),
     /// Answer to [`Request::Memory`].
     Memory(MemoryUsage),
-    /// Answer to [`Request::Snapshot`] (`None` when the monitor has no
-    /// snapshot support).
-    Snapshot(Option<Box<rnn_core::MonitorState>>),
-    /// Answer to [`Request::Restore`]: whether the state installed and
-    /// validated cleanly.
-    Restored(bool),
     /// The link to this shard is gone for good: the transport died and
     /// recovery (respawn + snapshot + replay) stayed exhausted past its
     /// retry budget. In-process workers never produce this; RPC links do.

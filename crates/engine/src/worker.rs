@@ -88,18 +88,6 @@ fn worker_loop(
                     break;
                 }
             }
-            Request::Snapshot => {
-                let snap = monitor.snapshot_state().map(Box::new);
-                if tx.send(Response::Snapshot(snap)).is_err() {
-                    break;
-                }
-            }
-            Request::Restore(snap) => {
-                let ok = snap.restore_into(&mut *monitor).is_ok();
-                if tx.send(Response::Restored(ok)).is_err() {
-                    break;
-                }
-            }
             Request::Shutdown => break,
         }
     }
