@@ -1,12 +1,12 @@
 //! Typed liveness failures of a coordinator↔shard link.
 //!
-//! Historically every unrecoverable transport condition was a panic in
-//! the client. The panics are now confined to the *engine*'s policy
-//! decision ([`rnn_engine::EngineConfig::takeover`] disabled): the link
-//! itself reports the failure as a [`ClusterError`], marks itself dead,
+//! No unrecoverable transport condition is a panic in the client: the
+//! link reports the failure as a [`ClusterError`], marks itself dead,
 //! and answers every subsequent request with `Response::Down`, so the
-//! coordinator can hand the shard's cells to survivors instead of
-//! tearing the process down.
+//! engine hands the shard's cells to survivors
+//! (`ShardedEngine::adopt_dead_shard`) instead of tearing the process
+//! down. The engine panics only when no live shard is left to adopt
+//! them.
 
 /// Why a shard link declared its peer permanently down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -15,7 +15,7 @@
 //! ## A query is answered by a merge
 //!
 //! Lemma 1's union is taken as a **3-way merge of sorted lists**, emitting
-//! the first k *distinct* objects ([`merge_first_k`]):
+//! the first k *distinct* objects (`merge_first_k`):
 //!
 //! * the in-sequence candidates — the objects the within-sequence walk
 //!   passes, at their along-sequence distance — gathered into a small

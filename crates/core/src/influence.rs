@@ -13,7 +13,7 @@
 //! own coordinate system, so point-membership tests need no distance
 //! computation.
 //!
-//! The table is generic over the influencee key: IMA stores [`QueryId`]s,
+//! The table is generic over the influencee key: IMA stores [`rnn_roadnet::QueryId`]s,
 //! GMA's node-monitoring module stores active-node ids, and GMA's sequence
 //! layer stores query ids again.
 

@@ -25,6 +25,27 @@
 //! continuous *reverse* nearest-neighbor monitoring built on the same
 //! primitives.
 //!
+//! ## How the crate is laid out
+//!
+//! The paper has one search primitive — Figure 2's network expansion,
+//! resumed from a kept tree in §4 — and the crate has it once:
+//! [`search::Expander`] owns the network handle, the Dijkstra engine, the
+//! candidate scratch and the pool the expansion trees ([`tree`]) live in;
+//! its `expand` is the only expansion loop and the only place a
+//! re-evaluation and its Dijkstra steps are counted, and its `harvest` is
+//! the one fold of what the searches allocated, stepped and recycled.
+//! [`Ovh`] holds an expander directly. [`Ima`], [`Gma`] and [`crnn::Crnn`]
+//! hold one through an [`anchor::AnchorSet`], the §4 machinery, whose
+//! module is split along the IMA schedule of Figure 10: `anchor/mod.rs`
+//! (the per-anchor records, `add` / `remove` / `set_k` / `validate`),
+//! `anchor/schedule.rs` (`tick`, lines 1–19: the timestamp's updates
+//! classified into per-anchor pending work through the influence lists of
+//! [`influence`]) and `anchor/resolve.rs` (lines 20–26: one re-expansion
+//! per affected anchor from the surviving part of its tree). [`state`]
+//! coalesces a timestamp's [`UpdateBatch`] (§4.5), [`snapshot`] and
+//! [`codec`] carry monitor state and events across processes, and
+//! [`counters`] declares the work counters every layer reports.
+//!
 //! ## Quick start
 //!
 //! ```

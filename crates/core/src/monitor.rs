@@ -119,7 +119,7 @@ pub trait ContinuousMonitor: Send {
 const LOAD_BATCH: usize = 4096;
 
 /// The bulk loader: feeds `objects`, then `queries` (`(id, k, position)`),
-/// into `monitor` as timestamps of [`LOAD_BATCH`] events through
+/// into `monitor` as timestamps of `LOAD_BATCH` (4,096) events through
 /// [`ContinuousMonitor::tick`] — the objects' timestamps first, so every
 /// query is installed over the whole population. Scenario installation
 /// and snapshot restore both load through here, so a population enters a

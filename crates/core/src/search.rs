@@ -233,7 +233,7 @@ impl<V: Copy + Default> StampTable<V> {
 /// scanned from both endpoints; Figure 3(b)) — the minimum wins, exactly as
 /// the paper's "keep only the instance with the smallest distance".
 ///
-/// The best known distance per object lives in a [`StampTable`], so one
+/// The best known distance per object lives in a `StampTable`, so one
 /// long-lived `BestK` per monitor serves every search allocation-free in
 /// steady state: the only allocations are high-water-mark table/top-list
 /// growth, counted in [`BestK::take_alloc_events`] and surfaced through

@@ -7,7 +7,7 @@
 //! round 1 and again in a reconcile round ended where it started. The log
 //! keeps exactly what that question needs. The first time a tick touches a
 //! query, the `(kNN_dist, result)` the query entered the tick with is
-//! **moved** out of its [`QueryRec`] into [`ChangeLog::parked`] — no copy —
+//! **moved** out of its `QueryRec` into `ChangeLog::parked` — no copy —
 //! and the record is stamped with the tick's epoch and the entry's slot,
 //! which is how later touches find the entry. When the tick ends, a query
 //! reported by one exchange and not otherwise touched is changed by
@@ -17,10 +17,10 @@
 //! is dropped: nothing per query outlives the tick but the 12 bytes of
 //! stamp and slot.
 //!
-//! Callers: `route` ([`ChangeLog::installed`], [`ChangeLog::removed`]),
-//! `rebalance`'s hand-off ([`ChangeLog::installed`]), `dispatch_pending`
-//! ([`ChangeLog::absorb`]), and `tick`, which brackets its work with
-//! [`ChangeLog::begin`] and [`ChangeLog::finish`].
+//! Callers: `route` (`ChangeLog::installed`, `ChangeLog::removed`),
+//! `rebalance`'s hand-off (`ChangeLog::installed`), `dispatch_pending`
+//! (`ChangeLog::absorb`), and `tick`, which brackets its work with
+//! `ChangeLog::begin` and `ChangeLog::finish`.
 
 use rnn_core::Neighbor;
 use rnn_roadnet::{FxHashMap, QueryId};

@@ -7,8 +7,7 @@
 //! detector and planner read. Callers: `tick` runs
 //! `ShardedEngine::maybe_rebalance` before a timestamp's updates land,
 //! and `dispatch_pending` runs `ShardedEngine::adopt_dead_shard` when a
-//! link answers `Response::Down` with takeover enabled. Nothing else
-//! enters this module.
+//! link answers `Response::Down`. Nothing else enters this module.
 //!
 //! ## Answer-identity of a hand-off (planned or forced)
 //!

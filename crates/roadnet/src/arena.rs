@@ -53,7 +53,7 @@ impl<T: Copy> Default for SpanArena<T> {
 impl<T: Copy> SpanArena<T> {
     /// An arena with `num_slots` empty lists.
     ///
-    /// Construction pre-reserves one [`MIN_CAP`]-sized span of backing
+    /// Construction pre-reserves one `MIN_CAP`-sized span of backing
     /// capacity per slot, so first-touch carves during operation extend the
     /// buffer *within* existing capacity instead of reallocating mid-tick.
     /// This is a one-time construction cost, not an alloc event.

@@ -1,4 +1,4 @@
-//! Network expansion (Dijkstra's algorithm [5]) primitives.
+//! Network expansion (Dijkstra's algorithm \[5\]) primitives.
 //!
 //! The monitoring algorithms expand the network around queries (§4.1),
 //! interleaving object scanning with node settlement, so this module exposes

@@ -1,7 +1,7 @@
 //! Synthetic road-map generators.
 //!
 //! The paper evaluates on sub-networks of the San Francisco road map and on
-//! the Oldenburg map [2]. Those datasets are not redistributable here, so
+//! the Oldenburg map \[2\]. Those datasets are not redistributable here, so
 //! this module generates synthetic maps with the same structural statistics
 //! (see DESIGN.md, substitution #1):
 //!

@@ -8,10 +8,10 @@
 //!   weighted edges with planar coordinates (§3 of the paper),
 //! * [`netpoint::NetPoint`] — positions *on* the network (a point along an
 //!   edge), the coordinate system in which objects and queries live,
-//! * [`dijkstra`] — network-expansion primitives (Dijkstra [5]) used both by
+//! * [`dijkstra`] — network-expansion primitives (Dijkstra \[5\]) used both by
 //!   the monitoring algorithms and by test oracles,
 //! * [`quadtree::PmrQuadtree`] — the spatial index **SI** on edges (a PMR
-//!   quadtree [9]) used to map raw coordinates to the containing edge,
+//!   quadtree \[9\]) used to map raw coordinates to the containing edge,
 //! * [`sequence`] — the decomposition of the network into *sequences* (paths
 //!   between consecutive intersections) that the group monitoring algorithm
 //!   (GMA, §5) is built on,

@@ -1,4 +1,4 @@
-//! **SI** — the PMR quadtree spatial index on network edges (§3, [9]).
+//! **SI** — the PMR quadtree spatial index on network edges (§3, \[9\]).
 //!
 //! > "Given the coordinates of an object p, we use SI to identify the edge
 //! > where p lies. [...] Each leaf quad contains the ids of the edges

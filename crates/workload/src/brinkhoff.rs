@@ -1,4 +1,4 @@
-//! Route-coherent movement — a substitute for the Brinkhoff generator [2].
+//! Route-coherent movement — a substitute for the Brinkhoff generator \[2\].
 //!
 //! The paper's Fig. 19 experiments use the network-based moving-object
 //! generator of Brinkhoff (GeoInformatica 2002), whose defining property is

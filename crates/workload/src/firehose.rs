@@ -1,6 +1,6 @@
 //! Oversampled "firehose" workloads for the ingest front-end.
 //!
-//! The base [`Scenario`](crate::Scenario) emits exactly one event per
+//! The base [`Scenario`] emits exactly one event per
 //! moving entity per timestamp — the paper's synchronous contract. Real
 //! feeds oversample: a phone reports its position every few seconds
 //! while the server ticks once a minute, congestion sensors re-report an

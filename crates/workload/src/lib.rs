@@ -12,7 +12,7 @@
 //!   object performs a random walk in the network and covers a fixed
 //!   distance v_obj"),
 //! * [`brinkhoff::RouteFollower`] — a route-coherent substitute for the
-//!   Brinkhoff generator [2] used in Fig. 19 (movers pick destinations and
+//!   Brinkhoff generator \[2\] used in Fig. 19 (movers pick destinations and
 //!   follow shortest paths at per-mover speed classes; see DESIGN.md,
 //!   substitution #2).
 
