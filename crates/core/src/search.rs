@@ -431,7 +431,8 @@ impl Expander {
             best,
             pool,
         } = self;
-        let (net, weights): (&RoadNetwork, _) = (net, &state.weights);
+        let net: &RoadNetwork = net;
+        let weights = &state.weights;
         counters.reevaluations += 1;
         let steps_before = engine.expansion_steps();
         best.reset(k);
