@@ -7,6 +7,18 @@
 //! of active nodes is performed with IMA, except that [the query-movement
 //! lines] are never executed").
 //!
+//! ## Keys
+//!
+//! An anchor has no handle of its own: [`AnchorSet<K>`] is keyed by the id
+//! of whoever owns the anchor, as the paper's tables are — **QT** by query
+//! id (`AnchorSet<QueryId>` in IMA), **NT** by node id (`AnchorSet<NodeId>`
+//! in GMA), and by object id in [`crate::crnn::Crnn`], where every data
+//! object monitors its nearest query. The caller chooses the key when it
+//! calls [`AnchorSet::add`] and uses the same id for every later `get`,
+//! `remove`, `set_k` and root move; [`AnchorSet::changed`] hands the ids
+//! back. A key is any `Copy + Ord + Hash + Debug` value: `Ord` because a
+//! tick resolves its anchors in ascending key order (see `schedule`).
+//!
 //! The module is split along the IMA update schedule (Figure 10):
 //!
 //! * this file — the records ([`AnchorRec`], [`AnchorSet`]) and what works
@@ -36,12 +48,14 @@
 mod resolve;
 mod schedule;
 
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use rnn_roadnet::{EdgeId, FxHashMap, RoadNetwork};
 
 use crate::counters::{reserve_charged, OpCounters};
-use crate::influence::{InfluenceTable, IntervalSet};
+use crate::influence::InfluenceTable;
 use crate::search::{Expander, KeptTree, SearchOutcome};
 use crate::state::NetworkState;
 use crate::tree::ExpansionTree;
@@ -49,10 +63,6 @@ use crate::types::{Neighbor, RootPos};
 
 pub(crate) use resolve::interval_slack;
 use schedule::{Pending, TickScratch};
-
-/// Handle to an anchor within an [`AnchorSet`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct AnchorKey(pub u32);
 
 /// Per-anchor monitored state (one row of the paper's **QT** / **NT**).
 pub struct AnchorRec {
@@ -75,10 +85,10 @@ pub struct AnchorRec {
 }
 
 /// A set of anchors maintained incrementally over a shared
-/// [`NetworkState`].
-pub struct AnchorSet {
-    anchors: FxHashMap<AnchorKey, AnchorRec>,
-    il: InfluenceTable<AnchorKey>,
+/// [`NetworkState`], keyed by `K` — the id of whoever owns each anchor.
+pub struct AnchorSet<K: Copy + Eq> {
+    anchors: FxHashMap<K, AnchorRec>,
+    il: InfluenceTable<K>,
     /// Runs every expansion of the set; its pool is the arena all anchors'
     /// expansion trees live in, so tree surgery (subtree cuts, θ-prunes,
     /// re-expansion inserts) recycles slots instead of touching the heap.
@@ -92,18 +102,17 @@ pub struct AnchorSet {
     /// capacity; cleared by the owning monitor at the start of each tick.
     cell_charges: Vec<(EdgeId, u64)>,
     /// The anchors whose reported result changed in the last tick.
-    changed: Vec<AnchorKey>,
+    changed: Vec<K>,
     /// The tick's other lists, emptied and refilled every tick; their
     /// growth is charged to `alloc_events`.
-    scratch: TickScratch,
-    next_key: u32,
+    scratch: TickScratch<K>,
     /// Ablation switch: with influence lists disabled, every anchor is
     /// treated as affected by every update (used to quantify the paper's
     /// "process only updates that may invalidate" claim).
     pub use_influence_lists: bool,
 }
 
-impl AnchorSet {
+impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
     /// Creates an empty set over the given network.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
         Self {
@@ -118,7 +127,6 @@ impl AnchorSet {
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             changed: Vec::new(),
             scratch: TickScratch::new(),
-            next_key: 0,
             use_influence_lists: true,
         }
     }
@@ -163,16 +171,17 @@ impl AnchorSet {
     }
 
     /// Iterates over anchor keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = AnchorKey> + '_ {
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.anchors.keys().copied()
     }
 
     /// The record of anchor `key`.
-    pub fn get(&self, key: AnchorKey) -> Option<&AnchorRec> {
+    pub fn get(&self, key: K) -> Option<&AnchorRec> {
         self.anchors.get(&key)
     }
 
-    /// Installs a new anchor and computes its initial result (§4.1).
+    /// Installs the anchor of owner `key` — not in the set yet — and
+    /// computes its initial result (§4.1).
     ///
     /// Allocation accounting: scratch events pending from earlier work are
     /// first drained into `counters.alloc_events` (maintenance), then the
@@ -182,14 +191,14 @@ impl AnchorSet {
     pub fn add(
         &mut self,
         state: &NetworkState,
+        key: K,
         root: RootPos,
         k: usize,
         counters: &mut OpCounters,
-    ) -> AnchorKey {
+    ) {
+        debug_assert!(!self.anchors.contains_key(&key), "{key:?} is installed");
         self.harvest_scratch_counters(counters);
         let maintenance = counters.alloc_events;
-        let key = AnchorKey(self.next_key);
-        self.next_key += 1;
         let out = self.expander.expand(state, root, k, None, &[], counters);
         let mut rec = AnchorRec {
             root,
@@ -219,12 +228,11 @@ impl AnchorSet {
         // Everything allocated since the first harvest was the install's.
         counters.install_alloc_events +=
             std::mem::replace(&mut counters.alloc_events, maintenance) - maintenance;
-        key
     }
 
     /// Removes an anchor, clearing its influence-list entries and
     /// returning its tree nodes to the pool.
-    pub fn remove(&mut self, key: AnchorKey) -> bool {
+    pub fn remove(&mut self, key: K) -> bool {
         match self.anchors.remove(&key) {
             Some(rec) => {
                 for e in rec.influenced {
@@ -239,13 +247,7 @@ impl AnchorSet {
 
     /// Changes the number of monitored neighbors (GMA adjusts `n.k` as
     /// queries with different `k` enter/leave a node's sequences).
-    pub fn set_k(
-        &mut self,
-        state: &NetworkState,
-        key: AnchorKey,
-        k: usize,
-        counters: &mut OpCounters,
-    ) {
+    pub fn set_k(&mut self, state: &NetworkState, key: K, k: usize, counters: &mut OpCounters) {
         // The records are set aside so that one of them and the rest of
         // the set can be borrowed together (as in `tick`).
         let mut anchors = std::mem::take(&mut self.anchors);
@@ -280,22 +282,16 @@ impl AnchorSet {
 
     /// The anchors whose reported result (ids or distances) changed in the
     /// last [`Self::tick`], in ascending key order.
-    pub fn changed(&self) -> &[AnchorKey] {
+    pub fn changed(&self) -> &[K] {
         &self.changed
     }
 
     /// The anchors whose influencing intervals cover `(edge, frac)` —
     /// exactly the set an object update at that position would be checked
     /// against. Exposed for tests and debugging.
-    pub fn covering(&self, edge: EdgeId, frac: f64) -> Vec<AnchorKey> {
+    pub fn covering(&self, edge: EdgeId, frac: f64) -> Vec<K> {
         // lint: allow(hot-path-alloc): covering() is materialized only for install/resync callers, not per tick; charged to alloc_events under the runtime gate
         self.il.covering(edge, frac).collect()
-    }
-
-    /// The influence-list entries on `edge` (anchor, intervals). Exposed
-    /// for tests and debugging.
-    pub fn influence_on_edge(&self, edge: EdgeId) -> &[(AnchorKey, IntervalSet)] {
-        self.il.on_edge(edge)
     }
 
     /// Validates the structural invariants of every anchor (tests and
@@ -429,10 +425,10 @@ mod tests {
     use super::*;
     use crate::state::NetworkState;
     use crate::types::{EdgeWeightUpdate, ObjectEvent, UpdateBatch};
-    use rnn_roadnet::{generators, NetPoint, NodeId, ObjectId};
+    use rnn_roadnet::{generators, NetPoint, NodeId, ObjectId, QueryId};
 
     /// Line of 6 nodes (5 edges, unit weights), objects at edge midpoints.
-    fn setup() -> (Arc<RoadNetwork>, NetworkState, AnchorSet) {
+    fn setup() -> (Arc<RoadNetwork>, NetworkState, AnchorSet<QueryId>) {
         let net = Arc::new(generators::line_network(6, 1.0));
         let mut state = NetworkState::new(&net);
         for e in net.edge_ids() {
@@ -442,7 +438,11 @@ mod tests {
         (net, state, set)
     }
 
-    fn tick_batch(set: &mut AnchorSet, state: &mut NetworkState, batch: UpdateBatch) -> OpCounters {
+    fn tick_batch(
+        set: &mut AnchorSet<QueryId>,
+        state: &mut NetworkState,
+        batch: UpdateBatch,
+    ) -> OpCounters {
         let deltas = state.apply_batch(&batch);
         set.tick(state, &deltas.objects, &deltas.edges, &[])
     }
@@ -451,8 +451,10 @@ mod tests {
     fn add_and_remove_anchor() {
         let (_, state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             2,
             &mut c,
@@ -471,8 +473,10 @@ mod tests {
     fn irrelevant_object_update_is_ignored() {
         let (_, mut state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(0), 0.5)),
             1,
             &mut c,
@@ -500,8 +504,10 @@ mod tests {
         let (_, mut state, mut set) = setup();
         let mut c = OpCounters::default();
         // 1-NN anchored at x=2.5 (middle of edge 2): NN is object 2 (d=0).
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             1,
             &mut c,
@@ -535,8 +541,10 @@ mod tests {
     fn outgoing_object_triggers_re_expansion() {
         let (_, mut state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             2,
             &mut c,
@@ -564,8 +572,10 @@ mod tests {
         let (net, mut state, mut set) = setup();
         let mut c = OpCounters::default();
         // 2-NN at x=0.25 (edge 0): result o0 (0.25), o1 (1.25).
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(0), 0.25)),
             2,
             &mut c,
@@ -603,8 +613,10 @@ mod tests {
     fn edge_decrease_pulls_in_new_nn() {
         let (net, mut state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(0), 0.25)),
             2,
             &mut c,
@@ -638,8 +650,10 @@ mod tests {
     fn root_edge_weight_change_forces_recompute_and_is_correct() {
         let (_, mut state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             2,
             &mut c,
@@ -668,8 +682,10 @@ mod tests {
         let (net, mut state, mut set) = setup();
         let mut c = OpCounters::default();
         // 3-NN at edge 2 center: tree spans nodes 1..4 (knn=2 gives ±2).
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             3,
             &mut c,
@@ -697,8 +713,10 @@ mod tests {
     fn root_move_outside_tree_recomputes() {
         let (_, state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(0), 0.5)),
             1,
             &mut c,
@@ -717,8 +735,10 @@ mod tests {
     fn set_k_grow_and_shrink() {
         let (_, state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             1,
             &mut c,
@@ -741,8 +761,9 @@ mod tests {
         let (_, state, mut set) = setup();
         let mut c = OpCounters::default();
         let p0 = RootPos::Point(NetPoint::new(EdgeId(0), 0.25));
-        let a = set.add(&state, p0, 1, &mut c);
-        let b = set.add(&state, p0, 2, &mut c);
+        let (a, b) = (QueryId(1), QueryId(2));
+        set.add(&state, a, p0, 1, &mut c);
+        set.add(&state, b, p0, 2, &mut c);
         // Jump both clear across the network to the same new point: both
         // need a from-scratch recomputation at the same root.
         let to = RootPos::Point(NetPoint::new(EdgeId(4), 0.75));
@@ -755,18 +776,13 @@ mod tests {
         assert_eq!(out.reevaluations, 1, "only the group expansion runs");
         // Answers equal fresh independent installs at the same point.
         let mut oracle = AnchorSet::new(set.network().clone());
-        let oa = oracle.add(&state, to, 1, &mut c);
-        let ob = oracle.add(&state, to, 2, &mut c);
-        assert_eq!(set.get(a).unwrap().result, oracle.get(oa).unwrap().result);
-        assert_eq!(set.get(b).unwrap().result, oracle.get(ob).unwrap().result);
-        assert_eq!(
-            set.get(a).unwrap().knn_dist,
-            oracle.get(oa).unwrap().knn_dist
-        );
-        assert_eq!(
-            set.get(b).unwrap().knn_dist,
-            oracle.get(ob).unwrap().knn_dist
-        );
+        oracle.add(&state, a, to, 1, &mut c);
+        oracle.add(&state, b, to, 2, &mut c);
+        for key in [a, b] {
+            let (rec, fresh) = (set.get(key).unwrap(), oracle.get(key).unwrap());
+            assert_eq!(rec.result, fresh.result);
+            assert_eq!(rec.knn_dist, fresh.knn_dist);
+        }
         set.validate(&state);
     }
 
@@ -774,7 +790,8 @@ mod tests {
     fn node_rooted_anchor() {
         let (_, state, mut set) = setup();
         let mut c = OpCounters::default();
-        let key = set.add(&state, RootPos::Node(NodeId(3)), 2, &mut c);
+        let key = QueryId(7);
+        set.add(&state, key, RootPos::Node(NodeId(3)), 2, &mut c);
         let rec = set.get(key).unwrap();
         // From node 3 (x=3): o2 and o3 both at 0.5.
         assert!((rec.result[0].dist - 0.5).abs() < 1e-12);
@@ -786,8 +803,10 @@ mod tests {
         let (_, mut state, mut set) = setup();
         set.use_influence_lists = false;
         let mut c = OpCounters::default();
-        let key = set.add(
+        let key = QueryId(7);
+        set.add(
             &state,
+            key,
             RootPos::Point(NetPoint::new(EdgeId(2), 0.5)),
             2,
             &mut c,

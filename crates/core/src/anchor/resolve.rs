@@ -13,17 +13,20 @@
 //! the root's partition cell — so the charges of a tick sum to its
 //! `expansion_steps`.
 
+use std::fmt::Debug;
+use std::hash::Hash;
+
 use rnn_roadnet::{NodeId, RoadNetwork};
 
 use super::schedule::Pending;
-use super::{AnchorKey, AnchorRec, AnchorSet};
+use super::{AnchorRec, AnchorSet};
 use crate::counters::{push_charged, refill_charged, OpCounters};
 use crate::influence::IntervalSet;
 use crate::search::{Expander, KeptTree, SearchOutcome};
 use crate::state::NetworkState;
 use crate::types::{cmp_neighbors, Neighbor, RootPos};
 
-impl AnchorSet {
+impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
     /// Serves one anchor of a root group from the group's shared multi-k
     /// expansion: its result is the top-`k` prefix of the shared result
     /// (the top-`k` of a top-`k_max` is the top-`k`), and its tree is the
@@ -33,7 +36,7 @@ impl AnchorSet {
     pub(super) fn serve_from_shared(
         &mut self,
         state: &NetworkState,
-        key: AnchorKey,
+        key: K,
         rec: &mut AnchorRec,
         moved_root: Option<RootPos>,
         group: usize,
@@ -67,7 +70,7 @@ impl AnchorSet {
     pub(super) fn resolve_anchor(
         &mut self,
         state: &NetworkState,
-        key: AnchorKey,
+        key: K,
         rec: &mut AnchorRec,
         work: Pending,
         counters: &mut OpCounters,
@@ -232,7 +235,7 @@ impl AnchorSet {
     pub(super) fn rebuild_influence(
         &mut self,
         state: &NetworkState,
-        key: AnchorKey,
+        key: K,
         rec: &mut AnchorRec,
         counters: &mut OpCounters,
     ) {

@@ -7,9 +7,22 @@
 //! may have invalidated is in the `queued` list exactly once, with a
 //! [`Pending`] that over-approximates what happened to it; an anchor that
 //! is not queued is untouched by every update of the tick, so its record is
-//! still exact. Anchors are then resolved in ascending key order, and
-//! anchors due a from-scratch recomputation at bit-identical roots share
-//! one expansion at the group's largest k.
+//! still exact. Anchors due a from-scratch recomputation at bit-identical
+//! roots share one expansion at the group's largest k.
+//!
+//! ## Resolution order
+//!
+//! Queued anchors are resolved in ascending **owner id** (the set's key —
+//! see the parent module), and root groups expand in the order of their
+//! smallest member. The order an owner installed its anchors in is
+//! therefore not an input: two sets holding the same anchors run the same
+//! expansions in the same sequence whatever their history. (Until PR 24
+//! the key was a counter handed out by `add`, so resolution followed
+//! installation order.) Answers, the list of changed anchors and the
+//! expansion work do not depend on the order at all; what does is which
+//! pool slots a re-expansion recycles, hence the allocator-history
+//! counters (`tree_nodes_recycled`, a pool growth landing a tick earlier
+//! or later).
 //!
 //! ## Deviation from the paper's §4.4 pruning (documented)
 //!
@@ -28,10 +41,13 @@
 //! tree than the paper's rule (i) would retain; correctness is validated
 //! differentially against from-scratch recomputation in the test suite.
 
+use std::fmt::Debug;
+use std::hash::Hash;
+
 use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork};
 
 use super::resolve::interval_slack;
-use super::{AnchorKey, AnchorRec, AnchorSet};
+use super::{AnchorRec, AnchorSet};
 use crate::counters::{push_charged, OpCounters, SCRATCH_ROOM};
 use crate::influence::IntervalSet;
 use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
@@ -129,19 +145,19 @@ impl<T: Copy> Chains<T> {
 /// runs. Each starts with [`SCRATCH_ROOM`], and the lists of anchors are
 /// given room for every anchor whenever one is added; a tick that still
 /// outgrows one charges that to `alloc_events`.
-pub(super) struct TickScratch {
+pub(super) struct TickScratch<K> {
     /// Anchors with pending work, each once; sorted before resolution.
-    pub(super) queued: Vec<AnchorKey>,
+    pub(super) queued: Vec<K>,
     /// The lists their work records refer to.
     pub(super) objects: Chains<(ObjectId, Option<NetPoint>)>,
     pub(super) cuts: Chains<NodeId>,
     /// Anchors one update affects.
-    pub(super) affected: Vec<AnchorKey>,
+    pub(super) affected: Vec<K>,
     /// Edges whose weight changed this tick.
     pub(super) changed_edges: FxHashSet<EdgeId>,
     /// `(root identity, anchor)` of every anchor due a from-scratch
     /// recomputation, sorted: co-rooted anchors are adjacent.
-    pub(super) by_root: Vec<((u8, u32, u64), AnchorKey)>,
+    pub(super) by_root: Vec<((u8, u32, u64), K)>,
     /// Survivor candidates of the resolution in progress (§4.2) …
     pub(super) candidates: Vec<Neighbor>,
     /// … and, sorted, the objects this tick's updates touch, which are
@@ -151,7 +167,7 @@ pub(super) struct TickScratch {
     pub(super) intervals: Vec<(EdgeId, IntervalSet)>,
 }
 
-impl TickScratch {
+impl<K> TickScratch<K> {
     pub(super) fn new() -> Self {
         Self {
             queued: Vec::with_capacity(SCRATCH_ROOM),
@@ -167,7 +183,7 @@ impl TickScratch {
     }
 }
 
-impl AnchorSet {
+impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
     /// Processes one timestamp of updates and returns the work it took;
     /// [`Self::changed`] then lists the anchors whose result changed.
     /// `state` must already reflect the post-tick weights and object
@@ -179,7 +195,7 @@ impl AnchorSet {
         state: &NetworkState,
         objects: &[ObjectDelta],
         edges: &[EdgeDelta],
-        root_moves: &[(AnchorKey, RootPos)],
+        root_moves: &[(K, RootPos)],
     ) -> OpCounters {
         let mut counters = OpCounters::default();
         // The records are set aside for the tick, so that a record and the
@@ -346,7 +362,7 @@ impl AnchorSet {
             }
         }
 
-        // ---- Lines 20-26: resolve every affected anchor, in key order.
+        // ---- Lines 20-26: resolve every affected anchor, in owner-id order.
         let edge_set_capacity = scratch.changed_edges.capacity();
         scratch.changed_edges.clear();
         scratch.changed_edges.extend(edges.iter().map(|d| d.edge));
@@ -438,10 +454,10 @@ impl AnchorSet {
 
 /// Puts `key` on the tick's list of anchors to resolve (once) and returns
 /// the work record to add to.
-fn enqueue<'a>(
-    key: AnchorKey,
+fn enqueue<'a, K>(
+    key: K,
     work: &'a mut Pending,
-    queued: &mut Vec<AnchorKey>,
+    queued: &mut Vec<K>,
     counters: &mut OpCounters,
 ) -> &'a mut Pending {
     if !work.queued {

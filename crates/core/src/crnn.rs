@@ -11,7 +11,8 @@
 //! The implementation inverts the roles and reuses the incremental
 //! machinery of §4 wholesale: every *data object* becomes an anchor whose
 //! **1-NN over the query set** is monitored with an expansion tree and
-//! influence lists ([`crate::anchor::AnchorSet`]). An object `p` belongs to
+//! influence lists ([`crate::anchor::AnchorSet`], keyed by [`ObjectId`]).
+//! An object `p` belongs to
 //! `RNN(q)` exactly when its monitored nearest query is `q`, so each tick
 //! only the objects whose 1-NN assignment actually changes are touched —
 //! the same only-process-invalidating-updates property IMA gives k-NN
@@ -22,44 +23,33 @@ use std::time::Instant;
 
 use rnn_roadnet::{FxHashMap, FxHashSet, NetPoint, ObjectId, QueryId, RoadNetwork};
 
-use crate::anchor::{AnchorKey, AnchorSet};
+use crate::anchor::AnchorSet;
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
-use crate::state::{NetworkState, ObjectDelta};
+use crate::state::NetworkState;
 use crate::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
 
 /// Continuous reverse-NN monitor: for every query, the set of objects whose
 /// nearest query it is.
 pub struct Crnn {
-    #[allow(dead_code)]
-    net: Arc<RoadNetwork>,
     /// Role-inverted state: `state.objects` holds the *queries* (they are
     /// the "data" being searched for), while the monitored anchors are the
     /// data objects.
     state: NetworkState,
-    anchors: AnchorSet,
-    by_object: FxHashMap<ObjectId, AnchorKey>,
-    object_pos: FxHashMap<ObjectId, NetPoint>,
+    anchors: AnchorSet<ObjectId>,
     /// Current assignment object → its nearest query.
     assignment: FxHashMap<ObjectId, QueryId>,
     /// Inverse: query → its reverse NNs.
     rnn: FxHashMap<QueryId, FxHashSet<ObjectId>>,
-    query_pos: FxHashMap<QueryId, NetPoint>,
 }
 
 impl Crnn {
     /// Creates a CRNN server over `net`.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
-        let state = NetworkState::new(&net);
-        let anchors = AnchorSet::new(net.clone());
         Self {
-            net,
-            state,
-            anchors,
-            by_object: FxHashMap::default(),
-            object_pos: FxHashMap::default(),
+            state: NetworkState::new(&net),
+            anchors: AnchorSet::new(net),
             assignment: FxHashMap::default(),
             rnn: FxHashMap::default(),
-            query_pos: FxHashMap::default(),
         }
     }
 
@@ -78,9 +68,7 @@ impl Crnn {
     /// The reverse nearest neighbors of `q`: every object whose closest
     /// query is `q`. Returns `None` for unknown queries.
     pub fn reverse_nns(&self, q: QueryId) -> Option<Vec<ObjectId>> {
-        if !self.query_pos.contains_key(&q) {
-            return None;
-        }
+        self.state.objects.position(ObjectId(q.0))?;
         let mut v: Vec<ObjectId> = self
             .rnn
             .get(&q)
@@ -97,19 +85,18 @@ impl Crnn {
 
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
-        self.query_pos.len()
+        self.state.objects.len()
     }
 
     /// Number of monitored objects.
     pub fn num_objects(&self) -> usize {
-        self.by_object.len()
+        self.anchors.len()
     }
 
     fn refresh_assignment(&mut self, obj: ObjectId) {
-        let key = self.by_object[&obj];
         let nearest = self
             .anchors
-            .get(key)
+            .get(obj)
             .and_then(|rec| rec.result.first())
             .map(|n| QueryId(n.object.0));
         let old = self.assignment.get(&obj).copied();
@@ -138,6 +125,7 @@ impl Crnn {
     pub fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();
+        self.anchors.clear_cell_charges();
 
         // Translate: queries of the public batch become the *searched set*
         // (internal "objects"); objects of the public batch become anchor
@@ -146,21 +134,18 @@ impl Crnn {
         for ev in &batch.queries {
             match *ev {
                 QueryEvent::Install { id, at, .. } => {
-                    self.query_pos.insert(id, at);
                     inner.objects.push(ObjectEvent::Insert {
                         id: ObjectId(id.0),
                         at,
                     });
                 }
                 QueryEvent::Move { id, to } => {
-                    self.query_pos.insert(id, to);
                     inner.objects.push(ObjectEvent::Move {
                         id: ObjectId(id.0),
                         to,
                     });
                 }
                 QueryEvent::Remove { id } => {
-                    self.query_pos.remove(&id);
                     self.rnn.remove(&id);
                     inner
                         .objects
@@ -172,64 +157,51 @@ impl Crnn {
         let deltas = self.state.apply_batch(&inner);
 
         // Anchor root moves / installs / removals from the public objects.
-        let mut root_moves: Vec<(AnchorKey, RootPos)> = Vec::new();
+        let mut root_moves: Vec<(ObjectId, RootPos)> = Vec::new();
         let mut installs: Vec<(ObjectId, NetPoint)> = Vec::new();
-        let mut obj_deltas: Vec<ObjectDelta> = deltas.objects.clone();
         for ev in &batch.objects {
             match *ev {
                 ObjectEvent::Insert { id, at } => {
-                    if !self.by_object.contains_key(&id) {
+                    if self.anchors.get(id).is_none() {
                         installs.push((id, at));
-                        self.object_pos.insert(id, at);
                     }
                 }
                 ObjectEvent::Move { id, to } => {
-                    if let Some(&key) = self.by_object.get(&id) {
-                        root_moves.push((key, RootPos::Point(to)));
-                        self.object_pos.insert(id, to);
+                    if self.anchors.get(id).is_some() {
+                        root_moves.push((id, RootPos::Point(to)));
                     }
                 }
                 ObjectEvent::Delete { id } => {
-                    if let Some(key) = self.by_object.remove(&id) {
-                        self.anchors.remove(key);
-                        self.object_pos.remove(&id);
-                        if let Some(q) = self.assignment.remove(&id) {
-                            if let Some(set) = self.rnn.get_mut(&q) {
-                                set.remove(&id);
-                            }
+                    self.anchors.remove(id);
+                    if let Some(q) = self.assignment.remove(&id) {
+                        if let Some(set) = self.rnn.get_mut(&q) {
+                            set.remove(&id);
                         }
                     }
                 }
             }
         }
 
-        obj_deltas.retain(|_| true); // (deltas already coalesced)
-        counters.merge(
-            &self
-                .anchors
-                .tick(&self.state, &obj_deltas, &deltas.edges, &root_moves),
-        );
+        counters.merge(&self.anchors.tick(
+            &self.state,
+            &deltas.objects,
+            &deltas.edges,
+            &root_moves,
+        ));
 
-        // New anchors for inserted objects (after all updates, §4.5).
+        // New anchors for inserted objects (after all updates, §4.5; of an
+        // object the batch inserts twice, the first insert stands).
         for (id, at) in installs {
-            let key = self
-                .anchors
-                .add(&self.state, RootPos::Point(at), 1, &mut counters);
-            self.by_object.insert(id, key);
-            self.refresh_assignment(id);
+            if self.anchors.get(id).is_none() {
+                self.anchors
+                    .add(&self.state, id, RootPos::Point(at), 1, &mut counters);
+                self.refresh_assignment(id);
+            }
         }
 
         // Re-derive assignments for changed anchors.
         let mut results_changed = 0;
-        let changed_objs: Vec<ObjectId> = {
-            let inv: FxHashMap<AnchorKey, ObjectId> =
-                self.by_object.iter().map(|(&o, &k)| (k, o)).collect();
-            self.anchors
-                .changed()
-                .iter()
-                .filter_map(|k| inv.get(k).copied())
-                .collect()
-        };
+        let changed_objs = self.anchors.changed().to_vec();
         for obj in changed_objs {
             let before = self.assignment.get(&obj).copied();
             self.refresh_assignment(obj);
@@ -389,6 +361,47 @@ mod tests {
         assert_eq!(c.num_objects(), 0);
         assert!(c.reverse_nns(QueryId(100)).unwrap().is_empty());
         assert_eq!(c.nearest_query_of(ObjectId(1)), None);
+    }
+
+    #[test]
+    fn cell_charges_hold_one_tick_not_a_lifetime() {
+        let mut c = setup();
+        for i in 0..12u32 {
+            c.apply(UpdateEvent::insert_object(
+                ObjectId(i),
+                NetPoint::new(EdgeId(i % 5), 0.3),
+            ));
+        }
+        let mut last = OpCounters::default();
+        for t in 0..20u32 {
+            // Every client and one cab move every tick.
+            let at =
+                |i: u32| NetPoint::new(EdgeId((i + t) % 5), f64::from((7 * i + t) % 10) / 10.0);
+            last = c
+                .tick(&UpdateBatch {
+                    objects: (0..12)
+                        .map(|i| ObjectEvent::Move {
+                            id: ObjectId(i),
+                            to: at(i),
+                        })
+                        .collect(),
+                    queries: vec![QueryEvent::Move {
+                        id: QueryId(100 + 100 * (t % 2)),
+                        to: at(t),
+                    }],
+                    ..Default::default()
+                })
+                .counters;
+        }
+        let mut charges = Vec::new();
+        c.anchors.drain_cell_charges(&mut charges);
+        assert!(last.reevaluations > 0, "the population moves");
+        assert!(
+            charges.len() as u64 <= last.reevaluations,
+            "{} charges after a tick of {} expansions",
+            charges.len(),
+            last.reevaluations
+        );
     }
 
     #[test]

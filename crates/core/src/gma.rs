@@ -10,7 +10,8 @@
 //! The endpoints of sequences that currently contain queries are **active
 //! nodes**; their `n.k`-NN sets (`n.k = max q.k over the adjacent queries`)
 //! are maintained with the IMA machinery ([`crate::anchor::AnchorSet`],
-//! node-rooted and static).
+//! node-rooted, static, keyed by [`NodeId`] — the paper's node table
+//! **NT**).
 //!
 //! ## A query is answered by a merge
 //!
@@ -77,7 +78,7 @@ use rnn_roadnet::{
     Sequence, SequenceTable,
 };
 
-use crate::anchor::{AnchorKey, AnchorSet};
+use crate::anchor::AnchorSet;
 use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
 use crate::influence::{InfluenceTable, IntervalSet};
 use crate::monitor::ContinuousMonitor;
@@ -125,9 +126,7 @@ pub struct Gma {
     seqs: SequenceTable,
     state: NetworkState,
     /// IMA module monitoring the active nodes (**NT**).
-    nodes: AnchorSet,
-    node_anchor: FxHashMap<NodeId, AnchorKey>,
-    anchor_node: FxHashMap<AnchorKey, NodeId>,
+    nodes: AnchorSet<NodeId>,
     /// Multiset of k values demanded at each potential active node
     /// (`n.k = max`).
     node_ks: FxHashMap<NodeId, Vec<usize>>,
@@ -279,10 +278,6 @@ impl Gma {
             state: NetworkState::new(&net),
             nodes: AnchorSet::new(net.clone()),
             // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
-            node_anchor: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
-            anchor_node: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
             node_ks: FxHashMap::default(),
             node_seqs,
             // lint: allow(hot-path-alloc): construction; grows when queries are installed
@@ -317,7 +312,7 @@ impl Gma {
     /// Number of currently active nodes (reported in the paper's
     /// experiments, e.g. "GMA monitors only 844 active nodes on average").
     pub fn active_node_count(&self) -> usize {
-        self.node_anchor.len()
+        self.nodes.len()
     }
 
     /// Nodes whose k demand must be (de)registered for a query in sequence
@@ -386,24 +381,15 @@ impl Gma {
     /// Reconciles a node's anchor with the current k demand: activates,
     /// deactivates, or resizes its monitored NN set.
     fn sync_node(&mut self, n: NodeId, counters: &mut OpCounters) {
-        let desired = self.desired_k(n);
-        match (self.node_anchor.get(&n).copied(), desired) {
-            (None, Some(k)) => {
-                let key = self.nodes.add(&self.state, RootPos::Node(n), k, counters);
-                self.node_anchor.insert(n, key);
-                self.anchor_node.insert(key, n);
+        match (self.nodes.get(n).map(|rec| rec.k), self.desired_k(n)) {
+            (None, Some(k)) => self
+                .nodes
+                .add(&self.state, n, RootPos::Node(n), k, counters),
+            (Some(_), None) => {
+                self.nodes.remove(n);
             }
-            (Some(key), None) => {
-                self.nodes.remove(key);
-                self.node_anchor.remove(&n);
-                self.anchor_node.remove(&key);
-            }
-            (Some(key), Some(k)) => {
-                if self.nodes.get(key).map(|r| r.k) != Some(k) {
-                    self.nodes.set_k(&self.state, key, k, counters);
-                }
-            }
-            (None, None) => {}
+            (Some(k_now), Some(k)) if k_now != k => self.nodes.set_k(&self.state, n, k, counters),
+            _ => {}
         }
     }
 
@@ -470,11 +456,10 @@ impl Gma {
             let Some((n, base)) = exit.filter(|&(n, _)| self.net.degree(n) >= 3) else {
                 continue;
             };
-            let key = self
-                .node_anchor
-                .get(&n)
+            let rec = self
+                .nodes
+                .get(n)
                 .expect("endpoint of a query sequence is active");
-            let rec = self.nodes.get(*key).expect("anchor exists");
             debug_assert!(rec.k >= k, "active node monitors too few NNs");
             *list = (&rec.result, base);
         }
@@ -818,10 +803,7 @@ impl ContinuousMonitor for Gma {
 
         // ---- Lines 6-15: determine the affected user queries.
         // (i) endpoint NN-set changes within reach.
-        for key in self.nodes.changed() {
-            let Some(&n) = self.anchor_node.get(key) else {
-                continue;
-            };
+        for &n in self.nodes.changed() {
             let Some(seq_ids) = self.node_seqs.get(&n) else {
                 continue;
             };
@@ -1249,14 +1231,12 @@ mod tests {
             NetPoint::new(EdgeId(1), 0.5),
         ));
         // Center node must monitor max(1, 5) = 5 NNs.
-        let key = gma.node_anchor[&NodeId(0)];
-        assert_eq!(gma.nodes.get(key).unwrap().k, 5);
+        assert_eq!(gma.nodes.get(NodeId(0)).unwrap().k, 5);
         // The 5-NN query's result is complete.
         assert_eq!(gma.result(QueryId(2)).unwrap().len(), 5);
         // Removing the 5-NN query shrinks the node demand.
         gma.apply(UpdateEvent::remove_query(QueryId(2)));
-        let key = gma.node_anchor[&NodeId(0)];
-        assert_eq!(gma.nodes.get(key).unwrap().k, 1);
+        assert_eq!(gma.nodes.get(NodeId(0)).unwrap().k, 1);
     }
 
     #[test]

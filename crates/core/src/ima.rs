@@ -1,6 +1,7 @@
 //! **IMA** — the incremental monitoring algorithm (§4).
 //!
-//! Each user query is an anchor of an [`AnchorSet`]: it carries an
+//! Each user query is an anchor of an [`AnchorSet`] keyed by its
+//! [`QueryId`] — the paper's query table **QT**: it carries an
 //! expansion tree and registers influencing intervals on the edges it can
 //! see. A timestamp is processed by the complete IMA schedule of Figure 10
 //! (implemented in [`AnchorSet::tick`]): updates that fall outside every
@@ -10,9 +11,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
+use rnn_roadnet::{NetPoint, QueryId, RoadNetwork};
 
-use crate::anchor::{AnchorKey, AnchorSet};
+use crate::anchor::AnchorSet;
 use crate::counters::{
     push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport, SCRATCH_ROOM,
 };
@@ -24,15 +25,10 @@ use crate::types::{Neighbor, RootPos, UpdateBatch};
 /// The incremental monitoring algorithm.
 pub struct Ima {
     state: NetworkState,
-    anchors: AnchorSet,
-    by_query: FxHashMap<QueryId, AnchorKey>,
-    /// Reverse of `by_query`, so anchor-keyed lookups (influence-list
-    /// covering hits) map back to queries in O(hits) instead of a linear
-    /// scan over the query table.
-    by_anchor: FxHashMap<AnchorKey, QueryId>,
+    anchors: AnchorSet<QueryId>,
     /// Per-tick scratch: the tick's query movements (room for every query,
     /// reserved as queries are installed) …
-    root_moves: Vec<(AnchorKey, RootPos)>,
+    root_moves: Vec<(QueryId, RootPos)>,
     /// … and the queries it installs, as `(id, k, position)` (growth
     /// charged to `install_alloc_events`).
     installs: Vec<(QueryId, usize, NetPoint)>,
@@ -53,10 +49,6 @@ impl Ima {
         Self {
             state,
             anchors: AnchorSet::new(net),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
-            by_query: FxHashMap::default(),
-            // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
-            by_anchor: FxHashMap::default(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it is given room as queries are installed
             root_moves: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; pushes charge its growth to install_alloc_events
@@ -89,28 +81,17 @@ impl Ima {
     }
 
     /// The queries whose influencing intervals cover `(edge, frac)`
-    /// (tests/debugging). O(hits): each covering anchor resolves to its
-    /// query through the maintained reverse map — no scan of the query
-    /// table.
+    /// (tests/debugging).
     pub fn covering_queries(&self, edge: rnn_roadnet::EdgeId, frac: f64) -> Vec<QueryId> {
-        self.anchors
-            .covering(edge, frac)
-            .into_iter()
-            .filter_map(|k| self.by_anchor.get(&k).copied())
-            // lint: allow(hot-path-alloc): covering_queries materializes only for root-move handling (slow path); charged to alloc_events under the runtime gate
-            .collect()
+        self.anchors.covering(edge, frac)
     }
 
-    /// Computes a new query's initial result (§4.1) and indexes it; gives
-    /// the tick's lists of query movements and of changed queries room for
+    /// Computes a new query's initial result (§4.1); gives the tick's lists of query movements and of changed queries room for
     /// one more, and lists the query as changed when it has an answer.
     fn install_query(&mut self, id: QueryId, k: usize, at: NetPoint, counters: &mut OpCounters) {
-        let key = self
-            .anchors
-            .add(&self.state, RootPos::Point(at), k, counters);
-        self.by_query.insert(id, key);
-        self.by_anchor.insert(key, id);
-        let n = self.by_query.len();
+        self.anchors
+            .add(&self.state, id, RootPos::Point(at), k, counters);
+        let n = self.anchors.len();
         let allocs = &mut counters.install_alloc_events;
         reserve_charged(&mut self.root_moves, n, allocs);
         reserve_charged(&mut self.changed, n, allocs);
@@ -124,13 +105,8 @@ impl Ima {
 
     /// The current `(kNN_dist, result)` of a registered query.
     fn answer(&self, id: QueryId) -> Option<(f64, &[Neighbor])> {
-        let rec = self.anchors.get(*self.by_query.get(&id)?)?;
+        let rec = self.anchors.get(id)?;
         Some((rec.knn_dist, &rec.result))
-    }
-
-    /// Direct access to a query's anchor record (tests/debugging).
-    pub fn anchor_of(&self, id: QueryId) -> Option<&crate::anchor::AnchorRec> {
-        self.anchors.get(*self.by_query.get(&id)?)
     }
 }
 
@@ -158,13 +134,9 @@ impl ContinuousMonitor for Ima {
                 (Some(_), None) => {
                     let had_answer = self.answer(d.id).is_some_and(|(_, r)| !r.is_empty());
                     removed_with_answer += usize::from(had_answer);
-                    if let Some(key) = self.by_query.remove(&d.id) {
-                        self.anchors.remove(key);
-                        self.by_anchor.remove(&key);
-                    }
+                    self.anchors.remove(d.id);
                 }
                 (Some((k_old, _)), Some((k_new, at))) => {
-                    let key = self.by_query[&d.id];
                     if k_old != k_new {
                         // Cold path: streams move queries, they rarely
                         // re-key them.
@@ -172,11 +144,11 @@ impl ContinuousMonitor for Ima {
                             // lint: allow(hot-path-alloc): cold path — the one copy a re-install at another k is judged against, taken before set_k rewrites the result
                             self.rekeyed.push((d.id, knn_dist, result.to_vec()));
                         }
-                        self.anchors.set_k(&self.state, key, k_new, &mut counters);
+                        self.anchors.set_k(&self.state, d.id, k_new, &mut counters);
                     }
                     push_charged(
                         &mut self.root_moves,
-                        (key, RootPos::Point(at)),
+                        (d.id, RootPos::Point(at)),
                         &mut counters.alloc_events,
                     );
                 }
@@ -197,10 +169,8 @@ impl ContinuousMonitor for Ima {
             &deltas.edges,
             &self.root_moves,
         ));
-        for key in self.anchors.changed() {
-            if let Some(&id) = self.by_anchor.get(key) {
-                push_charged(&mut self.changed, id, &mut counters.alloc_events);
-            }
+        for &id in self.anchors.changed() {
+            push_charged(&mut self.changed, id, &mut counters.alloc_events);
         }
 
         // Newly installed queries compute their initial result after all
@@ -223,7 +193,8 @@ impl ContinuousMonitor for Ima {
                 push_charged(&mut self.changed, id, &mut counters.alloc_events);
             }
         }
-        // Anchor keys ascend in installation order, query ids need not.
+        // The anchor set's list ascends; installs and re-keyed queries were
+        // appended behind it.
         self.changed.sort_unstable();
         let results_changed = self.changed.len() + removed_with_answer;
 
@@ -241,18 +212,16 @@ impl ContinuousMonitor for Ima {
     }
 
     fn result(&self, id: QueryId) -> Option<&[Neighbor]> {
-        let key = self.by_query.get(&id)?;
-        Some(&self.anchors.get(*key)?.result)
+        Some(self.answer(id)?.1)
     }
 
     fn knn_dist(&self, id: QueryId) -> Option<f64> {
-        let key = self.by_query.get(&id)?;
-        Some(self.anchors.get(*key)?.knn_dist)
+        Some(self.answer(id)?.0)
     }
 
     fn query_ids(&self) -> Vec<QueryId> {
         // lint: allow(hot-path-alloc): introspection helper for tests and benches, not called from the tick path
-        self.by_query.keys().copied().collect()
+        self.anchors.keys().collect()
     }
 
     fn changed_queries(&self) -> &[QueryId] {
@@ -263,9 +232,7 @@ impl ContinuousMonitor for Ima {
         let (query_table, expansion_trees, influence_lists) = self.anchors.memory_breakdown();
         MemoryUsage {
             edge_table: self.state.memory_bytes(),
-            query_table: query_table
-                + (self.by_query.capacity() + self.by_anchor.capacity())
-                    * (std::mem::size_of::<QueryId>() + std::mem::size_of::<AnchorKey>()),
+            query_table,
             expansion_trees,
             influence_lists,
             auxiliary: self.anchors.scratch_bytes(),
@@ -399,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn covering_queries_resolves_through_reverse_map() {
+    fn covering_queries_follow_installs_and_removals() {
         let mut ima = setup();
         ima.apply(UpdateEvent::install_query(
             QueryId(1),
@@ -414,7 +381,7 @@ mod tests {
         // Each query's own position is covered by exactly that query.
         assert_eq!(ima.covering_queries(EdgeId(0), 0.5), vec![QueryId(1)]);
         assert_eq!(ima.covering_queries(EdgeId(4), 0.5), vec![QueryId(2)]);
-        // Removal (including via a batch) keeps the reverse map in sync.
+        // Removal (including via a batch) withdraws the intervals.
         ima.apply(UpdateEvent::remove_query(QueryId(1)));
         assert!(ima.covering_queries(EdgeId(0), 0.5).is_empty());
         ima.tick(&UpdateBatch {

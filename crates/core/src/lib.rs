@@ -35,7 +35,12 @@
 //! re-evaluation and its Dijkstra steps are counted, and its `harvest` is
 //! the one fold of what the searches allocated, stepped and recycled.
 //! [`Ovh`] holds an expander directly. [`Ima`], [`Gma`] and [`crnn::Crnn`]
-//! hold one through an [`anchor::AnchorSet`], the §4 machinery, whose
+//! hold one through an [`anchor::AnchorSet`], the §4 machinery, keyed as
+//! the paper's tables are by the id of what each row describes — **QT**
+//! by [`QueryId`](rnn_roadnet::QueryId) in IMA, **NT** by
+//! [`NodeId`](rnn_roadnet::NodeId) in GMA, by
+//! [`ObjectId`](rnn_roadnet::ObjectId) in CRNN — so no monitor keeps an
+//! id map beside it and a tick resolves its anchors in owner-id order. The
 //! module is split along the IMA schedule of Figure 10: `anchor/mod.rs`
 //! (the per-anchor records, `add` / `remove` / `set_k` / `validate`),
 //! `anchor/schedule.rs` (`tick`, lines 1–19: the timestamp's updates

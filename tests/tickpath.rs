@@ -383,3 +383,106 @@ fn every_expansion_step_is_charged_to_a_cell() {
         assert!(total.reevaluations > 50 && total.shared_expansions > 0);
     }
 }
+
+/// Installation order is not an input: a monitor's anchors are keyed by
+/// their owners' ids and resolved in id order, so two monitors given the
+/// same population and the same stream do the same work and report the
+/// same answers tick for tick, whichever order their queries were
+/// installed in — one query per timestamp, ascending in one monitor and
+/// shuffled in the other, so that IMA's queries and GMA's active nodes
+/// both come into being in different orders. Three queries leave mid-run
+/// and come back later, re-installed in opposite orders.
+#[test]
+fn installation_order_is_not_an_input() {
+    let net = Arc::new(generators::san_francisco_like(300, 17));
+    let cfg = ScenarioConfig {
+        num_objects: 400,
+        num_queries: 40,
+        k: 4,
+        object_agility: 0.10,
+        query_agility: 0.10,
+        edge_agility: 0.04,
+        seed: 9,
+        ..Default::default()
+    };
+    type Make = fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>;
+    let makers: [Make; 2] = [|net| Box::new(Ima::new(net)), |net| Box::new(Gma::new(net))];
+    for make in makers {
+        let mut scenario = Scenario::new(net.clone(), cfg.clone());
+        let mut pair = [make(net.clone()), make(net.clone())];
+        let mut load = UpdateBatch::default();
+        for (id, at) in scenario.initial_objects() {
+            load.push(UpdateEvent::insert_object(id, at));
+        }
+        let ascending: Vec<_> = scenario.initial_queries().collect();
+        let mut shuffled = ascending.clone();
+        let mut rng = Lcg(7);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next() as usize % (i + 1));
+        }
+        assert_ne!(ascending, shuffled);
+        for (monitor, order) in pair.iter_mut().zip([&ascending, &shuffled]) {
+            monitor.tick(&load);
+            for &(id, k, at) in order {
+                monitor.apply(UpdateEvent::install_query(id, k, at));
+            }
+        }
+
+        let name = pair[0].name();
+        let edges = net.num_edges() as u32;
+        let leavers = [ascending[3].0, ascending[17].0, ascending[31].0];
+        let mut present: Vec<QueryId> = ascending.iter().map(|q| q.0).collect();
+        let mut expansions = 0;
+        for t in 0..40 {
+            let batch = scenario.tick();
+            let mut batches = [batch.clone(), batch];
+            match t {
+                12 => {
+                    for b in &mut batches {
+                        let gone = leavers.iter().map(|&id| QueryEvent::Remove { id });
+                        b.queries.extend(gone);
+                    }
+                    present.retain(|id| !leavers.contains(id));
+                }
+                20 => {
+                    let back: Vec<_> = leavers
+                        .iter()
+                        .map(|&id| QueryEvent::Install {
+                            id,
+                            k: cfg.k,
+                            at: NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac()),
+                        })
+                        .collect();
+                    batches[0].queries.extend(back.iter().copied());
+                    batches[1].queries.extend(back.iter().rev().copied());
+                    present.extend(leavers);
+                    present.sort_unstable();
+                }
+                _ => {}
+            }
+            let [a, b] = &mut pair;
+            let (ra, rb) = (a.tick(&batches[0]), b.tick(&batches[1]));
+            let at = format!("{name}, tick {t}");
+            assert_eq!(ra.results_changed, rb.results_changed, "{at}");
+            assert_eq!(a.changed_queries(), b.changed_queries(), "{at}");
+            let work = |c: &OpCounters| (c.expansion_steps, c.reevaluations);
+            assert_eq!(work(&ra.counters), work(&rb.counters), "{at}");
+            expansions += ra.counters.reevaluations;
+            let mut ids = a.query_ids();
+            ids.sort_unstable();
+            assert_eq!(ids, present, "{at}");
+            let bits = |m: &dyn ContinuousMonitor, id| {
+                let result = m.result(id).expect("registered");
+                let result: Vec<_> = result
+                    .iter()
+                    .map(|n| (n.object, n.dist.to_bits()))
+                    .collect();
+                (m.knn_dist(id).map(f64::to_bits), result)
+            };
+            for &id in &present {
+                assert_eq!(bits(a.as_ref(), id), bits(b.as_ref(), id), "{at}, {id:?}");
+            }
+        }
+        assert!(expansions > 100, "{name}: the stream must keep it busy");
+    }
+}
