@@ -122,13 +122,6 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-pub(crate) struct ObjRec {
-    pub(crate) pos: NetPoint,
-    /// Bit `s` set = shard `s` currently holds this object (owner or
-    /// replica).
-    pub(crate) mask: u64,
-}
-
 /// Events routed to one shard but not yet shipped. Converted into a
 /// [`DeltaBatch`] (which adds the shared edge arena) at dispatch time.
 #[derive(Default)]
@@ -187,9 +180,11 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// annuli) so shrinks drop only the outer ring.
     pub(crate) halo_edges: Vec<HaloRing>,
     /// Per-edge visibility mask: bit `s` = edge is owned by or in the halo
-    /// of shard `s`.
+    /// of shard `s` — and so, once a pass's toggles are resynced, the set
+    /// of shards holding each object on the edge.
     pub(crate) edge_mask: Vec<u64>,
-    pub(crate) objects: FxHashMap<ObjectId, ObjRec>,
+    /// Where each object is; who holds it is its edge's mask.
+    pub(crate) objects: FxHashMap<ObjectId, NetPoint>,
     /// Edge → resident objects, maintained on every routed object event.
     /// Lets halo rebuilds resync only the objects on changed edges.
     pub(crate) edge_obj: EdgeObjectIndex,
@@ -217,10 +212,10 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// recomputed").
     pub(crate) demand: Vec<f64>,
     /// Reused scratch of the halo passes: the edges whose halo membership
-    /// a pass toggled ([`Self::halo_pass`]), and the membership map a halo
-    /// recompute fills (it trades places with the ring's own on every
-    /// recompute).
-    pub(crate) toggled_edges: FxHashSet<EdgeId>,
+    /// a pass toggled, each with the mask it entered the pass with
+    /// ([`Self::halo_pass`]), and the membership map a halo recompute fills
+    /// (it trades places with the ring's own on every recompute).
+    pub(crate) toggled_edges: FxHashMap<EdgeId, u64>,
     pub(crate) halo_fresh: FxHashMap<EdgeId, f64>,
     /// Monitor-side aggregate for the current tick: critical-path elapsed
     /// (max across a round's parallel workers, summed across rounds) and
@@ -364,7 +359,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             active: vec![None; cfg.num_shards],
             log: ChangeLog::default(),
             demand: vec![0.0; cfg.num_shards],
-            toggled_edges: FxHashSet::default(),
+            toggled_edges: FxHashMap::default(),
             halo_fresh: FxHashMap::default(),
             workers_report: TickReport::default(),
             router_tick: OpCounters::default(),
@@ -451,10 +446,10 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// Checks the internal replication invariants, for tests and debugging:
     /// a dead shard owns no cells, holds no halo, is visible on no edge and
-    /// homes no query; every object's shard mask matches its edge's
-    /// visibility mask, the edge→object and edge→query indexes mirror
-    /// their tables exactly, and the per-edge masks are consistent with
-    /// ownership plus the halo edge sets.
+    /// homes no query; the edge→object and edge→query indexes mirror
+    /// their tables exactly, and the per-edge masks — which say who holds
+    /// each object — are consistent with ownership plus the halo edge
+    /// sets.
     pub fn validate_replication(&self) -> Result<(), String> {
         self.partition.validate(&self.net)?;
         // What adoption promises about a corpse: it owns, sees and serves
@@ -515,22 +510,11 @@ impl<L: ShardLink> ShardedEngine<L> {
                 self.objects.len()
             ));
         }
-        for (&id, rec) in &self.objects {
-            let expect = self.edge_mask[rec.pos.edge.index()];
-            if rec.mask != expect {
-                return Err(format!(
-                    "object {id:?} on {:?}: mask {:#b} != edge mask {expect:#b}",
-                    rec.pos.edge, rec.mask
-                ));
-            }
-            let owner = self.partition.shard_of_edge(rec.pos.edge);
-            if rec.mask & (1u64 << owner) == 0 {
-                return Err(format!("object {id:?} missing its owner shard {owner}"));
-            }
-            if !self.edge_obj.objects_on(rec.pos.edge).contains(&id) {
+        for (&id, pos) in &self.objects {
+            if !self.edge_obj.objects_on(pos.edge).contains(&id) {
                 return Err(format!(
                     "object {id:?} not indexed on its edge {:?}",
-                    rec.pos.edge
+                    pos.edge
                 ));
             }
         }
@@ -824,7 +808,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         // Router state: registries, masks, halo sets, edge→object index.
         total.auxiliary += self.edge_mask.capacity() * std::mem::size_of::<u64>()
             + self.objects.capacity()
-                * (std::mem::size_of::<ObjectId>() + std::mem::size_of::<ObjRec>())
+                * (std::mem::size_of::<ObjectId>() + std::mem::size_of::<NetPoint>())
             + self.queries.capacity()
                 * (std::mem::size_of::<QueryId>() + std::mem::size_of::<QueryRec>())
             + self

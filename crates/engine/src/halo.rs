@@ -6,7 +6,10 @@
 //! `edge_mask` entry for the edges shard `s` does not own. The invariant
 //! it maintains: `edge_mask[e] = owner bit | { s : e ∈ halo_edges[s] }`,
 //! and once `ShardedEngine::resync_changed` has run over the edges whose
-//! membership toggled, every resident object's `mask` equals its edge's.
+//! membership toggled, every resident object is held by exactly the shards
+//! of its edge's mask. Nothing is stored per object: a pass that flips a
+//! bit of an edge's mask notes the mask the edge entered the pass with,
+//! and the resync ships the difference to the edge's residents.
 //! Callers: `tick` (weights moved), `reconcile` (demand grew),
 //! `maybe_shrink_halos` (demand fell) and
 //! [`crate::rebalance`]'s hand-off tail (a border moved).
@@ -85,7 +88,7 @@
 //! `resync_touched` counter.
 
 use rnn_core::{ObjectEvent, OpCounters};
-use rnn_roadnet::{EdgeId, EdgeWeights, FxHashMap, FxHashSet};
+use rnn_roadnet::{EdgeId, EdgeWeights, FxHashMap};
 
 use crate::engine::{ShardBits, ShardedEngine};
 use crate::protocol::{BatchKind, ShardLink};
@@ -192,10 +195,9 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// Total number of object replicas currently shipped to non-owner
     /// shards (a measure of the replication overhead).
     pub fn replica_count(&self) -> usize {
-        self.objects
-            .values()
-            .map(|o| o.mask.count_ones() as usize - 1)
-            .sum()
+        let replicas = |e: EdgeId| self.edge_mask[e.index()].count_ones() as usize - 1;
+        let on = |e| self.edge_obj.objects_on(e).len();
+        self.net.edge_ids().map(|e| on(e) * replicas(e)).sum()
     }
 
     /// Lifetime count of objects examined by replica resync (distinct per
@@ -214,11 +216,11 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// Recomputes shard `s`'s halo edge set under the current weights and
     /// radius (one bounded multi-source Dijkstra from the shard boundary),
-    /// adding every edge whose membership toggled to `changed`. Also
+    /// noting every edge whose membership toggled in `changed`. Also
     /// refreshes the ring structure (each member's boundary distance) that
     /// [`Self::shrink_halo_ring`] later pops from. A shard at radius zero
     /// has an empty halo before and after, so calling this for it is free.
-    pub(crate) fn recompute_halo(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
+    pub(crate) fn recompute_halo(&mut self, s: usize, changed: &mut FxHashMap<EdgeId, u64>) {
         let r = self.halo_r[s];
         let mut fresh = std::mem::take(&mut self.halo_fresh);
         fresh.clear();
@@ -248,24 +250,21 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// Installs `fresh` as shard `s`'s halo membership, flipping bit `s` of
-    /// every toggled edge's visibility mask and recording the edge in
-    /// `changed`. An empty `fresh` clears the halo. The replaced membership
-    /// comes back in `fresh`.
+    /// every toggled edge's visibility mask and recording the edge, with
+    /// the mask it had, in `changed` (the first record of a pass stands).
+    /// An empty `fresh` clears the halo. The replaced membership comes back
+    /// in `fresh`.
     pub(crate) fn replace_halo(
         &mut self,
         s: usize,
         fresh: &mut FxHashMap<EdgeId, f64>,
-        changed: &mut FxHashSet<EdgeId>,
+        changed: &mut FxHashMap<EdgeId, u64>,
     ) {
         let bit = 1u64 << s;
         let masks = &mut self.edge_mask;
-        self.halo_edges[s].replace_with(fresh, |e, member| {
-            if member {
-                masks[e.index()] |= bit;
-            } else {
-                masks[e.index()] &= !bit;
-            }
-            changed.insert(e);
+        self.halo_edges[s].replace_with(fresh, |e, _| {
+            changed.entry(e).or_insert(masks[e.index()]);
+            masks[e.index()] ^= bit;
         });
     }
 
@@ -274,25 +273,27 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// tail of the ring — O(dropped edges), no Dijkstra re-expansion. A
     /// radius of zero empties the halo (membership requires a settled node
     /// within a *positive* radius, matching [`Self::recompute_halo`]).
-    fn shrink_halo_ring(&mut self, s: usize, changed: &mut FxHashSet<EdgeId>) {
+    fn shrink_halo_ring(&mut self, s: usize, changed: &mut FxHashMap<EdgeId, u64>) {
         let r = self.halo_r[s];
         let cutoff = if r > 0.0 { r } else { f64::NEG_INFINITY };
         let bit = 1u64 << s;
         while let Some(e) = self.halo_edges[s].pop_beyond(cutoff) {
+            changed.entry(e).or_insert(self.edge_mask[e.index()]);
             self.edge_mask[e.index()] &= !bit;
-            changed.insert(e);
         }
     }
 
-    /// Re-derives the desired shard set of every object resident on a
-    /// *changed* edge (via the edge→object index) and queues insert/delete
-    /// events for the differences. O(objects on changed edges) — the whole
-    /// point of this subsystem; see the module docs.
-    pub(crate) fn resync_changed(&mut self, changed: &FxHashSet<EdgeId>) {
+    /// Diffs every *changed* edge's mask against the one it entered the
+    /// pass with and queues insert/delete events for the difference to
+    /// every object resident on it (via the edge→object index).
+    /// O(objects on changed edges) — the whole point of this subsystem;
+    /// see the module docs.
+    pub(crate) fn resync_changed(&mut self, changed: &FxHashMap<EdgeId, u64>) {
         let mut touched = 0u64;
         let mut evicted = 0u64;
-        for &e in changed {
+        for (&e, &before) in changed {
             let desired = self.edge_mask[e.index()];
+            let (added, removed) = (desired & !before, before & !desired);
             for &id in self.edge_obj.objects_on(e) {
                 // An edge can toggle out of and back into halos within one
                 // tick (e.g. a weight change followed by reconcile growth);
@@ -301,26 +302,15 @@ impl<L: ShardLink> ShardedEngine<L> {
                 if self.resync_seen.insert(id) {
                     touched += 1;
                 }
-                let rec = self
-                    .objects
-                    .get_mut(&id)
-                    .expect("indexed object must be registered");
-                debug_assert_eq!(rec.pos.edge, e, "index bucket out of sync");
-                if rec.mask == desired {
-                    continue;
-                }
-                let added = desired & !rec.mask;
-                let removed = rec.mask & !desired;
+                let at = self.objects[&id];
+                debug_assert_eq!(at.edge, e, "index bucket out of sync");
                 for s in ShardBits(added) {
-                    self.pending[s]
-                        .objects
-                        .push(ObjectEvent::Insert { id, at: rec.pos });
+                    self.pending[s].objects.push(ObjectEvent::Insert { id, at });
                 }
                 for s in ShardBits(removed) {
                     self.pending[s].objects.push(ObjectEvent::Delete { id });
                 }
                 evicted += u64::from(removed.count_ones());
-                rec.mask = desired;
             }
         }
         self.count(OpCounters {
@@ -363,12 +353,12 @@ impl<L: ShardLink> ShardedEngine<L> {
         }
     }
 
-    /// One halo pass in the reused edge set: `pass` records the edges whose
+    /// One halo pass in the reused edge map: `pass` records the edges whose
     /// membership it toggled, and their residents are resynced. Returns
     /// whether any edge toggled.
     pub(crate) fn halo_pass(
         &mut self,
-        pass: impl FnOnce(&mut Self, &mut FxHashSet<EdgeId>),
+        pass: impl FnOnce(&mut Self, &mut FxHashMap<EdgeId, u64>),
     ) -> bool {
         let mut toggled = std::mem::take(&mut self.toggled_edges);
         toggled.clear();

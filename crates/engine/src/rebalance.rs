@@ -41,7 +41,7 @@
 //! its replicas — is discarded unsent by `dispatch_pending`.
 
 use rnn_core::{OpCounters, QueryEvent};
-use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet};
+use rnn_roadnet::{EdgeId, FxHashMap};
 
 use crate::engine::{ShardBits, ShardedEngine};
 use crate::protocol::{BatchKind, ShardLink};
@@ -198,7 +198,7 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// Executes one planned migration: plan → hand off once → settle.
     fn migrate_cells(&mut self, hot: usize, cold: usize, cells: &[EdgeId]) {
-        let mut changed = FxHashSet::default();
+        let mut changed = FxHashMap::default();
         self.hand_off(hot, cold, cells, &mut changed);
         self.count(OpCounters {
             rebalance_events: 1,
@@ -210,7 +210,8 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// The one place cell ownership moves: reassigns `cells` from shard
     /// `from` to shard `to` in the partition, transfers their visibility
-    /// bit (recording each cell in `changed` so its residents resync), and
+    /// bit (recording each cell, with the mask it had, in `changed` so its
+    /// residents resync), and
     /// re-homes the queries living on them — `Remove` at the old owner,
     /// `Install` at the new, which recomputes the result from scratch and
     /// reports it in the hand-off's own exchange (the coordinator's cached
@@ -228,7 +229,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         from: usize,
         to: usize,
         cells: &[EdgeId],
-        changed: &mut FxHashSet<EdgeId>,
+        changed: &mut FxHashMap<EdgeId, u64>,
     ) {
         let moves: Vec<(EdgeId, u32)> = cells.iter().map(|&e| (e, to as u32)).collect();
         self.partition.reassign(&self.net, &moves);
@@ -238,8 +239,9 @@ impl<L: ShardLink> ShardedEngine<L> {
             // owned, so drop it from the ring before the mask transfer (a
             // halo recompute excludes owned edges by construction).
             self.halo_edges[to].remove(e);
-            self.edge_mask[e.index()] = (self.edge_mask[e.index()] & !from_bit) | to_bit;
-            changed.insert(e);
+            let mask = &mut self.edge_mask[e.index()];
+            changed.entry(e).or_insert(*mask);
+            *mask = (*mask & !from_bit) | to_bit;
             let Some(bucket) = self.edge_queries.get(&e) else {
                 continue;
             };
@@ -274,7 +276,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     fn settle_hand_off(
         &mut self,
         moved_borders: impl IntoIterator<Item = usize>,
-        mut changed: FxHashSet<EdgeId>,
+        mut changed: FxHashMap<EdgeId, u64>,
     ) {
         for s in moved_borders {
             self.recompute_halo(s, &mut changed);
@@ -314,7 +316,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         // Clearing the ring clears the corpse's bit on every member edge,
         // so resync queues the (discarded) deletes and the masks stay the
         // invariant `ownership + live halos`.
-        let mut changed = FxHashSet::default();
+        let mut changed = FxHashMap::default();
         self.replace_halo(dead, &mut FxHashMap::default(), &mut changed);
         let adopters = self.peel_cells(dead, &mut changed);
         self.settle_hand_off(ShardBits(adopters), changed);
@@ -326,7 +328,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// hand-off to the least-loaded shard as the fallback for a remainder
     /// that borders none of them (an island of `from`'s region). Returns
     /// the adopters as a shard bit set.
-    fn peel_cells(&mut self, from: usize, changed: &mut FxHashSet<EdgeId>) -> u64 {
+    fn peel_cells(&mut self, from: usize, changed: &mut FxHashMap<EdgeId, u64>) -> u64 {
         let targets = self.live_by_load(from);
         let mut adopters = 0u64;
         while !self.partition.view(from).edges.is_empty() {
@@ -347,18 +349,20 @@ impl<L: ShardLink> ShardedEngine<L> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::sync::atomic::Ordering;
 
     use rnn_core::{
         load_population, ContinuousMonitor, Gma, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent,
     };
-    use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, ObjectId, QueryId};
+    use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet, NetPoint, ObjectId, QueryId};
     use rnn_workload::{Scenario, ScenarioConfig};
 
     use crate::config::{EngineConfig, ShardAlgo};
     use crate::engine::tests::{assert_same_answers, engine, mortal_engine, net, MortalLink};
     use crate::engine::{ShardBits, ShardedEngine};
-    use crate::protocol::{BatchKind, ShardLink};
+    use crate::protocol::{BatchKind, Request, Response, ShardLink};
+    use crate::worker::ShardWorker;
 
     /// Installs objects on every edge and a tight query cluster on one
     /// shard, then churns the cluster every tick so all monitor work lands
@@ -591,7 +595,7 @@ mod tests {
         assert_eq!(eng.halo_radius(1), 0.0, "nothing to replicate for yet");
 
         eng.log.begin();
-        let mut changed = FxHashSet::default();
+        let mut changed = FxHashMap::default();
         eng.hand_off(0, 1, &[cell], &mut changed);
         assert!(
             foreign(&eng, 1) > 0,
@@ -606,6 +610,116 @@ mod tests {
         assert_eq!(results_changed, 0);
         assert!(eng.changed_queries().is_empty());
         eng.validate_replication().unwrap();
+    }
+
+    /// A [`ShardWorker`] that keeps a ledger of the objects its shard has
+    /// been sent and not told to delete: what the shard holds, read off
+    /// the wire rather than off the coordinator's own tables.
+    struct LedgerLink {
+        inner: ShardWorker,
+        held: RefCell<FxHashSet<ObjectId>>,
+    }
+
+    impl ShardLink for LedgerLink {
+        fn send(&self, req: Request) {
+            if let Request::Tick(delta) = &req {
+                let mut held = self.held.borrow_mut();
+                for ev in &delta.objects {
+                    match *ev {
+                        ObjectEvent::Insert { id, .. } | ObjectEvent::Move { id, .. } => {
+                            held.insert(id);
+                        }
+                        ObjectEvent::Delete { id } => {
+                            held.remove(&id);
+                        }
+                    }
+                }
+            }
+            self.inner.send(req);
+        }
+
+        fn recv(&self) -> Response {
+            self.inner.recv()
+        }
+    }
+
+    /// The coordinator stores no per-object shard set: the shards that
+    /// hold an object are those of its edge's mask. Checked against what
+    /// the shards were actually sent, after every tick of a run in which
+    /// objects wander, come and go, weights move, a wide query grows a
+    /// halo and its removal shrinks it, and a hotspot migrates cells.
+    #[test]
+    fn shards_hold_exactly_the_objects_their_edge_masks_say() {
+        let cfg = EngineConfig {
+            num_shards: 4,
+            algo: ShardAlgo::Ima,
+            rebalance_trigger: 1.1,
+            rebalance_cooldown: 2,
+            ..EngineConfig::default()
+        };
+        let net = net();
+        let links = (0..cfg.num_shards)
+            .map(|s| LedgerLink {
+                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone()), cfg.attribute_cells()),
+                held: RefCell::default(),
+            })
+            .collect();
+        let mut eng = ShardedEngine::with_links(net, cfg, links).expect("valid config");
+        let check = |eng: &ShardedEngine<LedgerLink>, ctx: &str| {
+            for (&id, pos) in &eng.objects {
+                let holders = (0..eng.num_shards())
+                    .filter(|&s| eng.workers[s].held.borrow().contains(&id))
+                    .fold(0u64, |bits, s| bits | 1 << s);
+                let mask = eng.edge_mask[pos.edge.index()];
+                assert_eq!(holders, mask, "{ctx}: {id:?} on {:?}", pos.edge);
+            }
+            // ... and nothing else: no copy of a deleted object lingers.
+            let held: usize = eng.workers.iter().map(|w| w.held.borrow().len()).sum();
+            assert_eq!(held, eng.objects.len() + eng.replica_count(), "{ctx}");
+            eng.validate_replication().unwrap();
+        };
+
+        let placed = hotspot_setup(&mut eng);
+        check(&eng, "set-up");
+        let n = eng.net.num_edges() as u32;
+        let hot = eng.partition.shard_of_edge(EdgeId(0));
+        let far = (eng.net.edge_ids())
+            .find(|&e| eng.partition.shard_of_edge(e) != hot)
+            .expect("a 4-way split has foreign edges");
+        for t in 0..24u32 {
+            let mut batch = churn_tick(t, &placed);
+            for i in (t % 3..n).step_by(3) {
+                batch.objects.push(ObjectEvent::Move {
+                    id: ObjectId(i),
+                    to: NetPoint::new(EdgeId((7 * i + t) % n), 0.5),
+                });
+            }
+            batch.objects.push(match t % 4 {
+                0 => ObjectEvent::Delete { id: ObjectId(t) },
+                _ => ObjectEvent::Insert {
+                    id: ObjectId(t - t % 4),
+                    at: NetPoint::new(EdgeId(5 * t % n), 0.1),
+                },
+            });
+            match t {
+                4 => batch.queries.push(QueryEvent::Install {
+                    id: QueryId(100),
+                    k: 30,
+                    at: NetPoint::new(far, 0.5),
+                }),
+                10 => batch.queries.push(QueryEvent::Remove { id: QueryId(100) }),
+                15 => batch.edges.push(rnn_core::EdgeWeightUpdate {
+                    edge: far,
+                    new_weight: 3.0 * eng.weights.get(far),
+                }),
+                _ => {}
+            }
+            eng.tick(&batch);
+            check(&eng, &format!("tick {t}"));
+        }
+        assert!(eng.cells_migrated() > 0, "the hotspot must migrate cells");
+        assert!(eng.replica_evictions() > 0, "the halo must shrink");
+        assert!(eng.resync_touched() > 0 && eng.replica_count() > 0);
     }
 
     // --- Dead-shard adoption -------------------------------------------
@@ -735,16 +849,15 @@ mod tests {
                 planned.tick(&batch);
                 dying.tick(&batch);
             }
-            let mut changed = FxHashSet::default();
+            let mut changed = FxHashMap::default();
             let adopters = planned.peel_cells(x, &mut changed);
             planned.settle_hand_off(ShardBits(adopters | 1u64 << x), changed);
             // x must be sent something to be found dead; re-reporting an
             // object where it already is changes no answer.
             kills[x].store(true, Ordering::SeqCst);
-            let (&id, to) = dying
+            let (&id, &to) = dying
                 .objects
                 .iter()
-                .map(|(id, rec)| (id, rec.pos))
                 .filter(|(_, pos)| dying.partition.shard_of_edge(pos.edge) == x as u32)
                 .min_by_key(|(id, _)| **id)
                 .expect("an object on one of x's cells");

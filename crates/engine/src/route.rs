@@ -3,9 +3,9 @@
 //!
 //! Owns the coordinator's two registries and their edge indexes —
 //! `objects` + `edge_obj`, `queries` + `edge_queries` — on the steady-state
-//! path. The invariant it maintains: an object's `mask` equals the
-//! visibility mask of the edge it sits on (owner plus every shard whose
-//! halo holds that edge), and a query is homed on the shard owning its
+//! path. The invariant it maintains: an object is held by exactly the
+//! shards in the visibility mask of the edge it sits on (owner plus every
+//! shard whose halo holds that edge), and a query is homed on the shard owning its
 //! edge and indexed on that edge. Caller: `tick` only, once per event;
 //! everything here runs in reused capacity except the first install of a
 //! query id, and a known entity's record is rewritten where it lies.
@@ -15,7 +15,7 @@ use std::collections::hash_map::Entry;
 use rnn_core::{ObjectEvent, QueryEvent};
 use rnn_roadnet::{EdgeId, FxHashMap, QueryId};
 
-use crate::engine::{ObjRec, QueryRec, ShardBits, ShardedEngine};
+use crate::engine::{QueryRec, ShardBits, ShardedEngine};
 use crate::protocol::ShardLink;
 
 /// Drops `id` from the edge→query index bucket of `e`.
@@ -40,24 +40,19 @@ impl<L: ShardLink> ShardedEngine<L> {
             // monitors' own coalescing (state.rs).
             ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => {
                 let desired = self.edge_mask[to.edge.index()];
-                let old = match self.objects.get_mut(&id) {
-                    // A known object's record is rewritten in place, and
-                    // the index hears of it only when the edge changed.
-                    Some(rec) => {
-                        let from = std::mem::replace(&mut rec.pos, to).edge;
-                        if from != to.edge {
-                            self.edge_obj.relocate(from, to.edge, id);
+                let old = match self.objects.insert(id, to) {
+                    // A known object is held by the shards that see the edge
+                    // it leaves; the index hears of it only when the edge
+                    // changed.
+                    Some(from) => {
+                        if from.edge != to.edge {
+                            self.edge_obj.relocate(from.edge, to.edge, id);
                         }
-                        std::mem::replace(&mut rec.mask, desired)
+                        self.edge_mask[from.edge.index()]
                     }
                     // Nobody holds an unknown object yet, so every desired
                     // shard gets an Insert.
                     None => {
-                        let rec = ObjRec {
-                            pos: to,
-                            mask: desired,
-                        };
-                        self.objects.insert(id, rec);
                         self.edge_obj.insert(to.edge, id);
                         0
                     }
@@ -75,9 +70,9 @@ impl<L: ShardLink> ShardedEngine<L> {
                 }
             }
             ObjectEvent::Delete { id } => {
-                if let Some(rec) = self.objects.remove(&id) {
-                    self.edge_obj.remove(rec.pos.edge, id);
-                    for s in ShardBits(rec.mask) {
+                if let Some(pos) = self.objects.remove(&id) {
+                    self.edge_obj.remove(pos.edge, id);
+                    for s in ShardBits(self.edge_mask[pos.edge.index()]) {
                         self.pending[s].objects.push(ObjectEvent::Delete { id });
                     }
                 }
