@@ -86,8 +86,9 @@ impl Ima {
         self.anchors.covering(edge, frac)
     }
 
-    /// Computes a new query's initial result (§4.1); gives the tick's lists of query movements and of changed queries room for
-    /// one more, and lists the query as changed when it has an answer.
+    /// Computes a new query's initial result (§4.1); gives the tick's lists
+    /// of query movements and of changed queries room for one more, and
+    /// lists the query as changed when it has an answer.
     fn install_query(&mut self, id: QueryId, k: usize, at: NetPoint, counters: &mut OpCounters) {
         self.anchors
             .add(&self.state, id, RootPos::Point(at), k, counters);

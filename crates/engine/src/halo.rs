@@ -262,9 +262,10 @@ impl<L: ShardLink> ShardedEngine<L> {
     ) {
         let bit = 1u64 << s;
         let masks = &mut self.edge_mask;
-        self.halo_edges[s].replace_with(fresh, |e, _| {
-            changed.entry(e).or_insert(masks[e.index()]);
-            masks[e.index()] ^= bit;
+        self.halo_edges[s].replace_with(fresh, |e, member| {
+            let mask = &mut masks[e.index()];
+            changed.entry(e).or_insert(*mask);
+            *mask = if member { *mask | bit } else { *mask & !bit };
         });
     }
 
