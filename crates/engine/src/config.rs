@@ -63,12 +63,9 @@ pub struct EngineConfig {
     pub num_shards: usize,
     /// The monitor each shard runs.
     pub algo: ShardAlgo,
-    /// Relative slack added when a halo grows: the new radius is
-    /// `needed × (1 + halo_slack)`. More slack means fewer halo rebuilds
-    /// when `kNN_dist` drifts upward, at the cost of more replicas.
-    pub halo_slack: f64,
-    /// Shrink hysteresis threshold (≥ 1). A shard's halo is considered
-    /// oversized when its radius exceeds `needed × (1 + halo_slack) ×
+    /// Shrink hysteresis threshold (≥ 1). A shard's halo grows to
+    /// `needed × 1.25` (the 25% slack is a constant, `halo::HALO_SLACK`)
+    /// and is considered oversized when its radius exceeds `needed × 1.25 ×
     /// halo_shrink_trigger`; values `< 1` are treated as 1 (shrink on any
     /// decrease). Larger values tolerate more stale replication before
     /// paying a halo rebuild.
@@ -108,7 +105,6 @@ impl Default for EngineConfig {
         Self {
             num_shards: 4,
             algo: ShardAlgo::Gma,
-            halo_slack: 0.25,
             halo_shrink_trigger: 1.5,
             halo_shrink_ticks: 2,
             rebalance_trigger: 0.0,
@@ -179,7 +175,6 @@ impl EngineConfig {
                 })
             }
         };
-        finite_ratio("halo_slack", self.halo_slack)?;
         finite_ratio("halo_shrink_trigger", self.halo_shrink_trigger)?;
         finite_ratio("rebalance_trigger", self.rebalance_trigger)?;
         if !(1..=IngestHub::MAX_LANES).contains(&self.ingest.lanes) {

@@ -65,7 +65,7 @@ use rnn_roadnet::{
 
 use crate::changelog::ChangeLog;
 use crate::config::EngineConfig;
-use crate::halo::{diameter_bound, HaloRing};
+use crate::halo::{diameter_bound, HaloRing, HALO_SLACK};
 use crate::ingest::{IngestHandle, IngestHub};
 use crate::protocol::{BatchKind, DeltaBatch, Request, Response, ShardLink};
 use crate::worker::ShardWorker;
@@ -650,7 +650,7 @@ impl<L: ShardLink> ShardedEngine<L> {
                 for s in 0..eng.cfg.num_shards {
                     let need = eng.demand[s];
                     if need > eng.halo_r[s] {
-                        eng.halo_r[s] = need * (1.0 + eng.cfg.halo_slack);
+                        eng.halo_r[s] = need * (1.0 + HALO_SLACK);
                         eng.recompute_halo(s, toggled);
                     }
                 }
@@ -878,7 +878,6 @@ pub(crate) mod tests {
             EngineConfig {
                 num_shards: shards,
                 algo: ShardAlgo::Ima,
-                halo_slack: 0.25,
                 ..EngineConfig::default()
             },
         )

@@ -66,9 +66,9 @@
 //! Halos *grow* eagerly (any tick where a query's `kNN_dist` exceeds its
 //! shard's radius, correctness demands it) and *shrink* lazily: each tick
 //! the engine re-derives every shard's needed radius, and when the current
-//! radius has stayed above `needed × (1 + halo_slack) ×
+//! radius has stayed above `needed × (1 + HALO_SLACK) ×
 //! halo_shrink_trigger` for [`crate::EngineConfig::halo_shrink_ticks`]
-//! consecutive ticks, it decays to `needed × (1 + halo_slack)` and the
+//! consecutive ticks, it decays to `needed × (1 + HALO_SLACK)` and the
 //! replicas beyond it are **evicted**. Shrinking never changes answers:
 //! evicted objects lie farther from the boundary than every owned query's
 //! `kNN_dist`, so they cannot appear in any result. The hysteresis (trigger
@@ -92,6 +92,11 @@ use rnn_roadnet::{EdgeId, EdgeWeights, FxHashMap};
 
 use crate::engine::{ShardBits, ShardedEngine};
 use crate::protocol::{BatchKind, ShardLink};
+
+/// Relative slack added when a halo grows: the new radius is `needed × (1 +
+/// HALO_SLACK)`. More slack means fewer halo rebuilds when `kNN_dist`
+/// drifts upward, at the cost of more replicas.
+pub(crate) const HALO_SLACK: f64 = 0.25;
 
 /// One shard's halo edge set, **ring-structured**: every member edge is
 /// stored with its *boundary distance* (the minimum settle distance of its
@@ -329,7 +334,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// the boundary than every owned query's `kNN_dist`. Reads the exact
     /// per-shard demand the tick's `reconcile` left in `self.demand`.
     pub(crate) fn maybe_shrink_halos(&mut self) {
-        let slack = 1.0 + self.cfg.halo_slack;
+        let slack = 1.0 + HALO_SLACK;
         let trigger = self.cfg.halo_shrink_trigger.max(1.0);
         let patience = self.cfg.halo_shrink_ticks.max(1);
         let shrunk = self.halo_pass(|eng, toggled| {
@@ -418,7 +423,7 @@ mod tests {
     use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
     use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
 
-    use super::{diameter_bound, HaloRing};
+    use super::{diameter_bound, HaloRing, HALO_SLACK};
     use crate::engine::tests::engine;
 
     #[test]
@@ -600,9 +605,7 @@ mod tests {
             eng.halo_radius(s).is_finite(),
             "underfull demand must not produce an infinite radius"
         );
-        assert!(
-            eng.halo_radius(s) <= diameter_bound(&eng.weights) * (1.0 + eng.cfg.halo_slack) + 1e-9
-        );
+        assert!(eng.halo_radius(s) <= diameter_bound(&eng.weights) * (1.0 + HALO_SLACK) + 1e-9);
         eng.validate_replication().unwrap();
     }
 

@@ -46,7 +46,6 @@ fn engine_config() -> EngineConfig {
     EngineConfig {
         num_shards: NUM_SHARDS,
         algo: ShardAlgo::Gma,
-        halo_slack: 0.25,
         // One hot-standby follower per shard; quorum 1. The follower
         // threads live in the coordinator process, so a shard *process*
         // dying is exactly the failure they cover.

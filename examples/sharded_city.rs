@@ -36,7 +36,6 @@ fn main() {
         EngineConfig {
             num_shards: 4,
             algo: ShardAlgo::Gma,
-            halo_slack: 0.25,
             ..EngineConfig::default()
         },
     );

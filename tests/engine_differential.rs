@@ -88,7 +88,6 @@ fn run_engine_differential(
                 EngineConfig {
                     num_shards: s,
                     algo,
-                    halo_slack: 0.25,
                     ..EngineConfig::default()
                 },
             )
