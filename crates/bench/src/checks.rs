@@ -300,8 +300,8 @@ pub fn replication(series: &[SeriesPoint]) -> Result<(), String> {
             }
             if r.get("replica_bytes") == 0.0 || r.get("commit_lag_frames") <= 0.0 {
                 return Err(format!(
-                    "REPLICATION REGRESSION: {} at {} shipped {} replica bytes with commit \
-                     lag {:.3} — the quorum pipeline never ran",
+                    "REPLICATION REGRESSION: {} at {} shipped {} replica bytes and \
+                     replicated {:.3} appends per tick — the append path never ran",
                     r.stack.name(),
                     point.label,
                     r.get("replica_bytes"),

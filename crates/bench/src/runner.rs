@@ -39,9 +39,9 @@ pub enum Link {
     /// recoveries, frames replayed per recovery (the O(WAL-suffix) bound
     /// the recovery figure checks), snapshot bytes.
     Durable,
-    /// [`Link::Durable`] with quorum replication on and a leader kill
+    /// [`Link::Durable`] with replication on and a leader kill
     /// injected: every shard streams its event frames to
-    /// [`REPLICATION_FACTOR`] follower replicas (majority quorum), its
+    /// [`REPLICATION_FACTOR`] follower replicas, its
     /// transport kills the service after [`CRASH_AFTER_FRAMES`] delivered
     /// frames, and respawns are stillborn — so the recovery budget burns
     /// down and a follower is *promoted*, serving the back half of the
@@ -91,9 +91,9 @@ pub const DURABLE_SNAPSHOT_EVERY: u32 = 3;
 /// — one failover per shard per run.
 pub const CRASH_AFTER_FRAMES: u32 = 6;
 
-/// Follower replicas per shard for [`Link::Replicated`] (majority quorum
-/// via `ReplicationConfig::with_replicas`). Two, so the log still has a
-/// live follower after one is promoted.
+/// Follower replicas per shard for [`Link::Replicated`] (via
+/// `ReplicationConfig::with_replicas`). Two, so the log still has a live
+/// follower after one is promoted.
 pub const REPLICATION_FACTOR: u32 = 2;
 
 /// What one row of a figure runs: a monitor, or the engine and the layers
@@ -222,7 +222,7 @@ impl Stack {
     ];
 
     /// The replication set: the in-process engines as the oracle
-    /// columns against quorum-replicated clusters at the same shard
+    /// columns against replicated clusters at the same shard
     /// counts. Every replicated shard's leader is killed mid-run with
     /// stillborn respawns, so each CLU-n-R answer column is served by a
     /// promoted follower for the back half of the run — and must still
@@ -549,17 +549,15 @@ pub const COLUMNS: &[Column] = &[
     // Final coordinator journal length in event frames, summed over
     // shards: with snapshots every E frames it stays < E per shard.
     col("journal_len", |r| count(r.net_final.journal_len)),
-    // Frames outstanding-at-commit on the replication plane. The
-    // synchronous append pipeline commits every replicated event frame
-    // with exactly one frame outstanding, so growth means the leader
-    // started racing ahead of its quorum — events the WAL could truncate
-    // before any follower held them.
+    // Replicated appends per tick on the replication plane. Appends are
+    // synchronous — each commits before the next is sent — so this is a
+    // count of replicated event frames, not a lag.
     col("commit_lag_frames", |r| {
         r.per_ts(r.net_window.commit_lag_frames, 3)
     }),
     col("failovers", |r| count(r.net_final.failovers)),
     col("fenced_appends", |r| count(r.net_final.fenced_appends)),
-    // Append, heartbeat, promote and snapshot-offer traffic to followers.
+    // Append, promote and snapshot-offer traffic to followers.
     col("replica_bytes", |r| count(r.net_final.replica_bytes)),
     // Superseded submissions folded away by ingest coalescing:
     // deterministic for a pinned firehose seed.

@@ -14,13 +14,12 @@
 //! [`MsgTag::SnapshotRequest`] round trip and hands it to
 //! [`ShardLog::install_snapshot`], which truncates the log behind it.
 //! Recovery therefore replays O(events since the last snapshot), not
-//! O(run length). With a [`ReplicatedLog`] attached
-//! ([`RemoteShard::attach_replog`]) the link is also the **leader** of
-//! its shard's journal: each event frame is quorum-acked by follower
-//! replicas — each holding the same `ShardLog` type — before it is
+//! O(run length). The link is also the **leader** of its shard's
+//! [`ReplicatedLog`]: each event frame is acked by every live follower
+//! replica — each holding the same `ShardLog` type — before it is
 //! dispatched (see [`crate::replog`]), and a fenced append (a replica
 //! at a newer epoch) kills the link, because a newer leader owns the
-//! shard.
+//! shard. A log without followers makes the link unreplicated.
 //!
 //! # One wait loop
 //!
@@ -189,11 +188,9 @@ struct Inner {
     /// The typed failure that killed the link.
     last_error: Option<ClusterError>,
     respawn: Option<RespawnFn>,
-    /// Leadership epoch stamped into every outbound frame. 0 until a
-    /// [`ReplicatedLog`] is attached; bumped by each failover.
-    epoch: u32,
-    /// The shard's replicated journal, when replication is enabled.
-    replog: Option<ReplicatedLog>,
+    /// The shard's replicated journal (no followers when replication is
+    /// off). Its epoch is stamped into every outbound frame.
+    replog: ReplicatedLog,
     stats: TransportStats,
 }
 
@@ -210,13 +207,16 @@ impl RemoteShard {
     /// on construction — a restarted coordinator resumes from what was
     /// durable, minus any torn WAL tail. With `None` and the default
     /// config the log is volatile and a dead peer is survivable only
-    /// through follower promotion.
+    /// through follower promotion. The link leads `replog`, adopting its
+    /// epoch (a restarted coordinator resumes its persisted term); a
+    /// `replog` without followers leaves the link unreplicated.
     pub fn with_durability(
         shard: usize,
         transport: Box<dyn Transport>,
         policy: RetryPolicy,
         respawn: Option<RespawnFn>,
         durability: DurabilityConfig,
+        replog: ReplicatedLog,
     ) -> std::io::Result<Self> {
         let log = match &durability.dir {
             Some(dir) => ShardLog::open(dir, durability.fsync_every)?,
@@ -235,8 +235,7 @@ impl RemoteShard {
                 dead: false,
                 last_error: None,
                 respawn,
-                epoch: 0,
-                replog: None,
+                replog,
                 stats: TransportStats::default(),
             }),
         })
@@ -264,20 +263,9 @@ impl RemoteShard {
         self.lock().last_error
     }
 
-    /// Attaches the shard's replicated journal, making this link its
-    /// leader: subsequent event frames are quorum-committed to the
-    /// log's followers before dispatch, and a dead shard promotes a
-    /// follower instead of killing the link. The link adopts the log's
-    /// epoch (a restarted coordinator resumes its persisted term).
-    pub fn attach_replog(&self, log: ReplicatedLog) {
-        let mut g = self.lock();
-        g.epoch = log.epoch();
-        g.replog = Some(log);
-    }
-
     /// The link's current leadership epoch (0 without replication).
     pub fn epoch(&self) -> u32 {
-        self.lock().epoch
+        self.lock().replog.epoch()
     }
 }
 
@@ -338,22 +326,20 @@ impl Inner {
         let bytes = Frame {
             tag,
             seq,
-            epoch: self.epoch,
+            epoch: self.replog.epoch(),
             payload,
         }
         .to_bytes();
         if tag.is_events() {
             self.log.append(seq, bytes.clone());
-            // Commit-before-dispatch: the event must be quorum-acked by
-            // the follower replicas before it feeds the shard monitor.
+            // Commit-before-dispatch: the event must be acked by every
+            // live follower replica before it feeds the shard monitor.
             // A fenced append means a newer leader owns this shard —
             // the link dies instead of merging stale writes.
-            if let Some(log) = &mut self.replog {
-                if let Err(e) = log.append(seq, &bytes, &mut self.stats) {
-                    self.dead = true;
-                    self.last_error = Some(e);
-                    return;
-                }
+            if let Err(e) = self.replog.append(seq, &bytes, &mut self.stats) {
+                self.dead = true;
+                self.last_error = Some(e);
+                return;
             }
         }
         self.transmit(&bytes);
@@ -484,7 +470,7 @@ impl Inner {
         let request = Frame {
             tag: MsgTag::SnapshotRequest,
             seq,
-            epoch: self.epoch,
+            epoch: self.replog.epoch(),
             payload: Vec::new(),
         }
         .to_bytes();
@@ -500,30 +486,29 @@ impl Inner {
             self.snapshots_supported = false;
             return;
         }
-        // Truncate-behind-commit: with replication attached, the log
-        // may only drop events a quorum of followers has acked — else a
-        // promoted follower could need history nobody holds any more.
-        // The synchronous append pipeline makes the commit index cover
-        // `covered_seq` by construction; this guard keeps the invariant
-        // explicit (and load-bearing if the pipeline ever loosens).
-        if let Some(log) = &self.replog {
-            let committed =
-                log.commit_seq().is_some_and(|c| c >= covered_seq) || log.live_followers() == 0;
-            if !committed {
-                return;
-            }
+        // Truncate-behind-commit: the log may only drop events the
+        // live followers have acked — else a promoted follower could
+        // need history nobody holds any more. The synchronous append
+        // makes the commit index cover `covered_seq` by construction;
+        // this guard keeps the invariant explicit (and load-bearing if
+        // the pipeline ever loosens).
+        let committed = self.replog.commit_seq().is_some_and(|c| c >= covered_seq)
+            || self.replog.live_followers() == 0;
+        if !committed {
+            return;
         }
         if self
             .log
-            .install_snapshot(covered_seq, self.epoch, payload)
+            .install_snapshot(covered_seq, self.replog.epoch(), payload)
             .is_err()
         {
             return;
         }
         // Followers truncate their own logs behind the same snapshot,
         // keeping replica memory bounded by the snapshot cadence too.
-        if let (Some(replog), Some((_, state))) = (&mut self.replog, self.log.snapshot()) {
-            replog.offer_snapshot(covered_seq, state, &mut self.stats);
+        if let Some((_, state)) = self.log.snapshot() {
+            self.replog
+                .offer_snapshot(covered_seq, state, &mut self.stats);
         }
         self.stats.snapshots += 1;
     }
@@ -558,17 +543,14 @@ impl Inner {
     /// (see [`crate::replica`]); the link then adopts the follower's
     /// transport, re-stamps the in-flight request with the bumped epoch
     /// (so the promoted service does not fence its own coordinator),
-    /// and retransmits it. Without a replog — or with no live follower
-    /// — the original failure `fallback` passes through; a fenced
-    /// promotion (another leader already took over) supersedes it.
+    /// and retransmits it. With no live follower the original failure
+    /// `fallback` passes through; a fenced promotion (another leader
+    /// already took over) supersedes it.
     fn failover(
         &mut self,
         inflight: &mut Inflight,
         fallback: ClusterError,
     ) -> Result<(), ClusterError> {
-        let Some(log) = self.replog.as_mut().filter(|l| l.live_followers() > 0) else {
-            return Err(fallback);
-        };
         // The in-flight event frame is already in every follower's log,
         // but it must NOT be replayed during promotion: the coordinator
         // still owns its delivery and retransmits it afterwards, so the
@@ -578,15 +560,15 @@ impl Inner {
         } else {
             REPLAY_ALL
         };
-        self.transport = log
+        self.transport = self
+            .replog
             .promote(boundary, &mut self.stats)
             .map_err(|e| match e {
                 fenced @ ClusterError::Fenced { .. } => fenced,
                 _ => fallback,
             })?;
-        self.epoch = log.epoch();
         if let Ok(mut frame) = Frame::from_bytes(&inflight.bytes) {
-            frame.epoch = self.epoch;
+            frame.epoch = self.replog.epoch();
             inflight.bytes = frame.to_bytes();
         }
         self.transmit(&inflight.bytes);
@@ -614,7 +596,7 @@ impl Inner {
     }
 
     fn replay(&mut self, log: &ShardLog, inflight: &Inflight) -> Result<(), RebuildError> {
-        if let Some(install) = log.install_frame(self.epoch) {
+        if let Some(install) = log.install_frame(self.replog.epoch()) {
             let covered_seq = install.seq;
             let install = install.to_bytes();
             self.transmit(&install);
@@ -701,7 +683,15 @@ mod tests {
                 }
             }
         });
-        let link = RemoteShard::with_durability(0, Box::new(co), POLICY, None, Default::default());
+        let unreplicated = ReplicatedLog::new(0, Vec::new(), 0, None);
+        let link = RemoteShard::with_durability(
+            0,
+            Box::new(co),
+            POLICY,
+            None,
+            Default::default(),
+            unreplicated,
+        );
         (link.unwrap(), echo)
     }
 

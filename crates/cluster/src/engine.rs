@@ -47,19 +47,16 @@ fn spawn_loopback_service(
 /// over a fault-free loopback pair (replicas ride in the coordinator
 /// process; faults are injected on the *shard* link, which is the one
 /// that fails over) and returns the leader-side log for the link to
-/// adopt. `None` when replication is disabled.
+/// lead. With replication off the log has no followers and no term.
 fn spawn_replicas(
     shard: usize,
     net: &Arc<RoadNetwork>,
     cfg: &EngineConfig,
     epoch_dir: Option<std::path::PathBuf>,
-) -> Option<ReplicatedLog> {
-    let rep = cfg.replication;
-    if rep.replicas == 0 {
-        return None;
-    }
+) -> ReplicatedLog {
+    let replicas = cfg.replication.replicas;
     let attribute_cells = cfg.attribute_cells();
-    let transports = (0..rep.replicas)
+    let transports = (0..replicas)
         .map(|r| {
             let (leader, peer) = loopback_pair(FaultPlan::default());
             let net2 = net.clone();
@@ -73,16 +70,11 @@ fn spawn_replicas(
         })
         .collect();
     // A restarted coordinator resumes from its persisted term so a
-    // pre-restart stale leader stays fenced.
+    // pre-restart stale leader stays fenced; an unreplicated link stays
+    // at epoch 0.
+    let epoch_dir = epoch_dir.filter(|_| replicas > 0);
     let epoch = epoch_dir.as_deref().map_or(0, crate::wal::load_epoch);
-    Some(ReplicatedLog::new(
-        shard,
-        transports,
-        rep.quorum,
-        rep.heartbeat_every,
-        epoch,
-        epoch_dir,
-    ))
+    ReplicatedLog::new(shard, transports, epoch, epoch_dir)
 }
 
 impl ClusterEngine {
@@ -148,19 +140,16 @@ impl ClusterEngine {
                 if let Some(root) = &durability.dir {
                     link_durability.dir = Some(root.join(format!("shard-{s}")));
                 }
-                let epoch_dir = link_durability.dir.clone();
-                let link = RemoteShard::with_durability(
+                let replog = spawn_replicas(s, &net, &cfg, link_durability.dir.clone());
+                RemoteShard::with_durability(
                     s,
                     Box::new(co),
                     policy,
                     Some(respawn),
                     link_durability,
+                    replog,
                 )
-                .unwrap_or_else(|e| panic!("shard {s}: durability dir unusable: {e}"));
-                if let Some(log) = spawn_replicas(s, &net, &cfg, epoch_dir) {
-                    link.attach_replog(log);
-                }
-                link
+                .unwrap_or_else(|e| panic!("shard {s}: durability dir unusable: {e}"))
             })
             .collect();
         let engine = ShardedEngine::with_links(net, cfg, links).unwrap_or_else(|e| panic!("{e}"));
@@ -209,19 +198,16 @@ impl ClusterEngine {
             .enumerate()
             .map(|(s, stream)| {
                 let transport = Box::new(StreamTransport::new(stream?));
-                let link = RemoteShard::with_durability(
+                // Replicas ride in the coordinator process: the shard
+                // *process* dying is what failover survives.
+                RemoteShard::with_durability(
                     s,
                     transport,
                     policy,
                     None,
                     DurabilityConfig::default(),
-                )?;
-                // Replicas ride in the coordinator process: the shard
-                // *process* dying is what failover survives.
-                if let Some(log) = spawn_replicas(s, &net, &cfg, None) {
-                    link.attach_replog(log);
-                }
-                Ok(link)
+                    spawn_replicas(s, &net, &cfg, None),
+                )
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         ShardedEngine::with_links(net, cfg, links)

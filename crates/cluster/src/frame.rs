@@ -73,15 +73,13 @@ pub enum MsgTag {
     /// a newer epoch rejects it as fenced.
     Append = 12,
     /// Replication reply: acknowledges [`MsgTag::Append`],
-    /// [`MsgTag::Heartbeat`], [`MsgTag::SnapshotOffer`], and
-    /// [`MsgTag::Promote`]. Payload byte 0 is the status
-    /// ([`ACK_OK`] / [`ACK_FENCED`]); the frame's `epoch` echoes the
-    /// replica's current epoch so a fenced leader learns how stale it is.
+    /// [`MsgTag::SnapshotOffer`], and [`MsgTag::Promote`]. Payload byte 0
+    /// is the status ([`ACK_OK`] / [`ACK_FENCED`]); the frame's `epoch`
+    /// echoes the replica's current epoch so a fenced leader learns how
+    /// stale it is.
     AppendAck = 13,
-    /// Replication request: leader liveness probe. The payload carries
-    /// the leader's commit index (`u32`) so followers may truncate their
-    /// own logs behind it; acked with [`MsgTag::AppendAck`].
-    Heartbeat = 14,
+    // 14 is unassigned and decodes as an unknown tag: a tag's number
+    // never changes once it has been on the wire.
     /// Replication request: promote this follower to serving leader for
     /// its shard. Payload: the new epoch is the frame's `epoch`; the
     /// payload carries the replay boundary sequence (`u32`, exclusive —
@@ -122,7 +120,6 @@ impl MsgTag {
             11 => MsgTag::RestoreReply,
             12 => MsgTag::Append,
             13 => MsgTag::AppendAck,
-            14 => MsgTag::Heartbeat,
             15 => MsgTag::Promote,
             16 => MsgTag::SnapshotOffer,
             _ => return Err(WireError::Invalid("unknown message tag")),
@@ -233,7 +230,6 @@ mod tests {
             MsgTag::RestoreReply,
             MsgTag::Append,
             MsgTag::AppendAck,
-            MsgTag::Heartbeat,
             MsgTag::Promote,
             MsgTag::SnapshotOffer,
         ] {
@@ -246,6 +242,7 @@ mod tests {
             let bytes = f.to_bytes();
             assert_eq!(Frame::from_bytes(&bytes).unwrap(), f);
         }
+        assert!(MsgTag::from_u16(14).is_err(), "tag 14 is unassigned");
     }
 
     #[test]

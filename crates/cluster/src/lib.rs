@@ -52,10 +52,12 @@
 //!   instead of panicking; planner takeover is then the engine's call.
 //! * [`replog`] / [`replica`] — the replicated-journal plane: a
 //!   leader-per-shard [`replog::ReplicatedLog`] streams every routed
-//!   event frame to hot-standby [`replica::ReplicaNode`]s, commits on a
-//!   configurable quorum of acks, fences stale leaders by epoch, and
+//!   event frame to hot-standby [`replica::ReplicaNode`]s, commits once
+//!   every live follower has acked (a follower that misses its ack
+//!   timeout is dead from then on), fences stale leaders by epoch, and
 //!   promotes a follower into the serving [`ShardService`] when the
-//!   shard dies past its retry and respawn budgets.
+//!   shard dies past its retry and respawn budgets. With replication off
+//!   the log simply has no followers.
 //! * [`engine`] — [`ClusterEngine`], gluing a `ShardedEngine<RemoteShard>`
 //!   to constructed transports and aggregating
 //!   [`rnn_core::TransportStats`].

@@ -103,7 +103,6 @@ impl<T: Transport> ReplicaNode<T> {
                     self.log.append(frame.seq, frame.payload);
                     ACK_OK
                 }
-                MsgTag::Heartbeat => ACK_OK,
                 // Adopts the offered snapshot and truncates the local
                 // log behind the sequence it covers — the replica-side
                 // mirror of the leader's truncate-behind-commit.

@@ -5,8 +5,9 @@
 //! follower replicas ([`crate::replica::ReplicaNode`]) as
 //! [`MsgTag::Append`] frames before it is dispatched to the shard
 //! monitor, and the event only *commits* — becomes eligible for WAL
-//! truncation and for feeding the monitor — once a configurable quorum
-//! of followers has acked it.
+//! truncation and for feeding the monitor — once every follower still
+//! live has acked it. A log with no followers is an unreplicated link:
+//! every append commits at once and every frame stays at epoch 0.
 //!
 //! # Epochs and fencing
 //!
@@ -20,16 +21,16 @@
 //!
 //! # Failure handling
 //!
-//! The append path is synchronous: the leader waits for acks from every
-//! live follower (commit requires `quorum` of them), so any live
-//! follower always holds the complete committed prefix and is safe to
-//! promote. A follower that times out or closes is marked dead and
-//! skipped from then on; once *every* follower is dead the log degrades
-//! to unreplicated operation (availability over redundancy — the
-//! engine's planner takeover remains the last-resort path). Losing
-//! followers below `quorum` therefore degrades the redundancy
-//! guarantee, not the shard's availability; the heartbeat/failure
-//! counters make the degradation observable.
+//! The append is both the commit rule and the failure detector. It is
+//! synchronous: the leader waits for the ack of every live follower, so
+//! any live follower always holds the complete committed prefix and is
+//! safe to promote. A follower that misses its ack timeout or closes is
+//! dead from then on, and appends, snapshot offers and promotion skip
+//! it. A follower that dies between appends is found by the next one.
+//! Once *every* follower is dead the log degrades to unreplicated
+//! operation (availability over redundancy — the engine's planner
+//! takeover remains the last-resort path): losing followers degrades the
+//! redundancy guarantee, not the shard's availability.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -66,31 +67,23 @@ struct Follower {
 pub struct ReplicatedLog {
     shard: usize,
     followers: Vec<Follower>,
-    quorum: u32,
-    heartbeat_every: u32,
     ack_timeout: Duration,
     epoch: u32,
     /// Durability directory for [`crate::wal::store_epoch`]; `None`
     /// keeps the epoch in memory only.
     epoch_dir: Option<PathBuf>,
-    /// Highest sequence number a quorum has acked.
+    /// Highest committed sequence number.
     commit_seq: Option<u32>,
-    appends_since_heartbeat: u32,
 }
 
 impl ReplicatedLog {
-    /// A leader over `replicas` follower transports. `quorum` is the
-    /// ack count an append needs to commit (clamped to the live
-    /// follower count as followers die); `heartbeat_every` sends a
-    /// liveness probe once per that many appends (0 disables);
-    /// `epoch` is the starting term (a restarted coordinator passes
-    /// [`crate::wal::load_epoch`]); `epoch_dir`, when set, persists
-    /// every epoch bump beside the WAL.
+    /// A leader over `replicas` follower transports (none for an
+    /// unreplicated link). `epoch` is the starting term (a restarted
+    /// coordinator passes [`crate::wal::load_epoch`]); `epoch_dir`, when
+    /// set, persists every epoch bump beside the WAL.
     pub fn new(
         shard: usize,
         replicas: Vec<Box<dyn Transport>>,
-        quorum: u32,
-        heartbeat_every: u32,
         epoch: u32,
         epoch_dir: Option<PathBuf>,
     ) -> Self {
@@ -103,13 +96,10 @@ impl ReplicatedLog {
                     alive: true,
                 })
                 .collect(),
-            quorum: quorum.max(1),
-            heartbeat_every,
             ack_timeout: Duration::from_secs(1),
             epoch,
             epoch_dir,
             commit_seq: None,
-            appends_since_heartbeat: 0,
         }
     }
 
@@ -125,7 +115,7 @@ impl ReplicatedLog {
         self.epoch
     }
 
-    /// Highest quorum-acked sequence number, if any event committed.
+    /// Highest committed sequence number, if any event committed.
     pub fn commit_seq(&self) -> Option<u32> {
         self.commit_seq
     }
@@ -174,101 +164,63 @@ impl ReplicatedLog {
     /// Replicates one journaled event frame (`event_frame` is the exact
     /// wire byte string sent to the shard) and waits until it commits:
     /// every live follower is sent an [`MsgTag::Append`] and drained
-    /// for its ack. Fencing is fatal ([`ClusterError::Fenced`]); dead
-    /// followers are marked and skipped. Also runs the heartbeat
-    /// cadence. Returns once the frame is committed (or the log has
-    /// degraded to zero followers).
+    /// for its ack, and the frame commits once each of them has acked or
+    /// been marked dead — with no live follower, at once. Fencing is
+    /// fatal ([`ClusterError::Fenced`]).
     pub fn append(
         &mut self,
         seq: u32,
         event_frame: &[u8],
         stats: &mut TransportStats,
     ) -> Result<(), ClusterError> {
-        if self.live_followers() == 0 {
-            // Degraded: unreplicated operation (planner takeover is the
-            // net). The frame commits trivially so WAL truncation never
-            // deadlocks behind followers that no longer exist.
-            self.commit_seq = Some(seq);
-            return Ok(());
-        }
-        let frame = Frame {
-            tag: MsgTag::Append,
-            seq,
-            epoch: self.epoch,
-            payload: event_frame.to_vec(),
-        }
-        .to_bytes();
-        // One outstanding frame per synchronous append: the commit-lag
-        // counter advances by exactly one, making the per-tick rate a
-        // deterministic gate metric.
-        stats.commit_lag_frames += 1;
-        let mut acks = 0u32;
-        let fenced = self.broadcast(&frame, seq, self.ack_timeout, stats, |stats, _, ack| {
-            stats.replica_appends += 1;
-            match ack {
-                Ack::Ok => acks += 1,
-                Ack::Fenced { newer } => return ControlFlow::Break(newer),
-                Ack::Dead => {}
-            }
-            ControlFlow::Continue(())
-        });
-        if let Some(newer) = fenced {
-            return Err(ClusterError::Fenced {
-                shard: self.shard,
+        // With no live follower — unreplicated, or degraded to it
+        // (planner takeover is the net) — the frame commits at once, so
+        // WAL truncation never waits on followers that do not exist.
+        if self.live_followers() > 0 {
+            let frame = Frame {
+                tag: MsgTag::Append,
+                seq,
                 epoch: self.epoch,
-                newer,
+                payload: event_frame.to_vec(),
+            }
+            .to_bytes();
+            // Appends are synchronous, so this counts replicated frames
+            // (it is not a lag) and its per-tick rate is a deterministic
+            // gate metric.
+            stats.commit_lag_frames += 1;
+            let fenced = self.broadcast(&frame, seq, self.ack_timeout, stats, |stats, _, ack| {
+                stats.replica_appends += 1;
+                match ack {
+                    Ack::Fenced { newer } => ControlFlow::Break(newer),
+                    Ack::Ok | Ack::Dead => ControlFlow::Continue(()),
+                }
             });
+            if let Some(newer) = fenced {
+                return Err(ClusterError::Fenced {
+                    shard: self.shard,
+                    epoch: self.epoch,
+                    newer,
+                });
+            }
         }
-        if acks >= self.quorum.min(self.live_followers() as u32).max(1)
-            || self.live_followers() == 0
-        {
-            self.commit_seq = Some(seq);
-        }
-        self.heartbeat_if_due(stats);
+        self.commit_seq = Some(seq);
         Ok(())
-    }
-
-    /// Runs the heartbeat cadence: once per `heartbeat_every` appends,
-    /// probe every live follower with the commit index. A follower that
-    /// does not ack within the timeout is the failure detector's
-    /// signal: it is marked dead and excluded from future appends and
-    /// promotion. A fenced heartbeat is only counted — the next append
-    /// surfaces the typed error on the write path.
-    fn heartbeat_if_due(&mut self, stats: &mut TransportStats) {
-        if self.heartbeat_every == 0 {
-            return;
-        }
-        self.appends_since_heartbeat += 1;
-        if self.appends_since_heartbeat < self.heartbeat_every {
-            return;
-        }
-        self.appends_since_heartbeat = 0;
-        let commit = self.commit_seq.unwrap_or(0);
-        let mut payload = Vec::with_capacity(4);
-        put_u32(&mut payload, commit);
-        let frame = Frame {
-            tag: MsgTag::Heartbeat,
-            seq: commit,
-            epoch: self.epoch,
-            payload,
-        }
-        .to_bytes();
-        self.broadcast(&frame, commit, self.ack_timeout, stats, |stats, _, _| {
-            stats.heartbeats += 1;
-            ControlFlow::<()>::Continue(())
-        });
     }
 
     /// Hands every live follower the latest durable snapshot so it can
     /// truncate its own log behind `covered_seq`. Strictly best-effort:
     /// failures mark followers dead (or count a fence) and the caller's
-    /// next append owns any typed error.
+    /// next append owns any typed error. With no live follower the
+    /// snapshot is neither copied nor framed.
     pub fn offer_snapshot(
         &mut self,
         covered_seq: u32,
         snapshot_payload: &[u8],
         stats: &mut TransportStats,
     ) {
+        if self.live_followers() == 0 {
+            return;
+        }
         let mut payload = Vec::with_capacity(4 + snapshot_payload.len());
         put_u32(&mut payload, covered_seq);
         payload.extend_from_slice(snapshot_payload);
@@ -292,12 +244,16 @@ impl ReplicatedLog {
     /// held snapshot, replayed its committed suffix, and become a
     /// serving [`crate::service::ShardService`]. On success the
     /// follower's transport is removed from the replica set and
-    /// returned for the link to adopt as its shard transport.
+    /// returned for the link to adopt as its shard transport. With no
+    /// live follower it fails at once and the epoch stays where it is.
     pub fn promote(
         &mut self,
         boundary: u32,
         stats: &mut TransportStats,
     ) -> Result<Box<dyn Transport>, ClusterError> {
+        if self.live_followers() == 0 {
+            return Err(ClusterError::FailoverFailed { shard: self.shard });
+        }
         self.epoch += 1;
         if let Some(dir) = &self.epoch_dir {
             // Degraded durability on failure: the in-memory epoch still
@@ -414,12 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn append_commits_once_quorum_acks() {
+    fn append_commits_once_every_live_follower_acks() {
         let (co_a, peer_a) = loopback_pair(FaultPlan::default());
         let (co_b, peer_b) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 0);
         let b = ack_thread(peer_b, 0);
-        let mut log = ReplicatedLog::new(3, vec![Box::new(co_a), Box::new(co_b)], 2, 0, 1, None);
+        let mut log = ReplicatedLog::new(3, vec![Box::new(co_a), Box::new(co_b)], 1, None);
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
         log.append(1, &event(1), &mut stats).unwrap();
@@ -438,12 +394,12 @@ mod tests {
         let (co_b, peer_b) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 0);
         drop(peer_b); // follower b is dead from the start
-        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a), Box::new(co_b)], 2, 0, 1, None)
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a), Box::new(co_b)], 1, None)
             .with_ack_timeout(Duration::from_millis(50));
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
         assert_eq!(log.live_followers(), 1);
-        // Quorum clamps to the live follower count: still committing.
+        // The dead follower no longer holds the commit back.
         assert_eq!(log.commit_seq(), Some(0));
         log.append(1, &event(1), &mut stats).unwrap();
         assert_eq!(log.commit_seq(), Some(1));
@@ -455,7 +411,7 @@ mod tests {
     fn stale_leader_appends_are_fenced() {
         let (co_a, peer_a) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 5); // replica already at epoch 5
-        let mut log = ReplicatedLog::new(1, vec![Box::new(co_a)], 1, 0, 3, None);
+        let mut log = ReplicatedLog::new(1, vec![Box::new(co_a)], 3, None);
         let mut stats = TransportStats::default();
         let err = log.append(0, &event(0), &mut stats).unwrap_err();
         assert_eq!(
@@ -476,7 +432,7 @@ mod tests {
     fn all_followers_dead_degrades_to_unreplicated() {
         let (co_a, peer_a) = loopback_pair(FaultPlan::default());
         drop(peer_a);
-        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a)], 1, 0, 1, None)
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a)], 1, None)
             .with_ack_timeout(Duration::from_millis(50));
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
@@ -487,5 +443,54 @@ mod tests {
             panic!("promotion with zero live followers must fail");
         };
         assert_eq!(err, ClusterError::FailoverFailed { shard: 0 });
+        assert_eq!(log.epoch(), 1, "nobody to promote: the term stays");
+    }
+
+    #[test]
+    fn a_log_without_followers_commits_at_once_and_sends_nothing() {
+        let mut log = ReplicatedLog::new(2, Vec::new(), 0, None);
+        let mut stats = TransportStats::default();
+        log.append(0, &event(0), &mut stats).unwrap();
+        log.offer_snapshot(0, &[7; 64], &mut stats);
+        assert_eq!(log.commit_seq(), Some(0));
+        assert!(log.promote(REPLAY_ALL, &mut stats).is_err());
+        assert_eq!((log.epoch(), stats), (0, TransportStats::default()));
+    }
+
+    #[test]
+    fn a_follower_found_dead_by_an_append_is_skipped_by_promotion() {
+        // Follower b records every frame it receives and never acks;
+        // follower a acks everything. b comes first, so promotion reaches
+        // a only by skipping b.
+        let (co_a, peer_a) = loopback_pair(FaultPlan::default());
+        let (co_b, mut peer_b) = loopback_pair(FaultPlan::default());
+        let a = ack_thread(peer_a, 0);
+        let b = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            while let Ok(bytes) = peer_b.recv_timeout(Duration::from_secs(2)) {
+                seen.push(Frame::from_bytes(&bytes).unwrap().tag);
+            }
+            seen
+        });
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_b), Box::new(co_a)], 0, None)
+            .with_ack_timeout(Duration::from_millis(50));
+        let mut stats = TransportStats::default();
+        log.append(0, &event(0), &mut stats).unwrap();
+        assert_eq!(
+            log.commit_seq(),
+            Some(0),
+            "b's missing ack holds nothing back"
+        );
+        assert_eq!(log.live_followers(), 1);
+
+        let mut promoted = log.promote(REPLAY_ALL, &mut stats).unwrap();
+        assert_eq!(stats.failovers, 1);
+        // The promoted transport is a's: a frame sent on it is acked by a.
+        promoted.send(&event(7)).unwrap();
+        let ack = Frame::from_bytes(&promoted.recv_timeout(Duration::from_secs(2)).unwrap());
+        assert_eq!(ack.unwrap().seq, 7);
+        drop((log, promoted)); // closes both links; both threads exit
+        assert_eq!(a.join().unwrap(), vec![0, REPLAY_ALL, 7]);
+        assert_eq!(b.join().unwrap(), vec![MsgTag::Append]);
     }
 }

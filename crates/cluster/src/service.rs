@@ -188,7 +188,6 @@ impl<T: Transport> ShardService<T> {
             | MsgTag::RestoreReply
             | MsgTag::Append
             | MsgTag::AppendAck
-            | MsgTag::Heartbeat
             | MsgTag::Promote
             | MsgTag::SnapshotOffer => return None,
         };

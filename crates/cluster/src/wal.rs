@@ -25,7 +25,7 @@
 //!
 //! With replication enabled the truncation point is additionally gated
 //! behind the replicated log's **commit index**: a snapshot (and the
-//! WAL reset it triggers) only covers events a quorum of followers has
+//! WAL reset it triggers) only covers events every live follower has
 //! acked, so no follower can be promoted into a state the truncated log
 //! can no longer reproduce. The shard log's leadership **epoch** is
 //! persisted beside the WAL ([`store_epoch`] / [`load_epoch`]) so a

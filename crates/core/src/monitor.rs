@@ -192,14 +192,12 @@ crate::counters::counter_struct! {
         /// Event frames appended to follower replicas (one count per
         /// follower per event; 0 when replication is disabled).
         pub replica_appends: u64,
-        /// Bytes shipped to follower replicas over append, heartbeat, and
-        /// snapshot-offer frames.
+        /// Bytes shipped to follower replicas over append, snapshot-offer
+        /// and promote frames.
         pub replica_bytes: u64,
-        /// Sum over all appends of the frames outstanding (appended but not
-        /// yet quorum-acked) when each append committed. With the
-        /// synchronous append pipeline this is exactly one per replicated
-        /// event frame, which makes the per-tick rate a deterministic,
-        /// gateable constant.
+        /// Replicated event frames: one per append made while a follower
+        /// was live. Appends are synchronous — each commits before the
+        /// next is sent — so this counts appends; it is not a lag.
         pub commit_lag_frames: u64,
         /// Replication frames rejected by a replica because they carried a
         /// stale leadership epoch (the stale-leader fencing path).
@@ -207,7 +205,5 @@ crate::counters::counter_struct! {
         /// Follower replicas promoted to serving leader after the primary
         /// shard died past its retry and recovery budgets.
         pub failovers: u64,
-        /// Heartbeat probes sent to follower replicas.
-        pub heartbeats: u64,
     }
 }

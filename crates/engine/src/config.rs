@@ -23,6 +23,12 @@ pub enum ShardAlgo {
 /// the in-process engine ignores it). The default — `replicas: 0` —
 /// disables replication entirely and is bit-identical to earlier
 /// releases.
+///
+/// There is one commit rule and no other knob: an appended event
+/// *commits* (becomes eligible for WAL truncation and for feeding the
+/// shard monitor) once every follower still live has acked it, and a
+/// follower that misses its ack timeout is dead from then on. Losing
+/// followers degrades redundancy, not availability.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Follower replicas per shard (F). Each holds a copy of the
@@ -30,27 +36,12 @@ pub struct ReplicationConfig {
     /// shard dies past its retry + recovery budgets. `0` disables
     /// replication.
     pub replicas: u32,
-    /// Acks an appended event needs before it *commits* (becomes
-    /// eligible for WAL truncation and for feeding the shard monitor).
-    /// Must be `1..=replicas` when replication is on; clamped downward
-    /// at runtime as followers die, so losing followers degrades
-    /// redundancy rather than availability.
-    pub quorum: u32,
-    /// Send a liveness heartbeat to every follower once per this many
-    /// appends (the failure detector's probe cadence). `0` disables
-    /// heartbeats; follower death is then detected on the append path.
-    pub heartbeat_every: u32,
 }
 
 impl ReplicationConfig {
-    /// Replication with `replicas` followers and a majority quorum
-    /// (`replicas / 2 + 1`), heartbeating every 8 appends.
+    /// Replication with `replicas` followers.
     pub fn with_replicas(replicas: u32) -> Self {
-        Self {
-            replicas,
-            quorum: replicas / 2 + 1,
-            heartbeat_every: 8,
-        }
+        Self { replicas }
     }
 }
 
@@ -187,14 +178,6 @@ impl EngineConfig {
             return Err(EngineError::InvalidKnob {
                 field: "ingest.capacity",
                 requirement: "at least 1 event per lane",
-            });
-        }
-        if self.replication.replicas > 0
-            && !(1..=self.replication.replicas).contains(&self.replication.quorum)
-        {
-            return Err(EngineError::InvalidKnob {
-                field: "replication.quorum",
-                requirement: "in 1..=replicas when replication is enabled",
             });
         }
         Ok(())

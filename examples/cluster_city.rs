@@ -46,9 +46,10 @@ fn engine_config() -> EngineConfig {
     EngineConfig {
         num_shards: NUM_SHARDS,
         algo: ShardAlgo::Gma,
-        // One hot-standby follower per shard; quorum 1. The follower
-        // threads live in the coordinator process, so a shard *process*
-        // dying is exactly the failure they cover.
+        // One hot-standby follower per shard, which must ack every
+        // event before it commits. The follower threads live in the
+        // coordinator process, so a shard *process* dying is exactly the
+        // failure they cover.
         replication: ReplicationConfig::with_replicas(1),
         ..EngineConfig::default()
     }

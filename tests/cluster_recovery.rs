@@ -580,7 +580,7 @@ fn stale_leader_appends_are_provably_fenced() {
 
     // A stale leader (epoch 2) adopts the same follower link and tries
     // to append: provably rejected, never committed.
-    let mut stale = ReplicatedLog::new(3, vec![Box::new(co) as Box<dyn Transport>], 1, 0, 2, None);
+    let mut stale = ReplicatedLog::new(3, vec![Box::new(co) as Box<dyn Transport>], 2, None);
     let mut stats = TransportStats::default();
     let stale_event = Frame {
         tag: MsgTag::TickEvents,

@@ -1754,7 +1754,7 @@ fn delta_batch_strategy() -> impl Strategy<Value = DeltaBatch> {
         })
 }
 
-const ALL_TAGS: [MsgTag; 16] = [
+const ALL_TAGS: [MsgTag; 15] = [
     MsgTag::TickEvents,
     MsgTag::ResyncEvents,
     MsgTag::MigrationEvents,
@@ -1768,7 +1768,6 @@ const ALL_TAGS: [MsgTag; 16] = [
     MsgTag::RestoreReply,
     MsgTag::Append,
     MsgTag::AppendAck,
-    MsgTag::Heartbeat,
     MsgTag::Promote,
     MsgTag::SnapshotOffer,
 ];
