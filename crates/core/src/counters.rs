@@ -254,11 +254,6 @@ impl MemoryUsage {
             + self.influence_lists
             + self.auxiliary
     }
-
-    /// Total in KBytes (the paper's unit in Fig. 18).
-    pub fn total_kbytes(&self) -> f64 {
-        self.total_bytes() as f64 / 1024.0
-    }
 }
 
 /// Elements a reused buffer with no bound of its own is given up front
@@ -335,6 +330,5 @@ mod tests {
             auxiliary: 0,
         };
         assert_eq!(m.total_bytes(), 4096);
-        assert!((m.total_kbytes() - 4.0).abs() < 1e-12);
     }
 }

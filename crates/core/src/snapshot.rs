@@ -235,11 +235,6 @@ impl MonitorState {
         }
         Ok(s)
     }
-
-    /// Total registered entities (sizing/reporting).
-    pub fn entity_count(&self) -> usize {
-        self.objects.len() + self.queries.len()
-    }
 }
 
 impl WireCodec for MonitorState {
@@ -575,6 +570,5 @@ mod tests {
     fn empty_state_round_trips() {
         let s = MonitorState::default();
         assert_eq!(MonitorState::from_bytes(&s.to_bytes()).unwrap(), s);
-        assert_eq!(s.entity_count(), 0);
     }
 }

@@ -212,12 +212,6 @@ impl IngestHandle {
     pub fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
         self.shared.submit(event)
     }
-
-    /// Events currently queued across all lanes (a racy snapshot — other
-    /// producers and the consumer move concurrently).
-    pub fn pending(&self) -> usize {
-        self.shared.lanes.iter().map(|l| lock_lane(l).len()).sum()
-    }
 }
 
 /// Epoch-stamped open-addressing map: entity key → index of that
@@ -401,15 +395,6 @@ impl IngestHub {
     pub fn handle(&self) -> IngestHandle {
         IngestHandle {
             shared: self.shared.clone(),
-        }
-    }
-
-    /// The effective configuration (after clamping).
-    pub fn config(&self) -> IngestConfig {
-        IngestConfig {
-            lanes: self.shared.lanes.len(),
-            capacity: self.shared.capacity,
-            policy: self.shared.policy,
         }
     }
 
