@@ -1066,7 +1066,7 @@ mod tests {
         assert_eq!(eng.shed_events, 0);
         assert!(
             ing.coalesced_superseded > 0,
-            "the flash crowd's redundant fixes must be folded at the drain"
+            "the flash crowd's redundant fixes must be folded at submit"
         );
         assert_eq!(ing.shed_events, 0, "lossless lanes must not shed");
         assert!(

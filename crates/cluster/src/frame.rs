@@ -11,8 +11,8 @@
 //!
 //! `len` counts everything after itself (`tag` + `seq` + `epoch` +
 //! `crc` + payload), so a stream reader knows exactly how many bytes to
-//! pull before attempting a decode. `crc` is the FNV-1a checksum
-//! ([`rnn_roadnet::wire::checksum`]) over `tag`, `seq`, `epoch`, and the
+//! pull before attempting a decode. `crc` is the CRC-32C
+//! ([`rnn_roadnet::wire::Crc32c`]) over `tag`, `seq`, `epoch`, and the
 //! payload; a mismatch means the frame was corrupted in flight and the
 //! decoder reports [`WireError::Checksum`] instead of handing garbage to
 //! the payload codecs. `seq` is the coordinator-assigned request
@@ -23,7 +23,7 @@
 //! services reject frames from older epochs (fencing), and all
 //! non-replicated traffic simply carries epoch 0.
 
-use rnn_roadnet::wire::{checksum, put_u16, put_u32};
+use rnn_roadnet::wire::{put_u16, put_u32, Crc32c};
 use rnn_roadnet::{WireError, WireReader};
 
 /// Frame header bytes after the length prefix: tag + seq + epoch + crc.
@@ -151,6 +151,17 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The `crc` field: CRC-32C over tag + seq + epoch (little-endian) and
+/// then the payload, streamed where they lie.
+fn frame_crc(tag: u16, seq: u32, epoch: u32, payload: &[u8]) -> u32 {
+    Crc32c::new()
+        .update(&tag.to_le_bytes())
+        .update(&seq.to_le_bytes())
+        .update(&epoch.to_le_bytes())
+        .update(payload)
+        .finish()
+}
+
 impl Frame {
     /// Encodes the frame as one length-prefixed byte string ready for a
     /// single `send`.
@@ -160,14 +171,8 @@ impl Frame {
         put_u16(&mut out, self.tag as u16);
         put_u32(&mut out, self.seq);
         put_u32(&mut out, self.epoch);
-        // Checksum covers tag + seq + epoch + payload; computed over a
-        // scratch assembly of exactly those bytes.
-        let mut covered = Vec::with_capacity(10 + self.payload.len());
-        put_u16(&mut covered, self.tag as u16);
-        put_u32(&mut covered, self.seq);
-        put_u32(&mut covered, self.epoch);
-        covered.extend_from_slice(&self.payload);
-        put_u32(&mut out, checksum(&covered));
+        let crc = frame_crc(self.tag as u16, self.seq, self.epoch, &self.payload);
+        put_u32(&mut out, crc);
         out.extend_from_slice(&self.payload);
         out
     }
@@ -192,12 +197,7 @@ impl Frame {
         let epoch = r.u32()?;
         let crc = r.u32()?;
         let payload = r.bytes(r.remaining())?;
-        let mut covered = Vec::with_capacity(10 + payload.len());
-        put_u16(&mut covered, tag_raw);
-        put_u32(&mut covered, seq);
-        put_u32(&mut covered, epoch);
-        covered.extend_from_slice(payload);
-        if checksum(&covered) != crc {
+        if frame_crc(tag_raw, seq, epoch, payload) != crc {
             return Err(WireError::Checksum);
         }
         let tag = MsgTag::from_u16(tag_raw)?;
@@ -245,26 +245,69 @@ mod tests {
         assert!(MsgTag::from_u16(14).is_err(), "tag 14 is unassigned");
     }
 
-    #[test]
-    fn every_single_bit_flip_is_detected() {
-        let f = Frame {
+    fn frame_with_payload(len: usize) -> Vec<u8> {
+        Frame {
             tag: MsgTag::TickEvents,
             seq: 7,
             epoch: 3,
-            payload: b"delta batch bytes".to_vec(),
-        };
-        let bytes = f.to_bytes();
+            payload: (0..len).map(|i| (i * 131 + 17) as u8).collect(),
+        }
+        .to_bytes()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        // Several 16-byte blocks plus a ragged tail, so both the sliced
+        // loop and the byte-wise tail are covered.
+        let mut bytes = frame_with_payload(123);
         // Flip each bit past the length prefix (corrupting the prefix
         // itself is a framing error, reported as Invalid/Truncated).
         for byte in 4..bytes.len() {
             for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[byte] ^= 1 << bit;
+                bytes[byte] ^= 1 << bit;
                 assert!(
-                    Frame::from_bytes(&bad).is_err(),
+                    Frame::from_bytes(&bytes).is_err(),
                     "bit {bit} of byte {byte} slipped through"
                 );
+                bytes[byte] ^= 1 << bit;
             }
+        }
+    }
+
+    #[test]
+    fn every_two_bit_flip_is_detected() {
+        let mut bytes = frame_with_payload(64);
+        let bits = (bytes.len() - 4) * 8;
+        for a in 0..bits {
+            for b in a + 1..bits {
+                bytes[4 + a / 8] ^= 1 << (a % 8);
+                bytes[4 + b / 8] ^= 1 << (b % 8);
+                assert!(
+                    Frame::from_bytes(&bytes).is_err(),
+                    "bits {a} and {b} past the prefix slipped through"
+                );
+                bytes[4 + a / 8] ^= 1 << (a % 8);
+                bytes[4 + b / 8] ^= 1 << (b % 8);
+            }
+        }
+    }
+
+    /// A word-wise FNV (`h = (h ^ w) * P`) never carries bit 63 out of
+    /// bit 63, so flipping the top bit of two words 32 bytes apart cancels
+    /// in it. The CRC catches every such pair, at every alignment.
+    #[test]
+    fn paired_top_bit_flips_are_detected() {
+        let mut bytes = frame_with_payload(100);
+        for i in 4..bytes.len() - 32 {
+            bytes[i] ^= 0x80;
+            bytes[i + 32] ^= 0x80;
+            assert!(
+                Frame::from_bytes(&bytes).is_err(),
+                "top bits of bytes {i} and {} slipped through",
+                i + 32
+            );
+            bytes[i] ^= 0x80;
+            bytes[i + 32] ^= 0x80;
         }
     }
 

@@ -27,8 +27,8 @@
 //! The modules, bottom-up:
 //!
 //! * [`frame`] — the wire envelope: `u32 len | u16 tag | u32 seq |
-//!   u32 epoch | u32 crc | payload`, one tag per protocol message, FNV
-//!   checksum over everything but the length prefix. The payloads are
+//!   u32 epoch | u32 crc | payload`, one tag per protocol message, a
+//!   CRC-32C over everything but the length prefix. The payloads are
 //!   the engine's own delta protocol ([`rnn_engine::protocol`]) made
 //!   explicit as typed frames: tick events, halo-resync events,
 //!   migration hand-off, result-snapshot deltas coming back.

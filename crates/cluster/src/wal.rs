@@ -4,7 +4,7 @@
 //! [`ShardLog`](crate::log::ShardLog): every event frame sent to a shard
 //! is appended **verbatim**
 //! (the exact [`Frame::to_bytes`] byte string, so each record carries
-//! the frame's own length prefix and FNV checksum — no second framing
+//! the frame's own length prefix and CRC-32C — no second framing
 //! layer to keep in sync). `fsync` is batched: the file is synced every
 //! [`DurabilityConfig::fsync_every`](crate::client::DurabilityConfig)
 //! appends, trading a bounded window of unsynced events for fewer

@@ -132,14 +132,15 @@ counter_struct! {
         /// out-of-band ingest path). Each count is one event the monitor
         /// never had to process.
         pub coalesced_superseded: u64,
-        /// Submitted events dropped by the ingest stage's
-        /// `AdmissionPolicy::ShedOldest` load shedding because a bounded lane
-        /// was full. Unlike `coalesced_superseded`, shed events are *lost* —
-        /// answers may lag until a fresher submission arrives.
+        /// Entity windows (a surviving event and every report folded into
+        /// it) dropped by the ingest stage's `AdmissionPolicy::ShedOldest`
+        /// load shedding because a bounded lane was full. Unlike
+        /// `coalesced_superseded`, shed events are *lost* — answers may lag
+        /// until a fresher submission arrives.
         pub shed_events: u64,
-        /// Heap-allocation events on the ingest drain path: lane buffer
-        /// growth, drain scratch growth, and coalescing-directory growth.
-        /// Zero on a steady-state tick — the drain runs entirely in reused
+        /// Heap-allocation events of the ingest stage: lane buffer growth
+        /// and open-window index growth at submit, counted at the drain.
+        /// Zero on a steady-state tick — the lanes run entirely in reused
         /// capacity, like the monitors' own `alloc_events` guarantee.
         pub drain_alloc_events: u64,
     }

@@ -404,9 +404,9 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.ingest.handle()
     }
 
-    /// Drains everything submitted since the last drain — coalescing
-    /// multiple reports per entity to the final position (§4.5) — and
-    /// runs one tick over the result. The drain's accounting
+    /// Drains everything submitted since the last drain — the lanes have
+    /// already coalesced multiple reports per entity to the final
+    /// position (§4.5) — and runs one tick over the result. The drain's accounting
     /// (`coalesced_superseded`, `shed_events`, `drain_alloc_events`)
     /// is folded into the returned report's counters.
     ///

@@ -17,7 +17,7 @@
 //!
 //! A monitor fed the raw stream through a coalescing ingest stage must
 //! answer identically to one ticked with the effective batch; the raw
-//! stream merely costs `coalesced_superseded` counted work at the drain.
+//! stream merely costs `coalesced_superseded` counted work at submit.
 //! Intermediate fixes are fabricated *between* an entity's reports (a
 //! jittered fraction on the final edge), so even a monitor that naively
 //! processed every raw event in order would land on the same final
