@@ -212,18 +212,14 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
         // Structural case (tree surgery and/or result underflow): re-expand
         // from the surviving tree. Kept-region edges strictly inside the old
         // result region need no re-scan — their objects are all among the
-        // survivor candidates (see `KeptTree::selective`).
-        let tree = std::mem::take(&mut rec.tree);
-        let kept = if tree.is_empty() {
-            ex.pool.release(tree);
-            None
-        } else {
-            Some(KeptTree {
-                tree,
-                selective: Some((coverage_knn, &scratch.changed_edges)),
-            })
+        // survivor candidates (see `KeptTree::selective`). An emptied tree
+        // is handed over too: it expands as a from-scratch search would, in
+        // the anchor's own directory.
+        let kept = KeptTree {
+            tree: std::mem::take(&mut rec.tree),
+            selective: Some((coverage_knn, &scratch.changed_edges)),
         };
-        let out = ex.expand(state, rec.root, rec.k, kept, candidates, counters);
+        let out = ex.expand(state, rec.root, rec.k, Some(kept), candidates, counters);
         self.store_outcome(rec, out);
         self.rebuild_influence(state, key, rec, counters);
         results_differ(&old_result, &rec.result)

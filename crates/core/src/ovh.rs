@@ -15,9 +15,10 @@ use rnn_roadnet::{FxHashMap, NetPoint, QueryId, RoadNetwork};
 
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
 use crate::monitor::ContinuousMonitor;
-use crate::search::Expander;
+use crate::search::{Expander, KeptTree};
 use crate::snapshot::MonitorState;
 use crate::state::NetworkState;
+use crate::tree::ExpansionTree;
 use crate::types::{Neighbor, RootPos, UpdateBatch};
 
 struct OvhQuery {
@@ -35,6 +36,10 @@ pub struct Ovh {
     /// successive recomputations recycle the same pool slots and run
     /// allocation-free in steady state.
     expander: Expander,
+    /// The one tree every recomputation expands into, cleared after each:
+    /// its directory is sized by the largest search, not handed round
+    /// the pool's spares.
+    tree: ExpansionTree,
     /// The tick's recompute list (every query, ascending), cut down after
     /// recomputation to the ones whose answer changed: the list behind
     /// [`ContinuousMonitor::changed_queries`].
@@ -49,6 +54,7 @@ impl Ovh {
             // lint: allow(hot-path-alloc): allocation at construction/install time; steady-state ticks only reuse this capacity (runtime gate pins alloc_events at 0)
             queries: FxHashMap::default(),
             expander: Expander::new(net),
+            tree: ExpansionTree::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick refills it in kept capacity
             changed: Vec::new(),
         }
@@ -59,15 +65,19 @@ impl Ovh {
     fn recompute(&mut self, id: QueryId, counters: &mut OpCounters) -> bool {
         let q = self.queries.get_mut(&id).expect("query registered");
         let root = RootPos::Point(q.pos);
+        // An empty kept tree expands exactly as a from-scratch search does.
+        let kept = KeptTree::full(std::mem::take(&mut self.tree));
         let out = self
             .expander
-            .expand(&self.state, root, q.k, None, &[], counters);
+            .expand(&self.state, root, q.k, Some(kept), &[], counters);
         let changed = out.result != q.result || out.knn_dist.to_bits() != q.knn_dist.to_bits();
         q.result = out.result;
         q.knn_dist = out.knn_dist;
-        // OVH keeps no state between timestamps: the tree goes straight
-        // back to the pool, where the next recomputation reuses its slots.
-        self.expander.pool.release(out.tree);
+        // OVH keeps no state between timestamps: the tree's slots go
+        // straight back to the pool, where the next recomputation reuses
+        // them.
+        self.tree = out.tree;
+        self.expander.pool.clear(&mut self.tree);
         changed
     }
 }
@@ -153,7 +163,9 @@ impl ContinuousMonitor for Ovh {
             query_table,
             expansion_trees: 0,
             influence_lists: 0,
-            auxiliary: self.expander.scratch_bytes() + self.expander.pool.memory_bytes(),
+            auxiliary: self.expander.scratch_bytes()
+                + self.expander.pool.memory_bytes()
+                + self.tree.memory_bytes(),
         }
     }
 

@@ -649,6 +649,67 @@ mod tests {
         assert!(s.queries.is_empty());
     }
 
+    /// A hot edge that moves every round pulls objects in (lists fill past
+    /// 64) and the edges it left drain, so spans shrink over and over:
+    /// every edge list stays equal, element for element, to a `Vec` per
+    /// edge with the same `swap_remove`/`push` history, and the positional
+    /// back-references stay exact.
+    #[test]
+    fn seeded_fill_and_drain_churn_keeps_order_and_back_references() {
+        const EDGES: u32 = 6;
+        let mut idx = ObjectIndex::new(EDGES as usize);
+        let mut model: Vec<Vec<(ObjectId, f64)>> = vec![Vec::new(); EDGES as usize];
+        let mut live: Vec<ObjectId> = Vec::new();
+        let mut next_id = 0u32;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let unlink = |model: &mut Vec<Vec<(ObjectId, f64)>>, e: EdgeId, id: ObjectId| {
+            let list = &mut model[e.index()];
+            let i = list.iter().position(|&(o, _)| o == id).expect("modelled");
+            list.swap_remove(i);
+        };
+        let mut longest = 0;
+        for round in 0..60u32 {
+            let hot = EdgeId(round % EDGES);
+            for _ in 0..150 {
+                let at = NetPoint::new(hot, draw(1000) as f64 / 1000.0);
+                match draw(10) {
+                    0..=1 => {
+                        let id = ObjectId(next_id);
+                        next_id += 1;
+                        assert!(idx.insert(id, at));
+                        model[hot.index()].push((id, at.frac));
+                        live.push(id);
+                    }
+                    2 if !live.is_empty() => {
+                        let id = live.swap_remove(draw(live.len() as u64) as usize);
+                        let old = idx.remove(id).expect("live");
+                        unlink(&mut model, old.edge, id);
+                    }
+                    _ if !live.is_empty() => {
+                        let id = live[draw(live.len() as u64) as usize];
+                        let old = idx.relocate(id, at).expect("live");
+                        unlink(&mut model, old.edge, id);
+                        model[hot.index()].push((id, at.frac));
+                    }
+                    _ => {}
+                }
+                for e in 0..EDGES {
+                    assert_eq!(idx.on_edge(EdgeId(e)), model[e as usize].as_slice());
+                }
+                longest = longest.max(model[hot.index()].len());
+            }
+            idx.check_invariants();
+        }
+        assert!(longest >= 64, "lists must fill past 64 ({longest})");
+        assert_eq!(idx.len(), live.len());
+    }
+
     #[test]
     fn memory_accounting_nonzero() {
         let mut s = state();

@@ -32,7 +32,10 @@
 //! * clearing or re-rooting invalidates the directory in O(1) via the
 //!   epoch stamp instead of deleting entries one by one;
 //! * released directories are recycled through the pool, so steady-state
-//!   searches build their outcome trees entirely in reused capacity.
+//!   searches build their outcome trees entirely in reused capacity; a
+//!   tree gets the smallest spare that fits it, and the spares never
+//!   outweigh the directories of the live trees, so directory memory
+//!   follows the trees alive now, not the largest the pool ever held.
 //!
 //! The only true allocations are slab growth and directory growth, both
 //! amortised and both counted — they surface through
@@ -96,12 +99,78 @@ const MIN_DIR: usize = 16;
 #[derive(Default)]
 pub struct TreePool {
     slots: SlotPool<PoolNode>,
-    /// Directories of released trees, recycled into new trees together
-    /// with the epoch their stamps are valid up to.
-    spare_dirs: Vec<(Vec<DirEntry>, u32)>,
+    dirs: SpareDirs,
+}
+
+/// The pool's directories: how many entries live trees hold, and the
+/// spares.
+///
+/// A tree is handed the smallest spare of one to two times what it needs,
+/// else a fresh directory, so a directory follows its own tree's size.
+/// Spares never hold more entries than the live trees' directories (the
+/// largest spare goes first), so what the pool keeps follows the trees it
+/// serves now, not the largest it ever held.
+#[derive(Default)]
+struct SpareDirs {
+    /// Each spare with the epoch its stamps are valid up to.
+    spare: Vec<(Vec<DirEntry>, u32)>,
+    /// Entries in the spares.
+    held: usize,
+    /// Entries in the directories live trees hold.
+    lent: usize,
     /// Directory growth events (slab growth is counted inside the slot
     /// pool).
     allocs: u64,
+}
+
+impl SpareDirs {
+    /// Lends the smallest spare of `need` to `2·need` entries.
+    fn take(&mut self, need: usize) -> Option<(Vec<DirEntry>, u32)> {
+        let best = self
+            .spare
+            .iter()
+            .enumerate()
+            .filter(|(_, (d, _))| (need..=2 * need).contains(&d.len()))
+            .min_by_key(|(_, (d, _))| d.len())
+            .map(|(i, _)| i)?;
+        let (dir, epoch) = self.spare.swap_remove(best);
+        self.held -= dir.len();
+        self.lent += dir.len();
+        Some((dir, epoch))
+    }
+
+    /// Lends a fresh directory of `need` entries (a counted alloc event).
+    fn carve(&mut self, need: usize) -> Vec<DirEntry> {
+        self.allocs += 1;
+        self.lent += need;
+        // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
+        vec![EMPTY_DIR; need]
+    }
+
+    /// Takes back a directory a tree gave up, then drops the largest
+    /// spares while the spares outweigh the live directories. The one
+    /// given back still counts as live in that test, so even the last
+    /// tree's directory is there for the next tree made.
+    fn give_back(&mut self, dir: Vec<DirEntry>, epoch: u32) {
+        let len = dir.len();
+        self.held += len;
+        self.spare.push((dir, epoch));
+        while self.held > self.lent {
+            let largest = self
+                .spare
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, (d, _))| d.len())
+                .map(|(i, _)| i)
+                .expect("spares hold entries");
+            self.held -= self.spare.swap_remove(largest).0.len();
+        }
+        self.lent = self.lent.saturating_sub(len);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.held * std::mem::size_of::<DirEntry>()
+    }
 }
 
 /// A pooled expansion tree: the set of verified nodes with their
@@ -275,15 +344,9 @@ impl ExpansionTree {
     /// Registers `n → slot`, growing the directory (a counted alloc event,
     /// unless a big-enough spare buffer is available) when it would exceed
     /// half occupancy.
-    fn dir_insert(
-        &mut self,
-        n: NodeId,
-        slot: u32,
-        allocs: &mut u64,
-        spares: &mut Vec<(Vec<DirEntry>, u32)>,
-    ) {
+    fn dir_insert(&mut self, n: NodeId, slot: u32, dirs: &mut SpareDirs) {
         if (self.dir_live as usize + 1) * 2 > self.dir.len() {
-            self.dir_grow(allocs, spares);
+            self.dir_grow(dirs);
         }
         let mask = self.dir.len() - 1;
         let mut i = self.home(n.0);
@@ -300,24 +363,16 @@ impl ExpansionTree {
     }
 
     /// Doubles the directory, re-inserting only current-epoch entries.
-    /// The replacement buffer comes from the pool's spare stack when a
-    /// big-enough one exists (no allocation); either way the outgrown
-    /// buffer goes back to the stack, so directory capacity circulates
-    /// instead of being dropped and re-carved.
+    /// The replacement buffer is the pool's smallest spare of one to two
+    /// times the new size, when there is one (no allocation); either way
+    /// the outgrown buffer goes back to the spares, so directory capacity
+    /// circulates instead of being dropped and re-carved.
     #[cold]
-    fn dir_grow(&mut self, allocs: &mut u64, spares: &mut Vec<(Vec<DirEntry>, u32)>) {
+    fn dir_grow(&mut self, dirs: &mut SpareDirs) {
         let need = (self.dir.len() * 2).max(MIN_DIR);
-        let reuse = spares
-            .iter()
-            .position(|(d, _)| d.len() >= need)
-            .map(|i| spares.swap_remove(i));
-        let mut fresh = match reuse {
+        let mut fresh = match dirs.take(need) {
             Some((d, _)) => d, // stale stamps are fine: wiped below
-            None => {
-                *allocs += 1;
-                // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
-                vec![EMPTY_DIR; need]
-            }
+            None => dirs.carve(need),
         };
         fresh.fill(EMPTY_DIR);
         let old = std::mem::replace(&mut self.dir, fresh);
@@ -332,8 +387,8 @@ impl ExpansionTree {
             }
             self.dir[i] = e;
         }
-        if old.capacity() > 0 {
-            spares.push((old, self.epoch));
+        if !old.is_empty() {
+            dirs.give_back(old, self.epoch);
         }
     }
 
@@ -410,18 +465,13 @@ impl TreePool {
         Self::default()
     }
 
-    /// A fresh tree handle, reusing a released directory when one exists
-    /// (the recycled stamps are invalidated by an epoch bump, not a wipe).
-    /// The *largest* spare is taken so the new tree grows — and allocates —
-    /// as rarely as possible.
+    /// A fresh tree handle, reusing the smallest spare directory of at most
+    /// twice the minimum size when one exists (the recycled stamps are
+    /// invalidated by an epoch bump, not a wipe). The tree then grows
+    /// through the spares that fit it, so its directory follows its own
+    /// size.
     pub fn new_tree(&mut self) -> ExpansionTree {
-        let biggest = self
-            .spare_dirs
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (d, _))| d.len())
-            .map(|(i, _)| i);
-        match biggest.map(|i| self.spare_dirs.swap_remove(i)) {
+        match self.dirs.take(MIN_DIR) {
             Some((dir, last_epoch)) => {
                 let mut t = ExpansionTree {
                     first_root: NIL,
@@ -441,8 +491,8 @@ impl TreePool {
     pub fn release(&mut self, mut tree: ExpansionTree) {
         self.clear(&mut tree);
         let dir = std::mem::take(&mut tree.dir);
-        if dir.capacity() > 0 {
-            self.spare_dirs.push((dir, tree.epoch));
+        if !dir.is_empty() {
+            self.dirs.give_back(dir, tree.epoch);
         }
     }
 
@@ -455,7 +505,7 @@ impl TreePool {
     /// Slab + directory growth events since the last take. Zero across a
     /// tick proves the tick's tree surgery ran in reused capacity.
     pub fn take_alloc_events(&mut self) -> u64 {
-        std::mem::take(&mut self.allocs) + self.slots.take_alloc_events()
+        std::mem::take(&mut self.dirs.allocs) + self.slots.take_alloc_events()
     }
 
     /// Tree nodes served from the free list since the last take (the
@@ -467,12 +517,7 @@ impl TreePool {
     /// Approximate resident bytes of the shared slab, free list and spare
     /// directories (live handles account their own directories).
     pub fn memory_bytes(&self) -> usize {
-        self.slots.memory_bytes()
-            + self
-                .spare_dirs
-                .iter()
-                .map(|(d, _)| d.capacity() * std::mem::size_of::<DirEntry>())
-                .sum::<usize>()
+        self.slots.memory_bytes() + self.dirs.memory_bytes()
     }
 
     /// Inserts a verified node. The parent (if any) must already be in the
@@ -509,7 +554,7 @@ impl TreePool {
         if head != NIL {
             self.slots[head].prev_sibling = slot;
         }
-        tree.dir_insert(n, slot, &mut self.allocs, &mut self.spare_dirs);
+        tree.dir_insert(n, slot, &mut self.dirs);
         tree.len += 1;
     }
 
@@ -667,7 +712,7 @@ impl TreePool {
         while cur != NIL {
             self.slots[cur].dist -= shift;
             let rec = self.slots[cur];
-            tree.dir_insert(rec.node, cur, &mut self.allocs, &mut self.spare_dirs);
+            tree.dir_insert(rec.node, cur, &mut self.dirs);
             cur = if rec.first_child != NIL {
                 rec.first_child
             } else {
@@ -975,6 +1020,60 @@ mod tests {
         pool.check_invariants(&u, &net, &w);
         pool.release(u);
         assert_eq!(pool.live_nodes(), 5);
+    }
+
+    /// Release-and-regrow churn over trees whose sizes vary 10×: the spares
+    /// never outweigh the live directories (plus the one just given back),
+    /// and all directory capacity, live and spare, stays within a constant
+    /// factor of what the live trees need.
+    #[test]
+    fn directories_follow_the_live_trees() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n) as u32
+        };
+        let grow = |pool: &mut TreePool, size: u32| {
+            let mut t = pool.new_tree();
+            for n in 0..size {
+                pool.insert(&mut t, NodeId(n), f64::from(n), None);
+            }
+            t
+        };
+        let mut pool = TreePool::new();
+        let mut live: Vec<ExpansionTree> = (0..32).map(|i| grow(&mut pool, 10 + 6 * i)).collect();
+        let mut worst = 0.0f64;
+        for _ in 0..2_000 {
+            let gone = live.swap_remove(draw(live.len() as u64) as usize);
+            let given_back = gone.dir.len();
+            pool.release(gone);
+            assert!(pool.dirs.held <= pool.dirs.lent + given_back);
+            // Mostly small trees, now and then one ten times larger.
+            let size = if draw(8) == 0 {
+                100 + draw(100)
+            } else {
+                10 + draw(10)
+            };
+            live.push(grow(&mut pool, size));
+            let need: usize = live.iter().map(|t| (2 * t.len()).next_power_of_two()).sum();
+            let held: usize = live.iter().map(|t| t.dir.len()).sum::<usize>()
+                + pool.dirs.spare.iter().map(|(d, _)| d.len()).sum::<usize>();
+            worst = worst.max(held as f64 / need as f64);
+        }
+        assert!(
+            worst <= 4.0,
+            "directories hold {worst:.2}× what the live trees need"
+        );
+        for t in live {
+            pool.release(t);
+        }
+        assert!(
+            pool.dirs.spare.len() <= 1,
+            "no live tree, at most the last spare"
+        );
+        assert_eq!(pool.live_nodes(), 0);
     }
 
     #[test]

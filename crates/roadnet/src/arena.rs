@@ -15,6 +15,12 @@
 //! backing-buffer reallocation (amortised doubling, counted in
 //! [`SpanArena::alloc_events`]) and the rare free-list bookkeeping growth.
 //!
+//! Spans also give capacity back: a list that drains to a quarter of its
+//! span moves (in order) into the class that holds twice its length, and an
+//! emptied list releases its span. So the carved buffer follows the lists
+//! that are populated *now* — under a moving hotspot the spans the hotspot
+//! leaves behind serve the next one instead of fresh buffer being carved.
+//!
 //! The element type must be `Copy`: span growth moves elements with a
 //! `memcpy`-style `copy_within`, and carving materialises the span's spare
 //! capacity by replicating a witness value (only the first `len` elements
@@ -104,11 +110,10 @@ impl<T: Copy> SpanArena<T> {
     /// Carves or recycles a span of exactly `cap` (a power of two ≥
     /// [`MIN_CAP`]), materialising fresh buffer space with `witness`.
     ///
-    /// When the buffer must grow it reserves ~4× the current capacity:
-    /// high-water marks in a stationary workload creep logarithmically
-    /// (new per-edge records), so the aggressive factor pushes further
-    /// reallocations out beyond any realistic run length — steady-state
-    /// ticks stay allocation-free.
+    /// When the buffer must grow it reserves ~4× the current capacity, which
+    /// pushes further reallocations out of the steady state: spans that
+    /// drain go back to their free lists, so the carved length follows the
+    /// live lists rather than every list that ever existed.
     fn acquire(&mut self, cap: u32, witness: T) -> u32 {
         let class = Self::class_of(cap);
         if let Some(off) = self.free.get_mut(class).and_then(Vec::pop) {
@@ -141,12 +146,7 @@ impl<T: Copy> SpanArena<T> {
             .copy_within(s.off as usize..(s.off + s.len) as usize, new_off as usize);
         self.buf[(new_off + s.len) as usize] = value;
         if s.cap >= MIN_CAP {
-            let class = Self::class_of(s.cap);
-            if self.free.len() <= class {
-                // lint: allow(hot-path-alloc): amortized capacity growth; counted by alloc_events and pinned by the zero-alloc CI gate
-                self.free.resize_with(class + 1, Vec::new);
-            }
-            self.free[class].push(s.off);
+            self.release(s.off, s.cap);
         }
         self.spans[slot] = Span {
             off: new_off,
@@ -161,6 +161,10 @@ impl<T: Copy> SpanArena<T> {
     /// the caller can read the moved element at `idx` afterwards to fix up
     /// positional back-references).
     ///
+    /// A list left at a quarter of its span or less moves into the class
+    /// that holds twice its length, elements in the same order (so indices
+    /// within the slot stay valid); an emptied list frees its span.
+    ///
     /// # Panics
     /// Panics if `idx` is out of bounds for the slot.
     pub fn swap_remove(&mut self, slot: usize, idx: usize) -> T {
@@ -170,8 +174,31 @@ impl<T: Copy> SpanArena<T> {
         let at = s.off as usize + idx;
         let out = self.buf[at];
         self.buf[at] = self.buf[last];
-        self.spans[slot].len -= 1;
+        let len = s.len - 1;
+        if len == 0 {
+            self.release(s.off, s.cap);
+            self.spans[slot] = Span::default();
+        } else if len * 4 <= s.cap && s.cap > MIN_CAP {
+            let cap = (2 * len).next_power_of_two().max(MIN_CAP);
+            let off = self.acquire(cap, out);
+            self.buf
+                .copy_within(s.off as usize..(s.off + len) as usize, off as usize);
+            self.release(s.off, s.cap);
+            self.spans[slot] = Span { off, len, cap };
+        } else {
+            self.spans[slot].len = len;
+        }
         out
+    }
+
+    /// Puts the span at `off` of capacity `cap` on its class's free list.
+    fn release(&mut self, off: u32, cap: u32) {
+        let class = Self::class_of(cap);
+        if self.free.len() <= class {
+            // lint: allow(hot-path-alloc): one list per size class (at most 30, u32 capacities), created the first time a span of that class is freed
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        self.free[class].push(off);
     }
 
     /// Backing-buffer reallocation count (see the module docs). A tick-path
@@ -278,9 +305,9 @@ impl<T> SlotPool<T> {
         }
         if self.slab.len() == self.slab.capacity() {
             self.allocs += 1;
-            // 4x growth, like the span arena: high-water marks creep
-            // logarithmically, so the aggressive factor pushes further
-            // reallocations out beyond any realistic run length.
+            // 4x growth, like the span arena: the aggressive factor pushes
+            // further reallocations out of the steady state (freed slots
+            // are reused first, so the slab follows the live nodes).
             let target = (self.slab.capacity() * 4).max(64);
             self.slab.reserve_exact(target - self.slab.len());
             // The free list can never hold more entries than the slab has
@@ -426,6 +453,67 @@ mod tests {
             }
         }
         assert_eq!(a.alloc_events(), 0, "steady-state churn must not allocate");
+    }
+
+    #[test]
+    fn shrinking_keeps_order_and_emptied_spans_are_reused() {
+        let mut a: SpanArena<u32> = SpanArena::new(2);
+        for i in 0..64 {
+            a.push(0, i);
+        }
+        let mut model: Vec<u32> = (0..64).collect();
+        // Drain from the middle through the 64 → 32 → 16 → 8 → 4 moves.
+        while model.len() > 1 {
+            let idx = model.len() / 3;
+            assert_eq!(a.swap_remove(0, idx), model.swap_remove(idx));
+            assert_eq!(a.get(0), model.as_slice());
+        }
+        let carved = a.buf.len();
+        a.swap_remove(0, 0);
+        assert!(a.get(0).is_empty());
+        // Slot 1 grows through the spans slot 0 gave back.
+        for i in 0..64 {
+            a.push(1, i);
+        }
+        assert_eq!(a.buf.len(), carved, "drained spans must be reused");
+        assert_eq!(a.get(1), (0..64).collect::<Vec<_>>().as_slice());
+    }
+
+    /// A hotspot drifting over the slots: each list fills to 64 while a
+    /// window moving one slot per round passes over it, and drains behind
+    /// it. The carved buffer follows the lists live at once, not every
+    /// list the window has ever touched.
+    #[test]
+    fn drifting_window_carves_for_the_live_lists_only() {
+        const ROUNDS: usize = 1_000;
+        const WIDTH: usize = 8;
+        const STEP: u32 = 16;
+        let mut a: SpanArena<u32> = SpanArena::new(ROUNDS);
+        let mut peak_live = 0;
+        for round in 0..ROUNDS + WIDTH {
+            let window = round.saturating_sub(WIDTH - 1)..(round + 1).min(ROUNDS);
+            for slot in window.clone() {
+                if round - slot < WIDTH / 2 {
+                    for i in 0..STEP {
+                        a.push(slot, i);
+                    }
+                } else {
+                    for i in 0..STEP as usize {
+                        a.swap_remove(slot, (round + i) % a.len_of(slot));
+                    }
+                }
+            }
+            let live: usize = window.map(|s| a.len_of(s)).sum();
+            peak_live = peak_live.max(live);
+        }
+        assert_eq!(peak_live, 64 * WIDTH / 2);
+        assert!((0..ROUNDS).all(|s| a.len_of(s) == 0));
+        let bound = 4 * peak_live + MIN_CAP as usize * ROUNDS;
+        assert!(
+            a.buf.len() <= bound,
+            "carved {} slots for a peak of {peak_live} live elements",
+            a.buf.len()
+        );
     }
 
     #[test]

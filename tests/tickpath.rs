@@ -9,7 +9,7 @@ use rnn_monitor::core::{ObjectEvent, QueryEvent};
 use rnn_monitor::roadnet::{
     generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, RoadNetworkBuilder,
 };
-use rnn_monitor::workload::{Scenario, ScenarioConfig};
+use rnn_monitor::workload::{HotspotConfig, Scenario, ScenarioConfig};
 
 fn grid(seed: u64) -> Arc<RoadNetwork> {
     Arc::new(generators::grid_city(&generators::GridCityConfig {
@@ -197,6 +197,53 @@ fn steady_state_ticks_are_allocation_free() {
         "tree surgery must recycle pooled slots, not grow the slab"
     );
     ima.validate_invariants();
+}
+
+/// Memory tracks the live state, not its history: under a hotspot that
+/// orbits the network, with half the queries jumping to it every tick, the
+/// per-edge lists and expansion trees the hotspot leaves behind are given
+/// back (spans drain into smaller classes, directories are recycled
+/// smallest-fit first), so what a monitor holds after ~200 ticks — five
+/// orbits — stays near what it held after a 20-tick warm-up while the
+/// population stays the same.
+#[test]
+fn drifting_hotspot_memory_tracks_the_live_state() {
+    let net = Arc::new(generators::san_francisco_like(600, 5));
+    let cfg = ScenarioConfig {
+        num_objects: 3_000,
+        num_queries: 150,
+        k: 8,
+        object_agility: 0.05,
+        query_agility: 0.5,
+        edge_agility: 0.08,
+        hotspot: Some(HotspotConfig::default()),
+        seed: 29,
+        ..Default::default()
+    };
+    type Make = fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>;
+    let makers: [Make; 2] = [|net| Box::new(Gma::new(net)), |net| Box::new(Ima::new(net))];
+    for make in makers {
+        let mut monitor = make(net.clone());
+        let mut scenario = Scenario::new(net.clone(), cfg.clone());
+        scenario.install_into(monitor.as_mut());
+        let held = |m: &dyn ContinuousMonitor| {
+            let m = m.memory();
+            m.influence_lists + m.expansion_trees + m.edge_table
+        };
+        for _ in 0..20 {
+            monitor.tick(&scenario.tick());
+        }
+        let warm = held(monitor.as_ref());
+        for _ in 0..180 {
+            monitor.tick(&scenario.tick());
+        }
+        let end = held(monitor.as_ref());
+        assert!(
+            2 * end <= 3 * warm,
+            "{}: {end} B held after 200 ticks against {warm} B after 20",
+            monitor.name()
+        );
+    }
 }
 
 /// GMA's evaluation at mid scale, alone: with the merge's buffers, the
