@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use rnn_core::{ContinuousMonitor, MemoryUsage, Neighbor, TickReport, TransportStats, UpdateBatch};
 use rnn_engine::{EngineConfig, ShardedEngine};
-use rnn_roadnet::{EdgeId, QueryId, RoadNetwork};
+use rnn_roadnet::{QueryId, RoadNetwork};
 
 use crate::client::{DurabilityConfig, RemoteShard, RespawnFn, RetryPolicy};
 use crate::replica::{MonitorFactory, ReplicaNode};
@@ -30,15 +30,10 @@ pub struct ClusterEngine {
     engine: ShardedEngine<RemoteShard>,
 }
 
-fn spawn_loopback_service(
-    shard: usize,
-    peer: LoopbackPeer,
-    monitor: Box<dyn ContinuousMonitor>,
-    attribute_cells: bool,
-) {
+fn spawn_loopback_service(shard: usize, peer: LoopbackPeer, monitor: Box<dyn ContinuousMonitor>) {
     std::thread::Builder::new()
         .name(format!("rnn-cluster-shard-{shard}"))
-        .spawn(move || ShardService::new(peer, monitor, attribute_cells).run())
+        .spawn(move || ShardService::new(peer, monitor).run())
         .expect("spawn shard service");
 }
 
@@ -55,7 +50,6 @@ fn spawn_replicas(
     epoch_dir: Option<std::path::PathBuf>,
 ) -> ReplicatedLog {
     let replicas = cfg.replication.replicas;
-    let attribute_cells = cfg.attribute_cells();
     let transports = (0..replicas)
         .map(|r| {
             let (leader, peer) = loopback_pair(FaultPlan::default());
@@ -64,7 +58,7 @@ fn spawn_replicas(
             let make: MonitorFactory = Box::new(move || cfg2.make_monitor(net2));
             std::thread::Builder::new()
                 .name(format!("rnn-replica-{shard}-{r}"))
-                .spawn(move || ReplicaNode::new(peer, make, attribute_cells).run())
+                .spawn(move || ReplicaNode::new(peer, make).run())
                 .expect("spawn replica node");
             Box::new(leader) as Box<dyn Transport>
         })
@@ -112,12 +106,11 @@ impl ClusterEngine {
         durability: DurabilityConfig,
     ) -> Self {
         assert!(!plans.is_empty(), "at least one fault plan");
-        let attribute_cells = cfg.attribute_cells();
         let links = (0..cfg.num_shards)
             .map(|s| {
                 let plan = plans[s % plans.len()];
                 let (co, peer) = loopback_pair(plan);
-                spawn_loopback_service(s, peer, cfg.make_monitor(net.clone()), attribute_cells);
+                spawn_loopback_service(s, peer, cfg.make_monitor(net.clone()));
                 let net2 = net.clone();
                 let respawn: RespawnFn = Box::new(move || {
                     let (co2, peer2) = loopback_pair(FaultPlan::default());
@@ -127,12 +120,7 @@ impl ClusterEngine {
                         // the recovery budget burns down deterministically.
                         drop(peer2);
                     } else {
-                        spawn_loopback_service(
-                            s,
-                            peer2,
-                            cfg.make_monitor(net2.clone()),
-                            attribute_cells,
-                        );
+                        spawn_loopback_service(s, peer2, cfg.make_monitor(net2.clone()));
                     }
                     Box::new(co2)
                 });
@@ -305,10 +293,6 @@ impl ContinuousMonitor for ClusterEngine {
 
     fn shard_load_ratio(&self) -> Option<f64> {
         self.engine.shard_load_ratio()
-    }
-
-    fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
-        self.engine.drain_cell_charges(into);
     }
 
     fn transport_stats(&self) -> Option<TransportStats> {

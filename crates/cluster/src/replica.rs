@@ -50,7 +50,6 @@ pub type MonitorFactory = Box<dyn FnOnce() -> Box<dyn ContinuousMonitor> + Send>
 pub struct ReplicaNode<T: Transport> {
     transport: T,
     make_monitor: MonitorFactory,
-    attribute_cells: bool,
     /// The replicated history: appended event frames (verbatim wire
     /// bytes), truncated behind each accepted snapshot offer.
     log: ShardLog,
@@ -60,13 +59,11 @@ pub struct ReplicaNode<T: Transport> {
 
 impl<T: Transport> ReplicaNode<T> {
     /// A follower on `transport`. `make_monitor` runs once, at
-    /// promotion; `attribute_cells` mirrors the serving flag the
-    /// promoted service needs.
-    pub fn new(transport: T, make_monitor: MonitorFactory, attribute_cells: bool) -> Self {
+    /// promotion.
+    pub fn new(transport: T, make_monitor: MonitorFactory) -> Self {
         Self {
             transport,
             make_monitor,
-            attribute_cells,
             log: ShardLog::volatile(),
             epoch: 0,
         }
@@ -139,8 +136,7 @@ impl<T: Transport> ReplicaNode<T> {
     /// comes up fencing the old term.
     fn promote(self, ack_seq: u32, boundary: u32) {
         let epoch = self.epoch;
-        let mut service =
-            ShardService::new(self.transport, (self.make_monitor)(), self.attribute_cells);
+        let mut service = ShardService::new(self.transport, (self.make_monitor)());
         if let Some(install) = self.log.install_frame(epoch) {
             let restored = service
                 .handle(install)

@@ -44,7 +44,6 @@ pub struct ShardService<T: Transport> {
     transport: T,
     monitor: Box<dyn ContinuousMonitor>,
     state: ShardTickState,
-    attribute_cells: bool,
     /// Highest request sequence processed, and the encoded reply frame it
     /// produced (re-sent verbatim on a duplicate).
     last: Option<(u32, Vec<u8>)>,
@@ -59,15 +58,12 @@ pub struct ShardService<T: Transport> {
 }
 
 impl<T: Transport> ShardService<T> {
-    /// Wraps `monitor` behind `transport`. `attribute_cells` mirrors the
-    /// in-process worker's flag: when set, per-cell expansion charges are
-    /// drained into every reply for the engine's rebalance planner.
-    pub fn new(transport: T, monitor: Box<dyn ContinuousMonitor>, attribute_cells: bool) -> Self {
+    /// Wraps `monitor` behind `transport`.
+    pub fn new(transport: T, monitor: Box<dyn ContinuousMonitor>) -> Self {
         Self {
             transport,
             monitor,
             state: ShardTickState::new(),
-            attribute_cells,
             last: None,
             epoch: 0,
             shutdown: false,
@@ -145,9 +141,7 @@ impl<T: Transport> ShardService<T> {
                 // but either way the shard must not die on a frame: drop
                 // it and let the coordinator's timeout retransmit.
                 let delta = DeltaBatch::decode(&mut r).ok()?;
-                let outcome = self
-                    .state
-                    .run_tick(&mut *self.monitor, delta, self.attribute_cells);
+                let outcome = self.state.run_tick(&mut *self.monitor, delta);
                 outcome.encode(&mut payload);
                 MsgTag::TickReply
             }
@@ -198,13 +192,9 @@ impl<T: Transport> ShardService<T> {
 /// Binds `path`, accepts exactly one coordinator connection, and serves
 /// `monitor` on it until shutdown. This is the entry point a shard
 /// *process* calls (see `examples/cluster_city.rs`).
-pub fn serve_unix(
-    path: &Path,
-    monitor: Box<dyn ContinuousMonitor>,
-    attribute_cells: bool,
-) -> std::io::Result<()> {
+pub fn serve_unix(path: &Path, monitor: Box<dyn ContinuousMonitor>) -> std::io::Result<()> {
     let (stream, _) = std::os::unix::net::UnixListener::bind(path)?.accept()?;
-    ShardService::new(StreamTransport::new(stream), monitor, attribute_cells).run();
+    ShardService::new(StreamTransport::new(stream), monitor).run();
     Ok(())
 }
 
@@ -213,10 +203,9 @@ pub fn serve_unix(
 pub fn serve_tcp(
     addr: std::net::SocketAddr,
     monitor: Box<dyn ContinuousMonitor>,
-    attribute_cells: bool,
 ) -> std::io::Result<()> {
     let (stream, _) = std::net::TcpListener::bind(addr)?.accept()?;
-    ShardService::new(StreamTransport::new(stream), monitor, attribute_cells).run();
+    ShardService::new(StreamTransport::new(stream), monitor).run();
     Ok(())
 }
 
@@ -337,7 +326,7 @@ mod tests {
             ),
         ];
         let (_idle, peer) = loopback_pair(FaultPlan::default());
-        let mut live = ShardService::new(peer, Box::new(Gma::new(net.clone())), false);
+        let mut live = ShardService::new(peer, Box::new(Gma::new(net.clone())));
         for frame in history {
             live.handle(frame).expect("event frames are answered");
         }
@@ -362,7 +351,7 @@ mod tests {
 
         // Promotion's way: a service built locally, frames handed to it.
         let (_idle, peer) = loopback_pair(FaultPlan::default());
-        let mut local = ShardService::new(peer, Box::new(Gma::new(net.clone())), false);
+        let mut local = ShardService::new(peer, Box::new(Gma::new(net.clone())));
         let fed: Vec<Vec<u8>> = feed
             .iter()
             .map(|frame| {
@@ -375,7 +364,7 @@ mod tests {
         // Respawn-rebuild's way: a service behind a transport.
         let (mut co, peer) = loopback_pair(FaultPlan::default());
         let served = std::thread::spawn(move || {
-            ShardService::new(peer, Box::new(Gma::new(net)), false).run();
+            ShardService::new(peer, Box::new(Gma::new(net))).run();
         });
         let wired: Vec<Vec<u8>> = feed
             .iter()
@@ -447,7 +436,7 @@ mod tests {
 
             for hostile in [twice_the_query, twice_the_object] {
                 let (_idle, peer) = loopback_pair(FaultPlan::default());
-                let mut service = ShardService::new(peer, make(net.clone()), false);
+                let mut service = ShardService::new(peer, make(net.clone()));
                 let reply = service
                     .handle(Frame {
                         tag: MsgTag::SnapshotInstall,

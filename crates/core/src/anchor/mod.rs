@@ -96,11 +96,6 @@ pub struct AnchorSet<K: Copy + Eq> {
     /// Scratch for the tick's shared multi-k expansion outcomes (cleared
     /// every tick; a field so its capacity is reused).
     shared_outcomes: Vec<SearchOutcome>,
-    /// Expansion work charged to the partition cell (edge) of each
-    /// expansion root since the last take — the load signal the sharded
-    /// engine's rebalance planner ranks candidate cells by. Reused
-    /// capacity; cleared by the owning monitor at the start of each tick.
-    cell_charges: Vec<(EdgeId, u64)>,
     /// The anchors whose reported result changed in the last tick.
     changed: Vec<K>,
     /// The tick's other lists, emptied and refilled every tick; their
@@ -122,8 +117,6 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
             expander: Expander::new(net),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; it holds one outcome per co-rooted group of a tick
             shared_outcomes: Vec::new(),
-            // lint: allow(hot-path-alloc): an empty Vec allocates nothing; one entry per expansion of a tick
-            cell_charges: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             changed: Vec::new(),
             scratch: TickScratch::new(),
@@ -137,22 +130,6 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
     pub fn harvest_scratch_counters(&mut self, c: &mut OpCounters) {
         self.expander.harvest(c);
         c.alloc_events += self.il.take_alloc_events();
-    }
-
-    /// Drops the accumulated per-cell expansion charges (called by the
-    /// owning monitor at the start of each tick so the buffer holds
-    /// exactly one tick of attribution).
-    pub fn clear_cell_charges(&mut self) {
-        self.cell_charges.clear();
-    }
-
-    /// Drains the per-cell expansion charges recorded since the last
-    /// drain — `(cell edge of the expansion root, Dijkstra steps)` per
-    /// search — into `into`. The internal buffer keeps its capacity, so
-    /// per-tick recording never re-allocates; the sharded engine folds
-    /// the drained charges into its per-cell load estimates.
-    pub fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
-        into.append(&mut self.cell_charges);
     }
 
     /// The underlying network.

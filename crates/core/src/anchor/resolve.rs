@@ -9,9 +9,8 @@
 //! re-rooting with a uniform shift), survivor candidates never
 //! under-estimate a distance, and whatever the kept region cannot vouch
 //! for is re-found by the expansion itself. Every expansion that writes a
-//! record goes through `store_outcome`, which charges its Dijkstra steps to
-//! the root's partition cell — so the charges of a tick sum to its
-//! `expansion_steps`.
+//! record goes through `store_outcome`, which returns the replaced tree to
+//! the pool.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -290,32 +289,12 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
     }
 
     /// Writes the outcome of an expansion from `rec`'s root into the
-    /// record, charging the expansion's steps to the root's cell and
-    /// returning the record's previous tree to the pool.
+    /// record, returning the record's previous tree to the pool.
     pub(super) fn store_outcome(&mut self, rec: &mut AnchorRec, out: SearchOutcome) {
-        self.charge_cell(rec.root, out.steps);
         rec.result = out.result;
         rec.knn_dist = out.knn_dist;
         let old = std::mem::replace(&mut rec.tree, out.tree);
         self.expander.pool.release(old);
-    }
-
-    /// Records `steps` of expansion work against the partition cell (edge)
-    /// of the expansion root: the root's own edge for point roots, the
-    /// first adjacent edge for node roots (GMA's active intersections).
-    /// Deterministic and allocation-free in steady state (the buffer keeps
-    /// its capacity).
-    pub(super) fn charge_cell(&mut self, root: RootPos, steps: u64) {
-        if steps == 0 {
-            return;
-        }
-        let cell = match root {
-            RootPos::Point(p) => Some(p.edge),
-            RootPos::Node(n) => self.expander.net.adjacent(n).first().map(|&(e, _)| e),
-        };
-        if let Some(e) = cell {
-            self.cell_charges.push((e, steps));
-        }
     }
 }
 

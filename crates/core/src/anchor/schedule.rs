@@ -415,7 +415,6 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
             let out = self
                 .expander
                 .expand(state, root, k_max, None, &[], &mut counters);
-            let steps = out.steps;
             let group = Some(self.shared_outcomes.len());
             push_charged(&mut self.shared_outcomes, out, &mut counters.alloc_events);
             for (_, member) in members {
@@ -425,7 +424,6 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                     .work
                     .group = group;
             }
-            self.charge_cell(root, steps);
         }
 
         for i in 0..self.scratch.queued.len() {

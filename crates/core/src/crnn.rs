@@ -125,7 +125,6 @@ impl Crnn {
     pub fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();
-        self.anchors.clear_cell_charges();
 
         // Translate: queries of the public batch become the *searched set*
         // (internal "objects"); objects of the public batch become anchor
@@ -361,47 +360,6 @@ mod tests {
         assert_eq!(c.num_objects(), 0);
         assert!(c.reverse_nns(QueryId(100)).unwrap().is_empty());
         assert_eq!(c.nearest_query_of(ObjectId(1)), None);
-    }
-
-    #[test]
-    fn cell_charges_hold_one_tick_not_a_lifetime() {
-        let mut c = setup();
-        for i in 0..12u32 {
-            c.apply(UpdateEvent::insert_object(
-                ObjectId(i),
-                NetPoint::new(EdgeId(i % 5), 0.3),
-            ));
-        }
-        let mut last = OpCounters::default();
-        for t in 0..20u32 {
-            // Every client and one cab move every tick.
-            let at =
-                |i: u32| NetPoint::new(EdgeId((i + t) % 5), f64::from((7 * i + t) % 10) / 10.0);
-            last = c
-                .tick(&UpdateBatch {
-                    objects: (0..12)
-                        .map(|i| ObjectEvent::Move {
-                            id: ObjectId(i),
-                            to: at(i),
-                        })
-                        .collect(),
-                    queries: vec![QueryEvent::Move {
-                        id: QueryId(100 + 100 * (t % 2)),
-                        to: at(t),
-                    }],
-                    ..Default::default()
-                })
-                .counters;
-        }
-        let mut charges = Vec::new();
-        c.anchors.drain_cell_charges(&mut charges);
-        assert!(last.reevaluations > 0, "the population moves");
-        assert!(
-            charges.len() as u64 <= last.reevaluations,
-            "{} charges after a tick of {} expansions",
-            charges.len(),
-            last.reevaluations
-        );
     }
 
     #[test]

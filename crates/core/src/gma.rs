@@ -749,7 +749,6 @@ impl ContinuousMonitor for Gma {
         let start = Instant::now();
         let mut counters = OpCounters::default();
         self.tick_served.clear();
-        self.nodes.clear_cell_charges();
         let deltas = self.state.apply_batch(batch);
 
         // ---- Figure 12, lines 1-4: query arrivals/departures/moves update
@@ -921,10 +920,6 @@ impl ContinuousMonitor for Gma {
 
     fn active_groups(&self) -> Option<usize> {
         Some(self.active_node_count())
-    }
-
-    fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
-        self.nodes.drain_cell_charges(into);
     }
 
     fn memory(&self) -> MemoryUsage {

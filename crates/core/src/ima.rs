@@ -119,7 +119,6 @@ impl ContinuousMonitor for Ima {
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();
-        self.anchors.clear_cell_charges();
         let deltas = self.state.apply_batch(batch);
 
         // Terminated queries leave before any other processing (§4.5: "we
@@ -238,10 +237,6 @@ impl ContinuousMonitor for Ima {
             influence_lists,
             auxiliary: self.anchors.scratch_bytes(),
         }
-    }
-
-    fn drain_cell_charges(&mut self, into: &mut Vec<(rnn_roadnet::EdgeId, u64)>) {
-        self.anchors.drain_cell_charges(into);
     }
 
     fn snapshot_state(&self) -> Option<MonitorState> {
@@ -390,39 +385,6 @@ mod tests {
             ..Default::default()
         });
         assert!(ima.covering_queries(EdgeId(4), 0.5).is_empty());
-    }
-
-    #[test]
-    fn cell_charges_name_the_root_cell() {
-        let mut ima = setup();
-        ima.apply(UpdateEvent::install_query(
-            QueryId(1),
-            2,
-            NetPoint::new(EdgeId(2), 0.5),
-        ));
-        let mut charges = Vec::new();
-        ima.drain_cell_charges(&mut charges);
-        assert!(
-            charges.iter().any(|&(e, s)| e == EdgeId(2) && s > 0),
-            "install expansion must be charged to the query's cell, got {charges:?}"
-        );
-        // A tick that recomputes the query charges its (new) root cell.
-        ima.tick(&UpdateBatch {
-            queries: vec![QueryEvent::Move {
-                id: QueryId(1),
-                to: NetPoint::new(EdgeId(4), 0.25),
-            }],
-            ..Default::default()
-        });
-        charges.clear();
-        ima.drain_cell_charges(&mut charges);
-        assert!(
-            charges.iter().any(|&(e, s)| e == EdgeId(4) && s > 0),
-            "tick expansion must be charged to the moved root's cell, got {charges:?}"
-        );
-        charges.clear();
-        ima.drain_cell_charges(&mut charges);
-        assert!(charges.is_empty(), "drain must empty the buffer");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The common interface of all continuous-monitoring algorithms.
 
-use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
+use rnn_roadnet::{NetPoint, ObjectId, QueryId};
 
 use crate::counters::{MemoryUsage, TickReport};
 use crate::types::{Neighbor, UpdateBatch, UpdateEvent};
@@ -81,18 +81,6 @@ pub trait ContinuousMonitor: Send {
     /// figure.
     fn shard_load_ratio(&self) -> Option<f64> {
         None
-    }
-
-    /// Drains the expansion work the monitor attributed to individual
-    /// partition cells since the last drain into `into`: `(cell edge of
-    /// the expansion root, Dijkstra steps)` per network expansion. The
-    /// sharded engine's rebalance planner folds these into per-cell load
-    /// estimates so candidate border cells are ranked by *true* cost
-    /// rather than resident-entity counts. The monitor's internal buffer
-    /// keeps its capacity across drains. Monitors without attribution
-    /// append nothing (the planner then falls back to entity counts).
-    fn drain_cell_charges(&mut self, into: &mut Vec<(EdgeId, u64)>) {
-        let _ = into;
     }
 
     /// For distributed monitors, the cumulative transport-level counters

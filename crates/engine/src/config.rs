@@ -119,6 +119,16 @@ impl EngineConfig {
     /// rebalancing enabled at moderate hysteresis (trigger 1.25×,
     /// cooldown 4 ticks), defaults otherwise. This is the configuration
     /// the benchmark harness runs as `ENG-n-RB`.
+    ///
+    /// What it buys is small and mixed, so it stays opt-in. On the
+    /// benchmark's `churn-engine` workload (S = 2, drifting hotspot, one
+    /// pinned CPU of a 2-vCPU Xeon VM, 5 alternating 24 s runs against
+    /// the same build with rebalancing off) it lowered `tick_p99_ms`
+    /// 79.7 → 75.0 ms and the traced worker skew 1.400 → 1.378, but
+    /// raised `tick_p50_ms` 60.7 → 63.7 ms. In the `rebalance` figure it
+    /// lowers the max/mean shard load at scale 0.01 (2.34 → 2.17 drift,
+    /// 2.38 → 2.22 hi-churn), but at scale 0.25 only the drift point
+    /// improves (1.944 → 1.920) and hi-churn gets worse (2.001 → 2.031).
     pub fn with_rebalancing(num_shards: usize) -> Self {
         Self {
             num_shards,
@@ -126,14 +136,6 @@ impl EngineConfig {
             rebalance_cooldown: 4,
             ..Self::default()
         }
-    }
-
-    /// Whether shard monitors must attribute per-tick load to partition
-    /// cells. The charge hand-off only feeds the rebalance planner, so it
-    /// is skipped entirely when rebalancing is disabled or there is
-    /// nothing to migrate between.
-    pub fn attribute_cells(&self) -> bool {
-        self.rebalance_trigger >= 1.0 && self.num_shards >= 2
     }
 
     /// Instantiates one shard monitor per this config.

@@ -239,16 +239,6 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// Smoothed per-shard load estimate (exponential average of
     /// `tick_load` across ticks) — the imbalance detector's input.
     pub(crate) load: Vec<f64>,
-    /// Per-cell expansion work observed since the last fold: workers
-    /// attribute each expansion's Dijkstra steps to the cell (edge) of the
-    /// expansion root, and the charges accumulate here across dispatch
-    /// rounds.
-    pub(crate) tick_cell_load: FxHashMap<EdgeId, u64>,
-    /// Smoothed per-cell load estimate (exponential average of
-    /// `tick_cell_load` across ticks). The migration planner ranks
-    /// candidate border cells by this *true* cost, falling back to
-    /// resident-entity counts for cells that never hosted an expansion.
-    pub(crate) cell_load: FxHashMap<EdgeId, f64>,
     /// Ticks since the last rebalance (hysteresis/cooldown counter).
     pub(crate) ticks_since_rebalance: u32,
     /// Shards declared permanently down (`Response::Down`: the link's
@@ -294,12 +284,8 @@ impl ShardedEngine<ShardWorker> {
     /// panicking).
     pub fn try_new(net: Arc<RoadNetwork>, cfg: EngineConfig) -> Result<Self, EngineError> {
         cfg.validate()?;
-        // Per-cell load attribution only feeds the rebalance planner, so
-        // workers skip the per-tick charge hand-off entirely when
-        // rebalancing is disabled (the default).
-        let attribute_cells = cfg.attribute_cells();
         let workers = (0..cfg.num_shards)
-            .map(|s| ShardWorker::spawn(s, cfg.make_monitor(net.clone()), attribute_cells))
+            .map(|s| ShardWorker::spawn(s, cfg.make_monitor(net.clone())))
             .collect();
         Ok(Self::from_parts(net, cfg, workers))
     }
@@ -367,8 +353,6 @@ impl<L: ShardLink> ShardedEngine<L> {
             resync_seen: FxHashSet::default(),
             tick_load: vec![0; cfg.num_shards],
             load: vec![0.0; cfg.num_shards],
-            tick_cell_load: FxHashMap::default(),
-            cell_load: FxHashMap::default(),
             ticks_since_rebalance: 0,
             dead: vec![false; cfg.num_shards],
             takeovers: 0,
@@ -597,9 +581,6 @@ impl<L: ShardLink> ShardedEngine<L> {
             match self.workers[s].recv() {
                 Response::Tick(outcome) => {
                     self.tick_load[s] += outcome.report.counters.expansion_steps;
-                    for (e, steps) in outcome.cell_charges {
-                        *self.tick_cell_load.entry(e).or_insert(0) += steps;
-                    }
                     round.absorb_parallel(&outcome.report);
                     self.active[s] = outcome.active_groups;
                     for snap in outcome.snapshots {
@@ -735,18 +716,6 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
             let observed = std::mem::take(&mut self.tick_load[s]) as f64;
             self.load[s] = self.load[s] * (1.0 - LOAD_SMOOTHING) + observed * LOAD_SMOOTHING;
         }
-        // Same fold per cell: decay every known cell, add this tick's
-        // observed charges, and drop cells whose estimate has decayed to
-        // noise so the map tracks the live hot set, not history.
-        if !self.cell_load.is_empty() || !self.tick_cell_load.is_empty() {
-            for v in self.cell_load.values_mut() {
-                *v *= 1.0 - LOAD_SMOOTHING;
-            }
-            for (e, steps) in self.tick_cell_load.drain() {
-                *self.cell_load.entry(e).or_insert(0.0) += steps as f64 * LOAD_SMOOTHING;
-            }
-            self.cell_load.retain(|_, v| *v >= 0.5);
-        }
 
         let mut counters = self.workers_report.counters;
         counters.merge(&self.router_tick);
@@ -822,8 +791,6 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
                 .map(|b| b.capacity() * std::mem::size_of::<QueryId>())
                 .sum::<usize>()
             + self.edge_obj.memory_bytes()
-            + self.cell_load.capacity()
-                * (std::mem::size_of::<EdgeId>() + std::mem::size_of::<f64>())
             + self.weights.memory_bytes();
         total
     }
@@ -929,7 +896,7 @@ pub(crate) mod tests {
             .collect();
         let links = (0..cfg.num_shards)
             .map(|s| MortalLink {
-                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone()), cfg.attribute_cells()),
+                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone())),
                 kill: kills[s].clone(),
                 die_on: die_on.iter().find(|d| d.0 == s).map(|d| d.1),
                 owed: Cell::new(0),

@@ -23,8 +23,8 @@
 use std::sync::Arc;
 
 use rnn_core::{EdgeWeightUpdate, MemoryUsage, Neighbor, ObjectEvent, QueryEvent, TickReport};
-use rnn_roadnet::wire::{decode_seq, encode_seq, put_f64, put_u32, put_u64, put_u8};
-use rnn_roadnet::{EdgeId, QueryId, WireCodec, WireError, WireReader};
+use rnn_roadnet::wire::{decode_seq, encode_seq, put_f64, put_u64, put_u8};
+use rnn_roadnet::{QueryId, WireCodec, WireError, WireReader};
 
 /// Why a [`DeltaBatch`] was dispatched. The in-process worker ignores the
 /// kind (the shard-side processing is identical); the cluster transport
@@ -94,7 +94,10 @@ pub struct QuerySnapshot {
     pub result: Vec<Neighbor>,
 }
 
-/// Everything the engine needs back from one shard tick.
+/// Everything the engine needs back from one shard tick: the monitor's
+/// report, the answers the batch changed, and the grouping-unit count.
+/// Nothing in it says *where* in the shard the work ran — the rebalance
+/// planner weighs cells by the entities the coordinator routed to them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TickOutcome {
     /// The monitor's own report (op counters, worker wall-clock).
@@ -105,11 +108,6 @@ pub struct TickOutcome {
     pub snapshots: Vec<QuerySnapshot>,
     /// The monitor's grouping-unit count (GMA active nodes), if any.
     pub active_groups: Option<usize>,
-    /// Expansion work attributed to partition cells: `(cell edge of the
-    /// expansion root, Dijkstra steps)` per expansion the monitor ran this
-    /// batch. Feeds the engine's per-cell load estimates (the rebalance
-    /// planner's true-cost ranking).
-    pub cell_charges: Vec<(EdgeId, u64)>,
 }
 
 /// A channel to one shard, whatever its locality. The engine only ever
@@ -167,11 +165,6 @@ impl WireCodec for TickOutcome {
                 put_u64(out, n as u64);
             }
         }
-        put_u32(out, self.cell_charges.len() as u32);
-        for (edge, steps) in &self.cell_charges {
-            edge.encode(out);
-            put_u64(out, *steps);
-        }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let report = TickReport::decode(r)?;
@@ -181,21 +174,10 @@ impl WireCodec for TickOutcome {
             1 => Some(r.u64()? as usize),
             _ => return Err(WireError::Invalid("TickOutcome active_groups flag")),
         };
-        let n = r.u32()? as usize;
-        if n > r.remaining() {
-            return Err(WireError::Invalid("cell-charge count exceeds frame size"));
-        }
-        let mut cell_charges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let edge = EdgeId::decode(r)?;
-            let steps = r.u64()?;
-            cell_charges.push((edge, steps));
-        }
         Ok(TickOutcome {
             report,
             snapshots,
             active_groups,
-            cell_charges,
         })
     }
 }
@@ -203,7 +185,7 @@ impl WireCodec for TickOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rnn_roadnet::{NetPoint, ObjectId};
+    use rnn_roadnet::{EdgeId, NetPoint, ObjectId};
 
     #[test]
     fn delta_batch_round_trips_bit_identically() {
@@ -241,7 +223,6 @@ mod tests {
                 result: vec![],
             }],
             active_groups: Some(17),
-            cell_charges: vec![(EdgeId(4), 99)],
         };
         let mut buf = Vec::new();
         outcome.encode(&mut buf);
@@ -282,7 +263,6 @@ mod tests {
                 },
             ],
             active_groups: Some(2),
-            cell_charges: vec![(EdgeId(5), 258)],
         };
         let mut buf = Vec::new();
         outcome.encode(&mut buf);
@@ -301,8 +281,6 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0xf0, 0x7f,                   // kNN_dist ∞
             0, 0, 0, 0,                                     // no neighbours
             1, 2, 0, 0, 0, 0, 0, 0, 0,                      // Some(2) active groups
-            1, 0, 0, 0,                                     // one cell charge
-            5, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0,             // edge 5, 258 steps
         ];
         assert_eq!(&buf[report.len()..], golden);
     }

@@ -3,8 +3,11 @@
 //!
 //! Owns every mutation of the partition after construction —
 //! `ShardedEngine::hand_off` is the only caller of
-//! `NetworkPartition::reassign` — plus the smoothed load estimates the
-//! detector and planner read. Callers: `tick` runs
+//! `NetworkPartition::reassign`. The detector reads the smoothed per-shard
+//! load the exchange folds (routed events plus worker `expansion_steps`);
+//! the planner weighs cells by what the coordinator already holds — the
+//! objects and queries routed to each edge — so shards report no per-cell
+//! work. Callers: `tick` runs
 //! `ShardedEngine::maybe_rebalance` before a timestamp's updates land,
 //! and `dispatch_pending` runs `ShardedEngine::adopt_dead_shard` when a
 //! link answers `Response::Down`. Nothing else enters this module.
@@ -72,14 +75,6 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.takeovers
     }
 
-    /// The smoothed expansion cost attributed to one partition cell (the
-    /// edge of the expansion roots charged to it), or 0 when no expansion
-    /// has been observed there. The migration planner ranks candidate
-    /// border cells by this value plus their resident entities.
-    pub fn cell_load(&self, e: EdgeId) -> f64 {
-        self.cell_load.get(&e).copied().unwrap_or(0.0)
-    }
-
     /// The imbalance detector, run once at the start of every tick. When
     /// rebalancing is enabled (`rebalance_trigger ≥ 1`), the cooldown has
     /// elapsed, and the smoothed per-shard load satisfies
@@ -138,12 +133,12 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// The migration planner: picks the least-loaded shard that shares a
-    /// border with `hot` and the boundary cells to hand over. Cells are
-    /// weighted by their **observed expansion cost** (the smoothed per-cell
-    /// charge workers attribute to each expansion root's cell) plus their
-    /// resident entities (1 + objects + queries; the fallback signal for
-    /// cells that never hosted an expansion), and taken heaviest-first
-    /// until roughly half the load gap has moved, capped at
+    /// border with `hot` and the boundary cells to hand over. A cell weighs
+    /// `1 + objects on it + Σ k over the queries resident on it`, all read
+    /// from the coordinator's own registries at plan time: a query's
+    /// expansion settles at least its k neighbours, and the objects are
+    /// what every expansion crossing the cell scans. Cells are taken
+    /// heaviest-first until roughly half the load gap has moved, capped at
     /// [`MAX_MIGRATION_FRACTION`] of the hot shard's cells so a single
     /// rebalance stays incremental. Fully deterministic: driven by the
     /// deterministic load estimates and sorted by `(weight desc, id)`.
@@ -159,9 +154,10 @@ impl<L: ShardLink> ShardedEngine<L> {
                 continue; // not adjacent; try the next-coldest shard
             }
             let cell_weight = |e: EdgeId| -> u64 {
-                1 + self.cell_load.get(&e).map_or(0, |&v| v.round() as u64)
-                    + self.edge_obj.objects_on(e).len() as u64
-                    + self.edge_queries.get(&e).map_or(0, |v| v.len() as u64)
+                let k_sum = self.edge_queries.get(&e).map_or(0, |ids| {
+                    ids.iter().map(|id| self.queries[id].k as u64).sum::<u64>()
+                });
+                1 + self.edge_obj.objects_on(e).len() as u64 + k_sum
             };
             let hot_weight: u64 = self
                 .partition
@@ -492,70 +488,32 @@ mod tests {
     }
 
     #[test]
-    fn cell_charges_flow_from_workers_into_cell_load() {
-        // Attribution is active whenever rebalancing is enabled; the huge
-        // trigger keeps the planner itself from ever firing.
-        let mut eng = ShardedEngine::new(
-            net(),
-            EngineConfig {
-                num_shards: 2,
-                algo: ShardAlgo::Ima,
-                rebalance_trigger: 1e9,
-                ..EngineConfig::default()
-            },
-        );
-        let n = eng.net.num_edges() as u32;
-        for i in 0..30u32 {
-            eng.apply(UpdateEvent::insert_object(
-                ObjectId(i),
-                NetPoint::new(EdgeId((i * 5) % n), 0.4),
-            ));
-        }
-        eng.apply(UpdateEvent::install_query(
-            QueryId(0),
-            4,
-            NetPoint::new(EdgeId(3), 0.5),
-        ));
-        // Churn the query so its shard re-expands every tick; the worker
-        // attributes those expansions to the query's cell and the engine
-        // folds them into the smoothed per-cell estimate.
-        for t in 0..4u32 {
-            let mut batch = UpdateBatch::default();
-            batch.queries.push(QueryEvent::Move {
-                id: QueryId(0),
-                to: NetPoint::new(EdgeId(3), if t % 2 == 0 { 0.2 } else { 0.8 }),
-            });
-            eng.tick(&batch);
-        }
-        assert!(
-            eng.cell_load(EdgeId(3)) > 0.0,
-            "expansions rooted on edge 3 must charge that cell"
-        );
-    }
-
-    #[test]
-    fn planner_ranks_cells_by_true_expansion_cost() {
-        // Synthetic two-cell hotspot on the hot shard's border: cell B is
-        // entity-heavy (many resident objects, the old ranking signal) but
-        // hosts no expansions; cell A is entity-light but carries all the
-        // observed expansion cost. The planner must hand A over first.
+    fn planner_ranks_cells_by_resident_objects_and_query_k() {
+        // Two cells on the hot shard's border: A hosts one k = 40 query,
+        // B hosts 30 objects. A query's expansion settles at least its k
+        // neighbours, so A outweighs B (41 against 31) although B holds
+        // more entities.
         let mut eng = engine(2);
         let cells = eng.partition.boundary_cells_between(&eng.net, 0, 1);
         assert!(cells.len() >= 2, "2-way split has a multi-cell border");
         let (a, b) = (cells[0], cells[1]);
-        for i in 0..40u32 {
+        for i in 0..30u32 {
             eng.apply(UpdateEvent::insert_object(
                 ObjectId(i),
                 NetPoint::new(b, 0.3 + f64::from(i % 4) * 0.1),
             ));
         }
+        eng.apply(UpdateEvent::install_query(
+            QueryId(0),
+            40,
+            NetPoint::new(a, 0.5),
+        ));
         eng.load = vec![10_000.0, 1.0];
-        eng.cell_load.insert(a, 5_000.0);
         let (cold, chosen) = eng.plan_migration(0).expect("imbalance has a plan");
         assert_eq!(cold, 1);
         assert_eq!(
             chosen[0], a,
-            "the expansion-hot cell must outrank the entity-heavy one"
+            "the k = 40 cell must outrank the 30-object one"
         );
     }
 
@@ -660,7 +618,7 @@ mod tests {
         let net = net();
         let links = (0..cfg.num_shards)
             .map(|s| LedgerLink {
-                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone()), cfg.attribute_cells()),
+                inner: ShardWorker::spawn(s, cfg.make_monitor(net.clone())),
                 held: RefCell::default(),
             })
             .collect();

@@ -41,15 +41,11 @@ impl ShardTickState {
 
     /// Applies one delta batch to `monitor` and assembles the outcome,
     /// shipping the queries the monitor lists as changed and the ones the
-    /// batch installed. With `attribute_cells` the monitor's per-cell
-    /// expansion charges are drained into the outcome; pass `false` when
-    /// nothing consumes them (the rebalancer disabled) so the hand-off
-    /// stays free.
+    /// batch installed, with the monitor's report and grouping-unit count.
     pub fn run_tick(
         &mut self,
         monitor: &mut dyn ContinuousMonitor,
         delta: DeltaBatch,
-        attribute_cells: bool,
     ) -> TickOutcome {
         self.batch.edges.clear();
         self.batch.edges.extend_from_slice(&delta.shared_edges);
@@ -82,19 +78,10 @@ impl ShardTickState {
                 result: result.to_vec(),
             });
         }
-        // Drained only when the rebalance planner consumes the charges;
-        // otherwise the monitors' per-tick buffers are simply cleared on
-        // their next tick.
-        // lint: allow(hot-path-alloc): an empty Vec allocates nothing; filled only for the rebalance planner
-        let mut cell_charges = Vec::new();
-        if attribute_cells {
-            monitor.drain_cell_charges(&mut cell_charges);
-        }
         TickOutcome {
             report,
             snapshots,
             active_groups: monitor.active_groups(),
-            cell_charges,
         }
     }
 }
@@ -183,13 +170,13 @@ mod tests {
                 at: NetPoint::new(EdgeId(e), 0.5),
             })
             .collect();
-        shard.run_tick(&mut monitor, delta(inserts, vec![]), false);
+        shard.run_tick(&mut monitor, delta(inserts, vec![]));
         assert_eq!(monitor.results_read.get(), 0, "no query, no answer read");
 
         // 200 single-install exchanges read O(200) answers in total: an
         // install exchange is O(1) in the number of registered queries.
         for q in 0..200u32 {
-            let out = shard.run_tick(&mut monitor, delta(vec![], vec![install(q, q % n)]), false);
+            let out = shard.run_tick(&mut monitor, delta(vec![], vec![install(q, q % n)]));
             assert_eq!(out.snapshots.len(), 1, "install {q}");
             assert_eq!(out.snapshots[0].id, QueryId(q));
             assert_eq!(out.snapshots[0].result.len(), 3);
@@ -197,14 +184,14 @@ mod tests {
         assert_eq!(monitor.results_read.get(), 200);
 
         // An idle exchange reads nothing.
-        let out = shard.run_tick(&mut monitor, delta(vec![], vec![]), false);
+        let out = shard.run_tick(&mut monitor, delta(vec![], vec![]));
         assert!(out.snapshots.is_empty());
         assert_eq!(monitor.results_read.get(), 200);
 
         // One object leaves: exactly the monitor's change list is read and
         // shipped, ascending.
         let gone = ObjectEvent::Delete { id: ObjectId(7) };
-        let out = shard.run_tick(&mut monitor, delta(vec![gone], vec![]), false);
+        let out = shard.run_tick(&mut monitor, delta(vec![gone], vec![]));
         let changed = monitor.changed_queries().to_vec();
         assert!(!changed.is_empty(), "queries sit next to object 7");
         assert!(changed.len() < 200);
@@ -226,7 +213,6 @@ mod tests {
                     QueryEvent::Remove { id: QueryId(900) },
                 ],
             ),
-            false,
         );
         assert!(monitor.changed_queries().is_empty());
         assert_eq!(out.snapshots.len(), 1);

@@ -26,16 +26,13 @@ pub struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Moves `monitor` onto a fresh worker thread. With `attribute_cells`
-    /// the worker drains the monitor's per-cell expansion charges into
-    /// every tick outcome; pass `false` when nothing consumes them (the
-    /// rebalancer disabled) so the hand-off stays free.
-    pub fn spawn(shard: usize, monitor: Box<dyn ContinuousMonitor>, attribute_cells: bool) -> Self {
+    /// Moves `monitor` onto a fresh worker thread.
+    pub fn spawn(shard: usize, monitor: Box<dyn ContinuousMonitor>) -> Self {
         let (tx, req_rx) = channel();
         let (resp_tx, rx) = channel();
         let handle = std::thread::Builder::new()
             .name(format!("rnn-shard-{shard}"))
-            .spawn(move || worker_loop(monitor, req_rx, resp_tx, attribute_cells))
+            .spawn(move || worker_loop(monitor, req_rx, resp_tx))
             .expect("failed to spawn shard worker thread");
         Self {
             tx,
@@ -72,13 +69,12 @@ fn worker_loop(
     mut monitor: Box<dyn ContinuousMonitor>,
     rx: Receiver<Request>,
     tx: Sender<Response>,
-    attribute_cells: bool,
 ) {
     let mut state = ShardTickState::new();
     while let Ok(req) = rx.recv() {
         match req {
             Request::Tick(delta) => {
-                let outcome = state.run_tick(&mut *monitor, delta, attribute_cells);
+                let outcome = state.run_tick(&mut *monitor, delta);
                 if tx.send(Response::Tick(outcome)).is_err() {
                     break; // engine dropped mid-flight
                 }

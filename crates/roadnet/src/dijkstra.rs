@@ -177,15 +177,6 @@ impl DijkstraEngine {
         std::mem::take(&mut self.steps)
     }
 
-    /// The running expansion-step counter *without* draining it. Callers
-    /// that attribute work to individual searches snapshot this before and
-    /// after; the periodic [`Self::take_expansion_steps`] harvest is
-    /// unaffected.
-    #[inline]
-    pub fn expansion_steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Pushes a heap entry, counting capacity growth as an alloc event.
     /// Growth reserves 4× so the high-water mark is passed (and paid for)
     /// once, not re-approached every few ticks.

@@ -61,8 +61,7 @@ fn engine_config() -> EngineConfig {
 fn shard_server(path: &str) {
     let cfg = engine_config();
     let monitor = cfg.make_monitor(city());
-    serve_unix(std::path::Path::new(path), monitor, cfg.attribute_cells())
-        .expect("shard server failed");
+    serve_unix(std::path::Path::new(path), monitor).expect("shard server failed");
 }
 
 fn main() {

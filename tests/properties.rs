@@ -1713,26 +1713,19 @@ fn tick_outcome_strategy() -> impl Strategy<Value = TickOutcome> {
         ),
         prop::collection::vec(snapshot_strategy(), 0..5),
         prop_oneof![(0u8..1).prop_map(|_| None), (0usize..10_000).prop_map(Some)],
-        prop::collection::vec((any::<u16>(), any::<u64>()), 0..5),
     )
-        .prop_map(
-            |((seed, secs, nanos, changed), snapshots, active_groups, charges)| {
-                let report = TickReport {
-                    counters: counters_from_seed(seed),
-                    elapsed: std::time::Duration::new(secs as u64 % 1_000_000, nanos),
-                    results_changed: changed as usize,
-                };
-                TickOutcome {
-                    report,
-                    snapshots,
-                    active_groups,
-                    cell_charges: charges
-                        .into_iter()
-                        .map(|(e, s)| (EdgeId(e as u32), s))
-                        .collect(),
-                }
-            },
-        )
+        .prop_map(|((seed, secs, nanos, changed), snapshots, active_groups)| {
+            let report = TickReport {
+                counters: counters_from_seed(seed),
+                elapsed: std::time::Duration::new(secs as u64 % 1_000_000, nanos),
+                results_changed: changed as usize,
+            };
+            TickOutcome {
+                report,
+                snapshots,
+                active_groups,
+            }
+        })
 }
 
 fn delta_batch_strategy() -> impl Strategy<Value = DeltaBatch> {

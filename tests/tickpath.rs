@@ -353,84 +353,6 @@ fn dense_own_edge_ends_the_sequence_walk() {
     assert!(result.iter().all(|n| n.dist < 0.1), "{result:?}");
 }
 
-/// Every step is charged: the Dijkstra steps `drain_cell_charges` hands out
-/// after a tick sum to that tick's `expansion_steps`, whichever path ran
-/// the expansion — install, `set_k` growth, full recomputation, structural
-/// re-expansion or a co-rooted group's shared expansion. All of them go
-/// through the one `Expander::expand`; this is what keeps a new call site
-/// from forgetting the charge. The stream is Table 2's shape (objects,
-/// queries and weights all agile) scaled down, plus three extra queries
-/// that are installed co-rooted at different k, jump together, are
-/// re-installed at a larger k and leave, over and over.
-#[test]
-fn every_expansion_step_is_charged_to_a_cell() {
-    let net = Arc::new(generators::san_francisco_like(300, 17));
-    let cfg = ScenarioConfig {
-        num_objects: 400,
-        num_queries: 40,
-        k: 4,
-        object_agility: 0.10,
-        query_agility: 0.10,
-        edge_agility: 0.04,
-        seed: 9,
-        ..Default::default()
-    };
-    let monitors: [Box<dyn ContinuousMonitor>; 2] = [
-        Box::new(Ima::new(net.clone())),
-        Box::new(Gma::new(net.clone())),
-    ];
-    for mut monitor in monitors {
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        let mut charges = Vec::new();
-        let mut tick = |batch: &UpdateBatch, what: &str| {
-            let counters = monitor.tick(batch).counters;
-            charges.clear();
-            monitor.drain_cell_charges(&mut charges);
-            assert_eq!(
-                charges.iter().map(|&(_, steps)| steps).sum::<u64>(),
-                counters.expansion_steps,
-                "{}: {what}",
-                monitor.name()
-            );
-            counters
-        };
-
-        let mut load = UpdateBatch::default();
-        for (id, at) in scenario.initial_objects() {
-            load.push(UpdateEvent::insert_object(id, at));
-        }
-        let mut total = tick(&load, "object load");
-        let mut load = UpdateBatch::default();
-        for (id, k, at) in scenario.initial_queries() {
-            load.push(UpdateEvent::install_query(id, k, at));
-        }
-        total.merge(&tick(&load, "query installs"));
-        assert!(total.expansion_steps > 0, "installs expand");
-
-        let edges = net.num_edges() as u32;
-        let mut rng = Lcg(41);
-        let extra = [QueryId(1000), QueryId(1001), QueryId(1002)];
-        for t in 0..50 {
-            let mut batch = scenario.tick();
-            let at = NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac());
-            for (i, &id) in extra.iter().enumerate() {
-                batch.queries.push(match t % 4 {
-                    0 => QueryEvent::Install {
-                        id,
-                        k: 2 + 3 * i,
-                        at,
-                    },
-                    1 => QueryEvent::Move { id, to: at },
-                    2 => QueryEvent::Install { id, k: 12 + i, at },
-                    _ => QueryEvent::Remove { id },
-                });
-            }
-            total.merge(&tick(&batch, &format!("tick {t}")));
-        }
-        assert!(total.reevaluations > 50 && total.shared_expansions > 0);
-    }
-}
-
 /// Installation order is not an input: a monitor's anchors are keyed by
 /// their owners' ids and resolved in id order, so two monitors given the
 /// same population and the same stream do the same work and report the
