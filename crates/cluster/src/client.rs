@@ -6,8 +6,9 @@
 //! # One log
 //!
 //! Every event frame sent to the shard is appended to the link's
-//! [`ShardLog`] — volatile by default, on disk (`events.wal` +
-//! `snapshot.bin`) when [`DurabilityConfig::dir`] is set. With
+//! [`ShardLog`] — volatile by default; on disk (`events.wal` +
+//! `snapshot.bin`, the only copies) when [`DurabilityConfig::dir`] is
+//! set. With
 //! `snapshot_every > 0` the link runs a snapshot cycle: every
 //! `snapshot_every` logged frames it pulls the monitor's
 //! answer-relevant state (`rnn_core::MonitorState`) over a
@@ -70,6 +71,7 @@ use crate::frame::{Frame, MsgTag};
 use crate::log::ShardLog;
 use crate::replog::{ReplicatedLog, REPLAY_ALL};
 use crate::transport::{RecvError, Transport};
+use crate::wal::WalRecord;
 
 /// Per-message delivery policy.
 #[derive(Clone, Copy, Debug)]
@@ -175,8 +177,10 @@ struct Inner {
     next_seq: u32,
     inflight: Option<Inflight>,
     /// Every event frame sent since the latest snapshot, and that
-    /// snapshot: what a rebuilt shard is fed. Memory requests are
-    /// read-only and are simply retransmitted, never logged.
+    /// snapshot: what a rebuilt shard is fed. In memory without
+    /// `durability.dir`; with it, `events.wal` and `snapshot.bin` are
+    /// the only copies and a rebuild reads them back. Memory requests
+    /// are read-only and are simply retransmitted, never logged.
     log: ShardLog,
     /// Cleared when the shard's monitor answers a snapshot request with
     /// an empty payload (snapshots unsupported) — the cycle then stays
@@ -247,14 +251,15 @@ impl RemoteShard {
     }
 
     /// Cumulative transport counters for this link. The durability
-    /// gauges (`journal_len`, `wal_bytes`, `snapshot_bytes`) are
-    /// computed from the live log at call time.
+    /// gauges (`journal_len`, `wal_bytes`, `snapshot_bytes`) and
+    /// `wal_write_failures` are read from the live log at call time.
     pub fn stats(&self) -> TransportStats {
         let g = self.lock();
         let mut stats = g.stats;
-        stats.journal_len = g.log.suffix().len() as u64;
+        stats.journal_len = g.log.suffix_len() as u64;
         stats.wal_bytes = g.log.wal_bytes();
-        stats.snapshot_bytes = g.log.snapshot().map_or(0, |(_, p)| p.len() as u64);
+        stats.snapshot_bytes = g.log.snapshot_bytes();
+        stats.wal_write_failures = g.log.wal_write_failures();
         stats
     }
 
@@ -331,7 +336,7 @@ impl Inner {
         }
         .to_bytes();
         if tag.is_events() {
-            self.log.append(seq, bytes.clone());
+            self.log.append(seq, bytes.as_slice());
             // Commit-before-dispatch: the event must be acked by every
             // live follower replica before it feeds the shard monitor.
             // A fenced append means a newer leader owns this shard —
@@ -461,7 +466,7 @@ impl Inner {
     fn maybe_snapshot(&mut self, covered_seq: u32) {
         if self.durability.snapshot_every == 0
             || !self.snapshots_supported
-            || (self.log.suffix().len() as u32) < self.durability.snapshot_every
+            || (self.log.suffix_len() as u32) < self.durability.snapshot_every
         {
             return;
         }
@@ -499,17 +504,15 @@ impl Inner {
         }
         if self
             .log
-            .install_snapshot(covered_seq, self.replog.epoch(), payload)
+            .install_snapshot(covered_seq, self.replog.epoch(), &payload)
             .is_err()
         {
             return;
         }
         // Followers truncate their own logs behind the same snapshot,
         // keeping replica memory bounded by the snapshot cadence too.
-        if let Some((_, state)) = self.log.snapshot() {
-            self.replog
-                .offer_snapshot(covered_seq, state, &mut self.stats);
-        }
+        self.replog
+            .offer_snapshot(covered_seq, &payload, &mut self.stats);
         self.stats.snapshots += 1;
     }
 
@@ -581,12 +584,13 @@ impl Inner {
     /// when that request is an event batch — its reply is left for
     /// [`Self::exchange`] to consume.
     fn rebuild(&mut self, inflight: &Inflight) -> Result<(), RebuildError> {
-        // Taken out for the duration so frames can be borrowed from it
-        // while `self` transmits; a snapshot cycle cannot run meanwhile.
-        let log = std::mem::replace(&mut self.log, ShardLog::volatile());
-        let outcome = self.replay(&log, inflight);
-        self.log = log;
-        outcome?;
+        let unreadable = |_| RebuildError::Fatal(ClusterError::LogUnreadable { shard: self.shard });
+        let install = self
+            .log
+            .install_frame(self.replog.epoch())
+            .map_err(unreadable)?;
+        let suffix = self.log.suffix().map_err(unreadable)?;
+        self.replay(install, &suffix, inflight)?;
         if !inflight.tag.is_events() {
             // A read-only request (Memory) was in flight: retransmit it
             // now that the rebuilt shard is caught up.
@@ -595,8 +599,13 @@ impl Inner {
         Ok(())
     }
 
-    fn replay(&mut self, log: &ShardLog, inflight: &Inflight) -> Result<(), RebuildError> {
-        if let Some(install) = log.install_frame(self.replog.epoch()) {
+    fn replay(
+        &mut self,
+        install: Option<Frame>,
+        suffix: &[WalRecord],
+        inflight: &Inflight,
+    ) -> Result<(), RebuildError> {
+        if let Some(install) = install {
             let covered_seq = install.seq;
             let install = install.to_bytes();
             self.transmit(&install);
@@ -611,7 +620,7 @@ impl Inner {
                 Wait::Exhausted | Wait::Closed => return Err(RebuildError::PeerDied),
             }
         }
-        for (seq, bytes) in log.suffix() {
+        for (seq, bytes) in suffix {
             self.stats.frames_replayed += 1;
             self.transmit(bytes);
             if *seq == inflight.seq {

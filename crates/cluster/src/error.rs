@@ -59,6 +59,13 @@ pub enum ClusterError {
         /// The newer epoch the replica reported.
         newer: u32,
     },
+    /// The link's on-disk log could not be read back to rebuild a
+    /// respawned service: `events.wal` or `snapshot.bin` no longer holds
+    /// what the log recorded (or the read failed).
+    LogUnreadable {
+        /// The shard index.
+        shard: usize,
+    },
     /// The peer died and every follower replica was also dead (or
     /// refused promotion), so no hot standby could take over. The
     /// engine's planner takeover is the last-resort path from here.
@@ -99,6 +106,10 @@ impl std::fmt::Display for ClusterError {
                 f,
                 "shard {shard}: fenced — this leader's epoch {epoch} is stale \
                  (a replica reported epoch {newer}); appends rejected"
+            ),
+            ClusterError::LogUnreadable { shard } => write!(
+                f,
+                "shard {shard}: the on-disk log could not be read back for a rebuild"
             ),
             ClusterError::FailoverFailed { shard } => write!(
                 f,

@@ -12,22 +12,33 @@
 //! `len` counts everything after itself (`tag` + `seq` + `epoch` +
 //! `crc` + payload), so a stream reader knows exactly how many bytes to
 //! pull before attempting a decode. `crc` is the CRC-32C
-//! ([`rnn_roadnet::wire::Crc32c`]) over `tag`, `seq`, `epoch`, and the
-//! payload; a mismatch means the frame was corrupted in flight and the
-//! decoder reports [`WireError::Checksum`] instead of handing garbage to
-//! the payload codecs. `seq` is the coordinator-assigned request
-//! sequence number; replies echo the sequence of the request they
-//! answer, which is what makes retransmission and duplicate-detection
-//! possible. `epoch` is the shard log's leadership term: every frame a
-//! leader sends is stamped with its current epoch, replicas and promoted
-//! services reject frames from older epochs (fencing), and all
-//! non-replicated traffic simply carries epoch 0.
+//! ([`rnn_roadnet::wire::Crc32c`]) over the [`CODEC_FORMAT`] byte, `tag`,
+//! `seq`, `epoch`, and the payload; a mismatch means the frame was
+//! corrupted in flight — or written by a build whose payload codecs
+//! differ — and the decoder reports [`WireError::Checksum`] instead of
+//! handing garbage to the payload codecs. `seq` is the
+//! coordinator-assigned request sequence number; replies echo the
+//! sequence of the request they answer, which is what makes
+//! retransmission and duplicate-detection possible. `epoch` is the shard
+//! log's leadership term: every frame a leader sends is stamped with its
+//! current epoch, replicas and promoted services reject frames from
+//! older epochs (fencing), and all non-replicated traffic simply carries
+//! epoch 0.
 
 use rnn_roadnet::wire::{put_u16, put_u32, Crc32c};
 use rnn_roadnet::{WireError, WireReader};
 
 /// Frame header bytes after the length prefix: tag + seq + epoch + crc.
 pub const HEADER_LEN: usize = 2 + 4 + 4 + 4;
+
+/// The payload codecs' format, fed to every frame's checksum ahead of
+/// the header. Payloads carry no version of their own, so a frame — a
+/// WAL record, a `snapshot.bin`, a packet in flight — written by a build
+/// with other codecs would pass a plain CRC and mis-parse. Under a
+/// different format byte it fails its checksum instead, and reads as
+/// torn or absent. Format 1 was fixed-width ids; format 2 is varint ids
+/// with the object-event variant folded into the id.
+pub const CODEC_FORMAT: u8 = 2;
 
 /// Wire message tags. One tag per protocol message so the receiver can
 /// decode the payload without sniffing; the three request kinds that
@@ -151,10 +162,11 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// The `crc` field: CRC-32C over tag + seq + epoch (little-endian) and
-/// then the payload, streamed where they lie.
+/// The `crc` field: CRC-32C over the codec format, tag + seq + epoch
+/// (little-endian) and then the payload, streamed where they lie.
 fn frame_crc(tag: u16, seq: u32, epoch: u32, payload: &[u8]) -> u32 {
     Crc32c::new()
+        .update(&[CODEC_FORMAT])
         .update(&tag.to_le_bytes())
         .update(&seq.to_le_bytes())
         .update(&epoch.to_le_bytes())
@@ -166,14 +178,18 @@ impl Frame {
     /// Encodes the frame as one length-prefixed byte string ready for a
     /// single `send`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + HEADER_LEN + self.payload.len());
-        put_u32(&mut out, (HEADER_LEN + self.payload.len()) as u32);
-        put_u16(&mut out, self.tag as u16);
-        put_u32(&mut out, self.seq);
-        put_u32(&mut out, self.epoch);
-        let crc = frame_crc(self.tag as u16, self.seq, self.epoch, &self.payload);
-        put_u32(&mut out, crc);
-        out.extend_from_slice(&self.payload);
+        Self::encode(self.tag, self.seq, self.epoch, &self.payload)
+    }
+
+    /// [`Self::to_bytes`] of a frame whose payload is borrowed.
+    pub fn encode(tag: MsgTag, seq: u32, epoch: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + HEADER_LEN + payload.len());
+        put_u32(&mut out, (HEADER_LEN + payload.len()) as u32);
+        put_u16(&mut out, tag as u16);
+        put_u32(&mut out, seq);
+        put_u32(&mut out, epoch);
+        put_u32(&mut out, frame_crc(tag as u16, seq, epoch, payload));
+        out.extend_from_slice(payload);
         out
     }
 
@@ -309,6 +325,32 @@ mod tests {
             bytes[i] ^= 0x80;
             bytes[i + 32] ^= 0x80;
         }
+    }
+
+    /// A frame as a build before [`CODEC_FORMAT`] wrote it: the same
+    /// layout, checksummed without the format byte.
+    #[test]
+    fn a_frame_from_an_earlier_codec_fails_its_checksum() {
+        let payload = [0u8, 7, 0, 0, 0, 3, 0, 0, 0];
+        let (tag, seq, epoch) = (MsgTag::TickEvents as u16, 5u32, 1u32);
+        let mut old = Vec::new();
+        put_u32(&mut old, (HEADER_LEN + payload.len()) as u32);
+        put_u16(&mut old, tag);
+        put_u32(&mut old, seq);
+        put_u32(&mut old, epoch);
+        let crc = Crc32c::new()
+            .update(&tag.to_le_bytes())
+            .update(&seq.to_le_bytes())
+            .update(&epoch.to_le_bytes())
+            .update(&payload)
+            .finish();
+        put_u32(&mut old, crc);
+        old.extend_from_slice(&payload);
+        assert_eq!(Frame::from_bytes(&old), Err(WireError::Checksum));
+        // The same frame under the current format decodes.
+        let new = Frame::encode(MsgTag::TickEvents, seq, epoch, &payload);
+        assert_eq!(old.len(), new.len());
+        assert_eq!(Frame::from_bytes(&new).unwrap().payload, payload);
     }
 
     #[test]

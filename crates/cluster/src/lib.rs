@@ -12,8 +12,9 @@
 //! * **One log** — [`log::ShardLog`]: the event frames a shard must
 //!   replay, the latest monitor-state snapshot they replay on top of,
 //!   and the rule that truncates the first behind the second. The
-//!   coordinator link holds one (volatile, or on disk through [`wal`]),
-//!   and so does every follower replica.
+//!   coordinator link holds one (volatile, or on disk through [`wal`],
+//!   where the files are the only copy), and so does every follower
+//!   replica (volatile).
 //! * **One wait loop** — `client::Inner::await_reply` on the shard link
 //!   (reply / retransmit budget exhausted / peer closed) and
 //!   `ReplicatedLog::broadcast` on the follower links (send → ack per

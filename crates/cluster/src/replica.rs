@@ -109,7 +109,7 @@ impl<T: Transport> ReplicaNode<T> {
                         (Ok(covered), Ok(state))
                             if self
                                 .log
-                                .install_snapshot(covered, self.epoch, state.to_vec())
+                                .install_snapshot(covered, self.epoch, state)
                                 .is_ok() =>
                         {
                             ACK_OK
@@ -134,10 +134,17 @@ impl<T: Transport> ReplicaNode<T> {
     /// transport. Every fed frame is re-stamped with the promoted epoch
     /// (the log holds them under the dead leader's), so the service
     /// comes up fencing the old term.
-    fn promote(self, ack_seq: u32, boundary: u32) {
+    fn promote(mut self, ack_seq: u32, boundary: u32) {
         let epoch = self.epoch;
+        // A volatile log reads back without I/O, so neither read fails.
+        let (Ok(install), Ok(suffix)) = (self.log.install_frame(epoch), self.log.suffix()) else {
+            self.ack(ack_seq, ACK_REFUSED);
+            return;
+        };
+        // The service runs until shutdown; the replayed log goes now.
+        drop(self.log);
         let mut service = ShardService::new(self.transport, (self.make_monitor)());
-        if let Some(install) = self.log.install_frame(epoch) {
+        if let Some(install) = install {
             let restored = service
                 .handle(install)
                 .and_then(|reply| Frame::from_bytes(&reply).ok())
@@ -152,13 +159,8 @@ impl<T: Transport> ReplicaNode<T> {
         }
         // The frame at the boundary is in flight: the coordinator
         // retransmits it.
-        for (_, bytes) in self
-            .log
-            .suffix()
-            .iter()
-            .take_while(|(seq, _)| *seq < boundary)
-        {
-            if let Ok(mut event) = Frame::from_bytes(bytes) {
+        for (_, bytes) in suffix.into_iter().take_while(|(seq, _)| *seq < boundary) {
+            if let Ok(mut event) = Frame::from_bytes(&bytes) {
                 event.epoch = epoch;
                 service.handle(event);
             }

@@ -1,8 +1,8 @@
 //! Per-shard write-ahead log of routed input events.
 //!
-//! The WAL is the disk image of the event suffix of a shard's
-//! [`ShardLog`](crate::log::ShardLog): every event frame sent to a shard
-//! is appended **verbatim**
+//! The WAL is the event suffix of a disk-backed
+//! [`ShardLog`](crate::log::ShardLog) — its only copy: every event frame
+//! sent to a shard is appended **verbatim**
 //! (the exact [`Frame::to_bytes`] byte string, so each record carries
 //! the frame's own length prefix and CRC-32C — no second framing
 //! layer to keep in sync). `fsync` is batched: the file is synced every
@@ -34,7 +34,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rnn_roadnet::wire::{checksum, put_u32};
 
@@ -116,6 +116,7 @@ pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
 /// recovery. See the module docs for the format and guarantees.
 pub struct Wal {
     file: File,
+    path: PathBuf,
     bytes: u64,
     fsync_every: u32,
     unsynced: u32,
@@ -124,8 +125,8 @@ pub struct Wal {
 impl Wal {
     /// Opens (or creates) the log at `path`, recovering the valid record
     /// prefix of any existing file: the surviving records are returned
-    /// (they rebuild the in-memory journal) and a torn tail, if present,
-    /// is truncated away before the log accepts new appends.
+    /// and a torn tail, if present, is truncated away before the log
+    /// accepts new appends.
     ///
     /// `fsync_every` batches durability: the file is synced once per
     /// that many appends (values of 0 are treated as 1 — sync always).
@@ -152,6 +153,7 @@ impl Wal {
         Ok((
             Self {
                 file,
+                path: path.to_path_buf(),
                 bytes: valid_len as u64,
                 fsync_every: fsync_every.max(1),
                 unsynced: 0,
@@ -188,6 +190,25 @@ impl Wal {
     /// Current log size in bytes (the replay-suffix bound).
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Reads the log back: its leading run of valid records ([`scan`]).
+    pub fn records(&self) -> std::io::Result<Vec<WalRecord>> {
+        Ok(scan(&std::fs::read(&self.path)?).0)
+    }
+
+    /// Swaps the write handle for a read-only one, so every later write
+    /// fails (`false` restores a writable handle at the end of the file).
+    #[cfg(test)]
+    pub(crate) fn set_read_only(&mut self, read_only: bool) -> std::io::Result<()> {
+        self.file = if read_only {
+            File::open(&self.path)?
+        } else {
+            let mut file = OpenOptions::new().write(true).open(&self.path)?;
+            file.seek(SeekFrom::End(0))?;
+            file
+        };
+        Ok(())
     }
 }
 

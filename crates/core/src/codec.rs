@@ -3,13 +3,17 @@
 //! These are the payloads the cluster RPC layer ships between the
 //! coordinator and shard processes: the per-tick event types, the result
 //! entries, and the deterministic counter/report structs. Encodings are
-//! hand-rolled little-endian dumps (enum variants as one `u8` tag,
-//! `f64` as raw bits) so round-trips are bit-identical and decoding never
-//! allocates beyond the decoded values themselves.
+//! hand-rolled: ids as LEB128 varints, an [`ObjectEvent`]'s variant
+//! folded into its id's varint, other enum variants as one `u8` tag,
+//! counters as little-endian `u64`s and `f64` as raw bits — so
+//! round-trips are bit-identical and decoding never allocates beyond the
+//! decoded values themselves.
 
 use std::time::Duration;
 
-use rnn_roadnet::wire::{put_f64, put_u32, put_u64, put_u8, WireCodec, WireError, WireReader};
+use rnn_roadnet::wire::{
+    put_f64, put_u32, put_u64, put_u8, put_var, WireCodec, WireError, WireReader,
+};
 use rnn_roadnet::{NetPoint, ObjectId, QueryId};
 
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
@@ -28,38 +32,45 @@ impl WireCodec for Neighbor {
     }
 }
 
+/// An [`ObjectEvent`] opens with one varint, `id << 2 | variant`
+/// (`Move` 0, `Insert` 1, `Delete` 2): the variant costs no byte of its
+/// own, and a `Move` of a paper-scale object on a paper-scale network is
+/// 3 + 2 + 8 bytes. The folded value has 34 significant bits.
+const OBJECT_EVENT_BITS: u32 = 34;
+
+fn put_object_head(out: &mut Vec<u8>, id: ObjectId, variant: u64) {
+    put_var(out, u64::from(id.0) << 2 | variant);
+}
+
 impl WireCodec for ObjectEvent {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             ObjectEvent::Move { id, to } => {
-                put_u8(out, 0);
-                id.encode(out);
+                put_object_head(out, *id, 0);
                 to.encode(out);
             }
             ObjectEvent::Insert { id, at } => {
-                put_u8(out, 1);
-                id.encode(out);
+                put_object_head(out, *id, 1);
                 at.encode(out);
             }
-            ObjectEvent::Delete { id } => {
-                put_u8(out, 2);
-                id.encode(out);
-            }
+            ObjectEvent::Delete { id } => put_object_head(out, *id, 2),
         }
     }
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
+        let head = r.var(OBJECT_EVENT_BITS)?;
+        let id = ObjectId((head >> 2) as u32);
+        match head & 3 {
             0 => Ok(ObjectEvent::Move {
-                id: ObjectId::decode(r)?,
+                id,
                 to: NetPoint::decode(r)?,
             }),
             1 => Ok(ObjectEvent::Insert {
-                id: ObjectId::decode(r)?,
+                id,
                 at: NetPoint::decode(r)?,
             }),
-            2 => Ok(ObjectEvent::Delete {
-                id: ObjectId::decode(r)?,
-            }),
+            2 => Ok(ObjectEvent::Delete { id }),
             _ => Err(WireError::Invalid("ObjectEvent variant tag")),
         }
     }
@@ -262,11 +273,65 @@ mod tests {
 
     #[test]
     fn bad_variant_tag_is_rejected() {
+        // The variant lives in the id varint's two low bits; 3 is no variant.
         let mut buf = Vec::new();
-        put_u8(&mut buf, 9);
+        put_var(&mut buf, 5 << 2 | 3);
         let mut r = WireReader::new(&buf);
         assert!(matches!(
             ObjectEvent::decode(&mut r),
+            Err(WireError::Invalid(_))
+        ));
+    }
+
+    fn object_events(id: u32) -> [ObjectEvent; 3] {
+        let id = ObjectId(id);
+        let at = NetPoint::new(EdgeId(id.0), 0.5);
+        [
+            ObjectEvent::Move { id, to: at },
+            ObjectEvent::Insert { id, at },
+            ObjectEvent::Delete { id },
+        ]
+    }
+
+    #[test]
+    fn object_events_round_trip_at_the_varint_boundaries() {
+        for id in [0, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21, u32::MAX] {
+            for ev in object_events(id) {
+                let mut buf = Vec::new();
+                ev.encode(&mut buf);
+                let mut r = WireReader::new(&buf);
+                assert_eq!(ObjectEvent::decode(&mut r), Ok(ev));
+                assert_eq!(r.remaining(), 0);
+                for cut in 0..buf.len() {
+                    let mut r = WireReader::new(&buf[..cut]);
+                    assert_eq!(
+                        ObjectEvent::decode(&mut r),
+                        Err(WireError::Truncated),
+                        "{ev:?} cut at {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn object_events_fold_the_variant_into_the_id() {
+        let mut buf = Vec::new();
+        for ev in object_events(40) {
+            ev.encode(&mut buf);
+        }
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0xa0, 0x01, 40, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f,   // Move 40 to edge 40 at 0.5
+            0xa1, 0x01, 40, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f,   // Insert 40 at edge 40, 0.5
+            0xa2, 0x01,                                     // Delete 40
+        ];
+        assert_eq!(buf, golden);
+        // A head wider than a u32 id after the fold is refused.
+        let mut wide = Vec::new();
+        put_var(&mut wide, 1 << 34);
+        assert!(matches!(
+            ObjectEvent::decode(&mut WireReader::new(&wide)),
             Err(WireError::Invalid(_))
         ));
     }

@@ -193,5 +193,11 @@ crate::counters::counter_struct! {
         /// Follower replicas promoted to serving leader after the primary
         /// shard died past its retry and recovery budgets.
         pub failovers: u64,
+        /// Writes to the on-disk write-ahead log that failed: appends and
+        /// post-snapshot rewrites. From each failure until the next
+        /// snapshot rewrites the WAL, the log keeps its new frames in
+        /// memory, so shard recovery still has them; a restarted
+        /// coordinator does not.
+        pub wal_write_failures: u64,
     }
 }

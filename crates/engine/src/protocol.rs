@@ -272,12 +272,12 @@ mod tests {
         #[rustfmt::skip]
         let golden: &[u8] = &[
             2, 0, 0, 0,                                     // two snapshots
-            3, 0, 0, 0,                                     // QueryId(3)
+            3,                                              // QueryId(3)
             0, 0, 0, 0, 0, 0, 0xf8, 0x3f,                   // kNN_dist 1.5
             2, 0, 0, 0,                                     // two neighbours
-            7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f,       // object 7 at 0.25
-            9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f,       // object 9 at 1.5
-            4, 3, 2, 1,                                     // QueryId(0x01020304)
+            7, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f,                // object 7 at 0.25
+            9, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f,                // object 9 at 1.5
+            0x84, 0x86, 0x88, 0x08,                         // QueryId(0x01020304)
             0, 0, 0, 0, 0, 0, 0xf0, 0x7f,                   // kNN_dist ∞
             0, 0, 0, 0,                                     // no neighbours
             1, 2, 0, 0, 0, 0, 0, 0, 0,                      // Some(2) active groups

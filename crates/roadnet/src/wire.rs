@@ -2,16 +2,20 @@
 //!
 //! The sharded engine's worker hand-off is already a delta protocol over
 //! dense, offset-addressed values (`u32` ids, `f64` distances, flat event
-//! slices). This module gives those values an explicit little-endian byte
-//! form so they can cross a process boundary: fixed-width primitive
-//! put/get helpers, a bounds-checked [`WireReader`], a streaming CRC-32C
-//! frame [`checksum`] ([`Crc32c`]), and the [`WireCodec`] trait the higher layers (core event
-//! types, engine protocol messages, cluster frames) implement by hand —
-//! no serde, no reflection, near-verbatim dumps of the in-memory layout.
+//! slices). This module gives those values an explicit byte form so they
+//! can cross a process boundary: fixed-width little-endian put/get
+//! helpers, LEB128 varints ([`put_var`], [`WireReader::var`]), a
+//! bounds-checked [`WireReader`], a streaming CRC-32C frame [`checksum`]
+//! ([`Crc32c`]), and the [`WireCodec`] trait the higher layers (core
+//! event types, engine protocol messages, cluster frames) implement by
+//! hand — no serde, no reflection.
 //!
-//! Floats travel as their raw IEEE-754 bits ([`f64::to_bits`]), so
-//! round-trips are bit-identical — including `INFINITY`, which the
-//! monitors use for underfull `kNN_dist` values.
+//! Ids are dense, so every id type travels as a varint: one byte below
+//! 128, two below 16,384, three below 2²¹ — a paper-scale network's edge
+//! ids and object ids fit in two and three. Floats travel as their raw
+//! IEEE-754 bits ([`f64::to_bits`]), so round-trips are bit-identical —
+//! including `INFINITY`, which the monitors use for underfull `kNN_dist`
+//! values.
 
 use crate::ids::{EdgeId, NodeId, ObjectId, QueryId};
 use crate::netpoint::NetPoint;
@@ -175,6 +179,28 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Appends `v` as an LEB128 varint: seven bits per byte, low group
+/// first, the top bit set on every byte but the last. Values below 2²¹
+/// (three bytes) take a branch each; wider ones loop.
+#[inline]
+pub fn put_var(out: &mut Vec<u8>, v: u64) {
+    const MORE: u8 = 0x80;
+    if v < 1 << 7 {
+        out.push(v as u8);
+    } else if v < 1 << 14 {
+        out.extend_from_slice(&[v as u8 | MORE, (v >> 7) as u8]);
+    } else if v < 1 << 21 {
+        out.extend_from_slice(&[v as u8 | MORE, (v >> 7) as u8 | MORE, (v >> 14) as u8]);
+    } else {
+        let mut v = v;
+        while v >= u64::from(MORE) {
+            out.push(v as u8 | MORE);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+}
+
 /// A bounds-checked cursor over a received byte buffer. Every accessor
 /// returns [`WireError::Truncated`] instead of panicking when the buffer
 /// runs out, so corrupt length fields surface as decode errors.
@@ -238,6 +264,53 @@ impl<'a> WireReader<'a> {
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
+
+    /// Reads an LEB128 varint ([`put_var`]) of at most `bits` significant
+    /// bits (at most 63). A buffer that ends inside the varint is
+    /// [`WireError::Truncated`]; more bytes than `bits` needs, or a value
+    /// of `2^bits` or more, is [`WireError::Invalid`]. Up to three bytes
+    /// decode on a branch each.
+    #[inline]
+    pub fn var(&mut self, bits: u32) -> Result<u64, WireError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let (v, len) = match *rest {
+            [b0, ..] if b0 < 0x80 => (u64::from(b0), 1),
+            [b0, b1, ..] if b1 < 0x80 => (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2),
+            [b0, b1, b2, ..] if b2 < 0x80 => (
+                u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7 | u64::from(b2) << 14,
+                3,
+            ),
+            _ => return self.var_wide(bits),
+        };
+        if bits < 21 && v >> bits != 0 {
+            return Err(WireError::Invalid("varint overflows its type"));
+        }
+        self.pos += len;
+        Ok(v)
+    }
+
+    /// [`Self::var`] past three bytes, one byte per iteration.
+    fn var_wide(&mut self, bits: u32) -> Result<u64, WireError> {
+        let bits = bits.min(63);
+        let max_len = bits.div_ceil(7) as usize;
+        let mut v = 0u64;
+        for i in 0..max_len {
+            let b = self
+                .buf
+                .get(self.pos + i)
+                .copied()
+                .ok_or(WireError::Truncated)?;
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                if v >> bits != 0 {
+                    return Err(WireError::Invalid("varint overflows its type"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(WireError::Invalid("varint longer than its type allows"))
+    }
 }
 
 /// A value with a hand-rolled byte form. Encoding appends to a caller
@@ -277,11 +350,13 @@ pub fn decode_seq<T: WireCodec>(r: &mut WireReader<'_>) -> Result<Vec<T>, WireEr
 macro_rules! id_codec {
     ($($t:ty),*) => {$(
         impl WireCodec for $t {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
-                put_u32(out, self.0);
+                put_var(out, u64::from(self.0));
             }
+            #[inline]
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(Self(r.u32()?))
+                Ok(Self(r.var(32)? as u32))
             }
         }
     )*};
@@ -397,6 +472,70 @@ mod tests {
             decode_seq::<EdgeId>(&mut r),
             Err(WireError::Invalid(_))
         ));
+    }
+
+    /// The varint boundaries: one, two, three and five bytes.
+    const ID_EDGES: [u32; 8] = [0, 127, 128, 16383, 16384, (1 << 21) - 1, 1 << 21, u32::MAX];
+
+    fn id_round_trips<T: WireCodec + PartialEq + std::fmt::Debug>(make: fn(u32) -> T) {
+        for (v, len) in ID_EDGES.into_iter().zip([1, 1, 2, 2, 3, 3, 4, 5]) {
+            let mut buf = Vec::new();
+            make(v).encode(&mut buf);
+            assert_eq!(buf.len(), len, "{v} encodes in {len} bytes");
+            let mut r = WireReader::new(&buf);
+            assert_eq!(T::decode(&mut r), Ok(make(v)));
+            assert_eq!(r.remaining(), 0);
+            for cut in 0..buf.len() {
+                let mut r = WireReader::new(&buf[..cut]);
+                assert_eq!(
+                    T::decode(&mut r),
+                    Err(WireError::Truncated),
+                    "{v} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_id_type_round_trips_at_the_varint_boundaries() {
+        id_round_trips(EdgeId);
+        id_round_trips(NodeId);
+        id_round_trips(ObjectId);
+        id_round_trips(QueryId);
+    }
+
+    #[test]
+    fn ids_travel_as_leb128() {
+        let mut buf = Vec::new();
+        EdgeId(300).encode(&mut buf);
+        ObjectId(0x0102_0304).encode(&mut buf);
+        assert_eq!(buf, [0xac, 0x02, 0x84, 0x86, 0x88, 0x08]);
+    }
+
+    #[test]
+    fn oversized_varints_are_invalid() {
+        // Six bytes: longer than any u32.
+        let long = [0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        assert!(matches!(
+            QueryId::decode(&mut WireReader::new(&long)),
+            Err(WireError::Invalid(_))
+        ));
+        // Five bytes whose value needs 33 bits.
+        let wide = [0xff, 0xff, 0xff, 0xff, 0x1f];
+        assert!(matches!(
+            ObjectId::decode(&mut WireReader::new(&wide)),
+            Err(WireError::Invalid(_))
+        ));
+        // u32::MAX itself is the widest five-byte value that fits.
+        let max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        assert_eq!(
+            ObjectId::decode(&mut WireReader::new(&max)),
+            Ok(ObjectId(u32::MAX))
+        );
+        // A narrow varint is held to its width on the fast path too.
+        let mut r = WireReader::new(&[0x80, 0x01]);
+        assert!(matches!(r.var(7), Err(WireError::Invalid(_))));
+        assert_eq!(r.remaining(), 2, "a refused varint consumes nothing");
     }
 
     #[test]

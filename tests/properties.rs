@@ -1869,6 +1869,30 @@ proptest! {
     }
 }
 
+/// Bytes tripwire for the event codec: one seeded timestamp of the
+/// workload generator at Table 2 scale (100K objects on a 10K-edge
+/// SF-like map, 10% object agility: ~10K moves) encodes at ≤ 13 B per
+/// event — a varint object id with the variant folded in (3 B), a
+/// varint edge id (2 B) and the raw `f64` fraction (8 B).
+#[test]
+fn a_paper_scale_move_batch_encodes_at_13_bytes_per_event() {
+    let net = Arc::new(generators::san_francisco_like(10_000, 42));
+    let mut sc = rnn_monitor::Scenario::new(
+        net,
+        rnn_monitor::ScenarioConfig {
+            num_queries: 10,
+            seed: 42,
+            ..Default::default()
+        },
+    );
+    let moves = sc.tick().objects;
+    assert!(moves.len() >= 9_000, "{} moves", moves.len());
+    let mut buf = Vec::new();
+    rnn_monitor::roadnet::wire::encode_seq(&moves, &mut buf);
+    let per_event = buf.len() as f64 / moves.len() as f64;
+    assert!(per_event <= 13.0, "{per_event:.3} B/event");
+}
+
 // ---------------------------------------------------------------------
 // Static-analysis lexer properties: the lint pass runs over every source
 // file in the workspace, so its lexer must terminate, never panic, and
