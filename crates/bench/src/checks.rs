@@ -348,11 +348,11 @@ pub fn replication(series: &[SeriesPoint]) -> Result<(), String> {
 
 /// The lossless ingest-fed engine must actually fold redundant firehose
 /// reports (every feed shape oversamples, so a zero means §4.5 coalescing
-/// stopped firing), must never shed (blocking admission with lanes sized
-/// above the feed rate), and its post-warmup drains must run
-/// allocation-free — the swap-and-merge drain's zero-copy guarantee,
+/// stopped firing), must never shed (blocking admission with the hub
+/// sized above the feed rate), and its post-warmup drains must run
+/// allocation-free — the swap drain's zero-copy guarantee,
 /// measured as a window total so a single stray allocation fails. The
-/// tight-laned ING-SHED column must demonstrably shed, or the
+/// tight-bounded ING-SHED column must demonstrably shed, or the
 /// admission-control demonstration is dead weight in the artifact.
 pub fn ingest(series: &[SeriesPoint]) -> Result<(), String> {
     for point in series {
@@ -378,21 +378,21 @@ pub fn ingest(series: &[SeriesPoint]) -> Result<(), String> {
                     }
                     if shed > 0.0 {
                         return broke(format!(
-                            "shed {shed} events under blocking admission — lossless lanes \
+                            "shed {shed} events under blocking admission — the lossless hub \
                              dropped data"
                         ));
                     }
                     if drain_allocs > 0.0 {
                         return broke(format!(
                             "allocated {drain_allocs} times in post-warmup drains — the \
-                             swap-and-merge drain is no longer allocation-free at steady state"
+                             swap drain is no longer allocation-free at steady state"
                         ));
                     }
                 }
                 Ingest::Shedding => {
                     if shed == 0.0 {
                         return broke(
-                            "never shed — the tight ShedOldest lanes stopped exercising \
+                            "never shed — the tight ShedOldest hub stopped exercising \
                              admission control"
                                 .into(),
                         );

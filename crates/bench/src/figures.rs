@@ -650,7 +650,7 @@ pub fn all_figures() -> Vec<Figure> {
             title: "Ingest: batch-fed ENG-4 vs firehose-fed ING-4 (coalescing) / ING-4-SHED",
             stacks: Stack::INGEST_SET,
             memory: false,
-            // The two-tick warm-up absorbs the lane/merge high-water
+            // The two-tick warm-up absorbs the queue's high-water
             // growth, after which the drain must run allocation-free.
             artifact: Artifact::pinned(0.01, 6, 2, checks::ingest),
             points: ingest,

@@ -58,10 +58,10 @@ pub enum Ingest {
     Batch,
     /// The raw oversampled firehose stream submitted event by event
     /// through the MPSC ingest stage (`rnn_engine::ingest`) and coalesced
-    /// at the tick-boundary drain; blocking admission, lanes sized so
+    /// at the tick-boundary drain; blocking admission, the hub sized so
     /// nothing sheds. Wants a [`Params::firehose`] pattern.
     Lossless,
-    /// The same under deliberately tight admission: per-lane buffers well
+    /// The same under deliberately tight admission: a hub bound well
     /// below the firehose rate with
     /// [`rnn_engine::AdmissionPolicy::ShedOldest`], so the shed counter
     /// shows what bounded-queue backpressure drops.
@@ -272,7 +272,7 @@ impl Stack {
     }
 
     /// Builds the stack over `net` — the one place its layers are
-    /// switched on. `p` sizes the ingest lanes.
+    /// switched on. `p` sizes the ingest hub.
     fn build(self, net: Arc<RoadNetwork>, p: &Params) -> Driven {
         let (shards, rebalancing, link) = match self {
             Stack::Bare(_, make) => return Driven::Plain(make(net)),
@@ -297,28 +297,26 @@ impl Stack {
         };
         let (fault, durability) = match link {
             Link::InProcess(ingest) => {
-                let lanes = match ingest {
+                let hub = match ingest {
                     Ingest::Batch => None,
-                    // Per-lane capacity far above the per-tick firehose
-                    // rate, so blocking admission never actually parks the
-                    // producer.
-                    Ingest::Lossless => Some((p.n_objects.max(4096), AdmissionPolicy::Block)),
-                    // Per-lane capacity well below the firehose rate, so
-                    // the drain window overflows every tick and ShedOldest
-                    // drops the stalest fixes — the shed_events column is
-                    // the point.
+                    // Far above the per-tick firehose rate, so blocking
+                    // admission never actually parks the producer (`4 ×`
+                    // keeps the room of the four-lane hub the rows were
+                    // first recorded with).
+                    Ingest::Lossless => Some((4 * p.n_objects.max(4096), AdmissionPolicy::Block)),
+                    // Well below the firehose rate, so the drain window
+                    // overflows every tick and ShedOldest drops the
+                    // stalest fixes — the shed_events column is the point.
+                    // `3 ×`, not `4 ×`: with the four-lane room the flash
+                    // crowd fits the hub and never sheds.
                     Ingest::Shedding => {
-                        Some(((p.n_objects / 32).max(16), AdmissionPolicy::ShedOldest))
+                        Some((3 * (p.n_objects / 32).max(16), AdmissionPolicy::ShedOldest))
                     }
                 };
-                let Some((capacity, policy)) = lanes else {
+                let Some((capacity, policy)) = hub else {
                     return Driven::Plain(Box::new(ShardedEngine::new(net, cfg)));
                 };
-                cfg.ingest = IngestConfig {
-                    capacity,
-                    policy,
-                    ..Default::default()
-                };
+                cfg.ingest = IngestConfig { capacity, policy };
                 return Driven::Ingest(Box::new(ShardedEngine::new(net, cfg)));
             }
             Link::Loopback => (FaultPlan::default(), DurabilityConfig::default()),
@@ -363,7 +361,7 @@ impl Driven {
             Driven::Ingest(engine) => {
                 let handle = engine.ingest_handle();
                 for &ev in raw {
-                    // Block never errors (the bench sizes lanes above the
+                    // Block never errors (the bench sizes the hub above the
                     // firehose rate) and ShedOldest absorbs overflow; only
                     // Reject returns Err, and the bench never uses it.
                     handle.submit(ev).expect("bench ingest submission");
@@ -565,10 +563,9 @@ pub const COLUMNS: &[Column] = &[
         r.per_ts(r.window.coalesced_superseded, 3)
     }),
     col("shed_events", |r| count(r.window.shed_events)),
-    // Lane-buffer growth, merge-scratch growth, coalesce-table rehash. A
-    // window total (not a rate): warm-up absorbs the one-off high-water
-    // growth, after which the swap-and-merge drain must run
-    // allocation-free.
+    // Queue-buffer growth and open-window index growth. A window total
+    // (not a rate): warm-up absorbs the one-off high-water growth, after
+    // which the swap drain must run allocation-free.
     col("drain_alloc_events", |r| count(r.window.drain_alloc_events)),
 ];
 
@@ -1050,8 +1047,8 @@ mod tests {
     fn ingest_fed_engine_coalesces_and_sheds() {
         let p = Params {
             firehose: Some(FirehosePattern::FlashCrowd),
-            // Enough movers that the tight ING-4-SHED lanes overflow
-            // every tick regardless of how the id hash splits them.
+            // Enough movers that the tight ING-4-SHED hub overflows
+            // every tick.
             object_agility: 0.5,
             ..tiny()
         };
@@ -1068,10 +1065,10 @@ mod tests {
             ing.coalesced_superseded > 0,
             "the flash crowd's redundant fixes must be folded at submit"
         );
-        assert_eq!(ing.shed_events, 0, "lossless lanes must not shed");
+        assert_eq!(ing.shed_events, 0, "the lossless hub must not shed");
         assert!(
             shed.shed_events > 0,
-            "tight ShedOldest lanes must drop submissions"
+            "the tight ShedOldest hub must drop submissions"
         );
         assert!(ing.work() > 0);
     }

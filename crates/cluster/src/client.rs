@@ -38,7 +38,7 @@
 //! [`crate::service::ShardService::handle`]: a snapshot install (when a
 //! snapshot is held) followed by the log suffix. The link tries, in
 //! order: **respawn-rebuild** — a fresh service from the respawn hook,
-//! fed those frames over the wire, up to `1 + recovery_retries` times;
+//! fed those frames over the wire, up to `1 + RECOVERY_RETRIES` times;
 //! **promotion** — a live follower feeds the same frames from its own
 //! log to a service it builds locally ([`crate::replica`]), and the
 //! link adopts its transport and re-stamps the in-flight request with
@@ -93,6 +93,12 @@ impl Default for RetryPolicy {
     }
 }
 
+/// Extra full recovery attempts (respawn + snapshot install + suffix
+/// replay) after the first one fails before the link stops respawning:
+/// one respawn that dies mid-replay is survivable, a third in a row
+/// means the respawn hook itself is broken.
+const RECOVERY_RETRIES: u32 = 2;
+
 /// The durability plane of one shard link. The default (`snapshot_every
 /// = 0`, no directory) keeps the whole event log in memory and replays
 /// all of it on recovery.
@@ -112,22 +118,17 @@ pub struct DurabilityConfig {
     /// WAL fsync batching: sync the log once per this many appends
     /// (0 is treated as 1 — sync every append).
     pub fsync_every: u32,
-    /// Extra full recovery attempts (respawn + snapshot install +
-    /// suffix replay) after the first one fails before the link is
-    /// declared dead.
-    pub recovery_retries: u32,
 }
 
 impl DurabilityConfig {
-    /// Snapshots every `snapshot_every` events, in-memory only, with two
-    /// recovery retries — the configuration the tests and benchmarks use
+    /// Snapshots every `snapshot_every` events, in-memory only, syncing
+    /// every append — the configuration the tests and benchmarks use
     /// unless they need the on-disk artifacts.
     pub fn in_memory(snapshot_every: u32) -> Self {
         Self {
             snapshot_every,
             dir: None,
             fsync_every: 1,
-            recovery_retries: 2,
         }
     }
 
@@ -519,10 +520,10 @@ impl Inner {
     // --- Crash recovery ---------------------------------------------------
 
     /// Respawns a fresh service and rebuilds its monitor ([`Self::rebuild`]).
-    /// The whole rebuild is retried up to `1 + recovery_retries` times
+    /// The whole rebuild is retried up to `1 + RECOVERY_RETRIES` times
     /// against fresh respawns before giving up.
     fn recover_by_respawn(&mut self, inflight: &Inflight) -> Result<(), ClusterError> {
-        let budget = 1 + self.durability.recovery_retries;
+        let budget = 1 + RECOVERY_RETRIES;
         for _attempt in 0..budget {
             let Some(respawn) = self.respawn.as_mut() else {
                 return Err(ClusterError::NoRespawn { shard: self.shard });

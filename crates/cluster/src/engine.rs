@@ -30,10 +30,17 @@ pub struct ClusterEngine {
     engine: ShardedEngine<RemoteShard>,
 }
 
-fn spawn_loopback_service(shard: usize, peer: LoopbackPeer, monitor: Box<dyn ContinuousMonitor>) {
+fn spawn_loopback_service(
+    shard: usize,
+    peer: LoopbackPeer,
+    net: Arc<RoadNetwork>,
+    cfg: &EngineConfig,
+) {
+    let edges = net.num_edges();
+    let monitor = cfg.make_monitor(net);
     std::thread::Builder::new()
         .name(format!("rnn-cluster-shard-{shard}"))
-        .spawn(move || ShardService::new(peer, monitor).run())
+        .spawn(move || ShardService::new(peer, monitor, edges).run())
         .expect("spawn shard service");
 }
 
@@ -50,6 +57,7 @@ fn spawn_replicas(
     epoch_dir: Option<std::path::PathBuf>,
 ) -> ReplicatedLog {
     let replicas = cfg.replication.replicas;
+    let edges = net.num_edges();
     let transports = (0..replicas)
         .map(|r| {
             let (leader, peer) = loopback_pair(FaultPlan::default());
@@ -58,7 +66,7 @@ fn spawn_replicas(
             let make: MonitorFactory = Box::new(move || cfg2.make_monitor(net2));
             std::thread::Builder::new()
                 .name(format!("rnn-replica-{shard}-{r}"))
-                .spawn(move || ReplicaNode::new(peer, make).run())
+                .spawn(move || ReplicaNode::new(peer, make, edges).run())
                 .expect("spawn replica node");
             Box::new(leader) as Box<dyn Transport>
         })
@@ -110,7 +118,7 @@ impl ClusterEngine {
             .map(|s| {
                 let plan = plans[s % plans.len()];
                 let (co, peer) = loopback_pair(plan);
-                spawn_loopback_service(s, peer, cfg.make_monitor(net.clone()));
+                spawn_loopback_service(s, peer, net.clone(), &cfg);
                 let net2 = net.clone();
                 let respawn: RespawnFn = Box::new(move || {
                     let (co2, peer2) = loopback_pair(FaultPlan::default());
@@ -120,7 +128,7 @@ impl ClusterEngine {
                         // the recovery budget burns down deterministically.
                         drop(peer2);
                     } else {
-                        spawn_loopback_service(s, peer2, cfg.make_monitor(net2.clone()));
+                        spawn_loopback_service(s, peer2, net2.clone(), &cfg);
                     }
                     Box::new(co2)
                 });

@@ -34,7 +34,7 @@ pub enum ClusterError {
     RecoveryFailed {
         /// The shard index.
         shard: usize,
-        /// Full recovery attempts made (1 + `recovery_retries`).
+        /// Full recovery attempts made (3: one plus two retries).
         attempts: u32,
     },
     /// A respawned service refused the snapshot install — its fresh

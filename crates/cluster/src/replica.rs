@@ -50,6 +50,9 @@ pub type MonitorFactory = Box<dyn FnOnce() -> Box<dyn ContinuousMonitor> + Send>
 pub struct ReplicaNode<T: Transport> {
     transport: T,
     make_monitor: MonitorFactory,
+    /// Edge count of the network the promoted service checks frames
+    /// against (see [`ShardService::new`]).
+    edges: usize,
     /// The replicated history: appended event frames (verbatim wire
     /// bytes), truncated behind each accepted snapshot offer.
     log: ShardLog,
@@ -59,11 +62,12 @@ pub struct ReplicaNode<T: Transport> {
 
 impl<T: Transport> ReplicaNode<T> {
     /// A follower on `transport`. `make_monitor` runs once, at
-    /// promotion.
-    pub fn new(transport: T, make_monitor: MonitorFactory) -> Self {
+    /// promotion, over a network of `edges` edges.
+    pub fn new(transport: T, make_monitor: MonitorFactory, edges: usize) -> Self {
         Self {
             transport,
             make_monitor,
+            edges,
             log: ShardLog::volatile(),
             epoch: 0,
         }
@@ -143,7 +147,7 @@ impl<T: Transport> ReplicaNode<T> {
         };
         // The service runs until shutdown; the replayed log goes now.
         drop(self.log);
-        let mut service = ShardService::new(self.transport, (self.make_monitor)());
+        let mut service = ShardService::new(self.transport, (self.make_monitor)(), self.edges);
         if let Some(install) = install {
             let restored = service
                 .handle(install)

@@ -12,7 +12,7 @@
 //! from its own log — the state they reach is the same because the code
 //! they run is the same.
 //!
-//! Beyond "decode, tick, reply" `handle` owns two filters. **Fencing**:
+//! Beyond "decode, tick, reply" `handle` owns three filters. **Fencing**:
 //! frames stamped with an epoch older than the newest one seen are
 //! dropped. **Duplicate suppression**: requests carry a strictly
 //! increasing sequence number, and the service caches its last encoded
@@ -21,14 +21,20 @@
 //! older than the last processed sequence are dropped outright — they
 //! are retransmission echoes the coordinator has already stopped waiting
 //! for. Corrupt frames (checksum mismatch) never reach `handle`; the
-//! coordinator's timeout drives the retransmit.
+//! coordinator's timeout drives the retransmit. **Network check**: a payload
+//! that decodes is checked against the shard's network before any of it
+//! reaches the monitor — every edge below the edge count, every `k` in
+//! `1..=MAX_K`, every weight finite and non-negative. The checksum only
+//! vouches that the bytes are the ones sent, not that the sender was
+//! right, so a frame that fails is refused the way an undecodable one is:
+//! an event frame earns no reply, a snapshot install `RestoreReply [0]`.
 
 use std::path::Path;
 use std::time::Duration;
 
-use rnn_core::ContinuousMonitor;
+use rnn_core::{ContinuousMonitor, EdgeWeightUpdate, MonitorState, ObjectEvent, QueryEvent};
 use rnn_engine::{DeltaBatch, ShardTickState};
-use rnn_roadnet::{WireCodec, WireReader};
+use rnn_roadnet::{NetPoint, WireCodec, WireReader};
 
 use crate::frame::{Frame, MsgTag};
 use crate::transport::{RecvError, StreamTransport, Transport};
@@ -38,11 +44,19 @@ use crate::transport::{RecvError, StreamTransport, Transport};
 /// depends on it.
 const POLL: Duration = Duration::from_millis(250);
 
+/// The largest `k` a frame may install. A query's best-k buffer reserves
+/// `k + 1` neighbours up front, so `k` sizes an allocation: 65,536 keeps
+/// it near a megabyte, three orders of magnitude above Table 2's k = 50.
+const MAX_K: usize = 1 << 16;
+
 /// One shard's server: a monitor plus the shard-side half of the delta
 /// protocol, driven by frames from a single coordinator connection.
 pub struct ShardService<T: Transport> {
     transport: T,
     monitor: Box<dyn ContinuousMonitor>,
+    /// Edge count of the monitor's network: the bound on every edge id a
+    /// frame may name.
+    edges: usize,
     state: ShardTickState,
     /// Highest request sequence processed, and the encoded reply frame it
     /// produced (re-sent verbatim on a duplicate).
@@ -58,11 +72,13 @@ pub struct ShardService<T: Transport> {
 }
 
 impl<T: Transport> ShardService<T> {
-    /// Wraps `monitor` behind `transport`.
-    pub fn new(transport: T, monitor: Box<dyn ContinuousMonitor>) -> Self {
+    /// Wraps `monitor`, which runs over a network of `edges` edges,
+    /// behind `transport`.
+    pub fn new(transport: T, monitor: Box<dyn ContinuousMonitor>, edges: usize) -> Self {
         Self {
             transport,
             monitor,
+            edges,
             state: ShardTickState::new(),
             last: None,
             epoch: 0,
@@ -141,6 +157,9 @@ impl<T: Transport> ShardService<T> {
                 // but either way the shard must not die on a frame: drop
                 // it and let the coordinator's timeout retransmit.
                 let delta = DeltaBatch::decode(&mut r).ok()?;
+                if !self.batch_fits(&delta) {
+                    return None;
+                }
                 let outcome = self.state.run_tick(&mut *self.monitor, delta);
                 outcome.encode(&mut payload);
                 MsgTag::TickReply
@@ -158,13 +177,15 @@ impl<T: Transport> ShardService<T> {
                 MsgTag::SnapshotReply
             }
             MsgTag::SnapshotInstall => {
-                let ok = match rnn_core::MonitorState::from_bytes(&frame.payload) {
+                let ok = match MonitorState::from_bytes(&frame.payload) {
                     // The monitor is all there is to restore: replies
                     // ship the monitor's own change list, so the first
                     // post-restore reply is what an uncrashed shard's
                     // would have been.
-                    Ok(state) => state.restore_into(&mut *self.monitor).is_ok(),
-                    Err(_) => false,
+                    Ok(state) if self.state_fits(&state) => {
+                        state.restore_into(&mut *self.monitor).is_ok()
+                    }
+                    _ => false,
                 };
                 payload.push(u8::from(ok));
                 MsgTag::RestoreReply
@@ -187,14 +208,51 @@ impl<T: Transport> ShardService<T> {
         };
         Some((tag, payload))
     }
+
+    /// Whether every event of a decoded batch fits the network (see the
+    /// module docs' network check).
+    fn batch_fits(&self, batch: &DeltaBatch) -> bool {
+        batch.objects.iter().all(|event| match *event {
+            ObjectEvent::Insert { at, .. } | ObjectEvent::Move { to: at, .. } => self.on_net(at),
+            ObjectEvent::Delete { .. } => true,
+        }) && batch.queries.iter().all(|event| match *event {
+            QueryEvent::Install { k, at, .. } => self.query_fits(k, at),
+            QueryEvent::Move { to, .. } => self.on_net(to),
+            QueryEvent::Remove { .. } => true,
+        }) && batch.shared_edges.iter().all(|u| self.weight_fits(u))
+    }
+
+    /// Whether a decoded snapshot fits the network.
+    fn state_fits(&self, state: &MonitorState) -> bool {
+        state.weight_diffs.iter().all(|u| self.weight_fits(u))
+            && state.objects.iter().all(|&(_, at)| self.on_net(at))
+            && state.queries.iter().all(|q| self.query_fits(q.k, q.pos))
+    }
+
+    fn on_net(&self, at: NetPoint) -> bool {
+        at.edge.index() < self.edges
+    }
+
+    fn query_fits(&self, k: usize, at: NetPoint) -> bool {
+        (1..=MAX_K).contains(&k) && self.on_net(at)
+    }
+
+    fn weight_fits(&self, u: &EdgeWeightUpdate) -> bool {
+        u.edge.index() < self.edges && u.new_weight.is_finite() && u.new_weight >= 0.0
+    }
 }
 
 /// Binds `path`, accepts exactly one coordinator connection, and serves
-/// `monitor` on it until shutdown. This is the entry point a shard
-/// *process* calls (see `examples/cluster_city.rs`).
-pub fn serve_unix(path: &Path, monitor: Box<dyn ContinuousMonitor>) -> std::io::Result<()> {
+/// `monitor` (over a network of `edges` edges) on it until shutdown. This
+/// is the entry point a shard *process* calls (see
+/// `examples/cluster_city.rs`).
+pub fn serve_unix(
+    path: &Path,
+    monitor: Box<dyn ContinuousMonitor>,
+    edges: usize,
+) -> std::io::Result<()> {
     let (stream, _) = std::os::unix::net::UnixListener::bind(path)?.accept()?;
-    ShardService::new(StreamTransport::new(stream), monitor).run();
+    ShardService::new(StreamTransport::new(stream), monitor, edges).run();
     Ok(())
 }
 
@@ -203,9 +261,10 @@ pub fn serve_unix(path: &Path, monitor: Box<dyn ContinuousMonitor>) -> std::io::
 pub fn serve_tcp(
     addr: std::net::SocketAddr,
     monitor: Box<dyn ContinuousMonitor>,
+    edges: usize,
 ) -> std::io::Result<()> {
     let (stream, _) = std::net::TcpListener::bind(addr)?.accept()?;
-    ShardService::new(StreamTransport::new(stream), monitor).run();
+    ShardService::new(StreamTransport::new(stream), monitor, edges).run();
     Ok(())
 }
 
@@ -213,9 +272,9 @@ pub fn serve_tcp(
 mod tests {
     use super::*;
     use crate::transport::{loopback_pair, FaultPlan};
-    use rnn_core::{EdgeWeightUpdate, Gma, ObjectEvent, QueryEvent};
+    use rnn_core::{Gma, UpdateBatch};
     use rnn_engine::{BatchKind, TickOutcome};
-    use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
+    use rnn_roadnet::{generators, EdgeId, ObjectId, QueryId, RoadNetwork};
     use std::sync::Arc;
 
     fn net() -> Arc<RoadNetwork> {
@@ -326,7 +385,8 @@ mod tests {
             ),
         ];
         let (_idle, peer) = loopback_pair(FaultPlan::default());
-        let mut live = ShardService::new(peer, Box::new(Gma::new(net.clone())));
+        let edges = net.num_edges();
+        let mut live = ShardService::new(peer, Box::new(Gma::new(net.clone())), edges);
         for frame in history {
             live.handle(frame).expect("event frames are answered");
         }
@@ -351,7 +411,7 @@ mod tests {
 
         // Promotion's way: a service built locally, frames handed to it.
         let (_idle, peer) = loopback_pair(FaultPlan::default());
-        let mut local = ShardService::new(peer, Box::new(Gma::new(net.clone())));
+        let mut local = ShardService::new(peer, Box::new(Gma::new(net.clone())), edges);
         let fed: Vec<Vec<u8>> = feed
             .iter()
             .map(|frame| {
@@ -364,7 +424,7 @@ mod tests {
         // Respawn-rebuild's way: a service behind a transport.
         let (mut co, peer) = loopback_pair(FaultPlan::default());
         let served = std::thread::spawn(move || {
-            ShardService::new(peer, Box::new(Gma::new(net))).run();
+            ShardService::new(peer, Box::new(Gma::new(net)), edges).run();
         });
         let wired: Vec<Vec<u8>> = feed
             .iter()
@@ -436,7 +496,7 @@ mod tests {
 
             for hostile in [twice_the_query, twice_the_object] {
                 let (_idle, peer) = loopback_pair(FaultPlan::default());
-                let mut service = ShardService::new(peer, make(net.clone()));
+                let mut service = ShardService::new(peer, make(net.clone()), net.num_edges());
                 let reply = service
                     .handle(Frame {
                         tag: MsgTag::SnapshotInstall,
@@ -456,6 +516,167 @@ mod tests {
                 );
                 let reply = service.handle(next).expect("the service still serves");
                 assert_eq!(Frame::from_bytes(&reply).unwrap().tag, MsgTag::TickReply);
+            }
+        }
+    }
+
+    #[test]
+    fn a_checksum_valid_frame_that_does_not_fit_the_network_is_refused() {
+        // Each mutation decodes and travels under a valid checksum, but
+        // names an edge past the network, a k outside 1..=MAX_K or a
+        // weight that is not a finite non-negative number. The shard must
+        // refuse it — no reply to an event frame, `RestoreReply [0]` to an
+        // install — and answer the next frames exactly like a twin that
+        // never saw it.
+        let net = net();
+        let edges = net.num_edges();
+        let beyond = EdgeId(edges as u32);
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        let weight = |edge, new_weight| EdgeWeightUpdate { edge, new_weight };
+        let serve = || {
+            let (_idle, peer) = loopback_pair(FaultPlan::default());
+            ShardService::new(peer, Box::new(Gma::new(net.clone())), edges)
+        };
+        let objects = || (0..20u32).map(|o| (ObjectId(o), at(o * 3 % 60, 0.3)));
+        let queries = || (0..4u32).map(|q| (QueryId(q), 3, at(q * 11, 0.6)));
+        let population = events(
+            0,
+            objects()
+                .map(|(id, at)| ObjectEvent::Insert { id, at })
+                .collect(),
+            queries()
+                .map(|(id, k, at)| QueryEvent::Install { id, k, at })
+                .collect(),
+            vec![],
+        );
+        let next = events(
+            2,
+            vec![ObjectEvent::Move {
+                id: ObjectId(2),
+                to: at(33, 0.5),
+            }],
+            vec![QueryEvent::Move {
+                id: QueryId(1),
+                to: at(34, 0.1),
+            }],
+            vec![weight(EdgeId(12), 3.5)],
+        );
+        let object = |event| events(1, vec![event], vec![], vec![]);
+        let query = |event| events(1, vec![], vec![event], vec![]);
+        let edge = |update| events(1, vec![], vec![], vec![update]);
+        let install = |id, k, at| QueryEvent::Install { id, k, at };
+        let event_cases = [
+            (
+                "object insert past the network",
+                object(ObjectEvent::Insert {
+                    id: ObjectId(50),
+                    at: NetPoint::new(beyond, 0.5),
+                }),
+            ),
+            (
+                "object move past the network",
+                object(ObjectEvent::Move {
+                    id: ObjectId(3),
+                    to: NetPoint::new(EdgeId(u32::MAX), 0.5),
+                }),
+            ),
+            (
+                "query install past the network",
+                query(install(QueryId(9), 3, NetPoint::new(beyond, 0.5))),
+            ),
+            (
+                "query move past the network",
+                query(QueryEvent::Move {
+                    id: QueryId(1),
+                    to: NetPoint::new(beyond, 0.1),
+                }),
+            ),
+            ("k = 0", query(install(QueryId(9), 0, at(5, 0.5)))),
+            (
+                "k = MAX_K + 1",
+                query(install(QueryId(9), MAX_K + 1, at(5, 0.5))),
+            ),
+            (
+                "k = usize::MAX",
+                query(install(QueryId(9), usize::MAX, at(5, 0.5))),
+            ),
+            ("weight past the network", edge(weight(beyond, 1.0))),
+            ("NaN weight", edge(weight(EdgeId(12), f64::NAN))),
+            ("infinite weight", edge(weight(EdgeId(12), f64::INFINITY))),
+            ("negative weight", edge(weight(EdgeId(12), -1.0))),
+        ];
+        for (what, hostile) in event_cases {
+            let (mut live, mut twin) = (serve(), serve());
+            for service in [&mut live, &mut twin] {
+                service
+                    .handle(population.clone())
+                    .expect("population answered");
+            }
+            assert_eq!(
+                live.handle(hostile),
+                None,
+                "{what}: refused without a reply"
+            );
+            let shipped = |service: &mut ShardService<_>| {
+                without_elapsed(&service.handle(next.clone()).expect("next answered"))
+            };
+            assert_eq!(shipped(&mut live), shipped(&mut twin), "{what}");
+        }
+
+        let mut donor = Gma::new(net.clone());
+        rnn_core::load_population(&mut donor, objects(), queries());
+        donor.tick(&UpdateBatch {
+            edges: vec![weight(EdgeId(12), 3.5)],
+            ..UpdateBatch::default()
+        });
+        let state = donor.snapshot_state().expect("Gma snapshots");
+        let mutated = |mutate: &dyn Fn(&mut MonitorState)| {
+            let mut hostile = state.clone();
+            mutate(&mut hostile);
+            hostile
+        };
+        let install_cases = [
+            (
+                "weight past the network",
+                mutated(&|s| s.weight_diffs.push(weight(beyond, 1.0))),
+            ),
+            (
+                "NaN weight",
+                mutated(&|s| s.weight_diffs[0].new_weight = f64::NAN),
+            ),
+            (
+                "negative weight",
+                mutated(&|s| s.weight_diffs[0].new_weight = -2.0),
+            ),
+            (
+                "object past the network",
+                mutated(&|s| s.objects[0].1 = NetPoint::new(beyond, 0.5)),
+            ),
+            (
+                "query past the network",
+                mutated(&|s| s.queries[0].pos = NetPoint::new(beyond, 0.5)),
+            ),
+            ("k = 0", mutated(&|s| s.queries[0].k = 0)),
+            ("k = usize::MAX", mutated(&|s| s.queries[0].k = usize::MAX)),
+        ];
+        let install_frame = |seq, state: &MonitorState| Frame {
+            tag: MsgTag::SnapshotInstall,
+            seq,
+            epoch: 0,
+            payload: state.to_bytes(),
+        };
+        for (what, hostile) in install_cases {
+            let (mut live, mut twin) = (serve(), serve());
+            let refused = live
+                .handle(install_frame(0, &hostile))
+                .expect("an install is answered");
+            let refused = Frame::from_bytes(&refused).unwrap();
+            assert_eq!(refused.tag, MsgTag::RestoreReply, "{what}");
+            assert_eq!(refused.payload, [0], "{what}: refused");
+            for frame in [install_frame(1, &state), next.clone()] {
+                let a = live.handle(frame.clone()).expect("answered");
+                let b = twin.handle(frame).expect("answered");
+                assert_eq!(without_elapsed(&a), without_elapsed(&b), "{what}");
             }
         }
     }

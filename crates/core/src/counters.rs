@@ -134,13 +134,13 @@ counter_struct! {
         pub coalesced_superseded: u64,
         /// Entity windows (a surviving event and every report folded into
         /// it) dropped by the ingest stage's `AdmissionPolicy::ShedOldest`
-        /// load shedding because a bounded lane was full. Unlike
+        /// load shedding because the bounded queue was full. Unlike
         /// `coalesced_superseded`, shed events are *lost* — answers may lag
         /// until a fresher submission arrives.
         pub shed_events: u64,
-        /// Heap-allocation events of the ingest stage: lane buffer growth
+        /// Heap-allocation events of the ingest stage: queue buffer growth
         /// and open-window index growth at submit, counted at the drain.
-        /// Zero on a steady-state tick — the lanes run entirely in reused
+        /// Zero on a steady-state tick — the queue runs entirely in reused
         /// capacity, like the monitors' own `alloc_events` guarantee.
         pub drain_alloc_events: u64,
     }

@@ -181,25 +181,6 @@ impl UpdateEvent {
     pub fn edge(edge: EdgeId, new_weight: f64) -> Self {
         UpdateEvent::Edge(EdgeWeightUpdate { edge, new_weight })
     }
-
-    /// The id of the entity this event concerns, for per-entity routing
-    /// and coalescing: object and query ids in their own planes, edge ids
-    /// in theirs.
-    pub fn lane_key(&self) -> u64 {
-        match self {
-            UpdateEvent::Object(
-                ObjectEvent::Insert { id, .. }
-                | ObjectEvent::Move { id, .. }
-                | ObjectEvent::Delete { id },
-            ) => id.0 as u64,
-            UpdateEvent::Query(
-                QueryEvent::Install { id, .. }
-                | QueryEvent::Move { id, .. }
-                | QueryEvent::Remove { id },
-            ) => id.0 as u64,
-            UpdateEvent::Edge(EdgeWeightUpdate { edge, .. }) => edge.0 as u64,
-        }
-    }
 }
 
 /// Everything that happens in one timestamp.

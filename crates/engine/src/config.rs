@@ -6,7 +6,7 @@ use rnn_core::{ContinuousMonitor, Gma, Ima, Ovh};
 use rnn_roadnet::RoadNetwork;
 
 use crate::engine::EngineError;
-use crate::ingest::{IngestConfig, IngestHub};
+use crate::ingest::IngestConfig;
 
 /// Which of the paper's monitors runs inside each shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,11 +79,10 @@ pub struct EngineConfig {
     /// detector's hysteresis: a hotspot must persist, and a migration must
     /// settle, before cells move again.
     pub rebalance_cooldown: u32,
-    /// The out-of-band ingest stage in front of the tick loop: lane
-    /// count, per-lane bound, and admission policy (see
-    /// [`crate::ingest`]). The default (4 lanes × 4096 events,
-    /// `Block`) costs nothing unless [`crate::ShardedEngine::ingest_handle`]
-    /// is actually used.
+    /// The out-of-band ingest stage in front of the tick loop: its bound
+    /// and admission policy (see [`crate::ingest`]). The default (16,384
+    /// open windows, `Block`) costs nothing unless
+    /// [`crate::ShardedEngine::ingest_handle`] is actually used.
     pub ingest: IngestConfig,
     /// The per-shard replicated-journal plane (see
     /// [`ReplicationConfig`]). Only the cluster layer consumes it; the
@@ -170,16 +169,10 @@ impl EngineConfig {
         };
         finite_ratio("halo_shrink_trigger", self.halo_shrink_trigger)?;
         finite_ratio("rebalance_trigger", self.rebalance_trigger)?;
-        if !(1..=IngestHub::MAX_LANES).contains(&self.ingest.lanes) {
-            return Err(EngineError::InvalidKnob {
-                field: "ingest.lanes",
-                requirement: "in 1..=64 (the merge scans lanes linearly)",
-            });
-        }
         if self.ingest.capacity == 0 {
             return Err(EngineError::InvalidKnob {
                 field: "ingest.capacity",
-                requirement: "at least 1 event per lane",
+                requirement: "at least 1 open window",
             });
         }
         Ok(())

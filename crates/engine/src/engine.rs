@@ -388,7 +388,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.ingest.handle()
     }
 
-    /// Drains everything submitted since the last drain — the lanes have
+    /// Drains everything submitted since the last drain — the hub has
     /// already coalesced multiple reports per entity to the final
     /// position (§4.5) — and runs one tick over the result. The drain's accounting
     /// (`coalesced_superseded`, `shed_events`, `drain_alloc_events`)

@@ -1,5 +1,5 @@
-//! Out-of-band ingest: a sharded MPSC submission stage in front of the
-//! tick loop.
+//! Out-of-band ingest: one bounded submission queue in front of the tick
+//! loop.
 //!
 //! The paper's protocol is synchronous — at every timestamp the server is
 //! handed one [`UpdateBatch`] containing everything that happened. Real
@@ -8,62 +8,56 @@
 //! the *same* entity routinely land inside one tick window. This module
 //! is the stage between the two worlds:
 //!
-//! * **Sharded MPSC lanes.** An [`IngestHub`] owns `lanes` bounded
-//!   queues; any number of cloned [`IngestHandle`]s submit concurrently.
-//!   Every event is routed to lane `entity_id % lanes`, so contention
-//!   spreads across lanes while *per-entity submission order is
-//!   preserved* — the property §4.5 coalescing relies on.
+//! * **One queue, any number of producers.** An [`IngestHub`] owns one
+//!   bounded window queue under one lock; any number of cloned
+//!   [`IngestHandle`]s submit concurrently. Windows queue in the order
+//!   they open, so the drained batch is in *first-report order* and
+//!   per-entity submission order is preserved — the property §4.5
+//!   coalescing relies on. With no coalescing triggered, the drained
+//!   batch is **bit-identical** to one built by hand in submission order.
 //! * **Tick-window coalescing at submit** (§4.5: "if an entity issues
-//!   several updates in one timestamp, they are coalesced"). A lane keeps
-//!   one *open window* per entity and folds each later report into it in
-//!   place, under the lane lock the submit already holds — `Install`+`Move`
+//!   several updates in one timestamp, they are coalesced"). The queue
+//!   keeps one *open window* per entity and folds each later report into
+//!   it in place, under the lock the submit already holds — `Install`+`Move`
 //!   folds to `Install` at the final position (generalizing the
 //!   install-then-move contract), `Move`+`Move` keeps the last position,
 //!   and edge reports keep the last weight. `Delete` / `Remove` are never
 //!   folded across: they close the entity's window, and later events
 //!   start a fresh one. Every report folded this way counts in
 //!   [`DrainStats::coalesced_superseded`] — the answer is identical, the
-//!   work is not done twice. A lane therefore holds survivors only.
-//! * **Global ordering.** Each window takes a ticket from one shared
-//!   sequence counter when it opens (drawn while holding its lane lock,
-//!   so each lane's queue is ticket-sorted); a fold keeps the window's
-//!   first ticket. The drain merges lanes by ticket, reconstructing the
-//!   global order of first reports; with no coalescing triggered, the
-//!   drained batch is **bit-identical** to one built by hand in
-//!   submission order.
-//! * **Admission control.** Lanes are bounded (`capacity` open windows);
-//!   a submission that would open a window in a full lane applies its
-//!   [`AdmissionPolicy`]: `Block` parks the producer until the next drain
-//!   (lossless backpressure), `ShedOldest` drops the oldest surviving
-//!   window (counted in [`DrainStats::shed_events`] — the monitor lags but
-//!   never stalls), `Reject` refuses the submission with a typed
-//!   [`IngestError`] so the producer decides. A fold never parks, sheds
-//!   or rejects.
+//!   work is not done twice. The queue therefore holds survivors only.
+//! * **Admission control.** The queue is bounded (`capacity` open
+//!   windows); a submission that would open a window in a full queue
+//!   applies its [`AdmissionPolicy`]: `Block` parks the producer until
+//!   the next drain (lossless backpressure), `ShedOldest` drops the oldest
+//!   surviving window (counted in [`DrainStats::shed_events`] — the
+//!   monitor lags but never stalls), `Reject` refuses the submission with
+//!   a typed [`IngestError`] so the producer decides. A fold never parks,
+//!   sheds or rejects.
 //!
-//! The drain is a swap plus a ticket merge of the survivors: lane queues
-//! are swapped against hub-owned ping-pong buffers (events *move*, event
-//! slices are never cloned), and each lane's open-window index is cleared
-//! in place. Capacity growth of either — queue or index — is counted in
-//! [`DrainStats::drain_alloc_events`], which the benchmark gate pins to
-//! zero once warm.
+//! The drain is a swap: the queue is swapped against a hub-owned
+//! ping-pong buffer (events *move*, event slices are never cloned), its
+//! open-window index is cleared in place, and the survivors are appended
+//! to the batch in queue order. Capacity growth of either — queue or
+//! index — is counted in [`DrainStats::drain_alloc_events`], which the
+//! benchmark gate pins to zero once warm.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use rnn_core::{ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent};
+use rnn_core::{EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent};
+use rnn_roadnet::FxHashMap;
 
-/// What a full lane does to a submission that would open a new window.
+/// What a full queue does to a submission that would open a new window.
 /// Folding a report into an entity's open window needs no room, so it is
 /// always admitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Park the producer until the consumer drains the lane: lossless
+    /// Park the producer until the consumer drains the queue: lossless
     /// backpressure, the default. Producers slow to the tick rate.
     #[default]
     Block,
-    /// Drop the lane's *oldest* surviving window — its event and every
+    /// Drop the queue's *oldest* surviving window — its event and every
     /// report already folded into it — to admit the new one. The monitor
     /// may serve answers that lag reality (shed moves are simply never
     /// seen), but producers never stall. Every dropped window counts in
@@ -78,26 +72,21 @@ pub enum AdmissionPolicy {
 /// Tuning knobs of the ingest stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Number of submission lanes. Events route by `entity_id % lanes`,
-    /// so per-entity order holds regardless of the producer count.
-    /// Clamped to at least 1 (and at most [`IngestHub::MAX_LANES`]) at
-    /// hub construction; [`crate::EngineConfig::validate`] rejects
-    /// out-of-range values with a typed error instead.
-    pub lanes: usize,
-    /// Per-lane bound, in *open windows* (surviving events), not raw
+    /// The hub's bound, in *open windows* (surviving events), not raw
     /// reports: a report that folds into an open window takes no room. A
-    /// lane at capacity applies `policy` to a report that would open a
-    /// window. Clamped to at least 1 at hub construction.
+    /// full hub applies `policy` to a report that would open a window.
+    /// Clamped to at least 1 at hub construction;
+    /// [`crate::EngineConfig::validate`] rejects 0 with a typed error
+    /// instead.
     pub capacity: usize,
-    /// What a full lane does (see [`AdmissionPolicy`]).
+    /// What a full hub does (see [`AdmissionPolicy`]).
     pub policy: AdmissionPolicy,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         Self {
-            lanes: 4,
-            capacity: 4096,
+            capacity: 16384,
             policy: AdmissionPolicy::Block,
         }
     }
@@ -107,12 +96,9 @@ impl Default for IngestConfig {
 /// surfaces errors; the other policies always admit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IngestError {
-    /// The event's lane is at capacity and the hub runs
-    /// [`AdmissionPolicy::Reject`].
+    /// The hub is at capacity and runs [`AdmissionPolicy::Reject`].
     LaneFull {
-        /// The full lane's index.
-        lane: usize,
-        /// The configured per-lane bound.
+        /// The configured bound.
         capacity: usize,
     },
 }
@@ -120,9 +106,9 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::LaneFull { lane, capacity } => write!(
+            IngestError::LaneFull { capacity } => write!(
                 f,
-                "ingest lane {lane} is at capacity ({capacity} open windows) under \
+                "ingest hub is at capacity ({capacity} open windows) under \
                  AdmissionPolicy::Reject — drain the hub or resubmit later"
             ),
         }
@@ -144,63 +130,33 @@ pub struct DrainStats {
     /// Windows dropped at admission by [`AdmissionPolicy::ShedOldest`]
     /// since the previous drain. These are *lost*, not folded.
     pub shed_events: u64,
-    /// Capacity-growth events since the previous drain: lane buffers, and
-    /// each lane's open-window index, which grows at submit. Zero once the
+    /// Capacity-growth events since the previous drain: the queue buffers,
+    /// and the open-window index, which grows at submit. Zero once the
     /// hub is warm.
     pub drain_alloc_events: u64,
 }
 
-/// Hasher for the open-window index: a Fibonacci multiply folded so the
-/// low bits the table buckets by depend on every key bit (lane members
-/// share `id % lanes`, and ids are unchecked input).
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Keys are `u64`s (`write_u64`); other input folds in bytewise.
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One lane's tick window, guarded by the lane lock.
-struct LaneQueue {
-    /// Surviving events, sorted by ticket.
-    events: VecDeque<(u64, UpdateEvent)>,
+/// The tick window's survivors, guarded by the hub lock.
+struct Queue {
+    /// Surviving events, in the order their windows opened.
+    events: VecDeque<UpdateEvent>,
     /// Entity key → position of its open window, counted from the first
     /// event admitted since the last drain (so `position - shed` indexes
     /// `events`). Sized by what was admitted, never by an id value.
-    open: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+    open: FxHashMap<u64, usize>,
     /// Windows dropped from the front by `ShedOldest` since the last drain.
     shed: usize,
     /// Reports folded since the last drain.
     superseded: u64,
     /// Growths of `open` since the last drain.
     grown: u64,
+    /// The most `open` has ever had room for. `capacity()` also rises
+    /// when a rehash in place reclaims the slots of removed keys, which
+    /// allocates nothing, so only a rise above this counts as growth.
+    open_room: usize,
 }
 
-impl LaneQueue {
-    fn new(room: usize) -> Self {
-        Self {
-            events: VecDeque::with_capacity(room),
-            open: HashMap::with_capacity_and_hasher(room, Default::default()),
-            shed: 0,
-            superseded: 0,
-            grown: 0,
-        }
-    }
-
+impl Queue {
     /// The entity's open window, if `event` is a report that folds into one.
     fn open_window(&mut self, key: u64, event: &UpdateEvent) -> Option<&mut UpdateEvent> {
         let folds = matches!(
@@ -213,13 +169,13 @@ impl LaneQueue {
             return None;
         }
         let at = *self.open.get(&key)? - self.shed;
-        self.events.get_mut(at).map(|(_, e)| e)
+        self.events.get_mut(at)
     }
 
     /// Drops the oldest window and forgets it, so the entity's next report
     /// opens a fresh one.
     fn shed_oldest(&mut self) {
-        if let Some((_, event)) = self.events.pop_front() {
+        if let Some(event) = self.events.pop_front() {
             let key = coalesce_key(&event);
             if self.open.get(&key) == Some(&self.shed) {
                 self.open.remove(&key);
@@ -230,7 +186,7 @@ impl LaneQueue {
 
     /// Appends `event` as a new survivor: `Delete` / `Remove` close the
     /// entity's window, anything else opens one.
-    fn admit(&mut self, key: u64, ticket: u64, event: UpdateEvent) {
+    fn admit(&mut self, key: u64, event: UpdateEvent) {
         let closes = matches!(
             event,
             UpdateEvent::Object(ObjectEvent::Delete { .. })
@@ -239,14 +195,16 @@ impl LaneQueue {
         if closes {
             self.open.remove(&key);
         } else {
-            // The index grows here, on the submit side, when a lane opens
+            // The index grows here, on the submit side, when the hub opens
             // more windows than ever before; `grown` carries the growth
             // to the next drain's `drain_alloc_events`.
-            let room = self.open.capacity();
             self.open.insert(key, self.shed + self.events.len());
-            self.grown += u64::from(self.open.capacity() > room);
+            if self.open.capacity() > self.open_room {
+                self.open_room = self.open.capacity();
+                self.grown += 1;
+            }
         }
-        self.events.push_back((ticket, event));
+        self.events.push_back(event);
     }
 }
 
@@ -266,37 +224,27 @@ fn fold(window: &mut UpdateEvent, later: UpdateEvent) {
     };
 }
 
-/// One bounded MPSC lane: its window plus the condvar `Block`ed
-/// producers park on.
-struct Lane {
-    queue: Mutex<LaneQueue>,
-    space: Condvar,
-}
-
-/// State shared between the hub (consumer) and its handles (producers).
+/// State shared between the hub (consumer) and its handles (producers):
+/// the queue plus the condvar `Block`ed producers park on.
 struct HubShared {
-    lanes: Vec<Lane>,
-    /// The global submission ticket counter. Drawn under a lane lock, so
-    /// every lane's queue is sorted by ticket and a k-way merge by
-    /// ticket reconstructs the global order of first reports exactly.
-    seq: AtomicU64,
+    queue: Mutex<Queue>,
+    space: Condvar,
     capacity: usize,
     policy: AdmissionPolicy,
 }
 
-fn lock_lane(lane: &Lane) -> MutexGuard<'_, LaneQueue> {
-    // A producer panicking mid-submit cannot leave the window in a broken
-    // state (every mutation is one push, insert or in-place write), so
-    // poisoning carries no information here — keep the hub serving.
-    lane.queue.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl HubShared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // A producer panicking mid-submit cannot leave the queue in a
+        // broken state (every mutation is one push, insert or in-place
+        // write), so poisoning carries no information here — keep the hub
+        // serving.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
-        let idx = (event.lane_key() % self.lanes.len() as u64) as usize;
-        let lane = &self.lanes[idx];
         let key = coalesce_key(&event);
-        let mut q = lock_lane(lane);
+        let mut q = self.lock();
         loop {
             if let Some(window) = q.open_window(key, &event) {
                 fold(window, event);
@@ -309,7 +257,7 @@ impl HubShared {
             match self.policy {
                 // A drain may have closed the window meanwhile: re-check.
                 AdmissionPolicy::Block => {
-                    q = lane.space.wait(q).unwrap_or_else(PoisonError::into_inner);
+                    q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
                 AdmissionPolicy::ShedOldest => {
                     q.shed_oldest();
@@ -317,14 +265,12 @@ impl HubShared {
                 }
                 AdmissionPolicy::Reject => {
                     return Err(IngestError::LaneFull {
-                        lane: idx,
                         capacity: self.capacity,
                     });
                 }
             }
         }
-        let ticket = self.seq.fetch_add(1, Ordering::Relaxed);
-        q.admit(key, ticket, event);
+        q.admit(key, event);
         Ok(())
     }
 }
@@ -339,69 +285,72 @@ pub struct IngestHandle {
 impl IngestHandle {
     /// Submits one event. Per-entity order is the submission order of
     /// whichever producer carries that entity; cross-entity order is the
-    /// global ticket order. Fails only under [`AdmissionPolicy::Reject`]
-    /// on a full lane; under [`AdmissionPolicy::Block`] this call parks
-    /// until the consumer drains.
+    /// order in which windows opened. Fails only under
+    /// [`AdmissionPolicy::Reject`] on a full hub; under
+    /// [`AdmissionPolicy::Block`] this call parks until the consumer
+    /// drains.
     pub fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
         self.shared.submit(event)
     }
 }
 
-/// Entity key with the plane disambiguated in the high bits (object,
+/// The entity an event concerns, with its plane in the high bits (object,
 /// query, and edge ids are all dense `u32`s).
 fn coalesce_key(event: &UpdateEvent) -> u64 {
-    let plane = match event {
-        UpdateEvent::Object(_) => 1u64,
-        UpdateEvent::Query(_) => 2u64,
-        UpdateEvent::Edge(_) => 3u64,
+    let (plane, id) = match *event {
+        UpdateEvent::Object(
+            ObjectEvent::Insert { id, .. }
+            | ObjectEvent::Move { id, .. }
+            | ObjectEvent::Delete { id },
+        ) => (1u64, id.0),
+        UpdateEvent::Query(
+            QueryEvent::Install { id, .. }
+            | QueryEvent::Move { id, .. }
+            | QueryEvent::Remove { id },
+        ) => (2, id.0),
+        UpdateEvent::Edge(EdgeWeightUpdate { edge, .. }) => (3, edge.0),
     };
-    (plane << 32) | event.lane_key()
+    (plane << 32) | u64::from(id)
 }
 
-/// The ingest hub: owns the lanes, hands out producer handles, and
+/// The ingest hub: owns the queue, hands out producer handles, and
 /// drains into an [`UpdateBatch`] at tick boundaries. Single consumer —
 /// [`Self::drain_into`] takes `&mut self`.
 pub struct IngestHub {
     shared: Arc<HubShared>,
-    /// Ping-pong partners for the lane queues: each drain swaps a lane's
-    /// queue against its (emptied) partner from the previous drain, so
-    /// events move without per-drain allocation.
-    swapped: Vec<VecDeque<(u64, UpdateEvent)>>,
-    /// High-water capacity seen per lane buffer, to count growth.
-    lane_cap_seen: Vec<usize>,
+    /// Ping-pong partner of the queue: each drain swaps the queue against
+    /// the partner it emptied last time, so events move without
+    /// per-drain allocation.
+    swapped: VecDeque<UpdateEvent>,
+    /// High-water capacity seen of the queue buffers, to count growth.
+    cap_seen: usize,
 }
 
 impl IngestHub {
-    /// Lanes above this count would not help: the engine caps at 64
-    /// shards, and the merge is a linear scan over lanes per event.
-    pub const MAX_LANES: usize = 64;
-
-    /// Creates a hub with `cfg`'s lane count, bound, and policy (lanes
-    /// and capacity silently clamped to at least 1; use
-    /// [`crate::EngineConfig::validate`] for a typed error instead).
+    /// Creates a hub with `cfg`'s bound and policy (capacity silently
+    /// clamped to at least 1; use [`crate::EngineConfig::validate`] for a
+    /// typed error instead).
     pub fn new(cfg: IngestConfig) -> Self {
-        let lanes = cfg.lanes.clamp(1, Self::MAX_LANES);
         let capacity = cfg.capacity.max(1);
         let room = capacity.min(1024);
+        let open = FxHashMap::with_capacity_and_hasher(room, Default::default());
         let shared = Arc::new(HubShared {
-            lanes: (0..lanes)
-                .map(|_| Lane {
-                    queue: Mutex::new(LaneQueue::new(room)),
-                    space: Condvar::new(),
-                })
-                // lint: allow(hot-path-alloc): hub construction, not the drain path
-                .collect(),
-            seq: AtomicU64::new(0),
+            queue: Mutex::new(Queue {
+                events: VecDeque::with_capacity(room),
+                open_room: open.capacity(),
+                open,
+                shed: 0,
+                superseded: 0,
+                grown: 0,
+            }),
+            space: Condvar::new(),
             capacity,
             policy: cfg.policy,
         });
         Self {
             shared,
-            swapped: (0..lanes)
-                .map(|_| VecDeque::with_capacity(room))
-                // lint: allow(hot-path-alloc): hub construction, not the drain path
-                .collect(),
-            lane_cap_seen: vec![0; lanes], // lint: allow(hot-path-alloc): hub construction
+            swapped: VecDeque::with_capacity(room),
+            cap_seen: 0,
         }
     }
 
@@ -414,53 +363,35 @@ impl IngestHub {
     }
 
     /// Drains everything submitted so far into `batch` and wakes
-    /// producers parked on full lanes. The lanes already hold one
-    /// survivor per window; they are appended in global ticket order (the
-    /// batch is *not* cleared — callers owning the buffer clear between
-    /// ticks). Returns what happened; see [`DrainStats`].
+    /// producers parked on the full queue. The queue already holds one
+    /// survivor per window; they are appended in the order their windows
+    /// opened (the batch is *not* cleared — callers owning the buffer
+    /// clear between ticks). Returns what happened; see [`DrainStats`].
     pub fn drain_into(&mut self, batch: &mut UpdateBatch) -> DrainStats {
+        debug_assert!(self.swapped.is_empty());
         let mut stats = DrainStats::default();
-
-        // Swap every lane's queue against its ping-pong partner and close
-        // its windows. After this loop producers write into fresh (reused)
-        // buffers and the drain owns the survivors without having cloned
-        // them.
-        for (i, lane) in self.shared.lanes.iter().enumerate() {
-            debug_assert!(self.swapped[i].is_empty());
-            {
-                let mut q = lock_lane(lane);
-                std::mem::swap(&mut q.events, &mut self.swapped[i]);
-                q.open.clear();
-                stats.coalesced_superseded += std::mem::take(&mut q.superseded);
-                stats.shed_events += std::mem::take(&mut q.shed) as u64;
-                stats.drain_alloc_events += std::mem::take(&mut q.grown);
-            }
-            lane.space.notify_all();
-            let cap = self.swapped[i].capacity();
-            if cap > self.lane_cap_seen[i] {
-                if self.lane_cap_seen[i] != 0 {
-                    stats.drain_alloc_events += 1;
-                }
-                self.lane_cap_seen[i] = cap;
-            }
+        {
+            // Swap the queue against its ping-pong partner and close its
+            // windows: producers go on writing into the (reused) partner
+            // and the drain owns the survivors without having cloned them.
+            let mut q = self.shared.lock();
+            std::mem::swap(&mut q.events, &mut self.swapped);
+            q.open.clear();
+            stats.coalesced_superseded = std::mem::take(&mut q.superseded);
+            stats.shed_events = std::mem::take(&mut q.shed) as u64;
+            stats.drain_alloc_events = std::mem::take(&mut q.grown);
         }
-
-        // Merge lanes by ticket (k-way min-scan: the lane count is small
-        // and fixed, so a heap would cost more than it saves).
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, q) in self.swapped.iter().enumerate() {
-                if let Some(&(ticket, _)) = q.front() {
-                    if best.map_or(true, |(t, _)| ticket < t) {
-                        best = Some((ticket, i));
-                    }
-                }
+        self.shared.space.notify_all();
+        let cap = self.swapped.capacity();
+        if cap > self.cap_seen {
+            if self.cap_seen != 0 {
+                stats.drain_alloc_events += 1;
             }
-            let Some((_, lane)) = best else { break };
-            if let Some((_, event)) = self.swapped[lane].pop_front() {
-                batch.push(event);
-                stats.drained += 1;
-            }
+            self.cap_seen = cap;
+        }
+        stats.drained = self.swapped.len() as u64;
+        for event in self.swapped.drain(..) {
+            batch.push(event);
         }
         stats
     }
@@ -484,14 +415,13 @@ mod tests {
     }
 
     #[test]
-    fn preserves_global_submission_order_across_lanes() {
-        let mut hub = IngestHub::new(IngestConfig {
-            lanes: 3,
-            ..IngestConfig::default()
-        });
+    fn preserves_submission_order() {
+        let mut hub = IngestHub::new(IngestConfig::default());
         let h = hub.handle();
-        // Ids 0,1,2 land in different lanes; order must survive the merge.
-        for i in 0..9u32 {
+        // Neither id order nor any id residue: the batch keeps the order
+        // the windows opened in.
+        let order = [4u32, 7, 1, 8, 0, 3, 6, 2, 5];
+        for i in order {
             h.submit(UpdateEvent::insert_object(ObjectId(i), pt(i, 0.5)))
                 .unwrap();
         }
@@ -506,7 +436,7 @@ mod tests {
                 _ => unreachable!("only inserts submitted"),
             })
             .collect();
-        assert_eq!(ids, (0..9).collect::<Vec<_>>());
+        assert_eq!(ids, order);
     }
 
     #[test]
@@ -594,7 +524,6 @@ mod tests {
     #[test]
     fn reject_policy_surfaces_typed_error() {
         let mut hub = IngestHub::new(IngestConfig {
-            lanes: 1,
             capacity: 2,
             policy: AdmissionPolicy::Reject,
         });
@@ -602,14 +531,8 @@ mod tests {
         h.submit(UpdateEvent::edge(EdgeId(0), 1.0)).unwrap();
         h.submit(UpdateEvent::edge(EdgeId(1), 1.0)).unwrap();
         let err = h.submit(UpdateEvent::edge(EdgeId(2), 1.0)).unwrap_err();
-        assert_eq!(
-            err,
-            IngestError::LaneFull {
-                lane: 0,
-                capacity: 2
-            }
-        );
-        // Draining frees the lane; the producer can resubmit.
+        assert_eq!(err, IngestError::LaneFull { capacity: 2 });
+        // Draining frees the hub; the producer can resubmit.
         let (_, stats) = drain(&mut hub);
         assert_eq!(stats.drained, 2);
         h.submit(UpdateEvent::edge(EdgeId(2), 1.0)).unwrap();
@@ -618,7 +541,6 @@ mod tests {
     #[test]
     fn shed_oldest_drops_head_and_counts() {
         let mut hub = IngestHub::new(IngestConfig {
-            lanes: 1,
             capacity: 2,
             policy: AdmissionPolicy::ShedOldest,
         });
@@ -635,7 +557,6 @@ mod tests {
     #[test]
     fn blocked_producer_resumes_after_drain() {
         let mut hub = IngestHub::new(IngestConfig {
-            lanes: 1,
             capacity: 1,
             policy: AdmissionPolicy::Block,
         });
@@ -646,7 +567,7 @@ mod tests {
             // Parks until the main thread drains, then lands.
             h2.submit(UpdateEvent::edge(EdgeId(1), 2.0)).unwrap();
         });
-        // Wait until the producer is actually parked on the full lane,
+        // Wait until the producer is actually parked on the full hub,
         // then drain to release it.
         while !producer.is_finished() {
             let (batch, _) = drain(&mut hub);
@@ -659,17 +580,16 @@ mod tests {
     }
 
     #[test]
-    fn fold_into_a_full_lane_never_parks_or_refuses() {
+    fn fold_into_a_full_hub_never_parks_or_refuses() {
         for policy in [AdmissionPolicy::Block, AdmissionPolicy::Reject] {
             let mut hub = IngestHub::new(IngestConfig {
-                lanes: 1,
                 capacity: 1,
                 policy,
             });
             let h = hub.handle();
             h.submit(UpdateEvent::move_object(ObjectId(4), pt(0, 0.1)))
                 .unwrap();
-            // The lane is full; a second report for the same entity folds.
+            // The hub is full; a second report for the same entity folds.
             let (done, landed) = std::sync::mpsc::channel();
             let producer = std::thread::spawn(move || {
                 done.send(h.submit(UpdateEvent::move_object(ObjectId(4), pt(1, 0.7))))
@@ -693,7 +613,6 @@ mod tests {
     #[test]
     fn shed_oldest_forgets_the_shed_window() {
         let mut hub = IngestHub::new(IngestConfig {
-            lanes: 1,
             capacity: 2,
             policy: AdmissionPolicy::ShedOldest,
         });
@@ -793,11 +712,8 @@ mod tests {
     }
 
     #[test]
-    fn lane_fold_matches_the_reference_fold_over_the_raw_stream() {
-        let mut hub = IngestHub::new(IngestConfig {
-            lanes: 3,
-            ..IngestConfig::default()
-        });
+    fn fold_matches_the_reference_fold_over_the_raw_stream() {
+        let mut hub = IngestHub::new(IngestConfig::default());
         let mut total_superseded = 0;
         for round in 0..20u64 {
             // The log records the submission order two racing producers
@@ -840,12 +756,9 @@ mod tests {
 
     #[test]
     fn steady_state_drain_is_allocation_free() {
-        // More entities than the lane's initial room, so the first round
+        // More entities than the hub's initial room, so the first round
         // grows the open-window index at submit.
-        let mut hub = IngestHub::new(IngestConfig {
-            lanes: 1,
-            ..IngestConfig::default()
-        });
+        let mut hub = IngestHub::new(IngestConfig::default());
         let h = hub.handle();
         let mut batch = UpdateBatch::default();
         let mut warm = 0u64;
@@ -870,5 +783,31 @@ mod tests {
         }
         // The submit-side growth was counted, and the warm-up was bounded.
         assert!((1..32).contains(&warm), "warm-up allocation events: {warm}");
+    }
+
+    #[test]
+    fn shedding_churn_is_not_counted_as_growth() {
+        // Every report opens a window and sheds the oldest, so the index
+        // loses a key per insert; at this load the rehashes that reclaim
+        // those slots are frequent, and they allocate nothing.
+        let mut hub = IngestHub::new(IngestConfig {
+            capacity: 110,
+            policy: AdmissionPolicy::ShedOldest,
+        });
+        let h = hub.handle();
+        let mut batch = UpdateBatch::default();
+        for round in 0..5u32 {
+            for i in 0..2000u32 {
+                let id = ObjectId(i.wrapping_mul(7919) % 5000);
+                h.submit(UpdateEvent::move_object(id, pt(round, 0.5)))
+                    .unwrap();
+            }
+            batch.clear();
+            let stats = hub.drain_into(&mut batch);
+            assert_eq!(stats.shed_events, 2000 - 110);
+            // The first round may outgrow the initial table once.
+            let most = u64::from(round == 0);
+            assert!(stats.drain_alloc_events <= most, "round {round}: {stats:?}");
+        }
     }
 }

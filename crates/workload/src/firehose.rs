@@ -150,7 +150,7 @@ impl Firehose {
 
     /// Fabricates the raw stream for the current effective batch:
     /// per-entity intermediate fixes first (round-robin across entities,
-    /// so lanes and the ticket merge are genuinely exercised), then
+    /// so folds land in windows opened many reports earlier), then
     /// every entity's final report in batch order.
     fn build_raw(&mut self) {
         self.raw.clear();

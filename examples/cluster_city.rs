@@ -59,9 +59,10 @@ fn engine_config() -> EngineConfig {
 /// same network the coordinator holds, then serve one shard monitor on
 /// the socket until the coordinator sends the shutdown frame.
 fn shard_server(path: &str) {
-    let cfg = engine_config();
-    let monitor = cfg.make_monitor(city());
-    serve_unix(std::path::Path::new(path), monitor).expect("shard server failed");
+    let net = city();
+    let edges = net.num_edges();
+    let monitor = engine_config().make_monitor(net);
+    serve_unix(std::path::Path::new(path), monitor, edges).expect("shard server failed");
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 //! S ∈ {1, 2, 4}, across the engine differential suite's workloads, and
 //! under every injected transport fault: delay, reordering, frame
 //! corruption, a forced mid-run shard crash (respawn + journal replay),
-//! and forced cell migrations.
+//! and forced cell migrations — and once over real TCP sockets.
 //!
 //! Unlike `engine_differential.rs` (which compares against a *different*
 //! implementation and therefore tolerates tie-breaks and summation
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rnn_monitor::cluster::{ClusterEngine, FaultPlan, RetryPolicy};
+use rnn_monitor::cluster::{serve_tcp, ClusterEngine, FaultPlan, RetryPolicy};
 use rnn_monitor::core::{ContinuousMonitor, QueryEvent, TickReport, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{EngineConfig, ShardAlgo, ShardedEngine};
 use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
@@ -344,6 +344,65 @@ fn cluster_empty_ticks_change_nothing() {
     ids.sort();
     for (i, &q) in ids.iter().enumerate() {
         assert_eq!(cluster.result(q).unwrap(), snapshot[i].as_slice());
+    }
+}
+
+/// The same differential over real TCP sockets on localhost: two
+/// `serve_tcp` shard threads, a coordinator from `connect_tcp`. Dropping
+/// the engine sends the shutdown frames, and both services must exit.
+#[test]
+fn cluster_over_tcp_matches_engine_and_services_exit_on_drop() {
+    let net = grid(6, 6, 21);
+    let ecfg = EngineConfig::with_shards(2);
+    // Free ports from the OS: bound together (so they differ), then
+    // released for the services to bind.
+    let listeners: Vec<_> = (0..ecfg.num_shards)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    drop(listeners);
+    let services: Vec<_> = addrs
+        .iter()
+        .map(|&addr| {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                let edges = net.num_edges();
+                serve_tcp(addr, ecfg.make_monitor(net), edges)
+            })
+        })
+        .collect();
+
+    let mut cluster = ClusterEngine::connect_tcp(net.clone(), ecfg, &addrs, RetryPolicy::default())
+        .expect("the services accept");
+    let mut inproc = ShardedEngine::new(net.clone(), ecfg);
+    let mut scenario = Scenario::new(net.clone(), base_cfg(211));
+    scenario.install_into(&mut inproc);
+    scenario.install_into(&mut cluster);
+    assert_bit_identical(&inproc, &cluster, None, "tcp, install");
+    for t in 1..=10 {
+        let batch = scenario.tick();
+        let ri = inproc.tick(&batch);
+        let rc = cluster.tick(&batch);
+        assert_bit_identical(
+            &inproc,
+            &cluster,
+            Some((&ri, &rc)),
+            &format!("tcp, tick {t}"),
+        );
+    }
+    assert!(cluster.stats().frames_sent > 0, "no frames on the wire?");
+
+    drop(cluster);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    for service in services {
+        while !service.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a shard service outlived its coordinator by 30 s"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        service.join().unwrap().expect("the service served");
     }
 }
 

@@ -552,8 +552,9 @@ fn stale_leader_appends_are_provably_fenced() {
     // commits — a partitioned stale leader can never merge writes.
     let (mut co, peer) = loopback_pair(FaultPlan::default());
     let net = grid(4, 4, 8);
+    let edges = net.num_edges();
     let follower = std::thread::spawn(move || {
-        ReplicaNode::new(peer, Box::new(move || Box::new(Gma::new(net)))).run();
+        ReplicaNode::new(peer, Box::new(move || Box::new(Gma::new(net))), edges).run();
     });
 
     // The legitimate leader (epoch 7) replicates one event.
@@ -762,7 +763,7 @@ fn first_tick_after_a_restore_ships_what_the_uncrashed_shard_ships() {
     };
     let service = || {
         let (_coordinator_side, peer) = loopback_pair(FaultPlan::default());
-        ShardService::new(peer, Box::new(Gma::new(net.clone())))
+        ShardService::new(peer, Box::new(Gma::new(net.clone())), net.num_edges())
     };
     let snapshots = |reply: Vec<u8>| {
         let reply = Frame::from_bytes(&reply).unwrap();

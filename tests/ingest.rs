@@ -1,5 +1,5 @@
 //! Correctness of the ingest front-end (`rnn_engine::ingest`): the
-//! sharded MPSC submission stage must be a *transparent* prefix of the
+//! one-queue MPSC submission stage must be a *transparent* prefix of the
 //! tick path.
 //!
 //! * **No coalescing triggered** (at most one event per entity per
@@ -16,9 +16,12 @@
 //! * **Coalescing is order-insensitive**: interleaving concurrent
 //!   producers differently must never change any entity's folded
 //!   outcome (proptest below).
-//! * **`Reject` admission is typed**: a full lane surfaces
-//!   [`IngestError::LaneFull`] with the offending lane and bound — never
-//!   a panic, never silence.
+//! * **The one lock holds under contention**: producer threads racing a
+//!   draining consumer through `Block` admission lose nothing, fold each
+//!   entity to its last report and never deadlock.
+//! * **`Reject` admission is typed**: a full hub surfaces
+//!   [`IngestError::LaneFull`] with its bound — never a panic, never
+//!   silence.
 
 use std::sync::Arc;
 
@@ -84,7 +87,6 @@ fn ingest_without_coalescing_is_bit_identical_to_batch_path() {
             ingest: IngestConfig {
                 capacity: 4096,
                 policy: AdmissionPolicy::Block,
-                ..IngestConfig::default()
             },
             ..EngineConfig::with_shards(shards)
         };
@@ -99,15 +101,13 @@ fn ingest_without_coalescing_is_bit_identical_to_batch_path() {
             for &ev in &batch.objects {
                 handle
                     .submit(UpdateEvent::Object(ev))
-                    .expect("lossless lane");
+                    .expect("lossless hub");
             }
             for &ev in &batch.queries {
-                handle
-                    .submit(UpdateEvent::Query(ev))
-                    .expect("lossless lane");
+                handle.submit(UpdateEvent::Query(ev)).expect("lossless hub");
             }
             for &ev in &batch.edges {
-                handle.submit(UpdateEvent::Edge(ev)).expect("lossless lane");
+                handle.submit(UpdateEvent::Edge(ev)).expect("lossless hub");
             }
             let mut fed_rep = fed.tick_ingest();
             let twin_rep = twin.tick(&batch);
@@ -142,7 +142,6 @@ fn flash_crowd_firehose_coalesces_and_matches_effective_batch_oracle() {
         ingest: IngestConfig {
             capacity: 8192,
             policy: AdmissionPolicy::Block,
-            ..IngestConfig::default()
         },
         ..EngineConfig::with_shards(4)
     };
@@ -160,7 +159,7 @@ fn flash_crowd_firehose_coalesces_and_matches_effective_batch_oracle() {
             "firehose must oversample (ts {ts})"
         );
         for &ev in t.raw {
-            handle.submit(ev).expect("lossless lane");
+            handle.submit(ev).expect("lossless hub");
         }
         let effective = t.effective.clone();
         let rep = fed.tick_ingest();
@@ -175,12 +174,97 @@ fn flash_crowd_firehose_coalesces_and_matches_effective_batch_oracle() {
     );
 }
 
+/// Four producers race a consumer that drains while they submit, through
+/// `Block` admission at a capacity well below the entity count, so
+/// producers park and wake all the time. Each producer owns its own
+/// entities and reports them round by round (the round is the report's
+/// edge), so every survivor says which report it is. Nothing may be lost
+/// or reordered, and the run must finish inside its time box.
+#[test]
+fn one_lock_hub_under_contention_loses_and_reorders_nothing() {
+    const PRODUCERS: u32 = 4;
+    const ENTITIES: u32 = 16; // per producer
+    const ROUNDS: u32 = 400;
+    let mut hub = IngestHub::new(IngestConfig {
+        capacity: 8,
+        policy: AdmissionPolicy::Block,
+    });
+    // Everyone starts together, so the first drain already races them.
+    let start = Arc::new(std::sync::Barrier::new(PRODUCERS as usize + 1));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let (h, start) = (hub.handle(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    for e in 0..ENTITIES {
+                        let id = ObjectId(p * ENTITIES + e);
+                        let at = NetPoint::new(EdgeId(round), 0.5);
+                        h.submit(UpdateEvent::move_object(id, at)).unwrap();
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut last_round: Vec<Option<u32>> = vec![None; (PRODUCERS * ENTITIES) as usize];
+    let (mut drained, mut superseded, mut shed) = (0u64, 0u64, 0u64);
+    let mut batch = UpdateBatch::default();
+    start.wait();
+    loop {
+        // Read before the drain, so the drain that follows the last
+        // submit is always taken.
+        let done = producers.iter().all(|p| p.is_finished());
+        batch.clear();
+        let stats = hub.drain_into(&mut batch);
+        drained += stats.drained;
+        superseded += stats.coalesced_superseded;
+        shed += stats.shed_events;
+        for event in &batch.objects {
+            let rnn_monitor::core::ObjectEvent::Move { id, to } = *event else {
+                panic!("only moves were submitted: {event:?}");
+            };
+            let seen = &mut last_round[id.index()];
+            // One survivor per entity per drain, each a later report of
+            // its producer than the entity's previous survivor.
+            assert!(
+                seen.map_or(true, |r| r < to.edge.0),
+                "entity {id}: report {} after {seen:?}",
+                to.edge.0
+            );
+            *seen = Some(to.edge.0);
+        }
+        if done {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "producers still parked after 60 s: the hub deadlocked"
+        );
+        std::thread::yield_now();
+    }
+    for p in producers {
+        p.join().unwrap();
+    }
+    let submitted = u64::from(PRODUCERS * ENTITIES * ROUNDS);
+    assert_eq!(
+        drained + superseded,
+        submitted,
+        "every report drained or folded"
+    );
+    assert_eq!(shed, 0, "Block never sheds");
+    assert!(
+        last_round.iter().all(|r| *r == Some(ROUNDS - 1)),
+        "every entity ends at its last report: {last_round:?}"
+    );
+}
+
 /// `Reject` admission surfaces a typed, value-carrying error instead of
-/// panicking or silently dropping; draining reopens the lane.
+/// panicking or silently dropping; draining reopens the hub.
 #[test]
 fn reject_policy_surfaces_typed_lane_full_error() {
     let mut hub = IngestHub::new(IngestConfig {
-        lanes: 1,
         capacity: 2,
         policy: AdmissionPolicy::Reject,
     });
@@ -195,14 +279,8 @@ fn reject_policy_surfaces_typed_lane_full_error() {
     let err = handle
         .submit(UpdateEvent::move_object(ObjectId(3), at))
         .expect_err("third must be refused");
-    assert_eq!(
-        err,
-        IngestError::LaneFull {
-            lane: 0,
-            capacity: 2
-        }
-    );
-    assert!(err.to_string().contains("lane 0"), "{err}");
+    assert_eq!(err, IngestError::LaneFull { capacity: 2 });
+    assert!(err.to_string().contains("2 open windows"), "{err}");
 
     let mut batch = UpdateBatch::default();
     let stats = hub.drain_into(&mut batch);
@@ -211,7 +289,7 @@ fn reject_policy_surfaces_typed_lane_full_error() {
     assert_eq!(batch.objects.len(), 2);
     handle
         .submit(UpdateEvent::move_object(ObjectId(3), at))
-        .expect("drain reopens the lane");
+        .expect("drain reopens the hub");
 }
 
 /// Config validation mirrors the same typed-error discipline at
@@ -225,13 +303,6 @@ fn validation_rejects_invalid_ingest_knobs_with_typed_errors() {
         ..EngineConfig::default()
     };
     let cases = [
-        (
-            with_ingest(IngestConfig {
-                lanes: 0,
-                ..IngestConfig::default()
-            }),
-            "ingest.lanes",
-        ),
         (
             with_ingest(IngestConfig {
                 capacity: 0,
@@ -282,7 +353,6 @@ proptest! {
         interleave_seed in 0u64..u64::MAX,
     ) {
         let cfg = IngestConfig {
-            lanes: 4,
             capacity: 1024,
             policy: AdmissionPolicy::Block,
         };
