@@ -21,20 +21,20 @@
 //! older than the last processed sequence are dropped outright — they
 //! are retransmission echoes the coordinator has already stopped waiting
 //! for. Corrupt frames (checksum mismatch) never reach `handle`; the
-//! coordinator's timeout drives the retransmit. **Network check**: a payload
-//! that decodes is checked against the shard's network before any of it
-//! reaches the monitor — every edge below the edge count, every `k` in
-//! `1..=MAX_K`, every weight finite and non-negative. The checksum only
-//! vouches that the bytes are the ones sent, not that the sender was
-//! right, so a frame that fails is refused the way an undecodable one is:
-//! an event frame earns no reply, a snapshot install `RestoreReply [0]`.
+//! coordinator's timeout drives the retransmit. **Network check**: every
+//! event a decoded payload carries must pass [`rnn_core::UpdateEvent::fits`]
+//! (the rule the ingest hub applies at submit) before any of it reaches
+//! the monitor. The checksum only vouches that the bytes are the ones
+//! sent, not that the sender was right, so a frame that fails is refused
+//! the way an undecodable one is: an event frame earns no reply, a
+//! snapshot install `RestoreReply [0]`.
 
 use std::path::Path;
 use std::time::Duration;
 
-use rnn_core::{ContinuousMonitor, EdgeWeightUpdate, MonitorState, ObjectEvent, QueryEvent};
+use rnn_core::{ContinuousMonitor, MonitorState, UpdateEvent};
 use rnn_engine::{DeltaBatch, ShardTickState};
-use rnn_roadnet::{NetPoint, WireCodec, WireReader};
+use rnn_roadnet::{WireCodec, WireReader};
 
 use crate::frame::{Frame, MsgTag};
 use crate::transport::{RecvError, StreamTransport, Transport};
@@ -43,11 +43,6 @@ use crate::transport::{RecvError, StreamTransport, Transport};
 /// knob (lets the loop notice a closed transport); correctness never
 /// depends on it.
 const POLL: Duration = Duration::from_millis(250);
-
-/// The largest `k` a frame may install. A query's best-k buffer reserves
-/// `k + 1` neighbours up front, so `k` sizes an allocation: 65,536 keeps
-/// it near a megabyte, three orders of magnitude above Table 2's k = 50.
-const MAX_K: usize = 1 << 16;
 
 /// One shard's server: a monitor plus the shard-side half of the delta
 /// protocol, driven by frames from a single coordinator connection.
@@ -212,33 +207,19 @@ impl<T: Transport> ShardService<T> {
     /// Whether every event of a decoded batch fits the network (see the
     /// module docs' network check).
     fn batch_fits(&self, batch: &DeltaBatch) -> bool {
-        batch.objects.iter().all(|event| match *event {
-            ObjectEvent::Insert { at, .. } | ObjectEvent::Move { to: at, .. } => self.on_net(at),
-            ObjectEvent::Delete { .. } => true,
-        }) && batch.queries.iter().all(|event| match *event {
-            QueryEvent::Install { k, at, .. } => self.query_fits(k, at),
-            QueryEvent::Move { to, .. } => self.on_net(to),
-            QueryEvent::Remove { .. } => true,
-        }) && batch.shared_edges.iter().all(|u| self.weight_fits(u))
+        let objects = batch.objects.iter().map(|&e| UpdateEvent::Object(e));
+        let queries = batch.queries.iter().map(|&e| UpdateEvent::Query(e));
+        let weights = batch.shared_edges.iter().map(|&u| UpdateEvent::Edge(u));
+        (objects.chain(queries).chain(weights)).all(|e| e.fits(self.edges))
     }
 
-    /// Whether a decoded snapshot fits the network.
+    /// Whether a decoded snapshot fits the network: each entry is checked
+    /// as the event that would install it.
     fn state_fits(&self, state: &MonitorState) -> bool {
-        state.weight_diffs.iter().all(|u| self.weight_fits(u))
-            && state.objects.iter().all(|&(_, at)| self.on_net(at))
-            && state.queries.iter().all(|q| self.query_fits(q.k, q.pos))
-    }
-
-    fn on_net(&self, at: NetPoint) -> bool {
-        at.edge.index() < self.edges
-    }
-
-    fn query_fits(&self, k: usize, at: NetPoint) -> bool {
-        (1..=MAX_K).contains(&k) && self.on_net(at)
-    }
-
-    fn weight_fits(&self, u: &EdgeWeightUpdate) -> bool {
-        u.edge.index() < self.edges && u.new_weight.is_finite() && u.new_weight >= 0.0
+        let weights = state.weight_diffs.iter().map(|&u| UpdateEvent::Edge(u));
+        let objects = (state.objects.iter()).map(|&(id, at)| UpdateEvent::insert_object(id, at));
+        let queries = (state.queries.iter()).map(|q| UpdateEvent::install_query(q.id, q.k, q.pos));
+        (weights.chain(objects).chain(queries)).all(|e| e.fits(self.edges))
     }
 }
 
@@ -272,9 +253,10 @@ pub fn serve_tcp(
 mod tests {
     use super::*;
     use crate::transport::{loopback_pair, FaultPlan};
-    use rnn_core::{Gma, UpdateBatch};
+    use rnn_core::types::MAX_K;
+    use rnn_core::{EdgeWeightUpdate, Gma, ObjectEvent, QueryEvent, UpdateBatch};
     use rnn_engine::{BatchKind, TickOutcome};
-    use rnn_roadnet::{generators, EdgeId, ObjectId, QueryId, RoadNetwork};
+    use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
     use std::sync::Arc;
 
     fn net() -> Arc<RoadNetwork> {

@@ -131,6 +131,11 @@ pub struct EdgeWeightUpdate {
     pub new_weight: f64,
 }
 
+/// The largest `k` a query may be installed with: its best-k buffer
+/// reserves `k + 1` neighbours up front, and 65,536 keeps that near a
+/// megabyte, three orders of magnitude above Table 2's k = 50.
+pub const MAX_K: usize = 1 << 16;
+
 /// One submission to a monitor, unifying the three event planes. This is
 /// the currency of [`crate::monitor::ContinuousMonitor::apply`] and of the
 /// ingest front-end: producers hand the server single events out-of-band,
@@ -180,6 +185,24 @@ impl UpdateEvent {
     /// An edge-weight change to an absolute `new_weight`.
     pub fn edge(edge: EdgeId, new_weight: f64) -> Self {
         UpdateEvent::Edge(EdgeWeightUpdate { edge, new_weight })
+    }
+
+    /// Whether the event fits a network of `edges` edges: every edge it
+    /// names is below `edges`, an install's `k` is in `1..=MAX_K`, and a
+    /// weight is finite and non-negative. A monitor panics on one that
+    /// does not, so ingest and the cluster's shards refuse it first.
+    pub fn fits(&self, edges: usize) -> bool {
+        use {ObjectEvent as O, QueryEvent as Q, UpdateEvent as U};
+        let on_net = |at: NetPoint| at.edge.index() < edges;
+        match *self {
+            U::Object(O::Insert { at, .. } | O::Move { to: at, .. }) => on_net(at),
+            U::Query(Q::Move { to: at, .. }) => on_net(at),
+            U::Query(Q::Install { k, at, .. }) => (1..=MAX_K).contains(&k) && on_net(at),
+            U::Object(O::Delete { .. }) | U::Query(Q::Remove { .. }) => true,
+            U::Edge(EdgeWeightUpdate { edge, new_weight }) => {
+                edge.index() < edges && new_weight.is_finite() && new_weight >= 0.0
+            }
+        }
     }
 }
 

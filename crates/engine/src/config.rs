@@ -45,7 +45,10 @@ impl ReplicationConfig {
     }
 }
 
-/// Tuning knobs of the sharded engine.
+/// What can be set on the sharded engine: six values, counting the fields
+/// of [`IngestConfig`] and [`ReplicationConfig`]. The halo-shrink and
+/// rebalance hysteresis are constants in `halo.rs` and `rebalance.rs`,
+/// because no caller ever ran other values.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Number of shards (= worker threads), 1 ..= 64.
@@ -54,31 +57,12 @@ pub struct EngineConfig {
     pub num_shards: usize,
     /// The monitor each shard runs.
     pub algo: ShardAlgo,
-    /// Shrink hysteresis threshold (≥ 1). A shard's halo grows to
-    /// `needed × 1.25` (the 25% slack is a constant, `halo::HALO_SLACK`)
-    /// and is considered oversized when its radius exceeds `needed × 1.25 ×
-    /// halo_shrink_trigger`; values `< 1` are treated as 1 (shrink on any
-    /// decrease). Larger values tolerate more stale replication before
-    /// paying a halo rebuild.
-    pub halo_shrink_trigger: f64,
-    /// Number of *consecutive* ticks a halo must stay oversized before it
-    /// is shrunk and its stale replicas evicted. Guards against
-    /// grow/shrink flapping when `kNN_dist` oscillates tick to tick.
-    pub halo_shrink_ticks: u32,
-    /// Load-imbalance ratio that triggers a shard rebalance: when the
-    /// smoothed per-shard load estimate (worker `expansion_steps` plus
-    /// routed events, exponentially averaged over ticks) satisfies
-    /// `max > mean × rebalance_trigger`, boundary cells migrate from the
-    /// most loaded shard to an underloaded neighbour. Values below 1
-    /// **disable** rebalancing (the default, 0.0): shard assignment then
-    /// stays fixed at the startup partition and every work counter is
-    /// bit-identical to earlier releases.
-    pub rebalance_trigger: f64,
-    /// Minimum number of ticks between rebalances (and before the first
-    /// one). Together with the exponential load smoothing this is the
-    /// detector's hysteresis: a hotspot must persist, and a migration must
-    /// settle, before cells move again.
-    pub rebalance_cooldown: u32,
+    /// Load-aware rebalancing: when the smoothed per-shard load (routed
+    /// events plus worker `expansion_steps`) puts one shard above 1.25×
+    /// the mean, and more than 4 ticks have passed since the last
+    /// migration, boundary cells move from it to an underloaded neighbour.
+    /// Off by default: the startup partition then stays fixed.
+    pub rebalance: bool,
     /// The out-of-band ingest stage in front of the tick loop: its bound
     /// and admission policy (see [`crate::ingest`]). The default (16,384
     /// open windows, `Block`) costs nothing unless
@@ -95,10 +79,7 @@ impl Default for EngineConfig {
         Self {
             num_shards: 4,
             algo: ShardAlgo::Gma,
-            halo_shrink_trigger: 1.5,
-            halo_shrink_ticks: 2,
-            rebalance_trigger: 0.0,
-            rebalance_cooldown: 8,
+            rebalance: false,
             ingest: IngestConfig::default(),
             replication: ReplicationConfig::default(),
         }
@@ -114,25 +95,18 @@ impl EngineConfig {
         }
     }
 
-    /// A config with `num_shards` shards and dynamic load-aware
-    /// rebalancing enabled at moderate hysteresis (trigger 1.25×,
-    /// cooldown 4 ticks), defaults otherwise. This is the configuration
-    /// the benchmark harness runs as `ENG-n-RB`.
+    /// A config with `num_shards` shards and load-aware rebalancing on,
+    /// defaults otherwise. This is the configuration the benchmark harness
+    /// runs as `ENG-n-RB` and as the `churn-engine` workload.
     ///
-    /// What it buys is small and mixed, so it stays opt-in. On the
-    /// benchmark's `churn-engine` workload (S = 2, drifting hotspot, one
-    /// pinned CPU of a 2-vCPU Xeon VM, 5 alternating 24 s runs against
-    /// the same build with rebalancing off) it lowered `tick_p99_ms`
-    /// 79.7 → 75.0 ms and the traced worker skew 1.400 → 1.378, but
-    /// raised `tick_p50_ms` 60.7 → 63.7 ms. In the `rebalance` figure it
-    /// lowers the max/mean shard load at scale 0.01 (2.34 → 2.17 drift,
-    /// 2.38 → 2.22 hi-churn), but at scale 0.25 only the drift point
-    /// improves (1.944 → 1.920) and hi-churn gets worse (2.001 → 2.031).
+    /// What it buys is small and mixed, so it stays opt-in: on
+    /// `churn-engine` (S = 2, 5 alternating pairs against rebalancing off
+    /// on one pinned CPU of a 2-vCPU Xeon VM) `tick_p99_ms` fell 79.7 →
+    /// 75.0 ms but `tick_p50_ms` rose 60.7 → 63.7 ms.
     pub fn with_rebalancing(num_shards: usize) -> Self {
         Self {
             num_shards,
-            rebalance_trigger: 1.25,
-            rebalance_cooldown: 4,
+            rebalance: true,
             ..Self::default()
         }
     }
@@ -146,29 +120,17 @@ impl EngineConfig {
         }
     }
 
-    /// Validates every knob, returning the first violation as a typed
+    /// Validates every setting, returning the first violation as a typed
     /// [`EngineError`]. The engine constructors call this themselves, so a
-    /// struct literal can never smuggle a NaN ratio or a zero capacity past
-    /// them; call it directly to vet a config built from user input before
-    /// anything is spawned.
+    /// struct literal can never smuggle a shard count outside 1..=64 or a
+    /// zero capacity past them; call it directly to vet a config built from
+    /// user input before anything is spawned.
     pub fn validate(&self) -> Result<(), EngineError> {
         if !(1..=64).contains(&self.num_shards) {
             return Err(EngineError::InvalidShardCount {
                 got: self.num_shards,
             });
         }
-        let finite_ratio = |field: &'static str, v: f64| {
-            if v.is_finite() && v >= 0.0 {
-                Ok(())
-            } else {
-                Err(EngineError::InvalidKnob {
-                    field,
-                    requirement: "a finite, non-negative ratio",
-                })
-            }
-        };
-        finite_ratio("halo_shrink_trigger", self.halo_shrink_trigger)?;
-        finite_ratio("rebalance_trigger", self.rebalance_trigger)?;
         if self.ingest.capacity == 0 {
             return Err(EngineError::InvalidKnob {
                 field: "ingest.capacity",

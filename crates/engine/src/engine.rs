@@ -90,8 +90,8 @@ pub enum EngineError {
         /// Shards configured.
         shards: usize,
     },
-    /// A tuning knob failed [`EngineConfig::validate`] (non-finite ratio,
-    /// zero ingest capacity, …).
+    /// A setting failed [`EngineConfig::validate`] (a zero ingest
+    /// capacity).
     InvalidKnob {
         /// The offending field, as named on [`crate::EngineConfig`].
         field: &'static str,
@@ -356,7 +356,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             ticks_since_rebalance: 0,
             dead: vec![false; cfg.num_shards],
             takeovers: 0,
-            ingest: IngestHub::new(cfg.ingest),
+            ingest: IngestHub::for_network(cfg.ingest, net.num_edges()),
             ingest_batch: UpdateBatch::default(),
             net,
             cfg,
@@ -383,7 +383,9 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// A producer handle onto the engine's ingest stage. Clone freely
     /// and hand to feed threads; events queue (under
     /// [`EngineConfig::ingest`]'s bounds and admission policy) until the
-    /// driver calls [`Self::tick_ingest`].
+    /// driver calls [`Self::tick_ingest`]. An event that does not fit the
+    /// engine's network is refused at submit
+    /// ([`crate::IngestError::Invalid`]).
     pub fn ingest_handle(&self) -> IngestHandle {
         self.ingest.handle()
     }
@@ -666,7 +668,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         // 0. Load-aware re-partitioning: if the previous ticks' load
         //    estimates show a persistent hot shard, migrate boundary cells
         //    before this tick's updates land (no-op unless
-        //    `rebalance_trigger` enables it).
+        //    `EngineConfig::rebalance` is on).
         self.maybe_rebalance();
 
         // 1. Edge updates: apply to the authoritative weights and stage

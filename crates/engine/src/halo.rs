@@ -66,14 +66,13 @@
 //! Halos *grow* eagerly (any tick where a query's `kNN_dist` exceeds its
 //! shard's radius, correctness demands it) and *shrink* lazily: each tick
 //! the engine re-derives every shard's needed radius, and when the current
-//! radius has stayed above `needed × (1 + HALO_SLACK) ×
-//! halo_shrink_trigger` for [`crate::EngineConfig::halo_shrink_ticks`]
-//! consecutive ticks, it decays to `needed × (1 + HALO_SLACK)` and the
-//! replicas beyond it are **evicted**. Shrinking never changes answers:
-//! evicted objects lie farther from the boundary than every owned query's
-//! `kNN_dist`, so they cannot appear in any result. The hysteresis (trigger
-//! ratio + tick count) prevents grow/shrink flapping when `kNN_dist`
-//! oscillates.
+//! radius has stayed above `needed × (1 + HALO_SLACK) × SHRINK_TRIGGER`
+//! (1.5) for `SHRINK_TICKS` (2) consecutive ticks, it decays to `needed ×
+//! (1 + HALO_SLACK)` and the replicas beyond it are **evicted**. Shrinking
+//! never changes answers: evicted objects lie farther from the boundary
+//! than every owned query's `kNN_dist`, so they cannot appear in any
+//! result. The hysteresis (trigger ratio + tick count) prevents
+//! grow/shrink flapping when `kNN_dist` oscillates.
 //!
 //! ## Incremental replica maintenance
 //!
@@ -97,6 +96,12 @@ use crate::protocol::{BatchKind, ShardLink};
 /// HALO_SLACK)`. More slack means fewer halo rebuilds when `kNN_dist`
 /// drifts upward, at the cost of more replicas.
 pub(crate) const HALO_SLACK: f64 = 0.25;
+
+/// Shrink hysteresis: a halo whose radius exceeds `needed × (1 +
+/// HALO_SLACK) × SHRINK_TRIGGER` for `SHRINK_TICKS` consecutive ticks
+/// shrinks and evicts its stale replicas.
+const SHRINK_TRIGGER: f64 = 1.5;
+const SHRINK_TICKS: u32 = 2;
 
 /// One shard's halo edge set, **ring-structured**: every member edge is
 /// stored with its *boundary distance* (the minimum settle distance of its
@@ -327,22 +332,20 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// The lazy half of the replica lifecycle: when a shard's halo radius
-    /// has exceeded its demand (with slack and the hysteresis trigger
-    /// ratio) for `halo_shrink_ticks` consecutive ticks, decay it to the
+    /// has exceeded its demand (with slack and `SHRINK_TRIGGER`) for
+    /// `SHRINK_TICKS` consecutive ticks, decay it to the
     /// demanded radius and evict the replicas beyond it. Safe by the same
     /// argument as growth, in reverse: everything evicted is farther from
     /// the boundary than every owned query's `kNN_dist`. Reads the exact
     /// per-shard demand the tick's `reconcile` left in `self.demand`.
     pub(crate) fn maybe_shrink_halos(&mut self) {
         let slack = 1.0 + HALO_SLACK;
-        let trigger = self.cfg.halo_shrink_trigger.max(1.0);
-        let patience = self.cfg.halo_shrink_ticks.max(1);
         let shrunk = self.halo_pass(|eng, toggled| {
             for s in 0..eng.cfg.num_shards {
                 let target = eng.demand[s] * slack;
-                if eng.halo_r[s] > target * trigger {
+                if eng.halo_r[s] > target * SHRINK_TRIGGER {
                     eng.shrink_streak[s] += 1;
-                    if eng.shrink_streak[s] >= patience {
+                    if eng.shrink_streak[s] >= SHRINK_TICKS {
                         eng.halo_r[s] = target;
                         // Decay-only change: drop the outer annulus from the
                         // ring instead of re-running the boundary Dijkstra.
@@ -423,7 +426,7 @@ mod tests {
     use rnn_core::{ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
     use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
 
-    use super::{diameter_bound, HaloRing, HALO_SLACK};
+    use super::{diameter_bound, HaloRing, HALO_SLACK, SHRINK_TICKS};
     use crate::engine::tests::engine;
 
     #[test]
@@ -569,8 +572,8 @@ mod tests {
         assert!(eng.replica_count() > 0, "k=8 must replicate across borders");
         eng.apply(UpdateEvent::remove_query(QueryId(0)));
         // Demand is gone; the hysteresis lets the halo decay within
-        // halo_shrink_ticks quiet ticks.
-        for _ in 0..eng.cfg.halo_shrink_ticks + 1 {
+        // SHRINK_TICKS quiet ticks.
+        for _ in 0..SHRINK_TICKS + 1 {
             eng.tick(&UpdateBatch::default());
         }
         for s in 0..eng.num_shards() {
@@ -625,7 +628,7 @@ mod tests {
             NetPoint::new(EdgeId(1), 0.5),
         ));
         // Let any post-install shrink settle first.
-        for _ in 0..eng.cfg.halo_shrink_ticks + 1 {
+        for _ in 0..SHRINK_TICKS + 1 {
             eng.tick(&UpdateBatch::default());
         }
         let before = eng.resync_touched();

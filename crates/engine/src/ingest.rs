@@ -34,6 +34,8 @@
 //!   monitor lags but never stalls), `Reject` refuses the submission with
 //!   a typed [`IngestError`] so the producer decides. A fold never parks,
 //!   sheds or rejects.
+//! * **Validation at submit.** An event that does not fit the network
+//!   ([`UpdateEvent::fits`]) is refused with [`IngestError::Invalid`].
 //!
 //! The drain is a swap: the queue is swapped against a hub-owned
 //! ping-pong buffer (events *move*, event slices are never cloned), its
@@ -64,7 +66,7 @@ pub enum AdmissionPolicy {
     /// [`DrainStats::shed_events`]; the entity's next report opens a
     /// fresh window.
     ShedOldest,
-    /// Refuse the submission with [`IngestError::LaneFull`], leaving the
+    /// Refuse the submission with [`IngestError::Full`], leaving the
     /// queue untouched. Loss is explicit at the producer, never silent.
     Reject,
 }
@@ -92,25 +94,32 @@ impl Default for IngestConfig {
     }
 }
 
-/// Why a submission was refused. Only [`AdmissionPolicy::Reject`]
-/// surfaces errors; the other policies always admit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Why a submission was refused: a full hub under
+/// [`AdmissionPolicy::Reject`], or an event that does not fit the network.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IngestError {
     /// The hub is at capacity and runs [`AdmissionPolicy::Reject`].
-    LaneFull {
+    Full {
         /// The configured bound.
         capacity: usize,
+    },
+    /// The event does not fit the network ([`UpdateEvent::fits`]); it was
+    /// not queued.
+    Invalid {
+        /// The refused event.
+        event: UpdateEvent,
     },
 }
 
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::LaneFull { capacity } => write!(
+            IngestError::Full { capacity } => write!(
                 f,
                 "ingest hub is at capacity ({capacity} open windows) under \
                  AdmissionPolicy::Reject — drain the hub or resubmit later"
             ),
+            IngestError::Invalid { event } => write!(f, "{event:?} does not fit the network"),
         }
     }
 }
@@ -231,6 +240,8 @@ struct HubShared {
     space: Condvar,
     capacity: usize,
     policy: AdmissionPolicy,
+    /// Edge count of the network the drained batches go to.
+    edges: usize,
 }
 
 impl HubShared {
@@ -243,6 +254,9 @@ impl HubShared {
     }
 
     fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
+        if !event.fits(self.edges) {
+            return Err(IngestError::Invalid { event });
+        }
         let key = coalesce_key(&event);
         let mut q = self.lock();
         loop {
@@ -264,7 +278,7 @@ impl HubShared {
                     break;
                 }
                 AdmissionPolicy::Reject => {
-                    return Err(IngestError::LaneFull {
+                    return Err(IngestError::Full {
                         capacity: self.capacity,
                     });
                 }
@@ -285,8 +299,9 @@ pub struct IngestHandle {
 impl IngestHandle {
     /// Submits one event. Per-entity order is the submission order of
     /// whichever producer carries that entity; cross-entity order is the
-    /// order in which windows opened. Fails only under
-    /// [`AdmissionPolicy::Reject`] on a full hub; under
+    /// order in which windows opened. Fails on an event that does not fit
+    /// the network ([`IngestError::Invalid`]) and, under
+    /// [`AdmissionPolicy::Reject`], on a full hub; under
     /// [`AdmissionPolicy::Block`] this call parks until the consumer
     /// drains.
     pub fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
@@ -329,8 +344,14 @@ pub struct IngestHub {
 impl IngestHub {
     /// Creates a hub with `cfg`'s bound and policy (capacity silently
     /// clamped to at least 1; use [`crate::EngineConfig::validate`] for a
-    /// typed error instead).
+    /// typed error instead). It knows no network, so it checks `k` and
+    /// weights but not edge ids; the engine's own hub checks those too.
     pub fn new(cfg: IngestConfig) -> Self {
+        Self::for_network(cfg, usize::MAX)
+    }
+
+    /// A hub whose drained batches go to a network of `edges` edges.
+    pub(crate) fn for_network(cfg: IngestConfig, edges: usize) -> Self {
         let capacity = cfg.capacity.max(1);
         let room = capacity.min(1024);
         let open = FxHashMap::with_capacity_and_hasher(room, Default::default());
@@ -346,6 +367,7 @@ impl IngestHub {
             space: Condvar::new(),
             capacity,
             policy: cfg.policy,
+            edges,
         });
         Self {
             shared,
@@ -531,7 +553,7 @@ mod tests {
         h.submit(UpdateEvent::edge(EdgeId(0), 1.0)).unwrap();
         h.submit(UpdateEvent::edge(EdgeId(1), 1.0)).unwrap();
         let err = h.submit(UpdateEvent::edge(EdgeId(2), 1.0)).unwrap_err();
-        assert_eq!(err, IngestError::LaneFull { capacity: 2 });
+        assert_eq!(err, IngestError::Full { capacity: 2 });
         // Draining frees the hub; the producer can resubmit.
         let (_, stats) = drain(&mut hub);
         assert_eq!(stats.drained, 2);

@@ -53,6 +53,12 @@ use crate::protocol::{BatchKind, ShardLink};
 /// cells at once — migrations stay incremental even under extreme skew.
 const MAX_MIGRATION_FRACTION: f64 = 0.25;
 
+/// Detector hysteresis: a rebalance fires when the most loaded live
+/// shard's smoothed load exceeds the live mean × `REBALANCE_TRIGGER` and
+/// more than `REBALANCE_COOLDOWN` ticks have passed since the last one.
+const REBALANCE_TRIGGER: f64 = 1.25;
+const REBALANCE_COOLDOWN: u32 = 4;
+
 impl<L: ShardLink> ShardedEngine<L> {
     /// Lifetime count of load-aware rebalances (each one migration of
     /// boundary cells from the most loaded shard to an underloaded
@@ -76,22 +82,21 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 
     /// The imbalance detector, run once at the start of every tick. When
-    /// rebalancing is enabled (`rebalance_trigger ≥ 1`), the cooldown has
-    /// elapsed, and the smoothed per-shard load satisfies
-    /// `max > mean × trigger`, one migration of boundary cells runs from
-    /// the most loaded shard to an underloaded neighbour.
+    /// [`crate::EngineConfig::rebalance`] is on and `REBALANCE_TRIGGER` /
+    /// `REBALANCE_COOLDOWN` are met, one migration of boundary cells runs
+    /// from the most loaded shard to an underloaded neighbour.
     pub(crate) fn maybe_rebalance(&mut self) {
-        if self.cfg.rebalance_trigger < 1.0 {
+        if !self.cfg.rebalance {
             return;
         }
         self.ticks_since_rebalance = self.ticks_since_rebalance.saturating_add(1);
-        if self.ticks_since_rebalance <= self.cfg.rebalance_cooldown {
+        if self.ticks_since_rebalance <= REBALANCE_COOLDOWN {
             return;
         }
         let Some((hot, mean)) = self.live_load() else {
             return;
         };
-        if self.load[hot] <= mean * self.cfg.rebalance_trigger {
+        if self.load[hot] <= mean * REBALANCE_TRIGGER {
             return;
         }
         let Some((cold, cells)) = self.plan_migration(hot) else {
@@ -415,20 +420,19 @@ mod tests {
 
     #[test]
     fn hotspot_triggers_migration_and_improves_balance() {
-        let mk = |trigger: f64| {
+        let mk = |rebalance: bool| {
             ShardedEngine::new(
                 net(),
                 EngineConfig {
                     num_shards: 4,
                     algo: ShardAlgo::Ima,
-                    rebalance_trigger: trigger,
-                    rebalance_cooldown: 2,
+                    rebalance,
                     ..EngineConfig::default()
                 },
             )
         };
-        let mut fixed = mk(0.0);
-        let mut dynamic = mk(1.1);
+        let mut fixed = mk(false);
+        let mut dynamic = mk(true);
         let placed_f = hotspot_setup(&mut fixed);
         let placed_d = hotspot_setup(&mut dynamic);
         assert_eq!(placed_f, placed_d, "identical partitions, identical setup");
@@ -468,8 +472,7 @@ mod tests {
             EngineConfig {
                 num_shards: 2,
                 algo: ShardAlgo::Gma,
-                rebalance_trigger: 1.0,
-                rebalance_cooldown: 1,
+                rebalance: true,
                 ..EngineConfig::default()
             },
         );
@@ -611,8 +614,7 @@ mod tests {
         let cfg = EngineConfig {
             num_shards: 4,
             algo: ShardAlgo::Ima,
-            rebalance_trigger: 1.1,
-            rebalance_cooldown: 2,
+            rebalance: true,
             ..EngineConfig::default()
         };
         let net = net();
@@ -753,8 +755,7 @@ mod tests {
         for victim in 0..4 {
             let cfg = EngineConfig {
                 algo: ShardAlgo::Ima,
-                rebalance_trigger: 1.1,
-                rebalance_cooldown: 2,
+                rebalance: true,
                 ..EngineConfig::with_shards(4)
             };
             let (mut eng, _) = mortal_engine(cfg, &[(victim, BatchKind::Migration)]);

@@ -525,16 +525,15 @@ fn cluster_identical_through_mid_run_shard_crash() {
 
 #[test]
 fn cluster_identical_under_forced_migrations() {
-    // The hotspot workload of `engine_rebalances_under_hotspot_...`: an
-    // aggressive rebalancer migrates cells mid-run, and the migration
+    // The hotspot workload of `engine_rebalances_under_hotspot_...`: the
+    // shipped rebalancer migrates cells mid-run, and the migration
     // hand-off travels as typed frames. Everything must stay identical.
-    let net = grid(8, 8, 23);
+    let net = grid(10, 10, 23);
     let n = net.num_edges() as u32;
     for shards in [2usize, 4] {
         let ecfg = EngineConfig {
             num_shards: shards,
-            rebalance_trigger: 1.0,
-            rebalance_cooldown: 1,
+            rebalance: true,
             ..EngineConfig::default()
         };
         let mut inproc = ShardedEngine::new(net.clone(), ecfg);
@@ -550,10 +549,10 @@ fn cluster_identical_under_forced_migrations() {
             inproc.apply(UpdateEvent::install_query(QueryId(q), 5, at));
             cluster.apply(UpdateEvent::install_query(QueryId(q), 5, at));
         }
-        for t in 0..24u32 {
+        for t in 0..64u32 {
             let mut batch = UpdateBatch::default();
             for q in 0..Q {
-                let e = EdgeId((t * 2 + q % 4) % n);
+                let e = EdgeId((t * 4 + q % 4) % n);
                 let frac = if (t + q) % 2 == 0 { 0.25 } else { 0.7 };
                 batch.queries.push(QueryEvent::Move {
                     id: QueryId(q),
@@ -585,6 +584,14 @@ fn cluster_identical_under_forced_migrations() {
             inproc.cells_migrated(),
             cluster.engine().cells_migrated(),
             "S={shards}: migration schedules diverge"
+        );
+        // Coverage floor: what trigger 1.0 / cooldown 1 migrated on the old
+        // 8×8, 24-tick workload.
+        let floor = if shards == 2 { 441 } else { 277 };
+        assert!(
+            cluster.engine().cells_migrated() >= floor,
+            "S={shards}: {} cells migrated, below the {floor} this test is sized for",
+            cluster.engine().cells_migrated()
         );
     }
 }

@@ -483,8 +483,9 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
     // S ∈ {2, 4, 8}. Answers must stay identical to single-monitor GMA
     // throughout, and once churn subsides the halo shrink must return
     // `replica_count()` exactly to its pre-churn steady-state level
-    // (objects, base queries, and weights are static, and
-    // halo_shrink_trigger = 1 makes the decayed radius reproducible).
+    // (objects, base queries, and weights are static). The churn ends with
+    // a burst of wide queries, so every halo ends it far outside the 1.5×
+    // shrink band and decays to exactly the radius its base queries need.
     let net = grid(8, 8, 21);
     let n = net.num_edges() as u32;
     let mut gma = Gma::new(net.clone());
@@ -495,8 +496,6 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
                 net.clone(),
                 EngineConfig {
                     num_shards: s,
-                    halo_shrink_trigger: 1.0,
-                    halo_shrink_ticks: 2,
                     ..EngineConfig::default()
                 },
             )
@@ -571,10 +570,32 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
         }
     }
 
-    // Churn subsides: remove the stragglers, then quiet ticks while the
-    // halos decay. Answers must stay identical the whole way down.
+    // A last burst: sixteen wide (k=30) queries spread over the grid
+    // stretch every shard's halo.
     let mut batch = UpdateBatch::default();
-    for id in [112u32, 113] {
+    for i in 0..16u32 {
+        batch.queries.push(QueryEvent::Install {
+            id: QueryId(200 + i),
+            k: 30,
+            at: NetPoint::new(rnn_monitor::roadnet::EdgeId(i * n / 16), 0.5),
+        });
+    }
+    gma.tick(&batch);
+    for (i, e) in engines.iter_mut().enumerate() {
+        e.tick(&batch);
+        peak[i] = peak[i].max(e.replica_count());
+    }
+    let views: Vec<&dyn ContinuousMonitor> = engines
+        .iter()
+        .map(|e| e as &dyn ContinuousMonitor)
+        .collect();
+    compare_monitors(&gma, &views, 15);
+
+    // Churn subsides: remove the burst and the stragglers, then quiet
+    // ticks while the halos decay. Answers must stay identical the whole
+    // way down.
+    let mut batch = UpdateBatch::default();
+    for id in (200u32..216).chain([112, 113]) {
         batch.queries.push(QueryEvent::Remove { id: QueryId(id) });
     }
     gma.tick(&batch);
@@ -607,6 +628,15 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
             "S={}: churn must evict stale replicas",
             e.num_shards()
         );
+        // Coverage floor: what shrink trigger 1.0 evicted before the burst
+        // was added.
+        let evicted = e.replica_evictions() - evictions_before[i];
+        let floor = [32, 122, 244][i];
+        assert!(
+            evicted >= floor,
+            "S={}: {evicted} evictions, below the {floor} this test is sized for",
+            e.num_shards()
+        );
         e.validate_replication()
             .expect("invariants hold after decay");
     }
@@ -614,10 +644,12 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
 
 #[test]
 fn engine_rebalances_under_hotspot_and_stays_identical() {
-    // Forced migrations: an aggressive rebalancer (trigger 1.0, cooldown 1)
-    // under a drifting query hotspot must migrate cells while every tick's
-    // answers stay identical to a single-threaded GMA fed the same stream.
-    let net = grid(8, 8, 23);
+    // Forced migrations: the shipped rebalancer (trigger 1.25, cooldown 4)
+    // under a fast-drifting query hotspot must migrate cells while every
+    // tick's answers stay identical to a single-threaded GMA fed the same
+    // stream. The 10×10 grid and the 64 ticks give the cooldown room for
+    // as many migrations as an every-other-tick rebalancer made on 8×8.
+    let net = grid(10, 10, 23);
     let n = net.num_edges() as u32;
     let mut gma = Gma::new(net.clone());
     let mut engines: Vec<ShardedEngine> = [2usize, 4]
@@ -627,8 +659,7 @@ fn engine_rebalances_under_hotspot_and_stays_identical() {
                 net.clone(),
                 EngineConfig {
                     num_shards: s,
-                    rebalance_trigger: 1.0,
-                    rebalance_cooldown: 1,
+                    rebalance: true,
                     ..EngineConfig::default()
                 },
             )
@@ -659,12 +690,12 @@ fn engine_rebalances_under_hotspot_and_stays_identical() {
         }
     }
 
-    for t in 0..24u32 {
+    for t in 0..64u32 {
         let mut batch = UpdateBatch::default();
         for q in 0..Q {
-            // Cluster center drifts by two edges per tick; members fan out
+            // Cluster center drifts by four edges per tick; members fan out
             // over four consecutive edge ids, oscillating along the edge.
-            let e = rnn_monitor::roadnet::EdgeId((t * 2 + q % 4) % n);
+            let e = rnn_monitor::roadnet::EdgeId((t * 4 + q % 4) % n);
             let frac = if (t + q) % 2 == 0 { 0.25 } else { 0.7 };
             batch.queries.push(QueryEvent::Move {
                 id: QueryId(q),
@@ -695,6 +726,15 @@ fn engine_rebalances_under_hotspot_and_stays_identical() {
             e.num_shards()
         );
         assert!(e.rebalance_events() > 0);
+        // Coverage floor: what trigger 1.0 / cooldown 1 migrated on the old
+        // 8×8, 24-tick workload.
+        let floor = if e.num_shards() == 2 { 441 } else { 277 };
+        assert!(
+            e.cells_migrated() >= floor,
+            "S={}: {} cells migrated, below the {floor} this test is sized for",
+            e.num_shards(),
+            e.cells_migrated()
+        );
     }
 }
 

@@ -20,17 +20,23 @@
 //!   draining consumer through `Block` admission lose nothing, fold each
 //!   entity to its last report and never deadlock.
 //! * **`Reject` admission is typed**: a full hub surfaces
-//!   [`IngestError::LaneFull`] with its bound — never a panic, never
+//!   [`IngestError::Full`] with its bound — never a panic, never
 //!   silence.
+//! * **A hostile producer cannot panic the coordinator**: an event that
+//!   does not fit the network (an edge past it, `k` = 0 or above
+//!   `MAX_K`, a NaN, infinite or negative weight) is refused at submit
+//!   with [`IngestError::Invalid`], and the next valid tick answers
+//!   exactly as an untouched twin's.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rnn_monitor::core::types::MAX_K;
 use rnn_monitor::core::{ContinuousMonitor, TickReport, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{
     AdmissionPolicy, EngineConfig, IngestConfig, IngestError, IngestHub, ShardedEngine,
 };
-use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, RoadNetwork};
+use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
 use rnn_monitor::workload::{
     Firehose, FirehoseConfig, FirehosePattern, MovementModel, Scenario, ScenarioConfig,
 };
@@ -263,7 +269,7 @@ fn one_lock_hub_under_contention_loses_and_reorders_nothing() {
 /// `Reject` admission surfaces a typed, value-carrying error instead of
 /// panicking or silently dropping; draining reopens the hub.
 #[test]
-fn reject_policy_surfaces_typed_lane_full_error() {
+fn reject_policy_surfaces_typed_full_error() {
     let mut hub = IngestHub::new(IngestConfig {
         capacity: 2,
         policy: AdmissionPolicy::Reject,
@@ -279,7 +285,7 @@ fn reject_policy_surfaces_typed_lane_full_error() {
     let err = handle
         .submit(UpdateEvent::move_object(ObjectId(3), at))
         .expect_err("third must be refused");
-    assert_eq!(err, IngestError::LaneFull { capacity: 2 });
+    assert_eq!(err, IngestError::Full { capacity: 2 });
     assert!(err.to_string().contains("2 open windows"), "{err}");
 
     let mut batch = UpdateBatch::default();
@@ -290,6 +296,82 @@ fn reject_policy_surfaces_typed_lane_full_error() {
     handle
         .submit(UpdateEvent::move_object(ObjectId(3), at))
         .expect("drain reopens the hub");
+}
+
+/// A producer submitting events that do not fit the engine's network:
+/// each is refused at submit with a typed error and never reaches the
+/// router or a shard, and the valid tick that follows answers — results,
+/// `kNN_dist` bits and work counters — exactly as a twin that never saw
+/// the bad event.
+#[test]
+fn hostile_producer_is_refused_at_submit_and_changes_nothing() {
+    let net = grid(6, 6, 13);
+    let n = net.num_edges() as u32;
+    let (object, query) = (ObjectId(0), QueryId(0));
+    let far = NetPoint::new(EdgeId(1_000_000), 0.5);
+    let past = NetPoint::new(EdgeId(n), 0.5);
+    let on = NetPoint::new(EdgeId(0), 0.5);
+    let cases = [
+        (
+            "insert past the network",
+            UpdateEvent::insert_object(ObjectId(9_999), far),
+        ),
+        (
+            "object move to edge |E|",
+            UpdateEvent::move_object(object, past),
+        ),
+        (
+            "install with k = 0",
+            UpdateEvent::install_query(QueryId(9_999), 0, on),
+        ),
+        (
+            "install with k = MAX_K + 1",
+            UpdateEvent::install_query(QueryId(9_999), MAX_K + 1, on),
+        ),
+        (
+            "install past the network",
+            UpdateEvent::install_query(QueryId(9_999), 4, far),
+        ),
+        (
+            "query move past the network",
+            UpdateEvent::move_query(query, past),
+        ),
+        ("weight on edge |E|", UpdateEvent::edge(EdgeId(n), 1.0)),
+        ("NaN weight", UpdateEvent::edge(EdgeId(3), f64::NAN)),
+        (
+            "infinite weight",
+            UpdateEvent::edge(EdgeId(3), f64::INFINITY),
+        ),
+        ("negative weight", UpdateEvent::edge(EdgeId(3), -1.0)),
+    ];
+    let mut scenario = Scenario::new(net.clone(), small_cfg(31));
+    let mut fed = ShardedEngine::new(net.clone(), EngineConfig::with_shards(2));
+    let handle = fed.ingest_handle();
+    let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(2));
+    scenario.install_into(&mut fed);
+    scenario.install_into(&mut twin);
+    for (what, bad) in cases {
+        let refused = handle.submit(bad);
+        let batch = scenario.tick();
+        let valid = (batch.objects.iter().map(|&ev| UpdateEvent::Object(ev)))
+            .chain(batch.queries.iter().map(|&ev| UpdateEvent::Query(ev)))
+            .chain(batch.edges.iter().map(|&ev| UpdateEvent::Edge(ev)));
+        for ev in valid {
+            handle.submit(ev).expect("a valid event is admitted");
+        }
+        let mut fed_rep = fed.tick_ingest();
+        let twin_rep = twin.tick(&batch);
+        // Compared as text: a NaN weight is not equal to itself.
+        let Err(err @ IngestError::Invalid { event }) = refused else {
+            panic!("{what}: admitted or refused for the wrong reason: {refused:?}");
+        };
+        assert_eq!(format!("{event:?}"), format!("{bad:?}"), "{what}");
+        assert!(err.to_string().contains("does not fit"), "{what}: {err}");
+        fed_rep.counters.drain_alloc_events = 0;
+        assert_eq!(fed_rep.counters, twin_rep.counters, "{what}: counters");
+        assert_eq!(fed_rep.results_changed, twin_rep.results_changed, "{what}");
+        assert_results_identical(&fed, &twin, what);
+    }
 }
 
 /// Config validation mirrors the same typed-error discipline at

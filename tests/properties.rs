@@ -753,6 +753,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use rnn_monitor::engine::{EngineConfig, ShardedEngine};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// [`Op`] plus query lifecycle events: the engine's replica bookkeeping
 /// must survive installs and removals, which grow and shrink halos.
@@ -810,13 +811,22 @@ fn push_op(op: &Op, batch: &mut UpdateBatch, weights: &mut EdgeWeights, ne: u16)
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Cases of `engine_replica_masks_and_index_stay_consistent`.
+const REPLICA_CASES: u32 = 16;
+/// Cases run so far, and the replicas they evicted: the last case holds
+/// the total to the floor the test is sized for.
+static REPLICA_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static REPLICA_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-    /// Random programs with query churn: after every tick the engine's
-    /// replica masks, halo edge sets, and edge→object index must agree
-    /// with each other (`validate_replication`), and its answers with a
-    /// single-threaded GMA.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(REPLICA_CASES))]
+
+    /// Random programs with query churn, each ending with the removal of
+    /// every query and two quiet ticks, so the shipped shrink hysteresis
+    /// (1.5×, 2 ticks) evicts every replica the program left: after every
+    /// tick the engine's replica masks, halo edge sets, and edge→object
+    /// index must agree with each other (`validate_replication`), and its
+    /// answers with a single-threaded GMA.
     #[test]
     fn engine_replica_masks_and_index_stay_consistent(
         seed in 0u64..40,
@@ -830,10 +840,6 @@ proptest! {
             net.clone(),
             EngineConfig {
                 num_shards: shards,
-                // Aggressive shrink settings exercise the evict path on
-                // nearly every tick.
-                halo_shrink_trigger: 1.0,
-                halo_shrink_ticks: 1,
                 ..EngineConfig::default()
             },
         );
@@ -850,7 +856,13 @@ proptest! {
         }
 
         let mut weights = EdgeWeights::from_base(&net);
-        for ops in &ticks {
+        // The tail: every query leaves, then two quiet ticks.
+        let tail = [
+            (0..4).map(|idx| QOp::RemoveQuery { idx }).collect(),
+            Vec::new(),
+            Vec::new(),
+        ];
+        for ops in ticks.iter().chain(&tail) {
             let mut batch = UpdateBatch::default();
             for op in ops {
                 match *op {
@@ -900,6 +912,17 @@ proptest! {
                     de
                 );
             }
+        }
+        // Coverage floor: what shrink trigger 1.0 / 1 tick evicted over the
+        // 16 programs without the tail.
+        REPLICA_EVICTIONS.fetch_add(eng.replica_evictions(), Ordering::Relaxed);
+        if REPLICA_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == REPLICA_CASES {
+            let evicted = REPLICA_EVICTIONS.load(Ordering::Relaxed);
+            prop_assert!(
+                evicted >= 144,
+                "{} evictions, below the 144 this test is sized for",
+                evicted
+            );
         }
     }
 }
