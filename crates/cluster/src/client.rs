@@ -6,10 +6,10 @@
 //! # One log
 //!
 //! Every event frame sent to the shard is appended to the link's
-//! [`ShardLog`] — volatile by default; on disk (`events.wal` +
-//! `snapshot.bin`, the only copies) when [`DurabilityConfig::dir`] is
-//! set. With
-//! `snapshot_every > 0` the link runs a snapshot cycle: every
+//! [`ShardLog`] — in memory by default; on disk (`events.wal`,
+//! `snapshot.bin` and `epoch.bin`, the only copies) when
+//! [`DurabilityConfig::dir`] is set, the same log over another storage.
+//! With `snapshot_every > 0` the link runs a snapshot cycle: every
 //! `snapshot_every` logged frames it pulls the monitor's
 //! answer-relevant state (`rnn_core::MonitorState`) over a
 //! [`MsgTag::SnapshotRequest`] round trip and hands it to
@@ -71,7 +71,6 @@ use crate::frame::{Frame, MsgTag};
 use crate::log::ShardLog;
 use crate::replog::{ReplicatedLog, REPLAY_ALL};
 use crate::transport::{RecvError, Transport};
-use crate::wal::WalRecord;
 
 /// Per-message delivery policy.
 #[derive(Clone, Copy, Debug)]
@@ -109,11 +108,12 @@ pub struct DurabilityConfig {
     /// behind it, bounding recovery replay to the suffix. `0` disables
     /// snapshots entirely.
     pub snapshot_every: u32,
-    /// Directory for the on-disk [`ShardLog`] — `events.wal` (torn-tail
-    /// tolerant; see [`crate::wal`]) and `snapshot.bin` (written
-    /// tmp+fsync+rename). `None` keeps the log in memory only:
-    /// shard-crash recovery still works (the coordinator survives), but
-    /// nothing outlives the coordinator process.
+    /// Directory for the link's [`ShardLog`] — `events.wal` (torn-tail
+    /// tolerant; see [`crate::wal`]), `snapshot.bin` and, once a
+    /// replicated link promotes, `epoch.bin` (each replaced by tmp +
+    /// fsync + rename + directory fsync). `None` keeps the same blobs in
+    /// memory: shard-crash recovery still works (the coordinator
+    /// survives), but nothing outlives the coordinator process.
     pub dir: Option<PathBuf>,
     /// WAL fsync batching: sync the log once per this many appends
     /// (0 is treated as 1 — sync every append).
@@ -178,10 +178,10 @@ struct Inner {
     next_seq: u32,
     inflight: Option<Inflight>,
     /// Every event frame sent since the latest snapshot, and that
-    /// snapshot: what a rebuilt shard is fed. In memory without
-    /// `durability.dir`; with it, `events.wal` and `snapshot.bin` are
-    /// the only copies and a rebuild reads them back. Memory requests
-    /// are read-only and are simply retransmitted, never logged.
+    /// snapshot: what a rebuilt shard is fed, read back from the log's
+    /// storage (`durability.dir`, or memory without one), and the
+    /// stored leadership term. Memory requests are read-only and are
+    /// simply retransmitted, never logged.
     log: ShardLog,
     /// Cleared when the shard's monitor answers a snapshot request with
     /// an empty payload (snapshots unsupported) — the cycle then stays
@@ -212,21 +212,23 @@ impl RemoteShard {
     /// on construction — a restarted coordinator resumes from what was
     /// durable, minus any torn WAL tail. With `None` and the default
     /// config the log is volatile and a dead peer is survivable only
-    /// through follower promotion. The link leads `replog`, adopting its
-    /// epoch (a restarted coordinator resumes its persisted term); a
-    /// `replog` without followers leaves the link unreplicated.
+    /// through follower promotion. The link leads `replog`, which
+    /// resumes the term the log stored (a restarted coordinator keeps
+    /// fencing its pre-restart followers); a `replog` without followers
+    /// leaves the link unreplicated, at its own epoch.
     pub fn with_durability(
         shard: usize,
         transport: Box<dyn Transport>,
         policy: RetryPolicy,
         respawn: Option<RespawnFn>,
         durability: DurabilityConfig,
-        replog: ReplicatedLog,
+        mut replog: ReplicatedLog,
     ) -> std::io::Result<Self> {
         let log = match &durability.dir {
             Some(dir) => ShardLog::open(dir, durability.fsync_every)?,
             None => ShardLog::volatile(),
         };
+        replog.resume_epoch(log.stored_epoch());
         Ok(Self {
             inner: Mutex::new(Inner {
                 shard,
@@ -566,7 +568,7 @@ impl Inner {
         };
         self.transport = self
             .replog
-            .promote(boundary, &mut self.stats)
+            .promote(boundary, &mut self.log, &mut self.stats)
             .map_err(|e| match e {
                 fenced @ ClusterError::Fenced { .. } => fenced,
                 _ => fallback,
@@ -591,21 +593,6 @@ impl Inner {
             .install_frame(self.replog.epoch())
             .map_err(unreadable)?;
         let suffix = self.log.suffix().map_err(unreadable)?;
-        self.replay(install, &suffix, inflight)?;
-        if !inflight.tag.is_events() {
-            // A read-only request (Memory) was in flight: retransmit it
-            // now that the rebuilt shard is caught up.
-            self.transmit(&inflight.bytes);
-        }
-        Ok(())
-    }
-
-    fn replay(
-        &mut self,
-        install: Option<Frame>,
-        suffix: &[WalRecord],
-        inflight: &Inflight,
-    ) -> Result<(), RebuildError> {
         if let Some(install) = install {
             let covered_seq = install.seq;
             let install = install.to_bytes();
@@ -621,11 +608,11 @@ impl Inner {
                 Wait::Exhausted | Wait::Closed => return Err(RebuildError::PeerDied),
             }
         }
-        for (seq, bytes) in suffix {
+        for (seq, bytes) in &suffix {
             self.stats.frames_replayed += 1;
             self.transmit(bytes);
             if *seq == inflight.seq {
-                break; // exchange consumes this reply
+                return Ok(()); // exchange consumes this reply
             }
             // The reply to a replayed frame is consumed and discarded.
             // A fresh peer that dies mid-replay spends this attempt; the
@@ -633,6 +620,11 @@ impl Inner {
             let Wait::Reply(()) = self.await_reply(*seq, bytes, |_| Some(())) else {
                 return Err(RebuildError::PeerDied);
             };
+        }
+        if !inflight.tag.is_events() {
+            // A read-only request (Memory) was in flight: retransmit it
+            // now that the rebuilt shard is caught up.
+            self.transmit(&inflight.bytes);
         }
         Ok(())
     }
@@ -693,7 +685,7 @@ mod tests {
                 }
             }
         });
-        let unreplicated = ReplicatedLog::new(0, Vec::new(), 0, None);
+        let unreplicated = ReplicatedLog::new(0, Vec::new(), 0);
         let link = RemoteShard::with_durability(
             0,
             Box::new(co),

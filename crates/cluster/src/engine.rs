@@ -50,15 +50,9 @@ fn spawn_loopback_service(
 /// process; faults are injected on the *shard* link, which is the one
 /// that fails over) and returns the leader-side log for the link to
 /// lead. With replication off the log has no followers and no term.
-fn spawn_replicas(
-    shard: usize,
-    net: &Arc<RoadNetwork>,
-    cfg: &EngineConfig,
-    epoch_dir: Option<std::path::PathBuf>,
-) -> ReplicatedLog {
-    let replicas = cfg.replication.replicas;
+fn spawn_replicas(shard: usize, net: &Arc<RoadNetwork>, cfg: &EngineConfig) -> ReplicatedLog {
     let edges = net.num_edges();
-    let transports = (0..replicas)
+    let transports = (0..cfg.replication.replicas)
         .map(|r| {
             let (leader, peer) = loopback_pair(FaultPlan::default());
             let net2 = net.clone();
@@ -71,12 +65,9 @@ fn spawn_replicas(
             Box::new(leader) as Box<dyn Transport>
         })
         .collect();
-    // A restarted coordinator resumes from its persisted term so a
-    // pre-restart stale leader stays fenced; an unreplicated link stays
-    // at epoch 0.
-    let epoch_dir = epoch_dir.filter(|_| replicas > 0);
-    let epoch = epoch_dir.as_deref().map_or(0, crate::wal::load_epoch);
-    ReplicatedLog::new(shard, transports, epoch, epoch_dir)
+    // The link resumes the term its log stored (see
+    // `RemoteShard::with_durability`).
+    ReplicatedLog::new(shard, transports, 0)
 }
 
 impl ClusterEngine {
@@ -136,14 +127,13 @@ impl ClusterEngine {
                 if let Some(root) = &durability.dir {
                     link_durability.dir = Some(root.join(format!("shard-{s}")));
                 }
-                let replog = spawn_replicas(s, &net, &cfg, link_durability.dir.clone());
                 RemoteShard::with_durability(
                     s,
                     Box::new(co),
                     policy,
                     Some(respawn),
                     link_durability,
-                    replog,
+                    spawn_replicas(s, &net, &cfg),
                 )
                 .unwrap_or_else(|e| panic!("shard {s}: durability dir unusable: {e}"))
             })
@@ -202,7 +192,7 @@ impl ClusterEngine {
                     policy,
                     None,
                     DurabilityConfig::default(),
-                    spawn_replicas(s, &net, &cfg, None),
+                    spawn_replicas(s, &net, &cfg),
                 )
             })
             .collect::<std::io::Result<Vec<_>>>()?;

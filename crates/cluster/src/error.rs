@@ -59,9 +59,9 @@ pub enum ClusterError {
         /// The newer epoch the replica reported.
         newer: u32,
     },
-    /// The link's on-disk log could not be read back to rebuild a
-    /// respawned service: `events.wal` or `snapshot.bin` no longer holds
-    /// what the log recorded (or the read failed).
+    /// The link's log could not be read back from its storage to rebuild
+    /// a respawned service: `events.wal` or `snapshot.bin` no longer
+    /// holds what the log recorded (or the read failed).
     LogUnreadable {
         /// The shard index.
         shard: usize,
@@ -109,7 +109,7 @@ impl std::fmt::Display for ClusterError {
             ),
             ClusterError::LogUnreadable { shard } => write!(
                 f,
-                "shard {shard}: the on-disk log could not be read back for a rebuild"
+                "shard {shard}: the log could not be read back for a rebuild"
             ),
             ClusterError::FailoverFailed { shard } => write!(
                 f,

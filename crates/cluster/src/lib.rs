@@ -12,9 +12,9 @@
 //! * **One log** — [`log::ShardLog`]: the event frames a shard must
 //!   replay, the latest monitor-state snapshot they replay on top of,
 //!   and the rule that truncates the first behind the second. The
-//!   coordinator link holds one (volatile, or on disk through [`wal`],
-//!   where the files are the only copy), and so does every follower
-//!   replica (volatile).
+//!   coordinator link holds one and so does every follower replica;
+//!   each runs the same logic over a `storage` seam — files under a
+//!   durability directory, memory otherwise.
 //! * **One wait loop** — `client::Inner::await_reply` on the shard link
 //!   (reply / retransmit budget exhausted / peer closed) and
 //!   `ReplicatedLog::broadcast` on the follower links (send → ack per
@@ -38,10 +38,13 @@
 //!   corruption, duplication, partition, crash-on-cue), and a stream
 //!   transport over Unix domain sockets or TCP (`std::net` + worker
 //!   threads; no async runtime).
-//! * [`wal`] — the append-only file under an on-disk log: verbatim frame
-//!   records, batched fsync, torn-tail-tolerant reopen — plus the
-//!   leader-epoch sidecar file replication fences on.
-//! * [`log`] — [`ShardLog`], above.
+//! * `storage` — named blobs with append, sync, read-all and atomic
+//!   replace (tmp + fsync + rename + directory fsync, the crate's only
+//!   copy of it), as files in a directory or in memory.
+//! * [`wal`] — the event blob under a log: verbatim frame records,
+//!   batched sync, torn-tail-tolerant reopen.
+//! * [`log`] — [`ShardLog`], above: the WAL, `snapshot.bin` and the
+//!   `epoch.bin` replication fences on, the crate's one namer of files.
 //! * [`service`] — the shard side: one monitor driven through
 //!   [`rnn_engine::ShardTickState`] (so replies are bit-identical to an
 //!   in-process worker's), with epoch fencing and duplicate-request
@@ -87,6 +90,7 @@ pub mod log;
 pub mod replica;
 pub mod replog;
 pub mod service;
+mod storage;
 pub mod transport;
 pub mod wal;
 

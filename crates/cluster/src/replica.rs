@@ -1,10 +1,11 @@
 //! The follower side of the per-shard replicated journal: a
 //! [`ReplicaNode`] is a hot standby that accumulates the leader's
 //! [`MsgTag::Append`] stream (and snapshot offers) in a volatile
-//! [`ShardLog`] without running a monitor — until it is promoted, at
-//! which point it rebuilds the shard's state entirely *from its own
-//! replicated log* and becomes the serving
-//! [`crate::service::ShardService`] on the same transport.
+//! [`ShardLog`] (the leader's log logic over memory storage, which
+//! keeps each appended frame's bytes without a copy) without running a
+//! monitor — until it is promoted, at which point it rebuilds the
+//! shard's state entirely *from its own replicated log* and becomes the
+//! serving [`crate::service::ShardService`] on the same transport.
 //!
 //! # Fencing
 //!
@@ -140,7 +141,7 @@ impl<T: Transport> ReplicaNode<T> {
     /// comes up fencing the old term.
     fn promote(mut self, ack_seq: u32, boundary: u32) {
         let epoch = self.epoch;
-        // A volatile log reads back without I/O, so neither read fails.
+        // A volatile log reads back from memory, so neither read fails.
         let (Ok(install), Ok(suffix)) = (self.log.install_frame(epoch), self.log.suffix()) else {
             self.ack(ack_seq, ACK_REFUSED);
             return;

@@ -12,8 +12,8 @@
 //! # Epochs and fencing
 //!
 //! Every frame a leader sends carries its leadership **epoch** (a
-//! monotone term, persisted beside the WAL via
-//! [`crate::wal::store_epoch`]). Replicas remember the highest epoch
+//! monotone term, stored in the leader's own [`ShardLog`] through
+//! [`ShardLog::store_epoch`]). Replicas remember the highest epoch
 //! they have seen and answer any frame from an older epoch with a
 //! FENCED ack instead of applying it, so a partitioned stale leader's
 //! appends are rejected, never silently merged. Promotion bumps the
@@ -33,7 +33,6 @@
 //! redundancy guarantee, not the shard's availability.
 
 use std::ops::ControlFlow;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use rnn_core::TransportStats;
@@ -41,6 +40,7 @@ use rnn_roadnet::wire::put_u32;
 
 use crate::error::ClusterError;
 use crate::frame::{Frame, MsgTag, ACK_FENCED, ACK_OK};
+use crate::log::ShardLog;
 use crate::transport::{RecvError, Transport};
 
 /// Promotion replay boundary meaning "replay the entire replica log"
@@ -69,24 +69,14 @@ pub struct ReplicatedLog {
     followers: Vec<Follower>,
     ack_timeout: Duration,
     epoch: u32,
-    /// Durability directory for [`crate::wal::store_epoch`]; `None`
-    /// keeps the epoch in memory only.
-    epoch_dir: Option<PathBuf>,
     /// Highest committed sequence number.
     commit_seq: Option<u32>,
 }
 
 impl ReplicatedLog {
     /// A leader over `replicas` follower transports (none for an
-    /// unreplicated link). `epoch` is the starting term (a restarted
-    /// coordinator passes [`crate::wal::load_epoch`]); `epoch_dir`, when
-    /// set, persists every epoch bump beside the WAL.
-    pub fn new(
-        shard: usize,
-        replicas: Vec<Box<dyn Transport>>,
-        epoch: u32,
-        epoch_dir: Option<PathBuf>,
-    ) -> Self {
+    /// unreplicated link), starting at term `epoch`.
+    pub fn new(shard: usize, replicas: Vec<Box<dyn Transport>>, epoch: u32) -> Self {
         Self {
             shard,
             followers: replicas
@@ -98,7 +88,6 @@ impl ReplicatedLog {
                 .collect(),
             ack_timeout: Duration::from_secs(1),
             epoch,
-            epoch_dir,
             commit_seq: None,
         }
     }
@@ -113,6 +102,15 @@ impl ReplicatedLog {
     /// The current leadership epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch
+    }
+
+    /// Resumes the term a previous leader of this shard stored, so that
+    /// leader's stale appends stay fenced. A log without followers has
+    /// nobody to fence and keeps its epoch.
+    pub(crate) fn resume_epoch(&mut self, stored: u32) {
+        if !self.followers.is_empty() {
+            self.epoch = self.epoch.max(stored);
+        }
     }
 
     /// Highest committed sequence number, if any event committed.
@@ -236,8 +234,8 @@ impl ReplicatedLog {
         });
     }
 
-    /// Promotes a live follower to serving leader: bumps (and persists)
-    /// the epoch — fencing the old term — then sends the follower a
+    /// Promotes a live follower to serving leader: bumps the epoch —
+    /// fencing the old term — and stores it in `log`, then sends the follower a
     /// [`MsgTag::Promote`] carrying `boundary` (the first sequence it
     /// must *not* replay from its own log, [`REPLAY_ALL`] for none) and
     /// waits for its ack, after which the follower has installed its
@@ -249,17 +247,16 @@ impl ReplicatedLog {
     pub fn promote(
         &mut self,
         boundary: u32,
+        log: &mut ShardLog,
         stats: &mut TransportStats,
     ) -> Result<Box<dyn Transport>, ClusterError> {
         if self.live_followers() == 0 {
             return Err(ClusterError::FailoverFailed { shard: self.shard });
         }
         self.epoch += 1;
-        if let Some(dir) = &self.epoch_dir {
-            // Degraded durability on failure: the in-memory epoch still
-            // fences this process; only a restart could regress it.
-            let _ = crate::wal::store_epoch(dir, self.epoch);
-        }
+        // Degraded durability on failure: the in-memory epoch still
+        // fences this process; only a restart could regress it.
+        let _ = log.store_epoch(self.epoch);
         let mut payload = Vec::with_capacity(4);
         put_u32(&mut payload, boundary);
         let frame = Frame {
@@ -375,7 +372,7 @@ mod tests {
         let (co_b, peer_b) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 0);
         let b = ack_thread(peer_b, 0);
-        let mut log = ReplicatedLog::new(3, vec![Box::new(co_a), Box::new(co_b)], 1, None);
+        let mut log = ReplicatedLog::new(3, vec![Box::new(co_a), Box::new(co_b)], 1);
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
         log.append(1, &event(1), &mut stats).unwrap();
@@ -394,7 +391,7 @@ mod tests {
         let (co_b, peer_b) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 0);
         drop(peer_b); // follower b is dead from the start
-        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a), Box::new(co_b)], 1, None)
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a), Box::new(co_b)], 1)
             .with_ack_timeout(Duration::from_millis(50));
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
@@ -411,7 +408,7 @@ mod tests {
     fn stale_leader_appends_are_fenced() {
         let (co_a, peer_a) = loopback_pair(FaultPlan::default());
         let a = ack_thread(peer_a, 5); // replica already at epoch 5
-        let mut log = ReplicatedLog::new(1, vec![Box::new(co_a)], 3, None);
+        let mut log = ReplicatedLog::new(1, vec![Box::new(co_a)], 3);
         let mut stats = TransportStats::default();
         let err = log.append(0, &event(0), &mut stats).unwrap_err();
         assert_eq!(
@@ -432,14 +429,14 @@ mod tests {
     fn all_followers_dead_degrades_to_unreplicated() {
         let (co_a, peer_a) = loopback_pair(FaultPlan::default());
         drop(peer_a);
-        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a)], 1, None)
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_a)], 1)
             .with_ack_timeout(Duration::from_millis(50));
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
         assert_eq!(log.live_followers(), 0);
         // Degraded mode: appends are accepted without replication.
         log.append(1, &event(1), &mut stats).unwrap();
-        let Err(err) = log.promote(REPLAY_ALL, &mut stats) else {
+        let Err(err) = log.promote(REPLAY_ALL, &mut ShardLog::volatile(), &mut stats) else {
             panic!("promotion with zero live followers must fail");
         };
         assert_eq!(err, ClusterError::FailoverFailed { shard: 0 });
@@ -448,12 +445,14 @@ mod tests {
 
     #[test]
     fn a_log_without_followers_commits_at_once_and_sends_nothing() {
-        let mut log = ReplicatedLog::new(2, Vec::new(), 0, None);
+        let mut log = ReplicatedLog::new(2, Vec::new(), 0);
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
         log.offer_snapshot(0, &[7; 64], &mut stats);
         assert_eq!(log.commit_seq(), Some(0));
-        assert!(log.promote(REPLAY_ALL, &mut stats).is_err());
+        assert!(log
+            .promote(REPLAY_ALL, &mut ShardLog::volatile(), &mut stats)
+            .is_err());
         assert_eq!((log.epoch(), stats), (0, TransportStats::default()));
     }
 
@@ -472,7 +471,7 @@ mod tests {
             }
             seen
         });
-        let mut log = ReplicatedLog::new(0, vec![Box::new(co_b), Box::new(co_a)], 0, None)
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co_b), Box::new(co_a)], 0)
             .with_ack_timeout(Duration::from_millis(50));
         let mut stats = TransportStats::default();
         log.append(0, &event(0), &mut stats).unwrap();
@@ -483,8 +482,10 @@ mod tests {
         );
         assert_eq!(log.live_followers(), 1);
 
-        let mut promoted = log.promote(REPLAY_ALL, &mut stats).unwrap();
+        let mut shard_log = ShardLog::volatile();
+        let mut promoted = log.promote(REPLAY_ALL, &mut shard_log, &mut stats).unwrap();
         assert_eq!(stats.failovers, 1);
+        assert_eq!(shard_log.stored_epoch(), 1, "the bumped term is stored");
         // The promoted transport is a's: a frame sent on it is acked by a.
         promoted.send(&event(7)).unwrap();
         let ack = Frame::from_bytes(&promoted.recv_timeout(Duration::from_secs(2)).unwrap());

@@ -1,84 +1,38 @@
 //! Per-shard write-ahead log of routed input events.
 //!
-//! The WAL is the event suffix of a disk-backed
-//! [`ShardLog`](crate::log::ShardLog) — its only copy: every event frame
-//! sent to a shard is appended **verbatim**
-//! (the exact [`Frame::to_bytes`] byte string, so each record carries
-//! the frame's own length prefix and CRC-32C — no second framing
-//! layer to keep in sync). `fsync` is batched: the file is synced every
+//! The WAL is the event suffix of a [`ShardLog`](crate::log::ShardLog),
+//! one blob of the log's storage (see the `storage` module): a file for a
+//! log on disk, memory otherwise — its only copy either way. Every event
+//! frame sent to a shard is appended **verbatim** (the exact
+//! [`Frame::to_bytes`] byte string, so each record carries the frame's
+//! own length prefix and CRC-32C — no second framing layer to keep in
+//! sync). Syncs are batched: the blob is synced every
 //! [`DurabilityConfig::fsync_every`](crate::client::DurabilityConfig)
-//! appends, trading a bounded window of unsynced events for fewer
-//! forced flushes.
+//! appends, trading a bounded window of unsynced events for fewer forced
+//! flushes.
 //!
-//! On reopen the log is scanned record by record and truncated at the
-//! first incomplete or invalid record — a **torn tail** from a crash
+//! On reopen the log is scanned record by record and cut at the first
+//! incomplete or invalid record — a **torn tail** from a crash
 //! mid-append (or mid-page-flush) is discarded cleanly rather than
 //! poisoning recovery. Anything before the tear decodes exactly as it
 //! was sent; anything after it was never acknowledged as durable.
 //!
-//! The log is truncated whenever a monitor-state snapshot becomes
-//! durable ([`ShardLog::install_snapshot`](crate::log::ShardLog::install_snapshot),
-//! the only caller of [`Wal::reset`]): the snapshot covers the logged
-//! events, so recovery replays only the post-snapshot suffix. That bound
-//! — replay work proportional to the WAL suffix, not the run length — is
-//! what the recovery benchmark gates.
-//!
-//! With replication enabled the truncation point is additionally gated
-//! behind the replicated log's **commit index**: a snapshot (and the
-//! WAL reset it triggers) only covers events every live follower has
-//! acked, so no follower can be promoted into a state the truncated log
-//! can no longer reproduce. The shard log's leadership **epoch** is
-//! persisted beside the WAL ([`store_epoch`] / [`load_epoch`]) so a
-//! restarted coordinator resumes fencing from its last known term
-//! instead of silently rejoining at epoch 0.
+//! The log is rewritten whenever a monitor-state snapshot becomes
+//! durable ([`ShardLog::install_snapshot`](crate::log::ShardLog::install_snapshot)):
+//! the snapshot covers the logged events, so the WAL keeps only the
+//! post-snapshot suffix and recovery replays only that. That bound —
+//! replay work proportional to the WAL suffix, not the run length — is
+//! what the recovery benchmark gates. With replication enabled the
+//! snapshot is additionally gated behind the replicated log's **commit
+//! index**, so no follower can be promoted into a state the truncated
+//! log can no longer reproduce.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-
-use rnn_roadnet::wire::{checksum, put_u32};
+use std::borrow::Cow;
+use std::io::{Error, ErrorKind};
+use std::path::Path;
 
 use crate::frame::Frame;
-
-/// File name of the persisted leadership epoch, beside `events.wal`.
-const EPOCH_FILE: &str = "epoch.bin";
-
-/// Persists `epoch` under `dir` as a self-checksummed record, written
-/// tmp + fsync + rename so a crash leaves either the old epoch or the
-/// new one, never a torn file. Callers treat failures as degraded
-/// durability (the in-memory epoch still fences), not as fatal.
-pub fn store_epoch(dir: &Path, epoch: u32) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(8);
-    put_u32(&mut bytes, epoch);
-    let crc = checksum(&bytes);
-    put_u32(&mut bytes, crc);
-    let tmp = dir.join("epoch.tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_data()?;
-    drop(f);
-    std::fs::rename(&tmp, dir.join(EPOCH_FILE))
-}
-
-/// Reads the persisted leadership epoch under `dir`. Absent, short, or
-/// checksum-failing files read as epoch 0 — the pre-replication default
-/// — so the caller never trusts a torn record.
-pub fn load_epoch(dir: &Path) -> u32 {
-    let Ok(bytes) = std::fs::read(dir.join(EPOCH_FILE)) else {
-        return 0;
-    };
-    let (Some(value), Some(crc)) = (bytes.get(..4), bytes.get(4..8)) else {
-        return 0;
-    };
-    // lint: allow(panic-free-wire): a 4-byte slice always converts to [u8; 4]
-    let epoch = u32::from_le_bytes(value.try_into().expect("4-byte slice"));
-    // lint: allow(panic-free-wire): a 4-byte slice always converts to [u8; 4]
-    let stored = u32::from_le_bytes(crc.try_into().expect("4-byte slice"));
-    if checksum(value) != stored {
-        return 0;
-    }
-    epoch
-}
+use crate::storage::{parent_dir, Files, Storage};
 
 /// One recovered WAL record: the frame's sequence number with its
 /// verbatim on-disk (= on-wire) bytes.
@@ -112,77 +66,89 @@ pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     (records, off)
 }
 
-/// An append-only log of event frames with batched fsync and torn-tail
-/// recovery. See the module docs for the format and guarantees.
+/// An append-only log of event frames with batched sync and torn-tail
+/// recovery, kept as one blob of a storage. See the module docs for the
+/// format and guarantees.
 pub struct Wal {
-    file: File,
-    path: PathBuf,
+    /// The storage the log's blob lives in; a [`ShardLog`](crate::log::ShardLog)
+    /// keeps its snapshot and epoch beside it.
+    pub(crate) storage: Box<dyn Storage>,
+    name: String,
     bytes: u64,
     fsync_every: u32,
     unsynced: u32,
 }
 
 impl Wal {
-    /// Opens (or creates) the log at `path`, recovering the valid record
-    /// prefix of any existing file: the surviving records are returned
-    /// and a torn tail, if present, is truncated away before the log
+    /// Opens (or creates) the log file at `path`, recovering the valid
+    /// record prefix of any existing file: the surviving records are
+    /// returned and a torn tail, if present, is cut away before the log
     /// accepts new appends.
     ///
     /// `fsync_every` batches durability: the file is synced once per
     /// that many appends (values of 0 are treated as 1 — sync always).
     pub fn open(path: &Path, fsync_every: u32) -> std::io::Result<(Self, Vec<WalRecord>)> {
-        let mut existing = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut existing)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        let name = path.file_name().and_then(|name| name.to_str());
+        let name = name.ok_or_else(|| Error::new(ErrorKind::InvalidInput, "no WAL file name"))?;
+        Self::over(Box::new(Files::new(parent_dir(path))?), name, fsync_every)
+    }
+
+    /// [`Self::open`] over the blob `name` of `storage`.
+    pub(crate) fn over(
+        mut storage: Box<dyn Storage>,
+        name: &str,
+        fsync_every: u32,
+    ) -> std::io::Result<(Self, Vec<WalRecord>)> {
+        let mut bytes = storage.read_all(name)?;
+        let (records, valid_len) = scan(&bytes);
+        if valid_len < bytes.len() || bytes.is_empty() {
+            // Cut the torn tail (or create the blob) before the first
+            // append lands behind it.
+            bytes.truncate(valid_len);
+            storage.replace(name, bytes)?;
         }
-        let (records, valid_len) = scan(&existing);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)?;
-        if valid_len as u64 != file.metadata()?.len() {
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok((
-            Self {
-                file,
-                path: path.to_path_buf(),
-                bytes: valid_len as u64,
-                fsync_every: fsync_every.max(1),
-                unsynced: 0,
-            },
-            records,
-        ))
+        let wal = Self {
+            storage,
+            name: name.to_owned(),
+            bytes: valid_len as u64,
+            fsync_every: fsync_every.max(1),
+            unsynced: 0,
+        };
+        Ok((wal, records))
     }
 
     /// Appends one record (a complete encoded frame) and syncs if the
     /// batch window is full.
     pub fn append(&mut self, frame_bytes: &[u8]) -> std::io::Result<()> {
-        self.file.write_all(frame_bytes)?;
-        self.bytes += frame_bytes.len() as u64;
+        self.push(&mut Cow::Borrowed(frame_bytes))
+    }
+
+    /// [`Self::append`] of a frame the storage may take instead of
+    /// copying (see the `storage` module): `frame` may be left empty.
+    pub(crate) fn push(&mut self, frame: &mut Cow<'_, [u8]>) -> std::io::Result<()> {
+        let len = frame.len() as u64;
+        self.storage.append(&self.name, frame)?;
+        self.bytes += len;
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
-            self.file.sync_data()?;
+            self.storage.sync(&self.name)?;
             self.unsynced = 0;
         }
         Ok(())
     }
 
-    /// Empties the log — called once a snapshot covering every logged
-    /// event has become durable (snapshot first, truncate after: the
-    /// ordering is what makes the pair crash-safe).
+    /// Empties the log, atomically and durably.
     pub fn reset(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_data()?;
-        self.bytes = 0;
+        self.rewrite(Vec::new())
+    }
+
+    /// Replaces the log's records with `records` (complete encoded
+    /// frames, back to back), atomically and durably: a crash leaves the
+    /// old log or the new one.
+    pub(crate) fn rewrite(&mut self, records: Vec<u8>) -> std::io::Result<()> {
+        let bytes = records.len() as u64;
+        self.storage.replace(&self.name, records)?;
+        self.bytes = bytes;
         self.unsynced = 0;
         Ok(())
     }
@@ -194,21 +160,7 @@ impl Wal {
 
     /// Reads the log back: its leading run of valid records ([`scan`]).
     pub fn records(&self) -> std::io::Result<Vec<WalRecord>> {
-        Ok(scan(&std::fs::read(&self.path)?).0)
-    }
-
-    /// Swaps the write handle for a read-only one, so every later write
-    /// fails (`false` restores a writable handle at the end of the file).
-    #[cfg(test)]
-    pub(crate) fn set_read_only(&mut self, read_only: bool) -> std::io::Result<()> {
-        self.file = if read_only {
-            File::open(&self.path)?
-        } else {
-            let mut file = OpenOptions::new().write(true).open(&self.path)?;
-            file.seek(SeekFrom::End(0))?;
-            file
-        };
-        Ok(())
+        Ok(scan(&self.storage.read_all(&self.name)?).0)
     }
 }
 
@@ -216,6 +168,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::frame::MsgTag;
+    use crate::storage::each_storage;
 
     fn record(seq: u32, payload: &[u8]) -> Vec<u8> {
         Frame {
@@ -225,6 +178,11 @@ mod tests {
             payload: payload.to_vec(),
         }
         .to_bytes()
+    }
+
+    /// Closes `wal` and opens its blob again, as a restarted process would.
+    fn reopen(wal: Wal, fsync_every: u32) -> (Wal, Vec<WalRecord>) {
+        Wal::over(wal.storage, "shard.wal", fsync_every).unwrap()
     }
 
     #[test]
@@ -262,79 +220,57 @@ mod tests {
 
     #[test]
     fn wal_reopen_truncates_torn_tail_and_replays_records() {
-        let dir = std::env::temp_dir().join(format!("rnn-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard.wal");
-        let _ = std::fs::remove_file(&path);
+        each_storage("wal-torn", |storage| {
+            let (mut wal, recovered) = Wal::over(storage, "shard.wal", 1).unwrap();
+            assert!(recovered.is_empty());
+            for seq in 0..3u32 {
+                wal.append(&record(seq, b"payload")).unwrap();
+            }
+            let clean_bytes = wal.bytes();
 
-        let (mut wal, recovered) = Wal::open(&path, 1).unwrap();
-        assert!(recovered.is_empty());
-        for seq in 0..3u32 {
-            wal.append(&record(seq, b"payload")).unwrap();
-        }
-        let clean_bytes = wal.bytes();
-        drop(wal);
+            // Tear the tail: append half a record's worth of garbage.
+            let torn = &record(3, b"torn")[..9];
+            wal.storage.append("shard.wal", &mut torn.into()).unwrap();
 
-        // Tear the tail: append half a record's worth of garbage.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&record(3, b"torn")[..9]).unwrap();
-        drop(f);
-
-        let (wal, recovered) = Wal::open(&path, 1).unwrap();
-        assert_eq!(recovered.len(), 3);
-        assert_eq!(wal.bytes(), clean_bytes);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_bytes);
-        for (i, (seq, _)) in recovered.iter().enumerate() {
-            assert_eq!(*seq, i as u32);
-        }
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn epoch_round_trips_and_torn_files_read_as_zero() {
-        let dir = std::env::temp_dir().join(format!("rnn-epoch-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(load_epoch(&dir), 0, "absent file is epoch 0");
-        store_epoch(&dir, 7).unwrap();
-        assert_eq!(load_epoch(&dir), 7);
-        store_epoch(&dir, 8).unwrap();
-        assert_eq!(load_epoch(&dir), 8, "rename replaces atomically");
-        // Corrupt the stored value: the checksum must reject it.
-        let path = dir.join(EPOCH_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(load_epoch(&dir), 0, "corrupt epoch reads as 0");
-        // A short (torn) file also reads as 0.
-        std::fs::write(&path, [1, 2, 3]).unwrap();
-        assert_eq!(load_epoch(&dir), 0);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+            let (wal, recovered) = reopen(wal, 1);
+            assert_eq!(recovered.len(), 3);
+            assert_eq!(wal.bytes(), clean_bytes);
+            let stored = wal.storage.read_all("shard.wal").unwrap();
+            assert_eq!(stored.len() as u64, clean_bytes, "the tail is cut away");
+            for (i, (seq, _)) in recovered.iter().enumerate() {
+                assert_eq!(*seq, i as u32);
+            }
+        });
     }
 
     #[test]
     fn wal_reset_empties_the_log() {
-        let dir = std::env::temp_dir().join(format!("rnn-wal-reset-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard.wal");
-        let _ = std::fs::remove_file(&path);
+        each_storage("wal-reset", |storage| {
+            let (mut wal, _) = Wal::over(storage, "shard.wal", 4).unwrap();
+            wal.append(&record(0, b"x")).unwrap();
+            wal.append(&record(1, b"y")).unwrap();
+            assert!(wal.bytes() > 0);
+            wal.reset().unwrap();
+            assert_eq!(wal.bytes(), 0);
+            wal.append(&record(2, b"z")).unwrap();
 
-        let (mut wal, _) = Wal::open(&path, 4).unwrap();
+            let (_, recovered) = reopen(wal, 1);
+            assert_eq!(recovered.len(), 1);
+            assert_eq!(recovered[0].0, 2);
+        });
+    }
+
+    #[test]
+    fn wal_open_reads_a_file_path() {
+        let dir = std::env::temp_dir().join(format!("rnn-wal-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.wal");
+        let (mut wal, _) = Wal::open(&path, 1).unwrap();
         wal.append(&record(0, b"x")).unwrap();
-        wal.append(&record(1, b"y")).unwrap();
-        assert!(wal.bytes() > 0);
-        wal.reset().unwrap();
-        assert_eq!(wal.bytes(), 0);
-        wal.append(&record(2, b"z")).unwrap();
         drop(wal);
-
         let (_, recovered) = Wal::open(&path, 1).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].0, 2);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
+        assert_eq!(recovered, vec![(0, record(0, b"x"))]);
+        assert_eq!(std::fs::read(&path).unwrap(), record(0, b"x"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -165,8 +165,8 @@ crate::counters::counter_struct! {
         /// Event frames currently retained in the coordinator's in-memory
         /// journal (a gauge; truncated behind each acknowledged snapshot).
         pub journal_len: u64,
-        /// Bytes currently held in the shard's on-disk write-ahead log (a
-        /// gauge; 0 when durability is disabled or disk-less).
+        /// Bytes currently held in the shard log's write-ahead log, on
+        /// disk or in memory (a gauge; truncated behind each snapshot).
         pub wal_bytes: u64,
         /// Size of the latest monitor-state snapshot payload in bytes (a
         /// gauge; 0 before the first snapshot).

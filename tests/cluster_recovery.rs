@@ -462,6 +462,68 @@ fn failover_promotes_follower_and_stays_answer_identical() {
 }
 
 #[test]
+fn a_promoted_term_is_stored_and_resumed_on_reopen() {
+    // A replicated durable link that promotes stores its bumped term in
+    // its log (`epoch.bin`), and a link reopened over the same directory
+    // resumes it, so the followers of the term before the restart stay
+    // fenced. An unreplicated link over that directory stays at epoch 0:
+    // it has no follower to fence.
+    let root =
+        std::env::temp_dir().join(format!("rnn-recovery-{}-{}", std::process::id(), line!()));
+    let _ = std::fs::remove_dir_all(&root);
+    let net = grid(8, 8, 6);
+    let replicated = EngineConfig {
+        num_shards: 2,
+        algo: ShardAlgo::Gma,
+        replication: ReplicationConfig::with_replicas(1),
+        ..EngineConfig::default()
+    };
+    let open = |cfg: EngineConfig, plans: &[FaultPlan]| {
+        let durability = DurabilityConfig::on_disk(4, root.clone());
+        ClusterEngine::loopback_durable(net.clone(), cfg, plans, RetryPolicy::default(), durability)
+    };
+    let epochs = |cluster: &ClusterEngine| -> Vec<u32> {
+        cluster.engine().links().iter().map(|l| l.epoch()).collect()
+    };
+
+    // Shard 0 dies after its installation and first few ticks, and every
+    // respawn is stillborn: its one follower is promoted.
+    let dies = FaultPlan {
+        crash_after_frames: 4,
+        respawn_dead: true,
+        ..Default::default()
+    };
+    let mut cluster = open(replicated, &[dies, FaultPlan::default()]);
+    let mut scenario = Scenario::new(net.clone(), base_cfg(66));
+    scenario.install_into(&mut cluster);
+    for _ in 0..6 {
+        cluster.tick(&scenario.tick());
+    }
+    assert_eq!(cluster.stats().failovers, 1, "{:?}", cluster.stats());
+    assert_eq!(
+        epochs(&cluster),
+        [1, 0],
+        "shard 0 promoted once, shard 1 never"
+    );
+    drop(cluster);
+    assert!(root.join("shard-0").join("epoch.bin").exists());
+    assert!(!root.join("shard-1").join("epoch.bin").exists());
+
+    let reopened = open(replicated, &[FaultPlan::default()]);
+    assert_eq!(epochs(&reopened), [1, 0], "the stored term is resumed");
+    drop(reopened);
+
+    let unreplicated = EngineConfig {
+        replication: ReplicationConfig::default(),
+        ..replicated
+    };
+    let reopened = open(unreplicated, &[FaultPlan::default()]);
+    assert_eq!(epochs(&reopened), [0, 0], "no follower, no term");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn seeded_chaos_schedule_survives_duplication_partition_and_crash() {
     // One seeded chaos schedule per run: shard 0 crashes with stillborn
     // respawns (failover via the recovery path), shard 2's link turns
@@ -581,7 +643,7 @@ fn stale_leader_appends_are_provably_fenced() {
 
     // A stale leader (epoch 2) adopts the same follower link and tries
     // to append: provably rejected, never committed.
-    let mut stale = ReplicatedLog::new(3, vec![Box::new(co) as Box<dyn Transport>], 2, None);
+    let mut stale = ReplicatedLog::new(3, vec![Box::new(co) as Box<dyn Transport>], 2);
     let mut stats = TransportStats::default();
     let stale_event = Frame {
         tag: MsgTag::TickEvents,
