@@ -30,17 +30,16 @@
 //!   per shard: nothing is in flight whenever another module mutates the
 //!   partition, a halo or a registry. `reconcile` restores, before any
 //!   tick or hand-off returns, `halo_r[s] ≥ kNN_dist(q)` for every query
-//!   `q` homed on shard `s` — one walk over the registry, then only the
-//!   queries each resync exchange reports (see [`crate::halo`], "Demand
-//!   is folded, not recomputed").
+//!   `q` homed on shard `s`, walking the registry once per resync round.
 //! * **[`crate::route`]** — object and query events → per-shard pending
 //!   events, plus the edge→object and edge→query indexes. Keeps every
 //!   object's shard mask equal to its edge's visibility mask and every
 //!   query homed on (and indexed under) the owner of its edge. Entered
 //!   from `tick`, once per event; this is the steady-state path and is
 //!   statically checked to be allocation-free.
-//! * **[`crate::halo`]** — `HaloRing`, halo recompute, ring shrink, the
-//!   changed-edge replica resync and the shrink hysteresis. Keeps
+//! * **[`crate::halo`]** — the halo edge sets and their one derivation
+//!   (halo recompute), the changed-edge replica resync and the shrink
+//!   hysteresis. Keeps
 //!   `edge_mask[e] = owner | { s : e ∈ halo(s) }`. Entered from `tick`
 //!   (weights changed), `reconcile` (demand grew), the end of `tick`
 //!   (demand fell) and the hand-off tail (a border moved). Carries the
@@ -65,7 +64,7 @@ use rnn_roadnet::{
 
 use crate::changelog::ChangeLog;
 use crate::config::EngineConfig;
-use crate::halo::{diameter_bound, HaloRing, HALO_SLACK};
+use crate::halo::HALO_SLACK;
 use crate::ingest::{IngestHandle, IngestHub};
 use crate::protocol::{BatchKind, DeltaBatch, Request, Response, ShardLink};
 use crate::worker::ShardWorker;
@@ -162,12 +161,6 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// The engine's authoritative copy of the fluctuating weights (needed
     /// for halo distance computations).
     pub(crate) weights: EdgeWeights,
-    /// Finite stand-in for "replicate everything": an upper bound on any
-    /// shortest-path distance under the current weights. Cached lazily —
-    /// the O(E) refresh only runs when a weight change has invalidated it
-    /// *and* an underfull query actually needs the cap.
-    pub(crate) diam_cache: f64,
-    pub(crate) diam_dirty: bool,
     pub(crate) scratch: DijkstraEngine,
     pub(crate) workers: Vec<L>,
     /// Current halo radius per shard. Grows eagerly on demand, shrinks
@@ -176,9 +169,9 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// Consecutive ticks each shard's halo has been oversized (the shrink
     /// hysteresis counter).
     pub(crate) shrink_streak: Vec<u32>,
-    /// Foreign edges inside each shard's halo, ring-structured (distance
-    /// annuli) so shrinks drop only the outer ring.
-    pub(crate) halo_edges: Vec<HaloRing>,
+    /// Foreign edges inside each shard's halo: always what
+    /// `recompute_halo` derives at the shard's radius.
+    pub(crate) halo_edges: Vec<FxHashSet<EdgeId>>,
     /// Per-edge visibility mask: bit `s` = edge is owned by or in the halo
     /// of shard `s` — and so, once a pass's toggles are resynced, the set
     /// of shards holding each object on the edge.
@@ -206,17 +199,16 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// entered it with, so reconcile-round flaps that end where they
     /// started do not count as changes; after the tick, what it changed.
     pub(crate) log: ChangeLog,
-    /// Per-shard halo demand: the largest `kNN_dist` among the queries the
-    /// last exchange reported, or among all of a shard's queries after
-    /// `reconcile` (see [`crate::halo`], "Demand is folded, not
-    /// recomputed").
+    /// Per-shard halo demand: the largest `kNN_dist` among a shard's
+    /// queries, underfull (∞) demand capped at the diameter bound, as the
+    /// last `reconcile` round walked it from the registry.
     pub(crate) demand: Vec<f64>,
     /// Reused scratch of the halo passes: the edges whose halo membership
     /// a pass toggled, each with the mask it entered the pass with
-    /// ([`Self::halo_pass`]), and the membership map a halo recompute fills
-    /// (it trades places with the ring's own on every recompute).
+    /// ([`Self::halo_pass`]), and the edge set a halo recompute fills (it
+    /// trades places with the halo's own on every recompute).
     pub(crate) toggled_edges: FxHashMap<EdgeId, u64>,
-    pub(crate) halo_fresh: FxHashMap<EdgeId, f64>,
+    pub(crate) halo_fresh: FxHashSet<EdgeId>,
     /// Monitor-side aggregate for the current tick: critical-path elapsed
     /// (max across a round's parallel workers, summed across rounds) and
     /// summed op counters.
@@ -320,18 +312,15 @@ impl<L: ShardLink> ShardedEngine<L> {
             .map(|e| 1u64 << partition.shard_of_edge(e))
             .collect::<Vec<_>>();
         let weights = EdgeWeights::from_base(&net);
-        let diam_cache = diameter_bound(&weights);
         let scratch = DijkstraEngine::new(net.num_nodes());
         Self {
             partition,
             weights,
-            diam_cache,
-            diam_dirty: false,
             scratch,
             workers,
             halo_r: vec![0.0; cfg.num_shards],
             shrink_streak: vec![0; cfg.num_shards],
-            halo_edges: (0..cfg.num_shards).map(|_| HaloRing::default()).collect(),
+            halo_edges: vec![FxHashSet::default(); cfg.num_shards],
             edge_mask,
             objects: FxHashMap::default(),
             edge_obj: EdgeObjectIndex::new(net.num_edges()),
@@ -346,7 +335,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             log: ChangeLog::default(),
             demand: vec![0.0; cfg.num_shards],
             toggled_edges: FxHashMap::default(),
-            halo_fresh: FxHashMap::default(),
+            halo_fresh: FxHashSet::default(),
             workers_report: TickReport::default(),
             router_tick: OpCounters::default(),
             router_total: OpCounters::default(),
@@ -433,9 +422,10 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// Checks the internal replication invariants, for tests and debugging:
     /// a dead shard owns no cells, holds no halo, is visible on no edge and
     /// homes no query; the edge→object and edge→query indexes mirror
-    /// their tables exactly, and the per-edge masks — which say who holds
-    /// each object — are consistent with ownership plus the halo edge
-    /// sets.
+    /// their tables exactly; every halo edge set equals a from-scratch
+    /// derivation at its shard's radius under the current weights; and the
+    /// per-edge masks — which say who holds each object — are consistent
+    /// with ownership plus the halo edge sets.
     pub fn validate_replication(&self) -> Result<(), String> {
         self.partition.validate(&self.net)?;
         // What adoption promises about a corpse: it owns, sees and serves
@@ -504,10 +494,24 @@ impl<L: ShardLink> ShardedEngine<L> {
                 ));
             }
         }
+        let mut dijkstra = DijkstraEngine::new(self.net.num_nodes());
+        let mut derived = FxHashSet::default();
+        for (s, halo) in self.halo_edges.iter().enumerate() {
+            self.halo_members(s, &mut dijkstra, &mut derived);
+            if *halo != derived {
+                return Err(format!(
+                    "shard {s}: halo holds {} edges, radius {} derives {} ({} differ)",
+                    halo.len(),
+                    self.halo_r[s],
+                    derived.len(),
+                    halo.symmetric_difference(&derived).count()
+                ));
+            }
+        }
         for e in self.net.edge_ids() {
             let mut expect = 1u64 << self.partition.shard_of_edge(e);
             for (s, halo) in self.halo_edges.iter().enumerate() {
-                if halo.contains(e) {
+                if halo.contains(&e) {
                     if self.partition.shard_of_edge(e) == s as u32 {
                         return Err(format!("shard {s} lists its own edge {e:?} as halo"));
                     }
@@ -573,8 +577,6 @@ impl<L: ShardLink> ShardedEngine<L> {
         if sent == 0 {
             return false;
         }
-        // What this exchange reports is the demand `reconcile` looks at.
-        self.demand.fill(0.0);
         // Workers in one round run in parallel, so their reports fold with
         // max-elapsed semantics; successive rounds are sequential and add.
         let mut round = TickReport::default();
@@ -592,7 +594,6 @@ impl<L: ShardLink> ShardedEngine<L> {
                         if rec.shard != s as u32 {
                             continue; // stale snapshot of a query mid-migration
                         }
-                        self.demand[s] = self.demand[s].max(snap.knn_dist);
                         self.log.absorb(rec, snap);
                     }
                 }
@@ -618,17 +619,11 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// shard's halo radius, shipping newly visible objects as needed (see
     /// [`crate::halo`] for why this terminates). Underfull demand (∞) is
     /// capped at the diameter bound, which already covers everything
-    /// reachable.
-    ///
-    /// The first round covers every query's demand, walked once here;
-    /// later rounds look only at what their own exchange reported. The
-    /// exact per-shard demand is left in `self.demand` for the shrink
-    /// pass.
+    /// reachable. Each round walks the registry, so the per-shard demand
+    /// the last round left in `self.demand` is what the shrink pass reads.
     pub(crate) fn reconcile(&mut self) {
-        self.fold_all_demand();
-        let mut exact = true;
         loop {
-            self.cap_underfull_demand();
+            self.fold_demand();
             self.halo_pass(|eng, toggled| {
                 for s in 0..eng.cfg.num_shards {
                     let need = eng.demand[s];
@@ -641,13 +636,6 @@ impl<L: ShardLink> ShardedEngine<L> {
             if !self.dispatch_pending(BatchKind::Resync) {
                 break;
             }
-            exact = false;
-        }
-        if !exact {
-            // A resync round only ever lowers demands; the shrink pass
-            // wants them as they stand now.
-            self.fold_all_demand();
-            self.cap_underfull_demand();
         }
         debug_assert!(self.demand_is_covered());
     }
@@ -680,7 +668,6 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
                 self.weights.set(u.edge, u.new_weight);
             }
             self.pending_edges.extend_from_slice(&batch.edges);
-            self.diam_dirty = true;
             // 2. Halo membership is defined in weighted distances, so
             //    weight changes can move edges in or out of halos.
             self.halo_pass(|eng, toggled| {
@@ -699,9 +686,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         }
 
         // 4. Fan out, grow halos until every result is covered, then let
-        //    oversized halos decay: weights, and with them the cap on
-        //    underfull demand, may have moved, and the shrink pass needs
-        //    every shard's exact demand.
+        //    oversized halos decay.
         self.dispatch_pending(BatchKind::Tick);
         self.reconcile();
         self.maybe_shrink_halos();
@@ -785,7 +770,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
             + self
                 .halo_edges
                 .iter()
-                .map(HaloRing::memory_bytes)
+                .map(|h| h.capacity() * std::mem::size_of::<EdgeId>())
                 .sum::<usize>()
             + self
                 .edge_queries
@@ -987,7 +972,7 @@ pub(crate) mod tests {
         assert_invalid(&eng, "dead shard 1 still holds a halo");
         eng.halo_r[dead] = 0.0;
         eng.validate_replication().unwrap();
-        eng.halo_edges[dead].replace_with(&mut [(cell, 0.5)].into_iter().collect(), |_, _| {});
+        eng.halo_edges[dead].insert(cell);
         assert_invalid(&eng, "dead shard 1 still holds a halo");
     }
 

@@ -37,14 +37,14 @@
 //! Steps 2–5 are `ShardedEngine::hand_off` followed by
 //! `ShardedEngine::settle_hand_off`. A planned migration calls the pair
 //! once for the planner's cells; adoption first buries the corpse (its
-//! load, radius and halo ring are zeroed, so its replicas and its share of
+//! load, radius and halo are zeroed, so its replicas and its share of
 //! the masks die with it), then calls `hand_off` once per border it peels
 //! and `settle_hand_off` once at the end. Whatever either path addresses
 //! to a dead shard — the `Remove`s of re-homed queries, the `Delete`s of
 //! its replicas — is discarded unsent by `dispatch_pending`.
 
 use rnn_core::{OpCounters, QueryEvent};
-use rnn_roadnet::{EdgeId, FxHashMap};
+use rnn_roadnet::{EdgeId, FxHashMap, FxHashSet};
 
 use crate::engine::{ShardBits, ShardedEngine};
 use crate::protocol::{BatchKind, ShardLink};
@@ -236,10 +236,10 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.partition.reassign(&self.net, &moves);
         let (from_bit, to_bit) = (1u64 << from, 1u64 << to);
         for &e in cells {
-            // A moved cell may sit in the new owner's halo ring; it is now
-            // owned, so drop it from the ring before the mask transfer (a
+            // A moved cell may sit in the new owner's halo; it is now
+            // owned, so drop it from the halo before the mask transfer (a
             // halo recompute excludes owned edges by construction).
-            self.halo_edges[to].remove(e);
+            self.halo_edges[to].remove(&e);
             let mask = &mut self.edge_mask[e.index()];
             changed.entry(e).or_insert(*mask);
             *mask = (*mask & !from_bit) | to_bit;
@@ -314,11 +314,11 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.tick_load[dead] = 0;
         self.halo_r[dead] = 0.0;
         self.shrink_streak[dead] = 0;
-        // Clearing the ring clears the corpse's bit on every member edge,
+        // Clearing the halo clears the corpse's bit on every member edge,
         // so resync queues the (discarded) deletes and the masks stay the
         // invariant `ownership + live halos`.
         let mut changed = FxHashMap::default();
-        self.replace_halo(dead, &mut FxHashMap::default(), &mut changed);
+        self.replace_halo(dead, &mut FxHashSet::default(), &mut changed);
         let adopters = self.peel_cells(dead, &mut changed);
         self.settle_hand_off(ShardBits(adopters), changed);
     }

@@ -99,7 +99,9 @@ struct NodeState {
     settled: bool,
 }
 
-/// Reusable stepwise Dijkstra engine over a fixed-size node set.
+/// Reusable stepwise Dijkstra engine over a fixed-size node set. The
+/// default engine has room for no nodes and holds no heap memory.
+#[derive(Default)]
 pub struct DijkstraEngine {
     states: Vec<NodeState>,
     stamps: Vec<u32>,
