@@ -20,7 +20,12 @@
 //! replica — each holding the same `ShardLog` type — before it is
 //! dispatched (see [`crate::replog`]), and a fenced append (a replica
 //! at a newer epoch) kills the link, because a newer leader owns the
-//! shard. A log without followers makes the link unreplicated.
+//! shard. A log without followers makes the link unreplicated. Every
+//! snapshot is offered to the followers, which truncate their own logs
+//! behind it; between two snapshots the cycle also captures for the
+//! followers alone, once the frames replicated since the last offer
+//! outweigh a few of its snapshots ([`ReplicatedLog::offer_due`]), so a
+//! follower's log stays O(state) however far apart the snapshots are.
 //!
 //! # One wait loop
 //!
@@ -105,8 +110,10 @@ const RECOVERY_RETRIES: u32 = 2;
 pub struct DurabilityConfig {
     /// Run a snapshot cycle once the log holds this many event frames:
     /// capture the monitor's state over RPC, then truncate the log
-    /// behind it, bounding recovery replay to the suffix. `0` disables
-    /// snapshots entirely.
+    /// behind it, bounding recovery replay to the suffix. Followers are
+    /// offered a snapshot at this cadence or sooner, once their frames
+    /// outweigh a few snapshots (see [`crate::replog`]). `0` disables
+    /// snapshots entirely, for the followers too.
     pub snapshot_every: u32,
     /// Directory for the link's [`ShardLog`] — `events.wal` (torn-tail
     /// tolerant; see [`crate::wal`]), `snapshot.bin` and, once a
@@ -459,18 +466,27 @@ impl Inner {
 
     // --- Snapshot cycle ---------------------------------------------------
 
-    /// After an acknowledged event frame: if the log has reached the
-    /// snapshot threshold, pull the monitor's state and truncate the log
-    /// behind it. Strictly best-effort — any failure (retry budget spent,
-    /// peer closed, disk error) leaves the log intact (recovery still
-    /// replays everything it needs), the next acknowledged event retries,
-    /// and a real death surfaces on the next event exchange, where the
-    /// recovery path owns it.
+    /// After an acknowledged event frame, captures the monitor's state
+    /// when either of two triggers fires, one capture serving both:
+    /// - **disk:** the log holds `snapshot_every` frames. The snapshot
+    ///   is installed in the log, which truncates behind it, and offered
+    ///   to the followers.
+    /// - **followers:** [`ReplicatedLog::offer_due`] — the frames
+    ///   replicated since the last offer outweigh a few of its snapshots.
+    ///   The capture is offered to the followers only; the link's log
+    ///   (and its disk) is left alone.
+    ///
+    /// `snapshot_every = 0` disables both. Strictly best-effort — any
+    /// failure (retry budget spent, peer closed, disk error) leaves the
+    /// logs intact (recovery still replays everything it needs), the
+    /// next acknowledged event retries, and a real death surfaces on the
+    /// next event exchange, where the recovery path owns it.
     fn maybe_snapshot(&mut self, covered_seq: u32) {
-        if self.durability.snapshot_every == 0
-            || !self.snapshots_supported
-            || (self.log.suffix_len() as u32) < self.durability.snapshot_every
-        {
+        if self.durability.snapshot_every == 0 || !self.snapshots_supported {
+            return;
+        }
+        let install = self.log.suffix_len() as u32 >= self.durability.snapshot_every;
+        if !install && !self.replog.offer_due() {
             return;
         }
         let seq = self.next_seq;
@@ -505,18 +521,19 @@ impl Inner {
         if !committed {
             return;
         }
-        if self
-            .log
-            .install_snapshot(covered_seq, self.replog.epoch(), &payload)
-            .is_err()
-        {
-            return;
+        if install {
+            if self
+                .log
+                .install_snapshot(covered_seq, self.replog.epoch(), &payload)
+                .is_err()
+            {
+                return;
+            }
+            self.stats.snapshots += 1;
         }
-        // Followers truncate their own logs behind the same snapshot,
-        // keeping replica memory bounded by the snapshot cadence too.
+        // Followers truncate their own logs behind the same snapshot.
         self.replog
             .offer_snapshot(covered_seq, &payload, &mut self.stats);
-        self.stats.snapshots += 1;
     }
 
     // --- Crash recovery ---------------------------------------------------

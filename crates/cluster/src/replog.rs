@@ -31,6 +31,17 @@
 //! operation (availability over redundancy — the engine's planner
 //! takeover remains the last-resort path): losing followers degrades the
 //! redundancy guarantee, not the shard's availability.
+//!
+//! # Follower log size
+//!
+//! A follower truncates its log behind each snapshot it is offered, so
+//! its memory is what the leader's offer cadence makes it. The leader
+//! offers every snapshot it installs, and the log also tracks the bytes
+//! of the event frames replicated since the last offer: once they weigh
+//! `FOLLOWER_LOG_STATES` times that offer's snapshot,
+//! [`ReplicatedLog::offer_due`] asks the link for a fresh capture. A
+//! follower therefore holds at most one snapshot plus about that many
+//! states' worth of frames — O(state), not O(ticks × update rate).
 
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -46,6 +57,10 @@ use crate::transport::{RecvError, Transport};
 /// Promotion replay boundary meaning "replay the entire replica log"
 /// (no request was in flight when the leader died).
 pub const REPLAY_ALL: u32 = u32::MAX;
+
+/// How many snapshots' worth of event frames a follower may hold before
+/// it is offered a fresh snapshot (see the module docs).
+const FOLLOWER_LOG_STATES: u64 = 4;
 
 /// What one ack drain produced.
 enum Ack {
@@ -71,6 +86,10 @@ pub struct ReplicatedLog {
     epoch: u32,
     /// Highest committed sequence number.
     commit_seq: Option<u32>,
+    /// Bytes of the event frames replicated since the last offer.
+    since_offer: u64,
+    /// Size of the last offered snapshot; `None` before the first offer.
+    offered: Option<u64>,
 }
 
 impl ReplicatedLog {
@@ -89,6 +108,8 @@ impl ReplicatedLog {
             ack_timeout: Duration::from_secs(1),
             epoch,
             commit_seq: None,
+            since_offer: 0,
+            offered: None,
         }
     }
 
@@ -121,6 +142,18 @@ impl ReplicatedLog {
     /// Followers still considered alive.
     pub fn live_followers(&self) -> usize {
         self.followers.iter().filter(|f| f.alive).count()
+    }
+
+    /// Whether the followers' logs have outgrown their last snapshot:
+    /// the event frames replicated since the last offer weigh
+    /// `FOLLOWER_LOG_STATES` times that offer's snapshot. Never before
+    /// the first offer (there is no size to compare with) nor without a
+    /// live follower.
+    pub fn offer_due(&self) -> bool {
+        self.live_followers() > 0
+            && self
+                .offered
+                .is_some_and(|size| self.since_offer >= FOLLOWER_LOG_STATES * size)
     }
 
     /// Sends `frame` to each live follower in turn and waits out its ack
@@ -175,13 +208,8 @@ impl ReplicatedLog {
         // (planner takeover is the net) — the frame commits at once, so
         // WAL truncation never waits on followers that do not exist.
         if self.live_followers() > 0 {
-            let frame = Frame {
-                tag: MsgTag::Append,
-                seq,
-                epoch: self.epoch,
-                payload: event_frame.to_vec(),
-            }
-            .to_bytes();
+            let frame = Frame::encode(MsgTag::Append, seq, self.epoch, event_frame);
+            self.since_offer += event_frame.len() as u64;
             // Appends are synchronous, so this counts replicated frames
             // (it is not a lag) and its per-tick rate is a deterministic
             // gate metric.
@@ -205,11 +233,14 @@ impl ReplicatedLog {
         Ok(())
     }
 
-    /// Hands every live follower the latest durable snapshot so it can
-    /// truncate its own log behind `covered_seq`. Strictly best-effort:
-    /// failures mark followers dead (or count a fence) and the caller's
-    /// next append owns any typed error. With no live follower the
-    /// snapshot is neither copied nor framed.
+    /// Hands every live follower a snapshot of the shard's state up to
+    /// `covered_seq` so it can truncate its own log behind it — the
+    /// link's latest durable snapshot, or a capture made only for the
+    /// followers because [`Self::offer_due`] said so. Either way the
+    /// offer restarts the byte count behind `offer_due`. Strictly
+    /// best-effort: failures mark followers dead (or count a fence) and
+    /// the caller's next append owns any typed error. With no live
+    /// follower the snapshot is neither copied nor framed.
     pub fn offer_snapshot(
         &mut self,
         covered_seq: u32,
@@ -219,6 +250,8 @@ impl ReplicatedLog {
         if self.live_followers() == 0 {
             return;
         }
+        self.since_offer = 0;
+        self.offered = Some(snapshot_payload.len() as u64);
         let mut payload = Vec::with_capacity(4 + snapshot_payload.len());
         put_u32(&mut payload, covered_seq);
         payload.extend_from_slice(snapshot_payload);
@@ -454,6 +487,78 @@ mod tests {
             .promote(REPLAY_ALL, &mut ShardLog::volatile(), &mut stats)
             .is_err());
         assert_eq!((log.epoch(), stats), (0, TransportStats::default()));
+    }
+
+    #[test]
+    fn an_offer_falls_due_when_the_frames_since_it_weigh_four_snapshots() {
+        use crate::replica::ReplicaNode;
+        use rnn_core::Gma;
+        use rnn_roadnet::generators::{grid_city, GridCityConfig};
+        use std::sync::Arc;
+
+        let net = Arc::new(grid_city(&GridCityConfig {
+            nx: 4,
+            ny: 4,
+            seed: 8,
+            ..Default::default()
+        }));
+        let edges = net.num_edges();
+        // The follower takes 12 appends, an offer, 9 appends and an offer
+        // (23 frames), then dies at the next frame.
+        let (co, peer) = loopback_pair(FaultPlan {
+            crash_after_frames: 23,
+            ..Default::default()
+        });
+        let follower = std::thread::spawn(move || {
+            ReplicaNode::new(peer, Box::new(move || Box::new(Gma::new(net))), edges).run();
+        });
+        let mut log = ReplicatedLog::new(0, vec![Box::new(co)], 0);
+        let mut stats = TransportStats::default();
+        let frame = event(0).len();
+        let states = FOLLOWER_LOG_STATES as u32;
+        // A snapshot of two frames' bytes falls due after 2 × 4 frames.
+        let snapshot = vec![7u8; 2 * frame];
+
+        for seq in 0..3 * states {
+            log.append(seq, &event(seq), &mut stats).unwrap();
+            assert!(
+                !log.offer_due(),
+                "seq {seq}: no offer yet, no size to compare"
+            );
+        }
+        let mut seq = 3 * states;
+        log.offer_snapshot(seq - 1, &snapshot, &mut stats);
+        assert!(!log.offer_due(), "an offer starts the count afresh");
+        for n in 1..=2 * states + 1 {
+            log.append(seq, &event(seq), &mut stats).unwrap();
+            seq += 1;
+            assert_eq!(
+                log.offer_due(),
+                n >= 2 * states,
+                "{n} frames since the offer"
+            );
+        }
+        log.offer_snapshot(seq - 1, &snapshot, &mut stats);
+        assert!(!log.offer_due(), "a second offer resets the count");
+
+        // The follower is gone: however many bytes follow, nothing is due.
+        for _ in 0..3 * states {
+            log.append(seq, &event(seq), &mut stats).unwrap();
+            seq += 1;
+        }
+        assert_eq!(log.live_followers(), 0);
+        assert!(!log.offer_due(), "no live follower, no offer");
+        drop(log);
+        follower.join().unwrap();
+
+        // An unreplicated log counts nothing and is never due.
+        let mut log = ReplicatedLog::new(1, Vec::new(), 0);
+        log.append(0, &event(0), &mut stats).unwrap();
+        log.offer_snapshot(0, &[7], &mut stats);
+        for seq in 1..=3 * states {
+            log.append(seq, &event(seq), &mut stats).unwrap();
+        }
+        assert!(!log.offer_due(), "a log without followers never offers");
     }
 
     #[test]

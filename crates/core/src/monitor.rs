@@ -162,16 +162,20 @@ crate::counters::counter_struct! {
         pub corrupt_frames: u64,
         /// Shard processes respawned and replayed after a detected crash.
         pub crash_recoveries: u64,
-        /// Event frames currently retained in the coordinator's in-memory
-        /// journal (a gauge; truncated behind each acknowledged snapshot).
+        /// Event frames currently in the shard log's suffix, which recovery
+        /// replays (a gauge; truncated behind each installed snapshot). A
+        /// disk-backed log keeps only their sequence numbers in memory.
         pub journal_len: u64,
         /// Bytes currently held in the shard log's write-ahead log, on
         /// disk or in memory (a gauge; truncated behind each snapshot).
         pub wal_bytes: u64,
-        /// Size of the latest monitor-state snapshot payload in bytes (a
-        /// gauge; 0 before the first snapshot).
+        /// Size of the latest monitor-state snapshot payload installed in
+        /// the shard log, in bytes (a gauge; 0 before the first snapshot).
         pub snapshot_bytes: u64,
-        /// Monitor-state snapshots taken since construction.
+        /// Monitor-state snapshots installed in the shard log since
+        /// construction. Captures made only to be offered to follower
+        /// replicas are not counted here; their bytes are in
+        /// `replica_bytes`.
         pub snapshots: u64,
         /// Journaled event frames replayed into respawned shards across all
         /// crash recoveries. With snapshots enabled this is bounded by the

@@ -393,9 +393,32 @@ fn failover_promotes_follower_and_stays_answer_identical() {
     // rebuilds the shard from its own replicated log (snapshot install +
     // local suffix replay) and the run stays answer-identical to the
     // in-process twin, with zero planner takeovers.
+    //
+    // The last input promotes a follower whose log was last truncated by
+    // an offer the leader's own log never installed. It snapshots to disk
+    // every 20 frames, on a stream where every object moves every tick.
+    // The first disk snapshot (tick 13) gives the followers a size to
+    // compare with; 13 frames later (tick 25) their logs outweigh four of
+    // it and they alone are offered a fresh capture. Shard 0 dies at its
+    // 37th frame (tick 26), after that offer and before the second disk
+    // snapshot (tick 30).
     let net = grid(8, 8, 6);
     let cfg = base_cfg(66);
-    for (shards, replicas) in [(2usize, 1u32), (2, 2), (4, 1), (4, 2)] {
+    let firehose = ScenarioConfig {
+        object_agility: 1.0,
+        ..cfg.clone()
+    };
+    let seeded = |replicas: u32| seeded_crash_frame(60 + replicas as u64, 0);
+    // (S, R, stream, snapshot_every, shard 0's crash frame, ticks, the
+    // follower-only offers that must precede the crash)
+    let inputs = [
+        (2usize, 1u32, &cfg, 4u32, seeded(1), 12usize, 0u64),
+        (2, 2, &cfg, 4, seeded(2), 12, 0),
+        (4, 1, &cfg, 4, seeded(1), 12, 0),
+        (4, 2, &cfg, 4, seeded(2), 12, 0),
+        (2, 2, &firehose, 20, 36, 28, 1),
+    ];
+    for (shards, replicas, cfg, snapshot_every, crash_frame, ticks, offers) in inputs {
         let ecfg = EngineConfig {
             num_shards: shards,
             algo: ShardAlgo::Gma,
@@ -405,7 +428,7 @@ fn failover_promotes_follower_and_stays_answer_identical() {
         let mut inproc = ShardedEngine::new(net.clone(), ecfg);
         let mut plans = vec![FaultPlan::default(); shards];
         plans[0] = FaultPlan {
-            crash_after_frames: seeded_crash_frame(60 + replicas as u64, 0),
+            crash_after_frames: crash_frame,
             respawn_dead: true,
             ..Default::default()
         };
@@ -414,12 +437,19 @@ fn failover_promotes_follower_and_stays_answer_identical() {
             ecfg,
             &plans,
             RetryPolicy::default(),
-            DurabilityConfig::in_memory(4),
+            DurabilityConfig::in_memory(snapshot_every),
         );
         let mut scenario = Scenario::new(net.clone(), cfg.clone());
         scenario.install_into(&mut inproc);
         scenario.install_into(&mut cluster);
-        for t in 1..=12usize {
+        // Snapshot captures shard 0's link made only for its followers
+        // before the tick that failed over: until then no frame is
+        // retransmitted, so every frame sent past the replicated events
+        // is a snapshot request, and `snapshots` counts those the log
+        // installed.
+        let mut follower_only_offers = None;
+        for t in 1..=ticks {
+            let before = cluster.shard_stats()[0];
             let batch = scenario.tick();
             let ri = inproc.tick(&batch);
             let rc = cluster.tick(&batch);
@@ -429,7 +459,16 @@ fn failover_promotes_follower_and_stays_answer_identical() {
                 Some((&ri, &rc)),
                 &format!("S={shards}, R={replicas}, failover run, tick {t}"),
             );
+            if follower_only_offers.is_none() && cluster.shard_stats()[0].failovers > 0 {
+                follower_only_offers =
+                    Some(before.frames_sent - before.commit_lag_frames - before.snapshots);
+            }
         }
+        assert!(
+            follower_only_offers >= Some(offers),
+            "S={shards}, R={replicas}: {follower_only_offers:?} follower-only offers \
+             preceded the crash, {offers} expected"
+        );
         let stats = cluster.stats();
         assert!(
             stats.failovers >= 1,
