@@ -25,9 +25,10 @@
 //! into a diagnostic of its own, so an escape can never be silent.
 
 /// What a token is. Identifiers keep their text (rules match on names);
-/// string literals keep their *raw* content; punctuation keeps the
-/// character. Numeric, char, and lifetime tokens carry no payload — rules
-/// only need to know they are not identifiers.
+/// string literals keep their *raw* content; numeric literals their text
+/// (a rule reads float values); punctuation keeps the character. Char
+/// and lifetime tokens carry no payload — rules only need to know they
+/// are not identifiers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokKind {
     /// An identifier or keyword (`Vec`, `fn`, `unwrap`, ...).
@@ -38,8 +39,8 @@ pub enum TokKind {
     Str(String),
     /// A char or byte literal.
     Char,
-    /// A numeric literal.
-    Num,
+    /// A numeric literal, as written (`1e-9`, `0x1F`, `2_000u32`).
+    Num(String),
     /// A lifetime (`'a`).
     Lifetime,
 }
@@ -131,10 +132,10 @@ pub fn lex(src: &str) -> LexOutput {
                 i = scan_quote(b, i, &mut line, tok_line, &mut out.tokens);
             }
             c if c.is_ascii_digit() => {
-                let tok_line = line;
+                let (tok_line, start) = (line, i);
                 i = scan_number(b, i);
                 out.tokens.push(Tok {
-                    kind: TokKind::Num,
+                    kind: TokKind::Num(src[start..i].to_string()),
                     line: tok_line,
                 });
             }
@@ -225,7 +226,11 @@ fn scan_string<'a>(b: &'a [u8], start: usize, line: &mut u32) -> (&'a [u8], usiz
     let mut i = start;
     while i < b.len() {
         match b[i] {
-            b'\\' => i = (i + 2).min(b.len()),
+            b'\\' => {
+                // A line continuation is still a line.
+                *line += u32::from(b.get(i + 1) == Some(&b'\n'));
+                i = (i + 2).min(b.len());
+            }
             b'"' => return (&b[start..i], i + 1),
             b'\n' => {
                 *line += 1;
@@ -333,6 +338,17 @@ fn scan_number(b: &[u8], start: usize) -> usize {
             i += 1;
         }
     }
+    // A signed exponent (`1e-9`, `2.5E+3`) of a decimal literal: the
+    // alphanumeric run stopped at the sign.
+    let radix = b[start] == b'0' && matches!(b.get(start + 1), Some(b'x' | b'o' | b'b'));
+    let signed =
+        matches!(b.get(i), Some(b'-' | b'+')) && b.get(i + 1).is_some_and(u8::is_ascii_digit);
+    if !radix && matches!(b[i - 1], b'e' | b'E') && signed {
+        i += 1;
+        while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+            i += 1;
+        }
+    }
     i
 }
 
@@ -422,11 +438,12 @@ mod tests {
 
     #[test]
     fn line_numbers_track_newlines_everywhere() {
-        let src = "a\n\"two\nline\"\nb";
+        let src = "a\n\"two\nline\"\nb\n\"con\\\ntinued\"\nc";
         let toks = lex(src).tokens;
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2); // string starts on line 2
         assert_eq!(toks[2].line, 4); // b after the 2-line string
+        assert_eq!(toks[4].line, 7); // c after a line continuation
     }
 
     #[test]
@@ -451,6 +468,20 @@ mod tests {
             .filter(|t| t.kind == TokKind::Punct('.'))
             .count();
         assert_eq!(dots, 2);
+    }
+
+    #[test]
+    fn numbers_keep_their_text_and_signed_exponents() {
+        let nums: Vec<TokKind> = lex("1e-9 - 0x1e-5 + 2.5E+3f64")
+            .tokens
+            .into_iter()
+            .map(|t| t.kind)
+            .collect();
+        let num = |s: &str| TokKind::Num(s.to_string());
+        let hex = [num("0x1e"), TokKind::Punct('-'), num("5")];
+        assert_eq!(nums[..2], [num("1e-9"), TokKind::Punct('-')]);
+        assert_eq!(nums[2..5], hex);
+        assert_eq!(nums[5..], [TokKind::Punct('+'), num("2.5E+3f64")]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! steady-state tick path must not allocate (the runtime `alloc_events`
 //! gate only catches what a benchmark happens to execute), that the wire
 //! decode paths must never panic on hostile bytes, and that the API
-//! surface's doc comments stay mechanically well-formed.
-//! This crate encodes those invariants as four rules over a hand-rolled
+//! surface's doc comments stay mechanically well-formed, and that no
+//! float tolerance creeps back into code whose distances are exact.
+//! This crate encodes those invariants as five rules over a hand-rolled
 //! Rust lexer and runs them at review time:
 //!
 //! ```text
@@ -30,8 +31,8 @@ use diag::{apply_allows, Diagnostic, LINT_ALLOW_RULE};
 use lexer::{lex, AllowDirective};
 use manifest::{Manifest, ManifestExt};
 use rules::{
-    doc_comment_shape, has_forbid_unsafe, hot_path_alloc, panic_free_wire, strip_test_code,
-    RULE_DOC, RULE_HOT_PATH, RULE_UNSAFE, RULE_WIRE,
+    doc_comment_shape, float_tolerance, has_forbid_unsafe, hot_path_alloc, panic_free_wire,
+    strip_test_code, RULE_DOC, RULE_FLOAT, RULE_HOT_PATH, RULE_UNSAFE, RULE_WIRE,
 };
 
 /// The manifest file the pass is configured by.
@@ -63,7 +64,8 @@ fn read_scoped(root: &Path, rel: &str) -> Result<String, String> {
 }
 
 /// Runs the per-file rules (`hot-path-alloc`, `panic-free-wire`,
-/// `doc-comment-shape`) over their manifest scopes. A file scoped by
+/// `doc-comment-shape`, and `float-tolerance` over every `.rs` file
+/// below its `dirs`) over their manifest scopes. A file scoped by
 /// several rules is lexed once and its escapes are resolved across all
 /// of them, so an allow for one rule is never misreported as unused just
 /// because another rule also covers the file.
@@ -71,7 +73,14 @@ fn check_token_rules(root: &Path, m: &Manifest, out: &mut Vec<Diagnostic>) -> Re
     let hot = m.list(RULE_HOT_PATH, "files").unwrap_or_default();
     let wire = m.list(RULE_WIRE, "files").unwrap_or_default();
     let docs = m.list(RULE_DOC, "files").unwrap_or_default();
-    let mut files: Vec<&String> = hot.iter().chain(wire.iter()).chain(docs.iter()).collect();
+    let mut floats = Vec::new();
+    for dir in m.list(RULE_FLOAT, "dirs").unwrap_or_default() {
+        let entries = std::fs::read_dir(root.join(&dir))
+            .map_err(|e| format!("{MANIFEST_NAME} scopes `{dir}` but it cannot be read: {e}"))?;
+        walk_for_sources(root, entries, &mut floats);
+    }
+    let scoped = hot.iter().chain(&wire).chain(&docs).chain(&floats);
+    let mut files: Vec<&String> = scoped.collect();
     files.sort();
     files.dedup();
 
@@ -91,9 +100,13 @@ fn check_token_rules(root: &Path, m: &Manifest, out: &mut Vec<Diagnostic>) -> Re
             // source instead of the token stream.
             diags.extend(doc_comment_shape(rel, &src));
         }
+        if floats.contains(rel) {
+            diags.extend(float_tolerance(rel, &toks));
+        }
         let (known, unknown): (Vec<AllowDirective>, Vec<AllowDirective>) =
             lexed.allows.into_iter().partition(|a| {
-                [RULE_HOT_PATH, RULE_WIRE, RULE_UNSAFE, RULE_DOC].contains(&a.rule.as_str())
+                [RULE_HOT_PATH, RULE_WIRE, RULE_UNSAFE, RULE_DOC, RULE_FLOAT]
+                    .contains(&a.rule.as_str())
             });
         for a in unknown {
             out.push(Diagnostic {
@@ -156,6 +169,22 @@ fn check_forbid_unsafe(root: &Path, m: &Manifest, out: &mut Vec<Diagnostic>) -> 
         }
     }
     Ok(())
+}
+
+/// Collects every `.rs` file below a directory's `entries`, as a path
+/// relative to `root` with `/` separators.
+fn walk_for_sources(root: &Path, entries: std::fs::ReadDir, out: &mut Vec<String>) {
+    for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+        if path.is_dir() {
+            if let Ok(sub) = std::fs::read_dir(&path) {
+                walk_for_sources(root, sub, out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let parts: Vec<_> = rel.iter().map(|p| p.to_string_lossy()).collect();
+            out.push(parts.join("/"));
+        }
+    }
 }
 
 /// Depth-first search for directories containing a `Cargo.toml`.

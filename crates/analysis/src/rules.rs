@@ -1,4 +1,4 @@
-//! The four project rules, each a pure function over lexed token streams
+//! The five project rules, each a pure function over lexed token streams
 //! (or, for the doc rule, raw source lines).
 //!
 //! * [`hot_path_alloc`] — no heap-allocating constructs in the manifest's
@@ -9,7 +9,9 @@
 //!   `#![forbid(unsafe_code)]`;
 //! * [`doc_comment_shape`] — no mangled doc comments (`////`, or a plain
 //!   `//` torn into a doc block) in the API surface files — the lexer
-//!   strips comments, so this one scans raw lines.
+//!   strips comments, so this one scans raw lines;
+//! * [`float_tolerance`] — no float literal in `(0, 1e-6]` (a tolerance)
+//!   outside tests: network distances are exact and compare with `==`.
 //!
 //! Token rules see streams with `#[cfg(test)]` / `#[test]` items already
 //! stripped ([`strip_test_code`]): test code asserts and unwraps freely.
@@ -17,7 +19,7 @@
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 
-/// Names of the four rules, as used in manifests and allow escapes.
+/// Names of the five rules, as used in manifests and allow escapes.
 pub const RULE_HOT_PATH: &str = "hot-path-alloc";
 /// See [`RULE_HOT_PATH`].
 pub const RULE_WIRE: &str = "panic-free-wire";
@@ -25,6 +27,8 @@ pub const RULE_WIRE: &str = "panic-free-wire";
 pub const RULE_UNSAFE: &str = "forbid-unsafe-everywhere";
 /// See [`RULE_HOT_PATH`].
 pub const RULE_DOC: &str = "doc-comment-shape";
+/// See [`RULE_HOT_PATH`].
+pub const RULE_FLOAT: &str = "float-tolerance";
 
 fn ident(t: &Tok) -> Option<&str> {
     match &t.kind {
@@ -276,6 +280,52 @@ pub fn has_forbid_unsafe(toks: &[Tok]) -> bool {
             && ident(&w[5]) == Some("unsafe_code")
             && is_punct(&w[6], ')')
     })
+}
+
+// ---------------------------------------------------------------------
+// float-tolerance
+// ---------------------------------------------------------------------
+
+/// The largest literal read as a tolerance.
+// lint: allow(float-tolerance): the rule's own threshold
+const TOLERANCE_CEILING: f64 = 1e-6;
+
+/// Flags float literals in `(0, 1e-6]` in non-test code. Such a literal is
+/// a tolerance, and every network distance is a multiple of one distance
+/// unit (`rnn_roadnet::UNIT`), exact in `f64`, so distances compare with
+/// `==`. What still needs an epsilon (planar geometry) says why with a
+/// `// lint: allow(float-tolerance): <why>` escape.
+pub fn float_tolerance(file: &str, toks: &[Tok]) -> Vec<Diagnostic> {
+    toks.iter()
+        .filter_map(|t| match &t.kind {
+            TokKind::Num(text) => float_value(text)
+                .filter(|&v| v > 0.0 && v <= TOLERANCE_CEILING)
+                .map(|_| (t.line, text)),
+            _ => None,
+        })
+        .map(|(line, text)| Diagnostic {
+            file: file.to_string(),
+            line,
+            rule: RULE_FLOAT,
+            message: format!(
+                "`{text}` is a float tolerance — network distances are exact multiples of \
+                 the distance unit, so compare them with `==`; justify any other epsilon \
+                 with `// lint: allow(float-tolerance): <why>`"
+            ),
+        })
+        .collect()
+}
+
+/// The value of a float literal (`1e-9`, `0.000_5`, `5e-7f64`); `None`
+/// for integer, hex, octal and binary literals.
+fn float_value(text: &str) -> Option<f64> {
+    let digits: String = text.chars().filter(|&c| c != '_').collect();
+    let body = digits.trim_end_matches("f64").trim_end_matches("f32");
+    let radix = body.starts_with("0x") || body.starts_with("0o") || body.starts_with("0b");
+    if radix || !body.contains(['.', 'e', 'E']) {
+        return None;
+    }
+    body.parse().ok()
 }
 
 // ---------------------------------------------------------------------

@@ -61,6 +61,16 @@ fn bad_replog_finds_the_panicking_fencing_path() {
 }
 
 #[test]
+fn bad_float_tolerance_finds_both_tolerances_and_nothing_else() {
+    let diags = check_fixture("bad_float_tolerance");
+    assert_eq!(diags.len(), 2, "{diags:#?}");
+    assert!(diags.iter().all(|d| d.rule == "float-tolerance"));
+    assert_eq!((diags[0].line, diags[1].line), (5, 9), "{diags:#?}");
+    assert!(diags[0].message.contains("`1e-9`"));
+    assert!(diags[1].message.contains("`0.000_000_5`"));
+}
+
+#[test]
 fn bad_unsafe_demands_forbid_not_deny() {
     let diags = check_fixture("bad_unsafe");
     assert_eq!(diags.len(), 1, "{diags:#?}");

@@ -256,7 +256,7 @@ mod tests {
     use rnn_core::types::MAX_K;
     use rnn_core::{EdgeWeightUpdate, Gma, ObjectEvent, QueryEvent, UpdateBatch};
     use rnn_engine::{BatchKind, TickOutcome};
-    use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
+    use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, MAX_WEIGHT};
     use std::sync::Arc;
 
     fn net() -> Arc<RoadNetwork> {
@@ -506,7 +506,8 @@ mod tests {
     fn a_checksum_valid_frame_that_does_not_fit_the_network_is_refused() {
         // Each mutation decodes and travels under a valid checksum, but
         // names an edge past the network, a k outside 1..=MAX_K or a
-        // weight that is not a finite non-negative number. The shard must
+        // weight outside [UNIT, MAX_WEIGHT] (zero panicked the shard and
+        // every rebuild of it, as NaN once did). The shard must
         // refuse it — no reply to an event frame, `RestoreReply [0]` to an
         // install — and answer the next frames exactly like a twin that
         // never saw it.
@@ -586,6 +587,11 @@ mod tests {
             ("NaN weight", edge(weight(EdgeId(12), f64::NAN))),
             ("infinite weight", edge(weight(EdgeId(12), f64::INFINITY))),
             ("negative weight", edge(weight(EdgeId(12), -1.0))),
+            ("zero weight", edge(weight(EdgeId(12), 0.0))),
+            (
+                "weight past MAX_WEIGHT",
+                edge(weight(EdgeId(12), 2.0 * MAX_WEIGHT)),
+            ),
         ];
         for (what, hostile) in event_cases {
             let (mut live, mut twin) = (serve(), serve());
@@ -629,6 +635,10 @@ mod tests {
             (
                 "negative weight",
                 mutated(&|s| s.weight_diffs[0].new_weight = -2.0),
+            ),
+            (
+                "zero weight",
+                mutated(&|s| s.weight_diffs[0].new_weight = 0.0),
             ),
             (
                 "object past the network",

@@ -61,7 +61,6 @@ use crate::state::NetworkState;
 use crate::tree::ExpansionTree;
 use crate::types::{Neighbor, RootPos};
 
-pub(crate) use resolve::interval_slack;
 use schedule::{Pending, TickScratch};
 
 /// Per-anchor monitored state (one row of the paper's **QT** / **NT**).
@@ -332,7 +331,7 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                 }
             }
             while let Some((n, d)) = engine.pop_settle() {
-                if d > deepest * (1.0 + 1e-9) + 1e-9 {
+                if d > deepest {
                     break;
                 }
                 for &(e, m) in net.adjacent(n) {
@@ -341,12 +340,7 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
             }
             for (n, d) in rec.tree.iter(pool) {
                 let truth = engine.dist_of(n).expect("tree node reachable");
-                assert!(
-                    (d - truth).abs() <= 1e-9 * truth.max(1.0),
-                    "stale tree distance at {n:?} for {key:?}: {} vs {}",
-                    d,
-                    truth
-                );
+                assert_eq!(d, truth, "stale tree distance at {n:?} for {key:?}");
             }
             // Result distances are true distances.
             for nb in &rec.result {
@@ -365,12 +359,10 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                     },
                     pos,
                 );
-                assert!(
-                    (nb.dist - truth).abs() <= 1e-9 * truth.max(1.0),
-                    "wrong result distance for {:?} at {key:?}: {} vs {}",
-                    nb.object,
-                    nb.dist,
-                    truth
+                assert_eq!(
+                    nb.dist, truth,
+                    "wrong result distance for {:?} at {key:?}",
+                    nb.object
                 );
             }
         }
@@ -502,7 +494,7 @@ mod tests {
                     },
                     ObjectEvent::Move {
                         id: ObjectId(1),
-                        to: NetPoint::new(EdgeId(2), 0.4),
+                        to: NetPoint::new(EdgeId(2), 0.375),
                     },
                 ],
                 ..Default::default()
@@ -511,7 +503,7 @@ mod tests {
         assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result[0].object, ObjectId(1));
-        assert!((rec.result[0].dist - 0.1).abs() < 1e-12);
+        assert_eq!(rec.result[0].dist, 0.125);
     }
 
     #[test]
@@ -541,7 +533,7 @@ mod tests {
         // New 2-NN set: o1 and o3 at distance 1 each.
         assert_eq!(rec.result[0].object, ObjectId(1));
         assert_eq!(rec.result[1].object, ObjectId(3));
-        assert!((rec.knn_dist - 1.0).abs() < 1e-12);
+        assert_eq!(rec.knn_dist, 1.0);
     }
 
     #[test]
@@ -558,16 +550,16 @@ mod tests {
             &mut c,
         );
         let rec = set.get(key).unwrap();
-        assert!((rec.knn_dist - 1.25).abs() < 1e-12);
+        assert_eq!(rec.knn_dist, 1.25);
         // Make edge 1 (between o0 and o1) heavier: o1 drifts from 1.25
-        // (0.75 to node 1 plus half the unit edge) to 0.75 + 0.9 = 1.65.
+        // (0.75 to node 1 plus half the unit edge) to 0.75 + 0.875 = 1.625.
         tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
                 edges: vec![EdgeWeightUpdate {
                     edge: EdgeId(1),
-                    new_weight: 1.8,
+                    new_weight: 1.75,
                 }],
                 ..Default::default()
             },
@@ -576,11 +568,7 @@ mod tests {
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result[0].object, ObjectId(0));
         assert_eq!(rec.result[1].object, ObjectId(1));
-        assert!(
-            (rec.result[1].dist - 1.65).abs() < 1e-12,
-            "dist {}",
-            rec.result[1].dist
-        );
+        assert_eq!(rec.result[1].dist, 1.625);
         set.expander
             .pool
             .check_invariants(&rec.tree, &net, &state.weights);
@@ -598,26 +586,22 @@ mod tests {
             2,
             &mut c,
         );
-        // Shrink edge 1 drastically: o1 comes to 0.75 + 0.1/2 ... -> closer.
+        // Shrink edge 1 drastically: o1 comes to 0.75 + 0.125/2 -> closer.
         tick_batch(
             &mut set,
             &mut state,
             UpdateBatch {
                 edges: vec![EdgeWeightUpdate {
                     edge: EdgeId(1),
-                    new_weight: 0.1,
+                    new_weight: 0.125,
                 }],
                 ..Default::default()
             },
         );
         assert_eq!(set.changed(), [key]);
         let rec = set.get(key).unwrap();
-        // o0 at 0.25; o1 at 0.75 + 0.05 = 0.8.
-        assert!(
-            (rec.result[1].dist - 0.8).abs() < 1e-12,
-            "dist {}",
-            rec.result[1].dist
-        );
+        // o0 at 0.25; o1 at 0.75 + 0.0625 = 0.8125.
+        assert_eq!(rec.result[1].dist, 0.8125);
         set.expander
             .pool
             .check_invariants(&rec.tree, &net, &state.weights);
@@ -650,8 +634,7 @@ mod tests {
         let rec = set.get(key).unwrap();
         // o2 still on root edge at |0.5-0.5|*4=0; second NN now at
         // 2.0 (half of root edge) + 0.5 = 2.5 on either side.
-        assert!((rec.result[0].dist - 0.0).abs() < 1e-12);
-        assert!((rec.result[1].dist - 2.5).abs() < 1e-12);
+        assert_eq!((rec.result[0].dist, rec.result[1].dist), (0.0, 2.5));
     }
 
     #[test]
@@ -675,11 +658,11 @@ mod tests {
         assert_eq!(rec.root, new_root);
         // From x=3.25: o3 at 0.25, o2 at 0.75, o4 at 1.25.
         assert_eq!(rec.result[0].object, ObjectId(3));
-        assert!((rec.result[0].dist - 0.25).abs() < 1e-12);
+        assert_eq!(rec.result[0].dist, 0.25);
         assert_eq!(rec.result[1].object, ObjectId(2));
-        assert!((rec.result[1].dist - 0.75).abs() < 1e-12);
+        assert_eq!(rec.result[1].dist, 0.75);
         assert_eq!(rec.result[2].object, ObjectId(4));
-        assert!((rec.result[2].dist - 1.25).abs() < 1e-12);
+        assert_eq!(rec.result[2].dist, 1.25);
         set.expander
             .pool
             .check_invariants(&rec.tree, &net, &state.weights);
@@ -724,7 +707,7 @@ mod tests {
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result.len(), 3);
         assert_eq!(rec.k, 3);
-        assert!((rec.knn_dist - 1.0).abs() < 1e-12);
+        assert_eq!(rec.knn_dist, 1.0);
         set.set_k(&state, key, 2, &mut c);
         let rec = set.get(key).unwrap();
         assert_eq!(rec.result.len(), 2);
@@ -771,8 +754,7 @@ mod tests {
         set.add(&state, key, RootPos::Node(NodeId(3)), 2, &mut c);
         let rec = set.get(key).unwrap();
         // From node 3 (x=3): o2 and o3 both at 0.5.
-        assert!((rec.result[0].dist - 0.5).abs() < 1e-12);
-        assert!((rec.result[1].dist - 0.5).abs() < 1e-12);
+        assert_eq!((rec.result[0].dist, rec.result[1].dist), (0.5, 0.5));
     }
 
     #[test]
@@ -794,12 +776,12 @@ mod tests {
             UpdateBatch {
                 objects: vec![ObjectEvent::Move {
                     id: ObjectId(2),
-                    to: NetPoint::new(EdgeId(2), 0.45),
+                    to: NetPoint::new(EdgeId(2), 0.4375),
                 }],
                 ..Default::default()
             },
         );
         assert_eq!(set.changed(), [key]);
-        assert!((set.get(key).unwrap().result[0].dist - 0.05).abs() < 1e-12);
+        assert_eq!(set.get(key).unwrap().result[0].dist, 0.0625);
     }
 }

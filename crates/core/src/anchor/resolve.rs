@@ -20,7 +20,7 @@ use rnn_roadnet::{NodeId, RoadNetwork};
 use super::schedule::Pending;
 use super::{AnchorRec, AnchorSet};
 use crate::counters::{push_charged, refill_charged, OpCounters};
-use crate::influence::IntervalSet;
+use crate::influence::{IntervalSet, INTERVAL_SLACK};
 use crate::search::{Expander, KeptTree, SearchOutcome};
 use crate::state::NetworkState;
 use crate::types::{cmp_neighbors, Neighbor, RootPos};
@@ -167,16 +167,11 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                 push_charged(candidates, *n, &mut counters.alloc_events);
             }
         }
-        let slack = interval_slack(old_knn);
         for (id, new_pos) in scratch.objects.iter(work.objects) {
             let Some(p) = new_pos else { continue };
             let d = ex.dist_via_tree(&state.weights, &rec.tree, rec.root, p);
             counters.objects_considered += 1;
-            let within = if dirty {
-                d.is_finite()
-            } else {
-                d <= old_knn + slack
-            };
+            let within = if dirty { d.is_finite() } else { d <= old_knn };
             if within {
                 let incoming = Neighbor {
                     object: id,
@@ -243,13 +238,12 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
         for e in rec.influenced.drain(..) {
             il.remove(e, key);
         }
-        let slack = interval_slack(rec.knn_dist);
         // Collect one (edge, interval) pair per tree-adjacent half-edge, then
         // merge by edge id with a sort — cheaper than a hash map for the few
         // dozen entries a tree produces.
         pairs.clear();
         for (n, dist) in rec.tree.iter(pool) {
-            let reach = rec.knn_dist - dist + slack;
+            let reach = rec.knn_dist - dist + INTERVAL_SLACK;
             if reach < 0.0 {
                 continue;
             }
@@ -265,9 +259,9 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
             }
         }
         if let RootPos::Point(p) = rec.root {
-            let w = state.weights.get(p.edge);
-            let r = (rec.knn_dist + slack) / w;
-            let ivs = IntervalSet::single(p.frac - r, p.frac + r);
+            let (w, at) = (state.weights.get(p.edge), p.dist_to_start(&state.weights));
+            let r = rec.knn_dist + INTERVAL_SLACK;
+            let ivs = IntervalSet::single((at - r) / w, (at + r) / w);
             push_charged(pairs, (p.edge, ivs), &mut counters.alloc_events);
         }
         pairs.sort_unstable_by_key(|&(e, _)| e);
@@ -311,7 +305,6 @@ fn valid_subtree_after_move(
     let RootPos::Point(p) = new_root else {
         return None; // node-rooted anchors never move
     };
-    let w = weights.get(p.edge);
     if let RootPos::Point(op) = rec.root {
         if op.edge == p.edge {
             // Moving along the root edge: the branch on the far side of q′
@@ -323,7 +316,7 @@ fn valid_subtree_after_move(
             } else {
                 return None; // no net movement; caller treats as recompute
             };
-            let shift = (p.frac - op.frac).abs() * w;
+            let shift = p.along_edge_dist(&op, weights);
             // Only if that branch hangs directly off the root (it may have
             // been reached around the network instead).
             if rec.tree.parent_of(pool, toward)?.is_none() {
@@ -336,11 +329,7 @@ fn valid_subtree_after_move(
     // valid, shifted by the old distance of q′.
     let child = rec.tree.link_child_of_edge(pool, net, p.edge)?;
     let (parent, _) = rec.tree.parent_of(pool, child)??;
-    let along = rnn_roadnet::NetPoint {
-        edge: p.edge,
-        frac: p.frac,
-    }
-    .dist_to_endpoint(net, weights, parent);
+    let along = p.dist_to_endpoint(net, weights, parent);
     let d_old_q = rec.tree.dist(pool, parent)? + along;
     Some((child, d_old_q))
 }
@@ -350,17 +339,4 @@ fn results_differ(a: &[Neighbor], b: &[Neighbor]) -> bool {
         || a.iter()
             .zip(b)
             .any(|(x, y)| x.object != y.object || x.dist != y.dist)
-}
-
-/// Relative widening applied to influencing intervals so that an entity
-/// sitting *exactly* at distance `kNN_dist` (e.g. the k-th NN itself) is
-/// always inside them despite float rounding when deriving mark fractions.
-/// Over-covering is safe: it can only cause a spurious re-check, never a
-/// missed update.
-pub(crate) fn interval_slack(knn_dist: f64) -> f64 {
-    if knn_dist.is_finite() {
-        1e-9 * knn_dist.max(1.0)
-    } else {
-        0.0
-    }
 }

@@ -46,10 +46,9 @@ use std::hash::Hash;
 
 use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork};
 
-use super::resolve::interval_slack;
 use super::{AnchorRec, AnchorSet};
 use crate::counters::{push_charged, OpCounters, SCRATCH_ROOM};
-use crate::influence::IntervalSet;
+use crate::influence::{IntervalSet, INTERVAL_SLACK};
 use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
 use crate::types::{Neighbor, RootPos};
 
@@ -290,14 +289,14 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                         // from the tree distances and the new weight
                         // (increases over-cover, which is safe, so only
                         // decreases need this).
-                        let slack = interval_slack(rec.knn_dist);
+                        let reach = rec.knn_dist + INTERVAL_SLACK;
                         let mut ivs = IntervalSet::empty();
                         if let Some(a) = da {
-                            let f = ((rec.knn_dist - a + slack) / d.new_w).min(1.0);
+                            let f = ((reach - a) / d.new_w).min(1.0);
                             ivs.add(0.0, f);
                         }
                         if let Some(b) = db {
-                            let f = ((rec.knn_dist - b + slack) / d.new_w).min(1.0);
+                            let f = ((reach - b) / d.new_w).min(1.0);
                             ivs.add(1.0 - f, 1.0);
                         }
                         self.il.insert(d.edge, key, ivs);

@@ -32,12 +32,13 @@
 //! an object's **first sighting is its smallest instance** — the paper's
 //! "keep only the instance with the smallest distance" needs nothing but a
 //! seen-set, and the merge stops after about k steps instead of pushing
-//! every candidate through a sorted insert. The result is exactly the k
-//! smallest `(dist, id)` of the union, ties included: two offset sums of
-//! one list may round to the same float with their ids the wrong way
-//! round, so the merge notes an out-of-order pair as it emits (and
-//! re-sorts, rarely), and once it holds k it reads on through the
-//! candidates that tie with the k-th, letting a smaller id take its place.
+//! every candidate through a sorted insert. Distances are multiples of the
+//! network's distance unit ([`rnn_roadnet::UNIT`]), so an offset sum is
+//! exact and keeps its list's `(dist, id)` order: the merge emits in that
+//! order with no repair. The result is exactly the k smallest `(dist, id)`
+//! of the union, ties included: once it holds k, the merge reads on
+//! through the candidates that tie with the k-th, letting a smaller id take
+//! its place.
 //!
 //! **Where the walk stops.** A direction stops at the first boundary node
 //! that already has k distinct in-sequence candidates strictly nearer than
@@ -74,13 +75,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rnn_roadnet::{
-    EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, QueryId, RoadNetwork, SeqId,
+    offset, EdgeId, FxHashMap, FxHashSet, NetPoint, NodeId, ObjectId, QueryId, RoadNetwork, SeqId,
     Sequence, SequenceTable,
 };
 
 use crate::anchor::AnchorSet;
 use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
-use crate::influence::{InfluenceTable, IntervalSet};
+use crate::influence::{InfluenceTable, IntervalSet, INTERVAL_SLACK};
 use crate::monitor::ContinuousMonitor;
 use crate::search::StampTable;
 use crate::snapshot::MonitorState;
@@ -163,8 +164,8 @@ pub struct Gma {
 /// lists, each sorted by `(dist, id)` and read with its offset added to
 /// every distance — Lemma 1's union with the smallest instance kept per
 /// object, as the k smallest `(dist, id)` (see the module docs for why the
-/// first sighting is the smallest instance and how rounding ties are
-/// handled). Returns how many entries of each list were consumed.
+/// first sighting is the smallest instance and how ties with the k-th are
+/// read). Returns how many entries of each list were consumed.
 fn merge_first_k(
     k: usize,
     lists: [(&[Neighbor], f64); 3],
@@ -180,9 +181,6 @@ fn merge_first_k(
     seen.clear();
     let mut at = [0usize; 3];
     let mut heads = [head(0, 0), head(1, 0), head(2, 0)];
-    // Emission is in ascending distance; only ids under one distance can
-    // come out of order (offset sums of one list rounding to a tie).
-    let mut in_order = true;
     loop {
         let mut m = 0;
         if heads[1] < heads[m] {
@@ -205,14 +203,8 @@ fn merge_first_k(
         }
         let next = Neighbor { object, dist };
         if !full {
-            in_order &= !out
-                .last()
-                .is_some_and(|last| cmp_neighbors(last, &next).is_gt());
+            debug_assert!(out.last().map_or(true, |l| cmp_neighbors(l, &next).is_lt()));
             push_charged(out, next, allocs);
-            if out.len() == k && !in_order {
-                out.sort_unstable_by(cmp_neighbors);
-                in_order = true;
-            }
         } else if object < out[k - 1].object {
             // Ties with the k-th at a smaller id: it takes its place among
             // the k, which stay sorted, and the k-th drops out.
@@ -220,9 +212,6 @@ fn merge_first_k(
             let to = out.partition_point(|n| cmp_neighbors(n, &next).is_lt());
             out.insert(to, next);
         }
-    }
-    if !in_order {
-        out.sort_unstable_by(cmp_neighbors);
     }
     at
 }
@@ -435,7 +424,8 @@ impl Gma {
         // direction (edges i0-1 .. 0 toward the start, i0+1 .. toward the
         // end).
         scratch.walk.clear();
-        let from_query = |f: f64| (f - pos.frac).abs() * w0;
+        let at = offset(pos.frac, w0);
+        let from_query = |f: f64| (offset(f, w0) - at).abs();
         self.gather_edge(pos.edge, from_query, s, k, &mut scratch.walk, counters);
         self.walk_direction(s, i0, pos, true, k, &mut scratch, counters);
         self.walk_direction(s, i0, pos, false, k, &mut scratch, counters);
@@ -524,9 +514,9 @@ impl Gma {
     /// walk (`w0` = current weight of the query's edge).
     fn walk_start_dist(s: &Sequence, i0: usize, pos: NetPoint, w0: f64, toward_start: bool) -> f64 {
         if s.forward[i0] == toward_start {
-            pos.frac * w0
+            offset(pos.frac, w0)
         } else {
-            (1.0 - pos.frac) * w0
+            w0 - offset(pos.frac, w0)
         }
     }
 
@@ -580,8 +570,11 @@ impl Gma {
             }
             let e = s.edges[edge_idx];
             let w = self.state.weights.get(e);
+            // The offset of the boundary node on `e`: 0 at its start, w at
+            // its end.
             let from_start = self.net.edge(e).start == s.nodes[boundary];
-            let from_boundary = |f: f64| acc + if from_start { f * w } else { (1.0 - f) * w };
+            let entry = if from_start { 0.0 } else { w };
+            let from_boundary = |f: f64| acc + (offset(f, w) - entry).abs();
             self.gather_edge(e, from_boundary, s, k, &mut scratch.walk, counters);
             acc += w;
         }
@@ -636,15 +629,14 @@ impl Gma {
         let i0 = s.edge_offset(pos.edge).expect("query edge in sequence");
         fresh.clear();
 
-        // Widen by the standard slack so boundary entities (the k-th NN
-        // itself) never escape detection through float rounding.
-        let slack = crate::anchor::interval_slack(knn);
-        let knn = knn + slack;
+        // Widen by the interval slack so boundary entities (the k-th NN
+        // itself) never escape detection through their rounded offsets.
+        let knn = knn + INTERVAL_SLACK;
 
-        // Own edge.
+        // Own edge, around the query's rounded offset.
         let w0 = self.state.weights.get(pos.edge);
-        let r0 = knn / w0;
-        let own = IntervalSet::single(pos.frac - r0, pos.frac + r0);
+        let at = offset(pos.frac, w0);
+        let own = IntervalSet::single((at - knn) / w0, (at + knn) / w0);
         push_charged(fresh, (pos.edge, own), &mut counters.alloc_events);
 
         // Both directions (wrapping around for cycle sequences).
@@ -820,7 +812,7 @@ impl ContinuousMonitor for Gma {
                     } else {
                         q.d_ends.1
                     };
-                    if d_n <= q.knn_dist + crate::anchor::interval_slack(q.knn_dist) {
+                    if d_n <= q.knn_dist {
                         self.needs_eval.insert(qid);
                     }
                 }
@@ -1062,8 +1054,7 @@ mod tests {
         let r = gma.result(QueryId(1)).unwrap();
         // o0 at |1.5-0.5| = 1.0 along the ray; the others at 0.5 + 1.5 = 2.0.
         assert_eq!(r[0].object, ObjectId(0));
-        assert!((r[0].dist - 1.0).abs() < 1e-12);
-        assert!((r[1].dist - 2.0).abs() < 1e-12);
+        assert_eq!((r[0].dist, r[1].dist), (1.0, 2.0));
     }
 
     #[test]
@@ -1085,18 +1076,19 @@ mod tests {
         // NN is o0 at 1.4.
         assert_eq!(gma.result(QueryId(1)).unwrap()[0].object, ObjectId(0));
         // o1 moves close to the center on the north ray: d(q, o1) becomes
-        // 0.5 + 0.1 = 0.6 < 1.4. The change reaches q via node 0's NN set.
+        // 0.5 + 0.125 = 0.625 < 1.4. The change reaches q via node 0's NN
+        // set.
         let rep = gma.tick(&UpdateBatch {
             objects: vec![ObjectEvent::Move {
                 id: ObjectId(1),
-                to: NetPoint::new(EdgeId(2), 0.1),
+                to: NetPoint::new(EdgeId(2), 0.125),
             }],
             ..Default::default()
         });
         assert_eq!(rep.results_changed, 1);
         let r = gma.result(QueryId(1)).unwrap();
         assert_eq!(r[0].object, ObjectId(1));
-        assert!((r[0].dist - 0.6).abs() < 1e-12);
+        assert_eq!(r[0].dist, 0.625);
     }
 
     #[test]
@@ -1170,15 +1162,15 @@ mod tests {
         let rep = gma.tick(&UpdateBatch {
             edges: vec![EdgeWeightUpdate {
                 edge: EdgeId(1),
-                new_weight: 0.2,
+                new_weight: 0.25,
             }],
             ..Default::default()
         });
         assert_eq!(rep.results_changed, 1);
         let r = gma.result(QueryId(1)).unwrap();
-        // o1 (midpoint of shrunk edge 1) now at 0.5 + 0.1 = 0.6.
+        // o1 (midpoint of shrunk edge 1) now at 0.5 + 0.125 = 0.625.
         assert_eq!(r[1].object, ObjectId(1));
-        assert!((r[1].dist - 0.6).abs() < 1e-12);
+        assert_eq!(r[1].dist, 0.625);
     }
 
     #[test]
@@ -1203,7 +1195,7 @@ mod tests {
         assert_eq!(r[0].object, ObjectId(0));
         assert_eq!(r[0].dist, 0.0);
         // Both ring neighbours are equidistant.
-        assert!((r[1].dist - r[2].dist).abs() < 1e-9);
+        assert_eq!(r[1].dist, r[2].dist);
     }
 
     #[test]

@@ -356,9 +356,9 @@ mod tests {
         // o0 at frac 0.5 of edge0: dist = 0.5 (to node1) + 0.75 = 1.25;
         // o2 at 1.0.
         assert_eq!(r[0].object, ObjectId(4));
-        assert!((r[0].dist - 0.25).abs() < 1e-12);
+        assert_eq!(r[0].dist, 0.25);
         assert_eq!(r[1].object, ObjectId(2));
-        assert!((r[1].dist - 1.0).abs() < 1e-12);
+        assert_eq!(r[1].dist, 1.0);
     }
 
     #[test]

@@ -11,13 +11,22 @@
 //! query (Figure 3: one from each verified endpoint); overlapping intervals
 //! merge into one. Intervals are stored as fraction ranges in the edge's
 //! own coordinate system, so point-membership tests need no distance
-//! computation.
+//! computation. A bound `reach` along an edge of weight `w` becomes the
+//! fraction `(reach + INTERVAL_SLACK) / w`.
 //!
 //! The table is generic over the influencee key: IMA stores [`rnn_roadnet::QueryId`]s,
 //! GMA's node-monitoring module stores active-node ids, and GMA's sequence
 //! layer stores query ids again.
 
-use rnn_roadnet::{EdgeId, SpanArena};
+use rnn_roadnet::{EdgeId, SpanArena, UNIT};
+
+/// How far past `kNN_dist` every influencing interval reaches: one
+/// distance unit. An interval is a fraction (`reach / w`) while an entity's
+/// distance is its offset rounded to the unit, so an entity exactly at
+/// `kNN_dist` (the k-th NN itself) can sit up to half a unit beyond the
+/// unwidened fraction. Over-covering is safe: it can only cause a spurious
+/// re-check, never a missed update.
+pub(crate) const INTERVAL_SLACK: f64 = UNIT;
 
 /// Up to two disjoint fraction intervals on one edge.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

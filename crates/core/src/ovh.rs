@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].object, ObjectId(2));
         assert_eq!(ovh.query_ids(), vec![QueryId(1)]);
-        assert!((ovh.knn_dist(QueryId(1)).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(ovh.knn_dist(QueryId(1)), Some(1.0));
     }
 
     #[test]
@@ -234,14 +234,15 @@ mod tests {
             objects: vec![ObjectEvent::Delete { id: ObjectId(0) }],
             edges: vec![EdgeWeightUpdate {
                 edge: EdgeId(1),
-                new_weight: 0.1,
+                new_weight: 0.125,
             }],
             ..Default::default()
         });
         assert_eq!(rep.results_changed, 1);
         let r = ovh.result(QueryId(1)).unwrap();
+        // o1 at 0.75 to node 1, then half of the shrunk edge 1.
         assert_eq!(r[0].object, ObjectId(1));
-        assert!((r[0].dist - 0.8).abs() < 1e-12);
+        assert_eq!(r[0].dist, 0.8125);
     }
 
     #[test]

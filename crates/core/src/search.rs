@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use rnn_roadnet::{
-    DijkstraEngine, EdgeId, EdgeWeights, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
+    offset, DijkstraEngine, EdgeId, EdgeWeights, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork,
 };
 
 use crate::counters::OpCounters;
@@ -368,15 +368,11 @@ fn scan_edge_from(
         return;
     }
     let w = state.weights.get(e);
-    let from_start = net.edge(e).start == n;
+    // The offset of `n` on `e`: 0 at its start, w at its end.
+    let entry = if net.edge(e).start == n { 0.0 } else { w };
     for &(obj, frac) in objs {
-        let along = if from_start {
-            frac * w
-        } else {
-            (1.0 - frac) * w
-        };
         counters.objects_considered += 1;
-        best.offer(obj, d + along);
+        best.offer(obj, d + (offset(frac, w) - entry).abs());
     }
 }
 
@@ -457,13 +453,11 @@ impl Expander {
                     let scan = match selective {
                         None => true,
                         Some((old_knn, changed)) => {
-                            let w = weights.get(e);
-                            let slack = crate::anchor::interval_slack(old_knn);
                             // Strictly fully covered from this side → every
                             // object on `e` was strictly inside the old
                             // result region → already among
                             // `extra_candidates`.
-                            old_knn - dist <= w + slack || changed.contains(&e)
+                            old_knn - dist <= weights.get(e) || changed.contains(&e)
                         }
                     };
                     if scan {
@@ -484,17 +478,18 @@ impl Expander {
                 // distance (around-the-network paths are found via the
                 // endpoints later).
                 let w = weights.get(p.edge);
+                let at = offset(p.frac, w);
                 counters.edges_scanned += 1;
                 for &(obj, frac) in state.objects.on_edge(p.edge) {
                     counters.objects_considered += 1;
-                    best.offer(obj, (frac - p.frac).abs() * w);
+                    best.offer(obj, (offset(frac, w) - at).abs());
                 }
                 let rec = net.edge(p.edge);
                 if !tree.contains(rec.start) {
-                    engine.seed(rec.start, p.frac * w, None);
+                    engine.seed(rec.start, at, None);
                 }
                 if !tree.contains(rec.end) {
-                    engine.seed(rec.end, (1.0 - p.frac) * w, None);
+                    engine.seed(rec.end, w - at, None);
                 }
             }
             RootPos::Node(n) => {
@@ -571,16 +566,15 @@ impl Expander {
         let mut best = f64::INFINITY;
         if let RootPos::Point(rp) = root {
             if rp.edge == p.edge {
-                best = (rp.frac - p.frac).abs() * weights.get(p.edge);
+                best = rp.along_edge_dist(&p, weights);
             }
         }
         let rec = self.net.edge(p.edge);
-        let w = weights.get(p.edge);
         if let Some(d) = tree.dist(&self.pool, rec.start) {
-            best = best.min(d + p.frac * w);
+            best = best.min(d + p.dist_to_start(weights));
         }
         if let Some(d) = tree.dist(&self.pool, rec.end) {
-            best = best.min(d + (1.0 - p.frac) * w);
+            best = best.min(d + p.dist_to_end(weights));
         }
         best
     }
@@ -894,7 +888,7 @@ mod tests {
         for n in &out.result {
             let pos = state.objects.position(n.object).unwrap();
             let d = ex.dist_via_tree(&state.weights, &out.tree, root, pos);
-            assert!((d - n.dist).abs() < 1e-12, "object {:?}", n.object);
+            assert_eq!(d, n.dist, "object {:?}", n.object);
         }
         // A far object is reported beyond knn_dist.
         let far = state.objects.position(ObjectId(3)).unwrap();
@@ -936,7 +930,7 @@ mod tests {
         sort_neighbors(&mut oracle);
         oracle.truncate(5);
         for (a, b) in out.result.iter().zip(&oracle) {
-            assert!((a.dist - b.dist).abs() < 1e-9, "{a:?} vs {b:?}");
+            assert_eq!(a.dist, b.dist, "{a:?} vs {b:?}");
         }
     }
 }

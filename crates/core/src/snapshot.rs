@@ -11,20 +11,16 @@
 //! small and the format independent of the tree-pool memory layout.
 //!
 //! Restore validation: the stored per-query results are compared
-//! against what the freshly restored monitor computes with the
-//! differential suite's comparator — the same distances rank by rank
-//! (1e-9 relative) and the same `kNN_dist` — plus the same object at
-//! every rank whose distance is not tied. Bit equality would reject
-//! states the monitor itself just captured, for two reasons that are
-//! both history, not corruption:
-//!
-//! * a long-running monitor keeps subtrees across query moves by
-//!   *shifting* their distances (`TreePool::reroot_at_subtree`, §4.4),
-//!   so its sums are associated differently from a fresh expansion's and
-//!   differ in the last ulp;
-//! * among objects at exactly the k-th distance (a hotspot piles dozens
-//!   on one node) a monitor holds whichever arrived first, and a restore
-//!   registers objects in id order, not in their original arrival order.
+//! against what the freshly restored monitor computes — the same
+//! distances rank by rank and the same `kNN_dist`, with `==` (every
+//! distance is a multiple of the network's distance unit, so a shifted
+//! re-rooted tree and a fresh expansion sum to the same bits) — plus the
+//! same object at every rank whose distance is not tied. Object equality
+//! at a tie would reject states the monitor itself just captured, for a
+//! reason that is history, not corruption: among objects at exactly the
+//! k-th distance (a hotspot piles dozens on one node) a monitor holds
+//! whichever arrived first, and a restore registers objects in id order,
+//! not in their original arrival order.
 //!
 //! A mismatch beyond that means the snapshot does not describe a
 //! reachable monitor state (corruption the CRC missed, or a version
@@ -34,7 +30,7 @@
 use rnn_roadnet::wire::{
     decode_seq, encode_seq, put_f64, put_u64, WireCodec, WireError, WireReader,
 };
-use rnn_roadnet::{NetPoint, ObjectId, QueryId, RoadNetwork};
+use rnn_roadnet::{unit, NetPoint, ObjectId, QueryId, RoadNetwork};
 
 use crate::monitor::{load_population, ContinuousMonitor};
 use crate::state::NetworkState;
@@ -119,27 +115,23 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// The differential suite's distance comparator: equal (which covers
-/// `∞` while underfull) or within 1e-9 relative summation-order noise.
-fn same_dist(a: f64, b: f64) -> bool {
-    a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-}
-
 /// Whether a recomputed result matches the stored one: the same
 /// distances rank by rank, and the same object at every rank whose
 /// distance is not tied with a neighbouring rank or with `knn_dist`
 /// (see the module docs: ties are held by arrival order).
 fn same_result(stored: &[Neighbor], got: &[Neighbor], knn_dist: f64) -> bool {
     let tied = |i: usize, d: f64| {
-        same_dist(d, knn_dist)
+        d == knn_dist
             || [i.wrapping_sub(1), i + 1]
                 .iter()
-                .any(|&j| stored.get(j).is_some_and(|n| same_dist(d, n.dist)))
+                .any(|&j| stored.get(j).is_some_and(|n| d == n.dist))
     };
     stored.len() == got.len()
-        && stored.iter().zip(got).enumerate().all(|(i, (a, b))| {
-            same_dist(a.dist, b.dist) && (a.object == b.object || tied(i, a.dist))
-        })
+        && stored
+            .iter()
+            .zip(got)
+            .enumerate()
+            .all(|(i, (a, b))| a.dist == b.dist && (a.object == b.object || tied(i, a.dist)))
 }
 
 impl MonitorState {
@@ -154,7 +146,7 @@ impl MonitorState {
         let mut weight_diffs = Vec::new();
         for e in net.edge_ids() {
             let w = state.weights.get(e);
-            if w != net.edge(e).base_weight {
+            if w != unit(net.edge(e).base_weight) {
                 weight_diffs.push(EdgeWeightUpdate {
                     edge: e,
                     new_weight: w,
@@ -210,7 +202,7 @@ impl MonitorState {
         for q in &self.queries {
             let got = monitor.result(q.id).unwrap_or(&[]);
             let dist = monitor.knn_dist(q.id).unwrap_or(f64::INFINITY);
-            if !same_dist(dist, q.knn_dist) || !same_result(&q.result, got, q.knn_dist) {
+            if dist != q.knn_dist || !same_result(&q.result, got, q.knn_dist) {
                 return Err(RestoreError::ResultMismatch(q.id));
             }
         }

@@ -12,7 +12,7 @@
 use std::collections::hash_map::Entry;
 
 use rnn_roadnet::{
-    EdgeId, EdgeWeights, FxHashMap, NetPoint, ObjectId, QueryId, RoadNetwork, SpanArena,
+    unit, EdgeId, EdgeWeights, FxHashMap, NetPoint, ObjectId, QueryId, RoadNetwork, SpanArena,
 };
 
 use crate::types::{ObjectEvent, QueryEvent, UpdateBatch};
@@ -374,18 +374,20 @@ impl NetworkState {
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> CoalescedTick {
         let objects = self.objects.apply_events(&batch.objects);
 
-        // --- Edges: last weight wins.
+        // --- Edges: last weight wins, rounded to the distance unit first so
+        // that a change smaller than one unit is no change.
         let mut edges: Vec<EdgeDelta> = Vec::with_capacity(batch.edges.len());
         self.delta_of.clear();
         for u in &batch.edges {
+            let new_w = unit(u.new_weight);
             match self.delta_of.entry(u.edge.0) {
-                Entry::Occupied(e) => edges[*e.get() as usize].new_w = u.new_weight,
+                Entry::Occupied(e) => edges[*e.get() as usize].new_w = new_w,
                 Entry::Vacant(e) => {
                     e.insert(edges.len() as u32);
                     edges.push(EdgeDelta {
                         edge: u.edge,
                         old_w: self.weights.get(u.edge),
-                        new_w: u.new_weight,
+                        new_w,
                     });
                 }
             }

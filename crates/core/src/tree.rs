@@ -799,14 +799,11 @@ impl TreePool {
                     "link edge mismatch"
                 );
                 let expect = prec.dist + weights.get(e);
-                assert!(
-                    (rec.dist - expect).abs() <= 1e-9 * expect.max(1.0),
-                    "distance of {:?} inconsistent: {} vs parent+w {}",
-                    rec.node,
-                    rec.dist,
-                    expect
+                assert_eq!(
+                    rec.dist, expect,
+                    "distance of {:?} is not parent+w",
+                    rec.node
                 );
-                assert!(rec.dist >= prec.dist - 1e-12, "distance not monotone");
             }
             // Sibling-chain symmetry around this node.
             if rec.next_sibling != NIL {

@@ -189,8 +189,10 @@ impl UpdateEvent {
 
     /// Whether the event fits a network of `edges` edges: every edge it
     /// names is below `edges`, an install's `k` is in `1..=MAX_K`, and a
-    /// weight is finite and non-negative. A monitor panics on one that
-    /// does not, so ingest and the cluster's shards refuse it first.
+    /// weight is one [`rnn_roadnet::EdgeWeights`] stores
+    /// ([`rnn_roadnet::admits`]: in `[UNIT, MAX_WEIGHT]`). A monitor
+    /// panics on one that does not, so ingest and the cluster's shards
+    /// refuse it first.
     pub fn fits(&self, edges: usize) -> bool {
         use {ObjectEvent as O, QueryEvent as Q, UpdateEvent as U};
         let on_net = |at: NetPoint| at.edge.index() < edges;
@@ -200,7 +202,7 @@ impl UpdateEvent {
             U::Query(Q::Install { k, at, .. }) => (1..=MAX_K).contains(&k) && on_net(at),
             U::Object(O::Delete { .. }) | U::Query(Q::Remove { .. }) => true,
             U::Edge(EdgeWeightUpdate { edge, new_weight }) => {
-                edge.index() < edges && new_weight.is_finite() && new_weight >= 0.0
+                edge.index() < edges && rnn_roadnet::admits(new_weight)
             }
         }
     }

@@ -894,9 +894,9 @@ pub(crate) mod tests {
     }
 
     /// Answer identity against a reference monitor, in the differential
-    /// suite's convention: same query set, same result sizes, distances
-    /// equal to 1e-9 relative (a re-homed query is recomputed by its new
-    /// shard, which may sum the same path in a different order).
+    /// suite's convention: same query set, same result sizes, equal
+    /// distances (a re-homed query is recomputed by its new shard, which
+    /// sums the same path to the same bits).
     pub(crate) fn assert_same_answers(
         reference: &dyn ContinuousMonitor,
         eng: &dyn ContinuousMonitor,
@@ -910,12 +910,7 @@ pub(crate) mod tests {
             let (a, b) = (reference.result(q).unwrap(), eng.result(q).unwrap());
             assert_eq!(a.len(), b.len(), "{ctx}, {q:?}: result sizes");
             for (x, y) in a.iter().zip(b) {
-                assert!(
-                    (x.dist - y.dist).abs() <= 1e-9 * x.dist.abs().max(1.0),
-                    "{ctx}, {q:?}: {} vs {}",
-                    x.dist,
-                    y.dist
-                );
+                assert_eq!(x.dist, y.dist, "{ctx}, {q:?}");
             }
         }
     }

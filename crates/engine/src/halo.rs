@@ -86,7 +86,7 @@
 //! `resync_touched` counter.
 
 use rnn_core::{ObjectEvent, OpCounters};
-use rnn_roadnet::{DijkstraEngine, EdgeId, EdgeWeights, FxHashMap, FxHashSet};
+use rnn_roadnet::{DijkstraEngine, EdgeId, FxHashMap, FxHashSet};
 
 use crate::engine::{ShardBits, ShardedEngine};
 use crate::protocol::{BatchKind, ShardLink};
@@ -285,7 +285,8 @@ impl<L: ShardLink> ShardedEngine<L> {
 
     /// The registry walk: `demand[s]` becomes the largest `kNN_dist` among
     /// all of shard `s`'s queries, underfull (∞) demand capped at the
-    /// diameter bound under the current weights.
+    /// diameter bound under the current weights: no shortest path exceeds
+    /// the (exact) sum of all edge weights, since it is simple.
     pub(crate) fn fold_demand(&mut self) {
         self.demand.fill(0.0);
         for rec in self.queries.values() {
@@ -293,7 +294,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             self.demand[s] = self.demand[s].max(rec.knn_dist);
         }
         for n in self.demand.iter_mut().filter(|n| n.is_infinite()) {
-            *n = diameter_bound(&self.weights);
+            *n = self.weights.total();
         }
     }
 
@@ -304,13 +305,6 @@ impl<L: ShardLink> ShardedEngine<L> {
     }
 }
 
-/// An upper bound on any shortest-path distance under `weights`: shortest
-/// paths are simple, so no path exceeds the sum of all edge weights. The
-/// tiny relative margin absorbs summation-order rounding.
-pub(crate) fn diameter_bound(weights: &EdgeWeights) -> f64 {
-    weights.total() * (1.0 + 1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use rnn_core::{
@@ -318,7 +312,7 @@ mod tests {
     };
     use rnn_roadnet::{EdgeId, NetPoint, ObjectId, QueryId};
 
-    use super::{diameter_bound, HALO_SLACK, SHRINK_TICKS};
+    use super::{HALO_SLACK, SHRINK_TICKS};
     use crate::engine::tests::{assert_same_answers, engine, net};
 
     #[test]
@@ -468,7 +462,7 @@ mod tests {
         assert_eq!(eng.knn_dist(QueryId(0)).unwrap(), f64::INFINITY);
         let s = eng.queries[&QueryId(0)].shard as usize;
         let before = eng.halo_radius(s);
-        assert_eq!(before, diameter_bound(&eng.weights) * (1.0 + HALO_SLACK));
+        assert_eq!(before, eng.weights.total() * (1.0 + HALO_SLACK));
         let mut batch = UpdateBatch::default();
         for e in eng.net.edge_ids() {
             let new_weight = 2.0 * eng.weights.get(e);
@@ -479,11 +473,8 @@ mod tests {
         }
         eng.tick(&batch);
         twin.tick(&batch);
-        assert!(diameter_bound(&eng.weights) > before);
-        assert_eq!(
-            eng.halo_radius(s),
-            diameter_bound(&eng.weights) * (1.0 + HALO_SLACK)
-        );
+        assert!(eng.weights.total() > before);
+        assert_eq!(eng.halo_radius(s), eng.weights.total() * (1.0 + HALO_SLACK));
         assert_eq!(eng.knn_dist(QueryId(0)).unwrap(), f64::INFINITY);
         assert_same_answers(&twin, &eng, "after doubling every weight");
         eng.validate_replication().unwrap();

@@ -528,9 +528,9 @@ mod tests {
     fn point_to_point_same_edge() {
         let (net, w) = square();
         let mut eng = DijkstraEngine::new(net.num_nodes());
-        let a = NetPoint::new(crate::ids::EdgeId(0), 0.2);
-        let b = NetPoint::new(crate::ids::EdgeId(0), 0.9);
-        assert!((eng.dist_between_points(&net, &w, a, b) - 0.7).abs() < 1e-12);
+        let a = NetPoint::new(crate::ids::EdgeId(0), 0.25);
+        let b = NetPoint::new(crate::ids::EdgeId(0), 0.875);
+        assert_eq!(eng.dist_between_points(&net, &w, a, b), 0.625);
     }
 
     #[test]
@@ -547,7 +547,7 @@ mod tests {
         let a = NetPoint::new(crate::ids::EdgeId(0), 0.0);
         let bpt = NetPoint::new(crate::ids::EdgeId(0), 1.0);
         // Direct along e0: 100. Around through e1: 1.
-        assert!((eng.dist_between_points(&net, &w, a, bpt) - 1.0).abs() < 1e-12);
+        assert_eq!(eng.dist_between_points(&net, &w, a, bpt), 1.0);
     }
 
     #[test]
@@ -558,7 +558,7 @@ mod tests {
         // 0.5 to a corner + 1 up + 0.5 across = 2.0.
         let a = NetPoint::new(crate::ids::EdgeId(0), 0.5);
         let b = NetPoint::new(crate::ids::EdgeId(3), 0.5);
-        assert!((eng.dist_between_points(&net, &w, a, b) - 2.0).abs() < 1e-12);
+        assert_eq!(eng.dist_between_points(&net, &w, a, b), 2.0);
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub enum NetworkError {
         /// The offending edge.
         edge: usize,
     },
-    /// An edge has a non-positive or non-finite base weight.
+    /// An edge has a base weight outside `[UNIT, MAX_WEIGHT]`
+    /// ([`crate::weights::admits`]).
     BadWeight {
         /// The offending edge.
         edge: usize,
@@ -88,7 +89,7 @@ impl std::fmt::Display for NetworkError {
             }
             NetworkError::SelfLoop { edge } => write!(f, "edge {edge} is a self-loop"),
             NetworkError::BadWeight { edge } => {
-                write!(f, "edge {edge} has a non-positive or non-finite weight")
+                write!(f, "edge {edge} has a weight outside [UNIT, MAX_WEIGHT]")
             }
         }
     }
@@ -187,7 +188,7 @@ impl RoadNetwork {
             if e.start == e.end {
                 return Err(NetworkError::SelfLoop { edge: i });
             }
-            if !(e.base_weight.is_finite() && e.base_weight > 0.0) {
+            if !crate::weights::admits(e.base_weight) {
                 return Err(NetworkError::BadWeight { edge: i });
             }
         }

@@ -4,16 +4,16 @@
 //! an edge at a normalised fraction `t ∈ [0, 1]` of the way from
 //! `edge.start` to `edge.end`. Distances *along* the edge scale with the
 //! edge's **current weight**: an entity at fraction `t` of edge `e` is at
-//! weighted distance `t · w(e)` from `e.start` — exactly the paper's
-//! convention ("en-heap the endpoints of e with keys equal to the
-//! corresponding fraction of e.w", Fig. 2).
+//! weighted distance `t · w(e)` from `e.start`, rounded to the distance
+//! unit by [`offset`] — the paper's convention ("en-heap the endpoints of
+//! e with keys equal to the corresponding fraction of e.w", Fig. 2).
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Point2;
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId};
-use crate::weights::EdgeWeights;
+use crate::weights::{offset, EdgeWeights};
 
 /// A position on the road network: a point along an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -48,14 +48,15 @@ impl NetPoint {
     /// weights.
     #[inline]
     pub fn dist_to_start(&self, weights: &EdgeWeights) -> f64 {
-        self.frac * weights.get(self.edge)
+        offset(self.frac, weights.get(self.edge))
     }
 
     /// Weighted distance from this point to `edge.end` under the current
     /// weights.
     #[inline]
     pub fn dist_to_end(&self, weights: &EdgeWeights) -> f64 {
-        (1.0 - self.frac) * weights.get(self.edge)
+        let w = weights.get(self.edge);
+        w - offset(self.frac, w)
     }
 
     /// Weighted distance from this point to the endpoint `n` of its edge.
@@ -101,7 +102,7 @@ impl NetPoint {
     #[inline]
     pub fn along_edge_dist(&self, other: &NetPoint, weights: &EdgeWeights) -> f64 {
         debug_assert_eq!(self.edge, other.edge, "points must share an edge");
-        (self.frac - other.frac).abs() * weights.get(self.edge)
+        (self.dist_to_start(weights) - other.dist_to_start(weights)).abs()
     }
 }
 
@@ -134,21 +135,19 @@ mod tests {
         let net = triangle();
         let mut w = EdgeWeights::from_base(&net);
         let p = NetPoint::new(EdgeId(0), 0.25);
-        assert!((p.dist_to_start(&w) - 1.0).abs() < 1e-12);
-        assert!((p.dist_to_end(&w) - 3.0).abs() < 1e-12);
+        assert_eq!((p.dist_to_start(&w), p.dist_to_end(&w)), (1.0, 3.0));
         // Doubling the weight doubles both distances; the fraction is fixed.
         w.set(EdgeId(0), 8.0);
-        assert!((p.dist_to_start(&w) - 2.0).abs() < 1e-12);
-        assert!((p.dist_to_end(&w) - 6.0).abs() < 1e-12);
+        assert_eq!((p.dist_to_start(&w), p.dist_to_end(&w)), (2.0, 6.0));
     }
 
     #[test]
     fn dist_to_named_endpoint() {
         let net = triangle();
         let w = EdgeWeights::from_base(&net);
-        let p = NetPoint::new(EdgeId(1), 0.2); // edge n1->n2, w=5
-        assert!((p.dist_to_endpoint(&net, &w, NodeId(1)) - 1.0).abs() < 1e-12);
-        assert!((p.dist_to_endpoint(&net, &w, NodeId(2)) - 4.0).abs() < 1e-12);
+        let p = NetPoint::new(EdgeId(1), 0.25); // edge n1->n2, w=5
+        assert_eq!(p.dist_to_endpoint(&net, &w, NodeId(1)), 1.25);
+        assert_eq!(p.dist_to_endpoint(&net, &w, NodeId(2)), 3.75);
     }
 
     #[test]
@@ -185,7 +184,7 @@ mod tests {
         let w = EdgeWeights::from_base(&net);
         let a = NetPoint::new(EdgeId(0), 0.25);
         let b = NetPoint::new(EdgeId(0), 0.75);
-        assert!((a.along_edge_dist(&b, &w) - 2.0).abs() < 1e-12);
-        assert!((b.along_edge_dist(&a, &w) - 2.0).abs() < 1e-12);
+        assert_eq!(a.along_edge_dist(&b, &w), 2.0);
+        assert_eq!(b.along_edge_dist(&a, &w), 2.0);
     }
 }

@@ -409,6 +409,7 @@ fn grid_seeds(net: &RoadNetwork, num_shards: usize) -> Vec<NodeId> {
     }
     let shards = num_shards.min(n);
     let bounds = net.bounds();
+    // lint: allow(float-tolerance): planar bounding box, kept off zero for the aspect ratio
     let (w, h) = (bounds.width().max(1e-12), bounds.height().max(1e-12));
     // Grid shape follows the aspect ratio so cells stay near-square.
     let mut gx = ((shards as f64 * w / h).sqrt().round() as usize).clamp(1, shards);

@@ -99,6 +99,7 @@ impl PmrQuadtree {
     pub fn build_with(net: &RoadNetwork, config: QuadtreeConfig) -> Self {
         // Slightly inflate bounds so boundary points are strictly inside.
         let b = net.bounds();
+        // lint: allow(float-tolerance): planar padding of the index bounds, not a distance
         let pad = (b.width().max(b.height()) * 1e-9).max(1e-9);
         let bounds = Rect::new(
             Point2::new(b.lo.x - pad, b.lo.y - pad),

@@ -20,7 +20,7 @@
 use crate::graph::RoadNetwork;
 use crate::ids::{EdgeId, NodeId, SeqId};
 use crate::netpoint::NetPoint;
-use crate::weights::EdgeWeights;
+use crate::weights::{offset, EdgeWeights};
 
 /// One sequence: an oriented maximal path of edges between two
 /// intersection/terminal nodes.
@@ -81,9 +81,9 @@ impl Sequence {
         let before: f64 = self.edges[..idx].iter().map(|&e| weights.get(e)).sum();
         let w = weights.get(p.edge);
         let along = if self.forward[idx] {
-            p.frac * w
+            offset(p.frac, w)
         } else {
-            (1.0 - p.frac) * w
+            w - offset(p.frac, w)
         };
         let after: f64 = self.edges[idx + 1..].iter().map(|&e| weights.get(e)).sum();
         (before + along, after + (w - along))
@@ -349,7 +349,7 @@ mod tests {
         let st = SequenceTable::build(&net);
         assert_eq!(st.len(), 1);
         let s = st.sequence(SeqId(0));
-        assert!((s.total_weight(&w) - 4.0).abs() < 1e-12);
+        assert_eq!(s.total_weight(&w), 4.0);
 
         // Point 25% into the middle edge, in sequence orientation.
         let mid_edge = s.edges[1];
@@ -358,9 +358,8 @@ mod tests {
         let (ds, de) = s.dist_to_endpoints(&w, p);
         // Distances depend on which end the walk started from.
         let (lo, hi) = if ds < de { (ds, de) } else { (de, ds) };
-        assert!((lo - 1.5).abs() < 1e-12);
-        assert!((hi - 2.5).abs() < 1e-12);
-        assert!((ds + de - 4.0).abs() < 1e-12);
+        assert_eq!((lo, hi), (1.5, 2.5));
+        assert_eq!(ds + de, 4.0);
     }
 
     #[test]
@@ -381,8 +380,8 @@ mod tests {
         let after = s.dist_to_endpoints(&w, p);
         // One endpoint distance grew by 9, the other is unchanged.
         let grew = (after.0 - before.0).abs().max((after.1 - before.1).abs());
-        assert!((grew - 9.0).abs() < 1e-12);
-        assert!((after.0 + after.1 - s.total_weight(&w)).abs() < 1e-12);
+        assert_eq!(grew, 9.0);
+        assert_eq!(after.0 + after.1, s.total_weight(&w));
     }
 
     #[test]

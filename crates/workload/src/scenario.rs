@@ -497,11 +497,13 @@ mod tests {
         let batch = sc.tick();
         for u in &batch.edges {
             let old = before.get(u.edge);
-            let ratio = u.new_weight / old;
             assert!(
-                (ratio - 1.1).abs() < 1e-9 || (ratio - 0.9).abs() < 1e-9,
-                "ratio {ratio}"
+                [old * 1.1, old * 0.9].contains(&u.new_weight),
+                "{} from {old}",
+                u.new_weight
             );
+            // The scenario's own table holds it rounded to the unit.
+            assert_eq!(sc.weights().get(u.edge), rnn_roadnet::unit(u.new_weight));
         }
     }
 

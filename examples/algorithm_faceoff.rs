@@ -66,11 +66,7 @@ fn main() {
                 .collect();
             monitors[1..].iter().all(|m| {
                 let other: Vec<f64> = m.result(q).unwrap().iter().map(|n| n.dist).collect();
-                reference.len() == other.len()
-                    && reference
-                        .iter()
-                        .zip(&other)
-                        .all(|(a, b)| (a - b).abs() <= 1e-9 * a.abs().max(1.0))
+                reference == other
             })
         });
         println!(

@@ -120,9 +120,9 @@ fn crnn_matches_brute_force_over_random_run() {
                         eng.dist_between_points(&net, &weights, opos, qpos)
                     })
                     .unwrap_or(f64::INFINITY);
-                assert!(
-                    (d_got - d_expect).abs() <= 1e-9 * d_expect.max(1.0),
-                    "tick {tick}: object {oid} assigned {got:?} ({d_got}) vs oracle {expect:?} ({d_expect})"
+                assert_eq!(
+                    d_got, d_expect,
+                    "tick {tick}: object {oid} assigned {got:?} vs oracle {expect:?}"
                 );
             }
         }
@@ -179,13 +179,7 @@ fn long_stress_run_stays_consistent() {
                 for m in [&ima as &dyn ContinuousMonitor, &gma] {
                     let b: Vec<f64> = m.result(q).unwrap().iter().map(|n| n.dist).collect();
                     assert_eq!(a.len(), b.len(), "t={t} q={q} {}", m.name());
-                    for (x, y) in a.iter().zip(&b) {
-                        assert!(
-                            (x - y).abs() <= 1e-9 * x.max(1.0),
-                            "t={t} q={q} {}: {x} vs {y}",
-                            m.name()
-                        );
-                    }
+                    assert_eq!(a, b, "t={t} q={q} {}", m.name());
                 }
             }
         }

@@ -3,27 +3,15 @@
 //! **distance multiset** and the same `kNN_dist` for every query.
 //!
 //! Object *ids* may legitimately differ between algorithms on exact
-//! distance ties, so the comparison is on sorted distances (with relative
-//! tolerance 1e-9 for accumulated float noise along different summation
-//! orders).
+//! distance ties, so the comparison is on sorted distances, with `==`:
+//! every distance is a multiple of the network's distance unit, so the
+//! monitors' different summation orders reach the same bits.
 
 use std::sync::Arc;
 
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, Ovh, QueryEvent, UpdateBatch};
 use rnn_monitor::roadnet::{generators, NetPoint, QueryId, RoadNetwork};
 use rnn_monitor::workload::{Distribution, MovementModel, Scenario, ScenarioConfig};
-
-const REL_TOL: f64 = 1e-9;
-
-fn assert_dist_eq(a: f64, b: f64, ctx: &str) {
-    if a.is_infinite() && b.is_infinite() {
-        return;
-    }
-    assert!(
-        (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0),
-        "{ctx}: {a} vs {b}"
-    );
-}
 
 fn compare_monitors(monitors: &[&dyn ContinuousMonitor], tick: usize) {
     let reference = monitors[0];
@@ -48,13 +36,11 @@ fn compare_monitors(monitors: &[&dyn ContinuousMonitor], tick: usize) {
             assert_eq!(ref_result.len(), other_result.len(), "{ctx}: result sizes");
             let mut other_dists: Vec<f64> = other_result.iter().map(|n| n.dist).collect();
             other_dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for (da, db) in ref_dists.iter().zip(&other_dists) {
-                assert_dist_eq(*da, *db, &ctx);
-            }
-            assert_dist_eq(
-                reference.knn_dist(qid).unwrap(),
-                other.knn_dist(qid).unwrap(),
-                &format!("{ctx} (kNN_dist)"),
+            assert_eq!(ref_dists, other_dists, "{ctx}: distances");
+            assert_eq!(
+                reference.knn_dist(qid),
+                other.knn_dist(qid),
+                "{ctx}: kNN_dist"
             );
         }
     }

@@ -5,7 +5,8 @@
 //!
 //! As in `differential.rs`, object ids may legitimately differ on exact
 //! distance ties, so results compare as sorted distance multisets plus
-//! `kNN_dist`, with relative tolerance 1e-9 for summation-order noise.
+//! `kNN_dist`, with `==` (distances are exact, whatever the summation
+//! order).
 
 use std::sync::Arc;
 
@@ -13,18 +14,6 @@ use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, QueryEvent, UpdateBatch, Up
 use rnn_monitor::engine::{EngineConfig, ShardAlgo, ShardedEngine};
 use rnn_monitor::roadnet::{generators, NetPoint, QueryId, RoadNetwork};
 use rnn_monitor::workload::{MovementModel, Scenario, ScenarioConfig};
-
-const REL_TOL: f64 = 1e-9;
-
-fn assert_dist_eq(a: f64, b: f64, ctx: &str) {
-    if a.is_infinite() && b.is_infinite() {
-        return;
-    }
-    assert!(
-        (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1.0),
-        "{ctx}: {a} vs {b}"
-    );
-}
 
 fn compare_monitors(
     reference: &dyn ContinuousMonitor,
@@ -52,13 +41,11 @@ fn compare_monitors(
             assert_eq!(ref_result.len(), other_result.len(), "{ctx}: result sizes");
             let mut other_dists: Vec<f64> = other_result.iter().map(|n| n.dist).collect();
             other_dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for (da, db) in ref_dists.iter().zip(&other_dists) {
-                assert_dist_eq(*da, *db, &ctx);
-            }
-            assert_dist_eq(
-                reference.knn_dist(qid).unwrap(),
-                other.knn_dist(qid).unwrap(),
-                &format!("{ctx} (kNN_dist)"),
+            assert_eq!(ref_dists, other_dists, "{ctx}: distances");
+            assert_eq!(
+                reference.knn_dist(qid),
+                other.knn_dist(qid),
+                "{ctx}: kNN_dist"
             );
         }
     }
@@ -935,7 +922,7 @@ fn every_batch_of_up_to_three_events_means_the_same_at_every_entry_point() {
 
 #[test]
 fn apply_insert_next_to_a_live_query_reaches_it() {
-    // The query's nearest object is 2.8 away; one appears 0.1 away. At
+    // The query's nearest object is 2.75 away; one appears 0.125 away. At
     // every entry point `apply` is a timestamp, so the answer changes now
     // and the change list says so. (IMA and GMA used to write the object
     // table only and never serve the object; OVH until the next tick.)
@@ -949,17 +936,17 @@ fn apply_insert_next_to_a_live_query_reaches_it() {
         m.apply(UpdateEvent::install_query(
             q,
             1,
-            NetPoint::new(EdgeId(3), 0.7),
+            NetPoint::new(EdgeId(3), 0.75),
         ));
         assert_eq!(m.result(q).unwrap()[0].object, ObjectId(0), "{name}");
-        assert!((m.knn_dist(q).unwrap() - 2.8).abs() < 1e-12, "{name}");
+        assert_eq!(m.knn_dist(q), Some(2.75), "{name}");
 
         let report = m.apply(UpdateEvent::insert_object(
             ObjectId(1),
-            NetPoint::new(EdgeId(3), 0.8),
+            NetPoint::new(EdgeId(3), 0.875),
         ));
         assert_eq!(m.result(q).unwrap()[0].object, ObjectId(1), "{name}");
-        assert!((m.knn_dist(q).unwrap() - 0.1).abs() < 1e-12, "{name}");
+        assert_eq!(m.knn_dist(q), Some(0.125), "{name}");
         assert_eq!(m.changed_queries(), [q], "{name}");
         assert_eq!(
             report.results_changed, 1,
@@ -982,14 +969,14 @@ fn apply_insert_of_a_known_id_moves_it() {
         m.apply(UpdateEvent::install_query(
             q,
             1,
-            NetPoint::new(EdgeId(3), 0.7),
+            NetPoint::new(EdgeId(3), 0.75),
         ));
         m.apply(UpdateEvent::insert_object(
             ObjectId(0),
-            NetPoint::new(EdgeId(3), 0.8),
+            NetPoint::new(EdgeId(3), 0.875),
         ));
         assert_eq!(m.result(q).unwrap().len(), 1, "{name}: still one object");
-        assert!((m.knn_dist(q).unwrap() - 0.1).abs() < 1e-12, "{name}");
+        assert_eq!(m.knn_dist(q), Some(0.125), "{name}");
         assert_eq!(m.changed_queries(), [q], "{name}");
     }
 }

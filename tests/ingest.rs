@@ -24,7 +24,8 @@
 //!   silence.
 //! * **A hostile producer cannot panic the coordinator**: an event that
 //!   does not fit the network (an edge past it, `k` = 0 or above
-//!   `MAX_K`, a NaN, infinite or negative weight) is refused at submit
+//!   `MAX_K`, a weight outside `[UNIT, MAX_WEIGHT]`: NaN, infinite,
+//!   negative, zero, under one unit or too large) is refused at submit
 //!   with [`IngestError::Invalid`], and the next valid tick answers
 //!   exactly as an untouched twin's.
 
@@ -36,7 +37,9 @@ use rnn_monitor::core::{ContinuousMonitor, TickReport, UpdateBatch, UpdateEvent}
 use rnn_monitor::engine::{
     AdmissionPolicy, EngineConfig, IngestConfig, IngestError, IngestHub, ShardedEngine,
 };
-use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
+use rnn_monitor::roadnet::{
+    generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, MAX_WEIGHT, UNIT,
+};
 use rnn_monitor::workload::{
     Firehose, FirehoseConfig, FirehosePattern, MovementModel, Scenario, ScenarioConfig,
 };
@@ -343,6 +346,15 @@ fn hostile_producer_is_refused_at_submit_and_changes_nothing() {
             UpdateEvent::edge(EdgeId(3), f64::INFINITY),
         ),
         ("negative weight", UpdateEvent::edge(EdgeId(3), -1.0)),
+        ("zero weight", UpdateEvent::edge(EdgeId(3), 0.0)),
+        (
+            "weight under one unit",
+            UpdateEvent::edge(EdgeId(3), UNIT / 4.0),
+        ),
+        (
+            "weight past MAX_WEIGHT",
+            UpdateEvent::edge(EdgeId(3), 2.0 * MAX_WEIGHT),
+        ),
     ];
     let mut scenario = Scenario::new(net.clone(), small_cfg(31));
     let mut fed = ShardedEngine::new(net.clone(), EngineConfig::with_shards(2));

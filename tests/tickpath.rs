@@ -121,7 +121,7 @@ proptest! {
                 prop_assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(b) {
                     prop_assert_eq!(x.object, y.object);
-                    prop_assert!((x.dist - y.dist).abs() <= 1e-9 * y.dist.max(1.0));
+                    prop_assert_eq!(x.dist, y.dist);
                 }
             }
             shared_ima.validate_invariants();
