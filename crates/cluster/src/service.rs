@@ -253,7 +253,7 @@ pub fn serve_tcp(
 mod tests {
     use super::*;
     use crate::transport::{loopback_pair, FaultPlan};
-    use rnn_core::types::MAX_K;
+    use rnn_core::types::{MAX_K, OBJECT_ID_BOUND};
     use rnn_core::{EdgeWeightUpdate, Gma, ObjectEvent, QueryEvent, UpdateBatch};
     use rnn_engine::{BatchKind, TickOutcome};
     use rnn_roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, MAX_WEIGHT};
@@ -505,8 +505,9 @@ mod tests {
     #[test]
     fn a_checksum_valid_frame_that_does_not_fit_the_network_is_refused() {
         // Each mutation decodes and travels under a valid checksum, but
-        // names an edge past the network, a k outside 1..=MAX_K or a
-        // weight outside [UNIT, MAX_WEIGHT] (zero panicked the shard and
+        // names an edge past the network, an object id not below
+        // OBJECT_ID_BOUND, a k outside 1..=MAX_K or a weight outside
+        // [UNIT, MAX_WEIGHT] (zero panicked the shard and
         // every rebuild of it, as NaN once did). The shard must
         // refuse it — no reply to an event frame, `RestoreReply [0]` to an
         // install — and answer the next frames exactly like a twin that
@@ -561,6 +562,19 @@ mod tests {
                 object(ObjectEvent::Move {
                     id: ObjectId(3),
                     to: NetPoint::new(EdgeId(u32::MAX), 0.5),
+                }),
+            ),
+            (
+                "object id at the bound",
+                object(ObjectEvent::Insert {
+                    id: ObjectId(OBJECT_ID_BOUND),
+                    at: at(5, 0.5),
+                }),
+            ),
+            (
+                "object delete at the bound",
+                object(ObjectEvent::Delete {
+                    id: ObjectId(OBJECT_ID_BOUND),
                 }),
             ),
             (
@@ -643,6 +657,10 @@ mod tests {
             (
                 "object past the network",
                 mutated(&|s| s.objects[0].1 = NetPoint::new(beyond, 0.5)),
+            ),
+            (
+                "object id at the bound",
+                mutated(&|s| s.objects.push((ObjectId(OBJECT_ID_BOUND), at(5, 0.5)))),
             ),
             (
                 "query past the network",

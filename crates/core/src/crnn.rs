@@ -122,6 +122,11 @@ impl Crnn {
     /// Processes one timestamp. The batch's *queries* move the cabs (the
     /// entities being assigned to) and its *objects* move the clients (the
     /// entities whose nearest cab is tracked); edge updates apply as usual.
+    ///
+    /// # Panics
+    /// Panics if a query id is not below
+    /// [`crate::types::OBJECT_ID_BOUND`]: query ids index the object table
+    /// here.
     pub fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();

@@ -968,6 +968,18 @@ mod tests {
         gma
     }
 
+    /// An id past the object-id bound would size the object table; a
+    /// direct tick panics with a named message before any table grows.
+    #[test]
+    #[should_panic(expected = "is not below OBJECT_ID_BOUND")]
+    fn direct_tick_with_an_unbounded_object_id_panics() {
+        let mut gma = line_setup();
+        gma.apply(UpdateEvent::insert_object(
+            ObjectId(u32::MAX),
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
+    }
+
     /// A cross: center node 0 of degree 4, rays subdivided so sequences
     /// have length 2.
     ///

@@ -153,8 +153,8 @@ impl MonitorState {
                 });
             }
         }
-        let mut objects: Vec<(ObjectId, NetPoint)> = state.objects.iter().collect();
-        objects.sort_by_key(|(id, _)| *id);
+        // Ascending ids: the index iterates in its table's order.
+        let objects: Vec<(ObjectId, NetPoint)> = state.objects.iter().collect();
         let mut queries: Vec<QuerySnapshotState> = state
             .queries
             .iter()

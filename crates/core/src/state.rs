@@ -15,17 +15,17 @@ use rnn_roadnet::{
     unit, EdgeId, EdgeWeights, FxHashMap, NetPoint, ObjectId, QueryId, RoadNetwork, SpanArena,
 };
 
-use crate::types::{ObjectEvent, QueryEvent, UpdateBatch};
+use crate::types::{object_slot, ObjectEvent, QueryEvent, UpdateBatch, NOWHERE};
 
 /// An object's position plus its index within its edge's arena span (the
 /// positional back-reference that makes removal O(1) instead of a linear
-/// scan of the edge list).
+/// scan of the edge list). A slot at [`NOWHERE`] holds no object.
 #[derive(Clone, Copy, Debug)]
 struct ObjSlot {
     at: NetPoint,
-    /// Index within the edge span; [`NOT_PLACED`] only inside
-    /// [`ObjectIndex::apply_events`], for an id the batch mentions that is
-    /// on no edge yet.
+    /// Index within the edge span; [`NOT_PLACED`] for a slot on no edge:
+    /// a vacant one, or inside [`ObjectIndex::apply_events`] an id the
+    /// batch mentions that is on no edge yet.
     idx: u32,
     /// `stamp_base + i` of the batch that last touched this object, `i`
     /// being its delta's index in that batch's output (0 = never touched).
@@ -35,16 +35,38 @@ struct ObjSlot {
 
 const NOT_PLACED: u32 = u32::MAX;
 
+impl ObjSlot {
+    /// A slot no object holds.
+    const VACANT: ObjSlot = ObjSlot {
+        at: NOWHERE,
+        idx: NOT_PLACED,
+        stamp: 0,
+    };
+
+    /// Whether an object is in this slot.
+    #[inline]
+    fn live(&self) -> bool {
+        self.at.edge != NOWHERE.edge
+    }
+}
+
 /// Per-edge object lists plus the object → position table.
 ///
 /// The per-edge lists live in one [`SpanArena`] (no per-edge `Vec`
 /// allocations; steady-state ticks reuse spans), and each object's table
 /// entry carries its index within its edge span, so removal is a
 /// positional `swap_remove` — no scan of long edge lists.
+///
+/// The table is indexed by object id, not hashed: it holds one 24 B slot
+/// per id up to the largest id seen, so it takes (largest id + 1) × 24 B,
+/// at most 48 MiB under [`crate::types::OBJECT_ID_BOUND`].
 #[derive(Clone, Debug)]
 pub struct ObjectIndex {
     per_edge: SpanArena<(ObjectId, f64)>,
-    positions: FxHashMap<ObjectId, ObjSlot>,
+    /// Slot `id.index()` is object `id`'s; vacant slots are at [`NOWHERE`].
+    positions: Vec<ObjSlot>,
+    /// Number of live slots.
+    len: usize,
     /// Every stamp a finished batch left behind is below this.
     stamp_base: u32,
 }
@@ -60,24 +82,30 @@ impl ObjectIndex {
     pub fn new(num_edges: usize) -> Self {
         Self {
             per_edge: SpanArena::new(num_edges),
-            // lint: allow(hot-path-alloc): construction; the table then grows only when new objects are inserted
-            positions: FxHashMap::default(),
+            // lint: allow(hot-path-alloc): grows only when a new largest id registers
+            positions: Vec::new(),
+            len: 0,
             stamp_base: 1,
         }
     }
 
     /// Inserts a new object. Returns `false` (and does nothing) if the id
     /// already exists.
+    ///
+    /// # Panics
+    /// Panics if `id` is not below [`crate::types::OBJECT_ID_BOUND`].
     pub fn insert(&mut self, id: ObjectId, at: NetPoint) -> bool {
-        let Entry::Vacant(slot) = self.positions.entry(id) else {
+        let slot = object_slot(&mut self.positions, id, ObjSlot::VACANT);
+        if slot.live() {
             return false;
-        };
+        }
         let idx = self.per_edge.push(at.edge.index(), (id, at.frac));
-        slot.insert(ObjSlot {
+        *slot = ObjSlot {
             at,
             idx: idx as u32,
             stamp: 0,
-        });
+        };
+        self.len += 1;
         true
     }
 
@@ -87,19 +115,18 @@ impl ObjectIndex {
         let removed = self.per_edge.swap_remove(e, idx as usize);
         debug_assert_eq!(removed.0, id, "object list out of sync");
         if let Some(&(moved, _)) = self.per_edge.get(e).get(idx as usize) {
-            self.positions
-                .get_mut(&moved)
-                .expect("moved object must be registered")
-                .idx = idx;
+            self.positions[moved.index()].idx = idx;
         }
     }
 
     /// Removes an object, returning its last position. O(1): the stored
     /// back-reference replaces the edge-list scan.
     pub fn remove(&mut self, id: ObjectId) -> Option<NetPoint> {
-        let slot = self.positions.remove(&id)?;
-        self.unlink(slot.at.edge.index(), slot.idx, id);
-        Some(slot.at)
+        let slot = self.positions.get_mut(id.index()).filter(|s| s.live())?;
+        let ObjSlot { at, idx, .. } = std::mem::replace(slot, ObjSlot::VACANT);
+        self.len -= 1;
+        self.unlink(at.edge.index(), idx, id);
+        Some(at)
     }
 
     /// Moves an object, returning its previous position. Returns `None`
@@ -107,7 +134,7 @@ impl ObjectIndex {
     /// place; the edge lists change exactly as a removal followed by an
     /// insertion would change them.
     pub fn relocate(&mut self, id: ObjectId, to: NetPoint) -> Option<NetPoint> {
-        let slot = self.positions.get_mut(&id)?;
+        let slot = self.positions.get_mut(id.index()).filter(|s| s.live())?;
         let (old, old_idx) = (slot.at, slot.idx);
         slot.at = to;
         // Where the push below will land: the end of the target list, one
@@ -116,7 +143,7 @@ impl ObjectIndex {
         slot.idx = (self.per_edge.len_of(to.edge.index()) - usize::from(same_edge)) as u32;
         self.unlink(old.edge.index(), old_idx, id);
         let idx = self.per_edge.push(to.edge.index(), (id, to.frac));
-        debug_assert_eq!(idx as u32, self.positions[&id].idx);
+        debug_assert_eq!(idx as u32, self.positions[id.index()].idx);
         Some(old)
     }
 
@@ -127,15 +154,20 @@ impl ObjectIndex {
     ///
     /// The table lookup an event needs anyway (its old position) is also
     /// what recognises a repeated id: the first event of an id stamps its
-    /// entry with the index of the delta it opens, so a later event of the
-    /// same id finds that delta in O(1) and no side table is built. Ids
-    /// not in the index get an entry that is on no edge until the fold is
-    /// over, so `insert → delete` and `delete → insert` fold the same way.
+    /// slot with the index of the delta it opens, so a later event of the
+    /// same id finds that delta in O(1) and no side table is built. An id
+    /// not in the index is stamped in its vacant slot, which stays on no
+    /// edge until the fold is over, so `insert → delete` and `delete →
+    /// insert` fold the same way.
     ///
     /// Kept out of line: inlined into [`NetworkState::apply_batch`] the
     /// fold shares registers with the edge and query folds and a tick of
     /// 50K moves takes a quarter longer (3.6 → 4.6 ms), whichever way the
     /// other two happen to be written.
+    ///
+    /// # Panics
+    /// Panics if an event's id is not below
+    /// [`crate::types::OBJECT_ID_BOUND`], before the table grows for it.
     #[inline(never)]
     fn apply_events(&mut self, events: &[ObjectEvent]) -> Vec<ObjectDelta> {
         let base = self.open_stamps(events.len());
@@ -146,27 +178,13 @@ impl ObjectIndex {
                 ObjectEvent::Insert { id, at } => (id, Some(at)),
                 ObjectEvent::Delete { id } => (id, None),
             };
-            let stamp = base + deltas.len() as u32;
-            let old = match self.positions.entry(id) {
-                Entry::Occupied(mut e) => {
-                    let slot = e.get_mut();
-                    if slot.stamp >= base {
-                        deltas[(slot.stamp - base) as usize].new = new;
-                        continue;
-                    }
-                    slot.stamp = stamp;
-                    Some(slot.at)
-                }
-                Entry::Vacant(e) => {
-                    e.insert(ObjSlot {
-                        // Never read: overwritten when the object is placed.
-                        at: NetPoint::new(EdgeId(0), 0.0),
-                        idx: NOT_PLACED,
-                        stamp,
-                    });
-                    None
-                }
-            };
+            let slot = object_slot(&mut self.positions, id, ObjSlot::VACANT);
+            if slot.stamp >= base {
+                deltas[(slot.stamp - base) as usize].new = new;
+                continue;
+            }
+            slot.stamp = base + deltas.len() as u32;
+            let old = slot.live().then_some(slot.at);
             deltas.push(ObjectDelta { id, old, new });
         }
 
@@ -174,17 +192,16 @@ impl ObjectIndex {
         for i in 0..deltas.len() {
             let d = deltas[i];
             match (d.old, d.new) {
-                (None, None) => {
-                    // Appeared and vanished within the tick.
-                    self.positions.remove(&d.id);
-                    continue;
-                }
+                // Appeared and vanished within the tick: the slot stays
+                // vacant.
+                (None, None) => continue,
                 (Some(o), Some(n)) if o == n => continue, // no net movement
                 (None, Some(n)) => {
                     let idx = self.per_edge.push(n.edge.index(), (d.id, n.frac));
-                    let slot = self.positions.get_mut(&d.id).expect("entry made above");
+                    let slot = &mut self.positions[d.id.index()];
                     slot.at = n;
                     slot.idx = idx as u32;
+                    self.len += 1;
                 }
                 (Some(_), Some(n)) => {
                     self.relocate(d.id, n);
@@ -206,7 +223,7 @@ impl ObjectIndex {
         let span = u32::try_from(events).expect("batch exceeds u32 events");
         if self.stamp_base.checked_add(span).is_none() {
             // Stamp wrap (once per ~4·10^9 events): forget every stamp.
-            for slot in self.positions.values_mut() {
+            for slot in &mut self.positions {
                 slot.stamp = 0;
             }
             self.stamp_base = 1;
@@ -219,7 +236,8 @@ impl ObjectIndex {
     /// Current position of `id`.
     #[inline]
     pub fn position(&self, id: ObjectId) -> Option<NetPoint> {
-        self.positions.get(&id).map(|s| s.at)
+        let slot = self.positions.get(id.index())?;
+        slot.live().then_some(slot.at)
     }
 
     /// Objects currently on edge `e`, as `(id, fraction)` pairs.
@@ -231,29 +249,38 @@ impl ObjectIndex {
     /// Number of objects in the system.
     #[inline]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.len
     }
 
     /// Whether there are no objects.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.len == 0
     }
 
-    /// Iterator over all `(id, position)` pairs (arbitrary order).
+    /// Iterator over all `(id, position)` pairs, in ascending id order
+    /// (the table's own order).
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, NetPoint)> + '_ {
-        self.positions.iter().map(|(&id, s)| (id, s.at))
+        (self.positions.iter().enumerate())
+            .filter(|(_, s)| s.live())
+            .map(|(i, s)| (ObjectId::from_index(i), s.at))
     }
 
     /// Validates the index against itself (tests and debugging): every
     /// object sits exactly once in the list of the edge it is positioned
     /// on, at the index its table entry refers back to, with its fraction;
-    /// and the lists hold nothing else.
+    /// the lists hold nothing else; vacant slots are on no edge; and
+    /// [`Self::len`] counts the live slots.
     ///
     /// # Panics
     /// Panics on the first violated invariant.
     pub fn check_invariants(&self) {
-        for (&id, slot) in &self.positions {
+        for (i, slot) in self.positions.iter().enumerate() {
+            let id = ObjectId::from_index(i);
+            if !slot.live() {
+                assert_eq!(slot.idx, NOT_PLACED, "vacant {id:?} is placed");
+                continue;
+            }
             let list = self.on_edge(slot.at.edge);
             assert_eq!(
                 list.get(slot.idx as usize),
@@ -266,10 +293,11 @@ impl ObjectIndex {
                 "{id:?} listed more than once on its edge"
             );
         }
+        assert_eq!(self.iter().count(), self.len, "len is not the live count");
         let listed: usize = (0..self.per_edge.num_slots())
             .map(|e| self.per_edge.len_of(e))
             .sum();
-        assert_eq!(listed, self.positions.len(), "edge lists hold strays");
+        assert_eq!(listed, self.len, "edge lists hold strays");
     }
 
     /// Arena alloc events accumulated since the last take (backing-buffer
@@ -281,9 +309,7 @@ impl ObjectIndex {
 
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.per_edge.memory_bytes()
-            + self.positions.capacity()
-                * (std::mem::size_of::<ObjectId>() + std::mem::size_of::<ObjSlot>())
+        self.per_edge.memory_bytes() + self.positions.capacity() * std::mem::size_of::<ObjSlot>()
     }
 }
 
@@ -465,8 +491,10 @@ impl NetworkState {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::types::EdgeWeightUpdate;
+    use crate::types::{EdgeWeightUpdate, OBJECT_ID_BOUND};
     use rnn_roadnet::generators::line_network;
 
     fn state() -> NetworkState {
@@ -710,6 +738,293 @@ mod tests {
         }
         assert!(longest >= 64, "lists must fill past 64 ({longest})");
         assert_eq!(idx.len(), live.len());
+    }
+
+    /// The §4.5 fold of `events` over `model`, written from its rule: one
+    /// delta per id in first-appearance order, `(position before the
+    /// batch, its last event's position)`, deltas without a net effect
+    /// dropped; `model` ends at each id's last position.
+    fn reference_fold(
+        model: &mut BTreeMap<ObjectId, NetPoint>,
+        events: &[ObjectEvent],
+    ) -> Vec<ObjectDelta> {
+        let mut deltas: Vec<ObjectDelta> = Vec::new();
+        for ev in events {
+            let (id, new) = match *ev {
+                ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => (id, Some(to)),
+                ObjectEvent::Delete { id } => (id, None),
+            };
+            match deltas.iter_mut().find(|d| d.id == id) {
+                Some(d) => d.new = new,
+                None => deltas.push(ObjectDelta {
+                    id,
+                    old: model.get(&id).copied(),
+                    new,
+                }),
+            }
+        }
+        deltas.retain(|d| d.old != d.new);
+        for d in &deltas {
+            match d.new {
+                Some(n) => model.insert(d.id, n),
+                None => model.remove(&d.id),
+            };
+        }
+        deltas
+    }
+
+    /// The index holds `model`'s count and every probed id's position.
+    fn assert_holds(idx: &ObjectIndex, model: &BTreeMap<ObjectId, NetPoint>, probes: &[ObjectId]) {
+        assert_eq!(idx.len(), model.len());
+        for &id in probes {
+            assert_eq!(idx.position(id), model.get(&id).copied(), "{id:?}");
+        }
+    }
+
+    /// The invariants, the count and ascending iteration, which walk the
+    /// whole table.
+    fn assert_holds_all(idx: &ObjectIndex, model: &BTreeMap<ObjectId, NetPoint>) {
+        idx.check_invariants();
+        assert_eq!(idx.len(), model.len());
+        let listed: Vec<_> = idx.iter().collect();
+        let expected: Vec<_> = model.iter().map(|(&id, &at)| (id, at)).collect();
+        assert_eq!(
+            listed, expected,
+            "iter() is the model in ascending id order"
+        );
+    }
+
+    #[test]
+    fn table_slots_stay_24_bytes() {
+        assert_eq!(std::mem::size_of::<ObjSlot>(), 24);
+    }
+
+    /// Random programs of direct calls and batches over ids `0..64` plus
+    /// the largest id the bound admits, checked against a `BTreeMap` after
+    /// every step. The programs open with the in-batch folds by name:
+    /// insert → delete, delete → insert and move → move → delete.
+    #[test]
+    fn random_programs_match_a_btreemap_model() {
+        const EDGES: u32 = 6;
+        let top = ObjectId(OBJECT_ID_BOUND - 1);
+        let ids: Vec<ObjectId> = (0..64).map(ObjectId).chain([top]).collect();
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e % EDGES), f);
+        let mut idx = ObjectIndex::new(EDGES as usize);
+        let mut model = BTreeMap::new();
+        let fold = |idx: &mut ObjectIndex, model: &mut BTreeMap<_, _>, events: &[ObjectEvent]| {
+            let got = idx.apply_events(events);
+            assert_eq!(got, reference_fold(model, events), "{events:?}");
+            assert_holds(idx, model, &ids);
+            got
+        };
+
+        use ObjectEvent::{Delete, Insert, Move};
+        let setup = [
+            Insert {
+                id: ObjectId(2),
+                at: at(0, 0.5),
+            },
+            Insert {
+                id: ObjectId(3),
+                at: at(1, 0.5),
+            },
+            Insert {
+                id: top,
+                at: at(2, 0.5),
+            },
+        ];
+        assert_eq!(fold(&mut idx, &mut model, &setup).len(), 3);
+        let insert_delete = [
+            Insert {
+                id: ObjectId(1),
+                at: at(3, 0.25),
+            },
+            Delete { id: ObjectId(1) },
+        ];
+        assert!(fold(&mut idx, &mut model, &insert_delete).is_empty());
+        let delete_insert = [
+            Delete { id: ObjectId(2) },
+            Insert {
+                id: ObjectId(2),
+                at: at(4, 0.75),
+            },
+        ];
+        assert_eq!(fold(&mut idx, &mut model, &delete_insert).len(), 1);
+        let move_move_delete = [
+            Move {
+                id: ObjectId(3),
+                to: at(2, 0.125),
+            },
+            Move {
+                id: top,
+                to: at(5, 0.125),
+            },
+            Move {
+                id: ObjectId(3),
+                to: at(3, 0.625),
+            },
+            Move {
+                id: top,
+                to: at(1, 0.625),
+            },
+            Delete { id: ObjectId(3) },
+            Delete { id: top },
+        ];
+        let deltas = fold(&mut idx, &mut model, &move_move_delete);
+        assert!(deltas.iter().all(|d| d.old.is_some() && d.new.is_none()));
+        assert_eq!(deltas.len(), 2);
+        assert_holds_all(&idx, &model);
+
+        fn draw(rng: &mut u64, n: u64) -> u64 {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % n
+        }
+        let point = |rng: &mut u64| at(draw(rng, EDGES as u64) as u32, draw(rng, 8) as f64 / 8.0);
+        let pick = |rng: &mut u64, pool: u64| ids[draw(rng, pool) as usize];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..600 {
+            // Most steps draw from a few ids, so batches repeat ids often;
+            // some draw from all 65, the largest id included.
+            let pool = if draw(&mut rng, 4) == 0 {
+                ids.len() as u64
+            } else {
+                6
+            };
+            match draw(&mut rng, 5) {
+                0 => {
+                    let (id, p) = (pick(&mut rng, pool), point(&mut rng));
+                    assert_eq!(idx.insert(id, p), !model.contains_key(&id));
+                    model.entry(id).or_insert(p);
+                }
+                1 => {
+                    let (id, p) = (pick(&mut rng, pool), point(&mut rng));
+                    let old = model.get(&id).copied();
+                    assert_eq!(idx.relocate(id, p), old);
+                    if old.is_some() {
+                        model.insert(id, p);
+                    }
+                }
+                2 => {
+                    let id = pick(&mut rng, pool);
+                    assert_eq!(idx.remove(id), model.remove(&id));
+                }
+                _ => {
+                    let events: Vec<ObjectEvent> = (0..1 + draw(&mut rng, 10))
+                        .map(|_| match draw(&mut rng, 3) {
+                            0 => Insert {
+                                id: pick(&mut rng, pool),
+                                at: point(&mut rng),
+                            },
+                            1 => Move {
+                                id: pick(&mut rng, pool),
+                                to: point(&mut rng),
+                            },
+                            _ => Delete {
+                                id: pick(&mut rng, pool),
+                            },
+                        })
+                        .collect();
+                    fold(&mut idx, &mut model, &events);
+                }
+            }
+            assert_holds(&idx, &model, &ids);
+            if step % 50 == 0 {
+                assert_holds_all(&idx, &model);
+            }
+        }
+        assert_holds_all(&idx, &model);
+    }
+
+    /// A batch whose stamp range would run past `u32::MAX` restarts the
+    /// range, and the stamps earlier batches left near the top must not
+    /// read as the new batch's.
+    #[test]
+    fn a_batch_that_straddles_the_stamp_wrap_folds_correctly() {
+        use ObjectEvent::{Delete, Insert, Move};
+        let at = |e: u32, f: f64| NetPoint::new(EdgeId(e), f);
+        let ids: Vec<ObjectId> = (0..6).map(ObjectId).collect();
+        let mut idx = ObjectIndex::new(4);
+        let mut model = BTreeMap::new();
+        let mut fold = |idx: &mut ObjectIndex, events: &[ObjectEvent]| {
+            assert_eq!(idx.apply_events(events), reference_fold(&mut model, events));
+            assert_holds(idx, &model, &ids);
+            assert_holds_all(idx, &model);
+        };
+        let setup: Vec<ObjectEvent> = (0..5)
+            .map(|i| Insert {
+                id: ObjectId(i),
+                at: at(i % 4, 0.5),
+            })
+            .collect();
+        fold(&mut idx, &setup);
+
+        idx.stamp_base = u32::MAX - 8;
+        let near_the_top = [
+            Move {
+                id: ObjectId(0),
+                to: at(1, 0.25),
+            },
+            Move {
+                id: ObjectId(1),
+                to: at(2, 0.25),
+            },
+            Move {
+                id: ObjectId(0),
+                to: at(3, 0.25),
+            },
+            Delete { id: ObjectId(2) },
+        ];
+        fold(&mut idx, &near_the_top);
+        assert_eq!(idx.stamp_base, u32::MAX - 4);
+
+        let straddling = [
+            Move {
+                id: ObjectId(1),
+                to: at(0, 0.75),
+            },
+            Move {
+                id: ObjectId(0),
+                to: at(0, 0.125),
+            },
+            Insert {
+                id: ObjectId(2),
+                at: at(2, 0.75),
+            },
+            Delete { id: ObjectId(3) },
+            Move {
+                id: ObjectId(1),
+                to: at(1, 0.75),
+            },
+            Insert {
+                id: ObjectId(3),
+                at: at(3, 0.75),
+            },
+            Delete { id: ObjectId(0) },
+        ];
+        fold(&mut idx, &straddling);
+        assert_eq!(
+            idx.stamp_base,
+            1 + straddling.len() as u32,
+            "the range restarted"
+        );
+
+        let after = [
+            Move {
+                id: ObjectId(1),
+                to: at(3, 0.5),
+            },
+            Insert {
+                id: ObjectId(5),
+                at: at(0, 0.5),
+            },
+            Move {
+                id: ObjectId(1),
+                to: at(2, 0.5),
+            },
+        ];
+        fold(&mut idx, &after);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl RootPos {
     pub fn as_node(&self, net: &RoadNetwork) -> Option<NodeId> {
         match self {
             RootPos::Node(n) => Some(*n),
-            RootPos::Point(p) => p.as_node(net, 0.0),
+            RootPos::Point(p) => p.as_node(net),
         }
     }
 }
@@ -136,6 +136,45 @@ pub struct EdgeWeightUpdate {
 /// megabyte, three orders of magnitude above Table 2's k = 50.
 pub const MAX_K: usize = 1 << 16;
 
+/// Every object id is below this bound: object ids index the object
+/// tables (a monitor's [`crate::state::ObjectIndex`], 24 B a slot, and the
+/// engine's router, 16 B a slot), which are as long as the largest id seen
+/// plus one. 2^21 is above the largest population the scale sweep plans
+/// (1.6M objects) and caps what one valid id can cost at 48 MiB in a
+/// monitor's table and 32 MiB in the router's. [`UpdateEvent::fits`]
+/// refuses an object event whose id is not below it; query ids are not
+/// bounded.
+pub const OBJECT_ID_BOUND: u32 = 1 << 21;
+
+/// The position an object table holds for an id that is not in the
+/// system: an edge no network has, so a live slot is told from a vacant
+/// one by its edge alone.
+pub const NOWHERE: NetPoint = NetPoint {
+    edge: EdgeId(u32::MAX),
+    frac: 0.0,
+};
+
+/// The slot of `id` in an object table indexed by id, growing `table`
+/// with `vacant` slots to hold it first.
+///
+/// # Panics
+/// Panics if `id` is not below [`OBJECT_ID_BOUND`], before `table` grows:
+/// no table is sized by an unchecked id ([`UpdateEvent::fits`] is the
+/// check for input from outside the program).
+#[inline]
+pub fn object_slot<T: Clone>(table: &mut Vec<T>, id: ObjectId, vacant: T) -> &mut T {
+    assert!(
+        id.0 < OBJECT_ID_BOUND,
+        "object id {id} is not below OBJECT_ID_BOUND ({OBJECT_ID_BOUND})"
+    );
+    let i = id.index();
+    if i >= table.len() {
+        // Grows only when a new largest id registers (amortised).
+        table.resize(i + 1, vacant);
+    }
+    &mut table[i]
+}
+
 /// One submission to a monitor, unifying the three event planes. This is
 /// the currency of [`crate::monitor::ContinuousMonitor::apply`] and of the
 /// ingest front-end: producers hand the server single events out-of-band,
@@ -188,19 +227,21 @@ impl UpdateEvent {
     }
 
     /// Whether the event fits a network of `edges` edges: every edge it
-    /// names is below `edges`, an install's `k` is in `1..=MAX_K`, and a
-    /// weight is one [`rnn_roadnet::EdgeWeights`] stores
-    /// ([`rnn_roadnet::admits`]: in `[UNIT, MAX_WEIGHT]`). A monitor
-    /// panics on one that does not, so ingest and the cluster's shards
-    /// refuse it first.
+    /// names is below `edges`, an object id is below [`OBJECT_ID_BOUND`],
+    /// an install's `k` is in `1..=MAX_K`, and a weight is one
+    /// [`rnn_roadnet::EdgeWeights`] stores ([`rnn_roadnet::admits`]: in
+    /// `[UNIT, MAX_WEIGHT]`). A monitor panics on one that does not, so
+    /// ingest and the cluster's shards refuse it first.
     pub fn fits(&self, edges: usize) -> bool {
         use {ObjectEvent as O, QueryEvent as Q, UpdateEvent as U};
         let on_net = |at: NetPoint| at.edge.index() < edges;
+        let bounded = |id: ObjectId| id.0 < OBJECT_ID_BOUND;
         match *self {
-            U::Object(O::Insert { at, .. } | O::Move { to: at, .. }) => on_net(at),
+            U::Object(O::Insert { id, at } | O::Move { id, to: at }) => bounded(id) && on_net(at),
+            U::Object(O::Delete { id }) => bounded(id),
             U::Query(Q::Move { to: at, .. }) => on_net(at),
             U::Query(Q::Install { k, at, .. }) => (1..=MAX_K).contains(&k) && on_net(at),
-            U::Object(O::Delete { .. }) | U::Query(Q::Remove { .. }) => true,
+            U::Query(Q::Remove { .. }) => true,
             U::Edge(EdgeWeightUpdate { edge, new_weight }) => {
                 edge.index() < edges && rnn_roadnet::admits(new_weight)
             }

@@ -176,8 +176,9 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// of shard `s` — and so, once a pass's toggles are resynced, the set
     /// of shards holding each object on the edge.
     pub(crate) edge_mask: Vec<u64>,
-    /// Where each object is; who holds it is its edge's mask.
-    pub(crate) objects: FxHashMap<ObjectId, NetPoint>,
+    /// Where each object is, indexed by id (vacant slots at
+    /// [`rnn_core::types::NOWHERE`]); who holds it is its edge's mask.
+    pub(crate) objects: Vec<NetPoint>,
     /// Edge → resident objects, maintained on every routed object event.
     /// Lets halo rebuilds resync only the objects on changed edges.
     pub(crate) edge_obj: EdgeObjectIndex,
@@ -322,7 +323,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             shrink_streak: vec![0; cfg.num_shards],
             halo_edges: vec![FxHashSet::default(); cfg.num_shards],
             edge_mask,
-            objects: FxHashMap::default(),
+            objects: Vec::new(),
             edge_obj: EdgeObjectIndex::new(net.num_edges()),
             queries: FxHashMap::default(),
             edge_queries: FxHashMap::default(),
@@ -479,14 +480,14 @@ impl<L: ShardLink> ShardedEngine<L> {
                 ));
             }
         }
-        if self.edge_obj.len() != self.objects.len() {
+        let registered = self.object_positions().count();
+        if self.edge_obj.len() != registered {
             return Err(format!(
-                "index holds {} objects but the registry holds {}",
-                self.edge_obj.len(),
-                self.objects.len()
+                "index holds {} objects but the registry holds {registered}",
+                self.edge_obj.len()
             ));
         }
-        for (&id, pos) in &self.objects {
+        for (id, pos) in self.object_positions() {
             if !self.edge_obj.objects_on(pos.edge).contains(&id) {
                 return Err(format!(
                     "object {id:?} not indexed on its edge {:?}",
@@ -763,8 +764,7 @@ impl<L: ShardLink> ContinuousMonitor for ShardedEngine<L> {
         }
         // Router state: registries, masks, halo sets, edge→object index.
         total.auxiliary += self.edge_mask.capacity() * std::mem::size_of::<u64>()
-            + self.objects.capacity()
-                * (std::mem::size_of::<ObjectId>() + std::mem::size_of::<NetPoint>())
+            + self.objects.capacity() * std::mem::size_of::<NetPoint>()
             + self.queries.capacity()
                 * (std::mem::size_of::<QueryId>() + std::mem::size_of::<QueryRec>())
             + self
@@ -1095,6 +1095,19 @@ pub(crate) mod tests {
                 ..EngineConfig::default()
             },
         );
+    }
+
+    /// An id past the object-id bound would size the router's table; a
+    /// direct tick (ingest and the cluster refuse it at `fits`) panics
+    /// with a named message before any table grows.
+    #[test]
+    #[should_panic(expected = "is not below OBJECT_ID_BOUND")]
+    fn direct_tick_with_an_unbounded_object_id_panics() {
+        let mut eng = engine(2);
+        eng.apply(UpdateEvent::insert_object(
+            ObjectId(u32::MAX),
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
     }
 
     #[test]

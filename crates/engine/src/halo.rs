@@ -219,7 +219,7 @@ impl<L: ShardLink> ShardedEngine<L> {
                 if self.resync_seen.insert(id) {
                     touched += 1;
                 }
-                let at = self.objects[&id];
+                let at = self.objects[id.index()];
                 debug_assert_eq!(at.edge, e, "index bucket out of sync");
                 for s in ShardBits(added) {
                     self.pending[s].objects.push(ObjectEvent::Insert { id, at });

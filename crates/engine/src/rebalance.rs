@@ -626,7 +626,7 @@ mod tests {
             .collect();
         let mut eng = ShardedEngine::with_links(net, cfg, links).expect("valid config");
         let check = |eng: &ShardedEngine<LedgerLink>, ctx: &str| {
-            for (&id, pos) in &eng.objects {
+            for (id, pos) in eng.object_positions() {
                 let holders = (0..eng.num_shards())
                     .filter(|&s| eng.workers[s].held.borrow().contains(&id))
                     .fold(0u64, |bits, s| bits | 1 << s);
@@ -635,7 +635,11 @@ mod tests {
             }
             // ... and nothing else: no copy of a deleted object lingers.
             let held: usize = eng.workers.iter().map(|w| w.held.borrow().len()).sum();
-            assert_eq!(held, eng.objects.len() + eng.replica_count(), "{ctx}");
+            assert_eq!(
+                held,
+                eng.object_positions().count() + eng.replica_count(),
+                "{ctx}"
+            );
             eng.validate_replication().unwrap();
         };
 
@@ -814,11 +818,9 @@ mod tests {
             // x must be sent something to be found dead; re-reporting an
             // object where it already is changes no answer.
             kills[x].store(true, Ordering::SeqCst);
-            let (&id, &to) = dying
-                .objects
-                .iter()
-                .filter(|(_, pos)| dying.partition.shard_of_edge(pos.edge) == x as u32)
-                .min_by_key(|(id, _)| **id)
+            let (id, to) = dying
+                .object_positions()
+                .find(|(_, pos)| dying.partition.shard_of_edge(pos.edge) == x as u32)
                 .expect("an object on one of x's cells");
             let mut still = UpdateBatch::default();
             still.objects.push(ObjectEvent::Move { id, to });

@@ -12,8 +12,9 @@
 
 use std::collections::hash_map::Entry;
 
+use rnn_core::types::{object_slot, NOWHERE};
 use rnn_core::{ObjectEvent, QueryEvent};
-use rnn_roadnet::{EdgeId, FxHashMap, QueryId};
+use rnn_roadnet::{EdgeId, FxHashMap, NetPoint, ObjectId, QueryId};
 
 use crate::engine::{QueryRec, ShardBits, ShardedEngine};
 use crate::protocol::ShardLink;
@@ -31,31 +32,40 @@ fn unindex_query(edge_queries: &mut FxHashMap<EdgeId, Vec<QueryId>>, e: EdgeId, 
 }
 
 impl<L: ShardLink> ShardedEngine<L> {
+    /// Every registered object with its position, in ascending id order.
+    pub(crate) fn object_positions(&self) -> impl Iterator<Item = (ObjectId, NetPoint)> + '_ {
+        (self.objects.iter().enumerate())
+            .filter(|(_, at)| at.edge != NOWHERE.edge)
+            .map(|(i, &at)| (ObjectId::from_index(i), at))
+    }
+
     /// Routes one object event to every shard that must see it — the owner
     /// of the object's edge plus each shard whose halo holds that edge —
     /// and keeps the registry and the edge→object index in step.
+    ///
+    /// # Panics
+    /// Panics if the event's id is not below
+    /// [`rnn_core::types::OBJECT_ID_BOUND`], before the registry grows.
     pub(crate) fn route_object_event(&mut self, ev: &ObjectEvent) {
         match *ev {
             // A move of an unknown object is an appearance, matching the
             // monitors' own coalescing (state.rs).
             ObjectEvent::Move { id, to } | ObjectEvent::Insert { id, at: to } => {
                 let desired = self.edge_mask[to.edge.index()];
-                let old = match self.objects.insert(id, to) {
+                let from = std::mem::replace(object_slot(&mut self.objects, id, NOWHERE), to);
+                let old = if from.edge != NOWHERE.edge {
                     // A known object is held by the shards that see the edge
                     // it leaves; the index hears of it only when the edge
                     // changed.
-                    Some(from) => {
-                        if from.edge != to.edge {
-                            self.edge_obj.relocate(from.edge, to.edge, id);
-                        }
-                        self.edge_mask[from.edge.index()]
+                    if from.edge != to.edge {
+                        self.edge_obj.relocate(from.edge, to.edge, id);
                     }
+                    self.edge_mask[from.edge.index()]
+                } else {
                     // Nobody holds an unknown object yet, so every desired
                     // shard gets an Insert.
-                    None => {
-                        self.edge_obj.insert(to.edge, id);
-                        0
-                    }
+                    self.edge_obj.insert(to.edge, id);
+                    0
                 };
                 for s in ShardBits(old & desired) {
                     self.pending[s].objects.push(ObjectEvent::Move { id, to });
@@ -70,7 +80,8 @@ impl<L: ShardLink> ShardedEngine<L> {
                 }
             }
             ObjectEvent::Delete { id } => {
-                if let Some(pos) = self.objects.remove(&id) {
+                let pos = std::mem::replace(object_slot(&mut self.objects, id, NOWHERE), NOWHERE);
+                if pos.edge != NOWHERE.edge {
                     self.edge_obj.remove(pos.edge, id);
                     for s in ShardBits(self.edge_mask[pos.edge.index()]) {
                         self.pending[s].objects.push(ObjectEvent::Delete { id });

@@ -74,13 +74,13 @@ impl NetPoint {
         }
     }
 
-    /// If the point coincides (within `eps` of the fraction) with one of the
-    /// edge's endpoints, returns that node.
-    pub fn as_node(&self, net: &RoadNetwork, eps: f64) -> Option<NodeId> {
+    /// If the point is one of the edge's endpoints (fraction exactly 0 or
+    /// 1), returns that node.
+    pub fn as_node(&self, net: &RoadNetwork) -> Option<NodeId> {
         let edge = net.edge(self.edge);
-        if self.frac <= eps {
+        if self.frac == 0.0 {
             Some(edge.start)
-        } else if self.frac >= 1.0 - eps {
+        } else if self.frac == 1.0 {
             Some(edge.end)
         } else {
             None
@@ -154,11 +154,13 @@ mod tests {
     fn node_snapping() {
         let net = triangle();
         let p = NetPoint::new(EdgeId(0), 0.0);
-        assert_eq!(p.as_node(&net, 1e-9), Some(NodeId(0)));
+        assert_eq!(p.as_node(&net), Some(NodeId(0)));
         let p = NetPoint::new(EdgeId(0), 1.0);
-        assert_eq!(p.as_node(&net, 1e-9), Some(NodeId(1)));
-        let p = NetPoint::new(EdgeId(0), 0.5);
-        assert_eq!(p.as_node(&net, 1e-9), None);
+        assert_eq!(p.as_node(&net), Some(NodeId(1)));
+        // Exact: a point one ulp inside the edge is not its endpoint.
+        for frac in [0.5, f64::EPSILON, 1.0 - f64::EPSILON] {
+            assert_eq!(NetPoint::new(EdgeId(0), frac).as_node(&net), None);
+        }
     }
 
     #[test]
@@ -166,7 +168,7 @@ mod tests {
         let net = triangle();
         for n in net.node_ids() {
             let p = NetPoint::at_node(&net, n).unwrap();
-            assert_eq!(p.as_node(&net, 1e-9), Some(n));
+            assert_eq!(p.as_node(&net), Some(n));
             assert!(p.coordinates(&net).dist(net.node_pos(n)) < 1e-12);
         }
     }

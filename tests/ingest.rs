@@ -23,16 +23,17 @@
 //!   [`IngestError::Full`] with its bound — never a panic, never
 //!   silence.
 //! * **A hostile producer cannot panic the coordinator**: an event that
-//!   does not fit the network (an edge past it, `k` = 0 or above
-//!   `MAX_K`, a weight outside `[UNIT, MAX_WEIGHT]`: NaN, infinite,
-//!   negative, zero, under one unit or too large) is refused at submit
+//!   does not fit the network (an edge past it, an object id not below
+//!   `OBJECT_ID_BOUND`, `k` = 0 or above `MAX_K`, a weight outside
+//!   `[UNIT, MAX_WEIGHT]`: NaN, infinite, negative, zero, under one unit
+//!   or too large) is refused at submit
 //!   with [`IngestError::Invalid`], and the next valid tick answers
 //!   exactly as an untouched twin's.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rnn_monitor::core::types::MAX_K;
+use rnn_monitor::core::types::{MAX_K, OBJECT_ID_BOUND};
 use rnn_monitor::core::{ContinuousMonitor, TickReport, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{
     AdmissionPolicy, EngineConfig, IngestConfig, IngestError, IngestHub, ShardedEngine,
@@ -338,6 +339,18 @@ fn hostile_producer_is_refused_at_submit_and_changes_nothing() {
         (
             "query move past the network",
             UpdateEvent::move_query(query, past),
+        ),
+        (
+            "insert with an id at the bound",
+            UpdateEvent::insert_object(ObjectId(OBJECT_ID_BOUND), on),
+        ),
+        (
+            "move with the largest id",
+            UpdateEvent::move_object(ObjectId(u32::MAX), on),
+        ),
+        (
+            "delete with the largest id",
+            UpdateEvent::delete_object(ObjectId(u32::MAX)),
         ),
         ("weight on edge |E|", UpdateEvent::edge(EdgeId(n), 1.0)),
         ("NaN weight", UpdateEvent::edge(EdgeId(3), f64::NAN)),
