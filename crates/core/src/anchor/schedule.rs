@@ -49,7 +49,7 @@ use rnn_roadnet::{EdgeId, FxHashSet, NetPoint, NodeId, ObjectId, RoadNetwork};
 use super::{AnchorRec, AnchorSet};
 use crate::counters::{push_charged, OpCounters, SCRATCH_ROOM};
 use crate::influence::{IntervalSet, INTERVAL_SLACK};
-use crate::state::{EdgeDelta, NetworkState, ObjectDelta};
+use crate::state::{EdgeDelta, NetworkState, ObjectDelta, OnEdge};
 use crate::types::{Neighbor, RootPos};
 
 /// Per-anchor work accumulated while scanning a tick's updates.
@@ -474,7 +474,10 @@ fn requeue_objects_on(
     objects: &mut Chains<(ObjectId, Option<NetPoint>)>,
     counters: &mut OpCounters,
 ) {
-    for &(obj, frac) in state.objects.on_edge(edge) {
+    for &OnEdge {
+        object: obj, frac, ..
+    } in state.objects.on_edge(edge)
+    {
         let at = Some(NetPoint::new(edge, frac));
         objects.push(&mut work.objects, (obj, at), &mut counters.alloc_events);
     }

@@ -26,11 +26,33 @@ use rnn_roadnet::{FxHashMap, FxHashSet, NetPoint, ObjectId, QueryId, RoadNetwork
 use crate::anchor::AnchorSet;
 use crate::counters::{MemoryUsage, OpCounters, TickReport};
 use crate::state::NetworkState;
-use crate::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent};
+use crate::types::{ObjectEvent, QueryEvent, RootPos, UpdateBatch, UpdateEvent, OBJECT_ID_BOUND};
+
+/// Why [`Crnn::tick`] refused a batch. A refused batch changes nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum CrnnError {
+    /// The first event of the batch the monitor cannot hold: one that
+    /// fails [`UpdateEvent::fits`] for the network, or a query event whose
+    /// id is not below [`OBJECT_ID_BOUND`] (query ids index the table of
+    /// the entities searched here).
+    Unfit(UpdateEvent),
+}
+
+impl std::fmt::Display for CrnnError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CrnnError::Unfit(ev) => write!(f, "event {ev:?} does not fit the monitor"),
+        }
+    }
+}
+
+impl std::error::Error for CrnnError {}
 
 /// Continuous reverse-NN monitor: for every query, the set of objects whose
 /// nearest query it is.
 pub struct Crnn {
+    /// The network's edge count, against which events are checked.
+    edges: usize,
     /// Role-inverted state: `state.objects` holds the *queries* (they are
     /// the "data" being searched for), while the monitored anchors are the
     /// data objects.
@@ -46,6 +68,7 @@ impl Crnn {
     /// Creates a CRNN server over `net`.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
         Self {
+            edges: net.num_edges(),
             state: NetworkState::new(&net),
             anchors: AnchorSet::new(net),
             assignment: FxHashMap::default(),
@@ -58,8 +81,9 @@ impl Crnn {
     /// [`crate::ContinuousMonitor::apply`]: installing or removing a
     /// query (e.g. a vacant cab; `k` is ignored — every object tracks
     /// its one nearest query), inserting or deleting an object (e.g. a
-    /// client waiting for a taxi), a move, an edge update.
-    pub fn apply(&mut self, event: UpdateEvent) -> TickReport {
+    /// client waiting for a taxi), a move, an edge update. Refuses what
+    /// [`Self::tick`] refuses.
+    pub fn apply(&mut self, event: UpdateEvent) -> Result<TickReport, CrnnError> {
         let mut batch = UpdateBatch::default();
         batch.push(event);
         self.tick(&batch)
@@ -119,15 +143,40 @@ impl Crnn {
         }
     }
 
+    /// Whether every event of `batch` fits the monitor; the first that
+    /// does not, otherwise.
+    fn check(&self, batch: &UpdateBatch) -> Result<(), CrnnError> {
+        let objects = batch.objects.iter().map(|&ev| UpdateEvent::Object(ev));
+        let queries = batch.queries.iter().map(|&ev| UpdateEvent::Query(ev));
+        let edges = batch.edges.iter().map(|&ev| UpdateEvent::Edge(ev));
+        let bounded = |ev: &UpdateEvent| match *ev {
+            UpdateEvent::Query(
+                QueryEvent::Install { id, .. }
+                | QueryEvent::Move { id, .. }
+                | QueryEvent::Remove { id },
+            ) => id.0 < OBJECT_ID_BOUND,
+            _ => true,
+        };
+        match objects
+            .chain(queries)
+            .chain(edges)
+            .find(|ev| !ev.fits(self.edges) || !bounded(ev))
+        {
+            Some(ev) => Err(CrnnError::Unfit(ev)),
+            None => Ok(()),
+        }
+    }
+
     /// Processes one timestamp. The batch's *queries* move the cabs (the
     /// entities being assigned to) and its *objects* move the clients (the
     /// entities whose nearest cab is tracked); edge updates apply as usual.
     ///
-    /// # Panics
-    /// Panics if a query id is not below
-    /// [`crate::types::OBJECT_ID_BOUND`]: query ids index the object table
-    /// here.
-    pub fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
+    /// A batch holding an event the monitor cannot hold is refused whole,
+    /// before anything changes: an event that fails [`UpdateEvent::fits`],
+    /// or a query id not below [`OBJECT_ID_BOUND`] (query ids index the
+    /// object table here).
+    pub fn tick(&mut self, batch: &UpdateBatch) -> Result<TickReport, CrnnError> {
+        self.check(batch)?;
         let start = Instant::now();
         let mut counters = OpCounters::default();
 
@@ -214,11 +263,11 @@ impl Crnn {
             }
         }
 
-        TickReport {
+        Ok(TickReport {
             elapsed: start.elapsed(),
             results_changed,
             counters,
-        }
+        })
     }
 
     /// Resident memory of the monitor.
@@ -247,12 +296,14 @@ mod tests {
             QueryId(100),
             1,
             NetPoint::new(EdgeId(0), 0.0),
-        )); // x=0
+        ))
+        .unwrap(); // x=0
         c.apply(UpdateEvent::install_query(
             QueryId(200),
             1,
             NetPoint::new(EdgeId(4), 1.0),
-        )); // x=5
+        ))
+        .unwrap(); // x=5
         c
     }
 
@@ -262,15 +313,18 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(0), 0.5),
-        )); // x=0.5 -> q100
+        ))
+        .unwrap(); // x=0.5 -> q100
         c.apply(UpdateEvent::insert_object(
             ObjectId(2),
             NetPoint::new(EdgeId(4), 0.5),
-        )); // x=4.5 -> q200
+        ))
+        .unwrap(); // x=4.5 -> q200
         c.apply(UpdateEvent::insert_object(
             ObjectId(3),
             NetPoint::new(EdgeId(1), 0.0),
-        )); // x=1.0 -> q100
+        ))
+        .unwrap(); // x=1.0 -> q100
         assert_eq!(
             c.reverse_nns(QueryId(100)).unwrap(),
             vec![ObjectId(1), ObjectId(3)]
@@ -285,15 +339,18 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(0), 0.5),
-        ));
+        ))
+        .unwrap();
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
-        let rep = c.tick(&UpdateBatch {
-            objects: vec![ObjectEvent::Move {
-                id: ObjectId(1),
-                to: NetPoint::new(EdgeId(4), 0.75),
-            }],
-            ..Default::default()
-        });
+        let rep = c
+            .tick(&UpdateBatch {
+                objects: vec![ObjectEvent::Move {
+                    id: ObjectId(1),
+                    to: NetPoint::new(EdgeId(4), 0.75),
+                }],
+                ..Default::default()
+            })
+            .unwrap();
         assert_eq!(rep.results_changed, 1);
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(200)));
         assert!(c.reverse_nns(QueryId(100)).unwrap().is_empty());
@@ -305,15 +362,17 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(2), 0.5),
-        )); // x=2.5: q100 at 2.5, q200 at 2.5 — tie; dist tie broken by id.
-            // Break the tie deterministically: move q200 closer.
+        ))
+        .unwrap(); // x=2.5: q100 at 2.5, q200 at 2.5 — tie; dist tie broken by id.
+                   // Break the tie deterministically: move q200 closer.
         c.tick(&UpdateBatch {
             queries: vec![QueryEvent::Move {
                 id: QueryId(200),
                 to: NetPoint::new(EdgeId(3), 0.0),
             }],
             ..Default::default()
-        });
+        })
+        .unwrap();
         // q200 now at x=3: distance 0.5 vs q100's 2.5.
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(200)));
     }
@@ -324,9 +383,10 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(0), 0.5),
-        ));
+        ))
+        .unwrap();
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
-        c.apply(UpdateEvent::remove_query(QueryId(100)));
+        c.apply(UpdateEvent::remove_query(QueryId(100))).unwrap();
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(200)));
         assert!(c.reverse_nns(QueryId(100)).is_none());
     }
@@ -337,7 +397,8 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(2), 0.25),
-        )); // x=2.25: q100 at 2.25, q200 at 2.75
+        ))
+        .unwrap(); // x=2.25: q100 at 2.25, q200 at 2.75
         assert_eq!(c.nearest_query_of(ObjectId(1)), Some(QueryId(100)));
         // Make the left part of the line very heavy.
         c.tick(&UpdateBatch {
@@ -346,7 +407,8 @@ mod tests {
                 new_weight: 10.0,
             }],
             ..Default::default()
-        });
+        })
+        .unwrap();
         // q100 now at 10*? object on edge2 — distance via edges 1,0:
         // 0.25 + 1 + 10 = 11.25 ... wait q100 sits at frac 0 of edge 0, so
         // x-position unchanged but path crosses the heavy edge: 11.25 vs
@@ -360,8 +422,9 @@ mod tests {
         c.apply(UpdateEvent::insert_object(
             ObjectId(1),
             NetPoint::new(EdgeId(0), 0.5),
-        ));
-        c.apply(UpdateEvent::delete_object(ObjectId(1)));
+        ))
+        .unwrap();
+        c.apply(UpdateEvent::delete_object(ObjectId(1))).unwrap();
         assert_eq!(c.num_objects(), 0);
         assert!(c.reverse_nns(QueryId(100)).unwrap().is_empty());
         assert_eq!(c.nearest_query_of(ObjectId(1)), None);

@@ -15,47 +15,62 @@
 //!
 //! ## A query is answered by a merge
 //!
-//! Lemma 1's union is taken as a **3-way merge of sorted lists**, emitting
+//! Lemma 1's union is taken as a **4-way merge of sorted lists**, emitting
 //! the first k *distinct* objects (`merge_first_k`):
 //!
-//! * the in-sequence candidates — the objects the within-sequence walk
-//!   passes, at their along-sequence distance — gathered into a small
-//!   buffer and sorted by `(dist, id)`;
+//! * the in-sequence candidates, as two **runs**, one per walk direction:
+//!   the objects the walk passes on its way toward the sequence's start
+//!   and toward its end, at their along-sequence distance, each run in
+//!   `(dist, id)` order as it grows;
 //! * the monitored NN set of each reachable endpoint, **borrowed as it
 //!   is**: an active node keeps its result sorted by `(dist, id)`, and
 //!   adding the query's along-sequence distance to that endpoint to every
 //!   entry is monotone, so the offset list is still sorted and is read in
 //!   place.
 //!
+//! A run is read off edges kept in order, not sorted per query: the
+//! object index threads each edge's order by fraction through its entries
+//! ([`ObjectIndex::ranked`](crate::state::ObjectIndex::ranked)), written
+//! the first time a walk reads the edge after its objects last changed
+//! and read in place by every evaluation after it. An offset along an edge
+//! never decreases with the fraction, so under any weights that order is
+//! the edge's order by distance from its start. The walk reads its edges
+//! in distance order — an edge entered at its start forward, one entered
+//! at its end backward, the query's own edge split at the query and read
+//! outward both ways — so every candidate it appends to a run is at least
+//! as far as the run's last; a candidate tying with the last at a smaller
+//! id (an edge read backward, two fractions one offset apart, two edges
+//! meeting at a node) bubbles back by id. Off a cycle a run keeps only its
+//! k smallest: once it holds k, the rest of an edge is read only while it
+//! ties with the k-th.
+//!
 //! An object can sit in several lists (in the sequence *and* in an endpoint
 //! set; in both endpoint sets). The merge emits in ascending distance, so
 //! an object's **first sighting is its smallest instance** — the paper's
 //! "keep only the instance with the smallest distance" needs nothing but a
-//! seen-set, and the merge stops after about k steps instead of pushing
-//! every candidate through a sorted insert. Distances are multiples of the
-//! network's distance unit ([`rnn_roadnet::UNIT`]), so an offset sum is
-//! exact and keeps its list's `(dist, id)` order: the merge emits in that
-//! order with no repair. The result is exactly the k smallest `(dist, id)`
-//! of the union, ties included: once it holds k, the merge reads on
-//! through the candidates that tie with the k-th, letting a smaller id take
-//! its place.
+//! seen-set (one bit per object id), and the merge stops after about k
+//! steps instead of pushing every candidate through a sorted insert.
+//! Distances are multiples of the network's distance unit
+//! ([`rnn_roadnet::UNIT`]), so an offset sum is exact and keeps its list's
+//! `(dist, id)` order: the merge emits in that order with no repair, and
+//! the result is exactly the k smallest `(dist, id)` of the union, ties
+//! included. Once it holds k, the merge reads on through the candidates
+//! that tie with the k-th — each an object emitted already or one of a
+//! larger id — and takes none of them.
 //!
 //! **Where the walk stops.** A direction stops at the first boundary node
 //! that already has k distinct in-sequence candidates strictly nearer than
 //! itself — everything further along is strictly beyond the k-th candidate
-//! of the walk alone, hence of the union. That is the bound the live k-th
-//! of a sorted accumulator would give, taken as a count over the buffer at
-//! each boundary instead of kept in order at every push. The buffer is cut
-//! back to its k nearest whenever it reaches 2k, which changes no count
-//! that reaches k and keeps the buffer, and the count, O(k) on a crowded
-//! edge.
+//! of the walk alone, hence of the union. Off a cycle the runs hold no
+//! object twice, so that count is a partition point per run; a run cut
+//! back to its k smallest changes no count that reaches k.
 //!
 //! **Cycles.** A cycle sequence is walked all the way round in both
 //! directions (ending with a re-scan of the query's own edge from its far
-//! side), so every object on it enters the walk buffer twice, once per way
-//! round. There the buffer is never cut and the count goes through the
-//! seen-set; sorted, the buffer hands the merge the shorter way first and
-//! the seen-set drops the longer one.
+//! side), so every object on it enters the runs more than once. There a
+//! run keeps every candidate and the count goes through the seen-set; the
+//! merge meets the shorter way first and the seen-set drops the longer
+//! one.
 //!
 //! ## Maintenance
 //!
@@ -83,9 +98,8 @@ use crate::anchor::AnchorSet;
 use crate::counters::{push_charged, reserve_charged, MemoryUsage, OpCounters, TickReport};
 use crate::influence::{InfluenceTable, IntervalSet, INTERVAL_SLACK};
 use crate::monitor::ContinuousMonitor;
-use crate::search::StampTable;
 use crate::snapshot::MonitorState;
-use crate::state::NetworkState;
+use crate::state::{NetworkState, OnEdge};
 use crate::types::{cmp_neighbors, Neighbor, RootPos, UpdateBatch};
 
 struct GmaQuery {
@@ -105,20 +119,58 @@ struct GmaQuery {
 
 /// The reused buffers of [`Gma::eval_query`]. Each is given the room its
 /// bound calls for where that bound is set — the longest sequence at
-/// construction, `k` when a query is installed — so an evaluation grows
-/// one only on a cycle sequence, whose walk buffer has no bound; that
-/// growth is charged to `alloc_events`.
+/// construction, `k` when a query is installed, the object table's length
+/// at the start of a tick — so an evaluation grows one only on a cycle
+/// sequence, whose runs have no bound; that growth is charged to
+/// `alloc_events`.
 #[derive(Default)]
 struct EvalScratch {
-    /// In-sequence candidates of the evaluation in progress.
-    walk: Vec<Neighbor>,
+    /// The in-sequence candidates of the evaluation in progress: the run
+    /// toward the sequence's start and the run toward its end.
+    runs: [Vec<Neighbor>; 2],
     /// The merged result; swapped with the query's when it differs.
     merged: Vec<Neighbor>,
     /// Objects the merge has emitted (and, on cycles, the walk's count of
-    /// distinct candidates).
-    seen: StampTable<()>,
+    /// distinct candidates); empty between uses.
+    seen: ObjectBits,
     /// The influence intervals being rebuilt, one entry per edge.
     intervals: Vec<(EdgeId, IntervalSet)>,
+}
+
+/// A set of object ids, one bit per id below the object table's length.
+/// Its users unset what they set, so it is empty between uses.
+#[derive(Default)]
+struct ObjectBits(Vec<u64>);
+
+impl ObjectBits {
+    /// Room for every id below `ids`, the length of the object table
+    /// (`ObjectIndex::id_bound`). So the set grows only in a tick in which
+    /// that table did, a growth that table does not count either.
+    fn cover(&mut self, ids: usize) {
+        let words = ids.div_ceil(64);
+        if words > self.0.len() {
+            self.0.resize(words, 0);
+        }
+    }
+
+    /// Adds `object`; whether it was not in the set.
+    #[inline]
+    fn insert(&mut self, object: ObjectId) -> bool {
+        let (word, bit) = (object.index() / 64, 1 << (object.0 % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    #[inline]
+    fn contains(&self, object: ObjectId) -> bool {
+        self.0[object.index() / 64] & (1 << (object.0 % 64)) != 0
+    }
+
+    #[inline]
+    fn remove(&mut self, object: ObjectId) {
+        self.0[object.index() / 64] &= !(1 << (object.0 % 64));
+    }
 }
 
 /// The group monitoring algorithm.
@@ -152,88 +204,150 @@ pub struct Gma {
     rekeyed: Vec<(QueryId, u64)>,
     /// … and the nodes whose k demand this tick's query events touched.
     touched_nodes: Vec<NodeId>,
-    /// Per-tick scratch: how many re-evaluated queries took a candidate
-    /// from each active node's monitored expansion this tick. Every use
-    /// beyond the first is one network expansion that did not run — GMA's
-    /// expansion sharing (Lemma 1), surfaced through
+    /// Per node, the tick in which a re-evaluated query last took a
+    /// candidate from its monitored expansion (0 = never). Every use beyond
+    /// a node's first in a tick is one network expansion that did not run
+    /// — GMA's expansion sharing (Lemma 1), surfaced through
     /// [`OpCounters::shared_expansions`].
-    tick_served: FxHashMap<NodeId, u32>,
+    served: Vec<u32>,
+    /// The current tick, counted from 1.
+    tick: u32,
 }
 
-/// Emits into `out` the first `k` distinct objects of the merge of three
+/// Emits into `out` the first `k` distinct objects of the merge of four
 /// lists, each sorted by `(dist, id)` and read with its offset added to
 /// every distance — Lemma 1's union with the smallest instance kept per
 /// object, as the k smallest `(dist, id)` (see the module docs for why the
 /// first sighting is the smallest instance and how ties with the k-th are
-/// read). Returns how many entries of each list were consumed.
+/// read). `seen` is empty on entry and on return. Returns how many entries
+/// of each list were consumed.
 fn merge_first_k(
     k: usize,
-    lists: [(&[Neighbor], f64); 3],
-    seen: &mut StampTable<()>,
+    lists: [(&[Neighbor], f64); 4],
+    seen: &mut ObjectBits,
     out: &mut Vec<Neighbor>,
     allocs: &mut u64,
-) -> [usize; 3] {
-    let head = |list: usize, at: usize| match lists[list].0.get(at) {
-        Some(n) => (lists[list].1 + n.dist, n.object),
-        None => (f64::INFINITY, ObjectId(u32::MAX)),
-    };
+) -> [usize; 4] {
+    debug_assert!(
+        lists
+            .iter()
+            .all(|(l, _)| l.windows(2).all(|p| cmp_neighbors(&p[0], &p[1]).is_le())),
+        "a merge input is not sorted by (dist, id)"
+    );
+    // A head as one integer: the bits of a non-negative distance order
+    // like the distance, so `(dist, id)` orders like `bits << 32 | id`.
+    // An exhausted list reads as the largest key.
+    fn key((entries, base): (&[Neighbor], f64), at: usize) -> u128 {
+        entries.get(at).map_or(u128::MAX, |n| {
+            let dist = base + n.dist;
+            debug_assert!(dist.is_sign_positive());
+            u128::from(dist.to_bits()) << 32 | u128::from(n.object.0)
+        })
+    }
     out.clear();
-    seen.clear();
-    let mut at = [0usize; 3];
-    let mut heads = [head(0, 0), head(1, 0), head(2, 0)];
+    // One local per list for its head and its read position, not arrays
+    // indexed by the list picked: locals stay in registers, and a step is
+    // a few compares and one load (arrays sent both through memory on
+    // every step, a quarter of the merge's time).
+    let [l0, l1, l2, l3] = lists;
+    let (mut a0, mut a1, mut a2, mut a3) = (0, 0, 0, 0);
+    let (mut h0, mut h1, mut h2, mut h3) = (key(l0, 0), key(l1, 0), key(l2, 0), key(l3, 0));
+    // The bits of the k-th's distance once `out` holds k.
+    let mut kth = u64::MAX;
     loop {
-        let mut m = 0;
-        if heads[1] < heads[m] {
-            m = 1;
-        }
-        if heads[2] < heads[m] {
-            m = 2;
-        }
-        let (dist, object) = heads[m];
-        let full = out.len() == k;
+        let (m01, k01) = if h1 < h0 { (1, h1) } else { (0, h0) };
+        let (m23, k23) = if h3 < h2 { (3, h3) } else { (2, h2) };
+        let (m, head) = if k23 < k01 { (m23, k23) } else { (m01, k01) };
+        let bits = (head >> 32) as u64;
         // All lists exhausted, or k emitted and this one strictly beyond
         // the k-th.
-        if dist == f64::INFINITY || (full && dist > out[k - 1].dist) {
+        if head == u128::MAX || bits > kth {
             break;
         }
-        at[m] += 1;
-        heads[m] = head(m, at[m]);
-        if !seen.first_sighting(object) {
+        match m {
+            0 => (a0, h0) = (a0 + 1, key(l0, a0 + 1)),
+            1 => (a1, h1) = (a1 + 1, key(l1, a1 + 1)),
+            2 => (a2, h2) = (a2 + 1, key(l2, a2 + 1)),
+            _ => (a3, h3) = (a3 + 1, key(l3, a3 + 1)),
+        }
+        let object = ObjectId(head as u32);
+        if kth != u64::MAX {
+            // A tie with the k-th: emitted already, or after it in id.
+            debug_assert!(seen.contains(object) || object > out[k - 1].object);
             continue;
         }
-        let next = Neighbor { object, dist };
-        if !full {
-            debug_assert!(out.last().map_or(true, |l| cmp_neighbors(l, &next).is_lt()));
-            push_charged(out, next, allocs);
-        } else if object < out[k - 1].object {
-            // Ties with the k-th at a smaller id: it takes its place among
-            // the k, which stay sorted, and the k-th drops out.
-            out.pop();
-            let to = out.partition_point(|n| cmp_neighbors(n, &next).is_lt());
-            out.insert(to, next);
+        if !seen.insert(object) {
+            continue;
+        }
+        let dist = f64::from_bits(bits);
+        push_charged(out, Neighbor { object, dist }, allocs);
+        if out.len() == k {
+            kth = bits;
         }
     }
-    at
+    for n in out.iter() {
+        seen.remove(n.object);
+    }
+    [a0, a1, a2, a3]
 }
 
-/// Whether at least `k` distinct objects of `walk` lie strictly nearer than
-/// `bound`. `distinct` is the seen-set to count through when the buffer can
-/// hold an object twice (cycle sequences), `None` when it cannot.
+/// Whether at least `k` distinct objects of the two runs lie strictly
+/// nearer than `bound`. `distinct` is the seen-set to count through when
+/// the runs can hold an object twice (cycle sequences), `None` when they
+/// cannot.
 fn k_nearer_than(
-    walk: &[Neighbor],
+    runs: &[Vec<Neighbor>; 2],
     k: usize,
     bound: f64,
-    distinct: Option<&mut StampTable<()>>,
+    distinct: Option<&mut ObjectBits>,
 ) -> bool {
-    if walk.len() < k {
+    if runs[0].len() + runs[1].len() < k {
         return false;
     }
-    let nearer = walk.iter().filter(|n| n.dist < bound);
+    let nearer = |r: &[Neighbor]| r.partition_point(|n| n.dist < bound);
+    let (a, b) = (&runs[0][..nearer(&runs[0])], &runs[1][..nearer(&runs[1])]);
     match distinct {
-        None => nearer.count() >= k,
+        None => a.len() + b.len() >= k,
         Some(seen) => {
-            seen.clear();
-            nearer.filter(|n| seen.first_sighting(n.object)).count() >= k
+            let count = a.iter().chain(b).filter(|n| seen.insert(n.object)).count();
+            for n in a.iter().chain(b) {
+                seen.remove(n.object);
+            }
+            count >= k
+        }
+    }
+}
+
+/// Appends to `run` the candidates of one edge, which come in ascending
+/// distance, each at least as far as the run's last; ties may come in any
+/// id order. The run stays sorted by `(dist, id)` — a tie bubbles back by
+/// id — and, given a `cap`, holds only its `cap` smallest: the edge is read
+/// on only while its candidates tie with the last.
+fn extend_run(
+    run: &mut Vec<Neighbor>,
+    cap: Option<usize>,
+    candidates: impl Iterator<Item = Neighbor>,
+    allocs: &mut u64,
+) {
+    for next in candidates {
+        debug_assert!(run.last().map_or(true, |l| l.dist <= next.dist));
+        if let Some(&last) = run.last().filter(|_| cap == Some(run.len())) {
+            if next.dist > last.dist {
+                break;
+            }
+            if next.object > last.object {
+                continue;
+            }
+            run.pop();
+        }
+        let ties = run.iter().rev();
+        let to = run.len()
+            - ties
+                .take_while(|n| n.dist == next.dist && n.object > next.object)
+                .count();
+        push_charged(run, next, allocs);
+        if to + 1 < run.len() {
+            run[to..].rotate_right(1);
         }
     }
 }
@@ -287,8 +401,9 @@ impl Gma {
             rekeyed: Vec::new(),
             // lint: allow(hot-path-alloc): an empty Vec allocates nothing; the tick charges its growth
             touched_nodes: Vec::new(),
-            // lint: allow(hot-path-alloc): construction; grows with the set of active nodes
-            tick_served: FxHashMap::default(),
+            // lint: allow(hot-path-alloc): construction
+            served: vec![0; net.num_nodes()],
+            tick: 0,
             net,
         }
     }
@@ -405,31 +520,31 @@ impl Gma {
     }
 
     /// Within-sequence evaluation (§5) — Lemma 1 as a merge (see the
-    /// module docs): gather the in-sequence candidates by walking both
-    /// directions from the query, sort that small buffer, merge it with
+    /// module docs): read the in-sequence candidates into one run per
+    /// direction by walking both ways from the query, merge the runs with
     /// the borrowed, offset NN sets of the reachable endpoints into the
     /// first k distinct objects, swap the result in if it differs, and
-    /// rebuild the query's influence intervals. Returns whether the
-    /// result changed. `q` is `qid`'s record, set aside by the tick with
-    /// the rest of the query table.
+    /// rebuild the query's influence intervals. Returns whether the result
+    /// changed. `q` is `qid`'s record, set aside by the tick with the rest
+    /// of the query table.
     fn eval_query(&mut self, qid: QueryId, q: &mut GmaQuery, counters: &mut OpCounters) -> bool {
         counters.reevaluations += 1;
         let (k, pos, seq) = (q.k, q.pos, q.seq);
         let s = self.seqs.sequence(seq);
         let i0 = s.edge_offset(pos.edge).expect("query edge in its sequence");
-        let w0 = self.state.weights.get(pos.edge);
         let mut scratch = std::mem::take(&mut self.eval);
 
-        // (i) The objects in s: the query's own edge, then outward in each
-        // direction (edges i0-1 .. 0 toward the start, i0+1 .. toward the
-        // end).
-        scratch.walk.clear();
-        let at = offset(pos.frac, w0);
-        let from_query = |f: f64| (offset(f, w0) - at).abs();
-        self.gather_edge(pos.edge, from_query, s, k, &mut scratch.walk, counters);
-        self.walk_direction(s, i0, pos, true, k, &mut scratch, counters);
-        self.walk_direction(s, i0, pos, false, k, &mut scratch, counters);
-        scratch.walk.sort_unstable_by(cmp_neighbors);
+        // (i) The objects in s, one run per direction.
+        Self::walk(
+            &self.net,
+            &mut self.state,
+            s,
+            i0,
+            pos,
+            k,
+            &mut scratch,
+            counters,
+        );
 
         // (ii) The NN sets of the endpoints, at the along-sequence distance
         // from q to each. Terminals and isolated-cycle breakpoints
@@ -441,8 +556,14 @@ impl Gma {
         } else {
             [Some((s.start_node(), d_start)), Some((s.end_node(), d_end))]
         };
-        let mut lists: [(&[Neighbor], f64); 3] = [(&scratch.walk, 0.0), (&[], 0.0), (&[], 0.0)];
-        for (list, exit) in lists[1..].iter_mut().zip(exits) {
+        let [toward_start, toward_end] = &scratch.runs;
+        let mut lists: [(&[Neighbor], f64); 4] = [
+            (toward_start, 0.0),
+            (toward_end, 0.0),
+            (&[], 0.0),
+            (&[], 0.0),
+        ];
+        for (list, exit) in lists[2..].iter_mut().zip(exits) {
             let Some((n, base)) = exit.filter(|&(n, _)| self.net.degree(n) >= 3) else {
                 continue;
             };
@@ -460,10 +581,11 @@ impl Gma {
             &mut scratch.merged,
             &mut counters.alloc_events,
         );
-        for (&taken, exit) in taken[1..].iter().zip(exits) {
+        for (&taken, exit) in taken[2..].iter().zip(exits) {
             if let (true, Some((n, _))) = (taken > 0, exit) {
                 counters.objects_considered += taken as u64;
-                *self.tick_served.entry(n).or_default() += 1;
+                let served = std::mem::replace(&mut self.served[n.index()], self.tick);
+                counters.shared_expansions += u64::from(served == self.tick);
             }
         }
 
@@ -520,63 +642,84 @@ impl Gma {
         }
     }
 
-    /// Adds the objects of edge `e` to the walk buffer, each at `dist_of`
-    /// its fraction. Only the k nearest can matter, and off a cycle every
-    /// object enters the buffer once: there it is cut back to its k
-    /// smallest whenever it reaches 2k, so a crowded edge costs O(1) per
-    /// object and the buffer stays small. On a cycle the buffer holds
-    /// objects twice and is left whole.
-    fn gather_edge(
-        &self,
-        e: EdgeId,
-        dist_of: impl Fn(f64) -> f64,
-        s: &Sequence,
-        k: usize,
-        walk: &mut Vec<Neighbor>,
-        counters: &mut OpCounters,
-    ) {
-        counters.edges_scanned += 1;
-        for &(object, f) in self.state.objects.on_edge(e) {
-            counters.objects_considered += 1;
-            let dist = dist_of(f);
-            push_charged(walk, Neighbor { object, dist }, &mut counters.alloc_events);
-            if walk.len() >= 2 * k && !s.is_cycle() {
-                walk.select_nth_unstable_by(k - 1, cmp_neighbors);
-                walk.truncate(k);
-            }
-        }
-    }
-
-    /// Gathers the objects of one direction of the sequence walk, stopping
-    /// at the first boundary node with k candidates strictly nearer than
-    /// itself.
+    /// Reads the objects of `s` into the two runs: the query's own edge,
+    /// split at the query, then outward in each direction (edges i0-1 .. 0
+    /// toward the start, i0+1 .. toward the end), each edge in its order by
+    /// fraction ([`ObjectIndex::ranked`](crate::state::ObjectIndex::ranked)),
+    /// forward where the walk enters it at its start and backward where at
+    /// its end. A direction stops at the first boundary node with k
+    /// candidates strictly nearer than itself.
     #[allow(clippy::too_many_arguments)]
-    fn walk_direction(
-        &self,
+    fn walk(
+        net: &RoadNetwork,
+        state: &mut NetworkState,
         s: &Sequence,
         i0: usize,
         pos: NetPoint,
-        toward_start: bool,
         k: usize,
         scratch: &mut EvalScratch,
         counters: &mut OpCounters,
     ) {
-        let w0 = self.state.weights.get(pos.edge);
-        let mut acc = Self::walk_start_dist(s, i0, pos, w0, toward_start);
-        for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
-            let distinct = s.is_cycle().then_some(&mut scratch.seen);
-            if k_nearer_than(&scratch.walk, k, acc, distinct) {
-                break;
+        // Off a cycle a run holds no object twice and needs only its k
+        // smallest.
+        let cap = (!s.is_cycle()).then_some(k);
+        let w0 = state.weights.get(pos.edge);
+        let at = offset(pos.frac, w0);
+        let list = state.objects.ranked(pos.edge);
+        counters.edges_scanned += 1;
+        counters.objects_considered += list.len() as u64;
+        let split = list.partition_point(|x| offset(list[x.rank as usize].frac, w0) <= at);
+        let from_query = |x: &OnEdge| {
+            let OnEdge { object, frac, .. } = list[x.rank as usize];
+            let dist = (offset(frac, w0) - at).abs();
+            Neighbor { object, dist }
+        };
+        let [run_start, run_end] = &mut scratch.runs;
+        run_start.clear();
+        run_end.clear();
+        // The edge's start lies toward the sequence's start iff the
+        // sequence runs along the edge.
+        let (run_before, run_after) = if s.forward[i0] {
+            (run_start, run_end)
+        } else {
+            (run_end, run_start)
+        };
+        let allocs = &mut counters.alloc_events;
+        extend_run(
+            run_before,
+            cap,
+            list[..split].iter().rev().map(from_query),
+            allocs,
+        );
+        extend_run(run_after, cap, list[split..].iter().map(from_query), allocs);
+
+        for (d, toward_start) in [true, false].into_iter().enumerate() {
+            let mut acc = Self::walk_start_dist(s, i0, pos, w0, toward_start);
+            for (edge_idx, boundary) in Self::walk_steps(s, i0, toward_start) {
+                let distinct = s.is_cycle().then_some(&mut scratch.seen);
+                if k_nearer_than(&scratch.runs, k, acc, distinct) {
+                    break;
+                }
+                let e = s.edges[edge_idx];
+                let w = state.weights.get(e);
+                let list = state.objects.ranked(e);
+                counters.edges_scanned += 1;
+                counters.objects_considered += list.len() as u64;
+                let from_start = net.edge(e).start == s.nodes[boundary];
+                let from_boundary = |x: &OnEdge| {
+                    let OnEdge { object, frac, .. } = list[x.rank as usize];
+                    let along = offset(frac, w);
+                    let dist = acc + if from_start { along } else { w - along };
+                    Neighbor { object, dist }
+                };
+                let (run, allocs) = (&mut scratch.runs[d], &mut counters.alloc_events);
+                if from_start {
+                    extend_run(run, cap, list.iter().map(from_boundary), allocs);
+                } else {
+                    extend_run(run, cap, list.iter().rev().map(from_boundary), allocs);
+                }
+                acc += w;
             }
-            let e = s.edges[edge_idx];
-            let w = self.state.weights.get(e);
-            // The offset of the boundary node on `e`: 0 at its start, w at
-            // its end.
-            let from_start = self.net.edge(e).start == s.nodes[boundary];
-            let entry = if from_start { 0.0 } else { w };
-            let from_boundary = |f: f64| acc + (offset(f, w) - entry).abs();
-            self.gather_edge(e, from_boundary, s, k, &mut scratch.walk, counters);
-            acc += w;
         }
     }
 
@@ -717,12 +860,11 @@ impl Gma {
             .reserve(n.saturating_sub(self.needs_eval.len()));
         reserve_charged(&mut self.eval_order, n, allocs);
         reserve_charged(&mut self.touched_nodes, 4 * n, allocs);
-        // The merge emits k; off a cycle the walk buffer is cut back at 2k;
-        // the seen-set holds what was emitted plus what tied with the k-th.
+        // The merge emits k; off a cycle each run holds at most k.
         reserve_charged(&mut self.eval.merged, k, allocs);
-        reserve_charged(&mut self.eval.walk, 2 * k, allocs);
-        self.eval.seen.reserve(2 * k);
-        *allocs += self.eval.seen.take_alloc_events();
+        for run in &mut self.eval.runs {
+            reserve_charged(run, k, allocs);
+        }
     }
 
     /// Drops a departing query's influence entries and k demand.
@@ -740,8 +882,13 @@ impl ContinuousMonitor for Gma {
     fn tick(&mut self, batch: &UpdateBatch) -> TickReport {
         let start = Instant::now();
         let mut counters = OpCounters::default();
-        self.tick_served.clear();
+        self.tick = self.tick.checked_add(1).unwrap_or_else(|| {
+            // Tick wrap: forget every node's last service.
+            self.served.fill(0);
+            1
+        });
         let deltas = self.state.apply_batch(batch);
+        self.eval.seen.cover(self.state.objects.id_bound());
 
         // ---- Figure 12, lines 1-4: query arrivals/departures/moves update
         // the sequence registry and the active-node demands.
@@ -870,21 +1017,12 @@ impl ContinuousMonitor for Gma {
         let results_changed = order.len() + removed_with_answer;
         self.eval_order = order;
 
-        // Expansion sharing: every query beyond the first served from the
-        // same active-node expansion this tick reused it instead of
-        // expanding on its own.
-        counters.shared_expansions += self
-            .tick_served
-            .values()
-            .map(|&c| u64::from(c.saturating_sub(1)))
-            .sum::<u64>();
         // Allocation/step accounting: node-anchor engine + influence
-        // arenas, the query influence arena, the object index arena and
-        // the merge's seen-set (the evaluation buffers charge themselves).
+        // arenas, the query influence arena and the object index arena
+        // (the evaluation buffers charge themselves).
         self.nodes.harvest_scratch_counters(&mut counters);
-        counters.alloc_events += self.qil.take_alloc_events()
-            + self.state.objects.take_alloc_events()
-            + self.eval.seen.take_alloc_events();
+        counters.alloc_events +=
+            self.qil.take_alloc_events() + self.state.objects.take_alloc_events();
 
         TickReport {
             elapsed: start.elapsed(),
@@ -1242,5 +1380,278 @@ mod tests {
     fn memory_reports_sequences() {
         let gma = line_setup();
         assert!(gma.memory().auxiliary > 0, "GMA carries the sequence table");
+    }
+
+    // ---- The run-based walk: crowded edges, ties across edge boundaries,
+    // cycles, and edges whose objects and weights change between ticks.
+
+    /// A path (or, with `cycle`, a ring) of `weights.len()` edges whose
+    /// orientation alternates, so a walk enters every other edge at its
+    /// end and reads it backward.
+    fn zigzag(weights: &[f64], cycle: bool) -> Arc<RoadNetwork> {
+        let mut b = rnn_roadnet::RoadNetworkBuilder::new();
+        let n = weights.len() + usize::from(!cycle);
+        let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(i as f64, 0.0)).collect();
+        for (i, &w) in weights.iter().enumerate() {
+            let (a, c) = (nodes[i], nodes[(i + 1) % n]);
+            if i % 2 == 0 {
+                b.add_edge(a, c, w);
+            } else {
+                b.add_edge(c, a, w);
+            }
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    /// The k smallest `(dist, id)` over every object the monitor holds, by
+    /// network distance from `q` under its weights: Lemma 1's answer taken
+    /// from its definition.
+    fn brute_knn(gma: &Gma, q: NetPoint, k: usize) -> Vec<Neighbor> {
+        let mut eng = rnn_roadnet::DijkstraEngine::new(gma.net.num_nodes());
+        let mut all: Vec<Neighbor> = (gma.state.objects.iter())
+            .map(|(object, at)| {
+                let dist = eng.dist_between_points(&gma.net, &gma.state.weights, q, at);
+                Neighbor { object, dist }
+            })
+            .collect();
+        all.sort_by(cmp_neighbors);
+        all.truncate(k);
+        all
+    }
+
+    /// Objects crowded onto edge 2 of a zigzag line or ring: more than 2k
+    /// of them for every k below, several at one fraction, some at either
+    /// end of the edge and, at the same nodes, at the ends of edges 1 and
+    /// 3 — ties within an edge and across the boundary between two. Ids
+    /// fall as the fractions rise, so every tie comes in the wrong id
+    /// order on one side or the other.
+    fn crowd() -> Vec<(ObjectId, NetPoint)> {
+        let fracs = [
+            0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 0.5, 0.625, 0.75, 0.75, 1.0, 1.0,
+        ];
+        let mut objects: Vec<(ObjectId, NetPoint)> = (0..3)
+            .flat_map(|round| fracs.iter().map(move |&f| (round, f)))
+            .enumerate()
+            .map(|(i, (_, f))| (ObjectId(200 - i as u32), NetPoint::new(EdgeId(2), f)))
+            .collect();
+        // Node 2 is edge 1's start and edge 2's; node 3 is edge 2's end and
+        // edge 3's end (the orientation alternates).
+        for (id, e, f) in [
+            (7, 1, 0.0),
+            (3, 1, 0.0),
+            (9, 3, 1.0),
+            (1, 3, 1.0),
+            (11, 3, 0.5),
+            (13, 3, 0.25),
+            (15, 3, 0.75),
+            (5, 0, 0.5),
+        ] {
+            objects.push((ObjectId(id), NetPoint::new(EdgeId(e), f)));
+        }
+        objects.push((ObjectId(4), NetPoint::new(EdgeId(4), 0.5)));
+        objects
+    }
+
+    /// Queries all along a zigzag network of six edges, at k from 1 to past
+    /// the number of objects on the crowded edge.
+    fn crowd_queries() -> Vec<(QueryId, usize, NetPoint)> {
+        let at = [
+            (2, 0.125),
+            (2, 0.25),
+            (2, 0.5),
+            (2, 0.875),
+            (1, 0.5),
+            (3, 0.0),
+            (0, 0.25),
+            (5, 0.75),
+        ];
+        let ks = [1, 2, 4, 9, 40];
+        (at.iter().enumerate())
+            .flat_map(|(i, &(e, f))| {
+                ks.iter().enumerate().map(move |(j, &k)| {
+                    let id = QueryId((i * ks.len() + j) as u32);
+                    (id, k, NetPoint::new(EdgeId(e), f))
+                })
+            })
+            .collect()
+    }
+
+    /// Loads `objects` and `queries` into a GMA over `net`.
+    fn load(
+        net: &Arc<RoadNetwork>,
+        objects: &[(ObjectId, NetPoint)],
+        queries: &[(QueryId, usize, NetPoint)],
+    ) -> Gma {
+        let mut gma = Gma::new(net.clone());
+        let mut batch = UpdateBatch::default();
+        for &(id, at) in objects {
+            batch.push(UpdateEvent::insert_object(id, at));
+        }
+        gma.tick(&batch);
+        let mut batch = UpdateBatch::default();
+        for &(id, k, at) in queries {
+            batch.push(UpdateEvent::install_query(id, k, at));
+        }
+        gma.tick(&batch);
+        gma
+    }
+
+    /// The crowd moves along edge 2, onto it and off it, an object leaves
+    /// edge 3 and nothing arrives there, and the weights of edge 2 and its
+    /// neighbours change: every order the walk reads must follow.
+    fn shake() -> UpdateBatch {
+        let mut batch = UpdateBatch::default();
+        for (id, e, f) in [
+            (200, 2, 0.875),
+            (199, 2, 0.375),
+            (190, 2, 0.0),
+            (180, 1, 0.0),
+            (170, 1, 0.25),
+            (9, 5, 0.5),
+            (5, 2, 0.5),
+            (4, 2, 1.0),
+        ] {
+            batch.push(UpdateEvent::move_object(
+                ObjectId(id),
+                NetPoint::new(EdgeId(e), f),
+            ));
+        }
+        batch.push(UpdateEvent::delete_object(ObjectId(185)));
+        batch.push(UpdateEvent::insert_object(
+            ObjectId(0),
+            NetPoint::new(EdgeId(2), 0.25),
+        ));
+        for (e, w) in [(2, 0.5), (1, 2.0), (3, 0.25)] {
+            batch.push(UpdateEvent::edge(EdgeId(e), w));
+        }
+        batch
+    }
+
+    /// Where the walk is the whole answer — no active nodes — the result
+    /// is the k smallest `(dist, id)`, ids included.
+    fn assert_walk_is_the_answer(gma: &Gma, queries: &[(QueryId, usize, NetPoint)]) {
+        assert_eq!(gma.active_node_count(), 0);
+        gma.state.objects.check_invariants();
+        for &(id, k, at) in queries {
+            let want = brute_knn(gma, at, k);
+            assert_eq!(
+                gma.result(id).unwrap(),
+                want.as_slice(),
+                "{id:?} (k = {k}) at {at:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn crowded_line_edge_answers_are_the_k_smallest() {
+        let net = zigzag(&[1.0, 0.5, 2.0, 1.0, 0.75, 1.5], false);
+        let queries = crowd_queries();
+        let mut gma = load(&net, &crowd(), &queries);
+        assert_walk_is_the_answer(&gma, &queries);
+        gma.tick(&shake());
+        assert_walk_is_the_answer(&gma, &queries);
+    }
+
+    #[test]
+    fn ring_answers_are_the_k_smallest() {
+        let net = zigzag(&[1.0, 0.5, 2.0, 1.0, 0.75, 1.5], true);
+        assert!(Gma::new(net.clone())
+            .sequences()
+            .iter()
+            .all(|s| s.is_cycle()));
+        let queries = crowd_queries();
+        let mut gma = load(&net, &crowd(), &queries);
+        assert_walk_is_the_answer(&gma, &queries);
+        gma.tick(&shake());
+        assert_walk_is_the_answer(&gma, &queries);
+    }
+
+    /// On a cycle the runs hold an object once per way round, so the stop
+    /// rule counts distinct objects: with fewer objects than k, both
+    /// directions go all the way round however often the runs hold each.
+    #[test]
+    fn ring_walk_counts_each_object_once() {
+        let net = zigzag(&[1.0; 4], true);
+        let mut gma = Gma::new(net.clone());
+        let mut batch = UpdateBatch::default();
+        for (id, e) in [(1, 1), (2, 2)] {
+            batch.push(UpdateEvent::insert_object(
+                ObjectId(id),
+                NetPoint::new(EdgeId(e), 0.5),
+            ));
+        }
+        gma.tick(&batch);
+        let install = UpdateEvent::install_query(QueryId(0), 3, NetPoint::new(EdgeId(0), 0.5));
+        let work = gma.apply(install).counters;
+        // The own edge, then all four edges each way round.
+        assert_eq!(work.edges_scanned, 1 + 4 + 4);
+        assert_eq!(work.objects_considered, 2 * 2);
+        let r = gma.result(QueryId(0)).unwrap();
+        assert_eq!(
+            r,
+            brute_knn(&gma, NetPoint::new(EdgeId(0), 0.5), 3).as_slice()
+        );
+    }
+
+    /// Applies `batch` to both monitors and checks that GMA's distances are
+    /// OVH's, rank by rank, for every query.
+    fn assert_distances_match(gma: &mut Gma, ovh: &mut crate::Ovh, batch: &UpdateBatch) {
+        gma.tick(batch);
+        ovh.tick(batch);
+        gma.state.objects.check_invariants();
+        for id in ovh.query_ids() {
+            let dists = |r: &[Neighbor]| r.iter().map(|n| n.dist).collect::<Vec<_>>();
+            let (g, o) = (gma.result(id).unwrap(), ovh.result(id).unwrap());
+            assert_eq!(dists(g), dists(o), "{id:?}");
+        }
+    }
+
+    /// Runs `crowd()` and `crowd_queries()` through GMA and OVH over `net`,
+    /// then `shake()`.
+    fn crowd_against_ovh(net: &Arc<RoadNetwork>) -> Gma {
+        let mut gma = Gma::new(net.clone());
+        let mut ovh = crate::Ovh::new(net.clone());
+        let mut batch = UpdateBatch::default();
+        for (id, at) in crowd() {
+            batch.push(UpdateEvent::insert_object(id, at));
+        }
+        assert_distances_match(&mut gma, &mut ovh, &batch);
+        let mut batch = UpdateBatch::default();
+        for (id, k, at) in crowd_queries() {
+            batch.push(UpdateEvent::install_query(id, k, at));
+        }
+        assert_distances_match(&mut gma, &mut ovh, &batch);
+        assert_distances_match(&mut gma, &mut ovh, &shake());
+        gma
+    }
+
+    /// A lollipop: the zigzag ring with a two-edge stick (edges 6 and 7)
+    /// hung from node 0, which is the cycle sequence's one exit.
+    #[test]
+    fn lollipop_distances_match_ovh() {
+        let mut b = rnn_roadnet::RoadNetworkBuilder::new();
+        let nodes: Vec<NodeId> = (0..8).map(|i| b.add_node(i as f64, 0.0)).collect();
+        for (i, w) in [1.0, 0.5, 2.0, 1.0, 0.75, 1.5].into_iter().enumerate() {
+            let (a, c) = (nodes[i], nodes[(i + 1) % 6]);
+            if i % 2 == 0 {
+                b.add_edge(a, c, w);
+            } else {
+                b.add_edge(c, a, w);
+            }
+        }
+        b.add_edge(nodes[6], nodes[0], 0.5);
+        b.add_edge(nodes[6], nodes[7], 1.0);
+        let net = Arc::new(b.build().unwrap());
+        let gma = crowd_against_ovh(&net);
+        assert_eq!(gma.active_node_count(), 1, "node 0 is the only exit");
+    }
+
+    /// The crowd on a cross whose rays are two-edge sequences: the
+    /// crowded edge's far node is the subdivision node of a ray.
+    #[test]
+    fn crowded_ray_distances_match_ovh() {
+        let (net, _) = cross_setup();
+        let gma = crowd_against_ovh(&net);
+        assert_eq!(gma.active_node_count(), 1);
     }
 }

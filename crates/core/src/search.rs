@@ -27,7 +27,7 @@ use rnn_roadnet::{
 };
 
 use crate::counters::OpCounters;
-use crate::state::NetworkState;
+use crate::state::{NetworkState, OnEdge};
 use crate::tree::{ExpansionTree, TreePool};
 use crate::types::{sort_neighbors, Neighbor, RootPos};
 
@@ -101,7 +101,7 @@ impl<V: Default> StampSlot<V> {
 /// steady state: the only allocations are high-water-mark growth, counted
 /// in [`StampTable::take_alloc_events`] and surfaced through
 /// `OpCounters::alloc_events`. It backs the per-object minimum of
-/// [`BestK`] (`V = f64`) and the seen-set of GMA's merge (`V = ()`).
+/// [`BestK`] (`V = f64`).
 pub(crate) struct StampTable<V> {
     slots: Vec<StampSlot<V>>,
     /// Current epoch; slots with an older stamp read as empty.
@@ -160,14 +160,6 @@ impl<V: Copy + Default> StampTable<V> {
         (h >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Room for `entries` entries: after this, that many fit without the
-    /// table growing (a growth here is charged like any other).
-    pub(crate) fn reserve(&mut self, entries: usize) {
-        if entries * 2 > self.slots.len() {
-            self.grow_to((entries * 2).next_power_of_two());
-        }
-    }
-
     /// Re-homes the current-epoch entries in a table of `new_cap` slots —
     /// ×4 when an insertion outgrows it (see `push_charged` for why so
     /// steeply).
@@ -215,13 +207,6 @@ impl<V: Copy + Default> StampTable<V> {
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// Records `object`; whether this was its first sighting since the
-    /// last [`Self::clear`].
-    #[inline]
-    pub(crate) fn first_sighting(&mut self, object: ObjectId) -> bool {
-        self.entry(object, V::default()).is_none()
     }
 }
 
@@ -370,7 +355,10 @@ fn scan_edge_from(
     let w = state.weights.get(e);
     // The offset of `n` on `e`: 0 at its start, w at its end.
     let entry = if net.edge(e).start == n { 0.0 } else { w };
-    for &(obj, frac) in objs {
+    for &OnEdge {
+        object: obj, frac, ..
+    } in objs
+    {
         counters.objects_considered += 1;
         best.offer(obj, d + (offset(frac, w) - entry).abs());
     }
@@ -480,7 +468,10 @@ impl Expander {
                 let w = weights.get(p.edge);
                 let at = offset(p.frac, w);
                 counters.edges_scanned += 1;
-                for &(obj, frac) in state.objects.on_edge(p.edge) {
+                for &OnEdge {
+                    object: obj, frac, ..
+                } in state.objects.on_edge(p.edge)
+                {
                     counters.objects_considered += 1;
                     best.offer(obj, (offset(frac, w) - at).abs());
                 }

@@ -35,6 +35,27 @@ struct ObjSlot {
 
 const NOT_PLACED: u32 = u32::MAX;
 
+/// One entry of an edge's object list.
+#[derive(Clone, Copy, Debug)]
+pub struct OnEdge {
+    /// The object.
+    pub object: ObjectId,
+    /// The index of the entry that comes at this one's position in the
+    /// list's order by fraction, once [`ObjectIndex::ranked`] has written it
+    /// (see there). Sits in what was padding, so the entry did not grow.
+    pub rank: u32,
+    /// Its fraction along the edge.
+    pub frac: f64,
+}
+
+/// An entry equals the `(object, fraction)` pair it holds; its `rank` is
+/// not part of its value.
+impl PartialEq<(ObjectId, f64)> for OnEdge {
+    fn eq(&self, &(object, frac): &(ObjectId, f64)) -> bool {
+        self.object == object && self.frac == frac
+    }
+}
+
 impl ObjSlot {
     /// A slot no object holds.
     const VACANT: ObjSlot = ObjSlot {
@@ -57,12 +78,19 @@ impl ObjSlot {
 /// entry carries its index within its edge span, so removal is a
 /// positional `swap_remove` — no scan of long edge lists.
 ///
+/// [`Self::ranked`] reads a list in order of fraction without moving an
+/// entry: the order is a permutation kept in the entries' `rank`s, written
+/// the first time it is asked for after the list last changed.
+///
 /// The table is indexed by object id, not hashed: it holds one 24 B slot
 /// per id up to the largest id seen, so it takes (largest id + 1) × 24 B,
 /// at most 48 MiB under [`crate::types::OBJECT_ID_BOUND`].
 #[derive(Clone, Debug)]
 pub struct ObjectIndex {
-    per_edge: SpanArena<(ObjectId, f64)>,
+    per_edge: SpanArena<OnEdge>,
+    /// Whether each edge's `rank`s hold its order by fraction: cleared
+    /// whenever the list changes, set by [`Self::ranked`].
+    ranked: Vec<bool>,
     /// Slot `id.index()` is object `id`'s; vacant slots are at [`NOWHERE`].
     positions: Vec<ObjSlot>,
     /// Number of live slots.
@@ -82,6 +110,8 @@ impl ObjectIndex {
     pub fn new(num_edges: usize) -> Self {
         Self {
             per_edge: SpanArena::new(num_edges),
+            // lint: allow(hot-path-alloc): construction
+            ranked: vec![false; num_edges],
             // lint: allow(hot-path-alloc): grows only when a new largest id registers
             positions: Vec::new(),
             len: 0,
@@ -99,7 +129,8 @@ impl ObjectIndex {
         if slot.live() {
             return false;
         }
-        let idx = self.per_edge.push(at.edge.index(), (id, at.frac));
+        let idx = self.push(id, at);
+        let slot = &mut self.positions[id.index()];
         *slot = ObjSlot {
             at,
             idx: idx as u32,
@@ -109,13 +140,26 @@ impl ObjectIndex {
         true
     }
 
+    /// Appends object `id` at `at` to its edge's list; returns its index
+    /// there.
+    fn push(&mut self, id: ObjectId, at: NetPoint) -> usize {
+        self.ranked[at.edge.index()] = false;
+        let entry = OnEdge {
+            object: id,
+            rank: 0,
+            frac: at.frac,
+        };
+        self.per_edge.push(at.edge.index(), entry)
+    }
+
     /// Unlinks entry `idx` of edge `e` (a positional `swap_remove`) and
     /// fixes up the back-reference of the one entry that took its place.
     fn unlink(&mut self, e: usize, idx: u32, id: ObjectId) {
+        self.ranked[e] = false;
         let removed = self.per_edge.swap_remove(e, idx as usize);
-        debug_assert_eq!(removed.0, id, "object list out of sync");
-        if let Some(&(moved, _)) = self.per_edge.get(e).get(idx as usize) {
-            self.positions[moved.index()].idx = idx;
+        debug_assert_eq!(removed.object, id, "object list out of sync");
+        if let Some(moved) = self.per_edge.get(e).get(idx as usize) {
+            self.positions[moved.object.index()].idx = idx;
         }
     }
 
@@ -142,7 +186,7 @@ impl ObjectIndex {
         let same_edge = old.edge == to.edge;
         slot.idx = (self.per_edge.len_of(to.edge.index()) - usize::from(same_edge)) as u32;
         self.unlink(old.edge.index(), old_idx, id);
-        let idx = self.per_edge.push(to.edge.index(), (id, to.frac));
+        let idx = self.push(id, to);
         debug_assert_eq!(idx as u32, self.positions[id.index()].idx);
         Some(old)
     }
@@ -197,7 +241,7 @@ impl ObjectIndex {
                 (None, None) => continue,
                 (Some(o), Some(n)) if o == n => continue, // no net movement
                 (None, Some(n)) => {
-                    let idx = self.per_edge.push(n.edge.index(), (d.id, n.frac));
+                    let idx = self.push(d.id, n);
                     let slot = &mut self.positions[d.id.index()];
                     slot.at = n;
                     slot.idx = idx as u32;
@@ -240,10 +284,35 @@ impl ObjectIndex {
         slot.live().then_some(slot.at)
     }
 
-    /// Objects currently on edge `e`, as `(id, fraction)` pairs.
+    /// Objects currently on edge `e`.
     #[inline]
-    pub fn on_edge(&self, e: EdgeId) -> &[(ObjectId, f64)] {
+    pub fn on_edge(&self, e: EdgeId) -> &[OnEdge] {
         self.per_edge.get(e.index())
+    }
+
+    /// Objects currently on edge `e`, with its order by `(frac, id)`
+    /// threaded through their `rank`s: the entry at index `list[0].rank`
+    /// comes first, the one at `list[1].rank` second, and so on. An offset
+    /// along the edge never decreases with the fraction
+    /// ([`rnn_roadnet::offset`]), so that order sorts the list by distance
+    /// from the edge's start under any weight, ties aside.
+    ///
+    /// The order is written (a sort of the `rank`s in place, O(n log n),
+    /// moving no entry) only when the list has changed since it was last
+    /// written, and nothing is allocated.
+    pub fn ranked(&mut self, e: EdgeId) -> &[OnEdge] {
+        let list = self.per_edge.get_mut(e.index());
+        if !std::mem::replace(&mut self.ranked[e.index()], true) {
+            rank_by_fraction(list);
+        }
+        list
+    }
+
+    /// Every object id the index holds is below this: the length of its
+    /// table, one past the largest id it has a slot for.
+    #[inline]
+    pub fn id_bound(&self) -> usize {
+        self.positions.len()
     }
 
     /// Number of objects in the system.
@@ -282,16 +351,22 @@ impl ObjectIndex {
                 continue;
             }
             let list = self.on_edge(slot.at.edge);
-            assert_eq!(
-                list.get(slot.idx as usize),
-                Some(&(id, slot.at.frac)),
+            assert!(
+                list.get(slot.idx as usize)
+                    .is_some_and(|x| *x == (id, slot.at.frac)),
                 "{id:?} is not at its back-referenced index"
             );
             assert_eq!(
-                list.iter().filter(|&&(o, _)| o == id).count(),
+                list.iter().filter(|x| x.object == id).count(),
                 1,
                 "{id:?} listed more than once on its edge"
             );
+        }
+        for e in (0..self.ranked.len()).filter(|&e| self.ranked[e]) {
+            let list = self.per_edge.get(e);
+            let nth = |x: &OnEdge| &list[x.rank as usize];
+            let sorted = (list.windows(2)).all(|p| by_fraction(nth(&p[0]), nth(&p[1])).is_lt());
+            assert!(sorted, "edge {e}'s ranks do not sort it");
         }
         assert_eq!(self.iter().count(), self.len, "len is not the live count");
         let listed: usize = (0..self.per_edge.num_slots())
@@ -309,7 +384,69 @@ impl ObjectIndex {
 
     /// Approximate resident bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.per_edge.memory_bytes() + self.positions.capacity() * std::mem::size_of::<ObjSlot>()
+        self.per_edge.memory_bytes()
+            + self.positions.capacity() * std::mem::size_of::<ObjSlot>()
+            + self.ranked.capacity()
+    }
+}
+
+/// The order [`ObjectIndex::ranked`] threads through a list: by fraction,
+/// ties by id.
+fn by_fraction(x: &OnEdge, y: &OnEdge) -> std::cmp::Ordering {
+    x.frac.total_cmp(&y.frac).then(x.object.cmp(&y.object))
+}
+
+/// Writes into the `rank`s of `list` its order by `(frac, id)`: afterwards
+/// `list[list[i].rank]` is the i-th entry in that order. A sort of the
+/// `rank`s in place, so no entry moves and nothing is allocated: an
+/// insertion sort on a short list (most edges hold a handful of objects),
+/// a heapsort, O(n log n), on a crowded one.
+fn rank_by_fraction(list: &mut [OnEdge]) {
+    for (i, x) in list.iter_mut().enumerate() {
+        x.rank = i as u32;
+    }
+    // Whether the entry ranked at position `a` comes before the one at `b`.
+    let before = |list: &[OnEdge], a: usize, b: usize| {
+        let (x, y) = (&list[list[a].rank as usize], &list[list[b].rank as usize]);
+        by_fraction(x, y).is_lt()
+    };
+    let swap = |list: &mut [OnEdge], a: usize, b: usize| {
+        let r = list[a].rank;
+        list[a].rank = list[b].rank;
+        list[b].rank = r;
+    };
+    // Moves position `at` down the max-heap over positions `..end`.
+    let sift = |list: &mut [OnEdge], mut at: usize, end: usize| loop {
+        let mut child = 2 * at + 1;
+        if child >= end {
+            break;
+        }
+        if child + 1 < end && before(list, child, child + 1) {
+            child += 1;
+        }
+        if !before(list, at, child) {
+            break;
+        }
+        swap(list, at, child);
+        at = child;
+    };
+    let n = list.len();
+    if n <= 16 {
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && before(list, j, j - 1) {
+                swap(list, j, j - 1);
+                j -= 1;
+            }
+        }
+        return;
+    }
+    for at in (0..n / 2).rev() {
+        sift(list, at, n);
+    }
+    for end in (1..n).rev() {
+        swap(list, 0, end);
+        sift(list, 0, end);
     }
 }
 
@@ -797,6 +934,47 @@ mod tests {
     #[test]
     fn table_slots_stay_24_bytes() {
         assert_eq!(std::mem::size_of::<ObjSlot>(), 24);
+        // The rank sits in what was padding beside the id.
+        assert_eq!(std::mem::size_of::<OnEdge>(), 16);
+    }
+
+    /// `ranked` threads a list's order by `(frac, id)` through its `rank`s,
+    /// and every change to the list makes the next call write it anew.
+    #[test]
+    fn ranked_follows_every_change_to_a_list() {
+        let (e, other) = (EdgeId(0), EdgeId(1));
+        let mut idx = ObjectIndex::new(2);
+        let order = |idx: &mut ObjectIndex| {
+            let list = idx.ranked(e);
+            let nth = |x: &OnEdge| list[x.rank as usize];
+            list.iter()
+                .map(|x| (nth(x).frac, nth(x).object.0))
+                .collect::<Vec<_>>()
+        };
+        for (id, f) in [(5, 0.5), (9, 0.25), (2, 0.5), (7, 1.0), (3, 0.0), (8, 0.5)] {
+            idx.insert(ObjectId(id), NetPoint::new(e, f));
+        }
+        let want = [(0.0, 3), (0.25, 9), (0.5, 2), (0.5, 5), (0.5, 8), (1.0, 7)];
+        assert_eq!(order(&mut idx), want);
+        idx.check_invariants();
+        idx.remove(ObjectId(3));
+        idx.relocate(ObjectId(7), NetPoint::new(e, 0.125));
+        idx.relocate(ObjectId(9), NetPoint::new(other, 0.5));
+        // Stale ranks are not checked until the order is asked for again.
+        idx.check_invariants();
+        assert_eq!(order(&mut idx), [(0.125, 7), (0.5, 2), (0.5, 5), (0.5, 8)]);
+        idx.check_invariants();
+        // A crowded list, inserted out of order.
+        for i in 0..300u32 {
+            idx.insert(
+                ObjectId(100 + i),
+                NetPoint::new(e, f64::from(i * 37 % 64) / 64.0),
+            );
+        }
+        let crowded = order(&mut idx);
+        assert_eq!(crowded.len(), 304);
+        assert!(crowded.windows(2).all(|p| p[0] < p[1]));
+        idx.check_invariants();
     }
 
     /// Random programs of direct calls and batches over ids `0..64` plus

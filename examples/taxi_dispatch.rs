@@ -57,14 +57,18 @@ fn main() {
     for c in 0..NUM_CLIENTS {
         let pos = random_pos(&mut rng);
         dispatch.apply(UpdateEvent::insert_object(ObjectId(c), pos));
-        claims.apply(UpdateEvent::insert_object(ObjectId(c), pos));
+        claims
+            .apply(UpdateEvent::insert_object(ObjectId(c), pos))
+            .expect("the event fits the network");
         client_walkers.push(RandomWalker::new(&net, pos, &mut rng));
     }
     let mut taxi_walkers = Vec::new();
     for t in 0..NUM_TAXIS {
         let pos = random_pos(&mut rng);
         dispatch.apply(UpdateEvent::install_query(QueryId(t), 3, pos));
-        claims.apply(UpdateEvent::install_query(QueryId(t), 1, pos));
+        claims
+            .apply(UpdateEvent::install_query(QueryId(t), 1, pos))
+            .expect("the event fits the network");
         taxi_walkers.push(RandomWalker::new(&net, pos, &mut rng));
     }
 
@@ -93,7 +97,7 @@ fn main() {
             }
         }
         dispatch.tick(&batch);
-        claims.tick(&batch);
+        claims.tick(&batch).expect("the batch fits the network");
 
         println!("\n-- timestamp {step} --");
         for t in 0..NUM_TAXIS {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rnn_monitor::core::crnn::Crnn;
+use rnn_monitor::core::crnn::{Crnn, CrnnError};
 use rnn_monitor::core::{
     ContinuousMonitor, Gma, Ima, ObjectEvent, Ovh, QueryEvent, UpdateBatch, UpdateEvent,
 };
@@ -59,12 +59,14 @@ fn crnn_matches_brute_force_over_random_run() {
     let mut objects: Vec<(ObjectId, NetPoint)> = Vec::new();
     for q in 0..5u32 {
         let p = NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random());
-        crnn.apply(UpdateEvent::install_query(QueryId(q), 1, p));
+        crnn.apply(UpdateEvent::install_query(QueryId(q), 1, p))
+            .expect("the event fits the network");
         queries.push((QueryId(q), p));
     }
     for o in 0..30u32 {
         let p = NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random());
-        crnn.apply(UpdateEvent::insert_object(ObjectId(o), p));
+        crnn.apply(UpdateEvent::insert_object(ObjectId(o), p))
+            .expect("the event fits the network");
         objects.push((ObjectId(o), p));
     }
 
@@ -98,7 +100,7 @@ fn crnn_matches_brute_force_over_random_run() {
                 new_weight: new_w,
             });
         }
-        crnn.tick(&batch);
+        crnn.tick(&batch).expect("the batch fits the network");
 
         let oracle = brute_rnn(&net, &weights, &objects, &queries);
         for (oid, expect) in oracle {
@@ -136,6 +138,60 @@ fn crnn_matches_brute_force_over_random_run() {
             "tick {tick}: RNN sets must partition objects"
         );
     }
+}
+
+/// A batch holding an event `Crnn` cannot hold is refused whole, with the
+/// event named: a query id at or above `OBJECT_ID_BOUND` (query ids index
+/// its object table), an edge the network lacks, an inadmissible weight.
+/// Nothing panics, and the monitor answers as it did before.
+#[test]
+fn crnn_refuses_unfit_batches_and_changes_nothing() {
+    use rnn_monitor::core::types::OBJECT_ID_BOUND;
+    let net = Arc::new(generators::line_network(6, 1.0));
+    let mut crnn = Crnn::new(net.clone());
+    let cab =
+        |id, e, frac| UpdateEvent::install_query(QueryId(id), 1, NetPoint::new(EdgeId(e), frac));
+    let client =
+        |id, e, frac| UpdateEvent::insert_object(ObjectId(id), NetPoint::new(EdgeId(e), frac));
+    for ev in [
+        cab(1, 0, 0.0),
+        cab(2, 4, 1.0),
+        client(10, 0, 0.5),
+        client(11, 4, 0.5),
+    ] {
+        crnn.apply(ev).expect("the event fits the network");
+    }
+    let answers = |c: &Crnn| {
+        let rnn = [1, 2].map(|q| c.reverse_nns(QueryId(q)));
+        let nearest = [10, 11].map(|o| c.nearest_query_of(ObjectId(o)));
+        (rnn, nearest, c.num_queries(), c.num_objects())
+    };
+    let before = answers(&crnn);
+
+    let far = NetPoint::new(EdgeId(2), 0.5);
+    let unfit = [
+        UpdateEvent::install_query(QueryId(u32::MAX), 1, far),
+        UpdateEvent::install_query(QueryId(OBJECT_ID_BOUND), 1, far),
+        UpdateEvent::move_query(QueryId(OBJECT_ID_BOUND), far),
+        UpdateEvent::remove_query(QueryId(u32::MAX)),
+        UpdateEvent::insert_object(ObjectId(OBJECT_ID_BOUND), far),
+        UpdateEvent::install_query(QueryId(3), 1, NetPoint::new(EdgeId(99), 0.5)),
+        UpdateEvent::edge(EdgeId(1), 0.0),
+    ];
+    for ev in unfit {
+        assert_eq!(crnn.apply(ev), Err(CrnnError::Unfit(ev)));
+        // Refused whole: the fitting events beside it do not apply either.
+        let mut batch = UpdateBatch::default();
+        batch.push(UpdateEvent::move_query(QueryId(1), far));
+        batch.push(UpdateEvent::delete_object(ObjectId(10)));
+        batch.push(ev);
+        assert_eq!(crnn.tick(&batch), Err(CrnnError::Unfit(ev)));
+        assert_eq!(answers(&crnn), before, "{ev:?} changed the monitor");
+    }
+    // A fitting batch still applies.
+    crnn.apply(UpdateEvent::delete_object(ObjectId(10)))
+        .expect("the event fits the network");
+    assert_eq!(crnn.reverse_nns(QueryId(1)), Some(vec![]));
 }
 
 /// A long mixed run on a mid-sized map: 60 timestamps, periodic deep
