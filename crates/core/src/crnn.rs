@@ -51,8 +51,6 @@ impl std::error::Error for CrnnError {}
 /// Continuous reverse-NN monitor: for every query, the set of objects whose
 /// nearest query it is.
 pub struct Crnn {
-    /// The network's edge count, against which events are checked.
-    edges: usize,
     /// Role-inverted state: `state.objects` holds the *queries* (they are
     /// the "data" being searched for), while the monitored anchors are the
     /// data objects.
@@ -68,7 +66,6 @@ impl Crnn {
     /// Creates a CRNN server over `net`.
     pub fn new(net: Arc<RoadNetwork>) -> Self {
         Self {
-            edges: net.num_edges(),
             state: NetworkState::new(&net),
             anchors: AnchorSet::new(net),
             assignment: FxHashMap::default(),
@@ -79,9 +76,10 @@ impl Crnn {
     /// Applies one out-of-band [`UpdateEvent`] immediately, as a
     /// singleton [`Self::tick`] — the same single entry point as
     /// [`crate::ContinuousMonitor::apply`]: installing or removing a
-    /// query (e.g. a vacant cab; `k` is ignored — every object tracks
-    /// its one nearest query), inserting or deleting an object (e.g. a
-    /// client waiting for a taxi), a move, an edge update. Refuses what
+    /// query (e.g. a vacant cab; every object tracks its one nearest
+    /// query, so `k` is not read, yet it must lie in `1..=MAX_K` as for
+    /// every monitor), inserting or deleting an object (e.g. a client
+    /// waiting for a taxi), a move, an edge update. Refuses what
     /// [`Self::tick`] refuses.
     pub fn apply(&mut self, event: UpdateEvent) -> Result<TickReport, CrnnError> {
         let mut batch = UpdateBatch::default();
@@ -160,7 +158,7 @@ impl Crnn {
         match objects
             .chain(queries)
             .chain(edges)
-            .find(|ev| !ev.fits(self.edges) || !bounded(ev))
+            .find(|ev| !ev.fits(self.state.weights.len()) || !bounded(ev))
         {
             Some(ev) => Err(CrnnError::Unfit(ev)),
             None => Ok(()),
@@ -172,9 +170,10 @@ impl Crnn {
     /// entities whose nearest cab is tracked); edge updates apply as usual.
     ///
     /// A batch holding an event the monitor cannot hold is refused whole,
-    /// before anything changes: an event that fails [`UpdateEvent::fits`],
-    /// or a query id not below [`OBJECT_ID_BOUND`] (query ids index the
-    /// object table here).
+    /// before anything changes: an event that fails [`UpdateEvent::fits`]
+    /// (an install whose `k` is outside `1..=MAX_K` among them, although
+    /// `k` is not read here), or a query id not below [`OBJECT_ID_BOUND`]
+    /// (query ids index the object table here).
     pub fn tick(&mut self, batch: &UpdateBatch) -> Result<TickReport, CrnnError> {
         self.check(batch)?;
         let start = Instant::now();

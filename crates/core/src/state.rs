@@ -398,9 +398,8 @@ fn by_fraction(x: &OnEdge, y: &OnEdge) -> std::cmp::Ordering {
 
 /// Writes into the `rank`s of `list` its order by `(frac, id)`: afterwards
 /// `list[list[i].rank]` is the i-th entry in that order. A sort of the
-/// `rank`s in place, so no entry moves and nothing is allocated: an
-/// insertion sort on a short list (most edges hold a handful of objects),
-/// a heapsort, O(n log n), on a crowded one.
+/// `rank`s in place (a heapsort, O(n log n)), so no entry moves and
+/// nothing is allocated.
 fn rank_by_fraction(list: &mut [OnEdge]) {
     for (i, x) in list.iter_mut().enumerate() {
         x.rank = i as u32;
@@ -431,16 +430,6 @@ fn rank_by_fraction(list: &mut [OnEdge]) {
         at = child;
     };
     let n = list.len();
-    if n <= 16 {
-        for i in 1..n {
-            let mut j = i;
-            while j > 0 && before(list, j, j - 1) {
-                swap(list, j, j - 1);
-                j -= 1;
-            }
-        }
-        return;
-    }
     for at in (0..n / 2).rev() {
         sift(list, at, n);
     }

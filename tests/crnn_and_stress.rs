@@ -146,7 +146,7 @@ fn crnn_matches_brute_force_over_random_run() {
 /// Nothing panics, and the monitor answers as it did before.
 #[test]
 fn crnn_refuses_unfit_batches_and_changes_nothing() {
-    use rnn_monitor::core::types::OBJECT_ID_BOUND;
+    use rnn_monitor::core::types::{MAX_K, OBJECT_ID_BOUND};
     let net = Arc::new(generators::line_network(6, 1.0));
     let mut crnn = Crnn::new(net.clone());
     let cab =
@@ -176,6 +176,9 @@ fn crnn_refuses_unfit_batches_and_changes_nothing() {
         UpdateEvent::remove_query(QueryId(u32::MAX)),
         UpdateEvent::insert_object(ObjectId(OBJECT_ID_BOUND), far),
         UpdateEvent::install_query(QueryId(3), 1, NetPoint::new(EdgeId(99), 0.5)),
+        // `k` is not read here, but one no monitor holds is refused.
+        UpdateEvent::install_query(QueryId(3), 0, far),
+        UpdateEvent::install_query(QueryId(3), MAX_K + 1, far),
         UpdateEvent::edge(EdgeId(1), 0.0),
     ];
     for ev in unfit {
