@@ -37,9 +37,10 @@
 //! ## Invariant kept here
 //!
 //! Between ticks every record is exact under the [`NetworkState`] it was
-//! last brought up to: `result` is the sorted k-NN set of `root`,
+//! last brought up to: `result` is the k smallest `(dist, id)` of `root`,
 //! `knn_dist` its k-th distance (`∞` while underfull), `tree` holds true
-//! shortest distances and covers every node within `knn_dist`, and the
+//! shortest distances and covers every node at `knn_dist` or nearer (an
+//! object on such a node may tie with the k-th and precede it), and the
 //! influence table carries the anchor on exactly the edges listed in
 //! `influenced`, covering every point within `knn_dist`. Every slot of the
 //! expander's pool is owned by exactly one record's tree.
@@ -753,8 +754,12 @@ mod tests {
         let key = QueryId(7);
         set.add(&state, key, RootPos::Node(NodeId(3)), 2, &mut c);
         let rec = set.get(key).unwrap();
-        // From node 3 (x=3): o2 and o3 both at 0.5.
-        assert_eq!((rec.result[0].dist, rec.result[1].dist), (0.5, 0.5));
+        // From node 3 (x=3): o2 and o3 both at 0.5, in id order.
+        let at = |id, dist| Neighbor {
+            object: ObjectId(id),
+            dist,
+        };
+        assert_eq!(rec.result, [at(2, 0.5), at(3, 0.5)]);
     }
 
     #[test]

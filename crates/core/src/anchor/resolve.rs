@@ -46,7 +46,7 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
             rec.root = r;
         }
         let served = &out.result[..rec.k.min(out.result.len())];
-        let did_change = results_differ(&rec.result, served);
+        let did_change = rec.result != served;
         refill_charged(&mut rec.result, served, &mut counters.alloc_events);
         rec.knn_dist = if served.len() == rec.k {
             rec.result[rec.k - 1].dist
@@ -92,7 +92,7 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                 .expand(state, rec.root, rec.k, kept, &[], counters);
             self.store_outcome(rec, out);
             self.rebuild_influence(state, key, rec, counters);
-            return results_differ(&old_result, &rec.result);
+            return old_result != rec.result;
         }
 
         let (ex, scratch) = (&mut self.expander, &mut self.scratch);
@@ -183,13 +183,24 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
         candidates.sort_unstable_by(cmp_neighbors);
         candidates.dedup_by_key(|n| n.object);
 
-        if !dirty && candidates.len() >= rec.k {
-            // Object-only fast path (§4.2) with outgoing ≤ incoming: at least k
-            // objects within the old kNN_dist, and the tree is intact so every
-            // candidate distance above is exact.
+        // Object-only fast path (§4.2) with outgoing ≤ incoming: at least k
+        // objects within the old kNN_dist, and the tree is intact so every
+        // candidate distance above is exact. It holds while the new k-th
+        // is no later in `(dist, id)` than the old one: an unmoved object
+        // outside the old result comes after the old k-th (the result was
+        // the k smallest), so after the new one too. A later new k-th — an
+        // object leaving at a tie — may let such an object in; the
+        // structural path finds it.
+        let fast = !dirty
+            && candidates.get(rec.k - 1).is_some_and(|new| {
+                old_result
+                    .get(rec.k - 1)
+                    .map_or(true, |old| cmp_neighbors(new, old).is_le())
+            });
+        if fast {
             candidates.truncate(rec.k);
             rec.knn_dist = candidates[rec.k - 1].dist;
-            let did_change = results_differ(&old_result, candidates);
+            let did_change = old_result != *candidates;
             // The new result is written over the old one, in the anchor's own
             // buffer: nothing is allocated or freed.
             refill_charged(&mut old_result, candidates, &mut counters.alloc_events);
@@ -216,7 +227,7 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
         let out = ex.expand(state, rec.root, rec.k, Some(kept), candidates, counters);
         self.store_outcome(rec, out);
         self.rebuild_influence(state, key, rec, counters);
-        results_differ(&old_result, &rec.result)
+        old_result != rec.result
     }
 
     /// Rebuilds the influence-list entries of one anchor from its tree and
@@ -332,11 +343,4 @@ fn valid_subtree_after_move(
     let along = p.dist_to_endpoint(net, weights, parent);
     let d_old_q = rec.tree.dist(pool, parent)? + along;
     Some((child, d_old_q))
-}
-
-fn results_differ(a: &[Neighbor], b: &[Neighbor]) -> bool {
-    a.len() != b.len()
-        || a.iter()
-            .zip(b)
-            .any(|(x, y)| x.object != y.object || x.dist != y.dist)
 }

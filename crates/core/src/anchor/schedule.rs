@@ -272,11 +272,14 @@ impl<K: Copy + Ord + Hash + Debug> AnchorSet<K> {
                     // A decrease can only invalidate tree distances by
                     // creating a shortcut through the edge; entering at a
                     // verified endpoint and crossing costs at least
-                    // `d(endpoint) + new_w`.
+                    // `d(endpoint) + new_w`. The tree holds every node at
+                    // kNN_dist or nearer, so a shortcut that reaches a node
+                    // outside it at exactly kNN_dist is not harmless: an
+                    // object there may tie with the k-th and precede it.
                     let harmless = match (da, db) {
                         (Some(a), Some(b)) => a + d.new_w >= b && b + d.new_w >= a,
-                        (Some(a), None) => a + d.new_w >= rec.knn_dist,
-                        (None, Some(b)) => b + d.new_w >= rec.knn_dist,
+                        (Some(a), None) => a + d.new_w > rec.knn_dist,
+                        (None, Some(b)) => b + d.new_w > rec.knn_dist,
                         // No verified endpoint: strictly beyond kNN_dist.
                         (None, None) => true,
                     };

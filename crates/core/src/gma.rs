@@ -7,6 +7,14 @@
 //! > the union of (i) the objects in s, (ii) the k-NN sets of the
 //! > intersection nodes (endpoints) of s."
 //!
+//! An answer here, as in every monitor, is the k smallest `(dist, id)`:
+//! the id decides among objects at one distance. Lemma 1 holds for that
+//! order. If o′ comes before o at an endpoint n — nearer, or as near with
+//! a smaller id — then o′ comes before o at q through n, since
+//! `d(q, o′) ≤ d(q, n) + d(n, o′) ≤ d(q, n) + d(n, o)`. So an object
+//! among q's k smallest whose path leaves the sequence through n is
+//! among n's k smallest, which n's monitored set holds.
+//!
 //! The endpoints of sequences that currently contain queries are **active
 //! nodes**; their `n.k`-NN sets (`n.k = max q.k over the adjacent queries`)
 //! are maintained with the IMA machinery ([`crate::anchor::AnchorSet`],
@@ -53,10 +61,8 @@
 //! Distances are multiples of the network's distance unit
 //! ([`rnn_roadnet::UNIT`]), so an offset sum is exact and keeps its list's
 //! `(dist, id)` order: the merge emits in that order with no repair, and
-//! the result is exactly the k smallest `(dist, id)` of the union, ties
-//! included. Once it holds k, the merge reads on through the candidates
-//! that tie with the k-th — each an object emitted already or one of a
-//! larger id — and takes none of them.
+//! stops once it holds k — exactly the k smallest `(dist, id)` of the
+//! union, ties included.
 //!
 //! **Where the walk stops.** A direction stops at the first boundary node
 //! that already has k distinct in-sequence candidates strictly nearer than
@@ -163,11 +169,6 @@ impl ObjectBits {
     }
 
     #[inline]
-    fn contains(&self, object: ObjectId) -> bool {
-        self.0[object.index() / 64] & (1 << (object.0 % 64)) != 0
-    }
-
-    #[inline]
     fn remove(&mut self, object: ObjectId) {
         self.0[object.index() / 64] &= !(1 << (object.0 % 64));
     }
@@ -218,9 +219,8 @@ pub struct Gma {
 /// lists, each sorted by `(dist, id)` and read with its offset added to
 /// every distance — Lemma 1's union with the smallest instance kept per
 /// object, as the k smallest `(dist, id)` (see the module docs for why the
-/// first sighting is the smallest instance and how ties with the k-th are
-/// read). `seen` is empty on entry and on return. Returns how many entries
-/// of each list were consumed.
+/// first sighting is the smallest instance). `seen` is empty on entry and
+/// on return. Returns how many entries of each list were consumed.
 fn merge_first_k(
     k: usize,
     lists: [(&[Neighbor], f64); 4],
@@ -252,17 +252,12 @@ fn merge_first_k(
     let [l0, l1, l2, l3] = lists;
     let (mut a0, mut a1, mut a2, mut a3) = (0, 0, 0, 0);
     let (mut h0, mut h1, mut h2, mut h3) = (key(l0, 0), key(l1, 0), key(l2, 0), key(l3, 0));
-    // The bits of the k-th's distance once `out` holds k.
-    let mut kth = u64::MAX;
-    loop {
+    while out.len() < k {
         let (m01, k01) = if h1 < h0 { (1, h1) } else { (0, h0) };
         let (m23, k23) = if h3 < h2 { (3, h3) } else { (2, h2) };
         let (m, head) = if k23 < k01 { (m23, k23) } else { (m01, k01) };
-        let bits = (head >> 32) as u64;
-        // All lists exhausted, or k emitted and this one strictly beyond
-        // the k-th.
-        if head == u128::MAX || bits > kth {
-            break;
+        if head == u128::MAX {
+            break; // every list exhausted
         }
         match m {
             0 => (a0, h0) = (a0 + 1, key(l0, a0 + 1)),
@@ -271,18 +266,9 @@ fn merge_first_k(
             _ => (a3, h3) = (a3 + 1, key(l3, a3 + 1)),
         }
         let object = ObjectId(head as u32);
-        if kth != u64::MAX {
-            // A tie with the k-th: emitted already, or after it in id.
-            debug_assert!(seen.contains(object) || object > out[k - 1].object);
-            continue;
-        }
-        if !seen.insert(object) {
-            continue;
-        }
-        let dist = f64::from_bits(bits);
-        push_charged(out, Neighbor { object, dist }, allocs);
-        if out.len() == k {
-            kth = bits;
+        if seen.insert(object) {
+            let dist = f64::from_bits((head >> 32) as u64);
+            push_charged(out, Neighbor { object, dist }, allocs);
         }
     }
     for n in out.iter() {
@@ -476,47 +462,58 @@ impl Gma {
 
     /// The k demanded at node `n` (`n.k = max` over the adjacent queries'
     /// demands), or `None` when no query demands it — the node must then
-    /// be inactive. The single source of truth for both [`Self::sync_node`]
-    /// and the tick's deactivate-before-activate pass split.
+    /// be inactive.
     fn desired_k(&self, n: NodeId) -> Option<usize> {
         self.node_ks.get(&n).and_then(|v| v.iter().max()).copied()
     }
 
-    /// Reconciles a node's anchor with the current k demand: activates,
-    /// deactivates, or resizes its monitored NN set.
-    fn sync_node(&mut self, n: NodeId, counters: &mut OpCounters) {
-        match (self.nodes.get(n).map(|rec| rec.k), self.desired_k(n)) {
-            (None, Some(k)) => self
-                .nodes
-                .add(&self.state, n, RootPos::Node(n), k, counters),
-            (Some(_), None) => {
-                self.nodes.remove(n);
-            }
-            (Some(k_now), Some(k)) if k_now != k => self.nodes.set_k(&self.state, n, k, counters),
-            _ => {}
-        }
-    }
-
-    /// Re-syncs the nodes noted in `touched_nodes`, in ascending id order.
+    /// Activates and deactivates the nodes noted in `touched_nodes` as
+    /// their demand says, in ascending id order, before the node tick, and
+    /// leaves noted only the active nodes whose k must follow their demand
+    /// after it.
     ///
     /// Deactivations run before activations: a node whose demand just
     /// vanished returns its expansion tree to the pool first, so a node
     /// activating in the same tick re-expands into those recycled slots
     /// instead of growing the pool — activation churn stays
     /// allocation-free in steady state.
-    fn sync_touched_nodes(&mut self, counters: &mut OpCounters) {
+    fn activate_touched_nodes(&mut self, counters: &mut OpCounters) {
         let mut nodes = std::mem::take(&mut self.touched_nodes);
         nodes.sort_unstable();
         nodes.dedup();
-        for pass_active in [false, true] {
-            for &n in &nodes {
-                if self.desired_k(n).is_some() == pass_active {
-                    self.sync_node(n, counters);
-                }
+        for &n in &nodes {
+            if self.desired_k(n).is_none() {
+                self.nodes.remove(n);
             }
         }
-        nodes.clear();
+        nodes.retain(
+            |&n| match (self.nodes.get(n).map(|rec| rec.k), self.desired_k(n)) {
+                (None, Some(k)) => {
+                    self.nodes
+                        .add(&self.state, n, RootPos::Node(n), k, counters);
+                    false
+                }
+                (Some(now), Some(k)) => now != k,
+                _ => false,
+            },
+        );
         self.touched_nodes = nodes;
+    }
+
+    /// Gives each node left noted in `touched_nodes` the k its demand says,
+    /// after the node tick: that tick brings a record up to this tick's
+    /// objects and weights from the ones its tree and influence intervals
+    /// were built for, so a resize must not run before it. A node's answer
+    /// at the smaller k is the prefix of its answer at the larger one (both
+    /// are the k smallest `(dist, id)`), so a query that read it before
+    /// sees no change the node tick did not report.
+    fn resize_touched_nodes(&mut self, counters: &mut OpCounters) {
+        for &n in &self.touched_nodes {
+            if let Some(k) = self.desired_k(n) {
+                self.nodes.set_k(&self.state, n, k, counters);
+            }
+        }
+        self.touched_nodes.clear();
     }
 
     /// Within-sequence evaluation (§5) — Lemma 1 as a merge (see the
@@ -930,7 +927,7 @@ impl ContinuousMonitor for Gma {
                 (None, None) => {}
             }
         }
-        self.sync_touched_nodes(&mut counters);
+        self.activate_touched_nodes(&mut counters);
 
         // ---- Line 5: IMA maintenance of the active nodes.
         counters.merge(
@@ -938,6 +935,7 @@ impl ContinuousMonitor for Gma {
                 .nodes
                 .tick(&self.state, &deltas.objects, &deltas.edges, &[]),
         );
+        self.resize_touched_nodes(&mut counters);
 
         // ---- Lines 6-15: determine the affected user queries.
         // (i) endpoint NN-set changes within reach.
@@ -1344,8 +1342,9 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r[0].object, ObjectId(0));
         assert_eq!(r[0].dist, 0.0);
-        // Both ring neighbours are equidistant.
+        // Both ring neighbours are equidistant: the smaller id comes first.
         assert_eq!(r[1].dist, r[2].dist);
+        assert!(r[1].object < r[2].object);
     }
 
     #[test]
@@ -1593,16 +1592,14 @@ mod tests {
         );
     }
 
-    /// Applies `batch` to both monitors and checks that GMA's distances are
-    /// OVH's, rank by rank, for every query.
-    fn assert_distances_match(gma: &mut Gma, ovh: &mut crate::Ovh, batch: &UpdateBatch) {
+    /// Applies `batch` to both monitors and checks that GMA's answers are
+    /// OVH's, ids included, for every query.
+    fn assert_answers_match(gma: &mut Gma, ovh: &mut crate::Ovh, batch: &UpdateBatch) {
         gma.tick(batch);
         ovh.tick(batch);
         gma.state.objects.check_invariants();
         for id in ovh.query_ids() {
-            let dists = |r: &[Neighbor]| r.iter().map(|n| n.dist).collect::<Vec<_>>();
-            let (g, o) = (gma.result(id).unwrap(), ovh.result(id).unwrap());
-            assert_eq!(dists(g), dists(o), "{id:?}");
+            assert_eq!(gma.result(id), ovh.result(id), "{id:?}");
         }
     }
 
@@ -1615,13 +1612,13 @@ mod tests {
         for (id, at) in crowd() {
             batch.push(UpdateEvent::insert_object(id, at));
         }
-        assert_distances_match(&mut gma, &mut ovh, &batch);
+        assert_answers_match(&mut gma, &mut ovh, &batch);
         let mut batch = UpdateBatch::default();
         for (id, k, at) in crowd_queries() {
             batch.push(UpdateEvent::install_query(id, k, at));
         }
-        assert_distances_match(&mut gma, &mut ovh, &batch);
-        assert_distances_match(&mut gma, &mut ovh, &shake());
+        assert_answers_match(&mut gma, &mut ovh, &batch);
+        assert_answers_match(&mut gma, &mut ovh, &shake());
         gma
     }
 

@@ -420,4 +420,38 @@ mod tests {
         });
         assert_eq!(ima.result(QueryId(1)).unwrap().len(), 4);
     }
+
+    /// A weight decrease that brings a node outside the tree to exactly
+    /// kNN_dist is not harmless: an object there ties with the k-th and,
+    /// with the smaller id, takes its place.
+    #[test]
+    fn a_shortcut_to_exactly_knn_dist_lets_a_tie_in() {
+        let mut b = rnn_roadnet::RoadNetworkBuilder::new();
+        let [a, c, x, y] =
+            [(0.0, 0.0), (8.0, 0.0), (0.0, 10.0), (0.0, 20.0)].map(|(px, py)| b.add_node(px, py));
+        let near = b.add_edge(a, c, 8.0);
+        let shortcut = b.add_edge(a, x, 10.0);
+        let beyond = b.add_edge(x, y, 10.0);
+        let mut ima = Ima::new(Arc::new(b.build().unwrap()));
+        let at = |e, frac| NetPoint { edge: e, frac };
+        ima.apply(UpdateEvent::insert_object(ObjectId(9), at(near, 0.75)));
+        ima.apply(UpdateEvent::insert_object(ObjectId(1), at(beyond, 0.0)));
+        ima.apply(UpdateEvent::install_query(QueryId(0), 1, at(near, 0.0)));
+        let answer = |ima: &Ima| ima.result(QueryId(0)).unwrap().to_vec();
+        let nn = |id, dist| {
+            vec![Neighbor {
+                object: ObjectId(id),
+                dist,
+            }]
+        };
+        assert_eq!(answer(&ima), nn(9, 6.0));
+        ima.tick(&UpdateBatch {
+            edges: vec![EdgeWeightUpdate {
+                edge: shortcut,
+                new_weight: 6.0,
+            }],
+            ..Default::default()
+        });
+        assert_eq!(answer(&ima), nn(1, 6.0));
+    }
 }

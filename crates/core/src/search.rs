@@ -17,8 +17,12 @@
 //! * **OVH** (§6): `kept = None` every timestamp;
 //! * **GMA active-node monitoring** (§5): a [`RootPos::Node`] root.
 //!
-//! Termination follows the paper (line 7): expansion stops when the next
-//! heap key is no smaller than the distance of the current k-th candidate.
+//! Termination follows the paper (line 7), with one change: expansion
+//! stops when the next heap key *exceeds* the distance of the current k-th
+//! candidate, not when it reaches it. A node at exactly that distance may
+//! hold an object that ties with the k-th and precedes it by id, and the
+//! answer is the k smallest `(dist, id)` — the one order every monitor
+//! keeps, so an answer does not depend on which object was found first.
 
 use std::sync::Arc;
 
@@ -29,7 +33,7 @@ use rnn_roadnet::{
 use crate::counters::OpCounters;
 use crate::state::{NetworkState, OnEdge};
 use crate::tree::{ExpansionTree, TreePool};
-use crate::types::{sort_neighbors, Neighbor, RootPos};
+use crate::types::{Neighbor, RootPos};
 
 /// The still-valid part of an expansion tree handed to a re-expansion.
 pub struct KeptTree<'a> {
@@ -292,12 +296,15 @@ impl BestK {
 
     /// Offers a candidate; keeps the minimum distance per object.
     pub fn offer(&mut self, object: ObjectId, dist: f64) {
-        // Not better than the current k-th: it cannot enter the top list
-        // now, and the k-th only falls — so the outer ring of every
-        // expansion is turned away before the table probe. A later, smaller
-        // offer of the same object is then simply its first sighting.
-        if self.top.len() == self.k && dist >= self.kth() {
-            return;
+        // Not before the current k-th in `(dist, id)`: it cannot enter the
+        // top list now, and the k-th only falls — so the outer ring of
+        // every expansion is turned away before the table probe. A later,
+        // smaller offer of the same object is then simply its first
+        // sighting.
+        if let Some(kth) = self.top.get(self.k - 1) {
+            if dist >= kth.dist && (dist > kth.dist || object >= kth.object) {
+                return;
+            }
         }
         if let Some(known) = self.known.entry(object, dist) {
             if *known <= dist {
@@ -492,7 +499,7 @@ impl Expander {
 
         // Main expansion loop (Figure 2, lines 7–23).
         while let Some(next_d) = engine.peek_dist() {
-            if next_d >= best.kth() {
+            if next_d > best.kth() {
                 break;
             }
             let (n, d) = engine.pop_settle().expect("peek guaranteed an entry");
@@ -505,8 +512,7 @@ impl Expander {
             }
         }
 
-        let mut result = best.clone_result();
-        sort_neighbors(&mut result);
+        let result = best.clone_result();
         let knn_dist = if result.len() == k {
             result[k - 1].dist
         } else {
@@ -574,6 +580,7 @@ impl Expander {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::sort_neighbors;
     use rnn_roadnet::generators;
 
     /// Line 0-1-2-3-4, spacing 1; objects at the midpoints of edges 0..4.
@@ -781,38 +788,6 @@ mod tests {
         );
     }
 
-    /// The accumulator as it was when every offer went through the table
-    /// first and was only then held against the k-th: the behaviour
-    /// [`BestK::offer`]'s early rejection must reproduce exactly.
-    struct ProbeFirst {
-        k: usize,
-        known: std::collections::HashMap<ObjectId, f64>,
-        top: Vec<Neighbor>,
-    }
-
-    impl ProbeFirst {
-        fn offer(&mut self, object: ObjectId, dist: f64) {
-            match self.known.get_mut(&object) {
-                None => {
-                    self.known.insert(object, dist);
-                }
-                Some(known) if *known <= dist => return,
-                Some(known) => {
-                    *known = dist;
-                    self.top.retain(|n| n.object != object);
-                }
-            }
-            if self.top.len() == self.k && dist >= self.top[self.k - 1].dist {
-                return;
-            }
-            let at = self
-                .top
-                .partition_point(|n| (n.dist, n.object) < (dist, object));
-            self.top.insert(at, Neighbor { object, dist });
-            self.top.truncate(self.k);
-        }
-    }
-
     #[test]
     fn best_k_early_rejection_changes_no_answer() {
         // Random offer sequences with repeated objects and tied distances
@@ -830,21 +805,23 @@ mod tests {
             let objects = 1 + next(24);
             let dists = 1 + next(12);
             b.reset(k);
-            let mut reference = ProbeFirst {
-                k,
-                known: Default::default(),
-                top: Vec::new(),
-            };
+            // The reference, by brute force: each object's minimum offered
+            // distance, sorted by `(dist, id)`, the first k.
+            let mut least = std::collections::HashMap::new();
             for step in 0..next(120) {
                 let object = ObjectId(next(objects) as u32);
                 let dist = next(dists) as f64 * 0.5;
                 b.offer(object, dist);
-                reference.offer(object, dist);
-                assert_eq!(b.top, reference.top, "round {round}, offer {step}");
-                assert_eq!(
-                    b.kth(),
-                    reference.top.get(k - 1).map_or(f64::INFINITY, |n| n.dist)
-                );
+                let d = least.entry(object).or_insert(dist);
+                *d = dist.min(*d);
+                let mut want: Vec<Neighbor> = least
+                    .iter()
+                    .map(|(&object, &dist)| Neighbor { object, dist })
+                    .collect();
+                sort_neighbors(&mut want);
+                want.truncate(k);
+                assert_eq!(b.top, want, "round {round}, offer {step}");
+                assert_eq!(b.kth(), want.get(k - 1).map_or(f64::INFINITY, |n| n.dist));
             }
         }
     }
@@ -920,8 +897,6 @@ mod tests {
             .collect();
         sort_neighbors(&mut oracle);
         oracle.truncate(5);
-        for (a, b) in out.result.iter().zip(&oracle) {
-            assert_eq!(a.dist, b.dist, "{a:?} vs {b:?}");
-        }
+        assert_eq!(out.result, oracle);
     }
 }

@@ -10,17 +10,13 @@
 //! recomputed on restore (install-time expansion), which keeps snapshots
 //! small and the format independent of the tree-pool memory layout.
 //!
-//! Restore validation: the stored per-query results are compared
-//! against what the freshly restored monitor computes — the same
-//! distances rank by rank and the same `kNN_dist`, with `==` (every
-//! distance is a multiple of the network's distance unit, so a shifted
-//! re-rooted tree and a fresh expansion sum to the same bits) — plus the
-//! same object at every rank whose distance is not tied. Object equality
-//! at a tie would reject states the monitor itself just captured, for a
-//! reason that is history, not corruption: among objects at exactly the
-//! k-th distance (a hotspot piles dozens on one node) a monitor holds
-//! whichever arrived first, and a restore registers objects in id order,
-//! not in their original arrival order.
+//! Restore validation: the stored per-query results and `kNN_dist` must
+//! equal, with `==`, what the freshly restored monitor computes. Every
+//! monitor answers with the k smallest `(dist, id)`, so an answer does
+//! not depend on the order objects arrived in (a restore registers them
+//! in id order), and every distance is a multiple of the network's
+//! distance unit, so a shifted re-rooted tree and a fresh expansion sum
+//! to the same bits.
 //!
 //! A mismatch beyond that means the snapshot does not describe a
 //! reachable monitor state (corruption the CRC missed, or a version
@@ -115,25 +111,6 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Whether a recomputed result matches the stored one: the same
-/// distances rank by rank, and the same object at every rank whose
-/// distance is not tied with a neighbouring rank or with `knn_dist`
-/// (see the module docs: ties are held by arrival order).
-fn same_result(stored: &[Neighbor], got: &[Neighbor], knn_dist: f64) -> bool {
-    let tied = |i: usize, d: f64| {
-        d == knn_dist
-            || [i.wrapping_sub(1), i + 1]
-                .iter()
-                .any(|&j| stored.get(j).is_some_and(|n| d == n.dist))
-    };
-    stored.len() == got.len()
-        && stored
-            .iter()
-            .zip(got)
-            .enumerate()
-            .all(|(i, (a, b))| a.dist == b.dist && (a.object == b.object || tied(i, a.dist)))
-}
-
 impl MonitorState {
     /// Captures the state of `monitor`, whose weights, objects and query
     /// book are `state`; each query's current answer is read through the
@@ -179,8 +156,7 @@ impl MonitorState {
     /// query through [`load_population`] (in id order — installation
     /// recomputes results and expansion state from scratch), then
     /// validates each recomputed result against the stored one (see the
-    /// module docs for why the distances compare with a tolerance, not
-    /// bitwise). A state that names an id twice is folded as any batch
+    /// module docs). A state that names an id twice is folded as any batch
     /// is — the last entry wins — and then fails or passes that
     /// validation; it cannot panic the monitor.
     pub fn restore_into(&self, monitor: &mut dyn ContinuousMonitor) -> Result<(), RestoreError> {
@@ -202,7 +178,7 @@ impl MonitorState {
         for q in &self.queries {
             let got = monitor.result(q.id).unwrap_or(&[]);
             let dist = monitor.knn_dist(q.id).unwrap_or(f64::INFINITY);
-            if dist != q.knn_dist || !same_result(&q.result, got, q.knn_dist) {
+            if dist != q.knn_dist || q.result != got {
                 return Err(RestoreError::ResultMismatch(q.id));
             }
         }
@@ -387,8 +363,9 @@ mod tests {
 
     /// Regression: once queries move, weights churn and objects pile up
     /// on nodes, an incrementally maintained monitor must still capture
-    /// states a fresh monitor accepts (this used to fail with
-    /// `ResultMismatch` on last-ulp noise and on tie order).
+    /// states a fresh monitor accepts — the same answers, objects at a
+    /// tie included (this used to fail with `ResultMismatch` on last-ulp
+    /// noise and on tie order).
     fn churned_state_restores(make: &dyn Fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>) {
         let n = Arc::new(generators::grid_city(&generators::GridCityConfig {
             nx: 8,
@@ -409,7 +386,7 @@ mod tests {
             NetPoint::new(EdgeId(next(edges)), f64::from(next(100)) / 100.0)
         };
         // Eight node positions that objects pile up on: exact distance
-        // ties, held in arrival order.
+        // ties, decided by id.
         let pile = |next: &mut dyn FnMut(u32) -> u32| {
             NetPoint::new(EdgeId(next(8) * 13 % edges), f64::from(next(2)))
         };

@@ -163,8 +163,8 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     pub(crate) weights: EdgeWeights,
     pub(crate) scratch: DijkstraEngine,
     pub(crate) workers: Vec<L>,
-    /// Current halo radius per shard. Grows eagerly on demand, shrinks
-    /// lazily with hysteresis (see module docs).
+    /// Current halo radius per shard, `−∞` while it needs none. Grows
+    /// eagerly on demand, shrinks lazily with hysteresis (see module docs).
     pub(crate) halo_r: Vec<f64>,
     /// Consecutive ticks each shard's halo has been oversized (the shrink
     /// hysteresis counter).
@@ -201,8 +201,9 @@ pub struct ShardedEngine<L: ShardLink = ShardWorker> {
     /// started do not count as changes; after the tick, what it changed.
     pub(crate) log: ChangeLog,
     /// Per-shard halo demand: the largest `kNN_dist` among a shard's
-    /// queries, underfull (∞) demand capped at the diameter bound, as the
-    /// last `reconcile` round walked it from the registry.
+    /// queries (`−∞` without one), underfull (∞) demand capped at the
+    /// diameter bound, as the last `reconcile` round walked it from the
+    /// registry.
     pub(crate) demand: Vec<f64>,
     /// Reused scratch of the halo passes: the edges whose halo membership
     /// a pass toggled, each with the mask it entered the pass with
@@ -319,7 +320,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             weights,
             scratch,
             workers,
-            halo_r: vec![0.0; cfg.num_shards],
+            halo_r: vec![f64::NEG_INFINITY; cfg.num_shards],
             shrink_streak: vec![0; cfg.num_shards],
             halo_edges: vec![FxHashSet::default(); cfg.num_shards],
             edge_mask,
@@ -436,7 +437,7 @@ impl<L: ShardLink> ShardedEngine<L> {
             if cells != 0 {
                 return Err(format!("dead shard {s} still owns {cells} cells"));
             }
-            if !self.halo_edges[s].is_empty() || self.halo_r[s] != 0.0 {
+            if !self.halo_edges[s].is_empty() || self.halo_r[s] >= 0.0 {
                 return Err(format!(
                     "dead shard {s} still holds a halo (radius {})",
                     self.halo_r[s]
@@ -894,9 +895,10 @@ pub(crate) mod tests {
     }
 
     /// Answer identity against a reference monitor, in the differential
-    /// suite's convention: same query set, same result sizes, equal
-    /// distances (a re-homed query is recomputed by its new shard, which
-    /// sums the same path to the same bits).
+    /// suite's convention: the same query set, and per query the same
+    /// answer and `kNN_dist`, with `==` (a re-homed query is recomputed by
+    /// its new shard, which sums the same path to the same bits and keeps
+    /// the same objects at a tie).
     pub(crate) fn assert_same_answers(
         reference: &dyn ContinuousMonitor,
         eng: &dyn ContinuousMonitor,
@@ -907,11 +909,8 @@ pub(crate) mod tests {
         got.sort();
         assert_eq!(ids, got, "{ctx}: query sets diverge");
         for q in ids {
-            let (a, b) = (reference.result(q).unwrap(), eng.result(q).unwrap());
-            assert_eq!(a.len(), b.len(), "{ctx}, {q:?}: result sizes");
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.dist, y.dist, "{ctx}, {q:?}");
-            }
+            assert_eq!(reference.result(q), eng.result(q), "{ctx}, {q:?}");
+            assert_eq!(reference.knn_dist(q), eng.knn_dist(q), "{ctx}, {q:?}");
         }
     }
 
@@ -963,9 +962,9 @@ pub(crate) mod tests {
     #[test]
     fn validate_rejects_a_corpse_that_holds_a_halo() {
         let (mut eng, dead, cell) = engine_with_corpse();
-        eng.halo_r[dead] = 1.0;
-        assert_invalid(&eng, "dead shard 1 still holds a halo");
         eng.halo_r[dead] = 0.0;
+        assert_invalid(&eng, "dead shard 1 still holds a halo");
+        eng.halo_r[dead] = f64::NEG_INFINITY;
         eng.validate_replication().unwrap();
         eng.halo_edges[dead].insert(cell);
         assert_invalid(&eng, "dead shard 1 still holds a halo");

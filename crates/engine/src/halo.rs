@@ -16,9 +16,10 @@
 //! ## Halo correctness argument
 //!
 //! A query `q` in shard `s` with result radius `d = kNN_dist(q)` only
-//! inspects network points within distance `d` of `q`. Any such point `p`
-//! outside region `s` is reached by a path that exits the region through a
-//! boundary node `b`, so `dist(b, p) ≤ d`. Hence if shard `s` additionally
+//! inspects network points within distance `d` of `q` — at most `d`, not
+//! below it: an object at exactly `d` may tie with the k-th and precede it
+//! by id. Any such point `p` outside region `s` is reached by a path that
+//! exits the region through a boundary node `b`, so `dist(b, p) ≤ d`. Hence if shard `s` additionally
 //! sees every object within distance `r_s ≥ max_q kNN_dist(q)` of its
 //! boundary (the *halo*), the monitor's candidate set contains every true
 //! neighbor of every owned query, and its answers equal a single global
@@ -103,7 +104,7 @@ const SHRINK_TRIGGER: f64 = 1.5;
 const SHRINK_TICKS: u32 = 2;
 
 impl<L: ShardLink> ShardedEngine<L> {
-    /// Current halo radius of shard `s`.
+    /// Current halo radius of shard `s`, `−∞` while it needs no halo.
     pub fn halo_radius(&self, s: usize) -> f64 {
         self.halo_r[s]
     }
@@ -133,8 +134,8 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// Recomputes shard `s`'s halo edge set at its radius under the
     /// current weights ([`Self::halo_members`]), noting every edge whose
     /// membership toggled in `changed`. The only code that decides which
-    /// edges a halo holds. A shard at radius zero has an empty halo before
-    /// and after, so calling this for it is free.
+    /// edges a halo holds. A shard at a negative radius has an empty halo
+    /// before and after, so calling this for it is free.
     pub(crate) fn recompute_halo(&mut self, s: usize, changed: &mut FxHashMap<EdgeId, u64>) {
         let mut fresh = std::mem::take(&mut self.halo_fresh);
         let mut dijkstra = std::mem::take(&mut self.scratch);
@@ -147,8 +148,9 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// Fills `out` with shard `s`'s halo at radius `halo_r[s]`: every edge
     /// the shard does not own that is incident to a node within that
     /// radius of the shard's boundary, found by a bounded multi-source
-    /// Dijkstra from the boundary nodes on `dijkstra`. Radius zero gives an
-    /// empty halo.
+    /// Dijkstra from the boundary nodes on `dijkstra`. Radius zero gives
+    /// the foreign edges at the boundary nodes, a negative radius (no
+    /// demand) an empty halo.
     pub(crate) fn halo_members(
         &self,
         s: usize,
@@ -157,7 +159,7 @@ impl<L: ShardLink> ShardedEngine<L> {
     ) {
         out.clear();
         let (r, boundary) = (self.halo_r[s], &self.partition.view(s).boundary_nodes);
-        if r <= 0.0 || boundary.is_empty() {
+        if r < 0.0 || boundary.is_empty() {
             return;
         }
         dijkstra.begin();
@@ -286,14 +288,17 @@ impl<L: ShardLink> ShardedEngine<L> {
     /// The registry walk: `demand[s]` becomes the largest `kNN_dist` among
     /// all of shard `s`'s queries, underfull (∞) demand capped at the
     /// diameter bound under the current weights: no shortest path exceeds
-    /// the (exact) sum of all edge weights, since it is simple.
+    /// the (exact) sum of all edge weights, since it is simple. A shard
+    /// without queries demands `−∞`, no halo at all; a demand of zero (k
+    /// objects at a query's very position) still needs the foreign edges
+    /// at the boundary, where an object may tie with the k-th.
     pub(crate) fn fold_demand(&mut self) {
-        self.demand.fill(0.0);
+        self.demand.fill(f64::NEG_INFINITY);
         for rec in self.queries.values() {
             let s = rec.shard as usize;
             self.demand[s] = self.demand[s].max(rec.knn_dist);
         }
-        for n in self.demand.iter_mut().filter(|n| n.is_infinite()) {
+        for n in self.demand.iter_mut().filter(|n| **n == f64::INFINITY) {
             *n = self.weights.total();
         }
     }
@@ -407,6 +412,29 @@ mod tests {
         eng.validate_replication().unwrap();
     }
 
+    /// k objects at a query's very position make its `kNN_dist` zero,
+    /// yet an object at that spot on a foreign edge ties with them: a
+    /// query on a boundary node needs the foreign edges there, at radius
+    /// zero, to see the one with the smallest id.
+    #[test]
+    fn a_zero_knn_dist_still_sees_the_border() {
+        let mut eng = engine(2);
+        let b = eng.partition.view(0).boundary_nodes[0];
+        let owner = |e: EdgeId| eng.partition.shard_of_edge(e);
+        let at_b = |e: EdgeId| NetPoint::new(e, if eng.net.edge(e).start == b { 0.0 } else { 1.0 });
+        let edges = eng.net.adjacent(b);
+        let own = edges.iter().find(|&&(e, _)| owner(e) == 0).unwrap().0;
+        let foreign = edges.iter().find(|&&(e, _)| owner(e) != 0).unwrap().0;
+        let (mine, theirs) = (at_b(own), at_b(foreign));
+        eng.apply(UpdateEvent::insert_object(ObjectId(5), mine));
+        eng.apply(UpdateEvent::insert_object(ObjectId(1), theirs));
+        eng.apply(UpdateEvent::install_query(QueryId(0), 1, mine));
+        let q = &eng.queries[&QueryId(0)];
+        assert_eq!((q.shard, q.knn_dist), (0, 0.0));
+        assert_eq!(eng.result(QueryId(0)).unwrap()[0].object, ObjectId(1));
+        eng.validate_replication().unwrap();
+    }
+
     #[test]
     fn halo_shrinks_and_evicts_after_query_removal() {
         let mut eng = engine(4);
@@ -430,7 +458,7 @@ mod tests {
             eng.tick(&UpdateBatch::default());
         }
         for s in 0..eng.num_shards() {
-            assert_eq!(eng.halo_radius(s), 0.0, "shard {s} halo did not decay");
+            assert!(eng.halo_radius(s) < 0.0, "shard {s} halo did not decay");
         }
         assert_eq!(eng.replica_count(), 0, "stale replicas were not evicted");
         assert!(eng.replica_evictions() > 0);

@@ -312,7 +312,7 @@ impl<L: ShardLink> ShardedEngine<L> {
         self.active[dead] = None;
         self.load[dead] = 0.0;
         self.tick_load[dead] = 0;
-        self.halo_r[dead] = 0.0;
+        self.halo_r[dead] = f64::NEG_INFINITY;
         self.shrink_streak[dead] = 0;
         // Clearing the halo clears the corpse's bit on every member edge,
         // so resync queues the (discarded) deletes and the masks stay the
@@ -553,7 +553,7 @@ mod tests {
                 .filter(|n| eng.partition.shard_of_edge(EdgeId(n.object.0)) != owner)
                 .count()
         };
-        assert_eq!(eng.halo_radius(1), 0.0, "nothing to replicate for yet");
+        assert!(eng.halo_radius(1) < 0.0, "nothing to replicate for yet");
 
         eng.log.begin();
         let mut changed = FxHashMap::default();

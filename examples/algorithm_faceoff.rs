@@ -54,19 +54,12 @@ fn main() {
             work.push(rep.counters.work());
             ms.push(rep.elapsed.as_secs_f64() * 1e3);
         }
-        // Verify all three agree on every query (distance multisets).
+        // Verify all three give every query the same answer, ids included.
         let mut ids = monitors[0].query_ids();
         ids.sort();
         let identical = ids.iter().all(|&q| {
-            let reference: Vec<f64> = monitors[0]
-                .result(q)
-                .unwrap()
-                .iter()
-                .map(|n| n.dist)
-                .collect();
             monitors[1..].iter().all(|m| {
-                let other: Vec<f64> = m.result(q).unwrap().iter().map(|n| n.dist).collect();
-                reference == other
+                m.result(q) == monitors[0].result(q) && m.knn_dist(q) == monitors[0].knn_dist(q)
             })
         });
         println!(

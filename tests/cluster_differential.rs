@@ -7,10 +7,9 @@
 //! corruption, a forced mid-run shard crash (respawn + journal replay),
 //! and forced cell migrations — and once over real TCP sockets.
 //!
-//! Unlike `engine_differential.rs` (which compares against a *different*
-//! implementation and therefore tolerates tie-breaks and summation
-//! noise), both sides here run the very same engine code — any
-//! divergence at all is an RPC-layer bug, so everything compares exactly.
+//! Answers compare with `==`, as in `engine_differential.rs`; here the
+//! deterministic work counters do too, because both sides run the very
+//! same engine code — any divergence at all is an RPC-layer bug.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -105,28 +105,10 @@ fn crnn_matches_brute_force_over_random_run() {
         let oracle = brute_rnn(&net, &weights, &objects, &queries);
         for (oid, expect) in oracle {
             let got = crnn.nearest_query_of(oid);
-            // Exact ties between two queries are resolvable either way as
-            // long as the distance is equal; check distance equality then.
-            if got != expect {
-                let mut eng = DijkstraEngine::new(net.num_nodes());
-                let opos = objects.iter().find(|&&(o, _)| o == oid).unwrap().1;
-                let d_got = got
-                    .map(|q| {
-                        let qpos = queries.iter().find(|&&(x, _)| x == q).unwrap().1;
-                        eng.dist_between_points(&net, &weights, opos, qpos)
-                    })
-                    .unwrap_or(f64::INFINITY);
-                let d_expect = expect
-                    .map(|q| {
-                        let qpos = queries.iter().find(|&&(x, _)| x == q).unwrap().1;
-                        eng.dist_between_points(&net, &weights, opos, qpos)
-                    })
-                    .unwrap_or(f64::INFINITY);
-                assert_eq!(
-                    d_got, d_expect,
-                    "tick {tick}: object {oid} assigned {got:?} vs oracle {expect:?}"
-                );
-            }
+            assert_eq!(
+                got, expect,
+                "tick {tick}: object {oid} assigned {got:?} vs oracle {expect:?}"
+            );
         }
         // The reverse map partitions all objects.
         let total: usize = (0..5u32)
@@ -234,11 +216,9 @@ fn long_stress_run_stays_consistent() {
             let mut ids = ovh.query_ids();
             ids.sort();
             for q in ids {
-                let a: Vec<f64> = ovh.result(q).unwrap().iter().map(|n| n.dist).collect();
                 for m in [&ima as &dyn ContinuousMonitor, &gma] {
-                    let b: Vec<f64> = m.result(q).unwrap().iter().map(|n| n.dist).collect();
-                    assert_eq!(a.len(), b.len(), "t={t} q={q} {}", m.name());
-                    assert_eq!(a, b, "t={t} q={q} {}", m.name());
+                    assert_eq!(m.result(q), ovh.result(q), "t={t} q={q} {}", m.name());
+                    assert_eq!(m.knn_dist(q), ovh.knn_dist(q), "t={t} q={q} {}", m.name());
                 }
             }
         }

@@ -3,13 +3,16 @@
 //! exactly the same k-NN sets as a single-threaded monitor fed the same
 //! update stream.
 //!
-//! As in `differential.rs`, object ids may legitimately differ on exact
-//! distance ties, so results compare as sorted distance multisets plus
-//! `kNN_dist`, with `==` (distances are exact, whatever the summation
-//! order).
+//! As in `differential.rs`, answers compare whole, with `==`, ids
+//! included: every monitor keeps the k smallest `(dist, id)`, so a shard
+//! and the single monitor keep the same objects at a tie, and distances
+//! are exact, whatever the summation order.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{TieProne, Workload};
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, QueryEvent, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{EngineConfig, ShardAlgo, ShardedEngine};
 use rnn_monitor::roadnet::{generators, NetPoint, QueryId, RoadNetwork};
@@ -28,20 +31,13 @@ fn compare_monitors(
         assert_eq!(ids, other_ids, "query sets diverge at tick {tick}");
     }
     for &qid in &ids {
-        let ref_result = reference.result(qid).unwrap();
-        let mut ref_dists: Vec<f64> = ref_result.iter().map(|n| n.dist).collect();
-        ref_dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for &other in others {
             let ctx = format!(
                 "tick {tick}, query {qid}, {} vs {}",
                 reference.name(),
                 other.name()
             );
-            let other_result = other.result(qid).unwrap();
-            assert_eq!(ref_result.len(), other_result.len(), "{ctx}: result sizes");
-            let mut other_dists: Vec<f64> = other_result.iter().map(|n| n.dist).collect();
-            other_dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(ref_dists, other_dists, "{ctx}: distances");
+            assert_eq!(reference.result(qid), other.result(qid), "{ctx}: answers");
             assert_eq!(
                 reference.knn_dist(qid),
                 other.knn_dist(qid),
@@ -61,7 +57,17 @@ fn run_engine_differential(
     ticks: usize,
     algo: ShardAlgo,
 ) {
-    let mut scenario = Scenario::new(net.clone(), cfg);
+    let scenario = Scenario::new(net.clone(), cfg);
+    run_engine_workload(net, scenario, ticks, algo);
+}
+
+/// [`run_engine_differential`] over any workload.
+fn run_engine_workload(
+    net: Arc<RoadNetwork>,
+    mut scenario: impl Workload,
+    ticks: usize,
+    algo: ShardAlgo,
+) {
     let mut reference: Box<dyn ContinuousMonitor> = match algo {
         ShardAlgo::Gma => Box::new(Gma::new(net.clone())),
         ShardAlgo::Ima => Box::new(Ima::new(net.clone())),
@@ -287,6 +293,18 @@ fn engine_san_francisco_like_slice() {
         6,
         ShardAlgo::Gma,
     );
+}
+
+#[test]
+fn engine_tie_prone_workload() {
+    // Exact ties with the k-th distance at nearly every tick, across shard
+    // borders too: a shard must keep the objects the single monitor
+    // keeps, the smallest ids, whichever replica it met first.
+    for algo in [ShardAlgo::Gma, ShardAlgo::Ima] {
+        let net = TieProne::network(8, 8, 16);
+        let workload = TieProne::new(&net, 171, 70);
+        run_engine_workload(net, workload, 12, algo);
+    }
 }
 
 #[test]
@@ -815,8 +833,7 @@ const THE_QUERY: QueryId = QueryId(7);
 /// 32 or 64 and positions at 64ths, so a sum is the same bits in whatever
 /// order a monitor adds it up and answers compare with `==`. The objects'
 /// numerators are distinct and odd, which keeps any two of them at
-/// different distances from every query position used here (no ties to
-/// break differently).
+/// different distances from every query position used here.
 fn exact_grid() -> Arc<RoadNetwork> {
     Arc::new(generators::grid_city(&generators::GridCityConfig {
         nx: 6,

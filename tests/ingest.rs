@@ -67,8 +67,8 @@ fn small_cfg(seed: u64) -> ScenarioConfig {
 }
 
 /// Exact result comparison: both sides run the very same engine code on
-/// the very same event stream, so results compare bit-for-bit (ids
-/// included), not as tolerance-padded distance multisets.
+/// the very same event stream, so results compare bit-for-bit, ids
+/// included.
 fn assert_results_identical(a: &dyn ContinuousMonitor, b: &dyn ContinuousMonitor, ctx: &str) {
     let mut ids = a.query_ids();
     ids.sort();

@@ -1,7 +1,11 @@
 //! Property-based tests (proptest) on the core data structures and on the
 //! end-to-end monitoring invariants.
 
+mod common;
+
 use std::sync::Arc;
+
+use common::tie_prone_point;
 
 use proptest::prelude::*;
 use rnn_monitor::cluster::wal as cluster_wal;
@@ -239,20 +243,12 @@ proptest! {
             ima.tick(&batch);
             gma.tick(&batch);
 
-            for q in 0..4u32 {
-                let a = ovh.result(QueryId(q)).unwrap();
-                let b = ima.result(QueryId(q)).unwrap();
-                let c = gma.result(QueryId(q)).unwrap();
-                prop_assert_eq!(a.len(), b.len(), "IMA size, query {}", q);
-                prop_assert_eq!(a.len(), c.len(), "GMA size, query {}", q);
-                let mut da: Vec<f64> = a.iter().map(|n| n.dist).collect();
-                let mut db: Vec<f64> = b.iter().map(|n| n.dist).collect();
-                let mut dc: Vec<f64> = c.iter().map(|n| n.dist).collect();
-                da.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                db.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                dc.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                prop_assert_eq!(&da, &db, "IMA, query {}", q);
-                prop_assert_eq!(&da, &dc, "GMA, query {}", q);
+            for q in (0..4u32).map(QueryId) {
+                let want = ovh.result(q).unwrap();
+                prop_assert_eq!(ima.result(q).unwrap(), want, "IMA, query {}", q);
+                prop_assert_eq!(gma.result(q).unwrap(), want, "GMA, query {}", q);
+                prop_assert_eq!(ima.knn_dist(q), ovh.knn_dist(q), "IMA kNN_dist, query {}", q);
+                prop_assert_eq!(gma.knn_dist(q), ovh.knn_dist(q), "GMA kNN_dist, query {}", q);
             }
         }
         ima.validate_invariants();
@@ -338,20 +334,6 @@ fn lemma1_network(shape: usize, seed: u64) -> RoadNetwork {
     }
 }
 
-/// Positions that make exact ties likely: edge ends (fractions 0 and 1,
-/// where objects of different edges coincide), midpoints, and a few
-/// arbitrary fractions, on few enough edges for objects to share a spot.
-fn tie_prone_point(r: u64, num_edges: usize) -> NetPoint {
-    let edge = EdgeId(((r >> 8) % num_edges as u64) as u32);
-    let frac = match r % 6 {
-        0 => 0.0,
-        1 => 1.0,
-        2 => 0.5,
-        _ => ((r >> 20) % 997) as f64 / 997.0,
-    };
-    NetPoint::new(edge, frac)
-}
-
 /// Network distance from node `n` to every object, nearest first.
 fn node_nn_set(
     net: &RoadNetwork,
@@ -430,53 +412,22 @@ fn lemma1_reference(
             }));
         }
     }
-    all.sort_by(|a, b| (a.object, a.dist).partial_cmp(&(b.object, b.dist)).unwrap());
+    all.sort_by(|a, b| a.object.cmp(&b.object).then(a.dist.total_cmp(&b.dist)));
     all.dedup_by_key(|n| n.object);
     sort_neighbors(&mut all);
     all.truncate(k);
     all
 }
 
-/// `got` is a correct k-NN answer given the reference answer `want`: the
-/// same distances (`==`), in `(dist, id)` order without a repeated object,
-/// and holding every object the reference puts strictly nearer than its
-/// last one (which objects share the last distance is a tie held in
-/// arrival order).
-fn assert_same_answer(got: &[Neighbor], want: &[Neighbor], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: size");
-    for (g, w) in got.iter().zip(want) {
-        assert_eq!(
-            g.dist, w.dist,
-            "{what}: {g:?} vs {w:?}\n got {got:?}\nwant {want:?}"
-        );
-    }
-    for pair in got.windows(2) {
-        assert!(
-            pair[0].sort_key() < pair[1].sort_key(),
-            "{what}: order {pair:?}"
-        );
-    }
-    let mut ids: Vec<ObjectId> = got.iter().map(|n| n.object).collect();
-    ids.sort();
-    ids.dedup();
-    assert_eq!(ids.len(), got.len(), "{what}: an object twice in {got:?}");
-    if let Some(last) = want.last() {
-        for w in want.iter().filter(|w| w.dist < last.dist) {
-            assert!(
-                ids.contains(&w.object),
-                "{what}: misses {w:?}\n got {got:?}\nwant {want:?}"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// GMA's answers are Lemma 1's union and the from-scratch answer, on
-    /// every kind of sequence, for k below and above the object count,
-    /// with objects sharing positions and sitting on nodes (exact ties),
-    /// hence in the walk and in both endpoint sets at once.
+    /// GMA's answers are Lemma 1's union and the from-scratch answer, and
+    /// IMA's are the from-scratch answer too, on every kind of sequence,
+    /// for k below and above the object count, with objects sharing
+    /// positions and sitting on nodes (exact ties), hence in the walk and
+    /// in both endpoint sets at once: under `(dist, id)` all three are one
+    /// answer, compared whole with `==`.
     #[test]
     fn gma_answers_are_the_lemma1_union(
         shape in 0usize..5,
@@ -492,19 +443,21 @@ proptest! {
             r ^= r << 17;
             r
         };
-        let mut gma = Gma::new(net.clone());
+        let (mut gma, mut ima) = (Gma::new(net.clone()), Ima::new(net.clone()));
         let mut weights = EdgeWeights::from_base(&net);
         let mut objects: Vec<(ObjectId, NetPoint)> = (0..n_objects)
             .map(|i| (ObjectId(i as u32), tie_prone_point(next(), ne)))
             .collect();
-        for &(id, at) in &objects {
-            gma.apply(UpdateEvent::insert_object(id, at));
-        }
         let queries: Vec<(QueryId, usize, NetPoint)> = (0..4u32)
             .map(|i| (QueryId(i), [1, 3, 50][(next() % 3) as usize], tie_prone_point(next(), ne)))
             .collect();
-        for &(id, k, at) in &queries {
-            gma.apply(UpdateEvent::install_query(id, k, at));
+        for m in [&mut gma as &mut dyn ContinuousMonitor, &mut ima] {
+            for &(id, at) in &objects {
+                m.apply(UpdateEvent::insert_object(id, at));
+            }
+            for &(id, k, at) in &queries {
+                m.apply(UpdateEvent::install_query(id, k, at));
+            }
         }
         for tick in 0..4 {
             if tick > 0 {
@@ -522,6 +475,7 @@ proptest! {
                     batch.edges.push(EdgeWeightUpdate { edge, new_weight });
                 }
                 gma.tick(&batch);
+                ima.tick(&batch);
             }
             let mut ovh = Ovh::new(net.clone());
             ovh.tick(&UpdateBatch {
@@ -539,8 +493,11 @@ proptest! {
                 let got = gma.result(id).unwrap();
                 let what = format!("shape {shape} seed {seed} tick {tick} {id:?} k {k}");
                 let lemma = lemma1_reference(&net, gma.sequences(), &weights, &objects, at, k);
-                assert_same_answer(got, &lemma, &format!("{what} vs Lemma 1"));
-                assert_same_answer(got, ovh.result(id).unwrap(), &format!("{what} vs OVH"));
+                let want = ovh.result(id).unwrap();
+                assert_eq!(got, lemma, "{what}: GMA vs Lemma 1");
+                assert_eq!(got, want, "{what}: GMA vs OVH");
+                assert_eq!(ima.result(id).unwrap(), want, "{what}: IMA vs OVH");
+                assert_eq!(ima.knn_dist(id), ovh.knn_dist(id), "{what}: IMA kNN_dist");
                 prop_assert_eq!(got.len(), k.min(n_objects));
                 let knn = gma.knn_dist(id).unwrap();
                 prop_assert_eq!(knn, if got.len() == k { got[k - 1].dist } else { f64::INFINITY });
@@ -892,14 +849,7 @@ proptest! {
             eids.sort();
             prop_assert_eq!(&gids, &eids, "query sets diverge");
             for &q in &gids {
-                let a = gma.result(q).unwrap();
-                let b = eng.result(q).unwrap();
-                prop_assert_eq!(a.len(), b.len(), "result size, query {}", q);
-                let mut da: Vec<f64> = a.iter().map(|n| n.dist).collect();
-                let mut db: Vec<f64> = b.iter().map(|n| n.dist).collect();
-                da.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                db.sort_by(|x, y| x.partial_cmp(y).unwrap());
-                prop_assert_eq!(&da, &db, "distances, query {}", q);
+                prop_assert_eq!(gma.result(q).unwrap(), eng.result(q).unwrap(), "query {}", q);
                 prop_assert_eq!(gma.knn_dist(q), eng.knn_dist(q), "kNN_dist, query {}", q);
             }
         }

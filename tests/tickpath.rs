@@ -116,13 +116,11 @@ proptest! {
                     m.result(id).unwrap(),
                     "shared IMA diverged for {:?} at tick {}", id, tick
                 );
-                let a = shared_gma.result(id).unwrap();
-                let b = m.result(id).unwrap();
-                prop_assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    prop_assert_eq!(x.object, y.object);
-                    prop_assert_eq!(x.dist, y.dist);
-                }
+                prop_assert_eq!(
+                    shared_gma.result(id).unwrap(),
+                    m.result(id).unwrap(),
+                    "shared GMA diverged for {:?} at tick {}", id, tick
+                );
             }
             shared_ima.validate_invariants();
         }
