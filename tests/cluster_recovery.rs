@@ -5,88 +5,38 @@
 //! and, when a shard stays dead past its recovery budget, survivors
 //! must **take over** its cells through the migration planner.
 //!
-//! Answers compare with `==`, ids included: every monitor answers with
-//! the k smallest `(dist, id)`, which a restore reproduces whatever order
-//! its objects arrived in.
+//! The differential rows run on the harness in `tests/common` (its module
+//! docs say how to add one): answers, `kNN_dist` bits, `results_changed`
+//! and change lists compare with `==`, ids included. Every monitor answers
+//! with the k smallest `(dist, id)`, which a restore reproduces whatever
+//! order its objects arrived in.
 //!
 //! Counter discipline: a restored monitor answers identically but its
 //! allocator-history counters (pools warmed by restore, not the full
 //! run) and tree-shape-history counters (expansion trees recomputed on
-//! load, not replayed install-by-install) legitimately diverge, so the
-//! snapshot-recovery differentials compare the
-//! [`OpCounters::restore_stable`] projection — answers, result churn,
-//! and pure expansion work stay bit-identical. The snapshot-free full
-//! journal replay path stays *exactly* bit-identical, every counter
-//! included, and is covered by `cluster_differential.rs`.
+//! load, not replayed install-by-install) legitimately diverge, so a
+//! snapshot-recovery row makes each cluster the restore-stable twin
+//! (`common::Counters::RestoreStable`) of an in-process engine: answers,
+//! result churn and pure expansion work stay bit-identical. A takeover
+//! row compares answers only: survivors re-install the orphaned queries.
+//! The snapshot-free full journal replay path stays *exactly*
+//! bit-identical, every counter included, and is covered by
+//! `cluster_differential.rs`.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{base_cfg, drive, drive_observed, grid, Counters, Plane, Stack};
 use rnn_monitor::cluster::{
     loopback_pair, wal, ClusterEngine, ClusterError, DurabilityConfig, FaultPlan, Frame, MsgTag,
     ReplicaNode, ReplicatedLog, RetryPolicy, Transport,
 };
-use rnn_monitor::core::{ContinuousMonitor, Gma, TickReport, TransportStats};
-use rnn_monitor::engine::{EngineConfig, ReplicationConfig, ShardAlgo, ShardedEngine};
-use rnn_monitor::roadnet::{generators, RoadNetwork};
+use rnn_monitor::core::{ContinuousMonitor, Gma, TransportStats};
+use rnn_monitor::engine::{EngineConfig, ReplicationConfig, ShardAlgo};
+use rnn_monitor::roadnet::RoadNetwork;
 use rnn_monitor::workload::{Scenario, ScenarioConfig};
-
-fn grid(nx: usize, ny: usize, seed: u64) -> Arc<RoadNetwork> {
-    Arc::new(generators::grid_city(&generators::GridCityConfig {
-        nx,
-        ny,
-        seed,
-        ..Default::default()
-    }))
-}
-
-fn base_cfg(seed: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        num_objects: 80,
-        num_queries: 12,
-        k: 4,
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Answers must bit-match; work counters compare through the
-/// restore-stable projection (see module docs).
-fn assert_answers_identical(
-    inproc: &ShardedEngine,
-    cluster: &ClusterEngine,
-    reports: Option<(&TickReport, &TickReport)>,
-    ctx: &str,
-) {
-    let mut ids = inproc.query_ids();
-    ids.sort();
-    let mut cids = cluster.query_ids();
-    cids.sort();
-    assert_eq!(ids, cids, "{ctx}: query sets diverge");
-    for &qid in &ids {
-        assert_eq!(
-            inproc.result(qid).unwrap(),
-            cluster.result(qid).unwrap(),
-            "{ctx}, query {qid}: results diverge"
-        );
-        assert_eq!(
-            inproc.knn_dist(qid).unwrap().to_bits(),
-            cluster.knn_dist(qid).unwrap().to_bits(),
-            "{ctx}, query {qid}: kNN_dist bits diverge"
-        );
-    }
-    if let Some((ri, rc)) = reports {
-        assert_eq!(
-            ri.counters.restore_stable(),
-            rc.counters.restore_stable(),
-            "{ctx}: restore-stable work counters diverge"
-        );
-        assert_eq!(
-            ri.results_changed, rc.results_changed,
-            "{ctx}: results_changed diverges"
-        );
-    }
-}
 
 /// xorshift64*, so crash points are seeded but spread across the run.
 fn seeded_crash_frame(seed: u64, shard: usize) -> u32 {
@@ -108,22 +58,40 @@ fn seeded_crash_frame(seed: u64, shard: usize) -> u32 {
     1 + (r % 8) as u32
 }
 
-/// Crashes shard 0 mid-run with snapshots every `snapshot_every` event
-/// frames; recovery must install the latest snapshot and replay only
-/// the journal suffix.
-fn run_snapshot_recovery_differential(snapshot_every: u32, crash_after_frames: u32) {
-    run_recovery_differential(
-        ShardAlgo::Gma,
-        base_cfg(11),
-        12,
-        snapshot_every,
-        crash_after_frames,
-    );
+/// A shard config of `algo` at S shards with `replicas` followers each.
+fn shards(num_shards: usize, algo: ShardAlgo, replicas: u32) -> EngineConfig {
+    EngineConfig {
+        num_shards,
+        algo,
+        replication: ReplicationConfig::with_replicas(replicas),
+        ..EngineConfig::default()
+    }
 }
 
-/// The differential behind [`run_snapshot_recovery_differential`], over
-/// any shard algorithm, workload and run length.
-fn run_recovery_differential(
+/// The loopback plane of a durable cluster whose links snapshot every
+/// `snapshot_every` event frames in memory.
+fn in_memory(plans: Vec<FaultPlan>, snapshot_every: u32) -> Plane {
+    Plane {
+        plans,
+        durability: DurabilityConfig::in_memory(snapshot_every),
+        ..Plane::default()
+    }
+}
+
+/// A plan whose shard dies after `frames` delivered frames and, if
+/// `stillborn`, never comes back from a respawn.
+fn crash(frames: u32, stillborn: bool) -> FaultPlan {
+    FaultPlan {
+        crash_after_frames: frames,
+        respawn_dead: stillborn,
+        ..Default::default()
+    }
+}
+
+/// Crashes shard 0 mid-run with snapshots every `snapshot_every` event
+/// frames, at S ∈ {2, 4} on the 8×8 grid; recovery must install the
+/// latest snapshot and replay only the journal suffix.
+fn recovery_row(
     algo: ShardAlgo,
     cfg: ScenarioConfig,
     ticks: usize,
@@ -131,49 +99,27 @@ fn run_recovery_differential(
     crash_after_frames: u32,
 ) {
     let net = grid(8, 8, 1);
-    for shards in [2usize, 4] {
-        let ecfg = EngineConfig {
-            num_shards: shards,
-            algo,
-            ..EngineConfig::default()
-        };
-        let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-        let mut plans = vec![FaultPlan::default(); shards];
-        plans[0] = FaultPlan {
-            crash_after_frames,
-            ..Default::default()
-        };
-        let mut cluster = ClusterEngine::loopback_durable(
-            net.clone(),
-            ecfg,
-            &plans,
-            RetryPolicy::default(),
-            DurabilityConfig::in_memory(snapshot_every),
-        );
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        scenario.install_into(&mut inproc);
-        scenario.install_into(&mut cluster);
-        for t in 1..=ticks {
-            let batch = scenario.tick();
-            let ri = inproc.tick(&batch);
-            let rc = cluster.tick(&batch);
-            assert_answers_identical(
-                &inproc,
-                &cluster,
-                Some((&ri, &rc)),
-                &format!(
-                    "S={shards}, every={snapshot_every}, crash={crash_after_frames}, tick {t}"
-                ),
-            );
-        }
-        let s0 = &cluster.shard_stats()[0];
+    let mut stacks = Stack::pairs(
+        &[2, 4],
+        |s| Stack::eng(&net, shards(s, algo, 0)),
+        |s| {
+            let plans = Plane::shard_0(crash(crash_after_frames, false), s);
+            Stack::clu(&net, shards(s, algo, 0), &in_memory(plans, snapshot_every))
+        },
+        Counters::RestoreStable,
+    );
+    drive(&mut Scenario::new(net.clone(), cfg), &mut stacks, ticks).unwrap();
+    for clu in stacks.iter().skip(1).step_by(2) {
+        let name = &clu.name;
+        let all = clu.clu_ref().shard_stats();
+        let s0 = &all[0];
         assert!(
             s0.snapshots > 0,
-            "S={shards}: snapshot cycle never fired (stats: {s0:?})"
+            "{name}: snapshot cycle never fired (stats: {s0:?})"
         );
         assert!(
             s0.crash_recoveries >= 1,
-            "S={shards}: the planned crash must have fired (stats: {s0:?})"
+            "{name}: the planned crash must have fired (stats: {s0:?})"
         );
         // Bounded-time recovery: each rebuild replays at most the journal
         // suffix accumulated since the last snapshot (plus the in-flight
@@ -181,17 +127,17 @@ fn run_recovery_differential(
         let per_recovery_bound = u64::from(snapshot_every) + 2;
         assert!(
             s0.frames_replayed <= s0.crash_recoveries * per_recovery_bound,
-            "S={shards}: replay not bounded by the WAL suffix: {} frames over {} recoveries \
+            "{name}: replay not bounded by the WAL suffix: {} frames over {} recoveries \
              (snapshot_every={snapshot_every})",
             s0.frames_replayed,
             s0.crash_recoveries,
         );
-        // The satellite fix: the coordinator journal is truncated behind
-        // every durable snapshot instead of growing without bound.
-        for (s, st) in cluster.shard_stats().iter().enumerate() {
+        // The coordinator journal is truncated behind every durable
+        // snapshot instead of growing without bound.
+        for (s, st) in all.iter().enumerate() {
             assert!(
                 st.journal_len < u64::from(snapshot_every),
-                "shard {s}: journal not truncated behind snapshots (stats: {st:?})"
+                "{name}, shard {s}: journal not truncated behind snapshots (stats: {st:?})"
             );
         }
     }
@@ -199,12 +145,12 @@ fn run_recovery_differential(
 
 #[test]
 fn cluster_recovers_from_snapshot_plus_journal_suffix() {
-    run_snapshot_recovery_differential(3, 14);
+    recovery_row(ShardAlgo::Gma, base_cfg(11), 12, 3, 14);
 }
 
 #[test]
 fn cluster_recovers_with_sparse_snapshots() {
-    run_snapshot_recovery_differential(8, 12);
+    recovery_row(ShardAlgo::Gma, base_cfg(11), 12, 8, 12);
 }
 
 #[test]
@@ -229,7 +175,7 @@ fn cluster_recovers_after_query_moves_and_weight_churn() {
     // a snapshot request every fourth event frame), 41 (S=2) to 45 (S=4)
     // over the run — so 20 frames is around tick 12 of 30, well after the
     // queries started moving.
-    run_recovery_differential(ShardAlgo::Ima, cfg, 30, 4, 20);
+    recovery_row(ShardAlgo::Ima, cfg, 30, 4, 20);
 }
 
 #[test]
@@ -238,45 +184,31 @@ fn cluster_recovers_from_seeded_random_crash_ticks() {
     // from its snapshot + suffix with answers indistinguishable from
     // the uncrashed twin.
     let net = grid(7, 9, 2);
-    let cfg = base_cfg(22);
-    for (seed, shards) in [(41u64, 2usize), (42, 4), (43, 4)] {
-        let ecfg = EngineConfig {
-            num_shards: shards,
-            algo: ShardAlgo::Ima,
-            ..EngineConfig::default()
-        };
-        let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-        let plans: Vec<FaultPlan> = (0..shards)
-            .map(|s| FaultPlan {
-                crash_after_frames: seeded_crash_frame(seed, s),
-                ..Default::default()
-            })
-            .collect();
-        let mut cluster = ClusterEngine::loopback_durable(
-            net.clone(),
-            ecfg,
-            &plans,
-            RetryPolicy::default(),
-            DurabilityConfig::in_memory(4),
-        );
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        scenario.install_into(&mut inproc);
-        scenario.install_into(&mut cluster);
-        for t in 1..=12usize {
-            let batch = scenario.tick();
-            let ri = inproc.tick(&batch);
-            let rc = cluster.tick(&batch);
-            assert_answers_identical(
-                &inproc,
-                &cluster,
-                Some((&ri, &rc)),
-                &format!("seed={seed}, S={shards}, tick {t}"),
-            );
+    let runs = [(41u64, 2usize), (42, 4), (43, 4)];
+    let (mut stacks, mut twin) = (Vec::new(), 0);
+    for (i, (seed, s)) in runs.into_iter().enumerate() {
+        // One ENG-S per shard count, the twin of every cluster at it.
+        if i == 0 || runs[i - 1].1 != s {
+            twin = stacks.len();
+            stacks.push(Stack::eng(&net, shards(s, ShardAlgo::Ima, 0)));
         }
-        let stats = cluster.stats();
+        let plans = (0..s).map(|shard| crash(seeded_crash_frame(seed, shard), false));
+        let plane = in_memory(plans.collect(), 4);
+        let clu = Stack::clu(&net, shards(s, ShardAlgo::Ima, 0), &plane);
+        stacks.push(clu.twin(twin, Counters::RestoreStable));
+    }
+    drive(
+        &mut Scenario::new(net.clone(), base_cfg(22)),
+        &mut stacks,
+        12,
+    )
+    .unwrap();
+    let clusters = stacks.iter().filter(|st| st.twin_of().is_some());
+    for ((seed, s), clu) in runs.into_iter().zip(clusters) {
+        let stats = clu.clu_ref().stats();
         assert!(
-            stats.crash_recoveries >= shards as u64,
-            "seed={seed}, S={shards}: every shard was scheduled to crash (stats: {stats:?})"
+            stats.crash_recoveries >= s as u64,
+            "seed={seed}, S={s}: every shard was scheduled to crash (stats: {stats:?})"
         );
         assert!(stats.snapshots > 0, "seed={seed}: no snapshots taken");
     }
@@ -289,42 +221,26 @@ fn on_disk_durability_persists_snapshot_and_torn_tail_safe_wal() {
     let _ = std::fs::remove_dir_all(&root);
 
     let net = grid(8, 8, 3);
-    let shards = 2usize;
-    let ecfg = EngineConfig {
-        num_shards: shards,
-        algo: ShardAlgo::Gma,
-        ..EngineConfig::default()
-    };
-    let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-    let mut plans = vec![FaultPlan::default(); shards];
+    let cfg = shards(2, ShardAlgo::Gma, 0);
     // Shard 0 is delivered 2 frames by installation and 15 by the end of
     // the 10-tick run: 8 frames is tick 4 or 5, after its first on-disk
     // snapshot (one every 4 event frames) and with a WAL suffix to replay.
-    plans[0] = FaultPlan {
-        crash_after_frames: 8,
-        ..Default::default()
+    let plane = Plane {
+        plans: Plane::shard_0(crash(8, false), 2),
+        durability: DurabilityConfig::on_disk(4, root.clone()),
+        ..Plane::default()
     };
-    let mut cluster = ClusterEngine::loopback_durable(
-        net.clone(),
-        ecfg,
-        &plans,
-        RetryPolicy::default(),
-        DurabilityConfig::on_disk(4, root.clone()),
-    );
-    let mut scenario = Scenario::new(net.clone(), base_cfg(33));
-    scenario.install_into(&mut inproc);
-    scenario.install_into(&mut cluster);
-    for t in 1..=10usize {
-        let batch = scenario.tick();
-        let ri = inproc.tick(&batch);
-        let rc = cluster.tick(&batch);
-        assert_answers_identical(
-            &inproc,
-            &cluster,
-            Some((&ri, &rc)),
-            &format!("disk, tick {t}"),
-        );
-    }
+    let mut stacks = vec![
+        Stack::eng(&net, cfg),
+        Stack::clu(&net, cfg, &plane).twin(0, Counters::RestoreStable),
+    ];
+    drive(
+        &mut Scenario::new(net.clone(), base_cfg(33)),
+        &mut stacks,
+        10,
+    )
+    .unwrap();
+    let cluster = stacks[1].clu_ref();
     let stats = cluster.stats();
     assert!(stats.snapshots > 0 && stats.crash_recoveries >= 1);
     assert!(
@@ -332,7 +248,7 @@ fn on_disk_durability_persists_snapshot_and_torn_tail_safe_wal() {
         "durable snapshot missing (stats: {stats:?})"
     );
 
-    for s in 0..shards {
+    for s in 0..cfg.num_shards {
         let dir = root.join(format!("shard-{s}"));
         let snap = dir.join("snapshot.bin");
         assert!(snap.exists(), "shard {s}: no snapshot file at {snap:?}");
@@ -352,19 +268,116 @@ fn on_disk_durability_persists_snapshot_and_torn_tail_safe_wal() {
         );
     }
 
-    drop(cluster);
+    drop(stacks);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One failover input: shard count, followers per shard, snapshot
+/// cadence, shard 0's crash frame, and the follower-only offers that must
+/// precede the failover.
+type Failover = (usize, u32, u32, u32, u64);
+
+/// Shard 0 of every input crashes and every respawn is stillborn; each
+/// cluster, the restore-stable twin of an `ENG-S`, must fail over to a
+/// follower and stay answer-identical, with zero planner takeovers.
+fn failover_row(net: &Arc<RoadNetwork>, cfg: ScenarioConfig, ticks: usize, inputs: &[Failover]) {
+    let (mut stacks, mut twin) = (Vec::new(), 0);
+    for (i, &(s, replicas, snapshot_every, crash_frame, _)) in inputs.iter().enumerate() {
+        let cfg = shards(s, ShardAlgo::Gma, replicas);
+        // One ENG-S per shard count (it ignores replication), the twin of
+        // every cluster at it.
+        if i == 0 || inputs[i - 1].0 != s {
+            twin = stacks.len();
+            stacks.push(Stack::eng(net, cfg));
+        }
+        let plane = in_memory(Plane::shard_0(crash(crash_frame, true), s), snapshot_every);
+        stacks.push(Stack::clu(net, cfg, &plane).twin(twin, Counters::RestoreStable));
+    }
+    // Snapshot captures shard 0's link made only for its followers before
+    // the tick that failed over: until then no frame is retransmitted, so
+    // every frame sent past the replicated events is a snapshot request,
+    // and `snapshots` counts those the log installed.
+    let mut before: Vec<Option<TransportStats>> = vec![None; stacks.len()];
+    let mut offers: Vec<Option<u64>> = vec![None; stacks.len()];
+    drive_observed(
+        &mut Scenario::new(net.clone(), cfg),
+        &mut stacks,
+        ticks,
+        |_, stacks| {
+            for (i, clu) in stacks.iter().enumerate() {
+                if clu.twin_of().is_none() {
+                    continue;
+                }
+                let now = clu.clu_ref().shard_stats()[0];
+                if let (None, Some(b)) = (offers[i], before[i]) {
+                    if now.failovers > 0 {
+                        offers[i] = Some(b.frames_sent - b.commit_lag_frames - b.snapshots);
+                    }
+                }
+                before[i] = Some(now);
+            }
+        },
+    )
+    .unwrap();
+    let clusters = stacks
+        .iter()
+        .enumerate()
+        .filter(|(_, st)| st.twin_of().is_some());
+    for (&(s, replicas, .., want_offers), (i, clu)) in inputs.iter().zip(clusters) {
+        let name = format!("S={s}, R={replicas}");
+        assert!(
+            offers[i] >= Some(want_offers),
+            "{name}: {:?} follower-only offers preceded the crash, {want_offers} expected",
+            offers[i]
+        );
+        let stats = clu.clu_ref().stats();
+        assert!(
+            stats.failovers >= 1,
+            "{name}: the dead shard never failed over (stats: {stats:?})"
+        );
+        assert!(
+            stats.replica_appends > 0 && stats.commit_lag_frames > 0,
+            "{name}: events were never replicated (stats: {stats:?})"
+        );
+        assert_eq!(
+            stats.fenced_appends, 0,
+            "{name}: no stale leader exists in this run (stats: {stats:?})"
+        );
+        let engine = clu.clu_ref().engine();
+        assert_eq!(
+            engine.takeovers(),
+            0,
+            "{name}: failover must preempt planner takeover"
+        );
+        assert_eq!(
+            engine.live_shards(),
+            s,
+            "{name}: the promoted follower keeps the shard alive"
+        );
+        assert!(
+            engine.links()[0].epoch() >= 1,
+            "{name}: promotion must bump the leadership epoch"
+        );
+    }
 }
 
 #[test]
 fn failover_promotes_follower_and_stays_answer_identical() {
     // Shard 0 crashes at a seeded frame and every respawn is stillborn,
-    // so the PR-8 recovery budget exhausts — but with follower replicas
+    // so the recovery budget exhausts — but with follower replicas
     // attached the link must *fail over* instead of dying: a follower
     // rebuilds the shard from its own replicated log (snapshot install +
     // local suffix replay) and the run stays answer-identical to the
     // in-process twin, with zero planner takeovers.
-    //
+    let net = grid(8, 8, 6);
+    let seeded = |replicas: u32| seeded_crash_frame(60 + replicas as u64, 0);
+    let inputs = [
+        (2, 1, 4, seeded(1), 0),
+        (2, 2, 4, seeded(2), 0),
+        (4, 1, 4, seeded(1), 0),
+        (4, 2, 4, seeded(2), 0),
+    ];
+    failover_row(&net, base_cfg(66), 12, &inputs);
     // The last input promotes a follower whose log was last truncated by
     // an offer the leader's own log never installed. It snapshots to disk
     // every 20 frames, on a stream where every object moves every tick.
@@ -373,102 +386,11 @@ fn failover_promotes_follower_and_stays_answer_identical() {
     // it and they alone are offered a fresh capture. Shard 0 dies at its
     // 37th frame (tick 26), after that offer and before the second disk
     // snapshot (tick 30).
-    let net = grid(8, 8, 6);
-    let cfg = base_cfg(66);
     let firehose = ScenarioConfig {
         object_agility: 1.0,
-        ..cfg.clone()
+        ..base_cfg(66)
     };
-    let seeded = |replicas: u32| seeded_crash_frame(60 + replicas as u64, 0);
-    // (S, R, stream, snapshot_every, shard 0's crash frame, ticks, the
-    // follower-only offers that must precede the crash)
-    let inputs = [
-        (2usize, 1u32, &cfg, 4u32, seeded(1), 12usize, 0u64),
-        (2, 2, &cfg, 4, seeded(2), 12, 0),
-        (4, 1, &cfg, 4, seeded(1), 12, 0),
-        (4, 2, &cfg, 4, seeded(2), 12, 0),
-        (2, 2, &firehose, 20, 36, 28, 1),
-    ];
-    for (shards, replicas, cfg, snapshot_every, crash_frame, ticks, offers) in inputs {
-        let ecfg = EngineConfig {
-            num_shards: shards,
-            algo: ShardAlgo::Gma,
-            replication: ReplicationConfig::with_replicas(replicas),
-            ..EngineConfig::default()
-        };
-        let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-        let mut plans = vec![FaultPlan::default(); shards];
-        plans[0] = FaultPlan {
-            crash_after_frames: crash_frame,
-            respawn_dead: true,
-            ..Default::default()
-        };
-        let mut cluster = ClusterEngine::loopback_durable(
-            net.clone(),
-            ecfg,
-            &plans,
-            RetryPolicy::default(),
-            DurabilityConfig::in_memory(snapshot_every),
-        );
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        scenario.install_into(&mut inproc);
-        scenario.install_into(&mut cluster);
-        // Snapshot captures shard 0's link made only for its followers
-        // before the tick that failed over: until then no frame is
-        // retransmitted, so every frame sent past the replicated events
-        // is a snapshot request, and `snapshots` counts those the log
-        // installed.
-        let mut follower_only_offers = None;
-        for t in 1..=ticks {
-            let before = cluster.shard_stats()[0];
-            let batch = scenario.tick();
-            let ri = inproc.tick(&batch);
-            let rc = cluster.tick(&batch);
-            assert_answers_identical(
-                &inproc,
-                &cluster,
-                Some((&ri, &rc)),
-                &format!("S={shards}, R={replicas}, failover run, tick {t}"),
-            );
-            if follower_only_offers.is_none() && cluster.shard_stats()[0].failovers > 0 {
-                follower_only_offers =
-                    Some(before.frames_sent - before.commit_lag_frames - before.snapshots);
-            }
-        }
-        assert!(
-            follower_only_offers >= Some(offers),
-            "S={shards}, R={replicas}: {follower_only_offers:?} follower-only offers \
-             preceded the crash, {offers} expected"
-        );
-        let stats = cluster.stats();
-        assert!(
-            stats.failovers >= 1,
-            "S={shards}, R={replicas}: the dead shard never failed over (stats: {stats:?})"
-        );
-        assert!(
-            stats.replica_appends > 0 && stats.commit_lag_frames > 0,
-            "S={shards}, R={replicas}: events were never replicated (stats: {stats:?})"
-        );
-        assert_eq!(
-            stats.fenced_appends, 0,
-            "S={shards}, R={replicas}: no stale leader exists in this run (stats: {stats:?})"
-        );
-        let engine = cluster.engine();
-        assert_eq!(
-            engine.takeovers(),
-            0,
-            "S={shards}, R={replicas}: failover must preempt planner takeover"
-        );
-        assert_eq!(
-            engine.live_shards(),
-            shards,
-            "S={shards}, R={replicas}: the promoted follower keeps the shard alive"
-        );
-        assert!(
-            engine.links()[0].epoch() >= 1,
-            "S={shards}, R={replicas}: promotion must bump the leadership epoch"
-        );
-    }
+    failover_row(&net, firehose, 28, &[(2, 2, 20, 36, 1)]);
 }
 
 #[test]
@@ -535,30 +457,20 @@ fn a_promoted_term_is_stored_and_resumed_on_reopen() {
 
 #[test]
 fn seeded_chaos_schedule_survives_duplication_partition_and_crash() {
-    // One seeded chaos schedule per run: shard 0 crashes with stillborn
-    // respawns (failover via the recovery path), shard 2's link turns
-    // into a one-way partition (outbound black-hole — failover via
+    // One seeded chaos schedule per cluster: shard 0 crashes with
+    // stillborn respawns (failover via the recovery path), shard 2's link
+    // turns into a one-way partition (outbound black-hole — failover via
     // retransmit-budget exhaustion, the asymmetric failure no Closed
     // error ever signals), and the other shards see every Nth frame
     // duplicated. Answers must stay bit-identical throughout and both
     // failovers must land without a single planner takeover.
     let net = grid(7, 9, 7);
-    let cfg = base_cfg(77);
-    for seed in [71u64, 72] {
-        let shards = 4usize;
-        let ecfg = EngineConfig {
-            num_shards: shards,
-            algo: ShardAlgo::Ima,
-            replication: ReplicationConfig::with_replicas(2),
-            ..EngineConfig::default()
-        };
-        let mut inproc = ShardedEngine::new(net.clone(), ecfg);
+    let cfg = shards(4, ShardAlgo::Ima, 2);
+    let seeds = [71u64, 72];
+    let mut stacks = vec![Stack::eng(&net, cfg)];
+    for seed in seeds {
         let plans = vec![
-            FaultPlan {
-                crash_after_frames: seeded_crash_frame(seed, 0),
-                respawn_dead: true,
-                ..Default::default()
-            },
+            crash(seeded_crash_frame(seed, 0), true),
             FaultPlan {
                 duplicate_every: 3,
                 ..Default::default()
@@ -574,40 +486,31 @@ fn seeded_chaos_schedule_survives_duplication_partition_and_crash() {
         ];
         // A short reply timeout keeps the partition's retransmit budget
         // cheap; correctness never depends on the timing.
-        let policy = RetryPolicy {
-            timeout: Duration::from_millis(100),
-            max_retries: 3,
+        let plane = Plane {
+            policy: RetryPolicy {
+                timeout: Duration::from_millis(100),
+                max_retries: 3,
+            },
+            ..in_memory(plans, 4)
         };
-        let mut cluster = ClusterEngine::loopback_durable(
-            net.clone(),
-            ecfg,
-            &plans,
-            policy,
-            DurabilityConfig::in_memory(4),
-        );
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        scenario.install_into(&mut inproc);
-        scenario.install_into(&mut cluster);
-        for t in 1..=12usize {
-            let batch = scenario.tick();
-            let ri = inproc.tick(&batch);
-            let rc = cluster.tick(&batch);
-            assert_answers_identical(
-                &inproc,
-                &cluster,
-                Some((&ri, &rc)),
-                &format!("chaos seed={seed}, tick {t}"),
-            );
-        }
-        let stats = cluster.stats();
+        stacks.push(Stack::clu(&net, cfg, &plane).twin(0, Counters::RestoreStable));
+    }
+    drive(
+        &mut Scenario::new(net.clone(), base_cfg(77)),
+        &mut stacks,
+        12,
+    )
+    .unwrap();
+    for (seed, clu) in seeds.into_iter().zip(&stacks[1..]) {
+        let stats = clu.clu_ref().stats();
         assert!(
             stats.failovers >= 2,
             "seed={seed}: both the crashed and the partitioned shard must fail over \
              (stats: {stats:?})"
         );
-        let engine = cluster.engine();
+        let engine = clu.clu_ref().engine();
         assert_eq!(engine.takeovers(), 0, "seed={seed}: no takeover");
-        assert_eq!(engine.live_shards(), shards, "seed={seed}: all shards live");
+        assert_eq!(engine.live_shards(), 4, "seed={seed}: all shards live");
         assert!(
             engine.links()[0].epoch() >= 1 && engine.links()[2].epoch() >= 1,
             "seed={seed}: both failed-over links must carry bumped epochs"
@@ -685,69 +588,42 @@ fn takeover_hands_dead_shard_cells_to_survivors() {
     // Shard 0 crashes and every respawn is stillborn, so the recovery
     // budget exhausts and the link goes Down. The engine must adopt its
     // cells via the migration planner and keep answering —
-    // answer-identical to the in-process twin (work counters legitimately
-    // diverge: survivors re-install the orphaned queries).
+    // answer-identical to the in-process twin, its replication invariants
+    // holding (work counters legitimately diverge: survivors re-install
+    // the orphaned queries).
     let net = grid(8, 8, 4);
-    let cfg = base_cfg(44);
-    for (shards, crash_after_frames) in [(2usize, 16u32), (4, 12)] {
-        let ecfg = EngineConfig {
-            num_shards: shards,
-            algo: ShardAlgo::Gma,
-            ..EngineConfig::default()
-        };
-        let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-        let mut plans = vec![FaultPlan::default(); shards];
-        plans[0] = FaultPlan {
-            crash_after_frames,
-            respawn_dead: true,
-            ..Default::default()
-        };
-        let mut cluster = ClusterEngine::loopback_durable(
-            net.clone(),
-            ecfg,
-            &plans,
-            RetryPolicy::default(),
-            DurabilityConfig::in_memory(4),
-        );
-        let mut scenario = Scenario::new(net.clone(), cfg.clone());
-        scenario.install_into(&mut inproc);
-        scenario.install_into(&mut cluster);
-        for t in 1..=12usize {
-            let batch = scenario.tick();
-            inproc.tick(&batch);
-            cluster.tick(&batch);
-            assert_answers_identical(
-                &inproc,
-                &cluster,
-                None,
-                &format!("S={shards}, takeover run, tick {t}"),
-            );
-            cluster
-                .engine()
-                .validate_replication()
-                .expect("replication invariants hold through takeover");
-        }
-        let engine = cluster.engine();
+    let runs = [(2usize, 16u32), (4, 12)];
+    let mut stacks = Vec::new();
+    for (s, crash_after_frames) in runs {
+        let cfg = shards(s, ShardAlgo::Gma, 0);
+        let plans = Plane::shard_0(crash(crash_after_frames, true), s);
+        stacks.push(Stack::eng(&net, cfg));
+        stacks.push(Stack::clu(&net, cfg, &in_memory(plans, 4)));
+    }
+    drive(
+        &mut Scenario::new(net.clone(), base_cfg(44)),
+        &mut stacks,
+        12,
+    )
+    .unwrap();
+    for ((s, _), pair) in runs.into_iter().zip(stacks.chunks(2)) {
+        let engine = pair[1].clu_ref().engine();
         assert!(
             engine.takeovers() >= 1,
-            "S={shards}: the dead shard was never taken over"
+            "S={s}: the dead shard was never taken over"
         );
-        assert!(
-            engine.is_shard_dead(0),
-            "S={shards}: shard 0 should be dead"
-        );
+        assert!(engine.is_shard_dead(0), "S={s}: shard 0 should be dead");
         assert_eq!(
             engine.live_shards(),
-            shards - 1,
-            "S={shards}: exactly one shard should have died"
+            s - 1,
+            "S={s}: exactly one shard should have died"
         );
         // The corpse's recovery failure surfaced as a typed error, not a
         // panic (the pre-durability code killed the whole coordinator
         // here).
-        let err = cluster.engine().links()[0].last_error();
         assert!(
-            err.is_some(),
-            "S={shards}: dead link must report a ClusterError"
+            engine.links()[0].last_error().is_some(),
+            "S={s}: dead link must report a ClusterError"
         );
     }
 }
@@ -757,47 +633,25 @@ fn takeover_survives_repeated_deaths_down_to_one_shard() {
     // Kill three of four shards at staggered points; the single survivor
     // ends up owning the whole network and must still answer correctly.
     let net = grid(6, 6, 5);
-    let shards = 4usize;
-    let ecfg = EngineConfig {
-        num_shards: shards,
-        algo: ShardAlgo::Gma,
-        ..EngineConfig::default()
-    };
-    let mut inproc = ShardedEngine::new(net.clone(), ecfg);
-    let plans: Vec<FaultPlan> = (0..shards)
-        .map(|s| {
-            if s == 3 {
-                FaultPlan::default()
-            } else {
-                FaultPlan {
-                    crash_after_frames: 8 + 4 * s as u32,
-                    respawn_dead: true,
-                    ..Default::default()
-                }
-            }
+    let cfg = shards(4, ShardAlgo::Gma, 0);
+    let plans = (0..4u32)
+        .map(|s| match s {
+            3 => FaultPlan::default(),
+            _ => crash(8 + 4 * s, true),
         })
         .collect();
-    let mut cluster = ClusterEngine::loopback_durable(
-        net.clone(),
-        ecfg,
-        &plans,
-        RetryPolicy::default(),
-        DurabilityConfig::default(),
-    );
-    let mut scenario = Scenario::new(net.clone(), base_cfg(55));
-    scenario.install_into(&mut inproc);
-    scenario.install_into(&mut cluster);
-    for t in 1..=14usize {
-        let batch = scenario.tick();
-        inproc.tick(&batch);
-        cluster.tick(&batch);
-        assert_answers_identical(&inproc, &cluster, None, &format!("cascade, tick {t}"));
-        cluster
-            .engine()
-            .validate_replication()
-            .expect("replication invariants hold through cascading takeovers");
-    }
-    let engine = cluster.engine();
+    let plane = Plane {
+        plans,
+        ..Plane::default()
+    };
+    let mut stacks = vec![Stack::eng(&net, cfg), Stack::clu(&net, cfg, &plane)];
+    drive(
+        &mut Scenario::new(net.clone(), base_cfg(55)),
+        &mut stacks,
+        14,
+    )
+    .unwrap();
+    let engine = stacks[1].clu_ref().engine();
     assert_eq!(engine.takeovers(), 3, "three shards were scheduled to die");
     assert_eq!(engine.live_shards(), 1, "only shard 3 survives");
     assert!(!engine.is_shard_dead(3));

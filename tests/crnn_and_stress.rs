@@ -1,13 +1,17 @@
 //! Differential validation of the CRNN extension against a brute-force
-//! oracle, plus longer stress runs of the three k-NN monitors.
+//! oracle, plus longer stress runs of the three k-NN monitors (the long
+//! run on the harness in `tests/common`).
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{drive, grid, Stack};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rnn_monitor::core::crnn::{Crnn, CrnnError};
 use rnn_monitor::core::{
-    ContinuousMonitor, Gma, Ima, ObjectEvent, Ovh, QueryEvent, UpdateBatch, UpdateEvent,
+    ContinuousMonitor, Gma, Ima, ObjectEvent, QueryEvent, UpdateBatch, UpdateEvent,
 };
 use rnn_monitor::roadnet::{
     generators, DijkstraEngine, EdgeId, EdgeWeights, NetPoint, ObjectId, QueryId,
@@ -44,12 +48,7 @@ fn brute_rnn(
 
 #[test]
 fn crnn_matches_brute_force_over_random_run() {
-    let net = Arc::new(generators::grid_city(&generators::GridCityConfig {
-        nx: 7,
-        ny: 7,
-        seed: 17,
-        ..Default::default()
-    }));
+    let net = grid(7, 7, 17);
     let ne = net.num_edges() as u32;
     let mut rng = StdRng::seed_from_u64(5);
     let mut crnn = Crnn::new(net.clone());
@@ -179,8 +178,8 @@ fn crnn_refuses_unfit_batches_and_changes_nothing() {
     assert_eq!(crnn.reverse_nns(QueryId(1)), Some(vec![]));
 }
 
-/// A long mixed run on a mid-sized map: 60 timestamps, periodic deep
-/// validation of IMA's internal invariants, final result equality.
+/// A long mixed run on a mid-sized map: 60 timestamps, IMA's internal
+/// invariants and every answer checked at each.
 #[test]
 fn long_stress_run_stays_consistent() {
     let net = Arc::new(generators::san_francisco_like(600, 23));
@@ -194,40 +193,11 @@ fn long_stress_run_stays_consistent() {
         seed: 9,
         ..Default::default()
     };
-    let mut scenario = Scenario::new(net.clone(), cfg);
-    let mut ovh = Ovh::new(net.clone());
-    let mut ima = Ima::new(net.clone());
-    let mut gma = Gma::new(net.clone());
-    scenario.install_into(&mut ovh);
-    scenario.install_into(&mut ima);
-    scenario.install_into(&mut gma);
-
-    let mut total_ovh_work = 0u64;
-    let mut total_ima_work = 0u64;
-    for t in 1..=60usize {
-        let batch = scenario.tick();
-        total_ovh_work += ovh.tick(&batch).counters.work();
-        total_ima_work += ima.tick(&batch).counters.work();
-        gma.tick(&batch);
-        if t % 20 == 0 {
-            ima.validate_invariants();
-        }
-        if t % 10 == 0 {
-            let mut ids = ovh.query_ids();
-            ids.sort();
-            for q in ids {
-                for m in [&ima as &dyn ContinuousMonitor, &gma] {
-                    assert_eq!(m.result(q), ovh.result(q), "t={t} q={q} {}", m.name());
-                    assert_eq!(m.knn_dist(q), ovh.knn_dist(q), "t={t} q={q} {}", m.name());
-                }
-            }
-        }
-    }
+    let mut stacks = Stack::monitors(&net);
+    drive(&mut Scenario::new(net.clone(), cfg), &mut stacks, 60).unwrap();
     // The headline claim must hold over the long run too.
-    assert!(
-        total_ima_work < total_ovh_work,
-        "incremental ({total_ima_work}) must beat overhaul ({total_ovh_work})"
-    );
+    let (ovh, ima) = (stacks[0].total.work(), stacks[1].total.work());
+    assert!(ima < ovh, "incremental ({ima}) must beat overhaul ({ovh})");
 }
 
 /// Memory accounting responds to load: more queries and larger k mean more

@@ -1,298 +1,113 @@
 //! Differential correctness of the sharded engine: at every timestamp of a
 //! seeded scenario, `ShardedEngine` with S ∈ {1, 2, 4} shards must report
-//! exactly the same k-NN sets as a single-threaded monitor fed the same
-//! update stream.
+//! exactly what a single-threaded monitor fed the same update stream
+//! reports, and hold its replication invariants (`validate_replication`)
+//! after every call.
 //!
-//! As in `differential.rs`, answers compare whole, with `==`, ids
-//! included: every monitor keeps the k smallest `(dist, id)`, so a shard
-//! and the single monitor keep the same objects at a tie, and distances
-//! are exact, whatever the summation order.
+//! The rows run on the harness in `tests/common` (its module docs say how
+//! to add one): answers compare whole, with `==`, ids included, together
+//! with `kNN_dist` bits, `results_changed` and the change list. Every
+//! monitor keeps the k smallest `(dist, id)`, so a shard and the single
+//! monitor keep the same objects at a tie, and distances are exact,
+//! whatever the summation order.
+//!
+//! The first fourteen rows are the entries of `common::Sharded`, the
+//! scenario table this suite shares with `cluster_differential.rs`. Then
+//! come hand-written programs (duplicate installs, query lifecycle
+//! counts, heavy churn with replica decay, the drifting hotspot under
+//! rebalancing) and the bounded-exhaustive small world: every batch of up
+//! to three events over one object and one query, at every entry point.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{TieProne, Workload};
-use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, QueryEvent, UpdateBatch, UpdateEvent};
-use rnn_monitor::engine::{EngineConfig, ShardAlgo, ShardedEngine};
-use rnn_monitor::roadnet::{generators, NetPoint, QueryId, RoadNetwork};
-use rnn_monitor::workload::{MovementModel, Scenario, ScenarioConfig};
+use common::{drive, drive_observed, exact_grid, grid, Hotspot, Program, Sharded, Stack, TieProne};
+use rnn_monitor::core::{load_population, ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
+use rnn_monitor::engine::{EngineConfig, ShardAlgo};
+use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
 
-fn compare_monitors(
-    reference: &dyn ContinuousMonitor,
-    others: &[&dyn ContinuousMonitor],
-    tick: usize,
-) {
-    let mut ids = reference.query_ids();
-    ids.sort();
-    for &other in others {
-        let mut other_ids = other.query_ids();
-        other_ids.sort();
-        assert_eq!(ids, other_ids, "query sets diverge at tick {tick}");
-    }
-    for &qid in &ids {
-        for &other in others {
-            let ctx = format!(
-                "tick {tick}, query {qid}, {} vs {}",
-                reference.name(),
-                other.name()
-            );
-            assert_eq!(reference.result(qid), other.result(qid), "{ctx}: answers");
-            assert_eq!(
-                reference.knn_dist(qid),
-                other.knn_dist(qid),
-                "{ctx}: kNN_dist"
-            );
-        }
-    }
-}
-
-/// Runs one scenario against a single-threaded reference and sharded
-/// engines with 1, 2, and 4 shards, comparing after installation and after
-/// every tick — the answers, and how many of them each side says the tick
-/// changed.
-fn run_engine_differential(
-    net: Arc<RoadNetwork>,
-    cfg: ScenarioConfig,
-    ticks: usize,
-    algo: ShardAlgo,
-) {
-    let scenario = Scenario::new(net.clone(), cfg);
-    run_engine_workload(net, scenario, ticks, algo);
-}
-
-/// [`run_engine_differential`] over any workload.
-fn run_engine_workload(
-    net: Arc<RoadNetwork>,
-    mut scenario: impl Workload,
-    ticks: usize,
-    algo: ShardAlgo,
-) {
-    let mut reference: Box<dyn ContinuousMonitor> = match algo {
-        ShardAlgo::Gma => Box::new(Gma::new(net.clone())),
-        ShardAlgo::Ima => Box::new(Ima::new(net.clone())),
-        ShardAlgo::Ovh => Box::new(rnn_monitor::Ovh::new(net.clone())),
-    };
-    let mut engines: Vec<ShardedEngine> = [1usize, 2, 4]
-        .into_iter()
-        .map(|s| {
-            ShardedEngine::new(
-                net.clone(),
-                EngineConfig {
-                    num_shards: s,
-                    algo,
-                    ..EngineConfig::default()
-                },
-            )
-        })
-        .collect();
-
-    scenario.install_into(reference.as_mut());
-    for e in &mut engines {
-        scenario.install_into(e);
-    }
-    {
-        let views: Vec<&dyn ContinuousMonitor> = engines
-            .iter()
-            .map(|e| e as &dyn ContinuousMonitor)
-            .collect();
-        compare_monitors(reference.as_ref(), &views, 0);
-    }
-
-    for t in 1..=ticks {
-        let batch = scenario.tick();
-        let want = reference.tick(&batch).results_changed;
-        for e in &mut engines {
-            let got = e.tick(&batch).results_changed;
-            assert_eq!(
-                got,
-                want,
-                "tick {t}, S={}: results_changed diverges from {}",
-                e.num_shards(),
-                reference.name()
-            );
-        }
-        let views: Vec<&dyn ContinuousMonitor> = engines
-            .iter()
-            .map(|e| e as &dyn ContinuousMonitor)
-            .collect();
-        compare_monitors(reference.as_ref(), &views, t);
-    }
-}
-
-fn grid(nx: usize, ny: usize, seed: u64) -> Arc<RoadNetwork> {
-    Arc::new(generators::grid_city(&generators::GridCityConfig {
-        nx,
-        ny,
-        seed,
-        ..Default::default()
-    }))
-}
-
-fn base_cfg(seed: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        num_objects: 80,
-        num_queries: 12,
-        k: 4,
-        seed,
-        ..Default::default()
-    }
+/// A table entry: the single monitor of `algo` against ENG-1, ENG-2 and
+/// ENG-4 over it.
+fn row(entry: Sharded, algo: ShardAlgo) {
+    let (net, mut workload, ticks) = entry.build();
+    drive(&mut workload, &mut Stack::engines(&net, algo), ticks).unwrap();
 }
 
 #[test]
 fn engine_matches_gma_default_workload() {
-    run_engine_differential(grid(8, 8, 1), base_cfg(11), 15, ShardAlgo::Gma);
+    row(Sharded::Default, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_matches_ima_default_workload() {
-    run_engine_differential(grid(7, 9, 2), base_cfg(22), 15, ShardAlgo::Ima);
+    row(Sharded::ImaDefault, ShardAlgo::Ima);
 }
 
 #[test]
 fn engine_matches_gma_second_seed() {
-    run_engine_differential(grid(9, 7, 3), base_cfg(33), 15, ShardAlgo::Gma);
+    row(Sharded::SecondSeed, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_k_equals_one() {
-    run_engine_differential(
-        grid(8, 8, 4),
-        ScenarioConfig {
-            k: 1,
-            ..base_cfg(44)
-        },
-        12,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::KOne, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_large_k_forces_wide_halos() {
-    run_engine_differential(
-        grid(6, 6, 5),
-        ScenarioConfig {
-            k: 25,
-            num_objects: 60,
-            ..base_cfg(55)
-        },
-        10,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::LargeK, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_underfull_results() {
     // Fewer objects than k: kNN_dist = ∞ drives halos to full replication;
     // everything must still agree.
-    run_engine_differential(
-        grid(5, 5, 6),
-        ScenarioConfig {
-            k: 10,
-            num_objects: 6,
-            num_queries: 5,
-            ..base_cfg(66)
-        },
-        8,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::Underfull, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_edge_heavy_workload() {
     // Weight churn stresses halo-membership refresh.
-    run_engine_differential(
-        grid(8, 8, 7),
-        ScenarioConfig {
-            edge_agility: 0.30,
-            object_agility: 0.0,
-            query_agility: 0.0,
-            ..base_cfg(77)
-        },
-        12,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::EdgeHeavy, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_query_heavy_workload() {
     // Fast queries migrate across shard borders constantly.
-    run_engine_differential(
-        grid(8, 8, 8),
-        ScenarioConfig {
-            edge_agility: 0.0,
-            object_agility: 0.0,
-            query_agility: 0.8,
-            query_speed: 2.0,
-            ..base_cfg(88)
-        },
-        12,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::QueryHeavy, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_object_heavy_fast_workload() {
     // Fast objects churn the replica sets.
-    run_engine_differential(
-        grid(8, 8, 9),
-        ScenarioConfig {
-            edge_agility: 0.0,
-            object_agility: 0.9,
-            object_speed: 4.0,
-            query_agility: 0.0,
-            ..base_cfg(99)
-        },
-        12,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::ObjectHeavy, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_everything_agile_with_ima() {
-    run_engine_differential(
-        grid(7, 7, 10),
-        ScenarioConfig {
-            edge_agility: 0.25,
-            object_agility: 0.5,
-            query_agility: 0.5,
-            object_speed: 2.0,
-            query_speed: 2.0,
-            ..base_cfg(110)
-        },
-        12,
-        ShardAlgo::Ima,
-    );
+    row(Sharded::Agile, ShardAlgo::Ima);
 }
 
 #[test]
 fn engine_brinkhoff_movement() {
-    run_engine_differential(
-        grid(7, 7, 11),
-        ScenarioConfig {
-            movement: MovementModel::Brinkhoff,
-            ..base_cfg(121)
-        },
-        10,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::Brinkhoff, ShardAlgo::Gma);
 }
 
 #[test]
 fn engine_san_francisco_like_slice() {
-    // Long degree-2 chains produce few intersections and jagged borders.
-    let net = Arc::new(generators::san_francisco_like(600, 12));
-    run_engine_differential(
-        net,
-        ScenarioConfig {
-            num_objects: 120,
-            num_queries: 15,
-            k: 5,
-            ..base_cfg(131)
-        },
-        6,
-        ShardAlgo::Gma,
-    );
+    row(Sharded::Slice, ShardAlgo::Gma);
+}
+
+#[test]
+fn engine_query_churn_mid_run() {
+    // Queries installed and removed through tick batches while running.
+    row(Sharded::Churn, ShardAlgo::Gma);
+}
+
+#[test]
+fn engine_empty_ticks_change_nothing() {
+    row(Sharded::Quiet, ShardAlgo::Gma);
 }
 
 #[test]
@@ -301,40 +116,36 @@ fn engine_tie_prone_workload() {
     // borders too: a shard must keep the objects the single monitor
     // keeps, the smallest ids, whichever replica it met first.
     for algo in [ShardAlgo::Gma, ShardAlgo::Ima] {
-        let net = TieProne::network(8, 8, 16);
-        let workload = TieProne::new(&net, 171, 70);
-        run_engine_workload(net, workload, 12, algo);
+        let net = exact_grid(8, 8, 16);
+        let mut stacks = Stack::engines(&net, algo);
+        drive(&mut TieProne::new(&net, 171, 70), &mut stacks, 12).unwrap();
     }
 }
 
-#[test]
-fn engine_query_churn_mid_run() {
-    // Queries installed and removed through tick batches while running.
-    let net = grid(8, 8, 13);
-    let mut scenario = Scenario::new(net.clone(), base_cfg(141));
-    let mut gma = Gma::new(net.clone());
-    let mut eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
-    scenario.install_into(&mut gma);
-    scenario.install_into(&mut eng);
+/// GMA and ENG-4.
+fn gma_and_eng4(net: &Arc<RoadNetwork>) -> Vec<Stack> {
+    vec![
+        Stack::gma(net),
+        Stack::eng(net, EngineConfig::with_shards(4)),
+    ]
+}
 
-    for t in 1..=12usize {
-        let mut batch = scenario.tick();
-        if t % 3 == 0 {
-            let e = rnn_monitor::roadnet::EdgeId((t % net.num_edges()) as u32);
-            batch.queries.push(QueryEvent::Install {
-                id: QueryId(1000 + t as u32),
-                k: 3,
-                at: NetPoint::new(e, 0.4),
-            });
-        }
-        if t % 3 == 2 && t > 3 {
-            batch.queries.push(QueryEvent::Remove {
-                id: QueryId(1000 + (t - 2) as u32),
-            });
-        }
-        gma.tick(&batch);
-        eng.tick(&batch);
-        compare_monitors(&gma, &[&eng], t);
+/// `n` objects, object `i` on edge `i * stride` (mod the edge count) at
+/// 0.35, each inserted as a timestamp of its own.
+fn objects(net: &RoadNetwork, n: u32, stride: u32) -> Vec<UpdateEvent> {
+    let edges = net.num_edges() as u32;
+    (0..n)
+        .map(|i| {
+            let at = NetPoint::new(EdgeId((i * stride) % edges), 0.35);
+            UpdateEvent::insert_object(ObjectId(i), at)
+        })
+        .collect()
+}
+
+fn queries(events: Vec<QueryEvent>) -> UpdateBatch {
+    UpdateBatch {
+        queries: events,
+        ..Default::default()
     }
 }
 
@@ -346,91 +157,62 @@ fn engine_duplicate_install_same_shard_then_move() {
     // duplicate Install on the same shard, then Move — within one batch and
     // across batches — must stay answer-identical to a single monitor.
     let net = grid(8, 8, 17);
-    let n = net.num_edges() as u32;
-    let mut gma = Gma::new(net.clone());
-    let mut eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
-    for i in 0..40u32 {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId((i * 7) % n), 0.35);
-        gma.apply(UpdateEvent::insert_object(
-            rnn_monitor::roadnet::ObjectId(i),
-            at,
-        ));
-        eng.apply(UpdateEvent::insert_object(
-            rnn_monitor::roadnet::ObjectId(i),
-            at,
-        ));
-    }
-    let e0 = rnn_monitor::roadnet::EdgeId(0);
-    gma.apply(UpdateEvent::install_query(
-        QueryId(9),
-        4,
-        NetPoint::new(e0, 0.5),
-    ));
-    eng.apply(UpdateEvent::install_query(
-        QueryId(9),
-        4,
-        NetPoint::new(e0, 0.5),
-    ));
-    compare_monitors(&gma, &[&eng], 0);
-
-    let home = eng.partition().shard_of_edge(e0);
+    let mut stacks = gma_and_eng4(&net);
+    let e0 = EdgeId(0);
+    let partition = stacks[1].eng_ref().partition();
+    let home = partition.shard_of_edge(e0);
     let same_shard = net
         .edge_ids()
-        .find(|&e| e != e0 && eng.partition().shard_of_edge(e) == home)
+        .find(|&e| e != e0 && partition.shard_of_edge(e) == home)
         .expect("shard owns more than one edge");
     let foreign = net
         .edge_ids()
-        .find(|&e| eng.partition().shard_of_edge(e) != home)
+        .find(|&e| partition.shard_of_edge(e) != home)
         .expect("4-way split has foreign edges");
 
-    // Tick 1: re-Install on the same shard (new k, new edge), then Move
-    // within the same batch — the owning monitor sees [Install, Move] with
-    // no Remove in between.
-    let mut batch = UpdateBatch::default();
-    batch.queries.push(QueryEvent::Install {
-        id: QueryId(9),
-        k: 6,
-        at: NetPoint::new(same_shard, 0.25),
-    });
-    batch.queries.push(QueryEvent::Move {
-        id: QueryId(9),
-        to: NetPoint::new(same_shard, 0.75),
-    });
-    gma.tick(&batch);
-    eng.tick(&batch);
-    compare_monitors(&gma, &[&eng], 1);
-    assert_eq!(
-        eng.result(QueryId(9)).unwrap().len(),
-        6,
-        "re-install must adopt the new k"
-    );
-
-    // Tick 2: another same-shard duplicate Install, then a Move that
-    // crosses the border (Remove+Install for the engine, plain events for
-    // the reference).
-    let mut batch = UpdateBatch::default();
-    batch.queries.push(QueryEvent::Install {
-        id: QueryId(9),
-        k: 3,
-        at: NetPoint::new(e0, 0.1),
-    });
-    batch.queries.push(QueryEvent::Move {
-        id: QueryId(9),
-        to: NetPoint::new(foreign, 0.5),
-    });
-    gma.tick(&batch);
-    eng.tick(&batch);
-    compare_monitors(&gma, &[&eng], 2);
-    assert_eq!(eng.result(QueryId(9)).unwrap().len(), 3);
-    eng.validate_replication()
-        .expect("replica bookkeeping survives re-install");
-
-    for t in 3..6 {
-        let batch = UpdateBatch::default();
-        gma.tick(&batch);
-        eng.tick(&batch);
-        compare_monitors(&gma, &[&eng], t);
-    }
+    let q = QueryId(9);
+    let mut population = objects(&net, 40, 7);
+    population.push(UpdateEvent::install_query(q, 4, NetPoint::new(e0, 0.5)));
+    let program = [
+        // Tick 1: re-Install on the same shard (new k, new edge), then Move
+        // within the same batch — the owning monitor sees [Install, Move]
+        // with no Remove in between.
+        queries(vec![
+            QueryEvent::Install {
+                id: q,
+                k: 6,
+                at: NetPoint::new(same_shard, 0.25),
+            },
+            QueryEvent::Move {
+                id: q,
+                to: NetPoint::new(same_shard, 0.75),
+            },
+        ]),
+        // Tick 2: another same-shard duplicate Install, then a Move that
+        // crosses the border (Remove+Install for the engine, plain events
+        // for the reference).
+        queries(vec![
+            QueryEvent::Install {
+                id: q,
+                k: 3,
+                at: NetPoint::new(e0, 0.1),
+            },
+            QueryEvent::Move {
+                id: q,
+                to: NetPoint::new(foreign, 0.5),
+            },
+        ]),
+    ];
+    let mut program = Program::applying(population, program);
+    drive_observed(&mut program, &mut stacks, 5, |t, stacks| {
+        let k = stacks[1].monitor().result(q).unwrap().len();
+        match t {
+            1 => assert_eq!(k, 6, "re-install must adopt the new k"),
+            2 => assert_eq!(k, 3),
+            _ => {}
+        }
+    })
+    .unwrap();
 }
 
 #[test]
@@ -440,22 +222,10 @@ fn engine_counts_query_lifecycle_events_as_a_single_monitor_does() {
     // then Install of one id in one batch (was 1, is 0), and a plain
     // Remove of a query that has an answer (was 0, is 1).
     let net = grid(8, 8, 19);
-    let n = net.num_edges() as u32;
-    let mut gma = Gma::new(net.clone());
-    let mut eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
-    for i in 0..40u32 {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId((i * 11) % n), 0.35);
-        let ev = UpdateEvent::insert_object(rnn_monitor::roadnet::ObjectId(i), at);
-        gma.apply(ev);
-        eng.apply(ev);
-    }
     let q = QueryId(7);
-    let home = NetPoint::new(rnn_monitor::roadnet::EdgeId(3), 0.5);
-    gma.apply(UpdateEvent::install_query(q, 4, home));
-    eng.apply(UpdateEvent::install_query(q, 4, home));
-    assert_eq!(eng.changed_queries(), [q]);
-    assert_eq!(gma.changed_queries(), [q]);
-
+    let home = NetPoint::new(EdgeId(3), 0.5);
+    let mut population = objects(&net, 40, 11);
+    population.push(UpdateEvent::install_query(q, 4, home));
     let install = QueryEvent::Install {
         id: q,
         k: 4,
@@ -467,19 +237,20 @@ fn engine_counts_query_lifecycle_events_as_a_single_monitor_does() {
         ("[Remove, Install]", vec![remove, install], 0),
         ("plain Remove", vec![remove], 1),
     ];
-    for (what, queries, want) in cases {
-        let batch = UpdateBatch {
-            queries,
-            ..Default::default()
-        };
-        let by_gma = gma.tick(&batch).results_changed;
-        let by_eng = eng.tick(&batch).results_changed;
-        assert_eq!(by_gma, want, "{what}: Gma");
-        assert_eq!(by_eng, want, "{what}: engine");
-        assert_eq!(eng.changed_queries(), gma.changed_queries(), "{what}");
-        compare_monitors(&gma, &[&eng], 0);
-    }
-    assert!(eng.query_ids().is_empty());
+    let batches = cases.iter().map(|(_, events, _)| queries(events.clone()));
+    let mut program = Program::applying(population, batches);
+    let mut stacks = gma_and_eng4(&net);
+    drive_observed(&mut program, &mut stacks, 3, |t, stacks| {
+        let gma = &stacks[0];
+        if t == 0 {
+            assert_eq!(gma.monitor().changed_queries(), [q]);
+        } else {
+            let (what, _, want) = &cases[t - 1];
+            assert_eq!(gma.last.results_changed, *want, "{what}");
+        }
+    })
+    .unwrap();
+    assert!(stacks[1].monitor().query_ids().is_empty());
 }
 
 #[test]
@@ -493,145 +264,81 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
     // shrink band and decays to exactly the radius its base queries need.
     let net = grid(8, 8, 21);
     let n = net.num_edges() as u32;
-    let mut gma = Gma::new(net.clone());
-    let mut engines: Vec<ShardedEngine> = [2usize, 4, 8]
-        .into_iter()
-        .map(|s| {
-            ShardedEngine::new(
-                net.clone(),
-                EngineConfig {
-                    num_shards: s,
-                    ..EngineConfig::default()
-                },
-            )
-        })
-        .collect();
+    let at = |e: u32, frac| NetPoint::new(EdgeId(e % n), frac);
+    let mut population = objects(&net, 70, 13);
+    population
+        .extend((0..6u32).map(|q| UpdateEvent::install_query(QueryId(q), 4, at(q * 29 + 3, 0.6))));
 
-    for i in 0..70u32 {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId((i * 13) % n), 0.35);
-        gma.apply(UpdateEvent::insert_object(
-            rnn_monitor::roadnet::ObjectId(i),
-            at,
-        ));
-        for e in &mut engines {
-            e.apply(UpdateEvent::insert_object(
-                rnn_monitor::roadnet::ObjectId(i),
-                at,
-            ));
-        }
-    }
-    for q in 0..6u32 {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId((q * 29 + 3) % n), 0.6);
-        gma.apply(UpdateEvent::install_query(QueryId(q), 4, at));
-        for e in &mut engines {
-            e.apply(UpdateEvent::install_query(QueryId(q), 4, at));
-        }
-    }
-    // Let post-install halos settle into steady state.
-    for _ in 0..3 {
-        let batch = UpdateBatch::default();
-        gma.tick(&batch);
-        for e in &mut engines {
-            e.tick(&batch);
-        }
-    }
-    let steady: Vec<usize> = engines.iter().map(|e| e.replica_count()).collect();
-    let evictions_before: Vec<u64> = engines.iter().map(|e| e.replica_evictions()).collect();
-
-    // Churn: every tick installs a wide (k=7) query, migrates the previous
-    // one, and removes the one before that.
-    let mut peak = vec![0usize; engines.len()];
+    // Three quiet ticks let the post-install halos settle into steady
+    // state. Then churn: every tick installs a wide (k=7) query, migrates
+    // the previous one, and removes the one before that.
+    let mut program = vec![UpdateBatch::default(); 3];
     for t in 0..14u32 {
-        let mut batch = UpdateBatch::default();
-        batch.queries.push(QueryEvent::Install {
+        let mut churn = vec![QueryEvent::Install {
             id: QueryId(100 + t),
             k: 7,
-            at: NetPoint::new(rnn_monitor::roadnet::EdgeId((t * 17 + 5) % n), 0.25),
-        });
+            at: at(t * 17 + 5, 0.25),
+        }];
         if t >= 1 {
-            batch.queries.push(QueryEvent::Move {
+            churn.push(QueryEvent::Move {
                 id: QueryId(100 + t - 1),
-                to: NetPoint::new(rnn_monitor::roadnet::EdgeId((t * 31 + 11) % n), 0.75),
+                to: at(t * 31 + 11, 0.75),
             });
         }
         if t >= 2 {
-            batch.queries.push(QueryEvent::Remove {
+            churn.push(QueryEvent::Remove {
                 id: QueryId(100 + t - 2),
             });
         }
-        gma.tick(&batch);
-        for (i, e) in engines.iter_mut().enumerate() {
-            e.tick(&batch);
-            peak[i] = peak[i].max(e.replica_count());
-        }
-        let views: Vec<&dyn ContinuousMonitor> = engines
-            .iter()
-            .map(|e| e as &dyn ContinuousMonitor)
-            .collect();
-        compare_monitors(&gma, &views, t as usize + 1);
-        for e in &engines {
-            e.validate_replication()
-                .expect("invariants hold under churn");
-        }
+        program.push(queries(churn));
     }
-
     // A last burst: sixteen wide (k=30) queries spread over the grid
     // stretch every shard's halo.
-    let mut batch = UpdateBatch::default();
-    for i in 0..16u32 {
-        batch.queries.push(QueryEvent::Install {
-            id: QueryId(200 + i),
-            k: 30,
-            at: NetPoint::new(rnn_monitor::roadnet::EdgeId(i * n / 16), 0.5),
-        });
-    }
-    gma.tick(&batch);
-    for (i, e) in engines.iter_mut().enumerate() {
-        e.tick(&batch);
-        peak[i] = peak[i].max(e.replica_count());
-    }
-    let views: Vec<&dyn ContinuousMonitor> = engines
-        .iter()
-        .map(|e| e as &dyn ContinuousMonitor)
-        .collect();
-    compare_monitors(&gma, &views, 15);
-
+    program.push(queries(
+        (0..16u32)
+            .map(|i| QueryEvent::Install {
+                id: QueryId(200 + i),
+                k: 30,
+                at: at(i * n / 16, 0.5),
+            })
+            .collect(),
+    ));
     // Churn subsides: remove the burst and the stragglers, then quiet
-    // ticks while the halos decay. Answers must stay identical the whole
-    // way down.
-    let mut batch = UpdateBatch::default();
-    for id in (200u32..216).chain([112, 113]) {
-        batch.queries.push(QueryEvent::Remove { id: QueryId(id) });
-    }
-    gma.tick(&batch);
-    for e in &mut engines {
-        e.tick(&batch);
-    }
-    for t in 0..4usize {
-        let batch = UpdateBatch::default();
-        gma.tick(&batch);
-        for e in &mut engines {
-            e.tick(&batch);
-        }
-        let views: Vec<&dyn ContinuousMonitor> = engines
-            .iter()
-            .map(|e| e as &dyn ContinuousMonitor)
-            .collect();
-        compare_monitors(&gma, &views, 100 + t);
-    }
+    // ticks while the halos decay.
+    program.push(queries(
+        (200u32..216)
+            .chain([112, 113])
+            .map(|id| QueryEvent::Remove { id: QueryId(id) })
+            .collect(),
+    ));
+    let ticks = program.len() + 4;
 
-    for (i, e) in engines.iter().enumerate() {
+    let mut stacks = vec![Stack::gma(&net)];
+    for s in [2, 4, 8] {
+        stacks.push(Stack::eng(&net, EngineConfig::with_shards(s)));
+    }
+    let (mut steady, mut evictions_before, mut peak) = (vec![], vec![], vec![0; 3]);
+    let mut program = Program::applying(population, program);
+    drive_observed(&mut program, &mut stacks, ticks, |t, stacks| {
+        let engines = stacks[1..].iter().map(Stack::eng_ref);
+        if t == 3 {
+            steady = engines.clone().map(|e| e.replica_count()).collect();
+            evictions_before = engines.map(|e| e.replica_evictions()).collect();
+        } else if t > 3 {
+            for (i, e) in engines.enumerate() {
+                peak[i] = peak[i].max(e.replica_count());
+            }
+        }
+    })
+    .unwrap();
+
+    for (i, e) in stacks[1..].iter().map(Stack::eng_ref).enumerate() {
         assert_eq!(
             e.replica_count(),
             steady[i],
             "S={}: replicas did not decay back to steady state (peak was {})",
             e.num_shards(),
             peak[i]
-        );
-        assert!(
-            e.replica_evictions() > evictions_before[i],
-            "S={}: churn must evict stale replicas",
-            e.num_shards()
         );
         // Coverage floor: what shrink trigger 1.0 evicted before the burst
         // was added.
@@ -642,8 +349,6 @@ fn engine_heavy_churn_replicas_decay_to_steady_state() {
             "S={}: {evicted} evictions, below the {floor} this test is sized for",
             e.num_shards()
         );
-        e.validate_replication()
-            .expect("invariants hold after decay");
     }
 }
 
@@ -655,81 +360,12 @@ fn engine_rebalances_under_hotspot_and_stays_identical() {
     // stream. The 10×10 grid and the 64 ticks give the cooldown room for
     // as many migrations as an every-other-tick rebalancer made on 8×8.
     let net = grid(10, 10, 23);
-    let n = net.num_edges() as u32;
-    let mut gma = Gma::new(net.clone());
-    let mut engines: Vec<ShardedEngine> = [2usize, 4]
-        .into_iter()
-        .map(|s| {
-            ShardedEngine::new(
-                net.clone(),
-                EngineConfig {
-                    num_shards: s,
-                    rebalance: true,
-                    ..EngineConfig::default()
-                },
-            )
-        })
-        .collect();
-
-    for i in 0..n {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId(i), 0.45);
-        gma.apply(UpdateEvent::insert_object(
-            rnn_monitor::roadnet::ObjectId(i),
-            at,
-        ));
-        for e in &mut engines {
-            e.apply(UpdateEvent::insert_object(
-                rnn_monitor::roadnet::ObjectId(i),
-                at,
-            ));
-        }
+    let mut stacks = vec![Stack::gma(&net)];
+    for s in [2, 4] {
+        stacks.push(Stack::eng(&net, EngineConfig::with_rebalancing(s)));
     }
-    // A tight cluster of queries that drifts across the network edge by
-    // edge, dragging the load hotspot over shard borders.
-    const Q: u32 = 8;
-    for q in 0..Q {
-        let at = NetPoint::new(rnn_monitor::roadnet::EdgeId(q % 4), 0.3);
-        gma.apply(UpdateEvent::install_query(QueryId(q), 5, at));
-        for e in &mut engines {
-            e.apply(UpdateEvent::install_query(QueryId(q), 5, at));
-        }
-    }
-
-    for t in 0..64u32 {
-        let mut batch = UpdateBatch::default();
-        for q in 0..Q {
-            // Cluster center drifts by four edges per tick; members fan out
-            // over four consecutive edge ids, oscillating along the edge.
-            let e = rnn_monitor::roadnet::EdgeId((t * 4 + q % 4) % n);
-            let frac = if (t + q) % 2 == 0 { 0.25 } else { 0.7 };
-            batch.queries.push(QueryEvent::Move {
-                id: QueryId(q),
-                to: NetPoint::new(e, frac),
-            });
-        }
-        // A little object churn near the cluster keeps the workers busy.
-        batch.objects.push(rnn_monitor::core::ObjectEvent::Move {
-            id: rnn_monitor::roadnet::ObjectId(t % n),
-            to: NetPoint::new(rnn_monitor::roadnet::EdgeId((t * 3) % n), 0.6),
-        });
-        gma.tick(&batch);
-        for e in &mut engines {
-            e.tick(&batch);
-            e.validate_replication()
-                .expect("replication + partition invariants hold mid-migration");
-        }
-        let views: Vec<&dyn ContinuousMonitor> = engines
-            .iter()
-            .map(|e| e as &dyn ContinuousMonitor)
-            .collect();
-        compare_monitors(&gma, &views, t as usize + 1);
-    }
-    for e in &engines {
-        assert!(
-            e.cells_migrated() > 0,
-            "S={}: the drifting hotspot must force cell migrations",
-            e.num_shards()
-        );
+    drive(&mut Hotspot::new(&net), &mut stacks, 64).unwrap();
+    for e in stacks[1..].iter().map(Stack::eng_ref) {
         assert!(e.rebalance_events() > 0);
         // Coverage floor: what trigger 1.0 / cooldown 1 migrated on the old
         // 8×8, 24-tick workload.
@@ -743,115 +379,25 @@ fn engine_rebalances_under_hotspot_and_stays_identical() {
     }
 }
 
-#[test]
-fn engine_empty_ticks_change_nothing() {
-    let net = grid(6, 6, 14);
-    let scenario = Scenario::new(net.clone(), base_cfg(151));
-    let mut eng = ShardedEngine::new(net, EngineConfig::with_shards(4));
-    scenario.install_into(&mut eng);
-    let snapshot: Vec<_> = {
-        let mut ids = eng.query_ids();
-        ids.sort();
-        ids.iter()
-            .map(|&q| eng.result(q).unwrap().to_vec())
-            .collect()
-    };
-    for _ in 0..3 {
-        let rep = eng.tick(&UpdateBatch::default());
-        assert_eq!(rep.results_changed, 0);
-    }
-    let mut ids = eng.query_ids();
-    ids.sort();
-    for (i, &q) in ids.iter().enumerate() {
-        assert_eq!(eng.result(q).unwrap(), snapshot[i].as_slice());
-    }
-}
-
 // ---------------------------------------------------------------------
 // One way to apply an event. ROADMAP direction 7 asks for
 // "bounded-exhaustive small worlds" beside the random programs; this is
-// its first instance, on this file's harness: every batch of up to three
-// events over one object and one query, into every monitor and the
-// engine, as one `tick` and as per-event `apply`.
+// its first instance: every batch of up to three events over one object
+// and one query, into every monitor and the engine, as one tick and as
+// one timestamp per event (`apply`).
 // ---------------------------------------------------------------------
-
-use rnn_monitor::core::{load_population, Ovh, TickReport};
-use rnn_monitor::roadnet::{EdgeId, ObjectId};
-
-/// Everything an event can be delivered into: the three monitors and the
-/// engine at S = 1, 2, 4.
-fn every_entry_point(net: &Arc<RoadNetwork>) -> Vec<(String, Box<dyn ContinuousMonitor>)> {
-    let mut all: Vec<(String, Box<dyn ContinuousMonitor>)> = vec![
-        ("OVH".into(), Box::new(Ovh::new(net.clone()))),
-        ("IMA".into(), Box::new(Ima::new(net.clone()))),
-        ("GMA".into(), Box::new(Gma::new(net.clone()))),
-    ];
-    for s in [1usize, 2, 4] {
-        let eng = ShardedEngine::new(net.clone(), EngineConfig::with_shards(s));
-        all.push((format!("ENG-{s}"), Box::new(eng)));
-    }
-    all
-}
-
-/// What a call leaves behind, compared exactly: the registered queries
-/// with their `(kNN_dist bits, result)`, the call's `results_changed` and
-/// its change list.
-fn assert_same_outcome(
-    want: (&dyn ContinuousMonitor, TickReport),
-    got: (&dyn ContinuousMonitor, TickReport),
-    ctx: &str,
-) {
-    let answers = |m: &dyn ContinuousMonitor| {
-        let mut ids = m.query_ids();
-        ids.sort();
-        ids.into_iter()
-            .map(|q| {
-                (
-                    q,
-                    m.knn_dist(q).unwrap().to_bits(),
-                    m.result(q).unwrap().to_vec(),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(answers(got.0), answers(want.0), "{ctx}: answers");
-    assert_eq!(
-        got.1.results_changed, want.1.results_changed,
-        "{ctx}: results_changed"
-    );
-    assert_eq!(
-        got.0.changed_queries(),
-        want.0.changed_queries(),
-        "{ctx}: changed_queries"
-    );
-}
 
 const THE_OBJECT: ObjectId = ObjectId(100);
 const THE_QUERY: QueryId = QueryId(7);
-
-/// A 6×6 grid whose every distance is exact in an `f64`: edges of length
-/// 32 or 64 and positions at 64ths, so a sum is the same bits in whatever
-/// order a monitor adds it up and answers compare with `==`. The objects'
-/// numerators are distinct and odd, which keeps any two of them at
-/// different distances from every query position used here.
-fn exact_grid() -> Arc<RoadNetwork> {
-    Arc::new(generators::grid_city(&generators::GridCityConfig {
-        nx: 6,
-        ny: 6,
-        spacing: 64.0,
-        jitter: 0.0,
-        max_subdivision: 2,
-        seed: 9,
-        ..Default::default()
-    }))
-}
 
 fn at(edge: u32, sixty_fourths: u32) -> NetPoint {
     NetPoint::new(EdgeId(edge), f64::from(sixty_fourths) / 64.0)
 }
 
 /// A dozen objects spread over the grid, plus — in the `present` world —
-/// the one object and the one query the alphabet is about.
+/// the one object and the one query the alphabet is about. The objects'
+/// numerators are distinct and odd, which keeps any two of them at
+/// different distances from every query position used here.
 fn small_world(net: &RoadNetwork, m: &mut dyn ContinuousMonitor, present: bool) {
     let n = net.num_edges() as u32;
     let background = (0..12u32).map(|i| (ObjectId(i), at(i * 5 % n, 2 * i + 1)));
@@ -877,7 +423,9 @@ fn alphabet(net: &RoadNetwork) -> [UpdateEvent; 7] {
 
 #[test]
 fn every_batch_of_up_to_three_events_means_the_same_at_every_entry_point() {
-    let net = exact_grid();
+    // The reference is OVH, which recomputes every answer from scratch;
+    // the world is an exact grid, so answers compare with `==`.
+    let net = exact_grid(6, 6, 9);
     let alphabet = alphabet(&net);
     let mut programs: Vec<Vec<UpdateEvent>> = Vec::new();
     for a in alphabet {
@@ -891,50 +439,45 @@ fn every_batch_of_up_to_three_events_means_the_same_at_every_entry_point() {
     }
     assert_eq!(programs.len(), 7 + 49 + 343);
 
-    for present in [false, true] {
-        for program in &programs {
-            for per_event in [false, true] {
-                // The oracle: a fresh OVH, which recomputes every answer
-                // from scratch, fed the delivery as ticks.
-                let mut oracle = Ovh::new(net.clone());
-                small_world(&net, &mut oracle, present);
-                let steps: Vec<UpdateBatch> = if per_event {
-                    program
-                        .iter()
-                        .map(|&ev| {
-                            let mut one = UpdateBatch::default();
-                            one.push(ev);
-                            one
-                        })
-                        .collect()
-                } else {
-                    let mut all = UpdateBatch::default();
-                    program.iter().for_each(|&ev| all.push(ev));
-                    vec![all]
-                };
-                let mut subjects = every_entry_point(&net);
-                for (_, m) in &mut subjects {
-                    small_world(&net, m.as_mut(), present);
-                }
-                for (i, step) in steps.iter().enumerate() {
-                    let want = oracle.tick(step);
-                    for (name, m) in &mut subjects {
-                        let got = if per_event {
-                            m.apply(program[i])
-                        } else {
-                            m.tick(step)
-                        };
-                        let how = if per_event { "apply" } else { "tick" };
-                        assert_same_outcome(
-                            (&oracle, want),
-                            (m.as_ref(), got),
-                            &format!("{name}, present {present}, {how} {i} of {program:?}"),
-                        );
+    // The two worlds' 1,596 drives are independent: one thread each.
+    std::thread::scope(|scope| {
+        for present in [false, true] {
+            let (net, programs) = (&net, &programs);
+            scope.spawn(move || {
+                for program in programs {
+                    for per_event in [false, true] {
+                        every_delivery(net, program, present, per_event);
                     }
                 }
-            }
+            });
         }
-    }
+    });
+}
+
+/// One program into every entry point: one timestamp per event (a
+/// one-event batch, which the harness delivers through `apply`), or the
+/// whole program as one batch.
+fn every_delivery(net: &Arc<RoadNetwork>, program: &[UpdateEvent], present: bool, per_event: bool) {
+    let steps: Vec<UpdateBatch> = if per_event {
+        program
+            .iter()
+            .map(|&ev| {
+                let mut one = UpdateBatch::default();
+                one.push(ev);
+                one
+            })
+            .collect()
+    } else {
+        let mut all = UpdateBatch::default();
+        program.iter().for_each(|&ev| all.push(ev));
+        vec![all]
+    };
+    let ticks = steps.len();
+    let world = net.clone();
+    let mut w = Program::new(move |m| small_world(&world, m, present), steps);
+    let mut stacks = Stack::every_entry_point(net);
+    drive(&mut w, &mut stacks, ticks)
+        .unwrap_or_else(|e| panic!("present {present}, per event {per_event}, {program:?}: {e}"));
 }
 
 #[test]
@@ -945,7 +488,8 @@ fn apply_insert_next_to_a_live_query_reaches_it() {
     // table only and never serve the object; OVH until the next tick.)
     let net = Arc::new(generators::line_network(8, 1.0));
     let q = QueryId(1);
-    for (name, mut m) in every_entry_point(&net) {
+    for mut stack in Stack::every_entry_point(&net) {
+        let (name, m) = (stack.name.clone(), stack.monitor_mut());
         m.apply(UpdateEvent::insert_object(
             ObjectId(0),
             NetPoint::new(EdgeId(6), 0.5),
@@ -978,7 +522,8 @@ fn apply_insert_of_a_known_id_moves_it() {
     // per-event path used to drop it silently.
     let net = Arc::new(generators::line_network(8, 1.0));
     let q = QueryId(1);
-    for (name, mut m) in every_entry_point(&net) {
+    for mut stack in Stack::every_entry_point(&net) {
+        let (name, m) = (stack.name.clone(), stack.monitor_mut());
         m.apply(UpdateEvent::insert_object(
             ObjectId(0),
             NetPoint::new(EdgeId(6), 0.5),

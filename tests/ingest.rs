@@ -3,12 +3,13 @@
 //! tick path.
 //!
 //! * **No coalescing triggered** (at most one event per entity per
-//!   window): an engine fed event-by-event through an [`IngestHandle`]
-//!   must be **bit-identical** — results, `kNN_dist` bits, and every
-//!   deterministic work counter — to a twin engine ticking the same
-//!   [`UpdateBatch`] directly, at S ∈ {1, 2, 4}. The only permitted
-//!   difference is the ingest stage's own `drain_alloc_events` warm-up
-//!   bookkeeping.
+//!   window): an engine fed event-by-event through an `IngestHandle`
+//!   (`ING-S` in `tests/common`) must be **bit-identical** — results,
+//!   `kNN_dist` bits, change lists, every deterministic work counter and
+//!   `memory()` — to its twin `ENG-S` ticking the same [`UpdateBatch`]
+//!   directly, at S ∈ {1, 2, 4}. The only permitted difference is the
+//!   ingest stage's own `drain_alloc_events` warm-up bookkeeping, which
+//!   the harness leaves out of an `ING` stack's report.
 //! * **Coalescing triggered** (a firehose oversamples entity moves):
 //!   the ingest-fed engine must stay **answer-identical** to a twin fed
 //!   the firehose's effective one-event-per-entity batches, while
@@ -29,59 +30,31 @@
 //!   or too large) is refused at submit
 //!   with [`IngestError::Invalid`], and the next valid tick answers
 //!   exactly as an untouched twin's.
+//!
+//! The differential rows run on the harness in `tests/common`; its module
+//! docs say how to add one.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{base_cfg, drive, events, grid, lossless, Counters, FlashCrowd, Stack, Workload};
 use proptest::prelude::*;
 use rnn_monitor::core::types::{MAX_K, OBJECT_ID_BOUND};
-use rnn_monitor::core::{ContinuousMonitor, TickReport, UpdateBatch, UpdateEvent};
+use rnn_monitor::core::{ContinuousMonitor, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{
     AdmissionPolicy, EngineConfig, IngestConfig, IngestError, IngestHub, ShardedEngine,
 };
-use rnn_monitor::roadnet::{
-    generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork, MAX_WEIGHT, UNIT,
-};
-use rnn_monitor::workload::{
-    Firehose, FirehoseConfig, FirehosePattern, MovementModel, Scenario, ScenarioConfig,
-};
+use rnn_monitor::roadnet::{EdgeId, NetPoint, ObjectId, QueryId, MAX_WEIGHT, UNIT};
+use rnn_monitor::workload::{Scenario, ScenarioConfig};
 
-fn grid(nx: usize, ny: usize, seed: u64) -> Arc<RoadNetwork> {
-    Arc::new(generators::grid_city(&generators::GridCityConfig {
-        nx,
-        ny,
-        seed,
-        ..Default::default()
-    }))
-}
-
-fn small_cfg(seed: u64) -> ScenarioConfig {
+/// 120 objects and 16 queries, 30% of the objects moving a tick.
+fn busy(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
         num_objects: 120,
         num_queries: 16,
-        k: 4,
-        seed,
-        movement: MovementModel::RandomWalk,
         object_agility: 0.3,
-        ..Default::default()
-    }
-}
-
-/// Exact result comparison: both sides run the very same engine code on
-/// the very same event stream, so results compare bit-for-bit, ids
-/// included.
-fn assert_results_identical(a: &dyn ContinuousMonitor, b: &dyn ContinuousMonitor, ctx: &str) {
-    let mut ids = a.query_ids();
-    ids.sort();
-    let mut other = b.query_ids();
-    other.sort();
-    assert_eq!(ids, other, "{ctx}: query sets diverge");
-    for qid in ids {
-        assert_eq!(a.result(qid), b.result(qid), "{ctx}: query {qid} result");
-        assert_eq!(
-            a.knn_dist(qid).map(f64::to_bits),
-            b.knn_dist(qid).map(f64::to_bits),
-            "{ctx}: query {qid} kNN_dist bits"
-        );
+        ..base_cfg(seed)
     }
 }
 
@@ -91,51 +64,19 @@ fn assert_results_identical(a: &dyn ContinuousMonitor, b: &dyn ContinuousMonitor
 #[test]
 fn ingest_without_coalescing_is_bit_identical_to_batch_path() {
     let net = grid(6, 6, 9);
-    for shards in [1usize, 2, 4] {
-        let mut scenario = Scenario::new(net.clone(), small_cfg(77));
-        let cfg = EngineConfig {
-            ingest: IngestConfig {
-                capacity: 4096,
-                policy: AdmissionPolicy::Block,
-            },
-            ..EngineConfig::with_shards(shards)
-        };
-        let mut fed = ShardedEngine::new(net.clone(), cfg);
-        let handle = fed.ingest_handle();
-        let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(shards));
-        scenario.install_into(&mut fed);
-        scenario.install_into(&mut twin);
-
-        for ts in 0..6 {
-            let batch = scenario.tick();
-            for &ev in &batch.objects {
-                handle
-                    .submit(UpdateEvent::Object(ev))
-                    .expect("lossless hub");
-            }
-            for &ev in &batch.queries {
-                handle.submit(UpdateEvent::Query(ev)).expect("lossless hub");
-            }
-            for &ev in &batch.edges {
-                handle.submit(UpdateEvent::Edge(ev)).expect("lossless hub");
-            }
-            let mut fed_rep = fed.tick_ingest();
-            let twin_rep = twin.tick(&batch);
-
-            let ctx = format!("S={shards}, ts={ts}");
-            assert_eq!(fed_rep.counters.coalesced_superseded, 0, "{ctx}");
-            assert_eq!(fed_rep.counters.shed_events, 0, "{ctx}");
-            // The drain's own warm-up bookkeeping is the one counter the
-            // batch path cannot have; everything else must match bit-wise.
-            fed_rep.counters.drain_alloc_events = 0;
-            assert_eq!(fed_rep.counters, twin_rep.counters, "{ctx}: counters");
-            assert_eq!(
-                fed_rep.results_changed, twin_rep.results_changed,
-                "{ctx}: results_changed"
-            );
-            assert_results_identical(&fed, &twin, &ctx);
-        }
-    }
+    let mut stacks = Stack::pairs(
+        &[1, 2, 4],
+        |s| Stack::eng(&net, EngineConfig::with_shards(s)),
+        |s| {
+            let cfg = EngineConfig {
+                ingest: lossless(4096),
+                ..EngineConfig::with_shards(s)
+            };
+            Stack::ing(&net, cfg)
+        },
+        Counters::Exact,
+    );
+    drive(&mut Scenario::new(net.clone(), busy(77)), &mut stacks, 6).unwrap();
 }
 
 /// A flash-crowd firehose (every entity over-reported several times per
@@ -144,42 +85,19 @@ fn ingest_without_coalescing_is_bit_identical_to_batch_path() {
 #[test]
 fn flash_crowd_firehose_coalesces_and_matches_effective_batch_oracle() {
     let net = grid(6, 6, 11);
-    let mut fire = Firehose::new(
-        net.clone(),
-        FirehoseConfig::new(FirehosePattern::FlashCrowd, small_cfg(123)),
-    );
     let cfg = EngineConfig {
-        ingest: IngestConfig {
-            capacity: 8192,
-            policy: AdmissionPolicy::Block,
-        },
+        ingest: lossless(8192),
         ..EngineConfig::with_shards(4)
     };
-    let mut fed = ShardedEngine::new(net.clone(), cfg);
-    let handle = fed.ingest_handle();
-    let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(4));
-    fire.install_into(&mut fed);
-    fire.install_into(&mut twin);
-
-    let mut total = TickReport::default();
-    for ts in 0..6 {
-        let t = fire.tick();
-        assert!(
-            t.raw.len() > t.effective.len(),
-            "firehose must oversample (ts {ts})"
-        );
-        for &ev in t.raw {
-            handle.submit(ev).expect("lossless hub");
-        }
-        let effective = t.effective.clone();
-        let rep = fed.tick_ingest();
-        twin.tick(&effective);
-        assert_eq!(rep.counters.shed_events, 0, "Block never sheds (ts {ts})");
-        total.absorb_parallel(&rep);
-        assert_results_identical(&fed, &twin, &format!("ts {ts}"));
-    }
+    let mut stacks = vec![
+        Stack::eng(&net, EngineConfig::with_shards(4)),
+        Stack::ing(&net, cfg),
+    ];
+    drive(&mut FlashCrowd::new(net.clone(), busy(123)), &mut stacks, 6).unwrap();
+    let folded = &stacks[1].total;
+    assert_eq!(folded.shed_events, 0, "Block never sheds");
     assert!(
-        total.counters.coalesced_superseded > 0,
+        folded.coalesced_superseded > 0,
         "a flash crowd must trigger last-write-wins folding"
     );
 }
@@ -302,6 +220,31 @@ fn reject_policy_surfaces_typed_full_error() {
         .expect("drain reopens the hub");
 }
 
+/// A scenario whose producer sends one event that does not fit the
+/// network ahead of each tick's valid events.
+struct Hostile {
+    scenario: Scenario,
+    bad: std::vec::IntoIter<UpdateEvent>,
+    reports: Vec<UpdateEvent>,
+}
+
+impl Workload for Hostile {
+    fn install_into(&self, m: &mut dyn ContinuousMonitor) {
+        self.scenario.install_into(m);
+    }
+
+    fn tick(&mut self) -> UpdateBatch {
+        let bad = self.bad.next().expect("one bad event a tick");
+        let batch = self.scenario.tick();
+        self.reports = std::iter::once(bad).chain(events(&batch)).collect();
+        batch
+    }
+
+    fn reports(&self) -> Option<&[UpdateEvent]> {
+        Some(&self.reports)
+    }
+}
+
 /// A producer submitting events that do not fit the engine's network:
 /// each is refused at submit with a typed error and never reaches the
 /// router or a shard, and the valid tick that follows answers — results,
@@ -369,33 +312,26 @@ fn hostile_producer_is_refused_at_submit_and_changes_nothing() {
             UpdateEvent::edge(EdgeId(3), 2.0 * MAX_WEIGHT),
         ),
     ];
-    let mut scenario = Scenario::new(net.clone(), small_cfg(31));
-    let mut fed = ShardedEngine::new(net.clone(), EngineConfig::with_shards(2));
-    let handle = fed.ingest_handle();
-    let mut twin = ShardedEngine::new(net.clone(), EngineConfig::with_shards(2));
-    scenario.install_into(&mut fed);
-    scenario.install_into(&mut twin);
-    for (what, bad) in cases {
-        let refused = handle.submit(bad);
-        let batch = scenario.tick();
-        let valid = (batch.objects.iter().map(|&ev| UpdateEvent::Object(ev)))
-            .chain(batch.queries.iter().map(|&ev| UpdateEvent::Query(ev)))
-            .chain(batch.edges.iter().map(|&ev| UpdateEvent::Edge(ev)));
-        for ev in valid {
-            handle.submit(ev).expect("a valid event is admitted");
-        }
-        let mut fed_rep = fed.tick_ingest();
-        let twin_rep = twin.tick(&batch);
+    let mut hostile = Hostile {
+        scenario: Scenario::new(net.clone(), busy(31)),
+        bad: cases.map(|(_, bad)| bad).to_vec().into_iter(),
+        reports: Vec::new(),
+    };
+    let cfg = EngineConfig::with_shards(2);
+    let mut stacks = vec![
+        Stack::eng(&net, cfg),
+        Stack::ing(&net, cfg).twin(0, Counters::Exact),
+    ];
+    drive(&mut hostile, &mut stacks, cases.len()).unwrap();
+    let refused = &stacks[1].refused;
+    assert_eq!(refused.len(), cases.len(), "{refused:?}");
+    for ((what, bad), &err) in cases.iter().zip(refused) {
         // Compared as text: a NaN weight is not equal to itself.
-        let Err(err @ IngestError::Invalid { event }) = refused else {
-            panic!("{what}: admitted or refused for the wrong reason: {refused:?}");
+        let IngestError::Invalid { event } = err else {
+            panic!("{what}: refused for the wrong reason: {err:?}");
         };
         assert_eq!(format!("{event:?}"), format!("{bad:?}"), "{what}");
         assert!(err.to_string().contains("does not fit"), "{what}: {err}");
-        fed_rep.counters.drain_alloc_events = 0;
-        assert_eq!(fed_rep.counters, twin_rep.counters, "{what}: counters");
-        assert_eq!(fed_rep.results_changed, twin_rep.results_changed, "{what}");
-        assert_results_identical(&fed, &twin, what);
     }
 }
 

@@ -1,11 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and on the
-//! end-to-end monitoring invariants.
+//! end-to-end monitoring invariants. The random programs drive their
+//! stacks through the harness in `tests/common` (`drive`, asserted with
+//! `prop_assert_eq!(drive(..), Ok(()))`); the change-list properties hold
+//! every call against its `KeptAnswers`, and the answer properties compare
+//! through its `compare`.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::tie_prone_point;
+use common::{compare, drive, grid, tie_prone_point, KeptAnswers, Program, Stack};
 
 use proptest::prelude::*;
 use rnn_monitor::cluster::wal as cluster_wal;
@@ -53,15 +57,6 @@ proptest! {
 // Dijkstra / quadtree / sequences on random networks.
 // ---------------------------------------------------------------------
 
-fn random_grid(seed: u64) -> RoadNetwork {
-    generators::grid_city(&generators::GridCityConfig {
-        nx: 5,
-        ny: 5,
-        seed,
-        ..Default::default()
-    })
-}
-
 /// Floyd–Warshall oracle for node-to-node distances.
 fn floyd_warshall(net: &RoadNetwork, w: &EdgeWeights) -> Vec<Vec<f64>> {
     let n = net.num_nodes();
@@ -92,7 +87,7 @@ proptest! {
 
     #[test]
     fn dijkstra_matches_floyd_warshall(seed in 0u64..200) {
-        let net = random_grid(seed);
+        let net = grid(5, 5, seed);
         let w = EdgeWeights::from_base(&net);
         let oracle = floyd_warshall(&net, &w);
         let mut eng = DijkstraEngine::new(net.num_nodes());
@@ -107,7 +102,7 @@ proptest! {
 
     #[test]
     fn sequences_partition_edges(seed in 0u64..200) {
-        let net = random_grid(seed);
+        let net = grid(5, 5, seed);
         let st = SequenceTable::build(&net);
         let mut covered = vec![0usize; net.num_edges()];
         for s in st.iter() {
@@ -120,7 +115,7 @@ proptest! {
 
     #[test]
     fn quadtree_locate_is_consistent(seed in 0u64..100, t in 0.05f64..0.95) {
-        let net = random_grid(seed);
+        let net = grid(5, 5, seed);
         let qt = rnn_monitor::roadnet::PmrQuadtree::build(&net);
         for e in net.edge_ids().step_by(7) {
             let p = NetPoint::new(e, t);
@@ -180,85 +175,38 @@ proptest! {
         k in 1usize..6,
         ticks in prop::collection::vec(prop::collection::vec(op_strategy(), 0..6), 1..8),
     ) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let ne = net.num_edges() as u16;
-        let mut ovh = Ovh::new(net.clone());
-        let mut ima = Ima::new(net.clone());
-        let mut gma = Gma::new(net.clone());
-        // 12 objects, 4 queries at deterministic spots.
-        for i in 0..12u32 {
-            let e = EdgeId((i * 5) % ne as u32);
-            let p = NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6);
-            ovh.apply(UpdateEvent::insert_object(ObjectId(i), p));
-            ima.apply(UpdateEvent::insert_object(ObjectId(i), p));
-            gma.apply(UpdateEvent::insert_object(ObjectId(i), p));
-        }
-        for i in 0..4u32 {
-            let e = EdgeId((i * 11 + 3) % ne as u32);
-            let p = NetPoint::new(e, 0.5);
-            ovh.apply(UpdateEvent::install_query(QueryId(i), k, p));
-            ima.apply(UpdateEvent::install_query(QueryId(i), k, p));
-            gma.apply(UpdateEvent::install_query(QueryId(i), k, p));
-        }
-
+        // 12 objects, 4 queries at deterministic spots, each a timestamp.
+        let objects = (0..12u32).map(|i| {
+            let e = EdgeId((i * 5) % u32::from(ne));
+            UpdateEvent::insert_object(ObjectId(i), NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6))
+        });
+        let queries = (0..4u32).map(|i| {
+            let e = EdgeId((i * 11 + 3) % u32::from(ne));
+            UpdateEvent::install_query(QueryId(i), k, NetPoint::new(e, 0.5))
+        });
         let mut weights = EdgeWeights::from_base(&net);
-        for ops in &ticks {
-            let mut batch = UpdateBatch::default();
-            for op in ops {
-                match *op {
-                    Op::MoveObject { idx, edge, frac } => {
-                        batch.objects.push(ObjectEvent::Move {
-                            id: ObjectId(u32::from(idx % 16)),
-                            to: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-                        });
-                    }
-                    Op::DeleteObject { idx } => {
-                        batch.objects.push(ObjectEvent::Delete { id: ObjectId(u32::from(idx % 16)) });
-                    }
-                    Op::InsertObject { idx, edge, frac } => {
-                        batch.objects.push(ObjectEvent::Insert {
-                            id: ObjectId(u32::from(idx % 16)),
-                            at: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-                        });
-                    }
-                    Op::MoveQuery { idx, edge, frac } => {
-                        batch.queries.push(QueryEvent::Move {
-                            id: QueryId(u32::from(idx % 4)),
-                            to: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-                        });
-                    }
-                    Op::ScaleEdge { edge, factor } => {
-                        let e = EdgeId(u32::from(edge % ne));
-                        let new_w = weights.get(e) * factor;
-                        weights.set(e, new_w);
-                        batch.edges.push(EdgeWeightUpdate { edge: e, new_weight: new_w });
-                    }
+        let batches: Vec<UpdateBatch> = ticks
+            .iter()
+            .map(|ops| {
+                let mut batch = UpdateBatch::default();
+                for op in ops {
+                    push_op(op, &mut batch, &mut weights, ne);
                 }
-            }
-            // Moves of deleted objects are invalid; sanitize like a real
-            // feed would (move-after-delete within a tick is legal and
-            // handled by coalescing, so only drop moves of ids that are
-            // gone *entering* the tick and not re-inserted first).
-            ovh.tick(&batch);
-            ima.tick(&batch);
-            gma.tick(&batch);
-
-            for q in (0..4u32).map(QueryId) {
-                let want = ovh.result(q).unwrap();
-                prop_assert_eq!(ima.result(q).unwrap(), want, "IMA, query {}", q);
-                prop_assert_eq!(gma.result(q).unwrap(), want, "GMA, query {}", q);
-                prop_assert_eq!(ima.knn_dist(q), ovh.knn_dist(q), "IMA kNN_dist, query {}", q);
-                prop_assert_eq!(gma.knn_dist(q), ovh.knn_dist(q), "GMA kNN_dist, query {}", q);
-            }
-        }
-        ima.validate_invariants();
+                batch
+            })
+            .collect();
+        let n = batches.len();
+        let mut program = Program::applying(objects.chain(queries).collect(), batches);
+        prop_assert_eq!(drive(&mut program, &mut Stack::monitors(&net), n), Ok(()));
     }
 
     /// Results are always sorted, deduplicated, within k, and kNN_dist
     /// equals the k-th distance.
     #[test]
     fn result_shape_invariants(seed in 0u64..30, k in 1usize..8) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let mut ima = Ima::new(net.clone());
         for i in 0..10u32 {
             ima.apply(UpdateEvent::insert_object(
@@ -295,9 +243,9 @@ use rnn_monitor::roadnet::RoadNetworkBuilder;
 /// sequence, no active node), a lollipop (a cycle hanging off its single
 /// intersection, plus a tail), a cross (four subdivided rays around one
 /// intersection) and a grid city.
-fn lemma1_network(shape: usize, seed: u64) -> RoadNetwork {
+fn lemma1_network(shape: usize, seed: u64) -> Arc<RoadNetwork> {
     let size = 3 + (seed % 5) as usize;
-    match shape {
+    let net = match shape {
         0 => generators::line_network(size + 1, 1.0 + (seed % 3) as f64),
         1 => generators::ring_network(size, 2.0 + (seed % 4) as f64),
         2 => {
@@ -330,8 +278,9 @@ fn lemma1_network(shape: usize, seed: u64) -> RoadNetwork {
             }
             b.build().unwrap()
         }
-        _ => random_grid(seed),
-    }
+        _ => return grid(5, 5, seed),
+    };
+    Arc::new(net)
 }
 
 /// Network distance from node `n` to every object, nearest first.
@@ -434,7 +383,7 @@ proptest! {
         seed in 0u64..1000,
         n_objects in 0usize..40,
     ) {
-        let net = Arc::new(lemma1_network(shape, seed));
+        let net = lemma1_network(shape, seed);
         let ne = net.num_edges();
         let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
@@ -490,14 +439,14 @@ proptest! {
             }
             for &(id, k, at) in &queries {
                 ovh.apply(UpdateEvent::install_query(id, k, at));
+            }
+            let what = format!("shape {shape} seed {seed} tick {tick}");
+            prop_assert_eq!(compare(&ovh, &gma, None), Ok(()), "{}: GMA vs OVH", what);
+            prop_assert_eq!(compare(&ovh, &ima, None), Ok(()), "{}: IMA vs OVH", what);
+            for &(id, k, at) in &queries {
                 let got = gma.result(id).unwrap();
-                let what = format!("shape {shape} seed {seed} tick {tick} {id:?} k {k}");
                 let lemma = lemma1_reference(&net, gma.sequences(), &weights, &objects, at, k);
-                let want = ovh.result(id).unwrap();
-                assert_eq!(got, lemma, "{what}: GMA vs Lemma 1");
-                assert_eq!(got, want, "{what}: GMA vs OVH");
-                assert_eq!(ima.result(id).unwrap(), want, "{what}: IMA vs OVH");
-                assert_eq!(ima.knn_dist(id), ovh.knn_dist(id), "{what}: IMA kNN_dist");
+                assert_eq!(got, lemma, "{what} {id:?} k {k}: GMA vs Lemma 1");
                 prop_assert_eq!(got.len(), k.min(n_objects));
                 let knn = gma.knn_dist(id).unwrap();
                 prop_assert_eq!(knn, if got.len() == k { got[k - 1].dist } else { f64::INFINITY });
@@ -736,8 +685,7 @@ fn qop_strategy() -> impl Strategy<Value = QOp> {
     ]
 }
 
-/// Translates a base [`Op`] into batch events (mirrors the mapping used by
-/// `monitors_agree_on_random_programs`).
+/// Translates a base [`Op`] into batch events.
 fn push_op(op: &Op, batch: &mut UpdateBatch, weights: &mut EdgeWeights, ne: u16) {
     match *op {
         Op::MoveObject { idx, edge, frac } => batch.objects.push(ObjectEvent::Move {
@@ -789,28 +737,16 @@ proptest! {
         shards in 2usize..5,
         ticks in prop::collection::vec(prop::collection::vec(qop_strategy(), 0..6), 1..8),
     ) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let ne = net.num_edges() as u16;
-        let mut gma = Gma::new(net.clone());
-        let mut eng = ShardedEngine::new(
-            net.clone(),
-            EngineConfig {
-                num_shards: shards,
-                ..EngineConfig::default()
-            },
-        );
-        for i in 0..12u32 {
+        let objects = (0..12u32).map(|i| {
             let e = EdgeId((i * 5) % u32::from(ne));
-            let p = NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6);
-            gma.apply(UpdateEvent::insert_object(ObjectId(i), p));
-            eng.apply(UpdateEvent::insert_object(ObjectId(i), p));
-        }
-        for i in 0..3u32 {
+            UpdateEvent::insert_object(ObjectId(i), NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6))
+        });
+        let queries = (0..3u32).map(|i| {
             let p = NetPoint::new(EdgeId((i * 11 + 3) % u32::from(ne)), 0.5);
-            gma.apply(UpdateEvent::install_query(QueryId(i), 3, p));
-            eng.apply(UpdateEvent::install_query(QueryId(i), 3, p));
-        }
-
+            UpdateEvent::install_query(QueryId(i), 3, p)
+        });
         let mut weights = EdgeWeights::from_base(&net);
         // The tail: every query leaves, then two quiet ticks.
         let tail = [
@@ -818,41 +754,37 @@ proptest! {
             Vec::new(),
             Vec::new(),
         ];
-        for ops in ticks.iter().chain(&tail) {
-            let mut batch = UpdateBatch::default();
-            for op in ops {
-                match *op {
-                    QOp::Base(ref op) => push_op(op, &mut batch, &mut weights, ne),
-                    QOp::InstallQuery { idx, k, edge, frac } => {
-                        batch.queries.push(QueryEvent::Install {
-                            id: QueryId(u32::from(idx % 4)),
-                            k: usize::from(k % 5) + 1,
-                            at: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-                        });
-                    }
-                    QOp::RemoveQuery { idx } => {
-                        batch.queries.push(QueryEvent::Remove {
-                            id: QueryId(u32::from(idx % 4)),
-                        });
+        let batches: Vec<UpdateBatch> = ticks
+            .iter()
+            .chain(&tail)
+            .map(|ops| {
+                let mut batch = UpdateBatch::default();
+                for op in ops {
+                    match *op {
+                        QOp::Base(ref op) => push_op(op, &mut batch, &mut weights, ne),
+                        QOp::InstallQuery { idx, k, edge, frac } => {
+                            batch.queries.push(QueryEvent::Install {
+                                id: QueryId(u32::from(idx % 4)),
+                                k: usize::from(k % 5) + 1,
+                                at: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
+                            });
+                        }
+                        QOp::RemoveQuery { idx } => {
+                            batch.queries.push(QueryEvent::Remove {
+                                id: QueryId(u32::from(idx % 4)),
+                            });
+                        }
                     }
                 }
-            }
-            gma.tick(&batch);
-            eng.tick(&batch);
-
-            if let Err(msg) = eng.validate_replication() {
-                prop_assert!(false, "replication invariants broken: {}", msg);
-            }
-            let mut gids = gma.query_ids();
-            let mut eids = eng.query_ids();
-            gids.sort();
-            eids.sort();
-            prop_assert_eq!(&gids, &eids, "query sets diverge");
-            for &q in &gids {
-                prop_assert_eq!(gma.result(q).unwrap(), eng.result(q).unwrap(), "query {}", q);
-                prop_assert_eq!(gma.knn_dist(q), eng.knn_dist(q), "kNN_dist, query {}", q);
-            }
-        }
+                batch
+            })
+            .collect();
+        let n = batches.len();
+        let mut program = Program::applying(objects.chain(queries).collect(), batches);
+        let cfg = EngineConfig { num_shards: shards, ..EngineConfig::default() };
+        let mut stacks = vec![Stack::gma(&net), Stack::eng(&net, cfg)];
+        prop_assert_eq!(drive(&mut program, &mut stacks, n), Ok(()));
+        let eng = stacks[1].eng_ref();
         // Coverage floor: what shrink trigger 1.0 / 1 tick evicted over the
         // 16 programs without the tail.
         REPLICA_EVICTIONS.fetch_add(eng.replica_evictions(), Ordering::Relaxed);
@@ -875,54 +807,6 @@ proptest! {
 use std::collections::BTreeMap;
 
 use rnn_monitor::engine::ShardAlgo;
-
-/// Full copies of every registered query's `(kNN_dist bits, result)`, as
-/// of the last checked call.
-#[derive(Default)]
-struct KeptAnswers(BTreeMap<QueryId, (u64, Vec<Neighbor>)>);
-
-impl KeptAnswers {
-    /// Holds the monitor's change list and the call's `results_changed`
-    /// against the diff of the kept copies with the answers read back now,
-    /// then keeps those. A query the call installed is diffed against
-    /// `(∞, [])`; a removed one counts towards `results_changed` if it had
-    /// an answer.
-    fn check(&mut self, m: &dyn ContinuousMonitor, report: TickReport, what: &str) {
-        let now: BTreeMap<QueryId, (u64, Vec<Neighbor>)> = m
-            .query_ids()
-            .into_iter()
-            .map(|q| {
-                let answer = (
-                    m.knn_dist(q).unwrap().to_bits(),
-                    m.result(q).unwrap().to_vec(),
-                );
-                (q, answer)
-            })
-            .collect();
-        let unanswered = (f64::INFINITY.to_bits(), Vec::new());
-        let want: Vec<QueryId> = now
-            .iter()
-            .filter(|(q, answer)| self.0.get(q).unwrap_or(&unanswered) != *answer)
-            .map(|(&q, _)| q)
-            .collect();
-        assert_eq!(
-            m.changed_queries(),
-            want.as_slice(),
-            "{what}: the change list is not the brute-force diff"
-        );
-        let removed_with_answer = self
-            .0
-            .iter()
-            .filter(|(q, answer)| !now.contains_key(q) && !answer.1.is_empty())
-            .count();
-        assert_eq!(
-            report.results_changed,
-            want.len() + removed_with_answer,
-            "{what}: results_changed"
-        );
-        self.0 = now;
-    }
-}
 
 /// A random program of batches and single-event `apply`s over at most 14
 /// objects (a third of the placements pile on one spot, so ties and
@@ -1084,12 +968,13 @@ impl ChangeProgram {
         kept: &mut KeptAnswers,
         n_objects: usize,
         what: &str,
-    ) {
+    ) -> Result<(), String> {
         for i in 0..n_objects {
             let (id, at) = (ObjectId(i as u32), self.spot());
             self.objects.insert(id, at);
             let report = m.apply(UpdateEvent::insert_object(id, at));
-            kept.check(m, report, &format!("{what}, insert {i}"));
+            kept.check(m, &report)
+                .map_err(|e| format!("{what}, insert {i}: {e}"))?;
         }
         for _ in 0..3 {
             let id = self.some_query();
@@ -1098,7 +983,8 @@ impl ChangeProgram {
                     unreachable!()
                 };
                 let report = m.apply(UpdateEvent::install_query(id, k, at));
-                kept.check(m, report, &format!("{what}, install of {id:?} k {k}"));
+                kept.check(m, &report)
+                    .map_err(|e| format!("{what}, install of {id:?} k {k}: {e}"))?;
             }
         }
         let mut fresh_object = 100;
@@ -1110,7 +996,8 @@ impl ChangeProgram {
                     self.push_event(&mut batch);
                 }
                 let report = m.tick(&batch);
-                kept.check(m, report, &format!("{what}, tick {batch:?}"));
+                kept.check(m, &report)
+                    .map_err(|e| format!("{what}, tick {batch:?}: {e}"))?;
             } else {
                 let id = self.some_query();
                 let event = match self.next() % 5 {
@@ -1127,7 +1014,8 @@ impl ChangeProgram {
                     _ => UpdateEvent::Object(self.object_event(true)),
                 };
                 let report = m.apply(event);
-                kept.check(m, report, &format!("{what}, apply {event:?}"));
+                kept.check(m, &report)
+                    .map_err(|e| format!("{what}, apply {event:?}: {e}"))?;
             }
             let mut registered = m.query_ids();
             registered.sort();
@@ -1144,7 +1032,7 @@ impl ChangeProgram {
         // one short, and kNN_dist is ∞.
         let n = self.objects.len();
         if n == 0 {
-            return;
+            return Ok(());
         }
         let (id, at) = (QueryId(40), self.spot());
         let reinstall = |m: &mut dyn ContinuousMonitor, k: usize, kept: &mut KeptAnswers| {
@@ -1153,21 +1041,18 @@ impl ChangeProgram {
                 ..Default::default()
             };
             let report = m.tick(&batch);
-            kept.check(
-                m,
-                report,
-                &format!("{what}, {id:?} at k = {k} of {n} objects"),
-            );
-            (m.knn_dist(id).unwrap(), m.result(id).unwrap().to_vec())
+            kept.check(m, &report)
+                .map_err(|e| format!("{what}, {id:?} at k = {k} of {n} objects: {e}"))?;
+            Ok::<_, String>((m.knn_dist(id).unwrap(), m.result(id).unwrap().to_vec()))
         };
-        let (knn_full, full) = reinstall(m, n, kept);
+        let (knn_full, full) = reinstall(m, n, kept)?;
         assert_eq!(full.len(), n, "{what}: every object is reachable");
         assert!(knn_full.is_finite());
-        let (knn_short, short) = reinstall(m, n + 1, kept);
+        let (knn_short, short) = reinstall(m, n + 1, kept)?;
         assert_eq!(short, full, "{what}: the result stands");
         assert!(knn_short.is_infinite());
         assert_eq!(m.changed_queries(), [id], "{what}: kNN_dist alone moved");
-        let (knn_again, _) = reinstall(m, n, kept);
+        let (knn_again, _) = reinstall(m, n, kept)?;
         assert_eq!(knn_again.to_bits(), knn_full.to_bits());
         assert_eq!(
             m.changed_queries(),
@@ -1175,6 +1060,7 @@ impl ChangeProgram {
             "{what}: kNN_dist alone moved back"
         );
         self.book.insert(id, (n, at));
+        Ok(())
     }
 }
 
@@ -1184,12 +1070,12 @@ fn lists_exactly_the_queries_it_changed(
     shape: usize,
     seed: u64,
     n_objects: usize,
-) {
-    let net = Arc::new(lemma1_network(shape, seed));
+) -> Result<(), String> {
+    let net = lemma1_network(shape, seed);
     let mut m = make(net.clone());
     let what = format!("{} shape {shape} seed {seed} objects {n_objects}", m.name());
     let mut kept = KeptAnswers::default();
-    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, &what);
+    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, &what)
 }
 
 proptest! {
@@ -1199,21 +1085,24 @@ proptest! {
     fn ovh_lists_exactly_the_queries_it_changed(
         shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
     ) {
-        lists_exactly_the_queries_it_changed(|net| Box::new(Ovh::new(net)), shape, seed, n_objects);
+        let make = |net| Box::new(Ovh::new(net)) as Box<dyn ContinuousMonitor>;
+        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
     }
 
     #[test]
     fn ima_lists_exactly_the_queries_it_changed(
         shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
     ) {
-        lists_exactly_the_queries_it_changed(|net| Box::new(Ima::new(net)), shape, seed, n_objects);
+        let make = |net| Box::new(Ima::new(net)) as Box<dyn ContinuousMonitor>;
+        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
     }
 
     #[test]
     fn gma_lists_exactly_the_queries_it_changed(
         shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
     ) {
-        lists_exactly_the_queries_it_changed(|net| Box::new(Gma::new(net)), shape, seed, n_objects);
+        let make = |net| Box::new(Gma::new(net)) as Box<dyn ContinuousMonitor>;
+        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
     }
 }
 
@@ -1230,7 +1119,7 @@ proptest! {
     fn engine_lists_exactly_the_queries_it_changed(
         algo in 0usize..3, seed in 0u64..1000, n_objects in 0usize..14,
     ) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let algo = [ShardAlgo::Ovh, ShardAlgo::Ima, ShardAlgo::Gma][algo];
         let mut eng = ShardedEngine::new(
             net.clone(),
@@ -1239,7 +1128,7 @@ proptest! {
         let what = format!("ENG-4 over {algo:?}, seed {seed}, objects {n_objects}");
         let mut kept = KeptAnswers::default();
         let mut program = ChangeProgram::new(&net, seed);
-        program.run(&mut eng, &mut kept, n_objects, &what);
+        prop_assert_eq!(program.run(&mut eng, &mut kept, n_objects, &what), Ok(()));
         if let Err(msg) = eng.validate_replication() {
             prop_assert!(false, "{}: {}", what, msg);
         }
@@ -1255,7 +1144,7 @@ proptest! {
         let mut tick = |queries: Vec<QueryEvent>, kept: &mut KeptAnswers, step: &str| {
             let batch = UpdateBatch { queries, ..Default::default() };
             let report = eng.tick(&batch);
-            kept.check(&eng, report, &format!("{what}, {step}"));
+            kept.check(&eng, &report).unwrap_or_else(|e| panic!("{what}, {step}: {e}"));
             (report.results_changed, eng.changed_queries().to_vec())
         };
         tick(vec![QueryEvent::Install { id, k: 3, at: home }], &mut kept, "install at home");
@@ -1290,7 +1179,7 @@ proptest! {
         shards in 2usize..6,
         rounds in 1usize..6,
     ) {
-        let net = random_grid(seed % 13);
+        let net = grid(5, 5, seed % 13);
         let mut p = rnn_monitor::roadnet::NetworkPartition::build(&net, shards);
         prop_assert!(p.validate(&net).is_ok());
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(11);
@@ -1442,7 +1331,7 @@ proptest! {
         use rnn_monitor::core::tree::{ExpansionTree, TreePool};
         use tree_pool_model::RefTree;
 
-        let net = random_grid(seed % 17);
+        let net = grid(5, 5, seed % 17);
         let weights = EdgeWeights::from_base(&net);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7);
         let mut rng = move || {
@@ -1959,7 +1848,7 @@ proptest! {
     /// networks.
     #[test]
     fn snapshot_round_trip_is_answer_equivalent(seed in 0u64..120, algo in 0usize..3) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let (mut orig, mut fresh): (Box<dyn ContinuousMonitor>, Box<dyn ContinuousMonitor>) =
             match algo {
                 0 => (Box::new(Gma::new(net.clone())), Box::new(Gma::new(net.clone()))),
@@ -1972,22 +1861,14 @@ proptest! {
         let decoded = MonitorState::from_bytes(&bytes);
         prop_assert_eq!(decoded.as_ref().ok(), Some(&snap), "decode must invert encode");
         prop_assert!(decoded.unwrap().restore_into(fresh.as_mut()).is_ok());
-        let mut ids = orig.query_ids();
-        ids.sort();
-        for q in ids {
-            prop_assert_eq!(orig.result(q).unwrap(), fresh.result(q).unwrap());
-            prop_assert_eq!(
-                orig.knn_dist(q).unwrap().to_bits(),
-                fresh.knn_dist(q).unwrap().to_bits()
-            );
-        }
+        prop_assert_eq!(compare(orig.as_ref(), fresh.as_ref(), None), Ok(()));
     }
 
     /// The snapshot decoder is total: truncating a valid encoding at any
     /// proportional cut is rejected as an error, never a panic.
     #[test]
     fn snapshot_decode_rejects_truncation(seed in 0u64..60, cut in 0.0f64..1.0) {
-        let net = Arc::new(random_grid(seed));
+        let net = grid(5, 5, seed);
         let mut m = Gma::new(net.clone());
         populate_for_snapshot(&mut m, &net, seed);
         let bytes = m.snapshot_state().expect("gma snapshots").to_bytes();
