@@ -8,7 +8,8 @@
 //! inside a doc comment or a format string. It does **not** build a syntax
 //! tree; rules pattern-match over the flat token stream.
 //!
-//! Two hard guarantees, pinned by the proptest in `tests/properties.rs`:
+//! Two hard guarantees, pinned by the seeded random cases in
+//! `tests/properties.rs`:
 //! the lexer never panics and always terminates, on arbitrary input. Every
 //! loop below advances the cursor by at least one byte per iteration, and
 //! every unterminated construct (string, comment, char) lexes to the end

@@ -361,9 +361,10 @@ impl Driven {
             Driven::Ingest(engine) => {
                 let handle = engine.ingest_handle();
                 for &ev in raw {
-                    // Block never errors (the bench sizes the hub above the
-                    // firehose rate) and ShedOldest absorbs overflow; only
-                    // Reject returns Err, and the bench never uses it.
+                    // Neither policy refuses for room (Block parks, and the
+                    // bench sizes the hub above the firehose rate;
+                    // ShedOldest absorbs overflow), and every firehose event
+                    // fits the network, so a submission never errs.
                     handle.submit(ev).expect("bench ingest submission");
                 }
                 engine.tick_ingest()

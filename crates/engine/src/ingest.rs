@@ -31,9 +31,7 @@
 //!   applies its [`AdmissionPolicy`]: `Block` parks the producer until
 //!   the next drain (lossless backpressure), `ShedOldest` drops the oldest
 //!   surviving window (counted in [`DrainStats::shed_events`] — the
-//!   monitor lags but never stalls), `Reject` refuses the submission with
-//!   a typed [`IngestError`] so the producer decides. A fold never parks,
-//!   sheds or rejects.
+//!   monitor lags but never stalls). A fold never parks or sheds.
 //! * **Validation at submit.** An event that does not fit the network
 //!   ([`UpdateEvent::fits`]) is refused with [`IngestError::Invalid`].
 //!
@@ -66,9 +64,6 @@ pub enum AdmissionPolicy {
     /// [`DrainStats::shed_events`]; the entity's next report opens a
     /// fresh window.
     ShedOldest,
-    /// Refuse the submission with [`IngestError::Full`], leaving the
-    /// queue untouched. Loss is explicit at the producer, never silent.
-    Reject,
 }
 
 /// Tuning knobs of the ingest stage.
@@ -94,15 +89,9 @@ impl Default for IngestConfig {
     }
 }
 
-/// Why a submission was refused: a full hub under
-/// [`AdmissionPolicy::Reject`], or an event that does not fit the network.
+/// Why a submission was refused: an event that does not fit the network.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IngestError {
-    /// The hub is at capacity and runs [`AdmissionPolicy::Reject`].
-    Full {
-        /// The configured bound.
-        capacity: usize,
-    },
     /// The event does not fit the network ([`UpdateEvent::fits`]); it was
     /// not queued.
     Invalid {
@@ -114,11 +103,6 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::Full { capacity } => write!(
-                f,
-                "ingest hub is at capacity ({capacity} open windows) under \
-                 AdmissionPolicy::Reject — drain the hub or resubmit later"
-            ),
             IngestError::Invalid { event } => write!(f, "{event:?} does not fit the network"),
         }
     }
@@ -277,11 +261,6 @@ impl HubShared {
                     q.shed_oldest();
                     break;
                 }
-                AdmissionPolicy::Reject => {
-                    return Err(IngestError::Full {
-                        capacity: self.capacity,
-                    });
-                }
             }
         }
         q.admit(key, event);
@@ -300,10 +279,9 @@ impl IngestHandle {
     /// Submits one event. Per-entity order is the submission order of
     /// whichever producer carries that entity; cross-entity order is the
     /// order in which windows opened. Fails on an event that does not fit
-    /// the network ([`IngestError::Invalid`]) and, under
-    /// [`AdmissionPolicy::Reject`], on a full hub; under
-    /// [`AdmissionPolicy::Block`] this call parks until the consumer
-    /// drains.
+    /// the network ([`IngestError::Invalid`]); under
+    /// [`AdmissionPolicy::Block`] this call parks on a full hub until the
+    /// consumer drains.
     pub fn submit(&self, event: UpdateEvent) -> Result<(), IngestError> {
         self.shared.submit(event)
     }
@@ -544,23 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_surfaces_typed_error() {
-        let mut hub = IngestHub::new(IngestConfig {
-            capacity: 2,
-            policy: AdmissionPolicy::Reject,
-        });
-        let h = hub.handle();
-        h.submit(UpdateEvent::edge(EdgeId(0), 1.0)).unwrap();
-        h.submit(UpdateEvent::edge(EdgeId(1), 1.0)).unwrap();
-        let err = h.submit(UpdateEvent::edge(EdgeId(2), 1.0)).unwrap_err();
-        assert_eq!(err, IngestError::Full { capacity: 2 });
-        // Draining frees the hub; the producer can resubmit.
-        let (_, stats) = drain(&mut hub);
-        assert_eq!(stats.drained, 2);
-        h.submit(UpdateEvent::edge(EdgeId(2), 1.0)).unwrap();
-    }
-
-    #[test]
     fn shed_oldest_drops_head_and_counts() {
         let mut hub = IngestHub::new(IngestConfig {
             capacity: 2,
@@ -603,7 +564,7 @@ mod tests {
 
     #[test]
     fn fold_into_a_full_hub_never_parks_or_refuses() {
-        for policy in [AdmissionPolicy::Block, AdmissionPolicy::Reject] {
+        for policy in [AdmissionPolicy::Block, AdmissionPolicy::ShedOldest] {
             let mut hub = IngestHub::new(IngestConfig {
                 capacity: 1,
                 policy,
@@ -622,6 +583,7 @@ mod tests {
             producer.join().unwrap();
             assert_eq!(folded, Ok(Ok(())), "{policy:?}: the fold parked or failed");
             assert_eq!(stats.coalesced_superseded, 1);
+            assert_eq!(stats.shed_events, 0, "{policy:?}: the fold shed a window");
             assert_eq!(
                 batch.objects,
                 vec![ObjectEvent::Move {

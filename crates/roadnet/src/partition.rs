@@ -265,7 +265,7 @@ impl NetworkPartition {
         out
     }
 
-    /// Checks the structural partition invariants (tests, proptests, and
+    /// Checks the structural partition invariants (tests, property tests and
     /// post-migration debugging): every node and edge is owned by exactly
     /// one in-range shard, the views partition the node and edge sets
     /// exactly, and the boundary-node lists are exactly the nodes incident

@@ -23,22 +23,28 @@
 //!   query churn, quiet ticks, the drifting hotspot, a flash-crowd
 //!   firehose, hand-written programs), the one `grid` and `base_cfg`, and
 //!   the scenario table the engine and cluster suites share.
+//! - [`cases`](mod@cases): the one source of randomness. A randomized test is a
+//!   loop over a fixed range of seeds, each case drawing every input from
+//!   its own `StdRng`; a failing case names its test and its seed.
 //!
 //! **Adding a row.** Write a `#[test]` that builds a workload (a table
 //! entry, or a [`workload::Program`] of batches), lists its stacks with the
 //! reference first, calls `drive(&mut workload, &mut stacks, ticks)` and
 //! unwraps it; then assert only what that row is about (a migration
 //! floor, a replay bound, "the planned crash fired") through the stacks'
-//! accessors. A `proptest!` block asserts `prop_assert_eq!(drive(..),
-//! Ok(()))` instead.
+//! accessors. A randomized row builds its program inside
+//! `cases(0..n, |rng| ..)` from the case's generator and asserts
+//! `assert_eq!(drive(..), Ok(()))`, so the failing seed is in the message.
 
 // Each suite uses only part of the harness.
 #![allow(dead_code, unused_imports)]
 
+pub mod cases;
 pub mod drive;
 pub mod stack;
 pub mod workload;
 
+pub use cases::cases;
 pub use drive::{compare, drive, drive_observed, KeptAnswers};
 pub use stack::{events, lossless, Counters, Plane, Stack};
 pub use workload::{

@@ -7,6 +7,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use rnn_monitor::core::{
     load_population, ContinuousMonitor, EdgeWeightUpdate, ObjectEvent, QueryEvent, UpdateBatch,
     UpdateEvent,
@@ -447,13 +449,13 @@ impl Workload for FlashCrowd {
 /// Positions that make exact ties likely: edge ends (fractions 0 and 1,
 /// where objects of different edges coincide), midpoints, and a few
 /// arbitrary fractions, on few enough edges for objects to share a spot.
-pub fn tie_prone_point(r: u64, num_edges: usize) -> NetPoint {
-    let edge = EdgeId(((r >> 8) % num_edges as u64) as u32);
-    let frac = match r % 6 {
+pub fn tie_prone_point(rng: &mut StdRng, num_edges: usize) -> NetPoint {
+    let edge = EdgeId(rng.random_range(0..num_edges as u32));
+    let frac = match rng.random_range(0..6usize) {
         0 => 0.0,
         1 => 1.0,
         2 => 0.5,
-        _ => ((r >> 20) % 997) as f64 / 997.0,
+        _ => f64::from(rng.random_range(0..997u32)) / 997.0,
     };
     NetPoint::new(edge, frac)
 }
@@ -465,7 +467,7 @@ pub fn tie_prone_point(r: u64, num_edges: usize) -> NetPoint {
 /// shared by a third of all placements. Each tick moves about a quarter of
 /// the objects and of the queries and reweights two edges.
 pub struct TieProne {
-    rng: u64,
+    rng: StdRng,
     ne: usize,
     piles: [NetPoint; 4],
     base: EdgeWeights,
@@ -476,11 +478,11 @@ pub struct TieProne {
 
 impl TieProne {
     /// `n_objects` objects and 16 queries, each k one of 1, 3, 4 and 8,
-    /// placed on `net` by a stream seeded with `seed`.
-    pub fn new(net: &RoadNetwork, seed: u64, n_objects: u32) -> Self {
+    /// placed on `net`; every tick is drawn from `rng`.
+    pub fn new(net: &RoadNetwork, rng: StdRng, n_objects: u32) -> Self {
         let ne = net.num_edges();
         let mut w = Self {
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            rng,
             ne,
             piles: [NetPoint::new(EdgeId(0), 0.0); 4],
             base: EdgeWeights::from_base(net),
@@ -489,32 +491,25 @@ impl TieProne {
             queries: Vec::new(),
         };
         for i in 0..4 {
-            w.piles[i] = tie_prone_point(w.next(), ne);
+            w.piles[i] = tie_prone_point(&mut w.rng, ne);
         }
         for i in 0..n_objects {
             let at = w.spot();
             w.objects.push((ObjectId(i), at));
         }
         for i in 0..16 {
-            let k = [1, 3, 4, 8][(w.next() % 4) as usize];
+            let k = [1, 3, 4, 8][w.rng.random_range(0..4usize)];
             let at = w.spot();
             w.queries.push((QueryId(i), k, at));
         }
         w
     }
 
-    fn next(&mut self) -> u64 {
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        self.rng
-    }
-
     fn spot(&mut self) -> NetPoint {
-        if self.next() % 3 == 0 {
-            self.piles[(self.next() % 4) as usize]
+        if self.rng.random_range(0..3usize) == 0 {
+            self.piles[self.rng.random_range(0..4usize)]
         } else {
-            tie_prone_point(self.next(), self.ne)
+            tie_prone_point(&mut self.rng, self.ne)
         }
     }
 }
@@ -531,7 +526,7 @@ impl Workload for TieProne {
     fn tick(&mut self) -> UpdateBatch {
         let mut batch = UpdateBatch::default();
         for i in 0..self.objects.len() {
-            if self.next() % 4 == 0 {
+            if self.rng.random_range(0..4usize) == 0 {
                 let to = self.spot();
                 self.objects[i].1 = to;
                 let id = self.objects[i].0;
@@ -539,7 +534,7 @@ impl Workload for TieProne {
             }
         }
         for i in 0..self.queries.len() {
-            if self.next() % 4 == 0 {
+            if self.rng.random_range(0..4usize) == 0 {
                 let to = self.spot();
                 self.queries[i].2 = to;
                 let id = self.queries[i].0;
@@ -547,11 +542,11 @@ impl Workload for TieProne {
             }
         }
         for _ in 0..2 {
-            let edge = EdgeId((self.next() % self.ne as u64) as u32);
+            let edge = EdgeId(self.rng.random_range(0..self.ne as u32));
             let (w, base) = (self.weights.get(edge), self.base.get(edge));
             // Halve or double, staying within a factor of four of the base.
-            let new_weight = match self.next() % 2 {
-                0 if w > base / 4.0 => w / 2.0,
+            let new_weight = match self.rng.random::<bool>() {
+                true if w > base / 4.0 => w / 2.0,
                 _ if w < base * 4.0 => w * 2.0,
                 _ => w / 2.0,
             };

@@ -11,20 +11,24 @@
 //! call.
 //!
 //! Each row is a shape of `common::Shape` on a network and seeds of its
-//! own; `tie_prone_workload` runs the tie-prone stream, and
-//! `empty_ticks_change_nothing` is the one quiet-tick row over every
-//! stack.
+//! own; `tie_prone_workload` runs the tie-prone stream over 16 seeds,
+//! `a_shortcut_to_exactly_knn_dist_lets_a_tie_in` is the one hand-written
+//! program, and `empty_ticks_change_nothing` is the one quiet-tick row
+//! over every stack.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{
-    base_cfg, drive, drive_observed, exact_grid, grid, lossless, Churn, Plane, Shape, Sharded,
-    Stack, TieProne,
+    base_cfg, cases, drive, drive_observed, exact_grid, grid, lossless, Churn, Plane, Program,
+    Shape, Sharded, Stack, TieProne,
 };
+use rnn_monitor::core::{EdgeWeightUpdate, UpdateBatch, UpdateEvent};
 use rnn_monitor::engine::{EngineConfig, ShardAlgo};
-use rnn_monitor::roadnet::{generators, RoadNetwork};
+use rnn_monitor::roadnet::{
+    generators, NetPoint, ObjectId, QueryId, RoadNetwork, RoadNetworkBuilder,
+};
 use rnn_monitor::workload::{Scenario, ScenarioConfig};
 
 /// OVH, IMA and GMA over one scenario for `ticks` ticks.
@@ -107,8 +111,41 @@ fn tie_prone_workload() {
     // Exact ties with the k-th distance at nearly every tick: the three
     // monitors must keep the same objects at a tie, the smallest ids.
     let net = exact_grid(7, 7, 15);
-    let mut stacks = Stack::monitors(&net);
-    drive(&mut TieProne::new(&net, 161, 60), &mut stacks, 15).unwrap();
+    cases(0..16, |rng| {
+        let mut stacks = Stack::monitors(&net);
+        assert_eq!(
+            drive(&mut TieProne::new(&net, rng.clone(), 60), &mut stacks, 15),
+            Ok(())
+        );
+    });
+}
+
+#[test]
+fn a_shortcut_to_exactly_knn_dist_lets_a_tie_in() {
+    // A weight decrease that brings a node outside IMA's tree to exactly
+    // kNN_dist is not harmless: an object there ties with the k-th and,
+    // with the smaller id, takes its place.
+    let mut b = RoadNetworkBuilder::new();
+    let [a, c, x, y] =
+        [(0.0, 0.0), (8.0, 0.0), (0.0, 10.0), (0.0, 20.0)].map(|(px, py)| b.add_node(px, py));
+    let near = b.add_edge(a, c, 8.0);
+    let shortcut = b.add_edge(a, x, 10.0);
+    let beyond = b.add_edge(x, y, 10.0);
+    let net = Arc::new(b.build().unwrap());
+    let population = vec![
+        UpdateEvent::insert_object(ObjectId(9), NetPoint::new(near, 0.75)),
+        UpdateEvent::insert_object(ObjectId(1), NetPoint::new(beyond, 0.0)),
+        UpdateEvent::install_query(QueryId(0), 1, NetPoint::new(near, 0.0)),
+    ];
+    let shorter = UpdateBatch {
+        edges: vec![EdgeWeightUpdate {
+            edge: shortcut,
+            new_weight: 6.0,
+        }],
+        ..Default::default()
+    };
+    let mut program = Program::applying(population, [shorter]);
+    assert_eq!(drive(&mut program, &mut Stack::monitors(&net), 1), Ok(()));
 }
 
 #[test]

@@ -13,18 +13,21 @@
 //!
 //! The first fourteen rows are the entries of `common::Sharded`, the
 //! scenario table this suite shares with `cluster_differential.rs`. Then
-//! come hand-written programs (duplicate installs, query lifecycle
-//! counts, heavy churn with replica decay, the drifting hotspot under
-//! rebalancing) and the bounded-exhaustive small world: every batch of up
-//! to three events over one object and one query, at every entry point.
+//! come hand-written programs (a query tied across a border at
+//! `kNN_dist` zero, duplicate installs, query lifecycle counts, heavy
+//! churn with replica decay, the drifting hotspot under rebalancing) and
+//! the bounded-exhaustive small world: every batch of up to three events
+//! over one object and one query, at every entry point.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{drive, drive_observed, exact_grid, grid, Hotspot, Program, Sharded, Stack, TieProne};
+use common::{
+    cases, drive, drive_observed, exact_grid, grid, Hotspot, Program, Sharded, Stack, TieProne,
+};
 use rnn_monitor::core::{load_population, ContinuousMonitor, QueryEvent, UpdateBatch, UpdateEvent};
-use rnn_monitor::engine::{EngineConfig, ShardAlgo};
+use rnn_monitor::engine::{EngineConfig, ShardAlgo, ShardedEngine};
 use rnn_monitor::roadnet::{generators, EdgeId, NetPoint, ObjectId, QueryId, RoadNetwork};
 
 /// A table entry: the single monitor of `algo` against ENG-1, ENG-2 and
@@ -115,11 +118,52 @@ fn engine_tie_prone_workload() {
     // Exact ties with the k-th distance at nearly every tick, across shard
     // borders too: a shard must keep the objects the single monitor
     // keeps, the smallest ids, whichever replica it met first.
-    for algo in [ShardAlgo::Gma, ShardAlgo::Ima] {
-        let net = exact_grid(8, 8, 16);
-        let mut stacks = Stack::engines(&net, algo);
-        drive(&mut TieProne::new(&net, 171, 70), &mut stacks, 12).unwrap();
-    }
+    let net = exact_grid(8, 8, 16);
+    cases(0..4, |rng| {
+        for algo in [ShardAlgo::Gma, ShardAlgo::Ima] {
+            let mut stacks = Stack::engines(&net, algo);
+            assert_eq!(
+                drive(&mut TieProne::new(&net, rng.clone(), 70), &mut stacks, 12),
+                Ok(())
+            );
+        }
+    });
+}
+
+#[test]
+fn a_zero_knn_dist_still_sees_the_border() {
+    // k objects at a query's very position make its `kNN_dist` zero, yet
+    // an object at that spot on a foreign edge ties with them: a query on
+    // a boundary node needs the foreign edges there, at halo radius zero,
+    // to see the one with the smaller id.
+    let net = grid(6, 6, 9);
+    let cfg = EngineConfig {
+        num_shards: 2,
+        algo: ShardAlgo::Ima,
+        ..EngineConfig::default()
+    };
+    let probe = ShardedEngine::new(net.clone(), cfg);
+    let partition = probe.partition();
+    let b = partition.view(0).boundary_nodes[0];
+    let at_b = |e: EdgeId| NetPoint::new(e, if net.edge(e).start == b { 0.0 } else { 1.0 });
+    let edge_of = |own: bool| {
+        let found = net
+            .adjacent(b)
+            .iter()
+            .find(|&&(e, _)| (partition.shard_of_edge(e) == 0) == own);
+        found.unwrap().0
+    };
+    let (mine, theirs) = (at_b(edge_of(true)), at_b(edge_of(false)));
+    let population = vec![
+        UpdateEvent::insert_object(ObjectId(5), mine),
+        UpdateEvent::insert_object(ObjectId(1), theirs),
+        UpdateEvent::install_query(QueryId(0), 1, mine),
+    ];
+    let mut stacks = vec![Stack::gma(&net), Stack::eng(&net, cfg)];
+    assert_eq!(
+        drive(&mut Program::applying(population, []), &mut stacks, 1),
+        Ok(())
+    );
 }
 
 /// GMA and ENG-4.

@@ -1,17 +1,20 @@
-//! Property-based tests (proptest) on the core data structures and on the
-//! end-to-end monitoring invariants. The random programs drive their
-//! stacks through the harness in `tests/common` (`drive`, asserted with
-//! `prop_assert_eq!(drive(..), Ok(()))`); the change-list properties hold
-//! every call against its `KeptAnswers`, and the answer properties compare
+//! Property tests on the core data structures and on the end-to-end
+//! monitoring invariants. Each property is a loop over a fixed range of
+//! seeded cases (`cases` in `tests/common`), drawing every input from the
+//! case's generator; a failing case names its seed. The random programs
+//! drive their stacks through the harness's `drive`, asserted with
+//! `assert_eq!(drive(..), Ok(()))`; the change-list properties hold every
+//! call against its `KeptAnswers`, and the answer properties compare
 //! through its `compare`.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{compare, drive, grid, tie_prone_point, KeptAnswers, Program, Stack};
+use common::{cases, compare, drive, grid, tie_prone_point, KeptAnswers, Program, Stack};
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rnn_monitor::cluster::wal as cluster_wal;
 use rnn_monitor::core::influence::IntervalSet;
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, MonitorState, Ovh, UpdateBatch, UpdateEvent};
@@ -21,27 +24,36 @@ use rnn_monitor::roadnet::{
     RoadNetwork, SequenceTable,
 };
 
+/// A failing case's panic names its test and its seed, and the seed
+/// replays it: case 3 draws what `StdRng::seed_from_u64(3)` draws.
+#[test]
+#[should_panic(expected = "a_failing_case_names_its_seed: case seed 3: ")]
+fn a_failing_case_names_its_seed() {
+    let first_of_seed_3: u64 = StdRng::seed_from_u64(3).random();
+    cases(0..8, |rng| assert_ne!(rng.random::<u64>(), first_of_seed_3));
+}
+
 // ---------------------------------------------------------------------
 // IntervalSet properties.
 // ---------------------------------------------------------------------
 
-proptest! {
-    #[test]
-    fn interval_membership_matches_construction(
-        lo1 in 0.0f64..1.0, len1 in 0.0f64..1.0,
-        probe in 0.0f64..1.0,
-    ) {
+#[test]
+fn interval_membership_matches_construction() {
+    cases(0..48, |rng| {
+        let (lo1, len1) = (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        let probe = rng.random_range(0.0..1.0);
         let hi1 = (lo1 + len1).min(1.0);
         let s = IntervalSet::single(lo1, hi1);
-        prop_assert_eq!(s.covers(probe), probe >= lo1 && probe <= hi1);
-    }
+        assert_eq!(s.covers(probe), probe >= lo1 && probe <= hi1);
+    });
+}
 
-    #[test]
-    fn interval_union_covers_both(
-        lo1 in 0.0f64..1.0, len1 in 0.0f64..0.5,
-        lo2 in 0.0f64..1.0, len2 in 0.0f64..0.5,
-        probe in 0.0f64..1.0,
-    ) {
+#[test]
+fn interval_union_covers_both() {
+    cases(0..48, |rng| {
+        let (lo1, len1) = (rng.random_range(0.0..1.0), rng.random_range(0.0..0.5));
+        let (lo2, len2) = (rng.random_range(0.0..1.0), rng.random_range(0.0..0.5));
+        let probe = rng.random_range(0.0..1.0);
         let hi1 = (lo1 + len1).min(1.0);
         let hi2 = (lo2 + len2).min(1.0);
         let mut s = IntervalSet::single(lo1, hi1);
@@ -49,8 +61,8 @@ proptest! {
         // with two ranges that cannot happen.
         s.add(lo2, hi2);
         let expect = (probe >= lo1 && probe <= hi1) || (probe >= lo2 && probe <= hi2);
-        prop_assert_eq!(s.covers(probe), expect);
-    }
+        assert_eq!(s.covers(probe), expect);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -82,11 +94,10 @@ fn floyd_warshall(net: &RoadNetwork, w: &EdgeWeights) -> Vec<Vec<f64>> {
     d
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn dijkstra_matches_floyd_warshall(seed in 0u64..200) {
+#[test]
+fn dijkstra_matches_floyd_warshall() {
+    cases(0..12, |rng| {
+        let seed = rng.random_range(0..200u64);
         let net = grid(5, 5, seed);
         let w = EdgeWeights::from_base(&net);
         let oracle = floyd_warshall(&net, &w);
@@ -96,13 +107,15 @@ proptest! {
         for n in net.node_ids() {
             let got = eng.dist_of(n).unwrap_or(f64::INFINITY);
             let want = oracle[src.index()][n.index()];
-            prop_assert_eq!(got, want, "node {:?}", n);
+            assert_eq!(got, want, "node {n:?}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn sequences_partition_edges(seed in 0u64..200) {
-        let net = grid(5, 5, seed);
+#[test]
+fn sequences_partition_edges() {
+    cases(0..12, |rng| {
+        let net = grid(5, 5, rng.random_range(0..200));
         let st = SequenceTable::build(&net);
         let mut covered = vec![0usize; net.num_edges()];
         for s in st.iter() {
@@ -110,12 +123,15 @@ proptest! {
                 covered[e.index()] += 1;
             }
         }
-        prop_assert!(covered.iter().all(|&c| c == 1), "seed {seed}: not a partition");
-    }
+        assert!(covered.iter().all(|&c| c == 1), "not a partition");
+    });
+}
 
-    #[test]
-    fn quadtree_locate_is_consistent(seed in 0u64..100, t in 0.05f64..0.95) {
-        let net = grid(5, 5, seed);
+#[test]
+fn quadtree_locate_is_consistent() {
+    cases(0..12, |rng| {
+        let net = grid(5, 5, rng.random_range(0..100));
+        let t = rng.random_range(0.05..0.95);
         let qt = rnn_monitor::roadnet::PmrQuadtree::build(&net);
         for e in net.edge_ids().step_by(7) {
             let p = NetPoint::new(e, t);
@@ -123,90 +139,99 @@ proptest! {
             let found = qt.locate(&net, xy).unwrap();
             // Planar coordinates, not a network distance: the index
             // resolves a point by geometry.
-            prop_assert!(found.coordinates(&net).dist(xy) < 1e-9);
+            assert!(found.coordinates(&net).dist(xy) < 1e-9);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // End-to-end monitoring properties on random update streams.
 // ---------------------------------------------------------------------
 
-/// A compact random update program applied identically to all monitors.
-#[derive(Debug, Clone)]
-enum Op {
-    MoveObject { idx: u8, edge: u16, frac: f64 },
-    DeleteObject { idx: u8 },
-    InsertObject { idx: u8, edge: u16, frac: f64 },
-    MoveQuery { idx: u8, edge: u16, frac: f64 },
-    ScaleEdge { edge: u16, factor: f64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<u16>(), 0.0f64..1.0).prop_map(|(idx, edge, frac)| Op::MoveObject {
-            idx,
-            edge,
-            frac
+/// Appends one random event to `batch`: a move, delete or insert of one
+/// of 16 objects, a move of one of 4 queries, or an edge's weight scaled
+/// by 0.5–2.
+fn push_op(rng: &mut StdRng, batch: &mut UpdateBatch, weights: &mut EdgeWeights, ne: u32) {
+    let id = rng.random_range(0..16);
+    let at = NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random_range(0.0..1.0));
+    match rng.random_range(0..5usize) {
+        0 => batch.objects.push(ObjectEvent::Move {
+            id: ObjectId(id),
+            to: at,
         }),
-        any::<u8>().prop_map(|idx| Op::DeleteObject { idx }),
-        (any::<u8>(), any::<u16>(), 0.0f64..1.0).prop_map(|(idx, edge, frac)| Op::InsertObject {
-            idx,
-            edge,
-            frac
+        1 => batch.objects.push(ObjectEvent::Delete { id: ObjectId(id) }),
+        2 => batch.objects.push(ObjectEvent::Insert {
+            id: ObjectId(id),
+            at,
         }),
-        (any::<u8>(), any::<u16>(), 0.0f64..1.0).prop_map(|(idx, edge, frac)| Op::MoveQuery {
-            idx,
-            edge,
-            frac
+        3 => batch.queries.push(QueryEvent::Move {
+            id: QueryId(id % 4),
+            to: at,
         }),
-        (any::<u16>(), 0.5f64..2.0).prop_map(|(edge, factor)| Op::ScaleEdge { edge, factor }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random update programs: IMA and GMA always agree with the
-    /// from-scratch oracle, and IMA's internal invariants hold.
-    #[test]
-    fn monitors_agree_on_random_programs(
-        seed in 0u64..50,
-        k in 1usize..6,
-        ticks in prop::collection::vec(prop::collection::vec(op_strategy(), 0..6), 1..8),
-    ) {
-        let net = grid(5, 5, seed);
-        let ne = net.num_edges() as u16;
-        // 12 objects, 4 queries at deterministic spots, each a timestamp.
-        let objects = (0..12u32).map(|i| {
-            let e = EdgeId((i * 5) % u32::from(ne));
-            UpdateEvent::insert_object(ObjectId(i), NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6))
-        });
-        let queries = (0..4u32).map(|i| {
-            let e = EdgeId((i * 11 + 3) % u32::from(ne));
-            UpdateEvent::install_query(QueryId(i), k, NetPoint::new(e, 0.5))
-        });
-        let mut weights = EdgeWeights::from_base(&net);
-        let batches: Vec<UpdateBatch> = ticks
-            .iter()
-            .map(|ops| {
-                let mut batch = UpdateBatch::default();
-                for op in ops {
-                    push_op(op, &mut batch, &mut weights, ne);
-                }
-                batch
-            })
-            .collect();
-        let n = batches.len();
-        let mut program = Program::applying(objects.chain(queries).collect(), batches);
-        prop_assert_eq!(drive(&mut program, &mut Stack::monitors(&net), n), Ok(()));
+        _ => {
+            let new_weight = weights.get(at.edge) * rng.random_range(0.5..2.0);
+            weights.set(at.edge, new_weight);
+            batch.edges.push(EdgeWeightUpdate {
+                edge: at.edge,
+                new_weight,
+            });
+        }
     }
+}
 
-    /// Results are always sorted, deduplicated, within k, and kNN_dist
-    /// equals the k-th distance.
-    #[test]
-    fn result_shape_invariants(seed in 0u64..30, k in 1usize..8) {
-        let net = grid(5, 5, seed);
+/// 1–7 batches of 0–5 events each, every event drawn by `push`.
+fn random_batches(
+    rng: &mut StdRng,
+    mut push: impl FnMut(&mut StdRng, &mut UpdateBatch),
+) -> Vec<UpdateBatch> {
+    (0..rng.random_range(1..8usize))
+        .map(|_| {
+            let mut batch = UpdateBatch::default();
+            for _ in 0..rng.random_range(0..6usize) {
+                push(rng, &mut batch);
+            }
+            batch
+        })
+        .collect()
+}
+
+/// 12 objects and, at `k`, `n_queries` queries at fixed spots, each a
+/// timestamp of its own.
+fn fixed_population(ne: u32, k: usize, n_queries: u32) -> Vec<UpdateEvent> {
+    let objects = (0..12u32).map(|i| {
+        let e = EdgeId((i * 5) % ne);
+        UpdateEvent::insert_object(ObjectId(i), NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6))
+    });
+    let queries = (0..n_queries).map(|i| {
+        let e = EdgeId((i * 11 + 3) % ne);
+        UpdateEvent::install_query(QueryId(i), k, NetPoint::new(e, 0.5))
+    });
+    objects.chain(queries).collect()
+}
+
+/// Random update programs: IMA and GMA always agree with the
+/// from-scratch oracle, and IMA's internal invariants hold.
+#[test]
+fn monitors_agree_on_random_programs() {
+    cases(0..24, |rng| {
+        let net = grid(5, 5, rng.random_range(0..50));
+        let k = rng.random_range(1..6);
+        let ne = net.num_edges() as u32;
+        let mut weights = EdgeWeights::from_base(&net);
+        let batches = random_batches(rng, |rng, batch| push_op(rng, batch, &mut weights, ne));
+        let n = batches.len();
+        let mut program = Program::applying(fixed_population(ne, k, 4), batches);
+        assert_eq!(drive(&mut program, &mut Stack::monitors(&net), n), Ok(()));
+    });
+}
+
+/// Results are always sorted, deduplicated, within k, and kNN_dist
+/// equals the k-th distance.
+#[test]
+fn result_shape_invariants() {
+    cases(0..24, |rng| {
+        let net = grid(5, 5, rng.random_range(0..30));
+        let k = rng.random_range(1..8);
         let mut ima = Ima::new(net.clone());
         for i in 0..10u32 {
             ima.apply(UpdateEvent::insert_object(
@@ -214,21 +239,25 @@ proptest! {
                 NetPoint::new(EdgeId((i * 7) % net.num_edges() as u32), 0.25),
             ));
         }
-        ima.apply(UpdateEvent::install_query(QueryId(0), k, NetPoint::new(EdgeId(0), 0.5)));
+        ima.apply(UpdateEvent::install_query(
+            QueryId(0),
+            k,
+            NetPoint::new(EdgeId(0), 0.5),
+        ));
         let r = ima.result(QueryId(0)).unwrap();
-        prop_assert!(r.len() <= k);
-        prop_assert_eq!(r.len(), k.min(10));
+        assert!(r.len() <= k);
+        assert_eq!(r.len(), k.min(10));
         for w in r.windows(2) {
-            prop_assert!(w[0].dist <= w[1].dist);
-            prop_assert!(w[0].object != w[1].object);
+            assert!(w[0].dist <= w[1].dist);
+            assert!(w[0].object != w[1].object);
         }
         let knn = ima.knn_dist(QueryId(0)).unwrap();
         if r.len() == k {
-            prop_assert_eq!(knn, r[k - 1].dist);
+            assert_eq!(knn, r[k - 1].dist);
         } else {
-            prop_assert!(knn.is_infinite());
+            assert!(knn.is_infinite());
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -368,37 +397,32 @@ fn lemma1_reference(
     all
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// GMA's answers are Lemma 1's union and the from-scratch answer, and
-    /// IMA's are the from-scratch answer too, on every kind of sequence,
-    /// for k below and above the object count, with objects sharing
-    /// positions and sitting on nodes (exact ties), hence in the walk and
-    /// in both endpoint sets at once: under `(dist, id)` all three are one
-    /// answer, compared whole with `==`.
-    #[test]
-    fn gma_answers_are_the_lemma1_union(
-        shape in 0usize..5,
-        seed in 0u64..1000,
-        n_objects in 0usize..40,
-    ) {
+/// GMA's answers are Lemma 1's union and the from-scratch answer, and
+/// IMA's are the from-scratch answer too, on every kind of sequence, for
+/// k below and above the object count, with objects sharing positions and
+/// sitting on nodes (exact ties), hence in the walk and in both endpoint
+/// sets at once: under `(dist, id)` all three are one answer, compared
+/// whole with `==`.
+#[test]
+fn gma_answers_are_the_lemma1_union() {
+    cases(0..256, |rng| {
+        let (shape, seed) = (rng.random_range(0..5), rng.random_range(0..1000));
+        let n_objects = rng.random_range(0..40);
         let net = lemma1_network(shape, seed);
         let ne = net.num_edges();
-        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            r ^= r << 13;
-            r ^= r >> 7;
-            r ^= r << 17;
-            r
-        };
         let (mut gma, mut ima) = (Gma::new(net.clone()), Ima::new(net.clone()));
         let mut weights = EdgeWeights::from_base(&net);
         let mut objects: Vec<(ObjectId, NetPoint)> = (0..n_objects)
-            .map(|i| (ObjectId(i as u32), tie_prone_point(next(), ne)))
+            .map(|i| (ObjectId(i as u32), tie_prone_point(rng, ne)))
             .collect();
         let queries: Vec<(QueryId, usize, NetPoint)> = (0..4u32)
-            .map(|i| (QueryId(i), [1, 3, 50][(next() % 3) as usize], tie_prone_point(next(), ne)))
+            .map(|i| {
+                (
+                    QueryId(i),
+                    [1, 3, 50][rng.random_range(0..3usize)],
+                    tie_prone_point(rng, ne),
+                )
+            })
             .collect();
         for m in [&mut gma as &mut dyn ContinuousMonitor, &mut ima] {
             for &(id, at) in &objects {
@@ -412,14 +436,14 @@ proptest! {
             if tick > 0 {
                 let mut batch = UpdateBatch::default();
                 for (id, at) in objects.iter_mut() {
-                    if next() % 3 == 0 {
-                        *at = tie_prone_point(next(), ne);
+                    if rng.random_range(0..3usize) == 0 {
+                        *at = tie_prone_point(rng, ne);
                         batch.objects.push(ObjectEvent::Move { id: *id, to: *at });
                     }
                 }
-                if next() % 2 == 0 {
-                    let edge = EdgeId((next() % ne as u64) as u32);
-                    let new_weight = weights.get(edge) * [0.5, 2.0][(next() % 2) as usize];
+                if rng.random::<bool>() {
+                    let edge = EdgeId(rng.random_range(0..ne as u32));
+                    let new_weight = weights.get(edge) * [0.5, 2.0][rng.random_range(0..2usize)];
                     weights.set(edge, new_weight);
                     batch.edges.push(EdgeWeightUpdate { edge, new_weight });
                 }
@@ -430,7 +454,10 @@ proptest! {
             ovh.tick(&UpdateBatch {
                 edges: net
                     .edge_ids()
-                    .map(|edge| EdgeWeightUpdate { edge, new_weight: weights.get(edge) })
+                    .map(|edge| EdgeWeightUpdate {
+                        edge,
+                        new_weight: weights.get(edge),
+                    })
                     .collect(),
                 ..Default::default()
             });
@@ -441,18 +468,25 @@ proptest! {
                 ovh.apply(UpdateEvent::install_query(id, k, at));
             }
             let what = format!("shape {shape} seed {seed} tick {tick}");
-            prop_assert_eq!(compare(&ovh, &gma, None), Ok(()), "{}: GMA vs OVH", what);
-            prop_assert_eq!(compare(&ovh, &ima, None), Ok(()), "{}: IMA vs OVH", what);
+            assert_eq!(compare(&ovh, &gma, None), Ok(()), "{what}: GMA vs OVH");
+            assert_eq!(compare(&ovh, &ima, None), Ok(()), "{what}: IMA vs OVH");
             for &(id, k, at) in &queries {
                 let got = gma.result(id).unwrap();
                 let lemma = lemma1_reference(&net, gma.sequences(), &weights, &objects, at, k);
                 assert_eq!(got, lemma, "{what} {id:?} k {k}: GMA vs Lemma 1");
-                prop_assert_eq!(got.len(), k.min(n_objects));
+                assert_eq!(got.len(), k.min(n_objects));
                 let knn = gma.knn_dist(id).unwrap();
-                prop_assert_eq!(knn, if got.len() == k { got[k - 1].dist } else { f64::INFINITY });
+                assert_eq!(
+                    knn,
+                    if got.len() == k {
+                        got[k - 1].dist
+                    } else {
+                        f64::INFINITY
+                    }
+                );
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -568,89 +602,95 @@ impl NaiveState {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Event lists full of repeated ids (move→move, insert→delete,
-    /// delete→insert, a→b→a, moves of unknown ids, duplicate edge updates,
-    /// install→move→remove of a query) coalesce and apply exactly as the
-    /// naive fold: the same deltas in first-appearance order with no-ops
-    /// dropped, the same state, the same edge-list order, and an object
-    /// index that is consistent with itself.
-    #[test]
-    fn apply_batch_matches_a_naive_fold(
-        seed in 0u64..10_000,
-        batches in prop::collection::vec(0usize..24, 1..8),
-    ) {
+/// Event lists full of repeated ids (move→move, insert→delete,
+/// delete→insert, a→b→a, moves of unknown ids, duplicate edge updates,
+/// install→move→remove of a query) coalesce and apply exactly as the
+/// naive fold: the same deltas in first-appearance order with no-ops
+/// dropped, the same state, the same edge-list order, and an object index
+/// that is consistent with itself.
+#[test]
+fn apply_batch_matches_a_naive_fold() {
+    cases(0..256, |rng| {
         let net = generators::line_network(5, 1.0); // 4 edges
-        let ne = net.num_edges() as u64;
+        let ne = net.num_edges() as u32;
         let mut state = NetworkState::new(&net);
         let mut naive = NaiveState {
             on_edge: vec![Vec::new(); net.num_edges()],
             weights: net.edge_ids().map(|e| net.edge(e).base_weight).collect(),
             ..Default::default()
         };
-        let mut r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move |below: u64| {
-            r ^= r << 13;
-            r ^= r >> 7;
-            r ^= r << 17;
-            (r >> 11) % below
-        };
         // Few ids, few places, few weights: repeats and no-ops abound.
-        let point = |next: &mut dyn FnMut(u64) -> u64| {
-            NetPoint::new(EdgeId(next(ne) as u32), [0.0, 0.25, 1.0][next(3) as usize])
+        let point = |rng: &mut StdRng| {
+            NetPoint::new(
+                EdgeId(rng.random_range(0..ne)),
+                [0.0, 0.25, 1.0][rng.random_range(0..3usize)],
+            )
         };
-        for events in batches {
+        for _ in 0..rng.random_range(1..8usize) {
             let mut batch = UpdateBatch::default();
-            for _ in 0..events {
-                match next(9) {
+            for _ in 0..rng.random_range(0..24usize) {
+                let (object, query) = (
+                    ObjectId(rng.random_range(0..6)),
+                    QueryId(rng.random_range(0..3)),
+                );
+                match rng.random_range(0..9usize) {
                     0..=2 => batch.objects.push(ObjectEvent::Move {
-                        id: ObjectId(next(6) as u32),
-                        to: point(&mut next),
+                        id: object,
+                        to: point(rng),
                     }),
                     3 => batch.objects.push(ObjectEvent::Insert {
-                        id: ObjectId(next(6) as u32),
-                        at: point(&mut next),
+                        id: object,
+                        at: point(rng),
                     }),
-                    4 => batch.objects.push(ObjectEvent::Delete { id: ObjectId(next(6) as u32) }),
+                    4 => batch.objects.push(ObjectEvent::Delete { id: object }),
                     5 => batch.edges.push(EdgeWeightUpdate {
-                        edge: EdgeId(next(ne) as u32),
-                        new_weight: [1.0, 2.0, 3.0][next(3) as usize],
+                        edge: EdgeId(rng.random_range(0..ne)),
+                        new_weight: [1.0, 2.0, 3.0][rng.random_range(0..3usize)],
                     }),
                     6 => batch.queries.push(QueryEvent::Install {
-                        id: QueryId(next(3) as u32),
-                        k: 1 + next(3) as usize,
-                        at: point(&mut next),
+                        id: query,
+                        k: rng.random_range(1..4),
+                        at: point(rng),
                     }),
                     7 => batch.queries.push(QueryEvent::Move {
-                        id: QueryId(next(3) as u32),
-                        to: point(&mut next),
+                        id: query,
+                        to: point(rng),
                     }),
-                    _ => batch.queries.push(QueryEvent::Remove { id: QueryId(next(3) as u32) }),
+                    _ => batch.queries.push(QueryEvent::Remove { id: query }),
                 }
             }
             let got = state.apply_batch(&batch);
             let want = naive.apply(&batch);
-            prop_assert_eq!(&got.objects, &want.objects, "object deltas of {:?}", batch.objects);
-            prop_assert_eq!(&got.edges, &want.edges, "edge deltas of {:?}", batch.edges);
-            prop_assert_eq!(&got.queries, &want.queries, "query deltas of {:?}", batch.queries);
+            assert_eq!(
+                got.objects, want.objects,
+                "object deltas of {:?}",
+                batch.objects
+            );
+            assert_eq!(got.edges, want.edges, "edge deltas of {:?}", batch.edges);
+            assert_eq!(
+                got.queries, want.queries,
+                "query deltas of {:?}",
+                batch.queries
+            );
 
             state.objects.check_invariants();
-            prop_assert_eq!(state.objects.len(), naive.objects.len());
+            assert_eq!(state.objects.len(), naive.objects.len());
             for (&id, &at) in &naive.objects {
-                prop_assert_eq!(state.objects.position(id), Some(at));
+                assert_eq!(state.objects.position(id), Some(at));
             }
             for e in net.edge_ids() {
-                prop_assert_eq!(state.objects.on_edge(e), naive.on_edge[e.index()].as_slice());
-                prop_assert_eq!(state.weights.get(e), naive.weights[e.index()]);
+                assert_eq!(
+                    state.objects.on_edge(e),
+                    naive.on_edge[e.index()].as_slice()
+                );
+                assert_eq!(state.weights.get(e), naive.weights[e.index()]);
             }
-            prop_assert_eq!(state.queries.len(), naive.queries.len());
+            assert_eq!(state.queries.len(), naive.queries.len());
             for (id, placed) in &naive.queries {
-                prop_assert_eq!(state.queries.get(id), Some(placed));
+                assert_eq!(state.queries.get(id), Some(placed));
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -658,145 +698,57 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use rnn_monitor::engine::{EngineConfig, ShardedEngine};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// [`Op`] plus query lifecycle events: the engine's replica bookkeeping
-/// must survive installs and removals, which grow and shrink halos.
-#[derive(Debug, Clone)]
-enum QOp {
-    Base(Op),
-    InstallQuery {
-        idx: u8,
-        k: u8,
-        edge: u16,
-        frac: f64,
-    },
-    RemoveQuery {
-        idx: u8,
-    },
-}
-
-fn qop_strategy() -> impl Strategy<Value = QOp> {
-    prop_oneof![
-        op_strategy().prop_map(QOp::Base),
-        (any::<u8>(), any::<u8>(), any::<u16>(), 0.0f64..1.0)
-            .prop_map(|(idx, k, edge, frac)| QOp::InstallQuery { idx, k, edge, frac }),
-        any::<u8>().prop_map(|idx| QOp::RemoveQuery { idx }),
-    ]
-}
-
-/// Translates a base [`Op`] into batch events.
-fn push_op(op: &Op, batch: &mut UpdateBatch, weights: &mut EdgeWeights, ne: u16) {
-    match *op {
-        Op::MoveObject { idx, edge, frac } => batch.objects.push(ObjectEvent::Move {
-            id: ObjectId(u32::from(idx % 16)),
-            to: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-        }),
-        Op::DeleteObject { idx } => batch.objects.push(ObjectEvent::Delete {
-            id: ObjectId(u32::from(idx % 16)),
-        }),
-        Op::InsertObject { idx, edge, frac } => batch.objects.push(ObjectEvent::Insert {
-            id: ObjectId(u32::from(idx % 16)),
-            at: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-        }),
-        Op::MoveQuery { idx, edge, frac } => batch.queries.push(QueryEvent::Move {
-            id: QueryId(u32::from(idx % 4)),
-            to: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-        }),
-        Op::ScaleEdge { edge, factor } => {
-            let e = EdgeId(u32::from(edge % ne));
-            let new_w = weights.get(e) * factor;
-            weights.set(e, new_w);
-            batch.edges.push(EdgeWeightUpdate {
-                edge: e,
-                new_weight: new_w,
-            });
-        }
-    }
-}
-
-/// Cases of `engine_replica_masks_and_index_stay_consistent`.
-const REPLICA_CASES: u32 = 16;
-/// Cases run so far, and the replicas they evicted: the last case holds
-/// the total to the floor the test is sized for.
-static REPLICA_CASES_RUN: AtomicU32 = AtomicU32::new(0);
-static REPLICA_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(REPLICA_CASES))]
-
-    /// Random programs with query churn, each ending with the removal of
-    /// every query and two quiet ticks, so the shipped shrink hysteresis
-    /// (1.5×, 2 ticks) evicts every replica the program left: after every
-    /// tick the engine's replica masks, halo edge sets, and edge→object
-    /// index must agree with each other (`validate_replication`), and its
-    /// answers with a single-threaded GMA.
-    #[test]
-    fn engine_replica_masks_and_index_stay_consistent(
-        seed in 0u64..40,
-        shards in 2usize..5,
-        ticks in prop::collection::vec(prop::collection::vec(qop_strategy(), 0..6), 1..8),
-    ) {
-        let net = grid(5, 5, seed);
-        let ne = net.num_edges() as u16;
-        let objects = (0..12u32).map(|i| {
-            let e = EdgeId((i * 5) % u32::from(ne));
-            UpdateEvent::insert_object(ObjectId(i), NetPoint::new(e, 0.3 + 0.05 * i as f64 % 0.6))
-        });
-        let queries = (0..3u32).map(|i| {
-            let p = NetPoint::new(EdgeId((i * 11 + 3) % u32::from(ne)), 0.5);
-            UpdateEvent::install_query(QueryId(i), 3, p)
-        });
+/// Random programs with query churn, each ending with the removal of
+/// every query and two quiet ticks, so the shipped shrink hysteresis
+/// (1.5×, 2 ticks) evicts every replica the program left: after every tick
+/// the engine's replica masks, halo edge sets, and edge→object index must
+/// agree with each other (`validate_replication`), and its answers with a
+/// single-threaded GMA. Besides [`push_op`]'s events, a program installs
+/// queries (one of 4 ids, k 1–5), which grow halos, and removes them,
+/// which shrinks them.
+#[test]
+fn engine_replica_masks_and_index_stay_consistent() {
+    let mut evicted = 0;
+    cases(0..16, |rng| {
+        let net = grid(5, 5, rng.random_range(0..40));
+        let shards = rng.random_range(2..5);
+        let ne = net.num_edges() as u32;
         let mut weights = EdgeWeights::from_base(&net);
+        let mut batches = random_batches(rng, |rng, batch| match rng.random_range(0..3usize) {
+            0 => push_op(rng, batch, &mut weights, ne),
+            1 => batch.queries.push(QueryEvent::Install {
+                id: QueryId(rng.random_range(0..4)),
+                k: rng.random_range(1..6),
+                at: NetPoint::new(EdgeId(rng.random_range(0..ne)), rng.random_range(0.0..1.0)),
+            }),
+            _ => batch.queries.push(QueryEvent::Remove {
+                id: QueryId(rng.random_range(0..4)),
+            }),
+        });
         // The tail: every query leaves, then two quiet ticks.
-        let tail = [
-            (0..4).map(|idx| QOp::RemoveQuery { idx }).collect(),
-            Vec::new(),
-            Vec::new(),
-        ];
-        let batches: Vec<UpdateBatch> = ticks
-            .iter()
-            .chain(&tail)
-            .map(|ops| {
-                let mut batch = UpdateBatch::default();
-                for op in ops {
-                    match *op {
-                        QOp::Base(ref op) => push_op(op, &mut batch, &mut weights, ne),
-                        QOp::InstallQuery { idx, k, edge, frac } => {
-                            batch.queries.push(QueryEvent::Install {
-                                id: QueryId(u32::from(idx % 4)),
-                                k: usize::from(k % 5) + 1,
-                                at: NetPoint::new(EdgeId(u32::from(edge % ne)), frac),
-                            });
-                        }
-                        QOp::RemoveQuery { idx } => {
-                            batch.queries.push(QueryEvent::Remove {
-                                id: QueryId(u32::from(idx % 4)),
-                            });
-                        }
-                    }
-                }
-                batch
-            })
-            .collect();
-        let n = batches.len();
-        let mut program = Program::applying(objects.chain(queries).collect(), batches);
-        let cfg = EngineConfig { num_shards: shards, ..EngineConfig::default() };
+        batches.push(UpdateBatch {
+            queries: (0..4)
+                .map(|id| QueryEvent::Remove { id: QueryId(id) })
+                .collect(),
+            ..Default::default()
+        });
+        let n = batches.len() + 2;
+        let mut program = Program::applying(fixed_population(ne, 3, 3), batches);
+        let cfg = EngineConfig {
+            num_shards: shards,
+            ..EngineConfig::default()
+        };
         let mut stacks = vec![Stack::gma(&net), Stack::eng(&net, cfg)];
-        prop_assert_eq!(drive(&mut program, &mut stacks, n), Ok(()));
-        let eng = stacks[1].eng_ref();
-        // Coverage floor: what shrink trigger 1.0 / 1 tick evicted over the
-        // 16 programs without the tail.
-        REPLICA_EVICTIONS.fetch_add(eng.replica_evictions(), Ordering::Relaxed);
-        if REPLICA_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == REPLICA_CASES {
-            let evicted = REPLICA_EVICTIONS.load(Ordering::Relaxed);
-            prop_assert!(
-                evicted >= 144,
-                "{} evictions, below the 144 this test is sized for",
-                evicted
-            );
-        }
-    }
+        assert_eq!(drive(&mut program, &mut stacks, n), Ok(()));
+        evicted += stacks[1].eng_ref().replica_evictions();
+    });
+    // Coverage floor: what shrink trigger 1.0 / 1 tick evicted over the 16
+    // programs without the tail.
+    assert!(
+        evicted >= 144,
+        "{evicted} evictions, below the 144 this test is sized for"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -813,7 +765,7 @@ use rnn_monitor::engine::ShardAlgo;
 /// underfull queries occur) and 5 query ids, with the registry it implies
 /// replayed event by event.
 struct ChangeProgram {
-    rng: u64,
+    rng: StdRng,
     ne: usize,
     pile: NetPoint,
     objects: BTreeMap<ObjectId, NetPoint>,
@@ -822,51 +774,44 @@ struct ChangeProgram {
 }
 
 impl ChangeProgram {
-    const OBJECT_IDS: u64 = 14;
-    const QUERY_IDS: u64 = 5;
+    const OBJECT_IDS: u32 = 14;
+    const QUERY_IDS: u32 = 5;
 
-    fn new(net: &RoadNetwork, seed: u64) -> Self {
-        let mut program = Self {
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            ne: net.num_edges(),
-            pile: NetPoint::new(EdgeId(0), 0.5),
+    /// A program on `net` drawn from `rng`.
+    fn new(net: &RoadNetwork, mut rng: StdRng) -> Self {
+        let ne = net.num_edges();
+        Self {
+            pile: tie_prone_point(&mut rng, ne),
+            rng,
+            ne,
             objects: BTreeMap::new(),
             book: BTreeMap::new(),
             weights: EdgeWeights::from_base(net),
-        };
-        program.pile = tie_prone_point(program.next(), program.ne);
-        program
-    }
-
-    fn next(&mut self) -> u64 {
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        self.rng
+        }
     }
 
     fn spot(&mut self) -> NetPoint {
-        if self.next() % 3 == 0 {
+        if self.rng.random_range(0..3usize) == 0 {
             self.pile
         } else {
-            tie_prone_point(self.next(), self.ne)
+            tie_prone_point(&mut self.rng, self.ne)
         }
     }
 
     /// A k below, at, and above the object count.
     fn some_k(&mut self) -> usize {
         let n = self.objects.len();
-        [1, 2, 3, n.max(1), n + 1, 50][(self.next() % 6) as usize]
+        [1, 2, 3, n.max(1), n + 1, 50][self.rng.random_range(0..6usize)]
     }
 
     fn some_query(&mut self) -> QueryId {
-        QueryId((self.next() % Self::QUERY_IDS) as u32)
+        QueryId(self.rng.random_range(0..Self::QUERY_IDS))
     }
 
     /// A move, delete or — unless `no_insert` — insert of a random object.
     fn object_event(&mut self, no_insert: bool) -> ObjectEvent {
-        let id = ObjectId((self.next() % Self::OBJECT_IDS) as u32);
-        let ev = match self.next() % 4 {
+        let id = ObjectId(self.rng.random_range(0..Self::OBJECT_IDS));
+        let ev = match self.rng.random_range(0..4usize) {
             0 => ObjectEvent::Delete { id },
             1 if !no_insert => ObjectEvent::Insert {
                 id,
@@ -887,8 +832,8 @@ impl ChangeProgram {
     }
 
     fn edge_update(&mut self) -> EdgeWeightUpdate {
-        let edge = EdgeId((self.next() % self.ne as u64) as u32);
-        let new_weight = self.weights.get(edge) * [0.5, 2.0][(self.next() % 2) as usize];
+        let edge = EdgeId(self.rng.random_range(0..self.ne as u32));
+        let new_weight = self.weights.get(edge) * [0.5, 2.0][self.rng.random_range(0..2usize)];
         self.weights.set(edge, new_weight);
         EdgeWeightUpdate { edge, new_weight }
     }
@@ -898,7 +843,7 @@ impl ChangeProgram {
     fn install(&mut self, id: QueryId) -> QueryEvent {
         let (k, at) = match self.book.get(&id).copied() {
             None => (self.some_k(), self.spot()),
-            Some((k, at)) => match self.next() % 3 {
+            Some((k, at)) => match self.rng.random_range(0..3usize) {
                 0 => (k, at),
                 1 => (self.some_k(), at),
                 _ => (k, self.spot()),
@@ -916,7 +861,7 @@ impl ChangeProgram {
     /// Appends one random event to `batch` (for a `[Remove, Install]` of
     /// one id, two).
     fn push_event(&mut self, batch: &mut UpdateBatch) {
-        match self.next() % 10 {
+        match self.rng.random_range(0..10usize) {
             0..=2 => {
                 let ev = self.object_event(false);
                 batch.objects.push(ev);
@@ -943,11 +888,7 @@ impl ChangeProgram {
                 let id = self.some_query();
                 if let Some((k, at)) = self.book.get(&id).copied() {
                     batch.queries.push(self.remove(id));
-                    let k = if self.next() % 2 == 0 {
-                        k
-                    } else {
-                        self.some_k()
-                    };
+                    let k = if self.rng.random() { k } else { self.some_k() };
                     self.book.insert(id, (k, at));
                     batch.queries.push(QueryEvent::Install { id, k, at });
                 }
@@ -990,9 +931,9 @@ impl ChangeProgram {
         let mut fresh_object = 100;
         for round in 0..8 {
             let what = format!("{what}, round {round}");
-            if self.next() % 4 > 0 {
+            if self.rng.random_range(0..4usize) > 0 {
                 let mut batch = UpdateBatch::default();
-                for _ in 0..self.next() % 7 {
+                for _ in 0..self.rng.random_range(0..7usize) {
                     self.push_event(&mut batch);
                 }
                 let report = m.tick(&batch);
@@ -1000,7 +941,7 @@ impl ChangeProgram {
                     .map_err(|e| format!("{what}, tick {batch:?}: {e}"))?;
             } else {
                 let id = self.some_query();
-                let event = match self.next() % 5 {
+                let event = match self.rng.random_range(0..5usize) {
                     0 if !self.book.contains_key(&id) => UpdateEvent::Query(self.install(id)),
                     1 => UpdateEvent::Query(self.remove(id)),
                     // An insert next to live queries must reach them.
@@ -1064,73 +1005,61 @@ impl ChangeProgram {
     }
 }
 
-/// One monitor, one program, every call checked.
-fn lists_exactly_the_queries_it_changed(
-    make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>,
-    shape: usize,
-    seed: u64,
-    n_objects: usize,
-) -> Result<(), String> {
-    let net = lemma1_network(shape, seed);
-    let mut m = make(net.clone());
-    let what = format!("{} shape {shape} seed {seed} objects {n_objects}", m.name());
-    let mut kept = KeptAnswers::default();
-    ChangeProgram::new(&net, seed).run(m.as_mut(), &mut kept, n_objects, &what)
+/// One monitor per case, one program, every call checked.
+fn lists_exactly_the_queries_it_changed(make: fn(Arc<RoadNetwork>) -> Box<dyn ContinuousMonitor>) {
+    cases(0..256, |rng| {
+        let (shape, seed) = (rng.random_range(0..5), rng.random_range(0..1000));
+        let n_objects = rng.random_range(0..14);
+        let net = lemma1_network(shape, seed);
+        let mut m = make(net.clone());
+        let what = format!("{} shape {shape} seed {seed} objects {n_objects}", m.name());
+        let mut program = ChangeProgram::new(&net, rng.clone());
+        let mut kept = KeptAnswers::default();
+        assert_eq!(program.run(m.as_mut(), &mut kept, n_objects, &what), Ok(()));
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn ovh_lists_exactly_the_queries_it_changed(
-        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
-    ) {
-        let make = |net| Box::new(Ovh::new(net)) as Box<dyn ContinuousMonitor>;
-        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
-    }
-
-    #[test]
-    fn ima_lists_exactly_the_queries_it_changed(
-        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
-    ) {
-        let make = |net| Box::new(Ima::new(net)) as Box<dyn ContinuousMonitor>;
-        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
-    }
-
-    #[test]
-    fn gma_lists_exactly_the_queries_it_changed(
-        shape in 0usize..5, seed in 0u64..1000, n_objects in 0usize..14,
-    ) {
-        let make = |net| Box::new(Gma::new(net)) as Box<dyn ContinuousMonitor>;
-        prop_assert_eq!(lists_exactly_the_queries_it_changed(make, shape, seed, n_objects), Ok(()));
-    }
+#[test]
+fn ovh_lists_exactly_the_queries_it_changed() {
+    lists_exactly_the_queries_it_changed(|net| Box::new(Ovh::new(net)));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+#[test]
+fn ima_lists_exactly_the_queries_it_changed() {
+    lists_exactly_the_queries_it_changed(|net| Box::new(Ima::new(net)));
+}
 
-    /// The same literal check one layer up: a 4-shard engine over each of
-    /// the three shard monitors. Wide queries (k at and above the object
-    /// count) make halos grow through several reconcile rounds, in which a
-    /// query is reported more than once; then a query is moved across a
-    /// border, and moved across and back in one batch — a flap that ends
-    /// where it started and must count as no change.
-    #[test]
-    fn engine_lists_exactly_the_queries_it_changed(
-        algo in 0usize..3, seed in 0u64..1000, n_objects in 0usize..14,
-    ) {
+#[test]
+fn gma_lists_exactly_the_queries_it_changed() {
+    lists_exactly_the_queries_it_changed(|net| Box::new(Gma::new(net)));
+}
+
+/// The same literal check one layer up: a 4-shard engine over each of the
+/// three shard monitors. Wide queries (k at and above the object count)
+/// make halos grow through several reconcile rounds, in which a query is
+/// reported more than once; then a query is moved across a border, and
+/// moved across and back in one batch — a flap that ends where it started
+/// and must count as no change.
+#[test]
+fn engine_lists_exactly_the_queries_it_changed() {
+    cases(0..96, |rng| {
+        let algo = [ShardAlgo::Ovh, ShardAlgo::Ima, ShardAlgo::Gma][rng.random_range(0..3usize)];
+        let (seed, n_objects) = (rng.random_range(0..1000), rng.random_range(0..14));
         let net = grid(5, 5, seed);
-        let algo = [ShardAlgo::Ovh, ShardAlgo::Ima, ShardAlgo::Gma][algo];
         let mut eng = ShardedEngine::new(
             net.clone(),
-            EngineConfig { num_shards: 4, algo, ..EngineConfig::default() },
+            EngineConfig {
+                num_shards: 4,
+                algo,
+                ..EngineConfig::default()
+            },
         );
         let what = format!("ENG-4 over {algo:?}, seed {seed}, objects {n_objects}");
         let mut kept = KeptAnswers::default();
-        let mut program = ChangeProgram::new(&net, seed);
-        prop_assert_eq!(program.run(&mut eng, &mut kept, n_objects, &what), Ok(()));
+        let mut program = ChangeProgram::new(&net, rng.clone());
+        assert_eq!(program.run(&mut eng, &mut kept, n_objects, &what), Ok(()));
         if let Err(msg) = eng.validate_replication() {
-            prop_assert!(false, "{}: {}", what, msg);
+            panic!("{what}: {msg}");
         }
 
         // A query on one side of a border …
@@ -1142,12 +1071,20 @@ proptest! {
             .map(|e| NetPoint::new(e, 0.75))
             .expect("a 4-way split has foreign edges");
         let mut tick = |queries: Vec<QueryEvent>, kept: &mut KeptAnswers, step: &str| {
-            let batch = UpdateBatch { queries, ..Default::default() };
+            let batch = UpdateBatch {
+                queries,
+                ..Default::default()
+            };
             let report = eng.tick(&batch);
-            kept.check(&eng, &report).unwrap_or_else(|e| panic!("{what}, {step}: {e}"));
+            kept.check(&eng, &report)
+                .unwrap_or_else(|e| panic!("{what}, {step}: {e}"));
             (report.results_changed, eng.changed_queries().to_vec())
         };
-        tick(vec![QueryEvent::Install { id, k: 3, at: home }], &mut kept, "install at home");
+        tick(
+            vec![QueryEvent::Install { id, k: 3, at: home }],
+            &mut kept,
+            "install at home",
+        );
         // … moved across it and back in one batch: two re-homings, the
         // answer it started with.
         let there_and_back = vec![
@@ -1155,43 +1092,37 @@ proptest! {
             QueryEvent::Move { id, to: home },
         ];
         let (count, list) = tick(there_and_back, &mut kept, "across the border and back");
-        prop_assert_eq!(count, 0, "{}: a flap that ends where it started", what);
-        prop_assert!(list.is_empty());
+        assert_eq!(count, 0, "{what}: a flap that ends where it started");
+        assert!(list.is_empty());
         // … and moved across it for good.
-        tick(vec![QueryEvent::Move { id, to: abroad }], &mut kept, "across the border");
-    }
+        tick(
+            vec![QueryEvent::Move { id, to: abroad }],
+            &mut kept,
+            "across the border",
+        );
+    });
 }
 
 // ---------------------------------------------------------------------
 // Dynamic re-partitioning: cell reassignment invariants.
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random sequences of boundary-cell migrations preserve the partition
-    /// invariant: every edge owned by exactly one in-range shard, views an
-    /// exact partition of nodes and edges, boundary-node lists exactly the
-    /// owned/foreign contact nodes.
-    #[test]
-    fn cell_reassignment_preserves_partition_invariant(
-        seed in 0u64..400,
-        shards in 2usize..6,
-        rounds in 1usize..6,
-    ) {
-        let net = grid(5, 5, seed % 13);
+/// Random sequences of boundary-cell migrations preserve the partition
+/// invariant: every edge owned by exactly one in-range shard, views an
+/// exact partition of nodes and edges, boundary-node lists exactly the
+/// owned/foreign contact nodes.
+#[test]
+fn cell_reassignment_preserves_partition_invariant() {
+    cases(0..24, |rng| {
+        let net = grid(5, 5, rng.random_range(0..13));
+        let shards = rng.random_range(2..6);
         let mut p = rnn_monitor::roadnet::NetworkPartition::build(&net, shards);
-        prop_assert!(p.validate(&net).is_ok());
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(11);
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for _ in 0..rounds {
-            let from = (rng() % shards as u64) as u32;
-            let to = (rng() % shards as u64) as u32;
+        assert!(p.validate(&net).is_ok());
+        for _ in 0..rng.random_range(1..6usize) {
+            let (from, to) = (
+                rng.random_range(0..shards as u32),
+                rng.random_range(0..shards as u32),
+            );
             if from == to {
                 continue;
             }
@@ -1199,21 +1130,20 @@ proptest! {
             if cells.is_empty() {
                 continue;
             }
-            let take = (rng() as usize % cells.len()) + 1;
-            let moves: Vec<(EdgeId, u32)> =
-                cells[..take].iter().map(|&e| (e, to)).collect();
+            let take = rng.random_range(1..=cells.len());
+            let moves: Vec<(EdgeId, u32)> = cells[..take].iter().map(|&e| (e, to)).collect();
             p.reassign(&net, &moves);
             for &(e, s) in &moves {
-                prop_assert_eq!(p.shard_of_edge(e), s, "moved cell not re-owned");
+                assert_eq!(p.shard_of_edge(e), s, "moved cell not re-owned");
             }
             if let Err(msg) = p.validate(&net) {
-                prop_assert!(false, "partition invariant broken: {}", msg);
+                panic!("partition invariant broken: {msg}");
             }
             // The views stay an exact partition of the edge set.
             let total: usize = p.views().iter().map(|v| v.edges.len()).sum();
-            prop_assert_eq!(total, net.num_edges());
+            assert_eq!(total, net.num_edges());
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1314,62 +1244,49 @@ mod tree_pool_model {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Arena-of-trees model check: random surgery programs (adjacency-driven
+/// inserts, subtree cuts, θ-prunes, re-roots, clones, clears,
+/// release/recreate cycles) over several trees sharing one pool agree
+/// exactly with the naive hash-map-of-Vec reference, preserve the
+/// structural invariants, and leak no pool slots across directory epochs.
+#[test]
+fn tree_pool_matches_hashmap_reference() {
+    use rnn_monitor::core::tree::{ExpansionTree, TreePool};
+    use tree_pool_model::RefTree;
 
-    /// Arena-of-trees model check: random surgery programs (adjacency-
-    /// driven inserts, subtree cuts, θ-prunes, re-roots, clones, clears,
-    /// release/recreate cycles) over several trees sharing one pool agree
-    /// exactly with the naive hash-map-of-Vec reference, preserve the
-    /// structural invariants, and leak no pool slots across directory
-    /// epochs.
-    #[test]
-    fn tree_pool_matches_hashmap_reference(
-        seed in 0u64..5000,
-        ops in 20usize..80,
-    ) {
-        use rnn_monitor::core::tree::{ExpansionTree, TreePool};
-        use tree_pool_model::RefTree;
-
-        let net = grid(5, 5, seed % 17);
+    cases(0..24, |rng| {
+        let net = grid(5, 5, rng.random_range(0..17));
         let weights = EdgeWeights::from_base(&net);
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7);
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
 
         const TREES: usize = 3;
         let mut pool = TreePool::new();
         let mut trees: Vec<ExpansionTree> = (0..TREES).map(|_| pool.new_tree()).collect();
         let mut refs: Vec<RefTree> = vec![RefTree::default(); TREES];
 
-        for _ in 0..ops {
-            let ti = (rng() % TREES as u64) as usize;
-            // A deterministic "random member" of the reference tree.
-            let pick_member = |r: &RefTree, roll: u64| -> Option<u32> {
+        for _ in 0..rng.random_range(20..80usize) {
+            let ti = rng.random_range(0..TREES);
+            // A random member of the reference tree.
+            let pick_member = |r: &RefTree, rng: &mut StdRng| -> Option<u32> {
                 if r.nodes.is_empty() {
                     return None;
                 }
                 let mut keys: Vec<u32> = r.nodes.keys().copied().collect();
                 keys.sort_unstable();
-                Some(keys[(roll % keys.len() as u64) as usize])
+                Some(keys[rng.random_range(0..keys.len())])
             };
-            match rng() % 8 {
+            match rng.random_range(0..8usize) {
                 // Insert: seed a root, or grow from a random member along a
                 // real adjacent edge (keeps distances weight-consistent).
-                0..=2 => match pick_member(&refs[ti], rng()) {
+                0..=2 => match pick_member(&refs[ti], rng) {
                     None => {
-                        let n = NodeId((rng() % net.num_nodes() as u64) as u32);
+                        let n = NodeId(rng.random_range(0..net.num_nodes() as u32));
                         pool.insert(&mut trees[ti], n, 0.0, None);
                         refs[ti].insert(n.0, 0.0, None);
                     }
                     Some(p) => {
                         let adj = net.adjacent(NodeId(p));
                         if !adj.is_empty() {
-                            let (e, m) = adj[(rng() % adj.len() as u64) as usize];
+                            let (e, m) = adj[rng.random_range(0..adj.len())];
                             if !refs[ti].nodes.contains_key(&m.0) {
                                 let d = refs[ti].nodes[&p].dist + weights.get(e);
                                 pool.insert(&mut trees[ti], m, d, Some((NodeId(p), e)));
@@ -1381,10 +1298,10 @@ proptest! {
                 3 => {
                     // Cut a subtree (sometimes of an absent node: both
                     // sides must report 0).
-                    let n = (rng() % net.num_nodes() as u64) as u32;
+                    let n = rng.random_range(0..net.num_nodes() as u32);
                     let a = pool.remove_subtree(&mut trees[ti], NodeId(n));
                     let b = refs[ti].remove_subtree(n);
-                    prop_assert_eq!(a, b, "remove_subtree count diverged");
+                    assert_eq!(a, b, "remove_subtree count diverged");
                 }
                 4 => {
                     let max = refs[ti]
@@ -1392,19 +1309,19 @@ proptest! {
                         .values()
                         .map(|t| t.dist)
                         .fold(0.0f64, f64::max);
-                    let theta = max * (rng() % 100) as f64 / 100.0;
+                    let theta = max * f64::from(rng.random_range(0..100u32)) / 100.0;
                     let a = pool.retain_within(&mut trees[ti], theta);
                     let b = refs[ti].retain_within(theta);
-                    prop_assert_eq!(a, b, "retain_within count diverged");
+                    assert_eq!(a, b, "retain_within count diverged");
                 }
                 5 => {
                     // Re-root at a random member, shifting by its own old
                     // distance (the move-onto-a-verified-node case).
-                    if let Some(s) = pick_member(&refs[ti], rng()) {
+                    if let Some(s) = pick_member(&refs[ti], rng) {
                         let shift = refs[ti].nodes[&s].dist;
                         let a = pool.reroot_at_subtree(&mut trees[ti], NodeId(s), shift);
                         let b = refs[ti].reroot_at_subtree(s, shift);
-                        prop_assert_eq!(a, b, "reroot count diverged");
+                        assert_eq!(a, b, "reroot count diverged");
                     }
                 }
                 6 => {
@@ -1429,13 +1346,13 @@ proptest! {
             // Structure parity + invariants after every operation.
             let mut owned = 0usize;
             for (t, r) in trees.iter().zip(&refs) {
-                prop_assert_eq!(t.len(), r.nodes.len(), "length diverged");
+                assert_eq!(t.len(), r.nodes.len(), "length diverged");
                 owned += t.len();
                 for (&n, rec) in &r.nodes {
                     let d = t.dist(&pool, NodeId(n));
-                    prop_assert_eq!(d, Some(rec.dist), "distance diverged at {}", n);
+                    assert_eq!(d, Some(rec.dist), "distance diverged at {}", n);
                     let parent = t.parent_of(&pool, NodeId(n)).expect("member has a link");
-                    prop_assert_eq!(
+                    assert_eq!(
                         parent.map(|(p, e)| (p.0, e.0)),
                         rec.parent,
                         "parent link diverged at {}",
@@ -1449,14 +1366,18 @@ proptest! {
                         .map(|&(c, e)| (NodeId(c), EdgeId(e)))
                         .collect();
                     want.sort_unstable_by_key(|&(c, _)| c.0);
-                    prop_assert_eq!(got, want, "children diverged at {}", n);
+                    assert_eq!(got, want, "children diverged at {}", n);
                 }
-                prop_assert_eq!(t.iter(&pool).count(), t.len(), "iteration diverged");
+                assert_eq!(t.iter(&pool).count(), t.len(), "iteration diverged");
                 pool.check_invariants(t, &net, &weights);
             }
             // Free-list integrity: every live slab slot is owned by exactly
             // one of the live trees.
-            prop_assert_eq!(pool.live_nodes(), owned, "pool leaked or double-freed slots");
+            assert_eq!(
+                pool.live_nodes(),
+                owned,
+                "pool leaked or double-freed slots"
+            );
         }
 
         // Releasing everything must return the pool to empty — no slot
@@ -1464,8 +1385,8 @@ proptest! {
         for t in trees {
             pool.release(t);
         }
-        prop_assert_eq!(pool.live_nodes(), 0, "slots leaked across release");
-    }
+        assert_eq!(pool.live_nodes(), 0, "slots leaked across release");
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1479,124 +1400,104 @@ use rnn_monitor::core::{MemoryUsage, Neighbor, OpCounters, TickReport};
 use rnn_monitor::engine::{BatchKind, DeltaBatch, QuerySnapshot, TickOutcome};
 use rnn_monitor::roadnet::{WireCodec, WireReader};
 
-fn netpoint_strategy() -> impl Strategy<Value = NetPoint> {
-    (any::<u16>(), 0.0f64..1.0).prop_map(|(e, frac)| NetPoint::new(EdgeId(e as u32), frac))
+fn random_point(rng: &mut StdRng) -> NetPoint {
+    NetPoint::new(
+        EdgeId(rng.random::<u16>().into()),
+        rng.random_range(0.0..1.0),
+    )
 }
 
-fn object_event_strategy() -> impl Strategy<Value = ObjectEvent> {
-    prop_oneof![
-        (any::<u32>(), netpoint_strategy()).prop_map(|(id, to)| ObjectEvent::Move {
-            id: ObjectId(id),
-            to
-        }),
-        (any::<u32>(), netpoint_strategy()).prop_map(|(id, at)| ObjectEvent::Insert {
-            id: ObjectId(id),
-            at
-        }),
-        any::<u32>().prop_map(|id| ObjectEvent::Delete { id: ObjectId(id) }),
-    ]
+fn random_object_event(rng: &mut StdRng) -> ObjectEvent {
+    let id = ObjectId(rng.random());
+    match rng.random_range(0..3usize) {
+        0 => ObjectEvent::Move {
+            id,
+            to: random_point(rng),
+        },
+        1 => ObjectEvent::Insert {
+            id,
+            at: random_point(rng),
+        },
+        _ => ObjectEvent::Delete { id },
+    }
 }
 
-fn query_event_strategy() -> impl Strategy<Value = QueryEvent> {
-    prop_oneof![
-        (any::<u32>(), netpoint_strategy()).prop_map(|(id, to)| QueryEvent::Move {
-            id: QueryId(id),
-            to
-        }),
-        (any::<u32>(), 1usize..32, netpoint_strategy()).prop_map(|(id, k, at)| {
-            QueryEvent::Install {
-                id: QueryId(id),
-                k,
-                at,
-            }
-        }),
-        any::<u32>().prop_map(|id| QueryEvent::Remove { id: QueryId(id) }),
-    ]
+fn random_query_event(rng: &mut StdRng) -> QueryEvent {
+    let id = QueryId(rng.random());
+    match rng.random_range(0..3usize) {
+        0 => QueryEvent::Move {
+            id,
+            to: random_point(rng),
+        },
+        1 => QueryEvent::Install {
+            id,
+            k: rng.random_range(1..32),
+            at: random_point(rng),
+        },
+        _ => QueryEvent::Remove { id },
+    }
 }
 
-fn edge_update_strategy() -> impl Strategy<Value = EdgeWeightUpdate> {
-    (any::<u16>(), 0.01f64..100.0).prop_map(|(e, w)| EdgeWeightUpdate {
-        edge: EdgeId(e as u32),
-        new_weight: w,
-    })
+fn random_snapshot(rng: &mut StdRng) -> QuerySnapshot {
+    QuerySnapshot {
+        id: QueryId(rng.random()),
+        knn_dist: if rng.random() {
+            rng.random_range(0.0..1e9)
+        } else {
+            f64::INFINITY
+        },
+        result: (0..rng.random_range(0..6usize))
+            .map(|_| Neighbor {
+                object: ObjectId(rng.random()),
+                dist: rng.random_range(0.0..1e9),
+            })
+            .collect(),
+    }
 }
 
-fn snapshot_strategy() -> impl Strategy<Value = QuerySnapshot> {
-    (
-        any::<u32>(),
-        prop_oneof![
-            (0.0f64..1e9).prop_map(|d| d),
-            (0u8..1).prop_map(|_| f64::INFINITY)
-        ],
-        prop::collection::vec(
-            (any::<u32>(), 0.0f64..1e9).prop_map(|(o, d)| Neighbor {
-                object: ObjectId(o),
-                dist: d,
-            }),
-            0..6,
+/// A tick outcome whose every counter field is a full 64-bit draw.
+fn random_tick_outcome(rng: &mut StdRng) -> TickOutcome {
+    let report = TickReport {
+        counters: OpCounters::from_fn(|_| rng.random()),
+        elapsed: std::time::Duration::new(
+            rng.random_range(0..1_000_000),
+            rng.random_range(0..1_000_000_000),
         ),
-    )
-        .prop_map(|(id, knn_dist, result)| QuerySnapshot {
-            id: QueryId(id),
-            knn_dist,
-            result,
-        })
+        results_changed: rng.random::<u64>() as usize,
+    };
+    TickOutcome {
+        report,
+        snapshots: (0..rng.random_range(0..5usize))
+            .map(|_| random_snapshot(rng))
+            .collect(),
+        active_groups: rng.random::<bool>().then(|| rng.random_range(0..10_000)),
+    }
 }
 
-/// Arbitrary counters: every field of the table filled from one seed via a
-/// splitmix step, so every field exercises large values.
-fn counters_from_seed(seed: u64) -> OpCounters {
-    let mut s = seed;
-    OpCounters::from_fn(|_| {
-        s = s.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z ^ (z >> 27)
-    })
-}
-
-fn tick_outcome_strategy() -> impl Strategy<Value = TickOutcome> {
-    (
-        (
-            any::<u64>(),
-            any::<u32>(),
-            0u32..1_000_000_000,
-            any::<u64>(),
+fn random_delta_batch(rng: &mut StdRng) -> DeltaBatch {
+    DeltaBatch {
+        objects: (0..rng.random_range(0..6usize))
+            .map(|_| random_object_event(rng))
+            .collect(),
+        queries: (0..rng.random_range(0..6usize))
+            .map(|_| random_query_event(rng))
+            .collect(),
+        shared_edges: Arc::new(
+            (0..rng.random_range(0..6usize))
+                .map(|_| EdgeWeightUpdate {
+                    edge: EdgeId(rng.random::<u16>().into()),
+                    new_weight: rng.random_range(0.01..100.0),
+                })
+                .collect(),
         ),
-        prop::collection::vec(snapshot_strategy(), 0..5),
-        prop_oneof![(0u8..1).prop_map(|_| None), (0usize..10_000).prop_map(Some)],
-    )
-        .prop_map(|((seed, secs, nanos, changed), snapshots, active_groups)| {
-            let report = TickReport {
-                counters: counters_from_seed(seed),
-                elapsed: std::time::Duration::new(secs as u64 % 1_000_000, nanos),
-                results_changed: changed as usize,
-            };
-            TickOutcome {
-                report,
-                snapshots,
-                active_groups,
-            }
-        })
+        kind: [BatchKind::Tick, BatchKind::Resync, BatchKind::Migration]
+            [rng.random_range(0..3usize)],
+    }
 }
 
-fn delta_batch_strategy() -> impl Strategy<Value = DeltaBatch> {
-    (
-        prop::collection::vec(object_event_strategy(), 0..6),
-        prop::collection::vec(query_event_strategy(), 0..6),
-        prop::collection::vec(edge_update_strategy(), 0..6),
-        0u8..3,
-    )
-        .prop_map(|(objects, queries, edges, kind)| DeltaBatch {
-            objects,
-            queries,
-            shared_edges: Arc::new(edges),
-            kind: match kind {
-                0 => BatchKind::Tick,
-                1 => BatchKind::Resync,
-                _ => BatchKind::Migration,
-            },
-        })
+/// `len` random bytes, `len` drawn from `lens`.
+fn random_bytes(rng: &mut StdRng, lens: std::ops::Range<usize>) -> Vec<u8> {
+    (0..rng.random_range(lens)).map(|_| rng.random()).collect()
 }
 
 const ALL_TAGS: [MsgTag; 15] = [
@@ -1617,29 +1518,27 @@ const ALL_TAGS: [MsgTag; 15] = [
     MsgTag::SnapshotOffer,
 ];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The frame envelope round-trips any tag/seq/payload bit-exactly.
-    #[test]
-    fn frame_envelope_round_trips(
-        tag_idx in 0usize..ALL_TAGS.len(),
-        seq in any::<u32>(),
-        epoch in any::<u32>(),
-        payload in prop::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let f = Frame { tag: ALL_TAGS[tag_idx], seq, epoch, payload };
+/// The frame envelope round-trips any tag/seq/payload bit-exactly.
+#[test]
+fn frame_envelope_round_trips() {
+    cases(0..64, |rng| {
+        let f = Frame {
+            tag: ALL_TAGS[rng.random_range(0..ALL_TAGS.len())],
+            seq: rng.random(),
+            epoch: rng.random(),
+            payload: random_bytes(rng, 0..200),
+        };
         let bytes = f.to_bytes();
-        prop_assert_eq!(Frame::from_bytes(&bytes).unwrap(), f);
-    }
+        assert_eq!(Frame::from_bytes(&bytes).unwrap(), f);
+    });
+}
 
-    /// Every request message type round-trips through its typed frame:
-    /// delta batches (tick / resync / migration) survive bit-exactly.
-    #[test]
-    fn delta_batches_round_trip_through_frames(
-        batch in delta_batch_strategy(),
-        seq in any::<u32>(),
-    ) {
+/// Every request message type round-trips through its typed frame: delta
+/// batches (tick / resync / migration) survive bit-exactly.
+#[test]
+fn delta_batches_round_trip_through_frames() {
+    cases(0..64, |rng| {
+        let batch = random_delta_batch(rng);
         let mut payload = Vec::new();
         batch.encode(&mut payload);
         let tag = match batch.kind {
@@ -1647,35 +1546,45 @@ proptest! {
             BatchKind::Resync => MsgTag::ResyncEvents,
             BatchKind::Migration => MsgTag::MigrationEvents,
         };
-        let bytes = Frame { tag, seq, epoch: 0, payload }.to_bytes();
+        let bytes = Frame {
+            tag,
+            seq: rng.random(),
+            epoch: 0,
+            payload,
+        }
+        .to_bytes();
         let back = Frame::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.tag, tag);
+        assert_eq!(back.tag, tag);
         let decoded = DeltaBatch::decode(&mut WireReader::new(&back.payload)).unwrap();
-        prop_assert_eq!(&decoded.objects, &batch.objects);
-        prop_assert_eq!(&decoded.queries, &batch.queries);
-        prop_assert_eq!(&*decoded.shared_edges, &*batch.shared_edges);
-    }
+        assert_eq!(decoded.objects, batch.objects);
+        assert_eq!(decoded.queries, batch.queries);
+        assert_eq!(decoded.shared_edges, batch.shared_edges);
+    });
+}
 
-    /// Every reply message type round-trips: tick outcomes (reports,
-    /// snapshot deltas incl. ∞ distances, cell charges) and memory
-    /// breakdowns.
-    #[test]
-    fn replies_round_trip_through_frames(
-        outcome in tick_outcome_strategy(),
-        mem_seed in any::<u64>(),
-        seq in any::<u32>(),
-    ) {
+/// Every reply message type round-trips: tick outcomes (reports, snapshot
+/// deltas incl. ∞ distances, cell charges) and memory breakdowns.
+#[test]
+fn replies_round_trip_through_frames() {
+    cases(0..64, |rng| {
+        let outcome = random_tick_outcome(rng);
+        let seq = rng.random();
         let mut payload = Vec::new();
         outcome.encode(&mut payload);
-        let bytes = Frame { tag: MsgTag::TickReply, seq, epoch: 0, payload }.to_bytes();
+        let bytes = Frame {
+            tag: MsgTag::TickReply,
+            seq,
+            epoch: 0,
+            payload,
+        }
+        .to_bytes();
         let back = Frame::from_bytes(&bytes).unwrap();
         let decoded = TickOutcome::decode(&mut WireReader::new(&back.payload)).unwrap();
         // Work counters, snapshots and charges must survive bit-exactly;
         // wall-clock rides along and must too (it is plain u64/u32 data).
-        prop_assert_eq!(decoded, outcome);
+        assert_eq!(decoded, outcome);
 
-        let mut s = mem_seed;
-        let mut next = move || { s = s.wrapping_mul(6364136223846793005).wrapping_add(17); (s >> 13) as usize };
+        let mut next = || (rng.random::<u64>() >> 13) as usize;
         let mem = MemoryUsage {
             edge_table: next(),
             query_table: next(),
@@ -1685,40 +1594,58 @@ proptest! {
         };
         let mut payload = Vec::new();
         mem.encode(&mut payload);
-        let bytes = Frame { tag: MsgTag::MemoryReply, seq, epoch: 0, payload }.to_bytes();
+        let bytes = Frame {
+            tag: MsgTag::MemoryReply,
+            seq,
+            epoch: 0,
+            payload,
+        }
+        .to_bytes();
         let back = Frame::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(MemoryUsage::decode(&mut WireReader::new(&back.payload)).unwrap(), mem);
-    }
+        assert_eq!(
+            MemoryUsage::decode(&mut WireReader::new(&back.payload)).unwrap(),
+            mem
+        );
+    });
+}
 
-    /// Truncating a frame anywhere yields a decode error — never a panic,
-    /// never a bogus success.
-    #[test]
-    fn truncated_frames_error_not_panic(
-        batch in delta_batch_strategy(),
-        cut_seed in any::<u64>(),
-    ) {
+/// Truncating a frame anywhere yields a decode error — never a panic,
+/// never a bogus success.
+#[test]
+fn truncated_frames_error_not_panic() {
+    cases(0..64, |rng| {
         let mut payload = Vec::new();
-        batch.encode(&mut payload);
-        let bytes = Frame { tag: MsgTag::TickEvents, seq: 3, epoch: 7, payload }.to_bytes();
-        let cut = (cut_seed as usize) % bytes.len();
-        prop_assert!(Frame::from_bytes(&bytes[..cut]).is_err());
-    }
+        random_delta_batch(rng).encode(&mut payload);
+        let bytes = Frame {
+            tag: MsgTag::TickEvents,
+            seq: 3,
+            epoch: 7,
+            payload,
+        }
+        .to_bytes();
+        let cut = rng.random_range(0..bytes.len());
+        assert!(Frame::from_bytes(&bytes[..cut]).is_err());
+    });
+}
 
-    /// Flipping any single bit past the length prefix is caught (checksum
-    /// or framing), so a corrupted frame can never be applied.
-    #[test]
-    fn corrupted_frames_are_rejected(
-        batch in delta_batch_strategy(),
-        byte_seed in any::<u64>(),
-        bit in 0u8..8,
-    ) {
+/// Flipping any single bit past the length prefix is caught (checksum or
+/// framing), so a corrupted frame can never be applied.
+#[test]
+fn corrupted_frames_are_rejected() {
+    cases(0..64, |rng| {
         let mut payload = Vec::new();
-        batch.encode(&mut payload);
-        let mut bytes = Frame { tag: MsgTag::MigrationEvents, seq: 9, epoch: 2, payload }.to_bytes();
-        let idx = 4 + (byte_seed as usize) % (bytes.len() - 4);
-        bytes[idx] ^= 1 << bit;
-        prop_assert!(Frame::from_bytes(&bytes).is_err());
-    }
+        random_delta_batch(rng).encode(&mut payload);
+        let mut bytes = Frame {
+            tag: MsgTag::MigrationEvents,
+            seq: 9,
+            epoch: 2,
+            payload,
+        }
+        .to_bytes();
+        let idx = rng.random_range(4..bytes.len());
+        bytes[idx] ^= 1 << rng.random_range(0..8u8);
+        assert!(Frame::from_bytes(&bytes).is_err());
+    });
 }
 
 /// Bytes tripwire for the event codec: one seeded timestamp of the
@@ -1752,50 +1679,64 @@ fn a_paper_scale_move_batch_encodes_at_13_bytes_per_event() {
 // not valid Rust (unterminated strings, stray quotes, lone backslashes).
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Lexing arbitrary bytes (lossily decoded) terminates without
-    /// panicking, and every reported line number is within the input.
-    #[test]
-    fn lexer_total_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
+/// Lexing arbitrary bytes (lossily decoded) terminates without panicking,
+/// and every reported line number is within the input.
+#[test]
+fn lexer_total_on_arbitrary_bytes() {
+    cases(0..48, |rng| {
+        let src = String::from_utf8_lossy(&random_bytes(rng, 0..512)).into_owned();
         let lines = src.lines().count().max(1) as u32;
         let out = rnn_analysis::lexer::lex(&src);
         for t in &out.tokens {
-            prop_assert!(t.line >= 1 && t.line <= lines);
+            assert!(t.line >= 1 && t.line <= lines);
         }
         for a in &out.allows {
-            prop_assert!(!a.rule.is_empty());
-            prop_assert!(a.line >= 1 && a.line <= lines);
+            assert!(!a.rule.is_empty());
+            assert!(a.line >= 1 && a.line <= lines);
         }
-    }
+    });
+}
 
-    /// Token lines are nondecreasing: the stream preserves source order.
-    #[test]
-    fn lexer_lines_are_monotone(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
+/// Token lines are nondecreasing: the stream preserves source order.
+#[test]
+fn lexer_lines_are_monotone() {
+    cases(0..48, |rng| {
+        let src = String::from_utf8_lossy(&random_bytes(rng, 0..512)).into_owned();
         let toks = rnn_analysis::lexer::lex(&src).tokens;
         for w in toks.windows(2) {
-            prop_assert!(w[0].line <= w[1].line);
+            assert!(w[0].line <= w[1].line);
         }
-    }
+    });
+}
 
-    /// Quote-heavy input — the worst case for string/char/lifetime
-    /// disambiguation — still terminates and stays in bounds.
-    #[test]
-    fn lexer_survives_quote_soup(
-        picks in proptest::collection::vec(0usize..12, 0..200),
-    ) {
-        const PIECES: [&str; 12] = [
-            "\"", "'", "r#\"", "\"#", "//", "/*", "*/", "\\", "\n",
-            "lint: allow(", "b'", "r##",
-        ];
-        let src: String = picks.iter().map(|&i| PIECES[i]).collect();
+/// Quote-heavy input — the worst case for string/char/lifetime
+/// disambiguation — still terminates and stays in bounds.
+#[test]
+fn lexer_survives_quote_soup() {
+    const PIECES: [&str; 12] = [
+        "\"",
+        "'",
+        "r#\"",
+        "\"#",
+        "//",
+        "/*",
+        "*/",
+        "\\",
+        "\n",
+        "lint: allow(",
+        "b'",
+        "r##",
+    ];
+    cases(0..48, |rng| {
+        let src: String = (0..rng.random_range(0..200usize))
+            .map(|_| PIECES[rng.random_range(0..PIECES.len())])
+            .collect();
         let out = rnn_analysis::lexer::lex(&src);
         let lines = src.lines().count().max(1) as u32;
         for t in &out.tokens {
-            prop_assert!(t.line >= 1 && t.line <= lines);
+            assert!(t.line >= 1 && t.line <= lines);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1840,139 +1781,153 @@ fn populate_for_snapshot(m: &mut dyn ContinuousMonitor, net: &RoadNetwork, seed:
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// capture → encode → decode → restore yields a monitor with
-    /// bit-identical answers, for each algorithm on random populated
-    /// networks.
-    #[test]
-    fn snapshot_round_trip_is_answer_equivalent(seed in 0u64..120, algo in 0usize..3) {
+/// capture → encode → decode → restore yields a monitor with bit-identical
+/// answers, for each algorithm on random populated networks.
+#[test]
+fn snapshot_round_trip_is_answer_equivalent() {
+    cases(0..16, |rng| {
+        let seed = rng.random_range(0..120);
         let net = grid(5, 5, seed);
         let (mut orig, mut fresh): (Box<dyn ContinuousMonitor>, Box<dyn ContinuousMonitor>) =
-            match algo {
-                0 => (Box::new(Gma::new(net.clone())), Box::new(Gma::new(net.clone()))),
-                1 => (Box::new(Ima::new(net.clone())), Box::new(Ima::new(net.clone()))),
-                _ => (Box::new(Ovh::new(net.clone())), Box::new(Ovh::new(net.clone()))),
+            match rng.random_range(0..3u8) {
+                0 => (
+                    Box::new(Gma::new(net.clone())),
+                    Box::new(Gma::new(net.clone())),
+                ),
+                1 => (
+                    Box::new(Ima::new(net.clone())),
+                    Box::new(Ima::new(net.clone())),
+                ),
+                _ => (
+                    Box::new(Ovh::new(net.clone())),
+                    Box::new(Ovh::new(net.clone())),
+                ),
             };
         populate_for_snapshot(orig.as_mut(), &net, seed);
-        let snap = orig.snapshot_state().expect("all three algorithms snapshot");
+        let snap = orig
+            .snapshot_state()
+            .expect("all three algorithms snapshot");
         let bytes = snap.to_bytes();
         let decoded = MonitorState::from_bytes(&bytes);
-        prop_assert_eq!(decoded.as_ref().ok(), Some(&snap), "decode must invert encode");
-        prop_assert!(decoded.unwrap().restore_into(fresh.as_mut()).is_ok());
-        prop_assert_eq!(compare(orig.as_ref(), fresh.as_ref(), None), Ok(()));
-    }
+        assert_eq!(
+            decoded.as_ref().ok(),
+            Some(&snap),
+            "decode must invert encode"
+        );
+        assert!(decoded.unwrap().restore_into(fresh.as_mut()).is_ok());
+        assert_eq!(compare(orig.as_ref(), fresh.as_ref(), None), Ok(()));
+    });
+}
 
-    /// The snapshot decoder is total: truncating a valid encoding at any
-    /// proportional cut is rejected as an error, never a panic.
-    #[test]
-    fn snapshot_decode_rejects_truncation(seed in 0u64..60, cut in 0.0f64..1.0) {
+/// The snapshot decoder is total: truncating a valid encoding at any
+/// proportional cut is rejected as an error, never a panic.
+#[test]
+fn snapshot_decode_rejects_truncation() {
+    cases(0..16, |rng| {
+        let seed = rng.random_range(0..60);
         let net = grid(5, 5, seed);
         let mut m = Gma::new(net.clone());
         populate_for_snapshot(&mut m, &net, seed);
         let bytes = m.snapshot_state().expect("gma snapshots").to_bytes();
-        let at = ((bytes.len() as f64) * cut) as usize;
+        let at = ((bytes.len() as f64) * rng.random_range(0.0..1.0)) as usize;
         if at < bytes.len() {
-            prop_assert!(MonitorState::from_bytes(&bytes[..at]).is_err());
+            assert!(MonitorState::from_bytes(&bytes[..at]).is_err());
         }
-    }
+    });
+}
 
-    /// Cutting a WAL image at an arbitrary byte offset never panics and
-    /// recovers exactly the records that fit before the cut.
-    #[test]
-    fn wal_scan_recovers_untorn_prefix(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 1..8),
-        cut in 0.0f64..1.0,
-    ) {
-        let mut image = Vec::new();
-        let mut ends = Vec::new();
-        for (i, p) in payloads.iter().enumerate() {
-            let frame = Frame { tag: MsgTag::TickEvents, seq: i as u32, epoch: 0, payload: p.clone() };
-            image.extend_from_slice(&frame.to_bytes());
-            ends.push(image.len());
-        }
-        let at = ((image.len() as f64) * cut) as usize;
+/// A WAL image of 1–7 records with payloads of 0–39 bytes, and the byte
+/// offset each record starts at, the image's length last.
+fn random_wal_image(rng: &mut StdRng, epoch: u32) -> (Vec<u8>, Vec<usize>) {
+    let (mut image, mut bounds) = (Vec::new(), vec![0]);
+    for seq in 0..rng.random_range(1..8) {
+        let payload = random_bytes(rng, 0..40);
+        image.extend_from_slice(
+            &Frame {
+                tag: MsgTag::TickEvents,
+                seq,
+                epoch,
+                payload,
+            }
+            .to_bytes(),
+        );
+        bounds.push(image.len());
+    }
+    (image, bounds)
+}
+
+/// Cutting a WAL image at an arbitrary byte offset never panics and
+/// recovers exactly the records that fit before the cut.
+#[test]
+fn wal_scan_recovers_untorn_prefix() {
+    cases(0..16, |rng| {
+        let (image, bounds) = random_wal_image(rng, 0);
+        let at = ((image.len() as f64) * rng.random_range(0.0..1.0)) as usize;
         let (records, valid) = cluster_wal::scan(&image[..at]);
         // The valid prefix is exactly the full records that fit in the cut.
-        let want = ends.iter().take_while(|&&e| e <= at).count();
-        prop_assert_eq!(records.len(), want, "cut at {} of {}", at, image.len());
-        prop_assert_eq!(valid, if want == 0 { 0 } else { ends[want - 1] });
+        let want = bounds[1..].iter().take_while(|&&e| e <= at).count();
+        assert_eq!(records.len(), want, "cut at {at} of {}", image.len());
+        assert_eq!(valid, bounds[want]);
         for (i, (seq, bytes)) in records.iter().enumerate() {
-            prop_assert_eq!(*seq, i as u32);
-            let start = if i == 0 { 0 } else { ends[i - 1] };
-            prop_assert_eq!(bytes.as_slice(), &image[start..ends[i]]);
+            assert_eq!(*seq, i as u32);
+            assert_eq!(bytes.as_slice(), &image[bounds[i]..bounds[i + 1]]);
         }
-    }
+    });
+}
 
-    /// Flipping any single bit *inside* a record (past its length
-    /// prefix) makes the scan stop exactly there: every record before
-    /// the flipped one is recovered verbatim, nothing at or after it
-    /// survives, and the valid prefix ends at the previous record's
-    /// boundary — a torn middle behaves like a torn tail, never a
-    /// silent partial apply.
-    #[test]
-    fn wal_scan_stops_at_a_mid_record_bit_flip(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 1..8),
-        pick in any::<u64>(),
-        bit in 0u8..8,
-    ) {
-        let mut image = Vec::new();
-        let mut bounds = Vec::new();
-        for (i, p) in payloads.iter().enumerate() {
-            let start = image.len();
-            let frame = Frame { tag: MsgTag::TickEvents, seq: i as u32, epoch: 1, payload: p.clone() };
-            image.extend_from_slice(&frame.to_bytes());
-            bounds.push((start, image.len()));
-        }
-        let victim = (pick as usize) % bounds.len();
-        let (start, end) = bounds[victim];
-        // Flip past the 4-byte length prefix so framing is intact and
-        // the checksum is what must catch it.
-        let idx = start + 4 + (pick as usize / 7) % (end - start - 4);
-        image[idx] ^= 1 << bit;
+/// Flipping any single bit *inside* a record (past its length prefix)
+/// makes the scan stop exactly there: every record before the flipped one
+/// is recovered verbatim, nothing at or after it survives, and the valid
+/// prefix ends at the previous record's boundary — a torn middle behaves
+/// like a torn tail, never a silent partial apply.
+#[test]
+fn wal_scan_stops_at_a_mid_record_bit_flip() {
+    cases(0..16, |rng| {
+        let (mut image, bounds) = random_wal_image(rng, 1);
+        let victim = rng.random_range(0..bounds.len() - 1);
+        // Flip past the 4-byte length prefix so framing is intact and the
+        // checksum is what must catch it.
+        let idx = rng.random_range(bounds[victim] + 4..bounds[victim + 1]);
+        image[idx] ^= 1 << rng.random_range(0..8u8);
         let (records, valid) = cluster_wal::scan(&image);
-        prop_assert_eq!(records.len(), victim);
-        prop_assert_eq!(valid, bounds[victim].0);
+        assert_eq!(records.len(), victim);
+        assert_eq!(valid, bounds[victim]);
         for (i, (seq, bytes)) in records.iter().enumerate() {
-            prop_assert_eq!(*seq, i as u32);
-            prop_assert_eq!(bytes.as_slice(), &image[bounds[i].0..bounds[i].1]);
+            assert_eq!(*seq, i as u32);
+            assert_eq!(bytes.as_slice(), &image[bounds[i]..bounds[i + 1]]);
         }
-    }
+    });
+}
 
-    /// Truncating exactly *at* a record boundary is lossless up to the
-    /// cut: every record before the boundary is recovered and the valid
-    /// prefix is the boundary itself (no record is half-counted).
-    #[test]
-    fn wal_scan_is_exact_at_record_boundaries(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 1..8),
-        pick in any::<u64>(),
-    ) {
-        let mut image = Vec::new();
-        let mut ends = vec![0usize];
-        for (i, p) in payloads.iter().enumerate() {
-            let frame = Frame { tag: MsgTag::TickEvents, seq: i as u32, epoch: 1, payload: p.clone() };
-            image.extend_from_slice(&frame.to_bytes());
-            ends.push(image.len());
-        }
-        let cut_idx = (pick as usize) % ends.len();
-        let cut = ends[cut_idx];
+/// Truncating exactly *at* a record boundary is lossless up to the cut:
+/// every record before the boundary is recovered and the valid prefix is
+/// the boundary itself (no record is half-counted).
+#[test]
+fn wal_scan_is_exact_at_record_boundaries() {
+    cases(0..16, |rng| {
+        let (image, bounds) = random_wal_image(rng, 1);
+        let cut_idx = rng.random_range(0..bounds.len());
+        let cut = bounds[cut_idx];
         let (records, valid) = cluster_wal::scan(&image[..cut]);
-        prop_assert_eq!(records.len(), cut_idx, "exactly the records before the boundary");
-        prop_assert_eq!(valid, cut, "a boundary cut leaves no torn tail");
-    }
+        assert_eq!(
+            records.len(),
+            cut_idx,
+            "exactly the records before the boundary"
+        );
+        assert_eq!(valid, cut, "a boundary cut leaves no torn tail");
+    });
+}
 
-    /// Scanning arbitrary garbage is total and returns a consistent
-    /// (records, valid-prefix) pair.
-    #[test]
-    fn wal_scan_total_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+/// Scanning arbitrary garbage is total and returns a consistent
+/// (records, valid-prefix) pair.
+#[test]
+fn wal_scan_total_on_arbitrary_bytes() {
+    cases(0..16, |rng| {
+        let bytes = random_bytes(rng, 0..256);
         let (records, valid) = cluster_wal::scan(&bytes);
-        prop_assert!(valid <= bytes.len());
+        assert!(valid <= bytes.len());
         let (again, valid2) = cluster_wal::scan(&bytes[..valid]);
-        prop_assert_eq!(valid2, valid, "valid prefix must be a fixpoint");
-        prop_assert_eq!(again.len(), records.len());
-    }
+        assert_eq!(valid2, valid, "valid prefix must be a fixpoint");
+        assert_eq!(again.len(), records.len());
+    });
 }

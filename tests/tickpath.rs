@@ -7,8 +7,10 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{compare, grid};
-use proptest::prelude::*;
+use common::{cases, compare, grid};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use rnn_monitor::core::{ContinuousMonitor, Gma, Ima, OpCounters, UpdateBatch, UpdateEvent};
 use rnn_monitor::core::{ObjectEvent, QueryEvent};
 use rnn_monitor::roadnet::{
@@ -16,41 +18,24 @@ use rnn_monitor::roadnet::{
 };
 use rnn_monitor::workload::{HotspotConfig, Scenario, ScenarioConfig};
 
-/// Deterministic pseudo-random stream (the test drives its own workload so
-/// the shrink behaviour of proptest stays simple).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    fn frac(&mut self) -> f64 {
-        (self.next() % 1000) as f64 / 1000.0
-    }
+/// A point on one of `edges` edges, at a fraction in thousandths.
+fn random_point(rng: &mut StdRng, edges: u32) -> NetPoint {
+    let frac = f64::from(rng.random_range(0..1000u32)) / 1000.0;
+    NetPoint::new(EdgeId(rng.random_range(0..edges)), frac)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Shared-anchor expansions must answer exactly like independent
-    /// per-query expansions: a monitor holding several co-located queries
-    /// (the configuration that triggers the root-grouped multi-k
-    /// expansion) agrees with one monitor per query, on random networks
-    /// and random workloads.
-    #[test]
-    fn shared_anchor_expansion_matches_independent_queries(
-        seed in 0u64..1000,
-        n_queries in 2usize..5,
-        n_objects in 6usize..30,
-    ) {
-        let net = grid(5, 5, seed % 7);
+/// Shared-anchor expansions must answer exactly like independent
+/// per-query expansions: a monitor holding several co-located queries
+/// (the configuration that triggers the root-grouped multi-k expansion)
+/// agrees with one monitor per query, on random networks and random
+/// workloads.
+#[test]
+fn shared_anchor_expansion_matches_independent_queries() {
+    cases(0..12, |rng| {
+        let net = grid(5, 5, rng.random_range(0..7));
+        let n_queries = rng.random_range(2..5usize);
+        let n_objects = rng.random_range(6..30usize);
         let edges = net.num_edges() as u32;
-        let mut rng = Lcg(seed.wrapping_mul(997) + 13);
 
         // One IMA with all queries co-located (shared expansions fire) and
         // one independent single-query IMA per query. GMA rides along: its
@@ -61,7 +46,7 @@ proptest! {
         let mut solo: Vec<Ima> = (0..n_queries).map(|_| Ima::new(net.clone())).collect();
 
         for i in 0..n_objects {
-            let at = NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac());
+            let at = random_point(rng, edges);
             let id = ObjectId(i as u32);
             shared_ima.apply(UpdateEvent::insert_object(id, at));
             shared_gma.apply(UpdateEvent::insert_object(id, at));
@@ -69,7 +54,7 @@ proptest! {
                 m.apply(UpdateEvent::insert_object(id, at));
             }
         }
-        let q0 = NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac());
+        let q0 = random_point(rng, edges);
         for (i, m) in solo.iter_mut().enumerate() {
             let k = 1 + i % 3;
             shared_ima.apply(UpdateEvent::install_query(QueryId(i as u32), k, q0));
@@ -83,15 +68,15 @@ proptest! {
             // fresh position (same root ⇒ one multi-k expansion serves all).
             let mut batch = UpdateBatch::default();
             for i in 0..n_objects {
-                if rng.next() % 3 == 0 {
+                if rng.random_range(0..3u32) == 0 {
                     batch.objects.push(ObjectEvent::Move {
                         id: ObjectId(i as u32),
-                        to: NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac()),
+                        to: random_point(rng, edges),
                     });
                 }
             }
             if tick % 2 == 0 {
-                let to = NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac());
+                let to = random_point(rng, edges);
                 for i in 0..n_queries {
                     batch.queries.push(QueryEvent::Move {
                         id: QueryId(i as u32),
@@ -107,26 +92,26 @@ proptest! {
             }
             for (i, m) in solo.iter().enumerate() {
                 let id = QueryId(i as u32);
-                prop_assert_eq!(
+                assert_eq!(
                     shared_ima.result(id).unwrap(),
                     m.result(id).unwrap(),
-                    "shared IMA diverged for {:?} at tick {}", id, tick
+                    "shared IMA diverged for {id:?} at tick {tick}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     shared_gma.result(id).unwrap(),
                     m.result(id).unwrap(),
-                    "shared GMA diverged for {:?} at tick {}", id, tick
+                    "shared GMA diverged for {id:?} at tick {tick}"
                 );
             }
             shared_ima.validate_invariants();
         }
         // Co-located queries moving together must actually exercise the
         // shared multi-k path at least once.
-        prop_assert!(
+        assert!(
             shared_seen > 0,
             "root-grouped expansion never fired for co-located queries"
         );
-    }
+    });
 }
 
 /// The steady-state zero-allocation guarantee: once the workload's
@@ -379,10 +364,8 @@ fn installation_order_is_not_an_input() {
         }
         let ascending: Vec<_> = scenario.initial_queries().collect();
         let mut shuffled = ascending.clone();
-        let mut rng = Lcg(7);
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, rng.next() as usize % (i + 1));
-        }
+        let mut rng = StdRng::seed_from_u64(7);
+        shuffled.shuffle(&mut rng);
         assert_ne!(ascending, shuffled);
         for (monitor, order) in pair.iter_mut().zip([&ascending, &shuffled]) {
             monitor.tick(&load);
@@ -413,7 +396,7 @@ fn installation_order_is_not_an_input() {
                         .map(|&id| QueryEvent::Install {
                             id,
                             k: cfg.k,
-                            at: NetPoint::new(EdgeId(rng.next() as u32 % edges), rng.frac()),
+                            at: random_point(&mut rng, edges),
                         })
                         .collect();
                     batches[0].queries.extend(back.iter().copied());
